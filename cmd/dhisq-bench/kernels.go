@@ -19,11 +19,14 @@ import (
 // The kernels experiment measures the two rewritten simulation kernels
 // against the retained reference implementations (the same oracles the
 // property tests compare amplitudes and stabilizer rows against), plus the
-// batched-shot path, and emits BENCH_kernels.json. Two of its numbers are
-// CI gates: the statevec gate microbench must hold a >= 2x geometric-mean
-// speedup over the reference kernels, and the batched bv_n400/8 seeded run
-// must stay strictly under 0.52 ms/shot (the recorded pre-batching cost of
-// one event-simulation replay per shot on that workload).
+// batched-shot path, and emits BENCH_kernels.json. Three of its numbers
+// are CI gates: the statevec gate microbench must hold a >= 2x
+// geometric-mean speedup over the reference kernels on states whose every
+// qubit is active, the ancilla-reuse loop (entangle, measure, reset, reuse)
+// must run >= 2x faster than its full-vector replay through the reference
+// kernels, and the batched bv_n400/8 seeded run must stay strictly under
+// 0.52 ms/shot (the recorded pre-batching cost of one event-simulation
+// replay per shot on that workload).
 
 // kernelGate is one microbench cell: ns/gate for the reference and the
 // rewritten kernel on the same gate kind at the same size.
@@ -48,11 +51,23 @@ type kernelShot struct {
 	Speedup            float64 `json:"speedup"`
 }
 
+// kernelAncilla is the measure→reset→reuse microbench: ns per cycle on a
+// state of Data active qubits plus Ancillas reused ones, the full-vector
+// replay through the Ref kernels against the active-space State.
+type kernelAncilla struct {
+	Data          int     `json:"data_qubits"`
+	Ancillas      int     `json:"ancilla_qubits"`
+	RefNsPerCycle float64 `json:"ref_ns_per_cycle"`
+	NewNsPerCycle float64 `json:"new_ns_per_cycle"`
+	Speedup       float64 `json:"speedup"`
+}
+
 type kernelReport struct {
-	StatevecGates          []kernelGate `json:"statevec_gates"`
-	StatevecGeomeanSpeedup float64      `json:"statevec_geomean_speedup"`
-	StabilizerGates        []kernelGate `json:"stabilizer_gates"`
-	Shots                  []kernelShot `json:"shots"`
+	StatevecGates          []kernelGate  `json:"statevec_gates"`
+	StatevecGeomeanSpeedup float64       `json:"statevec_geomean_speedup"`
+	AncillaReuse           kernelAncilla `json:"ancilla_reuse"`
+	StabilizerGates        []kernelGate  `json:"stabilizer_gates"`
+	Shots                  []kernelShot  `json:"shots"`
 }
 
 // bestNsPer runs fn(iters) for a few rounds and keeps the cheapest
@@ -135,6 +150,73 @@ func benchKernelsStatevec() ([]kernelGate, float64) {
 		}
 	}
 	return rows, math.Exp(logSum / float64(cells))
+}
+
+// benchAncillaReuse times the cycle a communication qubit lives through
+// between EPR windows — CNOT from a data qubit onto the ancilla, measure
+// it, X it back to |0> if it read 1, move to the next ancilla — on 12
+// entangled data qubits and 2 ancillas, the shape of a 2-chip dvqe_n12
+// shot. The Ref side replays the same cycles on all 2^14 amplitudes with a
+// twinned RNG; the two must read the same outcomes.
+func benchAncillaReuse() (kernelAncilla, error) {
+	const data, ancillas, rounds, iters = 12, 2, 3, 256
+	prepare := func() *quantum.State {
+		s := quantum.NewState(data + ancillas)
+		for q := 0; q < data; q++ {
+			s.RY(q, 0.3+0.1*float64(q))
+		}
+		for q := 0; q+1 < data; q++ {
+			s.CNOT(q, q+1)
+		}
+		return s
+	}
+	var newOnes, refOnes int
+	ns, ref := prepare(), prepare()
+	nsRng, refRng := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	newNs := bestNsPer(rounds, iters, func(it int) {
+		for i := 0; i < it; i++ {
+			a := data + i%ancillas
+			ns.CNOT(i%data, a)
+			if ns.Measure(a, nsRng) == 1 {
+				ns.X(a)
+				newOnes++
+			}
+		}
+	})
+	refNs := bestNsPer(rounds, iters, func(it int) {
+		for i := 0; i < it; i++ {
+			a := data + i%ancillas
+			quantum.RefCNOT(ref, i%data, a)
+			if quantum.RefMeasure(ref, a, refRng) == 1 {
+				quantum.RefApply1(ref, a, 0, 1, 1, 0)
+				refOnes++
+			}
+		}
+	})
+	if newOnes != refOnes {
+		return kernelAncilla{}, fmt.Errorf("ancilla reuse: %d one-outcomes, full-vector replay read %d", newOnes, refOnes)
+	}
+	return kernelAncilla{
+		Data: data, Ancillas: ancillas,
+		RefNsPerCycle: refNs, NewNsPerCycle: newNs, Speedup: refNs / newNs,
+	}, nil
+}
+
+// dvqeBenchmark is the benchmark's sweep_stream job as one bound circuit:
+// workloads.DistributedVQE(12, 2) at point 0 over 2 chips, interaction
+// placement, dense backend (14 qubits with the two communication qubits).
+func dvqeBenchmark() (runner.Spec, error) {
+	const qubits, layers = 12, 2
+	c, err := workloads.DistributedVQE(qubits, layers).Bind(workloads.DistributedVQEPoint(qubits, layers, 0))
+	if err != nil {
+		return runner.Spec{}, err
+	}
+	cfg := machine.DefaultConfig(qubits)
+	cfg.Chips = 2
+	cfg.Placement = "interaction"
+	cfg.Backend = machine.BackendStateVec
+	w, h := placement.AutoMesh(cfg.TotalQubits(qubits))
+	return runner.Spec{Circuit: c, MeshW: w, MeshH: h, Cfg: cfg}, nil
 }
 
 // benchKernelsStabilizer times the column-major tableau against the
@@ -278,8 +360,9 @@ func benchShotRow(name, backend string, spec runner.Spec, shots, lanes int) (ker
 	}, nil
 }
 
-// benchKernels runs the full kernels experiment and enforces its two CI
-// gates: statevec geomean >= 2x and batched bv_n400/8 under 0.52 ms/shot.
+// benchKernels runs the full kernels experiment and enforces its three CI
+// gates: statevec geomean >= 2x, ancilla reuse >= 2x, and batched
+// bv_n400/8 under 0.52 ms/shot.
 func benchKernels(outDir string, seed int64) error {
 	svRows, geomean := benchKernelsStatevec()
 	for _, r := range svRows {
@@ -287,6 +370,13 @@ func benchKernels(outDir string, seed int64) error {
 			r.Kind, r.N, r.RefNsPerGate, r.NewNsPerGate, r.Speedup)
 	}
 	fmt.Printf("statevec geomean speedup: %.2fx\n", geomean)
+
+	anc, err := benchAncillaReuse()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("statevec   ancilla reuse (%d+%d qubits) ref %9.1f ns/cycle  new %9.1f ns/cycle  %6.2fx\n",
+		anc.Data, anc.Ancillas, anc.RefNsPerCycle, anc.NewNsPerCycle, anc.Speedup)
 
 	stRows := benchKernelsStabilizer()
 	for _, r := range stRows {
@@ -342,6 +432,20 @@ func benchKernels(outDir string, seed int64) error {
 	}
 	shotRows = append(shotRows, row)
 
+	// A remote-gate shot through machine.Run on the dense backend: the cost
+	// per shot of communication qubits that sit in |0> between EPR windows.
+	// Feed-forward, so not batchable: one lane, the plain path twice.
+	dvqeSpec, err := dvqeBenchmark()
+	if err != nil {
+		return err
+	}
+	dvqeSpec.Cfg.Seed = seed
+	row, err = benchShotRow("dvqe_n12_c2", "statevec", dvqeSpec, 64, 1)
+	if err != nil {
+		return err
+	}
+	shotRows = append(shotRows, row)
+
 	for _, r := range shotRows {
 		fmt.Printf("shots %-12s %-10s %5.3f ms/shot unbatched  %5.3f ms/shot batched (%d lanes)  %5.2fx\n",
 			r.Name, r.Backend, r.UnbatchedMsPerShot, r.BatchedMsPerShot, r.Lanes, r.Speedup)
@@ -350,15 +454,19 @@ func benchKernels(outDir string, seed int64) error {
 	if geomean < 2.0 {
 		return fmt.Errorf("statevec kernel geomean speedup %.2fx, CI gate requires >= 2.0x", geomean)
 	}
+	if anc.Speedup < 2.0 {
+		return fmt.Errorf("ancilla-reuse speedup %.2fx over the full-vector replay, CI gate requires >= 2.0x", anc.Speedup)
+	}
 	if bvMs := shotRows[0].BatchedMsPerShot; bvMs >= 0.52 {
 		return fmt.Errorf("bv_n400/8 seeded batched cost %.3f ms/shot, CI gate requires < 0.52", bvMs)
 	}
-	fmt.Printf("gates hold: statevec geomean %.2fx >= 2.0x; bv_n400/8 batched %.3f ms/shot < 0.52\n",
-		geomean, shotRows[0].BatchedMsPerShot)
+	fmt.Printf("gates hold: statevec geomean %.2fx >= 2.0x; ancilla reuse %.2fx >= 2.0x; bv_n400/8 batched %.3f ms/shot < 0.52\n",
+		geomean, anc.Speedup, shotRows[0].BatchedMsPerShot)
 
 	return writeBenchJSON(outDir, "kernels", kernelReport{
 		StatevecGates:          svRows,
 		StatevecGeomeanSpeedup: geomean,
+		AncillaReuse:           anc,
 		StabilizerGates:        stRows,
 		Shots:                  shotRows,
 	})

@@ -106,11 +106,12 @@ func (b *StateVecBackend) Apply2(kind circuit.Kind, param float64, x, y int) {
 // Measure implements Backend.
 func (b *StateVecBackend) Measure(q int) int { return b.State.Measure(q, b.rng(q)) }
 
-// Reset implements Backend: |0...0> in place, both RNG streams reseeded.
+// Reset implements Backend: |0...0> in place, both RNG streams reseeded in
+// place (the same streams as fresh construction, without its allocations).
 func (b *StateVecBackend) Reset(seed int64) {
 	b.State.Reset()
-	b.Rng = rand.New(rand.NewSource(seed))
-	b.hrng = rand.New(rand.NewSource(seed ^ heraldSeedMix))
+	b.Rng.Seed(seed)
+	b.hrng.Seed(seed ^ heraldSeedMix)
 }
 
 // StabilizerBackend applies Clifford gates to a tableau — exact semantics at
@@ -185,11 +186,11 @@ func (b *StabilizerBackend) Apply2(kind circuit.Kind, param float64, x, y int) {
 func (b *StabilizerBackend) Measure(q int) int { return b.Tab.MeasureZ(q, b.rng(q)) }
 
 // Reset implements Backend: identity tableau in place, both RNG streams
-// reseeded.
+// reseeded in place.
 func (b *StabilizerBackend) Reset(seed int64) {
 	b.Tab.Reset()
-	b.Rng = rand.New(rand.NewSource(seed))
-	b.hrng = rand.New(rand.NewSource(seed ^ heraldSeedMix))
+	b.Rng.Seed(seed)
+	b.hrng.Seed(seed ^ heraldSeedMix)
 }
 
 // SeededBackend tracks no quantum state: gates are no-ops and each

@@ -1,6 +1,7 @@
 package chip
 
 import (
+	"math/rand"
 	"testing"
 
 	"dhisq/internal/circuit"
@@ -190,5 +191,30 @@ func TestStateVecBackendReset(t *testing.T) {
 	b.Reset(2)
 	if b.State.Prob(0) > 1e-12 || b.State.Prob(1) > 1e-12 {
 		t.Fatal("Reset did not restore |00>")
+	}
+}
+
+// TestBackendResetReseedsInPlace pins the per-shot Reset: no allocation,
+// and both RNG streams equal to those of a freshly built backend.
+func TestBackendResetReseedsInPlace(t *testing.T) {
+	sv, st := NewStateVec(3, 1), NewStabilizer(3, 1)
+	for name, b := range map[string]struct {
+		Backend
+		rng, hrng *rand.Rand
+	}{
+		"statevec":   {sv, sv.Rng, sv.hrng},
+		"stabilizer": {st, st.Rng, st.hrng},
+	} {
+		b.rng.Int63() // advance both streams so that a reseed is observable
+		b.hrng.Int63()
+		if allocs := testing.AllocsPerRun(20, func() { b.Reset(9) }); allocs != 0 {
+			t.Errorf("%s: Reset(seed) allocates %v times", name, allocs)
+		}
+		fresh, hfresh := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9^heraldSeedMix))
+		for i := 0; i < 1000; i++ {
+			if b.rng.Int63() != fresh.Int63() || b.hrng.Float64() != hfresh.Float64() {
+				t.Fatalf("%s: reseeded stream diverged from fresh construction at draw %d", name, i)
+			}
+		}
 	}
 }

@@ -3,9 +3,11 @@ package machine
 import (
 	"testing"
 
+	"dhisq/internal/chip"
 	"dhisq/internal/circuit"
 	"dhisq/internal/network"
 	"dhisq/internal/sim"
+	"dhisq/internal/workloads"
 )
 
 // runBits compiles, loads and runs c on a fresh machine built from cfg and
@@ -307,5 +309,45 @@ func TestChipsExceedQubitsRejected(t *testing.T) {
 	w, h := network.NearSquareMesh(cfg.TotalQubits(2))
 	if _, err := NewForCircuit(c, w, h, cfg); err == nil {
 		t.Fatalf("3 chips on 2 qubits must be rejected")
+	}
+}
+
+// TestRemoteDVQELeavesNoActiveQubits: every data qubit of a 2-chip dvqe
+// shot ends measured and every communication qubit ends reset, so the
+// dense backend's amplitude array must be back to a single entry — comm
+// qubits cost nothing outside their EPR windows (DESIGN.md §13).
+func TestRemoteDVQELeavesNoActiveQubits(t *testing.T) {
+	c, err := workloads.DistributedVQE(8, 2).Bind(workloads.DistributedVQEPoint(8, 2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(c.NumQubits)
+	cfg.Chips = 2
+	cfg.Backend = BackendStateVec
+	w, h := network.NearSquareMesh(cfg.TotalQubits(c.NumQubits))
+	m, err := NewForCircuit(c, w, h, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := m.Compile(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Load(cp); err != nil {
+		t.Fatal(err)
+	}
+	state := m.Chip.Backend().(*chip.StateVecBackend).State
+	for shot := 0; shot < 8; shot++ {
+		m.Reset(DeriveSeed(3, shot))
+		res, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.EPRPairs == 0 {
+			t.Fatal("dvqe over 2 chips generated no EPR pairs")
+		}
+		if n := state.ActiveQubits(); n != 0 {
+			t.Fatalf("shot %d ended with %d active qubits", shot, n)
+		}
 	}
 }

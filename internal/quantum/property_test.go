@@ -22,6 +22,12 @@ type refOp func(s *State, ref *State, sRng, refRng *rand.Rand)
 
 // randOp draws a random gate application over n qubits.
 func randOp(rng *rand.Rand, n int) refOp {
+	op, _ := randGate(rng, n)
+	return op
+}
+
+// randGate is randOp that also reports the qubits the gate names.
+func randGate(rng *rand.Rand, n int) (refOp, []int) {
 	q := rng.Intn(n)
 	p := q
 	if n > 1 {
@@ -34,7 +40,16 @@ func randOp(rng *rand.Rand, n int) refOp {
 	if n == 1 { // two-qubit cases (12..15) need a distinct partner
 		kinds = 12
 	}
-	switch rng.Intn(kinds) {
+	kind := rng.Intn(kinds)
+	if kind < 12 {
+		return gateOp(kind, q, p, theta), []int{q}
+	}
+	return gateOp(kind, q, p, theta), []int{q, p}
+}
+
+// gateOp is gate kind (0..15) on q, or on the pair (q, p) from 12 up.
+func gateOp(kind, q, p int, theta float64) refOp {
+	switch kind {
 	case 0:
 		return func(s, ref *State, _, _ *rand.Rand) {
 			s.H(q)
@@ -92,12 +107,13 @@ func randOp(rng *rand.Rand, n int) refOp {
 	}
 }
 
-// sameAmps requires exact (==) amplitude agreement.
+// sameAmps requires exact (==) agreement of the full 2^n vectors.
 func sameAmps(t *testing.T, s, ref *State, ctx string) {
 	t.Helper()
-	for i := range s.amp {
-		if s.amp[i] != ref.amp[i] {
-			t.Fatalf("%s: amplitude %d diverged: new %v vs ref %v", ctx, i, s.amp[i], ref.amp[i])
+	got, want := s.dense(), ref.dense()
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: amplitude %d diverged: new %v vs ref %v", ctx, i, got[i], want[i])
 		}
 	}
 }
@@ -212,8 +228,8 @@ func TestFusedChainMatchesSequential(t *testing.T) {
 			seq.ApplyMat1(q, m)
 		}
 		fused.ApplyMat1(q, Fuse(chain...))
-		for i := range seq.amp {
-			if d := cabs(seq.amp[i] - fused.amp[i]); d > 1e-12 {
+		for i, a := range seq.dense() {
+			if d := cabs(a - fused.Amplitude(i)); d > 1e-12 {
 				t.Fatalf("chain %d: amplitude %d off by %g", ci, i, d)
 			}
 		}

@@ -18,12 +18,21 @@ import (
 // Every Ref kernel scans the full amplitude array testing the qubit bit
 // of each index — the branch-per-index shape the rewrite replaced with
 // block iteration — and RefMeasure takes the original three passes
-// (probability, zero+norm, scale).
+// (probability, zero+norm, scale). "Full" is literal: a Ref kernel first
+// expands the state to all 2^n amplitudes, and leaves it that way.
+
+// activateAll makes every qubit active, so that the amplitude array is
+// the full-vector layout the Ref kernels index.
+func (s *State) activateAll() {
+	s.amp = s.dense()
+	s.active, s.bits = 1<<uint(s.n)-1, 0
+}
 
 // RefApply1 applies the 2x2 unitary {{a,b},{c,d}} to qubit q with the
 // legacy full-array scan.
 func RefApply1(s *State, q int, a, b, c, d complex128) {
 	s.check(q)
+	s.activateAll()
 	bit := 1 << uint(q)
 	for i := 0; i < len(s.amp); i++ {
 		if i&bit == 0 {
@@ -42,6 +51,7 @@ func RefCNOT(s *State, ctrl, tgt int) {
 	if ctrl == tgt {
 		panic("quantum: cnot with ctrl == tgt")
 	}
+	s.activateAll()
 	cb, tb := 1<<uint(ctrl), 1<<uint(tgt)
 	for i := range s.amp {
 		if i&cb != 0 && i&tb == 0 {
@@ -58,6 +68,7 @@ func RefCZ(s *State, a, b int) {
 	if a == b {
 		panic("quantum: cz with a == b")
 	}
+	s.activateAll()
 	ab, bb := 1<<uint(a), 1<<uint(b)
 	for i := range s.amp {
 		if i&ab != 0 && i&bb != 0 {
@@ -70,6 +81,7 @@ func RefCZ(s *State, a, b int) {
 func RefCPhase(s *State, a, b int, theta float64) {
 	s.check(a)
 	s.check(b)
+	s.activateAll()
 	ph := cmplx.Exp(complex(0, theta))
 	ab, bb := 1<<uint(a), 1<<uint(b)
 	for i := range s.amp {
@@ -91,6 +103,7 @@ func RefSWAP(s *State, a, b int) {
 // legacy full-array scan.
 func RefProb(s *State, q int) float64 {
 	s.check(q)
+	s.activateAll()
 	bit := 1 << uint(q)
 	p := 0.0
 	for i, a := range s.amp {
@@ -117,6 +130,7 @@ func RefMeasure(s *State, q int, rng *rand.Rand) int {
 // scale sequence.
 func RefProject(s *State, q int, outcome int) {
 	s.check(q)
+	s.activateAll()
 	bit := 1 << uint(q)
 	norm := 0.0
 	for i, a := range s.amp {

@@ -778,7 +778,6 @@ func (s *Service) worker() {
 		j.mu.Lock()
 		j.cacheHit, j.batched = cacheHit, batched
 		j.mu.Unlock()
-		j.finish(set, err)
 
 		s.mu.Lock()
 		s.running--
@@ -809,6 +808,9 @@ func (s *Service) worker() {
 		}
 		s.retire(j.id)
 		s.mu.Unlock()
+		// Waiters wake only now, so a Stats call that follows a Wait sees
+		// this job counted.
+		j.finish(set, err)
 		if err == nil {
 			s.maybeReplace(j, agg.fb)
 		}
