@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"dhisq/internal/service"
@@ -482,5 +484,49 @@ func TestSubmitParamsAndSweep(t *testing.T) {
 	st := svc.Stats()
 	if st.Binds < 4 || st.BindHits < 1 {
 		t.Fatalf("binding counters not reported: binds=%d bind_hits=%d", st.Binds, st.BindHits)
+	}
+}
+
+// TestReadBody: the submit body is buffered in one allocation sized from
+// Content-Length, a missing or lying length falls back to growth, and the
+// 16 MiB cap still holds.
+func TestReadBody(t *testing.T) {
+	payload := bytes.Repeat([]byte("cx q[0],q[1];\n"), 5000) // ~68 KB, a qft_n30's worth
+	read := func(body io.Reader, declared int64) ([]byte, error) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/jobs", body)
+		r.ContentLength = declared
+		return readBody(httptest.NewRecorder(), r)
+	}
+
+	got, err := read(bytes.NewReader(payload), int64(len(payload)))
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("declared length: err %v, %d bytes back", err, len(got))
+	}
+	if c := cap(got); c >= 2*len(payload) { // a regrowth doubles; a size class rounds up a little
+		t.Errorf("declared length: buffer grew to %d bytes for a %d-byte body", c, len(payload))
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		r := &http.Request{Body: io.NopCloser(bytes.NewReader(payload)), ContentLength: int64(len(payload))}
+		if _, err := readBody(nil, r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The buffer, plus the request, the two readers and MaxBytesReader's.
+	if allocs > 5 {
+		t.Errorf("declared length: %.0f allocations per read, want one buffer and no regrowth", allocs)
+	}
+
+	if got, err = read(bytes.NewReader(payload), -1); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("unknown length: err %v, %d bytes back", err, len(got))
+	}
+	// A length is a claim: 16 MiB declared, 3 bytes sent, ~1 MiB reserved.
+	if got, err = read(strings.NewReader("{}\n"), maxSubmitBytes); err != nil || string(got) != "{}\n" {
+		t.Fatalf("overstated length: err %v, body %q", err, got)
+	}
+	if c := cap(got); c > 2<<20 {
+		t.Errorf("overstated length: reserved %d bytes on the client's word", c)
+	}
+	if _, err = read(bytes.NewReader(make([]byte, maxSubmitBytes+1)), -1); err == nil {
+		t.Fatal("a body over the cap was read without error")
 	}
 }

@@ -156,13 +156,12 @@ func TestQASMSymbolicRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseAngleGrammar(t *testing.T) {
+// angleGrammarCases and angleGrammarBad are the accepted and rejected
+// spellings TestParseAngleGrammar pins; FuzzParseQASMDifferential seeds
+// itself with all of them.
+var angleGrammarCases = func() []angleCase {
 	pi := math.Pi // force runtime float64 arithmetic (left-to-right, like the parser)
-	for _, tc := range []struct {
-		in   string
-		want float64
-		sym  string
-	}{
+	return []angleCase{
 		{"0.5", 0.5, ""},
 		{"-0.25", -0.25, ""},
 		{"1e-3", 1e-3, ""},
@@ -181,7 +180,19 @@ func TestParseAngleGrammar(t *testing.T) {
 		{"theta0", 0, "theta0"},
 		{"_t", 0, "_t"},
 		{"Phi_2", 0, "Phi_2"},
-	} {
+	}
+}()
+
+type angleCase struct {
+	in   string
+	want float64
+	sym  string
+}
+
+var angleGrammarBad = []string{"", "*", "pi*", "*pi", "pi//2", "2**pi", "pi/", "-", "1x", "-theta", "pi+1", "2pi", "PI", "Pi", "NaN", "inf", "Infinity"}
+
+func TestParseAngleGrammar(t *testing.T) {
+	for _, tc := range angleGrammarCases {
 		v, sym, err := parseAngle(tc.in)
 		if err != nil {
 			t.Errorf("parseAngle(%q): %v", tc.in, err)
@@ -191,7 +202,7 @@ func TestParseAngleGrammar(t *testing.T) {
 			t.Errorf("parseAngle(%q) = (%v, %q), want (%v, %q)", tc.in, v, sym, tc.want, tc.sym)
 		}
 	}
-	for _, bad := range []string{"", "*", "pi*", "*pi", "pi//2", "2**pi", "pi/", "-", "1x", "-theta", "pi+1", "2pi", "PI", "Pi", "NaN", "inf", "Infinity"} {
+	for _, bad := range angleGrammarBad {
 		if _, _, err := parseAngle(bad); err == nil {
 			t.Errorf("parseAngle(%q) accepted", bad)
 		}

@@ -360,56 +360,67 @@ const maxDelay = float64(1 << 53)
 // keys on the parameter), Delay durations must be non-negative integers
 // (the lowering converts them with int64(Param) — a fractional or negative
 // value would silently compile to a garbage wait), and symbolic parameters
-// are only legal on rotation ops.
+// are only legal on rotation ops. Circuits returned by ParseQASM have had
+// every op checked as it was appended; Validate is for hand-built ones.
 func (c *Circuit) Validate() error {
-	for i, op := range c.Ops {
-		if math.IsNaN(op.Param) || math.IsInf(op.Param, 0) {
-			return fmt.Errorf("circuit: op %d (%s): non-finite parameter %v", i, op, op.Param)
+	for i := range c.Ops {
+		if err := c.checkOp(i, &c.Ops[i]); err != nil {
+			return err
 		}
-		if op.Sym != "" && !symbolicOK(op.Kind) {
-			return fmt.Errorf("circuit: op %d (%s): symbolic parameter %q on non-rotation op", i, op, op.Sym)
+	}
+	return nil
+}
+
+// checkOp is Validate's per-op body: op is c.Ops[i], checked against the
+// circuit's current qubit and bit counts (ParseQASM calls it as ops arrive).
+func (c *Circuit) checkOp(i int, op *Op) error {
+	if math.IsNaN(op.Param) || math.IsInf(op.Param, 0) {
+		return fmt.Errorf("circuit: op %d (%s): non-finite parameter %v", i, *op, op.Param)
+	}
+	if op.Sym != "" && !symbolicOK(op.Kind) {
+		return fmt.Errorf("circuit: op %d (%s): symbolic parameter %q on non-rotation op", i, *op, op.Sym)
+	}
+	if op.Kind == Delay {
+		switch p := op.Param; {
+		case p < 0:
+			return fmt.Errorf("circuit: op %d (%s): negative delay %v cycles", i, *op, p)
+		case p != math.Trunc(p):
+			return fmt.Errorf("circuit: op %d (%s): fractional delay %v cycles (delays are integer cycle counts)", i, *op, p)
+		case p > maxDelay:
+			return fmt.Errorf("circuit: op %d (%s): delay %v exceeds %v cycles", i, *op, p, maxDelay)
 		}
-		if op.Kind == Delay {
-			switch p := op.Param; {
-			case p < 0:
-				return fmt.Errorf("circuit: op %d (%s): negative delay %v cycles", i, op, p)
-			case p != math.Trunc(p):
-				return fmt.Errorf("circuit: op %d (%s): fractional delay %v cycles (delays are integer cycle counts)", i, op, p)
-			case p > maxDelay:
-				return fmt.Errorf("circuit: op %d (%s): delay %v exceeds %v cycles", i, op, p, maxDelay)
+	}
+	two := op.Kind.IsTwoQubit()
+	want := 1
+	if two {
+		want = 2
+	}
+	if op.Kind == Barrier {
+		want = len(op.Qubits)
+	}
+	if len(op.Qubits) != want {
+		return fmt.Errorf("circuit: op %d (%s): %d qubits, want %d", i, *op, len(op.Qubits), want)
+	}
+	for _, q := range op.Qubits {
+		if q < 0 || q >= c.NumQubits {
+			return fmt.Errorf("circuit: op %d (%s): qubit %d out of range", i, *op, q)
+		}
+	}
+	if two && op.Qubits[0] == op.Qubits[1] {
+		return fmt.Errorf("circuit: op %d (%s): duplicate qubit", i, *op)
+	}
+	if op.Kind == Measure && (op.CBit < 0 || op.CBit >= c.NumBits) {
+		return fmt.Errorf("circuit: op %d (%s): bad classical bit", i, *op)
+	}
+	if op.Cond != nil {
+		for _, b := range op.Cond.Bits {
+			if b < 0 || b >= c.NumBits {
+				return fmt.Errorf("circuit: op %d (%s): condition bit %d out of range", i, *op, b)
 			}
 		}
-		want := 1
-		if op.Kind.IsTwoQubit() {
-			want = 2
-		}
-		if op.Kind == Barrier {
-			want = len(op.Qubits)
-		}
-		if len(op.Qubits) != want {
-			return fmt.Errorf("circuit: op %d (%s): %d qubits, want %d", i, op, len(op.Qubits), want)
-		}
-		for _, q := range op.Qubits {
-			if q < 0 || q >= c.NumQubits {
-				return fmt.Errorf("circuit: op %d (%s): qubit %d out of range", i, op, q)
-			}
-		}
-		if op.Kind.IsTwoQubit() && op.Qubits[0] == op.Qubits[1] {
-			return fmt.Errorf("circuit: op %d (%s): duplicate qubit", i, op)
-		}
-		if op.Kind == Measure && (op.CBit < 0 || op.CBit >= c.NumBits) {
-			return fmt.Errorf("circuit: op %d (%s): bad classical bit", i, op)
-		}
-		if op.Cond != nil {
-			for _, b := range op.Cond.Bits {
-				if b < 0 || b >= c.NumBits {
-					return fmt.Errorf("circuit: op %d (%s): condition bit %d out of range", i, op, b)
-				}
-			}
-		}
-		if op.Kind == EPR && op.Cond != nil {
-			return fmt.Errorf("circuit: op %d (%s): EPR generation cannot be conditioned", i, op)
-		}
+	}
+	if op.Kind == EPR && op.Cond != nil {
+		return fmt.Errorf("circuit: op %d (%s): EPR generation cannot be conditioned", i, *op)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package circuit
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -536,7 +538,11 @@ func TestQASMRoundTripProperty(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			q := r.Intn(4)
 			p := (q + 1 + r.Intn(3)) % 4
-			switch r.Intn(9) {
+			switch r.Intn(11) {
+			case 9:
+				c.Gate(Barrier, q, p) // partial: the operand list must survive
+			case 10:
+				c.BarrierAll()
 			case 0:
 				c.H(q)
 			case 1:
@@ -573,11 +579,76 @@ func TestQASMRoundTripProperty(t *testing.T) {
 			if a.Kind != b.Kind || a.CBit != b.CBit || math.Abs(a.Param-b.Param) > 1e-12 {
 				return false
 			}
+			if len(a.Qubits) != len(b.Qubits) {
+				return false
+			}
+			for k := range a.Qubits {
+				if a.Qubits[k] != b.Qubits[k] {
+					return false
+				}
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestParseQASMBarrierOperands(t *testing.T) {
+	c, err := ParseQASM("qreg q[3];\nbarrier q[0],q[1];\nbarrier q;\nbarrier q[2], q;\nbarrier;\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int{{0, 1}, nil, nil, nil}
+	if len(c.Ops) != len(want) {
+		t.Fatalf("%d ops, want %d", len(c.Ops), len(want))
+	}
+	for i, op := range c.Ops {
+		if op.Kind != Barrier || !reflect.DeepEqual(op.Qubits, want[i]) {
+			t.Errorf("op %d = %v (qubits %v), want barrier on %v", i, op, op.Qubits, want[i])
+		}
+	}
+	// The wire form of a partial barrier is the circuit the facade built.
+	built := New(3)
+	built.Gate(Barrier, 0, 1)
+	src, err := WriteQASM(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ParseQASM(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Ops, built.Ops) {
+		t.Fatalf("partial barrier round trip: %+v, want %+v", back.Ops, built.Ops)
+	}
+}
+
+func TestParseQASMRejectsOutsideInput(t *testing.T) {
+	// Register names count, a program has one qreg, and keywords are whole
+	// tokens; each rejection names its line.
+	for _, tc := range []struct {
+		name, src, want string
+	}{
+		{"undeclared register", "qreg q[2];\nh q[0];\nh nosuch[1];\n", `qasm line 3: undeclared quantum register "nosuch"`},
+		{"operand before qreg", "h q[0];\nqreg q[1];\n", `qasm line 1: undeclared quantum register "q"`},
+		{"measure on undeclared register", "qreg q[1];\ncreg c[1];\nmeasure r[0] -> c[0];\n", `qasm line 3: undeclared quantum register "r"`},
+		{"second qreg", "qreg q[2];\n\nqreg r[4];\n", `qasm line 3: qreg "r": quantum register "q" is already declared`},
+		{"qreg redeclared", "qreg q[2];\nqreg q[4];\n", `qasm line 2: qreg "q": quantum register "q" is already declared`},
+		{"keyword prefix: barrier", "qreg q[2];\nbarrierfoo q;\n", `qasm line 2: unsupported statement "barrierfoo q"`},
+		{"keyword prefix: qreg", "qregs[2];\n", `qasm line 1: unsupported statement "qregs[2]"`},
+		{"keyword prefix: creg", "qreg q[1];\ncregs c[2];\n", `qasm line 2: unsupported statement "cregs c[2]"`},
+		{"keyword prefix: header", "OPENQASMX 2.0;\n", `qasm line 1: unsupported statement "OPENQASMX 2.0"`},
+		{"nameless register", "qreg [2];\n", `qasm line 1: register declaration "qreg [2]" names no register`},
+		{"text after operand", "qreg q[2];\nh q[0] q[1];\n", `qasm line 2: unexpected "q[1]" after qubit reference "q[0]"`},
+		{"barrier on undeclared register", "qreg q[2];\nbarrier r;\n", `qasm line 2: barrier operand: undeclared quantum register "r"`},
+		{"barrier operand out of range", "qreg q[2];\nbarrier q[0],q[2];\n", `circuit: op 0 (barrier q0 q2): qubit 2 out of range`},
+	} {
+		_, err := ParseQASM(tc.src)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want prefix %q", tc.name, err, tc.want)
+		}
 	}
 }
 

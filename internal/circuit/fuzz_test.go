@@ -10,9 +10,9 @@ import (
 // FuzzParseAngle drives the QASM angle grammar — the seeds cover every
 // production (floats, pi products/quotients, signs, identifiers) plus the
 // malformed shapes the parser must reject cleanly. Properties: no panic,
-// a successful parse is either a non-NaN value or a legal identifier
-// (never both), and the value survives a full rz(...) round trip through
-// WriteQASM/ParseQASM.
+// agreement with the reference evaluator, a successful parse is either a
+// non-NaN value or a legal identifier (never both), and the value survives
+// a full rz(...) round trip through WriteQASM/ParseQASM.
 func FuzzParseAngle(f *testing.F) {
 	for _, seed := range []string{
 		"0.5", "-0.25", "1e-3", "2E5", "3.14159",
@@ -28,6 +28,12 @@ func FuzzParseAngle(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		v, sym, err := parseAngle(s)
+		// The in-place evaluator must agree with the one it replaced on the
+		// value, the symbol and the error text (token and offset included).
+		rv, rsym, rerr := refParseAngle(s)
+		if v != rv || sym != rsym || (err == nil) != (rerr == nil) || err != nil && err.Error() != rerr.Error() {
+			t.Fatalf("parseAngle(%q) = (%v, %q, %v), reference (%v, %q, %v)", s, v, sym, err, rv, rsym, rerr)
+		}
 		if err != nil {
 			return
 		}

@@ -292,9 +292,16 @@ type poolKey struct {
 }
 
 type job struct {
-	id        string
-	req       Request
-	spec      runner.Spec
+	id string
+	// req and spec hold the parsed circuit (~300 KB for a 30-qubit QFT) and
+	// belong to the worker: release drops them once the job is past the
+	// re-place loop, so the MaxRetainedJobs finished jobs kept for polling
+	// retain results only. What status() reports of them is copied out.
+	req  Request
+	spec runner.Spec
+
+	shots, meshW, meshH, chips int // from req and spec.Cfg, for status()
+
 	fp        artifact.Fingerprint
 	pk        poolKey
 	seed      int64
@@ -321,6 +328,14 @@ type job struct {
 	net      congestionAgg // sweep jobs: congestion folded at setPoints
 	err      error
 	done     chan struct{}
+}
+
+// release drops the job's request and run spec. Called by the worker that
+// owned the job, after its last use of them.
+func (j *job) release() {
+	j.mu.Lock()
+	j.req, j.spec = Request{}, runner.Spec{}
+	j.mu.Unlock()
 }
 
 // publish appends one finished sweep point to the stream log and wakes
@@ -595,7 +610,9 @@ func (s *Service) Submit(req Request) (string, error) {
 		return "", err
 	}
 	j := &job{
-		req:       req,
+		req:   req,
+		shots: req.Shots, meshW: req.MeshW, meshH: req.MeshH, chips: cfg.Chips,
+
 		fp:        fp,
 		placement: resolvedPolicy,
 		schedule:  resolvedSchedule,
@@ -766,6 +783,7 @@ func (s *Service) worker() {
 			s.retire(j.id)
 			s.mu.Unlock()
 			j.finish(nil, fmt.Errorf("service: shut down before job started"))
+			j.release()
 			continue
 		}
 		s.running++
@@ -814,6 +832,7 @@ func (s *Service) worker() {
 		if err == nil {
 			s.maybeReplace(j, agg.fb)
 		}
+		j.release()
 	}
 }
 
@@ -1270,11 +1289,11 @@ func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
-		ID: j.id, State: j.state, Shots: j.req.Shots, Seed: j.seed,
+		ID: j.id, State: j.state, Shots: j.shots, Seed: j.seed,
 		Fingerprint: j.fp.String(), CacheHit: j.cacheHit, Batched: j.batched,
-		MeshW: j.req.MeshW, MeshH: j.req.MeshH,
+		MeshW: j.meshW, MeshH: j.meshH,
 		Placement: j.placement, Schedule: j.schedule, Mapping: j.mapping,
-		Chips: j.spec.Cfg.Chips,
+		Chips: j.chips,
 	}
 	if j.err != nil {
 		st.Err = j.err.Error()

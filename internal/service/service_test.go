@@ -249,6 +249,49 @@ func TestRetentionBound(t *testing.T) {
 	}
 }
 
+// A finished job is retained for polling, its circuit is not: once the
+// worker is done with it the job holds results and four scalars, so the
+// retained history does not pin every parsed circuit it ever ran.
+func TestFinishedJobReleasesCircuit(t *testing.T) {
+	s := New(Config{Workers: 1})
+	sweep := circuit.New(2)
+	sweep.RYSym(0, "t").CNOT(0, 1).MeasureInto(0, 0).MeasureInto(1, 1)
+	ids := make([]string, 0, 3)
+	for _, req := range []Request{
+		{Circuit: ghz(4), Shots: 3},
+		{Circuit: ghz(4), Shots: 2, Chips: 2},
+		{Circuit: sweep, Shots: 2, Sweep: []map[string]float64{{"t": 0.1}, {"t": 0.2}}},
+	} {
+		id, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := s.Wait(id); st.State != StateDone {
+			t.Fatalf("%s failed: %q", id, st.Err)
+		}
+		ids = append(ids, id)
+	}
+	// Wait returns at finish; the release follows the re-place check on the
+	// worker goroutine, which Close waits out.
+	s.Close()
+	for i, id := range ids {
+		j := s.jobs[id]
+		if j == nil {
+			t.Fatalf("%s not retained", id)
+		}
+		if j.req.Circuit != nil || j.spec.Circuit != nil || j.req.Sweep != nil {
+			t.Errorf("%s still references its circuit or sweep: req %+v, spec circuit %p", id, j.req, j.spec.Circuit)
+		}
+		st, _ := s.Get(id)
+		if wantShots := []int{3, 2, 2}[i]; st.Shots != wantShots || st.MeshW*st.MeshH < 2 || st.State != StateDone {
+			t.Errorf("%s: status lost its request fields: %+v", id, st)
+		}
+		if wantChips := []int{0, 2, 0}[i]; st.Chips != wantChips {
+			t.Errorf("%s: status reports %d chips, want %d", id, st.Chips, wantChips)
+		}
+	}
+}
+
 // Invalid submissions are rejected at the door.
 func TestSubmitValidation(t *testing.T) {
 	s := New(Config{Workers: 1})
