@@ -270,19 +270,7 @@ func NewForCircuit(c *circuit.Circuit, meshW, meshH int, cfg Config) (*Machine, 
 }
 
 // CompileOptions derives compiler options consistent with this machine.
-func (m *Machine) CompileOptions() compiler.Options {
-	opt := compiler.DefaultOptions(m.Topo.Root, m.Topo.N)
-	opt.Durations = m.Cfg.Durations
-	opt.MeasLatency = m.Cfg.MeasLatency
-	opt.Placement = m.Cfg.Placement
-	opt.Schedule = m.Cfg.Schedule
-	opt.Collective = m.Cfg.Collective != ""
-	if m.Cfg.Chips > 1 {
-		opt.Chips = m.Cfg.Chips
-		opt.EPRLatency = m.Cfg.effectiveEPRLatency()
-	}
-	return opt
-}
+func (m *Machine) CompileOptions() compiler.Options { return compileOptions(m.Cfg, m.Topo) }
 
 // CompileOptionsFor derives the compiler options a machine built from cfg
 // would use, constructing only the topology — not the fabric, controllers
@@ -293,6 +281,10 @@ func CompileOptionsFor(cfg Config) (compiler.Options, error) {
 	if err != nil {
 		return compiler.Options{}, err
 	}
+	return compileOptions(cfg, topo), nil
+}
+
+func compileOptions(cfg Config, topo *network.Topology) compiler.Options {
 	opt := compiler.DefaultOptions(topo.Root, topo.N)
 	opt.Durations = cfg.Durations
 	opt.MeasLatency = cfg.MeasLatency
@@ -305,7 +297,7 @@ func CompileOptionsFor(cfg Config) (compiler.Options, error) {
 		opt.Chips = cfg.Chips
 		opt.EPRLatency = cfg.effectiveEPRLatency()
 	}
-	return opt, nil
+	return opt
 }
 
 // KeyFor is the shared-cache fingerprint Compile would use for a machine
@@ -398,12 +390,6 @@ func (m *Machine) CompileFresh(c *circuit.Circuit, mapping []int, opt compiler.O
 		return nil, err
 	}
 	return m.compile(c, mapping, opt)
-}
-
-// ArtifactKey is the shared-cache fingerprint Compile would use for this
-// circuit and mapping on this machine.
-func (m *Machine) ArtifactKey(c *circuit.Circuit, mapping []int) artifact.Fingerprint {
-	return artifact.Key(c, mapping, m.Cfg.Net, m.CompileOptions())
 }
 
 // Load installs compiled programs and tables on every controller.

@@ -110,7 +110,7 @@ func TestBatchedLaneFallback(t *testing.T) {
 // compiled BitOwner table rather than the logical qubit index.
 func TestBatchedNonIdentityPlacement(t *testing.T) {
 	spec := cliffordSpec(9)
-	spec.Placement = "interaction"
+	spec.Cfg.Placement = "interaction"
 	plain, err := Run(spec, 8, 1)
 	if err != nil {
 		t.Fatal(err)

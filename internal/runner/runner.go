@@ -43,16 +43,6 @@ type Spec struct {
 	MeshH   int
 	Mapping []int // qubit -> controller; nil = identity
 	Cfg     machine.Config
-	// Placement names the placement policy applied when Mapping is nil
-	// ("" defers to Cfg.Placement, whose zero value is the legacy identity
-	// policy). Carried on the spec so callers that don't build a
-	// machine.Config by hand can still select a placer; build() folds it
-	// into the config before construction, keeping one source of truth.
-	Placement string
-	// Schedule names the scheduling policy of the compiler's Schedule pass
-	// ("" defers to Cfg.Schedule, whose zero value is the legacy fixed
-	// replay). Folded into the config by build(), exactly like Placement.
-	Schedule string
 	// Options overrides the machine-derived compiler options when non-nil
 	// (ablations toggle scheduling policies this way).
 	Options *compiler.Options
@@ -166,43 +156,34 @@ func (h Histogram) String() string {
 	return b.String()
 }
 
-// build constructs one machine replica for the spec and loads cp into it
-// (cp == nil compiles first — through the shared artifact cache, or
-// freshly when fresh is set; the compiled artifact is returned either
-// way).
-func build(spec Spec, cp *compiler.Compiled, fresh bool) (*machine.Machine, *compiler.Compiled, error) {
-	if spec.Placement != "" {
-		spec.Cfg.Placement = spec.Placement
-	}
-	if spec.Schedule != "" {
-		spec.Cfg.Schedule = spec.Schedule
-	}
+// build is the one replica builder: it constructs a machine for the spec
+// and loads cp into it. cp == nil compiles first — under the bind-invariant
+// structural fingerprint when structural is set (the loaded artifact is then
+// the unbound skeleton, patched per point by BindParams), under the full
+// fingerprint otherwise; through the shared artifact cache, or in full with
+// nothing cached when spec.FreshCompile is set. Skeletons always compile
+// with the machine-derived options (spec.Options is the ablation knob of
+// plain runs), and a FreshCompile skeleton replica has no shared artifact
+// to load — every point compiles its own bound circuit (pointArtifact) —
+// so it comes back unloaded with a nil artifact.
+func build(spec Spec, cp *compiler.Compiled, structural bool) (*machine.Machine, *compiler.Compiled, error) {
 	m, err := machine.NewForCircuit(spec.Circuit, spec.MeshW, spec.MeshH, spec.Cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	if cp == nil {
-		opt := m.CompileOptions()
-		if spec.Options != nil {
-			opt = *spec.Options
-			if opt.Placement == "" {
-				// An explicit Options override (the ablation knob) names no
-				// policy of its own: keep the spec's placement rather than
-				// silently reverting to identity.
-				opt.Placement = spec.Cfg.Placement
-			}
-			if opt.Schedule == "" {
-				opt.Schedule = spec.Cfg.Schedule
-			}
-		}
-		if fresh || spec.FreshCompile {
-			cp, err = m.CompileFresh(spec.Circuit, spec.Mapping, opt)
-		} else {
-			cp, err = m.CompileWith(spec.Circuit, spec.Mapping, opt)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
+	switch {
+	case cp != nil:
+	case structural && spec.FreshCompile:
+		return m, nil, nil
+	case structural:
+		cp, err = m.CompileSkeleton(spec.Circuit, spec.Mapping)
+	case spec.FreshCompile:
+		cp, err = m.CompileFresh(spec.Circuit, spec.Mapping, spec.options(m))
+	default:
+		cp, err = m.CompileWith(spec.Circuit, spec.Mapping, spec.options(m))
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	if err := m.Load(cp); err != nil {
 		return nil, nil, err
@@ -210,11 +191,130 @@ func build(spec Spec, cp *compiler.Compiled, fresh bool) (*machine.Machine, *com
 	return m, cp, nil
 }
 
-// Build constructs one loaded machine replica for the spec, compiling
-// through the shared artifact cache when cp is nil. internal/service uses
-// it to grow per-artifact replica pools that outlive a single Run call.
-func Build(spec Spec, cp *compiler.Compiled) (*machine.Machine, *compiler.Compiled, error) {
-	return build(spec, cp, false)
+// options resolves the compiler options a replica of the spec compiles
+// with: the machine-derived ones, or the spec's explicit override.
+func (spec Spec) options(m *machine.Machine) compiler.Options {
+	if spec.Options == nil {
+		return m.CompileOptions()
+	}
+	opt := *spec.Options
+	if opt.Placement == "" {
+		// An explicit Options override (the ablation knob) names no
+		// policy of its own: keep the spec's placement rather than
+		// silently reverting to identity.
+		opt.Placement = spec.Cfg.Placement
+	}
+	if opt.Schedule == "" {
+		opt.Schedule = spec.Cfg.Schedule
+	}
+	return opt
+}
+
+// Replicas grows machines to want loaded replicas of the spec, all sharing
+// one compiled artifact: art when non-nil, else the first build's compile
+// (a shared-cache hit if the circuit has been seen before). It returns the
+// grown slice and the artifact; on error, the replicas it was handed plus
+// those already built. internal/service grows its checked-out pool
+// replicas with it, so pooled and private machines are built one way.
+func Replicas(spec Spec, structural bool, machines []*machine.Machine, art *compiler.Compiled, want int) ([]*machine.Machine, *compiler.Compiled, error) {
+	for len(machines) < want {
+		m, built, err := build(spec, art, structural)
+		if err != nil {
+			return machines, art, err
+		}
+		machines, art = append(machines, m), built
+	}
+	return machines, art, nil
+}
+
+// PanicError is a panic recovered on a replica while it ran a shot or a
+// point (a backend refusing a gate it cannot apply, say): the work item
+// fails with it instead of taking the process down. The replica it ran on
+// is in an unknown state; callers that pool machines must discard it.
+type PanicError struct{ Value any }
+
+func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
+
+// fanOut is the one work-distribution loop: it calls fn(m, k) for every k
+// in [0, n), each replica pulling the next index as it frees up (a single
+// replica runs a plain loop and stops at the first error). fn stores its
+// own result at index k, so merge order never depends on completion order;
+// a panic in fn becomes that index's error, and the lowest failing index
+// is the one reported, so the failure is deterministic too.
+func fanOut(machines []*machine.Machine, n int, fn func(m *machine.Machine, k int) error) error {
+	call := func(m *machine.Machine, k int) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("runner: work item %d: %w", k, &PanicError{Value: r})
+			}
+		}()
+		return fn(m, k)
+	}
+	if len(machines) == 1 {
+		for k := 0; k < n; k++ {
+			if err := call(machines[0], k); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	idx := make(chan int)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for _, m := range machines {
+		wg.Add(1)
+		go func(m *machine.Machine) {
+			defer wg.Done()
+			for k := range idx {
+				errs[k] = call(m, k)
+			}
+		}(m)
+	}
+	for k := 0; k < n; k++ {
+		idx <- k
+	}
+	close(idx)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// start is the shared opening of Run and RunSweep: validate, resolve the
+// worker count (workers <= 0 picks GOMAXPROCS; never more replicas than
+// there are units to fan out), and build that many replicas off one compile.
+func start(spec Spec, structural bool, shots, units, workers int) ([]*machine.Machine, *compiler.Compiled, error) {
+	if spec.Circuit == nil {
+		return nil, nil, fmt.Errorf("runner: nil circuit")
+	}
+	if shots < 0 {
+		return nil, nil, fmt.Errorf("runner: negative shot count %d", shots)
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > units {
+		workers = units
+	}
+	return Replicas(spec, structural, nil, nil, workers)
+}
+
+// Run compiles the spec once and executes `shots` repetitions across
+// `workers` machine replicas (workers <= 0 picks GOMAXPROCS, capped at the
+// shot count). The merged ShotSet is ordered by shot index and is
+// byte-identical for every worker count.
+func Run(spec Spec, shots, workers int) (*ShotSet, error) {
+	machines, _, err := start(spec, false, shots, shots, workers)
+	if err != nil {
+		return nil, err
+	}
+	if shots == 0 {
+		return &ShotSet{Shots: []Shot{}, NumBits: spec.Circuit.NumBits}, nil
+	}
+	return RunOn(machines, spec.Cfg.Seed, shots, spec.Circuit.NumBits)
 }
 
 // runShot executes shot k on an already-loaded replica and reads it out.
@@ -232,50 +332,11 @@ func runShot(m *machine.Machine, base int64, k int) (Shot, error) {
 	return Shot{Index: k, Seed: seed, Result: res, Bits: bits}, nil
 }
 
-// Run compiles the spec once and executes `shots` repetitions across
-// `workers` machine replicas (workers <= 0 picks GOMAXPROCS, capped at the
-// shot count). The merged ShotSet is ordered by shot index and is
-// byte-identical for every worker count.
-func Run(spec Spec, shots, workers int) (*ShotSet, error) {
-	if spec.Circuit == nil {
-		return nil, fmt.Errorf("runner: nil circuit")
-	}
-	if shots < 0 {
-		return nil, fmt.Errorf("runner: negative shot count %d", shots)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > shots {
-		workers = shots
-	}
-	if shots == 0 {
-		return &ShotSet{Shots: []Shot{}, NumBits: spec.Circuit.NumBits}, nil
-	}
-
-	// Compile once on replica 0 (a shared-cache hit if this circuit has
-	// been seen before); the artifact is immutable from here on and every
-	// replica shares it.
-	first, cp, err := build(spec, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	machines := make([]*machine.Machine, workers)
-	machines[0] = first
-	for w := 1; w < workers; w++ {
-		if machines[w], _, err = build(spec, cp, false); err != nil {
-			return nil, err
-		}
-	}
-	return RunOn(machines, spec.Cfg.Seed, shots, spec.Circuit.NumBits)
-}
-
 // RunOn executes `shots` repetitions across the given already-loaded
 // replicas, deriving shot k's seed from base via machine.DeriveSeed. It
 // is the deterministic merge core of Run, exported so callers that pool
-// machines across calls (internal/service batches jobs sharing an
-// artifact onto the same replicas) reuse the exact same shot-indexed
-// semantics: results land at their shot index, so the merged ShotSet is
+// machines across calls reuse the exact same shot-indexed semantics:
+// results land at their shot index, so the merged ShotSet is
 // byte-identical for every replica count and completion order.
 //
 // Every machine must already be loaded with the same compiled artifact;
@@ -289,50 +350,12 @@ func RunOn(machines []*machine.Machine, base int64, shots, numBits int) (*ShotSe
 		return nil, fmt.Errorf("runner: negative shot count %d", shots)
 	}
 	set := &ShotSet{Shots: make([]Shot, shots), NumBits: numBits}
-	if shots == 0 {
-		return set, nil
-	}
-	if len(machines) == 1 {
-		for k := 0; k < shots; k++ {
-			shot, err := runShot(machines[0], base, k)
-			if err != nil {
-				return nil, err
-			}
-			set.Shots[k] = shot
-		}
-		return set, nil
-	}
-
-	// Fan shots out. Each worker owns one replica; results land in the
-	// pre-sized slice at their shot index, so merge order never depends on
-	// completion order. Errors keep the lowest failing shot index so the
-	// reported failure is deterministic too.
-	idx := make(chan int)
-	errs := make([]error, shots)
-	var wg sync.WaitGroup
-	for _, m := range machines {
-		wg.Add(1)
-		go func(m *machine.Machine) {
-			defer wg.Done()
-			for k := range idx {
-				shot, err := runShot(m, base, k)
-				if err != nil {
-					errs[k] = err
-					continue
-				}
-				set.Shots[k] = shot
-			}
-		}(m)
-	}
-	for k := 0; k < shots; k++ {
-		idx <- k
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := fanOut(machines, shots, func(m *machine.Machine, k int) (err error) {
+		set.Shots[k], err = runShot(m, base, k)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return set, nil
 }
@@ -353,8 +376,9 @@ func RunRebuild(spec Spec, shots int) (*ShotSet, error) {
 	set := &ShotSet{Shots: make([]Shot, shots), NumBits: spec.Circuit.NumBits}
 	for k := 0; k < shots; k++ {
 		shotSpec := spec
+		shotSpec.FreshCompile = true
 		shotSpec.Cfg.Seed = machine.DeriveSeed(spec.Cfg.Seed, k)
-		m, _, err := build(shotSpec, nil, true)
+		m, _, err := build(shotSpec, nil, false)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dhisq/internal/circuit"
@@ -174,7 +176,7 @@ func TestZeroShots(t *testing.T) {
 	}
 }
 
-// Spec.Placement folds into the machine config and survives an explicit
+// Cfg.Placement reaches the compile and survives an explicit
 // compiler-options override that names no policy of its own.
 func TestSpecPlacementThreads(t *testing.T) {
 	c := circuit.New(6)
@@ -185,11 +187,9 @@ func TestSpecPlacementThreads(t *testing.T) {
 	for q := 0; q < 6; q++ {
 		c.MeasureInto(q, q)
 	}
-	spec := Spec{
-		Circuit: c, MeshW: 3, MeshH: 2,
-		Cfg: machine.DefaultConfig(6), Placement: "interaction",
-	}
-	m, cp, err := Build(spec, nil)
+	spec := Spec{Circuit: c, MeshW: 3, MeshH: 2, Cfg: machine.DefaultConfig(6)}
+	spec.Cfg.Placement = "interaction"
+	m, cp, err := build(spec, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +203,32 @@ func TestSpecPlacementThreads(t *testing.T) {
 	opt.Placement = ""
 	opt.AdvanceBooking = false
 	spec.Options = &opt
-	_, cp2, err := Build(spec, nil)
+	_, cp2, err := build(spec, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cp2.Mapping) != 6 {
 		t.Fatalf("Options override dropped the placement: mapping %v", cp2.Mapping)
+	}
+}
+
+// A backend panic inside a shot (the stabilizer tableau cannot apply T)
+// becomes that shot's error — a *PanicError naming the lowest failing
+// index — on the single-replica loop and on the worker goroutines alike,
+// instead of unwinding through the caller.
+func TestRunRecoversBackendPanic(t *testing.T) {
+	c := circuit.New(1)
+	c.H(0).T(0).MeasureInto(0, 0)
+	cfg := machine.DefaultConfig(1)
+	cfg.Backend = machine.BackendStabilizer
+	for _, workers := range []int{1, 3} {
+		_, err := Run(Spec{Circuit: c, MeshW: 1, MeshH: 1, Cfg: cfg}, 6, workers)
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: got %v, want a *PanicError", workers, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "work item 0") || !strings.Contains(msg, "cannot apply") {
+			t.Fatalf("workers=%d: error %q does not name shot 0 and the panic text", workers, msg)
+		}
 	}
 }

@@ -2,8 +2,6 @@ package runner
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"dhisq/internal/compiler"
 	"dhisq/internal/machine"
@@ -26,32 +24,6 @@ type SweepPoint struct {
 	Set    *ShotSet
 }
 
-// BuildSkeleton constructs one loaded machine replica for the spec,
-// compiling the circuit under its bind-invariant structural fingerprint
-// when cp is nil (a shared-cache hit on every replica after the first,
-// and on every later sweep of the same skeleton). The loaded artifact is
-// the unbound skeleton; callers patch it per point with BindParams.
-// Unlike Build, spec.Options and spec.FreshCompile are ignored — sweeps
-// always run the machine-derived options through the cache.
-func BuildSkeleton(spec Spec, cp *compiler.Compiled) (*machine.Machine, *compiler.Compiled, error) {
-	if spec.Placement != "" {
-		spec.Cfg.Placement = spec.Placement
-	}
-	m, err := machine.NewForCircuit(spec.Circuit, spec.MeshW, spec.MeshH, spec.Cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cp == nil {
-		if cp, err = m.CompileSkeleton(spec.Circuit, spec.Mapping); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := m.Load(cp); err != nil {
-		return nil, nil, err
-	}
-	return m, cp, nil
-}
-
 // RunSweep compiles the spec's circuit once and executes `shots`
 // repetitions at every parameter point, fanning points out across
 // `workers` machine replicas (workers <= 0 picks GOMAXPROCS, capped at
@@ -59,74 +31,54 @@ func BuildSkeleton(spec Spec, cp *compiler.Compiled) (*machine.Machine, *compile
 // of the circuit. The returned points are ordered by point index and are
 // byte-identical for every worker count.
 func RunSweep(spec Spec, points []map[string]float64, shots, workers int) ([]SweepPoint, error) {
-	if spec.Circuit == nil {
-		return nil, fmt.Errorf("runner: nil circuit")
-	}
-	if shots < 0 {
-		return nil, fmt.Errorf("runner: negative shot count %d", shots)
+	machines, skel, err := start(spec, true, shots, len(points), workers)
+	if err != nil {
+		return nil, err
 	}
 	if len(points) == 0 {
 		return []SweepPoint{}, nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
-	first, skel, err := BuildSkeleton(spec, nil)
-	if err != nil {
-		return nil, err
-	}
-	machines := make([]*machine.Machine, workers)
-	machines[0] = first
-	for w := 1; w < workers; w++ {
-		if machines[w], _, err = BuildSkeleton(spec, skel); err != nil {
-			return nil, err
-		}
-	}
-	return RunSweepOn(machines, skel, points, spec.Cfg.Seed, shots, spec.Circuit.NumBits)
+	return RunPoints(spec, machines, skel, points, shots, nil)
 }
 
-// RunSweepOn executes the sweep on caller-owned replicas loaded with the
-// skeleton artifact skel (internal/service pools such replicas across
-// jobs). Each point binds the skeleton, loads the bound artifact on one
-// replica, and runs its shots there with base seed
-// machine.DeriveSeed(base, pointIndex); results land at their point
-// index, so the merge never depends on completion order. On error the
-// lowest failing point index is reported.
-func RunSweepOn(machines []*machine.Machine, skel *compiler.Compiled, points []map[string]float64, base int64, shots, numBits int) ([]SweepPoint, error) {
-	return RunSweepOnObserved(machines, skel, points, base, shots, numBits, nil)
-}
-
-// RunSweepOnObserved is RunSweepOn with a completion observer: observe
-// (when non-nil) is called once per finished point, in completion order —
-// which under multiple replicas is not point order, and may be concurrent
-// (the observer must be safe to call from several worker goroutines).
-// The observed SweepPoint is the same value that lands in the returned
-// slice. This is the streaming hook: internal/service publishes each
-// observed point to /v1/jobs/{id}/stream watchers while the sweep is
-// still running. The final merged slice (and its determinism guarantee)
-// is unchanged by observation.
-func RunSweepOnObserved(machines []*machine.Machine, skel *compiler.Compiled, points []map[string]float64, base int64, shots, numBits int, observe func(SweepPoint)) ([]SweepPoint, error) {
+// RunPoints is the one execution entry over caller-owned replicas
+// (internal/service pools them across jobs): it runs `shots` repetitions
+// of every point, point k's shot stream seeded from
+// machine.DeriveSeed(spec.Cfg.Seed, k). A nil point runs art as it stands —
+// a plain run is the one-point list {nil}; any other point loads art
+// patched with its binding. One point fans its shots out across all the
+// replicas; several fan out one point per replica, each point's shots
+// running where it was loaded. Results land at their point index, so the
+// merge never depends on completion order, and on error the lowest failing
+// index is reported.
+//
+// observe (when non-nil) is called once per finished point, in completion
+// order — which under multiple replicas is not point order, and may be
+// concurrent (the observer must be safe to call from several worker
+// goroutines) — with the same value that lands in the returned slice.
+// This is the streaming hook: internal/service publishes each observed
+// point to /v1/jobs/{id}/stream watchers while the sweep is still running.
+func RunPoints(spec Spec, machines []*machine.Machine, art *compiler.Compiled, points []map[string]float64, shots int, observe func(SweepPoint)) ([]SweepPoint, error) {
 	if len(machines) == 0 {
-		return nil, fmt.Errorf("runner: RunSweepOn with no machines")
-	}
-	if skel == nil {
-		return nil, fmt.Errorf("runner: RunSweepOn with nil skeleton artifact")
+		return nil, fmt.Errorf("runner: RunPoints with no machines")
 	}
 	out := make([]SweepPoint, len(points))
-	runPoint := func(m *machine.Machine, k int) error {
-		bound, err := skel.BindParams(points[k])
+	runPoint := func(on []*machine.Machine, k int) error {
+		bound, err := spec.pointArtifact(on[0], art, points[k])
 		if err != nil {
-			return fmt.Errorf("runner: point %d: %w", k, err)
+			return err
 		}
-		if err := m.Load(bound); err != nil {
-			return fmt.Errorf("runner: point %d: %w", k, err)
+		for _, m := range on {
+			if m.Loaded() == bound {
+				continue // a warm replica of a plain job: nothing to install
+			}
+			if err := m.Load(bound); err != nil {
+				return err
+			}
 		}
-		set, err := RunOn([]*machine.Machine{m}, machine.DeriveSeed(base, k), shots, numBits)
+		set, err := RunOn(on, machine.DeriveSeed(spec.Cfg.Seed, k), shots, spec.Circuit.NumBits)
 		if err != nil {
-			return fmt.Errorf("runner: point %d: %w", k, err)
+			return err
 		}
 		out[k] = SweepPoint{Index: k, Params: points[k], Set: set}
 		if observe != nil {
@@ -134,36 +86,40 @@ func RunSweepOnObserved(machines []*machine.Machine, skel *compiler.Compiled, po
 		}
 		return nil
 	}
-	if len(machines) == 1 {
-		for k := range points {
-			if err := runPoint(machines[0], k); err != nil {
-				return nil, err
+	var err error
+	if len(points) == 1 {
+		err = runPoint(machines, 0)
+	} else {
+		err = fanOut(machines, len(points), func(m *machine.Machine, k int) error {
+			if err := runPoint([]*machine.Machine{m}, k); err != nil {
+				return fmt.Errorf("runner: point %d: %w", k, err)
 			}
-		}
-		return out, nil
+			return nil
+		})
 	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
-	idx := make(chan int)
-	errs := make([]error, len(points))
-	var wg sync.WaitGroup
-	for _, m := range machines {
-		wg.Add(1)
-		go func(m *machine.Machine) {
-			defer wg.Done()
-			for k := range idx {
-				errs[k] = runPoint(m, k)
-			}
-		}(m)
-	}
-	for k := range points {
-		idx <- k
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
+// pointArtifact resolves the program one point runs: art itself for an
+// unbound (nil) point, art patched by BindParams for a binding — or, for a
+// FreshCompile spec, the baseline the bind path is measured and verified
+// against: the circuit bound up front and compiled in full on m, nothing
+// cached.
+func (spec Spec) pointArtifact(m *machine.Machine, art *compiler.Compiled, params map[string]float64) (*compiler.Compiled, error) {
+	switch {
+	case params != nil && spec.FreshCompile:
+		bound, err := spec.Circuit.Bind(params)
 		if err != nil {
 			return nil, err
 		}
+		return m.CompileFresh(bound, spec.Mapping, m.CompileOptions())
+	case art == nil:
+		return nil, fmt.Errorf("runner: no compiled artifact to run")
+	case params == nil:
+		return art, nil
 	}
-	return out, nil
+	return art.BindParams(params)
 }

@@ -73,20 +73,22 @@ func TestRunSweepMatchesBoundRuns(t *testing.T) {
 // TestRunSweepCompilesOnce: an N-point sweep charges the shared cache
 // exactly one compile, and a repeat sweep charges none.
 func TestRunSweepCompilesOnce(t *testing.T) {
-	spec, points := sweepSpec(7, 1) // unique shape: no other test caches it
-	before := artifact.Shared.Stats()
+	spec, points := sweepSpec(7, 1)
+	// A cache of its own: the count holds under -count=N and any test
+	// order, which a shape no other test happens to compile would not.
+	cache := artifact.New(8)
+	spec.Cfg.Artifacts = cache
 	if _, err := RunSweep(spec, points, 2, 2); err != nil {
 		t.Fatal(err)
 	}
-	mid := artifact.Shared.Stats()
-	if got := mid.Misses - before.Misses; got != 1 {
-		t.Fatalf("first sweep compiled %d times, want 1", got)
+	mid := cache.Stats()
+	if mid.Misses != 1 {
+		t.Fatalf("first sweep compiled %d times, want 1", mid.Misses)
 	}
 	if _, err := RunSweep(spec, points, 2, 2); err != nil {
 		t.Fatal(err)
 	}
-	after := artifact.Shared.Stats()
-	if got := after.Misses - mid.Misses; got != 0 {
+	if got := cache.Stats().Misses - mid.Misses; got != 0 {
 		t.Fatalf("repeat sweep compiled %d times, want 0", got)
 	}
 }
@@ -116,22 +118,58 @@ func TestRunSweepEdgeCases(t *testing.T) {
 	if _, err := RunSweep(spec, points, -1, 1); err == nil {
 		t.Fatal("negative shots accepted")
 	}
-	if _, err := RunSweepOn(nil, nil, points, 1, 1, 0); err == nil {
+	if _, err := RunPoints(spec, nil, nil, points, 1, nil); err == nil {
 		t.Fatal("no machines accepted")
 	}
-	m, skel, err := BuildSkeleton(spec, nil)
+	machines, skel, err := Replicas(spec, true, nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSweepOn([]*machine.Machine{m}, nil, points, 1, 1, 0); err == nil {
+	if _, err := RunPoints(spec, machines, nil, points, 1, nil); err == nil {
 		t.Fatal("nil skeleton accepted")
 	}
 	// Zero shots: points come back with empty sets, deterministically.
-	out, err := RunSweepOn([]*machine.Machine{m}, skel, points, 1, 0, spec.Circuit.NumBits)
+	out, err := RunPoints(spec, machines, skel, points, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != len(points) || len(out[0].Set.Shots) != 0 {
 		t.Fatalf("zero-shot sweep malformed: %+v", out)
+	}
+}
+
+// TestRunSweepHonoursSchedule: a sweep compiles its skeleton under
+// Cfg.Schedule like every other run — each point is bit-identical to a
+// plain Run of the bound circuit under the same policy, and the policy
+// visibly took (the padded replay is slower than the fixed one).
+func TestRunSweepHonoursSchedule(t *testing.T) {
+	spec, points := sweepSpec(6, 1)
+	fixed, err := RunSweep(spec, points, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Cfg.Schedule = "padded"
+	padded, err := RunSweep(spec, points, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, pt := range padded {
+		bound, err := spec.Circuit.Bind(points[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs := spec
+		bs.Circuit = bound
+		bs.Cfg.Seed = machine.DeriveSeed(spec.Cfg.Seed, k)
+		want, err := Run(bs, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pt.Set, want) {
+			t.Fatalf("point %d differs from a plain padded run of the bound circuit", k)
+		}
+		if got, base := pt.Set.Shots[0].Result.Makespan, fixed[k].Set.Shots[0].Result.Makespan; got <= base {
+			t.Fatalf("point %d: padded makespan %d not above fixed %d — the sweep dropped Cfg.Schedule", k, got, base)
+		}
 	}
 }

@@ -1,0 +1,250 @@
+package service
+
+import (
+	"errors"
+	"reflect"
+	"strings"
+	"testing"
+
+	"dhisq/internal/artifact"
+	"dhisq/internal/circuit"
+	"dhisq/internal/machine"
+	"dhisq/internal/placement"
+	"dhisq/internal/runner"
+	"dhisq/internal/workloads"
+)
+
+// TestExecutionMatrix walks every cell the one execution path serves —
+// {plain, Params, Sweep} × {cold pool, warm pool, FreshCompile} ×
+// ShotWorkers {1, 3} — and pins two things per cell: the results are
+// byte-identical to the runner's one-worker reference (runner.Run of the
+// bound circuit, runner.RunSweep of the skeleton), and the bookkeeping is
+// exact: CacheHit, Batched, the Binds/BindHits deltas, PooledReplicas and
+// the compiles charged to the artifact cache.
+func TestExecutionMatrix(t *testing.T) {
+	const (
+		n     = 5
+		shots = 4
+		seed  = 11
+	)
+	skel := workloads.VQEAnsatz(n, 1)
+	points := make([]map[string]float64, 4)
+	for k := range points {
+		points[k] = workloads.VQEAnsatzPoint(n, 1, k)
+	}
+	bound, err := skel.Bind(points[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// One-worker references, compiled through a cache of their own so the
+	// services under test start cold.
+	w, h := placement.AutoMesh(n)
+	refCfg := machine.DefaultConfig(n)
+	refCfg.Seed = seed
+	refCfg.Artifacts = artifact.New(8)
+	refSet, err := runner.Run(runner.Spec{Circuit: bound, MeshW: w, MeshH: h, Cfg: refCfg}, shots, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSweep, err := runner.RunSweep(runner.Spec{Circuit: skel, MeshW: w, MeshH: h, Cfg: refCfg}, points, shots, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refPoints := make([]PointStatus, len(refSweep))
+	for k, pt := range refSweep {
+		refPoints[k] = pointStatusOf(pt)
+	}
+
+	kinds := []struct {
+		name  string
+		req   Request
+		binds uint64 // BindParams patches one pooled job performs
+	}{
+		{"plain", Request{Circuit: bound}, 0},
+		{"params", Request{Circuit: skel, Params: points[0]}, 1},
+		{"sweep", Request{Circuit: skel, Sweep: points}, uint64(len(points))},
+	}
+	steps := []struct {
+		name                    string
+		fresh, cacheHit, warmed bool
+		misses                  uint64
+	}{
+		{"cold", false, false, false, 1},
+		{"warm", false, true, true, 0},
+		{"fresh", true, false, false, 0},
+	}
+	for _, workers := range []int{1, 3} {
+		for _, kind := range kinds {
+			// One service per (workers, kind): its pool and private cache
+			// carry cold → warm → fresh in order.
+			cache := artifact.New(8)
+			svc := New(Config{Workers: 1, ShotWorkers: workers, Artifacts: cache})
+			for _, step := range steps {
+				req := kind.req
+				req.Shots, req.Seed, req.FreshCompile = shots, seed, step.fresh
+				before := svc.Stats()
+				st := submitWait(t, svc, req)
+				after := svc.Stats()
+				cell := kind.name + "/" + step.name
+
+				if kind.req.Sweep != nil {
+					if st.Set != nil || !reflect.DeepEqual(st.Points, refPoints) {
+						t.Errorf("w%d %s: points diverge from runner.RunSweep at one worker", workers, cell)
+					}
+				} else if st.Points != nil || !reflect.DeepEqual(st.Set, refSet) {
+					t.Errorf("w%d %s: shot set diverges from runner.Run at one worker", workers, cell)
+				}
+
+				if st.CacheHit != step.cacheHit || st.Batched != step.warmed {
+					t.Errorf("w%d %s: CacheHit=%v Batched=%v, want %v %v",
+						workers, cell, st.CacheHit, st.Batched, step.cacheHit, step.warmed)
+				}
+				wantBinds, wantHits := uint64(0), uint64(0)
+				if !step.fresh {
+					wantBinds = kind.binds
+					if step.cacheHit && kind.binds > 0 {
+						wantHits = 1
+					}
+				}
+				if d := after.Binds - before.Binds; d != wantBinds {
+					t.Errorf("w%d %s: Binds moved by %d, want %d", workers, cell, d, wantBinds)
+				}
+				if d := after.BindHits - before.BindHits; d != wantHits {
+					t.Errorf("w%d %s: BindHits moved by %d, want %d", workers, cell, d, wantHits)
+				}
+				// 4 shots and 4 points both cover 3 replicas, so every
+				// pooled job holds exactly ShotWorkers of them; the fresh
+				// job's private replicas never reach the pool.
+				if after.PooledReplicas != workers {
+					t.Errorf("w%d %s: PooledReplicas=%d, want %d", workers, cell, after.PooledReplicas, workers)
+				}
+				if d := after.Cache.Misses - before.Cache.Misses; d != step.misses {
+					t.Errorf("w%d %s: artifact cache charged %d compiles, want %d", workers, cell, d, step.misses)
+				}
+			}
+			svc.Close()
+		}
+	}
+}
+
+// branchy is a feed-forward circuit whose makespan depends on the first
+// measurement: outcome 1 drags forty conditioned gates in. Under a
+// deadline between the two paths a job fails or succeeds by its seed
+// alone, with the pool key (which carries the deadline, not the seed)
+// unchanged.
+func branchy() *circuit.Circuit {
+	c := circuit.New(2)
+	c.H(0).MeasureInto(0, 0)
+	for i := 0; i < 40; i++ {
+		c.CondGate(circuit.X, circuit.Condition{Bits: []int{0}, Parity: 1}, 1)
+	}
+	return c.MeasureInto(1, 1)
+}
+
+// TestFailedRunUnwinds: a job that fails mid-run — some of its shots blow
+// the deadline — checks its replicas back in, reports what it observed
+// before the failure, and the next job of the same pool key runs warm.
+func TestFailedRunUnwinds(t *testing.T) {
+	cfg := machine.DefaultConfig(2)
+	cfg.Deadline = 600 // short path 356 cycles, long path 1080
+	svc := New(Config{Workers: 1, ShotWorkers: 2, Artifacts: artifact.New(8)})
+	defer svc.Close()
+
+	// Seed 3: shot 0 takes the short path, shot 1 the long one.
+	id, err := svc.Submit(Request{Circuit: branchy(), Cfg: &cfg, Shots: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed, _ := svc.Wait(id)
+	if failed.State != StateFailed || !strings.Contains(failed.Err, "shot 1") {
+		t.Fatalf("job did not fail at its first long shot: %s %q", failed.State, failed.Err)
+	}
+	if failed.CacheHit || failed.Batched {
+		t.Fatalf("cold failed job reports CacheHit=%v Batched=%v", failed.CacheHit, failed.Batched)
+	}
+	if st := svc.Stats(); st.PooledReplicas != 2 || st.Failed != 1 {
+		t.Fatalf("after the failure: PooledReplicas=%d Failed=%d, want 2 and 1", st.PooledReplicas, st.Failed)
+	}
+
+	ok := submitWait(t, svc, Request{Circuit: branchy(), Cfg: &cfg, Shots: 1, Seed: 3})
+	if !ok.Batched || !ok.CacheHit {
+		t.Fatalf("next job of the pool key ran cold: CacheHit=%v Batched=%v", ok.CacheHit, ok.Batched)
+	}
+	if st := svc.Stats(); st.PooledReplicas != 2 || st.Cache.Misses != 1 {
+		t.Fatalf("after the warm job: PooledReplicas=%d misses=%d, want 2 and 1", st.PooledReplicas, st.Cache.Misses)
+	}
+
+	// A failed job reports what it observed before failing: run warm, the
+	// same failure now says so.
+	id, err = svc.Submit(Request{Circuit: branchy(), Cfg: &cfg, Shots: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := svc.Wait(id); again.State != StateFailed || !again.CacheHit || !again.Batched {
+		t.Fatalf("warm failed job: %s CacheHit=%v Batched=%v, want failed true true", again.State, again.CacheHit, again.Batched)
+	}
+}
+
+// TestBackendPanicFailsOneJob: a stabilizer backend forced onto a
+// non-Clifford circuit panics inside machine.Run. The job must end failed
+// with the panic text, its replicas discarded rather than pooled, and the
+// worker — and the process — must go on to serve the next job.
+func TestBackendPanicFailsOneJob(t *testing.T) {
+	bad := circuit.New(1)
+	bad.H(0).T(0).MeasureInto(0, 0)
+	cfg := machine.DefaultConfig(1)
+	cfg.Backend = machine.BackendStabilizer
+	for _, workers := range []int{1, 3} {
+		svc := New(Config{Workers: 1, ShotWorkers: workers, Artifacts: artifact.New(8)})
+		id, err := svc.Submit(Request{Circuit: bad, Cfg: &cfg, Shots: 6, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, err := svc.Submit(Request{Circuit: ghz(3), Shots: 1, Seed: 1}) // queued behind it
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _ := svc.Wait(id)
+		if st.State != StateFailed || !strings.Contains(st.Err, "stabilizer backend cannot apply") {
+			t.Fatalf("w%d: panicking job ended %s with %q", workers, st.State, st.Err)
+		}
+		var pe *runner.PanicError
+		svc.mu.Lock()
+		jobErr := svc.jobs[id].err
+		svc.mu.Unlock()
+		if !errors.As(jobErr, &pe) {
+			t.Fatalf("w%d: job error %v is not a *runner.PanicError", workers, jobErr)
+		}
+		if st, _ := svc.Wait(after); st.State != StateDone {
+			t.Fatalf("w%d: job after the panic ended %s (%s)", workers, st.State, st.Err)
+		}
+		stats := svc.Stats()
+		if stats.Failed != 1 || stats.Completed != 1 {
+			t.Fatalf("w%d: Failed=%d Completed=%d, want 1 and 1", workers, stats.Failed, stats.Completed)
+		}
+		// Only the healthy one-shot job's replica is pooled; the panicked
+		// ones are gone.
+		if stats.PooledReplicas != 1 {
+			t.Fatalf("w%d: PooledReplicas=%d, want 1", workers, stats.PooledReplicas)
+		}
+		svc.Close()
+	}
+}
+
+// TestReleaseRecoversOutsideTheFanOut: a panic the runner's fan-out cannot
+// see — here in replica construction, on the worker goroutine itself — is
+// caught by run's release step and becomes the job's error.
+func TestReleaseRecoversOutsideTheFanOut(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	j := &job{id: "job-broken"} // no circuit: machine construction dereferences nil
+	_, err := svc.run(j, plan{pooled: true, points: []map[string]float64{nil}, want: 1})
+	var pe *runner.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("run returned %v, want a recovered *runner.PanicError", err)
+	}
+	if n := svc.Stats().PooledReplicas; n != 0 {
+		t.Fatalf("a panicked acquire pooled %d replicas", n)
+	}
+}

@@ -316,8 +316,11 @@ type job struct {
 	batched  bool
 	mapping  []int // final qubit→controller mapping (nil = identity)
 	set      *runner.ShotSet
-	hist     runner.Histogram // computed once at finish, not per poll
-	points   []PointStatus    // sweep jobs: per-point outcomes, index order
+	// Derived from the results once, at finish, not per poll.
+	hist     runner.Histogram
+	makespan int64
+	eprPairs uint64
+	points   []PointStatus // sweep jobs: per-point outcomes, index order
 	// streamed holds sweep points in completion order as they finish —
 	// the publication log Stream cursors over while the job still runs.
 	// notify is closed and replaced under mu on every publish, so any
@@ -325,7 +328,6 @@ type job struct {
 	// polling and without a Cond (a channel honors context cancellation).
 	streamed []PointStatus
 	notify   chan struct{}
-	net      congestionAgg // sweep jobs: congestion folded at setPoints
 	err      error
 	done     chan struct{}
 }
@@ -345,53 +347,6 @@ func (j *job) publish(ps PointStatus) {
 	j.streamed = append(j.streamed, ps)
 	close(j.notify)
 	j.notify = make(chan struct{})
-	j.mu.Unlock()
-}
-
-// setPoints folds a finished sweep's per-point shot sets into retainable
-// snapshots (histogram + makespan; the full sets are dropped so a
-// long-lived daemon's retention bound stays a bound). Fabric congestion
-// is aggregated here, before the per-shot data goes away, so sweep jobs
-// still move the /v1/stats net_* counters.
-func (j *job) setPoints(pts []runner.SweepPoint) {
-	out := make([]PointStatus, len(pts))
-	aggs := make([]congestionAgg, len(pts))
-	for i, p := range pts {
-		out[i] = pointStatusOf(p)
-		aggs[i] = congestionAgg{track: j.trackFeedback}
-		aggs[i].add(p.Set)
-	}
-	// Per-point aggregates fold over the host reduction tree, mirroring the
-	// per-shot fold inside add; for a zero-point sweep the zero aggregate
-	// stands.
-	agg, ok := runner.TreeReduce(aggs, digestGrain, congestionAgg.merge)
-	if !ok {
-		agg = congestionAgg{track: j.trackFeedback}
-	}
-	j.mu.Lock()
-	j.points = out
-	j.net = agg
-	j.mu.Unlock()
-}
-
-// netAgg snapshots the congestion the job aggregated before dropping its
-// per-shot data (sweep jobs; zero for everything else).
-func (j *job) netAgg() congestionAgg {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.net
-}
-
-// setMapping records the final mapping the job's artifact was compiled
-// with (the Place pass may have computed it from the policy). Copied:
-// the artifact is cached process-wide, and JobStatus hands the slice to
-// callers who are free to mutate their snapshot.
-func (j *job) setMapping(cp *compiler.Compiled) {
-	if cp == nil || cp.Mapping == nil {
-		return
-	}
-	j.mu.Lock()
-	j.mapping = append([]int(nil), cp.Mapping...)
 	j.mu.Unlock()
 }
 
@@ -470,18 +425,26 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// resolveRequest normalizes a request exactly the way Submit will run
-// it: mesh dimensions default via AutoMesh, the machine config via
-// DefaultConfig, Request.Placement/Request.Schedule override their Cfg
-// counterparts, and the resulting policy names are validated. Shared
-// between Submit (admission) and RouteKey (cluster routing) so a shard
-// and a router can never disagree about what a request means.
-func resolveRequest(req Request) (Request, machine.Config, string, string, error) {
+// resolved is a request normalized exactly the way Submit will run it:
+// mesh dimensions defaulted via AutoMesh (and grown for a multi-chip
+// expansion), the machine config defaulted via DefaultConfig with the
+// request's Placement/Schedule/Collective/Chips/EPRLatency overriding
+// their Cfg counterparts, and the resulting policy names validated.
+type resolved struct {
+	req                 Request
+	cfg                 machine.Config
+	placement, schedule string // resolved policy names (never "")
+}
+
+// resolveRequest is shared between Submit (admission) and RouteKey
+// (cluster routing) so a shard and a router can never disagree about what
+// a request means.
+func resolveRequest(req Request) (r resolved, err error) {
 	if req.Circuit == nil {
-		return req, machine.Config{}, "", "", fmt.Errorf("service: nil circuit")
+		return r, fmt.Errorf("service: nil circuit")
 	}
 	if req.Shots < 1 {
-		return req, machine.Config{}, "", "", fmt.Errorf("service: shots %d < 1", req.Shots)
+		return r, fmt.Errorf("service: shots %d < 1", req.Shots)
 	}
 	if req.MeshW <= 0 || req.MeshH <= 0 {
 		req.MeshW, req.MeshH = placement.AutoMesh(req.Circuit.NumQubits)
@@ -492,7 +455,6 @@ func resolveRequest(req Request) (Request, machine.Config, string, string, error
 	} else {
 		cfg = machine.DefaultConfig(req.Circuit.NumQubits)
 	}
-	cfg.Net.MeshW, cfg.Net.MeshH = req.MeshW, req.MeshH
 	if req.Placement != "" {
 		cfg.Placement = req.Placement
 	}
@@ -509,17 +471,17 @@ func resolveRequest(req Request) (Request, machine.Config, string, string, error
 		cfg.EPRLatency = req.EPRLatency
 	}
 	if cfg.Chips < 0 {
-		return req, machine.Config{}, "", "", fmt.Errorf("service: negative chip count %d", cfg.Chips)
+		return r, fmt.Errorf("service: negative chip count %d", cfg.Chips)
 	}
 	if cfg.EPRLatency < 0 {
-		return req, machine.Config{}, "", "", fmt.Errorf("service: negative EPR latency %d", cfg.EPRLatency)
+		return r, fmt.Errorf("service: negative EPR latency %d", cfg.EPRLatency)
 	}
 	if cfg.Chips > 1 {
 		if req.Mapping != nil {
-			return req, machine.Config{}, "", "", fmt.Errorf("service: explicit mapping with %d chips unsupported (the chip expansion adds communication qubits; use a placement policy)", cfg.Chips)
+			return r, fmt.Errorf("service: explicit mapping with %d chips unsupported (the chip expansion adds communication qubits; use a placement policy)", cfg.Chips)
 		}
 		if cfg.Chips > req.Circuit.NumQubits {
-			return req, machine.Config{}, "", "", fmt.Errorf("service: %d chips exceed %d qubits (each chip needs at least one data qubit)", cfg.Chips, req.Circuit.NumQubits)
+			return r, fmt.Errorf("service: %d chips exceed %d qubits (each chip needs at least one data qubit)", cfg.Chips, req.Circuit.NumQubits)
 		}
 		// The expansion appends one communication qubit per chip; grow
 		// the mesh here, at admission, exactly the way machine.New
@@ -527,32 +489,31 @@ func resolveRequest(req Request) (Request, machine.Config, string, string, error
 		// under matches the machine it will run on.
 		if total := cfg.TotalQubits(req.Circuit.NumQubits); req.MeshW*req.MeshH < total {
 			req.MeshW, req.MeshH = placement.AutoMesh(total)
-			cfg.Net.MeshW, cfg.Net.MeshH = req.MeshW, req.MeshH
 		}
 	}
+	cfg.Net.MeshW, cfg.Net.MeshH = req.MeshW, req.MeshH
 	// Validate the policies the job will actually compile with — whether
 	// they arrived via the request or a caller-supplied Cfg — so unknown
 	// names are rejected here, before any work queues.
-	resolvedPolicy := cfg.Placement
-	if resolvedPolicy == "" {
-		resolvedPolicy = placement.Default
+	r = resolved{req: req, cfg: cfg, placement: cfg.Placement, schedule: cfg.Schedule}
+	if r.placement == "" {
+		r.placement = placement.Default
 	}
-	if err := placement.Valid(resolvedPolicy); err != nil {
-		return req, machine.Config{}, "", "", err
+	if err := placement.Valid(r.placement); err != nil {
+		return r, err
 	}
-	resolvedSchedule := cfg.Schedule
-	if resolvedSchedule == "" {
-		resolvedSchedule = compiler.DefaultSchedule
+	if r.schedule == "" {
+		r.schedule = compiler.DefaultSchedule
 	}
-	if err := compiler.ValidSchedule(resolvedSchedule); err != nil {
-		return req, machine.Config{}, "", "", err
+	if err := compiler.ValidSchedule(r.schedule); err != nil {
+		return r, err
 	}
 	if cfg.Collective != "" {
 		if _, err := network.ParseCollSchedule(cfg.Collective); err != nil {
-			return req, machine.Config{}, "", "", err
+			return r, err
 		}
 	}
-	return req, cfg, resolvedPolicy, resolvedSchedule, nil
+	return r, nil
 }
 
 // RouteKey is the fingerprint cluster routing shards on: always the
@@ -562,24 +523,25 @@ func resolveRequest(req Request) (Request, machine.Config, string, string, error
 // pure function of the request (no service state, no seeds), so every
 // node of a cluster computes the same key for the same submission.
 func RouteKey(req Request) (artifact.Fingerprint, error) {
-	req, cfg, _, _, err := resolveRequest(req)
+	r, err := resolveRequest(req)
 	if err != nil {
 		return artifact.Fingerprint{}, err
 	}
-	return machine.StructuralKeyFor(req.Circuit, req.Mapping, cfg)
+	return machine.StructuralKeyFor(r.req.Circuit, r.req.Mapping, r.cfg)
 }
 
 // Submit validates and enqueues a job, returning its ID immediately. The
 // queue is bounded: a full queue rejects with ErrQueueFull rather than
 // blocking the caller (admission control, not backpressure-by-hanging).
 func (s *Service) Submit(req Request) (string, error) {
-	req, cfg, resolvedPolicy, resolvedSchedule, err := resolveRequest(req)
+	r, err := resolveRequest(req)
 	if err != nil {
 		return "", err
 	}
+	req, cfg := r.req, r.cfg
 	// Jobs compile through this service's artifact cache (unless the
 	// caller pinned one in req.Cfg): the field rides the machine config
-	// into runner.Build without touching any fingerprint.
+	// into the replica build without touching any fingerprint.
 	if cfg.Artifacts == nil {
 		cfg.Artifacts = s.arts
 	}
@@ -614,8 +576,8 @@ func (s *Service) Submit(req Request) (string, error) {
 		shots: req.Shots, meshW: req.MeshW, meshH: req.MeshH, chips: cfg.Chips,
 
 		fp:        fp,
-		placement: resolvedPolicy,
-		schedule:  resolvedSchedule,
+		placement: r.placement,
+		schedule:  r.schedule,
 		pk: poolKey{
 			fp: fp, backend: machine.ResolveBackend(req.Circuit, cfg.Backend),
 			logEvents: cfg.LogEvents, deadline: cfg.Deadline,
@@ -782,7 +744,7 @@ func (s *Service) worker() {
 			s.stats.Failed++
 			s.retire(j.id)
 			s.mu.Unlock()
-			j.finish(nil, fmt.Errorf("service: shut down before job started"))
+			j.finish(result{}, fmt.Errorf("service: shut down before job started"))
 			j.release()
 			continue
 		}
@@ -792,45 +754,33 @@ func (s *Service) worker() {
 		j.state = StateRunning
 		j.mu.Unlock()
 
-		set, cacheHit, batched, err := s.execute(j)
-		j.mu.Lock()
-		j.cacheHit, j.batched = cacheHit, batched
-		j.mu.Unlock()
+		p := s.planFor(j.req)
+		res, err := s.run(j, p)
 
 		s.mu.Lock()
 		s.running--
-		var agg congestionAgg
 		if err != nil {
 			s.stats.Failed++
 		} else {
 			s.stats.Completed++
-			if batched {
+			if res.batched {
 				s.stats.BatchedJobs++
 			}
-			if j.req.bindJob() && !j.req.FreshCompile {
-				n := uint64(1)
-				if len(j.req.Sweep) > 0 {
-					n = uint64(len(j.req.Sweep))
-				}
-				s.stats.Binds += n
-				if cacheHit {
+			if p.structural && p.pooled {
+				s.stats.Binds += uint64(len(p.points))
+				if res.cacheHit {
 					s.stats.BindHits++
 				}
 			}
-			agg = j.netAgg() // sweep jobs folded theirs at setPoints
-			agg.track = j.trackFeedback
-			if set != nil {
-				agg.add(set)
-			}
-			s.foldCongestion(agg)
+			s.foldCongestion(res.net)
 		}
 		s.retire(j.id)
 		s.mu.Unlock()
 		// Waiters wake only now, so a Stats call that follows a Wait sees
 		// this job counted.
-		j.finish(set, err)
+		j.finish(res, err)
 		if err == nil {
-			s.maybeReplace(j, agg.fb)
+			s.maybeReplace(j, p, res.net.fb)
 		}
 		j.release()
 	}
@@ -883,7 +833,8 @@ func (d netDigest) merge(e netDigest) netDigest {
 const digestGrain = 256
 
 // congestionAgg accumulates per-shot fabric congestion so it can outlive
-// the shot sets it came from (sweep jobs drop theirs at setPoints). With
+// the shot sets it came from (sweep jobs drop theirs in run), which
+// is how sweep jobs still move the /v1/stats net_* counters. With
 // track set it additionally folds the per-link attribution into a
 // compiler.Feedback for the re-place loop; aggregation is commutative
 // either way, so the result is independent of shot completion order.
@@ -915,13 +866,25 @@ func (a *congestionAgg) add(set *runner.ShotSet) {
 	}
 }
 
-// merge combines two aggregates (sweep jobs fold their per-point
-// aggregates over the reduction tree in setPoints). The receiver's track
-// flag wins; b's feedback is merged in either way.
+// merge combines two aggregates. The receiver's track flag wins; b's
+// feedback is merged in either way.
 func (a congestionAgg) merge(b congestionAgg) congestionAgg {
 	a.net = a.net.merge(b.net)
 	a.fb.Merge(&b.fb)
 	return a
+}
+
+// aggregate folds the congestion of every shot of every point a job ran (a
+// plain job is one point). Per-point aggregates fold over the host
+// reduction tree, mirroring the per-shot fold inside add.
+func aggregate(pts []runner.SweepPoint, track bool) congestionAgg {
+	aggs := make([]congestionAgg, len(pts))
+	for i, p := range pts {
+		aggs[i] = congestionAgg{track: track}
+		aggs[i].add(p.Set)
+	}
+	agg, _ := runner.TreeReduce(aggs, digestGrain, congestionAgg.merge)
+	return agg
 }
 
 // foldCongestion merges aggregated congestion into the service stats.
@@ -942,7 +905,7 @@ func (s *Service) foldCongestion(a congestionAgg) {
 // re-places it: search for a measurably better mapping (machine.RePlace),
 // recompile under it, and swap the group's replicas. Runs on the worker
 // goroutine outside s.mu — the search compiles and probes.
-func (s *Service) maybeReplace(j *job, fb compiler.Feedback) {
+func (s *Service) maybeReplace(j *job, p plan, fb compiler.Feedback) {
 	if !j.trackFeedback {
 		return
 	}
@@ -961,7 +924,7 @@ func (s *Service) maybeReplace(j *job, fb compiler.Feedback) {
 	snapshot := fs.fb
 	s.mu.Unlock()
 
-	cp, err := s.rePlace(j, &snapshot)
+	cp, err := s.rePlace(j, p, &snapshot)
 	if err != nil || cp == nil {
 		return // the search kept the incumbent (or failed): nothing to swap
 	}
@@ -981,16 +944,12 @@ func (s *Service) maybeReplace(j *job, fb compiler.Feedback) {
 // jobs) with it. Returns nil when the search kept the incumbent mapping.
 // The re-placed artifact caches under its own fingerprint — the original
 // entry is never overwritten, so the content-addressed cache stays honest.
-func (s *Service) rePlace(j *job, fb *compiler.Feedback) (*compiler.Compiled, error) {
+func (s *Service) rePlace(j *job, p plan, fb *compiler.Feedback) (*compiler.Compiled, error) {
 	probeCirc := j.req.Circuit
-	if j.req.bindJob() {
+	if first := p.points[0]; first != nil {
 		// Probes need a runnable circuit; the first binding of the family
 		// is the deterministic stand-in for its traffic.
-		params := j.req.Params
-		if len(j.req.Sweep) > 0 {
-			params = j.req.Sweep[0]
-		}
-		bound, err := probeCirc.Bind(params)
+		bound, err := probeCirc.Bind(first)
 		if err != nil {
 			return nil, err
 		}
@@ -1011,7 +970,7 @@ func (s *Service) rePlace(j *job, fb *compiler.Feedback) (*compiler.Compiled, er
 	if err != nil {
 		return nil, err
 	}
-	if j.req.bindJob() {
+	if p.structural {
 		return m.CompileSkeleton(j.req.Circuit, newMap)
 	}
 	return m.Compile(j.req.Circuit, newMap)
@@ -1062,224 +1021,156 @@ func (s *Service) retire(id string) {
 	}
 }
 
-// execute runs one job: check out (or build) the replicas for its
-// artifact, fan the shots out with the runner's deterministic merge, and
-// return the replicas to the pool for the next job sharing the artifact.
-// Every job resolves its artifact through the shared cache exactly once,
-// so the hit/miss counters reflect per-job artifact reuse even when the
-// replica pool made the lookup unnecessary for execution.
-func (s *Service) execute(j *job) (set *runner.ShotSet, cacheHit, batched bool, err error) {
-	if j.req.bindJob() {
-		return s.executeBind(j)
-	}
-	want := s.cfg.ShotWorkers
-	if want > j.req.Shots {
-		want = j.req.Shots
-	}
-	if j.req.FreshCompile {
-		// Baseline/diagnostic path: private machines, full compiles, no
-		// cache or pool interaction (spec.FreshCompile routes the build
-		// through CompileFresh).
-		machines := make([]*machine.Machine, 0, want)
-		for len(machines) < want {
-			m, _, buildErr := runner.Build(j.spec, nil)
-			if buildErr != nil {
-				return nil, false, false, buildErr
-			}
-			machines = append(machines, m)
-		}
-		j.setMapping(machines[0].Loaded())
-		set, err = runner.RunOn(machines, j.seed, j.req.Shots, j.req.Circuit.NumBits)
-		return set, false, false, err
-	}
-	machines := s.pool.checkout(j.pk, want)
-	batched = len(machines) > 0
-
-	// Resolve the artifact through the shared cache: a present entry
-	// counts one hit per job (and stays MRU while its replicas are
-	// hot); an absent entry counts nothing here — if replicas must be
-	// built, the first Build's GetOrCompile charges the miss, so misses
-	// always equal actual compiles.
-	var cp *compiler.Compiled
-	cp, cacheHit = s.arts.Get(j.fp)
-	if ov := s.replacedArtifact(j.pk); ov != nil {
-		// The group was re-placed: run from the swapped artifact (a hit —
-		// nothing compiles). Replicas pooled before the swap still hold the
-		// old program; drop them rather than run the stale placement.
-		cp, cacheHit = ov, true
-		kept := machines[:0]
-		for _, m := range machines {
-			if m.Loaded() == ov {
-				kept = append(kept, m)
-			}
-		}
-		machines = kept
-		batched = len(machines) > 0
-	}
-	for len(machines) < want {
-		m, built, buildErr := runner.Build(j.spec, cp)
-		if buildErr != nil {
-			s.pool.checkin(j.pk, machines)
-			return nil, false, false, buildErr
-		}
-		cp = built
-		machines = append(machines, m)
-	}
-	// Echo the final mapping off the loaded artifact — it is there even
-	// when every replica came warm from the pool and the cache probe
-	// missed (an evicted artifact can outlive its cache entry in the pool).
-	j.setMapping(machines[0].Loaded())
-
-	set, err = runner.RunOn(machines, j.seed, j.req.Shots, j.req.Circuit.NumBits)
-	s.pool.checkin(j.pk, machines)
-	if err != nil {
-		return nil, cacheHit, batched, err
-	}
-	return set, cacheHit, batched, nil
+// plan is everything the one execution path varies on. A job's kind —
+// plain, Params or Sweep, pooled or FreshCompile — reduces to these fields;
+// run never asks which kind it was handed.
+type plan struct {
+	// structural is the key kind: the bind-invariant skeleton (Params and
+	// Sweep jobs, patched per point by BindParams) or the full program.
+	structural bool
+	// pooled jobs check replicas out of the pool and back in, and compile
+	// through the artifact cache; FreshCompile jobs build private replicas
+	// and pay every compile in full.
+	pooled bool
+	// sweep jobs deliver per-point results: points, not shots, are the
+	// unit that fans out across replicas, and each streams as it finishes.
+	sweep bool
+	// points is the work: one unbound (nil) point for a plain job, one
+	// binding for Params, N for a Sweep.
+	points []map[string]float64
+	want   int // replicas: ShotWorkers, capped at the fan-out units there are
 }
 
-// executeBind runs a parameter-bound job: resolve the compiled *skeleton*
-// through the shared cache under the structural fingerprint, patch it with
-// BindParams (per point for sweeps), and run on pooled replicas. Replicas
-// pool under the structural key, so a 1000-point sweep — or 1000 separate
-// single-binding jobs — compiles once and reuses the same warm machines;
-// only the cheap bind+load is per point. FreshCompile keeps its baseline
-// meaning: the circuit is bound up front and every point pays a full
-// compile on private machines.
-func (s *Service) executeBind(j *job) (set *runner.ShotSet, cacheHit, batched bool, err error) {
-	numBits := j.req.Circuit.NumBits
-	if j.req.FreshCompile {
-		set, err = s.executeBindFresh(j)
-		return set, false, false, err
+func (s *Service) planFor(req Request) plan {
+	p := plan{
+		structural: req.bindJob(), pooled: !req.FreshCompile, sweep: len(req.Sweep) > 0,
+		points: []map[string]float64{req.Params}, want: req.Shots,
 	}
+	if p.sweep {
+		p.points, p.want = req.Sweep, len(req.Sweep)
+	}
+	if p.want > s.cfg.ShotWorkers {
+		p.want = s.cfg.ShotWorkers
+	}
+	return p
+}
 
-	want := s.cfg.ShotWorkers
-	if len(j.req.Sweep) > 0 {
-		// Sweeps fan points (not shots) across replicas; each point's
-		// shots run on one machine.
-		if want > len(j.req.Sweep) {
-			want = len(j.req.Sweep)
+// result is what run observed and produced. cacheHit and batched are set as
+// they are observed, so a failed job reports them however far it got.
+type result struct {
+	set               *runner.ShotSet // plain and Params jobs
+	points            []PointStatus   // sweep jobs, in index order (complete only on success)
+	net               congestionAgg
+	cacheHit, batched bool
+	mapping           []int // final qubit→controller mapping (nil = identity)
+}
+
+// run executes one job: acquire the plan's replicas (pool checkout, the
+// re-placed artifact override, build the shortfall), run the plan's points
+// on them with the runner's deterministic merge, and release in one
+// deferred step that owns every unwind. Replicas pool under the job's
+// fingerprint — the structural one for bind jobs, so a 1000-point sweep or
+// 1000 single-binding jobs compile once and reuse the same warm machines.
+func (s *Service) run(j *job, p plan) (res result, err error) {
+	var machines []*machine.Machine
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("service: job %s: %w", j.id, &runner.PanicError{Value: r})
 		}
-	} else if want > j.req.Shots {
-		want = j.req.Shots
-	}
-	if want < 1 {
-		want = 1
-	}
-	machines := s.pool.checkout(j.pk, want)
-	batched = len(machines) > 0
-
-	var skel *compiler.Compiled
-	skel, cacheHit = s.arts.Get(j.fp)
-	for len(machines) < want {
-		m, built, buildErr := runner.BuildSkeleton(j.spec, skel)
-		if buildErr != nil {
+		if len(machines) > 0 && machines[0].Loaded() != nil {
+			// Echo the final mapping off the loaded artifact — it is there
+			// even when every replica came warm from the pool and the cache
+			// probe missed (an evicted artifact can outlive its cache entry
+			// in the pool). Copied: the artifact is cached process-wide, and
+			// JobStatus hands the slice to callers free to mutate it.
+			res.mapping = append([]int(nil), machines[0].Loaded().Mapping...)
+		}
+		// A replica that panicked mid-run is in an unknown state: the
+		// checked-out machines are dropped, never pooled.
+		var panicked *runner.PanicError
+		if p.pooled && !errors.As(err, &panicked) {
 			s.pool.checkin(j.pk, machines)
-			return nil, false, false, buildErr
 		}
-		skel = built
-		machines = append(machines, m)
-	}
-	if ov := s.replacedArtifact(j.pk); ov != nil {
-		// The group was re-placed: bind from the swapped skeleton. Pooled
-		// replicas are harmless here — the bind path re-Loads the bound
-		// program onto every machine before running, so whatever they held
-		// is overwritten.
-		skel, cacheHit = ov, true
-	}
-	if skel == nil {
-		// Every replica came warm from the pool and the cache entry was
-		// evicted: the loaded artifact is a previous binding of the same
-		// skeleton, and its parameter slots survive re-binding.
-		skel = machines[0].Loaded()
-	}
-	j.setMapping(skel)
+	}()
 
-	if len(j.req.Sweep) > 0 {
+	var art *compiler.Compiled
+	if p.pooled {
+		machines = s.pool.checkout(j.pk, p.want)
+		res.batched = len(machines) > 0
+		// Resolve the artifact through the shared cache exactly once per
+		// job: a present entry counts one hit (and stays MRU while its
+		// replicas are hot); an absent entry counts nothing here — if
+		// replicas must be built, the first build's GetOrCompile charges
+		// the miss, so misses always equal actual compiles.
+		art, res.cacheHit = s.arts.Get(j.fp)
+		if ov := s.replacedArtifact(j.pk); ov != nil {
+			// The group was re-placed: run from the swapped artifact (a hit —
+			// nothing compiles). A replica pooled before the swap still holds
+			// the old program; RunPoints re-Loads whatever is not loaded with
+			// the artifact it is about to run.
+			art, res.cacheHit = ov, true
+		}
+	}
+	if machines, art, err = runner.Replicas(j.spec, p.structural, machines, art, p.want); err != nil {
+		return res, err
+	}
+	if art == nil {
+		// Every replica came warm from the pool and the cache entry was
+		// evicted: run what is loaded (for a bind job a previous binding of
+		// the same skeleton, whose parameter slots survive re-binding).
+		art = machines[0].Loaded()
+	}
+
+	var observe func(runner.SweepPoint)
+	if p.sweep {
 		// The observer runs on the runner's worker goroutines: each point
 		// is published to streaming watchers the moment it finishes, while
-		// later points are still executing.
-		pts, runErr := runner.RunSweepOnObserved(machines, skel, j.req.Sweep, j.seed, j.req.Shots, numBits, func(p runner.SweepPoint) {
-			j.publish(pointStatusOf(p))
-		})
-		s.pool.checkin(j.pk, machines)
-		if runErr != nil {
-			return nil, cacheHit, batched, runErr
-		}
-		j.setPoints(pts)
-		return nil, cacheHit, batched, nil
-	}
-
-	bound, bindErr := skel.BindParams(j.req.Params)
-	if bindErr != nil {
-		s.pool.checkin(j.pk, machines)
-		return nil, cacheHit, batched, bindErr
-	}
-	for _, m := range machines {
-		if loadErr := m.Load(bound); loadErr != nil {
-			s.pool.checkin(j.pk, machines)
-			return nil, cacheHit, batched, loadErr
+		// later points are still executing. A sweep retains this snapshot
+		// (histogram + makespan) per point and drops the full shot sets, so
+		// a long-lived daemon's retention bound stays a bound.
+		res.points = make([]PointStatus, len(p.points))
+		observe = func(pt runner.SweepPoint) {
+			res.points[pt.Index] = pointStatusOf(pt)
+			j.publish(res.points[pt.Index])
 		}
 	}
-	set, err = runner.RunOn(machines, j.seed, j.req.Shots, numBits)
-	s.pool.checkin(j.pk, machines)
-	return set, cacheHit, batched, err
-}
-
-// executeBindFresh is the FreshCompile baseline of the binding layer:
-// bind the circuit itself, then pay the full compile (and private machine
-// builds) per binding — exactly what a stack without BindParams would do.
-func (s *Service) executeBindFresh(j *job) (*runner.ShotSet, error) {
-	runBound := func(params map[string]float64, seed int64) (*runner.ShotSet, *compiler.Compiled, error) {
-		bc, err := j.req.Circuit.Bind(params)
-		if err != nil {
-			return nil, nil, err
-		}
-		spec := j.spec
-		spec.Circuit = bc
-		spec.Cfg.Seed = seed
-		m, cp, err := runner.Build(spec, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		set, err := runner.RunOn([]*machine.Machine{m}, seed, j.req.Shots, j.req.Circuit.NumBits)
-		return set, cp, err
-	}
-	if len(j.req.Sweep) > 0 {
-		pts := make([]runner.SweepPoint, len(j.req.Sweep))
-		for k, params := range j.req.Sweep {
-			set, cp, err := runBound(params, machine.DeriveSeed(j.seed, k))
-			if err != nil {
-				return nil, fmt.Errorf("sweep point %d: %w", k, err)
-			}
-			if k == 0 {
-				j.setMapping(cp)
-			}
-			pts[k] = runner.SweepPoint{Index: k, Params: params, Set: set}
-			j.publish(pointStatusOf(pts[k]))
-		}
-		j.setPoints(pts)
-		return nil, nil
-	}
-	set, cp, err := runBound(j.req.Params, j.seed)
+	pts, err := runner.RunPoints(j.spec, machines, art, p.points, j.shots, observe)
 	if err != nil {
-		return nil, err
+		return res, err
 	}
-	j.setMapping(cp)
-	return set, nil
+	// Congestion is aggregated here, outside the service lock and before a
+	// sweep's per-shot data goes away.
+	res.net = aggregate(pts, j.trackFeedback)
+	if !p.sweep {
+		res.set = pts[0].Set
+	}
+	return res, nil
 }
 
-func (j *job) finish(set *runner.ShotSet, err error) {
+// finish moves the job to its terminal state. Everything status() derives
+// from the results — histogram, makespan, EPR total — is computed here,
+// once, not per poll.
+func (j *job) finish(res result, err error) {
 	j.mu.Lock()
-	if err != nil {
+	j.cacheHit, j.batched, j.mapping = res.cacheHit, res.batched, res.mapping
+	switch {
+	case err != nil:
 		j.state = StateFailed
 		j.err = err
-	} else {
+	case res.set != nil:
 		j.state = StateDone
-		if set != nil { // sweep jobs deliver per-point results instead
-			j.set = set
-			j.hist = set.Histogram()
+		j.set = res.set
+		j.hist = res.set.Histogram()
+		if len(res.set.Shots) > 0 {
+			j.makespan = int64(res.set.Shots[0].Result.Makespan)
 		}
+		for _, shot := range res.set.Shots {
+			j.eprPairs += shot.Result.EPRPairs
+		}
+	default: // sweep jobs deliver per-point results instead
+		j.state = StateDone
+		j.points = res.points
+		j.makespan = res.points[0].Makespan
 	}
 	j.mu.Unlock()
 	close(j.done)
@@ -1293,24 +1184,11 @@ func (j *job) status() JobStatus {
 		Fingerprint: j.fp.String(), CacheHit: j.cacheHit, Batched: j.batched,
 		MeshW: j.meshW, MeshH: j.meshH,
 		Placement: j.placement, Schedule: j.schedule, Mapping: j.mapping,
-		Chips: j.chips,
+		Chips: j.chips, EPRPairs: j.eprPairs,
+		Set: j.set, Histogram: j.hist, Points: j.points, Makespan: j.makespan,
 	}
 	if j.err != nil {
 		st.Err = j.err.Error()
-	}
-	if j.set != nil {
-		st.Set = j.set
-		st.Histogram = j.hist
-		if len(j.set.Shots) > 0 {
-			st.Makespan = int64(j.set.Shots[0].Result.Makespan)
-		}
-		for _, shot := range j.set.Shots {
-			st.EPRPairs += shot.Result.EPRPairs
-		}
-	}
-	if j.points != nil {
-		st.Points = j.points
-		st.Makespan = j.points[0].Makespan
 	}
 	return st
 }
