@@ -202,7 +202,7 @@ func BenchmarkArtifactCache(b *testing.B) {
 
 	b.Run("fresh", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := m.CompileFresh(bench.Circuit, bench.Mapping, m.CompileOptions()); err != nil {
+			if _, err := m.CompileFresh(bench.Circuit, bench.Mapping); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -435,7 +435,6 @@ func benchSweep(outDir string, seed int64, points, workers int) error {
 		// deschedule or GC pause inside one round must not flip the
 		// CI-gating speedup assertion below.
 		const rounds = 3
-		opt := m.CompileOptions()
 		full := make([]*compiler.Compiled, points)
 		var compileUs float64
 		for r := 0; r < rounds; r++ {
@@ -445,7 +444,7 @@ func benchSweep(outDir string, seed int64, points, workers int) error {
 				if err != nil {
 					return err
 				}
-				if full[k], err = m.CompileFresh(bc, nil, opt); err != nil {
+				if full[k], err = m.CompileFresh(bc, nil); err != nil {
 					return err
 				}
 			}

@@ -23,13 +23,17 @@ import (
 func TestStreamEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	id, resp := postJob(t, ts, submitRequest{
-		QASM: paramQASM, Shots: 10, Seed: 5,
-		Sweep: []map[string]float64{
-			{"theta0": 0.1, "theta1": 0.2},
-			{"theta0": 1.1, "theta1": 2.2},
-			{"theta0": 2.1, "theta1": 0.4},
-			{"theta0": 0.7, "theta1": 1.9},
+	id, resp := postJob(t, ts, service.Submission{
+		QASM: paramQASM,
+		Request: service.Request{
+			Shots: 10,
+			Seed:  5,
+			Sweep: []map[string]float64{
+				{"theta0": 0.1, "theta1": 0.2},
+				{"theta0": 1.1, "theta1": 2.2},
+				{"theta0": 2.1, "theta1": 0.4},
+				{"theta0": 0.7, "theta1": 1.9},
+			},
 		},
 	})
 	if resp.StatusCode != http.StatusAccepted {
@@ -49,7 +53,7 @@ func TestStreamEndpoint(t *testing.T) {
 	}
 
 	var points []service.PointStatus
-	var terminal *jobResponse
+	var terminal *jobBody
 	sc := bufio.NewScanner(r.Body)
 	for sc.Scan() {
 		if terminal != nil {
@@ -75,7 +79,7 @@ func TestStreamEndpoint(t *testing.T) {
 		t.Fatal("stream ended without a terminal job line")
 	}
 	if terminal.State != "done" {
-		t.Fatalf("job finished %q: %s", terminal.State, terminal.Error)
+		t.Fatalf("job finished %q: %s", terminal.State, terminal.Err)
 	}
 	if len(points) != 4 || len(terminal.Points) != 4 {
 		t.Fatalf("streamed %d points, summary holds %d, want 4", len(points), len(terminal.Points))
@@ -126,17 +130,17 @@ func storeServer(t *testing.T, dir string) (*httptest.Server, *service.Service, 
 func TestCrashRestartStoreWarm(t *testing.T) {
 	dir := t.TempDir()
 
-	jobs := []submitRequest{
-		{QASM: ghzQASM, Shots: 50, Seed: 11},
-		{Bench: "bv_n400", Scale: 16, Shots: 20, Seed: 3},
-		{QASM: paramQASM, Shots: 10, Seed: 5, Sweep: []map[string]float64{
+	jobs := []service.Submission{
+		{QASM: ghzQASM, Request: service.Request{Shots: 50, Seed: 11}},
+		{Bench: "bv_n400", Scale: 16, Request: service.Request{Shots: 20, Seed: 3}},
+		{QASM: paramQASM, Request: service.Request{Shots: 10, Seed: 5, Sweep: []map[string]float64{
 			{"theta0": 0.1, "theta1": 0.2},
 			{"theta0": 1.1, "theta1": 2.2},
-		}},
+		}}},
 	}
 
-	run := func(ts *httptest.Server) []jobResponse {
-		out := make([]jobResponse, len(jobs))
+	run := func(ts *httptest.Server) []jobBody {
+		out := make([]jobBody, len(jobs))
 		for i, req := range jobs {
 			id, resp := postJob(t, ts, req)
 			if resp.StatusCode != http.StatusAccepted {
@@ -144,7 +148,7 @@ func TestCrashRestartStoreWarm(t *testing.T) {
 			}
 			out[i] = getJob(t, ts, id, true)
 			if out[i].State != "done" {
-				t.Fatalf("job %d: state %q error %q", i, out[i].State, out[i].Error)
+				t.Fatalf("job %d: state %q error %q", i, out[i].State, out[i].Err)
 			}
 		}
 		return out
@@ -267,14 +271,14 @@ func TestClusterRedirectRouting(t *testing.T) {
 
 	// Mixed families: enough distinct structural keys that (with high
 	// probability) more than one shard owns work.
-	families := make([]submitRequest, 0, 6)
+	families := make([]service.Submission, 0, 6)
 	for n := 3; n <= 8; n++ {
-		families = append(families, submitRequest{QASM: ghzSized(n), Shots: 10, Seed: 7})
+		families = append(families, service.Submission{QASM: ghzSized(n), Request: service.Request{Shots: 10, Seed: 7}})
 	}
 
 	owners := make([]string, len(families))
 	for i, f := range families {
-		sreq, err := buildRequest(f)
+		sreq, err := f.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +367,7 @@ func TestClusterRedirectRouting(t *testing.T) {
 			}
 			jr := getJobAt(t, acc["shard"], acc["id"])
 			if jr.State != "done" {
-				t.Fatalf("family %d round %d: state %q error %q", i, round, jr.State, jr.Error)
+				t.Fatalf("family %d round %d: state %q error %q", i, round, jr.State, jr.Err)
 			}
 			if jr.Shard != owners[i] {
 				t.Fatalf("family %d job response names shard %q, want %q", i, jr.Shard, owners[i])
@@ -414,11 +418,11 @@ func TestClusterProxyRouting(t *testing.T) {
 	}
 
 	// Find a family NOT owned by shard 0, so the submission must proxy.
-	var req submitRequest
+	var req service.Submission
 	var owner string
 	for n := 3; n <= 12; n++ {
-		f := submitRequest{QASM: ghzSized(n), Shots: 10, Seed: 7}
-		sreq, err := buildRequest(f)
+		f := service.Submission{QASM: ghzSized(n), Request: service.Request{Shots: 10, Seed: 7}}
+		sreq, err := f.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,7 +457,7 @@ func TestClusterProxyRouting(t *testing.T) {
 	}
 	jr := getJobAt(t, owner, acc["id"])
 	if jr.State != "done" {
-		t.Fatalf("proxied job: state %q error %q", jr.State, jr.Error)
+		t.Fatalf("proxied job: state %q error %q", jr.State, jr.Err)
 	}
 
 	// The job ran on the owner, not the shard the client spoke to.
@@ -469,7 +473,7 @@ func TestClusterProxyRouting(t *testing.T) {
 }
 
 // getJobAt long-polls a job on an arbitrary shard base URL.
-func getJobAt(t *testing.T, base, id string) jobResponse {
+func getJobAt(t *testing.T, base, id string) jobBody {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/jobs/" + id + "?wait=1")
 	if err != nil {
@@ -479,7 +483,7 @@ func getJobAt(t *testing.T, base, id string) jobResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET %s/v1/jobs/%s: %d", base, id, resp.StatusCode)
 	}
-	var jr jobResponse
+	var jr jobBody
 	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
 		t.Fatal(err)
 	}
@@ -544,8 +548,8 @@ func TestClusterProxyOwnerDown(t *testing.T) {
 	handler = newClusterHandler(svc, "", "", cl)
 
 	for n := 3; n <= 12; n++ {
-		f := submitRequest{QASM: ghzSized(n), Shots: 5, Seed: 7}
-		sreq, err := buildRequest(f)
+		f := service.Submission{QASM: ghzSized(n), Request: service.Request{Shots: 5, Seed: 7}}
+		sreq, err := f.Build()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,19 +7,15 @@
 // JSON endpoints:
 //
 //	POST /v1/jobs        submit {"qasm": "..."} or {"bench": "name", "scale": N}
-//	                     plus "shots" (required) and optional "seed", "mapping",
-//	                     "topo" (mesh|torus|tree), "link_bw" (cycles/message,
-//	                     0 = infinite), "router_ports", "placement"
-//	                     (identity|rowmajor|interaction), "schedule"
-//	                     (fixed|padded), "collective" (collective schedule
-//	                     name, DESIGN.md §12), "chips" (split the data
-//	                     qubits across N chips; crossing gates teleport via
-//	                     EPR pairs, DESIGN.md §13) with "epr_latency"
-//	                     (cycles per pair generation); parameterized
-//	                     circuits (QASM angles written as identifiers, e.g.
-//	                     "rz(theta0) q[0];") take "params" {"theta0": 0.5} or
-//	                     "sweep" [{"theta0": 0.1}, ...] — a sweep compiles the
-//	                     skeleton once and patches angles per point
+//	                     plus "shots" (required) and any per-job option. The
+//	                     body is a service.Submission: its fields — and
+//	                     service.Request's, which it embeds — are the one
+//	                     declaration of every name ("seed", "mapping", "topo",
+//	                     "link_bw", "router_ports", "placement", "schedule",
+//	                     "collective", "chips", "epr_latency", "params",
+//	                     "sweep"), and service.Resolve is the one reading of
+//	                     them. A field that is not declared there is a 400
+//	                     naming it, not a job run on defaults
 //	                     -> {"id": "job-000042", "state": "queued"}
 //	GET  /v1/jobs/{id}   poll a job; ?wait=1/true long-polls until it
 //	                     finishes, ?wait=0/false (or no wait) polls once;
@@ -68,6 +64,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -82,15 +79,10 @@ import (
 	"time"
 
 	"dhisq/internal/artifact"
-	"dhisq/internal/circuit"
 	"dhisq/internal/compiler"
-	"dhisq/internal/machine"
-	"dhisq/internal/network"
 	"dhisq/internal/placement"
 	"dhisq/internal/service"
-	"dhisq/internal/sim"
 	"dhisq/internal/store"
-	"dhisq/internal/workloads"
 )
 
 func main() {
@@ -138,7 +130,7 @@ func main() {
 		ShotWorkers: *shotWorkers, Seed: *seed,
 		ReplaceStallThreshold: *replaceStall,
 	})
-	srv := &http.Server{Addr: *addr, Handler: newClusterHandler(svc, *placePolicy, *schedPolicy, cl)}
+	srv := newServer(*addr, newClusterHandler(svc, *placePolicy, *schedPolicy, cl))
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -167,95 +159,23 @@ func main() {
 	svc.Close()
 }
 
-// submitRequest is the POST /v1/jobs body. Exactly one of QASM or Bench
-// names the circuit. The optional fabric fields select the intra-layer
-// topology and the contention model (DESIGN.md §6) for this job; left
-// zero, the job runs on the default mesh with infinite link bandwidth.
-type submitRequest struct {
-	QASM    string `json:"qasm,omitempty"`
-	Bench   string `json:"bench,omitempty"`
-	Scale   int    `json:"scale,omitempty"` // benchmark size divisor
-	Shots   int    `json:"shots"`
-	Seed    int64  `json:"seed,omitempty"`
-	Mapping []int  `json:"mapping,omitempty"`
-	// Topo is "mesh", "torus", or "tree" ("" = mesh).
-	Topo string `json:"topo,omitempty"`
-	// LinkBW is the link bandwidth as cycles per message (0 = infinite,
-	// contention off); RouterPorts caps physical ports per router.
-	LinkBW      int64 `json:"link_bw,omitempty"`
-	RouterPorts int   `json:"router_ports,omitempty"`
-	// Placement names the placement policy for unmapped circuits
-	// ("identity", "rowmajor", "interaction", "congestion"; "" = the
-	// daemon's -placement default, itself defaulting to identity).
-	Placement string `json:"placement,omitempty"`
-	// Schedule names the compiler's scheduling policy ("fixed", "padded";
-	// "" = the daemon's -schedule default, itself defaulting to fixed).
-	Schedule string `json:"schedule,omitempty"`
-	// Collective names a fabric collective schedule ("naive", "ring",
-	// "halving", "tree", "auto") and switches the job onto the
-	// collective-aware lowering plus the post-run digest reduce
-	// (DESIGN.md §12). "" leaves the collective machinery off.
-	Collective string `json:"collective,omitempty"`
-	// Chips splits the device into a multi-chip partition; cross-chip
-	// two-qubit gates run as EPR-mediated teleported gates (DESIGN.md
-	// §13). 0/1 = single chip. EPRLatency overrides the EPR
-	// pair-generation latency in cycles (0 = machine default). Both are
-	// validated at service admission.
-	Chips      int   `json:"chips,omitempty"`
-	EPRLatency int64 `json:"epr_latency,omitempty"`
-	// Params binds the circuit's symbolic parameters (QASM angles written
-	// as identifiers, e.g. "rz(theta0) q[0];"); Sweep runs the circuit at
-	// every listed binding inside one job — the skeleton compiles once
-	// and each point is a cheap table patch (DESIGN.md §8). Mutually
-	// exclusive with each other.
-	Params map[string]float64   `json:"params,omitempty"`
-	Sweep  []map[string]float64 `json:"sweep,omitempty"`
+// newServer is the daemon's http.Server. A client gets ten seconds to
+// finish its request headers, so a connection that opens and goes quiet
+// does not hold a goroutine forever; there is deliberately no read or
+// write timeout past that — long-polls and /stream live as long as the job.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second}
 }
 
-// jobResponse is the wire form of a job snapshot.
-type jobResponse struct {
-	ID          string `json:"id"`
-	State       string `json:"state"`
-	Shots       int    `json:"shots"`
-	Seed        int64  `json:"seed"`
-	Fingerprint string `json:"fingerprint,omitempty"`
-	CacheHit    bool   `json:"cache_hit"`
-	Batched     bool   `json:"batched"`
-	// MeshW/MeshH, Placement and Mapping echo the resolved placement so a
-	// remote user can see why two submissions hit different replica pools
-	// (mapping is omitted for identity placement).
-	MeshW     int    `json:"mesh_w,omitempty"`
-	MeshH     int    `json:"mesh_h,omitempty"`
-	Placement string `json:"placement,omitempty"`
-	Schedule  string `json:"schedule,omitempty"`
-	Mapping   []int  `json:"mapping,omitempty"`
-	// Chips echoes the resolved chip count (omitted for single-chip
-	// jobs); EPRPairs totals the EPR pairs generated across the job's
-	// shots.
-	Chips     int            `json:"chips,omitempty"`
-	EPRPairs  uint64         `json:"epr_pairs,omitempty"`
-	Makespan  int64          `json:"makespan_cycles,omitempty"`
-	Histogram map[string]int `json:"histogram,omitempty"`
-	// Points carries a sweep job's per-point results (params, histogram,
-	// makespan) in point order; Histogram stays empty for sweep jobs.
-	Points []service.PointStatus `json:"points,omitempty"`
+// jobBody is a job snapshot on the wire: the service's JobStatus, which
+// declares every field name, plus the one thing only the daemon knows.
+type jobBody struct {
+	service.JobStatus
 	// Shard is the base URL of the cluster shard that owns and ran this
 	// job (empty on a single-node daemon). Job IDs are per-shard, so
 	// clients poll the shard a submission reports, not the shard they
 	// happened to submit through.
 	Shard string `json:"shard,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
-func toResponse(st service.JobStatus) jobResponse {
-	return jobResponse{
-		ID: st.ID, State: string(st.State), Shots: st.Shots, Seed: st.Seed,
-		Fingerprint: st.Fingerprint, CacheHit: st.CacheHit, Batched: st.Batched,
-		MeshW: st.MeshW, MeshH: st.MeshH, Placement: st.Placement,
-		Schedule: st.Schedule, Mapping: st.Mapping,
-		Chips: st.Chips, EPRPairs: st.EPRPairs,
-		Makespan: st.Makespan, Histogram: st.Histogram, Points: st.Points, Error: st.Err,
-	}
 }
 
 // newHandler builds the single-node JSON API over a running service
@@ -301,18 +221,14 @@ func newClusterHandler(svc *service.Service, defaultPlacement, defaultSchedule s
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 			return
 		}
-		var req submitRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		sub, err := service.DecodeSubmission(body)
+		if err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
 			return
 		}
-		if req.Placement == "" {
-			req.Placement = defaultPlacement
-		}
-		if req.Schedule == "" {
-			req.Schedule = defaultSchedule
-		}
-		sreq, err := buildRequest(req)
+		sub.Placement = cmp.Or(sub.Placement, defaultPlacement)
+		sub.Schedule = cmp.Or(sub.Schedule, defaultSchedule)
+		sreq, err := sub.Build()
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
@@ -351,8 +267,8 @@ func newClusterHandler(svc *service.Service, defaultPlacement, defaultSchedule s
 	})
 
 	// withShard stamps the owning shard onto a snapshot's wire form.
-	withShard := func(st service.JobStatus) jobResponse {
-		resp := toResponse(st)
+	withShard := func(st service.JobStatus) jobBody {
+		resp := jobBody{JobStatus: st}
 		if cl != nil {
 			resp.Shard = cl.self
 		}
@@ -421,14 +337,14 @@ func newClusterHandler(svc *service.Service, defaultPlacement, defaultSchedule s
 // short by client disconnect simply ends at the last line written.
 type streamLine struct {
 	Point *service.PointStatus `json:"point,omitempty"`
-	Job   *jobResponse         `json:"job,omitempty"`
+	Job   *jobBody             `json:"job,omitempty"`
 }
 
 // streamJob serves one streaming watch: headers first (the job's
 // existence is checked before the 200 commits), then a flush per line so
 // points reach the client as they finish, not when the job does.
 func streamJob(w http.ResponseWriter, r *http.Request, svc *service.Service,
-	id string, withShard func(service.JobStatus) jobResponse,
+	id string, withShard func(service.JobStatus) jobBody,
 	writeErr func(http.ResponseWriter, int, error)) {
 	if _, ok := svc.Get(id); !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
@@ -487,90 +403,4 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	}
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	return buf.Bytes(), err
-}
-
-// buildRequest turns a wire submission into a service request, building
-// the circuit from QASM text or a named Fig. 15 benchmark and applying
-// any fabric overrides.
-func buildRequest(req submitRequest) (service.Request, error) {
-	var sreq service.Request
-	var defaultParams map[string]float64
-	switch {
-	case req.QASM != "" && req.Bench != "":
-		return service.Request{}, fmt.Errorf("give qasm or bench, not both")
-	case req.QASM != "":
-		c, err := circuit.ParseQASM(req.QASM)
-		if err != nil {
-			return service.Request{}, fmt.Errorf("qasm: %w", err)
-		}
-		sreq = service.Request{
-			Circuit: c, Mapping: req.Mapping, Shots: req.Shots, Seed: req.Seed,
-		}
-	case req.Bench != "":
-		scale := req.Scale
-		if scale < 1 {
-			scale = 1
-		}
-		b, err := workloads.BuildScaled(req.Bench, scale)
-		if err != nil {
-			return service.Request{}, err
-		}
-		sreq = service.Request{
-			Circuit: b.Circuit, MeshW: b.MeshW, MeshH: b.MeshH,
-			Mapping: b.Mapping, Shots: req.Shots, Seed: req.Seed,
-		}
-		defaultParams = b.DefaultParams
-	default:
-		return service.Request{}, fmt.Errorf("submission needs qasm or bench")
-	}
-	if err := placement.Valid(req.Placement); err != nil {
-		return service.Request{}, err
-	}
-	if err := compiler.ValidSchedule(req.Schedule); err != nil {
-		return service.Request{}, err
-	}
-	sreq.Placement = req.Placement
-	sreq.Schedule = req.Schedule
-	// Collective names are validated at service admission (the resolved
-	// name must parse as a network.CollSchedule), same as an invalid Topo.
-	sreq.Collective = req.Collective
-	// Chip count and EPR latency are validated at service admission
-	// (bounds, mapping conflicts) like the collective name.
-	sreq.Chips = req.Chips
-	sreq.EPRLatency = sim.Time(req.EPRLatency)
-	if req.Params == nil && len(req.Sweep) == 0 {
-		// Parameterized benchmarks (dvqe) carry a point-0 default binding
-		// so a bare {"bench": ...} submission runs; explicit params or a
-		// sweep always win (and QASM submissions never have a default).
-		req.Params = defaultParams
-	}
-	sreq.Params = req.Params
-	sreq.Sweep = req.Sweep
-	if err := applyFabric(req, &sreq); err != nil {
-		return service.Request{}, err
-	}
-	return sreq, nil
-}
-
-// applyFabric installs the submission's topology/contention overrides as
-// an explicit machine config (the service fills in mesh shape and seed).
-func applyFabric(req submitRequest, sreq *service.Request) error {
-	if req.Topo == "" && req.LinkBW == 0 && req.RouterPorts == 0 {
-		return nil
-	}
-	if req.LinkBW < 0 || req.RouterPorts < 0 {
-		return fmt.Errorf("link_bw and router_ports must be >= 0")
-	}
-	cfg := machine.DefaultConfig(sreq.Circuit.NumQubits)
-	if req.Topo != "" {
-		kind, err := network.ParseTopology(req.Topo)
-		if err != nil {
-			return err
-		}
-		cfg.Net.Topology = kind
-	}
-	cfg.Net.LinkSerialization = req.LinkBW
-	cfg.Net.RouterPorts = req.RouterPorts
-	sreq.Cfg = &cfg
-	return nil
 }

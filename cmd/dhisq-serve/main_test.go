@@ -35,7 +35,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *service.Service) {
 	return ts, svc
 }
 
-func postJob(t *testing.T, ts *httptest.Server, req submitRequest) (string, *http.Response) {
+func postJob(t *testing.T, ts *httptest.Server, req service.Submission) (string, *http.Response) {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
@@ -50,7 +50,7 @@ func postJob(t *testing.T, ts *httptest.Server, req submitRequest) (string, *htt
 	return out["id"], resp
 }
 
-func getJob(t *testing.T, ts *httptest.Server, id string, wait bool) jobResponse {
+func getJob(t *testing.T, ts *httptest.Server, id string, wait bool) jobBody {
 	t.Helper()
 	url := ts.URL + "/v1/jobs/" + id
 	if wait {
@@ -64,7 +64,7 @@ func getJob(t *testing.T, ts *httptest.Server, id string, wait bool) jobResponse
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET %s: %d", url, resp.StatusCode)
 	}
-	var jr jobResponse
+	var jr jobBody
 	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func getJob(t *testing.T, ts *httptest.Server, id string, wait bool) jobResponse
 func TestSubmitGHZEndToEnd(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	id, resp := postJob(t, ts, submitRequest{QASM: ghzQASM, Shots: 50, Seed: 11})
+	id, resp := postJob(t, ts, service.Submission{QASM: ghzQASM, Request: service.Request{Shots: 50, Seed: 11}})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST status %d, want 202", resp.StatusCode)
 	}
@@ -87,7 +87,7 @@ func TestSubmitGHZEndToEnd(t *testing.T) {
 
 	jr := getJob(t, ts, id, true)
 	if jr.State != "done" {
-		t.Fatalf("state %q, error %q", jr.State, jr.Error)
+		t.Fatalf("state %q, error %q", jr.State, jr.Err)
 	}
 	if jr.Seed != 11 {
 		t.Fatalf("seed %d, want 11", jr.Seed)
@@ -107,7 +107,7 @@ func TestSubmitGHZEndToEnd(t *testing.T) {
 	}
 
 	// Same circuit again: byte-identical results, served warm.
-	id2, _ := postJob(t, ts, submitRequest{QASM: ghzQASM, Shots: 50, Seed: 11})
+	id2, _ := postJob(t, ts, service.Submission{QASM: ghzQASM, Request: service.Request{Shots: 50, Seed: 11}})
 	jr2 := getJob(t, ts, id2, true)
 	if jr2.State != "done" || !jr2.CacheHit {
 		t.Fatalf("repeat job: state=%q cache_hit=%v", jr2.State, jr2.CacheHit)
@@ -123,13 +123,13 @@ func TestSubmitGHZEndToEnd(t *testing.T) {
 // Named benchmarks run through the same endpoint.
 func TestSubmitBench(t *testing.T) {
 	ts, _ := newTestServer(t)
-	id, resp := postJob(t, ts, submitRequest{Bench: "bv_n400", Scale: 16, Shots: 5})
+	id, resp := postJob(t, ts, service.Submission{Bench: "bv_n400", Scale: 16, Request: service.Request{Shots: 5}})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST status %d, want 202", resp.StatusCode)
 	}
 	jr := getJob(t, ts, id, true)
 	if jr.State != "done" {
-		t.Fatalf("state %q, error %q", jr.State, jr.Error)
+		t.Fatalf("state %q, error %q", jr.State, jr.Err)
 	}
 }
 
@@ -137,19 +137,19 @@ func TestSubmitBench(t *testing.T) {
 func TestErrorPaths(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	_, resp := postJob(t, ts, submitRequest{Shots: 5}) // no circuit
+	_, resp := postJob(t, ts, service.Submission{Request: service.Request{Shots: 5}}) // no circuit
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("no-circuit status %d, want 400", resp.StatusCode)
 	}
-	_, resp = postJob(t, ts, submitRequest{QASM: ghzQASM, Bench: "bv_n400", Shots: 5})
+	_, resp = postJob(t, ts, service.Submission{QASM: ghzQASM, Bench: "bv_n400", Request: service.Request{Shots: 5}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("both-sources status %d, want 400", resp.StatusCode)
 	}
-	_, resp = postJob(t, ts, submitRequest{QASM: "not qasm", Shots: 5})
+	_, resp = postJob(t, ts, service.Submission{QASM: "not qasm", Request: service.Request{Shots: 5}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad-qasm status %d, want 400", resp.StatusCode)
 	}
-	_, resp = postJob(t, ts, submitRequest{QASM: ghzQASM, Shots: 0})
+	_, resp = postJob(t, ts, service.Submission{QASM: ghzQASM, Request: service.Request{Shots: 0}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("zero-shots status %d, want 400", resp.StatusCode)
 	}
@@ -186,7 +186,7 @@ func TestHealthAndStats(t *testing.T) {
 		t.Fatalf("healthz status %d", r.StatusCode)
 	}
 
-	id, _ := postJob(t, ts, submitRequest{QASM: ghzQASM, Shots: 10})
+	id, _ := postJob(t, ts, service.Submission{QASM: ghzQASM, Request: service.Request{Shots: 10}})
 	getJob(t, ts, id, true)
 
 	r, err = http.Get(ts.URL + "/v1/stats")
@@ -212,9 +212,14 @@ func TestHealthAndStats(t *testing.T) {
 func TestSubmitWithFabricOverrides(t *testing.T) {
 	ts, svc := newTestServer(t)
 
-	id, resp := postJob(t, ts, submitRequest{
-		QASM: ghzQASM, Shots: 20, Seed: 5,
-		Topo: "tree", LinkBW: 2,
+	id, resp := postJob(t, ts, service.Submission{
+		QASM: ghzQASM,
+		Request: service.Request{
+			Shots:  20,
+			Seed:   5,
+			Topo:   "tree",
+			LinkBW: 2,
+		},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d", resp.StatusCode)
@@ -238,11 +243,11 @@ func TestSubmitWithFabricOverrides(t *testing.T) {
 		t.Fatalf("wire-enabled contention moved no counters: %+v", st)
 	}
 
-	_, resp = postJob(t, ts, submitRequest{QASM: ghzQASM, Shots: 1, Topo: "hypercube"})
+	_, resp = postJob(t, ts, service.Submission{QASM: ghzQASM, Request: service.Request{Shots: 1, Topo: "hypercube"}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus topology accepted: %d", resp.StatusCode)
 	}
-	_, resp = postJob(t, ts, submitRequest{QASM: ghzQASM, Shots: 1, LinkBW: -3})
+	_, resp = postJob(t, ts, service.Submission{QASM: ghzQASM, Request: service.Request{Shots: 1, LinkBW: -3}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative link_bw accepted: %d", resp.StatusCode)
 	}
@@ -256,9 +261,14 @@ func TestSubmitWithFabricOverrides(t *testing.T) {
 func TestSubmitWithCollective(t *testing.T) {
 	ts, svc := newTestServer(t)
 
-	id, resp := postJob(t, ts, submitRequest{
-		QASM: ghzQASM, Shots: 10, Seed: 7,
-		Collective: "auto", LinkBW: 2,
+	id, resp := postJob(t, ts, service.Submission{
+		QASM: ghzQASM,
+		Request: service.Request{
+			Shots:      10,
+			Seed:       7,
+			Collective: "auto",
+			LinkBW:     2,
+		},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d", resp.StatusCode)
@@ -299,7 +309,7 @@ func TestSubmitWithCollective(t *testing.T) {
 		t.Fatal("net_collective_stall_cycles missing from GET /v1/stats")
 	}
 
-	_, resp = postJob(t, ts, submitRequest{QASM: ghzQASM, Shots: 1, Collective: "butterfly"})
+	_, resp = postJob(t, ts, service.Submission{QASM: ghzQASM, Request: service.Request{Shots: 1, Collective: "butterfly"}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus collective schedule accepted: %d", resp.StatusCode)
 	}
@@ -310,13 +320,13 @@ func TestSubmitWithCollective(t *testing.T) {
 func TestSubmitWithPlacement(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	id, resp := postJob(t, ts, submitRequest{QASM: ghzQASM, Shots: 5, Seed: 3, Placement: "interaction"})
+	id, resp := postJob(t, ts, service.Submission{QASM: ghzQASM, Request: service.Request{Shots: 5, Seed: 3, Placement: "interaction"}})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST status %d, want 202", resp.StatusCode)
 	}
 	jr := getJob(t, ts, id, true)
 	if jr.State != "done" {
-		t.Fatalf("state %q, error %q", jr.State, jr.Error)
+		t.Fatalf("state %q, error %q", jr.State, jr.Err)
 	}
 	if jr.Placement != "interaction" {
 		t.Fatalf("placement %q, want interaction", jr.Placement)
@@ -329,7 +339,7 @@ func TestSubmitWithPlacement(t *testing.T) {
 	}
 
 	// Identity default: policy echoed, mapping omitted.
-	id2, _ := postJob(t, ts, submitRequest{QASM: ghzQASM, Shots: 5, Seed: 3})
+	id2, _ := postJob(t, ts, service.Submission{QASM: ghzQASM, Request: service.Request{Shots: 5, Seed: 3}})
 	jr2 := getJob(t, ts, id2, true)
 	if jr2.Placement != "identity" || jr2.Mapping != nil {
 		t.Fatalf("default job echoed placement %q mapping %v", jr2.Placement, jr2.Mapping)
@@ -342,7 +352,7 @@ func TestSubmitWithPlacement(t *testing.T) {
 // An unknown placement policy is a 400 at submission time.
 func TestSubmitRejectsUnknownPlacement(t *testing.T) {
 	ts, _ := newTestServer(t)
-	_, resp := postJob(t, ts, submitRequest{QASM: ghzQASM, Shots: 5, Placement: "bogus"})
+	_, resp := postJob(t, ts, service.Submission{QASM: ghzQASM, Request: service.Request{Shots: 5, Placement: "bogus"}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("POST status %d, want 400", resp.StatusCode)
 	}
@@ -356,7 +366,7 @@ func TestWaitParamParsing(t *testing.T) {
 	ts, _ := newTestServer(t)
 
 	// Many shots so the job is very likely still running when we poll.
-	id, resp := postJob(t, ts, submitRequest{Bench: "qft_n30", Shots: 400, Seed: 7})
+	id, resp := postJob(t, ts, service.Submission{Bench: "qft_n30", Request: service.Request{Shots: 400, Seed: 7}})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d", resp.StatusCode)
 	}
@@ -366,7 +376,7 @@ func TestWaitParamParsing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var jr jobResponse
+		var jr jobBody
 		if err := json.NewDecoder(r.Body).Decode(&jr); err != nil {
 			t.Fatal(err)
 		}
@@ -399,12 +409,12 @@ func TestWaitParamParsing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Body.Close()
-	var jr jobResponse
+	var jr jobBody
 	if err := json.NewDecoder(r.Body).Decode(&jr); err != nil {
 		t.Fatal(err)
 	}
 	if jr.State != "done" {
-		t.Fatalf("wait=true returned before completion: %q (%s)", jr.State, jr.Error)
+		t.Fatalf("wait=true returned before completion: %q (%s)", jr.State, jr.Err)
 	}
 }
 
@@ -426,14 +436,18 @@ func TestSubmitParamsAndSweep(t *testing.T) {
 	ts, svc := newTestServer(t)
 
 	// A skeleton without params is a 400.
-	_, resp := postJob(t, ts, submitRequest{QASM: paramQASM, Shots: 5})
+	_, resp := postJob(t, ts, service.Submission{QASM: paramQASM, Request: service.Request{Shots: 5}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unbound skeleton accepted: %d", resp.StatusCode)
 	}
 
-	id, resp := postJob(t, ts, submitRequest{
-		QASM: paramQASM, Shots: 20, Seed: 5,
-		Params: map[string]float64{"theta0": 0.5, "theta1": 1.25},
+	id, resp := postJob(t, ts, service.Submission{
+		QASM: paramQASM,
+		Request: service.Request{
+			Shots:  20,
+			Seed:   5,
+			Params: map[string]float64{"theta0": 0.5, "theta1": 1.25},
+		},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("params submit: %d", resp.StatusCode)
@@ -450,12 +464,16 @@ func TestSubmitParamsAndSweep(t *testing.T) {
 		t.Fatalf("params histogram holds %d of 20 shots", total)
 	}
 
-	sweepID, resp := postJob(t, ts, submitRequest{
-		QASM: paramQASM, Shots: 10, Seed: 5,
-		Sweep: []map[string]float64{
-			{"theta0": 0.1, "theta1": 0.2},
-			{"theta0": 1.1, "theta1": 2.2},
-			{"theta0": 2.1, "theta1": 0.4},
+	sweepID, resp := postJob(t, ts, service.Submission{
+		QASM: paramQASM,
+		Request: service.Request{
+			Shots: 10,
+			Seed:  5,
+			Sweep: []map[string]float64{
+				{"theta0": 0.1, "theta1": 0.2},
+				{"theta0": 1.1, "theta1": 2.2},
+				{"theta0": 2.1, "theta1": 0.4},
+			},
 		},
 	})
 	if resp.StatusCode != http.StatusAccepted {

@@ -28,11 +28,11 @@ func TestClusterProxyFollowUp(t *testing.T) {
 	}
 
 	// Find a family owned by a shard other than shard 0, the entry shard.
-	var req submitRequest
+	var req service.Submission
 	var owner string
 	for n := 3; n <= 8; n++ {
-		f := submitRequest{QASM: ghzSized(n), Shots: 10, Seed: 7}
-		sreq, err := buildRequest(f)
+		f := service.Submission{QASM: ghzSized(n), Request: service.Request{Shots: 10, Seed: 7}}
+		sreq, err := f.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestClusterProxyFollowUp(t *testing.T) {
 	// Long-poll via the entry shard rides the proxy to the owner.
 	jr := getJobAt(t, urls[0], id)
 	if jr.State != "done" {
-		t.Fatalf("proxied wait finished %q: %s", jr.State, jr.Error)
+		t.Fatalf("proxied wait finished %q: %s", jr.State, jr.Err)
 	}
 
 	// Plain poll via the entry shard too, with the owner surfaced.
@@ -92,7 +92,7 @@ func TestClusterProxyFollowUp(t *testing.T) {
 		pr.Body.Close()
 		t.Fatalf("poll X-Dhisq-Shard %q, want owner %q", got, owner)
 	}
-	var polled jobResponse
+	var polled jobBody
 	if err := json.NewDecoder(pr.Body).Decode(&polled); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestClusterProxyFollowUp(t *testing.T) {
 	if ct := sr.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("proxied stream content type %q, want application/x-ndjson", ct)
 	}
-	var terminal *jobResponse
+	var terminal *jobBody
 	sc := bufio.NewScanner(sr.Body)
 	for sc.Scan() {
 		var line streamLine
@@ -224,15 +224,19 @@ func TestStreamStopsAfterWriteError(t *testing.T) {
 	svc := service.New(service.Config{Workers: 2, QueueDepth: 8})
 	defer svc.Close()
 
-	sreq, err := buildRequest(submitRequest{
-		QASM: paramQASM, Shots: 4, Seed: 3,
-		Sweep: []map[string]float64{
-			{"theta0": 0.1, "theta1": 0.2},
-			{"theta0": 1.1, "theta1": 2.2},
-			{"theta0": 2.1, "theta1": 0.4},
-			{"theta0": 0.7, "theta1": 1.9},
+	sreq, err := service.Submission{
+		QASM: paramQASM,
+		Request: service.Request{
+			Shots: 4,
+			Seed:  3,
+			Sweep: []map[string]float64{
+				{"theta0": 0.1, "theta1": 0.2},
+				{"theta0": 1.1, "theta1": 2.2},
+				{"theta0": 2.1, "theta1": 0.4},
+				{"theta0": 0.7, "theta1": 1.9},
+			},
 		},
-	})
+	}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +254,7 @@ func TestStreamStopsAfterWriteError(t *testing.T) {
 	w := &failingStreamWriter{}
 	r := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/stream", nil)
 	streamJob(w, r, svc, id,
-		func(st service.JobStatus) jobResponse { return toResponse(st) },
+		func(st service.JobStatus) jobBody { return jobBody{JobStatus: st} },
 		func(http.ResponseWriter, int, error) {})
 
 	if w.writes != 2 {

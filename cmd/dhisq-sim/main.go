@@ -10,6 +10,13 @@
 // shared artifact cache) and batches it with other jobs for the same
 // circuit; dhisq-sim long-polls the job and prints its histogram.
 //
+// The job is a service.Submission in both modes: its per-job option flags
+// (-topo -link-bw -router-ports -placement -schedule -collective -chips
+// -epr-latency) are declared by service.Request.RegisterFlags, the struct
+// marshals as the POST body, and service.Resolve validates it — locally
+// before a local run, and locally again before anything is posted — so the
+// two modes accept, reject and run the same thing.
+//
 // Usage:
 //
 //	dhisq-sim -qasm file.qasm            run a circuit from OpenQASM
@@ -30,138 +37,115 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"dhisq/internal/circuit"
-	"dhisq/internal/compiler"
-	"dhisq/internal/machine"
 	"dhisq/internal/network"
-	"dhisq/internal/placement"
 	"dhisq/internal/runner"
+	"dhisq/internal/service"
 	"dhisq/internal/sim"
 	"dhisq/internal/workloads"
 )
 
+// options is dhisq-sim's flag set. The job itself is a service.Submission:
+// the same struct is the POST body in -serve mode and what service.Resolve
+// reads in local mode, and its per-job option flags are declared once, by
+// service.Request.RegisterFlags.
+type options struct {
+	sub               service.Submission
+	qasm, bind, serve string
+	workers           int
+	list              bool
+}
+
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.qasm, "qasm", "", "OpenQASM 2.0 file to run")
+	fs.StringVar(&o.sub.Bench, "bench", "", "Figure 15 benchmark name")
+	fs.IntVar(&o.sub.Scale, "scale", 1, "benchmark size divisor")
+	fs.Int64Var(&o.sub.Seed, "seed", 1, "measurement outcome base seed")
+	fs.IntVar(&o.sub.Shots, "shots", 1, "number of repetitions (compile once, reset per shot)")
+	fs.IntVar(&o.workers, "workers", 0, "machine replicas running shots in parallel (0 = GOMAXPROCS)")
+	o.sub.RegisterFlags(fs)
+	fs.StringVar(&o.bind, "bind", "", "bind symbolic circuit parameters, e.g. -bind theta0=0.5,theta1=1.2")
+	fs.StringVar(&o.serve, "serve", "", "dhisq-serve base URL: submit as a job instead of running in-process")
+	fs.BoolVar(&o.list, "list", false, "list benchmark names")
+}
+
 func main() {
-	qasm := flag.String("qasm", "", "OpenQASM 2.0 file to run")
-	bench := flag.String("bench", "", "Figure 15 benchmark name")
-	scale := flag.Int("scale", 1, "benchmark size divisor")
-	seed := flag.Int64("seed", 1, "measurement outcome base seed")
-	shots := flag.Int("shots", 1, "number of repetitions (compile once, reset per shot)")
-	workers := flag.Int("workers", 0, "machine replicas running shots in parallel (0 = GOMAXPROCS)")
-	topoName := flag.String("topo", "mesh", "fabric topology: mesh, torus, or tree")
-	linkBW := flag.Int64("link-bw", 0, "link bandwidth as cycles per message (0 = infinite, contention off)")
-	routerPorts := flag.Int("router-ports", 0, "physical ports per router (0 = one per tree edge)")
-	placePolicy := flag.String("placement", "", "placement policy for unmapped circuits: identity, rowmajor, interaction, or congestion (default identity)")
-	schedPolicy := flag.String("schedule", "", "compiler scheduling policy: fixed or padded (default fixed)")
-	collective := flag.String("collective", "", "fabric collective schedule: naive, ring, halving, tree, or auto (default off; turns on collective-aware feed-forward lowering and the post-run digest reduce)")
-	chips := flag.Int("chips", 0, "split the device into N chips; cross-chip 2q gates run as EPR-mediated teleported gates (0/1 = single chip)")
-	eprLatency := flag.Int64("epr-latency", 0, "EPR pair-generation latency in cycles for multi-chip runs (0 = machine default)")
-	bind := flag.String("bind", "", "bind symbolic circuit parameters, e.g. -bind theta0=0.5,theta1=1.2")
-	serve := flag.String("serve", "", "dhisq-serve base URL: submit as a job instead of running in-process")
-	list := flag.Bool("list", false, "list benchmark names")
+	var o options
+	o.register(flag.CommandLine)
 	flag.Parse()
 
-	if *list {
+	if o.list {
 		for _, n := range workloads.Fig15Names() {
 			fmt.Println(n)
 		}
 		return
 	}
-
-	params, err := parseBind(*bind)
-	must(err)
-
-	if *serve != "" {
-		must(submitRemote(*serve, *qasm, *bench, *scale, *shots, *seed,
-			*topoName, *linkBW, *routerPorts, *placePolicy, *schedPolicy, *collective,
-			*chips, *eprLatency, params))
-		return
-	}
-
-	var c *circuit.Circuit
-	var meshW, meshH int
-	var mapping []int
-	switch {
-	case *qasm != "":
-		data, err := os.ReadFile(*qasm)
-		must(err)
-		cc, err := circuit.ParseQASM(string(data))
-		must(err)
-		c = cc
-		meshW, meshH = placement.AutoMesh(c.NumQubits)
-	case *bench != "":
-		b, err := workloads.BuildScaled(*bench, *scale)
-		must(err)
-		c, meshW, meshH, mapping = b.Circuit, b.MeshW, b.MeshH, b.Mapping
-		if params == nil {
-			params = b.DefaultParams // parameterized bench, no -bind: sweep point 0
-		}
-	default:
-		fmt.Fprintln(os.Stderr, "usage: dhisq-sim -qasm file | -bench name [-scale N] [-shots N -workers W] | -list")
+	if o.qasm == "" && o.sub.Bench == "" {
+		fmt.Fprintln(os.Stderr, "usage: dhisq-sim -qasm file | -bench name [-scale N] [-shots N -workers W] [-serve URL] | -list")
 		os.Exit(2)
 	}
-	if *shots < 1 {
-		*shots = 1
-	}
-	if params != nil {
-		bound, err := c.Bind(params)
-		must(err)
-		c = bound
-	}
-	if ub := c.UnboundParams(); len(ub) > 0 {
-		must(fmt.Errorf("circuit has unbound parameters %v: supply -bind", ub))
-	}
-
-	must(placement.Valid(*placePolicy))
-	must(compiler.ValidSchedule(*schedPolicy))
-	if *collective != "" {
-		_, err := network.ParseCollSchedule(*collective)
-		must(err)
-	}
-	if *chips < 0 || *eprLatency < 0 {
-		must(fmt.Errorf("-chips and -epr-latency must be non-negative"))
-	}
-	cfg := machine.DefaultConfig(c.NumQubits)
-	cfg.Seed = *seed
-	cfg.Net.MeshW, cfg.Net.MeshH = meshW, meshH
-	cfg.Placement = *placePolicy
-	cfg.Schedule = *schedPolicy
-	cfg.Collective = *collective
-	if *chips > 1 {
-		if mapping != nil {
-			must(fmt.Errorf("-chips is incompatible with this benchmark's prebuilt qubit mapping (the chip expansion adds communication qubits)"))
-		}
-		cfg.Chips = *chips
-		cfg.EPRLatency = sim.Time(*eprLatency)
-		// One communication qubit per chip joins the device; regrow the
-		// controller mesh the same way the service does at admission.
-		if total := cfg.TotalQubits(c.NumQubits); meshW*meshH < total {
-			meshW, meshH = placement.AutoMesh(total)
-			cfg.Net.MeshW, cfg.Net.MeshH = meshW, meshH
-		}
-	}
-	topoKind, err := network.ParseTopology(*topoName)
+	var err error
+	o.sub.Params, err = parseBind(o.bind)
 	must(err)
-	cfg.Net.Topology = topoKind
-	cfg.Net.LinkSerialization = *linkBW
-	cfg.Net.RouterPorts = *routerPorts
-	topo, err := network.NewTopology(cfg.Net)
-	must(err)
+	if o.qasm != "" {
+		data, err := os.ReadFile(o.qasm)
+		must(err)
+		o.sub.QASM = string(data)
+	}
 
 	start := time.Now()
-	set, err := runner.Run(runner.Spec{
-		Circuit: c, MeshW: meshW, MeshH: meshH, Mapping: mapping, Cfg: cfg,
-	}, *shots, *workers)
+	if o.serve != "" {
+		job, err := submitRemote(o.serve, o.sub)
+		must(err)
+		printJob(job, time.Since(start))
+		return
+	}
+	spec, set, err := runLocal(o.sub, o.workers)
 	must(err)
-	elapsed := time.Since(start)
+	if !printRun(spec, set, time.Since(start)) {
+		os.Exit(1)
+	}
+}
 
+// runLocal is the in-process mode: the submission resolves through the
+// service's own admission (service.Resolve — the checks, mesh and machine
+// config a daemon would give it) and runs on the shot runner directly.
+func runLocal(sub service.Submission, workers int) (runner.Spec, *runner.ShotSet, error) {
+	req, spec, err := resolve(sub)
+	if err != nil {
+		return runner.Spec{}, nil, err
+	}
+	if req.Params != nil {
+		if spec.Circuit, err = spec.Circuit.Bind(req.Params); err != nil {
+			return runner.Spec{}, nil, err
+		}
+	}
+	set, err := runner.Run(spec, req.Shots, workers)
+	return spec, set, err
+}
+
+// resolve is the admission both modes run before anything else happens:
+// build the circuit, then service.Resolve — the daemon's own checks.
+func resolve(sub service.Submission) (service.Request, runner.Spec, error) {
+	req, err := sub.Build()
+	if err != nil {
+		return req, runner.Spec{}, err
+	}
+	spec, err := service.Resolve(req)
+	return req, spec, err
+}
+
+// printRun reports a local run and whether its timing invariants held.
+func printRun(spec runner.Spec, set *runner.ShotSet, elapsed time.Duration) bool {
+	c, cfg := spec.Circuit, spec.Cfg
+	topo, err := network.NewTopology(cfg.Net)
+	must(err)
 	res := set.Shots[0].Result
 	st := c.CountStats()
-	fmt.Printf("qubits:        %d (%s %dx%d, %d routers)\n", c.NumQubits, topoKind, meshW, meshH, topo.NumRouters)
+	fmt.Printf("qubits:        %d (%s %dx%d, %d routers)\n", c.NumQubits, cfg.Net.Topology, spec.MeshW, spec.MeshH, topo.NumRouters)
 	fmt.Printf("circuit:       %d 1q, %d 2q, %d measurements, %d feed-forward ops\n",
 		st.OneQubit, st.TwoQubit, st.Measurements, st.Feedforward)
 	fmt.Printf("makespan:      %d cycles (%d ns)\n", res.Makespan, sim.Nanoseconds(res.Makespan))
@@ -175,9 +159,9 @@ func main() {
 		fmt.Printf("congestion:    %d stall cycles, max queue %d, busiest port %.1f%% utilized\n",
 			res.Net.TotalStall(), res.Net.MaxQueue(), 100*res.RouterUtilization)
 	}
-	if *collective != "" {
+	if cfg.Collective != "" {
 		fmt.Printf("collective:    digest %#x in %d cycles (%s schedule, %d ops)\n",
-			res.CollectiveDigest, res.CollectiveCycles, *collective, res.Net.CollectiveOps)
+			res.CollectiveDigest, res.CollectiveCycles, cfg.Collective, res.Net.CollectiveOps)
 	}
 
 	var violations, misalignments, overlaps uint64
@@ -189,20 +173,24 @@ func main() {
 	fmt.Printf("invariants:    %d timing violations, %d co-commitment misalignments, %d overlaps\n",
 		violations, misalignments, overlaps)
 
-	if *shots > 1 {
+	if shots := len(set.Shots); shots > 1 {
 		fmt.Printf("shots:         %d in %v (%.1f shots/s)\n",
-			*shots, elapsed.Round(time.Millisecond), float64(*shots)/elapsed.Seconds())
+			shots, elapsed.Round(time.Millisecond), float64(shots)/elapsed.Seconds())
 		if set.NumBits > 0 {
 			fmt.Printf("histogram (%d bits, bit 0 leftmost):\n", set.NumBits)
-			h := set.Histogram()
-			for _, k := range h.Keys() {
-				fmt.Printf("  %s %d\n", k, h[k])
-			}
+			fmt.Print(histogramLines(set.Histogram()))
 		}
 	}
-	if violations != 0 || misalignments != 0 {
-		os.Exit(1)
+	return violations == 0 && misalignments == 0
+}
+
+// histogramLines renders a histogram one "  bitstring count" line per outcome.
+func histogramLines(h runner.Histogram) string {
+	var b strings.Builder
+	for _, k := range h.Keys() {
+		fmt.Fprintf(&b, "  %s %d\n", k, h[k])
 	}
+	return b.String()
 }
 
 func must(err error) {
@@ -233,88 +221,27 @@ func parseBind(s string) (map[string]float64, error) {
 	return out, nil
 }
 
-// submitRemote is the -serve client mode: POST the circuit to a running
-// dhisq-serve daemon, long-poll the job, and print its histogram. The
-// circuit travels as QASM text or as a benchmark name the daemon rebuilds
-// locally, and the fabric/placement flags (-topo/-link-bw/-router-ports/
-// -placement) travel alongside it; results are identical to an in-process
-// run with the same seed and fabric.
+// submitRemote is the -serve client mode: POST the submission to a running
+// dhisq-serve daemon and long-poll the job to its final status. The circuit
+// travels as QASM text or as a benchmark name the daemon rebuilds locally,
+// with every option alongside it; results are identical to an in-process
+// run with the same seed and options.
 //
-// The flag values are validated locally before anything travels: an
-// invalid -topo or -placement fails here with the parser's own message
-// instead of round-tripping to the daemon for a remote rejection.
-func submitRemote(base, qasmPath, bench string, scale, shots int, seed int64, topo string, linkBW int64, routerPorts int, placePolicy, schedPolicy, collective string, chips int, eprLatency int64, params map[string]float64) error {
-	if topo != "" {
-		if _, err := network.ParseTopology(topo); err != nil {
-			return err
-		}
+// The submission is resolved locally before anything travels — the same
+// service.Resolve the daemon will run — so an invalid option fails here
+// with the daemon's own message instead of round-tripping for it.
+func submitRemote(base string, sub service.Submission) (service.JobStatus, error) {
+	var job service.JobStatus
+	if _, _, err := resolve(sub); err != nil {
+		return job, err
 	}
-	if err := placement.Valid(placePolicy); err != nil {
-		return err
-	}
-	if err := compiler.ValidSchedule(schedPolicy); err != nil {
-		return err
-	}
-	if collective != "" {
-		if _, err := network.ParseCollSchedule(collective); err != nil {
-			return err
-		}
-	}
-	if chips < 0 || eprLatency < 0 {
-		return fmt.Errorf("-chips and -epr-latency must be non-negative")
-	}
-	body := map[string]any{"shots": shots, "seed": seed}
-	if params != nil {
-		body["params"] = params
-	}
-	if topo != "" && topo != "mesh" {
-		body["topo"] = topo
-	}
-	if linkBW > 0 {
-		body["link_bw"] = linkBW
-	}
-	if routerPorts > 0 {
-		body["router_ports"] = routerPorts
-	}
-	if placePolicy != "" {
-		body["placement"] = placePolicy
-	}
-	if schedPolicy != "" {
-		body["schedule"] = schedPolicy
-	}
-	if collective != "" {
-		body["collective"] = collective
-	}
-	if chips > 1 {
-		body["chips"] = chips
-		if eprLatency > 0 {
-			body["epr_latency"] = eprLatency
-		}
-	}
-	switch {
-	case qasmPath != "" && bench != "":
-		return fmt.Errorf("-serve takes -qasm or -bench, not both")
-	case qasmPath != "":
-		data, err := os.ReadFile(qasmPath)
-		if err != nil {
-			return err
-		}
-		body["qasm"] = string(data)
-	case bench != "":
-		body["bench"] = bench
-		body["scale"] = scale
-	default:
-		return fmt.Errorf("-serve needs -qasm or -bench")
-	}
-
-	payload, err := json.Marshal(body)
+	payload, err := json.Marshal(sub)
 	if err != nil {
-		return err
+		return job, err
 	}
-	start := time.Now()
 	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(payload))
 	if err != nil {
-		return err
+		return job, err
 	}
 	defer resp.Body.Close()
 	var submitted struct {
@@ -323,10 +250,10 @@ func submitRemote(base, qasmPath, bench string, scale, shots int, seed int64, to
 		Error string `json:"error"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&submitted); err != nil {
-		return fmt.Errorf("submit response: %w", err)
+		return job, fmt.Errorf("submit response: %w", err)
 	}
 	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("submit: %s (%s)", resp.Status, submitted.Error)
+		return job, fmt.Errorf("submit: %s (%s)", resp.Status, submitted.Error)
 	}
 	// Cluster mode: a 307 redirect already landed this submission on its
 	// owning shard (http.Post replays the body there), and that shard's
@@ -339,32 +266,20 @@ func submitRemote(base, qasmPath, bench string, scale, shots int, seed int64, to
 
 	poll, err := http.Get(base + "/v1/jobs/" + submitted.ID + "?wait=1")
 	if err != nil {
-		return err
+		return job, err
 	}
 	defer poll.Body.Close()
-	var job struct {
-		State     string         `json:"state"`
-		Seed      int64          `json:"seed"`
-		Shots     int            `json:"shots"`
-		CacheHit  bool           `json:"cache_hit"`
-		Batched   bool           `json:"batched"`
-		MeshW     int            `json:"mesh_w"`
-		MeshH     int            `json:"mesh_h"`
-		Placement string         `json:"placement"`
-		Schedule  string         `json:"schedule"`
-		Mapping   []int          `json:"mapping"`
-		Makespan  int64          `json:"makespan_cycles"`
-		Histogram map[string]int `json:"histogram"`
-		Error     string         `json:"error"`
-	}
 	if err := json.NewDecoder(poll.Body).Decode(&job); err != nil {
-		return fmt.Errorf("job response: %w", err)
+		return job, fmt.Errorf("job response: %w", err)
 	}
-	if job.State != "done" {
-		return fmt.Errorf("job %s: %s (%s)", submitted.ID, job.State, job.Error)
+	if job.State != service.StateDone {
+		return job, fmt.Errorf("job %s: %s (%s)", submitted.ID, job.State, job.Err)
 	}
-	elapsed := time.Since(start)
+	return job, nil
+}
 
+// printJob reports a finished remote job.
+func printJob(job service.JobStatus, elapsed time.Duration) {
 	fmt.Printf("state:         %s (seed %d, cache hit %v, batched %v)\n",
 		job.State, job.Seed, job.CacheHit, job.Batched)
 	if job.MeshW > 0 && job.MeshH > 0 {
@@ -376,19 +291,11 @@ func submitRemote(base, qasmPath, bench string, scale, shots int, seed int64, to
 	if len(job.Mapping) > 0 {
 		fmt.Printf("mapping:       %v\n", job.Mapping)
 	}
-	fmt.Printf("makespan:      %d cycles (%d ns)\n", job.Makespan, sim.Nanoseconds(sim.Time(job.Makespan)))
+	fmt.Printf("makespan:      %d cycles (%d ns)\n", job.Makespan, sim.Nanoseconds(job.Makespan))
 	fmt.Printf("shots:         %d in %v (%.1f shots/s)\n",
 		job.Shots, elapsed.Round(time.Millisecond), float64(job.Shots)/elapsed.Seconds())
 	if len(job.Histogram) > 0 {
-		keys := make([]string, 0, len(job.Histogram))
-		for k := range job.Histogram {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		fmt.Printf("histogram (bit 0 leftmost):\n")
-		for _, k := range keys {
-			fmt.Printf("  %s %d\n", k, job.Histogram[k])
-		}
+		fmt.Print(histogramLines(job.Histogram))
 	}
-	return nil
 }

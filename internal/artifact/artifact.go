@@ -15,7 +15,7 @@
 // The cache is LRU-bounded and safe for concurrent use. GetOrCompile
 // deduplicates concurrent compilations of the same fingerprint
 // (singleflight): one caller compiles, the rest wait and share the
-// result. machine.Compile/CompileWith route through the process-wide
+// result. machine.Compile routes through the process-wide
 // Shared cache, which puts every entry point — the facade's Run/RunShots/
 // Sample, internal/runner, internal/service, and the CLIs — behind it.
 package artifact
@@ -62,8 +62,10 @@ func (f Fingerprint) Short() string { return hex.EncodeToString(f[:6]) }
 // options joined the compiler options — the multi-chip expansion rewrites
 // the circuit and the EPR latency changes emitted waits, so artifacts from
 // different chip configurations must never alias (and replica pools keyed
-// on the fingerprint stay chip-homogeneous).
-const keyVersion = 7
+// on the fingerprint stay chip-homogeneous). v8: the AdvanceBooking option
+// is gone — Schedule "padded" always named the same thing — and its word
+// left the encoding.
+const keyVersion = 8
 
 // Key fingerprints a compilation request. Two requests share a key iff
 // the compiler is guaranteed to produce identical output for both: the
@@ -178,7 +180,6 @@ func key(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Opt
 	wi(int64(opt.Controllers))
 	wb(opt.InitialBarrier)
 	wi(opt.PipeGuard)
-	wb(opt.AdvanceBooking)
 	// Placement policy: length-prefixed name bytes. "" and "identity"
 	// resolve to the same pass behavior but hash differently — one
 	// redundant compile at most, never an aliased artifact.
@@ -264,8 +265,7 @@ type flight struct {
 // container memory.
 const DefaultCapacity = 128
 
-// Shared is the process-wide artifact cache that machine.Compile and
-// machine.CompileWith consult.
+// Shared is the process-wide artifact cache that machine.Compile consults.
 var Shared = New(DefaultCapacity)
 
 // New returns a cache bounded to capacity entries (capacity < 1 is

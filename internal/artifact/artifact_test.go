@@ -3,6 +3,7 @@ package artifact_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,7 +47,8 @@ func TestKeyDeterministic(t *testing.T) {
 	}
 }
 
-// Any input that can change the compiler's output must change the key.
+// Any circuit or mapping difference that can change the compiler's output
+// must change the key (every option and fabric field: TestKeyCoversEveryOption).
 func TestKeyDiscriminates(t *testing.T) {
 	base := testSpec(1)
 	opt := compiler.DefaultOptions(0, 4)
@@ -69,40 +71,65 @@ func TestKeyDiscriminates(t *testing.T) {
 		artifact.Key(base.Circuit, []int{0, 1, 2, 3}, base.Cfg.Net, opt))
 	check("permuted mapping",
 		artifact.Key(base.Circuit, []int{1, 0, 2, 3}, base.Cfg.Net, opt))
+}
 
+// TestKeyCoversEveryOption is the guard that makes "add a compiler.Options
+// or network.Config field" impossible to do without hashing it: every leaf
+// field of both structs (recursing into Durations) is perturbed in turn, and
+// Key and StructuralKey must both move. A field that really must not be
+// hashed goes on the exempt list with its reason.
+func TestKeyCoversEveryOption(t *testing.T) {
+	exempt := map[string]string{} // "Options.Field" -> why it is not hashed
+
+	base := testSpec(1)
+	opt := compiler.DefaultOptions(0, 4)
 	net := base.Cfg.Net
-	net.MeshW, net.MeshH = 4, 1
-	check("different mesh shape", artifact.Key(base.Circuit, nil, net, opt))
+	keys := func() [2]artifact.Fingerprint {
+		return [2]artifact.Fingerprint{
+			artifact.Key(base.Circuit, nil, net, opt),
+			artifact.StructuralKey(base.Circuit, nil, net, opt),
+		}
+	}
+	ref := keys()
 
-	net = base.Cfg.Net
-	net.NeighborLatency++
-	check("different link latency", artifact.Key(base.Circuit, nil, net, opt))
-
-	o2 := opt
-	o2.AdvanceBooking = false
-	check("ablation options", artifact.Key(base.Circuit, nil, base.Cfg.Net, o2))
-
-	o3 := opt
-	o3.Durations.TwoQubit++
-	check("different durations", artifact.Key(base.Circuit, nil, base.Cfg.Net, o3))
-
-	// keyVersion 3: the placement policy is compile-relevant (the Place
-	// pass resolves nil mappings through it) and must never alias — not
-	// even "" vs the "identity" it resolves to.
-	o4 := opt
-	o4.Placement = "identity"
-	check("identity placement name", artifact.Key(base.Circuit, nil, base.Cfg.Net, o4))
-	o4.Placement = "interaction"
-	check("interaction placement", artifact.Key(base.Circuit, nil, base.Cfg.Net, o4))
-
-	// keyVersion 5: the schedule policy is compile-relevant (the Schedule
-	// pass resolves directive replay through it) and must never alias —
-	// same "" vs "fixed" contract as placement.
-	o5 := opt
-	o5.Schedule = "fixed"
-	check("fixed schedule name", artifact.Key(base.Circuit, nil, base.Cfg.Net, o5))
-	o5.Schedule = "padded"
-	check("padded schedule", artifact.Key(base.Circuit, nil, base.Cfg.Net, o5))
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		if v.Kind() == reflect.Struct {
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+			return
+		}
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 3)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		default:
+			t.Fatalf("%s: the test cannot perturb a %s; teach it", path, v.Kind())
+		}
+		got := keys()
+		v.Set(old)
+		if why, ok := exempt[path]; ok {
+			t.Logf("%s exempt: %s", path, why)
+			return
+		}
+		if got[0] == ref[0] {
+			t.Errorf("%s does not reach Key: hash it in artifact.key (and bump keyVersion), or exempt it with a reason", path)
+		}
+		if got[1] == ref[1] {
+			t.Errorf("%s does not reach StructuralKey", path)
+		}
+	}
+	walk(reflect.ValueOf(&opt).Elem(), "Options")
+	walk(reflect.ValueOf(&net).Elem(), "Config")
+	if keys() != ref {
+		t.Fatal("walk did not restore the structs it perturbed")
+	}
 }
 
 // Identical submissions hit; the second compile never runs.
@@ -119,7 +146,7 @@ func TestCacheHitSkipsCompile(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return m.CompileFresh(s.Circuit, nil, opt)
+		return m.CompileFresh(s.Circuit, nil)
 	}
 
 	first, hit, err := cache.GetOrCompile(fp, compile)
@@ -158,7 +185,7 @@ func TestDistinctSpecsMiss(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return m.CompileFresh(s.Circuit, nil, opt)
+			return m.CompileFresh(s.Circuit, nil)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +257,7 @@ func TestCachedMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := m.CompileFresh(s.Circuit, nil, m.CompileOptions())
+	fresh, err := m.CompileFresh(s.Circuit, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

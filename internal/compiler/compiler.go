@@ -63,13 +63,6 @@ type Options struct {
 	// PipeGuard is the margin (cycles) added when padding the timing point
 	// past the classical pipeline to guarantee violation-free commits.
 	PipeGuard int64
-	// AdvanceBooking enables the Fig. 6 placement: sync instructions slide
-	// backwards over deterministic work so the N-cycle countdown overlaps
-	// useful execution (zero-cycle overhead when slack suffices, §4.2).
-	// When false, every sync sits immediately before its synchronized
-	// instruction with the window fully padded — the QubiC-style scheme the
-	// paper improves on (§2.1.3), kept for the ablation experiment.
-	AdvanceBooking bool
 	// Placement names the placement policy the Place pass applies when no
 	// explicit mapping is given ("" = "identity", the legacy behavior).
 	// Part of the artifact fingerprint: two policies never share a cache
@@ -115,7 +108,6 @@ func DefaultOptions(root, controllers int) Options {
 		Controllers:    controllers,
 		InitialBarrier: true,
 		PipeGuard:      6,
-		AdvanceBooking: true,
 	}
 }
 

@@ -38,7 +38,9 @@ func (s *legacyStream) cwInstrs(e chip.TableEntry) []isa.Instr {
 	return cwTrigger(idx, uint8(e.Port()))
 }
 
-func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Options) (*Compiled, error) {
+// advance selects the Fig. 6 sync placement (what Schedule "fixed" does);
+// false is the in-place padding of Schedule "padded".
+func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Options, advance bool) (*Compiled, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -73,7 +75,7 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 
 	barrier := func() {
 		for _, s := range streams {
-			s.insertSyncBack(opt.Root, fab.RegionWindow(s.id, opt.Root), opt.AdvanceBooking)
+			s.insertSyncBack(opt.Root, fab.RegionWindow(s.id, opt.Root), advance)
 			st.RegionSyncs++
 		}
 	}
@@ -201,8 +203,8 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 			// commit point is identical (= n) on both sides.
 			sa.guard(opt.PipeGuard, 1)
 			sb.guard(opt.PipeGuard, 1)
-			sa.insertSyncBack(cb, n, opt.AdvanceBooking)
-			sb.insertSyncBack(ca, n, opt.AdvanceBooking)
+			sa.insertSyncBack(cb, n, advance)
+			sb.insertSyncBack(ca, n, advance)
 			st.NearbySyncs += 2
 			// The synchronized commit belongs to its sync's window: nothing —
 			// in particular no later sync — may be inserted between them, or

@@ -79,7 +79,8 @@ func assertSameArtifact(t *testing.T, label string, got, want *Compiled) {
 
 // TestPipelineMatchesMonolith: default pipeline == pre-refactor compiler,
 // byte-for-byte, on GHZ/BV/QFT × mesh/torus/tree, with advance booking
-// both on and off (the ablation path must stay pinned too).
+// both on (the default "fixed" schedule) and off (Schedule "padded" against
+// the oracle's in-place sync padding: the ablation path stays pinned too).
 func TestPipelineMatchesMonolith(t *testing.T) {
 	kinds := []network.TopologyKind{network.TopoMesh, network.TopoTorus, network.TopoTree}
 	for _, tc := range equivCases() {
@@ -88,12 +89,12 @@ func TestPipelineMatchesMonolith(t *testing.T) {
 				c := tc.build()
 				topo, fab := fabricFor(t, c.NumQubits, kind)
 				opt := DefaultOptions(topo.Root, topo.N)
-				opt.AdvanceBooking = advance
 				label := tc.name + "/" + kind.String()
 				if !advance {
+					opt.Schedule = "padded"
 					label += "/no-advance"
 				}
-				want, err := compileMonolithic(c, nil, fab, opt)
+				want, err := compileMonolithic(c, nil, fab, opt, advance)
 				if err != nil {
 					t.Fatalf("%s: monolith: %v", label, err)
 				}
@@ -135,7 +136,7 @@ func TestPipelineMatchesMonolithWithFeedforward(t *testing.T) {
 		c := build()
 		topo, fab := fabricFor(t, c.NumQubits, network.TopoMesh)
 		opt := DefaultOptions(topo.Root, topo.N)
-		want, err := compileMonolithic(c, mapping, fab, opt)
+		want, err := compileMonolithic(c, mapping, fab, opt, true)
 		if err != nil {
 			t.Fatalf("%s: monolith: %v", name, err)
 		}

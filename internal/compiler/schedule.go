@@ -89,23 +89,24 @@ func ValidSchedule(name string) error {
 }
 
 // fixedPolicy is the legacy schedule: replay every directive in lowering
-// order, honoring Options.AdvanceBooking for sync placement. Streams are
-// independent — no directive reads another controller's state — so
-// replaying them one at a time reproduces the monolithic compiler's
-// interleaved emission exactly.
+// order with the Fig. 6 placement — sync instructions slide backwards over
+// deterministic work so the N-cycle countdown overlaps useful execution
+// (zero-cycle overhead when slack suffices, §4.2). Streams are independent
+// — no directive reads another controller's state — so replaying them one
+// at a time reproduces the monolithic compiler's interleaved emission
+// exactly.
 type fixedPolicy struct{}
 
 func (fixedPolicy) Name() string { return "fixed" }
 
 func (fixedPolicy) Run(st *State) error {
-	return replayStreams(st, st.Opt.AdvanceBooking)
+	return replayStreams(st, true)
 }
 
-// paddedPolicy replays the directives with advance booking forced off:
-// every sync sits immediately before its synchronized instruction with the
-// window fully padded — the QubiC-style scheme of §2.1.3 as a selectable
-// policy, so the ablation no longer needs a separate option plumbed
-// through every layer.
+// paddedPolicy replays the directives without advance booking: every sync
+// sits immediately before its synchronized instruction with the window
+// fully padded — the QubiC-style scheme the paper improves on (§2.1.3),
+// and the "off" side of the ablation experiment.
 type paddedPolicy struct{}
 
 func (paddedPolicy) Name() string { return "padded" }

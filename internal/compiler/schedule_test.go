@@ -57,29 +57,6 @@ func TestFixedPolicyMatchesDefaultBytes(t *testing.T) {
 	}
 }
 
-// TestPaddedPolicyMatchesNoAdvance: the padded policy is the
-// AdvanceBooking=false ablation as a named schedule — its artifacts must
-// be byte-identical to the fixed replay with advance booking disabled,
-// and distinguishable from the advance-booked default on a workload with
-// calibrated syncs.
-func TestPaddedPolicyMatchesNoAdvance(t *testing.T) {
-	c := workloads.GHZ(9)
-	topo, fab := fabricFor(t, c.NumQubits, network.TopoMesh)
-	opt := DefaultOptions(topo.Root, topo.N)
-	opt.AdvanceBooking = false
-	want, err := Compile(workloads.GHZ(9), nil, fab, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.AdvanceBooking = true
-	opt.Schedule = "padded"
-	got, err := Compile(c, nil, fab, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameArtifact(t, "padded-vs-no-advance", got, want)
-}
-
 // TestUnknownSchedulePolicyFailsCompile: an unknown schedule name must
 // fail the pipeline with the registry's error, not silently fall back.
 func TestUnknownSchedulePolicyFailsCompile(t *testing.T) {

@@ -42,17 +42,13 @@ func AblationSyncAdvance(names []string, scaleDiv int, seed int64) ([]AblationRo
 			cfg := machine.DefaultConfig(b.Qubits)
 			cfg.Backend = machine.BackendSeeded
 			cfg.Seed = seed
-			// The compiler-option override rides on the runner spec; one
-			// shot at the base seed matches the pre-runner behaviour.
-			m, err := machine.NewForCircuit(b.Circuit, b.MeshW, b.MeshH, cfg)
-			if err != nil {
-				return machine.Result{}, err
+			if !advance {
+				cfg.Schedule = "padded"
 			}
-			opt := m.CompileOptions()
-			opt.AdvanceBooking = advance
+			// One shot at the base seed matches the pre-runner behaviour.
 			set, err := runner.Run(runner.Spec{
 				Circuit: b.Circuit, MeshW: b.MeshW, MeshH: b.MeshH,
-				Mapping: b.Mapping, Cfg: cfg, Options: &opt,
+				Mapping: b.Mapping, Cfg: cfg,
 			}, 1, 1)
 			if err != nil {
 				return machine.Result{}, err

@@ -96,7 +96,7 @@ func FeedbackSweep(opt FeedbackOptions) ([]FeedbackPoint, error) {
 			if err != nil {
 				return machine.Result{}, err
 			}
-			cp, err := m.CompileFresh(c, mapping, m.CompileOptions())
+			cp, err := m.CompileFresh(c, mapping)
 			if err != nil {
 				return machine.Result{}, err
 			}

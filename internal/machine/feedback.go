@@ -48,7 +48,7 @@ func RePlace(c *circuit.Circuit, cfg Config, prior []int, fb *compiler.Feedback)
 		if err != nil {
 			return 0, err
 		}
-		cp, err := m.CompileFresh(c, mapping, m.CompileOptions())
+		cp, err := m.CompileFresh(c, mapping)
 		if err != nil {
 			return 0, err
 		}

@@ -40,7 +40,7 @@ func measuredFeedback(t *testing.T, c *circuit.Circuit, cfg Config, mapping []in
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := m.CompileFresh(c, mapping, m.CompileOptions())
+	cp, err := m.CompileFresh(c, mapping)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ type Config struct {
 	// not part of the compile fingerprint — lane count changes nothing
 	// about the compiled artifact. 0 or 1 = the unbatched single substrate.
 	ShotLanes int
-	// Artifacts is the compiled-artifact cache Compile/CompileWith/
+	// Artifacts is the compiled-artifact cache Compile and
 	// CompileSkeleton consult (nil = the process-wide artifact.Shared).
 	// Injecting a private cache isolates cache accounting — the in-process
 	// multi-shard cluster tests give each shard its own cache+store pair.
@@ -328,16 +328,10 @@ func StructuralKeyFor(c *circuit.Circuit, mapping []int, cfg Config) (artifact.F
 // without recompiling. The returned artifact is shared — treat it as
 // immutable, the same contract Load and the runner replicas already obey.
 func (m *Machine) Compile(c *circuit.Circuit, mapping []int) (*compiler.Compiled, error) {
-	return m.CompileWith(c, mapping, m.CompileOptions())
-}
-
-// CompileWith lowers a circuit with explicit compiler options (ablations
-// toggle scheduling policies this way). The options are part of the cache
-// fingerprint, so variants never alias each other's artifacts.
-func (m *Machine) CompileWith(c *circuit.Circuit, mapping []int, opt compiler.Options) (*compiler.Compiled, error) {
 	if err := rejectUnbound(c); err != nil {
 		return nil, err
 	}
+	opt := m.CompileOptions()
 	fp := artifact.Key(c, mapping, m.Cfg.Net, opt)
 	cp, _, err := m.Cfg.artifacts().GetOrCompile(fp, func() (*compiler.Compiled, error) {
 		return m.compile(c, mapping, opt)
@@ -385,11 +379,11 @@ func (m *Machine) compile(c *circuit.Circuit, mapping []int, opt compiler.Option
 // It exists for the paths whose meaning depends on paying the compile
 // every time — runner.RunRebuild's legacy baseline and the cold side of
 // cache benchmarks.
-func (m *Machine) CompileFresh(c *circuit.Circuit, mapping []int, opt compiler.Options) (*compiler.Compiled, error) {
+func (m *Machine) CompileFresh(c *circuit.Circuit, mapping []int) (*compiler.Compiled, error) {
 	if err := rejectUnbound(c); err != nil {
 		return nil, err
 	}
-	return m.compile(c, mapping, opt)
+	return m.compile(c, mapping, m.CompileOptions())
 }
 
 // Load installs compiled programs and tables on every controller.

@@ -293,7 +293,7 @@ func TestCompileSkeletonStructuralSharing(t *testing.T) {
 	if _, err := m.Compile(c, nil); err == nil {
 		t.Fatal("Compile accepted an unbound skeleton")
 	}
-	if _, err := m.CompileFresh(c, nil, m.CompileOptions()); err == nil {
+	if _, err := m.CompileFresh(c, nil); err == nil {
 		t.Fatal("CompileFresh accepted an unbound skeleton")
 	}
 	skel, err := m.CompileSkeleton(c, nil)

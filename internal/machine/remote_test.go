@@ -170,11 +170,11 @@ func TestSingleChipConfigByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp0, err := m0.CompileFresh(c, nil, m0.CompileOptions())
+	cp0, err := m0.CompileFresh(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp1, err := m1.CompileFresh(c, nil, m1.CompileOptions())
+	cp1, err := m1.CompileFresh(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

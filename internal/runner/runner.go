@@ -43,9 +43,6 @@ type Spec struct {
 	MeshH   int
 	Mapping []int // qubit -> controller; nil = identity
 	Cfg     machine.Config
-	// Options overrides the machine-derived compiler options when non-nil
-	// (ablations toggle scheduling policies this way).
-	Options *compiler.Options
 	// FreshCompile bypasses the shared artifact cache for this spec:
 	// every compile is paid in full and nothing is cached. It is the
 	// measured baseline of the cache experiments and an escape hatch if
@@ -161,11 +158,11 @@ func (h Histogram) String() string {
 // structural fingerprint when structural is set (the loaded artifact is then
 // the unbound skeleton, patched per point by BindParams), under the full
 // fingerprint otherwise; through the shared artifact cache, or in full with
-// nothing cached when spec.FreshCompile is set. Skeletons always compile
-// with the machine-derived options (spec.Options is the ablation knob of
-// plain runs), and a FreshCompile skeleton replica has no shared artifact
-// to load — every point compiles its own bound circuit (pointArtifact) —
-// so it comes back unloaded with a nil artifact.
+// nothing cached when spec.FreshCompile is set. Every compile takes its
+// options from spec.Cfg (machine.CompileOptions) and nowhere else. A
+// FreshCompile skeleton replica has no shared artifact to load — every
+// point compiles its own bound circuit (pointArtifact) — so it comes back
+// unloaded with a nil artifact.
 func build(spec Spec, cp *compiler.Compiled, structural bool) (*machine.Machine, *compiler.Compiled, error) {
 	m, err := machine.NewForCircuit(spec.Circuit, spec.MeshW, spec.MeshH, spec.Cfg)
 	if err != nil {
@@ -178,9 +175,9 @@ func build(spec Spec, cp *compiler.Compiled, structural bool) (*machine.Machine,
 	case structural:
 		cp, err = m.CompileSkeleton(spec.Circuit, spec.Mapping)
 	case spec.FreshCompile:
-		cp, err = m.CompileFresh(spec.Circuit, spec.Mapping, spec.options(m))
+		cp, err = m.CompileFresh(spec.Circuit, spec.Mapping)
 	default:
-		cp, err = m.CompileWith(spec.Circuit, spec.Mapping, spec.options(m))
+		cp, err = m.Compile(spec.Circuit, spec.Mapping)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -189,25 +186,6 @@ func build(spec Spec, cp *compiler.Compiled, structural bool) (*machine.Machine,
 		return nil, nil, err
 	}
 	return m, cp, nil
-}
-
-// options resolves the compiler options a replica of the spec compiles
-// with: the machine-derived ones, or the spec's explicit override.
-func (spec Spec) options(m *machine.Machine) compiler.Options {
-	if spec.Options == nil {
-		return m.CompileOptions()
-	}
-	opt := *spec.Options
-	if opt.Placement == "" {
-		// An explicit Options override (the ablation knob) names no
-		// policy of its own: keep the spec's placement rather than
-		// silently reverting to identity.
-		opt.Placement = spec.Cfg.Placement
-	}
-	if opt.Schedule == "" {
-		opt.Schedule = spec.Cfg.Schedule
-	}
-	return opt
 }
 
 // Replicas grows machines to want loaded replicas of the spec, all sharing

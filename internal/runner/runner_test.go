@@ -189,7 +189,7 @@ func TestSpecPlacementThreads(t *testing.T) {
 	}
 	spec := Spec{Circuit: c, MeshW: 3, MeshH: 2, Cfg: machine.DefaultConfig(6)}
 	spec.Cfg.Placement = "interaction"
-	m, cp, err := build(spec, nil, false)
+	_, cp, err := build(spec, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,18 +197,19 @@ func TestSpecPlacementThreads(t *testing.T) {
 		t.Fatalf("placement did not thread: mapping %v", cp.Mapping)
 	}
 
-	// Ablation-style Options override with no policy of its own: the
-	// spec's placement must not silently revert to identity.
-	opt := m.CompileOptions()
-	opt.Placement = ""
-	opt.AdvanceBooking = false
-	spec.Options = &opt
+	// The ablation spelling — Cfg.Schedule "padded", the only way left to
+	// turn advance booking off — is a second Cfg field on the same path:
+	// it compiles a different artifact and keeps the spec's placement.
+	spec.Cfg.Schedule = "padded"
 	_, cp2, err := build(spec, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cp2.Mapping) != 6 {
-		t.Fatalf("Options override dropped the placement: mapping %v", cp2.Mapping)
+	if cp2 == cp {
+		t.Fatal("padded schedule aliased the fixed artifact")
+	}
+	if !reflect.DeepEqual(cp2.Mapping, cp.Mapping) {
+		t.Fatalf("schedule override changed the placement: %v vs %v", cp2.Mapping, cp.Mapping)
 	}
 }
 

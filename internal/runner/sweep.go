@@ -115,7 +115,7 @@ func (spec Spec) pointArtifact(m *machine.Machine, art *compiler.Compiled, param
 		if err != nil {
 			return nil, err
 		}
-		return m.CompileFresh(bound, spec.Mapping, m.CompileOptions())
+		return m.CompileFresh(bound, spec.Mapping)
 	case art == nil:
 		return nil, fmt.Errorf("runner: no compiled artifact to run")
 	case params == nil:

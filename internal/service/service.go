@@ -20,18 +20,16 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
 	"dhisq/internal/artifact"
-	"dhisq/internal/circuit"
 	"dhisq/internal/compiler"
 	"dhisq/internal/machine"
-	"dhisq/internal/network"
 	"dhisq/internal/placement"
 	"dhisq/internal/runner"
 	"dhisq/internal/sim"
@@ -96,108 +94,47 @@ const (
 	StateFailed  State = "failed"
 )
 
-// Request describes one job: a circuit, its placement, and how many shots
-// to run.
-type Request struct {
-	Circuit *circuit.Circuit
-	// MeshW/MeshH give the controller mesh; 0 picks a near-square mesh
-	// for the circuit like the facade's Sample.
-	MeshW, MeshH int
-	Mapping      []int // qubit -> controller; nil = identity
-	// Cfg overrides the machine configuration when non-nil (the mesh
-	// fields are taken from MeshW/MeshH either way).
-	Cfg *machine.Config
-	// Placement names the placement policy the compiler applies when
-	// Mapping is nil ("" defers to Cfg.Placement, then to identity).
-	// Unknown names are rejected at admission, before any work queues.
-	Placement string
-	// Schedule names the scheduling policy of the compiler's Schedule
-	// pass ("" defers to Cfg.Schedule, then to the fixed replay).
-	// Validated at admission exactly like Placement.
-	Schedule string
-	// Collective names a network.CollSchedule ("naive", "ring", "halving",
-	// "tree", "auto") and switches the job onto the collective-aware
-	// lowering plus the post-run digest reduce ("" defers to
-	// Cfg.Collective, then to off). Validated at admission like the other
-	// policy names.
-	Collective string
-	// Chips splits the device into a multi-chip partition (machine
-	// config Chips; 0/1 = the legacy single-chip machine). Cross-chip
-	// two-qubit gates compile into EPR-mediated teleported gates, so
-	// chip count is compile-relevant: it joins the artifact fingerprint
-	// and thereby the replica-pool key, keeping pools chip-homogeneous.
-	// Validated at admission (bounded by the circuit's qubit count,
-	// incompatible with an explicit Mapping).
-	Chips int
-	// EPRLatency overrides the EPR pair-generation latency in cycles for
-	// multi-chip jobs (0 defers to Cfg.EPRLatency, then to the machine
-	// default). Compile-relevant like Chips.
-	EPRLatency sim.Time
-	Shots      int
-	// Seed, when non-zero, is the job's base seed; 0 lets the service
-	// derive a per-job seed from its own seed stream.
-	Seed int64
-	// FreshCompile makes this job bypass the artifact cache and the
-	// replica pool entirely: compile + build paid in full, nothing
-	// cached or pooled. The baseline knob of the cache experiments and
-	// a diagnostic escape hatch; results are still byte-identical.
-	FreshCompile bool
-	// Params binds the circuit's symbolic parameters for this job. The
-	// job is fingerprinted on the bind-invariant structural key, so every
-	// binding of one skeleton shares a single compiled artifact (patched
-	// per job by BindParams) and one replica pool. The map must supply
-	// every symbolic parameter of the circuit. Mutually exclusive with
-	// Sweep.
-	Params map[string]float64
-	// Sweep runs the circuit at every listed parameter point — Shots
-	// repetitions each, point k seeded from DeriveSeed(jobSeed, k) — all
-	// inside one job against one compiled skeleton. Results arrive as
-	// JobStatus.Points instead of a single ShotSet.
-	Sweep []map[string]float64
-}
-
-// bindJob reports whether the request goes through the parameter-binding
-// path (structural fingerprint + per-point BindParams).
-func (r Request) bindJob() bool { return r.Params != nil || len(r.Sweep) > 0 }
-
-// JobStatus is a point-in-time snapshot of a job, safe to retain.
+// JobStatus is a point-in-time snapshot of a job, safe to retain. Its JSON
+// form is the job response of dhisq-serve's GET /v1/jobs/{id}.
 type JobStatus struct {
-	ID          string
-	State       State
-	Shots       int
-	Seed        int64
-	Fingerprint string // artifact fingerprint (hex)
-	CacheHit    bool   // compilation was served from the artifact cache
-	Batched     bool   // ran on pooled replicas warmed by an earlier job
+	ID          string `json:"id"`
+	State       State  `json:"state"`
+	Shots       int    `json:"shots"`
+	Seed        int64  `json:"seed"`
+	Fingerprint string `json:"fingerprint,omitempty"` // artifact fingerprint (hex)
+	CacheHit    bool   `json:"cache_hit"`             // compilation was served from the artifact cache
+	Batched     bool   `json:"batched"`               // ran on pooled replicas warmed by an earlier job
 	// MeshW/MeshH are the resolved controller-mesh dimensions and
 	// Placement the resolved policy name — echoed so remote users can see
 	// why two submissions landed in different replica pools.
-	MeshW, MeshH int
-	Placement    string
+	MeshW     int    `json:"mesh_w,omitempty"`
+	MeshH     int    `json:"mesh_h,omitempty"`
+	Placement string `json:"placement,omitempty"`
 	// Schedule is the resolved scheduling policy name, echoed like
 	// Placement.
-	Schedule string
-	// Chips is the resolved chip count the job compiled with (0 = the
-	// legacy single-chip machine), echoed like Placement; EPRPairs
-	// totals the EPR pairs generated across the job's shots (0 for
-	// single-chip jobs and for sweep jobs, which drop their shot sets).
-	Chips    int
-	EPRPairs uint64
+	Schedule string `json:"schedule,omitempty"`
 	// Mapping is the final qubit→controller mapping the job compiled with
 	// (nil = identity), as resolved by the compiler's Place pass. A job
 	// served by a feedback-re-placed replica pool echoes the re-placed
 	// mapping.
-	Mapping []int
-	// Set and Histogram are populated once State == StateDone (nil for
-	// sweep jobs, whose results arrive per point in Points).
-	Set       *runner.ShotSet
-	Histogram runner.Histogram
-	// Points holds the per-point outcomes of a sweep job, in point order.
-	Points []PointStatus
+	Mapping []int `json:"mapping,omitempty"`
+	// Chips is the resolved chip count the job compiled with (0 = the
+	// legacy single-chip machine), echoed like Placement; EPRPairs
+	// totals the EPR pairs generated across the job's shots (0 for
+	// single-chip jobs and for sweep jobs, which drop their shot sets).
+	Chips    int    `json:"chips,omitempty"`
+	EPRPairs uint64 `json:"epr_pairs,omitempty"`
 	// Makespan is shot 0's makespan in cycles (0 until done; for sweep
 	// jobs, point 0 shot 0).
-	Makespan int64
-	Err      string
+	Makespan int64 `json:"makespan_cycles,omitempty"`
+	// Set and Histogram are populated once State == StateDone (nil for
+	// sweep jobs, whose results arrive per point in Points). The shot set
+	// never travels: the wire carries the histogram.
+	Set       *runner.ShotSet  `json:"-"`
+	Histogram runner.Histogram `json:"histogram,omitempty"`
+	// Points holds the per-point outcomes of a sweep job, in point order.
+	Points []PointStatus `json:"points,omitempty"`
+	Err    string        `json:"error,omitempty"`
 }
 
 // PointStatus is one sweep point's outcome. Index is the point's position
@@ -425,132 +362,24 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// resolved is a request normalized exactly the way Submit will run it:
-// mesh dimensions defaulted via AutoMesh (and grown for a multi-chip
-// expansion), the machine config defaulted via DefaultConfig with the
-// request's Placement/Schedule/Collective/Chips/EPRLatency overriding
-// their Cfg counterparts, and the resulting policy names validated.
-type resolved struct {
-	req                 Request
-	cfg                 machine.Config
-	placement, schedule string // resolved policy names (never "")
-}
-
-// resolveRequest is shared between Submit (admission) and RouteKey
-// (cluster routing) so a shard and a router can never disagree about what
-// a request means.
-func resolveRequest(req Request) (r resolved, err error) {
-	if req.Circuit == nil {
-		return r, fmt.Errorf("service: nil circuit")
-	}
-	if req.Shots < 1 {
-		return r, fmt.Errorf("service: shots %d < 1", req.Shots)
-	}
-	if req.MeshW <= 0 || req.MeshH <= 0 {
-		req.MeshW, req.MeshH = placement.AutoMesh(req.Circuit.NumQubits)
-	}
-	var cfg machine.Config
-	if req.Cfg != nil {
-		cfg = *req.Cfg
-	} else {
-		cfg = machine.DefaultConfig(req.Circuit.NumQubits)
-	}
-	if req.Placement != "" {
-		cfg.Placement = req.Placement
-	}
-	if req.Schedule != "" {
-		cfg.Schedule = req.Schedule
-	}
-	if req.Collective != "" {
-		cfg.Collective = req.Collective
-	}
-	if req.Chips != 0 {
-		cfg.Chips = req.Chips
-	}
-	if req.EPRLatency != 0 {
-		cfg.EPRLatency = req.EPRLatency
-	}
-	if cfg.Chips < 0 {
-		return r, fmt.Errorf("service: negative chip count %d", cfg.Chips)
-	}
-	if cfg.EPRLatency < 0 {
-		return r, fmt.Errorf("service: negative EPR latency %d", cfg.EPRLatency)
-	}
-	if cfg.Chips > 1 {
-		if req.Mapping != nil {
-			return r, fmt.Errorf("service: explicit mapping with %d chips unsupported (the chip expansion adds communication qubits; use a placement policy)", cfg.Chips)
-		}
-		if cfg.Chips > req.Circuit.NumQubits {
-			return r, fmt.Errorf("service: %d chips exceed %d qubits (each chip needs at least one data qubit)", cfg.Chips, req.Circuit.NumQubits)
-		}
-		// The expansion appends one communication qubit per chip; grow
-		// the mesh here, at admission, exactly the way machine.New
-		// would, so the fingerprint this request is admitted and routed
-		// under matches the machine it will run on.
-		if total := cfg.TotalQubits(req.Circuit.NumQubits); req.MeshW*req.MeshH < total {
-			req.MeshW, req.MeshH = placement.AutoMesh(total)
-		}
-	}
-	cfg.Net.MeshW, cfg.Net.MeshH = req.MeshW, req.MeshH
-	// Validate the policies the job will actually compile with — whether
-	// they arrived via the request or a caller-supplied Cfg — so unknown
-	// names are rejected here, before any work queues.
-	r = resolved{req: req, cfg: cfg, placement: cfg.Placement, schedule: cfg.Schedule}
-	if r.placement == "" {
-		r.placement = placement.Default
-	}
-	if err := placement.Valid(r.placement); err != nil {
-		return r, err
-	}
-	if r.schedule == "" {
-		r.schedule = compiler.DefaultSchedule
-	}
-	if err := compiler.ValidSchedule(r.schedule); err != nil {
-		return r, err
-	}
-	if cfg.Collective != "" {
-		if _, err := network.ParseCollSchedule(cfg.Collective); err != nil {
-			return r, err
-		}
-	}
-	return r, nil
-}
-
-// RouteKey is the fingerprint cluster routing shards on: always the
-// bind-invariant structural key, so every binding of one parameterized
-// family — and the unparameterized circuit itself — routes to the same
-// shard, landing on that shard's warm skeleton and replica pool. It is a
-// pure function of the request (no service state, no seeds), so every
-// node of a cluster computes the same key for the same submission.
-func RouteKey(req Request) (artifact.Fingerprint, error) {
-	r, err := resolveRequest(req)
-	if err != nil {
-		return artifact.Fingerprint{}, err
-	}
-	return machine.StructuralKeyFor(r.req.Circuit, r.req.Mapping, r.cfg)
-}
-
 // Submit validates and enqueues a job, returning its ID immediately. The
 // queue is bounded: a full queue rejects with ErrQueueFull rather than
 // blocking the caller (admission control, not backpressure-by-hanging).
 func (s *Service) Submit(req Request) (string, error) {
-	r, err := resolveRequest(req)
+	if len(req.Sweep) > s.cfg.MaxSweepPoints {
+		return "", fmt.Errorf("service: sweep has %d points, limit %d (split it into multiple jobs — they share the compiled skeleton anyway)",
+			len(req.Sweep), s.cfg.MaxSweepPoints)
+	}
+	spec, err := Resolve(req)
 	if err != nil {
 		return "", err
 	}
-	req, cfg := r.req, r.cfg
+	cfg := &spec.Cfg
 	// Jobs compile through this service's artifact cache (unless the
 	// caller pinned one in req.Cfg): the field rides the machine config
 	// into the replica build without touching any fingerprint.
 	if cfg.Artifacts == nil {
 		cfg.Artifacts = s.arts
-	}
-	if len(req.Sweep) > s.cfg.MaxSweepPoints {
-		return "", fmt.Errorf("service: sweep has %d points, limit %d (split it into multiple jobs — they share the compiled skeleton anyway)",
-			len(req.Sweep), s.cfg.MaxSweepPoints)
-	}
-	if err := validateParams(req); err != nil {
-		return "", err
 	}
 
 	// Fingerprint at admission, outside the service lock: KeyFor hashes
@@ -567,19 +396,19 @@ func (s *Service) Submit(req Request) (string, error) {
 	if req.bindJob() {
 		keyFn = machine.StructuralKeyFor
 	}
-	fp, err := keyFn(req.Circuit, req.Mapping, cfg)
+	fp, err := keyFn(spec.Circuit, spec.Mapping, *cfg)
 	if err != nil {
 		return "", err
 	}
 	j := &job{
 		req:   req,
-		shots: req.Shots, meshW: req.MeshW, meshH: req.MeshH, chips: cfg.Chips,
+		shots: req.Shots, meshW: spec.MeshW, meshH: spec.MeshH, chips: cfg.Chips,
 
 		fp:        fp,
-		placement: r.placement,
-		schedule:  r.schedule,
+		placement: cmp.Or(cfg.Placement, placement.Default),
+		schedule:  cmp.Or(cfg.Schedule, compiler.DefaultSchedule),
 		pk: poolKey{
-			fp: fp, backend: machine.ResolveBackend(req.Circuit, cfg.Backend),
+			fp: fp, backend: machine.ResolveBackend(spec.Circuit, cfg.Backend),
 			logEvents: cfg.LogEvents, deadline: cfg.Deadline,
 			collective: cfg.Collective,
 		},
@@ -599,17 +428,12 @@ func (s *Service) Submit(req Request) (string, error) {
 	}
 	n := s.nextID
 	s.nextID++
-	seed := req.Seed
-	if seed == 0 {
-		seed = machine.DeriveSeed(s.cfg.Seed, int(n))
+	if cfg.Seed == 0 {
+		cfg.Seed = machine.DeriveSeed(s.cfg.Seed, int(n))
 	}
-	cfg.Seed = seed
 	j.id = fmt.Sprintf("job-%06d", n)
-	j.seed = seed
-	j.spec = runner.Spec{
-		Circuit: req.Circuit, MeshW: req.MeshW, MeshH: req.MeshH,
-		Mapping: req.Mapping, Cfg: cfg, FreshCompile: req.FreshCompile,
-	}
+	j.seed = cfg.Seed
+	j.spec = spec
 	select {
 	case s.queue <- j:
 	default:
@@ -622,49 +446,6 @@ func (s *Service) Submit(req Request) (string, error) {
 	s.stats.Submitted++
 	s.mu.Unlock()
 	return j.id, nil
-}
-
-// validateParams rejects malformed parameter bindings at admission,
-// before any work queues: a bind/sweep job must supply exactly the
-// circuit's symbolic parameter set (NaN-free) at every point, and a plain
-// job must not submit an unbound skeleton — its table angles would
-// silently execute as zero.
-func validateParams(req Request) error {
-	if req.Params != nil && len(req.Sweep) > 0 {
-		return fmt.Errorf("service: give params or sweep, not both")
-	}
-	if !req.bindJob() {
-		if ub := req.Circuit.UnboundParams(); len(ub) > 0 {
-			return fmt.Errorf("service: circuit has unbound parameters %v: supply params or sweep", ub)
-		}
-		return nil
-	}
-	syms := req.Circuit.Params()
-	check := func(where string, vals map[string]float64) error {
-		if len(vals) != len(syms) {
-			return fmt.Errorf("service: %s binds %d parameters, circuit has %d (%v)",
-				where, len(vals), len(syms), syms)
-		}
-		for _, name := range syms {
-			v, ok := vals[name]
-			if !ok {
-				return fmt.Errorf("service: %s missing parameter %q", where, name)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("service: %s parameter %q is %v (angles must be finite)", where, name, v)
-			}
-		}
-		return nil
-	}
-	if req.Params != nil {
-		return check("params", req.Params)
-	}
-	for i, pt := range req.Sweep {
-		if err := check(fmt.Sprintf("sweep point %d", i), pt); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Get snapshots a job by ID.
@@ -945,7 +726,7 @@ func (s *Service) maybeReplace(j *job, p plan, fb compiler.Feedback) {
 // The re-placed artifact caches under its own fingerprint — the original
 // entry is never overwritten, so the content-addressed cache stays honest.
 func (s *Service) rePlace(j *job, p plan, fb *compiler.Feedback) (*compiler.Compiled, error) {
-	probeCirc := j.req.Circuit
+	probeCirc := j.spec.Circuit
 	if first := p.points[0]; first != nil {
 		// Probes need a runnable circuit; the first binding of the family
 		// is the deterministic stand-in for its traffic.
@@ -966,14 +747,14 @@ func (s *Service) rePlace(j *job, p plan, fb *compiler.Feedback) (*compiler.Comp
 	if sameMapping(newMap, prior) {
 		return nil, nil
 	}
-	m, err := machine.NewForCircuit(j.req.Circuit, j.req.MeshW, j.req.MeshH, cfg)
+	m, err := machine.NewForCircuit(j.spec.Circuit, j.spec.MeshW, j.spec.MeshH, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if p.structural {
-		return m.CompileSkeleton(j.req.Circuit, newMap)
+		return m.CompileSkeleton(j.spec.Circuit, newMap)
 	}
-	return m.Compile(j.req.Circuit, newMap)
+	return m.Compile(j.spec.Circuit, newMap)
 }
 
 // replacedArtifact returns the re-placed artifact for a pool group (nil
@@ -1184,8 +965,8 @@ func (j *job) status() JobStatus {
 		Fingerprint: j.fp.String(), CacheHit: j.cacheHit, Batched: j.batched,
 		MeshW: j.meshW, MeshH: j.meshH,
 		Placement: j.placement, Schedule: j.schedule, Mapping: j.mapping,
-		Chips: j.chips, EPRPairs: j.eprPairs,
-		Set: j.set, Histogram: j.hist, Points: j.points, Makespan: j.makespan,
+		Chips: j.chips, EPRPairs: j.eprPairs, Makespan: j.makespan,
+		Set: j.set, Histogram: j.hist, Points: j.points,
 	}
 	if j.err != nil {
 		st.Err = j.err.Error()

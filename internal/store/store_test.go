@@ -29,7 +29,7 @@ func compileGHZ(t *testing.T, n int) *compiler.Compiled {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := m.CompileFresh(c, nil, m.CompileOptions())
+	cp, err := m.CompileFresh(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
