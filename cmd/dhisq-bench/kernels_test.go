@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"dhisq/internal/runner"
 )
 
 func TestBestNsPerKeepsCheapestRound(t *testing.T) {
@@ -26,33 +24,49 @@ func TestBestNsPerKeepsCheapestRound(t *testing.T) {
 }
 
 func TestGhzBenchmarkSpec(t *testing.T) {
-	spec := ghzBenchmark(17)
+	spec := ghzBenchmark(17, false)
 	if spec.Circuit.NumQubits != 17 {
 		t.Fatalf("qubits = %d", spec.Circuit.NumQubits)
-	}
-	if !runner.Batchable(spec.Circuit) {
-		t.Fatal("GHZ chain must be batchable: no feed-forward, single-write bits")
 	}
 	if spec.MeshW*spec.MeshH < 17 {
 		t.Fatalf("mesh %dx%d cannot hold 17 controllers", spec.MeshW, spec.MeshH)
 	}
 }
 
-// The shot-row harness itself is load-bearing for the CI gate: it must
-// fall back to one lane only for non-batchable circuits, agree between
-// paths, and report honest per-shot costs.
+// The shot-row harness itself is load-bearing for the CI gates: a GHZ
+// chain must read as static with every shot after the first taped (the
+// row errors otherwise), with or without the outcome map, the two columns
+// must agree on the histogram, and the costs must be honest. "Batchable"
+// is what the static predicate was called when lanes consumed it.
 func TestBenchShotRowBatchable(t *testing.T) {
-	spec := ghzBenchmark(9)
-	spec.Cfg.Seed = 11
-	row, err := benchShotRow("ghz_n9", "stabilizer", spec, 4, 2)
+	for _, resetFirst := range []bool{false, true} {
+		spec := ghzBenchmark(9, resetFirst)
+		spec.Cfg.Seed = 11
+		row, err := benchShotRow("ghz_n9", "stabilizer", spec, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !row.Static {
+			t.Fatalf("GHZ row (reset first: %v) not static: %+v", resetFirst, row)
+		}
+		if row.FullMsPerShot <= 0 || row.TapedMsPerShot <= 0 {
+			t.Fatalf("non-positive timing in %+v", row)
+		}
+	}
+}
+
+// A feed-forward program's row reports static: false and replays nothing.
+func TestBenchShotRowFeedForward(t *testing.T) {
+	spec, err := dvqeBenchmark()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !row.Batchable || row.Lanes != 2 {
-		t.Fatalf("batchable GHZ row = %+v", row)
+	row, err := benchShotRow("dvqe_n12_c2", "statevec", spec, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if row.UnbatchedMsPerShot <= 0 || row.BatchedMsPerShot <= 0 {
-		t.Fatalf("non-positive timing in %+v", row)
+	if row.Static {
+		t.Fatalf("teleporting program read as static: %+v", row)
 	}
 }
 

@@ -206,6 +206,35 @@ func TestHealthAndStats(t *testing.T) {
 	}
 }
 
+// The wire can say how often the commit tape ran: a static job's shots
+// after each replica's first come off its tape, a repeat job's all do, and
+// /v1/stats reports both counters under their documented names.
+func TestStatsReportTape(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1, ShotWorkers: 1, QueueDepth: 8})
+	ts := httptest.NewServer(newHandler(svc, "", ""))
+	t.Cleanup(func() { ts.Close(); svc.Close() })
+	for i := 0; i < 2; i++ {
+		id, _ := postJob(t, ts, service.Submission{QASM: ghzQASM, Request: service.Request{Shots: 10, Seed: int64(3 + i)}})
+		getJob(t, ts, id, true)
+	}
+	r, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var raw map[string]json.RawMessage
+	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	var taped, fallbacks uint64
+	if err := json.Unmarshal(raw["taped_shots"], &taped); err != nil || taped != 19 {
+		t.Fatalf("taped_shots on the wire: %v %d, want 19 of 20 shots", err, taped)
+	}
+	if err := json.Unmarshal(raw["tape_fallbacks"], &fallbacks); err != nil || fallbacks != 0 {
+		t.Fatalf("tape_fallbacks on the wire: %v %d, want 0", err, fallbacks)
+	}
+}
+
 // The fabric overrides must travel the wire: a tree-topology, bandwidth-1
 // job congests, moves the /v1/stats net_* counters, and still returns a
 // legal GHZ histogram; a bogus topology is rejected at submission.

@@ -106,12 +106,17 @@ func (b *StateVecBackend) Apply2(kind circuit.Kind, param float64, x, y int) {
 // Measure implements Backend.
 func (b *StateVecBackend) Measure(q int) int { return b.State.Measure(q, b.rng(q)) }
 
-// Reset implements Backend: |0...0> in place, both RNG streams reseeded in
+// Reset implements Backend: |0...0> in place, the RNG streams reseeded in
 // place (the same streams as fresh construction, without its allocations).
+// The herald stream is reseeded only behind a comm boundary: without one
+// rng never hands it out, and seeding a math/rand source is a 607-word
+// pass. SetCommFrom runs at machine construction, before any Reset.
 func (b *StateVecBackend) Reset(seed int64) {
 	b.State.Reset()
 	b.Rng.Seed(seed)
-	b.hrng.Seed(seed ^ heraldSeedMix)
+	if b.comm > 0 {
+		b.hrng.Seed(seed ^ heraldSeedMix)
+	}
 }
 
 // StabilizerBackend applies Clifford gates to a tableau — exact semantics at
@@ -185,12 +190,15 @@ func (b *StabilizerBackend) Apply2(kind circuit.Kind, param float64, x, y int) {
 // Measure implements Backend.
 func (b *StabilizerBackend) Measure(q int) int { return b.Tab.MeasureZ(q, b.rng(q)) }
 
-// Reset implements Backend: identity tableau in place, both RNG streams
-// reseeded in place.
+// Reset implements Backend: identity tableau in place, the RNG streams
+// reseeded in place (the herald stream only behind a comm boundary, as on
+// the dense backend).
 func (b *StabilizerBackend) Reset(seed int64) {
 	b.Tab.Reset()
 	b.Rng.Seed(seed)
-	b.hrng.Seed(seed ^ heraldSeedMix)
+	if b.comm > 0 {
+		b.hrng.Seed(seed ^ heraldSeedMix)
+	}
 }
 
 // SeededBackend tracks no quantum state: gates are no-ops and each

@@ -145,13 +145,14 @@ type Model struct {
 	OrderInversions int
 	lastApplied     []sim.Time
 	Errs            []error
-	// BatchMeas collects per-lane measurement outcomes in commit order when
-	// the backend is a LaneBackend (batched-shot mode); empty otherwise.
-	BatchMeas []BatchMeas
+
+	// rec, while non-nil, receives every backend application (tape.go).
+	rec *Tape
 }
 
 type pendingHalf struct {
 	entry TableEntry
+	ref   tapeOp // where entry sits in the tables
 	at    sim.Time
 }
 
@@ -178,7 +179,8 @@ func (m *Model) SetTable(node int, table []TableEntry) {
 // two-qubit halves, occupancy tracking, counters and error lists clear, and
 // the backend is reset with the given seed. Codeword tables, the delivery
 // callback and the calibrated durations survive, so a reset chip re-runs
-// the loaded program with fresh quantum state.
+// the loaded program with fresh quantum state. A recording in progress is
+// abandoned.
 func (m *Model) Reset(seed int64) {
 	m.backend.Reset(seed)
 	clear(m.pending)
@@ -192,7 +194,7 @@ func (m *Model) Reset(seed int64) {
 	m.OverlapInfo = nil
 	m.OrderInversions = 0
 	m.Errs = nil
-	m.BatchMeas = nil
+	m.rec = nil
 }
 
 // SetDelivery installs the result-delivery callback.
@@ -225,29 +227,62 @@ func (m *Model) Commit(node, port int, cw uint32, at sim.Time) {
 		m.fail("node %d: codeword %d arrived on port %d, want %d", node, cw, port, want)
 		return
 	}
+	ref := tapeOp{node: int32(node), idx: int32(idx)}
 	switch e.Role {
 	case RoleSingle:
 		m.occupyKind(e.Qubit, at, m.dur(e.Kind, e.Param), e.Kind)
-		m.backend.Apply1(e.Kind, e.Param, e.Qubit)
+		m.apply(e, ref)
 		m.Gates++
 	case RoleMeasure:
 		m.occupyKind(e.Qubit, at, m.durations.Measure, circuit.Measure)
-		out := m.backend.Measure(e.Qubit)
-		m.recordBatch(node, e.Qubit)
+		out := m.apply(e, ref)
 		m.Measurements++
 		if m.deliver != nil {
 			m.deliver(node, e.Channel, uint32(out), at+m.MeasLatency)
 		}
 	case RoleControl, RoleParticipant:
-		m.commit2Q(e, at)
+		m.commit2Q(e, ref, at)
 	}
 }
 
-func (m *Model) commit2Q(e TableEntry, at sim.Time) {
+// apply is where a committed entry meets the backend: the live path's one
+// call into applyEntry, and the recording point of the commit tape.
+func (m *Model) apply(e TableEntry, ref tapeOp) int {
+	out := applyEntry(m.backend, e)
+	if m.rec != nil {
+		m.rec.record(e, ref, out)
+	}
+	return out
+}
+
+// applyEntry performs the backend operation entry e stands for — e is a
+// one-qubit action, a measurement (whose outcome is returned), or the
+// control half of a two-qubit gate. The live commit path and tape replay
+// both go through it, so they cannot apply an entry differently.
+func applyEntry(b Backend, e TableEntry) int {
+	switch {
+	case e.Role == RoleMeasure:
+		return b.Measure(e.Qubit)
+	case e.Role == RoleSingle:
+		b.Apply1(e.Kind, e.Param, e.Qubit)
+	case e.Kind == circuit.EPR:
+		// EPR-pair generation across the chip boundary: both comm qubits
+		// are discarded and re-prepared as (|00>+|11>)/sqrt(2).
+		b.Apply1(circuit.Reset, 0, e.Qubit)
+		b.Apply1(circuit.Reset, 0, e.Partner)
+		b.Apply1(circuit.H, 0, e.Qubit)
+		b.Apply2(circuit.CNOT, 0, e.Qubit, e.Partner)
+	default:
+		b.Apply2(e.Kind, e.Param, e.Qubit, e.Partner)
+	}
+	return 0
+}
+
+func (m *Model) commit2Q(e TableEntry, ref tapeOp, at sim.Time) {
 	key := pairKey(e.Qubit, e.Partner)
 	prev, ok := m.pending[key]
 	if !ok {
-		m.pending[key] = pendingHalf{entry: e, at: at}
+		m.pending[key] = pendingHalf{entry: e, ref: ref, at: at}
 		return
 	}
 	delete(m.pending, key)
@@ -263,7 +298,7 @@ func (m *Model) commit2Q(e TableEntry, at sim.Time) {
 	// The control-role entry carries the gate.
 	ctrl := e
 	if prev.entry.Role == RoleControl {
-		ctrl = prev.entry
+		ctrl, ref = prev.entry, prev.ref
 	}
 	later := at
 	if prev.at > later {
@@ -271,19 +306,12 @@ func (m *Model) commit2Q(e TableEntry, at sim.Time) {
 	}
 	m.occupyKind(ctrl.Qubit, later, m.dur(ctrl.Kind, ctrl.Param), ctrl.Kind)
 	m.occupyKind(ctrl.Partner, later, m.dur(ctrl.Kind, ctrl.Param), ctrl.Kind)
+	// An EPR generation's occupancy above already charged EPRLatency via
+	// dur().
+	m.apply(ctrl, ref)
 	if ctrl.Kind == circuit.EPR {
-		// EPR-pair generation across the chip boundary: both comm qubits
-		// are discarded and re-prepared as (|00>+|11>)/sqrt(2). Occupancy
-		// above already charged EPRLatency via dur().
-		m.backend.Apply1(circuit.Reset, 0, ctrl.Qubit)
-		m.backend.Apply1(circuit.Reset, 0, ctrl.Partner)
-		m.backend.Apply1(circuit.H, 0, ctrl.Qubit)
-		m.backend.Apply2(circuit.CNOT, 0, ctrl.Qubit, ctrl.Partner)
 		m.EPRPairs++
-		m.Gates++
-		return
 	}
-	m.backend.Apply2(ctrl.Kind, ctrl.Param, ctrl.Qubit, ctrl.Partner)
 	m.Gates++
 }
 

@@ -28,6 +28,7 @@ func (Assemble) Run(st *State) error {
 		MemBytes:   4*st.Circuit.NumBits + 4096,
 		ParamSlots: st.paramSlots,
 		PublicBits: st.PublicBits,
+		MeasBits:   st.measBits,
 	}
 	if st.Mapping != nil {
 		// Copy: the artifact is cached and shared process-wide, and an

@@ -144,7 +144,21 @@ type Compiled struct {
 	// it (0 = every bit is public). Result readers truncate to this, so a
 	// k-chip histogram is directly comparable to the single-chip run.
 	PublicBits int
+	// MeasBits is non-nil exactly when the lowered program is static: the
+	// circuit Lower was handed — after the multi-chip expansion, which adds
+	// teleport feed-forward the submitted circuit does not show — has no
+	// conditioned op and writes no classical bit twice. Control flow and
+	// timing then cannot depend on a measurement outcome, which is what
+	// lets a machine record one shot's commits and replay them (the commit
+	// tape, DESIGN.md §9). MeasBits[n][k] is the classical bit controller
+	// n's k-th measurement commit writes; one controller's commits happen
+	// in program order.
+	MeasBits [][]int
 }
+
+// Static reports whether the lowered program's control flow is
+// outcome-independent (see MeasBits).
+func (c *Compiled) Static() bool { return c.MeasBits != nil }
 
 // Params returns the sorted set of symbolic parameter names the artifact's
 // slots reference (nil when the circuit was fully concrete).

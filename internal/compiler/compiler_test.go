@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"reflect"
 	"testing"
 
 	"dhisq/internal/circuit"
@@ -234,5 +235,54 @@ func TestWideWaitUsesRegister(t *testing.T) {
 	}
 	if countOp(cp.Programs[0], isa.OpWAITR) != 1 {
 		t.Fatal("expected li+waitr expansion for a wide wait")
+	}
+}
+
+// TestMeasBitsStaticPredicate pins Compiled.MeasBits: non-nil exactly when
+// the lowered program has no conditioned op and writes no classical bit
+// twice, listing per controller the bits its measurements write in program
+// order — under a mapping, by the controller that measures, not the qubit.
+func TestMeasBitsStaticPredicate(t *testing.T) {
+	compile := func(c *circuit.Circuit, mapping []int) *Compiled {
+		t.Helper()
+		cp, err := Compile(c, mapping, fixedWindows{2, 10}, opts(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
+	c := circuit.New(3)
+	c.H(0).CNOT(0, 1).MeasureInto(2, 0).MeasureInto(0, 2).MeasureInto(1, 1)
+	cp := compile(c, []int{1, 1, 0}) // qubits 0 and 1 share controller 1
+	want := [][]int{{0}, {2, 1}, nil}
+	if !cp.Static() || !reflect.DeepEqual(cp.MeasBits, want) {
+		t.Fatalf("MeasBits = %v (static %v), want %v", cp.MeasBits, cp.Static(), want)
+	}
+	if cp := compile(circuit.New(3).H(0), nil); !cp.Static() {
+		t.Fatal("a program with no measurement is static")
+	}
+
+	cond := circuit.New(3)
+	cond.H(0).MeasureInto(0, 0)
+	cond.CondGate(circuit.X, circuit.Condition{Bits: []int{0}, Parity: 1}, 1)
+	if cp := compile(cond, nil); cp.Static() || cp.MeasBits != nil {
+		t.Fatalf("conditioned op compiled static: %v", cp.MeasBits)
+	}
+	twice := circuit.New(3)
+	twice.H(0).MeasureInto(0, 0).H(1).MeasureInto(1, 0)
+	if cp := compile(twice, nil); cp.Static() {
+		t.Fatal("bit written twice compiled static")
+	}
+
+	// A BindParams patch is the same program.
+	sym := circuit.New(3)
+	sym.RYSym(0, "a").MeasureInto(0, 0)
+	skel := compile(sym, nil)
+	bound, err := skel.BindParams(map[string]float64{"a": 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bound.Static() || !reflect.DeepEqual(bound.MeasBits, skel.MeasBits) {
+		t.Fatalf("binding changed MeasBits: %v vs %v", bound.MeasBits, skel.MeasBits)
 	}
 }

@@ -138,6 +138,9 @@ func (Lower) Run(st *State) error {
 	for i := range st.bitOwner {
 		st.bitOwner[i] = -1
 	}
+	// Static-ness is read off the ops as they are lowered (Compiled.MeasBits):
+	// a conditioned op or a second write to one classical bit clears it.
+	measBits := make([][]int, opt.Controllers)
 	// Collective lowering state: which controllers hold each bit's value at
 	// its home address (the owner after a measure, plus every consumer that
 	// re-stored it; see collective.go). The distance metric steers
@@ -191,6 +194,11 @@ func (Lower) Run(st *State) error {
 			s.unit(unit{ins: store, det: true})
 			// Timing point already advanced to the result time by the fmr
 			// anchor; nothing further to wait for.
+			if st.bitMeasured[op.CBit] {
+				measBits = nil
+			} else if measBits != nil {
+				measBits[s.id] = append(measBits[s.id], op.CBit)
+			}
 			st.bitOwner[op.CBit] = s.id
 			st.bitMeasured[op.CBit] = true
 			if holders != nil {
@@ -248,6 +256,7 @@ func (Lower) Run(st *State) error {
 			if op.Kind.IsTwoQubit() {
 				return fmt.Errorf("compiler: op %d: conditioned two-qubit gate unsupported", opIdx)
 			}
+			measBits = nil
 			q := op.Qubits[0]
 			actor := ctrlOf(q)
 			s := streams[actor]
@@ -356,5 +365,6 @@ func (Lower) Run(st *State) error {
 		st.paramSlots = append(st.paramSlots, s.slots...)
 	}
 	st.lowered = streams
+	st.measBits = measBits
 	return nil
 }

@@ -29,11 +29,13 @@ type State struct {
 
 	// Produced by Lower: one directive stream per controller, the bit
 	// ownership table, the parameter-slot table (symbolic angles interned
-	// into codeword tables), and the lowering-side stats.
+	// into codeword tables), the per-controller measured-bit lists of a
+	// static program (nil otherwise), and the lowering-side stats.
 	lowered     []*lowerStream
 	bitOwner    []int
 	bitMeasured []bool
 	paramSlots  []ParamSlot
+	measBits    [][]int
 
 	// Produced by Schedule: the timed unit streams.
 	scheduled []*stream

@@ -32,8 +32,7 @@ func RePlace(c *circuit.Circuit, cfg Config, prior []int, fb *compiler.Feedback)
 	if err != nil {
 		return nil, 0, err
 	}
-	// Probes are single unbatched shots; lanes and event logging only cost.
-	cfg.ShotLanes = 0
+	// Probes are single shots; event logging only costs.
 	cfg.LogEvents = false
 	incumbent := prior
 	if incumbent == nil {

@@ -75,12 +75,6 @@ type Config struct {
 	// (0 = DefaultEPRLatency when Chips > 1). Part of the compile
 	// fingerprint via CompileOptions.
 	EPRLatency sim.Time
-	// ShotLanes > 1 builds the chip backend as that many independent state
-	// lanes: one event-simulation replay drives every lane, so a block of
-	// ShotLanes shots costs one Run (see runner.RunBatched). Deliberately
-	// not part of the compile fingerprint — lane count changes nothing
-	// about the compiled artifact. 0 or 1 = the unbatched single substrate.
-	ShotLanes int
 	// Artifacts is the compiled-artifact cache Compile and
 	// CompileSkeleton consult (nil = the process-wide artifact.Shared).
 	// Injecting a private cache isolates cache accounting — the in-process
@@ -152,6 +146,12 @@ type Machine struct {
 
 	numQubits int
 	loaded    *compiler.Compiled
+
+	// The commit tape of the loaded program (tape.go).
+	tapeable bool       // loaded is static and nothing in Cfg reads outcomes
+	tape     *chip.Tape // nil until a shot has been recorded
+	tapeRes  Result     // the recorded shot's Result, every taped shot's too
+	tapeStat TapeStats
 }
 
 // New builds the fabric and controllers for the given qubit count.
@@ -189,28 +189,19 @@ func New(cfg Config, numQubits int) (*Machine, error) {
 	log.SetEnabled(cfg.LogEvents)
 	fab := network.NewFabric(eng, topo, log)
 
-	mkBackend := func(int) chip.Backend {
-		var b chip.Backend
-		switch cfg.Backend {
-		case BackendStateVec:
-			b = chip.NewStateVec(total, cfg.Seed)
-		case BackendStabilizer:
-			b = chip.NewStabilizer(total, cfg.Seed)
-		default:
-			b = chip.NewSeeded(cfg.Seed)
-		}
-		if cfg.Chips > 1 {
-			if ca, ok := b.(chip.CommAware); ok {
-				ca.SetCommFrom(numQubits)
-			}
-		}
-		return b
-	}
 	var backend chip.Backend
-	if cfg.ShotLanes > 1 {
-		backend = chip.NewLanes(mkBackend, cfg.ShotLanes)
-	} else {
-		backend = mkBackend(0)
+	switch cfg.Backend {
+	case BackendStateVec:
+		backend = chip.NewStateVec(total, cfg.Seed)
+	case BackendStabilizer:
+		backend = chip.NewStabilizer(total, cfg.Seed)
+	default:
+		backend = chip.NewSeeded(cfg.Seed)
+	}
+	if cfg.Chips > 1 {
+		if ca, ok := backend.(chip.CommAware); ok {
+			ca.SetCommFrom(numQubits)
+		}
 	}
 	chipModel := chip.New(eng, backend, cfg.Durations, cfg.MeasLatency)
 	chipModel.EPRLatency = cfg.effectiveEPRLatency()
@@ -386,7 +377,9 @@ func (m *Machine) CompileFresh(c *circuit.Circuit, mapping []int) (*compiler.Com
 	return m.compile(c, mapping, m.CompileOptions())
 }
 
-// Load installs compiled programs and tables on every controller.
+// Load installs compiled programs and tables on every controller. A
+// recorded commit tape survives only a BindParams patch of the program it
+// was recorded from.
 func (m *Machine) Load(cp *compiler.Compiled) error {
 	if len(cp.Programs) != len(m.Ctrls) {
 		return fmt.Errorf("machine: %d programs for %d controllers", len(cp.Programs), len(m.Ctrls))
@@ -402,6 +395,7 @@ func (m *Machine) Load(cp *compiler.Compiled) error {
 		m.Ctrls[i].Load(p)
 		m.Chip.SetTable(i, cp.Tables[i])
 	}
+	m.retape(cp)
 	m.loaded = cp
 	return nil
 }
@@ -425,36 +419,6 @@ func (m *Machine) Reset(seed int64) {
 		c.Reset()
 	}
 }
-
-// Lanes returns the number of shot lanes this machine's backend carries
-// (1 when unbatched).
-func (m *Machine) Lanes() int {
-	if m.Cfg.ShotLanes > 1 {
-		return m.Cfg.ShotLanes
-	}
-	return 1
-}
-
-// ResetBatch is the batched-block counterpart of Reset: the engine,
-// routers, log and controllers rewind identically, but lane l of the chip
-// backend reseeds with seeds[l] so each lane replays the loaded program as
-// an independent shot. Requires a machine built with Cfg.ShotLanes > 1.
-func (m *Machine) ResetBatch(seeds []int64) error {
-	m.Eng.Reset()
-	m.Log.Reset()
-	m.Fab.Reset()
-	if err := m.Chip.ResetBatch(seeds); err != nil {
-		return err
-	}
-	for _, c := range m.Ctrls {
-		c.Reset()
-	}
-	return nil
-}
-
-// BatchMeas exposes the per-lane measurement records of the last batched
-// run, in commit order (empty for unbatched machines).
-func (m *Machine) BatchMeas() []chip.BatchMeas { return m.Chip.BatchMeas }
 
 // DeriveSeed returns the backend seed for shot number `shot` of a run whose
 // base seed is `base`. Shot 0 uses the base seed itself, so a one-shot run
@@ -680,6 +644,17 @@ func (m *Machine) ReadBit(cp *compiler.Compiled, b int) (int, error) {
 	return int(mem[0]) & 1, nil
 }
 
+// publicBits is the length of a shot's readout: every classical bit of the
+// loaded program, less the machine-internal teleport-correction bits a
+// multi-chip expansion appended after Compiled.PublicBits.
+func (m *Machine) publicBits() int {
+	n := len(m.loaded.BitOwner)
+	if pb := m.loaded.PublicBits; pb > 0 && pb < n {
+		n = pb
+	}
+	return n
+}
+
 // ReadBits reads every public classical bit of the loaded program after a
 // run. Bits that were never measured (owner < 0) read as 0. On multi-chip
 // artifacts the teleport-correction bits after Compiled.PublicBits are
@@ -689,12 +664,8 @@ func (m *Machine) ReadBits() ([]int, error) {
 	if m.loaded == nil {
 		return nil, fmt.Errorf("machine: ReadBits before Load")
 	}
-	n := len(m.loaded.BitOwner)
-	if pb := m.loaded.PublicBits; pb > 0 && pb < n {
-		n = pb
-	}
-	bits := make([]int, n)
-	for b, owner := range m.loaded.BitOwner[:n] {
+	bits := make([]int, m.publicBits())
+	for b, owner := range m.loaded.BitOwner[:len(bits)] {
 		if owner < 0 {
 			continue
 		}

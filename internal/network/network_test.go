@@ -95,6 +95,40 @@ func TestHopsAndWindows(t *testing.T) {
 	}
 }
 
+// TestMaxHopsDownTable pins the tabulated MaxHopsDown to its recursive
+// definition on every topology kind, mesh shapes whose last router group is
+// ragged, and fanouts that change the tree's height.
+func TestMaxHopsDownTable(t *testing.T) {
+	var walk func(topo *Topology, r int) int
+	walk = func(topo *Topology, r int) int {
+		if !topo.IsRouter(r) {
+			return 0
+		}
+		m := 0
+		for _, c := range topo.Children(r) {
+			if d := 1 + walk(topo, c); d > m {
+				m = d
+			}
+		}
+		return m
+	}
+	for _, kind := range []TopologyKind{TopoMesh, TopoTorus, TopoTree} {
+		for _, shape := range [][2]int{{1, 1}, {2, 1}, {3, 3}, {4, 4}, {5, 4}, {12, 11}, {20, 20}} {
+			for _, fanout := range []int{2, 3, 4, 7} {
+				cfg := DefaultConfig(shape[0] * shape[1])
+				cfg.Topology, cfg.MeshW, cfg.MeshH, cfg.RouterFanout = kind, shape[0], shape[1], fanout
+				topo := mustTopo(t, cfg)
+				for node := 0; node < topo.N+topo.NumRouters; node++ {
+					if got, want := topo.MaxHopsDown(node), walk(topo, node); got != want {
+						t.Fatalf("%v %dx%d fanout %d: MaxHopsDown(%d) = %d, recursive walk %d",
+							kind, shape[0], shape[1], fanout, node, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTreePathHops(t *testing.T) {
 	cfg := DefaultConfig(16)
 	cfg.MeshW, cfg.MeshH, cfg.RouterFanout = 4, 4, 4

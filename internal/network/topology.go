@@ -131,6 +131,7 @@ type Topology struct {
 	parent     []int   // node -> parent router (root's parent = -1)
 	children   [][]int // router-local (indexed by router-N): child node addrs
 	depth      []int   // node -> depth (root = 0)
+	maxDown    []int   // node -> tree edges down to its deepest leaf (0 for a controller)
 	Root       int
 
 	// Leaf spans: every subtree's leaf set is a contiguous run of leafBuf
@@ -209,6 +210,16 @@ func NewTopology(cfg Config) (*Topology, error) {
 			d++
 		}
 		t.depth[node] = d
+	}
+	// Routers are numbered level by level from the leaves up, so every
+	// child's entry is final before its parent reads it.
+	t.maxDown = make([]int, next)
+	for r := n; r < next; r++ {
+		for _, c := range t.Children(r) {
+			if d := 1 + t.maxDown[c]; d > t.maxDown[r] {
+				t.maxDown[r] = d
+			}
+		}
 	}
 	// Precompute the leaf spans behind Leaves: one DFS fills a shared
 	// buffer; every node's subtree leaves are a contiguous run of it.
@@ -382,19 +393,14 @@ func (t *Topology) HopsUp(node, r int) int {
 }
 
 // MaxHopsDown returns the maximum number of tree edges from router r down to
-// any leaf controller in its subtree.
+// any leaf controller in its subtree (0 for anything that is not a router).
+// A pure function of the topology, read at every region sync of every shot,
+// so NewTopology tabulates it.
 func (t *Topology) MaxHopsDown(r int) int {
 	if !t.IsRouter(r) {
 		return 0
 	}
-	m := 0
-	for _, c := range t.Children(r) {
-		d := 1 + t.MaxHopsDown(c)
-		if d > m {
-			m = d
-		}
-	}
-	return m
+	return t.maxDown[r]
 }
 
 // Leaves returns all leaf controllers in node r's subtree (a controller is

@@ -296,14 +296,12 @@ func Run(spec Spec, shots, workers int) (*ShotSet, error) {
 }
 
 // runShot executes shot k on an already-loaded replica and reads it out.
+// Every path that runs shots funnels through here, so machine.Shot's commit
+// tape — a static program simulates its control stack once per replica,
+// not once per shot — reaches all of them with no option.
 func runShot(m *machine.Machine, base int64, k int) (Shot, error) {
 	seed := machine.DeriveSeed(base, k)
-	m.Reset(seed)
-	res, err := m.Run()
-	if err != nil {
-		return Shot{}, fmt.Errorf("runner: shot %d: %w", k, err)
-	}
-	bits, err := m.ReadBits()
+	res, bits, err := m.Shot(seed)
 	if err != nil {
 		return Shot{}, fmt.Errorf("runner: shot %d: %w", k, err)
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,20 +15,45 @@ import (
 	"dhisq/internal/workloads"
 )
 
+// feedForwardAnsatz is VQEAnsatz(n, 1) with qubit 0 measured mid-circuit
+// and an X on qubit 1 conditioned on it: the same symbolic angles, so it
+// binds from the same points, but its control flow reads an outcome.
+func feedForwardAnsatz(n int) *circuit.Circuit {
+	c := circuit.New(n)
+	for q := 0; q < n; q++ {
+		c.RYSym(q, fmt.Sprintf("t0_%d", q))
+	}
+	c.MeasureInto(0, 0)
+	c.CondGate(circuit.X, circuit.Condition{Bits: []int{0}, Parity: 1}, 1)
+	for q := 1; q < n-1; q++ {
+		c.CNOT(q, q+1)
+	}
+	for q := 1; q < n; q++ {
+		c.MeasureInto(q, q)
+	}
+	return c
+}
+
 // TestExecutionMatrix walks every cell the one execution path serves —
 // {plain, Params, Sweep} × {cold pool, warm pool, FreshCompile} ×
-// ShotWorkers {1, 3} — and pins two things per cell: the results are
-// byte-identical to the runner's one-worker reference (runner.Run of the
-// bound circuit, runner.RunSweep of the skeleton), and the bookkeeping is
-// exact: CacheHit, Batched, the Binds/BindHits deltas, PooledReplicas and
-// the compiles charged to the artifact cache.
+// ShotWorkers {1, 3}, for a static circuit (whose shots ride the commit
+// tape) and a feed-forward one (whose shots never do) — and pins two
+// things per cell: the results are byte-identical to the runner's
+// one-worker reference (runner.Run of the bound circuit, runner.RunSweep
+// of the skeleton), and the bookkeeping is exact: CacheHit, Batched, the
+// Binds/BindHits deltas, PooledReplicas, the compiles charged to the
+// artifact cache, and how many shots came off a tape.
 func TestExecutionMatrix(t *testing.T) {
+	const n = 5
+	t.Run("static", func(t *testing.T) { executionMatrix(t, workloads.VQEAnsatz(n, 1), n, true) })
+	t.Run("feedforward", func(t *testing.T) { executionMatrix(t, feedForwardAnsatz(n), n, false) })
+}
+
+func executionMatrix(t *testing.T, skel *circuit.Circuit, n int, static bool) {
 	const (
-		n     = 5
 		shots = 4
 		seed  = 11
 	)
-	skel := workloads.VQEAnsatz(n, 1)
 	points := make([]map[string]float64, 4)
 	for k := range points {
 		points[k] = workloads.VQEAnsatzPoint(n, 1, k)
@@ -60,10 +86,11 @@ func TestExecutionMatrix(t *testing.T) {
 		name  string
 		req   Request
 		binds uint64 // BindParams patches one pooled job performs
+		total uint64 // shots one job runs
 	}{
-		{"plain", Request{Circuit: bound}, 0},
-		{"params", Request{Circuit: skel, Params: points[0]}, 1},
-		{"sweep", Request{Circuit: skel, Sweep: points}, uint64(len(points))},
+		{"plain", Request{Circuit: bound}, 0, shots},
+		{"params", Request{Circuit: skel, Params: points[0]}, 1, shots},
+		{"sweep", Request{Circuit: skel, Sweep: points}, uint64(len(points)), uint64(len(points)) * shots},
 	}
 	steps := []struct {
 		name                    string
@@ -121,6 +148,31 @@ func TestExecutionMatrix(t *testing.T) {
 				}
 				if d := after.Cache.Misses - before.Cache.Misses; d != step.misses {
 					t.Errorf("w%d %s: artifact cache charged %d compiles, want %d", workers, cell, d, step.misses)
+				}
+
+				// The tape: every shot a replica runs is replayed, except
+				// the one it records on first meeting a program. A bind
+				// patch is the same program, a fresh compile another one:
+				// a fresh sweep records once per point; anything else once
+				// per replica that holds no tape yet — every replica that
+				// is handed a shot on a cold or fresh job, none on a warm
+				// job but those the cold job never handed one.
+				taped := after.TapedShots - before.TapedShots
+				recordedLeast, recordedMost := uint64(1), uint64(workers)
+				switch {
+				case step.fresh && kind.req.Sweep != nil:
+					recordedLeast, recordedMost = uint64(len(points)), uint64(len(points))
+				case step.warmed:
+					recordedLeast, recordedMost = 0, uint64(workers-1)
+				}
+				switch {
+				case after.TapeFallbacks != 0:
+					t.Errorf("w%d %s: %d recordings fell back", workers, cell, after.TapeFallbacks)
+				case !static && taped != 0:
+					t.Errorf("w%d %s: feed-forward job took %d shots off a tape", workers, cell, taped)
+				case static && (taped > kind.total-recordedLeast || taped < kind.total-recordedMost):
+					t.Errorf("w%d %s: %d of %d shots taped, want between %d and %d",
+						workers, cell, taped, kind.total, kind.total-recordedMost, kind.total-recordedLeast)
 				}
 			}
 			svc.Close()

@@ -170,9 +170,18 @@ type Stats struct {
 	Rejected   uint64 `json:"rejected"`
 	QueueDepth int    `json:"queue_depth"`
 	Running    int    `json:"running"`
-	// BatchedJobs counts jobs that found warm replicas for their
-	// artifact already pooled (no machine construction at all).
+	// BatchedJobs counts jobs that found pooled replicas: warm machines
+	// already loaded with their artifact, so none had to be built. The
+	// name is from "batched onto warm replicas" (JobStatus.Batched); it
+	// never meant shot lanes, and says nothing about the commit tape.
 	BatchedJobs uint64 `json:"batched_jobs"`
+	// TapedShots counts shots served off a replica's commit tape — a
+	// static program's control stack is simulated once per replica, then
+	// replayed against the backend (machine.Shot). TapeFallbacks counts
+	// recording shots whose self-check failed, after which that replica
+	// simulates the program in full; expected 0.
+	TapedShots    uint64 `json:"taped_shots"`
+	TapeFallbacks uint64 `json:"tape_fallbacks"`
 	// Binds counts BindParams patch operations performed on the cached
 	// path (one per parameter-bound job, one per sweep point); BindHits
 	// counts parameter-bound jobs whose compiled skeleton was served from
@@ -540,6 +549,8 @@ func (s *Service) worker() {
 
 		s.mu.Lock()
 		s.running--
+		s.stats.TapedShots += res.tape.Replayed
+		s.stats.TapeFallbacks += res.tape.Fallbacks
 		if err != nil {
 			s.stats.Failed++
 		} else {
@@ -842,6 +853,7 @@ type result struct {
 	set               *runner.ShotSet // plain and Params jobs
 	points            []PointStatus   // sweep jobs, in index order (complete only on success)
 	net               congestionAgg
+	tape              machine.TapeStats // what the job's shots did on its replicas' tapes
 	cacheHit, batched bool
 	mapping           []int // final qubit→controller mapping (nil = identity)
 }
@@ -915,7 +927,10 @@ func (s *Service) run(j *job, p plan) (res result, err error) {
 			j.publish(res.points[pt.Index])
 		}
 	}
+	before := tapeTotal(machines)
 	pts, err := runner.RunPoints(j.spec, machines, art, p.points, j.shots, observe)
+	after := tapeTotal(machines)
+	res.tape = machine.TapeStats{Replayed: after.Replayed - before.Replayed, Fallbacks: after.Fallbacks - before.Fallbacks}
 	if err != nil {
 		return res, err
 	}
@@ -926,6 +941,17 @@ func (s *Service) run(j *job, p plan) (res result, err error) {
 		res.set = pts[0].Set
 	}
 	return res, nil
+}
+
+// tapeTotal sums the replicas' lifetime tape counters; run reports a job's
+// share as the difference across its RunPoints call.
+func tapeTotal(machines []*machine.Machine) (sum machine.TapeStats) {
+	for _, m := range machines {
+		st := m.TapeStats()
+		sum.Replayed += st.Replayed
+		sum.Fallbacks += st.Fallbacks
+	}
+	return sum
 }
 
 // finish moves the job to its terminal state. Everything status() derives

@@ -30,10 +30,24 @@ func rowsEqual(t *testing.T, tb *Tableau, ref *RefTableau, ctx string) {
 	}
 }
 
-// stepRandom applies one random op to both tableaux and cross-checks
-// outcomes. Returns a context string describing the op for failures.
-func stepRandom(t *testing.T, rng, tbRng, refRng *rand.Rand, tb *Tableau, ref *RefTableau, n int) string {
-	t.Helper()
+// randOp is one step of the seeded Clifford+measure generator every
+// property test in this package draws from.
+type randOp struct {
+	kind, q, p int // kind 6 and 7 are measurements; p is the partner of kinds 8..10
+}
+
+func (o randOp) measure() bool { return o.kind == 6 || o.kind == 7 }
+
+func (o randOp) String() string {
+	names := [...]string{"H", "S", "Sdg", "X", "Y", "Z", "M", "M", "CNOT", "CZ", "SWAP"}
+	if o.kind >= 8 {
+		return fmt.Sprintf("%s %d %d", names[o.kind], o.q, o.p)
+	}
+	return fmt.Sprintf("%s %d", names[o.kind], o.q)
+}
+
+// randomOp draws the next op over n qubits.
+func randomOp(rng *rand.Rand, n int) randOp {
 	q := rng.Intn(n)
 	p := q
 	if n > 1 {
@@ -45,51 +59,64 @@ func stepRandom(t *testing.T, rng, tbRng, refRng *rand.Rand, tb *Tableau, ref *R
 	if n == 1 { // two-qubit cases (8..10) need a distinct partner
 		kinds = 8
 	}
-	switch rng.Intn(kinds) {
+	return randOp{kind: rng.Intn(kinds), q: q, p: p}
+}
+
+// cliffordGates is the gate set Tableau and RefTableau share.
+type cliffordGates interface {
+	H(int)
+	S(int)
+	Sdg(int)
+	X(int)
+	Y(int)
+	Z(int)
+	CNOT(int, int)
+	CZ(int, int)
+	SWAP(int, int)
+}
+
+// gate applies a non-measurement op.
+func (o randOp) gate(t cliffordGates) {
+	switch o.kind {
 	case 0:
-		tb.H(q)
-		ref.H(q)
-		return fmt.Sprintf("H %d", q)
+		t.H(o.q)
 	case 1:
-		tb.S(q)
-		ref.S(q)
-		return fmt.Sprintf("S %d", q)
+		t.S(o.q)
 	case 2:
-		tb.Sdg(q)
-		ref.Sdg(q)
-		return fmt.Sprintf("Sdg %d", q)
+		t.Sdg(o.q)
 	case 3:
-		tb.X(q)
-		ref.X(q)
-		return fmt.Sprintf("X %d", q)
+		t.X(o.q)
 	case 4:
-		tb.Y(q)
-		ref.Y(q)
-		return fmt.Sprintf("Y %d", q)
+		t.Y(o.q)
 	case 5:
-		tb.Z(q)
-		ref.Z(q)
-		return fmt.Sprintf("Z %d", q)
-	case 6, 7:
-		got := tb.MeasureZ(q, tbRng)
-		want := ref.MeasureZ(q, refRng)
-		if got != want {
-			t.Fatalf("MeasureZ(%d) = %d, ref %d", q, got, want)
-		}
-		return fmt.Sprintf("M %d", q)
+		t.Z(o.q)
 	case 8:
-		tb.CNOT(q, p)
-		ref.CNOT(q, p)
-		return fmt.Sprintf("CNOT %d %d", q, p)
+		t.CNOT(o.q, o.p)
 	case 9:
-		tb.CZ(q, p)
-		ref.CZ(q, p)
-		return fmt.Sprintf("CZ %d %d", q, p)
+		t.CZ(o.q, o.p)
+	case 10:
+		t.SWAP(o.q, o.p)
 	default:
-		tb.SWAP(q, p)
-		ref.SWAP(q, p)
-		return fmt.Sprintf("SWAP %d %d", q, p)
+		panic("gate on a measurement op")
 	}
+}
+
+// stepRandom applies one random op to both tableaux and cross-checks
+// outcomes. Returns a context string describing the op for failures.
+func stepRandom(t *testing.T, rng, tbRng, refRng *rand.Rand, tb *Tableau, ref *RefTableau, n int) string {
+	t.Helper()
+	o := randomOp(rng, n)
+	if !o.measure() {
+		o.gate(tb)
+		o.gate(ref)
+		return o.String()
+	}
+	got := tb.MeasureZ(o.q, tbRng)
+	want := ref.MeasureZ(o.q, refRng)
+	if got != want {
+		t.Fatalf("MeasureZ(%d) = %d, ref %d", o.q, got, want)
+	}
+	return o.String()
 }
 
 // TestTableauOracleRandomCircuits is the main equivalence property. Qubit

@@ -27,6 +27,7 @@ func FuzzStoreDecode(f *testing.F) {
 		MemBytes:   64,
 		Mapping:    []int{0, 1},
 		ParamSlots: []compiler.ParamSlot{{Ctrl: 0, Index: 0, Sym: "theta0"}},
+		MeasBits:   [][]int{{0}, nil, {1}},
 	})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])  // truncated mid-payload

@@ -17,14 +17,14 @@
 //
 // The payload is a fixed little-endian encoding of every Compiled field
 // (programs, symbol maps sorted by name, codeword tables, bit owners,
-// stats, mapping, param slots). Decode verifies the trailing checksum
-// before touching the payload and rejects unknown versions, so a
-// truncated, corrupted, or version-bumped file is an error — never a
-// panic, never a silently wrong artifact (FuzzStoreDecode enforces
-// this). Writes are atomic (temp file + rename into place), so a crash
-// mid-spill leaves either the old bytes or nothing. The store is
-// size-bounded: Put evicts least-recently-written files once the byte
-// budget is exceeded.
+// stats, mapping, param slots, a static program's measured-bit lists).
+// Decode verifies the trailing checksum before touching the payload and
+// rejects unknown versions, so a truncated, corrupted, or version-bumped
+// file is an error — never a panic, never a silently wrong artifact
+// (FuzzStoreDecode enforces this). Writes are atomic (temp file + rename
+// into place), so a crash mid-spill leaves either the old bytes or
+// nothing. The store is size-bounded: Put evicts least-recently-written
+// files once the byte budget is exceeded.
 package store
 
 import (
@@ -50,7 +50,7 @@ import (
 // Version is bumped whenever the payload encoding changes shape; Decode
 // rejects every other version, so a store directory can never feed a
 // differently-shaped artifact into a newer process.
-const Version = 1
+const Version = 2
 
 var magic = [8]byte{'D', 'H', 'S', 'Q', 'A', 'R', 'T', 0}
 
@@ -393,6 +393,14 @@ func Encode(cp *compiler.Compiled) []byte {
 		e.str(ps.Sym)
 	}
 
+	e.length(len(cp.MeasBits), cp.MeasBits == nil)
+	for _, bits := range cp.MeasBits {
+		e.length(len(bits), bits == nil)
+		for _, b := range bits {
+			e.i64(int64(b))
+		}
+	}
+
 	sum := sha256.Sum256(e.buf)
 	return append(e.buf, sum[:]...)
 }
@@ -576,6 +584,20 @@ func Decode(data []byte) (*compiler.Compiled, error) {
 	for i := 0; i < nSlots && d.err == nil; i++ {
 		cp.ParamSlots[i] = compiler.ParamSlot{
 			Ctrl: int(d.i64()), Index: int(d.i64()), Sym: d.str(),
+		}
+	}
+
+	nMeas := d.count(8)
+	if nMeas >= 0 {
+		cp.MeasBits = make([][]int, nMeas)
+	}
+	for i := 0; i < nMeas && d.err == nil; i++ {
+		nb := d.count(8)
+		if nb >= 0 {
+			cp.MeasBits[i] = make([]int, nb)
+		}
+		for k := 0; k < nb && d.err == nil; k++ {
+			cp.MeasBits[i][k] = int(d.i64())
 		}
 	}
 
