@@ -137,6 +137,10 @@ func TestCrashRestartStoreWarm(t *testing.T) {
 			{"theta0": 0.1, "theta1": 0.2},
 			{"theta0": 1.1, "theta1": 2.2},
 		}}},
+		// A 2-chip artifact: its teleport-correction bits sit after the
+		// public ones, so a restore that loses Compiled.PublicBits grows
+		// the histogram keys (store.Version 2 did).
+		{Bench: "dvqe", Request: service.Request{Shots: 20, Seed: 7, Chips: 2, Placement: "interaction"}},
 	}
 
 	run := func(ts *httptest.Server) []jobBody {

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dhisq/internal/core"
@@ -20,28 +21,47 @@ import (
 	"dhisq/internal/telf"
 )
 
-func main() {
-	cycles := flag.Int64("cycles", 1_000_000, "simulation deadline in cycles")
-	flag.Parse()
-	if flag.NArg() < 1 || flag.NArg() > 2 {
-		fmt.Fprintln(os.Stderr, "usage: hisq-run [-cycles N] prog0.hisq [prog1.hisq]")
-		os.Exit(2)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is the whole command; it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hisq-run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cycles := fs.Int64("cycles", 1_000_000, "simulation deadline in cycles")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil || fs.NArg() < 1 || fs.NArg() > 2 {
+		fmt.Fprintln(stderr, "usage: hisq-run [-cycles N] prog0.hisq [prog1.hisq]")
+		return 2
+	}
+	if err := simulate(fs.Args(), *cycles, stdout); err != nil {
+		fmt.Fprintln(stderr, "hisq-run:", err)
+		return 1
+	}
+	return 0
+}
+
+func simulate(paths []string, cycles int64, stdout io.Writer) error {
 	eng := sim.NewEngine()
 	log := telf.NewLog()
 	cfg := network.DefaultConfig(2)
 	cfg.MeshW, cfg.MeshH = 2, 1
 	topo, err := network.NewTopology(cfg)
-	must(err)
+	if err != nil {
+		return err
+	}
 	fab := network.NewFabric(eng, topo, log)
 
-	ctrls := make([]*core.Controller, flag.NArg())
-	for i := range ctrls {
-		src, err := os.ReadFile(flag.Arg(i))
-		must(err)
+	ctrls := make([]*core.Controller, len(paths))
+	for i, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
 		p, err := isa.Assemble(string(src))
-		must(err)
+		if err != nil {
+			return err
+		}
 		ctrls[i] = core.NewController(eng, core.Config{ID: i, Ports: 28, QueueDepth: 1024}, fab, nil, log)
 		fab.Attach(i, ctrls[i])
 		ctrls[i].Load(p)
@@ -56,26 +76,20 @@ func main() {
 	for _, c := range ctrls {
 		c.Start()
 	}
-	eng.RunUntil(*cycles)
+	eng.RunUntil(cycles)
 
-	fmt.Print(log.Text())
+	fmt.Fprint(stdout, log.Text())
 	for i, c := range ctrls {
 		status := "halted"
 		if !c.Halted() {
 			status = "running/" + c.Blocked().String()
 		}
-		fmt.Printf("# board %d: %s at pc=%d, end=%d cycles (%d ns), %d instrs, %d commits, %d violations\n",
+		fmt.Fprintf(stdout, "# board %d: %s at pc=%d, end=%d cycles (%d ns), %d instrs, %d commits, %d violations\n",
 			i, status, c.PC(), c.EndTime(), sim.Nanoseconds(c.EndTime()),
 			c.Stats.Instrs, c.Stats.Commits, c.Stats.Violations)
 		if err := c.Err(); err != nil {
-			fmt.Printf("# board %d error: %v\n", i, err)
+			fmt.Fprintf(stdout, "# board %d error: %v\n", i, err)
 		}
 	}
-}
-
-func must(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hisq-run:", err)
-		os.Exit(1)
-	}
+	return nil
 }

@@ -79,16 +79,9 @@ func AblationSyncAdvance(names []string, scaleDiv int, seed int64) ([]AblationRo
 	return rows, nil
 }
 
-// RenderAblation formats the rows.
-func RenderAblation(rows []AblationRow) string {
-	out := make([][]string, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Name,
-			fmt.Sprint(r.Advance),
-			fmt.Sprint(r.NoAdvance),
-			fmt.Sprintf("%.1f%%", 100*r.Saved),
-		})
-	}
-	return Table([]string{"benchmark", "advance(cy)", "no-advance(cy)", "saved"}, out)
+var ablationCols = []column[AblationRow]{
+	{"benchmark", func(r AblationRow) string { return r.Name }},
+	{"advance(cy)", func(r AblationRow) string { return fmt.Sprint(r.Advance) }},
+	{"no-advance(cy)", func(r AblationRow) string { return fmt.Sprint(r.NoAdvance) }},
+	{"saved", func(r AblationRow) string { return fmt.Sprintf("%.1f%%", 100*r.Saved) }},
 }

@@ -44,7 +44,7 @@ type CollectivePoint struct {
 	CollMessages  uint64  `json:"collective_messages"`
 	Speedup       float64 `json:"speedup_vs_naive"`
 	// ValuesMatch records that both runs' owned words equaled the host
-	// oracle (CheckCollective re-verifies it; a false here fails the gate).
+	// oracle (a false here fails the values_match gate).
 	ValuesMatch bool `json:"values_match"`
 }
 
@@ -80,28 +80,27 @@ func collInputs(seed int64, n, w int) [][]uint32 {
 	return in
 }
 
-// runCollCell runs one schedule of one cell on a fresh fabric and verifies
-// every owned word against the host oracle.
-func runCollCell(cfg network.Config, spec network.CollSpec, inputs [][]uint32) (*network.CollResult, error) {
+// runCollCell runs one schedule of one cell on a fresh fabric and reports
+// whether every owned word equals the host oracle.
+func runCollCell(cfg network.Config, spec network.CollSpec, inputs [][]uint32) (*network.CollResult, bool, error) {
 	topo, err := network.NewTopology(cfg)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	f := network.NewFabric(sim.NewEngine(), topo, telf.NewLog())
 	res, err := network.RunCollective(f, spec, inputs, 0)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	want := network.CollExpect(spec, inputs)
 	for r := range res.Values {
 		for _, w := range network.CollOwnedWords(spec, r) {
 			if res.Values[r][w] != want[r][w] {
-				return nil, fmt.Errorf("exp: %s/%s on %s: rank %d word %d = %#x, oracle %#x",
-					spec.Kind, spec.Schedule, cfg.Topology, r, w, res.Values[r][w], want[r][w])
+				return res, false, nil
 			}
 		}
 	}
-	return res, nil
+	return res, true, nil
 }
 
 // CollectiveSweep runs the full grid and returns one point per cell, in
@@ -167,7 +166,7 @@ func CollectiveSweep(opt CollectiveOptions) ([]CollectivePoint, error) {
 					inputs := collInputs(opt.Seed, n, width)
 
 					spec.Schedule = network.CollNaive
-					naive, err := runCollCell(cfg, spec, inputs)
+					naive, naiveOK, err := runCollCell(cfg, spec, inputs)
 					if err != nil {
 						return nil, err
 					}
@@ -176,7 +175,7 @@ func CollectiveSweep(opt CollectiveOptions) ([]CollectivePoint, error) {
 					// ring schedule rather than recursive doubling.
 					resolved := network.CollAuto.ResolveFor(tk, kind, n)
 					spec.Schedule = resolved
-					coll, err := runCollCell(cfg, spec, inputs)
+					coll, collOK, err := runCollCell(cfg, spec, inputs)
 					if err != nil {
 						return nil, err
 					}
@@ -197,7 +196,7 @@ func CollectiveSweep(opt CollectiveOptions) ([]CollectivePoint, error) {
 						NaiveMessages:     naive.Messages,
 						CollMessages:      coll.Messages,
 						Speedup:           speedup,
-						ValuesMatch:       true,
+						ValuesMatch:       naiveOK && collOK,
 					})
 				}
 			}
@@ -206,53 +205,53 @@ func CollectiveSweep(opt CollectiveOptions) ([]CollectivePoint, error) {
 	return out, nil
 }
 
-// CheckCollective enforces the sweep's CI gate: every cell's values
-// matched the oracle (both schedules), the topology-aware schedule is
-// never slower than naive in any cell, and it is strictly faster in at
-// least one torus cell and one tree cell (where the ring and subtree
-// schedules respectively have real structure to exploit).
-func CheckCollective(points []CollectivePoint) error {
-	if len(points) == 0 {
-		return fmt.Errorf("exp: empty collective sweep")
-	}
-	strictly := map[string]bool{}
+// collectiveGates holds the schedules to their contract; a strict-win
+// gate exists for a topology the sweep covered.
+//
+//   - cells: the sweep ran at least one.
+//   - values_match: every cell's owned words equaled the host oracle,
+//     under both schedules.
+//   - never_slower: the topology-aware schedule is slower than naive in no
+//     cell.
+//   - torus_strict, tree_strict: it is strictly faster in at least one
+//     torus cell and one tree cell, where the ring and subtree schedules
+//     have real structure to exploit.
+func collectiveGates(points []CollectivePoint) []Gate {
+	mismatched, slower := 0, 0
+	cells, strictly := map[string]int{}, map[string]int{}
 	for _, p := range points {
+		cells[p.Topology]++
 		if !p.ValuesMatch {
-			return fmt.Errorf("exp: %s/%s n=%d ser=%d: reduced values diverged from the oracle",
-				p.Kind, p.Topology, p.Participants, p.LinkSerialization)
+			mismatched++
 		}
 		if p.CollMakespan > p.NaiveMakespan {
-			return fmt.Errorf("exp: %s/%s n=%d ser=%d: %s schedule slower than naive (%d > %d cycles)",
-				p.Kind, p.Topology, p.Participants, p.LinkSerialization,
-				p.Schedule, p.CollMakespan, p.NaiveMakespan)
+			slower++
 		}
 		if p.CollMakespan < p.NaiveMakespan {
-			strictly[p.Topology] = true
+			strictly[p.Topology]++
 		}
 	}
-	for _, want := range []string{"torus", "tree"} {
-		if !strictly[want] {
-			return fmt.Errorf("exp: collective schedule never strictly beat naive on %s", want)
+	gates := []Gate{
+		NewGate("cells", float64(len(points)), ">=", 1),
+		NewGate("values_match", float64(mismatched), "==", 0),
+		NewGate("never_slower", float64(slower), "==", 0),
+	}
+	for _, topo := range []string{"torus", "tree"} {
+		if cells[topo] > 0 {
+			gates = append(gates, NewGate(topo+"_strict", float64(strictly[topo]), ">=", 1))
 		}
 	}
-	return nil
+	return gates
 }
 
-// RenderCollective formats the sweep as a text table.
-func RenderCollective(points []CollectivePoint) string {
-	rows := make([][]string, 0, len(points))
-	for _, p := range points {
-		rows = append(rows, []string{
-			p.Kind,
-			p.Topology,
-			fmt.Sprint(p.Participants),
-			fmt.Sprint(p.LinkSerialization),
-			p.Schedule,
-			fmt.Sprint(p.NaiveMakespan),
-			fmt.Sprint(p.CollMakespan),
-			fmt.Sprintf("%.2f", p.Speedup),
-			fmt.Sprintf("%d/%d", p.CollMessages, p.NaiveMessages),
-		})
-	}
-	return Table([]string{"kind", "topology", "parts", "ser(cy)", "schedule", "naive(cy)", "coll(cy)", "speedup", "msgs coll/naive"}, rows)
+var collectiveCols = []column[CollectivePoint]{
+	{"kind", func(p CollectivePoint) string { return p.Kind }},
+	{"topology", func(p CollectivePoint) string { return p.Topology }},
+	{"parts", func(p CollectivePoint) string { return fmt.Sprint(p.Participants) }},
+	{"ser(cy)", func(p CollectivePoint) string { return fmt.Sprint(p.LinkSerialization) }},
+	{"schedule", func(p CollectivePoint) string { return p.Schedule }},
+	{"naive(cy)", func(p CollectivePoint) string { return fmt.Sprint(p.NaiveMakespan) }},
+	{"coll(cy)", func(p CollectivePoint) string { return fmt.Sprint(p.CollMakespan) }},
+	{"speedup", func(p CollectivePoint) string { return fmt.Sprintf("%.2f", p.Speedup) }},
+	{"msgs coll/naive", func(p CollectivePoint) string { return fmt.Sprintf("%d/%d", p.CollMessages, p.NaiveMessages) }},
 }

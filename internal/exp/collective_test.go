@@ -19,9 +19,7 @@ func TestCollectiveSweepGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckCollective(points); err != nil {
-		t.Fatalf("%v\n%s", err, RenderCollective(points))
-	}
+	requirePass(t, collectiveGates(points))
 	// 3 kinds x 3 topologies x 3 participant counts x 2 bandwidths
 	// (all-reduce joined the gated defaults with the ring schedule).
 	if len(points) != 54 {
@@ -39,8 +37,9 @@ func TestCollectiveSweepRejectsInfiniteBandwidth(t *testing.T) {
 	}
 }
 
-// TestCheckCollectiveCatchesRegression pins that the gate actually bites:
-// a doctored slower-than-naive cell and a missing strict win both fail.
+// TestCheckCollectiveCatchesRegression pins that each gate bites on its
+// own clause: a doctored slower-than-naive cell, a sweep with no strict
+// win, a cell that diverged from the oracle, and an empty sweep.
 func TestCheckCollectiveCatchesRegression(t *testing.T) {
 	points, err := CollectiveSweep(CollectiveOptions{
 		Participants:   []int{9},
@@ -52,14 +51,15 @@ func TestCheckCollectiveCatchesRegression(t *testing.T) {
 	}
 	bad := append([]CollectivePoint(nil), points...)
 	bad[0].CollMakespan = bad[0].NaiveMakespan + 1
-	if err := CheckCollective(bad); err == nil {
-		t.Fatal("slower-than-naive cell passed the gate")
-	}
+	requirePass(t, collectiveGates(points))
+	requireFail(t, collectiveGates(bad), "never_slower")
 	flat := append([]CollectivePoint(nil), points...)
 	for i := range flat {
 		flat[i].CollMakespan = flat[i].NaiveMakespan
 	}
-	if err := CheckCollective(flat); err == nil {
-		t.Fatal("never-strictly-better sweep passed the gate")
-	}
+	requireFail(t, collectiveGates(flat), "torus_strict", "tree_strict")
+	wrong := append([]CollectivePoint(nil), points...)
+	wrong[1].ValuesMatch = false
+	requireFail(t, collectiveGates(wrong), "values_match")
+	requireFail(t, collectiveGates(nil), "cells")
 }

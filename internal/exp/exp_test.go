@@ -199,7 +199,7 @@ func TestAblationSyncAdvance(t *testing.T) {
 	if r.Saved <= 0 {
 		t.Fatalf("saved = %f", r.Saved)
 	}
-	if !strings.Contains(RenderAblation(rows), "qft_n30") {
+	if !strings.Contains(renderRows(rows, ablationCols), "qft_n30") {
 		t.Fatal("render")
 	}
 }
@@ -217,9 +217,7 @@ func TestFabricSweepMonotoneAndAnchored(t *testing.T) {
 	if len(points) != 27 {
 		t.Fatalf("got %d points, want 27", len(points))
 	}
-	if err := CheckFabricMonotone(points); err != nil {
-		t.Fatal(err)
-	}
+	requirePass(t, fabricGates(points))
 	// Contention must actually bite somewhere: at least one enabled point
 	// records stalls, or the sweep is measuring nothing.
 	var sawStall bool
@@ -234,8 +232,70 @@ func TestFabricSweepMonotoneAndAnchored(t *testing.T) {
 	if !sawStall {
 		t.Fatal("no point recorded any stall cycles under finite bandwidth")
 	}
-	if out := RenderFabric(points); !strings.Contains(out, "torus") {
+	if out := renderRows(points, fabricCols); !strings.Contains(out, "torus") {
 		t.Fatalf("render missing topology column:\n%s", out)
+	}
+}
+
+// TestFabricGatesCatchRegression: a stall at the contention-free anchor
+// and a stall that shrinks as bandwidth falls each turn their own gate red.
+func TestFabricGatesCatchRegression(t *testing.T) {
+	series := func(stalls ...int64) []FabricPoint {
+		out := make([]FabricPoint, len(stalls))
+		for i, s := range stalls {
+			out[i] = FabricPoint{Workload: "ghz", Topology: "mesh", LinkSerialization: int64(i), Counters: Counters{TotalStall: s}}
+		}
+		return out
+	}
+	requirePass(t, fabricGates(series(0, 5, 5, 9)))
+	requireFail(t, fabricGates(series(1, 5, 9)), "anchor_stall_free")
+	requireFail(t, fabricGates(series(0, 9, 5)), "stall_monotone")
+}
+
+// requirePass fails the test on any red gate.
+func requirePass(t *testing.T, gates []Gate) {
+	t.Helper()
+	if len(gates) == 0 {
+		t.Fatal("no gates to hold the rows to")
+	}
+	for _, g := range gates {
+		if !g.Pass {
+			t.Errorf("%v", g)
+		}
+	}
+}
+
+// requireFail requires exactly the named gates to be red.
+func requireFail(t *testing.T, gates []Gate, want ...string) {
+	t.Helper()
+	var red []string
+	for _, g := range gates {
+		if !g.Pass {
+			red = append(red, g.Name)
+		}
+	}
+	if strings.Join(red, ",") != strings.Join(want, ",") {
+		t.Errorf("red gates %v, want %v", red, want)
+	}
+}
+
+// Every experiment has a distinct name, and a gate says what it compared.
+func TestRegistryAndGateText(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Registry() {
+		if e.Name == "" || e.Run == nil || seen[e.Name] {
+			t.Fatalf("registry entry %q is empty or repeated", e.Name)
+		}
+		seen[e.Name] = true
+	}
+	g := NewGate("hotspot_stall", 9, "<=", 4)
+	if g.Pass || !strings.Contains(g.String(), "hotspot_stall") || !strings.Contains(g.String(), "9 <= 4") || !strings.Contains(g.String(), "FAIL") {
+		t.Fatalf("failing gate renders as %q", g)
+	}
+	for _, op := range []string{">=", "<=", "<", "=="} {
+		if ok := NewGate("g", 1, op, 1).Pass; ok != (op != "<") {
+			t.Errorf("1 %s 1 = %v", op, ok)
+		}
 	}
 }
 

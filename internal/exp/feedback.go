@@ -26,14 +26,10 @@ type FeedbackPoint struct {
 	Workload string `json:"workload"`
 	Qubits   int    `json:"qubits"`
 	// Phase is "cold" or "replaced".
-	Phase             string  `json:"phase"`
-	LinkSerialization int64   `json:"link_serialization_cycles"`
-	Mapping           []int   `json:"mapping"`
-	Makespan          int64   `json:"makespan_cycles"`
-	TotalStall        int64   `json:"total_stall_cycles"`
-	SyncStall         int64   `json:"sync_stall_cycles"`
-	MaxQueue          int     `json:"max_queue_depth"`
-	RouterUtilization float64 `json:"router_utilization"`
+	Phase             string `json:"phase"`
+	LinkSerialization int64  `json:"link_serialization_cycles"`
+	Mapping           []int  `json:"mapping"`
+	Counters
 	// FeedbackLinks is the number of distinct congested links the cold
 	// run attributed stall to (0 on replaced rows).
 	FeedbackLinks int `json:"feedback_links,omitempty"`
@@ -49,8 +45,8 @@ type FeedbackOptions struct {
 }
 
 // FeedbackWorkloads names the circuits the experiment runs: the hotspot
-// star (the CI-gated workload) plus qft and bv as must-not-regress
-// companions.
+// star (the workload the strict gate names) plus qft and bv as
+// must-not-regress companions.
 func FeedbackWorkloads() []string { return []string{"hotspot", "qft", "bv"} }
 
 // FeedbackSweep runs each workload twice — cold under interaction
@@ -69,15 +65,11 @@ func FeedbackSweep(opt FeedbackOptions) ([]FeedbackPoint, error) {
 	}
 	var out []FeedbackPoint
 	for _, name := range FeedbackWorkloads() {
-		c, err := placementCircuit(name, opt.Qubits)
+		c, err := sweepCircuit(name, opt.Qubits)
 		if err != nil {
 			return nil, err
 		}
-		cfg := machine.DefaultConfig(c.NumQubits)
-		cfg.Backend = machine.BackendSeeded
-		cfg.Seed = opt.Seed
-		cfg.Net.LinkSerialization = opt.LinkBW
-
+		cfg := cellConfig(c.NumQubits, opt.Seed, opt.LinkBW)
 		topo, err := network.NewTopology(cfg.Net)
 		if err != nil {
 			return nil, err
@@ -90,104 +82,74 @@ func FeedbackSweep(opt FeedbackOptions) ([]FeedbackPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-
-		run := func(mapping []int) (machine.Result, error) {
-			m, err := machine.NewForCircuit(c, cfg.Net.MeshW, cfg.Net.MeshH, cfg)
-			if err != nil {
-				return machine.Result{}, err
+		point := func(phase string, mapping []int, res machine.Result, links int) FeedbackPoint {
+			return FeedbackPoint{
+				Workload: name, Qubits: opt.Qubits, Phase: phase,
+				LinkSerialization: int64(opt.LinkBW),
+				Mapping:           append([]int(nil), mapping...),
+				Counters:          countersOf(res),
+				FeedbackLinks:     links,
 			}
-			cp, err := m.CompileFresh(c, mapping)
-			if err != nil {
-				return machine.Result{}, err
-			}
-			if err := m.Load(cp); err != nil {
-				return machine.Result{}, err
-			}
-			rs, err := m.RunShots(1)
-			if err != nil {
-				return machine.Result{}, err
-			}
-			return rs[0], nil
 		}
 
-		coldRes, err := run(cold)
+		coldRes, err := runCell(c, cold, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("exp: feedback %s cold: %w", name, err)
 		}
 		fb := machine.HarvestFeedback([]machine.Result{coldRes})
-		out = append(out, feedbackPoint(name, "cold", opt, cold, coldRes, len(fb.Links)))
+		out = append(out, point("cold", cold, coldRes, len(fb.Links)))
 
 		replaced, _, err := machine.RePlace(c, cfg, cold, fb)
 		if err != nil {
 			return nil, fmt.Errorf("exp: feedback %s re-place: %w", name, err)
 		}
-		repRes, err := run(replaced)
+		repRes, err := runCell(c, replaced, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("exp: feedback %s replaced: %w", name, err)
 		}
-		out = append(out, feedbackPoint(name, "replaced", opt, replaced, repRes, 0))
+		out = append(out, point("replaced", replaced, repRes, 0))
 	}
 	return out, nil
 }
 
-func feedbackPoint(name, phase string, opt FeedbackOptions, mapping []int, res machine.Result, links int) FeedbackPoint {
-	return FeedbackPoint{
-		Workload:          name,
-		Qubits:            opt.Qubits,
-		Phase:             phase,
-		LinkSerialization: int64(opt.LinkBW),
-		Mapping:           append([]int(nil), mapping...),
-		Makespan:          int64(res.Makespan),
-		TotalStall:        int64(res.Net.TotalStall()),
-		SyncStall:         int64(res.SyncStall),
-		MaxQueue:          res.Net.MaxQueue(),
-		RouterUtilization: res.RouterUtilization,
-		FeedbackLinks:     links,
-	}
-}
-
-// CheckFeedbackImproves verifies the experiment's headline claims: on the
-// hotspot workload the re-placed mapping must strictly reduce total stall
-// cycles below the cold interaction run, and no workload may regress
-// (RePlace's probe selection keeps the incumbent unless a candidate
-// measures strictly better, so a regression means the loop is broken).
-func CheckFeedbackImproves(points []FeedbackPoint) error {
-	rows := map[string]map[string]FeedbackPoint{}
+// feedbackGates holds re-placement to its claims.
+//
+//   - no_regression: no workload's re-placed total stall exceeds its cold
+//     interaction run (RePlace keeps the incumbent unless a candidate
+//     measures strictly better, so a regression means the loop is
+//     broken); a workload missing a phase counts against it.
+//   - hotspot_strict: on the hotspot the re-placed stall is strictly
+//     below the cold one.
+func feedbackGates(points []FeedbackPoint) []Gate {
+	byPhase := map[string]map[string]FeedbackPoint{}
 	for _, p := range points {
-		if rows[p.Workload] == nil {
-			rows[p.Workload] = map[string]FeedbackPoint{}
+		if byPhase[p.Workload] == nil {
+			byPhase[p.Workload] = map[string]FeedbackPoint{}
 		}
-		rows[p.Workload][p.Phase] = p
+		byPhase[p.Workload][p.Phase] = p
 	}
+	regressed := 0
 	for _, w := range FeedbackWorkloads() {
-		cold, okC := rows[w]["cold"]
-		rep, okR := rows[w]["replaced"]
-		if !okC || !okR {
-			return fmt.Errorf("exp: feedback: workload %q missing a phase", w)
-		}
-		if rep.TotalStall > cold.TotalStall {
-			return fmt.Errorf("exp: feedback: %s re-place regressed stalls %d -> %d", w, cold.TotalStall, rep.TotalStall)
-		}
-		if w == "hotspot" && rep.TotalStall >= cold.TotalStall {
-			return fmt.Errorf("exp: feedback: hotspot re-place did not strictly improve (stalls %d -> %d)", cold.TotalStall, rep.TotalStall)
+		cold, okC := byPhase[w]["cold"]
+		rep, okR := byPhase[w]["replaced"]
+		if !okC || !okR || rep.TotalStall > cold.TotalStall {
+			regressed++
 		}
 	}
-	return nil
+	gates := []Gate{NewGate("no_regression", float64(regressed), "==", 0)}
+	if hot := byPhase["hotspot"]; len(hot) == 2 {
+		gates = append(gates, NewGate("hotspot_strict",
+			float64(hot["replaced"].TotalStall), "<", float64(hot["cold"].TotalStall)))
+	}
+	return gates
 }
 
-// RenderFeedback formats the paired sweep as a text table.
-func RenderFeedback(points []FeedbackPoint) string {
-	rows := make([][]string, 0, len(points))
-	for _, p := range points {
-		rows = append(rows, []string{
-			p.Workload,
-			p.Phase,
-			fmt.Sprint(p.TotalStall),
-			fmt.Sprint(p.Makespan),
-			fmt.Sprint(p.SyncStall),
-			fmt.Sprint(p.MaxQueue),
-			fmt.Sprint(p.FeedbackLinks),
-		})
-	}
-	return Table([]string{"workload", "phase", "stall(cy)", "makespan(cy)", "sync(cy)", "maxq", "fb links"}, rows)
+var feedbackCols = []column[FeedbackPoint]{
+	{"workload", func(p FeedbackPoint) string { return p.Workload }},
+	{"phase", func(p FeedbackPoint) string { return p.Phase }},
+	{"stall(cy)", func(p FeedbackPoint) string { return fmt.Sprint(p.TotalStall) }},
+	{"makespan(cy)", func(p FeedbackPoint) string { return fmt.Sprint(p.Makespan) }},
+	{"sync(cy)", func(p FeedbackPoint) string { return fmt.Sprint(p.SyncStall) }},
+	{"maxq", func(p FeedbackPoint) string { return fmt.Sprint(p.MaxQueue) }},
+	{"fb links", func(p FeedbackPoint) string { return fmt.Sprint(p.FeedbackLinks) }},
 }

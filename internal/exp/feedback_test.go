@@ -32,10 +32,8 @@ func TestFeedbackSweepImproves(t *testing.T) {
 			t.Errorf("%s cold run attributed stall to no links", p.Workload)
 		}
 	}
-	if err := CheckFeedbackImproves(points); err != nil {
-		t.Fatal(err)
-	}
-	table := RenderFeedback(points)
+	requirePass(t, feedbackGates(points))
+	table := renderRows(points, feedbackCols)
 	for _, w := range FeedbackWorkloads() {
 		if !strings.Contains(table, w) {
 			t.Fatalf("rendered table is missing workload %q:\n%s", w, table)
@@ -45,28 +43,20 @@ func TestFeedbackSweepImproves(t *testing.T) {
 
 // TestCheckFeedbackImprovesCatchesRegression: doctored sweeps — a
 // stall regression anywhere, a flat hotspot, or a missing phase — must
-// all fail the check.
+// each turn their own gate red.
 func TestCheckFeedbackImprovesCatchesRegression(t *testing.T) {
 	mk := func(hotCold, hotRep, qftCold, qftRep int64) []FeedbackPoint {
 		return []FeedbackPoint{
-			{Workload: "hotspot", Phase: "cold", TotalStall: hotCold},
-			{Workload: "hotspot", Phase: "replaced", TotalStall: hotRep},
-			{Workload: "qft", Phase: "cold", TotalStall: qftCold},
-			{Workload: "qft", Phase: "replaced", TotalStall: qftRep},
-			{Workload: "bv", Phase: "cold", TotalStall: 5},
-			{Workload: "bv", Phase: "replaced", TotalStall: 5},
+			{Workload: "hotspot", Phase: "cold", Counters: Counters{TotalStall: hotCold}},
+			{Workload: "hotspot", Phase: "replaced", Counters: Counters{TotalStall: hotRep}},
+			{Workload: "qft", Phase: "cold", Counters: Counters{TotalStall: qftCold}},
+			{Workload: "qft", Phase: "replaced", Counters: Counters{TotalStall: qftRep}},
+			{Workload: "bv", Phase: "cold", Counters: Counters{TotalStall: 5}},
+			{Workload: "bv", Phase: "replaced", Counters: Counters{TotalStall: 5}},
 		}
 	}
-	if err := CheckFeedbackImproves(mk(100, 50, 40, 40)); err != nil {
-		t.Fatalf("healthy sweep rejected: %v", err)
-	}
-	if err := CheckFeedbackImproves(mk(100, 50, 40, 60)); err == nil {
-		t.Fatal("qft stall regression not caught")
-	}
-	if err := CheckFeedbackImproves(mk(100, 100, 40, 40)); err == nil {
-		t.Fatal("flat hotspot passed the strict-improvement gate")
-	}
-	if err := CheckFeedbackImproves(mk(100, 50, 40, 40)[:5]); err == nil {
-		t.Fatal("missing replaced phase not caught")
-	}
+	requirePass(t, feedbackGates(mk(100, 50, 40, 40)))
+	requireFail(t, feedbackGates(mk(100, 50, 40, 60)), "no_regression")
+	requireFail(t, feedbackGates(mk(100, 100, 40, 40)), "hotspot_strict")
+	requireFail(t, feedbackGates(mk(100, 50, 40, 40)[:5]), "no_regression")
 }

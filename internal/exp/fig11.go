@@ -286,3 +286,31 @@ func Fig11T1(points, shots int, seed int64) (Fig11T1Result, error) {
 		T1Us: efit.Tau, TrueT1Us: rig.dev.Qubit.T1ns / 1000,
 	}, nil
 }
+
+// runFig11 runs the four panels of Figure 11 at dhisq-bench's sizes and
+// prints each fit beside its true and published value.
+func runFig11(a Args) (*Report, error) {
+	circle, err := Fig11DrawCircle(64, a.Seed)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := Fig11Spectroscopy(41, 80, a.Seed)
+	if err != nil {
+		return nil, err
+	}
+	rabi, err := Fig11Rabi(33, 80, a.Seed)
+	if err != nil {
+		return nil, err
+	}
+	t1, err := Fig11T1(21, 150, a.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return &Report{Rows: []any{circle, spec, rabi, t1}, Text: fmt.Sprintf(
+		"(a) draw circle:   R=%.3f center=(%.3f,%.3f) interference RMSE=%.4f\n"+
+			"(b) spectroscopy:  f0=%.4f GHz (true %.4f, paper 4.62)\n"+
+			"(c) rabi:          pi amplitude=%.4f (true %.4f)\n"+
+			"(d) relaxation:    T1=%.2f us (true %.2f, paper 9.9)\n",
+		circle.Circle.R, circle.Circle.X0, circle.Circle.Y0, circle.RMSE,
+		spec.Fit.X0, spec.TrueF0, rabi.PiAmp, rabi.TruePi, t1.T1Us, t1.TrueT1Us)}, nil
+}

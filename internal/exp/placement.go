@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"dhisq/internal/circuit"
-	"dhisq/internal/machine"
 	"dhisq/internal/network"
 	"dhisq/internal/placement"
-	"dhisq/internal/runner"
 	"dhisq/internal/sim"
-	"dhisq/internal/workloads"
 )
 
 // The placement experiment measures what the compilation pipeline's Place
@@ -29,14 +26,10 @@ type PlacementPoint struct {
 	LinkSerialization int64 `json:"link_serialization_cycles"`
 	// MappingCost is the placer's objective: total interaction weight ×
 	// mesh distance of the mapping the artifact compiled with.
-	MappingCost       int64   `json:"mapping_cost"`
-	Makespan          int64   `json:"makespan_cycles"`
-	NetStall          int64   `json:"net_stall_cycles"`   // charged to controller traffic
-	TotalStall        int64   `json:"total_stall_cycles"` // links + router ports, all traffic
-	SyncStall         int64   `json:"sync_stall_cycles"`
-	MaxQueue          int     `json:"max_queue_depth"`
-	RouterUtilization float64 `json:"router_utilization"`
-	Misalignments     int     `json:"misalignments"`
+	MappingCost int64 `json:"mapping_cost"`
+	Counters
+	NetStall      int64 `json:"net_stall_cycles"` // charged to controller traffic
+	Misalignments int   `json:"misalignments"`
 }
 
 // PlacementOptions parameterizes the sweep. Zero values pick the defaults
@@ -50,39 +43,9 @@ type PlacementOptions struct {
 
 // PlacementSweepWorkloads names the circuits the sweep runs. hotspot is
 // the adversarial star circuit — every data qubit talks to a hub that
-// row-major order parks in the mesh corner — the workload the CI smoke
-// holds the interaction placer to.
+// row-major order parks in the mesh corner — the workload the gates hold
+// the interaction placer to.
 func PlacementSweepWorkloads() []string { return []string{"ghz", "qft", "bv", "hotspot"} }
-
-// hotspotCircuit builds the star workload: three rounds of CNOTs from
-// every data qubit into the last qubit, then full measurement.
-func hotspotCircuit(n int) *circuit.Circuit {
-	c := circuit.New(n)
-	hub := n - 1
-	for round := 0; round < 3; round++ {
-		for q := 0; q < n-1; q++ {
-			c.CNOT(q, hub)
-		}
-	}
-	for q := 0; q < n; q++ {
-		c.MeasureInto(q, q)
-	}
-	return c
-}
-
-func placementCircuit(name string, n int) (*circuit.Circuit, error) {
-	switch name {
-	case "ghz":
-		return workloads.GHZ(n), nil
-	case "qft":
-		return workloads.QFT(n), nil
-	case "bv":
-		return workloads.BV(n, workloads.AlternatingSecret), nil
-	case "hotspot":
-		return hotspotCircuit(n), nil
-	}
-	return nil, fmt.Errorf("exp: unknown placement workload %q", name)
-}
 
 // PlacementSweep runs every (workload, policy) cell on the contended mesh
 // fabric and returns the points in deterministic order.
@@ -101,26 +64,20 @@ func PlacementSweep(opt PlacementOptions) ([]PlacementPoint, error) {
 	}
 	var out []PlacementPoint
 	for _, name := range PlacementSweepWorkloads() {
+		c, err := sweepCircuit(name, opt.Qubits)
+		if err != nil {
+			return nil, err
+		}
 		for _, policy := range opt.Policies {
 			if err := placement.Valid(policy); err != nil {
 				return nil, err
 			}
-			c, err := placementCircuit(name, opt.Qubits)
-			if err != nil {
-				return nil, err
-			}
-			cfg := machine.DefaultConfig(c.NumQubits)
-			cfg.Backend = machine.BackendSeeded
-			cfg.Seed = opt.Seed
-			cfg.Net.LinkSerialization = opt.LinkBW
+			cfg := cellConfig(c.NumQubits, opt.Seed, opt.LinkBW)
 			cfg.Placement = policy
-			set, err := runner.Run(runner.Spec{
-				Circuit: c, MeshW: cfg.Net.MeshW, MeshH: cfg.Net.MeshH, Cfg: cfg,
-			}, 1, 1)
+			res, err := runCell(c, nil, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("exp: placement %s/%s: %w", name, policy, err)
 			}
-			res := set.Shots[0].Result
 			cost, err := mappingCost(c, policy, cfg.Net)
 			if err != nil {
 				return nil, err
@@ -131,12 +88,8 @@ func PlacementSweep(opt PlacementOptions) ([]PlacementPoint, error) {
 				Policy:            policy,
 				LinkSerialization: int64(opt.LinkBW),
 				MappingCost:       cost,
-				Makespan:          int64(res.Makespan),
+				Counters:          countersOf(res),
 				NetStall:          int64(res.NetStall),
-				TotalStall:        int64(res.Net.TotalStall()),
-				SyncStall:         int64(res.SyncStall),
-				MaxQueue:          res.Net.MaxQueue(),
-				RouterUtilization: res.RouterUtilization,
 				Misalignments:     res.Misalignments,
 			})
 		}
@@ -163,58 +116,53 @@ func mappingCost(c *circuit.Circuit, policy string, net network.Config) (int64, 
 	return placement.CircuitCost(c, m, topo), nil
 }
 
-// CheckPlacementImproves verifies the sweep's headline claims: on the
-// hotspot workload the interaction placer must not exceed row-major in
-// either total stall cycles or makespan, and across the sweep at least
-// one workload must show a strict improvement in one of the two. Points
-// must contain both policies for each workload (PlacementSweep order).
-func CheckPlacementImproves(points []PlacementPoint) error {
-	rows := map[string]map[string]PlacementPoint{}
+// placementGates compares the interaction placer with the row-major
+// baseline, workload by workload; a sweep without both policies has
+// nothing to compare and no gates.
+//
+//   - hotspot_stall, hotspot_makespan: on the hotspot the interaction
+//     placer exceeds row-major in neither total stall cycles nor makespan.
+//   - strict_improvement: at least one workload is strictly better in one
+//     of the two.
+func placementGates(points []PlacementPoint) []Gate {
+	byPolicy := map[string]map[string]PlacementPoint{}
 	for _, p := range points {
-		if rows[p.Workload] == nil {
-			rows[p.Workload] = map[string]PlacementPoint{}
+		if byPolicy[p.Workload] == nil {
+			byPolicy[p.Workload] = map[string]PlacementPoint{}
 		}
-		rows[p.Workload][p.Policy] = p
+		byPolicy[p.Workload][p.Policy] = p
 	}
-	strict := false
+	var gates []Gate
+	pairs, improved := 0, 0
 	for _, w := range PlacementSweepWorkloads() {
-		rm, okR := rows[w]["rowmajor"]
-		in, okI := rows[w]["interaction"]
+		rm, okR := byPolicy[w]["rowmajor"]
+		in, okI := byPolicy[w]["interaction"]
 		if !okR || !okI {
 			continue
 		}
+		pairs++
 		if w == "hotspot" {
-			if in.TotalStall > rm.TotalStall {
-				return fmt.Errorf("exp: hotspot: interaction stalls %d exceed rowmajor %d", in.TotalStall, rm.TotalStall)
-			}
-			if in.Makespan > rm.Makespan {
-				return fmt.Errorf("exp: hotspot: interaction makespan %d exceeds rowmajor %d", in.Makespan, rm.Makespan)
-			}
+			gates = append(gates,
+				NewGate("hotspot_stall", float64(in.TotalStall), "<=", float64(rm.TotalStall)),
+				NewGate("hotspot_makespan", float64(in.Makespan), "<=", float64(rm.Makespan)))
 		}
 		if in.TotalStall < rm.TotalStall || in.Makespan < rm.Makespan {
-			strict = true
+			improved++
 		}
 	}
-	if !strict {
-		return fmt.Errorf("exp: interaction placer improved no workload over rowmajor")
+	if pairs == 0 {
+		return nil
 	}
-	return nil
+	return append(gates, NewGate("strict_improvement", float64(improved), ">=", 1))
 }
 
-// RenderPlacement formats the sweep as a text table.
-func RenderPlacement(points []PlacementPoint) string {
-	rows := make([][]string, 0, len(points))
-	for _, p := range points {
-		rows = append(rows, []string{
-			p.Workload,
-			p.Policy,
-			fmt.Sprint(p.MappingCost),
-			fmt.Sprint(p.Makespan),
-			fmt.Sprint(p.TotalStall),
-			fmt.Sprint(p.SyncStall),
-			fmt.Sprint(p.MaxQueue),
-			fmt.Sprint(p.Misalignments),
-		})
-	}
-	return Table([]string{"workload", "policy", "map cost", "makespan(cy)", "stall(cy)", "sync(cy)", "maxq", "misalign"}, rows)
+var placementCols = []column[PlacementPoint]{
+	{"workload", func(p PlacementPoint) string { return p.Workload }},
+	{"policy", func(p PlacementPoint) string { return p.Policy }},
+	{"map cost", func(p PlacementPoint) string { return fmt.Sprint(p.MappingCost) }},
+	{"makespan(cy)", func(p PlacementPoint) string { return fmt.Sprint(p.Makespan) }},
+	{"stall(cy)", func(p PlacementPoint) string { return fmt.Sprint(p.TotalStall) }},
+	{"sync(cy)", func(p PlacementPoint) string { return fmt.Sprint(p.SyncStall) }},
+	{"maxq", func(p PlacementPoint) string { return fmt.Sprint(p.MaxQueue) }},
+	{"misalign", func(p PlacementPoint) string { return fmt.Sprint(p.Misalignments) }},
 }

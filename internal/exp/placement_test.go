@@ -23,9 +23,7 @@ func TestPlacementSweepImproves(t *testing.T) {
 			t.Errorf("%s/%s: serialization %d, want 4", p.Workload, p.Policy, p.LinkSerialization)
 		}
 	}
-	if err := CheckPlacementImproves(points); err != nil {
-		t.Fatal(err)
-	}
+	requirePass(t, placementGates(points))
 }
 
 // TestPlacementSweepRejectsUnknownPolicy: bad policy names fail before
@@ -37,21 +35,21 @@ func TestPlacementSweepRejectsUnknownPolicy(t *testing.T) {
 }
 
 // TestCheckPlacementImprovesCatchesRegression: a doctored sweep where the
-// interaction placer lost on the hotspot must fail the check.
+// interaction placer lost on the hotspot turns that clause's gate red, a
+// sweep with no strict win turns strict_improvement red, and a sweep
+// without both policies has no gates at all.
 func TestCheckPlacementImprovesCatchesRegression(t *testing.T) {
-	points := []PlacementPoint{
-		{Workload: "hotspot", Policy: "rowmajor", TotalStall: 10, Makespan: 100},
-		{Workload: "hotspot", Policy: "interaction", TotalStall: 50, Makespan: 100},
+	pair := func(stall, makespan int64) []PlacementPoint {
+		return []PlacementPoint{
+			{Workload: "hotspot", Policy: "rowmajor", Counters: Counters{TotalStall: 10, Makespan: 100}},
+			{Workload: "hotspot", Policy: "interaction", Counters: Counters{TotalStall: stall, Makespan: makespan}},
+		}
 	}
-	if err := CheckPlacementImproves(points); err == nil {
-		t.Fatal("regression not caught")
-	}
-	// No strict improvement anywhere is also a failure.
-	points = []PlacementPoint{
-		{Workload: "hotspot", Policy: "rowmajor", TotalStall: 10, Makespan: 100},
-		{Workload: "hotspot", Policy: "interaction", TotalStall: 10, Makespan: 100},
-	}
-	if err := CheckPlacementImproves(points); err == nil {
-		t.Fatal("no-improvement sweep passed")
+	requirePass(t, placementGates(pair(5, 100)))
+	requireFail(t, placementGates(pair(50, 90)), "hotspot_stall")
+	requireFail(t, placementGates(pair(5, 120)), "hotspot_makespan")
+	requireFail(t, placementGates(pair(10, 100)), "strict_improvement")
+	if gates := placementGates(pair(5, 100)[:1]); gates != nil {
+		t.Fatalf("a single-policy sweep has nothing to compare, got %v", gates)
 	}
 }

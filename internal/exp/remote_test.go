@@ -19,20 +19,18 @@ func TestRemoteSweepGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckRemote(points); err != nil {
-		t.Fatalf("%v\n%s", err, RenderRemote(points))
-	}
+	requirePass(t, remoteGates(points))
 	// 3 workloads x 2 chip counts x 1 latency x 2 policies.
 	if len(points) != 12 {
 		t.Fatalf("got %d points, want 12", len(points))
 	}
-	if !strings.Contains(RenderRemote(points), "dvqe") {
+	if !strings.Contains(renderRows(points, remoteCols), "dvqe") {
 		t.Fatal("rendered table lost the dvqe rows")
 	}
 }
 
-// TestCheckRemoteCatchesRegression pins that the gate bites on every
-// contract clause: a leaking single-chip cell, a pair deficit, a
+// TestCheckRemoteCatchesRegression pins that each contract clause turns
+// its own gate red: a leaking single-chip cell, a pair deficit, a
 // worse-than-rowmajor cut, and a sweep with no strict win.
 func TestCheckRemoteCatchesRegression(t *testing.T) {
 	base := []RemotePoint{
@@ -41,45 +39,33 @@ func TestCheckRemoteCatchesRegression(t *testing.T) {
 		{Workload: "w", Chips: 2, EPRLatency: 40, Policy: "rowmajor", CutGates: 4, EPRPairs: 4},
 		{Workload: "w", Chips: 2, EPRLatency: 40, Policy: "interaction", CutGates: 2, EPRPairs: 2},
 	}
-	if err := CheckRemote(base); err != nil {
-		t.Fatalf("healthy sweep rejected: %v", err)
-	}
-	if err := CheckRemote(nil); err == nil {
-		t.Fatal("empty sweep passed")
-	}
+	requirePass(t, remoteGates(base))
+	requireFail(t, remoteGates(nil), "cells", "cut_strictly_fewer")
 
 	leak := append([]RemotePoint(nil), base...)
 	leak[0].EPRPairs = 1
-	if err := CheckRemote(leak); err == nil {
-		t.Fatal("single-chip cell with EPR pairs passed")
-	}
+	requireFail(t, remoteGates(leak), "single_chip_clean")
 
 	deficit := append([]RemotePoint(nil), base...)
 	deficit[3].EPRPairs = 1
-	if err := CheckRemote(deficit); err == nil {
-		t.Fatal("pair deficit (fewer pairs than cut gates) passed")
-	}
+	requireFail(t, remoteGates(deficit), "pairs_cover_cut")
 
 	worse := append([]RemotePoint(nil), base...)
 	worse[3].CutGates, worse[3].EPRPairs = 9, 9
-	if err := CheckRemote(worse); err == nil {
-		t.Fatal("interaction worse than rowmajor passed")
-	}
+	requireFail(t, remoteGates(worse), "cut_never_worse", "cut_strictly_fewer")
 
 	flat := append([]RemotePoint(nil), base...)
 	flat[3].CutGates, flat[3].EPRPairs = 4, 4
-	if err := CheckRemote(flat); err == nil {
-		t.Fatal("never-strictly-better sweep passed")
-	}
+	requireFail(t, remoteGates(flat), "cut_strictly_fewer")
 }
 
 // TestRemoteCircuitUnknownWorkload pins the error path.
 func TestRemoteCircuitUnknownWorkload(t *testing.T) {
-	if _, err := remoteCircuit("bogus", 8); err == nil {
+	if _, err := sweepCircuit("bogus", 8); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 	for _, name := range RemoteSweepWorkloads() {
-		c, err := remoteCircuit(name, 8)
+		c, err := sweepCircuit(name, 8)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -8,8 +8,8 @@
 // dhisq-serve daemon spills every artifact it compiles, and a cold
 // process start restores them instead of recompiling — the crash/restart
 // contract is that a repeat job after restart performs zero fresh
-// compiles and returns byte-identical histograms (cmd/dhisq-serve tests
-// and the -exp serve-load gate hold it).
+// compiles and returns byte-identical histograms (TestCrashRestartStoreWarm
+// in cmd/dhisq-serve and CI's serve-cluster-smoke hold it).
 //
 // On-disk format (one file per fingerprint, named <64-hex>.art):
 //
@@ -17,7 +17,9 @@
 //
 // The payload is a fixed little-endian encoding of every Compiled field
 // (programs, symbol maps sorted by name, codeword tables, bit owners,
-// stats, mapping, param slots, a static program's measured-bit lists).
+// stats, mapping, param slots, a static program's measured-bit lists, the
+// public-bit count). TestEncodeCoversEveryField fails when Compiled or
+// compiler.Stats gains a field this encoding does not carry.
 // Decode verifies the trailing checksum before touching the payload and
 // rejects unknown versions, so a truncated, corrupted, or version-bumped
 // file is an error — never a panic, never a silently wrong artifact
@@ -50,7 +52,7 @@ import (
 // Version is bumped whenever the payload encoding changes shape; Decode
 // rejects every other version, so a store directory can never feed a
 // differently-shaped artifact into a newer process.
-const Version = 2
+const Version = 3
 
 var magic = [8]byte{'D', 'H', 'S', 'Q', 'A', 'R', 'T', 0}
 
@@ -401,6 +403,9 @@ func Encode(cp *compiler.Compiled) []byte {
 		}
 	}
 
+	e.i64(int64(cp.PublicBits))
+	e.i64(int64(cp.Stats.RemoteGates))
+
 	sum := sha256.Sum256(e.buf)
 	return append(e.buf, sum[:]...)
 }
@@ -600,6 +605,9 @@ func Decode(data []byte) (*compiler.Compiled, error) {
 			cp.MeasBits[i][k] = int(d.i64())
 		}
 	}
+
+	cp.PublicBits = int(d.i64())
+	cp.Stats.RemoteGates = int(d.i64())
 
 	if d.err != nil {
 		return nil, d.err

@@ -117,6 +117,61 @@ func TestRoundTripEdgeShapes(t *testing.T) {
 	}
 }
 
+// TestEncodeCoversEveryField is the guard that makes "add a field to
+// compiler.Compiled or compiler.Stats" impossible to do without persisting
+// it: every exported leaf reachable from Compiled is set to its own
+// non-zero value, and the disk round trip must give all of them back. A
+// field Encode forgets decodes as zero and fails here, not as a restarted
+// daemon that answers differently from the one that compiled.
+func TestEncodeCoversEveryField(t *testing.T) {
+	next := int64(0)
+	var fill func(v reflect.Value, path string)
+	fill = func(v reflect.Value, path string) {
+		next++
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if !v.Type().Field(i).IsExported() {
+					t.Fatalf("%s.%s is unexported: the store cannot persist it", path, v.Type().Field(i).Name)
+				}
+				fill(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		case reflect.Ptr:
+			v.Set(reflect.New(v.Type().Elem()))
+			fill(v.Elem(), path)
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+			fill(v.Index(0), path+"[0]")
+			fill(v.Index(1), path+"[1]")
+		case reflect.Map:
+			v.Set(reflect.MakeMap(v.Type()))
+			key, val := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			fill(key, path+"[key]")
+			fill(val, path+"[val]")
+			v.SetMapIndex(key, val)
+		case reflect.Int, reflect.Int32, reflect.Int64:
+			v.SetInt(next)
+		case reflect.Uint8:
+			v.SetUint(uint64(next%250 + 1))
+		case reflect.Float64:
+			v.SetFloat(float64(next) + 0.5)
+		case reflect.String:
+			v.SetString(fmt.Sprintf("s%d", next))
+		default:
+			t.Fatalf("%s: the test cannot fill a %s; teach it", path, v.Kind())
+		}
+	}
+	cp := &compiler.Compiled{}
+	fill(reflect.ValueOf(cp).Elem(), "Compiled")
+	got, err := store.Decode(store.Encode(cp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, cp) {
+		t.Errorf("the store drops or alters a field of the artifact — persist it in Encode/Decode and bump Version:\n got %+v\nwant %+v", got, cp)
+	}
+}
+
 // Encoding is canonical: the same artifact always produces the same
 // bytes (content addressing rewrites files in place on re-spill).
 func TestEncodeDeterministic(t *testing.T) {
