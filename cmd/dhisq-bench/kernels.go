@@ -220,8 +220,8 @@ func dvqeBenchmark() (runner.Spec, error) {
 	cfg.Chips = 2
 	cfg.Placement = "interaction"
 	cfg.Backend = machine.BackendStateVec
-	w, h := placement.AutoMesh(cfg.TotalQubits(qubits))
-	return runner.Spec{Circuit: c, MeshW: w, MeshH: h, Cfg: cfg}, nil
+	// No mesh: machine.Normalize picks the one that holds all 14 qubits.
+	return runner.Spec{Circuit: c, Cfg: cfg}, nil
 }
 
 // benchKernelsStabilizer times the column-major tableau against the
@@ -327,11 +327,18 @@ func ghzBenchmark(n int, resetFirst bool) runner.Spec {
 // best-of-rounds. Static is what the compiler said of the lowered program.
 func benchShotRow(name, backend string, spec runner.Spec, shots int) (kernelShot, error) {
 	const rounds = 3
-	machines, art, err := runner.Replicas(spec, false, nil, nil, 1)
+	m, err := machine.NewForCircuit(spec.Circuit, spec.MeshW, spec.MeshH, spec.Cfg)
 	if err != nil {
 		return kernelShot{}, err
 	}
-	m := machines[0]
+	art, err := machine.Compile(spec.Circuit, spec.Mapping, m.Cfg, false)
+	if err != nil {
+		return kernelShot{}, err
+	}
+	if err := m.Load(art); err != nil {
+		return kernelShot{}, err
+	}
+	machines := []*machine.Machine{m}
 	full := &runner.ShotSet{Shots: make([]runner.Shot, shots), NumBits: spec.Circuit.NumBits}
 	fullMs := math.MaxFloat64
 	for r := 0; r < rounds; r++ {

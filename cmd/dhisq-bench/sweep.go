@@ -9,7 +9,6 @@ import (
 	"dhisq/internal/compiler"
 	"dhisq/internal/exp"
 	"dhisq/internal/machine"
-	"dhisq/internal/placement"
 	"dhisq/internal/runner"
 	"dhisq/internal/workloads"
 )
@@ -76,9 +75,9 @@ func runSweep(a exp.Args) (*exp.Report, error) {
 		cfg.Backend = machine.BackendSeeded
 		cfg.Seed = a.Seed
 		cfg.Artifacts = artifact.New(4) // not the process-wide cache: other experiments fill that
-		meshW, meshH := placement.AutoMesh(cs.circ.NumQubits)
-		cfg.Net.MeshW, cfg.Net.MeshH = meshW, meshH
-		m, err := machine.NewForCircuit(cs.circ, meshW, meshH, cfg)
+		// Neither side builds a machine to compile: the mesh is normalized
+		// once and both compile from the config.
+		cfg, err := machine.Normalize(cs.circ, 0, 0, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +91,7 @@ func runSweep(a exp.Args) (*exp.Report, error) {
 			for k, p := range pts {
 				var bc *circuit.Circuit
 				if bc, err = cs.circ.Bind(p); err == nil {
-					full[k], err = m.CompileFresh(bc, nil)
+					full[k], err = machine.CompileUncached(bc, nil, cfg)
 				}
 				if err != nil {
 					return
@@ -104,7 +103,7 @@ func runSweep(a exp.Args) (*exp.Report, error) {
 		}
 
 		// Bind path: one structural compile, one table patch per point.
-		skel, err := m.CompileSkeleton(cs.circ, nil)
+		skel, err := machine.Compile(cs.circ, nil, cfg, true)
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +122,7 @@ func runSweep(a exp.Args) (*exp.Report, error) {
 		// End to end: the whole sweep through runner.RunSweep on a cold
 		// cache of its own, so the miss count is this sweep's compiles.
 		cfg.Artifacts = artifact.New(4)
-		spec := runner.Spec{Circuit: cs.circ, MeshW: meshW, MeshH: meshH, Cfg: cfg}
+		spec := runner.Spec{Circuit: cs.circ, MeshW: cfg.Net.MeshW, MeshH: cfg.Net.MeshH, Cfg: cfg}
 		if _, err := runner.RunSweep(spec, pts, 1, a.Workers); err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -102,14 +103,7 @@ func newCluster(list, self string, proxy bool) (*cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("-self %q: %w", self, err)
 	}
-	found := false
-	for _, m := range members {
-		if m == selfN {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !slices.Contains(members, selfN) {
 		return nil, fmt.Errorf("-self %s is not in -cluster %v", selfN, members)
 	}
 	return &cluster{
@@ -133,19 +127,6 @@ func canonicalURL(s string) (string, error) {
 	return u.Scheme + "://" + u.Host, nil
 }
 
-// owner routes a submission: the shard owning its structural key, and
-// whether that is this process. A pure local computation — every member
-// agrees without coordination because the ring is a pure function of the
-// member list and the key a pure function of the request.
-func (c *cluster) owner(req service.Request) (string, bool, error) {
-	fp, err := service.RouteKey(req)
-	if err != nil {
-		return "", false, err
-	}
-	o := c.ring.Route(fp)
-	return o, o == c.self, nil
-}
-
 // forward relays a misrouted submission to its owning shard. In redirect
 // mode the client is answered 307 with the owner's submit URL — clients
 // (Go's http.Client included) replay the POST body there, and the
@@ -162,9 +143,7 @@ func (c *cluster) forward(w http.ResponseWriter, r *http.Request, owner string, 
 	}
 	resp, err := c.client.Post(target, "application/json", bytes.NewReader(body))
 	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadGateway)
-		fmt.Fprintf(w, `{"error":%q}`, fmt.Sprintf("proxy to %s: %v", owner, err))
+		badGateway(w, owner, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -172,9 +151,7 @@ func (c *cluster) forward(w http.ResponseWriter, r *http.Request, owner string, 
 	// follow-up table can route this job's polls and streams back there.
 	respBody, err := io.ReadAll(resp.Body)
 	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadGateway)
-		fmt.Fprintf(w, `{"error":%q}`, fmt.Sprintf("proxy to %s: read response: %v", owner, err))
+		badGateway(w, owner, fmt.Errorf("read response: %w", err))
 		return
 	}
 	if resp.StatusCode == http.StatusAccepted {
@@ -195,6 +172,13 @@ func (c *cluster) forward(w http.ResponseWriter, r *http.Request, owner string, 
 	w.Write(respBody)
 }
 
+// badGateway answers 502 for a hop to owner that failed with err.
+func badGateway(w http.ResponseWriter, owner string, err error) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusBadGateway)
+	fmt.Fprintf(w, `{"error":%q}`, fmt.Sprintf("proxy to %s: %v", owner, err))
+}
+
 // proxyRead relays a job follow-up (poll, long-poll, or NDJSON stream) to
 // the shard that owns the job, flushing after every chunk so streamed
 // lines reach the client as the owner emits them, not when the response
@@ -206,16 +190,12 @@ func (c *cluster) proxyRead(w http.ResponseWriter, r *http.Request, owner string
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, target, nil)
 	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadGateway)
-		fmt.Fprintf(w, `{"error":%q}`, fmt.Sprintf("proxy to %s: %v", owner, err))
+		badGateway(w, owner, err)
 		return
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadGateway)
-		fmt.Fprintf(w, `{"error":%q}`, fmt.Sprintf("proxy to %s: %v", owner, err))
+		badGateway(w, owner, err)
 		return
 	}
 	defer resp.Body.Close()

@@ -282,14 +282,7 @@ func TestClusterRedirectRouting(t *testing.T) {
 
 	owners := make([]string, len(families))
 	for i, f := range families {
-		sreq, err := f.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp, err := service.RouteKey(sreq)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fp := routeKey(t, f)
 		owners[i] = ring.Route(fp)
 	}
 
@@ -426,14 +419,7 @@ func TestClusterProxyRouting(t *testing.T) {
 	var owner string
 	for n := 3; n <= 12; n++ {
 		f := service.Submission{QASM: ghzSized(n), Request: service.Request{Shots: 10, Seed: 7}}
-		sreq, err := f.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp, err := service.RouteKey(sreq)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fp := routeKey(t, f)
 		if o := ring.Route(fp); o != urls[0] {
 			req, owner = f, o
 			break
@@ -553,14 +539,7 @@ func TestClusterProxyOwnerDown(t *testing.T) {
 
 	for n := 3; n <= 12; n++ {
 		f := service.Submission{QASM: ghzSized(n), Request: service.Request{Shots: 5, Seed: 7}}
-		sreq, err := f.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp, err := service.RouteKey(sreq)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fp := routeKey(t, f)
 		if cl.ring.Route(fp) != dead {
 			continue
 		}
@@ -579,4 +558,19 @@ func TestClusterProxyOwnerDown(t *testing.T) {
 		return
 	}
 	t.Skip("no probed family hashed to the dead shard")
+}
+
+// routeKey is the fingerprint a -cluster handler routes sub on: the one
+// service.Resolve computes for it.
+func routeKey(t *testing.T, sub service.Submission) artifact.Fingerprint {
+	t.Helper()
+	req, err := sub.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	adm, err := service.Resolve(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return adm.Fingerprint
 }

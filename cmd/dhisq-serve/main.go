@@ -39,9 +39,9 @@
 // restart report cache_hit with zero fresh compiles.
 //
 // -cluster turns the daemon into one shard of a consistent-hash cluster:
-// jobs route by their bind-invariant structural key, so each circuit
-// family is owned by one shard whose cache, replica pool, and store stay
-// hot on it. A submission landing on a non-owner answers 307 (Location =
+// jobs route by their fingerprint — the bind-invariant structural key for
+// parameterized jobs — so each circuit family is owned by one shard whose
+// cache, replica pool, and store stay hot on it. A submission landing on a non-owner answers 307 (Location =
 // the owner's /v1/jobs, X-Dhisq-Shard = the owner's base URL) — or, with
 // -proxy, forwards server-side. Job IDs are per-shard: poll the shard
 // named by the submit response's "shard" field. In -proxy mode the entry
@@ -102,29 +102,17 @@ func main() {
 	proxyMode := flag.Bool("proxy", false, "forward misrouted submissions to their owner server-side instead of 307-redirecting")
 	flag.Parse()
 
-	if err := placement.Valid(*placePolicy); err != nil {
-		fmt.Fprintln(os.Stderr, "dhisq-serve:", err)
-		os.Exit(2)
-	}
-	if err := compiler.ValidSchedule(*schedPolicy); err != nil {
-		fmt.Fprintln(os.Stderr, "dhisq-serve:", err)
-		os.Exit(2)
-	}
+	exitOn(2, placement.Valid(*placePolicy))
+	exitOn(2, compiler.ValidSchedule(*schedPolicy))
 	artifact.Shared.Resize(*cacheCap)
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, *storeMax)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dhisq-serve:", err)
-			os.Exit(2)
-		}
+		exitOn(2, err)
 		artifact.Shared.SetStore(st)
 		fmt.Printf("dhisq-serve: artifact store %s (%d artifacts on disk)\n", st.Dir(), st.Len())
 	}
 	cl, err := newCluster(*clusterList, *selfURL, *proxyMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dhisq-serve:", err)
-		os.Exit(2)
-	}
+	exitOn(2, err)
 	svc := service.New(service.Config{
 		Workers: *workers, QueueDepth: *queue,
 		ShotWorkers: *shotWorkers, Seed: *seed,
@@ -151,12 +139,19 @@ func main() {
 
 	fmt.Printf("dhisq-serve: listening on %s (queue %d, cache %d artifacts)\n",
 		*addr, *queue, *cacheCap)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "dhisq-serve:", err)
-		os.Exit(1)
+	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		exitOn(1, err)
 	}
 	<-drained
 	svc.Close()
+}
+
+// exitOn reports a fatal start-up error and exits with code; nil is a no-op.
+func exitOn(code int, err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dhisq-serve:", err)
+		os.Exit(code)
+	}
 }
 
 // newServer is the daemon's http.Server. A client gets ten seconds to
@@ -233,21 +228,24 @@ func newClusterHandler(svc *service.Service, defaultPlacement, defaultSchedule s
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
+		// Resolved once: the admission that is validated here is what the
+		// ring routes on and what the service enqueues.
+		adm, err := service.Resolve(sreq)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
 		shard := ""
 		if cl != nil {
-			owner, local, routeErr := cl.owner(sreq)
-			if routeErr != nil {
-				writeErr(w, http.StatusBadRequest, routeErr)
+			// Every member agrees without talking: the ring is a function of
+			// the member list, the fingerprint of the request.
+			if shard = cl.ring.Route(adm.Fingerprint); shard != cl.self {
+				cl.forward(w, r, shard, body)
 				return
 			}
-			if !local {
-				cl.forward(w, r, owner, body)
-				return
-			}
-			shard = owner
-			w.Header().Set("X-Dhisq-Shard", owner)
+			w.Header().Set("X-Dhisq-Shard", shard)
 		}
-		id, err := svc.Submit(sreq)
+		id, err := svc.Enqueue(adm)
 		switch {
 		case errors.Is(err, service.ErrQueueFull):
 			writeErr(w, http.StatusTooManyRequests, err)

@@ -32,14 +32,7 @@ func TestClusterProxyFollowUp(t *testing.T) {
 	var owner string
 	for n := 3; n <= 8; n++ {
 		f := service.Submission{QASM: ghzSized(n), Request: service.Request{Shots: 10, Seed: 7}}
-		sreq, err := f.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp, err := service.RouteKey(sreq)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fp := routeKey(t, f)
 		if o := ring.Route(fp); o != urls[0] {
 			req, owner = f, o
 			break

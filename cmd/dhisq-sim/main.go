@@ -41,7 +41,6 @@ import (
 	"strings"
 	"time"
 
-	"dhisq/internal/network"
 	"dhisq/internal/runner"
 	"dhisq/internal/service"
 	"dhisq/internal/sim"
@@ -114,38 +113,38 @@ func main() {
 // service's own admission (service.Resolve — the checks, mesh and machine
 // config a daemon would give it) and runs on the shot runner directly.
 func runLocal(sub service.Submission, workers int) (runner.Spec, *runner.ShotSet, error) {
-	req, spec, err := resolve(sub)
+	adm, err := resolve(sub)
 	if err != nil {
 		return runner.Spec{}, nil, err
 	}
-	if req.Params != nil {
-		if spec.Circuit, err = spec.Circuit.Bind(req.Params); err != nil {
+	spec := adm.Spec
+	if adm.Req.Params != nil {
+		if spec.Circuit, err = spec.Circuit.Bind(adm.Req.Params); err != nil {
 			return runner.Spec{}, nil, err
 		}
 	}
-	set, err := runner.Run(spec, req.Shots, workers)
+	set, err := runner.Run(spec, adm.Req.Shots, workers)
 	return spec, set, err
 }
 
 // resolve is the admission both modes run before anything else happens:
 // build the circuit, then service.Resolve — the daemon's own checks.
-func resolve(sub service.Submission) (service.Request, runner.Spec, error) {
+func resolve(sub service.Submission) (service.Admission, error) {
 	req, err := sub.Build()
 	if err != nil {
-		return req, runner.Spec{}, err
+		return service.Admission{}, err
 	}
-	spec, err := service.Resolve(req)
-	return req, spec, err
+	return service.Resolve(req)
 }
 
 // printRun reports a local run and whether its timing invariants held.
 func printRun(spec runner.Spec, set *runner.ShotSet, elapsed time.Duration) bool {
 	c, cfg := spec.Circuit, spec.Cfg
-	topo, err := network.NewTopology(cfg.Net)
+	n, root, err := cfg.Net.Shape()
 	must(err)
 	res := set.Shots[0].Result
 	st := c.CountStats()
-	fmt.Printf("qubits:        %d (%s %dx%d, %d routers)\n", c.NumQubits, cfg.Net.Topology, spec.MeshW, spec.MeshH, topo.NumRouters)
+	fmt.Printf("qubits:        %d (%s %dx%d, %d routers)\n", c.NumQubits, cfg.Net.Topology, spec.MeshW, spec.MeshH, root-n+1)
 	fmt.Printf("circuit:       %d 1q, %d 2q, %d measurements, %d feed-forward ops\n",
 		st.OneQubit, st.TwoQubit, st.Measurements, st.Feedforward)
 	fmt.Printf("makespan:      %d cycles (%d ns)\n", res.Makespan, sim.Nanoseconds(res.Makespan))
@@ -232,7 +231,7 @@ func parseBind(s string) (map[string]float64, error) {
 // with the daemon's own message instead of round-tripping for it.
 func submitRemote(base string, sub service.Submission) (service.JobStatus, error) {
 	var job service.JobStatus
-	if _, _, err := resolve(sub); err != nil {
+	if _, err := resolve(sub); err != nil {
 		return job, err
 	}
 	payload, err := json.Marshal(sub)

@@ -189,7 +189,7 @@ func TestLocalMatchesServe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp, err := m.Compile(spec.Circuit, spec.Mapping)
+		cp, err := machine.Compile(spec.Circuit, spec.Mapping, m.Cfg, false)
 		if err != nil {
 			t.Fatal(err)
 		}

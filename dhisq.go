@@ -224,11 +224,10 @@ func SamplePlaced(c *Circuit, shots int, seed int64, policy string) (Histogram, 
 	if err := placement.Valid(policy); err != nil {
 		return nil, err
 	}
-	meshW, meshH := placement.AutoMesh(c.NumQubits)
 	cfg := machine.DefaultConfig(c.NumQubits)
 	cfg.Seed = seed
 	cfg.Placement = policy
-	set, err := RunShots(c, meshW, meshH, nil, cfg, shots, 0)
+	set, err := RunShots(c, 0, 0, nil, cfg, shots, 0) // 0x0: the default near-square mesh
 	if err != nil {
 		return nil, err
 	}

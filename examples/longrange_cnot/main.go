@@ -35,11 +35,7 @@ func run(dist int) (dynamic, swapped int64) {
 		log.Fatalf("co-commitment broken at distance %d", dist)
 	}
 	// Verify the CNOT fired: bit 0 lives at address 0 of its owner.
-	cp, err := m.Compile(phys, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	owner := cp.BitOwner[0]
+	owner := m.Loaded().BitOwner[0]
 	if m.Ctrls[owner].ReadMem(0, 1)[0]&1 != 1 {
 		log.Fatalf("distance %d: target did not flip", dist)
 	}

@@ -15,9 +15,11 @@
 // The cache is LRU-bounded and safe for concurrent use. GetOrCompile
 // deduplicates concurrent compilations of the same fingerprint
 // (singleflight): one caller compiles, the rest wait and share the
-// result. machine.Compile routes through the process-wide
-// Shared cache, which puts every entry point — the facade's Run/RunShots/
-// Sample, internal/runner, internal/service, and the CLIs — behind it.
+// result. machine.Compile routes through the process-wide Shared cache
+// unless the config names another, which puts every entry point — the
+// facade's Run/RunShots/Sample, internal/runner and the CLIs — behind it;
+// internal/service calls GetOrCompile itself, under the fingerprint it
+// computed at admission.
 package artifact
 
 import (
@@ -64,8 +66,9 @@ func (f Fingerprint) Short() string { return hex.EncodeToString(f[:6]) }
 // different chip configurations must never alias (and replica pools keyed
 // on the fingerprint stay chip-homogeneous). v8: the AdvanceBooking option
 // is gone — Schedule "padded" always named the same thing — and its word
-// left the encoding.
-const keyVersion = 8
+// left the encoding. v9: PipeGuard became a compiler constant (nothing ever
+// set another value) and its word left the encoding too.
+const keyVersion = 9
 
 // Key fingerprints a compilation request. Two requests share a key iff
 // the compiler is guaranteed to produce identical output for both: the
@@ -74,21 +77,12 @@ const keyVersion = 8
 // all hashed. A nil mapping hashes differently from an explicit identity
 // mapping — the artifacts would be identical, but treating them as
 // distinct keys costs one extra compile, never a wrong program.
-func Key(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Options) Fingerprint {
-	return key(c, mapping, net, opt, false)
-}
-
-// StructuralKey fingerprints the bind-invariant shape of a compilation
-// request: identical to Key except that the Param of every symbolic op is
-// elided, so all bindings of one skeleton — and the skeleton itself —
-// share the fingerprint. It is the cache key of machine.CompileSkeleton:
-// a 1000-point parameter sweep compiles exactly once under it. A
-// structural marker word keeps it from ever colliding with a full Key.
-func StructuralKey(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Options) Fingerprint {
-	return key(c, mapping, net, opt, true)
-}
-
-func key(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Options, structural bool) Fingerprint {
+//
+// structural selects the bind-invariant kind: the Param of every symbolic
+// op is elided, so all bindings of one skeleton — and the skeleton itself —
+// share the fingerprint, and a 1000-point parameter sweep compiles exactly
+// once under it. A marker word keeps the two kinds from ever colliding.
+func Key(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Options, structural bool) Fingerprint {
 	// Encode into one buffer and hash once: Key sits on the admission
 	// path of every submission, and per-field hasher writes cost more
 	// than the SHA itself on op-heavy circuits. ~8 words per op is a
@@ -179,7 +173,6 @@ func key(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Opt
 	wi(int64(opt.Root))
 	wi(int64(opt.Controllers))
 	wb(opt.InitialBarrier)
-	wi(opt.PipeGuard)
 	// Placement policy: length-prefixed name bytes. "" and "identity"
 	// resolve to the same pass behavior but hash differently — one
 	// redundant compile at most, never an aliased artifact.
@@ -265,7 +258,8 @@ type flight struct {
 // container memory.
 const DefaultCapacity = 128
 
-// Shared is the process-wide artifact cache that machine.Compile consults.
+// Shared is the process-wide artifact cache machine.Compile consults when
+// the config names no other.
 var Shared = New(DefaultCapacity)
 
 // New returns a cache bounded to capacity entries (capacity < 1 is
@@ -345,6 +339,11 @@ func (c *Cache) put(fp Fingerprint, cp *compiler.Compiled) {
 		return
 	}
 	c.entries[fp] = c.order.PushFront(&entry{fp: fp, cp: cp})
+	c.evict()
+}
+
+// evict drops least recently used entries down to capacity, with c.mu held.
+func (c *Cache) evict() {
 	for c.order.Len() > c.capacity {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
@@ -447,12 +446,7 @@ func (c *Cache) Resize(capacity int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.capacity = capacity
-	for c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*entry).fp)
-		c.stats.Evictions++
-	}
+	c.evict()
 }
 
 // Clear drops every entry and zeroes the counters (tests and benchmarks

@@ -40,8 +40,8 @@ func testSpec(seed int64) runner.Spec {
 func TestKeyDeterministic(t *testing.T) {
 	s := testSpec(1)
 	opt := compiler.DefaultOptions(0, 4)
-	a := artifact.Key(s.Circuit, nil, s.Cfg.Net, opt)
-	b := artifact.Key(ghz(4), nil, s.Cfg.Net, opt)
+	a := artifact.Key(s.Circuit, nil, s.Cfg.Net, opt, false)
+	b := artifact.Key(ghz(4), nil, s.Cfg.Net, opt, false)
 	if a != b {
 		t.Fatalf("identical inputs fingerprint differently: %s vs %s", a, b)
 	}
@@ -52,7 +52,7 @@ func TestKeyDeterministic(t *testing.T) {
 func TestKeyDiscriminates(t *testing.T) {
 	base := testSpec(1)
 	opt := compiler.DefaultOptions(0, 4)
-	ref := artifact.Key(base.Circuit, nil, base.Cfg.Net, opt)
+	ref := artifact.Key(base.Circuit, nil, base.Cfg.Net, opt, false)
 
 	seen := map[artifact.Fingerprint]string{ref: "base"}
 	check := func(name string, fp artifact.Fingerprint) {
@@ -65,18 +65,18 @@ func TestKeyDiscriminates(t *testing.T) {
 
 	other := ghz(4)
 	other.H(3)
-	check("extra gate", artifact.Key(other, nil, base.Cfg.Net, opt))
+	check("extra gate", artifact.Key(other, nil, base.Cfg.Net, opt, false))
 
 	check("explicit identity mapping",
-		artifact.Key(base.Circuit, []int{0, 1, 2, 3}, base.Cfg.Net, opt))
+		artifact.Key(base.Circuit, []int{0, 1, 2, 3}, base.Cfg.Net, opt, false))
 	check("permuted mapping",
-		artifact.Key(base.Circuit, []int{1, 0, 2, 3}, base.Cfg.Net, opt))
+		artifact.Key(base.Circuit, []int{1, 0, 2, 3}, base.Cfg.Net, opt, false))
 }
 
 // TestKeyCoversEveryOption is the guard that makes "add a compiler.Options
 // or network.Config field" impossible to do without hashing it: every leaf
 // field of both structs (recursing into Durations) is perturbed in turn, and
-// Key and StructuralKey must both move. A field that really must not be
+// both kinds of Key (full and structural) must move. A field that really must not be
 // hashed goes on the exempt list with its reason.
 func TestKeyCoversEveryOption(t *testing.T) {
 	exempt := map[string]string{} // "Options.Field" -> why it is not hashed
@@ -86,8 +86,8 @@ func TestKeyCoversEveryOption(t *testing.T) {
 	net := base.Cfg.Net
 	keys := func() [2]artifact.Fingerprint {
 		return [2]artifact.Fingerprint{
-			artifact.Key(base.Circuit, nil, net, opt),
-			artifact.StructuralKey(base.Circuit, nil, net, opt),
+			artifact.Key(base.Circuit, nil, net, opt, false),
+			artifact.Key(base.Circuit, nil, net, opt, true),
 		}
 	}
 	ref := keys()
@@ -119,10 +119,10 @@ func TestKeyCoversEveryOption(t *testing.T) {
 			return
 		}
 		if got[0] == ref[0] {
-			t.Errorf("%s does not reach Key: hash it in artifact.key (and bump keyVersion), or exempt it with a reason", path)
+			t.Errorf("%s does not reach Key: hash it in artifact.Key (and bump keyVersion), or exempt it with a reason", path)
 		}
 		if got[1] == ref[1] {
-			t.Errorf("%s does not reach StructuralKey", path)
+			t.Errorf("%s does not reach the structural Key", path)
 		}
 	}
 	walk(reflect.ValueOf(&opt).Elem(), "Options")
@@ -137,7 +137,7 @@ func TestCacheHitSkipsCompile(t *testing.T) {
 	cache := artifact.New(8)
 	s := testSpec(1)
 	opt := compiler.DefaultOptions(0, 4)
-	fp := artifact.Key(s.Circuit, nil, s.Cfg.Net, opt)
+	fp := artifact.Key(s.Circuit, nil, s.Cfg.Net, opt, false)
 
 	var compiles atomic.Int64
 	compile := func() (*compiler.Compiled, error) {
@@ -146,7 +146,7 @@ func TestCacheHitSkipsCompile(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return m.CompileFresh(s.Circuit, nil)
+		return machine.CompileUncached(s.Circuit, nil, m.Cfg)
 	}
 
 	first, hit, err := cache.GetOrCompile(fp, compile)
@@ -179,13 +179,13 @@ func TestDistinctSpecsMiss(t *testing.T) {
 		t.Helper()
 		cfg := s.Cfg
 		cfg.Net.MeshW, cfg.Net.MeshH = meshW, meshH
-		fp := artifact.Key(s.Circuit, nil, cfg.Net, opt)
+		fp := artifact.Key(s.Circuit, nil, cfg.Net, opt, false)
 		_, _, err := cache.GetOrCompile(fp, func() (*compiler.Compiled, error) {
 			m, err := machine.NewForCircuit(s.Circuit, meshW, meshH, s.Cfg)
 			if err != nil {
 				return nil, err
 			}
-			return m.CompileFresh(s.Circuit, nil)
+			return machine.CompileUncached(s.Circuit, nil, m.Cfg)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -257,15 +257,15 @@ func TestCachedMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := m.CompileFresh(s.Circuit, nil)
+	fresh, err := machine.CompileUncached(s.Circuit, nil, m.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := m.Compile(s.Circuit, nil) // populates the shared cache
+	cached, err := machine.Compile(s.Circuit, nil, m.Cfg, false) // populates the shared cache
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := m.Compile(s.Circuit, nil) // must be served from it
+	again, err := machine.Compile(s.Circuit, nil, m.Cfg, false) // must be served from it
 	if err != nil {
 		t.Fatal(err)
 	}

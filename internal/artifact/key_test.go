@@ -22,14 +22,14 @@ func TestKeyCanonicalizesSignedZero(t *testing.T) {
 	net, opt := keyEnv(1)
 	pos := circuit.New(1).RZGate(0, 0.0)
 	neg := circuit.New(1).RZGate(0, math.Copysign(0, -1))
-	if Key(pos, nil, net, opt) != Key(neg, nil, net, opt) {
+	if Key(pos, nil, net, opt, false) != Key(neg, nil, net, opt, false) {
 		t.Fatal("-0.0 and +0.0 angles fingerprint differently despite identical programs")
 	}
-	if StructuralKey(pos, nil, net, opt) != StructuralKey(neg, nil, net, opt) {
+	if Key(pos, nil, net, opt, true) != Key(neg, nil, net, opt, true) {
 		t.Fatal("-0.0 and +0.0 angles structurally distinct")
 	}
 	other := circuit.New(1).RZGate(0, 1e-300)
-	if Key(pos, nil, net, opt) == Key(other, nil, net, opt) {
+	if Key(pos, nil, net, opt, false) == Key(other, nil, net, opt, false) {
 		t.Fatal("tiny nonzero angle collides with zero")
 	}
 }
@@ -46,19 +46,19 @@ func TestStructuralKeySharedAcrossBindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk := StructuralKey(skel, nil, net, opt)
-	if StructuralKey(b1, nil, net, opt) != sk || StructuralKey(b2, nil, net, opt) != sk {
+	sk := Key(skel, nil, net, opt, true)
+	if Key(b1, nil, net, opt, true) != sk || Key(b2, nil, net, opt, true) != sk {
 		t.Fatal("bindings do not share the skeleton's structural key")
 	}
-	if Key(b1, nil, net, opt) == Key(b2, nil, net, opt) {
+	if Key(b1, nil, net, opt, false) == Key(b2, nil, net, opt, false) {
 		t.Fatal("different bindings share a full key")
 	}
-	if Key(skel, nil, net, opt) == sk {
+	if Key(skel, nil, net, opt, false) == sk {
 		t.Fatal("structural key collides with the full key of the same circuit")
 	}
 	// Concrete circuits also get a stable, distinct structural key.
 	conc := circuit.New(1).RZGate(0, 0.5)
-	if StructuralKey(conc, nil, net, opt) == Key(conc, nil, net, opt) {
+	if Key(conc, nil, net, opt, true) == Key(conc, nil, net, opt, false) {
 		t.Fatal("concrete structural key collides with full key")
 	}
 }
@@ -71,15 +71,15 @@ func TestKeySeparatesSymbolNames(t *testing.T) {
 		return c
 	}
 	a, b := mk("alpha"), mk("beta")
-	if Key(a, nil, net, opt) == Key(b, nil, net, opt) {
+	if Key(a, nil, net, opt, false) == Key(b, nil, net, opt, false) {
 		t.Fatal("different symbol names share a full key")
 	}
-	if StructuralKey(a, nil, net, opt) == StructuralKey(b, nil, net, opt) {
+	if Key(a, nil, net, opt, true) == Key(b, nil, net, opt, true) {
 		t.Fatal("different symbol names share a structural key")
 	}
 	// A symbolic op and a concrete op never alias, even at equal Params.
 	conc := circuit.New(1).RZGate(0, 0)
-	if Key(a, nil, net, opt) == Key(conc, nil, net, opt) {
+	if Key(a, nil, net, opt, false) == Key(conc, nil, net, opt, false) {
 		t.Fatal("symbolic op aliases concrete op")
 	}
 }

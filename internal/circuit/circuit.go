@@ -219,7 +219,7 @@ func (c *Circuit) Params() []string {
 
 // UnboundParams returns the sorted set of symbolic parameters still
 // awaiting a Bind. A circuit with unbound parameters is a skeleton: it can
-// be compiled structurally (machine.CompileSkeleton) but not simulated or
+// be compiled structurally (machine.Compile, structural) but not simulated or
 // run directly.
 func (c *Circuit) UnboundParams() []string {
 	return c.collectSyms(Op.Symbolic)

@@ -45,7 +45,9 @@ import (
 	"dhisq/internal/sim"
 )
 
-// Windows supplies the calibrated BISP windows; *network.Fabric implements it.
+// Windows supplies the calibrated BISP windows. *network.Topology implements
+// it (the windows are pure functions of the topology), and *network.Fabric
+// by delegating to its topology.
 type Windows interface {
 	NearbyWindow(src, dst int) sim.Time
 	RegionWindow(src, router int) sim.Time
@@ -60,9 +62,6 @@ type Options struct {
 	// InitialBarrier emits a program-start region sync, the per-repetition
 	// global synchronization of §2.1.4.
 	InitialBarrier bool
-	// PipeGuard is the margin (cycles) added when padding the timing point
-	// past the classical pipeline to guarantee violation-free commits.
-	PipeGuard int64
 	// Placement names the placement policy the Place pass applies when no
 	// explicit mapping is given ("" = "identity", the legacy behavior).
 	// Part of the artifact fingerprint: two policies never share a cache
@@ -107,9 +106,12 @@ func DefaultOptions(root, controllers int) Options {
 		Root:           root,
 		Controllers:    controllers,
 		InitialBarrier: true,
-		PipeGuard:      6,
 	}
 }
+
+// pipeGuard is the margin (cycles) added when padding the timing point past
+// the classical pipeline to guarantee violation-free commits.
+const pipeGuard = 6
 
 // ParamSlot locates one bindable angle inside a compiled artifact: the
 // codeword-table row (Ctrl, Index) whose Param holds the value of symbolic
@@ -320,7 +322,7 @@ func cwTrigger(idx int, port uint8) []isa.Instr {
 // guard pads the timing point so the next commit cannot trail the classical
 // pipeline (commit time >= pipeline time, no TELF violations). extraInstrs
 // accounts for instructions that will execute before the commit.
-func (s *stream) guard(pipeGuard, extraInstrs int64) {
+func (s *stream) guard(extraInstrs int64) {
 	need := s.instrSum + extraInstrs + pipeGuard - s.waitSum
 	if need > 0 {
 		s.wait(need)

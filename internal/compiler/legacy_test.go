@@ -47,9 +47,6 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 	if opt.Controllers <= 0 {
 		return nil, fmt.Errorf("compiler: no controllers")
 	}
-	if opt.PipeGuard <= 0 {
-		opt.PipeGuard = 6
-	}
 	ctrlOf := func(q int) int {
 		if mapping == nil {
 			return q
@@ -99,7 +96,7 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 			q := op.Qubits[0]
 			s := streams[ctrlOf(q)]
 			entry := chip.TableEntry{Role: chip.RoleMeasure, Kind: circuit.Measure, Qubit: q, Channel: 0}
-			s.guard(opt.PipeGuard, 1)
+			s.guard(1)
 			s.push(unit{ins: s.cwInstrs(entry), det: true})
 			// Fetch the result (pipeline blocks until MeasLatency elapses,
 			// which re-anchors the timing point past the window) and store
@@ -166,9 +163,9 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 			entry := tableEntryFor(op, q, ctrlOf)
 			// The in-branch guard wait covers every instruction that can
 			// retire between the last pipeline anchor and the commit.
-			guardAmt := opt.PipeGuard + s.instrSum + int64(len(ins)) + 8
+			guardAmt := pipeGuard + s.instrSum + int64(len(ins)) + 8
 			if anchored {
-				guardAmt = opt.PipeGuard + int64(len(ins)) + 8
+				guardAmt = pipeGuard + int64(len(ins)) + 8
 			}
 			body := waitInstrs(guardAmt)
 			body = append(body, s.cwInstrs(entry)...)
@@ -191,7 +188,7 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 			if ca == cb {
 				// Both halves on one node commit at the same timing point.
 				s := streams[ca]
-				s.guard(opt.PipeGuard, 2)
+				s.guard(2)
 				ins := append(s.cwInstrs(ctrlEntry), s.cwInstrs(partEntry)...)
 				s.push(unit{ins: ins, det: true})
 				s.wait(d.TwoQubit)
@@ -201,8 +198,8 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 			n := fab.NearbyWindow(ca, cb)
 			// Guards first so the sync window measured backwards from the
 			// commit point is identical (= n) on both sides.
-			sa.guard(opt.PipeGuard, 1)
-			sb.guard(opt.PipeGuard, 1)
+			sa.guard(1)
+			sb.guard(1)
 			sa.insertSyncBack(cb, n, advance)
 			sb.insertSyncBack(ca, n, advance)
 			st.NearbySyncs += 2
@@ -218,7 +215,7 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 			q := op.Qubits[0]
 			s := streams[ctrlOf(q)]
 			entry := tableEntryFor(op, q, ctrlOf)
-			s.guard(opt.PipeGuard, 1)
+			s.guard(1)
 			s.push(unit{ins: s.cwInstrs(entry), det: true})
 			s.wait(gateDur(op, d))
 		}

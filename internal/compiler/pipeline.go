@@ -66,8 +66,6 @@ func NewPipeline() *Pipeline {
 }
 
 // Run executes the passes in order and returns the assembled artifact.
-// Option normalization (the PipeGuard default the monolithic compiler
-// applied) happens once, up front, so every pass sees the same values.
 func (p *Pipeline) Run(st *State) (*Compiled, error) {
 	if st.Circuit == nil {
 		return nil, fmt.Errorf("compiler: nil circuit")
@@ -78,9 +76,6 @@ func (p *Pipeline) Run(st *State) (*Compiled, error) {
 	// pre-pipeline compiler did, not panic inside a policy.
 	if err := st.Circuit.Validate(); err != nil {
 		return nil, err
-	}
-	if st.Opt.PipeGuard <= 0 {
-		st.Opt.PipeGuard = 6
 	}
 	for _, pass := range p.Passes {
 		if err := pass.Run(st); err != nil {

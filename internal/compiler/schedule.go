@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dhisq/internal/isa"
+	"dhisq/internal/registry"
 )
 
 // Schedule resolves each controller's directive stream into a timed unit
@@ -57,27 +58,13 @@ const DefaultSchedule = "fixed"
 var schedulePolicies = []SchedulePolicy{fixedPolicy{}, paddedPolicy{}}
 
 // ScheduleNames lists the registered scheduling policies in stable order.
-func ScheduleNames() []string {
-	out := make([]string, len(schedulePolicies))
-	for i, p := range schedulePolicies {
-		out[i] = p.Name()
-	}
-	return out
-}
+func ScheduleNames() []string { return registry.Names(schedulePolicies, SchedulePolicy.Name) }
 
 // GetSchedule resolves a scheduling policy by name ("" = DefaultSchedule).
 // Unknown names error with the valid set, so CLI and API validation share
 // one message.
 func GetSchedule(name string) (SchedulePolicy, error) {
-	if name == "" {
-		name = DefaultSchedule
-	}
-	for _, p := range schedulePolicies {
-		if p.Name() == name {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("compiler: unknown schedule policy %q (want %v)", name, ScheduleNames())
+	return registry.Lookup("schedule policy", name, DefaultSchedule, schedulePolicies, SchedulePolicy.Name)
 }
 
 // ValidSchedule reports whether name resolves to a registered scheduling
@@ -119,7 +106,6 @@ func (paddedPolicy) Run(st *State) error {
 // controller, with advance deciding whether sync bookings slide backwards
 // (Fig. 6) or pad in place.
 func replayStreams(st *State, advance bool) error {
-	opt := st.Opt
 	st.scheduled = make([]*stream, len(st.lowered))
 	for i, l := range st.lowered {
 		s := &stream{id: l.id}
@@ -130,13 +116,13 @@ func replayStreams(st *State, advance bool) error {
 			case dWait:
 				s.wait(d.amt)
 			case dGuard:
-				s.guard(opt.PipeGuard, d.amt)
+				s.guard(d.amt)
 			case dAnchor:
 				s.anchor()
 			case dSync:
 				s.insertSyncBack(d.target, d.window, advance)
 			case dCond:
-				scheduleCond(s, d.cond, opt.PipeGuard)
+				scheduleCond(s, d.cond)
 			default:
 				return fmt.Errorf("compiler: controller %d: unknown directive kind %d", l.id, d.kind)
 			}
@@ -152,7 +138,7 @@ func replayStreams(st *State, advance bool) error {
 // covers every instruction that can retire between the last pipeline
 // anchor and the commit; a recv inside the gather sequence re-anchors the
 // stream, shrinking the guard to the local instruction count.
-func scheduleCond(s *stream, c *condSite, pipeGuard int64) {
+func scheduleCond(s *stream, c *condSite) {
 	guardAmt := pipeGuard + s.instrSum + int64(len(c.pre)) + 8
 	if c.anchored {
 		guardAmt = pipeGuard + int64(len(c.pre)) + 8

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"dhisq/internal/network"
 	"dhisq/internal/placement"
 	"dhisq/internal/sim"
 )
@@ -105,8 +104,7 @@ func RemoteSweep(opt RemoteOptions) ([]RemotePoint, error) {
 						cfg.Chips = chips
 						cfg.EPRLatency = sim.Time(lat)
 					}
-					cfg.Net.MeshW, cfg.Net.MeshH = network.NearSquareMesh(cfg.TotalQubits(c.NumQubits))
-					res, err := runCell(c, nil, cfg)
+					res, err := runCell(c, nil, cfg) // the machine grows the mesh for the comm qubits
 					if err != nil {
 						return nil, fmt.Errorf("exp: remote %s chips=%d lat=%d %s: %w", name, chips, lat, policy, err)
 					}

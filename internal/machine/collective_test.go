@@ -45,7 +45,7 @@ func runCollective(t *testing.T, c *circuit.Circuit, meshW, meshH int, collectiv
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := m.Compile(c, nil)
+	cp, err := Compile(c, nil, m.Cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestCollectiveBadSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := m.Compile(c, nil)
+	cp, err := Compile(c, nil, m.Cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func RePlace(c *circuit.Circuit, cfg Config, prior []int, fb *compiler.Feedback)
 		if err != nil {
 			return 0, err
 		}
-		cp, err := m.CompileFresh(c, mapping)
+		cp, err := CompileUncached(c, mapping, m.Cfg)
 		if err != nil {
 			return 0, err
 		}

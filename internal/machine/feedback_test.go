@@ -40,7 +40,7 @@ func measuredFeedback(t *testing.T, c *circuit.Circuit, cfg Config, mapping []in
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := m.CompileFresh(c, mapping)
+	cp, err := CompileUncached(c, mapping, m.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestHarvestFeedback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := m.Compile(c, nil)
+	cp, err := Compile(c, nil, m.Cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}

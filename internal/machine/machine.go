@@ -6,6 +6,7 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
 
 	"dhisq/internal/artifact"
@@ -46,7 +47,7 @@ type Config struct {
 	// Placement names the placement policy the compiler's Place pass uses
 	// for circuits submitted without an explicit mapping ("" = identity,
 	// the legacy byte-identical behavior; see internal/placement). Part of
-	// the compile fingerprint via CompileOptions.
+	// the compile fingerprint via compileOptions.
 	Placement string
 	// Schedule names the scheduling policy the compiler's Schedule pass
 	// uses ("" = fixed, the legacy byte-identical replay; see the schedule
@@ -75,21 +76,13 @@ type Config struct {
 	// (0 = DefaultEPRLatency when Chips > 1). Part of the compile
 	// fingerprint via CompileOptions.
 	EPRLatency sim.Time
-	// Artifacts is the compiled-artifact cache Compile and
-	// CompileSkeleton consult (nil = the process-wide artifact.Shared).
+	// Artifacts is the compiled-artifact cache Compile consults (nil = the
+	// process-wide artifact.Shared).
 	// Injecting a private cache isolates cache accounting — the in-process
 	// multi-shard cluster tests give each shard its own cache+store pair.
 	// Deliberately not part of any fingerprint: which cache serves a
 	// compile changes nothing about its output.
 	Artifacts *artifact.Cache
-}
-
-// artifacts resolves the cache a machine compiles through.
-func (cfg Config) artifacts() *artifact.Cache {
-	if cfg.Artifacts != nil {
-		return cfg.Artifacts
-	}
-	return artifact.Shared
 }
 
 // DefaultEPRLatency is the EPR-pair generation cost in cycles a multi-chip
@@ -144,8 +137,7 @@ type Machine struct {
 	Chip  *chip.Model
 	Log   *telf.Log
 
-	numQubits int
-	loaded    *compiler.Compiled
+	loaded *compiler.Compiled
 
 	// The commit tape of the loaded program (tape.go).
 	tapeable bool       // loaded is static and nothing in Cfg reads outcomes
@@ -154,32 +146,77 @@ type Machine struct {
 	tapeStat TapeStats
 }
 
-// New builds the fabric and controllers for the given qubit count.
-//
-// BackendAuto resolves to BackendSeeded here: the Auto rules need the
-// circuit (qubit count for StateVec, the Clifford check for Stabilizer),
-// which New does not have. Use NewForCircuit to get circuit-aware backend
-// selection; direct callers of New get the timing-only seeded substrate
-// unless they pass a concrete kind.
-func New(cfg Config, numQubits int) (*Machine, error) {
-	total := cfg.TotalQubits(numQubits)
+// Normalize is the one derivation of the effective machine configuration:
+// (circuit, mesh, Config) in, the Config a machine is built from and a key is
+// computed from out. The mesh defaults to the smallest near-square one that
+// fits (meshW or meshH <= 0) and is regrown when a multi-chip expansion's
+// communication qubits no longer fit; chip count and EPR latency are checked
+// and the latency resolved to what the chip charges; BackendAuto resolves on
+// the device total. It is idempotent, so service.Resolve, NewForCircuit and
+// the key can each apply it and agree by construction — the service's pool
+// key backend is simply the normalized cfg.Backend.
+func Normalize(c *circuit.Circuit, meshW, meshH int, cfg Config) (Config, error) {
+	n := c.NumQubits
+	if meshW <= 0 || meshH <= 0 {
+		meshW, meshH = network.NearSquareMesh(n)
+	}
+	if cfg.Chips < 0 {
+		return cfg, fmt.Errorf("machine: negative chip count %d", cfg.Chips)
+	}
+	if cfg.EPRLatency < 0 {
+		return cfg, fmt.Errorf("machine: negative EPR latency %d", cfg.EPRLatency)
+	}
+	total := cfg.TotalQubits(n)
 	if cfg.Chips > 1 {
-		if cfg.Chips > numQubits {
-			return nil, fmt.Errorf("machine: %d chips exceed %d qubits (each chip needs at least one data qubit)", cfg.Chips, numQubits)
+		if cfg.Chips > n {
+			return cfg, fmt.Errorf("machine: %d chips exceed %d qubits (each chip needs at least one data qubit)", cfg.Chips, n)
 		}
-		if cfg.Net.MeshW*cfg.Net.MeshH < total {
-			// Backstop for callers that sized the mesh for the data qubits
-			// only; the entry points (service, CLIs) resize identically up
-			// front so fingerprints computed at admission match the machine.
-			cfg.Net.MeshW, cfg.Net.MeshH = network.NearSquareMesh(total)
+		// The expansion appends one communication qubit per chip.
+		if meshW*meshH < total {
+			meshW, meshH = network.NearSquareMesh(total)
 		}
 	}
+	cfg.Net.MeshW, cfg.Net.MeshH = meshW, meshH
+	cfg.EPRLatency = cfg.effectiveEPRLatency()
+	cfg.Backend = resolveBackendFor(c, cfg.Backend, total)
+	return cfg, nil
+}
+
+// ResolveBackend applies the BackendAuto rules for a circuit: dense
+// state vector while it fits (≤14 qubits), stabilizer tableau for
+// Clifford circuits, seeded outcome source otherwise. Non-Auto kinds
+// pass through unchanged.
+func ResolveBackend(c *circuit.Circuit, k BackendKind) BackendKind {
+	return resolveBackendFor(c, k, c.NumQubits)
+}
+
+// resolveBackendFor is ResolveBackend with the device total (data + comm
+// qubits) as the state-size criterion: a multi-chip expansion must not push
+// a dense state vector past what fits.
+func resolveBackendFor(c *circuit.Circuit, k BackendKind, total int) BackendKind {
+	if k != BackendAuto {
+		return k
+	}
+	switch {
+	case total <= 14:
+		return BackendStateVec
+	case c.IsClifford():
+		return BackendStabilizer
+	default:
+		return BackendSeeded
+	}
+}
+
+// New builds the fabric, controllers and chip exactly as cfg says, for
+// numQubits data qubits. cfg is taken as normalized — NewForCircuit is the
+// entry point that normalizes, and nothing here resizes a mesh. New has no
+// circuit, so BackendAuto — whose rules need one — resolves to the
+// timing-only seeded substrate.
+func New(cfg Config, numQubits int) (*Machine, error) {
+	total := cfg.TotalQubits(numQubits)
 	topo, err := network.NewTopology(cfg.Net)
 	if err != nil {
 		return nil, err
-	}
-	if topo.N < 1 {
-		return nil, fmt.Errorf("machine: empty mesh")
 	}
 	if cfg.Backend == BackendAuto {
 		cfg.Backend = BackendSeeded
@@ -208,13 +245,11 @@ func New(cfg Config, numQubits int) (*Machine, error) {
 
 	m := &Machine{
 		Cfg: cfg, Eng: eng, Topo: topo, Fab: fab,
-		Chip: chipModel, Log: log, numQubits: numQubits,
+		Chip: chipModel, Log: log,
 	}
 	m.Ctrls = make([]*core.Controller, topo.N)
 	for i := range m.Ctrls {
-		cc := core.Config{ID: i, Ports: 4, QueueDepth: 1024, MemSize: 64 << 10, BurstBudget: 4096}
-		m.Ctrls[i] = core.NewController(eng, cc, fab, chipModel, log)
-		fab.Attach(i, m.Ctrls[i])
+		m.attach(i, 64<<10)
 	}
 	chipModel.SetDelivery(func(node, ch int, val uint32, at sim.Time) {
 		t := at
@@ -227,56 +262,40 @@ func New(cfg Config, numQubits int) (*Machine, error) {
 	return m, nil
 }
 
-// ResolveBackend applies the BackendAuto rules for a circuit: dense
-// state vector while it fits (≤14 qubits), stabilizer tableau for
-// Clifford circuits, seeded outcome source otherwise. Non-Auto kinds
-// pass through unchanged.
-func ResolveBackend(c *circuit.Circuit, k BackendKind) BackendKind {
-	return resolveBackendFor(c, k, c.NumQubits)
+// attach builds controller i with memSize bytes of data memory and wires it
+// to the fabric.
+func (m *Machine) attach(i, memSize int) {
+	cc := core.Config{ID: i, Ports: 4, QueueDepth: 1024, MemSize: memSize, BurstBudget: 4096}
+	m.Ctrls[i] = core.NewController(m.Eng, cc, m.Fab, m.Chip, m.Log)
+	m.Fab.Attach(i, m.Ctrls[i])
 }
 
-// resolveBackendFor is ResolveBackend with the device total (data + comm
-// qubits) as the state-size criterion: a multi-chip expansion must not push
-// a dense state vector past what fits.
-func resolveBackendFor(c *circuit.Circuit, k BackendKind, total int) BackendKind {
-	if k != BackendAuto {
-		return k
-	}
-	switch {
-	case total <= 14:
-		return BackendStateVec
-	case c.IsClifford():
-		return BackendStabilizer
-	default:
-		return BackendSeeded
-	}
-}
-
-// NewForCircuit builds a machine sized for a circuit with an explicit mesh
-// shape, picking a backend per BackendAuto rules.
+// NewForCircuit builds the machine Normalize describes for a circuit on a
+// meshW×meshH mesh (<= 0 picks the default mesh).
 func NewForCircuit(c *circuit.Circuit, meshW, meshH int, cfg Config) (*Machine, error) {
-	cfg.Net.MeshW, cfg.Net.MeshH = meshW, meshH
-	cfg.Backend = resolveBackendFor(c, cfg.Backend, cfg.TotalQubits(c.NumQubits))
+	cfg, err := Normalize(c, meshW, meshH, cfg)
+	if err != nil {
+		return nil, err
+	}
 	return New(cfg, c.NumQubits)
 }
 
-// CompileOptions derives compiler options consistent with this machine.
-func (m *Machine) CompileOptions() compiler.Options { return compileOptions(m.Cfg, m.Topo) }
+// CompileOptions derives the compiler options this machine's programs are
+// compiled with.
+func (m *Machine) CompileOptions() compiler.Options {
+	opt, _ := compileOptions(m.Cfg) // m.Cfg.Net built m.Topo, so its shape is valid
+	return opt
+}
 
-// CompileOptionsFor derives the compiler options a machine built from cfg
-// would use, constructing only the topology — not the fabric, controllers
-// or chip. internal/service fingerprints submissions with it, so job
-// admission never has to build a machine.
-func CompileOptionsFor(cfg Config) (compiler.Options, error) {
-	topo, err := network.NewTopology(cfg.Net)
+// compileOptions derives the compiler options of a normalized cfg. The root
+// router and controller count are arithmetic on the mesh
+// (network.Config.Shape): neither options nor the key build a topology.
+func compileOptions(cfg Config) (compiler.Options, error) {
+	n, root, err := cfg.Net.Shape()
 	if err != nil {
 		return compiler.Options{}, err
 	}
-	return compileOptions(cfg, topo), nil
-}
-
-func compileOptions(cfg Config, topo *network.Topology) compiler.Options {
-	opt := compiler.DefaultOptions(topo.Root, topo.N)
+	opt := compiler.DefaultOptions(root, n)
 	opt.Durations = cfg.Durations
 	opt.MeasLatency = cfg.MeasLatency
 	opt.Placement = cfg.Placement
@@ -288,93 +307,83 @@ func compileOptions(cfg Config, topo *network.Topology) compiler.Options {
 		opt.Chips = cfg.Chips
 		opt.EPRLatency = cfg.effectiveEPRLatency()
 	}
-	return opt
+	return opt, nil
 }
 
-// KeyFor is the shared-cache fingerprint Compile would use for a machine
-// built from cfg.
+// key is the one fingerprint of (circuit, mapping, config). cfg is
+// normalized on its own mesh first, so the key of any config is the key of
+// the machine NewForCircuit builds from it; structural selects the
+// bind-invariant kind (artifact.Key).
+func key(c *circuit.Circuit, mapping []int, cfg Config, structural bool) (artifact.Fingerprint, error) {
+	cfg, err := Normalize(c, cfg.Net.MeshW, cfg.Net.MeshH, cfg)
+	if err != nil {
+		return artifact.Fingerprint{}, err
+	}
+	opt, err := compileOptions(cfg)
+	if err != nil {
+		return artifact.Fingerprint{}, err
+	}
+	return artifact.Key(c, mapping, cfg.Net, opt, structural), nil
+}
+
+// KeyFor is the cache key of Compile(c, mapping, cfg, false).
 func KeyFor(c *circuit.Circuit, mapping []int, cfg Config) (artifact.Fingerprint, error) {
-	opt, err := CompileOptionsFor(cfg)
-	if err != nil {
-		return artifact.Fingerprint{}, err
-	}
-	return artifact.Key(c, mapping, cfg.Net, opt), nil
+	return key(c, mapping, cfg, false)
 }
 
-// StructuralKeyFor is the bind-invariant fingerprint CompileSkeleton would
-// use for a machine built from cfg: every binding of one parameterized
-// circuit shares it, so job admission can batch a whole sweep onto one
-// compiled skeleton without building a machine.
+// StructuralKeyFor is the cache key of Compile(c, mapping, cfg, true): every
+// binding of one parameterized circuit shares it.
 func StructuralKeyFor(c *circuit.Circuit, mapping []int, cfg Config) (artifact.Fingerprint, error) {
-	opt, err := CompileOptionsFor(cfg)
-	if err != nil {
-		return artifact.Fingerprint{}, err
-	}
-	return artifact.StructuralKey(c, mapping, cfg.Net, opt), nil
+	return key(c, mapping, cfg, true)
 }
 
-// Compile lowers a circuit for this machine, consulting the shared
-// artifact cache: a repeat submission of the same (circuit, mapping,
-// topology, options) tuple returns the cached per-controller binaries
+// Compile lowers a circuit for the machine cfg describes, through the
+// artifact cache (cfg.Artifacts, else the shared one): a repeat of the same
+// (circuit, mapping, config) returns the cached per-controller binaries
 // without recompiling. The returned artifact is shared — treat it as
-// immutable, the same contract Load and the runner replicas already obey.
-func (m *Machine) Compile(c *circuit.Circuit, mapping []int) (*compiler.Compiled, error) {
-	if err := rejectUnbound(c); err != nil {
+// immutable, the contract Load and the runner replicas obey.
+//
+// structural compiles under the bind-invariant key, so every binding of a
+// skeleton — a whole angle sweep — shares one compilation, patched per point
+// with Compiled.BindParams (byte-identical to a full compile of the bound
+// circuit; concrete circuits are legal too). A non-structural compile
+// rejects unbound parameters: a table Param defaulting to 0 would silently
+// execute as an angle-0 rotation.
+func Compile(c *circuit.Circuit, mapping []int, cfg Config, structural bool) (*compiler.Compiled, error) {
+	if ub := c.UnboundParams(); !structural && len(ub) > 0 {
+		return nil, fmt.Errorf("machine: circuit has unbound parameters %v (Bind them, or compile structurally)", ub)
+	}
+	fp, err := key(c, mapping, cfg, structural)
+	if err != nil {
 		return nil, err
 	}
-	opt := m.CompileOptions()
-	fp := artifact.Key(c, mapping, m.Cfg.Net, opt)
-	cp, _, err := m.Cfg.artifacts().GetOrCompile(fp, func() (*compiler.Compiled, error) {
-		return m.compile(c, mapping, opt)
+	cp, _, err := cmp.Or(cfg.Artifacts, artifact.Shared).GetOrCompile(fp, func() (*compiler.Compiled, error) {
+		return CompileUncached(c, mapping, cfg)
 	})
 	return cp, err
 }
 
-// rejectUnbound keeps skeleton circuits out of the run-oriented compile
-// paths: a table Param defaulting to 0 would silently execute as an
-// angle-0 rotation. CompileSkeleton is the deliberate entry point.
-func rejectUnbound(c *circuit.Circuit) error {
-	if ub := c.UnboundParams(); len(ub) > 0 {
-		return fmt.Errorf("machine: circuit has unbound parameters %v (Bind them, or compile via CompileSkeleton)", ub)
+// CompileUncached runs the pass pipeline with nothing cached: what a cache
+// miss pays, and the whole of the paths whose meaning depends on paying it
+// every time — the rebuild oracle, re-placement probes, compile-cost
+// measurements. It builds a topology, never a machine: the Place pass reads
+// mesh distances from it and the BISP windows are calibrated on it.
+func CompileUncached(c *circuit.Circuit, mapping []int, cfg Config) (*compiler.Compiled, error) {
+	cfg, err := Normalize(c, cfg.Net.MeshW, cfg.Net.MeshH, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-// CompileSkeleton lowers a parameterized circuit once under its
-// bind-invariant structural fingerprint: the artifact is cached with the
-// symbolic params elided from the key, so every binding of the skeleton —
-// a whole angle sweep — shares one compilation. Patch the returned
-// (shared, immutable) artifact per point with Compiled.BindParams; the
-// result is byte-identical to a full compile of the bound circuit.
-// Concrete circuits are legal too (the structural key then fixes every
-// angle), so callers need not special-case parameter-free submissions.
-func (m *Machine) CompileSkeleton(c *circuit.Circuit, mapping []int) (*compiler.Compiled, error) {
-	opt := m.CompileOptions()
-	fp := artifact.StructuralKey(c, mapping, m.Cfg.Net, opt)
-	cp, _, err := m.Cfg.artifacts().GetOrCompile(fp, func() (*compiler.Compiled, error) {
-		return m.compile(c, mapping, opt)
-	})
-	return cp, err
-}
-
-// compile runs the standard pass pipeline with this machine's topology —
-// the entry point that lets the Place pass resolve non-identity placement
-// policies (they need mesh distances, which the Windows interface hides).
-func (m *Machine) compile(c *circuit.Circuit, mapping []int, opt compiler.Options) (*compiler.Compiled, error) {
+	opt, err := compileOptions(cfg)
+	if err != nil {
+		return nil, err
+	}
+	topo, err := network.NewTopology(cfg.Net)
+	if err != nil {
+		return nil, err
+	}
 	return compiler.NewPipeline().Run(&compiler.State{
-		Circuit: c, Mapping: mapping, Topo: m.Topo, Windows: m.Fab, Opt: opt,
+		Circuit: c, Mapping: mapping, Topo: topo, Windows: topo, Opt: opt,
 	})
-}
-
-// CompileFresh lowers a circuit without consulting the artifact cache.
-// It exists for the paths whose meaning depends on paying the compile
-// every time — runner.RunRebuild's legacy baseline and the cold side of
-// cache benchmarks.
-func (m *Machine) CompileFresh(c *circuit.Circuit, mapping []int) (*compiler.Compiled, error) {
-	if err := rejectUnbound(c); err != nil {
-		return nil, err
-	}
-	return m.compile(c, mapping, m.CompileOptions())
 }
 
 // Load installs compiled programs and tables on every controller. A
@@ -386,11 +395,7 @@ func (m *Machine) Load(cp *compiler.Compiled) error {
 	}
 	for i, p := range cp.Programs {
 		if cp.MemBytes > m.Ctrls[i].Cfg.MemSize {
-			m.Ctrls[i] = core.NewController(m.Eng, core.Config{
-				ID: i, Ports: 4, QueueDepth: 1024,
-				MemSize: cp.MemBytes, BurstBudget: 4096,
-			}, m.Fab, m.Chip, m.Log)
-			m.Fab.Attach(i, m.Ctrls[i])
+			m.attach(i, cp.MemBytes)
 		}
 		m.Ctrls[i].Load(p)
 		m.Chip.SetTable(i, cp.Tables[i])
@@ -598,7 +603,7 @@ func RunCircuit(c *circuit.Circuit, meshW, meshH int, mapping []int, cfg Config)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	cp, err := m.Compile(c, mapping)
+	cp, err := Compile(c, mapping, m.Cfg, false)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -629,19 +634,6 @@ func (m *Machine) RunShots(n int) ([]Result, error) {
 		out = append(out, res)
 	}
 	return out, nil
-}
-
-// ReadBit reads classical bit b from its owner's data memory after a run.
-func (m *Machine) ReadBit(cp *compiler.Compiled, b int) (int, error) {
-	owner := cp.BitOwner[b]
-	if owner < 0 {
-		return 0, fmt.Errorf("machine: bit %d was never measured", b)
-	}
-	mem := m.Ctrls[owner].ReadMem(4*b, 4)
-	if mem == nil {
-		return 0, fmt.Errorf("machine: bit %d address out of range", b)
-	}
-	return int(mem[0]) & 1, nil
 }
 
 // publicBits is the length of a shot's readout: every classical bit of the

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 
 	"dhisq/internal/chip"
@@ -20,7 +21,7 @@ func runFull(t *testing.T, c *circuit.Circuit, meshW, meshH int, mapping []int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := m.Compile(c, mapping)
+	cp, err := Compile(c, mapping, m.Cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +50,9 @@ func runFull(t *testing.T, c *circuit.Circuit, meshW, meshH int, mapping []int, 
 	if m.Chip.PendingHalves() != 0 {
 		t.Fatalf("unmatched two-qubit halves: %d", m.Chip.PendingHalves())
 	}
-	bits := make([]int, c.NumBits)
-	for b := range bits {
-		v, err := m.ReadBit(cp, b)
-		if err != nil {
-			t.Fatalf("bit %d: %v", b, err)
-		}
-		bits[b] = v
+	bits, err := m.ReadBits()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return res, m, bits
 }
@@ -217,7 +214,7 @@ func TestCoCommitmentInvariantUnderFabricLatencies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp, err := m.Compile(c, nil)
+		cp, err := Compile(c, nil, m.Cfg, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,11 +248,11 @@ func TestChipRejectsBadCodeword(t *testing.T) {
 	}
 }
 
-// TestCompileSkeletonStructuralSharing: every binding of a parameterized
+// TestStructuralCompileSharing: every binding of a parameterized
 // circuit shares the skeleton's structural fingerprint and its single
 // cached compile, while the run-oriented compile paths reject unbound
 // skeletons outright.
-func TestCompileSkeletonStructuralSharing(t *testing.T) {
+func TestStructuralCompileSharing(t *testing.T) {
 	c := circuit.New(2)
 	c.RZSym(0, "a").RZSym(1, "b")
 	c.MeasureInto(0, 0)
@@ -290,21 +287,27 @@ func TestCompileSkeletonStructuralSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Compile(c, nil); err == nil {
+	if _, err := Compile(c, nil, m.Cfg, false); err == nil {
 		t.Fatal("Compile accepted an unbound skeleton")
 	}
-	if _, err := m.CompileFresh(c, nil); err == nil {
-		t.Fatal("CompileFresh accepted an unbound skeleton")
+	// The uncached pipeline is what a structural cache miss runs, so it
+	// takes the skeleton; its artifact is the cached one, slot for slot.
+	raw, err := CompileUncached(c, nil, m.Cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	skel, err := m.CompileSkeleton(c, nil)
+	skel, err := Compile(c, nil, m.Cfg, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(skel.ParamSlots) != 2 {
 		t.Fatalf("skeleton recorded %d slots, want 2", len(skel.ParamSlots))
 	}
+	if !reflect.DeepEqual(raw, skel) {
+		t.Fatal("CompileUncached and the structural Compile disagree on the skeleton")
+	}
 	// A second skeleton compile is a cache hit (same artifact pointer).
-	again, err := m.CompileSkeleton(c, nil)
+	again, err := Compile(c, nil, m.Cfg, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func runBits(t *testing.T, c *circuit.Circuit, cfg Config, seed int64) []int {
 	if err != nil {
 		t.Fatalf("NewForCircuit: %v", err)
 	}
-	cp, err := m.Compile(c, nil)
+	cp, err := Compile(c, nil, m.Cfg, false)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
@@ -170,11 +170,11 @@ func TestSingleChipConfigByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp0, err := m0.CompileFresh(c, nil)
+	cp0, err := CompileUncached(c, nil, m0.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp1, err := m1.CompileFresh(c, nil)
+	cp1, err := CompileUncached(c, nil, m1.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestRemoteGateStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := m.Compile(c, nil)
+	cp, err := Compile(c, nil, m.Cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestRemoteGateStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cps, err := ms.Compile(c, nil)
+	cps, err := Compile(c, nil, ms.Cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestEPRLatencyShowsInMakespan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp, err := m.Compile(c, nil)
+		cp, err := Compile(c, nil, m.Cfg, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func TestRemoteDVQELeavesNoActiveQubits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := m.Compile(c, nil)
+	cp, err := Compile(c, nil, m.Cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ func buildLoaded(t *testing.T, c *circuit.Circuit, meshW, meshH int, cfg Config)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := m.Compile(c, nil)
+	cp, err := Compile(c, nil, m.Cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func TestLoadKeepsTapeAcrossBindOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		skel, err := m.CompileSkeleton(skelCircuit, nil)
+		skel, err := Compile(skelCircuit, nil, m.Cfg, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestLoadKeepsTapeAcrossBindOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := m.CompileFresh(bound, nil)
+	other, err := CompileUncached(bound, nil, m.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 
+	"dhisq/internal/registry"
 	"dhisq/internal/sim"
 )
 
@@ -82,7 +83,10 @@ const (
 	CollAuto
 )
 
-var collScheduleNames = []string{"naive", "ring", "halving", "tree", "auto"}
+// collSchedules is the fixed registry, in enum (and documentation) order.
+var collSchedules = []CollSchedule{CollNaive, CollRing, CollHalving, CollTree, CollAuto}
+
+var collScheduleNames = [...]string{"naive", "ring", "halving", "tree", "auto"}
 
 func (s CollSchedule) String() string {
 	if s >= 0 && int(s) < len(collScheduleNames) {
@@ -92,18 +96,12 @@ func (s CollSchedule) String() string {
 }
 
 // CollScheduleNames lists the schedule names in stable order.
-func CollScheduleNames() []string {
-	return append([]string(nil), collScheduleNames...)
-}
+func CollScheduleNames() []string { return registry.Names(collSchedules, CollSchedule.String) }
 
-// ParseCollSchedule maps a CLI/API string onto a CollSchedule.
+// ParseCollSchedule maps a CLI/API string onto a CollSchedule. There is no
+// default: "" means "collectives off" to every caller, not a schedule.
 func ParseCollSchedule(s string) (CollSchedule, error) {
-	for i, n := range collScheduleNames {
-		if n == s {
-			return CollSchedule(i), nil
-		}
-	}
-	return CollNaive, fmt.Errorf("network: unknown collective schedule %q (want %v)", s, collScheduleNames)
+	return registry.Lookup("collective schedule", s, "", collSchedules, CollSchedule.String)
 }
 
 // Resolve maps CollAuto onto the schedule selected for the topology kind;

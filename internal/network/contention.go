@@ -139,8 +139,7 @@ func (f *Fabric) meshArrival(src, dst int, at sim.Time) sim.Time {
 // treeArrival computes when a message sent by src at `at` reaches dst over
 // the router tree, reserving the router-side port of every edge on the
 // path. Without contention it reduces exactly to
-// at + hops*TreeHopLatency + (hops-1)*RouterProc — the MessageLatency
-// formula.
+// at + hops*TreeHopLatency + (hops-1)*RouterProc.
 func (f *Fabric) treeArrival(src, dst int, at sim.Time) sim.Time {
 	if !f.contention() {
 		// Uncontended latency is a pure function of the hop count; skip

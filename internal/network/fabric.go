@@ -98,42 +98,12 @@ func (f *Fabric) Router(addr int) *Router { return f.routers[addr-f.Topo.N] }
 // IsRouter implements core.Fabric.
 func (f *Fabric) IsRouter(addr int) bool { return f.Topo.IsRouter(addr) }
 
-// NearbyWindow implements core.Fabric: the calibrated SyncU countdown for a
-// neighbor pair. Non-adjacent pairs get distance-scaled latency — the
-// compiler only emits nearest-neighbor syncs, but hand-written programs
-// remain well-defined. On TopoTree there are no intra-layer links, so the
-// calibrated window is the uncontended tree-path latency. Either way the
-// window is a pure function of the topology: congestion can delay the
-// actual signal past it (the sync then resolves late and the stall is
-// accounted), but never changes the compiled booking.
-func (f *Fabric) NearbyWindow(src, dst int) sim.Time {
-	if f.Topo.Cfg.Topology == TopoTree {
-		hops := f.Topo.TreePathHops(src, dst)
-		if hops == 0 {
-			return f.Topo.Cfg.TreeHopLatency
-		}
-		return sim.Time(hops)*f.Topo.Cfg.TreeHopLatency + sim.Time(hops-1)*f.Topo.Cfg.RouterProc
-	}
-	d := f.Topo.MeshDistance(src, dst)
-	if d == 0 {
-		d = 1
-	}
-	return sim.Time(d) * f.Topo.Cfg.NeighborLatency
-}
+// NearbyWindow and RegionWindow implement core.Fabric by delegation: the
+// calibrated windows are pure functions of the topology, which is why the
+// compiler can book against a *Topology with no fabric built.
+func (f *Fabric) NearbyWindow(src, dst int) sim.Time { return f.Topo.NearbyWindow(src, dst) }
 
-// RegionWindow implements core.Fabric: booking lead time for (controller,
-// router) = exact uplink latency plus the worst-case downlink latency in the
-// router's subtree, making the time-point broadcast always arrive by Tm
-// (DESIGN.md §2.4).
-func (f *Fabric) RegionWindow(src, router int) sim.Time {
-	up := f.Topo.HopsUp(src, router)
-	if up < 0 {
-		return f.Topo.Cfg.TreeHopLatency // not an ancestor; caller will error out
-	}
-	down := f.Topo.MaxHopsDown(router)
-	perHop := f.Topo.Cfg.TreeHopLatency + f.Topo.Cfg.RouterProc
-	return sim.Time(up)*perHop + sim.Time(down)*perHop
-}
+func (f *Fabric) RegionWindow(src, router int) sim.Time { return f.Topo.RegionWindow(src, router) }
 
 // SendSyncSignal implements core.Fabric: the 1-bit nearby sync signal.
 // Under contention the signal queues at each busy link on its path, so
@@ -166,21 +136,6 @@ func (f *Fabric) BookRegion(src, router int, ti, at sim.Time) {
 	}
 	arrival := depart + f.Topo.Cfg.TreeHopLatency
 	f.schedule(arrival, func() { f.Router(parent).receiveBooking(src, router, ti, arrival) })
-}
-
-// MessageLatency returns the uncontended classical message latency
-// between two controllers: one mesh link for neighbors, the router tree
-// otherwise. Under contention the actual delivery time (SendMessage) may
-// exceed it by the queueing delays on the path.
-func (f *Fabric) MessageLatency(src, dst int) sim.Time {
-	if src == dst {
-		return 1
-	}
-	if f.Topo.Adjacent(src, dst) {
-		return f.Topo.Cfg.NeighborLatency
-	}
-	hops := f.Topo.TreePathHops(src, dst)
-	return sim.Time(hops)*f.Topo.Cfg.TreeHopLatency + sim.Time(hops-1)*f.Topo.Cfg.RouterProc
 }
 
 // SendMessage implements core.Fabric. Under contention the message

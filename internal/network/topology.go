@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sync"
 
+	"dhisq/internal/registry"
 	"dhisq/internal/sim"
 )
 
@@ -31,27 +32,21 @@ const (
 	TopoTree
 )
 
-var topologyNames = map[TopologyKind]string{
-	TopoMesh:  "mesh",
-	TopoTorus: "torus",
-	TopoTree:  "tree",
-}
+// topologies is the fixed registry, in enum order.
+var topologies = []TopologyKind{TopoMesh, TopoTorus, TopoTree}
+
+var topologyNames = [...]string{"mesh", "torus", "tree"}
 
 func (k TopologyKind) String() string {
-	if n, ok := topologyNames[k]; ok {
-		return n
+	if k >= 0 && int(k) < len(topologyNames) {
+		return topologyNames[k]
 	}
 	return fmt.Sprintf("topology(%d)", int(k))
 }
 
-// ParseTopology maps a CLI flag value onto a TopologyKind.
+// ParseTopology maps a CLI flag value onto a TopologyKind ("" = mesh).
 func ParseTopology(s string) (TopologyKind, error) {
-	for k, n := range topologyNames {
-		if n == s {
-			return k, nil
-		}
-	}
-	return TopoMesh, fmt.Errorf("network: unknown topology %q (want mesh, torus, or tree)", s)
+	return registry.Lookup("topology", s, "mesh", topologies, TopologyKind.String)
 }
 
 // Config parameterizes the fabric. All latencies are in cycles (4 ns).
@@ -88,10 +83,6 @@ type Config struct {
 	// lossy fabric would break BISP). 0 = unbounded.
 	LinkQueueCap int
 }
-
-// ContentionEnabled reports whether this config models finite link
-// bandwidth (the serialization/queueing machinery activates).
-func (c Config) ContentionEnabled() bool { return c.LinkSerialization > 0 }
 
 // NearSquareMesh returns the smallest near-square controller mesh
 // (w, h) that fits n qubits: w is the ceiling square root, h the rows
@@ -148,98 +139,75 @@ type Topology struct {
 	pathCache map[int64][]int
 }
 
+// Shape is the arithmetic of NewTopology — the controller count N and the
+// root router's address, with the same checks and no tree built. The
+// balanced tree groups each level into parents of RouterFanout children until
+// one node remains (a single controller still gets a root router), routers
+// addressed level by level after the controllers, so the root comes last.
+// Compile options and the artifact key need exactly these two numbers.
+func (c Config) Shape() (n, root int, err error) {
+	n = c.MeshW * c.MeshH
+	if n <= 0 {
+		return 0, 0, fmt.Errorf("network: empty mesh %dx%d", c.MeshW, c.MeshH)
+	}
+	if c.RouterFanout < 2 {
+		return 0, 0, fmt.Errorf("network: router fanout %d < 2", c.RouterFanout)
+	}
+	routers := 0
+	for level := n; level > 1 || routers == 0; {
+		level = (level + c.RouterFanout - 1) / c.RouterFanout
+		routers += level
+	}
+	return n, n + routers - 1, nil
+}
+
 // NewTopology builds the hybrid topology for the given config.
 func NewTopology(cfg Config) (*Topology, error) {
-	n := cfg.MeshW * cfg.MeshH
-	if n <= 0 {
-		return nil, fmt.Errorf("network: empty mesh %dx%d", cfg.MeshW, cfg.MeshH)
+	n, root, err := cfg.Shape()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.RouterFanout < 2 {
-		return nil, fmt.Errorf("network: router fanout %d < 2", cfg.RouterFanout)
+	nodes := root + 1
+	t := &Topology{
+		Cfg: cfg, N: n, NumRouters: nodes - n, Root: root,
+		parent:    make([]int, nodes),
+		children:  make([][]int, nodes-n),
+		depth:     make([]int, nodes),
+		maxDown:   make([]int, nodes),
+		leafBuf:   make([]int, n),
+		leafLo:    make([]int, nodes),
+		leafHi:    make([]int, nodes),
+		pathCache: map[int64][]int{},
 	}
-	t := &Topology{Cfg: cfg, N: n}
-
-	// Build the balanced tree bottom-up: group the current level into
-	// parents of RouterFanout children until one node remains. A single
-	// controller still gets one root router so region sync is well-defined.
-	level := make([]int, n)
-	for i := range level {
-		level[i] = i
+	// Build the balanced tree bottom-up. Each level is a contiguous address
+	// run [lo, hi): it is grouped into parents of RouterFanout consecutive
+	// children, which form the next run, until one node remains. Every node
+	// of level L is therefore L edges above its deepest leaf (maxDown), and
+	// its subtree's leaves are a contiguous run of controller addresses.
+	for q := 0; q < n; q++ {
+		t.leafBuf[q], t.leafLo[q], t.leafHi[q] = q, q, q+1
 	}
-	next := n // next router address
-	parent := map[int]int{}
-	children := map[int][]int{}
-	for len(level) > 1 || next == n {
-		var up []int
-		for i := 0; i < len(level); i += cfg.RouterFanout {
-			j := i + cfg.RouterFanout
-			if j > len(level) {
-				j = len(level)
+	for lo, hi, level := 0, n, 1; hi <= root; level++ {
+		next := hi
+		for i := lo; i < hi; i += cfg.RouterFanout {
+			kids := make([]int, min(cfg.RouterFanout, hi-i))
+			for k := range kids {
+				kids[k] = i + k
+				t.parent[i+k] = next
 			}
-			r := next
+			t.children[next-n] = kids
+			t.maxDown[next] = level
+			t.leafLo[next], t.leafHi[next] = t.leafLo[i], t.leafHi[kids[len(kids)-1]]
 			next++
-			for _, c := range level[i:j] {
-				parent[c] = r
-			}
-			children[r] = append([]int{}, level[i:j]...)
-			up = append(up, r)
 		}
-		level = up
+		lo, hi = hi, next
 	}
-	t.Root = level[0]
-	t.NumRouters = next - n
-	parent[t.Root] = -1
-
-	t.parent = make([]int, next)
-	t.children = make([][]int, t.NumRouters)
-	t.depth = make([]int, next)
-	for node := 0; node < next; node++ {
-		p, ok := parent[node]
-		if !ok {
-			p = -1
-		}
-		t.parent[node] = p
+	// Parents have higher addresses than their children: walk down from the
+	// root so every parent's depth is final before its children read it.
+	t.parent[root] = -1
+	for node := root - 1; node >= 0; node-- {
+		t.depth[node] = t.depth[t.parent[node]] + 1
 	}
-	for r, cs := range children {
-		t.children[r-n] = cs
-	}
-	// Depth by walking up.
-	for node := 0; node < next; node++ {
-		d := 0
-		for p := t.parent[node]; p >= 0; p = t.parent[p] {
-			d++
-		}
-		t.depth[node] = d
-	}
-	// Routers are numbered level by level from the leaves up, so every
-	// child's entry is final before its parent reads it.
-	t.maxDown = make([]int, next)
-	for r := n; r < next; r++ {
-		for _, c := range t.Children(r) {
-			if d := 1 + t.maxDown[c]; d > t.maxDown[r] {
-				t.maxDown[r] = d
-			}
-		}
-	}
-	// Precompute the leaf spans behind Leaves: one DFS fills a shared
-	// buffer; every node's subtree leaves are a contiguous run of it.
-	t.leafBuf = make([]int, 0, n)
-	t.leafLo = make([]int, next)
-	t.leafHi = make([]int, next)
-	var fillLeaves func(node int)
-	fillLeaves = func(node int) {
-		t.leafLo[node] = len(t.leafBuf)
-		if t.IsRouter(node) {
-			for _, c := range t.Children(node) {
-				fillLeaves(c)
-			}
-		} else {
-			t.leafBuf = append(t.leafBuf, node)
-		}
-		t.leafHi[node] = len(t.leafBuf)
-	}
-	fillLeaves(t.Root)
-	t.pathCache = map[int64][]int{}
 	return t, nil
 }
 
@@ -288,7 +256,7 @@ func (t *Topology) Adjacent(a, b int) bool {
 	if t.Cfg.Topology == TopoTree {
 		return false
 	}
-	return a != b && a < t.N && b < t.N && MeshDistanceOne(t, a, b)
+	return a < t.N && b < t.N && t.MeshDistance(a, b) == 1
 }
 
 // MeshStep returns the controller one intra-layer link from a toward b
@@ -365,9 +333,6 @@ func (t *Topology) TreePath(a, b int) []int {
 	t.pathMu.Unlock()
 	return path
 }
-
-// MeshDistanceOne reports Manhattan distance exactly 1.
-func MeshDistanceOne(t *Topology, a, b int) bool { return t.MeshDistance(a, b) == 1 }
 
 // IsAncestor reports whether router r is an ancestor of node (controllers'
 // region sync targets must be ancestors, §3.1.3).
@@ -457,4 +422,41 @@ func (t *Topology) TreePathHops(a, b int) int {
 		h += 2
 	}
 	return h
+}
+
+// NearbyWindow is the calibrated SyncU countdown for a neighbor pair.
+// Non-adjacent pairs get distance-scaled latency — the
+// compiler only emits nearest-neighbor syncs, but hand-written programs
+// remain well-defined. On TopoTree there are no intra-layer links, so the
+// calibrated window is the uncontended tree-path latency. Either way the
+// window is a pure function of the topology: congestion can delay the
+// actual signal past it (the sync then resolves late and the stall is
+// accounted), but never changes the compiled booking.
+func (t *Topology) NearbyWindow(src, dst int) sim.Time {
+	if t.Cfg.Topology == TopoTree {
+		hops := t.TreePathHops(src, dst)
+		if hops == 0 {
+			return t.Cfg.TreeHopLatency
+		}
+		return sim.Time(hops)*t.Cfg.TreeHopLatency + sim.Time(hops-1)*t.Cfg.RouterProc
+	}
+	d := t.MeshDistance(src, dst)
+	if d == 0 {
+		d = 1
+	}
+	return sim.Time(d) * t.Cfg.NeighborLatency
+}
+
+// RegionWindow is the booking lead time for (controller, router): exact
+// uplink latency plus the worst-case downlink latency in the router's
+// subtree, making the time-point broadcast always arrive by Tm (DESIGN.md
+// §2.4).
+func (t *Topology) RegionWindow(src, router int) sim.Time {
+	up := t.HopsUp(src, router)
+	if up < 0 {
+		return t.Cfg.TreeHopLatency // not an ancestor; caller will error out
+	}
+	down := t.MaxHopsDown(router)
+	perHop := t.Cfg.TreeHopLatency + t.Cfg.RouterProc
+	return sim.Time(up)*perHop + sim.Time(down)*perHop
 }

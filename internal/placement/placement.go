@@ -35,6 +35,7 @@ import (
 
 	"dhisq/internal/circuit"
 	"dhisq/internal/network"
+	"dhisq/internal/registry"
 )
 
 // Policy computes a qubit→controller mapping for a circuit on a built
@@ -57,26 +58,12 @@ const Default = "identity"
 var policies = []Policy{identityPolicy{}, rowMajorPolicy{}, interactionPolicy{}, congestionPolicy{}}
 
 // Names lists the registered policies in stable order.
-func Names() []string {
-	out := make([]string, len(policies))
-	for i, p := range policies {
-		out[i] = p.Name()
-	}
-	return out
-}
+func Names() []string { return registry.Names(policies, Policy.Name) }
 
 // Get resolves a policy by name ("" = Default). Unknown names error with
 // the valid set, so CLI and API validation share one message.
 func Get(name string) (Policy, error) {
-	if name == "" {
-		name = Default
-	}
-	for _, p := range policies {
-		if p.Name() == name {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("placement: unknown policy %q (want %v)", name, Names())
+	return registry.Lookup("placement policy", name, Default, policies, Policy.Name)
 }
 
 // Valid reports whether name resolves to a registered policy ("" counts —

@@ -31,7 +31,6 @@ import (
 	"dhisq/internal/circuit"
 	"dhisq/internal/compiler"
 	"dhisq/internal/machine"
-	"dhisq/internal/sim"
 )
 
 // Spec describes a repeatable execution: the circuit, its placement on the
@@ -43,11 +42,6 @@ type Spec struct {
 	MeshH   int
 	Mapping []int // qubit -> controller; nil = identity
 	Cfg     machine.Config
-	// FreshCompile bypasses the shared artifact cache for this spec:
-	// every compile is paid in full and nothing is cached. It is the
-	// measured baseline of the cache experiments and an escape hatch if
-	// a cached artifact is ever suspect; normal runs leave it false.
-	FreshCompile bool
 }
 
 // Shot is the outcome of one repetition.
@@ -125,15 +119,6 @@ func mergeHistograms(a, b Histogram) Histogram {
 	return a
 }
 
-// Makespans returns the per-shot makespans in shot order.
-func (s *ShotSet) Makespans() []sim.Time {
-	out := make([]sim.Time, len(s.Shots))
-	for i, shot := range s.Shots {
-		out[i] = shot.Result.Makespan
-	}
-	return out
-}
-
 // Keys returns the outcomes in lexicographic order (deterministic render).
 func (h Histogram) Keys() []string {
 	keys := make([]string, 0, len(h))
@@ -153,56 +138,24 @@ func (h Histogram) String() string {
 	return b.String()
 }
 
-// build is the one replica builder: it constructs a machine for the spec
-// and loads cp into it. cp == nil compiles first — under the bind-invariant
-// structural fingerprint when structural is set (the loaded artifact is then
-// the unbound skeleton, patched per point by BindParams), under the full
-// fingerprint otherwise; through the shared artifact cache, or in full with
-// nothing cached when spec.FreshCompile is set. Every compile takes its
-// options from spec.Cfg (machine.CompileOptions) and nowhere else. A
-// FreshCompile skeleton replica has no shared artifact to load — every
-// point compiles its own bound circuit (pointArtifact) — so it comes back
-// unloaded with a nil artifact.
-func build(spec Spec, cp *compiler.Compiled, structural bool) (*machine.Machine, *compiler.Compiled, error) {
-	m, err := machine.NewForCircuit(spec.Circuit, spec.MeshW, spec.MeshH, spec.Cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch {
-	case cp != nil:
-	case structural && spec.FreshCompile:
-		return m, nil, nil
-	case structural:
-		cp, err = m.CompileSkeleton(spec.Circuit, spec.Mapping)
-	case spec.FreshCompile:
-		cp, err = m.CompileFresh(spec.Circuit, spec.Mapping)
-	default:
-		cp, err = m.Compile(spec.Circuit, spec.Mapping)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := m.Load(cp); err != nil {
-		return nil, nil, err
-	}
-	return m, cp, nil
-}
-
-// Replicas grows machines to want loaded replicas of the spec, all sharing
-// one compiled artifact: art when non-nil, else the first build's compile
-// (a shared-cache hit if the circuit has been seen before). It returns the
-// grown slice and the artifact; on error, the replicas it was handed plus
-// those already built. internal/service grows its checked-out pool
-// replicas with it, so pooled and private machines are built one way.
-func Replicas(spec Spec, structural bool, machines []*machine.Machine, art *compiler.Compiled, want int) ([]*machine.Machine, *compiler.Compiled, error) {
+// Replicas grows machines to want replicas of the spec, every new one
+// loaded with art. It only builds and loads; compiling is the caller's (Run
+// and RunSweep go through the cache, internal/service acquires the artifact
+// under its admission fingerprint and grows its pool replicas here), so
+// pooled and private machines are built one way. On error it returns the
+// replicas it was handed plus those already built.
+func Replicas(spec Spec, machines []*machine.Machine, art *compiler.Compiled, want int) ([]*machine.Machine, error) {
 	for len(machines) < want {
-		m, built, err := build(spec, art, structural)
+		m, err := machine.NewForCircuit(spec.Circuit, spec.MeshW, spec.MeshH, spec.Cfg)
 		if err != nil {
-			return machines, art, err
+			return machines, err
 		}
-		machines, art = append(machines, m), built
+		if err := m.Load(art); err != nil {
+			return machines, err
+		}
+		machines = append(machines, m)
 	}
-	return machines, art, nil
+	return machines, nil
 }
 
 // PanicError is a panic recovered on a replica while it ran a shot or a
@@ -263,7 +216,10 @@ func fanOut(machines []*machine.Machine, n int, fn func(m *machine.Machine, k in
 
 // start is the shared opening of Run and RunSweep: validate, resolve the
 // worker count (workers <= 0 picks GOMAXPROCS; never more replicas than
-// there are units to fan out), and build that many replicas off one compile.
+// there are units to fan out), compile once through the artifact cache —
+// under the bind-invariant structural key for a sweep, whose loaded artifact
+// is the unbound skeleton patched per point by BindParams — and build that
+// many replicas loaded with the result.
 func start(spec Spec, structural bool, shots, units, workers int) ([]*machine.Machine, *compiler.Compiled, error) {
 	if spec.Circuit == nil {
 		return nil, nil, fmt.Errorf("runner: nil circuit")
@@ -277,7 +233,17 @@ func start(spec Spec, structural bool, shots, units, workers int) ([]*machine.Ma
 	if workers > units {
 		workers = units
 	}
-	return Replicas(spec, structural, nil, nil, workers)
+	if workers == 0 {
+		return nil, nil, nil
+	}
+	cfg := spec.Cfg
+	cfg.Net.MeshW, cfg.Net.MeshH = spec.MeshW, spec.MeshH // they win over Cfg.Net's, as in NewForCircuit
+	art, err := machine.Compile(spec.Circuit, spec.Mapping, cfg, structural)
+	if err != nil {
+		return nil, nil, err
+	}
+	machines, err := Replicas(spec, nil, art, workers)
+	return machines, art, err
 }
 
 // Run compiles the spec once and executes `shots` repetitions across
@@ -337,8 +303,8 @@ func RunOn(machines []*machine.Machine, base int64, shots, numBits int) (*ShotSe
 }
 
 // RunRebuild is the legacy rebuild-per-shot reference path: every shot
-// constructs a fresh machine and recompiles the circuit, deliberately
-// bypassing the shared artifact cache (a cached "rebuild" would no longer
+// constructs a fresh machine and runs the compiler pipeline in full, never
+// touching the artifact cache (a cached "rebuild" would no longer
 // measure what it claims to). It exists as the semantic baseline the
 // reset path is verified against and as the "before" side of the
 // shot-throughput benchmarks; new code should call Run.
@@ -351,11 +317,17 @@ func RunRebuild(spec Spec, shots int) (*ShotSet, error) {
 	}
 	set := &ShotSet{Shots: make([]Shot, shots), NumBits: spec.Circuit.NumBits}
 	for k := 0; k < shots; k++ {
-		shotSpec := spec
-		shotSpec.FreshCompile = true
-		shotSpec.Cfg.Seed = machine.DeriveSeed(spec.Cfg.Seed, k)
-		m, _, err := build(shotSpec, nil, false)
+		cfg := spec.Cfg
+		cfg.Seed = machine.DeriveSeed(spec.Cfg.Seed, k)
+		m, err := machine.NewForCircuit(spec.Circuit, spec.MeshW, spec.MeshH, cfg)
 		if err != nil {
+			return nil, err
+		}
+		cp, err := machine.CompileUncached(spec.Circuit, spec.Mapping, m.Cfg)
+		if err != nil {
+			return nil, err
+		}
+		if err := m.Load(cp); err != nil {
 			return nil, err
 		}
 		res, err := m.Run()
@@ -366,7 +338,7 @@ func RunRebuild(spec Spec, shots int) (*ShotSet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("runner: rebuild shot %d: %w", k, err)
 		}
-		set.Shots[k] = Shot{Index: k, Seed: shotSpec.Cfg.Seed, Result: res, Bits: bits}
+		set.Shots[k] = Shot{Index: k, Seed: cfg.Seed, Result: res, Bits: bits}
 	}
 	return set, nil
 }

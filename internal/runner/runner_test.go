@@ -189,7 +189,7 @@ func TestSpecPlacementThreads(t *testing.T) {
 	}
 	spec := Spec{Circuit: c, MeshW: 3, MeshH: 2, Cfg: machine.DefaultConfig(6)}
 	spec.Cfg.Placement = "interaction"
-	_, cp, err := build(spec, nil, false)
+	_, cp, err := start(spec, false, 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestSpecPlacementThreads(t *testing.T) {
 	// turn advance booking off — is a second Cfg field on the same path:
 	// it compiles a different artifact and keeps the spec's placement.
 	spec.Cfg.Schedule = "padded"
-	_, cp2, err := build(spec, nil, false)
+	_, cp2, err := start(spec, false, 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

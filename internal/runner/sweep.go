@@ -9,8 +9,8 @@ import (
 
 // Parameter-sweep execution: the VQE/calibration-style workload where one
 // circuit skeleton is run at many rotation-angle settings. The skeleton is
-// compiled exactly once under its structural fingerprint
-// (machine.CompileSkeleton); each point then costs one BindParams patch —
+// compiled exactly once under its structural fingerprint (machine.Compile
+// with structural set); each point then costs one BindParams patch —
 // a table copy, no re-placement, no re-scheduling — plus a Load and the
 // shots themselves. Determinism mirrors Run: point k's shot stream is
 // seeded from machine.DeriveSeed(base, k) (point 0 = base, so a one-point
@@ -59,14 +59,16 @@ func RunSweep(spec Spec, points []map[string]float64, shots, workers int) ([]Swe
 // This is the streaming hook: internal/service publishes each observed
 // point to /v1/jobs/{id}/stream watchers while the sweep is still running.
 func RunPoints(spec Spec, machines []*machine.Machine, art *compiler.Compiled, points []map[string]float64, shots int, observe func(SweepPoint)) ([]SweepPoint, error) {
-	if len(machines) == 0 {
-		return nil, fmt.Errorf("runner: RunPoints with no machines")
+	if len(machines) == 0 || art == nil {
+		return nil, fmt.Errorf("runner: RunPoints with no machines or no compiled artifact")
 	}
 	out := make([]SweepPoint, len(points))
-	runPoint := func(on []*machine.Machine, k int) error {
-		bound, err := spec.pointArtifact(on[0], art, points[k])
-		if err != nil {
-			return err
+	runPoint := func(on []*machine.Machine, k int) (err error) {
+		bound := art
+		if points[k] != nil {
+			if bound, err = art.BindParams(points[k]); err != nil {
+				return err
+			}
 		}
 		for _, m := range on {
 			if m.Loaded() == bound {
@@ -101,25 +103,4 @@ func RunPoints(spec Spec, machines []*machine.Machine, art *compiler.Compiled, p
 		return nil, err
 	}
 	return out, nil
-}
-
-// pointArtifact resolves the program one point runs: art itself for an
-// unbound (nil) point, art patched by BindParams for a binding — or, for a
-// FreshCompile spec, the baseline the bind path is measured and verified
-// against: the circuit bound up front and compiled in full on m, nothing
-// cached.
-func (spec Spec) pointArtifact(m *machine.Machine, art *compiler.Compiled, params map[string]float64) (*compiler.Compiled, error) {
-	switch {
-	case params != nil && spec.FreshCompile:
-		bound, err := spec.Circuit.Bind(params)
-		if err != nil {
-			return nil, err
-		}
-		return m.CompileFresh(bound, spec.Mapping)
-	case art == nil:
-		return nil, fmt.Errorf("runner: no compiled artifact to run")
-	case params == nil:
-		return art, nil
-	}
-	return art.BindParams(params)
 }

@@ -121,7 +121,7 @@ func TestRunSweepEdgeCases(t *testing.T) {
 	if _, err := RunPoints(spec, nil, nil, points, 1, nil); err == nil {
 		t.Fatal("no machines accepted")
 	}
-	machines, skel, err := Replicas(spec, true, nil, nil, 1)
+	machines, skel, err := start(spec, true, 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

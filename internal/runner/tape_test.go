@@ -20,10 +20,16 @@ import (
 // anywhere: the tape is an optimisation of a deterministic simulator.
 
 // simulate is the oracle: every shot of base's stream simulated in full on
-// a replica of its own.
+// a replica of its own, loaded with art (nil = the spec's own compile).
 func simulate(t *testing.T, spec Spec, art *compiler.Compiled, base int64, shots int) *ShotSet {
 	t.Helper()
-	machines, _, err := Replicas(spec, false, nil, art, 1)
+	var machines []*machine.Machine
+	var err error
+	if art == nil {
+		machines, _, err = start(spec, false, 0, 1, 1)
+	} else {
+		machines, err = Replicas(spec, nil, art, 1)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +75,7 @@ func sameSet(t *testing.T, ctx string, got, want *ShotSet) {
 // recording fell back; otherwise no shot ever did.
 func tapeOracle(t *testing.T, spec Spec, shots int, static bool) {
 	t.Helper()
-	machines, art, err := Replicas(spec, false, nil, nil, 2)
+	machines, art, err := start(spec, false, 0, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +246,7 @@ func TestFeedForwardNeverTaped(t *testing.T) {
 func TestBatchableRejectsFeedForward(t *testing.T) {
 	static := func(spec Spec) bool {
 		t.Helper()
-		_, art, err := Replicas(spec, false, nil, nil, 1)
+		_, art, err := start(spec, false, 0, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +296,7 @@ func TestTapeAcrossBindPoints(t *testing.T) {
 	}
 
 	// On one replica the whole sweep records once.
-	machines, skel, err := Replicas(spec, true, nil, nil, 1)
+	machines, skel, err := start(spec, true, 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +339,7 @@ func TestTapeKeepsRefereeVerdict(t *testing.T) {
 // and nothing else.
 func TestTapedShotAllocations(t *testing.T) {
 	spec := autoSpec(workloads.GHZ(128), machine.BackendStabilizer, 3)
-	machines, _, err := Replicas(spec, false, nil, nil, 1)
+	machines, _, err := start(spec, false, 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,13 @@ package service
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"dhisq/internal/artifact"
 	"dhisq/internal/machine"
 	"dhisq/internal/network"
+	"dhisq/internal/runner"
 	"dhisq/internal/workloads"
 )
 
@@ -26,10 +28,11 @@ func submitWait(t *testing.T, svc *Service, req Request) JobStatus {
 	return st
 }
 
-// TestParamsJobMatchesFreshCompile: a parameter-bound job served off the
-// cached skeleton is byte-identical to the same binding compiled in full
-// (FreshCompile), and repeat bindings compile nothing.
-func TestParamsJobMatchesFreshCompile(t *testing.T) {
+// TestParamsJobMatchesBoundPlainJob: a parameter-bound job served off the
+// cached skeleton is byte-identical to a plain job of the circuit bound up
+// front — a full compile of the binding under its own key — and repeat
+// bindings compile nothing.
+func TestParamsJobMatchesBoundPlainJob(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	c := workloads.VQEAnsatz(6, 1)
@@ -46,9 +49,16 @@ func TestParamsJobMatchesFreshCompile(t *testing.T) {
 	if !warm2.CacheHit {
 		t.Fatal("second binding missed the skeleton cache")
 	}
-	fresh1 := submitWait(t, svc, Request{Circuit: c, Shots: 10, Seed: 5, Params: p1, FreshCompile: true})
-	if warm1.Histogram.String() != fresh1.Histogram.String() {
-		t.Fatalf("bind path broke determinism:\nwarm:\n%s\nfresh:\n%s", warm1.Histogram, fresh1.Histogram)
+	bound, err := c.Bind(p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain1 := submitWait(t, svc, Request{Circuit: bound, Shots: 10, Seed: 5})
+	if plain1.Fingerprint == warm1.Fingerprint {
+		t.Fatal("the bound plain job shares the skeleton's fingerprint: it is no independent reference")
+	}
+	if !reflect.DeepEqual(warm1.Set, plain1.Set) {
+		t.Fatalf("bind path broke determinism:\nbind:\n%s\nplain:\n%s", warm1.Histogram, plain1.Histogram)
 	}
 	if warm1.Histogram.String() == warm2.Histogram.String() {
 		t.Log("note: different bindings produced identical histograms (possible but unlikely)")
@@ -130,9 +140,10 @@ func TestBindAdmissionErrors(t *testing.T) {
 		Params: map[string]float64{}})
 }
 
-// TestFreshSweepMatchesCachedSweep: the FreshCompile sweep baseline —
-// full compile per point, private machines — must agree point for point
-// with the bind-patched path.
+// TestFreshSweepMatchesCachedSweep: the sweep baseline — every point bound
+// up front and run on runner.RunRebuild, a fresh machine and an uncached
+// pipeline run per shot — must agree point for point with the bind-patched
+// path.
 func TestFreshSweepMatchesCachedSweep(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
@@ -142,16 +153,25 @@ func TestFreshSweepMatchesCachedSweep(t *testing.T) {
 		workloads.VQEAnsatzPoint(5, 1, 4),
 	}
 	warm := submitWait(t, svc, Request{Circuit: c, Shots: 5, Seed: 13, Sweep: points})
-	fresh := submitWait(t, svc, Request{Circuit: c, Shots: 5, Seed: 13, Sweep: points, FreshCompile: true})
-	if len(fresh.Points) != len(warm.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(fresh.Points), len(warm.Points))
+	if len(warm.Points) != len(points) {
+		t.Fatalf("got %d points, want %d", len(warm.Points), len(points))
 	}
-	for k := range warm.Points {
-		if warm.Points[k].Histogram.String() != fresh.Points[k].Histogram.String() {
-			t.Fatalf("point %d: bind path %v vs fresh %v", k, warm.Points[k].Histogram, fresh.Points[k].Histogram)
+	for k, pt := range points {
+		bound, err := c.Bind(pt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if warm.Points[k].Makespan != fresh.Points[k].Makespan {
-			t.Fatalf("point %d makespans differ", k)
+		adm, err := Resolve(Request{Circuit: bound, Shots: 5, Seed: machine.DeriveSeed(13, k)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := runner.RunRebuild(adm.Spec, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := pointStatusOf(runner.SweepPoint{Index: k, Params: pt, Set: set})
+		if !reflect.DeepEqual(warm.Points[k], fresh) {
+			t.Fatalf("point %d: bind path %+v vs rebuilt %+v", k, warm.Points[k], fresh)
 		}
 	}
 }

@@ -35,12 +35,13 @@ func feedForwardAnsatz(n int) *circuit.Circuit {
 }
 
 // TestExecutionMatrix walks every cell the one execution path serves —
-// {plain, Params, Sweep} × {cold pool, warm pool, FreshCompile} ×
-// ShotWorkers {1, 3}, for a static circuit (whose shots ride the commit
-// tape) and a feed-forward one (whose shots never do) — and pins two
-// things per cell: the results are byte-identical to the runner's
-// one-worker reference (runner.Run of the bound circuit, runner.RunSweep
-// of the skeleton), and the bookkeeping is exact: CacheHit, Batched, the
+// {plain, Params, Sweep} × {cold pool, warm pool} × ShotWorkers {1, 3}, for
+// a static circuit (whose shots ride the commit tape) and a feed-forward
+// one (whose shots never do) — and pins two things per cell: the results
+// are byte-identical to the runner's one-worker reference (runner.Run of
+// the bound circuit — itself held to runner.RunRebuild, the uncached
+// machine-per-shot oracle — and runner.RunSweep of the skeleton), and the
+// bookkeeping is exact: CacheHit, Batched, the
 // Binds/BindHits deltas, PooledReplicas, the compiles charged to the
 // artifact cache, and how many shots came off a tape.
 func TestExecutionMatrix(t *testing.T) {
@@ -73,6 +74,15 @@ func executionMatrix(t *testing.T, skel *circuit.Circuit, n int, static bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The reference is itself held to the oracle no cache, pool or tape can
+	// reach: a machine built and a pipeline run per shot.
+	rebuilt, err := runner.RunRebuild(runner.Spec{Circuit: bound, MeshW: w, MeshH: h, Cfg: refCfg}, shots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(refSet, rebuilt) {
+		t.Fatal("runner.Run diverges from runner.RunRebuild")
+	}
 	refSweep, err := runner.RunSweep(runner.Spec{Circuit: skel, MeshW: w, MeshH: h, Cfg: refCfg}, points, shots, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -93,23 +103,22 @@ func executionMatrix(t *testing.T, skel *circuit.Circuit, n int, static bool) {
 		{"sweep", Request{Circuit: skel, Sweep: points}, uint64(len(points)), uint64(len(points)) * shots},
 	}
 	steps := []struct {
-		name                    string
-		fresh, cacheHit, warmed bool
-		misses                  uint64
+		name             string
+		cacheHit, warmed bool
+		misses           uint64
 	}{
-		{"cold", false, false, false, 1},
-		{"warm", false, true, true, 0},
-		{"fresh", true, false, false, 0},
+		{"cold", false, false, 1},
+		{"warm", true, true, 0},
 	}
 	for _, workers := range []int{1, 3} {
 		for _, kind := range kinds {
 			// One service per (workers, kind): its pool and private cache
-			// carry cold → warm → fresh in order.
+			// carry cold → warm in order.
 			cache := artifact.New(8)
 			svc := New(Config{Workers: 1, ShotWorkers: workers, Artifacts: cache})
 			for _, step := range steps {
 				req := kind.req
-				req.Shots, req.Seed, req.FreshCompile = shots, seed, step.fresh
+				req.Shots, req.Seed = shots, seed
 				before := svc.Stats()
 				st := submitWait(t, svc, req)
 				after := svc.Stats()
@@ -127,12 +136,9 @@ func executionMatrix(t *testing.T, skel *circuit.Circuit, n int, static bool) {
 					t.Errorf("w%d %s: CacheHit=%v Batched=%v, want %v %v",
 						workers, cell, st.CacheHit, st.Batched, step.cacheHit, step.warmed)
 				}
-				wantBinds, wantHits := uint64(0), uint64(0)
-				if !step.fresh {
-					wantBinds = kind.binds
-					if step.cacheHit && kind.binds > 0 {
-						wantHits = 1
-					}
+				wantBinds, wantHits := kind.binds, uint64(0)
+				if step.cacheHit && kind.binds > 0 {
+					wantHits = 1
 				}
 				if d := after.Binds - before.Binds; d != wantBinds {
 					t.Errorf("w%d %s: Binds moved by %d, want %d", workers, cell, d, wantBinds)
@@ -141,8 +147,7 @@ func executionMatrix(t *testing.T, skel *circuit.Circuit, n int, static bool) {
 					t.Errorf("w%d %s: BindHits moved by %d, want %d", workers, cell, d, wantHits)
 				}
 				// 4 shots and 4 points both cover 3 replicas, so every
-				// pooled job holds exactly ShotWorkers of them; the fresh
-				// job's private replicas never reach the pool.
+				// job holds exactly ShotWorkers of them.
 				if after.PooledReplicas != workers {
 					t.Errorf("w%d %s: PooledReplicas=%d, want %d", workers, cell, after.PooledReplicas, workers)
 				}
@@ -152,17 +157,13 @@ func executionMatrix(t *testing.T, skel *circuit.Circuit, n int, static bool) {
 
 				// The tape: every shot a replica runs is replayed, except
 				// the one it records on first meeting a program. A bind
-				// patch is the same program, a fresh compile another one:
-				// a fresh sweep records once per point; anything else once
-				// per replica that holds no tape yet — every replica that
-				// is handed a shot on a cold or fresh job, none on a warm
-				// job but those the cold job never handed one.
+				// patch is the same program, so a job records once per
+				// replica that holds no tape yet — every replica that is
+				// handed a shot on a cold job, none on a warm job but those
+				// the cold job never handed one.
 				taped := after.TapedShots - before.TapedShots
 				recordedLeast, recordedMost := uint64(1), uint64(workers)
-				switch {
-				case step.fresh && kind.req.Sweep != nil:
-					recordedLeast, recordedMost = uint64(len(points)), uint64(len(points))
-				case step.warmed:
+				if step.warmed {
 					recordedLeast, recordedMost = 0, uint64(workers-1)
 				}
 				switch {
@@ -291,7 +292,7 @@ func TestReleaseRecoversOutsideTheFanOut(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	j := &job{id: "job-broken"} // no circuit: machine construction dereferences nil
-	_, err := svc.run(j, plan{pooled: true, points: []map[string]float64{nil}, want: 1})
+	_, err := svc.run(j, plan{points: []map[string]float64{nil}, want: 1})
 	var pe *runner.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("run returned %v, want a recovered *runner.PanicError", err)

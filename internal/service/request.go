@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -73,11 +74,6 @@ type Request struct {
 	// multi-chip jobs (0 defers to Cfg.EPRLatency, then to the machine
 	// default). Compile-relevant like Chips.
 	EPRLatency sim.Time `json:"epr_latency,omitempty"`
-	// FreshCompile makes this job bypass the artifact cache and the
-	// replica pool entirely: compile + build paid in full, nothing
-	// cached or pooled. The baseline knob of the cache experiments and
-	// a diagnostic escape hatch; results are still byte-identical.
-	FreshCompile bool `json:"-"`
 	// Params binds the circuit's symbolic parameters for this job (QASM
 	// angles written as identifiers, e.g. "rz(theta0) q[0];"). The
 	// job is fingerprinted on the bind-invariant structural key, so every
@@ -167,121 +163,96 @@ func (s Submission) Build() (Request, error) {
 	return req, nil
 }
 
-// Resolve normalizes a request into the spec it runs as: mesh dimensions
-// defaulted via AutoMesh (and grown for a multi-chip expansion), the machine
-// config defaulted via DefaultConfig with the request's option fields
-// overlaid, and every admission check made — option ranges, policy names,
-// parameter bindings. Submit, RouteKey and dhisq-sim's in-process run all
-// build their spec here, so a shard, a router and the CLI can never disagree
-// about what a request means or whether it is valid. Cfg.Seed is the
-// request's (0 = not chosen yet; Submit derives one).
-func Resolve(req Request) (runner.Spec, error) {
+// Admission is a submission resolved once: the request as given (Shots,
+// Params and Sweep drive the run), the spec it runs as, and the fingerprint
+// that is its one identity — artifact-cache key, replica-pool key and what
+// -cluster routes on. That is the bind-invariant structural key for Params
+// and Sweep jobs (every binding of one skeleton shares an artifact, a
+// replica pool and a shard) and the full key otherwise: a pure function of
+// the request, so every node of a cluster computes the same one.
+type Admission struct {
+	Req         Request
+	Spec        runner.Spec
+	Fingerprint artifact.Fingerprint
+}
+
+// Resolve is the one admission: the request's option fields overlaid on the
+// machine config (Cfg, else DefaultConfig), every check made — option
+// ranges, policy names, parameter bindings — the config normalized by
+// machine.Normalize (mesh defaulted and grown for a multi-chip expansion,
+// backend and EPR latency resolved), and the result fingerprinted. The
+// daemon, dhisq-sim's in-process run and cluster routing all start here, so
+// a shard, a router and the CLI can never disagree about what a request
+// means, whether it is valid, or which program it names. Spec.Cfg.Seed is
+// the request's (0 = not chosen yet; Enqueue derives one).
+func Resolve(req Request) (Admission, error) {
 	if req.Circuit == nil {
-		return runner.Spec{}, fmt.Errorf("service: nil circuit")
+		return Admission{}, fmt.Errorf("service: nil circuit")
 	}
 	if req.Shots < 1 {
-		return runner.Spec{}, fmt.Errorf("service: shots %d < 1", req.Shots)
-	}
-	n := req.Circuit.NumQubits
-	w, h := req.MeshW, req.MeshH
-	if w <= 0 || h <= 0 {
-		w, h = placement.AutoMesh(n)
+		return Admission{}, fmt.Errorf("service: shots %d < 1", req.Shots)
 	}
 	var cfg machine.Config
 	if req.Cfg != nil {
 		cfg = *req.Cfg
 	} else {
-		cfg = machine.DefaultConfig(n)
+		cfg = machine.DefaultConfig(req.Circuit.NumQubits)
 	}
 	cfg.Seed = req.Seed
 	if req.Topo != "" {
 		kind, err := network.ParseTopology(req.Topo)
 		if err != nil {
-			return runner.Spec{}, err
+			return Admission{}, err
 		}
 		cfg.Net.Topology = kind
 	}
-	if req.LinkBW != 0 {
-		cfg.Net.LinkSerialization = req.LinkBW
-	}
-	if req.RouterPorts != 0 {
-		cfg.Net.RouterPorts = req.RouterPorts
-	}
-	if req.Placement != "" {
-		cfg.Placement = req.Placement
-	}
-	if req.Schedule != "" {
-		cfg.Schedule = req.Schedule
-	}
-	if req.Collective != "" {
-		cfg.Collective = req.Collective
-	}
-	if req.Chips != 0 {
-		cfg.Chips = req.Chips
-	}
-	if req.EPRLatency != 0 {
-		cfg.EPRLatency = req.EPRLatency
-	}
+	cfg.Net.LinkSerialization = cmp.Or(req.LinkBW, cfg.Net.LinkSerialization)
+	cfg.Net.RouterPorts = cmp.Or(req.RouterPorts, cfg.Net.RouterPorts)
+	cfg.Placement = cmp.Or(req.Placement, cfg.Placement)
+	cfg.Schedule = cmp.Or(req.Schedule, cfg.Schedule)
+	cfg.Collective = cmp.Or(req.Collective, cfg.Collective)
+	cfg.Chips = cmp.Or(req.Chips, cfg.Chips)
+	cfg.EPRLatency = cmp.Or(req.EPRLatency, cfg.EPRLatency)
 	// Validate what the job will actually compile and run with — whether it
 	// arrived via the request or a caller-supplied Cfg — so bad values are
 	// rejected here, before any work queues.
 	if cfg.Net.LinkSerialization < 0 || cfg.Net.RouterPorts < 0 {
-		return runner.Spec{}, fmt.Errorf("service: link_bw and router_ports must be >= 0")
+		return Admission{}, fmt.Errorf("service: link_bw and router_ports must be >= 0")
 	}
-	if cfg.Chips < 0 {
-		return runner.Spec{}, fmt.Errorf("service: negative chip count %d", cfg.Chips)
+	if cfg.Chips > 1 && req.Mapping != nil {
+		return Admission{}, fmt.Errorf("service: explicit mapping with %d chips unsupported (the chip expansion adds communication qubits; use a placement policy)", cfg.Chips)
 	}
-	if cfg.EPRLatency < 0 {
-		return runner.Spec{}, fmt.Errorf("service: negative EPR latency %d", cfg.EPRLatency)
+	cfg, err := machine.Normalize(req.Circuit, req.MeshW, req.MeshH, cfg)
+	if err != nil {
+		return Admission{}, err
 	}
-	if cfg.Chips > 1 {
-		if req.Mapping != nil {
-			return runner.Spec{}, fmt.Errorf("service: explicit mapping with %d chips unsupported (the chip expansion adds communication qubits; use a placement policy)", cfg.Chips)
-		}
-		if cfg.Chips > n {
-			return runner.Spec{}, fmt.Errorf("service: %d chips exceed %d qubits (each chip needs at least one data qubit)", cfg.Chips, n)
-		}
-		// The expansion appends one communication qubit per chip; grow
-		// the mesh here, at admission, exactly the way machine.New
-		// would, so the fingerprint this request is admitted and routed
-		// under matches the machine it will run on.
-		if total := cfg.TotalQubits(n); w*h < total {
-			w, h = placement.AutoMesh(total)
-		}
-	}
-	cfg.Net.MeshW, cfg.Net.MeshH = w, h
-	if err := placement.Valid(cfg.Placement); err != nil {
-		return runner.Spec{}, err
-	}
-	if err := compiler.ValidSchedule(cfg.Schedule); err != nil {
-		return runner.Spec{}, err
+	if err := cmp.Or(placement.Valid(cfg.Placement), compiler.ValidSchedule(cfg.Schedule)); err != nil {
+		return Admission{}, err
 	}
 	if cfg.Collective != "" {
 		if _, err := network.ParseCollSchedule(cfg.Collective); err != nil {
-			return runner.Spec{}, err
+			return Admission{}, err
 		}
 	}
 	if err := validateParams(req); err != nil {
-		return runner.Spec{}, err
+		return Admission{}, err
 	}
-	return runner.Spec{
-		Circuit: req.Circuit, MeshW: w, MeshH: h,
-		Mapping: req.Mapping, Cfg: cfg, FreshCompile: req.FreshCompile,
-	}, nil
-}
-
-// RouteKey is the fingerprint cluster routing shards on: always the
-// bind-invariant structural key, so every binding of one parameterized
-// family — and the unparameterized circuit itself — routes to the same
-// shard, landing on that shard's warm skeleton and replica pool. It is a
-// pure function of the request (no service state, no seeds), so every
-// node of a cluster computes the same key for the same submission.
-func RouteKey(req Request) (artifact.Fingerprint, error) {
-	spec, err := Resolve(req)
+	// The one place a submission's circuit is hashed.
+	keyFor := machine.KeyFor
+	if req.bindJob() {
+		keyFor = machine.StructuralKeyFor
+	}
+	fp, err := keyFor(req.Circuit, req.Mapping, cfg)
 	if err != nil {
-		return artifact.Fingerprint{}, err
+		return Admission{}, err
 	}
-	return machine.StructuralKeyFor(spec.Circuit, spec.Mapping, spec.Cfg)
+	return Admission{
+		Req: req, Fingerprint: fp,
+		Spec: runner.Spec{
+			Circuit: req.Circuit, MeshW: cfg.Net.MeshW, MeshH: cfg.Net.MeshH,
+			Mapping: req.Mapping, Cfg: cfg,
+		},
+	}, nil
 }
 
 // validateParams rejects malformed parameter bindings at admission,

@@ -64,7 +64,7 @@ func TestWireNamesPinned(t *testing.T) {
 // daemon decodes, and the fields that never travel stay behind.
 func TestSubmissionRoundTrip(t *testing.T) {
 	sub := Submission{Bench: "dvqe", Scale: 2, Request: Request{
-		Circuit: ghz(2), MeshW: 3, FreshCompile: true, // never on the wire
+		Circuit: ghz(2), MeshW: 3, // never on the wire
 		Shots: 4, Seed: 7, Topo: "torus", LinkBW: 4, RouterPorts: 2, Placement: "interaction",
 		Schedule: "padded", Collective: "ring", Chips: 2, EPRLatency: 150,
 		Params: map[string]float64{"t": 0.5},
@@ -77,7 +77,7 @@ func TestSubmissionRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	sub.Circuit, sub.MeshW, sub.FreshCompile = nil, 0, false
+	sub.Circuit, sub.MeshW = nil, 0
 	if !reflect.DeepEqual(back, sub) {
 		t.Fatalf("round trip lost something:\n sent %+v\n got  %+v\n wire %s", sub, back, b)
 	}

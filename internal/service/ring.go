@@ -8,8 +8,9 @@ import (
 )
 
 // Consistent-hash routing for a dhisq-serve cluster. Jobs are routed by
-// their bind-invariant structural key (RouteKey), so every binding of a
-// circuit family lands on one shard — that shard compiles the family's
+// their fingerprint (Admission.Fingerprint — the bind-invariant structural
+// key for Params and Sweep jobs), so every binding of a circuit family lands
+// on one shard — that shard compiles the family's
 // skeleton once, keeps its replica pool warm, and owns its spilled
 // artifact on disk. Consistent hashing (rather than key mod N) bounds
 // the damage of membership change: when one of N shards leaves, only the

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dhisq/internal/artifact"
 	"dhisq/internal/service"
 	"dhisq/internal/workloads"
 )
@@ -123,38 +124,39 @@ func TestRingRejectsBadMembers(t *testing.T) {
 	}
 }
 
-// RouteKey is bind-invariant and deterministic: every binding of one
-// parameterized family yields the same routing key, different circuit
-// families yield different keys, and the key never depends on seeds or
-// shot counts.
+// The fingerprint Resolve gives a submission — what -cluster routes on — is
+// bind-invariant and deterministic: every binding of one parameterized
+// family yields the same one, different circuit families yield different
+// ones, and it never depends on seeds or shot counts.
 func TestRouteKeyBindInvariant(t *testing.T) {
+	route := func(req service.Request) artifact.Fingerprint {
+		t.Helper()
+		a, err := service.Resolve(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Fingerprint
+	}
 	sweep := workloads.QFTSweep(4)
 	base := service.Request{Circuit: sweep, Shots: 10,
 		Params: workloads.QFTSweepPoint(4, 0)}
-	k1, err := service.RouteKey(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k1 := route(base)
 	other := base
 	other.Params = workloads.QFTSweepPoint(4, 3)
 	other.Shots = 999
 	other.Seed = 42
-	k2, err := service.RouteKey(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k2 {
+	if route(other) != k1 {
 		t.Error("two bindings of one skeleton route to different keys")
 	}
-	ghz := service.Request{Circuit: workloads.GHZ(4), Shots: 10}
-	k3, err := service.RouteKey(ghz)
-	if err != nil {
-		t.Fatal(err)
+	asSweep := base
+	asSweep.Params, asSweep.Sweep = nil, []map[string]float64{workloads.QFTSweepPoint(4, 1)}
+	if route(asSweep) != k1 {
+		t.Error("a sweep of the skeleton routes away from its single bindings")
 	}
-	if k3 == k1 {
+	if route(service.Request{Circuit: workloads.GHZ(4), Shots: 10}) == k1 {
 		t.Error("distinct circuit families share a routing key")
 	}
-	if _, err := service.RouteKey(service.Request{Shots: 1}); err == nil {
-		t.Error("RouteKey accepted a nil circuit")
+	if _, err := service.Resolve(service.Request{Shots: 1}); err == nil {
+		t.Error("Resolve accepted a nil circuit")
 	}
 }

@@ -248,13 +248,10 @@ type job struct {
 
 	shots, meshW, meshH, chips int // from req and spec.Cfg, for status()
 
-	fp        artifact.Fingerprint
-	pk        poolKey
+	pk        poolKey // pk.fp is the job's fingerprint (Admission.Fingerprint)
 	seed      int64
 	placement string // resolved placement policy name (never "")
 	schedule  string // resolved schedule policy name (never "")
-
-	trackFeedback bool // aggregate per-link feedback for the re-place loop
 
 	mu       sync.Mutex
 	state    State
@@ -299,7 +296,6 @@ func (j *job) publish(ps PointStatus) {
 // Service is the job manager. Construct with New, stop with Close.
 type Service struct {
 	cfg   Config
-	arts  *artifact.Cache // resolved Config.Artifacts (never nil)
 	queue chan *job
 
 	mu       sync.Mutex
@@ -358,7 +354,6 @@ func New(cfg Config) *Service {
 	}
 	s := &Service{
 		cfg:      cfg,
-		arts:     cfg.Artifacts,
 		queue:    make(chan *job, cfg.QueueDepth),
 		jobs:     make(map[string]*job),
 		pool:     newReplicaPool(cfg.MaxPooledReplicas),
@@ -371,63 +366,48 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Submit validates and enqueues a job, returning its ID immediately. The
-// queue is bounded: a full queue rejects with ErrQueueFull rather than
-// blocking the caller (admission control, not backpressure-by-hanging).
+// Submit resolves and enqueues a job, returning its ID immediately.
 func (s *Service) Submit(req Request) (string, error) {
-	if len(req.Sweep) > s.cfg.MaxSweepPoints {
-		return "", fmt.Errorf("service: sweep has %d points, limit %d (split it into multiple jobs — they share the compiled skeleton anyway)",
-			len(req.Sweep), s.cfg.MaxSweepPoints)
-	}
-	spec, err := Resolve(req)
+	a, err := Resolve(req)
 	if err != nil {
 		return "", err
 	}
-	cfg := &spec.Cfg
-	// Jobs compile through this service's artifact cache (unless the
-	// caller pinned one in req.Cfg): the field rides the machine config
-	// into the replica build without touching any fingerprint.
-	if cfg.Artifacts == nil {
-		cfg.Artifacts = s.arts
-	}
+	return s.Enqueue(a)
+}
 
-	// Fingerprint at admission, outside the service lock: KeyFor hashes
-	// every circuit op, so holding s.mu here would serialize all
-	// admission and every Get/Wait/Stats behind it. The key is what
-	// batches this job with others compiling the same program; KeyFor
-	// needs only the topology, so admission never builds a machine. The
-	// resolved backend joins the pool key (execution-relevant but not
-	// compile-relevant). Neither depends on the seed assigned below.
-	// Parameter-bound jobs fingerprint on the bind-invariant structural
-	// key instead, so every binding of one skeleton — and every point of
-	// a sweep — shares one artifact and one replica pool.
-	keyFn := machine.KeyFor
-	if req.bindJob() {
-		keyFn = machine.StructuralKeyFor
+// Enqueue queues a resolved submission — Submit's second half, exported for
+// callers that resolved already to route on the fingerprint (dhisq-serve
+// -cluster). The queue is bounded: a full queue rejects with ErrQueueFull
+// rather than blocking the caller (admission control, not
+// backpressure-by-hanging). Nothing here reads the circuit — Resolve hashed
+// it, outside the service lock.
+func (s *Service) Enqueue(a Admission) (string, error) {
+	if len(a.Req.Sweep) > s.cfg.MaxSweepPoints {
+		return "", fmt.Errorf("service: sweep has %d points, limit %d (split it into multiple jobs — they share the compiled skeleton anyway)",
+			len(a.Req.Sweep), s.cfg.MaxSweepPoints)
 	}
-	fp, err := keyFn(spec.Circuit, spec.Mapping, *cfg)
-	if err != nil {
-		return "", err
+	cfg := &a.Spec.Cfg
+	// Jobs compile through this service's artifact cache unless the caller
+	// pinned one in req.Cfg (which cache serves a compile is in no key).
+	if cfg.Artifacts == nil {
+		cfg.Artifacts = s.cfg.Artifacts
 	}
 	j := &job{
-		req:   req,
-		shots: req.Shots, meshW: spec.MeshW, meshH: spec.MeshH, chips: cfg.Chips,
+		req:   a.Req,
+		shots: a.Req.Shots, meshW: a.Spec.MeshW, meshH: a.Spec.MeshH, chips: cfg.Chips,
 
-		fp:        fp,
 		placement: cmp.Or(cfg.Placement, placement.Default),
 		schedule:  cmp.Or(cfg.Schedule, compiler.DefaultSchedule),
+		// cfg is normalized: its backend is the one the replicas are built
+		// with, never BackendAuto.
 		pk: poolKey{
-			fp: fp, backend: machine.ResolveBackend(spec.Circuit, cfg.Backend),
+			fp: a.Fingerprint, backend: cfg.Backend,
 			logEvents: cfg.LogEvents, deadline: cfg.Deadline,
 			collective: cfg.Collective,
 		},
 		state:  StateQueued,
 		done:   make(chan struct{}),
 		notify: make(chan struct{}),
-		// Per-link feedback is only worth aggregating when the re-place
-		// loop can consume it; FreshCompile jobs opt out of pooling and
-		// therefore out of the loop.
-		trackFeedback: s.cfg.ReplaceStallThreshold > 0 && !req.FreshCompile,
 	}
 
 	s.mu.Lock()
@@ -442,7 +422,7 @@ func (s *Service) Submit(req Request) (string, error) {
 	}
 	j.id = fmt.Sprintf("job-%06d", n)
 	j.seed = cfg.Seed
-	j.spec = spec
+	j.spec = a.Spec
 	select {
 	case s.queue <- j:
 	default:
@@ -506,7 +486,7 @@ func (s *Service) Stats() Stats {
 	st.Running = s.running
 	s.mu.Unlock()
 	st.PooledReplicas = s.pool.size()
-	st.Cache = s.arts.Stats()
+	st.Cache = s.cfg.Artifacts.Stats()
 	return st
 }
 
@@ -558,7 +538,7 @@ func (s *Service) worker() {
 			if res.batched {
 				s.stats.BatchedJobs++
 			}
-			if p.structural && p.pooled {
+			if p.structural {
 				s.stats.Binds += uint64(len(p.points))
 				if res.cacheHit {
 					s.stats.BindHits++
@@ -698,7 +678,7 @@ func (s *Service) foldCongestion(a congestionAgg) {
 // recompile under it, and swap the group's replicas. Runs on the worker
 // goroutine outside s.mu — the search compiles and probes.
 func (s *Service) maybeReplace(j *job, p plan, fb compiler.Feedback) {
-	if !j.trackFeedback {
+	if s.cfg.ReplaceStallThreshold == 0 {
 		return
 	}
 	s.mu.Lock()
@@ -750,22 +730,14 @@ func (s *Service) rePlace(j *job, p plan, fb *compiler.Feedback) (*compiler.Comp
 	j.mu.Lock()
 	prior := append([]int(nil), j.mapping...) // nil stays nil (= identity)
 	j.mu.Unlock()
-	cfg := j.spec.Cfg
-	newMap, _, err := machine.RePlace(probeCirc, cfg, prior, fb)
+	newMap, _, err := machine.RePlace(probeCirc, j.spec.Cfg, prior, fb)
 	if err != nil {
 		return nil, err
 	}
 	if sameMapping(newMap, prior) {
 		return nil, nil
 	}
-	m, err := machine.NewForCircuit(j.spec.Circuit, j.spec.MeshW, j.spec.MeshH, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if p.structural {
-		return m.CompileSkeleton(j.spec.Circuit, newMap)
-	}
-	return m.Compile(j.spec.Circuit, newMap)
+	return machine.Compile(j.spec.Circuit, newMap, j.spec.Cfg, p.structural)
 }
 
 // replacedArtifact returns the re-placed artifact for a pool group (nil
@@ -814,16 +786,12 @@ func (s *Service) retire(id string) {
 }
 
 // plan is everything the one execution path varies on. A job's kind —
-// plain, Params or Sweep, pooled or FreshCompile — reduces to these fields;
-// run never asks which kind it was handed.
+// plain, Params or Sweep — reduces to these fields; run never asks which
+// kind it was handed.
 type plan struct {
 	// structural is the key kind: the bind-invariant skeleton (Params and
 	// Sweep jobs, patched per point by BindParams) or the full program.
 	structural bool
-	// pooled jobs check replicas out of the pool and back in, and compile
-	// through the artifact cache; FreshCompile jobs build private replicas
-	// and pay every compile in full.
-	pooled bool
 	// sweep jobs deliver per-point results: points, not shots, are the
 	// unit that fans out across replicas, and each streams as it finishes.
 	sweep bool
@@ -835,7 +803,7 @@ type plan struct {
 
 func (s *Service) planFor(req Request) plan {
 	p := plan{
-		structural: req.bindJob(), pooled: !req.FreshCompile, sweep: len(req.Sweep) > 0,
+		structural: req.bindJob(), sweep: len(req.Sweep) > 0,
 		points: []map[string]float64{req.Params}, want: req.Shots,
 	}
 	if p.sweep {
@@ -859,11 +827,11 @@ type result struct {
 }
 
 // run executes one job: acquire the plan's replicas (pool checkout, the
-// re-placed artifact override, build the shortfall), run the plan's points
-// on them with the runner's deterministic merge, and release in one
-// deferred step that owns every unwind. Replicas pool under the job's
-// fingerprint — the structural one for bind jobs, so a 1000-point sweep or
-// 1000 single-binding jobs compile once and reuse the same warm machines.
+// artifact, build the shortfall), run the plan's points on them with the
+// runner's deterministic merge, and release in one deferred step that owns
+// every unwind. Replicas pool under the job's fingerprint — the structural
+// one for bind jobs, so a 1000-point sweep or 1000 single-binding jobs
+// compile once and reuse the same warm machines.
 func (s *Service) run(j *job, p plan) (res result, err error) {
 	var machines []*machine.Machine
 	defer func() {
@@ -871,47 +839,53 @@ func (s *Service) run(j *job, p plan) (res result, err error) {
 			err = fmt.Errorf("service: job %s: %w", j.id, &runner.PanicError{Value: r})
 		}
 		if len(machines) > 0 && machines[0].Loaded() != nil {
-			// Echo the final mapping off the loaded artifact — it is there
-			// even when every replica came warm from the pool and the cache
-			// probe missed (an evicted artifact can outlive its cache entry
-			// in the pool). Copied: the artifact is cached process-wide, and
-			// JobStatus hands the slice to callers free to mutate it.
+			// Echo the final mapping off the loaded artifact. Copied: the
+			// artifact is cached process-wide, and JobStatus hands the slice
+			// to callers free to mutate it.
 			res.mapping = append([]int(nil), machines[0].Loaded().Mapping...)
 		}
 		// A replica that panicked mid-run is in an unknown state: the
 		// checked-out machines are dropped, never pooled.
 		var panicked *runner.PanicError
-		if p.pooled && !errors.As(err, &panicked) {
+		if !errors.As(err, &panicked) {
 			s.pool.checkin(j.pk, machines)
 		}
 	}()
 
+	machines = s.pool.checkout(j.pk, p.want)
+	res.batched = len(machines) > 0
+	// Acquire the artifact once, under the fingerprint admission computed —
+	// nothing below hashes the circuit again. One probe of the cache (and
+	// the store under it) per job, so misses always equal actual compiles.
+	arts := j.spec.Cfg.Artifacts
 	var art *compiler.Compiled
-	if p.pooled {
-		machines = s.pool.checkout(j.pk, p.want)
-		res.batched = len(machines) > 0
-		// Resolve the artifact through the shared cache exactly once per
-		// job: a present entry counts one hit (and stays MRU while its
-		// replicas are hot); an absent entry counts nothing here — if
-		// replicas must be built, the first build's GetOrCompile charges
-		// the miss, so misses always equal actual compiles.
-		art, res.cacheHit = s.arts.Get(j.fp)
-		if ov := s.replacedArtifact(j.pk); ov != nil {
-			// The group was re-placed: run from the swapped artifact (a hit —
-			// nothing compiles). A replica pooled before the swap still holds
-			// the old program; RunPoints re-Loads whatever is not loaded with
-			// the artifact it is about to run.
-			art, res.cacheHit = ov, true
+	switch ov := s.replacedArtifact(j.pk); {
+	case ov != nil:
+		// The group was re-placed: run from the swapped artifact (a hit —
+		// nothing compiles). A replica pooled before the swap still holds
+		// the old program; RunPoints re-Loads what is not loaded with art.
+		art, res.cacheHit = ov, true
+	case len(machines) == 0:
+		// Cold: compile the job's program — the skeleton as submitted, for a
+		// bind job — unless the cache, its store or a concurrent job has it.
+		art, res.cacheHit, err = arts.GetOrCompile(j.pk.fp, func() (*compiler.Compiled, error) {
+			return machine.CompileUncached(j.spec.Circuit, j.spec.Mapping, j.spec.Cfg)
+		})
+		if err != nil {
+			return res, err
+		}
+	default:
+		// Warm replicas: a present entry counts one hit and stays MRU while
+		// its replicas are hot. An evicted one compiles nothing (an artifact
+		// can outlive its cache entry in the pool): run, and build any
+		// shortfall from, what is loaded — for a bind job a previous binding
+		// of the same skeleton, whose parameter slots survive re-binding.
+		if art, res.cacheHit = arts.Get(j.pk.fp); !res.cacheHit {
+			art = machines[0].Loaded()
 		}
 	}
-	if machines, art, err = runner.Replicas(j.spec, p.structural, machines, art, p.want); err != nil {
+	if machines, err = runner.Replicas(j.spec, machines, art, p.want); err != nil {
 		return res, err
-	}
-	if art == nil {
-		// Every replica came warm from the pool and the cache entry was
-		// evicted: run what is loaded (for a bind job a previous binding of
-		// the same skeleton, whose parameter slots survive re-binding).
-		art = machines[0].Loaded()
 	}
 
 	var observe func(runner.SweepPoint)
@@ -935,8 +909,9 @@ func (s *Service) run(j *job, p plan) (res result, err error) {
 		return res, err
 	}
 	// Congestion is aggregated here, outside the service lock and before a
-	// sweep's per-shot data goes away.
-	res.net = aggregate(pts, j.trackFeedback)
+	// sweep's per-shot data goes away; the per-link feedback only when the
+	// re-place loop is on to consume it.
+	res.net = aggregate(pts, s.cfg.ReplaceStallThreshold > 0)
 	if !p.sweep {
 		res.set = pts[0].Set
 	}
@@ -988,7 +963,7 @@ func (j *job) status() JobStatus {
 	defer j.mu.Unlock()
 	st := JobStatus{
 		ID: j.id, State: j.state, Shots: j.shots, Seed: j.seed,
-		Fingerprint: j.fp.String(), CacheHit: j.cacheHit, Batched: j.batched,
+		Fingerprint: j.pk.fp.String(), CacheHit: j.cacheHit, Batched: j.batched,
 		MeshW: j.meshW, MeshH: j.meshH,
 		Placement: j.placement, Schedule: j.schedule, Mapping: j.mapping,
 		Chips: j.chips, EPRPairs: j.eprPairs, Makespan: j.makespan,

@@ -197,7 +197,7 @@ func TestPrewarmedCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Compile(c, nil); err != nil { // populate the shared cache
+	if _, err := machine.Compile(c, nil, m.Cfg, false); err != nil { // populate the shared cache
 		t.Fatal(err)
 	}
 	before := artifact.Shared.Stats()

@@ -35,10 +35,11 @@ func TestMultiChipExpansionIsNotTaped(t *testing.T) {
 	svc := New(Config{Workers: 1, ShotWorkers: 2, Artifacts: artifact.New(8)})
 	defer svc.Close()
 	req := Request{Circuit: ghz(6), Shots: 12, Seed: 9, Chips: 2, Placement: "interaction"}
-	spec, err := Resolve(req)
+	adm, err := Resolve(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec := adm.Spec
 	spec.Cfg.Artifacts = artifact.New(8)
 	want, err := runner.Run(spec, req.Shots, 1)
 	if err != nil {

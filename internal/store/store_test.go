@@ -29,7 +29,7 @@ func compileGHZ(t *testing.T, n int) *compiler.Compiled {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := m.CompileFresh(c, nil)
+	cp, err := machine.CompileUncached(c, nil, m.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,8 @@ func compileSkeleton(t *testing.T, n int) *compiler.Compiled {
 	c := workloads.QFTSweep(n)
 	cfg := machine.DefaultConfig(c.NumQubits)
 	cfg.Artifacts = artifact.New(4) // keep the Shared cache out of it
-	m, err := machine.NewForCircuit(c, 2, 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := m.CompileSkeleton(c, nil)
+	cfg.Net.MeshW, cfg.Net.MeshH = 2, 2
+	cp, err := machine.Compile(c, nil, cfg, true)
 	if err != nil {
 		t.Fatal(err)
 	}
