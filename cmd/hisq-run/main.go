@@ -6,6 +6,9 @@
 // Usage:
 //
 //	hisq-run prog0.hisq [prog1.hisq] [-cycles N]
+//
+// Exit status 1: a program does not assemble, or a board stopped on a
+// runtime error (the log is printed first). 2: bad usage.
 package main
 
 import (
@@ -79,6 +82,7 @@ func simulate(paths []string, cycles int64, stdout io.Writer) error {
 	eng.RunUntil(cycles)
 
 	fmt.Fprint(stdout, log.Text())
+	var failed error
 	for i, c := range ctrls {
 		status := "halted"
 		if !c.Halted() {
@@ -89,7 +93,8 @@ func simulate(paths []string, cycles int64, stdout io.Writer) error {
 			c.Stats.Instrs, c.Stats.Commits, c.Stats.Violations)
 		if err := c.Err(); err != nil {
 			fmt.Fprintf(stdout, "# board %d error: %v\n", i, err)
+			failed = fmt.Errorf("board %d stopped on a runtime error: %w", i, err)
 		}
 	}
-	return nil
+	return failed
 }

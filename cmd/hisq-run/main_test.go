@@ -71,7 +71,8 @@ func TestFig12BoardsHaltAndLogRoundTrips(t *testing.T) {
 }
 
 // One program runs against an idle peer; a syntax error exits 1 naming
-// the line; bad usage exits 2.
+// the line; a board's runtime error exits 1 after the log; bad usage
+// exits 2.
 func TestLoneBoardErrorsAndUsage(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if status := run([]string{"-cycles", "1000", writeProgram(t, "one.hisq", "li $1, 5\nhalt\n")}, &stdout, &stderr); status != 0 ||
@@ -81,6 +82,14 @@ func TestLoneBoardErrorsAndUsage(t *testing.T) {
 	if status := run([]string{writeProgram(t, "bad.hisq", "li $1, 5\nbogus $1\n")}, &stdout, &stderr); status != 1 ||
 		!strings.Contains(stderr.String(), "line 2") {
 		t.Fatalf("syntax error: exit %d, stderr %q", status, &stderr)
+	}
+	// A board that stops on a runtime error still gets its log printed, and
+	// the command fails.
+	stdout.Reset()
+	stderr.Reset()
+	if status := run([]string{writeProgram(t, "oob.hisq", "li $1, -4\nsw $1, 0($1)\n")}, &stdout, &stderr); status != 1 ||
+		!strings.Contains(stdout.String(), "# board 0 error: ") || !strings.Contains(stderr.String(), "store out of bounds") {
+		t.Fatalf("runtime error: exit %d, stdout %q, stderr %q", status, &stdout, &stderr)
 	}
 	if status := run(nil, &stdout, &stderr); status != 2 {
 		t.Fatalf("no program: exit %d, want 2", status)

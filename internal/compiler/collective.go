@@ -84,7 +84,7 @@ func (st *State) lowerCondCollective(streams []*lowerStream, op circuit.Op, acto
 	// remotes after computes the same bit as the legacy interleaved order.
 	pre := []isa.Instr{{Op: isa.OpADDI, Rd: regParity}} // r2 = 0
 	for _, b := range local {
-		pre = append(pre, loadImm(regAddr, int32(4*b))...)
+		pre = append(pre, isa.LoadImm(regAddr, int32(4*b))...)
 		pre = append(pre,
 			isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr},
 			isa.Instr{Op: isa.OpXOR, Rd: regParity, Rs1: regParity, Rs2: regScratch})
@@ -97,7 +97,7 @@ func (st *State) lowerCondCollective(streams []*lowerStream, op circuit.Op, acto
 		b := remote[0]
 		h := nearestHolder(holders[b], actor, dist)
 		hs := streams[h]
-		ins := append(loadImm(regAddr, int32(4*b)),
+		ins := append(isa.LoadImm(regAddr, int32(4*b)),
 			isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr},
 			isa.Instr{Op: isa.OpSEND, Rs1: regScratch, Imm: int32(actor)})
 		hs.unit(unit{ins: ins})
@@ -107,7 +107,7 @@ func (st *State) lowerCondCollective(streams []*lowerStream, op circuit.Op, acto
 		// Store the fetched value at the bit's home address: the actor is
 		// now a holder, and the *next* consumer of this bit fetches from
 		// whichever holder is nearest to it.
-		pre = append(pre, loadImm(regAddr, int32(4*b))...)
+		pre = append(pre, isa.LoadImm(regAddr, int32(4*b))...)
 		pre = append(pre,
 			isa.Instr{Op: isa.OpSW, Rs1: regAddr, Rs2: regScratch},
 			isa.Instr{Op: isa.OpXOR, Rd: regParity, Rs1: regParity, Rs2: regScratch})
@@ -142,7 +142,7 @@ func (st *State) lowerCondCollective(streams []*lowerStream, op circuit.Op, acto
 			}
 			gather := []isa.Instr{{Op: isa.OpADDI, Rd: regParity}}
 			for _, b := range groups[o] {
-				gather = append(gather, loadImm(regAddr, int32(4*b))...)
+				gather = append(gather, isa.LoadImm(regAddr, int32(4*b))...)
 				gather = append(gather,
 					isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr},
 					isa.Instr{Op: isa.OpXOR, Rd: regParity, Rs1: regParity, Rs2: regScratch})

@@ -286,20 +286,7 @@ func waitInstrs(d int64) []isa.Instr {
 	if d <= 2047 {
 		return []isa.Instr{{Op: isa.OpWAITI, Imm: int32(d)}}
 	}
-	return append(loadImm(regWait, int32(d)), isa.Instr{Op: isa.OpWAITR, Rs1: regWait})
-}
-
-// loadImm renders li reg, v.
-func loadImm(reg uint8, v int32) []isa.Instr {
-	if v >= -2048 && v <= 2047 {
-		return []isa.Instr{{Op: isa.OpADDI, Rd: reg, Imm: v}}
-	}
-	lo := v << 20 >> 20
-	hi := (v - lo) >> 12 & 0xFFFFF
-	return []isa.Instr{
-		{Op: isa.OpLUI, Rd: reg, Imm: hi},
-		{Op: isa.OpADDI, Rd: reg, Rs1: reg, Imm: lo},
-	}
+	return append(isa.LoadImm(regWait, int32(d)), isa.Instr{Op: isa.OpWAITR, Rs1: regWait})
 }
 
 func (s *stream) wait(d int64) {
@@ -316,7 +303,7 @@ func cwTrigger(idx int, port uint8) []isa.Instr {
 	if v <= 2047 {
 		return []isa.Instr{{Op: isa.OpCWII, Rd: port, Imm: v}}
 	}
-	return append(loadImm(regCW, v), isa.Instr{Op: isa.OpCWIR, Rd: port, Rs1: regCW})
+	return append(isa.LoadImm(regCW, v), isa.Instr{Op: isa.OpCWIR, Rd: port, Rs1: regCW})
 }
 
 // guard pads the timing point so the next commit cannot trail the classical

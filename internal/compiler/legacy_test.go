@@ -103,7 +103,7 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 			// it at the bit's home address.
 			s.push(unit{ins: []isa.Instr{{Op: isa.OpFMR, Rd: regScratch, Imm: 0}}})
 			s.anchor()
-			store := append(loadImm(regAddr, int32(4*op.CBit)),
+			store := append(isa.LoadImm(regAddr, int32(4*op.CBit)),
 				isa.Instr{Op: isa.OpSW, Rs1: regAddr, Rs2: regScratch})
 			s.push(unit{ins: store, det: true})
 			// Timing point already advanced to the result time by the fmr
@@ -134,7 +134,7 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 					continue
 				}
 				os := streams[owner]
-				ins := append(loadImm(regAddr, int32(4*b)),
+				ins := append(isa.LoadImm(regAddr, int32(4*b)),
 					isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr},
 					isa.Instr{Op: isa.OpSEND, Rs1: regScratch, Imm: int32(actor)})
 				os.push(unit{ins: ins})
@@ -146,7 +146,7 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 			anchored := false
 			for _, b := range op.Cond.Bits {
 				if bitOwner[b] == actor {
-					ins = append(ins, loadImm(regAddr, int32(4*b))...)
+					ins = append(ins, isa.LoadImm(regAddr, int32(4*b))...)
 					ins = append(ins, isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr})
 				} else {
 					ins = append(ins, isa.Instr{Op: isa.OpRECV, Rd: regScratch, Imm: int32(bitOwner[b])})

@@ -189,7 +189,7 @@ func (Lower) Run(st *State) error {
 			// it at the bit's home address.
 			s.unit(unit{ins: []isa.Instr{{Op: isa.OpFMR, Rd: regScratch, Imm: 0}}})
 			s.anchorDir()
-			store := append(loadImm(regAddr, int32(4*op.CBit)),
+			store := append(isa.LoadImm(regAddr, int32(4*op.CBit)),
 				isa.Instr{Op: isa.OpSW, Rs1: regAddr, Rs2: regScratch})
 			s.unit(unit{ins: store, det: true})
 			// Timing point already advanced to the result time by the fmr
@@ -244,7 +244,7 @@ func (Lower) Run(st *State) error {
 			// Herald: slide-stop send (det: false, like bit forwarding — a
 			// later sync must not be booked before it), blocking recv + anchor
 			// on the peer.
-			herald := append(loadImm(regScratch, 1),
+			herald := append(isa.LoadImm(regScratch, 1),
 				isa.Instr{Op: isa.OpSEND, Rs1: regScratch, Imm: int32(cb)})
 			sa.unit(unit{ins: herald})
 			st.stats.Sends++
@@ -280,7 +280,7 @@ func (Lower) Run(st *State) error {
 					continue
 				}
 				os := streams[owner]
-				ins := append(loadImm(regAddr, int32(4*b)),
+				ins := append(isa.LoadImm(regAddr, int32(4*b)),
 					isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr},
 					isa.Instr{Op: isa.OpSEND, Rs1: regScratch, Imm: int32(actor)})
 				os.unit(unit{ins: ins})
@@ -295,7 +295,7 @@ func (Lower) Run(st *State) error {
 			anchored := false
 			for _, b := range op.Cond.Bits {
 				if st.bitOwner[b] == actor {
-					pre = append(pre, loadImm(regAddr, int32(4*b))...)
+					pre = append(pre, isa.LoadImm(regAddr, int32(4*b))...)
 					pre = append(pre, isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr})
 				} else {
 					pre = append(pre, isa.Instr{Op: isa.OpRECV, Rd: regScratch, Imm: int32(st.bitOwner[b])})

@@ -121,10 +121,8 @@ func isIdent(s string) bool {
 // pseudoSize returns how many machine instructions a source line expands to.
 func pseudoSize(fields []string) int {
 	if fields[0] == "li" && len(fields) == 3 {
-		if v, err := strconv.ParseInt(fields[2], 0, 64); err == nil {
-			if v < -2048 || v > 2047 {
-				return 2 // lui+addi
-			}
+		if v, err := parseImm(fields[2]); err == nil {
+			return len(LoadImm(0, v))
 		}
 	}
 	return 1
@@ -155,14 +153,6 @@ func parseImm(s string) (int32, error) {
 	return int32(v), nil
 }
 
-// parseTarget resolves a branch/jump operand: a label or a byte offset.
-func parseTarget(s string, at int, labels map[string]int) (int32, error) {
-	if tgt, ok := labels[s]; ok {
-		return int32((tgt - at) * 4), nil
-	}
-	return parseImm(s)
-}
-
 // parseMem parses "imm(reg)" operands of loads and stores.
 func parseMem(s string) (int32, uint8, error) {
 	open := strings.IndexByte(s, '(')
@@ -186,276 +176,73 @@ func parseMem(s string) (int32, uint8, error) {
 	return off, reg, nil
 }
 
+// LoadImm is the li expansion: the instructions that set rd to v. One addi
+// reaches a 12-bit v; any other takes lui rd,hi ; addi rd,rd,lo with hi
+// rounded so that the sign-extended lo lands on the exact value.
+func LoadImm(rd uint8, v int32) []Instr {
+	if v >= -2048 && v <= 2047 {
+		return []Instr{{Op: OpADDI, Rd: rd, Imm: v}}
+	}
+	lo := v << 20 >> 20
+	hi := (v - lo) >> 12 & 0xFFFFF
+	return []Instr{
+		{Op: OpLUI, Rd: rd, Imm: hi},
+		{Op: OpADDI, Rd: rd, Rs1: rd, Imm: lo},
+	}
+}
+
+// parseInstr turns one source line (mnemonic + operands) into instructions,
+// reading each operand as the spelling's syntax string says.
 func parseInstr(f []string, at int, labels map[string]int) ([]Instr, error) {
-	need := func(n int) error {
-		if len(f)-1 != n {
-			return fmt.Errorf("%s: want %d operands, got %d", f[0], n, len(f)-1)
-		}
-		return nil
-	}
-	one := func(in Instr, err error) ([]Instr, error) {
-		if err != nil {
-			return nil, err
-		}
-		return []Instr{in}, nil
-	}
-
-	switch f[0] {
-	// ---- pseudo-instructions ----
-	case "nop":
-		return one(Instr{Op: OpADDI}, need(0))
-	case "halt":
-		return one(Instr{Op: OpHALT}, need(0))
-	case "mv":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(f[1])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := parseReg(f[2])
-		if err != nil {
-			return nil, err
-		}
-		return []Instr{{Op: OpADDI, Rd: rd, Rs1: rs}}, nil
-	case "j":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		off, err := parseTarget(f[1], at, labels)
-		if err != nil {
-			return nil, err
-		}
-		return []Instr{{Op: OpJAL, Rd: 0, Imm: off}}, nil
-	case "li":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(f[1])
-		if err != nil {
-			return nil, err
-		}
-		v, err := parseImm(f[2])
-		if err != nil {
-			return nil, err
-		}
-		if v >= -2048 && v <= 2047 {
-			return []Instr{{Op: OpADDI, Rd: rd, Imm: v}}, nil
-		}
-		// lui rd, hi ; addi rd, rd, lo — standard RISC-V li expansion with
-		// rounding so the sign-extended addi lands on the exact value.
-		lo := v << 20 >> 20
-		hi := (v - lo) >> 12 & 0xFFFFF
-		return []Instr{
-			{Op: OpLUI, Rd: rd, Imm: hi},
-			{Op: OpADDI, Rd: rd, Rs1: rd, Imm: lo},
-		}, nil
-
-	// ---- HISQ extension ----
-	case "waiti":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		v, err := parseImm(f[1])
-		return one(Instr{Op: OpWAITI, Imm: v}, err)
-	case "waitr":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		r, err := parseReg(f[1])
-		return one(Instr{Op: OpWAITR, Rs1: r}, err)
-	case "sync":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		v, err := parseImm(f[1])
-		return one(Instr{Op: OpSYNC, Imm: v}, err)
-	case "fmr":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(f[1])
-		if err != nil {
-			return nil, err
-		}
-		ch, err := parseImm(f[2])
-		return one(Instr{Op: OpFMR, Rd: rd, Imm: ch}, err)
-	case "send":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rs, err := parseReg(f[1])
-		if err != nil {
-			return nil, err
-		}
-		tgt, err := parseImm(f[2])
-		return one(Instr{Op: OpSEND, Rs1: rs, Imm: tgt}, err)
-	case "recv":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(f[1])
-		if err != nil {
-			return nil, err
-		}
-		src, err := parseImm(f[2])
-		return one(Instr{Op: OpRECV, Rd: rd, Imm: src}, err)
-	case "cw.i.i":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		port, err := parseImm(f[1])
-		if err != nil {
-			return nil, err
-		}
-		if port < 0 || port > 31 {
-			return nil, fmt.Errorf("cw.i.i: immediate port %d out of range 0..31 (use cw.r.*)", port)
-		}
-		cw, err := parseImm(f[2])
-		return one(Instr{Op: OpCWII, Rd: uint8(port), Imm: cw}, err)
-	case "cw.i.r":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		port, err := parseImm(f[1])
-		if err != nil {
-			return nil, err
-		}
-		if port < 0 || port > 31 {
-			return nil, fmt.Errorf("cw.i.r: immediate port %d out of range 0..31", port)
-		}
-		r, err := parseReg(f[2])
-		return one(Instr{Op: OpCWIR, Rd: uint8(port), Rs1: r}, err)
-	case "cw.r.i":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		r, err := parseReg(f[1])
-		if err != nil {
-			return nil, err
-		}
-		cw, err := parseImm(f[2])
-		return one(Instr{Op: OpCWRI, Rs1: r, Imm: cw}, err)
-	case "cw.r.r":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		r1, err := parseReg(f[1])
-		if err != nil {
-			return nil, err
-		}
-		r2, err := parseReg(f[2])
-		return one(Instr{Op: OpCWRR, Rs1: r1, Rs2: r2}, err)
-	}
-
-	// ---- RV32I ----
-	var op Op
-	for o := OpLUI; o < opCount; o++ {
-		if opNames[o] == f[0] {
-			op = o
-			break
-		}
-	}
-	if op == OpInvalid {
+	sp, ok := spellings[f[0]]
+	if !ok {
 		return nil, fmt.Errorf("unknown mnemonic %q", f[0])
 	}
-	switch op {
-	case OpLUI, OpAUIPC:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(f[1])
-		if err != nil {
-			return nil, err
-		}
-		v, err := parseImm(f[2])
-		return one(Instr{Op: op, Rd: rd, Imm: v}, err)
-	case OpJAL:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(f[1])
-		if err != nil {
-			return nil, err
-		}
-		off, err := parseTarget(f[2], at, labels)
-		return one(Instr{Op: op, Rd: rd, Imm: off}, err)
-	case OpJALR:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(f[1])
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := parseReg(f[2])
-		if err != nil {
-			return nil, err
-		}
-		v, err := parseImm(f[3])
-		return one(Instr{Op: op, Rd: rd, Rs1: rs1, Imm: v}, err)
-	case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rs1, err := parseReg(f[1])
-		if err != nil {
-			return nil, err
-		}
-		rs2, err := parseReg(f[2])
-		if err != nil {
-			return nil, err
-		}
-		off, err := parseTarget(f[3], at, labels)
-		return one(Instr{Op: op, Rs1: rs1, Rs2: rs2, Imm: off}, err)
-	case OpLB, OpLH, OpLW, OpLBU, OpLHU:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(f[1])
-		if err != nil {
-			return nil, err
-		}
-		off, rs1, err := parseMem(f[2])
-		return one(Instr{Op: op, Rd: rd, Rs1: rs1, Imm: off}, err)
-	case OpSB, OpSH, OpSW:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rs2, err := parseReg(f[1])
-		if err != nil {
-			return nil, err
-		}
-		off, rs1, err := parseMem(f[2])
-		return one(Instr{Op: op, Rs1: rs1, Rs2: rs2, Imm: off}, err)
-	case OpADDI, OpSLTI, OpSLTIU, OpXORI, OpORI, OpANDI, OpSLLI, OpSRLI, OpSRAI:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(f[1])
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := parseReg(f[2])
-		if err != nil {
-			return nil, err
-		}
-		v, err := parseImm(f[3])
-		return one(Instr{Op: op, Rd: rd, Rs1: rs1, Imm: v}, err)
-	default: // R-type ALU
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rd, err := parseReg(f[1])
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := parseReg(f[2])
-		if err != nil {
-			return nil, err
-		}
-		rs2, err := parseReg(f[3])
-		return one(Instr{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, err)
+	if len(f)-1 != len(sp.syntax) {
+		return nil, fmt.Errorf("%s: want %d operands, got %d", f[0], len(sp.syntax), len(f)-1)
 	}
+	in := Instr{Op: sp.op}
+	for i, s := range f[1:] {
+		var err error
+		switch sp.syntax[i] {
+		case 'd':
+			in.Rd, err = parseReg(s)
+		case '1':
+			in.Rs1, err = parseReg(s)
+		case '2':
+			in.Rs2, err = parseReg(s)
+		case 'p':
+			var port int32
+			if port, err = parseImm(s); err == nil && (port < 0 || port > 31) {
+				hint := ""
+				if sp.op == OpCWII {
+					hint = " (use cw.r.*)"
+				}
+				err = fmt.Errorf("%s: immediate port %d out of range 0..31%s", f[0], port, hint)
+			}
+			in.Rd = uint8(port)
+		case 'i':
+			in.Imm, err = parseImm(s)
+		case 'l':
+			if tgt, isLabel := labels[s]; isLabel {
+				in.Imm = int32((tgt - at) * 4)
+			} else {
+				in.Imm, err = parseImm(s)
+			}
+		case 'm':
+			in.Imm, in.Rs1, err = parseMem(s)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if f[0] == "li" {
+		return LoadImm(in.Rd, in.Imm), nil
+	}
+	// What assembles must encode: hisq-run executes what Assemble returns,
+	// hisq-asm encodes it, and they must accept the same programs.
+	if err := checkImm(in); err != nil {
+		return nil, err
+	}
+	return []Instr{in}, nil
 }

@@ -5,137 +5,63 @@ import (
 	"fmt"
 )
 
-// RISC-V major opcodes used by HISQ. The quantum extension occupies the two
-// custom opcode slots reserved by the RISC-V specification for vendor
-// extensions, so HISQ binaries remain decodable by an RV32I front-end.
-const (
-	opcLUI    = 0x37
-	opcAUIPC  = 0x17
-	opcJAL    = 0x6F
-	opcJALR   = 0x67
-	opcBranch = 0x63
-	opcLoad   = 0x03
-	opcStore  = 0x23
-	opcOpImm  = 0x13
-	opcOp     = 0x33
-	opcHISQ   = 0x0B // custom-0: wait/sync/fmr/send/recv/halt
-	opcCW     = 0x2B // custom-1: cw.x.x family
-)
-
-type encInfo struct {
-	opc    uint32
-	funct3 uint32
-	funct7 uint32
-	form   byte // R, I, S, B, U, J
+// immFields gives, per form that has one, the immediate field's range and
+// alignment and how a value outside it is described. Encode refuses such a
+// value, and Assemble does first so that what assembles encodes.
+var immFields = map[byte]struct {
+	lo, hi, align int32
+	fault         string
+}{
+	'I': {-2048, 2047, 1, "I-immediate %d out of range"},
+	'H': {0, 31, 1, "shift amount %d out of range"},
+	'S': {-2048, 2047, 1, "S-immediate %d out of range"},
+	'B': {-4096, 4095, 2, "B-offset %d invalid"},
+	'U': {0, 0xFFFFF, 1, "U-immediate %d out of range"},
+	'J': {-(1 << 20), 1<<20 - 1, 2, "J-offset %d invalid"},
 }
 
-var encTable = map[Op]encInfo{
-	OpLUI:   {opcLUI, 0, 0, 'U'},
-	OpAUIPC: {opcAUIPC, 0, 0, 'U'},
-	OpJAL:   {opcJAL, 0, 0, 'J'},
-	OpJALR:  {opcJALR, 0, 0, 'I'},
-	OpBEQ:   {opcBranch, 0, 0, 'B'},
-	OpBNE:   {opcBranch, 1, 0, 'B'},
-	OpBLT:   {opcBranch, 4, 0, 'B'},
-	OpBGE:   {opcBranch, 5, 0, 'B'},
-	OpBLTU:  {opcBranch, 6, 0, 'B'},
-	OpBGEU:  {opcBranch, 7, 0, 'B'},
-	OpLB:    {opcLoad, 0, 0, 'I'},
-	OpLH:    {opcLoad, 1, 0, 'I'},
-	OpLW:    {opcLoad, 2, 0, 'I'},
-	OpLBU:   {opcLoad, 4, 0, 'I'},
-	OpLHU:   {opcLoad, 5, 0, 'I'},
-	OpSB:    {opcStore, 0, 0, 'S'},
-	OpSH:    {opcStore, 1, 0, 'S'},
-	OpSW:    {opcStore, 2, 0, 'S'},
-	OpADDI:  {opcOpImm, 0, 0, 'I'},
-	OpSLLI:  {opcOpImm, 1, 0, 'I'},
-	OpSLTI:  {opcOpImm, 2, 0, 'I'},
-	OpSLTIU: {opcOpImm, 3, 0, 'I'},
-	OpXORI:  {opcOpImm, 4, 0, 'I'},
-	OpSRLI:  {opcOpImm, 5, 0x00, 'I'},
-	OpSRAI:  {opcOpImm, 5, 0x20, 'I'},
-	OpORI:   {opcOpImm, 6, 0, 'I'},
-	OpANDI:  {opcOpImm, 7, 0, 'I'},
-	OpADD:   {opcOp, 0, 0x00, 'R'},
-	OpSUB:   {opcOp, 0, 0x20, 'R'},
-	OpSLL:   {opcOp, 1, 0, 'R'},
-	OpSLT:   {opcOp, 2, 0, 'R'},
-	OpSLTU:  {opcOp, 3, 0, 'R'},
-	OpXOR:   {opcOp, 4, 0, 'R'},
-	OpSRL:   {opcOp, 5, 0x00, 'R'},
-	OpSRA:   {opcOp, 5, 0x20, 'R'},
-	OpOR:    {opcOp, 6, 0, 'R'},
-	OpAND:   {opcOp, 7, 0, 'R'},
-
-	OpWAITI: {opcHISQ, 0, 0, 'I'},
-	OpWAITR: {opcHISQ, 1, 0, 'I'},
-	OpSYNC:  {opcHISQ, 2, 0, 'I'},
-	OpFMR:   {opcHISQ, 3, 0, 'I'},
-	OpSEND:  {opcHISQ, 4, 0, 'I'},
-	OpRECV:  {opcHISQ, 5, 0, 'I'},
-	OpHALT:  {opcHISQ, 6, 0, 'I'},
-
-	OpCWII: {opcCW, 0, 0, 'I'},
-	OpCWIR: {opcCW, 1, 0, 'I'},
-	OpCWRI: {opcCW, 2, 0, 'I'},
-	OpCWRR: {opcCW, 3, 0, 'R'},
+// checkImm reports an in.Imm that does not fit the immediate field of in's
+// form; a form without one takes anything.
+func checkImm(in Instr) error {
+	f, ok := immFields[in.Op.row().form]
+	if ok && (in.Imm < f.lo || in.Imm > f.hi || in.Imm%f.align != 0) {
+		return fmt.Errorf(f.fault, in.Imm)
+	}
+	return nil
 }
 
 // Encode packs an instruction into its 32-bit machine word. It returns an
 // error for immediates that do not fit the encoding's field width.
 func Encode(in Instr) (uint32, error) {
-	ei, ok := encTable[in.Op]
-	if !ok {
+	r := in.Op.row()
+	if r.form == 0 {
 		return 0, fmt.Errorf("isa: cannot encode op %s", in.Op)
 	}
-	rd, rs1, rs2 := uint32(in.Rd), uint32(in.Rs1), uint32(in.Rs2)
+	rd, rs1, rs2, u := uint32(in.Rd), uint32(in.Rs1), uint32(in.Rs2), uint32(in.Imm)
 	if rd > 31 || rs1 > 31 || rs2 > 31 {
 		return 0, fmt.Errorf("isa: register out of range in %s", in)
 	}
-	imm := in.Imm
-	switch ei.form {
-	case 'R':
-		return ei.funct7<<25 | rs2<<20 | rs1<<15 | ei.funct3<<12 | rd<<7 | ei.opc, nil
-	case 'I':
-		if in.Op == OpSLLI || in.Op == OpSRLI || in.Op == OpSRAI {
-			if imm < 0 || imm > 31 {
-				return 0, fmt.Errorf("isa: shift amount %d out of range in %s", imm, in)
-			}
-			return ei.funct7<<25 | uint32(imm)<<20 | rs1<<15 | ei.funct3<<12 | rd<<7 | ei.opc, nil
-		}
-		if imm < -2048 || imm > 2047 {
-			return 0, fmt.Errorf("isa: I-immediate %d out of range in %s", imm, in)
-		}
-		return uint32(imm)&0xFFF<<20 | rs1<<15 | ei.funct3<<12 | rd<<7 | ei.opc, nil
-	case 'S':
-		if imm < -2048 || imm > 2047 {
-			return 0, fmt.Errorf("isa: S-immediate %d out of range in %s", imm, in)
-		}
-		u := uint32(imm) & 0xFFF
-		return (u>>5)<<25 | rs2<<20 | rs1<<15 | ei.funct3<<12 | (u&0x1F)<<7 | ei.opc, nil
-	case 'B':
-		if imm < -4096 || imm > 4095 || imm%2 != 0 {
-			return 0, fmt.Errorf("isa: B-offset %d invalid in %s", imm, in)
-		}
-		u := uint32(imm)
-		w := (u>>12&1)<<31 | (u>>5&0x3F)<<25 | rs2<<20 | rs1<<15 | ei.funct3<<12 |
-			(u>>1&0xF)<<8 | (u>>11&1)<<7 | ei.opc
-		return w, nil
-	case 'U':
-		if imm < 0 || imm > 0xFFFFF {
-			return 0, fmt.Errorf("isa: U-immediate %d out of range in %s", imm, in)
-		}
-		return uint32(imm)<<12 | rd<<7 | ei.opc, nil
-	case 'J':
-		if imm < -(1<<20) || imm >= 1<<20 || imm%2 != 0 {
-			return 0, fmt.Errorf("isa: J-offset %d invalid in %s", imm, in)
-		}
-		u := uint32(imm)
-		w := (u>>20&1)<<31 | (u>>1&0x3FF)<<21 | (u>>11&1)<<20 | (u>>12&0xFF)<<12 | rd<<7 | ei.opc
-		return w, nil
+	if err := checkImm(in); err != nil {
+		return 0, fmt.Errorf("isa: %v in %s", err, in)
 	}
-	return 0, fmt.Errorf("isa: unknown form %c", ei.form)
+	switch r.form {
+	case 'R', 'r':
+		return r.funct7<<25 | rs2<<20 | rs1<<15 | r.funct3<<12 | rd<<7 | r.opcode, nil
+	case 'H':
+		return r.funct7<<25 | u<<20 | rs1<<15 | r.funct3<<12 | rd<<7 | r.opcode, nil
+	case 'I':
+		return u&0xFFF<<20 | rs1<<15 | r.funct3<<12 | rd<<7 | r.opcode, nil
+	case 'S':
+		return (u>>5&0x7F)<<25 | rs2<<20 | rs1<<15 | r.funct3<<12 | (u&0x1F)<<7 | r.opcode, nil
+	case 'B':
+		return (u>>12&1)<<31 | (u>>5&0x3F)<<25 | rs2<<20 | rs1<<15 | r.funct3<<12 |
+			(u>>1&0xF)<<8 | (u>>11&1)<<7 | r.opcode, nil
+	case 'U':
+		return u<<12 | rd<<7 | r.opcode, nil
+	case 'J':
+		return (u>>20&1)<<31 | (u>>1&0x3FF)<<21 | (u>>11&1)<<20 | (u>>12&0xFF)<<12 | rd<<7 | r.opcode, nil
+	}
+	return 0, fmt.Errorf("isa: unknown form %c", r.form)
 }
 
 func signExtend(v uint32, bits uint) int32 {
@@ -143,132 +69,51 @@ func signExtend(v uint32, bits uint) int32 {
 	return int32(v<<shift) >> shift
 }
 
+// immediate unpacks the immediate field that form lays out in w.
+func immediate(form byte, w uint32) int32 {
+	switch form {
+	case 'I':
+		return signExtend(w>>20, 12)
+	case 'H':
+		return int32(w >> 20 & 0x1F)
+	case 'S':
+		return signExtend((w>>25)<<5|w>>7&0x1F, 12)
+	case 'B':
+		return signExtend((w>>31&1)<<12|(w>>7&1)<<11|(w>>25&0x3F)<<5|(w>>8&0xF)<<1, 13)
+	case 'U':
+		return int32(w >> 12)
+	case 'J':
+		return signExtend((w>>31&1)<<20|(w>>12&0xFF)<<12|(w>>20&1)<<11|(w>>21&0x3FF)<<1, 21)
+	}
+	return 0
+}
+
 // Decode unpacks a 32-bit machine word. Unknown encodings yield OpInvalid
 // with an error rather than a panic, so a corrupted binary is diagnosable.
 func Decode(w uint32) (Instr, error) {
-	opc := w & 0x7F
-	rd := uint8(w >> 7 & 0x1F)
-	funct3 := w >> 12 & 7
-	rs1 := uint8(w >> 15 & 0x1F)
-	rs2 := uint8(w >> 20 & 0x1F)
-	funct7 := w >> 25
-	iImm := signExtend(w>>20, 12)
-	sImm := signExtend((w>>25)<<5|uint32(rd), 12)
-	bImm := signExtend((w>>31&1)<<12|(w>>7&1)<<11|(w>>25&0x3F)<<5|(w>>8&0xF)<<1, 13)
-	uImm := int32(w >> 12)
-	jImm := signExtend((w>>31&1)<<20|(w>>12&0xFF)<<12|(w>>20&1)<<11|(w>>21&0x3FF)<<1, 21)
-
-	bad := func() (Instr, error) {
-		return Instr{}, fmt.Errorf("isa: cannot decode word %#08x", w)
-	}
-	switch opc {
-	case opcLUI:
-		return Instr{Op: OpLUI, Rd: rd, Imm: uImm}, nil
-	case opcAUIPC:
-		return Instr{Op: OpAUIPC, Rd: rd, Imm: uImm}, nil
-	case opcJAL:
-		return Instr{Op: OpJAL, Rd: rd, Imm: jImm}, nil
-	case opcJALR:
-		if funct3 != 0 {
-			return bad()
+	for _, op := range decodeIndex[w&0x7F|(w>>12&7)<<7] {
+		r := &hisq[op]
+		if (r.form == 'R' || r.form == 'H') && w>>25 != r.funct7 {
+			continue
 		}
-		return Instr{Op: OpJALR, Rd: rd, Rs1: rs1, Imm: iImm}, nil
-	case opcBranch:
-		ops := map[uint32]Op{0: OpBEQ, 1: OpBNE, 4: OpBLT, 5: OpBGE, 6: OpBLTU, 7: OpBGEU}
-		op, ok := ops[funct3]
-		if !ok {
-			return bad()
-		}
-		return Instr{Op: op, Rs1: rs1, Rs2: rs2, Imm: bImm}, nil
-	case opcLoad:
-		ops := map[uint32]Op{0: OpLB, 1: OpLH, 2: OpLW, 4: OpLBU, 5: OpLHU}
-		op, ok := ops[funct3]
-		if !ok {
-			return bad()
-		}
-		return Instr{Op: op, Rd: rd, Rs1: rs1, Imm: iImm}, nil
-	case opcStore:
-		ops := map[uint32]Op{0: OpSB, 1: OpSH, 2: OpSW}
-		op, ok := ops[funct3]
-		if !ok {
-			return bad()
-		}
-		return Instr{Op: op, Rs1: rs1, Rs2: rs2, Imm: sImm}, nil
-	case opcOpImm:
-		switch funct3 {
-		case 0:
-			return Instr{Op: OpADDI, Rd: rd, Rs1: rs1, Imm: iImm}, nil
-		case 1:
-			if funct7 != 0 {
-				return bad()
+		in := Instr{Op: op}
+		for _, operand := range []byte(r.syntax) {
+			switch operand {
+			case 'd', 'p':
+				in.Rd = uint8(w >> 7 & 0x1F)
+			case '1':
+				in.Rs1 = uint8(w >> 15 & 0x1F)
+			case '2':
+				in.Rs2 = uint8(w >> 20 & 0x1F)
+			case 'i', 'l':
+				in.Imm = immediate(r.form, w)
+			case 'm':
+				in.Rs1, in.Imm = uint8(w>>15&0x1F), immediate(r.form, w)
 			}
-			return Instr{Op: OpSLLI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
-		case 2:
-			return Instr{Op: OpSLTI, Rd: rd, Rs1: rs1, Imm: iImm}, nil
-		case 3:
-			return Instr{Op: OpSLTIU, Rd: rd, Rs1: rs1, Imm: iImm}, nil
-		case 4:
-			return Instr{Op: OpXORI, Rd: rd, Rs1: rs1, Imm: iImm}, nil
-		case 5:
-			switch funct7 {
-			case 0x00:
-				return Instr{Op: OpSRLI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
-			case 0x20:
-				return Instr{Op: OpSRAI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
-			}
-			return bad()
-		case 6:
-			return Instr{Op: OpORI, Rd: rd, Rs1: rs1, Imm: iImm}, nil
-		case 7:
-			return Instr{Op: OpANDI, Rd: rd, Rs1: rs1, Imm: iImm}, nil
 		}
-		return bad()
-	case opcOp:
-		type key struct {
-			f3, f7 uint32
-		}
-		ops := map[key]Op{
-			{0, 0x00}: OpADD, {0, 0x20}: OpSUB,
-			{1, 0}: OpSLL, {2, 0}: OpSLT, {3, 0}: OpSLTU, {4, 0}: OpXOR,
-			{5, 0x00}: OpSRL, {5, 0x20}: OpSRA, {6, 0}: OpOR, {7, 0}: OpAND,
-		}
-		op, ok := ops[key{funct3, funct7}]
-		if !ok {
-			return bad()
-		}
-		return Instr{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, nil
-	case opcHISQ:
-		switch funct3 {
-		case 0:
-			return Instr{Op: OpWAITI, Imm: iImm}, nil
-		case 1:
-			return Instr{Op: OpWAITR, Rs1: rs1}, nil
-		case 2:
-			return Instr{Op: OpSYNC, Imm: iImm}, nil
-		case 3:
-			return Instr{Op: OpFMR, Rd: rd, Imm: iImm}, nil
-		case 4:
-			return Instr{Op: OpSEND, Rs1: rs1, Imm: iImm}, nil
-		case 5:
-			return Instr{Op: OpRECV, Rd: rd, Imm: iImm}, nil
-		case 6:
-			return Instr{Op: OpHALT}, nil
-		}
-		return bad()
-	case opcCW:
-		switch funct3 {
-		case 0:
-			return Instr{Op: OpCWII, Rd: rd, Imm: iImm}, nil
-		case 1:
-			return Instr{Op: OpCWIR, Rd: rd, Rs1: rs1}, nil
-		case 2:
-			return Instr{Op: OpCWRI, Rs1: rs1, Imm: iImm}, nil
-		case 3:
-			return Instr{Op: OpCWRR, Rs1: rs1, Rs2: rs2}, nil
-		}
-		return bad()
+		return in, nil
 	}
-	return bad()
+	return Instr{}, fmt.Errorf("isa: cannot decode word %#08x", w)
 }
 
 // EncodeProgram serializes a program to little-endian machine code.

@@ -47,10 +47,7 @@ func FuzzAssemble(f *testing.F) {
 		// to the same instruction stream.
 		code, err := EncodeProgram(p)
 		if err != nil {
-			// Some assemblable immediates exceed an encoding's field width
-			// (e.g. waiti with a 13-bit value); that is a diagnosable
-			// error, not a crash.
-			return
+			t.Fatalf("assembled program does not encode: %v", err)
 		}
 		p2, err := DecodeProgram(code)
 		if err != nil {

@@ -100,48 +100,174 @@ const (
 	opCount
 )
 
-var opNames = [...]string{
-	OpInvalid: "invalid",
-	OpLUI:     "lui", OpAUIPC: "auipc",
-	OpJAL: "jal", OpJALR: "jalr",
-	OpBEQ: "beq", OpBNE: "bne", OpBLT: "blt", OpBGE: "bge", OpBLTU: "bltu", OpBGEU: "bgeu",
-	OpLB: "lb", OpLH: "lh", OpLW: "lw", OpLBU: "lbu", OpLHU: "lhu",
-	OpSB: "sb", OpSH: "sh", OpSW: "sw",
-	OpADDI: "addi", OpSLTI: "slti", OpSLTIU: "sltiu", OpXORI: "xori", OpORI: "ori", OpANDI: "andi",
-	OpSLLI: "slli", OpSRLI: "srli", OpSRAI: "srai",
-	OpADD: "add", OpSUB: "sub", OpSLL: "sll", OpSLT: "slt", OpSLTU: "sltu",
-	OpXOR: "xor", OpSRL: "srl", OpSRA: "sra", OpOR: "or", OpAND: "and",
-	OpWAITI: "waiti", OpWAITR: "waitr", OpSYNC: "sync", OpFMR: "fmr",
-	OpSEND: "send", OpRECV: "recv", OpHALT: "halt",
-	OpCWII: "cw.i.i", OpCWIR: "cw.i.r", OpCWRI: "cw.r.i", OpCWRR: "cw.r.r",
+// RISC-V major opcodes used by HISQ. The quantum extension occupies the two
+// custom opcode slots reserved by the RISC-V specification for vendor
+// extensions, so HISQ binaries remain decodable by an RV32I front-end.
+const (
+	opcLUI    = 0x37
+	opcAUIPC  = 0x17
+	opcJAL    = 0x6F
+	opcJALR   = 0x67
+	opcBranch = 0x63
+	opcLoad   = 0x03
+	opcStore  = 0x23
+	opcOpImm  = 0x13
+	opcOp     = 0x33
+	opcHISQ   = 0x0B // custom-0: wait/sync/fmr/send/recv/halt
+	opcCW     = 0x2B // custom-1: cw.x.x family
+)
+
+// Which unit retires an instruction: the classical pipeline, or the timing
+// control unit it is dispatched to (§3.1.2).
+const (
+	cpu = false
+	tcu = true
+)
+
+// opRow declares one instruction. The table below is the instruction set:
+// the assembler, the disassembler, Encode and Decode all read it, and none
+// of them knows an instruction the table does not list.
+//
+// form is the bit layout — RISC-V's R, I, S, B, U and J, plus 'H', the
+// I layout with a 5-bit shift amount under funct7, and 'r', the R layout
+// whose funct7 Decode does not check (cw.r.r: it is written as 0 and has
+// always been read as anything). A word selects a row by opcode; by funct3
+// too unless the form is U or J; by funct7 too if the form is R or H.
+//
+// syntax has one letter per comma-separated assembly operand, and is at
+// once what the assembler parses, what Instr.String prints and which Instr
+// fields Decode fills (the rest stay zero):
+//
+//	d  register, in Rd            p  immediate port 0..31, in Rd
+//	1  register, in Rs1           i  immediate, in Imm
+//	2  register, in Rs2           l  label or byte offset, in Imm
+//	m  imm(reg): displacement in Imm, base register in Rs1
+type opRow struct {
+	mnemonic               string
+	opcode, funct3, funct7 uint32
+	form                   byte
+	syntax                 string
+	tcu                    bool
+}
+
+var hisq = [opCount]opRow{
+	OpInvalid: {mnemonic: "invalid"},
+
+	OpLUI:   {"lui", opcLUI, 0, 0, 'U', "di", cpu},
+	OpAUIPC: {"auipc", opcAUIPC, 0, 0, 'U', "di", cpu},
+	OpJAL:   {"jal", opcJAL, 0, 0, 'J', "dl", cpu},
+	OpJALR:  {"jalr", opcJALR, 0, 0, 'I', "d1i", cpu},
+
+	OpBEQ:  {"beq", opcBranch, 0, 0, 'B', "12l", cpu},
+	OpBNE:  {"bne", opcBranch, 1, 0, 'B', "12l", cpu},
+	OpBLT:  {"blt", opcBranch, 4, 0, 'B', "12l", cpu},
+	OpBGE:  {"bge", opcBranch, 5, 0, 'B', "12l", cpu},
+	OpBLTU: {"bltu", opcBranch, 6, 0, 'B', "12l", cpu},
+	OpBGEU: {"bgeu", opcBranch, 7, 0, 'B', "12l", cpu},
+
+	OpLB:  {"lb", opcLoad, 0, 0, 'I', "dm", cpu},
+	OpLH:  {"lh", opcLoad, 1, 0, 'I', "dm", cpu},
+	OpLW:  {"lw", opcLoad, 2, 0, 'I', "dm", cpu},
+	OpLBU: {"lbu", opcLoad, 4, 0, 'I', "dm", cpu},
+	OpLHU: {"lhu", opcLoad, 5, 0, 'I', "dm", cpu},
+	OpSB:  {"sb", opcStore, 0, 0, 'S', "2m", cpu},
+	OpSH:  {"sh", opcStore, 1, 0, 'S', "2m", cpu},
+	OpSW:  {"sw", opcStore, 2, 0, 'S', "2m", cpu},
+
+	OpADDI:  {"addi", opcOpImm, 0, 0, 'I', "d1i", cpu},
+	OpSLTI:  {"slti", opcOpImm, 2, 0, 'I', "d1i", cpu},
+	OpSLTIU: {"sltiu", opcOpImm, 3, 0, 'I', "d1i", cpu},
+	OpXORI:  {"xori", opcOpImm, 4, 0, 'I', "d1i", cpu},
+	OpORI:   {"ori", opcOpImm, 6, 0, 'I', "d1i", cpu},
+	OpANDI:  {"andi", opcOpImm, 7, 0, 'I', "d1i", cpu},
+	OpSLLI:  {"slli", opcOpImm, 1, 0x00, 'H', "d1i", cpu},
+	OpSRLI:  {"srli", opcOpImm, 5, 0x00, 'H', "d1i", cpu},
+	OpSRAI:  {"srai", opcOpImm, 5, 0x20, 'H', "d1i", cpu},
+
+	OpADD:  {"add", opcOp, 0, 0x00, 'R', "d12", cpu},
+	OpSUB:  {"sub", opcOp, 0, 0x20, 'R', "d12", cpu},
+	OpSLL:  {"sll", opcOp, 1, 0x00, 'R', "d12", cpu},
+	OpSLT:  {"slt", opcOp, 2, 0x00, 'R', "d12", cpu},
+	OpSLTU: {"sltu", opcOp, 3, 0x00, 'R', "d12", cpu},
+	OpXOR:  {"xor", opcOp, 4, 0x00, 'R', "d12", cpu},
+	OpSRL:  {"srl", opcOp, 5, 0x00, 'R', "d12", cpu},
+	OpSRA:  {"sra", opcOp, 5, 0x20, 'R', "d12", cpu},
+	OpOR:   {"or", opcOp, 6, 0x00, 'R', "d12", cpu},
+	OpAND:  {"and", opcOp, 7, 0x00, 'R', "d12", cpu},
+
+	OpWAITI: {"waiti", opcHISQ, 0, 0, 'I', "i", tcu},
+	OpWAITR: {"waitr", opcHISQ, 1, 0, 'I', "1", tcu},
+	OpSYNC:  {"sync", opcHISQ, 2, 0, 'I', "i", tcu},
+	OpFMR:   {"fmr", opcHISQ, 3, 0, 'I', "di", cpu},
+	OpSEND:  {"send", opcHISQ, 4, 0, 'I', "1i", cpu},
+	OpRECV:  {"recv", opcHISQ, 5, 0, 'I', "di", cpu},
+	OpHALT:  {"halt", opcHISQ, 6, 0, 'I', "", cpu},
+
+	OpCWII: {"cw.i.i", opcCW, 0, 0, 'I', "pi", tcu},
+	OpCWIR: {"cw.i.r", opcCW, 1, 0, 'I', "p1", tcu},
+	OpCWRI: {"cw.r.i", opcCW, 2, 0, 'I', "1i", tcu},
+	OpCWRR: {"cw.r.r", opcCW, 3, 0, 'r', "12", tcu},
+}
+
+// spelling is what one mnemonic assembles to: the instruction, and the
+// operands it is written with.
+type spelling struct {
+	op     Op
+	syntax string
+}
+
+// The table read backwards, built once. spellings is by name, for the
+// assembler: every row under its mnemonic, next to the pseudo-instructions,
+// each a real instruction written with fewer operands, the unwritten ones
+// zero (nop = addi $0,$0,0; mv = addi rd,rs,0; j = jal $0,target; li parses
+// as addi rd,$0,v with v of any width, and parseInstr expands it with
+// LoadImm). decodeIndex is by opcode | funct3<<7, for Decode: the ops a word
+// with those bits can be, which funct7 tells apart (there are at most two).
+var (
+	spellings = map[string]spelling{
+		"nop": {OpADDI, ""},
+		"mv":  {OpADDI, "d1"},
+		"j":   {OpJAL, "l"},
+		"li":  {OpADDI, "di"},
+	}
+	decodeIndex [1 << 10][]Op
+)
+
+func init() {
+	for op := OpInvalid + 1; op < opCount; op++ {
+		r := &hisq[op]
+		spellings[r.mnemonic] = spelling{op, r.syntax}
+		for f3 := uint32(0); f3 < 8; f3++ {
+			if f3 == r.funct3 || r.form == 'U' || r.form == 'J' {
+				decodeIndex[r.opcode|f3<<7] = append(decodeIndex[r.opcode|f3<<7], op)
+			}
+		}
+	}
+}
+
+// row returns o's table row; an Op outside the table gets OpInvalid's,
+// which has no operands, no form and no unit.
+func (o Op) row() *opRow {
+	if o >= opCount {
+		o = OpInvalid
+	}
+	return &hisq[o]
 }
 
 // String returns the assembler mnemonic.
 func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
+	if o < opCount {
+		return hisq[o].mnemonic
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
 // IsQuantum reports whether the instruction is dispatched to the timing
 // control unit rather than retired purely in the classical pipeline.
-func (o Op) IsQuantum() bool {
-	switch o {
-	case OpWAITI, OpWAITR, OpSYNC, OpCWII, OpCWIR, OpCWRI, OpCWRR:
-		return true
-	}
-	return false
-}
+func (o Op) IsQuantum() bool { return o.row().tcu }
 
 // IsBranch reports whether the op is a conditional branch.
-func (o Op) IsBranch() bool {
-	switch o {
-	case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
-		return true
-	}
-	return false
-}
+func (o Op) IsBranch() bool { return o.row().form == 'B' }
 
 // Instr is one decoded HISQ instruction. Field usage mirrors RV32I: Rd is the
 // destination, Rs1/Rs2 sources, Imm the sign-extended immediate. The cw
@@ -158,48 +284,27 @@ type Instr struct {
 
 // String renders the instruction in the paper's assembly syntax.
 func (in Instr) String() string {
-	r := func(n uint8) string { return fmt.Sprintf("$%d", n) }
-	switch in.Op {
-	case OpLUI, OpAUIPC:
-		return fmt.Sprintf("%s %s,%d", in.Op, r(in.Rd), in.Imm)
-	case OpJAL:
-		return fmt.Sprintf("%s %s,%d", in.Op, r(in.Rd), in.Imm)
-	case OpJALR:
-		return fmt.Sprintf("%s %s,%s,%d", in.Op, r(in.Rd), r(in.Rs1), in.Imm)
-	case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
-		return fmt.Sprintf("%s %s,%s,%d", in.Op, r(in.Rs1), r(in.Rs2), in.Imm)
-	case OpLB, OpLH, OpLW, OpLBU, OpLHU:
-		return fmt.Sprintf("%s %s,%d(%s)", in.Op, r(in.Rd), in.Imm, r(in.Rs1))
-	case OpSB, OpSH, OpSW:
-		return fmt.Sprintf("%s %s,%d(%s)", in.Op, r(in.Rs2), in.Imm, r(in.Rs1))
-	case OpADDI, OpSLTI, OpSLTIU, OpXORI, OpORI, OpANDI, OpSLLI, OpSRLI, OpSRAI:
-		return fmt.Sprintf("%s %s,%s,%d", in.Op, r(in.Rd), r(in.Rs1), in.Imm)
-	case OpADD, OpSUB, OpSLL, OpSLT, OpSLTU, OpXOR, OpSRL, OpSRA, OpOR, OpAND:
-		return fmt.Sprintf("%s %s,%s,%s", in.Op, r(in.Rd), r(in.Rs1), r(in.Rs2))
-	case OpWAITI:
-		return fmt.Sprintf("waiti %d", in.Imm)
-	case OpWAITR:
-		return fmt.Sprintf("waitr %s", r(in.Rs1))
-	case OpSYNC:
-		return fmt.Sprintf("sync %d", in.Imm)
-	case OpFMR:
-		return fmt.Sprintf("fmr %s,%d", r(in.Rd), in.Imm)
-	case OpSEND:
-		return fmt.Sprintf("send %s,%d", r(in.Rs1), in.Imm)
-	case OpRECV:
-		return fmt.Sprintf("recv %s,%d", r(in.Rd), in.Imm)
-	case OpHALT:
-		return "halt"
-	case OpCWII:
-		return fmt.Sprintf("cw.i.i %d,%d", in.Rd, in.Imm)
-	case OpCWIR:
-		return fmt.Sprintf("cw.i.r %d,%s", in.Rd, r(in.Rs1))
-	case OpCWRI:
-		return fmt.Sprintf("cw.r.i %s,%d", r(in.Rs1), in.Imm)
-	case OpCWRR:
-		return fmt.Sprintf("cw.r.r %s,%s", r(in.Rs1), r(in.Rs2))
+	b := []byte(in.Op.String())
+	sep := byte(' ')
+	for _, operand := range []byte(in.Op.row().syntax) {
+		b = append(b, sep)
+		sep = ','
+		switch operand {
+		case 'd':
+			b = fmt.Appendf(b, "$%d", in.Rd)
+		case '1':
+			b = fmt.Appendf(b, "$%d", in.Rs1)
+		case '2':
+			b = fmt.Appendf(b, "$%d", in.Rs2)
+		case 'p':
+			b = fmt.Appendf(b, "%d", in.Rd)
+		case 'i', 'l':
+			b = fmt.Appendf(b, "%d", in.Imm)
+		case 'm':
+			b = fmt.Appendf(b, "%d($%d)", in.Imm, in.Rs1)
+		}
 	}
-	return in.Op.String()
+	return string(b)
 }
 
 // Program is an assembled HISQ binary: a sequence of instructions plus the

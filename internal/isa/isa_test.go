@@ -138,12 +138,33 @@ func TestAssembleErrors(t *testing.T) {
 		"jal $0,7",             // misaligned target
 	}
 	for _, src := range cases {
-		p, err := Assemble(src)
-		if err == nil {
-			if _, err2 := EncodeProgram(p); err2 == nil {
-				t.Errorf("Assemble(%q): expected error", src)
-			}
+		if _, err := Assemble(src); err == nil {
+			t.Errorf("Assemble(%q): expected error", src)
 		}
+	}
+}
+
+// What assembles must encode, or hisq-run would execute a program hisq-asm
+// refuses: an immediate too wide for its instruction's form is an assembly
+// error naming the line, and the widest that fits still assembles.
+func TestAssembleChecksImmediateWidth(t *testing.T) {
+	for src, want := range map[string]string{
+		"waiti 1\nwaiti 40000": "isa: line 2: I-immediate 40000 out of range",
+		"addi $1,$1,5000":      "isa: line 1: I-immediate 5000 out of range",
+		"nop\nsw $1,-2049($2)": "isa: line 2: S-immediate -2049 out of range",
+		"slli $1,$1,32":        "isa: line 1: shift amount 32 out of range",
+		"lui $1,0x100000":      "isa: line 1: U-immediate 1048576 out of range",
+	} {
+		if _, err := Assemble(src); err == nil || err.Error() != want {
+			t.Errorf("Assemble(%q) = %v, want %s", src, err, want)
+		}
+	}
+	p, err := Assemble("waiti 2047\naddi $1,$1,-2048\nslli $1,$1,31\nlui $1,0xFFFFF\nli $2,40000\nwaitr $2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := EncodeProgram(p); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -177,57 +198,7 @@ func TestLoadStoreSyntax(t *testing.T) {
 }
 
 func TestEncodeDecodeAllOpsExamples(t *testing.T) {
-	src := `
-lui $1, 1000
-auipc $2, 4
-jal $1, 8
-jalr $1, $2, 4
-beq $1,$2,8
-bne $1,$2,8
-blt $1,$2,-4
-bge $1,$2,-4
-bltu $1,$2,8
-bgeu $1,$2,8
-lb $1, 1($2)
-lh $1, 2($2)
-lw $1, 4($2)
-lbu $1, 1($2)
-lhu $1, 2($2)
-sb $1, 1($2)
-sh $1, 2($2)
-sw $1, 4($2)
-addi $1,$2,-5
-slti $1,$2,5
-sltiu $1,$2,5
-xori $1,$2,5
-ori $1,$2,5
-andi $1,$2,5
-slli $1,$2,5
-srli $1,$2,5
-srai $1,$2,5
-add $1,$2,$3
-sub $1,$2,$3
-sll $1,$2,$3
-slt $1,$2,$3
-sltu $1,$2,$3
-xor $1,$2,$3
-srl $1,$2,$3
-sra $1,$2,$3
-or $1,$2,$3
-and $1,$2,$3
-waiti 100
-waitr $4
-sync 2
-fmr $5, 3
-send $5, 7
-recv $6, 7
-halt
-cw.i.i 21,2
-cw.i.r 21,$3
-cw.r.i $4,2
-cw.r.r $4,$5
-`
-	p, err := Assemble(src)
+	p, err := Assemble(allOpsListing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,18 +232,19 @@ func randInstr(r *rand.Rand) Instr {
 	}
 	in := Instr{Op: ops[r.Intn(len(ops))]}
 	reg := func() uint8 { return uint8(r.Intn(32)) }
-	switch encTable[in.Op].form {
-	case 'R':
+	switch hisq[in.Op].form {
+	case 'R', 'r':
 		in.Rd, in.Rs1, in.Rs2 = reg(), reg(), reg()
 		if in.Op == OpCWRR {
 			in.Rd = 0
 		}
+	case 'H':
+		in.Rd, in.Rs1 = reg(), reg()
+		in.Imm = int32(r.Intn(32))
 	case 'I':
 		in.Rd, in.Rs1 = reg(), reg()
 		in.Imm = int32(r.Intn(4096) - 2048)
 		switch in.Op {
-		case OpSLLI, OpSRLI, OpSRAI:
-			in.Imm = int32(r.Intn(32))
 		case OpWAITI, OpSYNC:
 			in.Rd, in.Rs1 = 0, 0
 			in.Imm = int32(r.Intn(2048))

@@ -187,3 +187,44 @@ func TestFeedbackDisabledByDefault(t *testing.T) {
 		t.Fatalf("Replacements = %d with the loop disabled", got)
 	}
 }
+
+// TestFeedbackForgottenWithEvictedGroup: the re-place state of a pool
+// group lives exactly as long as the pool knows the group. Eight distinct
+// contended circuits through a pool of two leave at most two entries
+// behind — some of them groups whose replicas a re-placement dropped, the
+// path that never re-enters the pool on its own — and every entry left is
+// a group the pool still holds. Submitted all at once to four workers, so
+// that checkins, evictions and the feedback merge interleave.
+func TestFeedbackForgottenWithEvictedGroup(t *testing.T) {
+	cfg := contendedCfg(16)
+	s := New(Config{Workers: 4, MaxPooledReplicas: 2, ReplaceStallThreshold: 1})
+	var ids []string
+	for i := 0; i < 8; i++ {
+		c := hub(16)
+		for k := 0; k <= i; k++ { // one more gate per circuit: eight fingerprints
+			c.Gate(circuit.X, 0)
+		}
+		id, err := s.Submit(Request{Circuit: c, Cfg: &cfg, Placement: "interaction", Shots: 1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for i, id := range ids {
+		if st, _ := s.Wait(id); st.State != StateDone {
+			t.Fatalf("job %d: state %s, err %q", i, st.State, st.Err)
+		}
+	}
+	s.Close() // the workers' post-job bookkeeping has finished
+	if got := s.Stats().Replacements; got == 0 {
+		t.Fatal("no circuit was re-placed; the test needs a harder hotspot")
+	}
+	if len(s.feedback) > 2 {
+		t.Errorf("%d feedback entries outlive a pool of 2", len(s.feedback))
+	}
+	for pk := range s.feedback {
+		if !s.pool.holds(pk) {
+			t.Errorf("feedback kept for %s, which the pool no longer knows", pk.fp)
+		}
+	}
+}

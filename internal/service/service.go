@@ -308,7 +308,8 @@ type Service struct {
 	pool     *replicaPool
 	// feedback tracks aggregated congestion per replica-pool group when
 	// Config.ReplaceStallThreshold is set (nil entries never exist; the
-	// map stays empty with the loop disabled).
+	// map stays empty with the loop disabled; forget deletes a group's
+	// entry when the pool evicts the group).
 	feedback map[poolKey]*feedbackState
 
 	wg sync.WaitGroup
@@ -684,6 +685,12 @@ func (s *Service) maybeReplace(j *job, p plan, fb compiler.Feedback) {
 	s.mu.Lock()
 	fs := s.feedback[j.pk]
 	if fs == nil {
+		if !s.pool.holds(j.pk) {
+			// Evicted since this job checked its replicas in: forget has
+			// run for the group, and nothing would delete a new entry.
+			s.mu.Unlock()
+			return
+		}
 		fs = &feedbackState{}
 		s.feedback[j.pk] = fs
 	}
@@ -708,6 +715,21 @@ func (s *Service) maybeReplace(j *job, p plan, fb compiler.Feedback) {
 	// re-placed artifact under the unchanged pool key, so a sweep family
 	// keeps its bind cache and its batching.
 	s.pool.drop(j.pk)
+}
+
+// forget drops the re-place state of the groups the pool just evicted:
+// the accumulated feedback and any re-placed artifact go with the replicas,
+// and a group that comes back starts over, which is what LRU means. Without
+// it s.feedback grows by one entry per distinct circuit ever served.
+func (s *Service) forget(evicted []poolKey) {
+	if len(evicted) == 0 || s.cfg.ReplaceStallThreshold == 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, pk := range evicted {
+		delete(s.feedback, pk)
+	}
 }
 
 // rePlace computes the re-placed artifact for j's pool group: probe-search
@@ -848,7 +870,7 @@ func (s *Service) run(j *job, p plan) (res result, err error) {
 		// checked-out machines are dropped, never pooled.
 		var panicked *runner.PanicError
 		if !errors.As(err, &panicked) {
-			s.pool.checkin(j.pk, machines)
+			s.forget(s.pool.checkin(j.pk, machines))
 		}
 	}()
 
@@ -976,9 +998,10 @@ func (j *job) status() JobStatus {
 }
 
 // replicaPool keeps loaded machines warm, grouped by artifact
-// fingerprint, bounded by a global replica budget with LRU group
-// eviction. Checkout removes machines from the pool (a machine is never
-// shared by two running jobs); checkin returns them.
+// fingerprint, bounded by a global replica budget (which bounds the groups
+// it knows too: one may be empty, its replicas checked out or dropped) with
+// LRU group eviction. Checkout removes machines from the pool (a machine is
+// never shared by two running jobs); checkin returns them.
 type replicaPool struct {
 	mu     sync.Mutex
 	budget int
@@ -1029,17 +1052,17 @@ func (p *replicaPool) checkout(fp poolKey, want int) []*machine.Machine {
 }
 
 // checkin returns machines to fp's group, evicting least recently used
-// groups if the global budget is exceeded.
-func (p *replicaPool) checkin(fp poolKey, machines []*machine.Machine) {
+// groups if the global budget is exceeded; it reports the groups evicted.
+func (p *replicaPool) checkin(fp poolKey, machines []*machine.Machine) (evicted []poolKey) {
 	if len(machines) == 0 {
-		return
+		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.groups[fp] = append(p.groups[fp], machines...)
 	p.total += len(machines)
 	p.touch(fp)
-	for p.total > p.budget && len(p.order) > 0 {
+	for p.total > p.budget || len(p.order) > p.budget {
 		victim := p.order[len(p.order)-1]
 		if victim == fp && len(p.order) == 1 {
 			// Only the active group remains: trim it instead, nil-ing the
@@ -1059,27 +1082,30 @@ func (p *replicaPool) checkin(fp poolKey, machines []*machine.Machine) {
 		p.total -= len(p.groups[victim])
 		delete(p.groups, victim)
 		p.order = p.order[:len(p.order)-1]
+		evicted = append(evicted, victim)
 	}
+	return evicted
 }
 
-// drop discards fp's pooled group: its machines are loaded with an
-// artifact the re-place path just superseded, and running them would mean
-// running the old placement.
+// drop discards fp's pooled replicas: they are loaded with an artifact the
+// re-place path just superseded, and running them would mean running the
+// old placement. The group keeps its place in the LRU order, so that it is
+// still evicted, and its re-place state forgotten, in its turn.
 func (p *replicaPool) drop(fp poolKey) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	g, ok := p.groups[fp]
-	if !ok {
-		return
+	if g, ok := p.groups[fp]; ok {
+		p.total -= len(g)
+		p.groups[fp] = nil
 	}
-	p.total -= len(g)
-	delete(p.groups, fp)
-	for i, f := range p.order {
-		if f == fp {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			break
-		}
-	}
+}
+
+// holds reports whether the pool knows fp's group, empty or not.
+func (p *replicaPool) holds(fp poolKey) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	_, ok := p.groups[fp]
+	return ok
 }
 
 func (p *replicaPool) size() int {
