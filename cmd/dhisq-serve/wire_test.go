@@ -69,6 +69,30 @@ func TestJobResponseBytesPinned(t *testing.T) {
 	}
 }
 
+// The stats response is service.Stats encoded as it stands, with no key
+// omitted at zero: an idle daemon's body is every wire name in order. The
+// sibling of TestJobResponseBytesPinned for /v1/stats.
+func TestStatsResponseBytesPinned(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1, Artifacts: artifact.New(4)})
+	ts := httptest.NewServer(newHandler(svc, "", ""))
+	t.Cleanup(func() { ts.Close(); svc.Close() })
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, _ := io.ReadAll(resp.Body)
+	want := `{"submitted":0,"completed":0,"failed":0,"rejected":0,"queue_depth":0,"running":0,` +
+		`"batched_jobs":0,"taped_shots":0,"tape_fallbacks":0,"binds":0,"bind_hits":0,"pooled_replicas":0,` +
+		`"artifact_cache":{"hits":0,"misses":0,"evictions":0,"store_hits":0,"store_misses":0,` +
+		`"spills":0,"spill_errors":0,"size":0,"capacity":4},` +
+		`"net_total_stall_cycles":0,"net_max_queue":0,"net_messages":0,"net_overflows":0,` +
+		`"net_collective_ops":0,"net_collective_stall_cycles":0,"replacements":0}` + "\n"
+	if string(got) != want {
+		t.Fatalf("stats response moved:\n got %swant %s", got, want)
+	}
+}
+
 // serveOn runs newServer's server on a loopback listener with the header
 // timeout shortened (ten seconds is the production value, checked here).
 func serveOn(t *testing.T, h http.Handler, headerTimeout time.Duration) string {

@@ -189,12 +189,13 @@ func TestFeedbackDisabledByDefault(t *testing.T) {
 }
 
 // TestFeedbackForgottenWithEvictedGroup: the re-place state of a pool
-// group lives exactly as long as the pool knows the group. Eight distinct
-// contended circuits through a pool of two leave at most two entries
-// behind — some of them groups whose replicas a re-placement dropped, the
-// path that never re-enters the pool on its own — and every entry left is
-// a group the pool still holds. Submitted all at once to four workers, so
-// that checkins, evictions and the feedback merge interleave.
+// group lives exactly as long as the pool knows the group — it is the
+// group's (TestPoolGroupStateLivesAndDiesWithTheGroup drives that
+// directly). Eight distinct contended circuits through a pool of two leave
+// at most two groups behind, re-placed ones whose replicas were dropped —
+// the path that never re-enters the pool on its own — included. Submitted
+// all at once to four workers, so that checkins, evictions, the feedback
+// merge and the swap interleave.
 func TestFeedbackForgottenWithEvictedGroup(t *testing.T) {
 	cfg := contendedCfg(16)
 	s := New(Config{Workers: 4, MaxPooledReplicas: 2, ReplaceStallThreshold: 1})
@@ -219,12 +220,16 @@ func TestFeedbackForgottenWithEvictedGroup(t *testing.T) {
 	if got := s.Stats().Replacements; got == 0 {
 		t.Fatal("no circuit was re-placed; the test needs a harder hotspot")
 	}
-	if len(s.feedback) > 2 {
-		t.Errorf("%d feedback entries outlive a pool of 2", len(s.feedback))
+	if len(s.pool.groups) > 2 || len(s.pool.order) != len(s.pool.groups) {
+		t.Errorf("%d groups (%d in LRU order) outlive a pool of 2", len(s.pool.groups), len(s.pool.order))
 	}
-	for pk := range s.feedback {
-		if !s.pool.holds(pk) {
-			t.Errorf("feedback kept for %s, which the pool no longer knows", pk.fp)
+	var swapped uint64
+	for _, g := range s.pool.groups {
+		if g.artifact != nil {
+			swapped++
 		}
+	}
+	if got := s.Stats().Replacements; swapped > got {
+		t.Errorf("%d groups hold a re-placed artifact, %d replacements counted", swapped, got)
 	}
 }

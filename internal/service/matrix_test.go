@@ -262,12 +262,10 @@ func TestBackendPanicFailsOneJob(t *testing.T) {
 		if st.State != StateFailed || !strings.Contains(st.Err, "stabilizer backend cannot apply") {
 			t.Fatalf("w%d: panicking job ended %s with %q", workers, st.State, st.Err)
 		}
-		var pe *runner.PanicError
-		svc.mu.Lock()
-		jobErr := svc.jobs[id].err
-		svc.mu.Unlock()
-		if !errors.As(jobErr, &pe) {
-			t.Fatalf("w%d: job error %v is not a *runner.PanicError", workers, jobErr)
+		// The job's error is the recovered *runner.PanicError, whose text
+		// is what the record keeps of it.
+		if want := (&runner.PanicError{Value: ""}).Error(); !strings.Contains(st.Err, want) {
+			t.Fatalf("w%d: job error %q does not read as a recovered panic (%q)", workers, st.Err, want)
 		}
 		if st, _ := svc.Wait(after); st.State != StateDone {
 			t.Fatalf("w%d: job after the panic ended %s (%s)", workers, st.State, st.Err)
@@ -291,8 +289,8 @@ func TestBackendPanicFailsOneJob(t *testing.T) {
 func TestReleaseRecoversOutsideTheFanOut(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
-	j := &job{id: "job-broken"} // no circuit: machine construction dereferences nil
-	_, err := svc.run(j, plan{points: []map[string]float64{nil}, want: 1})
+	// No circuit: machine construction dereferences nil.
+	_, err := svc.run(&job{}, plan{points: []map[string]float64{nil}, want: 1}, &JobStatus{ID: "job-broken", Shots: 1})
 	var pe *runner.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("run returned %v, want a recovered *runner.PanicError", err)

@@ -199,6 +199,9 @@ func Resolve(req Request) (Admission, error) {
 		cfg = machine.DefaultConfig(req.Circuit.NumQubits)
 	}
 	cfg.Seed = req.Seed
+	// Nothing downstream of an Admission can read a TELF log: a job that asked
+	// for one shares replicas and commit tape with one that did not.
+	cfg.LogEvents = false
 	if req.Topo != "" {
 		kind, err := network.ParseTopology(req.Topo)
 		if err != nil {

@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"dhisq/internal/artifact"
+	"dhisq/internal/machine"
 )
 
 // jsonTags lists a struct's wire tags in field order, flattening embedded
@@ -126,19 +129,15 @@ func TestEveryOptionReachesThePoolKey(t *testing.T) {
 		"EPRLatency": {base: func(r *Request) { r.Chips = 2 }, alt: func(r *Request) { r.Chips, r.EPRLatency = 2, 40 }},
 	}
 
-	svc := New(Config{Workers: 1})
-	defer svc.Close()
 	admit := func(mutate func(*Request)) poolKey {
 		t.Helper()
 		req := Request{Circuit: ghz(4), Shots: 1, Seed: 1}
 		mutate(&req)
-		id, err := svc.Submit(req)
+		a, err := Resolve(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc.mu.Lock()
-		defer svc.mu.Unlock()
-		return svc.jobs[id].pk
+		return poolKeyOf(a)
 	}
 	rt := reflect.TypeOf(Request{})
 	for i := 0; i < rt.NumField(); i++ {
@@ -153,6 +152,83 @@ func TestEveryOptionReachesThePoolKey(t *testing.T) {
 		}
 		if admit(v.base) == admit(v.alt) {
 			t.Errorf("Request.%s does not reach the pool key: two jobs differing only there would share replicas", f.Name)
+		}
+	}
+}
+
+// TestPoolKeyCoversRuntimeConfig is the audit of the pool key against what a
+// replica is built from: every machine.Config field is perturbed in turn
+// and must move the fingerprint (and the pool key through it), the pool key
+// alone, or neither — and a field in neither says why sharing replicas
+// across it is safe. A new Config field fails here until it is classified.
+func TestPoolKeyCoversRuntimeConfig(t *testing.T) {
+	const fingerprint, keyOnly, neither = "fingerprint", "pool key only", "neither"
+	rows := []struct {
+		field, want, why string
+		base, alt        func(*Request, *machine.Config)
+	}{
+		{field: "Net", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Net.LinkSerialization = 3 }},
+		{field: "Durations", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Durations.TwoQubit++ }},
+		{field: "MeasLatency", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.MeasLatency++ }},
+		{field: "Placement", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Placement = "rowmajor" }},
+		{field: "Schedule", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Schedule = "padded" }},
+		{field: "Chips", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Chips = 2 }},
+		{field: "EPRLatency", want: fingerprint,
+			base: func(_ *Request, c *machine.Config) { c.Chips = 2 },
+			alt:  func(_ *Request, c *machine.Config) { c.Chips, c.EPRLatency = 2, 40 }},
+		// Collective is both: on/off is compiled in, the schedule name is
+		// only what the replica's post-run reduce runs with.
+		{field: "Collective", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Collective = "ring" }},
+		{field: "Collective", want: keyOnly,
+			base: func(_ *Request, c *machine.Config) { c.Collective = "ring" },
+			alt:  func(_ *Request, c *machine.Config) { c.Collective = "tree" }},
+		{field: "Backend", want: keyOnly,
+			base: func(_ *Request, c *machine.Config) { c.Backend = machine.BackendSeeded },
+			alt:  func(_ *Request, c *machine.Config) { c.Backend = machine.BackendStateVec }},
+		{field: "Deadline", want: keyOnly, alt: func(_ *Request, c *machine.Config) { c.Deadline = 600 }},
+		{field: "Seed", want: neither, why: "Reset(seed) re-seeds a pooled machine per shot",
+			alt: func(r *Request, c *machine.Config) { r.Seed, c.Seed = 9, 9 }},
+		{field: "Artifacts", want: neither, why: "which cache serves a compile changes nothing about its output",
+			alt: func(_ *Request, c *machine.Config) { c.Artifacts = artifact.New(2) }},
+		{field: "LogEvents", want: neither, why: "Resolve clears it: nothing downstream of an Admission can read a TELF log",
+			alt: func(_ *Request, c *machine.Config) { c.LogEvents = true }},
+	}
+	admit := func(mutate func(*Request, *machine.Config)) (artifact.Fingerprint, poolKey) {
+		t.Helper()
+		cfg := machine.DefaultConfig(4)
+		req := Request{Circuit: ghz(4), Shots: 1, Seed: 1, Cfg: &cfg}
+		if mutate != nil {
+			mutate(&req, &cfg)
+		}
+		a, err := Resolve(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Fingerprint, poolKeyOf(a)
+	}
+	classified := map[string]bool{}
+	for _, row := range rows {
+		classified[row.field] = true
+		baseFP, basePK := admit(row.base)
+		altFP, altPK := admit(row.alt)
+		got := neither
+		switch {
+		case altFP != baseFP:
+			got = fingerprint
+		case altPK != basePK:
+			got = keyOnly
+		}
+		if got != row.want {
+			t.Errorf("machine.Config.%s moves %s, the audit says %s", row.field, got, row.want)
+		}
+		if row.want == neither && row.why == "" {
+			t.Errorf("machine.Config.%s is in no key and the audit does not say why that is safe", row.field)
+		}
+	}
+	rt := reflect.TypeOf(machine.Config{})
+	for i := 0; i < rt.NumField(); i++ {
+		if name := rt.Field(i).Name; !classified[name] {
+			t.Errorf("machine.Config.%s is not in the audit: say whether replicas built with different values may be shared", name)
 		}
 	}
 }

@@ -279,8 +279,8 @@ func TestFinishedJobReleasesCircuit(t *testing.T) {
 		if j == nil {
 			t.Fatalf("%s not retained", id)
 		}
-		if j.req.Circuit != nil || j.spec.Circuit != nil || j.req.Sweep != nil {
-			t.Errorf("%s still references its circuit or sweep: req %+v, spec circuit %p", id, j.req, j.spec.Circuit)
+		if a := j.adm; a.Req.Circuit != nil || a.Spec.Circuit != nil || a.Req.Sweep != nil {
+			t.Errorf("%s still references its circuit or sweep: %+v", id, a)
 		}
 		st, _ := s.Get(id)
 		if wantShots := []int{3, 2, 2}[i]; st.Shots != wantShots || st.MeshW*st.MeshH < 2 || st.State != StateDone {

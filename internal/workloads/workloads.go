@@ -36,7 +36,9 @@ func QFT(n int) *circuit.Circuit {
 	for i := 0; i < n; i++ {
 		c.H(i)
 		for j := i + 1; j < n; j++ {
-			c.CPhaseGate(j, i, math.Pi/float64(int64(1)<<uint(j-i)))
+			// Ldexp, not a shifted divisor: 1<<(j-i) is negative at 63 and 0
+			// from 64 up, and qft_n200's angles reach π/2¹⁹⁹ (still finite).
+			c.CPhaseGate(j, i, math.Ldexp(math.Pi, -(j-i)))
 		}
 	}
 	for q := 0; q < n; q++ {

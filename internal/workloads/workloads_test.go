@@ -223,9 +223,18 @@ func TestDefaultLogicalTConfigSizes(t *testing.T) {
 	}
 }
 
-func TestFig15SuiteBuildsScaled(t *testing.T) {
+func TestFig15SuiteBuildsScaled(t *testing.T) { fig15SuiteBuilds(t, 16) }
+
+// TestFig15SuiteBuildsAtPaperScale builds (never runs) every Fig. 15
+// workload at the size its name states — what `dhisq-bench -exp fig15`
+// compiles with default flags. qft_n200 and qft_n300 used to fail here with
+// a non-finite CP angle: QFT's divisor was 1<<(j-i). The package's only
+// other shift, the adder's operand mask, clamps its count at 60.
+func TestFig15SuiteBuildsAtPaperScale(t *testing.T) { fig15SuiteBuilds(t, 1) }
+
+func fig15SuiteBuilds(t *testing.T, div int) {
 	for _, name := range Fig15Names() {
-		b, err := BuildScaled(name, 16)
+		b, err := BuildScaled(name, div)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
