@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dhisq/internal/isa"
 	"dhisq/internal/sim"
@@ -109,27 +110,8 @@ type delivered struct {
 	at  sim.Time
 }
 
-// fifo is an in-place queue of delivered values: pops advance a head index
-// instead of reslicing, so the backing array drains back to [:0] and is
-// reused — steady-state message traffic allocates nothing after warm-up.
-type fifo struct {
-	q    []delivered
-	head int
-}
-
-func (f *fifo) push(v delivered) { f.q = append(f.q, v) }
-func (f *fifo) len() int         { return len(f.q) - f.head }
-
-func (f *fifo) pop() delivered {
-	v := f.q[f.head]
-	f.head++
-	if f.head == len(f.q) {
-		f.q, f.head = f.q[:0], 0
-	}
-	return v
-}
-
-func (f *fifo) reset() { f.q, f.head = f.q[:0], 0 }
+// fifo is a queue of delivered values.
+type fifo = sim.Fifo[delivered]
 
 // growFifos extends qs so index i exists (queues are indexed by dense
 // small ids: source controller, result channel, sync neighbor).
@@ -152,12 +134,11 @@ type Controller struct {
 
 	prog *isa.Program
 	regs [32]uint32
-	mem  []byte
-	// memHigh is the store high-water mark: bytes at and beyond it are
-	// guaranteed zero (store is the only writer), so Reset clears only
-	// [0, memHigh) instead of the whole 64 KB data memory per shot.
-	memHigh int
-	pc      int
+	// mem is the written prefix of the Cfg.MemSize-byte data memory: store
+	// (the only writer) grows it, and every byte beyond it reads 0. A core
+	// that stores nothing allocates nothing, and Reset has nothing to clear.
+	mem []byte
+	pc  int
 
 	tc sim.Time // classical pipeline clock (absolute cycles)
 	tl timeline // TCU timing manager
@@ -172,12 +153,11 @@ type Controller struct {
 	pendCondI sim.Time // Condition-I time of an in-flight sync
 	inRun     bool
 
-	// Pre-bound event callbacks and the in-flight codeword commit they
-	// act on. A controller has at most one commit pending (the pipeline
-	// yields until it fires), so binding once at construction removes the
-	// two closure allocations execCW used to pay per yielded commit.
-	runFn    func()
-	commitFn func()
+	// hid is the engine handler this core's typed events (evRun, evCommit,
+	// evResult) are posted to, bound once at construction; pend* is the
+	// in-flight codeword commit evCommit acts on. A controller has at most
+	// one commit pending (the pipeline yields until it fires).
+	hid      sim.HandlerID
 	pendPort int
 	pendCW   uint32
 	pendCT   sim.Time
@@ -210,14 +190,29 @@ func NewController(eng *sim.Engine, cfg Config, fab Fabric, sink CWSink, log *te
 		fab:  fab,
 		sink: sink,
 		log:  log,
-		mem:  make([]byte, cfg.MemSize),
 	}
-	c.runFn = c.run
-	c.commitFn = func() {
+	c.hid = eng.Bind(c)
+	return c
+}
+
+// The typed engine events a controller posts to itself.
+const (
+	evRun    uint8 = iota // resume the pipeline
+	evCommit              // deliver the pending codeword commit, then resume
+	evResult              // measurement result: A channel, B value, C availAt
+)
+
+// HandleEvent implements sim.Handler.
+func (c *Controller) HandleEvent(ev sim.Event) {
+	switch ev.Op {
+	case evRun:
+		c.run()
+	case evCommit:
 		c.doCommit()
 		c.run()
+	case evResult:
+		c.PushResult(int(ev.A), uint32(ev.B), ev.C)
 	}
-	return c
 }
 
 // Load installs a program and resets execution state (registers, memory,
@@ -230,24 +225,24 @@ func (c *Controller) Load(p *isa.Program) {
 // Reset restores the core to its just-loaded state — registers, data
 // memory, clocks, mailboxes, result FIFOs, stall state and counters clear,
 // while the installed program stays in place. Memory and every queue's
-// backing array are reused, not reallocated, so resetting a loaded core is
+// backing array are reused, not reallocated (store zeroes what it
+// re-extends), so resetting a loaded core is
 // cheap; together with Engine.Reset it is what lets a machine re-run the
 // same compiled program shot after shot.
 func (c *Controller) Reset() {
 	c.regs = [32]uint32{}
-	clear(c.mem[:c.memHigh])
-	c.memHigh = 0
+	c.mem = c.mem[:0]
 	c.pc = 0
 	c.tc = 0
 	c.tl.reset()
 	for i := range c.mail {
-		c.mail[i].reset()
+		c.mail[i].Reset()
 	}
 	for i := range c.results {
-		c.results[i].reset()
+		c.results[i].Reset()
 	}
 	for i := range c.syncSig {
-		c.syncSig[i].reset()
+		c.syncSig[i].Reset()
 	}
 	c.block = NotBlocked
 	c.blockOn = 0
@@ -261,7 +256,7 @@ func (c *Controller) Reset() {
 // Start schedules the controller's first execution turn at the current
 // engine time.
 func (c *Controller) Start() {
-	c.eng.After(0, sim.PriResume, c.runFn)
+	c.post(c.eng.Now(), sim.PriResume, sim.Event{Op: evRun})
 }
 
 // Halted reports whether the core has stopped (halt instruction, program
@@ -295,12 +290,25 @@ func (c *Controller) Log() *telf.Log { return c.log }
 
 // ReadMem copies n bytes of data memory starting at addr (for tests/tools).
 func (c *Controller) ReadMem(addr, n int) []byte {
-	if addr < 0 || n < 0 || addr+n > len(c.mem) {
+	if addr < 0 || n < 0 || addr+n > c.Cfg.MemSize {
 		return nil
 	}
 	out := make([]byte, n)
-	copy(out, c.mem[addr:addr+n])
+	if addr < len(c.mem) {
+		copy(out, c.mem[addr:])
+	}
 	return out
+}
+
+// MemByte reads one byte of data memory in place; ok is false outside it.
+func (c *Controller) MemByte(addr int) (b byte, ok bool) {
+	if addr < 0 || addr >= c.Cfg.MemSize {
+		return 0, false
+	}
+	if addr < len(c.mem) {
+		b = c.mem[addr]
+	}
+	return b, true
 }
 
 func (c *Controller) fail(format string, args ...any) {
@@ -319,13 +327,11 @@ func (c *Controller) setReg(n uint8, v uint32) {
 	}
 }
 
-// scheduleAt schedules fn no earlier than t; events cannot be scheduled in
-// the engine's past, but logical timestamps carried in payloads stay exact.
-func (c *Controller) scheduleAt(t sim.Time, pri sim.Priority, fn func()) {
-	if now := c.eng.Now(); t < now {
-		t = now
-	}
-	c.eng.At(t, pri, fn)
+// post schedules one of this core's events no earlier than t; events cannot
+// be scheduled in the engine's past, but logical timestamps carried in
+// payloads stay exact.
+func (c *Controller) post(t sim.Time, pri sim.Priority, ev sim.Event) {
+	c.eng.Post(max(t, c.eng.Now()), pri, c.hid, ev)
 }
 
 // ---------------------------------------------------------------------------
@@ -336,7 +342,7 @@ func (c *Controller) scheduleAt(t sim.Time, pri sim.Priority, fn func()) {
 // `arrival` and wakes the pipeline if it is blocked in recv on that source.
 func (c *Controller) DeliverMessage(src int, val uint32, arrival sim.Time) {
 	c.mail = growFifos(c.mail, src)
-	c.mail[src].push(delivered{val: val, at: arrival})
+	c.mail[src].Push(delivered{val: val, at: arrival})
 	if c.block == BlockRecv && c.blockOn == src && !c.halted {
 		c.block = NotBlocked
 		c.run()
@@ -347,9 +353,9 @@ func (c *Controller) DeliverMessage(src int, val uint32, arrival sim.Time) {
 // (SyncU flag set, §4.1) and completes an in-flight sync if one is waiting.
 func (c *Controller) DeliverSyncSignal(src int, arrival sim.Time) {
 	c.syncSig = growFifos(c.syncSig, src)
-	c.syncSig[src].push(delivered{at: arrival})
+	c.syncSig[src].Push(delivered{at: arrival})
 	if c.block == BlockSyncNear && c.blockOn == src && !c.halted {
-		a := c.syncSig[src].pop().at
+		a := c.syncSig[src].Pop().at
 		c.block = NotBlocked
 		c.finishSync(src, c.pendCondI, a)
 		c.run()
@@ -380,12 +386,19 @@ func (c *Controller) DeliverRegionResume(router int, tm, arrival sim.Time) {
 // it at reservation time).
 func (c *Controller) AddNetStall(d sim.Time) { c.Stats.StallNet += d }
 
+// PostResult schedules the delivery of a measurement result: PushResult(ch,
+// val, availAt) runs as an engine event at availAt. It is what a chip or
+// device model's result callback calls.
+func (c *Controller) PostResult(ch int, val uint32, availAt sim.Time) {
+	c.post(availAt, sim.PriDeliver, sim.Event{Op: evResult, A: int64(ch), B: int64(val), C: availAt})
+}
+
 // PushResult delivers a measurement result for channel ch, available at
 // cycle availAt (measurement window + discrimination latency already
 // applied by the chip model).
 func (c *Controller) PushResult(ch int, val uint32, availAt sim.Time) {
 	c.results = growFifos(c.results, ch)
-	c.results[ch].push(delivered{val: val, at: availAt})
+	c.results[ch].Push(delivered{val: val, at: availAt})
 	if c.block == BlockFMR && c.blockOn == ch && !c.halted {
 		c.block = NotBlocked
 		c.run()
@@ -428,7 +441,7 @@ func (c *Controller) run() {
 	}
 	for budget := c.Cfg.BurstBudget; !c.halted; budget-- {
 		if budget <= 0 {
-			c.scheduleAt(c.tc, sim.PriResume, c.runFn)
+			c.post(c.tc, sim.PriResume, sim.Event{Op: evRun})
 			return
 		}
 		if c.pc < 0 || c.pc >= len(c.prog.Instrs) {
@@ -449,11 +462,11 @@ func (c *Controller) step() bool {
 	switch in.Op {
 	case isa.OpRECV:
 		src := int(in.Imm)
-		if src >= len(c.mail) || c.mail[src].len() == 0 {
+		if src >= len(c.mail) || c.mail[src].Len() == 0 {
 			c.block, c.blockOn, c.blockAt = BlockRecv, src, c.tc
 			return false
 		}
-		m := c.mail[src].pop()
+		m := c.mail[src].Pop()
 		c.tc++
 		if m.at > c.tc {
 			c.Stats.StallRecv += m.at - c.tc
@@ -465,11 +478,11 @@ func (c *Controller) step() bool {
 		c.pc++
 	case isa.OpFMR:
 		ch := int(in.Imm)
-		if ch >= len(c.results) || c.results[ch].len() == 0 {
+		if ch >= len(c.results) || c.results[ch].Len() == 0 {
 			c.block, c.blockOn, c.blockAt = BlockFMR, ch, c.tc
 			return false
 		}
-		m := c.results[ch].pop()
+		m := c.results[ch].Pop()
 		c.tc++
 		if m.at > c.tc {
 			c.Stats.StallFMR += m.at - c.tc
@@ -553,7 +566,7 @@ func (c *Controller) execCW(in isa.Instr) bool {
 	c.pc++
 	c.pendPort, c.pendCW, c.pendCT = port, cw, ct
 	if ct > c.eng.Now() {
-		c.eng.At(ct, sim.PriResume, c.commitFn)
+		c.post(ct, sim.PriResume, sim.Event{Op: evCommit})
 		return false
 	}
 	c.doCommit()
@@ -601,8 +614,8 @@ func (c *Controller) execSync(tgt int) bool {
 	condI := bEff + n
 	c.log.Add(telf.Event{Time: bEff, Node: c.Cfg.ID, Kind: telf.SyncBook, A: int64(tgt), B: condI})
 	c.fab.SendSyncSignal(c.Cfg.ID, tgt, bEff)
-	if tgt < len(c.syncSig) && c.syncSig[tgt].len() > 0 {
-		a := c.syncSig[tgt].pop().at
+	if tgt < len(c.syncSig) && c.syncSig[tgt].Len() > 0 {
+		a := c.syncSig[tgt].Pop().at
 		c.finishSync(tgt, condI, a)
 		return true
 	}
@@ -720,13 +733,13 @@ func (c *Controller) load(in isa.Instr) (uint32, bool) {
 	default:
 		size = 4
 	}
-	if addr < 0 || addr+size > len(c.mem) {
+	if addr < 0 || addr+size > c.Cfg.MemSize {
 		c.fail("load out of bounds: addr=%d size=%d", addr, size)
 		return 0, false
 	}
 	var v uint32
-	for i := size - 1; i >= 0; i-- {
-		v = v<<8 | uint32(c.mem[addr+i])
+	for i := min(addr+size, len(c.mem)) - 1; i >= addr; i-- {
+		v = v<<8 | uint32(c.mem[i])
 	}
 	switch in.Op {
 	case isa.OpLB:
@@ -748,12 +761,13 @@ func (c *Controller) store(in isa.Instr) bool {
 	default:
 		size = 4
 	}
-	if addr < 0 || addr+size > len(c.mem) {
+	if addr < 0 || addr+size > c.Cfg.MemSize {
 		c.fail("store out of bounds: addr=%d size=%d", addr, size)
 		return false
 	}
-	if end := addr + size; end > c.memHigh {
-		c.memHigh = end
+	if n, end := len(c.mem), addr+size; end > n {
+		c.mem = slices.Grow(c.mem, end-n)[:end]
+		clear(c.mem[n:]) // capacity kept across Reset holds the last shot's bytes
 	}
 	v := c.regs[in.Rs2]
 	for i := 0; i < size; i++ {

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"dhisq/internal/core"
@@ -188,6 +190,60 @@ func TestMemoryOutOfBoundsHalts(t *testing.T) {
 	eng.Run(0)
 	if c.Err() == nil {
 		t.Fatal("expected out-of-bounds error")
+	}
+}
+
+// TestMemoryIsItsWrittenPrefix: data memory is allocated as it is stored
+// to. Everything past the last store reads 0, the bounds are MemSize's
+// whatever has been written, and Reset leaves nothing behind.
+func TestMemoryIsItsWrittenPrefix(t *testing.T) {
+	c, _, _ := runProgram(t, `
+		li   $1, -1
+		addi $2, $0, 40
+		lw   $3, 0($2)
+		sh   $1, 0($2)
+		lw   $4, 0($2)
+		lw   $5, 1000($2)
+		halt
+	`)
+	if c.Reg(3) != 0 || c.Reg(4) != 0xffff || c.Reg(5) != 0 {
+		t.Fatalf("lw before the store, across its end, far past it = %#x %#x %#x, want 0 0xffff 0",
+			c.Reg(3), c.Reg(4), c.Reg(5))
+	}
+	if got := c.ReadMem(38, 6); !bytes.Equal(got, []byte{0, 0, 0xff, 0xff, 0, 0}) {
+		t.Fatalf("ReadMem across the written prefix = %v", got)
+	}
+	size := c.Cfg.MemSize
+	if got := c.ReadMem(size-4, 4); !bytes.Equal(got, make([]byte, 4)) {
+		t.Fatalf("ReadMem of the last word = %v, want zeros", got)
+	}
+	if c.ReadMem(size-3, 4) != nil || c.ReadMem(-1, 1) != nil {
+		t.Fatal("ReadMem past MemSize did not fail")
+	}
+	if b, ok := c.MemByte(41); b != 0xff || !ok {
+		t.Fatalf("MemByte(41) = %#x, %v", b, ok)
+	}
+	if b, ok := c.MemByte(size - 1); b != 0 || !ok {
+		t.Fatalf("MemByte(last) = %#x, %v", b, ok)
+	}
+	if _, ok := c.MemByte(size); ok {
+		t.Fatal("MemByte past MemSize did not fail")
+	}
+	c.Reset()
+	if b, _ := c.MemByte(41); b != 0 {
+		t.Fatalf("MemByte(41) = %#x after Reset", b)
+	}
+
+	for _, src := range []string{"sw $0, -4($1)", "lw $2, -2($1)", "sb $0, 0($1)", "lh $2, -1($1)"} {
+		eng := sim.NewEngine()
+		c := core.NewController(eng, core.Config{ID: 0, MemSize: 256}, newStubFabric(eng, 1), nil, nil)
+		c.Load(isa.MustAssemble("addi $1, $0, 256\n" + src + "\nhalt"))
+		c.Start()
+		eng.Run(0)
+		inBounds := strings.HasSuffix(src, "-4($1)")
+		if (c.Err() == nil) != inBounds {
+			t.Fatalf("%q at the top of a 256-byte memory: err = %v", src, c.Err())
+		}
 	}
 }
 
@@ -429,7 +485,7 @@ func TestFMRBlocksUntilResult(t *testing.T) {
 	c.Load(isa.MustAssemble("fmr $1, 3\nhalt"))
 	c.Start()
 	// Result arrives on channel 3 at cycle 100.
-	eng.At(100, sim.PriDeliver, func() { c.PushResult(3, 1, 100) })
+	c.PostResult(3, 1, 100)
 	eng.Run(0)
 	if !c.Halted() {
 		t.Fatalf("controller stuck: %v", c.Blocked())

@@ -30,13 +30,7 @@ func newCalRig(seed int64) *calRig {
 	qb := physics.NewQubit(seed)
 	dev := physics.NewDevice(qb, 80)
 	ctrl := core.NewController(eng, core.Config{ID: 0, Ports: 28, QueueDepth: 1024}, nil, dev, nil)
-	dev.SetDelivery(func(node, ch int, val uint32, at sim.Time) {
-		t := at
-		if now := eng.Now(); t < now {
-			t = now
-		}
-		eng.At(t, sim.PriDeliver, func() { ctrl.PushResult(ch, val, at) })
-	})
+	dev.SetDelivery(func(node, ch int, val uint32, at sim.Time) { ctrl.PostResult(ch, val, at) })
 	return &calRig{eng: eng, ctrl: ctrl, dev: dev}
 }
 

@@ -249,25 +249,14 @@ func New(cfg Config, numQubits int) (*Machine, error) {
 	}
 	m.Ctrls = make([]*core.Controller, topo.N)
 	for i := range m.Ctrls {
-		m.attach(i, 64<<10)
+		cc := core.Config{ID: i, Ports: 4, QueueDepth: 1024, MemSize: 64 << 10, BurstBudget: 4096}
+		m.Ctrls[i] = core.NewController(eng, cc, fab, chipModel, log)
+		fab.Attach(i, m.Ctrls[i])
 	}
 	chipModel.SetDelivery(func(node, ch int, val uint32, at sim.Time) {
-		t := at
-		if now := eng.Now(); t < now {
-			t = now
-		}
-		ctrl := m.Ctrls[node]
-		eng.At(t, sim.PriDeliver, func() { ctrl.PushResult(ch, val, at) })
+		m.Ctrls[node].PostResult(ch, val, at)
 	})
 	return m, nil
-}
-
-// attach builds controller i with memSize bytes of data memory and wires it
-// to the fabric.
-func (m *Machine) attach(i, memSize int) {
-	cc := core.Config{ID: i, Ports: 4, QueueDepth: 1024, MemSize: memSize, BurstBudget: 4096}
-	m.Ctrls[i] = core.NewController(m.Eng, cc, m.Fab, m.Chip, m.Log)
-	m.Fab.Attach(i, m.Ctrls[i])
 }
 
 // NewForCircuit builds the machine Normalize describes for a circuit on a
@@ -394,9 +383,9 @@ func (m *Machine) Load(cp *compiler.Compiled) error {
 		return fmt.Errorf("machine: %d programs for %d controllers", len(cp.Programs), len(m.Ctrls))
 	}
 	for i, p := range cp.Programs {
-		if cp.MemBytes > m.Ctrls[i].Cfg.MemSize {
-			m.attach(i, cp.MemBytes)
-		}
+		// Data memory is allocated as it is written, so a program that
+		// needs more than the default just raises the bound.
+		m.Ctrls[i].Cfg.MemSize = max(m.Ctrls[i].Cfg.MemSize, cp.MemBytes)
 		m.Ctrls[i].Load(p)
 		m.Chip.SetTable(i, cp.Tables[i])
 	}
@@ -567,11 +556,11 @@ func (m *Machine) reduceDigest(res *Result) error {
 		if owner < 0 {
 			continue
 		}
-		mem := m.Ctrls[owner].ReadMem(4*b, 4)
-		if mem == nil {
+		v, ok := m.Ctrls[owner].MemByte(4 * b)
+		if !ok {
 			return fmt.Errorf("machine: collective digest: bit %d address out of range", b)
 		}
-		inputs[owner][0] += (uint32(mem[0]) & 1) << uint(b%24)
+		inputs[owner][0] += (uint32(v) & 1) << uint(b%24)
 	}
 	parts := make([]int, m.Topo.N)
 	for i := range parts {
@@ -661,11 +650,11 @@ func (m *Machine) ReadBits() ([]int, error) {
 		if owner < 0 {
 			continue
 		}
-		mem := m.Ctrls[owner].ReadMem(4*b, 4)
-		if mem == nil {
+		v, ok := m.Ctrls[owner].MemByte(4 * b)
+		if !ok {
 			return nil, fmt.Errorf("machine: bit %d address out of range", b)
 		}
-		bits[b] = int(mem[0]) & 1
+		bits[b] = int(v) & 1
 	}
 	return bits, nil
 }

@@ -25,6 +25,7 @@ var _ Endpoint = (*core.Controller)(nil)
 type Fabric struct {
 	Topo *Topology
 	eng  *sim.Engine
+	hid  sim.HandlerID // the fabric's own typed events (HandleEvent)
 	log  *telf.Log
 
 	endpoints []Endpoint
@@ -55,6 +56,7 @@ func NewFabric(eng *sim.Engine, topo *Topology, log *telf.Log) *Fabric {
 		ser:       topo.Cfg.LinkSerialization,
 		qcap:      topo.Cfg.LinkQueueCap,
 	}
+	f.hid = eng.Bind(f)
 	if f.contention() && topo.Cfg.Topology != TopoTree {
 		f.links = make([]sim.Resource, topo.N*4)
 	}
@@ -77,7 +79,11 @@ func (f *Fabric) Attach(id int, ep Endpoint) {
 // machine must reset the engine in the same breath.
 func (f *Fabric) Reset() {
 	for _, r := range f.routers {
-		clear(r.pending)
+		for _, byChild := range r.pending {
+			for i := range byChild {
+				byChild[i].Reset()
+			}
+		}
 		r.Rounds = 0
 		r.Messages = 0
 		for i := range r.ports {
@@ -119,7 +125,7 @@ func (f *Fabric) SendSyncSignal(src, dst int, at sim.Time) {
 	} else {
 		arrival = f.meshArrival(src, dst, at)
 	}
-	f.schedule(arrival, func() { f.endpoints[dst].DeliverSyncSignal(src, arrival) })
+	f.post(arrival, sim.Event{Op: evSyncSignal, Node: int32(dst), A: int64(src)})
 }
 
 // BookRegion implements core.Fabric: starts a Figure 8 region sync booking
@@ -135,7 +141,7 @@ func (f *Fabric) BookRegion(src, router int, ti, at sim.Time) {
 		depart = f.reservePort(parent, src, src, at)
 	}
 	arrival := depart + f.Topo.Cfg.TreeHopLatency
-	f.schedule(arrival, func() { f.Router(parent).receiveBooking(src, router, ti, arrival) })
+	f.post(arrival, sim.Event{Op: evBooking, Node: int32(parent), A: bookingKey(src, router), B: ti})
 }
 
 // SendMessage implements core.Fabric. Under contention the message
@@ -156,16 +162,46 @@ func (f *Fabric) SendMessage(src, dst int, value uint32, at sim.Time) {
 	default:
 		arrival = f.treeArrival(src, dst, at)
 	}
-	f.schedule(arrival, func() { f.endpoints[dst].DeliverMessage(src, value, arrival) })
+	f.post(arrival, sim.Event{Op: evMessage, Node: int32(dst), A: int64(src), B: int64(value)})
 }
 
-// schedule clamps event times to the engine's present; logical timestamps in
-// payloads remain exact (see DESIGN.md §2).
-func (f *Fabric) schedule(at sim.Time, fn func()) {
-	if now := f.eng.Now(); at < now {
-		at = now
+// The fabric's typed engine events. Node is where the event lands — a
+// controller for the deliveries, a router otherwise — and C is its logical
+// arrival time, which post fills in.
+const (
+	evSyncSignal uint8 = iota // DeliverSyncSignal: A src
+	evMessage                 // DeliverMessage: A src, B value
+	evResume                  // DeliverRegionResume: A router, B tm
+	evBooking                 // receiveBooking: A bookingKey(child, dest), B booked time-point
+	evBroadcast               // broadcast one level further down: A dest, B tm
+)
+
+// bookingKey packs the two addresses of an evBooking into one operand.
+func bookingKey(child, dest int) int64 { return int64(child)<<32 | int64(dest) }
+
+// post schedules a fabric event for its arrival time, clamped to the
+// engine's present; the logical timestamp rides in the payload and remains
+// exact (see DESIGN.md §2).
+func (f *Fabric) post(arrival sim.Time, ev sim.Event) {
+	ev.C = arrival
+	f.eng.Post(max(arrival, f.eng.Now()), sim.PriDeliver, f.hid, ev)
+}
+
+// HandleEvent implements sim.Handler.
+func (f *Fabric) HandleEvent(ev sim.Event) {
+	node, arrival := int(ev.Node), ev.C
+	switch ev.Op {
+	case evSyncSignal:
+		f.endpoints[node].DeliverSyncSignal(int(ev.A), arrival)
+	case evMessage:
+		f.endpoints[node].DeliverMessage(int(ev.A), uint32(ev.B), arrival)
+	case evResume:
+		f.endpoints[node].DeliverRegionResume(int(ev.A), ev.B, arrival)
+	case evBooking:
+		f.Router(node).receiveBooking(int(ev.A>>32), int(int32(ev.A)), ev.B, arrival)
+	case evBroadcast:
+		f.Router(node).broadcast(int(ev.A), ev.B, arrival+f.Topo.Cfg.RouterProc)
 	}
-	f.eng.At(at, sim.PriDeliver, fn)
 }
 
 // ---------------------------------------------------------------------------
@@ -179,9 +215,12 @@ func (f *Fabric) schedule(at sim.Time, fn func()) {
 type Router struct {
 	fab  *Fabric
 	addr int
-	// pending[dest][child] = FIFO of booked time-points. FIFOs keep repeated
-	// sync rounds (e.g., per-repetition global syncs) correctly paired.
-	pending map[int]map[int][]sim.Time
+	// pending[depth of dest][child position] = FIFO of booked time-points.
+	// FIFOs keep repeated sync rounds (e.g., per-repetition global syncs)
+	// correctly paired. Dense: a destination is this router or an ancestor,
+	// one per tree level, and children are a contiguous address run. A
+	// destination's row is made on its first booking and kept across Reset.
+	pending [][]sim.Fifo[sim.Time]
 	// ports are the physical serialization stages of the contention model:
 	// one per tree edge, or fewer when Config.RouterPorts shares edges
 	// across ports. Empty when contention is disabled.
@@ -192,7 +231,7 @@ type Router struct {
 }
 
 func newRouter(f *Fabric, addr int) *Router {
-	r := &Router{fab: f, addr: addr, pending: map[int]map[int][]sim.Time{}}
+	r := &Router{fab: f, addr: addr, pending: make([][]sim.Fifo[sim.Time], f.Topo.depth[addr]+1)}
 	if f.contention() {
 		n := f.Topo.NumEdges(addr)
 		if p := f.Topo.Cfg.RouterPorts; p > 0 && p < n {
@@ -208,27 +247,25 @@ func newRouter(f *Fabric, addr int) *Router {
 // broadcast, else send to parent").
 func (r *Router) receiveBooking(child, dest int, t, arrival sim.Time) {
 	r.Messages++
-	byChild := r.pending[dest]
-	if byChild == nil {
-		byChild = map[int][]sim.Time{}
-		r.pending[dest] = byChild
-	}
-	byChild[child] = append(byChild[child], t)
-
 	children := r.fab.Topo.Children(r.addr)
-	for _, c := range children {
-		if len(byChild[c]) == 0 {
+	level := r.fab.Topo.depth[dest]
+	byChild := r.pending[level]
+	if byChild == nil {
+		byChild = make([]sim.Fifo[sim.Time], len(children))
+		r.pending[level] = byChild
+	}
+	byChild[child-children[0]].Push(t)
+	for i := range byChild {
+		if byChild[i].Len() == 0 {
 			return // still waiting for a sibling
 		}
 	}
 	// All children booked: pop one round and reduce.
 	max := sim.Time(0)
-	for _, c := range children {
-		q := byChild[c]
-		if q[0] > max {
-			max = q[0]
+	for i := range byChild {
+		if t := byChild[i].Pop(); t > max {
+			max = t
 		}
-		byChild[c] = q[1:]
 	}
 	r.Rounds++
 	depart := arrival + r.fab.Topo.Cfg.RouterProc
@@ -244,7 +281,7 @@ func (r *Router) receiveBooking(child, dest int, t, arrival sim.Time) {
 		depart = r.fab.reservePort(parent, r.addr, -1, depart)
 	}
 	hop := depart + r.fab.Topo.Cfg.TreeHopLatency
-	r.fab.schedule(hop, func() { r.fab.Router(parent).receiveBooking(r.addr, dest, max, hop) })
+	r.fab.post(hop, sim.Event{Op: evBooking, Node: int32(parent), A: bookingKey(r.addr, dest), B: max})
 }
 
 // broadcast pushes the resolved common time-point tm down to every child
@@ -258,18 +295,11 @@ func (r *Router) broadcast(dest int, tm, depart sim.Time) {
 			// edge: a fanout-F broadcast through P < F+1 ports queues.
 			hopStart = r.fab.reservePort(r.addr, c, -1, depart)
 		}
-		arrival := hopStart + r.fab.Topo.Cfg.TreeHopLatency
-		child := c
-		if r.fab.Topo.IsRouter(child) {
-			r.fab.schedule(arrival, func() {
-				cr := r.fab.Router(child)
-				cr.broadcast(dest, tm, arrival+r.fab.Topo.Cfg.RouterProc)
-			})
-		} else {
-			r.fab.schedule(arrival, func() {
-				r.fab.endpoints[child].DeliverRegionResume(dest, tm, arrival)
-			})
+		op := evResume
+		if r.fab.Topo.IsRouter(c) {
+			op = evBroadcast
 		}
+		r.fab.post(hopStart+r.fab.Topo.Cfg.TreeHopLatency, sim.Event{Op: op, Node: int32(c), A: int64(dest), B: tm})
 	}
 }
 

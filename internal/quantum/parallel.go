@@ -27,15 +27,26 @@ func setParallel(threshold, workers int) func() {
 	return func() { parallelThreshold, parallelWorkers = oldT, oldW }
 }
 
-// forSpan runs fn over [0, n) split into stride-aligned spans. Small
+// operands is everything an element-wise kernel reads besides its index
+// range. A kernel takes it by value and captures nothing: a closure over
+// the same variables would escape through forSpan's goroutines and cost
+// every gate an allocation, parallel or not.
+type operands struct {
+	amp        []complex128
+	h, l       int        // block half-strides: the (higher) qubit's, the lower one's
+	a, b, c, d complex128 // matrix entries, or the scalars a kernel names
+}
+
+// forSpan runs fn over o.amp split into stride-aligned spans. Small
 // spans (or single-worker configs) run serially in place; large ones are
 // partitioned into contiguous block ranges, one goroutine per worker.
 // fn must be safe for concurrent invocation on disjoint ranges.
-func forSpan(n, stride int, fn func(lo, hi int)) {
+func forSpan(o operands, stride int, fn func(o operands, lo, hi int)) {
+	n := len(o.amp)
 	workers := parallelWorkers
 	blocks := n / stride
 	if n < parallelThreshold || workers <= 1 || blocks <= 1 {
-		fn(0, n)
+		fn(o, 0, n)
 		return
 	}
 	if workers > blocks {
@@ -51,7 +62,7 @@ func forSpan(n, stride int, fn func(lo, hi int)) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			fn(lo, hi)
+			fn(o, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()

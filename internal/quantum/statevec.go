@@ -182,20 +182,19 @@ func (s *State) scale(f complex128) {
 	if f == 1 {
 		return
 	}
-	amp := s.amp
-	if r := real(f); imag(f) == 0 {
-		forSpan(len(amp), 1, func(lo, hi int) {
-			seg := amp[lo:hi]
+	if imag(f) == 0 {
+		forSpan(operands{amp: s.amp, a: f}, 1, func(o operands, lo, hi int) {
+			seg, r := o.amp[lo:hi], real(o.a)
 			for i, a := range seg {
 				seg[i] = complex(real(a)*r, imag(a)*r)
 			}
 		})
 		return
 	}
-	forSpan(len(amp), 1, func(lo, hi int) {
-		seg := amp[lo:hi]
+	forSpan(operands{amp: s.amp, a: f}, 1, func(o operands, lo, hi int) {
+		seg := o.amp[lo:hi]
 		for i := range seg {
-			seg[i] *= f
+			seg[i] *= o.a
 		}
 	})
 }
@@ -234,10 +233,11 @@ func (s *State) Apply1(q int, a, b, c, d complex128) {
 		return
 	}
 	h := 1 << uint(s.pos(q))
-	amp := s.amp
+	o := operands{amp: s.amp, h: h, a: a, b: b, c: c, d: d}
 	if imag(a) == 0 && imag(b) == 0 && imag(c) == 0 && imag(d) == 0 {
-		ar, br, cr, dr := real(a), real(b), real(c), real(d)
-		forSpan(len(amp), 2*h, func(lo, hi int) {
+		forSpan(o, 2*h, func(o operands, lo, hi int) {
+			amp, h := o.amp, o.h
+			ar, br, cr, dr := real(o.a), real(o.b), real(o.c), real(o.d)
 			for base := lo; base < hi; base += 2 * h {
 				p0 := amp[base : base+h : base+h]
 				p1 := amp[base+h : base+2*h : base+2*h]
@@ -250,14 +250,15 @@ func (s *State) Apply1(q int, a, b, c, d complex128) {
 		})
 		return
 	}
-	forSpan(len(amp), 2*h, func(lo, hi int) {
+	forSpan(o, 2*h, func(o operands, lo, hi int) {
+		amp, h := o.amp, o.h
 		for base := lo; base < hi; base += 2 * h {
 			p0 := amp[base : base+h : base+h]
 			p1 := amp[base+h : base+2*h : base+2*h]
 			for i := range p0 {
 				a0, a1 := p0[i], p1[i]
-				p0[i] = a*a0 + b*a1
-				p1[i] = c*a0 + d*a1
+				p0[i] = o.a*a0 + o.b*a1
+				p1[i] = o.c*a0 + o.d*a1
 			}
 		}
 	})
@@ -267,10 +268,11 @@ func (s *State) Apply1(q int, a, b, c, d complex128) {
 // loads.
 func (s *State) applyDiag1(q int, d0, d1 complex128) {
 	h := 1 << uint(s.pos(q))
-	amp := s.amp
+	o := operands{amp: s.amp, h: h, a: d0, d: d1}
 	switch {
 	case d0 == 1 && d1 == -1: // Z: negation beats a full complex multiply
-		forSpan(len(amp), 2*h, func(lo, hi int) {
+		forSpan(o, 2*h, func(o operands, lo, hi int) {
+			amp, h := o.amp, o.h
 			for base := lo; base < hi; base += 2 * h {
 				p1 := amp[base+h : base+2*h]
 				for i := range p1 {
@@ -279,22 +281,24 @@ func (s *State) applyDiag1(q int, d0, d1 complex128) {
 			}
 		})
 	case d0 == 1:
-		forSpan(len(amp), 2*h, func(lo, hi int) {
+		forSpan(o, 2*h, func(o operands, lo, hi int) {
+			amp, h := o.amp, o.h
 			for base := lo; base < hi; base += 2 * h {
 				p1 := amp[base+h : base+2*h]
 				for i := range p1 {
-					p1[i] *= d1
+					p1[i] *= o.d
 				}
 			}
 		})
 	default:
-		forSpan(len(amp), 2*h, func(lo, hi int) {
+		forSpan(o, 2*h, func(o operands, lo, hi int) {
+			amp, h := o.amp, o.h
 			for base := lo; base < hi; base += 2 * h {
 				p0 := amp[base : base+h : base+h]
 				p1 := amp[base+h : base+2*h : base+2*h]
 				for i := range p0 {
-					p0[i] *= d0
-					p1[i] *= d1
+					p0[i] *= o.a
+					p1[i] *= o.d
 				}
 			}
 		})
@@ -315,8 +319,8 @@ func (s *State) X(q int) {
 		return
 	}
 	h := 1 << uint(s.pos(q))
-	amp := s.amp
-	forSpan(len(amp), 2*h, func(lo, hi int) {
+	forSpan(operands{amp: s.amp, h: h}, 2*h, func(o operands, lo, hi int) {
+		amp, h := o.amp, o.h
 		for base := lo; base < hi; base += 2 * h {
 			p0 := amp[base : base+h : base+h]
 			p1 := amp[base+h : base+2*h : base+2*h]
@@ -388,9 +392,9 @@ func (s *State) CNOT(ctrl, tgt int) {
 		s.insert(tgt)
 	}
 	cb, tb := 1<<uint(s.pos(ctrl)), 1<<uint(s.pos(tgt))
-	amp := s.amp
 	if cb > tb {
-		forSpan(len(amp), 2*cb, func(lo, hi int) {
+		forSpan(operands{amp: s.amp, h: cb, l: tb}, 2*cb, func(o operands, lo, hi int) {
+			amp, cb, tb := o.amp, o.h, o.l
 			for base := lo + cb; base < hi; base += 2 * cb {
 				for j := base; j < base+cb; j += 2 * tb {
 					p0 := amp[j : j+tb : j+tb]
@@ -403,7 +407,8 @@ func (s *State) CNOT(ctrl, tgt int) {
 		})
 		return
 	}
-	forSpan(len(amp), 2*tb, func(lo, hi int) {
+	forSpan(operands{amp: s.amp, h: tb, l: cb}, 2*tb, func(o operands, lo, hi int) {
+		amp, tb, cb := o.amp, o.h, o.l
 		for base := lo; base < hi; base += 2 * tb {
 			for j := base + cb; j < base+tb; j += 2 * cb {
 				p0 := amp[j : j+cb : j+cb]
@@ -438,8 +443,8 @@ func (s *State) CZ(a, b int) {
 	if hb < lb {
 		hb, lb = lb, hb
 	}
-	amp := s.amp
-	forSpan(len(amp), 2*hb, func(lo, hi int) {
+	forSpan(operands{amp: s.amp, h: hb, l: lb}, 2*hb, func(o operands, lo, hi int) {
+		amp, hb, lb := o.amp, o.h, o.l
 		for base := lo + hb; base < hi; base += 2 * hb {
 			for j := base + lb; j < base+hb; j += 2 * lb {
 				seg := amp[j : j+lb]
@@ -474,13 +479,13 @@ func (s *State) CPhase(a, b int, theta float64) {
 	if hb < lb {
 		hb, lb = lb, hb
 	}
-	amp := s.amp
-	forSpan(len(amp), 2*hb, func(lo, hi int) {
+	forSpan(operands{amp: s.amp, h: hb, l: lb, a: ph}, 2*hb, func(o operands, lo, hi int) {
+		amp, hb, lb := o.amp, o.h, o.l
 		for base := lo + hb; base < hi; base += 2 * hb {
 			for j := base + lb; j < base+hb; j += 2 * lb {
 				seg := amp[j : j+lb]
 				for i := range seg {
-					seg[i] *= ph
+					seg[i] *= o.a
 				}
 			}
 		}
@@ -514,8 +519,8 @@ func (s *State) SWAP(a, b int) {
 	if hb < lb {
 		hb, lb = lb, hb
 	}
-	amp := s.amp
-	forSpan(len(amp), 2*hb, func(lo, hi int) {
+	forSpan(operands{amp: s.amp, h: hb, l: lb}, 2*hb, func(o operands, lo, hi int) {
+		amp, hb, lb := o.amp, o.h, o.l
 		for base := lo + hb; base < hi; base += 2 * hb {
 			for j := base; j < base+hb; j += 2 * lb {
 				p0 := amp[j : j+lb : j+lb]                 // hb set, lb clear

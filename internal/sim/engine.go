@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 )
 
 // Time is an absolute simulation time in TCU clock cycles (4 ns each).
@@ -45,20 +46,42 @@ const (
 	PriCleanup                 // end-of-cycle bookkeeping
 )
 
-// event is a heap entry by value: no per-event allocation, no interface
-// dispatch in the hot loop. The (priority, insertion sequence) pair is
-// packed into one key word — priority in the top byte, sequence below —
-// so ordering is a two-field compare. 56 bits of sequence is ~7×10^16
-// events, far beyond any run (Reset rewinds the counter anyway).
+// Event is the payload of a typed event: an opcode the handler switches
+// on, the node it concerns, and three words of operands. It holds no
+// pointer, so neither does a heap entry.
+type Event struct {
+	Op      uint8
+	h       HandlerID // set by Post; sits in Op's padding
+	Node    int32
+	A, B, C int64
+}
+
+// Handler receives the typed events posted to the id Bind gave it.
+type Handler interface {
+	HandleEvent(ev Event)
+}
+
+// HandlerID names a bound Handler.
+type HandlerID uint16
+
+// closureHandler is the id of the engine's own handler: it runs the func
+// At parked in fns[ev.A].
+const closureHandler HandlerID = 0
+
+// event is a heap entry by value, pointer-free: no per-event allocation,
+// and the sifts copy it without write barriers. The (priority, insertion
+// sequence) pair is packed into one key word — priority in the top byte,
+// sequence below — so ordering is a two-field compare. 56 bits of sequence
+// is ~7×10^16 events, far beyond any run (Reset rewinds the counter anyway).
 type event struct {
-	at   Time
-	key  uint64 // Priority<<seqBits | seq
-	call func()
+	at  Time
+	key uint64 // Priority<<seqBits | seq
+	Event
 }
 
 const seqBits = 56
 
-func eventLess(a, b event) bool {
+func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -66,52 +89,42 @@ func eventLess(a, b event) bool {
 }
 
 // eventHeap is a hand-rolled binary min-heap over event values, ordered
-// by (at, key). It replaces container/heap: the simulation spends a
-// third of its shot time in queue operations, and the interface-based
-// heap paid an allocation per event plus dynamic dispatch per compare.
+// by (at, key). Keys are unique, so the pop order is the sorted order
+// whatever the sequence of sifts that maintains it.
 type eventHeap []event
 
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	s := *h
-	// Sift up.
-	i := len(s) - 1
+// up sifts the entry at i toward the root.
+func (s eventHeap) up(i int) {
+	ev := s[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(s[i], s[parent]) {
+		if !eventLess(&ev, &s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = ev
 }
 
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // release the func for GC
-	s = s[:n]
-	*h = s
-	// Sift down.
-	i := 0
+// down places ev at the root and sifts it toward the leaves.
+func (s eventHeap) down(ev event) {
+	i, n := 0, len(s)
 	for {
-		left := 2*i + 1
-		if left >= n {
+		least := 2*i + 1
+		if least >= n {
 			break
 		}
-		least := left
-		if right := left + 1; right < n && eventLess(s[right], s[left]) {
+		if right := least + 1; right < n && eventLess(&s[right], &s[least]) {
 			least = right
 		}
-		if !eventLess(s[least], s[i]) {
+		if !eventLess(&s[least], &ev) {
 			break
 		}
-		s[i], s[least] = s[least], s[i]
+		s[i] = s[least]
 		i = least
 	}
-	return top
+	s[i] = ev
 }
 
 // Engine is a deterministic discrete-event scheduler. The zero value is not
@@ -121,11 +134,33 @@ type Engine struct {
 	seq    uint64
 	events eventHeap
 	nRun   uint64
+	// running says the root of events is the event whose handler is
+	// executing: Step leaves it in place so that the first event scheduled
+	// from inside the handler replaces it with one sift, where a pop
+	// followed by a push would pay two.
+	running  bool
+	handlers []Handler
+	// fns parks the closures of At events (the heap entry carries the slot
+	// index); free lists the vacant slots.
+	fns  []func()
+	free []int32
 }
 
 // NewEngine returns an empty engine at time 0.
 func NewEngine() *Engine {
-	return &Engine{}
+	e := &Engine{}
+	e.Bind(closures{e})
+	return e
+}
+
+// Bind registers h and returns the id Post addresses it by. Handlers are
+// bound once, at construction, and survive Reset.
+func (e *Engine) Bind(h Handler) HandlerID {
+	if len(e.handlers) > math.MaxUint16 {
+		panic("sim: too many handlers")
+	}
+	e.handlers = append(e.handlers, h)
+	return HandlerID(len(e.handlers) - 1)
 }
 
 // Now returns the current simulation time.
@@ -133,14 +168,14 @@ func (e *Engine) Now() Time { return e.now }
 
 // Reset restores the engine to its post-construction state: the event heap
 // is drained, the clock rewinds to 0 and the sequence/processed counters
-// clear. The backing heap storage is retained, so a reset engine re-runs a
-// workload without reallocating. It is the bottom of the machine-wide
-// Reset path that makes multi-shot execution cheap.
+// clear. Bound handlers and the backing storage are retained, so a reset
+// engine re-runs a workload without reallocating. It is the bottom of the
+// machine-wide Reset path that makes multi-shot execution cheap.
 func (e *Engine) Reset() {
-	for i := range e.events {
-		e.events[i] = event{}
-	}
 	e.events = e.events[:0]
+	e.running = false
+	clear(e.fns)
+	e.fns, e.free = e.fns[:0], e.free[:0]
 	e.now = 0
 	e.seq = 0
 	e.nRun = 0
@@ -150,16 +185,58 @@ func (e *Engine) Reset() {
 func (e *Engine) Processed() uint64 { return e.nRun }
 
 // Pending reports how many events are queued.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int {
+	if e.running {
+		return len(e.events) - 1
+	}
+	return len(e.events)
+}
 
-// At schedules fn at absolute time t. Scheduling in the past is a programming
-// error and panics: it would silently violate causality.
-func (e *Engine) At(t Time, pri Priority, fn func()) {
+// Post schedules ev for handler h at absolute time t. Scheduling in the
+// past is a programming error and panics: it would silently violate
+// causality.
+func (e *Engine) Post(t Time, pri Priority, h HandlerID, ev Event) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at t=%d before now=%d", t, e.now))
 	}
 	e.seq++
-	e.events.push(event{at: t, key: uint64(pri)<<seqBits | e.seq, call: fn})
+	ev.h = h
+	entry := event{at: t, key: uint64(pri)<<seqBits | e.seq, Event: ev}
+	if e.running {
+		e.running = false
+		e.events.down(entry)
+		return
+	}
+	e.events = append(e.events, entry)
+	e.events.up(len(e.events) - 1)
+}
+
+// At schedules fn at absolute time t: a Post to the engine's own handler,
+// on the same heap and in the same order as every typed event. It
+// allocates fn's closure; the per-shot paths use Post.
+func (e *Engine) At(t Time, pri Priority, fn func()) {
+	slot := len(e.fns)
+	if n := len(e.free); n > 0 {
+		slot = int(e.free[n-1])
+	}
+	e.Post(t, pri, closureHandler, Event{A: int64(slot)}) // panics on a past t, before fn is parked
+	if slot < len(e.fns) {
+		e.free = e.free[:len(e.free)-1]
+		e.fns[slot] = fn
+	} else {
+		e.fns = append(e.fns, fn)
+	}
+}
+
+// closures is the engine's handler for At events.
+type closures struct{ e *Engine }
+
+func (c closures) HandleEvent(ev Event) {
+	e := c.e
+	fn := e.fns[ev.A]
+	e.fns[ev.A] = nil
+	e.free = append(e.free, int32(ev.A))
+	fn()
 }
 
 // After schedules fn delay cycles from now.
@@ -170,15 +247,34 @@ func (e *Engine) After(delay Time, pri Priority, fn func()) {
 	e.At(e.now+delay, pri, fn)
 }
 
+// retire removes the root — the event that ran and scheduled nothing in
+// its place.
+func (e *Engine) retire() {
+	e.running = false
+	n := len(e.events) - 1
+	last := e.events[n]
+	e.events = e.events[:n]
+	if n > 0 {
+		e.events.down(last)
+	}
+}
+
 // Step executes the single next event, returning false when none remain.
 func (e *Engine) Step() bool {
+	if e.running {
+		e.retire() // Step from inside a handler: its event is done with
+	}
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := e.events.pop()
+	ev := &e.events[0]
 	e.now = ev.at
 	e.nRun++
-	ev.call()
+	e.running = true
+	e.handlers[ev.h].HandleEvent(ev.Event)
+	if e.running {
+		e.retire()
+	}
 	return true
 }
 
@@ -198,6 +294,9 @@ func (e *Engine) Run(limit uint64) uint64 {
 // RunUntil executes events with timestamps <= deadline. Events beyond the
 // deadline remain queued; the clock advances to deadline if it ran dry early.
 func (e *Engine) RunUntil(deadline Time) {
+	if e.running {
+		e.retire()
+	}
 	for len(e.events) > 0 && e.events[0].at <= deadline {
 		e.Step()
 	}

@@ -273,23 +273,37 @@ func (t *Tableau) MeasureDeterministic(q int) (outcome int, deterministic bool) 
 // word-parallel increments (carry = lo&pos) and decrements (borrow =
 // ^lo&neg), so the final hi plane equals the legacy (total mod 4) >> 1
 // sign for every target row at once.
+//
+// Both steps touch one column at a time and the multiplication never
+// writes row p (it is not a target), so the rotation of column j rides in
+// the same pass, with the word and bit offsets of rows p and d hoisted.
+// Words without a target row are skipped: every update below is masked by
+// sel[w].
 func (t *Tableau) collapse(q, p, outcome int) {
 	sel, lo, hi, r := t.sel, t.lo, t.hi, t.r
 	copy(sel, t.x[q])
 	clearBit(sel, p)
 	// Phase planes start at 2*r_target + 2*r_p (mod 4): hi = r ^ r_p.
 	rp := -(bitOf(r, p)) // 0 or all-ones
+	selw := t.selw[:0]
 	for w := range sel {
-		lo[w] = 0
-		hi[w] = (r[w] ^ rp) & sel[w]
+		if sel[w] != 0 {
+			selw = append(selw, w)
+			lo[w] = 0
+			hi[w] = (r[w] ^ rp) & sel[w]
+		}
 	}
+	t.selw = selw
+	d := p - t.n
+	pw, pb := p>>6, uint(p&63)
+	dw, db := d>>6, uint(d&63)
 	for j := 0; j < t.n; j++ {
 		xs, zs := t.x[j], t.z[j]
-		x1, z1 := bitOf(xs, p), bitOf(zs, p)
+		x1, z1 := xs[pw]>>pb&1, zs[pw]>>pb&1
 		switch {
 		case x1 == 0 && z1 == 0:
 		case x1 == 1 && z1 == 0: // source X: +1 on Y targets, -1 on Z targets
-			for w := range sel {
+			for _, w := range selw {
 				x2, z2, s := xs[w], zs[w], sel[w]
 				pos := x2 & z2 & s
 				neg := z2 &^ x2 & s
@@ -299,7 +313,7 @@ func (t *Tableau) collapse(q, p, outcome int) {
 				xs[w] = x2 ^ s
 			}
 		case x1 == 0 && z1 == 1: // source Z: +1 on X targets, -1 on Y targets
-			for w := range sel {
+			for _, w := range selw {
 				x2, z2, s := xs[w], zs[w], sel[w]
 				pos := x2 &^ z2 & s
 				neg := x2 & z2 & s
@@ -309,7 +323,7 @@ func (t *Tableau) collapse(q, p, outcome int) {
 				zs[w] = z2 ^ s
 			}
 		default: // source Y: +1 on Z targets, -1 on X targets
-			for w := range sel {
+			for _, w := range selw {
 				x2, z2, s := xs[w], zs[w], sel[w]
 				pos := z2 &^ x2 & s
 				neg := x2 &^ z2 & s
@@ -320,18 +334,16 @@ func (t *Tableau) collapse(q, p, outcome int) {
 				zs[w] = z2 ^ s
 			}
 		}
+		// Pivot rotation: destabilizer d takes old row p, row p clears.
+		xs[pw] &^= 1 << pb
+		zs[pw] &^= 1 << pb
+		xs[dw] = xs[dw]&^(1<<db) | x1<<db
+		zs[dw] = zs[dw]&^(1<<db) | z1<<db
 	}
-	for w := range sel {
+	for _, w := range selw {
 		r[w] = r[w]&^sel[w] | hi[w]&sel[w]
 	}
-	// Pivot rotation: destabilizer p-n takes old row p, row p becomes ±Z_q.
-	d := p - t.n
-	for j := 0; j < t.n; j++ {
-		writeBit(t.x[j], d, bitOf(t.x[j], p))
-		writeBit(t.z[j], d, bitOf(t.z[j], p))
-		clearBit(t.x[j], p)
-		clearBit(t.z[j], p)
-	}
+	// The signs rotate likewise, and row p becomes ±Z_q.
 	writeBit(r, d, bitOf(r, p))
 	setBit(t.z[q], p)
 	writeBit(r, p, uint64(outcome))
@@ -367,14 +379,21 @@ func (t *Tableau) parityOutcome(q int) int {
 	// stabilizer half of the rows, so this skips at least half the words and
 	// all of them for sparse selections.
 	selw := t.selw[:0]
-	total := 0
+	total, rows := 0, 0
 	for w := range sel {
 		if sel[w] != 0 {
 			selw = append(selw, w)
+			rows += bits.OnesCount64(sel[w])
 			total += 2 * bits.OnesCount64(t.r[w]&sel[w])
 		}
 	}
 	t.selw = selw
+	if rows <= 1 {
+		// One factor (or none): the product is that row, the outcome its
+		// sign. Every pos/neg term below needs a set px or pz bit, and an
+		// exclusive prefix over a single selected row is zero at that row.
+		return total >> 1
+	}
 	for j := 0; j < t.n; j++ {
 		xs, zs := t.x[j], t.z[j]
 		var cx, cz uint64 // running parity of lower words, 0 or all-ones
