@@ -47,7 +47,7 @@ func run(args []string, registry []exp.Experiment, stdout, stderr io.Writer) int
 	var a exp.Args
 	fs.IntVar(&a.Scale, "scale", 1, "divide Fig. 15 benchmark sizes by this factor")
 	fs.Int64Var(&a.Seed, "seed", 1, "measurement outcome seed")
-	fs.IntVar(&a.Workers, "workers", 4, "worker replicas for the sweep experiment")
+	fs.IntVar(&a.Workers, "workers", 4, "worker replicas for the sweep experiment (0 = GOMAXPROCS)")
 	fs.IntVar(&a.Points, "points", 64, "parameter points for the sweep experiment")
 	fs.StringVar(&a.Topo, "topo", "all", "fabric and collective topology: mesh, torus, tree, or all")
 	fs.Int64Var(&a.LinkBW, "link-bw", 0, "link bandwidth as cycles per message (0 = each experiment's own sweep)")
@@ -57,6 +57,13 @@ func run(args []string, registry []exp.Experiment, stdout, stderr io.Writer) int
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
 	} else if err != nil {
+		return 2
+	}
+	// meta.flags records these as given, so a value an experiment would clamp
+	// is refused here rather than stamped on rows it was not measured at.
+	if a.LinkBW < 0 || a.Scale < 1 || a.Points < 2 || a.Workers < 0 {
+		fmt.Fprintln(stderr, "dhisq-bench: want -link-bw >= 0, -scale >= 1, -points >= 2 and -workers >= 0")
+		fs.Usage()
 		return 2
 	}
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -74,6 +75,34 @@ func TestUnknownExperimentListsEveryName(t *testing.T) {
 	}
 }
 
+// A flag value an experiment would clamp is refused at parsing — exit 2, the
+// usage text, nothing run and nothing written — so meta.flags never records
+// a value its rows were not measured at. -workers 0 (GOMAXPROCS) is a value.
+func TestOutOfRangeFlagsAreRejected(t *testing.T) {
+	ran := false
+	registry := []exp.Experiment{{Name: "probe", Run: func(exp.Args) (*exp.Report, error) {
+		ran = true
+		return &exp.Report{Gates: []exp.Gate{exp.NewGate("holds", 0, "==", 0)}}, nil
+	}}}
+	for _, bad := range [][]string{{"-link-bw", "-5"}, {"-scale", "0"}, {"-points", "1"}, {"-workers", "-1"}} {
+		dir := t.TempDir()
+		var stdout, stderr bytes.Buffer
+		if status := run(append([]string{"-exp", "probe", "-out", dir}, bad...), registry, &stdout, &stderr); status != 2 {
+			t.Errorf("%v: exit status %d, want 2", bad, status)
+		}
+		if !strings.Contains(stderr.String(), "-link-bw >= 0") || !strings.Contains(stderr.String(), "Usage of dhisq-bench") {
+			t.Errorf("%v: stderr lacks the bounds or the usage:\n%s", bad, &stderr)
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, "*")); ran || stdout.Len() != 0 || len(left) != 0 {
+			t.Errorf("%v: ran %v, printed %q, wrote %v", bad, ran, &stdout, left)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if status := run([]string{"-exp", "probe", "-workers", "0", "-link-bw", "0", "-scale", "1", "-points", "2", "-out", t.TempDir()}, registry, &stdout, &stderr); status != 0 || !ran {
+		t.Fatalf("the smallest legal values: exit %d, ran %v\n%s", status, ran, &stderr)
+	}
+}
+
 func readEnvelope(t *testing.T, path string) exp.Report {
 	t.Helper()
 	raw, err := os.ReadFile(path)
@@ -111,6 +140,38 @@ func TestCommittedBenchEnvelopes(t *testing.T) {
 			if !g.Pass {
 				t.Errorf("%s: committed with a red gate: %v", path, g)
 			}
+		}
+	}
+}
+
+// Simulated cycles are deterministic, so the committed envelopes of the
+// simulated-cycle experiments are gated exactly: rerun at the flags recorded
+// in meta, each must produce the committed rows and gates again. A change
+// that moves a cycle count regenerates the file and shows the move in review.
+func TestCommittedBenchRowsReproduce(t *testing.T) {
+	byName := map[string]exp.Experiment{}
+	for _, e := range exp.Registry() {
+		byName[e.Name] = e
+	}
+	for _, name := range []string{"collective", "fabric", "placement", "feedback", "remote"} {
+		committed := readEnvelope(t, "../../BENCH_"+name+".json")
+		fresh, err := byName[name].Run(committed.Meta.Flags)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		raw, err := json.Marshal(fresh.Rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows any
+		if err := json.Unmarshal(raw, &rows); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rows, committed.Rows) {
+			t.Errorf("%s: rerun at %+v does not reproduce the committed rows", name, committed.Meta.Flags)
+		}
+		if !reflect.DeepEqual(fresh.Gates, committed.Gates) {
+			t.Errorf("%s: gates %v, committed %v", name, fresh.Gates, committed.Gates)
 		}
 	}
 }

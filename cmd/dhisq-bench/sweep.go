@@ -53,9 +53,6 @@ func sweepGates(rows []sweepRecord) []exp.Gate {
 // for (VQE outer loops, spectroscopy-style phase sweeps).
 func runSweep(a exp.Args) (*exp.Report, error) {
 	points := a.Points
-	if points < 2 {
-		points = 2
-	}
 	cases := []struct {
 		name  string
 		circ  *circuit.Circuit

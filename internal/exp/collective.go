@@ -56,8 +56,10 @@ type CollectiveOptions struct {
 	Topologies     []network.TopologyKind
 	Participants   []int      // participant counts (default 4, 9, 18, 36)
 	Serializations []sim.Time // link occupancies, all > 0 (default 2, 4, 8)
-	Width          int        // words per participant vector (default 8)
 }
+
+// collWidth is the words per participant vector of every cell.
+const collWidth = 8
 
 // collInputs builds deterministic pseudo-random input vectors from the
 // seed via an xorshift generator (no global rand state, so a sweep is a
@@ -133,9 +135,6 @@ func CollectiveSweep(opt CollectiveOptions) ([]CollectivePoint, error) {
 			return nil, fmt.Errorf("exp: collective sweep needs finite bandwidth (ser > 0), got %d", ser)
 		}
 	}
-	if opt.Width <= 0 {
-		opt.Width = 8
-	}
 
 	var out []CollectivePoint
 	for _, kind := range opt.Kinds {
@@ -155,25 +154,21 @@ func CollectiveSweep(opt CollectiveOptions) ([]CollectivePoint, error) {
 					// Snake order makes ring neighbors physical neighbors on
 					// mesh/torus — the order the runtime consumers use too.
 					parts := topo.SnakeOrder()[:n]
-					width := opt.Width
-					if kind == network.CollReduceScatter && width%n != 0 {
-						width = n * ((width + n - 1) / n)
-					}
 					spec := network.CollSpec{
 						Kind: kind, Parts: parts, Root: 0,
-						Width: width, Op: network.ReduceSum,
+						Width: collWidth, Op: network.ReduceSum,
 					}
-					inputs := collInputs(opt.Seed, n, width)
+					inputs := collInputs(opt.Seed, n, collWidth)
 
 					spec.Schedule = network.CollNaive
 					naive, naiveOK, err := runCollCell(cfg, spec, inputs)
 					if err != nil {
 						return nil, err
 					}
-					// ResolveFor sees the collective kind and participant
+					// Resolve sees the collective kind and participant
 					// count, so non-power-of-two all-reduce lands on the
 					// ring schedule rather than recursive doubling.
-					resolved := network.CollAuto.ResolveFor(tk, kind, n)
+					resolved := network.CollAuto.Resolve(tk, kind, n)
 					spec.Schedule = resolved
 					coll, collOK, err := runCollCell(cfg, spec, inputs)
 					if err != nil {
@@ -190,7 +185,7 @@ func CollectiveSweep(opt CollectiveOptions) ([]CollectivePoint, error) {
 						Participants:      n,
 						LinkSerialization: int64(ser),
 						Schedule:          resolved.String(),
-						Width:             width,
+						Width:             collWidth,
 						NaiveMakespan:     int64(naive.Makespan()),
 						CollMakespan:      int64(coll.Makespan()),
 						NaiveMessages:     naive.Messages,

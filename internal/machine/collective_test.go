@@ -152,25 +152,25 @@ func TestCollectiveFingerprint(t *testing.T) {
 	}
 }
 
-// TestCollectiveBadSchedule pins that an unknown schedule name fails the
-// run with the parser's error instead of silently running legacy.
+// TestCollectiveBadSchedule pins that an unknown schedule name is rejected
+// by Normalize — so by NewForCircuit, the key and Compile — with the
+// parser's error, before anything is built or simulated.
 func TestCollectiveBadSchedule(t *testing.T) {
 	c := circuit.New(2)
 	c.H(0).MeasureInto(0, 0)
 	cfg := DefaultConfig(c.NumQubits)
-	cfg.Collective = "bogus"
-	m, err := NewForCircuit(c, 2, 1, cfg)
-	if err != nil {
-		t.Fatal(err)
+	cfg.Collective = "rng"
+	_, want := network.ParseCollSchedule("rng")
+	if _, err := Normalize(c, 2, 1, cfg); err == nil || err.Error() != want.Error() {
+		t.Fatalf("Normalize: %v, want %v", err, want)
 	}
-	cp, err := Compile(c, nil, m.Cfg, false)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewForCircuit(c, 2, 1, cfg); err == nil {
+		t.Fatal("NewForCircuit built a machine for a bad collective schedule")
 	}
-	if err := m.Load(cp); err != nil {
-		t.Fatal(err)
+	if _, err := Compile(c, nil, cfg, false); err == nil {
+		t.Fatal("Compile accepted a bad collective schedule")
 	}
-	if _, err := m.Run(); err == nil {
-		t.Fatal("bad collective schedule did not error")
+	if _, err := New(cfg, c.NumQubits); err == nil {
+		t.Fatal("New built a machine for a bad collective schedule")
 	}
 }

@@ -138,6 +138,8 @@ type Machine struct {
 	Log   *telf.Log
 
 	loaded *compiler.Compiled
+	// collective is Cfg.Collective parsed (meaningful when that is non-empty).
+	collective network.CollSchedule
 
 	// The commit tape of the loaded program (tape.go).
 	tapeable bool       // loaded is static and nothing in Cfg reads outcomes
@@ -151,7 +153,8 @@ type Machine struct {
 // computed from out. The mesh defaults to the smallest near-square one that
 // fits (meshW or meshH <= 0) and is regrown when a multi-chip expansion's
 // communication qubits no longer fit; chip count and EPR latency are checked
-// and the latency resolved to what the chip charges; BackendAuto resolves on
+// and the latency resolved to what the chip charges; a collective schedule
+// name is checked against the registry; BackendAuto resolves on
 // the device total. It is idempotent, so service.Resolve, NewForCircuit and
 // the key can each apply it and agree by construction — the service's pool
 // key backend is simply the normalized cfg.Backend.
@@ -165,6 +168,11 @@ func Normalize(c *circuit.Circuit, meshW, meshH int, cfg Config) (Config, error)
 	}
 	if cfg.EPRLatency < 0 {
 		return cfg, fmt.Errorf("machine: negative EPR latency %d", cfg.EPRLatency)
+	}
+	if cfg.Collective != "" {
+		if _, err := network.ParseCollSchedule(cfg.Collective); err != nil {
+			return cfg, err
+		}
 	}
 	total := cfg.TotalQubits(n)
 	if cfg.Chips > 1 {
@@ -246,6 +254,11 @@ func New(cfg Config, numQubits int) (*Machine, error) {
 	m := &Machine{
 		Cfg: cfg, Eng: eng, Topo: topo, Fab: fab,
 		Chip: chipModel, Log: log,
+	}
+	if cfg.Collective != "" {
+		if m.collective, err = network.ParseCollSchedule(cfg.Collective); err != nil {
+			return nil, err
+		}
 	}
 	m.Ctrls = make([]*core.Controller, topo.N)
 	for i := range m.Ctrls {
@@ -538,13 +551,10 @@ func (m *Machine) Run() (Result, error) {
 // and the fabric reduces the words to controller 0 with the configured
 // schedule — real timestamped messages through the same links, ports and
 // congestion counters as program traffic. The reduced value is
-// self-checked against a host-side fold; a mismatch is a hard error, the
-// same role the naive schedule plays as the collective layer's oracle.
+// self-checked against the host-side fold (network.CollExpect); a mismatch
+// is a hard error, the same role the naive schedule plays as the collective
+// layer's oracle.
 func (m *Machine) reduceDigest(res *Result) error {
-	sched, err := network.ParseCollSchedule(m.Cfg.Collective)
-	if err != nil {
-		return err
-	}
 	if m.loaded == nil {
 		return nil
 	}
@@ -567,19 +577,16 @@ func (m *Machine) reduceDigest(res *Result) error {
 		parts[i] = i
 	}
 	spec := network.CollSpec{
-		Kind: network.CollReduce, Schedule: sched,
+		Kind: network.CollReduce, Schedule: m.collective,
 		Parts: parts, Root: 0, Width: 1, Op: network.ReduceSum,
 	}
 	cres, err := network.RunCollective(m.Fab, spec, inputs, m.Eng.Now())
 	if err != nil {
 		return fmt.Errorf("machine: collective digest: %w", err)
 	}
-	var want uint32
-	for _, in := range inputs {
-		want += in[0]
-	}
-	if got := cres.Values[0][0]; got != want {
-		return fmt.Errorf("machine: collective digest mismatch: fabric %#x, host fold %#x", cres.Values[0][0], want)
+	want := network.CollExpect(spec, inputs)[spec.Root][0]
+	if got := cres.Values[spec.Root][0]; got != want {
+		return fmt.Errorf("machine: collective digest mismatch: fabric %#x, host fold %#x", got, want)
 	}
 	res.CollectiveDigest = want
 	res.CollectiveCycles = cres.Makespan()

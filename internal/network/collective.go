@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the collective layer of the fabric: first-class broadcast,
-// reduce, all-reduce, and reduce-scatter primitives with topology-aware
+// reduce and all-reduce primitives with topology-aware
 // message schedules. A collective executes as ordinary timestamped fabric
 // messages — every word goes through Fabric.SendMessage, so link
 // serialization, router-port sharing, and CongestionStats attribution
@@ -34,28 +34,18 @@ const (
 	// CollAllReduce combines every participant's vector elementwise and
 	// leaves the result at every participant.
 	CollAllReduce
-	// CollReduceScatter combines every participant's vector elementwise
-	// and leaves reduced chunk i (of len(Parts) equal chunks) at rank i.
-	CollReduceScatter
 )
 
-var collKindNames = map[CollKind]string{
-	CollBroadcast:     "broadcast",
-	CollReduce:        "reduce",
-	CollAllReduce:     "allreduce",
-	CollReduceScatter: "reduce-scatter",
-}
+// collKinds is the fixed registry, in enum (and sweep) order.
+var collKinds = []CollKind{CollBroadcast, CollReduce, CollAllReduce}
+
+var collKindNames = [...]string{"broadcast", "reduce", "allreduce"}
 
 func (k CollKind) String() string {
-	if n, ok := collKindNames[k]; ok {
-		return n
+	if k >= 0 && int(k) < len(collKindNames) {
+		return collKindNames[k]
 	}
 	return fmt.Sprintf("collkind(%d)", int(k))
-}
-
-// CollKinds lists every collective kind in stable order (sweep/test order).
-func CollKinds() []CollKind {
-	return []CollKind{CollBroadcast, CollReduce, CollAllReduce, CollReduceScatter}
 }
 
 // CollSchedule selects the message schedule of a collective.
@@ -63,8 +53,8 @@ type CollSchedule int
 
 const (
 	// CollNaive is the fan-in/fan-out baseline: the root exchanges a
-	// direct point-to-point message with every other participant
-	// (all-to-all for reduce-scatter). It is the correctness oracle.
+	// direct point-to-point message with every other participant. It is
+	// the correctness oracle.
 	CollNaive CollSchedule = iota
 	// CollRing walks the participant order as a bidirectional ring —
 	// the uPIMulator-style schedule; on a torus with snake-ordered
@@ -78,19 +68,35 @@ const (
 	// fold upward — the tree-topology schedule, mirroring the Figure 8
 	// region-sync resolution.
 	CollTree
-	// CollAuto picks the schedule the topology favors: ring on torus,
-	// halving/doubling on mesh, hierarchical subtree combining on tree.
+	// CollAuto picks the schedule the operation's shape favors (Resolve).
 	CollAuto
 )
+
+// scheduleRow declares one schedule. The table below is the schedule set:
+// the names the CLIs and the wire accept, and the script builders
+// buildCollScripts composes a kind from — broadcast is bcast, reduce is
+// reduce, and all-reduce is allReduce where the schedule has a form of its
+// own and reduce then bcast where it does not.
+type scheduleRow struct {
+	name          string
+	reduce, bcast func(*collScripts) // fold every vector into the root / fan the root's out
+	allReduce     func(*collScripts)
+}
+
+var schedules = [...]scheduleRow{
+	CollNaive:   {"naive", (*collScripts).naiveReduce, (*collScripts).naiveBcast, nil},
+	CollRing:    {"ring", (*collScripts).ringReduce, (*collScripts).ringBcast, (*collScripts).ringAllReduce},
+	CollHalving: {"halving", (*collScripts).halvingReduce, (*collScripts).halvingBcast, (*collScripts).halvingAllReduce},
+	CollTree:    {"tree", (*collScripts).treeReduce, (*collScripts).treeBcast, nil},
+	CollAuto:    {name: "auto"}, // Resolve replaces it with one of the rows above
+}
 
 // collSchedules is the fixed registry, in enum (and documentation) order.
 var collSchedules = []CollSchedule{CollNaive, CollRing, CollHalving, CollTree, CollAuto}
 
-var collScheduleNames = [...]string{"naive", "ring", "halving", "tree", "auto"}
-
 func (s CollSchedule) String() string {
-	if s >= 0 && int(s) < len(collScheduleNames) {
-		return collScheduleNames[s]
+	if s >= 0 && int(s) < len(schedules) {
+		return schedules[s].name
 	}
 	return fmt.Sprintf("collschedule(%d)", int(s))
 }
@@ -104,37 +110,24 @@ func ParseCollSchedule(s string) (CollSchedule, error) {
 	return registry.Lookup("collective schedule", s, "", collSchedules, CollSchedule.String)
 }
 
-// Resolve maps CollAuto onto the schedule selected for the topology kind;
-// concrete schedules pass through unchanged.
-func (s CollSchedule) Resolve(k TopologyKind) CollSchedule {
-	if s != CollAuto {
+// Resolve maps CollAuto onto the schedule the operation's shape favors:
+// ring on torus, hierarchical subtree combining on tree, and recursive
+// halving/doubling on mesh — except a mesh all-reduce at a non-power-of-two
+// participant count, which takes the ring too, because recursive doubling's
+// deficit folds cost roughly twice the naive volume there (the PR 9 caveat).
+// Concrete schedules pass through unchanged.
+func (s CollSchedule) Resolve(k TopologyKind, kind CollKind, parts int) CollSchedule {
+	switch {
+	case s != CollAuto:
 		return s
-	}
-	switch k {
-	case TopoTorus:
+	case k == TopoTorus:
 		return CollRing
-	case TopoTree:
+	case k == TopoTree:
 		return CollTree
-	default:
-		return CollHalving
-	}
-}
-
-// ResolveFor maps CollAuto onto a schedule using the full operation shape,
-// not just the topology kind: on meshes an auto all-reduce with a
-// non-power-of-two participant count routes to the ring reduce-scatter +
-// all-gather instead of recursive halving/doubling, whose deficit folds cost
-// roughly twice the naive volume there (the PR 9 caveat). Everything else
-// matches Resolve, and concrete schedules pass through unchanged.
-func (s CollSchedule) ResolveFor(k TopologyKind, kind CollKind, parts int) CollSchedule {
-	if s != CollAuto {
-		return s
-	}
-	r := s.Resolve(k)
-	if kind == CollAllReduce && r == CollHalving && parts&(parts-1) != 0 {
+	case kind == CollAllReduce && parts&(parts-1) != 0:
 		return CollRing
 	}
-	return r
+	return CollHalving
 }
 
 // ReduceOp combines two words. Collective schedules reorder and re-bracket
@@ -167,7 +160,6 @@ type CollSpec struct {
 	// receives a reduce.
 	Root int
 	// Width is the number of words in each participant's vector.
-	// CollReduceScatter requires Width % len(Parts) == 0.
 	Width int
 	// Op combines words for the reducing kinds (ignored by CollBroadcast).
 	Op ReduceOp
@@ -194,37 +186,18 @@ func (spec CollSpec) validate(t *Topology) error {
 	if spec.Width < 1 {
 		return fmt.Errorf("network: collective width %d < 1", spec.Width)
 	}
-	if spec.Kind == CollReduceScatter && spec.Width%n != 0 {
-		return fmt.Errorf("network: reduce-scatter width %d not divisible by %d participants", spec.Width, n)
-	}
 	if spec.Kind != CollBroadcast && spec.Op == nil {
 		return fmt.Errorf("network: %s collective without a reduce op", spec.Kind)
 	}
 	return nil
 }
 
-// chunkWords returns the word indices of rank r's reduce-scatter chunk.
-func (spec CollSpec) chunkWords(r int) []int {
-	cw := spec.Width / len(spec.Parts)
-	out := make([]int, cw)
-	for i := range out {
-		out[i] = r*cw + i
-	}
-	return out
-}
-
 // CollOwnedWords returns the word indices of Values[rank] that a completed
-// collective defines: all of them for broadcast and all-reduce, the root's
-// full vector for reduce (other ranks' buffers are undefined), and rank's
-// own chunk for reduce-scatter.
+// collective defines: all of them for broadcast and all-reduce, and the
+// root's full vector for reduce (other ranks' buffers are undefined).
 func CollOwnedWords(spec CollSpec, rank int) []int {
-	switch spec.Kind {
-	case CollReduce:
-		if rank != spec.Root {
-			return nil
-		}
-	case CollReduceScatter:
-		return spec.chunkWords(rank)
+	if spec.Kind == CollReduce && rank != spec.Root {
+		return nil
 	}
 	all := make([]int, spec.Width)
 	for i := range all {
@@ -285,37 +258,46 @@ func (t *Topology) SnakeOrder() []int {
 // collStep is one entry of a participant's script. Steps execute strictly
 // in order: a send step fires all its words immediately (sends never
 // block), a receive step completes once every expected word from the peer
-// arrived. Word lists are read-only and may be shared between steps.
+// arrived. Every step moves the contiguous word range [lo, hi) in order.
 type collStep struct {
 	send    bool
-	peer    int   // peer rank
-	words   []int // word indices, in wire order
-	combine bool  // receive: fold with Op instead of overwrite
+	peer    int  // peer rank
+	lo, hi  int  // word range, in wire order
+	combine bool // receive: fold with Op instead of overwrite
 }
 
-// collScripts accumulates the per-rank scripts while a schedule builder
-// runs.
+// collScripts accumulates the per-rank scripts while a schedule's builders
+// run.
 type collScripts struct {
 	spec  CollSpec
+	topo  *Topology
 	steps [][]collStep
-	all   []int // shared [0..Width) word list
 }
 
-func newCollScripts(spec CollSpec) *collScripts {
-	all := make([]int, spec.Width)
-	for i := range all {
-		all[i] = i
-	}
-	return &collScripts{spec: spec, steps: make([][]collStep, len(spec.Parts)), all: all}
+func (b *collScripts) send(from, to, lo, hi int) {
+	b.steps[from] = append(b.steps[from], collStep{send: true, peer: to, lo: lo, hi: hi})
 }
 
-func (b *collScripts) send(from, to int, words []int) {
-	b.steps[from] = append(b.steps[from], collStep{send: true, peer: to, words: words})
+func (b *collScripts) recv(at, from, lo, hi int, combine bool) {
+	b.steps[at] = append(b.steps[at], collStep{peer: from, lo: lo, hi: hi, combine: combine})
 }
 
-func (b *collScripts) recv(at, from int, words []int, combine bool) {
-	b.steps[at] = append(b.steps[at], collStep{peer: from, words: words, combine: combine})
+// move sends from's whole vector to rank to, which folds it into its own
+// (combine) or is overwritten by it.
+func (b *collScripts) move(from, to int, combine bool) {
+	b.send(from, to, 0, b.spec.Width)
+	b.recv(to, from, 0, b.spec.Width, combine)
 }
+
+// rank wraps x, a rank plus or minus an offset, back into [0, n).
+func (b *collScripts) rank(x int) int {
+	n := len(b.spec.Parts)
+	return (x%n + n) % n
+}
+
+// at is the rank d places after the root in participant order (before it
+// when d < 0): ring position d, and the rank of halving's virtual rank d.
+func (b *collScripts) at(d int) int { return b.rank(b.spec.Root + d) }
 
 // buildCollScripts resolves the schedule and constructs every
 // participant's script. It is a pure function of (topology, spec), which
@@ -324,393 +306,219 @@ func buildCollScripts(t *Topology, spec CollSpec) ([][]collStep, error) {
 	if err := spec.validate(t); err != nil {
 		return nil, err
 	}
-	b := newCollScripts(spec)
-	switch spec.Schedule.ResolveFor(t.Cfg.Topology, spec.Kind, len(spec.Parts)) {
-	case CollNaive:
-		b.naive(spec.Kind)
-	case CollRing:
-		b.ring(spec.Kind)
-	case CollHalving:
-		b.halving(spec.Kind)
-	case CollTree:
-		b.tree(spec.Kind, t)
-	default:
+	s := spec.Schedule.Resolve(t.Cfg.Topology, spec.Kind, len(spec.Parts))
+	if s < 0 || int(s) >= len(schedules) || schedules[s].reduce == nil {
 		return nil, fmt.Errorf("network: unknown collective schedule %v", spec.Schedule)
+	}
+	row := &schedules[s]
+	b := &collScripts{spec: spec, topo: t, steps: make([][]collStep, len(spec.Parts))}
+	switch spec.Kind {
+	case CollBroadcast:
+		row.bcast(b)
+	case CollReduce:
+		row.reduce(b)
+	case CollAllReduce:
+		if row.allReduce != nil {
+			row.allReduce(b)
+		} else {
+			row.reduce(b)
+			row.bcast(b)
+		}
+	default:
+		return nil, fmt.Errorf("network: unknown collective kind %v", spec.Kind)
 	}
 	return b.steps, nil
 }
 
-// naive: direct fan-out from / fan-in to the root (all-to-all for
-// reduce-scatter). Every message crosses the full source→destination path.
-func (b *collScripts) naive(kind CollKind) {
-	n, r0 := len(b.spec.Parts), b.spec.Root
-	switch kind {
-	case CollBroadcast:
-		for p := 0; p < n; p++ {
-			if p == r0 {
-				continue
-			}
-			b.send(r0, p, b.all)
-			b.recv(p, r0, b.all, false)
-		}
-	case CollReduce:
-		for p := 0; p < n; p++ {
-			if p == r0 {
-				continue
-			}
-			b.send(p, r0, b.all)
-			b.recv(r0, p, b.all, true)
-		}
-	case CollAllReduce:
-		b.naive(CollReduce)
-		b.naive(CollBroadcast)
-	case CollReduceScatter:
-		// All-to-all: rank i sends chunk j directly to rank j.
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				b.send(i, j, b.spec.chunkWords(j))
-			}
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				b.recv(i, j, b.spec.chunkWords(i), true)
-			}
+// naive: direct fan-in to / fan-out from the root. Every message crosses
+// the full source→destination path.
+func (b *collScripts) naiveReduce() {
+	for p := range b.spec.Parts {
+		if p != b.spec.Root {
+			b.move(p, b.spec.Root, true)
 		}
 	}
 }
 
-// ring: bidirectional chains around the participant order. Broadcast
-// relays outward from the root along both arcs; reduce combines inward
-// along both arcs; reduce-scatter is the classic N-1-step rotation where
-// each chunk accumulates as it circles the ring.
-func (b *collScripts) ring(kind CollKind) {
-	n, r0 := len(b.spec.Parts), b.spec.Root
-	if n == 1 {
-		return
+func (b *collScripts) naiveBcast() {
+	for p := range b.spec.Parts {
+		if p != b.spec.Root {
+			b.move(b.spec.Root, p, false)
+		}
 	}
-	fwd := (n - 1 + 1) / 2 // successor-arc length
-	bwd := n - 1 - fwd     // predecessor-arc length
-	at := func(d int) int { return ((r0+d)%n + n) % n }
-	switch kind {
-	case CollBroadcast:
-		if fwd >= 1 {
-			b.send(r0, at(1), b.all)
+}
+
+// ring: two chains around the participant order, the successor arc and the
+// predecessor arc, which split the other n-1 ranks between them. ringArcs
+// returns each as {direction, length}. Reduce combines inward along both
+// arcs, far end first; broadcast relays outward from the root along both.
+func (b *collScripts) ringArcs() [2][2]int {
+	n := len(b.spec.Parts)
+	return [2][2]int{{+1, n / 2}, {-1, n - 1 - n/2}}
+}
+
+func (b *collScripts) ringReduce() {
+	for _, arc := range b.ringArcs() {
+		for d := arc[1]; d >= 1; d-- {
+			b.move(b.at(arc[0]*d), b.at(arc[0]*(d-1)), true)
 		}
-		if bwd >= 1 {
-			b.send(r0, at(-1), b.all)
+	}
+}
+
+func (b *collScripts) ringBcast() {
+	for _, arc := range b.ringArcs() {
+		for d := 0; d < arc[1]; d++ {
+			b.move(b.at(arc[0]*d), b.at(arc[0]*(d+1)), false)
 		}
-		for d := 1; d <= fwd; d++ {
-			b.recv(at(d), at(d-1), b.all, false)
-			if d < fwd {
-				b.send(at(d), at(d+1), b.all)
-			}
-		}
-		for d := 1; d <= bwd; d++ {
-			b.recv(at(-d), at(-d+1), b.all, false)
-			if d < bwd {
-				b.send(at(-d), at(-d-1), b.all)
-			}
-		}
-	case CollReduce:
-		for d := fwd; d >= 1; d-- {
-			if d < fwd {
-				b.recv(at(d), at(d+1), b.all, true)
-			}
-			b.send(at(d), at(d-1), b.all)
-		}
-		for d := bwd; d >= 1; d-- {
-			if d < bwd {
-				b.recv(at(-d), at(-d-1), b.all, true)
-			}
-			b.send(at(-d), at(-d+1), b.all)
-		}
-		if fwd >= 1 {
-			b.recv(r0, at(1), b.all, true)
-		}
-		if bwd >= 1 {
-			b.recv(r0, at(-1), b.all, true)
-		}
-	case CollAllReduce:
-		// Reduce-scatter + all-gather rotation: per-node volume is
-		// 2·W·(n-1)/n words at any n, replacing the reduce-then-broadcast
-		// relay that walked the full vector along each arc. Chunks are the
-		// locally uneven split [r·W/n, (r+1)·W/n) — no divisibility
-		// requirement, and empty chunks (W < n) complete as zero-word steps.
-		mod := func(x int) int { return (x%n + n) % n }
-		W := b.spec.Width
-		chunk := func(r int) []int {
-			lo, hi := r*W/n, (r+1)*W/n
-			out := make([]int, 0, hi-lo)
-			for w := lo; w < hi; w++ {
-				out = append(out, w)
-			}
-			return out
-		}
-		// Phase 1: the CollReduceScatter rotation below, with uneven
-		// chunks; after n-1 rounds rank i holds the fully combined chunk i.
-		for s := 0; s <= n-2; s++ {
+	}
+}
+
+// ringAllReduce is a reduce-scatter then an all-gather, each an n-1-round
+// rotation in which every rank forwards one chunk to its successor while
+// taking the chunk before it from its predecessor: per-node volume is
+// 2·W·(n-1)/n words at any n, where reduce-then-broadcast would walk the
+// full vector along each arc. Chunks are the locally uneven split
+// [r·W/n, (r+1)·W/n) — no divisibility requirement, and empty chunks
+// (W < n) complete as zero-word steps.
+func (b *collScripts) ringAllReduce() {
+	n, W := len(b.spec.Parts), b.spec.Width
+	rotate := func(first int, combine bool) {
+		for s := 0; s < n-1; s++ {
 			for i := 0; i < n; i++ {
-				b.send(i, mod(i+1), chunk(mod(i-s-1)))
-				b.recv(i, mod(i-1), chunk(mod(i-s-2)), true)
-			}
-		}
-		// Phase 2: all-gather; each round forwards the chunk received in
-		// the previous one.
-		for s := 0; s <= n-2; s++ {
-			for i := 0; i < n; i++ {
-				b.send(i, mod(i+1), chunk(mod(i-s)))
-				b.recv(i, mod(i-1), chunk(mod(i-s-1)), false)
-			}
-		}
-	case CollReduceScatter:
-		// Round s: rank i forwards the partial of chunk (i-s-1) to its
-		// successor while folding its own contribution into chunk
-		// (i-s-2) arriving from its predecessor. After n-1 rounds chunk c
-		// has circled from rank c+1 around to rank c, combining every
-		// contribution on the way.
-		mod := func(x int) int { return (x%n + n) % n }
-		for s := 0; s <= n-2; s++ {
-			for i := 0; i < n; i++ {
-				b.send(i, mod(i+1), b.spec.chunkWords(mod(i-s-1)))
-				b.recv(i, mod(i-1), b.spec.chunkWords(mod(i-s-2)), true)
+				out, in := b.rank(i-s+first), b.rank(i-s+first-1)
+				b.send(i, b.rank(i+1), out*W/n, (out+1)*W/n)
+				b.recv(i, b.rank(i-1), in*W/n, (in+1)*W/n, combine)
 			}
 		}
 	}
+	// Reduce-scatter: chunk c circles from rank c+1 around to rank c,
+	// combining every contribution on the way, so rank i ends holding the
+	// fully combined chunk i.
+	rotate(-1, true)
+	// All-gather: each round forwards the chunk received in the previous one.
+	rotate(0, false)
 }
 
 // halving: recursive halving/doubling over ranks re-rooted at the root
-// (virtual rank v = rank - root mod n). With n not a power of two the
-// ranks beyond the largest power p fold into partners first and rejoin
-// last, the standard deficit handling.
-func (b *collScripts) halving(kind CollKind) {
-	n, r0 := len(b.spec.Parts), b.spec.Root
-	if n == 1 {
-		return
-	}
+// (virtual rank v is rank at(v)). With n not a power of two the virtual
+// ranks beyond the largest power p fold into the partner p below them
+// first (deficitIn) and are copied back last (deficitOut), the standard
+// deficit handling.
+func (b *collScripts) pow2() int {
 	p := 1
-	for p*2 <= n {
+	for p*2 <= len(b.spec.Parts) {
 		p *= 2
 	}
-	rk := func(v int) int { return (v + r0) % n }
-	foldIn := func() {
-		for v := p; v < n; v++ {
-			b.send(rk(v), rk(v-p), b.all)
-		}
-		for v := 0; v+p < n; v++ {
-			b.recv(rk(v), rk(v+p), b.all, true)
-		}
+	return p
+}
+
+func (b *collScripts) deficitIn(p int) {
+	for v := p; v < len(b.spec.Parts); v++ {
+		b.move(b.at(v), b.at(v-p), true)
 	}
-	foldOut := func() {
-		for v := 0; v+p < n; v++ {
-			b.send(rk(v), rk(v+p), b.all)
-		}
-		for v := p; v < n; v++ {
-			b.recv(rk(v), rk(v-p), b.all, false)
-		}
+}
+
+func (b *collScripts) deficitOut(p int) {
+	for v := p; v < len(b.spec.Parts); v++ {
+		b.move(b.at(v-p), b.at(v), false)
 	}
-	switch kind {
-	case CollBroadcast:
-		for v := 0; v < p; v++ {
-			// Masks descend: a node receives at its highest set bit, then
-			// relays for every lower mask — the binomial broadcast tree.
-			for mask := p >> 1; mask >= 1; mask >>= 1 {
-				switch v % (2 * mask) {
-				case mask:
-					b.recv(rk(v), rk(v-mask), b.all, false)
-				case 0:
-					if v+mask < p {
-						b.send(rk(v), rk(v+mask), b.all)
-					}
-				}
-			}
-		}
-		foldOut()
-	case CollReduce:
-		foldIn()
-		for v := 0; v < p; v++ {
-			// Masks ascend: a node folds in partners above it until its
-			// lowest set bit names the round it sends and retires.
-			for mask := 1; mask < p; mask <<= 1 {
-				if v%(2*mask) == mask {
-					b.send(rk(v), rk(v-mask), b.all)
-					break
-				}
-				if v+mask < p {
-					b.recv(rk(v), rk(v+mask), b.all, true)
-				}
-			}
-		}
-	case CollAllReduce:
-		foldIn()
-		// Recursive-doubling butterfly: every round exchanges and folds
-		// with the partner one bit away; sends precede receives per node,
-		// so the exchanged value is the pre-round partial on both sides.
-		for mask := 1; mask < p; mask <<= 1 {
-			for v := 0; v < p; v++ {
-				b.send(rk(v), rk(v^mask), b.all)
-				b.recv(rk(v), rk(v^mask), b.all, true)
-			}
-		}
-		foldOut()
-	case CollReduceScatter:
-		if n == p {
-			// True recursive halving: each round exchanges the half of
-			// the active chunk range owned by the partner's side, so
-			// message volume halves as partner distance doubles.
-			span := func(lo, hi int) []int {
-				var out []int
-				for u := lo; u < hi; u++ {
-					out = append(out, b.spec.chunkWords(rk(u))...)
-				}
-				return out
-			}
-			for v := 0; v < p; v++ {
-				lo, size := 0, p
-				for size > 1 {
-					half := size / 2
-					if v < lo+half {
-						b.send(rk(v), rk(v+half), span(lo+half, lo+size))
-						b.recv(rk(v), rk(v+half), span(lo, lo+half), true)
-						size = half
-					} else {
-						b.send(rk(v), rk(v-half), span(lo, lo+half))
-						b.recv(rk(v), rk(v-half), span(lo+half, lo+size), true)
-						lo, size = lo+half, half
-					}
-				}
-			}
-			return
-		}
-		// Deficit ranks: binomial reduce to the root, then direct chunk
-		// scatter — still far fewer root-adjacent messages than naive.
-		b.halving(CollReduce)
-		for i := 0; i < n; i++ {
-			if i == r0 {
-				continue
-			}
-			b.send(r0, i, b.spec.chunkWords(i))
-			b.recv(i, r0, b.spec.chunkWords(i), false)
+}
+
+// halvingReduce is the binomial tree, masks ascending: a node folds in the
+// partner one mask above it until its lowest set bit names the round it
+// sends and retires.
+func (b *collScripts) halvingReduce() {
+	p := b.pow2()
+	b.deficitIn(p)
+	for mask := 1; mask < p; mask <<= 1 {
+		for v := 0; v < p; v += 2 * mask {
+			b.move(b.at(v+mask), b.at(v), true)
 		}
 	}
 }
 
+// halvingBcast is the same tree, masks descending: a node receives at its
+// lowest set bit, then relays for every lower mask.
+func (b *collScripts) halvingBcast() {
+	p := b.pow2()
+	for mask := p >> 1; mask >= 1; mask >>= 1 {
+		for v := 0; v < p; v += 2 * mask {
+			b.move(b.at(v), b.at(v+mask), false)
+		}
+	}
+	b.deficitOut(p)
+}
+
+// halvingAllReduce is the recursive-doubling butterfly: every round
+// exchanges and folds with the partner one bit away; sends precede receives
+// per node, so the exchanged value is the pre-round partial on both sides.
+func (b *collScripts) halvingAllReduce() {
+	p, W := b.pow2(), b.spec.Width
+	b.deficitIn(p)
+	for mask := 1; mask < p; mask <<= 1 {
+		for v := 0; v < p; v++ {
+			b.send(b.at(v), b.at(v^mask), 0, W)
+			b.recv(b.at(v), b.at(v^mask), 0, W, true)
+		}
+	}
+	b.deficitOut(p)
+}
+
 // tree: hierarchical subtree combining along the router tree. Every
-// router's participants fold into a representative (the subtree holding
-// the root participant is always represented by it), representatives fold
-// upward; broadcast and scatter mirror the combine downward.
-func (b *collScripts) tree(kind CollKind, t *Topology) {
-	spec := b.spec
-	rankOf := make(map[int]int, len(spec.Parts))
-	for r, a := range spec.Parts {
-		rankOf[a] = r
+// router's participants fold into a representative, representatives fold
+// upward; broadcast mirrors the combine downward. treeReps returns, per
+// tree node, the rank representing the node's subtree: the collective root
+// wherever the subtree holds it, else the subtree's first participant in
+// child order, -1 when it holds none.
+func (b *collScripts) treeReps() []int {
+	t := b.topo
+	rep := make([]int, t.N+t.NumRouters)
+	for node := range rep {
+		rep[node] = -1
 	}
-	rootAddr := spec.Parts[spec.Root]
-
-	// rep(node) = participant address representing node's subtree (-1 when
-	// the subtree holds none); memoized, preferring the collective root.
-	repMemo := map[int]int{}
-	var rep func(node int) int
-	rep = func(node int) int {
-		if r, ok := repMemo[node]; ok {
-			return r
-		}
-		best := -1
-		if !t.IsRouter(node) {
-			if _, ok := rankOf[node]; ok {
-				best = node
-			}
-		} else {
-			for _, c := range t.Children(node) {
-				cr := rep(c)
-				if cr < 0 {
-					continue
-				}
-				if cr == rootAddr {
-					best = rootAddr
-				} else if best < 0 {
-					best = cr
-				}
-			}
-		}
-		repMemo[node] = best
-		return best
+	for r, addr := range b.spec.Parts {
+		rep[addr] = r
 	}
-
-	// subWords(node) = the reduce-scatter words owned by the subtree's
-	// participants, in leaf order (both sides of a scatter hop share it).
-	subWords := func(node int) []int {
-		var out []int
-		for _, leaf := range t.Leaves(node) {
-			if r, ok := rankOf[leaf]; ok {
-				out = append(out, spec.chunkWords(r)...)
-			}
-		}
-		return out
-	}
-
-	var emitReduce func(node int)
-	emitReduce = func(node int) {
-		if !t.IsRouter(node) {
-			return
-		}
-		r := rep(node)
-		if r < 0 {
-			return
-		}
+	for node := t.N; node < len(rep); node++ { // children precede their parents
 		for _, c := range t.Children(node) {
-			emitReduce(c)
-		}
-		for _, c := range t.Children(node) {
-			cr := rep(c)
-			if cr < 0 || cr == r {
-				continue
+			if cr := rep[c]; cr == b.spec.Root || (cr >= 0 && rep[node] < 0) {
+				rep[node] = cr
 			}
-			b.send(rankOf[cr], rankOf[r], b.all)
-			b.recv(rankOf[r], rankOf[cr], b.all, true)
 		}
 	}
-	var emitBcast func(node int, words func(int) []int)
-	emitBcast = func(node int, words func(int) []int) {
-		if !t.IsRouter(node) {
-			return
-		}
-		r := rep(node)
-		if r < 0 {
-			return
-		}
-		for _, c := range t.Children(node) {
-			cr := rep(c)
-			if cr < 0 {
-				continue
-			}
-			if cr != r {
-				w := words(c)
-				if len(w) > 0 {
-					b.send(rankOf[r], rankOf[cr], w)
-					b.recv(rankOf[cr], rankOf[r], w, false)
-				}
-			}
-			emitBcast(c, words)
-		}
-	}
+	return rep
+}
 
-	switch kind {
-	case CollBroadcast:
-		emitBcast(t.Root, func(int) []int { return b.all })
-	case CollReduce:
-		emitReduce(t.Root)
-	case CollAllReduce:
-		emitReduce(t.Root)
-		emitBcast(t.Root, func(int) []int { return b.all })
-	case CollReduceScatter:
-		emitReduce(t.Root)
-		emitBcast(t.Root, subWords)
+func (b *collScripts) treeReduce() { b.treeFold(b.treeReps(), b.topo.Root) }
+func (b *collScripts) treeBcast()  { b.treeFan(b.treeReps(), b.topo.Root) }
+
+// treeFold combines node's subtree into its representative, children's
+// subtrees first.
+func (b *collScripts) treeFold(rep []int, node int) {
+	if !b.topo.IsRouter(node) || rep[node] < 0 {
+		return
+	}
+	for _, c := range b.topo.Children(node) {
+		b.treeFold(rep, c)
+	}
+	for _, c := range b.topo.Children(node) {
+		if cr := rep[c]; cr >= 0 && cr != rep[node] {
+			b.move(cr, rep[node], true)
+		}
+	}
+}
+
+// treeFan distributes the representative's vector over node's subtree,
+// each child's representative before that child's own subtree.
+func (b *collScripts) treeFan(rep []int, node int) {
+	if !b.topo.IsRouter(node) || rep[node] < 0 {
+		return
+	}
+	for _, c := range b.topo.Children(node) {
+		if cr := rep[c]; cr >= 0 && cr != rep[node] {
+			b.move(rep[node], cr, false)
+		}
+		b.treeFan(rep, c)
 	}
 }
 
@@ -777,7 +585,7 @@ func (n *collNode) advance() {
 		if st.send {
 			from := c.spec.Parts[n.rank]
 			to := c.spec.Parts[st.peer]
-			for _, w := range st.words {
+			for w := st.lo; w < st.hi; w++ {
 				c.fab.SendMessage(from, to, n.buf[w], n.clock)
 				c.msgs++
 			}
@@ -785,10 +593,10 @@ func (n *collNode) advance() {
 			continue
 		}
 		q := n.inbox[st.peer]
-		for n.sub < len(st.words) && len(q) > 0 {
+		for n.sub < st.hi-st.lo && len(q) > 0 {
 			m := q[0]
 			q = q[1:]
-			w := st.words[n.sub]
+			w := st.lo + n.sub
 			if st.combine {
 				n.buf[w] = c.spec.Op(n.buf[w], m.val)
 			} else {
@@ -800,7 +608,7 @@ func (n *collNode) advance() {
 			n.sub++
 		}
 		n.inbox[st.peer] = q
-		if n.sub < len(st.words) {
+		if n.sub < st.hi-st.lo {
 			return // wait for the rest of this step's words
 		}
 		n.sub = 0

@@ -16,7 +16,13 @@ import (
 const collScriptsGolden = "3e67c041419148c67549ab86c249dc4e94595f595bc0f9261909a84dcd103a55"
 
 // stepWords expands a step to the word indices it moves, in wire order.
-func stepWords(st collStep) []int { return st.words }
+func stepWords(st collStep) []int {
+	var words []int
+	for w := st.lo; w < st.hi; w++ {
+		words = append(words, w)
+	}
+	return words
+}
 
 // renderCollScripts writes the canonical rendering of buildCollScripts for
 // every cell of kind × schedule × topology × participant count × root × width:

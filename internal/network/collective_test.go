@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"dhisq/internal/registry"
 	"dhisq/internal/sim"
 	"dhisq/internal/telf"
 )
@@ -60,7 +61,7 @@ func checkCollective(t *testing.T, f *Fabric, spec CollSpec, inputs [][]uint32) 
 // identical makespan).
 func TestCollectiveOracleProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	kinds := CollKinds()
+	kinds := collKinds
 	schedules := []CollSchedule{CollNaive, CollRing, CollHalving, CollTree, CollAuto}
 	topos := []TopologyKind{TopoMesh, TopoTorus, TopoTree}
 	for iter := 0; iter < 60; iter++ {
@@ -124,7 +125,7 @@ func TestCollectiveExhaustiveSmall(t *testing.T) {
 		}
 		for _, n := range []int{1, 2, 3, 5, 8, 16} {
 			parts := topo.SnakeOrder()[:n]
-			for _, kind := range CollKinds() {
+			for _, kind := range collKinds {
 				for _, sched := range []CollSchedule{CollNaive, CollRing, CollHalving, CollTree} {
 					spec := CollSpec{
 						Kind: kind, Schedule: sched, Parts: parts,
@@ -215,8 +216,10 @@ func TestCollectiveValidation(t *testing.T) {
 		{Kind: CollReduce, Parts: []int{0, 9}, Width: 1, Op: ReduceSum},
 		{Kind: CollReduce, Parts: []int{0, 1}, Root: 5, Width: 1, Op: ReduceSum},
 		{Kind: CollReduce, Parts: []int{0, 1}, Width: 0, Op: ReduceSum},
-		{Kind: CollReduceScatter, Parts: []int{0, 1}, Width: 3, Op: ReduceSum},
 		{Kind: CollReduce, Parts: []int{0, 1}, Width: 1},
+		{Kind: CollKind(len(collKinds)), Parts: []int{0, 1}, Width: 1, Op: ReduceSum},
+		{Kind: CollReduce, Schedule: CollSchedule(len(schedules)), Parts: []int{0, 1}, Width: 1, Op: ReduceSum},
+		{Kind: CollReduce, Schedule: -1, Parts: []int{0, 1}, Width: 1, Op: ReduceSum},
 	}
 	for i, spec := range cases {
 		if _, err := RunCollective(f, spec, in, 0); err == nil {
@@ -242,24 +245,23 @@ func TestParseCollSchedule(t *testing.T) {
 	if _, err := ParseCollSchedule("bogus"); err == nil {
 		t.Fatal("expected error for unknown schedule")
 	}
-	if got := CollAuto.Resolve(TopoTorus); got != CollRing {
-		t.Fatalf("auto on torus = %v, want ring", got)
+}
+
+// TestCollKindNames pins the kind names BENCH_collective.json rows carry,
+// read off the kind registry the way every other registry's names are.
+func TestCollKindNames(t *testing.T) {
+	want := []string{"broadcast", "reduce", "allreduce"}
+	if got := registry.Names(collKinds, CollKind.String); !reflect.DeepEqual(got, want) {
+		t.Fatalf("collective kinds %v, want %v", got, want)
 	}
-	if got := CollAuto.Resolve(TopoMesh); got != CollHalving {
-		t.Fatalf("auto on mesh = %v, want halving", got)
-	}
-	if got := CollAuto.Resolve(TopoTree); got != CollTree {
-		t.Fatalf("auto on tree = %v, want tree", got)
-	}
-	if got := CollRing.Resolve(TopoTree); got != CollRing {
-		t.Fatalf("explicit schedule must pass through, got %v", got)
+	if got := CollKind(len(collKinds)).String(); got != "collkind(3)" {
+		t.Fatalf("a kind off the registry prints %q", got)
 	}
 }
 
-// TestTreePathLeavesNoAlloc pins the satellite memoization: repeated
-// TreePath and Leaves calls must not allocate (they return shared
-// read-only tables).
-func TestTreePathLeavesNoAlloc(t *testing.T) {
+// TestTreePathNoAlloc pins the path memoization: repeated TreePath calls
+// must not allocate (they return shared read-only tables).
+func TestTreePathNoAlloc(t *testing.T) {
 	topo := mustTopo(t, Config{MeshW: 4, MeshH: 4, RouterFanout: 2, NeighborLatency: 2, TreeHopLatency: 4, RouterProc: 1})
 	pairs := [][2]int{{0, 15}, {3, 12}, {5, 5}, {topo.Root, 7}}
 	for _, p := range pairs {
@@ -269,34 +271,9 @@ func TestTreePathLeavesNoAlloc(t *testing.T) {
 		for _, p := range pairs {
 			_ = topo.TreePath(p[0], p[1])
 		}
-		_ = topo.Leaves(topo.Root)
-		_ = topo.Leaves(0)
-		_ = topo.Leaves(topo.N + 1)
 	})
 	if allocs != 0 {
-		t.Fatalf("TreePath/Leaves allocated %.1f per run, want 0", allocs)
-	}
-}
-
-// TestLeavesMatchesRecursion checks the precomputed spans against a
-// straightforward recursive enumeration.
-func TestLeavesMatchesRecursion(t *testing.T) {
-	topo := mustTopo(t, Config{MeshW: 5, MeshH: 3, RouterFanout: 3, NeighborLatency: 2, TreeHopLatency: 4, RouterProc: 1})
-	var slow func(r int) []int
-	slow = func(r int) []int {
-		if !topo.IsRouter(r) {
-			return []int{r}
-		}
-		var out []int
-		for _, c := range topo.Children(r) {
-			out = append(out, slow(c)...)
-		}
-		return out
-	}
-	for node := 0; node < topo.N+topo.NumRouters; node++ {
-		if got, want := topo.Leaves(node), slow(node); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Leaves(%d) = %v, want %v", node, got, want)
-		}
+		t.Fatalf("TreePath allocated %.1f per run, want 0", allocs)
 	}
 }
 
@@ -339,16 +316,18 @@ func TestResolveForAllReduceRing(t *testing.T) {
 		{TopoMesh, CollAllReduce, 9, CollRing},    // non-po2 again
 		{TopoMesh, CollAllReduce, 8, CollHalving}, // po2 keeps halving
 		{TopoMesh, CollReduce, 5, CollHalving},    // other kinds untouched
+		{TopoTorus, CollReduce, 4, CollRing},      // auto per topology: ring on torus,
+		{TopoTree, CollBroadcast, 4, CollTree},    // subtree combining on tree
 		{TopoTorus, CollAllReduce, 5, CollRing},   // torus was already ring
 		{TopoTree, CollAllReduce, 5, CollTree},    // tree untouched
 	}
 	for _, tc := range cases {
-		if got := CollAuto.ResolveFor(tc.topo, tc.kind, tc.parts); got != tc.want {
-			t.Fatalf("ResolveFor(%s, %s, %d) = %s, want %s", tc.topo, tc.kind, tc.parts, got, tc.want)
+		if got := CollAuto.Resolve(tc.topo, tc.kind, tc.parts); got != tc.want {
+			t.Fatalf("Resolve(%s, %s, %d) = %s, want %s", tc.topo, tc.kind, tc.parts, got, tc.want)
 		}
 	}
 	// Concrete schedules pass through whatever the shape.
-	if got := CollHalving.ResolveFor(TopoMesh, CollAllReduce, 5); got != CollHalving {
+	if got := CollHalving.Resolve(TopoMesh, CollAllReduce, 5); got != CollHalving {
 		t.Fatalf("concrete schedule rewritten to %s", got)
 	}
 }

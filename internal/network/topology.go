@@ -125,13 +125,6 @@ type Topology struct {
 	maxDown    []int   // node -> tree edges down to its deepest leaf (0 for a controller)
 	Root       int
 
-	// Leaf spans: every subtree's leaf set is a contiguous run of leafBuf
-	// (the balanced tree groups consecutive nodes), so Leaves returns a
-	// shared subslice instead of allocating per call.
-	leafBuf []int
-	leafLo  []int // node -> span start in leafBuf
-	leafHi  []int // node -> span end in leafBuf
-
 	// TreePath memo: the contention layer re-derives the same paths for
 	// every message, so computed paths are cached and shared. Guarded by a
 	// mutex because runner replicas may probe placements concurrently.
@@ -174,19 +167,12 @@ func NewTopology(cfg Config) (*Topology, error) {
 		children:  make([][]int, nodes-n),
 		depth:     make([]int, nodes),
 		maxDown:   make([]int, nodes),
-		leafBuf:   make([]int, n),
-		leafLo:    make([]int, nodes),
-		leafHi:    make([]int, nodes),
 		pathCache: map[int64][]int{},
 	}
 	// Build the balanced tree bottom-up. Each level is a contiguous address
 	// run [lo, hi): it is grouped into parents of RouterFanout consecutive
 	// children, which form the next run, until one node remains. Every node
-	// of level L is therefore L edges above its deepest leaf (maxDown), and
-	// its subtree's leaves are a contiguous run of controller addresses.
-	for q := 0; q < n; q++ {
-		t.leafBuf[q], t.leafLo[q], t.leafHi[q] = q, q, q+1
-	}
+	// of level L is therefore L edges above its deepest leaf (maxDown).
 	for lo, hi, level := 0, n, 1; hi <= root; level++ {
 		next := hi
 		for i := lo; i < hi; i += cfg.RouterFanout {
@@ -197,7 +183,6 @@ func NewTopology(cfg Config) (*Topology, error) {
 			}
 			t.children[next-n] = kids
 			t.maxDown[next] = level
-			t.leafLo[next], t.leafHi[next] = t.leafLo[i], t.leafHi[kids[len(kids)-1]]
 			next++
 		}
 		lo, hi = hi, next
@@ -366,13 +351,6 @@ func (t *Topology) MaxHopsDown(r int) int {
 		return 0
 	}
 	return t.maxDown[r]
-}
-
-// Leaves returns all leaf controllers in node r's subtree (a controller is
-// its own single leaf). The returned slice is a shared, precomputed
-// read-only table — callers must not mutate it.
-func (t *Topology) Leaves(r int) []int {
-	return t.leafBuf[t.leafLo[r]:t.leafHi[r]:t.leafHi[r]]
 }
 
 // EdgeIndex returns the index of router r's edge to neighbor — children

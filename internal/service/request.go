@@ -232,11 +232,6 @@ func Resolve(req Request) (Admission, error) {
 	if err := cmp.Or(placement.Valid(cfg.Placement), compiler.ValidSchedule(cfg.Schedule)); err != nil {
 		return Admission{}, err
 	}
-	if cfg.Collective != "" {
-		if _, err := network.ParseCollSchedule(cfg.Collective); err != nil {
-			return Admission{}, err
-		}
-	}
 	if err := validateParams(req); err != nil {
 		return Admission{}, err
 	}
