@@ -4,6 +4,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"dhisq/internal/machine"
+	"dhisq/internal/quantum"
+	"dhisq/internal/service"
 )
 
 // The root package is a façade; these tests exercise the public entry
@@ -178,5 +182,40 @@ func TestPublicRunShotsAndSample(t *testing.T) {
 	}
 	if total != 24 {
 		t.Fatalf("histogram counts %d shots, want 24", total)
+	}
+}
+
+// A backend that cannot run the circuit — the tableau under a T gate, a
+// dense state past quantum.MaxQubits — is an error from the facade and from
+// admission, not a panic out of a shot or out of machine construction.
+func TestBackendThatCannotRunTheCircuitIsAnError(t *testing.T) {
+	nonClifford := NewCircuit(2)
+	nonClifford.H(0).T(0).CNOT(0, 1)
+	wide := NewCircuit(quantum.MaxQubits + 1)
+	wide.H(0)
+	for _, tc := range []struct {
+		name    string
+		c       *Circuit
+		backend machine.BackendKind
+		want    string
+	}{
+		{"stabilizer on H·T·CNOT", nonClifford, BackendStabilizer, "not Clifford"},
+		{"statevec past MaxQubits", wide, BackendStateVec, "at most 26 qubits"},
+	} {
+		cfg := DefaultMachineConfig(tc.c.NumQubits)
+		cfg.Backend = tc.backend
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panic %v", tc.name, r)
+				}
+			}()
+			if _, _, err := Run(tc.c, 0, 0, nil, cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: Run returned %v, want an error naming %q", tc.name, err, tc.want)
+			}
+			if _, err := service.Resolve(service.Request{Circuit: tc.c, Cfg: &cfg, Shots: 1}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: Resolve returned %v, want an error naming %q", tc.name, err, tc.want)
+			}
+		}()
 	}
 }

@@ -109,19 +109,6 @@ func Run(c *circuit.Circuit, cfg Config) (Result, error) {
 	var busUntil sim.Time  // the central controller's broadcast bus
 	res := Result{Bits: bits}
 
-	dur := func(op circuit.Op) sim.Time {
-		switch {
-		case op.Kind == circuit.Measure:
-			return d.Measure
-		case op.Kind == circuit.Delay:
-			return sim.Time(op.Param)
-		case op.Kind.IsTwoQubit():
-			return d.TwoQubit
-		default:
-			return d.OneQubit
-		}
-	}
-
 	for _, op := range c.Ops {
 		// Issue-rate floor: the shared flow steps through every operation of
 		// the merged program on all controllers.
@@ -129,31 +116,20 @@ func Run(c *circuit.Circuit, cfg Config) (Result, error) {
 		if op.Kind == circuit.Barrier {
 			// Global barrier: lift the watermark to every qubit's frontier.
 			for _, t := range avail {
-				if t > watermark {
-					watermark = t
-				}
+				watermark = max(watermark, t)
 			}
 			continue
 		}
 		start := watermark
 		for _, q := range op.Qubits {
-			if avail[q] > start {
-				start = avail[q]
-			}
+			start = max(start, avail[q])
 		}
-		taken := true
 		if op.Cond != nil {
 			res.Feedbacks++
 			// The decision needs every condition bit broadcast to all
 			// controllers; the whole flow waits for the decision.
-			dataReady := start
 			for _, b := range op.Cond.Bits {
-				if bitReady[b] > dataReady {
-					dataReady = bitReady[b]
-				}
-			}
-			if dataReady > start {
-				start = dataReady
+				start = max(start, bitReady[b])
 			}
 			// Decision point: the shared flow cannot advance past an
 			// unresolved branch, so later operations in program order start
@@ -162,25 +138,22 @@ func Run(c *circuit.Circuit, cfg Config) (Result, error) {
 				res.SerializedWait += start - watermark
 				watermark = start
 			}
-			p := 0
-			for _, b := range op.Cond.Bits {
-				p ^= bits[b]
-			}
-			taken = p == op.Cond.Parity
-			if !taken {
+			if !op.Cond.Holds(bits) {
 				// The skipped branch still consumes the decision point but
 				// no gate time (shared flow skips together, unlike
 				// time-reservation).
 				continue
 			}
 		}
-		end := start + dur(op)
+		end := start + d.Of(op.Kind, op.Param, 0)
 		for _, q := range op.Qubits {
 			avail[q] = end
 		}
-		switch {
-		case op.Kind == circuit.Measure:
-			out := cfg.Backend.Measure(op.Qubits[0])
+		var q [2]int
+		copy(q[:], op.Qubits)
+		out := chip.Apply(cfg.Backend, op.Kind, op.Param, q[0], q[1])
+		switch op.Kind {
+		case circuit.Measure:
 			bits[op.CBit] = out
 			res.Measurements++
 			// Result latched locally, then broadcast via the central node.
@@ -188,31 +161,21 @@ func Run(c *circuit.Circuit, cfg Config) (Result, error) {
 			if cfg.SerializeBroadcasts {
 				// The star topology has one hub: simultaneous results
 				// serialize on its bus.
-				if latched > busUntil {
-					busUntil = latched
-				}
+				busUntil = max(busUntil, latched)
 				busUntil += cfg.Broadcast
 				bitReady[op.CBit] = busUntil
 			} else {
 				bitReady[op.CBit] = latched + cfg.Broadcast
 			}
-		case op.Kind == circuit.Delay:
-		case op.Kind.IsTwoQubit():
-			cfg.Backend.Apply2(op.Kind, op.Param, op.Qubits[0], op.Qubits[1])
-			res.Gates++
+		case circuit.Delay:
 		default:
-			cfg.Backend.Apply1(op.Kind, op.Param, op.Qubits[0])
 			res.Gates++
 		}
-		if end > res.Makespan {
-			res.Makespan = end
-		}
+		res.Makespan = max(res.Makespan, end)
 	}
 	// Trailing broadcast of the last results is part of program completion
 	// only if someone consumes them; makespan tracks operation ends.
-	if res.Makespan < watermark {
-		res.Makespan = watermark
-	}
+	res.Makespan = max(res.Makespan, watermark)
 	return res, nil
 }
 

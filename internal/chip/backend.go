@@ -23,182 +23,94 @@ type CommAware interface {
 // derived from the same shot seed.
 const heraldSeedMix = 0x5851F42D4C957F2D
 
-// StateVecBackend applies gates to a dense state vector — the exact oracle
-// for small verification runs.
-type StateVecBackend struct {
-	State *quantum.State
+// simulated is what the two state-tracking backends share: the substrate
+// their gates go to through circuit.Exec, and the split of measurement
+// randomness into a data stream and a herald stream (CommAware).
+type simulated struct {
 	Rng   *rand.Rand
 	comm  int
 	hrng  *rand.Rand
+	name  string
+	sub   circuit.Substrate
+	clear func() // returns the substrate to |0...0> in place
 }
 
-// NewStateVec builds a dense backend for n qubits.
-func NewStateVec(n int, seed int64) *StateVecBackend {
-	return &StateVecBackend{
-		State: quantum.NewState(n),
+func newSimulated(name string, sub circuit.Substrate, clear func(), seed int64) simulated {
+	return simulated{
 		Rng:   rand.New(rand.NewSource(seed)),
 		hrng:  rand.New(rand.NewSource(seed ^ heraldSeedMix)),
+		name:  name,
+		sub:   sub,
+		clear: clear,
 	}
 }
 
 // SetCommFrom implements CommAware.
-func (b *StateVecBackend) SetCommFrom(q int) { b.comm = q }
+func (b *simulated) SetCommFrom(q int) { b.comm = q }
 
-func (b *StateVecBackend) rng(q int) *rand.Rand {
+// Stream implements circuit.Streams: the herald stream at and above the comm
+// boundary, the data stream below it.
+func (b *simulated) Stream(q int) *rand.Rand {
 	if b.comm > 0 && q >= b.comm {
 		return b.hrng
 	}
 	return b.Rng
 }
 
-// Apply1 implements Backend.
-func (b *StateVecBackend) Apply1(kind circuit.Kind, param float64, q int) {
-	s := b.State
-	switch kind {
-	case circuit.H:
-		s.H(q)
-	case circuit.X:
-		s.X(q)
-	case circuit.Y:
-		s.Y(q)
-	case circuit.Z:
-		s.Z(q)
-	case circuit.S:
-		s.S(q)
-	case circuit.Sdg:
-		s.Sdg(q)
-	case circuit.T:
-		s.T(q)
-	case circuit.Tdg:
-		s.Tdg(q)
-	case circuit.RX:
-		s.RX(q, param)
-	case circuit.RY:
-		s.RY(q, param)
-	case circuit.RZ:
-		s.RZ(q, param)
-	case circuit.Reset:
-		if s.Measure(q, b.rng(q)) == 1 {
-			s.X(q)
-		}
-	case circuit.Delay:
-	default:
-		panic("chip: statevec backend cannot apply " + kind.String())
+func (b *simulated) exec(kind circuit.Kind, param float64, x, y int) int {
+	out, ok := circuit.Exec(b.sub, b, kind, param, x, y)
+	if !ok {
+		panic("chip: " + b.name + " backend cannot apply " + kind.String())
 	}
+	return out
 }
+
+// Apply1 implements Backend.
+func (b *simulated) Apply1(kind circuit.Kind, param float64, q int) { b.exec(kind, param, q, 0) }
 
 // Apply2 implements Backend.
-func (b *StateVecBackend) Apply2(kind circuit.Kind, param float64, x, y int) {
-	switch kind {
-	case circuit.CNOT:
-		b.State.CNOT(x, y)
-	case circuit.CZ:
-		b.State.CZ(x, y)
-	case circuit.CPhase:
-		b.State.CPhase(x, y, param)
-	case circuit.SWAP:
-		b.State.SWAP(x, y)
-	default:
-		panic("chip: statevec backend cannot apply " + kind.String())
-	}
-}
+func (b *simulated) Apply2(kind circuit.Kind, param float64, x, y int) { b.exec(kind, param, x, y) }
 
 // Measure implements Backend.
-func (b *StateVecBackend) Measure(q int) int { return b.State.Measure(q, b.rng(q)) }
+func (b *simulated) Measure(q int) int { return b.exec(circuit.Measure, 0, q, 0) }
 
 // Reset implements Backend: |0...0> in place, the RNG streams reseeded in
 // place (the same streams as fresh construction, without its allocations).
 // The herald stream is reseeded only behind a comm boundary: without one
-// rng never hands it out, and seeding a math/rand source is a 607-word
+// Stream never hands it out, and seeding a math/rand source is a 607-word
 // pass. SetCommFrom runs at machine construction, before any Reset.
-func (b *StateVecBackend) Reset(seed int64) {
-	b.State.Reset()
+func (b *simulated) Reset(seed int64) {
+	b.clear()
 	b.Rng.Seed(seed)
 	if b.comm > 0 {
 		b.hrng.Seed(seed ^ heraldSeedMix)
 	}
+}
+
+// StateVecBackend applies gates to a dense state vector — the exact oracle
+// for small verification runs.
+type StateVecBackend struct {
+	State *quantum.State
+	simulated
+}
+
+// NewStateVec builds a dense backend for n qubits.
+func NewStateVec(n int, seed int64) *StateVecBackend {
+	s := quantum.NewState(n)
+	return &StateVecBackend{s, newSimulated("statevec", circuit.Dense(s), s.Reset, seed)}
 }
 
 // StabilizerBackend applies Clifford gates to a tableau — exact semantics at
 // thousands of qubits.
 type StabilizerBackend struct {
-	Tab  *stabilizer.Tableau
-	Rng  *rand.Rand
-	comm int
-	hrng *rand.Rand
+	Tab *stabilizer.Tableau
+	simulated
 }
 
 // NewStabilizer builds a tableau backend for n qubits.
 func NewStabilizer(n int, seed int64) *StabilizerBackend {
-	return &StabilizerBackend{
-		Tab:  stabilizer.New(n),
-		Rng:  rand.New(rand.NewSource(seed)),
-		hrng: rand.New(rand.NewSource(seed ^ heraldSeedMix)),
-	}
-}
-
-// SetCommFrom implements CommAware.
-func (b *StabilizerBackend) SetCommFrom(q int) { b.comm = q }
-
-func (b *StabilizerBackend) rng(q int) *rand.Rand {
-	if b.comm > 0 && q >= b.comm {
-		return b.hrng
-	}
-	return b.Rng
-}
-
-// Apply1 implements Backend.
-func (b *StabilizerBackend) Apply1(kind circuit.Kind, param float64, q int) {
-	t := b.Tab
-	switch kind {
-	case circuit.H:
-		t.H(q)
-	case circuit.X:
-		t.X(q)
-	case circuit.Y:
-		t.Y(q)
-	case circuit.Z:
-		t.Z(q)
-	case circuit.S:
-		t.S(q)
-	case circuit.Sdg:
-		t.Sdg(q)
-	case circuit.Reset:
-		if t.MeasureZ(q, b.rng(q)) == 1 {
-			t.X(q)
-		}
-	case circuit.Delay:
-	default:
-		panic("chip: stabilizer backend cannot apply " + kind.String())
-	}
-}
-
-// Apply2 implements Backend.
-func (b *StabilizerBackend) Apply2(kind circuit.Kind, param float64, x, y int) {
-	switch kind {
-	case circuit.CNOT:
-		b.Tab.CNOT(x, y)
-	case circuit.CZ:
-		b.Tab.CZ(x, y)
-	case circuit.SWAP:
-		b.Tab.SWAP(x, y)
-	default:
-		panic("chip: stabilizer backend cannot apply " + kind.String())
-	}
-}
-
-// Measure implements Backend.
-func (b *StabilizerBackend) Measure(q int) int { return b.Tab.MeasureZ(q, b.rng(q)) }
-
-// Reset implements Backend: identity tableau in place, the RNG streams
-// reseeded in place (the herald stream only behind a comm boundary, as on
-// the dense backend).
-func (b *StabilizerBackend) Reset(seed int64) {
-	b.Tab.Reset()
-	b.Rng.Seed(seed)
-	if b.comm > 0 {
-		b.hrng.Seed(seed ^ heraldSeedMix)
-	}
+	t := stabilizer.New(n)
+	return &StabilizerBackend{t, newSimulated("stabilizer", circuit.Tableau(t), t.Reset, seed)}
 }
 
 // SeededBackend tracks no quantum state: gates are no-ops and each

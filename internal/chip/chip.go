@@ -228,52 +228,44 @@ func (m *Model) Commit(node, port int, cw uint32, at sim.Time) {
 		return
 	}
 	ref := tapeOp{node: int32(node), idx: int32(idx)}
-	switch e.Role {
-	case RoleSingle:
-		m.occupyKind(e.Qubit, at, m.dur(e.Kind, e.Param), e.Kind)
-		m.apply(e, ref)
-		m.Gates++
-	case RoleMeasure:
-		m.occupyKind(e.Qubit, at, m.durations.Measure, circuit.Measure)
-		out := m.apply(e, ref)
-		m.Measurements++
-		if m.deliver != nil {
-			m.deliver(node, e.Channel, uint32(out), at+m.MeasLatency)
-		}
-	case RoleControl, RoleParticipant:
+	if e.Role == RoleControl || e.Role == RoleParticipant {
 		m.commit2Q(e, ref, at)
+		return
+	}
+	m.occupyKind(e.Qubit, at, m.durations.Of(e.Kind, e.Param, m.EPRLatency), e.Kind)
+	out := m.apply(e, ref)
+	if e.Role == RoleSingle {
+		m.Gates++
+		return
+	}
+	m.Measurements++
+	if m.deliver != nil {
+		m.deliver(node, e.Channel, uint32(out), at+m.MeasLatency)
 	}
 }
 
 // apply is where a committed entry meets the backend: the live path's one
-// call into applyEntry, and the recording point of the commit tape.
+// call into Apply, and the recording point of the commit tape.
 func (m *Model) apply(e TableEntry, ref tapeOp) int {
-	out := applyEntry(m.backend, e)
+	out := Apply(m.backend, e.Kind, e.Param, e.Qubit, e.Partner)
 	if m.rec != nil {
 		m.rec.record(e, ref, out)
 	}
 	return out
 }
 
-// applyEntry performs the backend operation entry e stands for — e is a
-// one-qubit action, a measurement (whose outcome is returned), or the
-// control half of a two-qubit gate. The live commit path and tape replay
-// both go through it, so they cannot apply an entry differently.
-func applyEntry(b Backend, e TableEntry) int {
+// Apply performs one op on the backend — a measurement of q (whose outcome
+// is returned), a two-qubit kind on (q, partner), or a one-qubit kind on q.
+// The live commit path, tape replay and the lock-step baseline all go
+// through it, so they cannot apply an op differently.
+func Apply(b Backend, kind circuit.Kind, param float64, q, partner int) int {
 	switch {
-	case e.Role == RoleMeasure:
-		return b.Measure(e.Qubit)
-	case e.Role == RoleSingle:
-		b.Apply1(e.Kind, e.Param, e.Qubit)
-	case e.Kind == circuit.EPR:
-		// EPR-pair generation across the chip boundary: both comm qubits
-		// are discarded and re-prepared as (|00>+|11>)/sqrt(2).
-		b.Apply1(circuit.Reset, 0, e.Qubit)
-		b.Apply1(circuit.Reset, 0, e.Partner)
-		b.Apply1(circuit.H, 0, e.Qubit)
-		b.Apply2(circuit.CNOT, 0, e.Qubit, e.Partner)
+	case kind == circuit.Measure:
+		return b.Measure(q)
+	case kind.IsTwoQubit():
+		b.Apply2(kind, param, q, partner)
 	default:
-		b.Apply2(e.Kind, e.Param, e.Qubit, e.Partner)
+		b.Apply1(kind, param, q)
 	}
 	return 0
 }
@@ -304,10 +296,10 @@ func (m *Model) commit2Q(e TableEntry, ref tapeOp, at sim.Time) {
 	if prev.at > later {
 		later = prev.at
 	}
-	m.occupyKind(ctrl.Qubit, later, m.dur(ctrl.Kind, ctrl.Param), ctrl.Kind)
-	m.occupyKind(ctrl.Partner, later, m.dur(ctrl.Kind, ctrl.Param), ctrl.Kind)
-	// An EPR generation's occupancy above already charged EPRLatency via
-	// dur().
+	// An EPR generation occupies its pair for EPRLatency.
+	dur := m.durations.Of(ctrl.Kind, ctrl.Param, m.EPRLatency)
+	m.occupyKind(ctrl.Qubit, later, dur, ctrl.Kind)
+	m.occupyKind(ctrl.Partner, later, dur, ctrl.Kind)
 	m.apply(ctrl, ref)
 	if ctrl.Kind == circuit.EPR {
 		m.EPRPairs++
@@ -318,28 +310,6 @@ func (m *Model) commit2Q(e TableEntry, ref tapeOp, at sim.Time) {
 // PendingHalves reports unmatched two-qubit commits (should be zero after a
 // complete run).
 func (m *Model) PendingHalves() int { return len(m.pending) }
-
-func (m *Model) dur(kind circuit.Kind, param float64) sim.Time {
-	switch {
-	case kind == circuit.Measure:
-		return m.durations.Measure
-	case kind == circuit.Delay:
-		return sim.Time(param)
-	case kind == circuit.EPR:
-		if m.EPRLatency > 0 {
-			return m.EPRLatency
-		}
-		return m.durations.TwoQubit
-	case kind.IsTwoQubit():
-		return m.durations.TwoQubit
-	default:
-		return m.durations.OneQubit
-	}
-}
-
-func (m *Model) occupy(q int, at, dur sim.Time) {
-	m.occupyKind(q, at, dur, circuit.KindInvalid)
-}
 
 func (m *Model) occupyKind(q int, at, dur sim.Time, kind circuit.Kind) {
 	for len(m.busyUntil) <= q {

@@ -6,39 +6,6 @@ import (
 	"dhisq/internal/circuit"
 )
 
-func TestPartitionContract(t *testing.T) {
-	p, err := NewPartition(6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Total() != 9 {
-		t.Fatalf("Total = %d, want 9 (6 data + 3 comm)", p.Total())
-	}
-	for j := 0; j < 3; j++ {
-		if got := p.Comm(j); got != 6+j {
-			t.Fatalf("Comm(%d) = %d, want %d", j, got, 6+j)
-		}
-	}
-	for q := 0; q < 9; q++ {
-		if got := p.IsComm(q); got != (q >= 6) {
-			t.Fatalf("IsComm(%d) = %v", q, got)
-		}
-	}
-	// The single-chip degenerate case carries no comm qubits.
-	single, err := NewPartition(6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.Total() != 6 || single.IsComm(5) {
-		t.Fatalf("single-chip partition grew comm qubits: total=%d", single.Total())
-	}
-	for _, bad := range [][2]int{{0, 1}, {4, 0}, {3, 4}, {-1, 2}} {
-		if _, err := NewPartition(bad[0], bad[1]); err == nil {
-			t.Fatalf("NewPartition(%d, %d) accepted", bad[0], bad[1])
-		}
-	}
-}
-
 // eprTables wires controllers 2 and 3 as the comm-qubit pair of an EPR
 // generation between qubits 2 and 3.
 func eprTables(m *Model) {

@@ -119,7 +119,7 @@ func (m *Model) Replay(t *Tape, seed int64, bits []int) {
 		k := 0
 		for _, op := range t.ops {
 			e := m.tables[op.node][op.idx]
-			out := applyEntry(m.backend, e)
+			out := Apply(m.backend, e.Kind, e.Param, e.Qubit, e.Partner)
 			if e.Role == RoleMeasure {
 				t.outs[k] = out
 				k++
@@ -150,7 +150,7 @@ func (m *Model) buildAffine(t *Tape) *stabilizer.Affine {
 		case e.Kind == circuit.Reset || e.Kind == circuit.EPR:
 			return nil
 		default:
-			applyEntry(sb, e)
+			Apply(sb, e.Kind, e.Param, e.Qubit, e.Partner)
 		}
 	}
 	return sym.Affine()

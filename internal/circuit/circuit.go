@@ -45,44 +45,23 @@ const (
 	// entanglement resource of the multi-chip model: the expansion emits it
 	// on communication qubits of different chips, and the chip model charges
 	// it the configured generation latency with a heralding exchange over
-	// the fabric (DESIGN.md §13). Semantically it is Reset+Reset+H+CNOT.
+	// the fabric (DESIGN.md §13). Exec spells out what it does to the state.
 	EPR
 )
 
-var kindNames = [...]string{
-	KindInvalid: "invalid",
-	H:           "h", X: "x", Y: "y", Z: "z", S: "s", Sdg: "sdg", T: "t", Tdg: "tdg",
-	RX: "rx", RY: "ry", RZ: "rz", CPhase: "cp",
-	CNOT: "cx", CZ: "cz", SWAP: "swap",
-	Measure: "measure", Barrier: "barrier", Delay: "delay", Reset: "reset",
-	EPR: "epr",
-}
-
 func (k Kind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
+	if int(k) < len(gateSet) {
+		return gateSet[k].name
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
 // IsTwoQubit reports whether the kind acts on exactly two qubits.
-func (k Kind) IsTwoQubit() bool {
-	switch k {
-	case CNOT, CZ, SWAP, CPhase, EPR:
-		return true
-	}
-	return false
-}
+func (k Kind) IsTwoQubit() bool { return k.row().operands == 2 }
 
 // IsClifford reports whether the operation is simulable on a stabilizer
 // tableau.
-func (k Kind) IsClifford() bool {
-	switch k {
-	case H, X, Y, Z, S, Sdg, CNOT, CZ, SWAP, Measure, Barrier, Delay, Reset, EPR:
-		return true
-	}
-	return false
-}
+func (k Kind) IsClifford() bool { return k.row().clifford }
 
 // Condition guards an operation on classical bits: the op executes iff the
 // XOR (parity) of the listed bits equals Parity. Single-bit feedback is the
@@ -340,17 +319,6 @@ func (c *Circuit) Append(o *Circuit) *Circuit {
 	return c
 }
 
-// symbolicKinds are the ops that may carry a symbolic parameter: the
-// rotation angles, which never affect placement, guards, scheduling or
-// sync arithmetic (the bind contract, DESIGN.md §8).
-func symbolicOK(k Kind) bool {
-	switch k {
-	case RX, RY, RZ, CPhase:
-		return true
-	}
-	return false
-}
-
 // maxDelay bounds Delay durations to the float64 exact-integer range, so
 // the lowering's int64 conversion is always value-preserving.
 const maxDelay = float64(1 << 53)
@@ -359,8 +327,9 @@ const maxDelay = float64(1 << 53)
 // angles are rejected (they would break codeword-table interning, which
 // keys on the parameter), Delay durations must be non-negative integers
 // (the lowering converts them with int64(Param) — a fractional or negative
-// value would silently compile to a garbage wait), and symbolic parameters
-// are only legal on rotation ops. Circuits returned by ParseQASM have had
+// value would silently compile to a garbage wait), symbolic parameters are
+// only legal on rotation ops, and a kind that takes no parameter carries
+// none (the fingerprint hashes Param). Circuits returned by ParseQASM have had
 // every op checked as it was appended; Validate is for hand-built ones.
 func (c *Circuit) Validate() error {
 	for i := range c.Ops {
@@ -377,10 +346,16 @@ func (c *Circuit) checkOp(i int, op *Op) error {
 	if math.IsNaN(op.Param) || math.IsInf(op.Param, 0) {
 		return fmt.Errorf("circuit: op %d (%s): non-finite parameter %v", i, *op, op.Param)
 	}
-	if op.Sym != "" && !symbolicOK(op.Kind) {
+	r := op.Kind.row()
+	if op.Sym != "" && r.param != angle {
 		return fmt.Errorf("circuit: op %d (%s): symbolic parameter %q on non-rotation op", i, *op, op.Sym)
 	}
-	if op.Kind == Delay {
+	switch r.param {
+	case noParam:
+		if op.Param != 0 {
+			return fmt.Errorf("circuit: op %d (%s): parameter %v on an op that takes none", i, *op, op.Param)
+		}
+	case cycles:
 		switch p := op.Param; {
 		case p < 0:
 			return fmt.Errorf("circuit: op %d (%s): negative delay %v cycles", i, *op, p)
@@ -390,12 +365,8 @@ func (c *Circuit) checkOp(i int, op *Op) error {
 			return fmt.Errorf("circuit: op %d (%s): delay %v exceeds %v cycles", i, *op, p, maxDelay)
 		}
 	}
-	two := op.Kind.IsTwoQubit()
-	want := 1
-	if two {
-		want = 2
-	}
-	if op.Kind == Barrier {
+	want := r.operands
+	if want == variadic {
 		want = len(op.Qubits)
 	}
 	if len(op.Qubits) != want {
@@ -406,7 +377,7 @@ func (c *Circuit) checkOp(i int, op *Op) error {
 			return fmt.Errorf("circuit: op %d (%s): qubit %d out of range", i, *op, q)
 		}
 	}
-	if two && op.Qubits[0] == op.Qubits[1] {
+	if r.operands == 2 && op.Qubits[0] == op.Qubits[1] {
 		return fmt.Errorf("circuit: op %d (%s): duplicate qubit", i, *op)
 	}
 	if op.Kind == Measure && (op.CBit < 0 || op.CBit >= c.NumBits) {
@@ -430,8 +401,7 @@ type Stats struct {
 	OneQubit     int
 	TwoQubit     int
 	Measurements int
-	Conditioned  int
-	Feedforward  int // conditioned ops whose condition bits come from measurements
+	Feedforward  int // conditioned ops (their condition bits come from measurements)
 }
 
 // CountStats tallies gate classes.
@@ -448,7 +418,6 @@ func (c *Circuit) CountStats() Stats {
 			s.OneQubit++
 		}
 		if op.Cond != nil {
-			s.Conditioned++
 			s.Feedforward++
 		}
 	}
@@ -465,7 +434,9 @@ func (c *Circuit) IsClifford() bool {
 	return true
 }
 
-func evalCond(cond *Condition, bits []int) bool {
+// Holds reports whether the op the condition guards executes under the
+// classical record bits; a nil condition always holds.
+func (cond *Condition) Holds(bits []int) bool {
 	if cond == nil {
 		return true
 	}
@@ -476,130 +447,51 @@ func evalCond(cond *Condition, bits []int) bool {
 	return p == cond.Parity
 }
 
-// RunStateVector executes the circuit on a dense simulator, returning the
-// final state and the classical bit values. Conditions are evaluated on the
-// classical record exactly as the control stack would.
-func (c *Circuit) RunStateVector(rng *rand.Rand) (*quantum.State, []int, error) {
+// oneStream is the Streams of a run that draws every outcome from one RNG.
+type oneStream struct{ *rand.Rand }
+
+func (o oneStream) Stream(int) *rand.Rand { return o.Rand }
+
+// run executes the circuit on the n-qubit state fresh builds, driven as the
+// substrate on makes of it. Conditions are evaluated on the classical record
+// exactly as the control stack would; refusal is the error format for a kind
+// the substrate cannot apply.
+func run[S any](c *Circuit, rng *rand.Rand, refusal string, fresh func(n int) S, on func(S) Substrate) (none S, bits []int, err error) {
 	if err := c.Validate(); err != nil {
-		return nil, nil, err
+		return none, nil, err
 	}
 	if ub := c.UnboundParams(); len(ub) > 0 {
-		return nil, nil, fmt.Errorf("circuit: cannot simulate with unbound parameters %v (call Bind first)", ub)
+		return none, nil, fmt.Errorf("circuit: cannot simulate with unbound parameters %v (call Bind first)", ub)
 	}
-	st := quantum.NewState(c.NumQubits)
-	bits := make([]int, c.NumBits)
+	state := fresh(c.NumQubits)
+	sub := on(state)
+	bits = make([]int, c.NumBits)
 	for _, op := range c.Ops {
-		if !evalCond(op.Cond, bits) {
+		if !op.Cond.Holds(bits) {
 			continue
 		}
-		q := op.Qubits
-		switch op.Kind {
-		case H:
-			st.H(q[0])
-		case X:
-			st.X(q[0])
-		case Y:
-			st.Y(q[0])
-		case Z:
-			st.Z(q[0])
-		case S:
-			st.S(q[0])
-		case Sdg:
-			st.Sdg(q[0])
-		case T:
-			st.T(q[0])
-		case Tdg:
-			st.Tdg(q[0])
-		case RX:
-			st.RX(q[0], op.Param)
-		case RY:
-			st.RY(q[0], op.Param)
-		case RZ:
-			st.RZ(q[0], op.Param)
-		case CPhase:
-			st.CPhase(q[0], q[1], op.Param)
-		case CNOT:
-			st.CNOT(q[0], q[1])
-		case CZ:
-			st.CZ(q[0], q[1])
-		case SWAP:
-			st.SWAP(q[0], q[1])
-		case EPR:
-			for _, qq := range q {
-				if st.Measure(qq, rng) == 1 {
-					st.X(qq)
-				}
-			}
-			st.H(q[0])
-			st.CNOT(q[0], q[1])
-		case Measure:
-			bits[op.CBit] = st.Measure(q[0], rng)
-		case Reset:
-			if st.Measure(q[0], rng) == 1 {
-				st.X(q[0])
-			}
-		case Barrier, Delay:
-		default:
-			return nil, nil, fmt.Errorf("circuit: cannot simulate %s", op.Kind)
+		var q [2]int
+		copy(q[:], op.Qubits)
+		out, ok := Exec(sub, oneStream{rng}, op.Kind, op.Param, q[0], q[1])
+		if !ok {
+			return none, nil, fmt.Errorf(refusal, op.Kind)
+		}
+		if op.Kind == Measure {
+			bits[op.CBit] = out
 		}
 	}
-	return st, bits, nil
+	return state, bits, nil
+}
+
+// RunStateVector executes the circuit on a dense simulator, returning the
+// final state and the classical bit values.
+func (c *Circuit) RunStateVector(rng *rand.Rand) (*quantum.State, []int, error) {
+	return run(c, rng, "circuit: cannot simulate %s", quantum.NewState, Dense)
 }
 
 // RunStabilizer executes a Clifford circuit on a tableau.
 func (c *Circuit) RunStabilizer(rng *rand.Rand) (*stabilizer.Tableau, []int, error) {
-	if err := c.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if ub := c.UnboundParams(); len(ub) > 0 {
-		return nil, nil, fmt.Errorf("circuit: cannot simulate with unbound parameters %v (call Bind first)", ub)
-	}
-	tb := stabilizer.New(c.NumQubits)
-	bits := make([]int, c.NumBits)
-	for _, op := range c.Ops {
-		if !evalCond(op.Cond, bits) {
-			continue
-		}
-		q := op.Qubits
-		switch op.Kind {
-		case H:
-			tb.H(q[0])
-		case X:
-			tb.X(q[0])
-		case Y:
-			tb.Y(q[0])
-		case Z:
-			tb.Z(q[0])
-		case S:
-			tb.S(q[0])
-		case Sdg:
-			tb.Sdg(q[0])
-		case CNOT:
-			tb.CNOT(q[0], q[1])
-		case CZ:
-			tb.CZ(q[0], q[1])
-		case SWAP:
-			tb.SWAP(q[0], q[1])
-		case EPR:
-			for _, qq := range q {
-				if tb.MeasureZ(qq, rng) == 1 {
-					tb.X(qq)
-				}
-			}
-			tb.H(q[0])
-			tb.CNOT(q[0], q[1])
-		case Measure:
-			bits[op.CBit] = tb.MeasureZ(q[0], rng)
-		case Reset:
-			if tb.MeasureZ(q[0], rng) == 1 {
-				tb.X(q[0])
-			}
-		case Barrier, Delay:
-		default:
-			return nil, nil, fmt.Errorf("circuit: %s is not Clifford", op.Kind)
-		}
-	}
-	return tb, bits, nil
+	return run(c, rng, "circuit: %s is not Clifford", stabilizer.New, Tableau)
 }
 
 // Durations gives the fixed operation times of the evaluation (§6.4.1):
@@ -612,6 +504,26 @@ type Durations struct {
 
 // PaperDurations are the §6.4.1 constants in cycles.
 func PaperDurations() Durations { return Durations{OneQubit: 5, TwoQubit: 10, Measure: 75} }
+
+// Of is the duration rule: the cycles an op of kind k with parameter param
+// occupies its qubits, by the kind's duration class. An EPR generation takes
+// eprLatency, or TwoQubit when none is configured (eprLatency <= 0).
+func (d Durations) Of(k Kind, param float64, eprLatency int64) int64 {
+	switch k.row().dur {
+	case durMeasure:
+		return d.Measure
+	case durParam:
+		return int64(param)
+	case durEPR:
+		if eprLatency > 0 {
+			return eprLatency
+		}
+		fallthrough
+	case durTwoQubit:
+		return d.TwoQubit
+	}
+	return d.OneQubit
+}
 
 // Depth returns the circuit's time depth in cycles under d, using ASAP
 // scheduling on per-qubit timelines and treating conditioned ops as ordinary
@@ -628,9 +540,7 @@ func (c *Circuit) Depth(d Durations) int64 {
 			if len(qs) == 0 {
 				var m int64
 				for _, t := range avail {
-					if t > m {
-						m = t
-					}
+					m = max(m, t)
 				}
 				for i := range avail {
 					avail[i] = m
@@ -638,40 +548,23 @@ func (c *Circuit) Depth(d Durations) int64 {
 			}
 			continue
 		}
-		var dur int64
-		switch {
-		case op.Kind == Measure:
-			dur = d.Measure
-		case op.Kind == Delay:
-			dur = int64(op.Param)
-		case op.Kind.IsTwoQubit():
-			dur = d.TwoQubit
-		default:
-			dur = d.OneQubit
-		}
 		start := int64(0)
 		for _, q := range op.Qubits {
-			if avail[q] > start {
-				start = avail[q]
-			}
+			start = max(start, avail[q])
 		}
 		if op.Cond != nil {
 			for _, b := range op.Cond.Bits {
-				if measDone[b] > start {
-					start = measDone[b]
-				}
+				start = max(start, measDone[b])
 			}
 		}
-		end := start + dur
+		end := start + d.Of(op.Kind, op.Param, 0)
 		for _, q := range op.Qubits {
 			avail[q] = end
 		}
 		if op.Kind == Measure {
 			measDone[op.CBit] = end
 		}
-		if end > maxT {
-			maxT = end
-		}
+		maxT = max(maxT, end)
 	}
 	return maxT
 }

@@ -18,7 +18,7 @@ func TestBuilderAndValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.CountStats()
-	if st.OneQubit != 2 || st.TwoQubit != 2 || st.Measurements != 1 || st.Conditioned != 1 {
+	if st.OneQubit != 2 || st.TwoQubit != 2 || st.Measurements != 1 || st.Feedforward != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -29,6 +29,9 @@ func TestValidateRejectsBadOps(t *testing.T) {
 		New(2).Gate(CNOT, 0, 0), // duplicate qubit
 		New(2).Gate(H, 5),       // out of range
 		{NumQubits: 1, Ops: []Op{{Kind: Measure, Qubits: []int{0}, CBit: 3}}},
+		// a parameter on a kind that takes none (it would fingerprint apart)
+		{NumQubits: 1, Ops: []Op{{Kind: H, Qubits: []int{0}, Param: 0.5, CBit: -1}}},
+		{NumQubits: 2, Ops: []Op{{Kind: CNOT, Qubits: []int{0, 1}, Param: 1.5, CBit: -1}}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -644,6 +647,12 @@ func TestParseQASMRejectsOutsideInput(t *testing.T) {
 		{"text after operand", "qreg q[2];\nh q[0] q[1];\n", `qasm line 2: unexpected "q[1]" after qubit reference "q[0]"`},
 		{"barrier on undeclared register", "qreg q[2];\nbarrier r;\n", `qasm line 2: barrier operand: undeclared quantum register "r"`},
 		{"barrier operand out of range", "qreg q[2];\nbarrier q[0],q[2];\n", `circuit: op 0 (barrier q0 q2): qubit 2 out of range`},
+		// An angle is written exactly when the gate set gives the gate one.
+		{"rotation without angle", "qreg q[2];\nh q[1];\nrz q[0];\n", `qasm line 3: gate "rz" needs an angle`},
+		{"controlled phase without angle", "qreg q[2];\ncp q[0],q[1];\n", `qasm line 2: gate "cp" needs an angle`},
+		{"angle on h", "qreg q[2];\nh(0.5) q[0];\n", `qasm line 2: gate "h" takes no angle`},
+		{"angle on cx", "qreg q[2];\n\ncx(1.5) q[0],q[1];\n", `qasm line 3: gate "cx" takes no angle`},
+		{"angle on reset", "qreg q[2];\nreset(0.3) q[0];\n", `qasm line 2: gate "reset" takes no angle`},
 	} {
 		_, err := ParseQASM(tc.src)
 		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {

@@ -58,44 +58,35 @@ func WriteQASM(c *Circuit) (string, error) {
 	return b.String(), nil
 }
 
+// qasmBody spells one op from its table row: mnemonic, the angle if the
+// kind takes one, the operands ("q" alone for a global barrier) and a
+// measurement's destination.
 func qasmBody(op Op) (string, error) {
-	q := func(i int) string { return fmt.Sprintf("q[%d]", op.Qubits[i]) }
-	switch op.Kind {
-	case H, X, Y, Z, S, T, Reset:
-		return fmt.Sprintf("%s %s", op.Kind, q(0)), nil
-	case Sdg:
-		return "sdg " + q(0), nil
-	case Tdg:
-		return "tdg " + q(0), nil
-	case RX, RY, RZ:
-		if op.Symbolic() {
-			return fmt.Sprintf("%s(%s) %s", op.Kind, op.Sym, q(0)), nil
-		}
-		return fmt.Sprintf("%s(%.17g) %s", op.Kind, op.Param, q(0)), nil
-	case CPhase:
-		if op.Symbolic() {
-			return fmt.Sprintf("cp(%s) %s,%s", op.Sym, q(0), q(1)), nil
-		}
-		return fmt.Sprintf("cp(%.17g) %s,%s", op.Param, q(0), q(1)), nil
-	case CNOT:
-		return fmt.Sprintf("cx %s,%s", q(0), q(1)), nil
-	case CZ:
-		return fmt.Sprintf("cz %s,%s", q(0), q(1)), nil
-	case SWAP:
-		return fmt.Sprintf("swap %s,%s", q(0), q(1)), nil
-	case Measure:
-		return fmt.Sprintf("measure %s -> c%d[0]", q(0), op.CBit), nil
-	case Barrier:
-		if len(op.Qubits) == 0 {
-			return "barrier q", nil
-		}
-		parts := make([]string, len(op.Qubits))
-		for i := range op.Qubits {
-			parts[i] = q(i)
-		}
-		return "barrier " + strings.Join(parts, ","), nil
+	r := op.Kind.row()
+	if r.noQASM {
+		return "", fmt.Errorf("circuit: cannot express %s in QASM", op.Kind)
 	}
-	return "", fmt.Errorf("circuit: cannot express %s in QASM", op.Kind)
+	var b strings.Builder
+	b.WriteString(r.name)
+	switch {
+	case r.param != angle:
+	case op.Symbolic():
+		fmt.Fprintf(&b, "(%s)", op.Sym)
+	default:
+		fmt.Fprintf(&b, "(%.17g)", op.Param)
+	}
+	sep := " "
+	for _, q := range op.Qubits {
+		fmt.Fprintf(&b, "%sq[%d]", sep, q)
+		sep = ","
+	}
+	if len(op.Qubits) == 0 {
+		b.WriteString(" q")
+	}
+	if op.Kind == Measure {
+		fmt.Fprintf(&b, " -> c%d[0]", op.CBit)
+	}
+	return b.String(), nil
 }
 
 // ParseQASM reads the OpenQASM 2.0 subset produced by WriteQASM (plus the
@@ -410,47 +401,6 @@ func (p *qasmParser) barrier(args string) error {
 	return nil
 }
 
-// gateKind resolves a gate mnemonic; KindInvalid means unknown.
-func gateKind(name string) Kind {
-	switch name {
-	case "h":
-		return H
-	case "x":
-		return X
-	case "y":
-		return Y
-	case "z":
-		return Z
-	case "s":
-		return S
-	case "sdg":
-		return Sdg
-	case "t":
-		return T
-	case "tdg":
-		return Tdg
-	case "reset":
-		return Reset
-	case "rx":
-		return RX
-	case "ry":
-		return RY
-	case "rz":
-		return RZ
-	case "cp", "cu1":
-		return CPhase
-	case "cx", "CX":
-		return CNOT
-	case "cz":
-		return CZ
-	case "swap":
-		return SWAP
-	case "measure":
-		return Measure
-	}
-	return KindInvalid
-}
-
 // gate parses "[if(c==v)] name[(angle)] operands" and "measure q[i] -> c[j]".
 func (p *qasmParser) gate(s string) error {
 	if p.c.Ops == nil {
@@ -509,9 +459,17 @@ func (p *qasmParser) gate(s string) error {
 		args = strings.TrimSpace(s[close+1:])
 	}
 
-	kind := gateKind(name)
-	if kind == KindInvalid {
+	kind, ok := mnemonics[name]
+	if !ok {
 		return fmt.Errorf("unsupported statement %q", s)
+	}
+	// The gate set decides whether a parenthesis belongs: "rz q[0]" is not
+	// rz(0), and "h(0.5) q[0]" is not an h that fingerprints apart.
+	switch hasAngle, wantAngle := i < len(s) && s[i] == '(', kind.row().param == angle; {
+	case wantAngle && !hasAngle:
+		return fmt.Errorf("gate %q needs an angle: %q", name, s)
+	case hasAngle && !wantAngle:
+		return fmt.Errorf("gate %q takes no angle: %q", name, s)
 	}
 	mark := len(p.ints)
 	if kind == Measure {

@@ -43,15 +43,18 @@ func warmFamilies(tb testing.TB) []qasmFamily {
 }
 
 // stricter reports whether err is one of the rejections the scanner adds to
-// the oracle's language — the two outside-input bugfixes, each with a text
-// the old parser never produced, plus their two consequences that reuse an
-// old text:
+// the oracle's language — the outside-input bugfixes, each with a text the
+// old parser never produced, plus their two consequences that reuse an old
+// text:
 //
 //   - operands must sit on the declared quantum register, written "q[i]"
 //     with nothing after the bracket; a program declares one qreg, by name;
 //   - keywords are whole tokens, so "barrierfoo q" or "qregx[2]" is no
 //     longer a barrier or a declaration but an unsupported statement;
-//   - a barrier keeps its operands, so they are parsed and range-checked.
+//   - a barrier keeps its operands, so they are parsed and range-checked;
+//   - a gate is written with an angle exactly when the gate set gives it one:
+//     "rz q[0]" is not rz(0), and "h(0.5) q[0]" is not an h with a stray
+//     Param that fingerprints as a different program.
 func stricter(err error) bool {
 	msg := err.Error()
 	for _, text := range []string{
@@ -61,6 +64,8 @@ func stricter(err error) bool {
 		"names no register",
 		"barrier operand:",
 		"(barrier ",
+		"needs an angle",
+		"takes no angle",
 	} {
 		if strings.Contains(msg, text) {
 			return true
@@ -196,6 +201,11 @@ func FuzzParseQASMDifferential(f *testing.F) {
 		"qreg [2];\n",
 		"qreg q[2];\nh q[0] q[1];\n",
 		"qreg q[2];\nrz (pi) q[0];\n",
+		"qreg q[2];\nrz q[0];\ncp q[0],q[1];\n",
+		"qreg q[2];\nh(0.5) q[0];\n",
+		"qreg q[2];\ncx(1.5) q[0],q[1];\n",
+		"qreg q[2];\nreset(0.3) q[0];\n",
+		"qreg q[2];\ncp q[0],q[1];\n",
 		// rejected by both, on the named line
 		"qreg q[1];\nh q[0];\nfoo q[0];\n",
 		"qreg q[1];\nh q[5];\nfoo q[0];\n",

@@ -178,12 +178,12 @@ func (st *State) lowerCondCollective(streams []*lowerStream, op circuit.Op, acto
 	if op.Cond.Parity == 0 {
 		brOp = isa.OpBNE
 	}
-	entry := tableEntryFor(op, q, nil)
+	entry := tableEntryFor(op, q)
 	s.dirs = append(s.dirs, directive{kind: dCond, cond: &condSite{
 		pre:      pre,
 		brOp:     brOp,
 		cw:       s.cwInstrs(entry),
-		gateWait: gateDur(op, st.Opt.Durations),
+		gateWait: st.Opt.Durations.Of(op.Kind, op.Param, st.Opt.EPRLatency),
 		anchored: anchored,
 	}})
 }

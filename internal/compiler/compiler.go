@@ -378,19 +378,6 @@ func Compile(c *circuit.Circuit, mapping []int, fab Windows, opt Options) (*Comp
 	return NewPipeline().Run(&State{Circuit: c, Mapping: mapping, Windows: fab, Opt: opt})
 }
 
-func tableEntryFor(op circuit.Op, q int, ctrlOf func(int) int) chip.TableEntry {
+func tableEntryFor(op circuit.Op, q int) chip.TableEntry {
 	return chip.TableEntry{Role: chip.RoleSingle, Kind: op.Kind, Param: op.Param, Qubit: q, Sym: op.Sym}
-}
-
-func gateDur(op circuit.Op, d circuit.Durations) int64 {
-	switch {
-	case op.Kind == circuit.Measure:
-		return d.Measure
-	case op.Kind == circuit.Delay:
-		return int64(op.Param)
-	case op.Kind.IsTwoQubit():
-		return d.TwoQubit
-	default:
-		return d.OneQubit
-	}
 }

@@ -160,7 +160,7 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 			if op.Cond.Parity == 0 {
 				brOp = isa.OpBNE
 			}
-			entry := tableEntryFor(op, q, ctrlOf)
+			entry := tableEntryFor(op, q)
 			// The in-branch guard wait covers every instruction that can
 			// retire between the last pipeline anchor and the commit.
 			guardAmt := pipeGuard + s.instrSum + int64(len(ins)) + 8
@@ -169,7 +169,7 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 			}
 			body := waitInstrs(guardAmt)
 			body = append(body, s.cwInstrs(entry)...)
-			body = append(body, waitInstrs(gateDur(op, d))...)
+			body = append(body, waitInstrs(d.Of(op.Kind, op.Param, 0))...)
 			ins = append(ins, isa.Instr{Op: brOp, Rs1: regParity, Imm: int32(4 * (len(body) + 1))})
 			ins = append(ins, body...)
 			s.push(unit{ins: ins})
@@ -214,10 +214,10 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 		default: // unconditioned one-qubit gate
 			q := op.Qubits[0]
 			s := streams[ctrlOf(q)]
-			entry := tableEntryFor(op, q, ctrlOf)
+			entry := tableEntryFor(op, q)
 			s.guard(1)
 			s.push(unit{ins: s.cwInstrs(entry), det: true})
-			s.wait(gateDur(op, d))
+			s.wait(d.Of(op.Kind, op.Param, 0))
 		}
 	}
 

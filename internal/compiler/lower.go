@@ -166,14 +166,15 @@ func (Lower) Run(st *State) error {
 		barrier()
 	}
 
-	d := opt.Durations
 	for opIdx, op := range c.Ops {
+		// The wait that follows op's commit (all there is to a Delay).
+		dur := opt.Durations.Of(op.Kind, op.Param, opt.EPRLatency)
 		switch {
 		case op.Kind == circuit.Barrier:
 			barrier()
 
 		case op.Kind == circuit.Delay:
-			streams[ctrlOf(op.Qubits[0])].wait(int64(op.Param))
+			streams[ctrlOf(op.Qubits[0])].wait(dur)
 
 		case op.Kind == circuit.Measure:
 			if op.Cond != nil {
@@ -206,51 +207,6 @@ func (Lower) Run(st *State) error {
 				// the only holder again.
 				holders[op.CBit] = []int{s.id}
 			}
-
-		case op.Kind == circuit.EPR:
-			// Inter-chip EPR-pair generation: both comm qubits co-commit at
-			// one synchronized point (the pair is one physical event), the
-			// generation occupies them for EPRLatency cycles, and delivery is
-			// heralded with an ordinary fabric message from the generating
-			// side to its peer — so EPR traffic shares link serialization and
-			// congestion accounting with all other classical traffic.
-			a, b := op.Qubits[0], op.Qubits[1]
-			ca, cb := ctrlOf(a), ctrlOf(b)
-			ctrlEntry := chip.TableEntry{Role: chip.RoleControl, Kind: circuit.EPR, Qubit: a, Partner: b}
-			partEntry := chip.TableEntry{Role: chip.RoleParticipant, Kind: circuit.EPR, Qubit: b, Partner: a}
-			epr := int64(opt.EPRLatency)
-			if epr <= 0 {
-				epr = d.TwoQubit
-			}
-			if ca == cb {
-				s := streams[ca]
-				s.guard(2)
-				ins := append(s.cwInstrs(ctrlEntry), s.cwInstrs(partEntry)...)
-				s.unit(unit{ins: ins, det: true})
-				s.wait(epr)
-				break
-			}
-			sa, sb := streams[ca], streams[cb]
-			n := int64(fab.NearbyWindow(ca, cb))
-			sa.guard(1)
-			sb.guard(1)
-			sa.sync(cb, n)
-			sb.sync(ca, n)
-			st.stats.NearbySyncs += 2
-			sa.unit(unit{ins: sa.cwInstrs(ctrlEntry), det: true, window: true})
-			sb.unit(unit{ins: sb.cwInstrs(partEntry), det: true, window: true})
-			sa.wait(epr)
-			sb.wait(epr)
-			// Herald: slide-stop send (det: false, like bit forwarding — a
-			// later sync must not be booked before it), blocking recv + anchor
-			// on the peer.
-			herald := append(isa.LoadImm(regScratch, 1),
-				isa.Instr{Op: isa.OpSEND, Rs1: regScratch, Imm: int32(cb)})
-			sa.unit(unit{ins: herald})
-			st.stats.Sends++
-			sb.unit(unit{ins: []isa.Instr{{Op: isa.OpRECV, Rd: regScratch, Imm: int32(ca)}}})
-			sb.anchorDir()
-			st.stats.Recvs++
 
 		case op.Cond != nil:
 			if op.Kind.IsTwoQubit() {
@@ -309,12 +265,12 @@ func (Lower) Run(st *State) error {
 			if op.Cond.Parity == 0 {
 				brOp = isa.OpBNE
 			}
-			entry := tableEntryFor(op, q, ctrlOf)
+			entry := tableEntryFor(op, q)
 			s.dirs = append(s.dirs, directive{kind: dCond, cond: &condSite{
 				pre:      pre,
 				brOp:     brOp,
 				cw:       s.cwInstrs(entry),
-				gateWait: gateDur(op, d),
+				gateWait: dur,
 				anchored: anchored,
 			}})
 
@@ -329,7 +285,7 @@ func (Lower) Run(st *State) error {
 				s.guard(2)
 				ins := append(s.cwInstrs(ctrlEntry), s.cwInstrs(partEntry)...)
 				s.unit(unit{ins: ins, det: true})
-				s.wait(d.TwoQubit)
+				s.wait(dur)
 				break
 			}
 			sa, sb := streams[ca], streams[cb]
@@ -346,16 +302,35 @@ func (Lower) Run(st *State) error {
 			// the parked pipeline would delay the commit past foreign events.
 			sa.unit(unit{ins: sa.cwInstrs(ctrlEntry), det: true, window: true})
 			sb.unit(unit{ins: sb.cwInstrs(partEntry), det: true, window: true})
-			sa.wait(d.TwoQubit)
-			sb.wait(d.TwoQubit)
+			sa.wait(dur)
+			sb.wait(dur)
+			if op.Kind == circuit.EPR {
+				// Inter-chip EPR-pair generation is the two-qubit shape — both
+				// comm qubits co-commit at one synchronized point (the pair is
+				// one physical event) and stay occupied for the generation
+				// latency — plus a herald: delivery is announced with an
+				// ordinary fabric message from the generating side to its
+				// peer, so EPR traffic shares link serialization and congestion
+				// accounting with all other classical traffic. The send is a
+				// slide-stop (det: false, like bit forwarding — a later sync
+				// must not be booked before it); the peer's recv blocks and
+				// anchors.
+				herald := append(isa.LoadImm(regScratch, 1),
+					isa.Instr{Op: isa.OpSEND, Rs1: regScratch, Imm: int32(cb)})
+				sa.unit(unit{ins: herald})
+				st.stats.Sends++
+				sb.unit(unit{ins: []isa.Instr{{Op: isa.OpRECV, Rd: regScratch, Imm: int32(ca)}}})
+				sb.anchorDir()
+				st.stats.Recvs++
+			}
 
 		default: // unconditioned one-qubit gate
 			q := op.Qubits[0]
 			s := streams[ctrlOf(q)]
-			entry := tableEntryFor(op, q, ctrlOf)
+			entry := tableEntryFor(op, q)
 			s.guard(1)
 			s.unit(unit{ins: s.cwInstrs(entry), det: true})
-			s.wait(gateDur(op, d))
+			s.wait(dur)
 		}
 	}
 

@@ -15,6 +15,7 @@ import (
 	"dhisq/internal/compiler"
 	"dhisq/internal/core"
 	"dhisq/internal/network"
+	"dhisq/internal/quantum"
 	"dhisq/internal/sim"
 	"dhisq/internal/telf"
 )
@@ -155,7 +156,8 @@ type Machine struct {
 // communication qubits no longer fit; chip count and EPR latency are checked
 // and the latency resolved to what the chip charges; a collective schedule
 // name is checked against the registry; BackendAuto resolves on
-// the device total. It is idempotent, so service.Resolve, NewForCircuit and
+// the device total, and an explicit backend that cannot run the circuit is
+// an error. It is idempotent, so service.Resolve, NewForCircuit and
 // the key can each apply it and agree by construction — the service's pool
 // key backend is simply the normalized cfg.Backend.
 func Normalize(c *circuit.Circuit, meshW, meshH int, cfg Config) (Config, error) {
@@ -187,6 +189,14 @@ func Normalize(c *circuit.Circuit, meshW, meshH int, cfg Config) (Config, error)
 	cfg.Net.MeshW, cfg.Net.MeshH = meshW, meshH
 	cfg.EPRLatency = cfg.effectiveEPRLatency()
 	cfg.Backend = resolveBackendFor(c, cfg.Backend, total)
+	// An explicit backend that cannot hold this circuit is refused here, not
+	// by a panic out of a shot or out of machine construction.
+	switch {
+	case cfg.Backend == BackendStabilizer && !c.IsClifford():
+		return cfg, fmt.Errorf("machine: the stabilizer backend cannot run a circuit that is not Clifford")
+	case cfg.Backend == BackendStateVec && total > quantum.MaxQubits:
+		return cfg, fmt.Errorf("machine: the state-vector backend holds at most %d qubits, the device has %d", quantum.MaxQubits, total)
+	}
 	return cfg, nil
 }
 

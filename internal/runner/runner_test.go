@@ -216,14 +216,31 @@ func TestSpecPlacementThreads(t *testing.T) {
 // A backend panic inside a shot (the stabilizer tableau cannot apply T)
 // becomes that shot's error — a *PanicError naming the lowest failing
 // index — on the single-replica loop and on the worker goroutines alike,
-// instead of unwinding through the caller.
+// instead of unwinding through the caller. machine.Normalize refuses that
+// pairing, so the replicas are built past it, with machine.New.
 func TestRunRecoversBackendPanic(t *testing.T) {
 	c := circuit.New(1)
 	c.H(0).T(0).MeasureInto(0, 0)
-	cfg := machine.DefaultConfig(1)
+	cfg, err := machine.Normalize(c, 1, 1, machine.DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := machine.CompileUncached(c, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Backend = machine.BackendStabilizer
 	for _, workers := range []int{1, 3} {
-		_, err := Run(Spec{Circuit: c, MeshW: 1, MeshH: 1, Cfg: cfg}, 6, workers)
+		machines := make([]*machine.Machine, workers)
+		for i := range machines {
+			if machines[i], err = machine.New(cfg, c.NumQubits); err != nil {
+				t.Fatal(err)
+			}
+			if err := machines[i].Load(art); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := RunOn(machines, cfg.Seed, 6, c.NumBits)
 		var pe *PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("workers=%d: got %v, want a *PanicError", workers, err)

@@ -239,18 +239,42 @@ func TestFailedRunUnwinds(t *testing.T) {
 	}
 }
 
-// TestBackendPanicFailsOneJob: a stabilizer backend forced onto a
-// non-Clifford circuit panics inside machine.Run. The job must end failed
-// with the panic text, its replicas discarded rather than pooled, and the
-// worker — and the process — must go on to serve the next job.
+// TestBackendPanicFailsOneJob: a stabilizer backend handed a non-Clifford
+// program panics inside machine.Run. Admission refuses that pairing
+// (machine.Normalize), so the test plants it: a replica loaded with H·T
+// waits in the pool under the key of a Clifford job, whose cache entry is
+// gone — the evicted-but-pooled case, which runs what is loaded. The job
+// must end failed with the panic text, its replicas discarded rather than
+// pooled, and the worker — and the process — must go on to serve the next
+// job.
 func TestBackendPanicFailsOneJob(t *testing.T) {
-	bad := circuit.New(1)
+	good, bad := circuit.New(1), circuit.New(1)
+	good.H(0).S(0).MeasureInto(0, 0)
 	bad.H(0).T(0).MeasureInto(0, 0)
 	cfg := machine.DefaultConfig(1)
 	cfg.Backend = machine.BackendStabilizer
 	for _, workers := range []int{1, 3} {
 		svc := New(Config{Workers: 1, ShotWorkers: workers, Artifacts: artifact.New(8)})
-		id, err := svc.Submit(Request{Circuit: bad, Cfg: &cfg, Shots: 6, Seed: 1})
+		req := Request{Circuit: good, Cfg: &cfg, Shots: 6, Seed: 1}
+		adm, err := Resolve(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		auto := adm.Spec.Cfg
+		auto.Backend = machine.BackendAuto
+		art, err := machine.CompileUncached(bad, nil, auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planted, err := machine.New(adm.Spec.Cfg, bad.NumQubits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := planted.Load(art); err != nil {
+			t.Fatal(err)
+		}
+		svc.pool.checkin(poolKeyOf(adm), []*machine.Machine{planted})
+		id, err := svc.Submit(req)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -175,7 +175,7 @@ func TestLogicalTBuildsAndValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.CountStats()
-	if st.Measurements == 0 || st.Conditioned == 0 || st.TwoQubit == 0 {
+	if st.Measurements == 0 || st.Feedforward == 0 || st.TwoQubit == 0 {
 		t.Fatalf("degenerate logical-T circuit: %+v", st)
 	}
 	// It must be stabilizer-simulable (all-Clifford including conditioned S).
