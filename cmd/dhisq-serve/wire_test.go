@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -165,5 +166,25 @@ func TestLongPollOutlivesHeaderTimeout(t *testing.T) {
 			return
 		}
 		// The host ran the job faster than the timeout: ask for more work.
+	}
+}
+
+// A request for more shots than a job may hold is a 400 at the door, not a
+// job that queues and then takes the daemon down allocating its records:
+// the daemon still answers afterwards.
+func TestOversizedJobRefused(t *testing.T) {
+	ts, _ := newTestServer(t)
+	bell, _ := json.Marshal("qreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n")
+	code, answer := post(t, ts.URL, `{"qasm":`+string(bell)+`,"shots":10000000}`)
+	if code != http.StatusBadRequest || !strings.Contains(answer, "MaxJobShots") {
+		t.Fatalf("10M shots: status %d, answer %s; want 400 naming MaxJobShots", code, answer)
+	}
+	r, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the refusal: status %d", r.StatusCode)
 	}
 }

@@ -121,9 +121,12 @@ type Model struct {
 	// back to the two-qubit gate duration.
 	EPRLatency sim.Time
 
-	// pending holds the first-arrived half of each two-qubit gate, keyed by
-	// the packed unordered qubit pair (low qubit in the high word).
-	pending map[uint64]pendingHalf
+	// pending holds the first-arrived half of each two-qubit gate, listed
+	// under the lower of its two qubits (at most one half per pair), so a
+	// commit scans one short list. Indexed by qubit, grown on demand; the
+	// lists keep their capacity across Reset, so a warm chip allocates
+	// nothing here.
+	pending [][]pendingHalf
 
 	// busyUntil tracks per-qubit occupancy to detect scheduler bugs: a
 	// commit during another operation's window is an overlap violation.
@@ -162,7 +165,6 @@ func New(eng *sim.Engine, backend Backend, durations circuit.Durations, measLate
 		eng:         eng,
 		backend:     backend,
 		MeasLatency: measLatency,
-		pending:     map[uint64]pendingHalf{},
 		durations:   durations,
 	}
 }
@@ -183,7 +185,9 @@ func (m *Model) SetTable(node int, table []TableEntry) {
 // abandoned.
 func (m *Model) Reset(seed int64) {
 	m.backend.Reset(seed)
-	clear(m.pending)
+	for q := range m.pending {
+		m.pending[q] = m.pending[q][:0]
+	}
 	clear(m.busyUntil)
 	clear(m.lastApplied)
 	m.Gates = 0
@@ -271,13 +275,22 @@ func Apply(b Backend, kind circuit.Kind, param float64, q, partner int) int {
 }
 
 func (m *Model) commit2Q(e TableEntry, ref tapeOp, at sim.Time) {
-	key := pairKey(e.Qubit, e.Partner)
-	prev, ok := m.pending[key]
-	if !ok {
-		m.pending[key] = pendingHalf{entry: e, ref: ref, at: at}
+	lo, hi := min(e.Qubit, e.Partner), max(e.Qubit, e.Partner)
+	for len(m.pending) <= lo {
+		m.pending = append(m.pending, nil)
+	}
+	halves := m.pending[lo]
+	k := 0
+	for k < len(halves) && max(halves[k].entry.Qubit, halves[k].entry.Partner) != hi {
+		k++
+	}
+	if k == len(halves) {
+		m.pending[lo] = append(halves, pendingHalf{entry: e, ref: ref, at: at})
 		return
 	}
-	delete(m.pending, key)
+	prev := halves[k]
+	halves[k] = halves[len(halves)-1]
+	m.pending[lo] = halves[:len(halves)-1]
 	if prev.at != at {
 		m.Violations = append(m.Violations, Violation{
 			QubitA: prev.entry.Qubit, QubitB: e.Qubit, TimeA: prev.at, TimeB: at,
@@ -309,7 +322,13 @@ func (m *Model) commit2Q(e TableEntry, ref tapeOp, at sim.Time) {
 
 // PendingHalves reports unmatched two-qubit commits (should be zero after a
 // complete run).
-func (m *Model) PendingHalves() int { return len(m.pending) }
+func (m *Model) PendingHalves() int {
+	n := 0
+	for _, halves := range m.pending {
+		n += len(halves)
+	}
+	return n
+}
 
 func (m *Model) occupyKind(q int, at, dur sim.Time, kind circuit.Kind) {
 	for len(m.busyUntil) <= q {
@@ -329,13 +348,4 @@ func (m *Model) occupyKind(q int, at, dur sim.Time, kind circuit.Kind) {
 	if end := at + dur; end > m.busyUntil[q] {
 		m.busyUntil[q] = end
 	}
-}
-
-// pairKey packs the unordered qubit pair into one word so the pending map
-// hashes a uint64 instead of a 16-byte array.
-func pairKey(a, b int) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }

@@ -248,6 +248,7 @@ func (c *Controller) Reset() {
 	c.blockOn = 0
 	c.blockAt = 0
 	c.pendCondI = 0
+	c.inRun = false
 	c.halted = false
 	c.err = nil
 	c.Stats = Stats{}
@@ -432,26 +433,27 @@ func (c *Controller) run() {
 	if c.inRun {
 		panic("core: reentrant run")
 	}
-	c.inRun = true
-	defer func() { c.inRun = false }()
-
 	if c.prog == nil {
 		c.fail("no program loaded")
 		return
 	}
+	// No defer clears inRun: a panic escaping a shot leaves it set, and
+	// Reset clears it before the core runs again.
+	c.inRun = true
 	for budget := c.Cfg.BurstBudget; !c.halted; budget-- {
 		if budget <= 0 {
 			c.post(c.tc, sim.PriResume, sim.Event{Op: evRun})
-			return
+			break
 		}
 		if c.pc < 0 || c.pc >= len(c.prog.Instrs) {
 			c.haltNow() // running off the end is a clean stop
-			return
+			break
 		}
 		if !c.step() {
-			return // blocked or yielded; a future event resumes us
+			break // blocked or yielded; a future event resumes us
 		}
 	}
+	c.inRun = false
 }
 
 // step executes the instruction at pc. It returns false when the pipeline

@@ -119,10 +119,11 @@ type Topology struct {
 	Cfg        Config
 	N          int // number of leaf controllers
 	NumRouters int
-	parent     []int   // node -> parent router (root's parent = -1)
-	children   [][]int // router-local (indexed by router-N): child node addrs
-	depth      []int   // node -> depth (root = 0)
-	maxDown    []int   // node -> tree edges down to its deepest leaf (0 for a controller)
+	parent     []int    // node -> parent router (root's parent = -1)
+	children   [][]int  // router-local (indexed by router-N): child node addrs
+	depth      []int    // node -> depth (root = 0)
+	maxDown    []int    // node -> tree edges down to its deepest leaf (0 for a controller)
+	xy         [][2]int // controller -> mesh (x, y), read on every sync signal
 	Root       int
 
 	// TreePath memo: the contention layer re-derives the same paths for
@@ -167,7 +168,11 @@ func NewTopology(cfg Config) (*Topology, error) {
 		children:  make([][]int, nodes-n),
 		depth:     make([]int, nodes),
 		maxDown:   make([]int, nodes),
+		xy:        make([][2]int, n),
 		pathCache: map[int64][]int{},
+	}
+	for c := range t.xy {
+		t.xy[c] = [2]int{c % cfg.MeshW, c / cfg.MeshW}
 	}
 	// Build the balanced tree bottom-up. Each level is a contiguous address
 	// run [lo, hi): it is grouped into parents of RouterFanout consecutive
@@ -206,7 +211,7 @@ func (t *Topology) Parent(addr int) int { return t.parent[addr] }
 func (t *Topology) Children(router int) []int { return t.children[router-t.N] }
 
 // Coord returns the mesh coordinates of a controller.
-func (t *Topology) Coord(ctrl int) (x, y int) { return ctrl % t.Cfg.MeshW, ctrl / t.Cfg.MeshW }
+func (t *Topology) Coord(ctrl int) (x, y int) { return t.xy[ctrl][0], t.xy[ctrl][1] }
 
 // MeshDistance is the distance between two controllers on the intra-layer
 // grid: Manhattan for TopoMesh, wraparound Manhattan for TopoTorus. It is

@@ -176,6 +176,12 @@ type Admission struct {
 	Fingerprint artifact.Fingerprint
 }
 
+// MaxJobShots bounds one job's shots summed over its sweep points. A job's
+// shot records are allocated before its first shot and kept with its status,
+// ~312 bytes each, so the bound holds one job to ~330 MB: without it a
+// single request could exhaust the daemon's memory.
+const MaxJobShots = 1 << 20
+
 // Resolve is the one admission: the request's option fields overlaid on the
 // machine config (Cfg, else DefaultConfig), every check made — option
 // ranges, policy names, parameter bindings — the config normalized by
@@ -191,6 +197,9 @@ func Resolve(req Request) (Admission, error) {
 	}
 	if req.Shots < 1 {
 		return Admission{}, fmt.Errorf("service: shots %d < 1", req.Shots)
+	}
+	if points := max(1, len(req.Sweep)); req.Shots > MaxJobShots/points {
+		return Admission{}, fmt.Errorf("service: %d shots × %d sweep points exceeds MaxJobShots (%d)", req.Shots, points, MaxJobShots)
 	}
 	var cfg machine.Config
 	if req.Cfg != nil {

@@ -3,12 +3,14 @@ package service
 import (
 	"encoding/json"
 	"flag"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"dhisq/internal/artifact"
 	"dhisq/internal/machine"
+	"dhisq/internal/workloads"
 )
 
 // jsonTags lists a struct's wire tags in field order, flattening embedded
@@ -229,6 +231,36 @@ func TestPoolKeyCoversRuntimeConfig(t *testing.T) {
 	for i := 0; i < rt.NumField(); i++ {
 		if name := rt.Field(i).Name; !classified[name] {
 			t.Errorf("machine.Config.%s is not in the audit: say whether replicas built with different values may be shared", name)
+		}
+	}
+}
+
+// A job's shot records are allocated up front, so one request must not be
+// able to ask for more than the daemon can hold: Resolve refuses shots ×
+// sweep points above MaxJobShots, naming the bound, and accepts it exactly.
+func TestResolveBoundsJobShots(t *testing.T) {
+	sweep := make([]map[string]float64, 4)
+	for k := range sweep {
+		sweep[k] = workloads.QFTSweepPoint(3, k)
+	}
+	cases := []struct {
+		req Request
+		ok  bool
+	}{
+		{Request{Circuit: ghz(2), Shots: MaxJobShots}, true},
+		{Request{Circuit: ghz(2), Shots: MaxJobShots + 1}, false},
+		{Request{Circuit: ghz(2), Shots: 10_000_000}, false},
+		{Request{Circuit: ghz(2), Shots: math.MaxInt}, false},
+		{Request{Circuit: workloads.QFTSweep(3), Shots: MaxJobShots / 4, Sweep: sweep}, true},
+		{Request{Circuit: workloads.QFTSweep(3), Shots: MaxJobShots/4 + 1, Sweep: sweep}, false},
+	}
+	for _, c := range cases {
+		_, err := Resolve(c.req)
+		if ok := err == nil; ok != c.ok {
+			t.Errorf("%d shots × %d sweep points: accepted %v (%v), want %v", c.req.Shots, len(c.req.Sweep), ok, err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "MaxJobShots") {
+			t.Errorf("%d shots: refusal %q does not name MaxJobShots", c.req.Shots, err)
 		}
 	}
 }

@@ -12,6 +12,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is an absolute simulation time in TCU clock cycles (4 ns each).
@@ -48,7 +49,7 @@ const (
 
 // Event is the payload of a typed event: an opcode the handler switches
 // on, the node it concerns, and three words of operands. It holds no
-// pointer, so neither does a heap entry.
+// pointer, so neither does a queue entry.
 type Event struct {
 	Op      uint8
 	h       HandlerID // set by Post; sits in Op's padding
@@ -68,11 +69,11 @@ type HandlerID uint16
 // At parked in fns[ev.A].
 const closureHandler HandlerID = 0
 
-// event is a heap entry by value, pointer-free: no per-event allocation,
-// and the sifts copy it without write barriers. The (priority, insertion
-// sequence) pair is packed into one key word — priority in the top byte,
-// sequence below — so ordering is a two-field compare. 56 bits of sequence
-// is ~7×10^16 events, far beyond any run (Reset rewinds the counter anyway).
+// event is a queue entry by value, pointer-free: no per-event allocation,
+// and moving it needs no write barrier. The (priority, insertion sequence)
+// pair is packed into one key word — priority in the top byte, sequence
+// below — so ordering is a two-field compare. 56 bits of sequence is
+// ~7×10^16 events, far beyond any run (Reset rewinds the counter anyway).
 type event struct {
 	at  Time
 	key uint64 // Priority<<seqBits | seq
@@ -88,60 +89,87 @@ func eventLess(a, b *event) bool {
 	return a.key < b.key
 }
 
-// eventHeap is a hand-rolled binary min-heap over event values, ordered
-// by (at, key). Keys are unique, so the pop order is the sorted order
-// whatever the sequence of sifts that maintains it.
-type eventHeap []event
+// ringSize is the calendar's horizon in cycles: an event due fewer than
+// ringSize cycles from now waits in the ring bucket of its cycle, anything
+// later in the overflow heap.
+const (
+	ringSize  = 1024
+	ringMask  = ringSize - 1
+	ringWords = ringSize / 64
+)
 
-// up sifts the entry at i toward the root.
-func (s eventHeap) up(i int) {
-	ev := s[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(&ev, &s[parent]) {
-			break
-		}
-		s[i] = s[parent]
-		i = parent
-	}
-	s[i] = ev
+// slot is a ring entry; next links the entries of one bucket in key order.
+type slot struct {
+	event
+	next int32
 }
 
-// down places ev at the root and sifts it toward the leaves.
-func (s eventHeap) down(ev event) {
-	i, n := 0, len(s)
+// eventHeap is a binary min-heap over event values, ordered by (at, key):
+// the calendar's overflow.
+type eventHeap []event
+
+func (s *eventHeap) push(ev event) {
+	*s = append(*s, ev)
+	h, i := *s, len(*s)-1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !eventLess(&ev, &h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+}
+
+func (s *eventHeap) pop() event {
+	h := *s
+	root, n := h[0], len(h)-1
+	ev := h[n]
+	*s, h = h[:n], h[:n]
+	i := 0
 	for {
 		least := 2*i + 1
 		if least >= n {
 			break
 		}
-		if right := least + 1; right < n && eventLess(&s[right], &s[least]) {
+		if right := least + 1; right < n && eventLess(&h[right], &h[least]) {
 			least = right
 		}
-		if !eventLess(&s[least], &ev) {
+		if !eventLess(&h[least], &ev) {
 			break
 		}
-		s[i] = s[least]
+		h[i] = h[least]
 		i = least
 	}
-	s[i] = ev
+	if n > 0 {
+		h[i] = ev
+	}
+	return root
 }
 
 // Engine is a deterministic discrete-event scheduler. The zero value is not
 // usable; construct with NewEngine.
+//
+// Its queue is a calendar (DESIGN.md §2.5). Every ring entry is due in
+// [now, now+ringSize), so bucket b holds the entries of the one cycle in
+// that window congruent to b: a list through slots from first[b] to
+// last[b] in key order, present while occupied has bit b set.
 type Engine struct {
-	now    Time
-	seq    uint64
-	events eventHeap
-	nRun   uint64
-	// running says the root of events is the event whose handler is
-	// executing: Step leaves it in place so that the first event scheduled
-	// from inside the handler replaces it with one sift, where a pop
-	// followed by a push would pay two.
-	running  bool
+	now  Time
+	seq  uint64
+	nRun uint64
+
+	slots       []slot
+	vacant      []int32 // indices of unused slots
+	first, last [ringSize]int32
+	occupied    [ringWords]uint64
+	overflow    eventHeap
+	popped      event // the overflow root pop last took
+
 	handlers []Handler
-	// fns parks the closures of At events (the heap entry carries the slot
-	// index); free lists the vacant slots.
+	// fns parks the closures of At events (the event's A is the index);
+	// free lists the vacant indices.
 	fns  []func()
 	free []int32
 }
@@ -166,14 +194,15 @@ func (e *Engine) Bind(h Handler) HandlerID {
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// Reset restores the engine to its post-construction state: the event heap
-// is drained, the clock rewinds to 0 and the sequence/processed counters
+// Reset restores the engine to its post-construction state: the queue is
+// drained, the clock rewinds to 0 and the sequence/processed counters
 // clear. Bound handlers and the backing storage are retained, so a reset
 // engine re-runs a workload without reallocating. It is the bottom of the
 // machine-wide Reset path that makes multi-shot execution cheap.
 func (e *Engine) Reset() {
-	e.events = e.events[:0]
-	e.running = false
+	e.slots, e.vacant = e.slots[:0], e.vacant[:0]
+	e.occupied = [ringWords]uint64{}
+	e.overflow = e.overflow[:0]
 	clear(e.fns)
 	e.fns, e.free = e.fns[:0], e.free[:0]
 	e.now = 0
@@ -185,12 +214,7 @@ func (e *Engine) Reset() {
 func (e *Engine) Processed() uint64 { return e.nRun }
 
 // Pending reports how many events are queued.
-func (e *Engine) Pending() int {
-	if e.running {
-		return len(e.events) - 1
-	}
-	return len(e.events)
-}
+func (e *Engine) Pending() int { return len(e.slots) - len(e.vacant) + len(e.overflow) }
 
 // Post schedules ev for handler h at absolute time t. Scheduling in the
 // past is a programming error and panics: it would silently violate
@@ -201,18 +225,86 @@ func (e *Engine) Post(t Time, pri Priority, h HandlerID, ev Event) {
 	}
 	e.seq++
 	ev.h = h
-	entry := event{at: t, key: uint64(pri)<<seqBits | e.seq, Event: ev}
-	if e.running {
-		e.running = false
-		e.events.down(entry)
+	key := uint64(pri)<<seqBits | e.seq
+	if t-e.now >= ringSize {
+		e.overflow.push(event{at: t, key: key, Event: ev})
 		return
 	}
-	e.events = append(e.events, entry)
-	e.events.up(len(e.events) - 1)
+	i := int32(len(e.slots))
+	if n := len(e.vacant); n > 0 {
+		i, e.vacant = e.vacant[n-1], e.vacant[:n-1]
+	} else {
+		e.slots = append(e.slots, slot{})
+	}
+	s := &e.slots[i]
+	s.at, s.key, s.Event = t, key, ev
+	b := int(t & ringMask)
+	if bit := uint64(1) << (b & 63); e.occupied[b>>6]&bit == 0 {
+		e.occupied[b>>6] |= bit
+		e.first[b], e.last[b] = i, i
+		return
+	}
+	if tail := e.last[b]; e.slots[tail].key < key {
+		e.slots[tail].next = i // the common case: no lower priority queued behind
+		e.last[b] = i
+		return
+	}
+	p := &e.first[b]
+	for e.slots[*p].key < key {
+		p = &e.slots[*p].next
+	}
+	s.next, *p = *p, i
+}
+
+// head returns the bucket of the ring's earliest entry. The ring must not
+// be empty. The scan starts at now's bucket and wraps.
+func (e *Engine) head() int {
+	b := int(e.now & ringMask)
+	if m := e.occupied[b>>6] >> (b & 63); m != 0 {
+		return b + bits.TrailingZeros64(m)
+	}
+	for w := b>>6 + 1; ; w++ {
+		w &= ringWords - 1
+		if m := e.occupied[w]; m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
+		}
+	}
+}
+
+// pop removes the least queued event, if there is one due by limit — the
+// ring's head or the overflow's root, whichever is less — and returns it in
+// place: the pointer is good until the next Post.
+func (e *Engine) pop(limit Time) *event {
+	b := -1
+	if len(e.slots) > len(e.vacant) {
+		b = e.head()
+	}
+	if len(e.overflow) > 0 && (b < 0 || eventLess(&e.overflow[0], &e.slots[e.first[b]].event)) {
+		if e.overflow[0].at > limit {
+			return nil
+		}
+		e.popped = e.overflow.pop()
+		return &e.popped
+	}
+	if b < 0 {
+		return nil
+	}
+	i := e.first[b]
+	s := &e.slots[i]
+	if s.at > limit {
+		return nil
+	}
+	if i == e.last[b] {
+		e.occupied[b>>6] &^= 1 << (b & 63)
+	} else {
+		e.first[b] = s.next
+	}
+	e.vacant = append(e.vacant, i)
+	return &s.event
 }
 
 // At schedules fn at absolute time t: a Post to the engine's own handler,
-// on the same heap and in the same order as every typed event. It
+// on the same queue and in the same order as every typed event. It
 // allocates fn's closure; the per-shot paths use Post.
 func (e *Engine) At(t Time, pri Priority, fn func()) {
 	slot := len(e.fns)
@@ -247,34 +339,19 @@ func (e *Engine) After(delay Time, pri Priority, fn func()) {
 	e.At(e.now+delay, pri, fn)
 }
 
-// retire removes the root — the event that ran and scheduled nothing in
-// its place.
-func (e *Engine) retire() {
-	e.running = false
-	n := len(e.events) - 1
-	last := e.events[n]
-	e.events = e.events[:n]
-	if n > 0 {
-		e.events.down(last)
-	}
-}
-
 // Step executes the single next event, returning false when none remain.
-func (e *Engine) Step() bool {
-	if e.running {
-		e.retire() // Step from inside a handler: its event is done with
-	}
-	if len(e.events) == 0 {
+func (e *Engine) Step() bool { return e.stepBy(math.MaxInt64) }
+
+// stepBy executes the next event if it is due by limit. The event leaves
+// the queue before its handler runs.
+func (e *Engine) stepBy(limit Time) bool {
+	ev := e.pop(limit)
+	if ev == nil {
 		return false
 	}
-	ev := &e.events[0]
 	e.now = ev.at
 	e.nRun++
-	e.running = true
 	e.handlers[ev.h].HandleEvent(ev.Event)
-	if e.running {
-		e.retire()
-	}
 	return true
 }
 
@@ -294,11 +371,7 @@ func (e *Engine) Run(limit uint64) uint64 {
 // RunUntil executes events with timestamps <= deadline. Events beyond the
 // deadline remain queued; the clock advances to deadline if it ran dry early.
 func (e *Engine) RunUntil(deadline Time) {
-	if e.running {
-		e.retire()
-	}
-	for len(e.events) > 0 && e.events[0].at <= deadline {
-		e.Step()
+	for e.stepBy(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline

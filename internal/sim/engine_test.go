@@ -147,3 +147,28 @@ func TestEngineDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// reposter re-posts itself one to three cycles ahead every time it runs,
+// as a controller books its next commit.
+type reposter struct {
+	e  *Engine
+	id HandlerID
+}
+
+func (r *reposter) HandleEvent(ev Event) {
+	r.e.Post(r.e.Now()+1+ev.A%3, PriResume, r.id, Event{A: ev.A + 1})
+}
+
+// BenchmarkEngine times the queue alone, one event per op: 50 handlers
+// re-posting themselves, the pending population of a bv_n400/8 shot.
+func BenchmarkEngine(b *testing.B) {
+	e := NewEngine()
+	for i := 0; i < 50; i++ {
+		r := &reposter{e: e}
+		r.id = e.Bind(r)
+		e.Post(0, PriResume, r.id, Event{A: int64(i)})
+	}
+	for b.Loop() {
+		e.Step()
+	}
+}

@@ -14,11 +14,26 @@ import (
 // on the handler it was posted to; and Pending/Processed must match a plain
 // count at every step.
 
+// reach holds the offsets a script posts and runs ahead by: mostly the next
+// few cycles, where equal timestamps over all priorities are common, and
+// now and then either side of the calendar's horizon, once or twice over —
+// so scripts wrap the ring, park events in the overflow across RunUntil and
+// Reset, and tie an overflow event with a ring event at one (at, priority).
+var reach = [16]Time{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, ringSize - 1, ringSize, ringSize + 1, 2*ringSize + 1}
+
 type shadowEvent struct {
 	at   Time
 	pri  Priority
-	typ  int // 0, 1: typed, on handler typ; 2: closure
+	typ  int  // 0, 1: typed, on handler typ; 2: closure
+	far  bool // posted ringSize or more cycles ahead: in the overflow
 	done bool
+}
+
+// reached counts what a script exercised beyond the ring's first lap.
+type reached struct {
+	laps     Time // highest now / ringSize
+	ties     int  // events run with an equal (at, priority) pending on the other side of the horizon
+	heldOver int  // RunUntil and Reset calls that found an overflow event pending
 }
 
 type orderHarness struct {
@@ -31,6 +46,7 @@ type orderHarness struct {
 	pending int
 	ran     uint64
 	budget  int // posts left
+	reached
 }
 
 // next returns the next script byte, 0 once the script is exhausted.
@@ -59,15 +75,17 @@ func (oh orderHandler) HandleEvent(ev Event) {
 	h.exec(id)
 }
 
-// post schedules one event delta cycles from now, as the script says.
-func (h *orderHarness) post(delta, pri, typ int) {
+// post schedules one event as script byte b says: reach[b%16] cycles from
+// now, priority b/16%3, on handler (or as closure) b/48%3.
+func (h *orderHarness) post(b int) {
 	if h.budget == 0 {
 		return
 	}
 	h.budget--
 	id := len(h.events)
-	at := h.eng.Now() + Time(delta)
-	h.events = append(h.events, shadowEvent{at: at, pri: Priority(pri), typ: typ})
+	delta, pri, typ := reach[b%16], b/16%3, b/48%3
+	at := h.eng.Now() + delta
+	h.events = append(h.events, shadowEvent{at: at, pri: Priority(pri), typ: typ, far: delta >= ringSize})
 	h.pending++
 	if typ == 2 {
 		h.eng.At(at, Priority(pri), func() { h.exec(id) })
@@ -95,14 +113,17 @@ func (h *orderHarness) exec(id int) {
 			h.t.Fatalf("event %d (at %d, pri %d) ran before event %d (at %d, pri %d)",
 				id, me.at, me.pri, other, ev.at, ev.pri)
 		}
+		if ev.at == me.at && ev.pri == me.pri && ev.far != me.far {
+			h.ties++
+		}
 	}
+	h.laps = max(h.laps, me.at/ringSize)
 	h.events[id].done = true
 	h.pending--
 	h.ran++
 	h.counts("inside a handler, before it posts")
 	for n := h.next() % 4; n > 0; n-- {
-		b := h.next()
-		h.post(b%3, b/3%3, b/9%3)
+		h.post(h.next())
 		h.counts("inside a handler")
 	}
 }
@@ -116,14 +137,24 @@ func (h *orderHarness) counts(when string) {
 	}
 }
 
-func runOrderScript(t *testing.T, script []byte) {
+// farPending reports whether an overflow event is still queued.
+func (h *orderHarness) farPending() bool {
+	for _, ev := range h.events {
+		if ev.far && !ev.done {
+			return true
+		}
+	}
+	return false
+}
+
+func runOrderScript(t *testing.T, script []byte) reached {
 	h := &orderHarness{t: t, eng: NewEngine(), script: script, budget: 2000}
 	h.ids[0] = h.eng.Bind(orderHandler{h, 0})
 	h.ids[1] = h.eng.Bind(orderHandler{h, 1})
 	for h.pos < len(h.script) {
 		switch op, arg := h.next()%8, h.next(); op {
-		case 0, 1, 2: // post from outside; equal timestamps across all priorities are common
-			h.post(arg%4, arg/4%3, arg/12%3)
+		case 0, 1, 2: // post from outside
+			h.post(arg)
 		case 4:
 			before := h.ran
 			limit := uint64(arg%5 + 1)
@@ -131,7 +162,10 @@ func runOrderScript(t *testing.T, script []byte) {
 				t.Fatalf("Run(%d) = %d, %d events ran", limit, n, h.ran-before)
 			}
 		case 5:
-			deadline := h.eng.Now() + Time(arg%4)
+			if h.farPending() {
+				h.heldOver++
+			}
+			deadline := h.eng.Now() + reach[arg%16]
 			h.eng.RunUntil(deadline)
 			if h.eng.Now() != deadline {
 				t.Fatalf("RunUntil(%d) left the clock at %d", deadline, h.eng.Now())
@@ -143,6 +177,9 @@ func runOrderScript(t *testing.T, script []byte) {
 			}
 		case 6:
 			if arg%4 == 0 { // mid-stream, with events still queued
+				if h.farPending() {
+					h.heldOver++
+				}
 				h.eng.Reset()
 				h.events, h.pending, h.ran = h.events[:0], 0, 0
 				if h.eng.Now() != 0 {
@@ -162,15 +199,26 @@ func runOrderScript(t *testing.T, script []byte) {
 	if h.pending != 0 {
 		t.Fatalf("%d events never ran", h.pending)
 	}
+	return h.reached
 }
 
 func TestEngineOrderProperty(t *testing.T) {
+	var total reached
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		script := make([]byte, 64+rng.Intn(448))
 		rng.Read(script)
-		runOrderScript(t, script)
+		r := runOrderScript(t, script)
+		total.laps = max(total.laps, r.laps)
+		total.ties += r.ties
+		total.heldOver += r.heldOver
 	}
+	// The scripts must reach what the calendar does differently from a
+	// heap, or this test holds nothing about it.
+	if total.laps < 2 || total.ties == 0 || total.heldOver == 0 {
+		t.Fatalf("scripts stayed inside the ring's first laps: %+v", total)
+	}
+	t.Logf("%+v", total)
 }
 
 func FuzzEngineOrder(f *testing.F) {
@@ -178,6 +226,12 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 7, 0, 7, 0, 7, 0})               // three at one time, then stepped
 	f.Add([]byte{0, 0, 3, 0, 3, 30, 1, 1, 4, 4, 6, 0, 0, 5})        // posts from inside, a Run, a Reset
 	f.Add([]byte{0, 3, 0, 7, 5, 1, 5, 1, 5, 3, 2, 40, 7, 0, 3, 77}) // RunUntil short of the queue
+	f.Add([]byte{0, 32, 0, 16, 0, 0, 7, 0, 0, 7, 0, 0, 7, 0, 0})    // priorities 2, 1, 0 posted at one time
+	// Across the horizon (post byte b: reach[b%16] ahead, priority b/16%3):
+	f.Add([]byte{0, 13, 0, 1, 5, 1, 1, 12, 7, 0, 0, 7, 0, 0})           // overflow and ring tie at (ringSize, 0)
+	f.Add([]byte{0, 13, 5, 3, 0, 12, 7, 0, 0, 7, 0, 0})                 // overflow root before the ring's head
+	f.Add([]byte{0, 12, 5, 3, 0, 12, 0, 13, 7, 0, 0, 7, 0, 0, 7, 0, 0}) // a wrapped bucket, then one a full lap ahead
+	f.Add([]byte{0, 15, 5, 14, 0, 13, 6, 0, 0, 14, 0, 2, 7, 0, 0})      // overflow held over RunUntil and Reset
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 1<<12 {
 			t.Skip()

@@ -278,7 +278,9 @@ func (t *Tableau) MeasureDeterministic(q int) (outcome int, deterministic bool) 
 // writes row p (it is not a target), so the rotation of column j rides in
 // the same pass, with the word and bit offsets of rows p and d hoisted.
 // Words without a target row are skipped: every update below is masked by
-// sel[w].
+// sel[w]. Columns where row p is I — most of them, in a sparse state —
+// skip both, since there the product changes nothing and the rotation only
+// clears destabilizer d's bits (DESIGN.md §9).
 func (t *Tableau) collapse(q, p, outcome int) {
 	sel, lo, hi, r := t.sel, t.lo, t.hi, t.r
 	copy(sel, t.x[q])
@@ -300,8 +302,14 @@ func (t *Tableau) collapse(q, p, outcome int) {
 	for j := 0; j < t.n; j++ {
 		xs, zs := t.x[j], t.z[j]
 		x1, z1 := xs[pw]>>pb&1, zs[pw]>>pb&1
+		if x1|z1 == 0 {
+			// Row p has no support here: no product, and of the rotation
+			// only destabilizer d's bits change (to 0).
+			xs[dw] &^= 1 << db
+			zs[dw] &^= 1 << db
+			continue
+		}
 		switch {
-		case x1 == 0 && z1 == 0:
 		case x1 == 1 && z1 == 0: // source X: +1 on Y targets, -1 on Z targets
 			for _, w := range selw {
 				x2, z2, s := xs[w], zs[w], sel[w]

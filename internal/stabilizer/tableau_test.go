@@ -237,3 +237,21 @@ func TestLargeTableauSmoke(t *testing.T) {
 		t.Fatalf("giant GHZ broken: first=%d last=%d det=%v", first, last, det)
 	}
 }
+
+// BenchmarkMeasureZ times the random-outcome measurement, collapse and
+// all: H(q); MeasureZ(q) round-robin over a 50-qubit register of Bell
+// pairs, so every measurement is random.
+func BenchmarkMeasureZ(b *testing.B) {
+	const n = 50
+	tb := New(n)
+	for q := 0; q < n; q += 2 {
+		tb.H(q)
+		tb.CNOT(q, q+1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; b.Loop(); i++ {
+		q := i % n
+		tb.H(q)
+		tb.MeasureZ(q, rng)
+	}
+}
