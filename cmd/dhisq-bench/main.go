@@ -12,8 +12,8 @@
 //	            [-topo mesh|torus|tree|all] [-link-bw N] [-placement P|all]
 //
 // Experiment names come from the one registry (internal/exp's, plus the
-// two wall-clock experiments this command owns); the -exp flag's help
-// text enumerates them and an unknown name lists every valid one.
+// sweep experiment this command owns); the -exp flag's help text
+// enumerates them and an unknown name lists every valid one.
 package main
 
 import (
@@ -26,11 +26,11 @@ import (
 	"dhisq/internal/exp"
 )
 
-func main() {
-	registry := append(exp.Registry(),
-		exp.Experiment{Name: "kernels", Run: runKernels},
-		exp.Experiment{Name: "sweep", Run: runSweep})
-	os.Exit(run(os.Args[1:], registry, os.Stdout, os.Stderr))
+func main() { os.Exit(run(os.Args[1:], experiments(), os.Stdout, os.Stderr)) }
+
+// experiments is the command's registry: internal/exp's, then sweep.
+func experiments() []exp.Experiment {
+	return append(exp.Registry(), exp.Experiment{Name: "sweep", Run: runSweep})
 }
 
 // run is the whole command: parse args, run the selected experiments of

@@ -58,20 +58,26 @@ func TestFailingGateWritesEnvelopeAndExitsOne(t *testing.T) {
 	}
 }
 
-// An unknown -exp runs nothing and lists every name in the registry.
+// An unknown -exp (kernels is one) runs nothing and lists every name in the
+// registry.
 func TestUnknownExperimentListsEveryName(t *testing.T) {
-	registry := append(exp.Registry(), exp.Experiment{Name: "kernels"}, exp.Experiment{Name: "sweep"})
-	var stdout, stderr bytes.Buffer
-	if status := run([]string{"-exp", "nosuch"}, registry, &stdout, &stderr); status != 2 {
-		t.Fatalf("exit status %d, want 2", status)
-	}
-	for _, e := range registry {
-		if !strings.Contains(stderr.String(), e.Name) {
-			t.Errorf("the error does not name %q: %s", e.Name, &stderr)
+	registry := experiments()
+	for _, name := range []string{"nosuch", "kernels"} {
+		var stdout, stderr bytes.Buffer
+		if status := run([]string{"-exp", name}, registry, &stdout, &stderr); status != 2 {
+			t.Fatalf("-exp %s: exit status %d, want 2", name, status)
 		}
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("an unknown experiment printed %q", &stdout)
+		if !strings.Contains(stderr.String(), "unknown experiment \""+name+"\"") {
+			t.Errorf("-exp %s: %s", name, &stderr)
+		}
+		for _, e := range registry {
+			if !strings.Contains(stderr.String(), e.Name) {
+				t.Errorf("the error does not name %q: %s", e.Name, &stderr)
+			}
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("an unknown experiment printed %q", &stdout)
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"time"
 
 	"dhisq/internal/artifact"
 	"dhisq/internal/circuit"
@@ -17,7 +19,9 @@ import (
 // strategies for serving an angle sweep — a full Place→Lower→Schedule→
 // Assemble compile of every bound circuit versus one structural compile
 // plus a BindParams table patch per point — with what the sweep cost the
-// compile cache and whether the two strategies' artifacts agreed.
+// compile cache and whether the two strategies' artifacts agreed. The
+// costs and their ratio are informational: what bounds a point's bind is
+// its allocation count (compiler.TestBindParamsAllocations).
 type sweepRecord struct {
 	Name               string  `json:"name"`
 	Points             int     `json:"points"`
@@ -36,17 +40,29 @@ type sweepRecord struct {
 //     reflect.DeepEqual to a fresh full compile of each bound circuit.
 //   - <name>.cache_misses: the whole sweep through runner.RunSweep compiled
 //     the skeleton exactly once.
-//   - <name>.bind_speedup: binding is >= 10x cheaper per point than
-//     recompiling (best of rounds, same process).
 func sweepGates(rows []sweepRecord) []exp.Gate {
 	var gates []exp.Gate
 	for _, r := range rows {
 		gates = append(gates,
 			exp.NewGate(r.Name+".identical_artifacts", exp.Truth(r.IdenticalArtifacts), "==", 1),
-			exp.NewGate(r.Name+".cache_misses", float64(r.CacheMisses), "==", 1),
-			exp.NewGate(r.Name+".bind_speedup", r.Speedup, ">=", 10))
+			exp.NewGate(r.Name+".cache_misses", float64(r.CacheMisses), "==", 1))
 	}
 	return gates
+}
+
+// bestNsPer runs fn(iters) for a few rounds and keeps the cheapest
+// per-iteration cost, so a scheduler deschedule in one round does not
+// skew the figure.
+func bestNsPer(rounds, iters int, fn func(iters int)) float64 {
+	best := math.MaxFloat64
+	for r := 0; r < rounds; r++ {
+		start := time.Now()
+		fn(iters)
+		if ns := float64(time.Since(start).Nanoseconds()) / float64(iters); ns < best {
+			best = ns
+		}
+	}
+	return best
 }
 
 // runSweep measures the parameter-sweep workload the binding layer exists
@@ -81,8 +97,7 @@ func runSweep(a exp.Args) (*exp.Report, error) {
 
 		// Both strategies time best-of-rounds: the bind loop's whole
 		// window is a few hundred microseconds, so a single scheduler
-		// deschedule or GC pause inside one round must not flip the
-		// speedup gate.
+		// deschedule or GC pause inside one round would swamp it.
 		full := make([]*compiler.Compiled, points)
 		compileNs := bestNsPer(3, points, func(int) {
 			for k, p := range pts {

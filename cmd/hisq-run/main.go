@@ -7,8 +7,9 @@
 //
 //	hisq-run prog0.hisq [prog1.hisq] [-cycles N]
 //
-// Exit status 1: a program does not assemble, or a board stopped on a
-// runtime error (the log is printed first). 2: bad usage.
+// Exit status 1: a program does not assemble or names a sync, send or recv
+// address the fabric lacks, or a board stopped on a runtime error (the log
+// is printed first). 2: bad usage.
 package main
 
 import (
@@ -65,6 +66,9 @@ func simulate(paths []string, cycles int64, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
+		if err := checkAddresses(i, p, topo); err != nil {
+			return err
+		}
 		ctrls[i] = core.NewController(eng, core.Config{ID: i, Ports: 28, QueueDepth: 1024}, fab, nil, log)
 		fab.Attach(i, ctrls[i])
 		ctrls[i].Load(p)
@@ -97,4 +101,16 @@ func simulate(paths []string, cycles int64, stdout io.Writer) error {
 		}
 	}
 	return failed
+}
+
+// checkAddresses refuses a sync target that is no node of topo, and a send
+// or recv peer that is no controller: the fabric indexes its tables by them.
+func checkAddresses(board int, p *isa.Program, topo *network.Topology) error {
+	nodes := map[isa.Op]int{isa.OpSYNC: topo.N + topo.NumRouters, isa.OpSEND: topo.N, isa.OpRECV: topo.N}
+	for pc, in := range p.Instrs {
+		if n, ok := nodes[in.Op]; ok && (in.Imm < 0 || int(in.Imm) >= n) {
+			return fmt.Errorf("board %d pc=%d: %s address %d is not one of nodes 0..%d", board, pc, in.Op, in.Imm, n-1)
+		}
+	}
+	return nil
 }

@@ -95,3 +95,33 @@ func TestLoneBoardErrorsAndUsage(t *testing.T) {
 		t.Fatalf("no program: exit %d, want 2", status)
 	}
 }
+
+// Every address a sync, send, recv or fmr can spell runs to exit 0 or 1 on
+// the 2-board fabric (controllers 0-1, router 2), never a panic. One that
+// names no node the instruction can reach exits 1, naming the board, the pc
+// and the address: hisq-run refuses sync, send and recv targets before
+// simulating, and the controller fails on a negative fmr channel.
+func TestHandWrittenAddresses(t *testing.T) {
+	refused := map[string]bool{
+		"recv $1, -1": true, "fmr $1, -3": true, "sync -1": true, "sync 3": true, "send $1, 2": true, "send $1, 5": true,
+	}
+	var progs []string
+	for _, op := range []string{"sync ", "send $1, ", "recv $1, ", "fmr $1, "} {
+		for _, addr := range []string{"-2048", "-1", "0", "1", "2", "3", "2047"} {
+			progs = append(progs, op+addr)
+		}
+	}
+	progs = append(progs, "fmr $1, -3", "send $1, 5")
+	for _, prog := range progs {
+		var stdout, stderr bytes.Buffer
+		status := run([]string{"-cycles", "1000", writeProgram(t, "addr.hisq", prog+"\nhalt\n")}, &stdout, &stderr)
+		if status != 0 && status != 1 {
+			t.Errorf("%q: exit %d\n%s", prog, status, &stderr)
+		}
+		addr := prog[strings.LastIndex(prog, " ")+1:]
+		if refused[prog] && (status != 1 || !strings.Contains(stderr.String(), "board 0") ||
+			!strings.Contains(stderr.String(), "pc=0") || !strings.Contains(stderr.String(), "address "+addr)) {
+			t.Errorf("%q: exit %d, want 1 naming board 0, pc=0 and address %s: %s", prog, status, addr, &stderr)
+		}
+	}
+}

@@ -218,3 +218,31 @@ func TestCompiledParams(t *testing.T) {
 		t.Fatalf("Params() = %v", got)
 	}
 }
+
+// TestBindParamsAllocations holds BindParams on the sweep experiment's two
+// families to the allocations it was measured to make per point: the
+// artifact header and table index, two bookkeeping maps, and one copy per
+// table that holds a slot. Programs are shared with the skeleton, so a bind
+// that copied them would cost at least one more per controller.
+func TestBindParamsAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		c       *circuit.Circuit
+		binding map[string]float64
+		ceiling float64
+	}{
+		{"vqe_n12x2", workloads.VQEAnsatz(12, 2), workloads.VQEAnsatzPoint(12, 2, 3), 22},
+		{"qft_sweep_n16", workloads.QFTSweep(16), workloads.QFTSweepPoint(16, 3), 28},
+	} {
+		skel := compileWith(t, tc.c, network.TopoMesh, "")
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := skel.BindParams(tc.binding); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations per point", tc.name, allocs)
+		if allocs > tc.ceiling {
+			t.Errorf("%s: BindParams allocates %.0f times per point, want at most %.0f", tc.name, allocs, tc.ceiling)
+		}
+	}
+}

@@ -463,37 +463,9 @@ func (c *Controller) step() bool {
 	c.Stats.Instrs++
 	switch in.Op {
 	case isa.OpRECV:
-		src := int(in.Imm)
-		if src >= len(c.mail) || c.mail[src].Len() == 0 {
-			c.block, c.blockOn, c.blockAt = BlockRecv, src, c.tc
-			return false
-		}
-		m := c.mail[src].Pop()
-		c.tc++
-		if m.at > c.tc {
-			c.Stats.StallRecv += m.at - c.tc
-			c.tc = m.at
-		}
-		c.tl.AnchorAt(c.tc) // §3.2: the timer resumes at the trigger
-		c.setReg(in.Rd, m.val)
-		c.log.Add(telf.Event{Time: c.tc, Node: c.Cfg.ID, Kind: telf.MsgRecv, A: int64(src), B: int64(m.val)})
-		c.pc++
+		return c.fetch(in, c.mail, BlockRecv, &c.Stats.StallRecv, telf.MsgRecv)
 	case isa.OpFMR:
-		ch := int(in.Imm)
-		if ch >= len(c.results) || c.results[ch].Len() == 0 {
-			c.block, c.blockOn, c.blockAt = BlockFMR, ch, c.tc
-			return false
-		}
-		m := c.results[ch].Pop()
-		c.tc++
-		if m.at > c.tc {
-			c.Stats.StallFMR += m.at - c.tc
-			c.tc = m.at
-		}
-		c.tl.AnchorAt(c.tc) // §3.2: the timer resumes at the trigger
-		c.setReg(in.Rd, m.val)
-		c.log.Add(telf.Event{Time: c.tc, Node: c.Cfg.ID, Kind: telf.MeasResult, A: int64(ch), B: int64(m.val)})
-		c.pc++
+		return c.fetch(in, c.results, BlockFMR, &c.Stats.StallFMR, telf.MeasResult)
 	case isa.OpSEND:
 		c.tc++
 		dst := int(in.Imm)
@@ -533,6 +505,32 @@ func (c *Controller) step() bool {
 		}
 	}
 	return !c.halted
+}
+
+// fetch retires recv and fmr: the next value in queue Imm of qs, a source
+// controller's mailbox or a result channel. It blocks until the value is
+// delivered, and the pipeline and the timer resume where it arrived (§3.2).
+func (c *Controller) fetch(in isa.Instr, qs []fifo, reason BlockReason, stall *sim.Time, kind telf.Kind) bool {
+	src := int(in.Imm)
+	if src < 0 {
+		c.fail("%s from address %d", in.Op, src)
+		return false
+	}
+	if src >= len(qs) || qs[src].Len() == 0 {
+		c.block, c.blockOn, c.blockAt = reason, src, c.tc
+		return false
+	}
+	m := qs[src].Pop()
+	c.tc++
+	if m.at > c.tc {
+		*stall += m.at - c.tc
+		c.tc = m.at
+	}
+	c.tl.AnchorAt(c.tc)
+	c.setReg(in.Rd, m.val)
+	c.log.Add(telf.Event{Time: c.tc, Node: c.Cfg.ID, Kind: kind, A: int64(src), B: int64(m.val)})
+	c.pc++
+	return true
 }
 
 // execCW commits a codeword trigger: "send codeword, to port, at the current
@@ -641,6 +639,10 @@ func (c *Controller) execClassical(in isa.Instr) bool {
 		return true
 	case isa.OpJALR:
 		t := (r[in.Rs1] + uint32(in.Imm)) &^ 1
+		if t%4 != 0 { // RV32I: instruction-address-misaligned
+			c.fail("misaligned jump target %d", t)
+			return false
+		}
 		c.setReg(in.Rd, uint32((c.pc+1)*4))
 		c.pc = int(t / 4)
 		return true

@@ -182,6 +182,44 @@ func TestJalLinksAndJalrReturns(t *testing.T) {
 	}
 }
 
+// runFailing runs src on one controller and returns the error it halted on.
+func runFailing(t *testing.T, src string) error {
+	t.Helper()
+	eng := sim.NewEngine()
+	c := core.NewController(eng, core.DefaultConfig(0), newStubFabric(eng, 1), nil, nil)
+	c.Load(isa.MustAssemble(src))
+	c.Start()
+	eng.RunUntil(100_000) // a deadline: the bug a case pins may be a spin
+	if !c.Halted() || c.Err() == nil {
+		t.Fatalf("%q: halted %v, err %v; want a runtime error", src, c.Halted(), c.Err())
+	}
+	return c.Err()
+}
+
+// A jalr whose target is not a multiple of 4 raises RV32I's
+// instruction-address-misaligned: the core fails rather than truncating
+// the target onto some instruction (here, itself, for ever).
+func TestMisalignedJalrFails(t *testing.T) {
+	err := runFailing(t, "addi $1, $0, 6\njalr $0, $1, 0\nhalt")
+	if want := "core: node 0 pc=1: misaligned jump target 6"; err.Error() != want {
+		t.Fatalf("err %q, want %q", err, want)
+	}
+}
+
+// recv and fmr fail on a negative address, which names no mailbox or
+// channel, instead of indexing their queues with it.
+func TestNegativeFetchAddressFails(t *testing.T) {
+	for src, want := range map[string]string{
+		"recv $1, -1\nhalt":     "core: node 0 pc=0: recv from address -1",
+		"fmr $1, -2048\nhalt":   "core: node 0 pc=0: fmr from address -2048",
+		"nop\nfmr $2, -3\nhalt": "core: node 0 pc=1: fmr from address -3",
+	} {
+		if err := runFailing(t, src); err.Error() != want {
+			t.Errorf("err %q, want %q", err, want)
+		}
+	}
+}
+
 func TestMemoryOutOfBoundsHalts(t *testing.T) {
 	eng := sim.NewEngine()
 	c := core.NewController(eng, core.DefaultConfig(0), newStubFabric(eng, 1), nil, nil)

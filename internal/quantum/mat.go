@@ -13,7 +13,7 @@ import (
 // reference to rounding error, not bit-for-bit; the gate-dispatch paths
 // (chip backends) apply gates one at a time for exactly that reason, and
 // fusion is an explicit opt-in for callers that own a whole gate list
-// (the kernels benchmark, analysis code).
+// (analysis code; no simulation path fuses).
 type Mat2 struct {
 	A, B complex128
 	C, D complex128

@@ -12,8 +12,8 @@ import (
 // pattern: the slow, obviously-correct implementation survives so the
 // fast one can be proven against it forever. The property tests
 // (property_test.go) drive randomized circuits through both and require
-// identical amplitudes; the kernels benchmark (dhisq-bench -exp kernels)
-// times the two against each other and CI gates on the speedup.
+// identical amplitudes; BenchmarkKernels times the two against each
+// other.
 //
 // Every Ref kernel scans the full amplitude array testing the qubit bit
 // of each index — the branch-per-index shape the rewrite replaced with

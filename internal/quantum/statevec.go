@@ -10,8 +10,8 @@
 // the active qubits in ascending logical order. A dropped entry of the
 // full 2^n vector is an exact zero and order is preserved, so every sum,
 // every RNG draw and every surviving amplitude equals what the full-vector
-// kernels compute. Those kernels are retained verbatim in reference.go as
-// the oracle the property tests and the kernels benchmark compare against.
+// kernels compute. Those kernels are retained verbatim in reference_test.go
+// as the oracle the property tests and BenchmarkKernels compare against.
 //
 // The kernels over the active array are written for throughput:
 // single-qubit gates iterate pair blocks branch-free (outer stride
@@ -205,8 +205,8 @@ func (s *State) scale(f complex128) {
 // On an active qubit diagonal matrices take the scaling-only fast path,
 // real ones the half-width multiply, general ones walk amplitude-pair
 // blocks branch-free. Per-amplitude arithmetic is the same multiply-add
-// sequence as the reference kernel, so results are bit-identical to
-// RefApply1 (modulo the sign of zero terms the reference materializes by
+// sequence as the reference kernel, so results are bit-identical to the
+// reference's (modulo the sign of zero terms it materializes by
 // multiplying by a zero coefficient or a zero amplitude).
 func (s *State) Apply1(q int, a, b, c, d complex128) {
 	s.check(q)

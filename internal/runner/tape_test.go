@@ -179,8 +179,9 @@ func autoSpec(c *circuit.Circuit, backend machine.BackendKind, seed int64) Spec 
 }
 
 // TestTapedMatchesSimulated walks the static workloads — the golden
-// fixtures' circuits, the benchmark's ghz_n128 and a 30-qubit QFT — over
-// every backend that can hold them.
+// fixtures' circuits, a GHZ chain behind a reset (no outcome map), the
+// benchmark's ghz_n128 and a 30-qubit QFT — over every backend that can
+// hold them.
 func TestTapedMatchesSimulated(t *testing.T) {
 	all := []machine.BackendKind{machine.BackendStateVec, machine.BackendStabilizer, machine.BackendSeeded}
 	names := map[machine.BackendKind]string{
@@ -193,6 +194,7 @@ func TestTapedMatchesSimulated(t *testing.T) {
 		shots    int
 	}{
 		{"ghz_n9", workloads.GHZ(9), all, 24},
+		{"ghz_n9_reset", ghzChain(9, true), all, 24},
 		{"bv_n10", workloads.BV(10, workloads.AlternatingSecret), all, 24},
 		{"qft_n8", workloads.QFT(8), []machine.BackendKind{machine.BackendStateVec, machine.BackendSeeded}, 24},
 		{"ghz_n128", workloads.GHZ(128), []machine.BackendKind{machine.BackendStabilizer, machine.BackendSeeded}, 6},
@@ -335,31 +337,68 @@ func TestTapeKeepsRefereeVerdict(t *testing.T) {
 	}
 }
 
-// TestTapedShotAllocations: a taped ghz_n128 shot allocates its Bits slice
-// and nothing else.
+// ghzChain is the benchmark's shots_heavy GHZ job, optionally behind a
+// reset of qubit 0: a no-op on |0>, but a reset's correction is conditioned
+// on a draw, so the tape's outcome map is not hoisted and every shot
+// replays the tape onto the tableau.
+func ghzChain(n int, resetFirst bool) *circuit.Circuit {
+	c := circuit.New(n)
+	if resetFirst {
+		c.ResetGate(0)
+	}
+	c.H(0)
+	for q := 1; q < n; q++ {
+		c.CNOT(q-1, q)
+	}
+	for q := 0; q < n; q++ {
+		c.MeasureInto(q, q)
+	}
+	return c
+}
+
+// TestTapedShotAllocations: a taped shot of either GHZ chain allocates its
+// Bits slice and nothing else, and handles no engine event. The recording
+// shot handles them all; the engine is cleared after it, so a taped shot
+// that fell back to simulation would count its events again.
 func TestTapedShotAllocations(t *testing.T) {
-	spec := autoSpec(workloads.GHZ(128), machine.BackendStabilizer, 3)
-	machines, _, err := start(spec, false, 0, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := machines[0]
-	for k := 0; k < 2; k++ { // record, then the first replay builds the outcome map
-		if _, err := runShot(m, 3, k); err != nil {
-			t.Fatal(err)
+	for _, resetFirst := range []bool{false, true} {
+		name := "ghz_n128"
+		if resetFirst {
+			name += "_reset"
 		}
-	}
-	k := 2
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := runShot(m, 3, k); err != nil {
-			t.Fatal(err)
-		}
-		k++
-	})
-	if allocs > 2 {
-		t.Fatalf("a taped shot allocates %.1f times, want at most 2", allocs)
-	}
-	if st := m.TapeStats(); st.Replayed < 100 || st.Fallbacks != 0 {
-		t.Fatalf("shots did not come off the tape: %+v", st)
+		t.Run(name, func(t *testing.T) {
+			spec := autoSpec(ghzChain(128, resetFirst), machine.BackendStabilizer, 3)
+			machines, _, err := start(spec, false, 0, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := machines[0]
+			if _, err := runShot(m, 3, 0); err != nil {
+				t.Fatal(err)
+			}
+			recorded := m.Eng.Processed()
+			if recorded == 0 {
+				t.Fatal("the recording shot handled no engine event")
+			}
+			m.Eng.Reset()
+			k := 1 // AllocsPerRun's warm-up shot builds the outcome map, if any
+			allocs := testing.AllocsPerRun(48, func() {
+				if _, err := runShot(m, 3, k); err != nil {
+					t.Fatal(err)
+				}
+				k++
+			})
+			t.Logf("recording shot: %d events; %d taped shots: %d events, %.1f allocations each",
+				recorded, k-1, m.Eng.Processed(), allocs)
+			if events := m.Eng.Processed(); events != 0 {
+				t.Fatalf("%d taped shots handled %d engine events, want 0", k-1, events)
+			}
+			if allocs > 2 {
+				t.Fatalf("a taped shot allocates %.1f times, want at most 2", allocs)
+			}
+			if st := m.TapeStats(); st.Replayed != uint64(k-1) || st.Fallbacks != 0 {
+				t.Fatalf("shots did not come off the tape: %+v", st)
+			}
+		})
 	}
 }

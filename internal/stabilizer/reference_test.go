@@ -12,10 +12,9 @@ import (
 // pattern: the slow, obviously-correct implementation survives so the fast
 // one can be proven against it forever. The property tests drive random
 // Clifford+measurement circuits through both and require bit-identical
-// rows and identical outcomes; the kernels benchmark (dhisq-bench -exp
-// kernels) times the two against each other and CI gates on the speedup.
-// Canonicalization also runs here (via Tableau.toRef) so canonical forms
-// stay byte-identical to the legacy output.
+// rows and identical outcomes; BenchmarkKernels times the two against each
+// other. Canonicalization also runs here (via Tableau.toRef) so canonical
+// forms stay byte-identical to the legacy output.
 
 // RefTableau holds 2n+1 rows (n destabilizers, n stabilizers, one scratch
 // row) of X/Z bit-matrices plus sign bits, bit-packed 64 columns per word —
@@ -348,4 +347,44 @@ func (t *RefTableau) swapRows(a, b int) {
 	t.x[a], t.x[b] = t.x[b], t.x[a]
 	t.z[a], t.z[b] = t.z[b], t.z[a]
 	t.r[a], t.r[b] = t.r[b], t.r[a]
+}
+
+// toRef converts to the row-major reference layout. Canonicalization runs
+// there so canonical forms stay byte-identical to the legacy output.
+func (t *Tableau) toRef() *RefTableau {
+	rt := NewRef(t.n)
+	for i := range rt.x {
+		clearWords(rt.x[i])
+		clearWords(rt.z[i])
+		rt.r[i] = 0
+	}
+	for q := 0; q < t.n; q++ {
+		for i := 0; i < 2*t.n; i++ {
+			rt.x[i][q/64] |= bitOf(t.x[q], i) << uint(q%64)
+			rt.z[i][q/64] |= bitOf(t.z[q], i) << uint(q%64)
+		}
+	}
+	for i := 0; i < 2*t.n; i++ {
+		rt.r[i] = uint8(bitOf(t.r, i))
+	}
+	return rt
+}
+
+// Canonical returns the stabilizer group in a canonical (Gauss-reduced)
+// form, so two tableaux describing the same state compare equal even if
+// their generators differ. Signs are included.
+func (t *Tableau) Canonical() []string { return t.toRef().Canonical() }
+
+// Equal reports whether two tableaux describe the same stabilizer state.
+func Equal(a, b *Tableau) bool {
+	if a.n != b.n {
+		return false
+	}
+	ca, cb := a.Canonical(), b.Canonical()
+	for i := range ca {
+		if ca[i] != cb[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -14,9 +14,9 @@
 // bitsliced mod-4 planes, and the deterministic branch reads the sign of
 // the stabilizer product off exclusive-prefix parities without cloning
 // the tableau. The previous row-major implementation is retained verbatim
-// in reference.go as RefTableau, the oracle the property tests and the
-// kernels benchmark compare against; the two are bit-identical row for
-// row after any gate/measurement sequence.
+// in reference_test.go as RefTableau, the oracle the property tests
+// compare against; the two are bit-identical row for row after any
+// gate/measurement sequence.
 package stabilizer
 
 import (
@@ -472,44 +472,4 @@ func (t *Tableau) StabilizerString(k int) string {
 		}
 	}
 	return sb.String()
-}
-
-// toRef converts to the row-major reference layout. Canonicalization runs
-// there so canonical forms stay byte-identical to the legacy output.
-func (t *Tableau) toRef() *RefTableau {
-	rt := NewRef(t.n)
-	for i := range rt.x {
-		clearWords(rt.x[i])
-		clearWords(rt.z[i])
-		rt.r[i] = 0
-	}
-	for q := 0; q < t.n; q++ {
-		for i := 0; i < 2*t.n; i++ {
-			rt.x[i][q/64] |= bitOf(t.x[q], i) << uint(q%64)
-			rt.z[i][q/64] |= bitOf(t.z[q], i) << uint(q%64)
-		}
-	}
-	for i := 0; i < 2*t.n; i++ {
-		rt.r[i] = uint8(bitOf(t.r, i))
-	}
-	return rt
-}
-
-// Canonical returns the stabilizer group in a canonical (Gauss-reduced)
-// form, so two tableaux describing the same state compare equal even if
-// their generators differ. Signs are included.
-func (t *Tableau) Canonical() []string { return t.toRef().Canonical() }
-
-// Equal reports whether two tableaux describe the same stabilizer state.
-func Equal(a, b *Tableau) bool {
-	if a.n != b.n {
-		return false
-	}
-	ca, cb := a.Canonical(), b.Canonical()
-	for i := range ca {
-		if ca[i] != cb[i] {
-			return false
-		}
-	}
-	return true
 }
