@@ -18,17 +18,7 @@ import (
 // any mutation that survives decoding must have failed the checksum, so
 // a successful decode of valid input re-encodes to the identical bytes.
 func FuzzStoreDecode(f *testing.F) {
-	valid := store.Encode(&compiler.Compiled{
-		Programs: []*isa.Program{{
-			Instrs:  []isa.Instr{{Op: isa.OpHALT, Rd: 1, Imm: 42}},
-			Symbols: map[string]int{"start": 0},
-		}},
-		BitOwner:   []int{0, 1},
-		MemBytes:   64,
-		Mapping:    []int{0, 1},
-		ParamSlots: []compiler.ParamSlot{{Ctrl: 0, Index: 0, Sym: "theta0"}},
-		MeasBits:   [][]int{{0}, nil, {1}},
-	})
+	valid := store.Encode(fuzzSeedArtifact())
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])  // truncated mid-payload
 	f.Add(valid[:11])            // truncated inside the header
@@ -69,4 +59,20 @@ func FuzzStoreDecode(f *testing.F) {
 			t.Fatal("Decode accepted input with a bad checksum")
 		}
 	})
+}
+
+// fuzzSeedArtifact is the valid artifact every FuzzStoreDecode seed is cut
+// from.
+func fuzzSeedArtifact() *compiler.Compiled {
+	return &compiler.Compiled{
+		Programs: []*isa.Program{{
+			Instrs:  []isa.Instr{{Op: isa.OpHALT, Rd: 1, Imm: 42}},
+			Symbols: map[string]int{"start": 0},
+		}},
+		BitOwner:   []int{0, 1},
+		MemBytes:   64,
+		Mapping:    []int{0, 1},
+		ParamSlots: []compiler.ParamSlot{{Ctrl: 0, Index: 0, Sym: "theta0"}},
+		MeasBits:   [][]int{{0}, nil, {1}},
+	}
 }
