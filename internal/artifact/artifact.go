@@ -411,8 +411,11 @@ func (c *Cache) GetOrCompile(fp Fingerprint, compile func() (*compiler.Compiled,
 	c.mu.Unlock()
 	close(fl.done)
 
-	// Spill outside the lock: persistence is best-effort and must never
-	// slow or fail the request that compiled.
+	// Spill outside the lock, before returning: the leader pays the encode
+	// and the file write inline, so a cold request's time includes them
+	// (EXPERIMENTS.md measures the share), while the waiters above were
+	// already released. A spill never fails the request: its error is only
+	// counted, and the artifact serves from memory.
 	if fl.err == nil && st != nil {
 		if err := st.Save(fp, fl.cp); err != nil {
 			c.mu.Lock()

@@ -27,7 +27,7 @@ import (
 //     combined value instead of one message per owner.
 //
 // Both shapes preserve the deadlock-freedom argument of the legacy sends:
-// every unit emitted on a non-actor stream is a slide-stop (det: false),
+// every unit emitted on a non-actor stream is a slide-stop (not fDet),
 // so no later sync can book before it, and the relay edges form a chain
 // that only points forward (owner_i -> owner_i+1 -> actor), so the
 // blocking RECVs resolve by induction over program order exactly like the
@@ -66,11 +66,11 @@ func topoDistance(topo *network.Topology) func(int, int) int {
 }
 
 // lowerCondCollective lowers one parity-conditioned commit with the
-// collective shapes above. It mirrors the legacy dCond path exactly — same
-// condSite, same branch assembly in the Schedule pass — and differs only
-// in how the remote bits reach the actor.
-func (st *State) lowerCondCollective(streams []*lowerStream, op circuit.Op, actor, q int, holders map[int][]int, dist func(int, int) int) {
-	s := streams[actor]
+// collective shapes above. It mirrors the legacy pCond path exactly — same
+// directive, same branch assembly in the Schedule pass — and differs only
+// in how the remote bits reach the actor. The holders' and owners' units
+// are written first, so the actor's gather is one contiguous payload.
+func (st *State) lowerCondCollective(streams []lowerStream, op circuit.Op, actor, q int, holders map[int][]int, dist func(int, int) int) {
 	var local, remote []int
 	for _, b := range op.Cond.Bits {
 		if holdsBit(holders[b], actor) {
@@ -80,39 +80,21 @@ func (st *State) lowerCondCollective(streams []*lowerStream, op circuit.Op, acto
 		}
 	}
 
-	// Parity is an XOR fold — commutative — so gathering locals first and
-	// remotes after computes the same bit as the legacy interleaved order.
-	pre := []isa.Instr{{Op: isa.OpADDI, Rd: regParity}} // r2 = 0
-	for _, b := range local {
-		pre = append(pre, isa.LoadImm(regAddr, int32(4*b))...)
-		pre = append(pre,
-			isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr},
-			isa.Instr{Op: isa.OpXOR, Rd: regParity, Rs1: regParity, Rs2: regScratch})
-	}
-	anchored := false
-
+	// from is the controller the actor receives from: the nearest holder of
+	// a single remote bit, or the last link of a relay chain.
+	from := -1
 	switch {
 	case len(remote) == 1:
 		// Broadcast-tree fetch: nearest holder sends, actor re-stores.
 		b := remote[0]
-		h := nearestHolder(holders[b], actor, dist)
-		hs := streams[h]
-		ins := append(isa.LoadImm(regAddr, int32(4*b)),
-			isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr},
+		from = nearestHolder(holders[b], actor, dist)
+		hs := &streams[from]
+		lo := hs.mark()
+		hs.loadImm(regAddr, int32(4*b))
+		hs.emit(isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr},
 			isa.Instr{Op: isa.OpSEND, Rs1: regScratch, Imm: int32(actor)})
-		hs.unit(unit{ins: ins})
+		hs.unit(lo, 0)
 		st.stats.Sends++
-		pre = append(pre, isa.Instr{Op: isa.OpRECV, Rd: regScratch, Imm: int32(h)})
-		st.stats.Recvs++
-		// Store the fetched value at the bit's home address: the actor is
-		// now a holder, and the *next* consumer of this bit fetches from
-		// whichever holder is nearest to it.
-		pre = append(pre, isa.LoadImm(regAddr, int32(4*b))...)
-		pre = append(pre,
-			isa.Instr{Op: isa.OpSW, Rs1: regAddr, Rs2: regScratch},
-			isa.Instr{Op: isa.OpXOR, Rd: regParity, Rs1: regParity, Rs2: regScratch})
-		holders[b] = append(holders[b], actor)
-		anchored = true
 
 	case len(remote) >= 2:
 		// Reduce relay chain: group the remote bits by owner, order the
@@ -135,55 +117,66 @@ func (st *State) lowerCondCollective(streams []*lowerStream, op circuit.Op, acto
 			return order[i] < order[j]
 		})
 		for i, o := range order {
-			os := streams[o]
+			os := &streams[o]
 			next := actor
 			if i+1 < len(order) {
 				next = order[i+1]
 			}
-			gather := []isa.Instr{{Op: isa.OpADDI, Rd: regParity}}
+			lo := os.mark()
+			os.emit(isa.Instr{Op: isa.OpADDI, Rd: regParity})
 			for _, b := range groups[o] {
-				gather = append(gather, isa.LoadImm(regAddr, int32(4*b))...)
-				gather = append(gather,
-					isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr},
+				os.loadImm(regAddr, int32(4*b))
+				os.emit(isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr},
 					isa.Instr{Op: isa.OpXOR, Rd: regParity, Rs1: regParity, Rs2: regScratch})
 			}
 			if i == 0 {
 				// Chain head: local fold and forward, nothing to receive.
-				gather = append(gather, isa.Instr{Op: isa.OpSEND, Rs1: regParity, Imm: int32(next)})
-				os.unit(unit{ins: gather})
+				os.emit(isa.Instr{Op: isa.OpSEND, Rs1: regParity, Imm: int32(next)})
+				os.unit(lo, 0)
 			} else {
 				// Chain link: local fold, then block on the predecessor's
 				// running parity. The RECV re-anchors the owner's timing
 				// point (same contract as the actor's gathers), so the
 				// anchor directive keeps its guard accounting honest.
-				os.unit(unit{ins: gather})
-				os.unit(unit{ins: []isa.Instr{{Op: isa.OpRECV, Rd: regScratch, Imm: int32(order[i-1])}}})
+				os.unit(lo, 0)
+				lo = os.mark()
+				os.emit(isa.Instr{Op: isa.OpRECV, Rd: regScratch, Imm: int32(order[i-1])})
+				os.unit(lo, 0)
 				os.anchorDir()
-				os.unit(unit{ins: []isa.Instr{
-					{Op: isa.OpXOR, Rd: regParity, Rs1: regParity, Rs2: regScratch},
-					{Op: isa.OpSEND, Rs1: regParity, Imm: int32(next)},
-				}})
+				lo = os.mark()
+				os.emit(isa.Instr{Op: isa.OpXOR, Rd: regParity, Rs1: regParity, Rs2: regScratch},
+					isa.Instr{Op: isa.OpSEND, Rs1: regParity, Imm: int32(next)})
+				os.unit(lo, 0)
 				st.stats.Recvs++
 			}
 			st.stats.Sends++
 		}
-		pre = append(pre,
-			isa.Instr{Op: isa.OpRECV, Rd: regScratch, Imm: int32(order[len(order)-1])},
-			isa.Instr{Op: isa.OpXOR, Rd: regParity, Rs1: regParity, Rs2: regScratch})
-		st.stats.Recvs++
-		anchored = true
+		from = order[len(order)-1]
 	}
 
-	brOp := isa.OpBEQ // parity==1 required: skip when parity == 0
-	if op.Cond.Parity == 0 {
-		brOp = isa.OpBNE
+	// Parity is an XOR fold — commutative — so gathering locals first and
+	// remotes after computes the same bit as the legacy interleaved order.
+	s := &streams[actor]
+	lo := s.mark()
+	s.emit(isa.Instr{Op: isa.OpADDI, Rd: regParity}) // r2 = 0
+	for _, b := range local {
+		s.loadImm(regAddr, int32(4*b))
+		s.emit(isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr},
+			isa.Instr{Op: isa.OpXOR, Rd: regParity, Rs1: regParity, Rs2: regScratch})
 	}
-	entry := tableEntryFor(op, q)
-	s.dirs = append(s.dirs, directive{kind: dCond, cond: &condSite{
-		pre:      pre,
-		brOp:     brOp,
-		cw:       s.cwInstrs(entry),
-		gateWait: st.Opt.Durations.Of(op.Kind, op.Param, st.Opt.EPRLatency),
-		anchored: anchored,
-	}})
+	if from >= 0 {
+		s.emit(isa.Instr{Op: isa.OpRECV, Rd: regScratch, Imm: int32(from)})
+		st.stats.Recvs++
+		if len(remote) == 1 {
+			// Store the fetched value at the bit's home address: the actor
+			// is now a holder, and the *next* consumer of this bit fetches
+			// from whichever holder is nearest to it.
+			b := remote[0]
+			s.loadImm(regAddr, int32(4*b))
+			s.emit(isa.Instr{Op: isa.OpSW, Rs1: regAddr, Rs2: regScratch})
+			holders[b] = append(holders[b], actor)
+		}
+		s.emit(isa.Instr{Op: isa.OpXOR, Rd: regParity, Rs1: regParity, Rs2: regScratch})
+	}
+	s.cond(lo, tableEntryFor(op, q), op.Cond, from >= 0, st.Opt.Durations.Of(op.Kind, op.Param, st.Opt.EPRLatency))
 }

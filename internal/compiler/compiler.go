@@ -11,12 +11,12 @@
 //	           the instruction payloads (codeword triggers, fmr/store,
 //	           send/recv/xor sequences) plus symbolic scheduling directives
 //	           (guards, anchors, sync bookings);
-//	Schedule — resolve the directives into timed unit streams: the BISP
-//	           sync-back/advance-booking placement against calibrated
+//	Schedule — resolve the directives into timed instruction streams: the
+//	           BISP sync-back/advance-booking placement against calibrated
 //	           fabric windows, pipeline-guard padding, and anchor
 //	           accounting;
-//	Assemble — concatenate the scheduled units into validated HISQ
-//	           programs and collect the codeword tables.
+//	Assemble — merge each stream's sync bookings into it, writing validated
+//	           HISQ programs, and collect the codeword tables.
 //
 // The lowering follows the Distributed-HISQ execution model:
 //
@@ -239,33 +239,54 @@ const (
 	regWait    = 7 // wide waits
 )
 
-// unit is one atomic chunk of a controller stream. det units may have a
-// sync instruction inserted before them by the backward scan; wait units may
-// additionally be split.
-type unit struct {
-	ins    []isa.Instr
-	dur    int64 // deterministic timing-point advance contributed by this unit
-	det    bool
-	wait   bool // pure wait (splittable)
-	window bool // inside a sync window [B, B+N): later syncs must not book here
-}
-
-// stream is one controller's scheduled unit stream. Codeword interning
-// happens at lowering time (lowerStream.cwInstrs); Schedule attaches the
-// finished table here for Assemble to collect.
+// stream is one controller's scheduled instruction stream. Schedule appends
+// every instruction but the sync bookings to ins, the stream's arena, in
+// program order; a booking is a record of where its sync goes, and Assemble
+// merges the bookings in while it copies the arena out, in one pass sized by
+// size. The codeword table was fixed at lowering time (State.tables).
 type stream struct {
-	id       int
-	units    []unit
+	ins   []isa.Instr
+	syncs []booking // in program order
+	// recent holds the units a sync may still slide back over: the
+	// deterministic units since the last slide-stop (a non-deterministic
+	// unit, a synchronized commit, or a sync's own window).
+	recent   []unit
 	instrSum int64 // instructions since the last pipeline anchor
 	waitSum  int64 // timing-point advance since the last pipeline anchor
-	table    []chip.TableEntry
+	size     int   // program length, bookings included, halt excluded
 }
 
-func (s *stream) push(u unit) {
-	s.units = append(s.units, u)
-	s.instrSum += int64(len(u.ins))
-	if u.det {
-		s.waitSum += u.dur
+// unit is one atomic chunk of a stream that a sync may slide back over: it
+// starts at ins[at] and runs to the next unit (or the end of the arena). A
+// unit with dur > 0 is a pure wait, which a sync may split.
+type unit struct {
+	at  int32
+	dur int64 // deterministic timing-point advance contributed by this unit
+}
+
+// booking places one sync instruction: ins[at:end] — empty, or the one wait
+// the sync splits — is replaced by a wait of before cycles, the sync, and a
+// wait of after cycles (a wait of 0 cycles is no instruction).
+type booking struct {
+	at, end       int32
+	target        int32
+	before, after int64
+}
+
+// push accounts for the unit just appended at ins[at:]. A unit a later sync
+// must not slide back over — non-deterministic, or inside a sync window —
+// forgets every unit before it.
+func (s *stream) push(at int, dur int64, det, window bool) {
+	n := len(s.ins) - at
+	s.instrSum += int64(n)
+	s.size += n
+	if det {
+		s.waitSum += dur
+	}
+	if det && !window {
+		s.recent = append(s.recent, unit{at: int32(at), dur: dur})
+	} else {
+		s.recent = s.recent[:0]
 	}
 }
 
@@ -278,32 +299,51 @@ func (s *stream) anchor() {
 	s.waitSum = 0
 }
 
-// waitInstrs renders a timing-point advance of d cycles.
-func waitInstrs(d int64) []isa.Instr {
+// appendWait renders a timing-point advance of d cycles onto dst.
+func appendWait(dst []isa.Instr, d int64) []isa.Instr {
 	if d <= 0 {
-		return nil
+		return dst
 	}
 	if d <= 2047 {
-		return []isa.Instr{{Op: isa.OpWAITI, Imm: int32(d)}}
+		return append(dst, isa.Instr{Op: isa.OpWAITI, Imm: int32(d)})
 	}
-	return append(isa.LoadImm(regWait, int32(d)), isa.Instr{Op: isa.OpWAITR, Rs1: regWait})
+	dst = isa.AppendLoadImm(dst, regWait, int32(d))
+	return append(dst, isa.Instr{Op: isa.OpWAITR, Rs1: regWait})
 }
 
-func (s *stream) wait(d int64) {
+// waitLen is the number of instructions appendWait renders for d: a wide
+// wait is lui + addi + waitr.
+func waitLen(d int64) int {
+	switch {
+	case d <= 0:
+		return 0
+	case d <= 2047:
+		return 1
+	}
+	return 3
+}
+
+// wait appends a timing-point advance of d cycles; window marks it as part
+// of a sync window.
+func (s *stream) wait(d int64, window bool) {
 	if d <= 0 {
 		return
 	}
-	s.push(unit{ins: waitInstrs(d), dur: d, det: true, wait: true})
+	at := len(s.ins)
+	s.ins = appendWait(s.ins, d)
+	s.push(at, d, true, window)
 }
 
-// cwTrigger renders the codeword trigger for interned table index idx on
-// the given port (indices are 1-based on the wire).
-func cwTrigger(idx int, port uint8) []isa.Instr {
+// appendCW renders the codeword trigger for interned table index idx on the
+// given port (indices are 1-based on the wire); wide reports the li + cwir
+// form.
+func appendCW(dst []isa.Instr, idx int, port uint8) (out []isa.Instr, wide bool) {
 	v := int32(idx + 1)
 	if v <= 2047 {
-		return []isa.Instr{{Op: isa.OpCWII, Rd: port, Imm: v}}
+		return append(dst, isa.Instr{Op: isa.OpCWII, Rd: port, Imm: v}), false
 	}
-	return append(isa.LoadImm(regCW, v), isa.Instr{Op: isa.OpCWIR, Rd: port, Rs1: regCW})
+	dst = isa.AppendLoadImm(dst, regCW, v)
+	return append(dst, isa.Instr{Op: isa.OpCWIR, Rd: port, Rs1: regCW}), true
 }
 
 // guard pads the timing point so the next commit cannot trail the classical
@@ -312,7 +352,7 @@ func cwTrigger(idx int, port uint8) []isa.Instr {
 func (s *stream) guard(extraInstrs int64) {
 	need := s.instrSum + extraInstrs + pipeGuard - s.waitSum
 	if need > 0 {
-		s.wait(need)
+		s.wait(need, false)
 	}
 }
 
@@ -325,46 +365,39 @@ func (s *stream) guard(extraInstrs int64) {
 // slide), the sync books as early as permitted and the shortfall is padded
 // at the gate end — the §4.4 overhead case.
 //
-// Every unit between the sync and the commit is marked as window territory:
-// a later sync must not book inside [B, B+N) of an earlier one, because its
-// booking would be transmitted at a pre-pause wall time the controller
-// cannot honor (see DESIGN.md §2.3).
-func (s *stream) insertSyncBack(target int, window int64, advance bool) {
-	syncU := unit{ins: []isa.Instr{{Op: isa.OpSYNC, Imm: int32(target)}}, window: true}
+// Everything between the sync and the commit is window territory: a later
+// sync must not book inside [B, B+N) of an earlier one, because its booking
+// would be transmitted at a pre-pause wall time the controller cannot honor
+// (see DESIGN.md §2.3). So the slide forgets every unit it passed.
+//
+// The sync is not inserted into the arena: the booking records where it
+// goes, and Assemble merges it in. A slide costs the units it passes, never
+// the stream's length.
+func (s *stream) insertSyncBack(target int32, window int64, advance bool) {
+	b := booking{at: int32(len(s.ins)), end: int32(len(s.ins)), target: target}
 	acc := int64(0)
-	i := len(s.units)
-	for advance && i > 0 && acc < window {
-		u := s.units[i-1]
-		if !u.det || u.window {
-			break
-		}
-		if u.wait && acc+u.dur > window {
-			// Split the wait: [dur-need] stays outside, [need] joins the window.
-			need := window - acc
-			before := u.dur - need
-			s.units[i-1] = unit{ins: waitInstrs(before), dur: before, det: true, wait: true}
-			rest := unit{ins: waitInstrs(need), dur: need, det: true, wait: true, window: true}
-			s.units = append(s.units, unit{})
-			copy(s.units[i+1:], s.units[i:len(s.units)-1])
-			s.units[i] = rest
-			s.instrSum += int64(len(rest.ins))
+	for i := len(s.recent); advance && i > 0 && acc < window; i-- {
+		u := s.recent[i-1]
+		if u.dur > 0 && acc+u.dur > window {
+			// Split the wait: [dur-need] stays outside, [need] joins the
+			// window. b.end is already where the wait ends.
+			b.after = window - acc
+			b.before = u.dur - b.after
+			b.at = u.at
+			s.instrSum += int64(waitLen(b.after))
 			acc = window
 			break
 		}
 		acc += u.dur
-		i--
+		b.at, b.end = u.at, u.at
 	}
-	// Insert the sync at position i and claim everything after it as window.
-	s.units = append(s.units, unit{})
-	copy(s.units[i+1:], s.units[i:len(s.units)-1])
-	s.units[i] = syncU
-	s.instrSum += int64(len(syncU.ins))
-	for j := i + 1; j < len(s.units); j++ {
-		s.units[j].window = true
-	}
+	s.syncs = append(s.syncs, b)
+	s.instrSum++
+	s.size += waitLen(b.before) + 1 + waitLen(b.after) - int(b.end-b.at)
+	s.recent = s.recent[:0]
 	if pad := window - acc; pad > 0 {
 		// Shortfall: pad at the gate end so earlier commits stay put.
-		s.push(unit{ins: waitInstrs(pad), dur: pad, det: true, wait: true, window: true})
+		s.wait(pad, true)
 	}
 }
 

@@ -17,15 +17,15 @@ import (
 // intentionally, the monolith is deleted and the golden fixtures take
 // over as the sole byte-level anchor.
 // legacyStream restores the monolith's inline codeword interning on top
-// of the scheduled-stream type (the pipeline interns in Lower instead, so
-// production streams no longer carry the intern map).
+// of monoStream (the pipeline interns in Lower instead, so production
+// streams carry no intern map).
 type legacyStream struct {
-	stream
+	monoStream
 	tableIdx map[chip.TableEntry]int
 }
 
 func newStream(id int) *legacyStream {
-	return &legacyStream{stream: stream{id: id}, tableIdx: map[chip.TableEntry]int{}}
+	return &legacyStream{monoStream: monoStream{id: id}, tableIdx: map[chip.TableEntry]int{}}
 }
 
 func (s *legacyStream) cwInstrs(e chip.TableEntry) []isa.Instr {
@@ -35,7 +35,7 @@ func (s *legacyStream) cwInstrs(e chip.TableEntry) []isa.Instr {
 		s.table = append(s.table, e)
 		s.tableIdx[e] = idx
 	}
-	return cwTrigger(idx, uint8(e.Port()))
+	return monoCWTrigger(idx, uint8(e.Port()))
 }
 
 // advance selects the Fig. 6 sync placement (what Schedule "fixed" does);
@@ -97,15 +97,15 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 			s := streams[ctrlOf(q)]
 			entry := chip.TableEntry{Role: chip.RoleMeasure, Kind: circuit.Measure, Qubit: q, Channel: 0}
 			s.guard(1)
-			s.push(unit{ins: s.cwInstrs(entry), det: true})
+			s.push(monoUnit{ins: s.cwInstrs(entry), det: true})
 			// Fetch the result (pipeline blocks until MeasLatency elapses,
 			// which re-anchors the timing point past the window) and store
 			// it at the bit's home address.
-			s.push(unit{ins: []isa.Instr{{Op: isa.OpFMR, Rd: regScratch, Imm: 0}}})
+			s.push(monoUnit{ins: []isa.Instr{{Op: isa.OpFMR, Rd: regScratch, Imm: 0}}})
 			s.anchor()
 			store := append(isa.LoadImm(regAddr, int32(4*op.CBit)),
 				isa.Instr{Op: isa.OpSW, Rs1: regAddr, Rs2: regScratch})
-			s.push(unit{ins: store, det: true})
+			s.push(monoUnit{ins: store, det: true})
 			// Timing point already advanced to the result time by the fmr
 			// anchor; nothing further to wait for.
 			bitOwner[op.CBit] = s.id
@@ -137,7 +137,7 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 				ins := append(isa.LoadImm(regAddr, int32(4*b)),
 					isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr},
 					isa.Instr{Op: isa.OpSEND, Rs1: regScratch, Imm: int32(actor)})
-				os.push(unit{ins: ins})
+				os.push(monoUnit{ins: ins})
 				st.Sends++
 			}
 			// Actor gathers, xors, branches, and conditionally commits.
@@ -167,12 +167,12 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 			if anchored {
 				guardAmt = pipeGuard + int64(len(ins)) + 8
 			}
-			body := waitInstrs(guardAmt)
+			body := monoWaitInstrs(guardAmt)
 			body = append(body, s.cwInstrs(entry)...)
-			body = append(body, waitInstrs(d.Of(op.Kind, op.Param, 0))...)
+			body = append(body, monoWaitInstrs(d.Of(op.Kind, op.Param, 0))...)
 			ins = append(ins, isa.Instr{Op: brOp, Rs1: regParity, Imm: int32(4 * (len(body) + 1))})
 			ins = append(ins, body...)
-			s.push(unit{ins: ins})
+			s.push(monoUnit{ins: ins})
 			if anchored {
 				s.anchor()
 				// The body retires after the anchor; seed the counters so the
@@ -190,7 +190,7 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 				s := streams[ca]
 				s.guard(2)
 				ins := append(s.cwInstrs(ctrlEntry), s.cwInstrs(partEntry)...)
-				s.push(unit{ins: ins, det: true})
+				s.push(monoUnit{ins: ins, det: true})
 				s.wait(d.TwoQubit)
 				break
 			}
@@ -206,8 +206,8 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 			// The synchronized commit belongs to its sync's window: nothing —
 			// in particular no later sync — may be inserted between them, or
 			// the parked pipeline would delay the commit past foreign events.
-			sa.push(unit{ins: sa.cwInstrs(ctrlEntry), det: true, window: true})
-			sb.push(unit{ins: sb.cwInstrs(partEntry), det: true, window: true})
+			sa.push(monoUnit{ins: sa.cwInstrs(ctrlEntry), det: true, window: true})
+			sb.push(monoUnit{ins: sb.cwInstrs(partEntry), det: true, window: true})
 			sa.wait(d.TwoQubit)
 			sb.wait(d.TwoQubit)
 
@@ -216,7 +216,7 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 			s := streams[ctrlOf(q)]
 			entry := tableEntryFor(op, q)
 			s.guard(1)
-			s.push(unit{ins: s.cwInstrs(entry), det: true})
+			s.push(monoUnit{ins: s.cwInstrs(entry), det: true})
 			s.wait(d.Of(op.Kind, op.Param, 0))
 		}
 	}
@@ -243,4 +243,138 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 	}
 	out.Stats = st
 	return out, nil
+}
+
+// The scheduled-stream machinery the monolith ran inline, as it stood
+// before the pipeline's representation became pointer-free records: every
+// unit owns its instructions, and a sync booking is a mid-slice insert.
+// Kept verbatim (renamed only) so the oracle above stays the parent's
+// algorithm, not a re-statement of the pipeline it checks.
+
+// monoUnit is one atomic chunk of a controller stream. det units may have a
+// sync instruction inserted before them by the backward scan; wait units may
+// additionally be split.
+type monoUnit struct {
+	ins    []isa.Instr
+	dur    int64 // deterministic timing-point advance contributed by this unit
+	det    bool
+	wait   bool // pure wait (splittable)
+	window bool // inside a sync window [B, B+N): later syncs must not book here
+}
+
+// monoStream is one controller's scheduled unit stream. Codeword interning
+// happens inline (legacyStream.cwInstrs), into table.
+type monoStream struct {
+	id       int
+	units    []monoUnit
+	instrSum int64 // instructions since the last pipeline anchor
+	waitSum  int64 // timing-point advance since the last pipeline anchor
+	table    []chip.TableEntry
+}
+
+func (s *monoStream) push(u monoUnit) {
+	s.units = append(s.units, u)
+	s.instrSum += int64(len(u.ins))
+	if u.det {
+		s.waitSum += u.dur
+	}
+}
+
+// anchor marks a pipeline anchor: a blocking fmr/recv re-synchronized the
+// timing point to the pipeline clock, or a commit resumed the pipeline at
+// its own commit time — in both cases the pipeline clock equals the timing
+// point and the guard accounting restarts.
+func (s *monoStream) anchor() {
+	s.instrSum = 0
+	s.waitSum = 0
+}
+
+// monoWaitInstrs renders a timing-point advance of d cycles.
+func monoWaitInstrs(d int64) []isa.Instr {
+	if d <= 0 {
+		return nil
+	}
+	if d <= 2047 {
+		return []isa.Instr{{Op: isa.OpWAITI, Imm: int32(d)}}
+	}
+	return append(isa.LoadImm(regWait, int32(d)), isa.Instr{Op: isa.OpWAITR, Rs1: regWait})
+}
+
+func (s *monoStream) wait(d int64) {
+	if d <= 0 {
+		return
+	}
+	s.push(monoUnit{ins: monoWaitInstrs(d), dur: d, det: true, wait: true})
+}
+
+// monoCWTrigger renders the codeword trigger for interned table index idx on
+// the given port (indices are 1-based on the wire).
+func monoCWTrigger(idx int, port uint8) []isa.Instr {
+	v := int32(idx + 1)
+	if v <= 2047 {
+		return []isa.Instr{{Op: isa.OpCWII, Rd: port, Imm: v}}
+	}
+	return append(isa.LoadImm(regCW, v), isa.Instr{Op: isa.OpCWIR, Rd: port, Rs1: regCW})
+}
+
+// guard pads the timing point so the next commit cannot trail the classical
+// pipeline (commit time >= pipeline time, no TELF violations). extraInstrs
+// accounts for instructions that will execute before the commit.
+func (s *monoStream) guard(extraInstrs int64) {
+	need := s.instrSum + extraInstrs + pipeGuard - s.waitSum
+	if need > 0 {
+		s.wait(need)
+	}
+}
+
+// insertSyncBack places a sync instruction exactly `window` cycles of
+// deterministic time before the end of the stream (where the caller is about
+// to emit the synchronized commit), sliding backwards over deterministic
+// units and splitting waits — the Fig. 6 "advance the sync instruction"
+// placement. When less deterministic slack is available (the stream starts,
+// a non-deterministic operation, or a previous sync's own window bounds the
+// slide), the sync books as early as permitted and the shortfall is padded
+// at the gate end — the §4.4 overhead case.
+//
+// Every unit between the sync and the commit is marked as window territory:
+// a later sync must not book inside [B, B+N) of an earlier one, because its
+// booking would be transmitted at a pre-pause wall time the controller
+// cannot honor (see DESIGN.md §2.3).
+func (s *monoStream) insertSyncBack(target int, window int64, advance bool) {
+	syncU := monoUnit{ins: []isa.Instr{{Op: isa.OpSYNC, Imm: int32(target)}}, window: true}
+	acc := int64(0)
+	i := len(s.units)
+	for advance && i > 0 && acc < window {
+		u := s.units[i-1]
+		if !u.det || u.window {
+			break
+		}
+		if u.wait && acc+u.dur > window {
+			// Split the wait: [dur-need] stays outside, [need] joins the window.
+			need := window - acc
+			before := u.dur - need
+			s.units[i-1] = monoUnit{ins: monoWaitInstrs(before), dur: before, det: true, wait: true}
+			rest := monoUnit{ins: monoWaitInstrs(need), dur: need, det: true, wait: true, window: true}
+			s.units = append(s.units, monoUnit{})
+			copy(s.units[i+1:], s.units[i:len(s.units)-1])
+			s.units[i] = rest
+			s.instrSum += int64(len(rest.ins))
+			acc = window
+			break
+		}
+		acc += u.dur
+		i--
+	}
+	// Insert the sync at position i and claim everything after it as window.
+	s.units = append(s.units, monoUnit{})
+	copy(s.units[i+1:], s.units[i:len(s.units)-1])
+	s.units[i] = syncU
+	s.instrSum += int64(len(syncU.ins))
+	for j := i + 1; j < len(s.units); j++ {
+		s.units[j].window = true
+	}
+	if pad := window - acc; pad > 0 {
+		// Shortfall: pad at the gate end so earlier commits stay put.
+		s.push(monoUnit{ins: monoWaitInstrs(pad), dur: pad, det: true, wait: true, window: true})
+	}
 }

@@ -3,6 +3,7 @@ package compiler
 import (
 	"fmt"
 
+	"dhisq/internal/chip"
 	"dhisq/internal/circuit"
 	"dhisq/internal/network"
 )
@@ -27,18 +28,20 @@ type State struct {
 	// count (teleport bits live after it in the expanded circuit).
 	PublicBits int
 
-	// Produced by Lower: one directive stream per controller, the bit
-	// ownership table, the parameter-slot table (symbolic angles interned
-	// into codeword tables), the per-controller measured-bit lists of a
-	// static program (nil otherwise), and the lowering-side stats.
-	lowered     []*lowerStream
+	// Produced by Lower: one directive stream per controller, the codeword
+	// tables, the bit ownership table,
+	// the parameter-slot table (symbolic angles interned into codeword
+	// tables), the per-controller measured-bit lists of a static program
+	// (nil otherwise), and the lowering-side stats.
+	lowered     []lowerStream
+	tables      [][]chip.TableEntry
 	bitOwner    []int
 	bitMeasured []bool
 	paramSlots  []ParamSlot
 	measBits    [][]int
 
-	// Produced by Schedule: the timed unit streams.
-	scheduled []*stream
+	// Produced by Schedule: the timed instruction streams.
+	scheduled []stream
 
 	// Accumulated across passes; Assemble finalizes it into out.Stats.
 	stats Stats

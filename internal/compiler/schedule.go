@@ -7,12 +7,12 @@ import (
 	"dhisq/internal/registry"
 )
 
-// Schedule resolves each controller's directive stream into a timed unit
-// stream: guard padding so commits never trail the classical pipeline,
-// the Fig. 6 backward sync slide (insertSyncBack) against the calibrated
-// windows Lower recorded, anchor accounting at blocking fmr/recv points,
-// and branch-body assembly for conditioned commits (whose in-branch guard
-// wait depends on the instruction count accumulated here).
+// Schedule resolves each controller's directive stream into a timed
+// instruction stream: guard padding so commits never trail the classical
+// pipeline, the Fig. 6 backward sync slide (insertSyncBack) against the
+// calibrated windows Lower recorded, anchor accounting at blocking fmr/recv
+// points, and branch-body assembly for conditioned commits (whose in-branch
+// guard wait depends on the instruction count accumulated here).
 //
 // How the directives are resolved is a pluggable policy, mirroring the
 // Place pass: Options.Schedule names a registered SchedulePolicy and the
@@ -36,7 +36,7 @@ func (Schedule) Run(st *State) error {
 }
 
 // SchedulePolicy resolves a State's lowered directive streams into the
-// timed unit streams Assemble concatenates. Policies run after Lower, so
+// timed instruction streams Assemble merges. Policies run after Lower, so
 // st.lowered, the interned tables and the option set are all available;
 // a policy must fill st.scheduled with one stream per controller.
 //
@@ -104,57 +104,95 @@ func (paddedPolicy) Run(st *State) error {
 
 // replayStreams is the shared directive replay: one timed stream per
 // controller, with advance deciding whether sync bookings slide backwards
-// (Fig. 6) or pad in place.
+// (Fig. 6) or pad in place. Streams replay one after another, so each
+// writes its arena on the free tail of one allocation, and its bookings to
+// its own cut of another; they take turns with one buffer of slide
+// candidates. The allocation holds every payload and two instructions a
+// directive, which covers the guard and gate waits unless one is wide.
 func replayStreams(st *State, advance bool) error {
-	st.scheduled = make([]*stream, len(st.lowered))
-	for i, l := range st.lowered {
-		s := &stream{id: l.id}
-		for _, d := range l.dirs {
-			switch d.kind {
-			case dUnit:
-				s.push(d.u)
-			case dWait:
-				s.wait(d.amt)
-			case dGuard:
-				s.guard(d.amt)
-			case dAnchor:
+	size, nsync := 0, 0
+	for i := range st.lowered {
+		size += len(st.lowered[i].ins) + 2*len(st.lowered[i].dirs)
+		nsync += st.lowered[i].syncs
+	}
+	free := make([]isa.Instr, size)
+	syncs := make([]booking, nsync)
+	var recent []unit
+	st.scheduled = make([]stream, len(st.lowered))
+	for i := range st.lowered {
+		l := &st.lowered[i]
+		s := &st.scheduled[i]
+		s.ins = free[:0]
+		s.syncs, syncs = syncs[:0:l.syncs], syncs[l.syncs:]
+		s.recent = recent[:0]
+		pos := int32(0) // the next payload in l.ins
+		for j := range l.dirs {
+			d := &l.dirs[j]
+			if d.parts&pGuard != 0 {
+				s.guard(int64(d.extra))
+			}
+			if d.parts&pSync != 0 {
+				s.insertSyncBack(d.target, int64(d.window), advance)
+			}
+			if d.parts&pUnit != 0 {
+				at := len(s.ins)
+				s.ins = append(s.ins, l.ins[pos:pos+d.n]...)
+				pos += d.n
+				s.push(at, 0, d.flags&fDet != 0, d.flags&fWindow != 0)
+			}
+			if d.parts&pAnchor != 0 {
 				s.anchor()
-			case dSync:
-				s.insertSyncBack(d.target, d.window, advance)
-			case dCond:
-				scheduleCond(s, d.cond)
-			default:
-				return fmt.Errorf("compiler: controller %d: unknown directive kind %d", l.id, d.kind)
+			}
+			if d.parts&pWait != 0 {
+				s.wait(d.wait, false)
+			}
+			if d.parts&pCond != 0 {
+				scheduleCond(s, l.ins[pos:pos+d.n], d)
+				pos += d.n
 			}
 		}
-		// The scheduled stream inherits the table interned at lowering time.
-		s.table = l.table
-		st.scheduled[i] = s
+		// A stream that outgrew the free tail moved to an allocation of its
+		// own, with a larger capacity; one that did not took its length.
+		if cap(s.ins) == cap(free) {
+			free = free[len(s.ins):]
+		}
+		recent, s.recent = s.recent, nil
 	}
 	return nil
 }
 
-// scheduleCond assembles a conditioned commit. The in-branch guard wait
-// covers every instruction that can retire between the last pipeline
-// anchor and the commit; a recv inside the gather sequence re-anchors the
-// stream, shrinking the guard to the local instruction count.
-func scheduleCond(s *stream, c *condSite) {
-	guardAmt := pipeGuard + s.instrSum + int64(len(c.pre)) + 8
-	if c.anchored {
-		guardAmt = pipeGuard + int64(len(c.pre)) + 8
+// scheduleCond assembles a conditioned commit: the gather, the branch over
+// the body, and the body — guard wait, trigger, the gate's own wait. The
+// in-branch guard wait covers every instruction that can retire between the
+// last pipeline anchor and the commit; a recv inside the gather sequence
+// re-anchors the stream, shrinking the guard to the local instruction count.
+func scheduleCond(s *stream, payload []isa.Instr, d *directive) {
+	ncw := 1
+	if d.flags&fWideCW != 0 {
+		ncw = 3
 	}
-	body := waitInstrs(guardAmt)
-	body = append(body, c.cw...)
-	body = append(body, waitInstrs(c.gateWait)...)
-	ins := make([]isa.Instr, 0, len(c.pre)+1+len(body))
-	ins = append(ins, c.pre...)
-	ins = append(ins, isa.Instr{Op: c.brOp, Rs1: regParity, Imm: int32(4 * (len(body) + 1))})
-	ins = append(ins, body...)
-	s.push(unit{ins: ins})
-	if c.anchored {
+	pre, cw := payload[:len(payload)-ncw], payload[len(payload)-ncw:]
+	anchored := d.flags&fAnchored != 0
+	guardAmt := pipeGuard + s.instrSum + int64(len(pre)) + 8
+	if anchored {
+		guardAmt = pipeGuard + int64(len(pre)) + 8
+	}
+	body := waitLen(guardAmt) + len(cw) + waitLen(d.wait)
+	brOp := isa.OpBEQ
+	if d.flags&fBNE != 0 {
+		brOp = isa.OpBNE
+	}
+	at := len(s.ins)
+	s.ins = append(s.ins, pre...)
+	s.ins = append(s.ins, isa.Instr{Op: brOp, Rs1: regParity, Imm: int32(4 * (body + 1))})
+	s.ins = appendWait(s.ins, guardAmt)
+	s.ins = append(s.ins, cw...)
+	s.ins = appendWait(s.ins, d.wait)
+	s.push(at, 0, false, false)
+	if anchored {
 		s.anchor()
 		// The body retires after the anchor; seed the counters so the
 		// next guard still covers it.
-		s.instrSum = int64(len(body)) + 4
+		s.instrSum = int64(body) + 4
 	}
 }

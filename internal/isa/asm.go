@@ -179,16 +179,16 @@ func parseMem(s string) (int32, uint8, error) {
 // LoadImm is the li expansion: the instructions that set rd to v. One addi
 // reaches a 12-bit v; any other takes lui rd,hi ; addi rd,rd,lo with hi
 // rounded so that the sign-extended lo lands on the exact value.
-func LoadImm(rd uint8, v int32) []Instr {
+func LoadImm(rd uint8, v int32) []Instr { return AppendLoadImm(nil, rd, v) }
+
+// AppendLoadImm appends the li expansion of rd = v to dst.
+func AppendLoadImm(dst []Instr, rd uint8, v int32) []Instr {
 	if v >= -2048 && v <= 2047 {
-		return []Instr{{Op: OpADDI, Rd: rd, Imm: v}}
+		return append(dst, Instr{Op: OpADDI, Rd: rd, Imm: v})
 	}
 	lo := v << 20 >> 20
 	hi := (v - lo) >> 12 & 0xFFFFF
-	return []Instr{
-		{Op: OpLUI, Rd: rd, Imm: hi},
-		{Op: OpADDI, Rd: rd, Rs1: rd, Imm: lo},
-	}
+	return append(dst, Instr{Op: OpLUI, Rd: rd, Imm: hi}, Instr{Op: OpADDI, Rd: rd, Rs1: rd, Imm: lo})
 }
 
 // parseInstr turns one source line (mnemonic + operands) into instructions,

@@ -63,3 +63,30 @@ func TestEncodeBytesPinned(t *testing.T) {
 		t.Fatalf("Encode's bytes changed: digest %s, pinned %s", got, encodePin)
 	}
 }
+
+// TestEncodeAllocatesOnce: Encode sizes its buffer to the exact encoding,
+// checksum included, and writes every byte into that one allocation. The
+// compiler emits no symbol table, whose sorted names would be a second.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	for i, cp := range pinnedArtifacts(t) {
+		b := store.Encode(cp)
+		if len(b) != cap(b) {
+			t.Errorf("artifact %d: %d bytes in a buffer of %d", i, len(b), cap(b))
+		}
+		if hasSymbols(cp) {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(10, func() { store.Encode(cp) }); allocs != 1 {
+			t.Errorf("artifact %d: Encode allocates %.0f times, want 1", i, allocs)
+		}
+	}
+}
+
+func hasSymbols(cp *compiler.Compiled) bool {
+	for _, p := range cp.Programs {
+		if len(p.Symbols) > 0 {
+			return true
+		}
+	}
+	return false
+}

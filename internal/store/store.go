@@ -328,9 +328,9 @@ func (e *enc) length(n int, isNil bool) {
 // form. The encoding is canonical — map fields are written in sorted
 // order — so encoding the same artifact twice yields identical bytes
 // (content addressing depends on it: a re-spill of a fingerprint
-// rewrites the same file).
+// rewrites the same file). The buffer is sized once, checksum included.
 func Encode(cp *compiler.Compiled) []byte {
-	e := &enc{buf: make([]byte, 0, 4096)}
+	e := &enc{buf: make([]byte, 0, encodedLen(cp))}
 	e.buf = append(e.buf, magic[:]...)
 	e.u32(Version)
 
@@ -408,6 +408,36 @@ func Encode(cp *compiler.Compiled) []byte {
 
 	sum := sha256.Sum256(e.buf)
 	return append(e.buf, sum[:]...)
+}
+
+// encodedLen is len(Encode(cp)): the header, every field at the width
+// Encode writes it, and the checksum.
+func encodedLen(cp *compiler.Compiled) int {
+	n := headerLen + 8 // + the program count
+	for _, p := range cp.Programs {
+		n += 8 + 8*len(p.Instrs) + 8 // counts, and 8 bytes an instruction
+		for name := range p.Symbols {
+			n += 8 + len(name) + 8
+		}
+	}
+	n += 8
+	for _, table := range cp.Tables {
+		n += 8
+		for _, t := range table {
+			n += 2 + 8*4 + 8 + len(t.Sym) // role, kind, four words, the name
+		}
+	}
+	n += 8 + 8*len(cp.BitOwner) + 8 + 6*8 // bit owners, MemBytes, six Stats
+	n += 8 + 8*len(cp.Mapping)
+	n += 8
+	for _, ps := range cp.ParamSlots {
+		n += 3*8 + len(ps.Sym)
+	}
+	n += 8
+	for _, bits := range cp.MeasBits {
+		n += 8 + 8*len(bits)
+	}
+	return n + 2*8 + checksumLen // PublicBits, Stats.RemoteGates
 }
 
 // dec is a bounds-checked payload reader: every read reports truncation
