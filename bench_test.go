@@ -92,11 +92,17 @@ func BenchmarkFig16Fidelity(b *testing.B) {
 
 // --- substrate microbenchmarks ---
 
+// nopHandler receives engine events and does nothing with them.
+type nopHandler struct{}
+
+func (nopHandler) HandleEvent(sim.Event) {}
+
 func BenchmarkEngineEvents(b *testing.B) {
 	eng := sim.NewEngine()
+	h := eng.Bind(nopHandler{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.After(1, sim.PriResume, func() {})
+		eng.Post(eng.Now()+1, sim.PriResume, h, sim.Event{})
 		eng.Step()
 	}
 }

@@ -12,36 +12,52 @@ import (
 )
 
 // stubFabric wires two controllers back-to-back with a fixed-latency link —
-// the minimal fabric for exercising nearby BISP sync and messaging.
+// the minimal fabric for exercising nearby BISP sync and messaging. Its
+// deliveries are typed engine events on its own handler: Op stubSync or
+// stubMessage, Node the destination, A the source, B the value and C the
+// logical arrival time.
 type stubFabric struct {
 	eng     *sim.Engine
+	hid     sim.HandlerID
 	ctrl    map[int]*core.Controller
 	latency sim.Time
 }
 
+const (
+	stubSync uint8 = iota
+	stubMessage
+)
+
 func newStubFabric(eng *sim.Engine, latency sim.Time) *stubFabric {
-	return &stubFabric{eng: eng, ctrl: map[int]*core.Controller{}, latency: latency}
+	f := &stubFabric{eng: eng, ctrl: map[int]*core.Controller{}, latency: latency}
+	f.hid = eng.Bind(f)
+	return f
 }
 
 func (f *stubFabric) IsRouter(addr int) bool                { return false }
 func (f *stubFabric) NearbyWindow(src, dst int) sim.Time    { return f.latency }
 func (f *stubFabric) RegionWindow(src, router int) sim.Time { return f.latency }
 func (f *stubFabric) SendSyncSignal(src, dst int, at sim.Time) {
-	arrival := at + f.latency
-	t := arrival
-	if now := f.eng.Now(); t < now {
-		t = now
-	}
-	f.eng.At(t, sim.PriDeliver, func() { f.ctrl[dst].DeliverSyncSignal(src, arrival) })
+	f.deliver(sim.Event{Op: stubSync, Node: int32(dst), A: int64(src)}, at)
 }
 func (f *stubFabric) BookRegion(src, router int, ti, at sim.Time) {}
 func (f *stubFabric) SendMessage(src, dst int, value uint32, at sim.Time) {
-	arrival := at + f.latency
-	t := arrival
-	if now := f.eng.Now(); t < now {
-		t = now
+	f.deliver(sim.Event{Op: stubMessage, Node: int32(dst), A: int64(src), B: int64(value)}, at)
+}
+
+// deliver posts ev to arrive one latency after at, clamped to the present.
+func (f *stubFabric) deliver(ev sim.Event, at sim.Time) {
+	ev.C = at + f.latency
+	f.eng.Post(max(ev.C, f.eng.Now()), sim.PriDeliver, f.hid, ev)
+}
+
+func (f *stubFabric) HandleEvent(ev sim.Event) {
+	dst, src := f.ctrl[int(ev.Node)], int(ev.A)
+	if ev.Op == stubSync {
+		dst.DeliverSyncSignal(src, ev.C)
+	} else {
+		dst.DeliverMessage(src, uint32(ev.B), ev.C)
 	}
-	f.eng.At(t, sim.PriDeliver, func() { f.ctrl[dst].DeliverMessage(src, value, arrival) })
 }
 
 // collectSink records commits.

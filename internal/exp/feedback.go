@@ -96,10 +96,9 @@ func FeedbackSweep(opt FeedbackOptions) ([]FeedbackPoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: feedback %s cold: %w", name, err)
 		}
-		fb := machine.HarvestFeedback([]machine.Result{coldRes})
-		out = append(out, point("cold", cold, coldRes, len(fb.Links)))
+		out = append(out, point("cold", cold, coldRes, len(coldRes.Net.Links)))
 
-		replaced, _, err := machine.RePlace(c, cfg, cold, fb)
+		replaced, _, err := machine.RePlace(c, cfg, cold, coldRes.Net)
 		if err != nil {
 			return nil, fmt.Errorf("exp: feedback %s re-place: %w", name, err)
 		}

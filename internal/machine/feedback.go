@@ -4,13 +4,13 @@ import (
 	"fmt"
 
 	"dhisq/internal/circuit"
-	"dhisq/internal/compiler"
 	"dhisq/internal/network"
 	"dhisq/internal/placement"
 )
 
-// RePlace closes the compile↔fabric loop for one circuit: given congestion
-// feedback measured under the prior mapping (nil = identity), it generates
+// RePlace closes the compile↔fabric loop for one circuit: given the
+// congestion digest measured under the prior mapping (nil = identity) — one
+// shot's Result.Net, or many merged with CongestionStats.Merge — it generates
 // stall-weighted candidate placements (placement.CongestionCandidates),
 // probes each with a one-shot run, refines the winner by measured pairwise
 // swaps, and returns the mapping with the lowest observed fabric stall
@@ -19,15 +19,15 @@ import (
 // The incumbent mapping is always candidate zero and ties keep the
 // earliest candidate, so the result is never measurably worse than prior.
 // Every step — candidate generation, probe order, swap order, strict-
-// improvement acceptance — is deterministic, so identical feedback yields
+// improvement acceptance — is deterministic, so an identical digest yields
 // identical re-placed mappings (and therefore identical re-compiled
 // programs) at any worker count.
 //
-// cfg must describe the machine the feedback was measured on (mesh shape,
-// contention model, backend, seed). With contention disabled, or with
-// empty feedback, the probe reads zero stall everywhere and the incumbent
-// wins: RePlace degrades to a no-op rather than an error.
-func RePlace(c *circuit.Circuit, cfg Config, prior []int, fb *compiler.Feedback) ([]int, int64, error) {
+// cfg must describe the machine the digest was measured on (mesh shape,
+// contention model, backend, seed). With contention disabled, or with a
+// digest that records no stall, the probe reads zero stall everywhere and
+// the incumbent wins: RePlace degrades to a no-op rather than an error.
+func RePlace(c *circuit.Circuit, cfg Config, prior []int, net network.CongestionStats) ([]int, int64, error) {
 	topo, err := network.NewTopology(cfg.Net)
 	if err != nil {
 		return nil, 0, err
@@ -62,8 +62,8 @@ func RePlace(c *circuit.Circuit, cfg Config, prior []int, fb *compiler.Feedback)
 	}
 
 	candidates := [][]int{incumbent}
-	if fb != nil && !fb.Empty() {
-		more, err := placement.CongestionCandidates(c, topo, incumbent, fb.LinkLoads())
+	if net.TotalStall() > 0 {
+		more, err := placement.CongestionCandidates(c, topo, incumbent, net.Links)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -114,14 +114,4 @@ func RePlace(c *circuit.Circuit, cfg Config, prior []int, fb *compiler.Feedback)
 		}
 	}
 	return bestMap, bestStall, nil
-}
-
-// HarvestFeedback folds a run's results into a Feedback digest — the
-// bridge from machine.Result.Net back into the compiler's feedback types.
-func HarvestFeedback(results []Result) *compiler.Feedback {
-	fb := &compiler.Feedback{}
-	for _, r := range results {
-		fb.Absorb(r.Net, r.RouterUtilization)
-	}
-	return fb
 }

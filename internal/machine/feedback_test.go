@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"dhisq/internal/circuit"
-	"dhisq/internal/compiler"
+	"dhisq/internal/network"
 )
 
 // starCircuit is the adversarial placement workload: every data qubit
@@ -32,9 +32,9 @@ func contendedConfig(n int) Config {
 	return cfg
 }
 
-// measuredFeedback runs one shot under the given mapping and harvests its
+// measuredFeedback runs one shot under the given mapping and returns its
 // congestion digest (plus the measured stall, for never-worse checks).
-func measuredFeedback(t *testing.T, c *circuit.Circuit, cfg Config, mapping []int) (*compiler.Feedback, int64) {
+func measuredFeedback(t *testing.T, c *circuit.Circuit, cfg Config, mapping []int) (network.CongestionStats, int64) {
 	t.Helper()
 	m, err := NewForCircuit(c, cfg.Net.MeshW, cfg.Net.MeshH, cfg)
 	if err != nil {
@@ -51,7 +51,7 @@ func measuredFeedback(t *testing.T, c *circuit.Circuit, cfg Config, mapping []in
 	if err != nil {
 		t.Fatal(err)
 	}
-	return HarvestFeedback(rs), int64(rs[0].Net.TotalStall())
+	return rs[0].Net, int64(rs[0].Net.TotalStall())
 }
 
 // TestRePlaceDeterministic: identical feedback must yield the identical
@@ -105,7 +105,7 @@ func TestRePlaceEmptyFeedbackKeepsIncumbent(t *testing.T) {
 	cfg := contendedConfig(6)
 	cfg.Net.LinkSerialization = 0 // contention off: probes read zero stall
 	prior := []int{2, 1, 0, 3, 5, 4}
-	mapping, stall, err := RePlace(c, cfg, prior, nil)
+	mapping, stall, err := RePlace(c, cfg, prior, network.CongestionStats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,41 +114,5 @@ func TestRePlaceEmptyFeedbackKeepsIncumbent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(mapping, prior) {
 		t.Fatalf("empty feedback changed the mapping: %v -> %v", prior, mapping)
-	}
-}
-
-// TestHarvestFeedback: the bridge from shot results to the compiler's
-// digest sums stalls across shots and keeps the max utilization.
-func TestHarvestFeedback(t *testing.T) {
-	c := starCircuit(9)
-	cfg := contendedConfig(9)
-	m, err := NewForCircuit(c, cfg.Net.MeshW, cfg.Net.MeshH, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := Compile(c, nil, m.Cfg, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(cp); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := m.RunShots(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb := HarvestFeedback(rs)
-	if fb.Shots != 3 {
-		t.Fatalf("harvested %d shots, want 3", fb.Shots)
-	}
-	var want int64
-	for _, r := range rs {
-		want += int64(r.Net.TotalStall())
-	}
-	if fb.TotalStall != want {
-		t.Fatalf("TotalStall %d, want %d", fb.TotalStall, want)
-	}
-	if want > 0 && len(fb.Links) == 0 {
-		t.Fatal("stall recorded but no link attribution")
 	}
 }

@@ -683,17 +683,13 @@ func RunCollective(f *Fabric, spec CollSpec, inputs [][]uint32, at sim.Time) (*C
 		for r, addr := range spec.Parts {
 			f.endpoints[addr] = saved[r]
 		}
-		f.collActive = false
+		f.coll = nil
 	}()
 	f.collOps++
-	f.collActive = true
+	f.coll = run
 
 	run.remaining = len(run.nodes)
-	f.eng.At(at, sim.PriDeliver, func() {
-		for _, n := range run.nodes {
-			n.advance()
-		}
-	})
+	f.post(at, sim.Event{Op: evCollStart})
 	for run.remaining > 0 && f.eng.Step() {
 	}
 	if run.remaining > 0 {

@@ -1,6 +1,9 @@
 package network
 
 import (
+	"cmp"
+	"slices"
+
 	"dhisq/internal/sim"
 	"dhisq/internal/telf"
 )
@@ -97,7 +100,7 @@ func (f *Fabric) chargeStall(node, src int, waited, depart sim.Time) {
 	if waited <= 0 {
 		return
 	}
-	if f.collActive {
+	if f.coll != nil {
 		f.collStall += waited
 	}
 	f.log.Add(telf.Event{Time: depart, Node: node, Kind: telf.NetStall, A: int64(src), B: waited})
@@ -172,9 +175,11 @@ func (f *Fabric) treeArrival(src, dst int, at sim.Time) sim.Time {
 	return t
 }
 
-// CongestionStats aggregates fabric-wide contention counters, the payload
-// behind machine.Result's network fields and /v1/stats. All zero when the
-// model is disabled.
+// CongestionStats aggregates fabric-wide contention counters: what one shot
+// reports in machine.Result.Net, and — folded with Merge — what a job's
+// shots, a pool group's jobs and the re-place search read. It is the one
+// congestion digest; the service's /v1/stats view (service.NetStats) is
+// read off it. All zero when the model is disabled.
 type CongestionStats struct {
 	Enabled bool `json:"enabled"`
 	// Mesh links.
@@ -202,9 +207,9 @@ type CongestionStats struct {
 	CollectiveStall sim.Time `json:"collective_stall_cycles"`
 	// Links is the per-link breakdown behind the aggregate Link* counters:
 	// one entry per directed mesh link that carried (or queued) at least one
-	// message, ordered by resource slot — deterministic for a deterministic
-	// run. It is what compiler.Feedback harvests to attribute stalls to
-	// specific controller pairs; aggregate-only consumers can ignore it.
+	// message, sorted by (From, To). It is what the re-place search reads to
+	// attribute stalls to specific controller pairs; aggregate-only
+	// consumers can ignore it.
 	Links []LinkStat `json:"links,omitempty"`
 }
 
@@ -226,6 +231,64 @@ func (s CongestionStats) MaxQueue() int {
 		return s.LinkMaxQueue
 	}
 	return s.PortMaxQueue
+}
+
+// Merge returns the digest of s and o together: counts, stalls and busy
+// cycles add, the *MaxQueue and *Busiest fields take the larger value,
+// Enabled is ORed, and Links merge by (From, To). Merge is commutative and
+// associative and the zero value is its identity, so folding a set of
+// snapshots in any order or grouping gives the same digest. Both Links
+// must be sorted by (From, To), as Congestion emits them; the result's is
+// too. Neither input's Links is written, though the result may share one.
+func (s CongestionStats) Merge(o CongestionStats) CongestionStats {
+	s.Enabled = s.Enabled || o.Enabled
+	s.LinkMessages += o.LinkMessages
+	s.LinkStall += o.LinkStall
+	s.LinkMaxQueue = max(s.LinkMaxQueue, o.LinkMaxQueue)
+	s.LinkOverflows += o.LinkOverflows
+	s.PortMessages += o.PortMessages
+	s.PortStall += o.PortStall
+	s.PortMaxQueue = max(s.PortMaxQueue, o.PortMaxQueue)
+	s.PortOverflows += o.PortOverflows
+	s.RouterBusiest = max(s.RouterBusiest, o.RouterBusiest)
+	s.PortBusiest = max(s.PortBusiest, o.PortBusiest)
+	s.RouterBusy += o.RouterBusy
+	s.CollectiveOps += o.CollectiveOps
+	s.CollectiveStall += o.CollectiveStall
+	s.Links = mergeLinks(s.Links, o.Links)
+	return s
+}
+
+// mergeLinks merges two (From, To)-sorted link lists, combining the
+// entries of one link as Merge combines the totals.
+func mergeLinks(a, b []LinkStat) []LinkStat {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]LinkStat, 0, max(len(a), len(b)))
+	for len(a) > 0 && len(b) > 0 {
+		switch c := compareLinks(a[0], b[0]); {
+		case c < 0:
+			out, a = append(out, a[0]), a[1:]
+		case c > 0:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			l := a[0]
+			l.Messages += b[0].Messages
+			l.Stall += b[0].Stall
+			l.MaxQueue = max(l.MaxQueue, b[0].MaxQueue)
+			out, a, b = append(out, l), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// compareLinks orders links by (From, To).
+func compareLinks(a, b LinkStat) int {
+	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 }
 
 // Congestion snapshots the fabric's contention counters for the run (or
@@ -275,5 +338,7 @@ func (f *Fabric) Congestion() CongestionStats {
 			st.RouterBusiest = busy
 		}
 	}
+	// Slot order is From-major but not To-sorted; Merge wants (From, To).
+	slices.SortFunc(st.Links, compareLinks)
 	return st
 }

@@ -36,12 +36,12 @@ type Fabric struct {
 	qcap  int            // FIFO depth used for the overflow statistic
 	links []sim.Resource // directed mesh links, 4 per controller
 
-	// Collective layer accounting (see collective.go): operations run on
-	// this fabric since the last Reset, and the queueing cycles their
-	// messages accrued while collActive.
-	collOps    uint64
-	collStall  sim.Time
-	collActive bool
+	// Collective layer (see collective.go): the collective executing now
+	// (nil between them), operations run on this fabric since the last
+	// Reset, and the queueing cycles their messages accrued.
+	coll      *collRun
+	collOps   uint64
+	collStall sim.Time
 }
 
 // NewFabric builds the fabric and its routers. Endpoints are attached later
@@ -95,7 +95,7 @@ func (f *Fabric) Reset() {
 	}
 	f.collOps = 0
 	f.collStall = 0
-	f.collActive = false
+	f.coll = nil
 }
 
 // Router returns the router object at the given address.
@@ -174,6 +174,7 @@ const (
 	evResume                  // DeliverRegionResume: A router, B tm
 	evBooking                 // receiveBooking: A bookingKey(child, dest), B booked time-point
 	evBroadcast               // broadcast one level further down: A dest, B tm
+	evCollStart               // start every node of the running collective (f.coll)
 )
 
 // bookingKey packs the two addresses of an evBooking into one operand.
@@ -201,6 +202,10 @@ func (f *Fabric) HandleEvent(ev sim.Event) {
 		f.Router(node).receiveBooking(int(ev.A>>32), int(int32(ev.A)), ev.B, arrival)
 	case evBroadcast:
 		f.Router(node).broadcast(int(ev.A), ev.B, arrival+f.Topo.Cfg.RouterProc)
+	case evCollStart:
+		for _, n := range f.coll.nodes {
+			n.advance()
+		}
 	}
 }
 

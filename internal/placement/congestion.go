@@ -1,30 +1,23 @@
 package placement
 
 import (
+	"slices"
+
 	"dhisq/internal/circuit"
 	"dhisq/internal/network"
 )
 
 // This file is the congestion-feedback side of placement: re-running the
 // interaction partitioner with edge costs scaled by where a previous run's
-// traffic actually queued. The neutral LinkLoad form exists because
-// placement sits below internal/compiler in the import graph — the
-// compiler's Feedback struct converts itself into []LinkLoad
-// (compiler.Feedback.LinkLoads) before calling down here.
-
-// LinkLoad is one directed controller-mesh link's observed queueing stall,
-// the placement-side view of compiler.LinkStall.
-type LinkLoad struct {
-	From, To int   // controller endpoints of the directed link
-	Stall    int64 // cycles messages waited to enter it
-}
+// traffic actually queued — the per-link stalls of a
+// network.CongestionStats digest.
 
 // congestionPolicy is the registry entry for congestion-aware placement.
 // Through the bare Policy interface no measured feedback is available, so
 // it degenerates to the interaction placer — the cold-start mapping the
 // feedback loop then improves on. The stall-weighted path is
-// CongestionPlace/CongestionCandidates, which the service's re-place hook
-// and machine.RePlace drive with real measurements.
+// CongestionCandidates, which machine.RePlace — and through it the
+// service's re-place hook — drives with real measurements.
 type congestionPolicy struct{}
 
 func (congestionPolicy) Name() string { return "congestion" }
@@ -36,7 +29,7 @@ func (congestionPolicy) Place(c *circuit.Circuit, topo *network.Topology) ([]int
 // stallPressure folds the per-link loads into a per-controller pressure
 // score: a link's stall charges both endpoints (the backlog forms at From,
 // the traffic was bound for To — moving either side's qubits relieves it).
-func stallPressure(n int, loads []LinkLoad) []int64 {
+func stallPressure(n int, loads []network.LinkStat) []int64 {
 	press := make([]int64, n)
 	for _, l := range loads {
 		if l.Stall <= 0 {
@@ -58,7 +51,7 @@ func stallPressure(n int, loads []LinkLoad) []int64 {
 // times heavier, so the greedy partitioner pulls exactly those qubits
 // closer together on the re-place. Weights stay integral (everything is
 // scaled by a common factor of 8) so tie-breaking remains exact.
-func congestionWeights(c *circuit.Circuit, topo *network.Topology, prior []int, loads []LinkLoad, lambda int64) [][]int64 {
+func congestionWeights(c *circuit.Circuit, topo *network.Topology, prior []int, loads []network.LinkStat, lambda int64) [][]int64 {
 	w := interactionWeights(c)
 	press := stallPressure(topo.N, loads)
 	var maxP int64
@@ -93,33 +86,18 @@ func congestionWeights(c *circuit.Circuit, topo *network.Topology, prior []int, 
 	return w
 }
 
-// CongestionPlace re-runs the interaction partitioner with stall-weighted
-// edge costs: the measured loads (from a run under prior — nil = identity)
-// reweight the interaction graph, and the standard greedy placer
-// repartitions it. Deterministic for deterministic inputs. With no stall
-// signal it reduces exactly to the interaction placement.
-//
-// There is deliberately no never-worse fallback here: trading weighted
-// distance for congestion balance is the point. Callers that need a
-// measured never-worse guarantee probe candidates against the incumbent —
-// that is machine.RePlace.
-func CongestionPlace(c *circuit.Circuit, topo *network.Topology, prior []int, loads []LinkLoad) ([]int, error) {
-	if err := checkFits(c, topo); err != nil {
-		return nil, err
-	}
-	n := c.NumQubits
-	if n == 0 {
-		return nil, nil
-	}
-	return greedyPlace(n, congestionWeights(c, topo, prior, loads, 2), topo), nil
-}
-
 // CongestionCandidates is the deterministic candidate family a probe-based
 // re-placer selects from: the interaction placement plus stall-weighted
 // variants at increasing feedback gain. Duplicates are elided; order is
 // stable (mildest gain first), so "ties keep the earliest candidate"
-// selection is reproducible.
-func CongestionCandidates(c *circuit.Circuit, topo *network.Topology, prior []int, loads []LinkLoad) ([][]int, error) {
+// selection is reproducible. With no stall signal every stall-weighted
+// variant is the plain greedy placement.
+//
+// There is deliberately no never-worse fallback here: trading weighted
+// distance for congestion balance is the point. The measured never-worse
+// guarantee is the caller's, which probes candidates against the incumbent —
+// that is machine.RePlace.
+func CongestionCandidates(c *circuit.Circuit, topo *network.Topology, prior []int, loads []network.LinkStat) ([][]int, error) {
 	if err := checkFits(c, topo); err != nil {
 		return nil, err
 	}
@@ -130,7 +108,7 @@ func CongestionCandidates(c *circuit.Circuit, topo *network.Topology, prior []in
 	var out [][]int
 	add := func(m []int) {
 		for _, have := range out {
-			if equalMapping(have, m) {
+			if slices.Equal(have, m) {
 				return
 			}
 		}
@@ -143,16 +121,4 @@ func CongestionCandidates(c *circuit.Circuit, topo *network.Topology, prior []in
 		add(greedyPlace(n, congestionWeights(c, topo, prior, loads, lambda), topo))
 	}
 	return out, nil
-}
-
-func equalMapping(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -6,6 +6,7 @@ import (
 
 	"dhisq/internal/circuit"
 	"dhisq/internal/machine"
+	"dhisq/internal/network"
 )
 
 // hub builds the adversarial hotspot workload: every data qubit CNOTs
@@ -65,11 +66,10 @@ func TestFeedbackReplaceSwapsPool(t *testing.T) {
 
 	// Predict the re-placed mapping from the cold job's own results: the
 	// service must arrive at exactly what RePlace computes from them.
-	var results []machine.Result
+	var fb network.CongestionStats
 	for _, shot := range st1.Set.Shots {
-		results = append(results, shot.Result)
+		fb = fb.Merge(shot.Result.Net)
 	}
-	fb := machine.HarvestFeedback(results)
 	rcfg := cfg
 	rcfg.Net.MeshW, rcfg.Net.MeshH = st1.MeshW, st1.MeshH
 	rcfg.Placement = "interaction"

@@ -2,8 +2,7 @@ package service
 
 import (
 	"dhisq/internal/artifact"
-	"dhisq/internal/compiler"
-	"dhisq/internal/machine"
+	"dhisq/internal/network"
 	"dhisq/internal/runner"
 )
 
@@ -58,8 +57,8 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// NetStats is the fabric-congestion digest: what one shot reports, what a
-// job's shots fold into, and — embedded in Stats — what /v1/stats shows
+// NetStats is the wire view of the congestion digest
+// (network.CongestionStats): embedded in Stats, it is what /v1/stats shows
 // summed over every shot of every completed job. All zero unless jobs ran
 // with the fabric's contention model enabled
 // (network.Config.LinkSerialization > 0), except the collective operation
@@ -81,9 +80,8 @@ type NetStats struct {
 	NetCollectiveStall uint64 `json:"net_collective_stall_cycles"`
 }
 
-// netStatsOf extracts a shot's congestion digest from its result.
-func netStatsOf(res machine.Result) NetStats {
-	net := res.Net
+// netStatsOf reads the wire view off a job's merged congestion digest.
+func netStatsOf(net network.CongestionStats) NetStats {
 	d := NetStats{
 		NetCollectiveOps:   net.CollectiveOps,
 		NetCollectiveStall: uint64(net.CollectiveStall),
@@ -98,8 +96,7 @@ func netStatsOf(res machine.Result) NetStats {
 	return d
 }
 
-// merge combines two digests (associative and commutative — sums and a
-// max — so the host reduction tree agrees with any fold order).
+// merge combines two jobs' views: sums, and a max.
 func (d NetStats) merge(e NetStats) NetStats {
 	d.NetStallCycles += e.NetStallCycles
 	d.NetMessages += e.NetMessages
@@ -110,29 +107,15 @@ func (d NetStats) merge(e NetStats) NetStats {
 	return d
 }
 
-// digestGrain keeps small shot sets on the sequential leaf path of the
-// reduction tree; only jobs with hundreds of shots fan the fold out.
-const digestGrain = 256
-
-// aggregate folds the congestion of every shot of every point a job ran (a
-// plain job is one point) — here, so that it outlives the shot sets a sweep
-// drops, which is how sweep jobs still move the /v1/stats net_* counters.
-// Each shot set folds over the host reduction tree (runner.TreeReduce). A
-// non-nil fb additionally takes the per-link attribution the re-place loop
-// consumes; its link table makes a per-shot copy too heavy for the tree, so
-// that absorption is linear. Both folds are commutative: the result is
-// independent of shot completion order.
-func aggregate(pts []runner.SweepPoint, fb *compiler.Feedback) (net NetStats) {
+// aggregate merges the congestion of every shot of every point a job ran (a
+// plain job is one point) into the job's digest — here, so that it outlives
+// the shot sets a sweep drops, which is how sweep jobs still move the
+// /v1/stats net_* counters and feed the re-place loop.
+func aggregate(pts []runner.SweepPoint) (net network.CongestionStats) {
 	for _, p := range pts {
-		digests := make([]NetStats, len(p.Set.Shots))
-		for i, shot := range p.Set.Shots {
-			digests[i] = netStatsOf(shot.Result)
-			if fb != nil {
-				fb.Absorb(shot.Result.Net, shot.Result.RouterUtilization)
-			}
+		for _, shot := range p.Set.Shots {
+			net = net.Merge(shot.Result.Net)
 		}
-		folded, _ := runner.TreeReduce(digests, digestGrain, NetStats.merge)
-		net = net.merge(folded)
 	}
 	return net
 }

@@ -7,6 +7,7 @@ import (
 	"dhisq/internal/artifact"
 	"dhisq/internal/compiler"
 	"dhisq/internal/machine"
+	"dhisq/internal/network"
 	"dhisq/internal/runner"
 	"dhisq/internal/sim"
 )
@@ -47,10 +48,10 @@ func poolKeyOf(a Admission) poolKey {
 // and the artifact a re-placement swapped in. Evicting the group forgets all
 // of it at once; one that comes back starts over, which is what LRU means.
 type group struct {
-	machines []*machine.Machine // pooled (not checked out); may be empty
-	fb       compiler.Feedback  // accumulated until the re-place claim
-	replaced bool               // re-place claimed (one-shot)
-	artifact *compiler.Compiled // re-placed artifact (nil until the swap)
+	machines []*machine.Machine      // pooled (not checked out); may be empty
+	net      network.CongestionStats // merged until the re-place claim
+	replaced bool                    // re-place claimed (one-shot)
+	artifact *compiler.Compiled      // re-placed artifact (nil until the swap)
 }
 
 // replicaPool keeps loaded machines warm, grouped by pool key, bounded by a
@@ -139,19 +140,20 @@ func (p *replicaPool) checkin(pk poolKey, machines []*machine.Machine) {
 	}
 }
 
-// claim folds a finished job's feedback into pk's group and reports the
-// group when this call takes it across threshold: the caller then owns the
-// group's one re-placement, and g.fb, which absorbs nothing further, is its
-// input. A group evicted since the job checked in has nothing to merge into.
-func (p *replicaPool) claim(pk poolKey, fb *compiler.Feedback, threshold uint64) *group {
+// claim merges a finished job's congestion digest into pk's group and
+// reports the group when this call takes it across threshold: the caller
+// then owns the group's one re-placement, and g.net, which takes nothing
+// further, is its input. A group evicted since the job checked in has
+// nothing to merge into.
+func (p *replicaPool) claim(pk poolKey, net network.CongestionStats, threshold uint64) *group {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	g := p.groups[pk]
 	if g == nil || g.replaced {
 		return nil
 	}
-	g.fb.Merge(fb)
-	if uint64(g.fb.TotalStall) < threshold {
+	g.net = g.net.Merge(net)
+	if uint64(g.net.TotalStall()) < threshold {
 		return nil
 	}
 	g.replaced = true
@@ -181,20 +183,18 @@ func (p *replicaPool) size() int {
 	return p.total
 }
 
-// maybeReplace folds a finished job's feedback into its pool group and,
-// once the group's aggregated stall crosses the configured threshold,
-// re-places it: search for a measurably better mapping (machine.RePlace),
-// recompile under it, and swap the group's replicas. Runs on the worker
-// goroutine outside every lock — the search compiles and probes.
-func (s *Service) maybeReplace(spec runner.Spec, p plan, prior []int, fb *compiler.Feedback) {
-	if fb == nil {
-		return // the loop is off, or the job failed: nothing was measured
-	}
-	g := s.pool.claim(p.pk, fb, s.cfg.ReplaceStallThreshold)
+// maybeReplace merges a successful job's congestion digest into its pool
+// group and, once the group's merged stall crosses the configured
+// threshold, re-places it: search for a measurably better mapping
+// (machine.RePlace), recompile under it, and swap the group's replicas. Runs
+// on the worker goroutine outside every lock — the search compiles and
+// probes.
+func (s *Service) maybeReplace(spec runner.Spec, p plan, prior []int, net network.CongestionStats) {
+	g := s.pool.claim(p.pk, net, s.cfg.ReplaceStallThreshold)
 	if g == nil {
 		return
 	}
-	cp, err := rePlace(spec, p, prior, &g.fb)
+	cp, err := rePlace(spec, p, prior, g.net)
 	if err != nil || cp == nil {
 		return // the search kept the incumbent (or failed): nothing to swap
 	}
@@ -212,7 +212,7 @@ func (s *Service) maybeReplace(spec runner.Spec, p plan, prior []int, fb *compil
 // nil when the search kept the incumbent mapping. The re-placed artifact
 // caches under its own fingerprint — the original entry is never
 // overwritten, so the content-addressed cache stays honest.
-func rePlace(spec runner.Spec, p plan, prior []int, fb *compiler.Feedback) (*compiler.Compiled, error) {
+func rePlace(spec runner.Spec, p plan, prior []int, net network.CongestionStats) (*compiler.Compiled, error) {
 	prior = append([]int(nil), prior...) // the job's status shares the slice; nil stays nil (= identity)
 	probeCirc := spec.Circuit
 	if first := p.points[0]; first != nil {
@@ -224,7 +224,7 @@ func rePlace(spec runner.Spec, p plan, prior []int, fb *compiler.Feedback) (*com
 		}
 		probeCirc = bound
 	}
-	newMap, _, err := machine.RePlace(probeCirc, spec.Cfg, prior, fb)
+	newMap, _, err := machine.RePlace(probeCirc, spec.Cfg, prior, net)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"dhisq/internal/artifact"
 	"dhisq/internal/compiler"
 	"dhisq/internal/machine"
+	"dhisq/internal/network"
 )
 
 // The pool never looks inside a machine: blank ones drive it.
@@ -116,7 +117,7 @@ func TestPoolGroupStateLivesAndDiesWithTheGroup(t *testing.T) {
 	const threshold = 10
 	p := newReplicaPool(2)
 	a, b, c := keyN(1), keyN(2), keyN(3)
-	fb := &compiler.Feedback{TotalStall: 6, Shots: 1}
+	fb := network.CongestionStats{Enabled: true, LinkStall: 6}
 	swapped := &compiler.Compiled{}
 
 	if p.claim(a, fb, threshold) != nil {
@@ -128,10 +129,10 @@ func TestPoolGroupStateLivesAndDiesWithTheGroup(t *testing.T) {
 		t.Fatal("claimed below the threshold")
 	}
 	g := p.claim(a, fb, threshold)
-	if g == nil || g.fb.TotalStall != 12 {
+	if g == nil || g.net.TotalStall() != 12 {
 		t.Fatalf("second merge crossed the threshold but claimed %+v", g)
 	}
-	if p.claim(a, fb, threshold) != nil || g.fb.TotalStall != 12 {
+	if p.claim(a, fb, threshold) != nil || g.net.TotalStall() != 12 {
 		t.Fatal("a claimed group was claimed again, or kept absorbing feedback")
 	}
 	if !p.drop(a, g, swapped) || pooled(t, p, a) != 0 || p.size() != 1 {
@@ -154,7 +155,7 @@ func TestPoolGroupStateLivesAndDiesWithTheGroup(t *testing.T) {
 
 	p.checkin(a, blanks(1))
 	fresh := p.groups[a]
-	if fresh == g || fresh.replaced || fresh.artifact != nil || !fresh.fb.Empty() {
+	if fresh == g || fresh.replaced || fresh.artifact != nil || !reflect.DeepEqual(fresh.net, network.CongestionStats{}) {
 		t.Fatalf("an evicted group came back with its old state: %+v", fresh)
 	}
 	if _, art := p.checkout(a, 1); art != nil {

@@ -29,6 +29,7 @@ import (
 	"dhisq/internal/artifact"
 	"dhisq/internal/compiler"
 	"dhisq/internal/machine"
+	"dhisq/internal/network"
 	"dhisq/internal/placement"
 	"dhisq/internal/runner"
 )
@@ -71,8 +72,8 @@ type Config struct {
 	// which is what the in-process cluster and crash/restart tests need.
 	Artifacts *artifact.Cache
 	// ReplaceStallThreshold enables congestion-feedback re-placement: the
-	// service aggregates per-link fabric stalls per replica-pool group
-	// (compiler.Feedback), and once a group's total crosses this many
+	// service merges each replica-pool group's congestion digests
+	// (network.CongestionStats), and once a group's total crosses this many
 	// cycles it recompiles the circuit with a feedback-weighted placement
 	// (machine.RePlace) and swaps the group's replicas — the structural
 	// key is untouched, so a sweep family keeps its bind cache while its
@@ -266,14 +267,16 @@ func (s *Service) worker() {
 					s.stats.BindHits++
 				}
 			}
-			s.stats.NetStats = s.stats.NetStats.merge(res.net)
+			s.stats.NetStats = s.stats.NetStats.merge(netStatsOf(res.net))
 		}
 		s.retire(st.ID)
 		s.mu.Unlock()
 		// Waiters wake only now, so a Stats call that follows a Wait sees
 		// this job counted.
 		j.finish(st, err)
-		s.maybeReplace(j.adm.Spec, p, st.Mapping, res.fb)
+		if err == nil && s.cfg.ReplaceStallThreshold > 0 {
+			s.maybeReplace(j.adm.Spec, p, st.Mapping, res.net)
+		}
 		j.release()
 	}
 }
@@ -324,12 +327,11 @@ func (s *Service) planFor(a Admission) plan {
 }
 
 // result is what a run cost on what jobs share, for the worker to fold into
-// Stats and the job's pool group: its shots' fabric congestion (fb only from
-// a successful run with the re-place loop on) and what they did on its
-// replicas' tapes. What the job itself reports goes into its JobStatus.
+// Stats and the job's pool group: its shots' merged fabric congestion (only
+// from a successful run) and what they did on its replicas' tapes. What the
+// job itself reports goes into its JobStatus.
 type result struct {
-	net  NetStats
-	fb   *compiler.Feedback
+	net  network.CongestionStats
 	tape machine.TapeStats
 }
 
@@ -421,10 +423,7 @@ func (s *Service) run(j *job, p plan, st *JobStatus) (res result, err error) {
 	}
 	// Congestion is aggregated here, outside the service lock and before a
 	// sweep's per-shot data goes away.
-	if s.cfg.ReplaceStallThreshold > 0 {
-		res.fb = new(compiler.Feedback)
-	}
-	res.net = aggregate(pts, res.fb)
+	res.net = aggregate(pts)
 	st.Points = points // nil unless a sweep
 	if !p.sweep {
 		st.Set = pts[0].Set

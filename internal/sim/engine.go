@@ -65,10 +65,6 @@ type Handler interface {
 // HandlerID names a bound Handler.
 type HandlerID uint16
 
-// closureHandler is the id of the engine's own handler: it runs the func
-// At parked in fns[ev.A].
-const closureHandler HandlerID = 0
-
 // event is a queue entry by value, pointer-free: no per-event allocation,
 // and moving it needs no write barrier. The (priority, insertion sequence)
 // pair is packed into one key word — priority in the top byte, sequence
@@ -168,18 +164,10 @@ type Engine struct {
 	popped      event // the overflow root pop last took
 
 	handlers []Handler
-	// fns parks the closures of At events (the event's A is the index);
-	// free lists the vacant indices.
-	fns  []func()
-	free []int32
 }
 
 // NewEngine returns an empty engine at time 0.
-func NewEngine() *Engine {
-	e := &Engine{}
-	e.Bind(closures{e})
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Bind registers h and returns the id Post addresses it by. Handlers are
 // bound once, at construction, and survive Reset.
@@ -203,8 +191,6 @@ func (e *Engine) Reset() {
 	e.slots, e.vacant = e.slots[:0], e.vacant[:0]
 	e.occupied = [ringWords]uint64{}
 	e.overflow = e.overflow[:0]
-	clear(e.fns)
-	e.fns, e.free = e.fns[:0], e.free[:0]
 	e.now = 0
 	e.seq = 0
 	e.nRun = 0
@@ -301,42 +287,6 @@ func (e *Engine) pop(limit Time) *event {
 	}
 	e.vacant = append(e.vacant, i)
 	return &s.event
-}
-
-// At schedules fn at absolute time t: a Post to the engine's own handler,
-// on the same queue and in the same order as every typed event. It
-// allocates fn's closure; the per-shot paths use Post.
-func (e *Engine) At(t Time, pri Priority, fn func()) {
-	slot := len(e.fns)
-	if n := len(e.free); n > 0 {
-		slot = int(e.free[n-1])
-	}
-	e.Post(t, pri, closureHandler, Event{A: int64(slot)}) // panics on a past t, before fn is parked
-	if slot < len(e.fns) {
-		e.free = e.free[:len(e.free)-1]
-		e.fns[slot] = fn
-	} else {
-		e.fns = append(e.fns, fn)
-	}
-}
-
-// closures is the engine's handler for At events.
-type closures struct{ e *Engine }
-
-func (c closures) HandleEvent(ev Event) {
-	e := c.e
-	fn := e.fns[ev.A]
-	e.fns[ev.A] = nil
-	e.free = append(e.free, int32(ev.A))
-	fn()
-}
-
-// After schedules fn delay cycles from now.
-func (e *Engine) After(delay Time, pri Priority, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", delay))
-	}
-	e.At(e.now+delay, pri, fn)
 }
 
 // Step executes the single next event, returning false when none remain.

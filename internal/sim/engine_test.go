@@ -1,19 +1,30 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// recorder logs the A operand of every event it handles, in run order.
+type recorder struct{ got []int64 }
+
+func (r *recorder) HandleEvent(ev Event) { r.got = append(r.got, ev.A) }
+
+// newRecorder returns an engine with a recorder bound to it.
+func newRecorder() (*Engine, *recorder, HandlerID) {
+	e, r := NewEngine(), &recorder{}
+	return e, r, e.Bind(r)
+}
+
 func TestEngineOrdersByTime(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	e.At(30, PriResume, func() { got = append(got, 3) })
-	e.At(10, PriResume, func() { got = append(got, 1) })
-	e.At(20, PriResume, func() { got = append(got, 2) })
+	e, r, h := newRecorder()
+	e.Post(30, PriResume, h, Event{A: 3})
+	e.Post(10, PriResume, h, Event{A: 1})
+	e.Post(20, PriResume, h, Event{A: 2})
 	e.Run(0)
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("wrong order: %v", got)
+	if !slices.Equal(r.got, []int64{1, 2, 3}) {
+		t.Fatalf("wrong order: %v", r.got)
 	}
 	if e.Now() != 30 {
 		t.Fatalf("clock = %d, want 30", e.Now())
@@ -21,47 +32,62 @@ func TestEngineOrdersByTime(t *testing.T) {
 }
 
 func TestEngineSameTimePriorityThenFIFO(t *testing.T) {
-	e := NewEngine()
-	var got []string
-	e.At(5, PriResume, func() { got = append(got, "resume-a") })
-	e.At(5, PriDeliver, func() { got = append(got, "deliver") })
-	e.At(5, PriResume, func() { got = append(got, "resume-b") })
+	e, r, h := newRecorder()
+	e.Post(5, PriResume, h, Event{A: 1})  // resume-a
+	e.Post(5, PriDeliver, h, Event{A: 0}) // deliver
+	e.Post(5, PriResume, h, Event{A: 2})  // resume-b
 	e.Run(0)
-	want := []string{"deliver", "resume-a", "resume-b"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
+	if !slices.Equal(r.got, []int64{0, 1, 2}) {
+		t.Fatalf("order = %v, want deliver, resume-a, resume-b", r.got)
 	}
+}
+
+// pastPoster posts one event before the present from inside its handler.
+type pastPoster struct {
+	t  *testing.T
+	e  *Engine
+	id HandlerID
+}
+
+func (p *pastPoster) HandleEvent(ev Event) {
+	defer func() {
+		if recover() == nil {
+			p.t.Error("expected panic scheduling in the past")
+		}
+	}()
+	p.e.Post(5, PriResume, p.id, Event{})
 }
 
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, PriResume, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic scheduling in the past")
-			}
-		}()
-		e.At(5, PriResume, func() {})
-	})
+	p := &pastPoster{t: t, e: e}
+	p.id = e.Bind(p)
+	e.Post(10, PriResume, p.id, Event{})
 	e.Run(0)
+}
+
+// chain re-posts itself one cycle ahead until it has run depth times.
+type chain struct {
+	e     *Engine
+	id    HandlerID
+	depth int
+}
+
+func (c *chain) HandleEvent(ev Event) {
+	c.depth++
+	if c.depth < 100 {
+		c.e.Post(c.e.Now()+1, PriResume, c.id, Event{})
+	}
 }
 
 func TestEngineEventsCanScheduleEvents(t *testing.T) {
 	e := NewEngine()
-	depth := 0
-	var rec func()
-	rec = func() {
-		depth++
-		if depth < 100 {
-			e.After(1, PriResume, rec)
-		}
-	}
-	e.After(0, PriResume, rec)
+	c := &chain{e: e}
+	c.id = e.Bind(c)
+	e.Post(0, PriResume, c.id, Event{})
 	e.Run(0)
-	if depth != 100 {
-		t.Fatalf("depth = %d, want 100", depth)
+	if c.depth != 100 {
+		t.Fatalf("depth = %d, want 100", c.depth)
 	}
 	if e.Now() != 99 {
 		t.Fatalf("now = %d, want 99", e.Now())
@@ -69,13 +95,12 @@ func TestEngineEventsCanScheduleEvents(t *testing.T) {
 }
 
 func TestRunUntilLeavesFutureEvents(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(10, PriResume, func() { ran++ })
-	e.At(100, PriResume, func() { ran++ })
+	e, r, h := newRecorder()
+	e.Post(10, PriResume, h, Event{})
+	e.Post(100, PriResume, h, Event{})
 	e.RunUntil(50)
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1", ran)
+	if len(r.got) != 1 {
+		t.Fatalf("ran = %d, want 1", len(r.got))
 	}
 	if e.Now() != 50 {
 		t.Fatalf("now = %d, want 50", e.Now())
@@ -86,9 +111,9 @@ func TestRunUntilLeavesFutureEvents(t *testing.T) {
 }
 
 func TestRunWithLimit(t *testing.T) {
-	e := NewEngine()
+	e, _, h := newRecorder()
 	for i := 0; i < 10; i++ {
-		e.At(Time(i), PriResume, func() {})
+		e.Post(Time(i), PriResume, h, Event{})
 	}
 	if n := e.Run(4); n != 4 {
 		t.Fatalf("ran %d, want 4", n)
@@ -125,26 +150,19 @@ func TestCyclesNanosecondsRoundTrip(t *testing.T) {
 
 func TestEngineDeterminism(t *testing.T) {
 	// The same schedule must produce the same execution order, twice.
-	build := func() (*Engine, *[]int) {
-		e := NewEngine()
-		var order []int
+	build := func() (*Engine, *recorder) {
+		e, r, h := newRecorder()
 		for i := 0; i < 50; i++ {
-			id := i
-			e.At(Time(i%7), Priority(i%3), func() { order = append(order, id) })
+			e.Post(Time(i%7), Priority(i%3), h, Event{A: int64(i)})
 		}
-		return e, &order
+		return e, r
 	}
-	e1, o1 := build()
+	e1, r1 := build()
 	e1.Run(0)
-	e2, o2 := build()
+	e2, r2 := build()
 	e2.Run(0)
-	if len(*o1) != len(*o2) {
-		t.Fatal("different lengths")
-	}
-	for i := range *o1 {
-		if (*o1)[i] != (*o2)[i] {
-			t.Fatalf("divergence at %d: %v vs %v", i, *o1, *o2)
-		}
+	if len(r1.got) != 50 || !slices.Equal(r1.got, r2.got) {
+		t.Fatalf("divergence: %v vs %v", r1.got, r2.got)
 	}
 }
 

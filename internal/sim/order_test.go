@@ -6,8 +6,8 @@ import (
 )
 
 // The order property. A script — bytes, from a seeded generator or the
-// fuzzer — drives an engine through Post and At from outside and from
-// inside handlers, Step, Run, RunUntil and Reset, and a plain slice shadows
+// fuzzer — drives an engine through Post from outside and from inside
+// handlers, Step, Run, RunUntil and Reset, and a plain slice shadows
 // the queue. Every executed event must be the least pending one by (at,
 // priority, insertion), which is what a stable sort by (at, priority) of
 // the pending events would run next; its payload must be what was posted,
@@ -24,7 +24,7 @@ var reach = [16]Time{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, ringSize - 1, ringSize,
 type shadowEvent struct {
 	at   Time
 	pri  Priority
-	typ  int  // 0, 1: typed, on handler typ; 2: closure
+	typ  int  // the handler it was posted to: 0, 1 or 2
 	far  bool // posted ringSize or more cycles ahead: in the overflow
 	done bool
 }
@@ -39,7 +39,7 @@ type reached struct {
 type orderHarness struct {
 	t       *testing.T
 	eng     *Engine
-	ids     [2]HandlerID
+	ids     [3]HandlerID
 	script  []byte
 	pos     int
 	events  []shadowEvent // by id, in insertion order; cleared by Reset
@@ -76,7 +76,7 @@ func (oh orderHandler) HandleEvent(ev Event) {
 }
 
 // post schedules one event as script byte b says: reach[b%16] cycles from
-// now, priority b/16%3, on handler (or as closure) b/48%3.
+// now, priority b/16%3, on handler b/48%3.
 func (h *orderHarness) post(b int) {
 	if h.budget == 0 {
 		return
@@ -87,10 +87,6 @@ func (h *orderHarness) post(b int) {
 	at := h.eng.Now() + delta
 	h.events = append(h.events, shadowEvent{at: at, pri: Priority(pri), typ: typ, far: delta >= ringSize})
 	h.pending++
-	if typ == 2 {
-		h.eng.At(at, Priority(pri), func() { h.exec(id) })
-		return
-	}
 	h.eng.Post(at, Priority(pri), h.ids[typ], Event{Op: uint8(id), Node: int32(^id), A: int64(id), B: int64(at), C: -int64(id)})
 }
 
@@ -151,6 +147,7 @@ func runOrderScript(t *testing.T, script []byte) reached {
 	h := &orderHarness{t: t, eng: NewEngine(), script: script, budget: 2000}
 	h.ids[0] = h.eng.Bind(orderHandler{h, 0})
 	h.ids[1] = h.eng.Bind(orderHandler{h, 1})
+	h.ids[2] = h.eng.Bind(orderHandler{h, 2})
 	for h.pos < len(h.script) {
 		switch op, arg := h.next()%8, h.next(); op {
 		case 0, 1, 2: // post from outside
