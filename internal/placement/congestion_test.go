@@ -42,9 +42,7 @@ func TestCongestionPolicyRegistered(t *testing.T) {
 
 // TestCongestionCandidatesShape: candidates are deduped, deterministic,
 // include the interaction placement first, and every entry is a valid
-// permutation of controllers. With no link loads every stall-weighted
-// variant is the plain greedy placement over the interaction graph (every
-// edge scales by the same constant).
+// permutation of controllers.
 func TestCongestionCandidatesShape(t *testing.T) {
 	c := hotspot(9)
 	topo := congTopo(t, 9)
@@ -87,13 +85,33 @@ func TestCongestionCandidatesShape(t *testing.T) {
 	if !reflect.DeepEqual(cands, again) {
 		t.Fatal("candidate family not deterministic")
 	}
+}
 
+// TestCongestionPlaceNoSignalReducesToInteraction: with no link loads the
+// stall-weighted placer must reproduce the greedy interaction mapping
+// exactly (every edge scales by the same constant), at every feedback gain,
+// so the candidate family holds only the interaction and plain greedy
+// placements.
+func TestCongestionPlaceNoSignalReducesToInteraction(t *testing.T) {
+	c := hotspot(12)
+	topo := congTopo(t, 12)
+	greedy := greedyPlace(c.NumQubits, interactionWeights(c), topo)
+	for _, lambda := range []int64{1, 2, 4, 8} {
+		got := greedyPlace(c.NumQubits, congestionWeights(c, topo, nil, nil, lambda), topo)
+		if !reflect.DeepEqual(got, greedy) {
+			t.Fatalf("no-signal placement at gain %d %v != greedy interaction %v", lambda, got, greedy)
+		}
+	}
+	inter, err := (interactionPolicy{}).Place(c, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
 	quiet, err := CongestionCandidates(c, topo, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := [][]int{inter}
-	if greedy := greedyPlace(c.NumQubits, interactionWeights(c), topo); !reflect.DeepEqual(greedy, inter) {
+	if !reflect.DeepEqual(greedy, inter) {
 		want = append(want, greedy)
 	}
 	if !reflect.DeepEqual(quiet, want) {
