@@ -69,7 +69,7 @@ func simulate(paths []string, cycles int64, stdout io.Writer) error {
 		if err := checkAddresses(i, p, topo); err != nil {
 			return err
 		}
-		ctrls[i] = core.NewController(eng, core.Config{ID: i, Ports: 28, QueueDepth: 1024}, fab, nil, log)
+		ctrls[i] = core.NewController(eng, core.Config{ID: i, Ports: 28}, fab, nil, log)
 		fab.Attach(i, ctrls[i])
 		ctrls[i].Load(p)
 	}

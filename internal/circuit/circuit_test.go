@@ -287,33 +287,6 @@ func TestSwapRouteCNOTExact(t *testing.T) {
 	}
 }
 
-func TestLineEmbeddingGHZ(t *testing.T) {
-	logical := New(3)
-	logical.H(0).CNOT(0, 1).CNOT(1, 2)
-	for q := 0; q < 3; q++ {
-		logical.MeasureInto(q, q)
-	}
-	emb := LineEmbedding{Spacing: 3}
-	phys, err := emb.Embed(logical)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if phys.NumQubits != 7 {
-		t.Fatalf("physical qubits = %d, want 7", phys.NumQubits)
-	}
-	// The embedded dynamic circuit must preserve the GHZ correlation of the
-	// logical qubits (bits 0..2 were reserved for the logical measurements).
-	for seed := int64(0); seed < 30; seed++ {
-		_, bits, err := phys.RunStabilizer(rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bits[0] != bits[1] || bits[1] != bits[2] {
-			t.Fatalf("seed %d: embedded GHZ broken: %v", seed, bits[:3])
-		}
-	}
-}
-
 func TestQASMRoundTrip(t *testing.T) {
 	c := New(3)
 	c.H(0).CNOT(0, 1).CZ(1, 2).S(0).T(1).Sdg(2).Tdg(0)
@@ -489,15 +462,6 @@ func TestDualRailGridLocality(t *testing.T) {
 				t.Fatalf("op %d (%s): grid distance %d", i, op, dx+dy)
 			}
 		}
-	}
-}
-
-func TestLineEmbeddingRejectsCrossingGates(t *testing.T) {
-	logical := New(3)
-	logical.CNOT(0, 2)
-	emb := LineEmbedding{Spacing: 2}
-	if _, err := emb.Embed(logical); err == nil {
-		t.Fatal("expected rejection of a gate routed across a logical qubit")
 	}
 }
 

@@ -112,104 +112,6 @@ func (c *Circuit) LongRangeCPhase(ctrl, tgt int, theta float64, ancillas []int) 
 	return c
 }
 
-// LineEmbedding spreads a logical circuit across a 1-D chain with the given
-// spacing: logical qubit i maps to physical qubit i*spacing, and the
-// spacing-1 physical qubits between consecutive logical qubits serve as
-// ancillas for dynamic long-range gates.
-//
-// The ancilla chain of a long-range gate must consist of free qubits, so
-// LineEmbedding only accepts two-qubit gates between logically adjacent
-// qubits (|i-j| == 1); gates that would route through another logical
-// qubit's position are rejected. For circuits with arbitrary interaction
-// distance use DualRailEmbedding, which reserves a dedicated ancilla rail.
-type LineEmbedding struct {
-	Spacing int
-}
-
-// PhysicalQubits returns the chain length for n logical qubits.
-func (e LineEmbedding) PhysicalQubits(logical int) int {
-	if logical <= 1 {
-		return logical
-	}
-	return (logical-1)*e.Spacing + 1
-}
-
-// Embed rewrites logical circuit lc into a dynamic physical circuit. Only
-// CNOT/CZ/CPhase are rewritten long-range; single-qubit ops map directly.
-// Gates between logical neighbors (physical distance == spacing) still go
-// through the dynamic construction unless spacing == 1.
-func (e LineEmbedding) Embed(lc *Circuit) (*Circuit, error) {
-	if e.Spacing < 1 {
-		return nil, fmt.Errorf("circuit: spacing %d < 1", e.Spacing)
-	}
-	phys := New(e.PhysicalQubits(lc.NumQubits))
-	phys.NumBits = lc.NumBits
-	loc := func(q int) int { return q * e.Spacing }
-	// ancBetween returns the physical qubits strictly between two logical
-	// qubits in path order from the first to the second: the construction
-	// entangles ancillas[0] with the first endpoint and the last ancilla
-	// with the second, so order is a locality requirement.
-	ancBetween := func(from, to int) []int {
-		a, b := loc(from), loc(to)
-		step := 1
-		if a > b {
-			step = -1
-		}
-		anc := make([]int, 0)
-		for p := a + step; p != b; p += step {
-			anc = append(anc, p)
-		}
-		return anc
-	}
-	for _, op := range lc.Ops {
-		if op.Kind.IsTwoQubit() {
-			d := op.Qubits[0] - op.Qubits[1]
-			if d < 0 {
-				d = -d
-			}
-			if d > 1 {
-				return nil, fmt.Errorf("circuit: LineEmbedding cannot route %s across logical qubits (distance %d); use DualRailEmbedding", op.Kind, d)
-			}
-		}
-		switch {
-		case op.Kind == CNOT && op.Cond == nil:
-			phys.LongRangeCNOT(loc(op.Qubits[0]), loc(op.Qubits[1]), ancBetween(op.Qubits[0], op.Qubits[1]))
-		case op.Kind == CZ && op.Cond == nil:
-			phys.LongRangeCZ(loc(op.Qubits[0]), loc(op.Qubits[1]), ancBetween(op.Qubits[0], op.Qubits[1]))
-		case op.Kind == CPhase && op.Cond == nil:
-			if op.Symbolic() {
-				return nil, fmt.Errorf("circuit: cannot route unbound cp(%s) long-range (the decomposition halves the angle; Bind first)", op.Sym)
-			}
-			phys.LongRangeCPhase(loc(op.Qubits[0]), loc(op.Qubits[1]), op.Param, ancBetween(op.Qubits[0], op.Qubits[1]))
-		case op.Kind == SWAP && op.Cond == nil:
-			a, b := loc(op.Qubits[0]), loc(op.Qubits[1])
-			fwd := ancBetween(op.Qubits[0], op.Qubits[1])
-			rev := ancBetween(op.Qubits[1], op.Qubits[0])
-			phys.LongRangeCNOT(a, b, fwd)
-			phys.LongRangeCNOT(b, a, rev)
-			phys.LongRangeCNOT(a, b, fwd)
-		default:
-			mapped := Op{Kind: op.Kind, Param: op.Param, CBit: op.CBit, Cond: op.Cond, Sym: op.Sym, Bound: op.Bound}
-			for _, q := range op.Qubits {
-				mapped.Qubits = append(mapped.Qubits, loc(q))
-			}
-			if op.Kind.IsTwoQubit() && phys.distanceGreaterThanOne(mapped.Qubits) {
-				return nil, fmt.Errorf("circuit: cannot embed %s long-range", op.Kind)
-			}
-			phys.Ops = append(phys.Ops, mapped)
-		}
-	}
-	return phys, nil
-}
-
-func (c *Circuit) distanceGreaterThanOne(q []int) bool {
-	d := q[0] - q[1]
-	if d < 0 {
-		d = -d
-	}
-	return d > 1
-}
-
 // DualRailEmbedding maps an L-qubit logical circuit onto a 2×L grid device:
 // logical qubit i lives at physical index i (the data rail) and physical
 // index L+i is its dedicated ancilla (the ancilla rail). A two-qubit gate

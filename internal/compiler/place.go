@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"cmp"
 	"fmt"
 
 	"dhisq/internal/placement"
@@ -18,8 +19,8 @@ func (Place) Name() string { return "place" }
 
 // Run implements Pass.
 func (Place) Run(st *State) error {
-	pol, err := placement.Get(st.Opt.Placement)
-	if err != nil {
+	name := cmp.Or(st.Opt.Placement, placement.Default)
+	if err := placement.Valid(name); err != nil {
 		return err
 	}
 	if st.Opt.Chips > 1 {
@@ -28,16 +29,16 @@ func (Place) Run(st *State) error {
 		// chip-grouped. Computes st.Mapping itself, so the pass ends here.
 		return expandChips(st)
 	}
-	if st.Mapping != nil || pol.Name() == placement.Default {
+	if st.Mapping != nil || name == placement.Default {
 		// Explicit mapping, or identity: nothing to compute. Identity skips
 		// the policy call entirely so topology-less callers (unit tests
 		// driving Compile with stub windows) stay supported.
 		return nil
 	}
 	if st.Topo == nil {
-		return fmt.Errorf("compiler: placement policy %q needs a topology (use the State entry point)", pol.Name())
+		return fmt.Errorf("compiler: placement policy %q needs a topology (use the State entry point)", name)
 	}
-	mapping, err := pol.Place(st.Circuit, st.Topo)
+	mapping, err := placement.Place(name, st.Circuit, st.Topo)
 	if err != nil {
 		return err
 	}

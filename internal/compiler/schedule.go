@@ -14,10 +14,9 @@ import (
 // points, and branch-body assembly for conditioned commits (whose in-branch
 // guard wait depends on the instruction count accumulated here).
 //
-// How the directives are resolved is a pluggable policy, mirroring the
-// Place pass: Options.Schedule names a registered SchedulePolicy and the
-// pass delegates to it. The "fixed" policy is the legacy replay,
-// byte-identical to the pre-registry Schedule pass.
+// How the sync bookings are placed is a named policy, mirroring the Place
+// pass: Options.Schedule names a row of schedules. The "fixed" row is the
+// legacy replay, byte-identical to the pre-registry Schedule pass.
 type Schedule struct{}
 
 // Name implements Pass.
@@ -28,86 +27,61 @@ func (Schedule) Run(st *State) error {
 	if st.lowered == nil {
 		return fmt.Errorf("compiler: schedule before lower")
 	}
-	pol, err := GetSchedule(st.Opt.Schedule)
+	row, err := lookupSchedule(st.Opt.Schedule)
 	if err != nil {
 		return err
 	}
-	return pol.Run(st)
+	return replayStreams(st, row.advance)
 }
 
-// SchedulePolicy resolves a State's lowered directive streams into the
-// timed instruction streams Assemble merges. Policies run after Lower, so
-// st.lowered, the interned tables and the option set are all available;
-// a policy must fill st.scheduled with one stream per controller.
-//
-// Policies must be deterministic — the same State input always yields the
-// same streams — which is what makes a policy name safe to hash into the
-// artifact fingerprint (internal/artifact keyVersion 5).
-type SchedulePolicy interface {
-	// Name is the registry key ("fixed", "padded").
-	Name() string
-	// Run resolves st.lowered into st.scheduled.
-	Run(st *State) error
+// schedule declares one scheduling policy. Every row replays the lowered
+// directive streams deterministically — the same State always yields the
+// same streams, which is what makes a policy name safe to hash into the
+// artifact fingerprint (internal/artifact keyVersion 5); a row only says
+// where a sync's booking goes.
+type schedule struct {
+	name string
+	// advance slides each sync backwards over deterministic work so the
+	// N-cycle countdown overlaps useful execution (Fig. 6, zero-cycle
+	// overhead when slack suffices, §4.2); without it every sync sits
+	// immediately before its synchronized instruction with the window fully
+	// padded — the QubiC-style scheme the paper improves on (§2.1.3), and
+	// the "off" side of the ablation experiment.
+	advance bool
 }
+
+// schedules is the fixed registry, in documentation order.
+var schedules = []schedule{{"fixed", true}, {"padded", false}}
 
 // DefaultSchedule is the policy an empty name resolves to: the legacy
 // fixed replay, guaranteed byte-identical to the pre-registry compiler.
 const DefaultSchedule = "fixed"
 
-// schedulePolicies is the fixed registry, in documentation order.
-var schedulePolicies = []SchedulePolicy{fixedPolicy{}, paddedPolicy{}}
-
-// ScheduleNames lists the registered scheduling policies in stable order.
-func ScheduleNames() []string { return registry.Names(schedulePolicies, SchedulePolicy.Name) }
-
-// GetSchedule resolves a scheduling policy by name ("" = DefaultSchedule).
-// Unknown names error with the valid set, so CLI and API validation share
-// one message.
-func GetSchedule(name string) (SchedulePolicy, error) {
-	return registry.Lookup("schedule policy", name, DefaultSchedule, schedulePolicies, SchedulePolicy.Name)
+// lookupSchedule resolves a scheduling policy by name ("" =
+// DefaultSchedule). Unknown names error with the valid set, so CLI and API
+// validation share one message.
+func lookupSchedule(name string) (schedule, error) {
+	return registry.Lookup("schedule policy", name, DefaultSchedule, schedules, scheduleName)
 }
+
+func scheduleName(s schedule) string { return s.name }
 
 // ValidSchedule reports whether name resolves to a registered scheduling
 // policy ("" counts — it resolves to DefaultSchedule). The client-side
 // check dhisq-sim -serve runs before a submission travels to the daemon.
 func ValidSchedule(name string) error {
-	_, err := GetSchedule(name)
+	_, err := lookupSchedule(name)
 	return err
-}
-
-// fixedPolicy is the legacy schedule: replay every directive in lowering
-// order with the Fig. 6 placement — sync instructions slide backwards over
-// deterministic work so the N-cycle countdown overlaps useful execution
-// (zero-cycle overhead when slack suffices, §4.2). Streams are independent
-// — no directive reads another controller's state — so replaying them one
-// at a time reproduces the monolithic compiler's interleaved emission
-// exactly.
-type fixedPolicy struct{}
-
-func (fixedPolicy) Name() string { return "fixed" }
-
-func (fixedPolicy) Run(st *State) error {
-	return replayStreams(st, true)
-}
-
-// paddedPolicy replays the directives without advance booking: every sync
-// sits immediately before its synchronized instruction with the window
-// fully padded — the QubiC-style scheme the paper improves on (§2.1.3),
-// and the "off" side of the ablation experiment.
-type paddedPolicy struct{}
-
-func (paddedPolicy) Name() string { return "padded" }
-
-func (paddedPolicy) Run(st *State) error {
-	return replayStreams(st, false)
 }
 
 // replayStreams is the shared directive replay: one timed stream per
 // controller, with advance deciding whether sync bookings slide backwards
-// (Fig. 6) or pad in place. Streams replay one after another, so each
-// writes its arena on the free tail of one allocation, and its bookings to
-// its own cut of another; they take turns with one buffer of slide
-// candidates. The allocation holds every payload and two instructions a
+// (Fig. 6) or pad in place. No directive reads another controller's
+// state, so replaying the streams one at a time reproduces the monolithic
+// compiler's interleaved emission exactly. Streams replay one after
+// another, so each writes its arena on the free tail of one allocation, and
+// its bookings to its own cut of another; they take turns with one buffer
+// of slide candidates. The allocation holds every payload and two instructions a
 // directive, which covers the guard and gate waits unless one is wide.
 func replayStreams(st *State, advance bool) error {
 	size, nsync := 0, 0

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dhisq/internal/network"
+	"dhisq/internal/registry"
 	"dhisq/internal/workloads"
 )
 
@@ -13,26 +14,23 @@ import (
 // with the valid set in the message.
 func TestScheduleRegistry(t *testing.T) {
 	want := []string{"fixed", "padded"}
-	if got := ScheduleNames(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ScheduleNames() = %v, want %v", got, want)
+	if got := registry.Names(schedules, scheduleName); !reflect.DeepEqual(got, want) {
+		t.Fatalf("schedule names = %v, want %v", got, want)
 	}
 	for _, name := range append(want, "") {
-		p, err := GetSchedule(name)
+		row, err := lookupSchedule(name)
 		if err != nil {
-			t.Fatalf("GetSchedule(%q): %v", name, err)
+			t.Fatalf("lookupSchedule(%q): %v", name, err)
 		}
-		if name == "" && p.Name() != DefaultSchedule {
-			t.Fatalf("GetSchedule(\"\") resolved to %q, want %q", p.Name(), DefaultSchedule)
+		if name == "" && row.name != DefaultSchedule {
+			t.Fatalf("lookupSchedule(\"\") resolved to %q, want %q", row.name, DefaultSchedule)
 		}
 		if err := ValidSchedule(name); err != nil {
 			t.Fatalf("ValidSchedule(%q): %v", name, err)
 		}
 	}
-	if _, err := GetSchedule("bogus"); err == nil {
-		t.Fatal("unknown schedule policy accepted")
-	}
-	if err := ValidSchedule("bogus"); err == nil {
-		t.Fatal("ValidSchedule accepted unknown policy")
+	if err := ValidSchedule("bogus"); err == nil || err.Error() != `unknown schedule policy "bogus" (want fixed, padded)` {
+		t.Fatalf("ValidSchedule(bogus) = %v", err)
 	}
 }
 

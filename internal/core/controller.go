@@ -50,17 +50,19 @@ func (NopSink) Commit(int, int, uint32, sim.Time) {}
 // Config parameterizes one HISQ core. The defaults mirror the DQCtrl boards
 // of §6.1.
 type Config struct {
-	ID          int // global controller address
-	Ports       int // number of codeword queues (28 control board, 8 readout)
-	QueueDepth  int // event queue depth (1024 in Table 1)
-	MemSize     int // data memory bytes
-	BurstBudget int // instructions executed per engine turn
+	ID      int // global controller address
+	Ports   int // number of codeword queues (28 control board, 8 readout)
+	MemSize int // data memory bytes
 }
 
 // DefaultConfig returns a control-board-like configuration.
 func DefaultConfig(id int) Config {
-	return Config{ID: id, Ports: 28, QueueDepth: 1024, MemSize: 64 << 10, BurstBudget: 4096}
+	return Config{ID: id, Ports: 28, MemSize: 64 << 10}
 }
+
+// burstBudget is the number of instructions a core executes per engine
+// turn before it yields so the other cores make progress.
+const burstBudget = 4096
 
 // BlockReason says why a controller's pipeline is stalled.
 type BlockReason uint8
@@ -174,9 +176,6 @@ type Controller struct {
 func NewController(eng *sim.Engine, cfg Config, fab Fabric, sink CWSink, log *telf.Log) *Controller {
 	if cfg.MemSize <= 0 {
 		cfg.MemSize = 64 << 10
-	}
-	if cfg.BurstBudget <= 0 {
-		cfg.BurstBudget = 4096
 	}
 	if sink == nil {
 		sink = NopSink{}
@@ -440,7 +439,7 @@ func (c *Controller) run() {
 	// No defer clears inRun: a panic escaping a shot leaves it set, and
 	// Reset clears it before the core runs again.
 	c.inRun = true
-	for budget := c.Cfg.BurstBudget; !c.halted; budget-- {
+	for budget := burstBudget; !c.halted; budget-- {
 		if budget <= 0 {
 			c.post(c.tc, sim.PriResume, sim.Event{Op: evRun})
 			break

@@ -74,11 +74,7 @@ func FeedbackSweep(opt FeedbackOptions) ([]FeedbackPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		pol, err := placement.Get("interaction")
-		if err != nil {
-			return nil, err
-		}
-		cold, err := pol.Place(c, topo)
+		cold, err := placement.Place("interaction", c, topo)
 		if err != nil {
 			return nil, err
 		}

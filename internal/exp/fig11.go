@@ -29,7 +29,7 @@ func newCalRig(seed int64) *calRig {
 	eng := sim.NewEngine()
 	qb := physics.NewQubit(seed)
 	dev := physics.NewDevice(qb, 80)
-	ctrl := core.NewController(eng, core.Config{ID: 0, Ports: 28, QueueDepth: 1024}, nil, dev, nil)
+	ctrl := core.NewController(eng, core.Config{ID: 0, Ports: 28}, nil, dev, nil)
 	dev.SetDelivery(func(node, ch int, val uint32, at sim.Time) { ctrl.PostResult(ch, val, at) })
 	return &calRig{eng: eng, ctrl: ctrl, dev: dev}
 }

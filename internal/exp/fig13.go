@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"dhisq/internal/core"
 	"dhisq/internal/isa"
@@ -73,8 +74,8 @@ func Fig13SyncWaveforms() (Fig13Result, error) {
 		return Fig13Result{}, err
 	}
 	fab := network.NewFabric(eng, topo, log)
-	ctrlBoard := core.NewController(eng, core.Config{ID: 0, Ports: 28, QueueDepth: 1024}, fab, nil, log)
-	roBoard := core.NewController(eng, core.Config{ID: 1, Ports: 8, QueueDepth: 1024}, fab, nil, log)
+	ctrlBoard := core.NewController(eng, core.Config{ID: 0, Ports: 28}, fab, nil, log)
+	roBoard := core.NewController(eng, core.Config{ID: 1, Ports: 8}, fab, nil, log)
 	fab.Attach(0, ctrlBoard)
 	fab.Attach(1, roBoard)
 	ctrlBoard.Load(isa.MustAssemble(Fig12ControlBoard))
@@ -94,18 +95,8 @@ func Fig13SyncWaveforms() (Fig13Result, error) {
 	for _, e := range log.Commits(1, 5) {
 		res.ReadoutCommits = append(res.ReadoutCommits, e.Time)
 	}
-	n := len(res.ControlCommits)
-	if len(res.ReadoutCommits) < n {
-		n = len(res.ReadoutCommits)
-	}
-	res.DeltaConstant = n > 0
-	for i := 0; i < n; i++ {
-		d := res.ReadoutCommits[i] - res.ControlCommits[i]
-		res.Deltas = append(res.Deltas, d)
-		if d != res.Deltas[0] {
-			res.DeltaConstant = false
-		}
-	}
+	res.Deltas = telf.CheckAlignment(log, 0, 7, 1, 5).Deltas
+	res.DeltaConstant = len(res.Deltas) > 0 && slices.Min(res.Deltas) == slices.Max(res.Deltas)
 	for i := 1; i < len(res.ControlCommits); i++ {
 		res.SweepDeltas = append(res.SweepDeltas, res.ControlCommits[i]-res.ControlCommits[i-1])
 	}

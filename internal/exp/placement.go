@@ -105,11 +105,7 @@ func mappingCost(c *circuit.Circuit, policy string, net network.Config) (int64, 
 	if err != nil {
 		return 0, err
 	}
-	pol, err := placement.Get(policy)
-	if err != nil {
-		return 0, err
-	}
-	m, err := pol.Place(c, topo)
+	m, err := placement.Place(policy, c, topo)
 	if err != nil {
 		return 0, err
 	}

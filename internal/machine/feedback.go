@@ -54,11 +54,11 @@ func RePlace(c *circuit.Circuit, cfg Config, prior []int, net network.Congestion
 		if err := m.Load(cp); err != nil {
 			return 0, err
 		}
-		rs, err := m.RunShots(1)
+		res, _, err := m.Shot(m.Cfg.Seed)
 		if err != nil {
 			return 0, err
 		}
-		return int64(rs[0].Net.TotalStall()), nil
+		return int64(res.Net.TotalStall()), nil
 	}
 
 	candidates := [][]int{incumbent}

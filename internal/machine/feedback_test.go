@@ -47,11 +47,11 @@ func measuredFeedback(t *testing.T, c *circuit.Circuit, cfg Config, mapping []in
 	if err := m.Load(cp); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := m.RunShots(1)
+	res, _, err := m.Shot(m.Cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rs[0].Net, int64(rs[0].Net.TotalStall())
+	return res.Net, int64(res.Net.TotalStall())
 }
 
 // TestRePlaceDeterministic: identical feedback must yield the identical

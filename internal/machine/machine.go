@@ -272,7 +272,7 @@ func New(cfg Config, numQubits int) (*Machine, error) {
 	}
 	m.Ctrls = make([]*core.Controller, topo.N)
 	for i := range m.Ctrls {
-		cc := core.Config{ID: i, Ports: 4, QueueDepth: 1024, MemSize: 64 << 10, BurstBudget: 4096}
+		cc := core.Config{ID: i, Ports: 4, MemSize: 64 << 10}
 		m.Ctrls[i] = core.NewController(eng, cc, fab, chipModel, log)
 		fab.Attach(i, m.Ctrls[i])
 	}
@@ -426,7 +426,7 @@ func (m *Machine) Loaded() *compiler.Compiled { return m.loaded }
 // its program in place, the routers drop pending bookings, the TELF log
 // empties, and the chip resets its quantum state with the given seed. No
 // component is reallocated — this is the cheap per-shot path that
-// RunShots and internal/runner are built on.
+// Shot and internal/runner are built on.
 func (m *Machine) Reset(seed int64) {
 	m.Eng.Reset()
 	m.Log.Reset()
@@ -618,28 +618,6 @@ func RunCircuit(c *circuit.Circuit, meshW, meshH int, mapping []int, cfg Config)
 	}
 	res, err := m.Run()
 	return res, m, err
-}
-
-// RunShots executes the loaded program n times on this machine — reset,
-// run, repeat — deriving the shot-k backend seed from Cfg.Seed via
-// DeriveSeed. The machine is reset before every shot including the first,
-// so RunShots(n) is independent of whatever ran before it; shot results
-// are returned in shot order. On error the shots completed so far are
-// returned alongside it.
-func (m *Machine) RunShots(n int) ([]Result, error) {
-	if m.loaded == nil {
-		return nil, fmt.Errorf("machine: RunShots before Load")
-	}
-	out := make([]Result, 0, n)
-	for k := 0; k < n; k++ {
-		m.Reset(DeriveSeed(m.Cfg.Seed, k))
-		res, err := m.Run()
-		if err != nil {
-			return out, fmt.Errorf("machine: shot %d: %w", k, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
 }
 
 // publicBits is the length of a shot's readout: every classical bit of the

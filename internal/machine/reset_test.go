@@ -111,25 +111,28 @@ func TestResetRerunBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunShotsMatchesFreshMachines checks the compile-once/reset-per-shot
+// TestShotMatchesFreshMachines checks the compile-once/reset-per-shot
 // path against a fresh machine per shot with the same derived seed.
-func TestRunShotsMatchesFreshMachines(t *testing.T) {
+func TestShotMatchesFreshMachines(t *testing.T) {
 	c := cliffordCircuit()
 	cfg := DefaultConfig(c.NumQubits)
 	cfg.Seed = 5
 
 	m := buildLoaded(t, c, 4, 4, cfg)
-	results, err := m.RunShots(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, res := range results {
+	for k := 0; k < 4; k++ {
+		res, bits, err := m.Shot(DeriveSeed(cfg.Seed, k))
+		if err != nil {
+			t.Fatal(err)
+		}
 		shotCfg := cfg
 		shotCfg.Seed = DeriveSeed(cfg.Seed, k)
 		fresh := buildLoaded(t, c, 4, 4, shotCfg)
-		want, _ := runOnce(t, fresh)
+		want, wantBits := runOnce(t, fresh)
 		if !reflect.DeepEqual(res, want) {
-			t.Fatalf("shot %d: RunShots %+v != fresh machine %+v", k, res, want)
+			t.Fatalf("shot %d: Shot %+v != fresh machine %+v", k, res, want)
+		}
+		if !reflect.DeepEqual(bits, wantBits) {
+			t.Fatalf("shot %d: Shot bits %v != fresh machine %v", k, bits, wantBits)
 		}
 	}
 }

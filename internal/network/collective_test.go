@@ -370,3 +370,37 @@ func TestRingAllReduceVolume(t *testing.T) {
 		}
 	}
 }
+
+// TestSnakeOrderAdjacency: SnakeOrder visits every controller once, and
+// consecutive entries are mesh neighbors — the property the ring schedule's
+// "every hop is a neighbor link" rests on — on mesh and torus, at odd and
+// even widths.
+func TestSnakeOrderAdjacency(t *testing.T) {
+	for _, kind := range []TopologyKind{TopoMesh, TopoTorus} {
+		for _, shape := range [][2]int{{5, 5}, {4, 6}, {5, 4}, {2, 3}, {1, 4}, {6, 1}} {
+			cfg := DefaultConfig(shape[0] * shape[1])
+			cfg.MeshW, cfg.MeshH, cfg.Topology = shape[0], shape[1], kind
+			topo, err := NewTopology(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			order := topo.SnakeOrder()
+			if len(order) != topo.N {
+				t.Fatalf("%v %dx%d: %d entries for %d controllers", kind, shape[0], shape[1], len(order), topo.N)
+			}
+			seen := make([]bool, topo.N)
+			for i, c := range order {
+				if c < 0 || c >= topo.N || seen[c] {
+					t.Fatalf("%v %dx%d: entry %d is controller %d, out of range or repeated", kind, shape[0], shape[1], i, c)
+				}
+				seen[c] = true
+				if i == 0 {
+					continue
+				}
+				if d := topo.MeshDistance(order[i-1], c); d != 1 {
+					t.Fatalf("%v %dx%d: entries %d,%d (controllers %d,%d) at mesh distance %d", kind, shape[0], shape[1], i-1, i, order[i-1], c, d)
+				}
+			}
+		}
+	}
+}

@@ -34,7 +34,7 @@ func ContiguousChips(n, chips int) []int {
 // contiguous by construction. Deterministic for a fixed (circuit, chips,
 // policy) — the partition is hashed into the artifact fingerprint.
 func PartitionChips(c *circuit.Circuit, chips int, policy string) ([]int, error) {
-	if _, err := Get(policy); err != nil {
+	if err := Valid(policy); err != nil {
 		return nil, err
 	}
 	n := c.NumQubits
@@ -112,7 +112,7 @@ func PartitionChips(c *circuit.Circuit, chips int, policy string) ([]int, error)
 		}
 	}
 
-	// Never-worse guarantee on the objective (cf. interactionPolicy.Place).
+	// Never-worse guarantee on the objective (cf. interaction).
 	if ChipCut(c, chipOf) > ChipCut(c, contiguous) {
 		return contiguous, nil
 	}

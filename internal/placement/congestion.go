@@ -12,20 +12,6 @@ import (
 // traffic actually queued — the per-link stalls of a
 // network.CongestionStats digest.
 
-// congestionPolicy is the registry entry for congestion-aware placement.
-// Through the bare Policy interface no measured feedback is available, so
-// it degenerates to the interaction placer — the cold-start mapping the
-// feedback loop then improves on. The stall-weighted path is
-// CongestionCandidates, which machine.RePlace — and through it the
-// service's re-place hook — drives with real measurements.
-type congestionPolicy struct{}
-
-func (congestionPolicy) Name() string { return "congestion" }
-
-func (congestionPolicy) Place(c *circuit.Circuit, topo *network.Topology) ([]int, error) {
-	return interactionPolicy{}.Place(c, topo)
-}
-
 // stallPressure folds the per-link loads into a per-controller pressure
 // score: a link's stall charges both endpoints (the backlog forms at From,
 // the traffic was bound for To — moving either side's qubits relieves it).
@@ -114,9 +100,7 @@ func CongestionCandidates(c *circuit.Circuit, topo *network.Topology, prior []in
 		}
 		out = append(out, m)
 	}
-	if m, err := (interactionPolicy{}).Place(c, topo); err == nil && m != nil {
-		add(m)
-	}
+	add(interaction(c, topo))
 	for _, lambda := range []int64{1, 2, 4, 8} {
 		add(greedyPlace(n, congestionWeights(c, topo, prior, loads, lambda), topo))
 	}

@@ -18,20 +18,16 @@ func congTopo(t *testing.T, n int) *network.Topology {
 }
 
 // TestCongestionPolicyRegistered: "congestion" resolves through the
-// registry and, fed no measurement (the bare Policy interface), degrades
-// to the interaction placement — the documented cold-start behavior.
+// registry and, fed no measurement (placement by name alone), is the
+// interaction placement — the documented cold-start behavior.
 func TestCongestionPolicyRegistered(t *testing.T) {
-	p, err := Get("congestion")
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := hotspot(9)
 	topo := congTopo(t, 9)
-	got, err := p.Place(c, topo)
+	got, err := Place("congestion", c, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := (interactionPolicy{}).Place(c, topo)
+	want, err := Place("interaction", c, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +50,7 @@ func TestCongestionCandidatesShape(t *testing.T) {
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
-	inter, err := (interactionPolicy{}).Place(c, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inter := interaction(c, topo)
 	if !reflect.DeepEqual(cands[0], inter) {
 		t.Fatalf("candidate 0 %v is not the interaction placement %v", cands[0], inter)
 	}
@@ -102,10 +95,7 @@ func TestCongestionPlaceNoSignalReducesToInteraction(t *testing.T) {
 			t.Fatalf("no-signal placement at gain %d %v != greedy interaction %v", lambda, got, greedy)
 		}
 	}
-	inter, err := (interactionPolicy{}).Place(c, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inter := interaction(c, topo)
 	quiet, err := CongestionCandidates(c, topo, nil, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,7 @@
 // speak — so the choice of placer is a named, cacheable compilation input
 // rather than ad-hoc call-site logic.
 //
-// Three policies ship:
+// Four policies ship, one row each in the policies table:
 //
 //   - identity: qubit q runs on controller q, expressed as a nil mapping.
 //     This is the legacy behavior byte-for-byte — nil is what every
@@ -23,6 +23,9 @@
 //     partners. Co-locating chatty qubits shortens calibrated sync windows
 //     and cuts inter-controller messages — and therefore queueing stalls
 //     once link bandwidth is finite (network.Config.LinkSerialization > 0).
+//   - congestion: by name, the interaction placement — the cold start of
+//     the congestion-feedback loop, whose stall-weighted re-placements
+//     (CongestionCandidates) only measured link stalls can drive.
 //
 // Policies are deterministic: the same (circuit, topology) input always
 // yields the same mapping, which is what makes a policy name safe to hash
@@ -38,16 +41,15 @@ import (
 	"dhisq/internal/registry"
 )
 
-// Policy computes a qubit→controller mapping for a circuit on a built
-// topology. A nil mapping means identity (qubit q on controller q) — the
-// compiler and artifact cache both honor that convention.
-type Policy interface {
-	// Name is the registry key ("identity", "rowmajor", "interaction").
-	Name() string
-	// Place returns the mapping. Implementations must be deterministic
-	// and must return either nil or a slice of length c.NumQubits whose
-	// entries are distinct controllers in [0, topo.N).
-	Place(c *circuit.Circuit, topo *network.Topology) ([]int, error)
+// policy declares one placement policy: place computes the mapping for a
+// circuit that fits the topology. A nil mapping means identity (qubit q on
+// controller q) — the compiler and artifact cache both honor that
+// convention. place must be deterministic and return either nil or a slice
+// of length c.NumQubits whose entries are distinct controllers in
+// [0, topo.N).
+type policy struct {
+	name  string
+	place func(*circuit.Circuit, *network.Topology) []int
 }
 
 // Default is the policy an empty name resolves to: the legacy identity
@@ -55,23 +57,47 @@ type Policy interface {
 const Default = "identity"
 
 // policies is the fixed registry, in documentation order.
-var policies = []Policy{identityPolicy{}, rowMajorPolicy{}, interactionPolicy{}, congestionPolicy{}}
+var policies = []policy{
+	{"identity", func(*circuit.Circuit, *network.Topology) []int { return nil }},
+	{"rowmajor", func(c *circuit.Circuit, _ *network.Topology) []int { return rowMajor(c.NumQubits) }},
+	{"interaction", interaction},
+	// By name alone no measured feedback is available, so congestion
+	// placement is the interaction placement — the cold-start mapping the
+	// feedback loop then improves on. The stall-weighted path is CongestionCandidates,
+	// which machine.RePlace — and through it the service's re-place hook —
+	// drives with real measurements.
+	{"congestion", interaction},
+}
+
+func policyName(p policy) string { return p.name }
 
 // Names lists the registered policies in stable order.
-func Names() []string { return registry.Names(policies, Policy.Name) }
-
-// Get resolves a policy by name ("" = Default). Unknown names error with
-// the valid set, so CLI and API validation share one message.
-func Get(name string) (Policy, error) {
-	return registry.Lookup("placement policy", name, Default, policies, Policy.Name)
-}
+func Names() []string { return registry.Names(policies, policyName) }
 
 // Valid reports whether name resolves to a registered policy ("" counts —
 // it resolves to Default). The client-side check dhisq-sim -serve runs
-// before a submission travels to the daemon.
+// before a submission travels to the daemon. Unknown names error with the
+// valid set, so CLI and API validation share one message.
 func Valid(name string) error {
-	_, err := Get(name)
+	_, err := lookup(name)
 	return err
+}
+
+func lookup(name string) (policy, error) {
+	return registry.Lookup("placement policy", name, Default, policies, policyName)
+}
+
+// Place computes the mapping the named policy ("" = Default) gives c on
+// topo.
+func Place(name string, c *circuit.Circuit, topo *network.Topology) ([]int, error) {
+	p, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkFits(c, topo); err != nil {
+		return nil, err
+	}
+	return p.place(c, topo), nil
 }
 
 // AutoMesh picks controller-mesh dimensions for an n-qubit circuit whose
@@ -97,48 +123,20 @@ func checkFits(c *circuit.Circuit, topo *network.Topology) error {
 	return nil
 }
 
-// identityPolicy is the legacy placement: nil mapping, qubit q on
-// controller q.
-type identityPolicy struct{}
-
-func (identityPolicy) Name() string { return "identity" }
-
-func (identityPolicy) Place(c *circuit.Circuit, topo *network.Topology) ([]int, error) {
-	if err := checkFits(c, topo); err != nil {
-		return nil, err
-	}
-	return nil, nil
-}
-
-// rowMajorPolicy writes the identity assignment out as an explicit
-// permutation: qubit q at row-major mesh position q.
-type rowMajorPolicy struct{}
-
-func (rowMajorPolicy) Name() string { return "rowmajor" }
-
-func (rowMajorPolicy) Place(c *circuit.Circuit, topo *network.Topology) ([]int, error) {
-	if err := checkFits(c, topo); err != nil {
-		return nil, err
-	}
-	m := make([]int, c.NumQubits)
+// rowMajor is the identity assignment written out: qubit q on controller q.
+func rowMajor(n int) []int {
+	m := make([]int, n)
 	for q := range m {
 		m[q] = q
 	}
-	return m, nil
+	return m
 }
 
-// interactionPolicy is the greedy interaction-graph partitioner.
-type interactionPolicy struct{}
-
-func (interactionPolicy) Name() string { return "interaction" }
-
-func (interactionPolicy) Place(c *circuit.Circuit, topo *network.Topology) ([]int, error) {
-	if err := checkFits(c, topo); err != nil {
-		return nil, err
-	}
+// interaction is the greedy interaction-graph partitioner.
+func interaction(c *circuit.Circuit, topo *network.Topology) []int {
 	n := c.NumQubits
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	w := interactionWeights(c)
 
@@ -149,14 +147,10 @@ func (interactionPolicy) Place(c *circuit.Circuit, topo *network.Topology) ([]in
 	// mesh distance). Greedy placement has no approximation bound, so on
 	// adversarial graphs it could lose; falling back makes "interaction is
 	// at least as good as rowmajor" structural rather than statistical.
-	rowMajor := make([]int, n)
-	for q := range rowMajor {
-		rowMajor[q] = q
+	if base := rowMajor(n); Cost(w, mapping, topo) > Cost(w, base, topo) {
+		return base
 	}
-	if Cost(w, mapping, topo) > Cost(w, rowMajor, topo) {
-		return rowMajor, nil
-	}
-	return mapping, nil
+	return mapping
 }
 
 // interactionWeights builds the symmetric qubit-interaction matrix:
@@ -177,7 +171,7 @@ func interactionWeights(c *circuit.Circuit) [][]int64 {
 		w[b][a]++
 	}
 	// Bounds are guarded locally even though the pipeline validates the
-	// circuit first — Policy is a public interface and a malformed op must
+	// circuit first — Place is a public entry point and a malformed op must
 	// degrade to a missing edge, never an index panic.
 	bitSource := make([]int, c.NumBits)
 	for i := range bitSource {
@@ -228,10 +222,7 @@ func Cost(w [][]int64, mapping []int, topo *network.Topology) int64 {
 // weighted-distance objective of a mapping for that circuit.
 func CircuitCost(c *circuit.Circuit, mapping []int, topo *network.Topology) int64 {
 	if mapping == nil {
-		mapping = make([]int, c.NumQubits)
-		for q := range mapping {
-			mapping[q] = q
-		}
+		mapping = rowMajor(c.NumQubits)
 	}
 	return Cost(interactionWeights(c), mapping, topo)
 }

@@ -41,30 +41,27 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
 	for _, name := range append(want, "") {
-		p, err := Get(name)
-		if err != nil {
-			t.Fatalf("Get(%q): %v", name, err)
-		}
-		if name == "" && p.Name() != Default {
-			t.Fatalf("Get(\"\") resolved to %q, want %q", p.Name(), Default)
-		}
 		if err := Valid(name); err != nil {
 			t.Fatalf("Valid(%q): %v", name, err)
 		}
 	}
-	if _, err := Get("bogus"); err == nil {
-		t.Fatal("Get(bogus) succeeded")
+	c, topo := workloads.GHZ(4), topoFor(t, 4)
+	if m, err := Place("", c, topo); err != nil || m != nil {
+		t.Fatalf("Place(\"\") = %v, %v; want the %s placement (nil)", m, err, Default)
 	}
-	if err := Valid("bogus"); err == nil {
-		t.Fatal("Valid(bogus) succeeded")
+	want0 := `unknown placement policy "bogus" (want identity, rowmajor, interaction, congestion)`
+	if err := Valid("bogus"); err == nil || err.Error() != want0 {
+		t.Fatalf("Valid(bogus) = %v, want %q", err, want0)
+	}
+	if _, err := Place("bogus", c, topo); err == nil || err.Error() != want0 {
+		t.Fatalf("Place(bogus) = %v, want %q", err, want0)
 	}
 }
 
 func TestIdentityIsNil(t *testing.T) {
 	c := workloads.GHZ(9)
 	topo := topoFor(t, 9)
-	p, _ := Get("identity")
-	m, err := p.Place(c, topo)
+	m, err := Place("identity", c, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +73,7 @@ func TestIdentityIsNil(t *testing.T) {
 func TestRowMajorIsExplicitIdentity(t *testing.T) {
 	c := workloads.GHZ(9)
 	topo := topoFor(t, 9)
-	p, _ := Get("rowmajor")
-	m, err := p.Place(c, topo)
+	m, err := Place("rowmajor", c, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +99,7 @@ func TestPoliciesProduceValidPermutations(t *testing.T) {
 	for name, c := range cases {
 		topo := topoFor(t, c.NumQubits)
 		for _, pname := range Names() {
-			p, _ := Get(pname)
-			m, err := p.Place(c, topo)
+			m, err := Place(pname, c, topo)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, pname, err)
 			}
@@ -134,13 +129,12 @@ func TestPoliciesDeterministic(t *testing.T) {
 	c := hotspot(14)
 	topo := topoFor(t, 14)
 	for _, pname := range Names() {
-		p, _ := Get(pname)
-		first, err := p.Place(c, topo)
+		first, err := Place(pname, c, topo)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {
-			again, err := p.Place(c, topo)
+			again, err := Place(pname, c, topo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,8 +150,6 @@ func TestPoliciesDeterministic(t *testing.T) {
 // objective is <= row-major's — guaranteed by the explicit fallback, and
 // strictly better on the hotspot where the hub must leave the corner.
 func TestInteractionNeverWorseThanRowMajor(t *testing.T) {
-	inter, _ := Get("interaction")
-	rowm, _ := Get("rowmajor")
 	cases := map[string]*circuit.Circuit{
 		"hotspot": hotspot(16),
 		"ghz":     workloads.GHZ(16),
@@ -166,11 +158,11 @@ func TestInteractionNeverWorseThanRowMajor(t *testing.T) {
 	}
 	for name, c := range cases {
 		topo := topoFor(t, c.NumQubits)
-		im, err := inter.Place(c, topo)
+		im, err := Place("interaction", c, topo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rm, err := rowm.Place(c, topo)
+		rm, err := Place("rowmajor", c, topo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,8 +194,7 @@ func TestPlacementRejectsOversizedCircuit(t *testing.T) {
 	c := workloads.GHZ(10)
 	topo := topoFor(t, 4)
 	for _, pname := range Names() {
-		p, _ := Get(pname)
-		if _, err := p.Place(c, topo); err == nil {
+		if _, err := Place(pname, c, topo); err == nil {
 			t.Fatalf("%s accepted 10 qubits on 4 controllers", pname)
 		}
 	}

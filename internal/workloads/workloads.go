@@ -336,20 +336,6 @@ type Benchmark struct {
 	DefaultParams map[string]float64
 }
 
-// SnakeMapping maps a 1-D qubit chain onto a W-wide mesh boustrophedon-style
-// so that chain neighbors stay mesh-adjacent across row boundaries.
-func SnakeMapping(n, w int) []int {
-	m := make([]int, n)
-	for i := 0; i < n; i++ {
-		row, col := i/w, i%w
-		if row%2 == 1 {
-			col = w - 1 - col
-		}
-		m[i] = row*w + col
-	}
-	return m
-}
-
 // fig15Spec describes how each paper benchmark maps onto our generators.
 // Line-style benchmarks use the dual-rail embedding: half the physical
 // qubits are the logical chain, half the dedicated ancilla rail.

@@ -279,25 +279,6 @@ func TestFig15FullSizesMatchNames(t *testing.T) {
 	}
 }
 
-func TestSnakeMappingAdjacency(t *testing.T) {
-	const n, w = 23, 5
-	m := SnakeMapping(n, w)
-	for i := 0; i+1 < n; i++ {
-		a, b := m[i], m[i+1]
-		dx := a%w - b%w
-		dy := a/w - b/w
-		if dx < 0 {
-			dx = -dx
-		}
-		if dy < 0 {
-			dy = -dy
-		}
-		if dx+dy != 1 {
-			t.Fatalf("chain neighbors %d,%d land at mesh distance %d", i, i+1, dx+dy)
-		}
-	}
-}
-
 func TestDynamicConversionAddsFeedback(t *testing.T) {
 	// The point of the benchmark suite: static circuits gain feed-forward
 	// operations when converted (§6.4.2).
