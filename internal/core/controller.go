@@ -97,14 +97,6 @@ type Stats struct {
 	Commits    uint64
 	Syncs      uint64
 	Violations uint64
-	StallRecv  sim.Time
-	StallFMR   sim.Time
-	StallSync  sim.Time
-	// StallNet is the total queueing delay the contention-aware fabric
-	// charged to this controller's outgoing traffic (zero when the
-	// contention model is disabled). Credited by the fabric through
-	// AddNetStall, not by the pipeline itself.
-	StallNet sim.Time
 }
 
 type delivered struct {
@@ -381,11 +373,6 @@ func (c *Controller) DeliverRegionResume(router int, tm, arrival sim.Time) {
 	c.run()
 }
 
-// AddNetStall credits queueing delay the fabric charged to this
-// controller's outgoing traffic (contention accounting; the fabric calls
-// it at reservation time).
-func (c *Controller) AddNetStall(d sim.Time) { c.Stats.StallNet += d }
-
 // PostResult schedules the delivery of a measurement result: PushResult(ch,
 // val, availAt) runs as an engine event at availAt. It is what a chip or
 // device model's result callback calls.
@@ -415,7 +402,7 @@ func (c *Controller) finishSync(target int, condI, peer sim.Time) {
 	c.tl.AddGate(condI, r)
 	c.Stats.Syncs++
 	if r > condI {
-		c.Stats.StallSync += r - condI
+		c.log.Add(telf.Event{Time: r, Node: c.Cfg.ID, Kind: telf.Stall, A: int64(telf.StallSync), B: r - condI})
 	}
 	c.log.Add(telf.Event{Time: r, Node: c.Cfg.ID, Kind: telf.SyncDone, A: int64(target), B: r})
 	c.pc++ // the sync instruction retires on resolution
@@ -462,9 +449,9 @@ func (c *Controller) step() bool {
 	c.Stats.Instrs++
 	switch in.Op {
 	case isa.OpRECV:
-		return c.fetch(in, c.mail, BlockRecv, &c.Stats.StallRecv, telf.MsgRecv)
+		return c.fetch(in, c.mail, BlockRecv, telf.StallRecv, telf.MsgRecv)
 	case isa.OpFMR:
-		return c.fetch(in, c.results, BlockFMR, &c.Stats.StallFMR, telf.MeasResult)
+		return c.fetch(in, c.results, BlockFMR, telf.StallFMR, telf.MeasResult)
 	case isa.OpSEND:
 		c.tc++
 		dst := int(in.Imm)
@@ -508,8 +495,9 @@ func (c *Controller) step() bool {
 
 // fetch retires recv and fmr: the next value in queue Imm of qs, a source
 // controller's mailbox or a result channel. It blocks until the value is
-// delivered, and the pipeline and the timer resume where it arrived (§3.2).
-func (c *Controller) fetch(in isa.Instr, qs []fifo, reason BlockReason, stall *sim.Time, kind telf.Kind) bool {
+// delivered, and the pipeline and the timer resume where it arrived (§3.2);
+// a wait past the pipeline clock is logged as a Stall for why.
+func (c *Controller) fetch(in isa.Instr, qs []fifo, reason BlockReason, why telf.StallReason, kind telf.Kind) bool {
 	src := int(in.Imm)
 	if src < 0 {
 		c.fail("%s from address %d", in.Op, src)
@@ -522,7 +510,7 @@ func (c *Controller) fetch(in isa.Instr, qs []fifo, reason BlockReason, stall *s
 	m := qs[src].Pop()
 	c.tc++
 	if m.at > c.tc {
-		*stall += m.at - c.tc
+		c.log.Add(telf.Event{Time: m.at, Node: c.Cfg.ID, Kind: telf.Stall, A: int64(why), B: m.at - c.tc})
 		c.tc = m.at
 	}
 	c.tl.AnchorAt(c.tc)

@@ -382,6 +382,17 @@ func twoControllers(t *testing.T, srcA, srcB string, latency sim.Time) (*core.Co
 	return a, b, sink
 }
 
+// stalled sums the cycles controller c's Stall events charged to why.
+func stalled(c *core.Controller, why telf.StallReason) int64 {
+	var n int64
+	for _, e := range c.Log().Events {
+		if e.Kind == telf.Stall && e.Node == c.Cfg.ID && e.A == int64(why) {
+			n += e.B
+		}
+	}
+	return n
+}
+
 func commitsOf(s *collectSink, node int) []commitRec {
 	var out []commitRec
 	for _, c := range s.commits {
@@ -420,11 +431,11 @@ func TestNearbySyncZeroOverhead(t *testing.T) {
 		t.Fatalf("commits at %d and %d, want both 38", ca[0].at, cb[0].at)
 	}
 	// The slower node (later booking) pauses zero cycles.
-	if b.Stats.StallSync != 0 {
-		t.Fatalf("late node stalled %d cycles, want 0", b.Stats.StallSync)
+	if got := stalled(b, telf.StallSync); got != 0 {
+		t.Fatalf("late node stalled %d cycles, want 0", got)
 	}
-	if a.Stats.StallSync != 20 {
-		t.Fatalf("early node stalled %d cycles, want 20", a.Stats.StallSync)
+	if got := stalled(a, telf.StallSync); got != 20 {
+		t.Fatalf("early node stalled %d cycles, want 20", got)
 	}
 }
 
@@ -511,7 +522,7 @@ func TestSendRecvFeedback(t *testing.T) {
 	if b.Reg(3) != 77 {
 		t.Fatalf("conditional path not taken: $3 = %d", b.Reg(3))
 	}
-	if b.Stats.StallRecv == 0 {
+	if stalled(b, telf.StallRecv) == 0 {
 		t.Fatal("receiver should have stalled waiting for the message")
 	}
 }
@@ -547,7 +558,7 @@ func TestFMRBlocksUntilResult(t *testing.T) {
 	if c.Reg(1) != 1 {
 		t.Fatalf("$1 = %d, want 1", c.Reg(1))
 	}
-	if c.Stats.StallFMR == 0 {
+	if stalled(c, telf.StallFMR) == 0 {
 		t.Fatal("expected fmr stall")
 	}
 }

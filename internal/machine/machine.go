@@ -518,12 +518,13 @@ func (m *Machine) Run() (Result, error) {
 		}
 		st := c.Stats
 		res.Violations += st.Violations
-		res.SyncStall += st.StallSync
-		res.RecvStall += st.StallRecv
-		res.NetStall += st.StallNet
 		res.Instructions += st.Instrs
 		res.Commits += st.Commits
 	}
+	// Read before the post-run reduce, whose waits are the collective's.
+	res.SyncStall = m.Log.Stalled(telf.StallSync)
+	res.RecvStall = m.Log.Stalled(telf.StallRecv)
+	res.NetStall = m.Log.Stalled(telf.StallNet)
 	if m.Cfg.Collective != "" && res.Halted {
 		// The engine is drained (RunUntil advanced it to the deadline), so
 		// the collective layer can step it further without foreign events

@@ -16,14 +16,6 @@ import (
 // delivery times are byte-identical to the latency-only fabric
 // (DESIGN.md §6).
 
-// netStallSink is implemented by endpoints that account send-side network
-// stalls (core.Controller records them in Stats.StallNet). The fabric
-// attributes a message's total queueing wait — across every link of its
-// path — to the controller that sent it.
-type netStallSink interface {
-	AddNetStall(d sim.Time)
-}
-
 // contention reports whether the finite-bandwidth model is active.
 func (f *Fabric) contention() bool { return f.ser > 0 }
 
@@ -94,8 +86,11 @@ func (f *Fabric) reservePort(r, neighbor, src int, at sim.Time) sim.Time {
 	return depart
 }
 
-// chargeStall records a queueing wait: a TELF event on the node where the
-// backlog formed, and send-side attribution to the source controller.
+// chargeStall records a queueing wait: a NetStall event on the node where
+// the backlog formed and, when a controller's own program sent the message
+// (not a router, not a collective), a Stall{StallNet} charged to that
+// controller — so a message's waits across every link of its path add up
+// on its sender.
 func (f *Fabric) chargeStall(node, src int, waited, depart sim.Time) {
 	if waited <= 0 {
 		return
@@ -104,10 +99,8 @@ func (f *Fabric) chargeStall(node, src int, waited, depart sim.Time) {
 		f.collStall += waited
 	}
 	f.log.Add(telf.Event{Time: depart, Node: node, Kind: telf.NetStall, A: int64(src), B: waited})
-	if src >= 0 && src < len(f.endpoints) {
-		if s, ok := f.endpoints[src].(netStallSink); ok {
-			s.AddNetStall(waited)
-		}
+	if src >= 0 && f.coll == nil {
+		f.log.Add(telf.Event{Time: depart, Node: src, Kind: telf.Stall, A: int64(telf.StallNet), B: waited})
 	}
 }
 

@@ -80,31 +80,21 @@ func TestNetStallAttributedToSourceController(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.MeshW, cfg.MeshH = 2, 2
 	cfg.LinkSerialization = 5
-	topo := mustTopo(t, cfg)
-	eng := sim.NewEngine()
-	fab := NewFabric(eng, topo, telf.NewLog())
-	// Endpoint 0 is a stall sink; the rest are plain.
-	sink := &stallSinkEndpoint{}
-	fab.Attach(0, sink)
-	for i := 1; i < 4; i++ {
-		fab.Attach(i, &scriptedEndpoint{})
-	}
+	fab, eng, _, log := fabricFor(t, cfg)
 	fab.SendMessage(0, 1, 1, 10)
 	fab.SendMessage(0, 1, 2, 10)
 	fab.SendMessage(0, 1, 3, 10)
 	eng.Run(0)
 	// Second message waits 5, third waits 10.
-	if sink.stall != 15 {
-		t.Fatalf("attributed stall = %d, want 15", sink.stall)
+	if got := log.Stalled(telf.StallNet); got != 15 {
+		t.Fatalf("attributed stall = %d, want 15", got)
+	}
+	for _, e := range log.Filter(func(e telf.Event) bool { return e.Kind == telf.Stall }) {
+		if e.Node != 0 {
+			t.Fatalf("stall charged to node %d, want the sender 0: %v", e.Node, e)
+		}
 	}
 }
-
-type stallSinkEndpoint struct {
-	scriptedEndpoint
-	stall sim.Time
-}
-
-func (s *stallSinkEndpoint) AddNetStall(d sim.Time) { s.stall += d }
 
 func TestTorusWraparound(t *testing.T) {
 	cfg := DefaultConfig(16)

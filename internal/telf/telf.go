@@ -26,9 +26,20 @@ const (
 	MeasStart        // measurement window opened: A = channel, B = qubit
 	MeasResult       // measurement result latched: A = channel, B = value
 	Violation        // timing violation: event enqueued after its commit time; B = slip cycles
-	Stall            // pipeline stalled: A = reason code, B = duration
+	Stall            // a controller waited: A = StallReason, B = cycles waited; Time = resume
 	Halt             // core halted
 	NetStall         // message queued at a busy link/port: A = source node (-1 router-originated), B = wait cycles
+)
+
+// StallReason is a Stall event's A: what the controller waited for.
+type StallReason uint8
+
+const (
+	StallSync StallReason = iota // TCU timer paused past Condition I for a sync partner or router
+	StallRecv                    // recv waited for its message
+	StallFMR                     // fmr waited for its measurement result
+	StallNet                     // the controller's own message queued at a busy link or port
+	numStallReasons
 )
 
 var kindNames = [...]string{
@@ -78,6 +89,9 @@ type Log struct {
 	// path of every simulation, and a map increment there is pure hashing
 	// overhead for a key space of a dozen kinds.
 	counts [len(kindNames)]int
+	// stalled sums the B of Stall events per reason — the one stall ledger,
+	// kept, like counts, while storage is disabled.
+	stalled [numStallReasons]int64
 }
 
 // NewLog returns an enabled log.
@@ -85,21 +99,27 @@ func NewLog() *Log {
 	return &Log{enabled: true}
 }
 
-// SetEnabled toggles recording; counts are maintained regardless, so large
-// benchmark runs can disable event storage but keep violation statistics.
+// SetEnabled toggles recording; counts and stall sums are maintained
+// regardless, so large benchmark runs can disable event storage but keep
+// violation and stall statistics.
 func (l *Log) SetEnabled(on bool) { l.enabled = on }
 
-// Reset clears recorded events and counts while keeping the enabled flag
-// and the event storage capacity, so a multi-shot run reuses one log.
+// Reset clears recorded events, counts and stall sums while keeping the
+// enabled flag and the event storage capacity, so a multi-shot run reuses
+// one log.
 func (l *Log) Reset() {
 	l.Events = l.Events[:0]
 	l.counts = [len(kindNames)]int{}
+	l.stalled = [numStallReasons]int64{}
 }
 
 // Add records an event.
 func (l *Log) Add(e Event) {
 	if int(e.Kind) < len(l.counts) {
 		l.counts[e.Kind]++
+	}
+	if e.Kind == Stall && uint64(e.A) < uint64(len(l.stalled)) {
+		l.stalled[e.A] += e.B
 	}
 	if l.enabled {
 		l.Events = append(l.Events, e)
@@ -113,6 +133,15 @@ func (l *Log) Count(k Kind) int {
 		return 0
 	}
 	return l.counts[k]
+}
+
+// Stalled returns the cycles Stall events charged to reason r (including
+// while storage was disabled).
+func (l *Log) Stalled(r StallReason) int64 {
+	if int(r) >= len(l.stalled) {
+		return 0
+	}
+	return l.stalled[r]
 }
 
 // Filter returns the events satisfying keep, in log order.
