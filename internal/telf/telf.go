@@ -176,7 +176,8 @@ func (l *Log) Text() string {
 }
 
 // Parse reads the Text format back into a log. It is the inverse of Text for
-// well-formed input and returns an error otherwise.
+// well-formed input and returns an error otherwise: a line must be one
+// event's String, give or take whitespace between and around the fields.
 func Parse(s string) (*Log, error) {
 	l := NewLog()
 	for i, line := range strings.Split(strings.TrimSpace(s), "\n") {
@@ -198,6 +199,11 @@ func Parse(s string) (*Log, error) {
 		}
 		if e.Kind == KindInvalid {
 			return nil, fmt.Errorf("telf: line %d: unknown kind %q", i+1, kind)
+		}
+		// Sscanf stops after the B field and takes "+7" or "007" for 7;
+		// a line that is not the event's own text is malformed.
+		if got := strings.Join(strings.Fields(line), " "); got != e.String() {
+			return nil, fmt.Errorf("telf: line %d: %q is not the event %q", i+1, got, e.String())
 		}
 		l.Add(e)
 	}

@@ -27,11 +27,16 @@ func TestTextParseRoundTrip(t *testing.T) {
 }
 
 func TestParseRejectsGarbage(t *testing.T) {
-	if _, err := Parse("not a telf line"); err == nil {
-		t.Fatal("expected parse error")
-	}
-	if _, err := Parse("5 node=1 nosuchkind a=0 b=0"); err == nil {
-		t.Fatal("expected unknown-kind error")
+	for _, line := range []string{
+		"not a telf line",
+		"5 node=1 nosuchkind a=0 b=0",
+		"1 node=0 halt a=0 b=0b=7",
+		"1 node=0 halt a=0 b=0 trailing junk",
+		"+1 node=0 halt a=0 b=0",
+	} {
+		if l, err := Parse(line); err == nil {
+			t.Errorf("Parse(%q) accepted %v", line, l.Events)
+		}
 	}
 }
 
@@ -40,11 +45,25 @@ func TestCountsSurviveDisabledStorage(t *testing.T) {
 	l.SetEnabled(false)
 	l.Add(Event{Time: 1, Kind: Violation})
 	l.Add(Event{Time: 2, Kind: Violation})
+	l.Add(Event{Time: 3, Kind: Stall, A: int64(StallRecv), B: 4})
+	l.Add(Event{Time: 4, Kind: Stall, A: int64(StallRecv), B: 5})
+	l.Add(Event{Time: 5, Kind: Stall, A: int64(StallNet), B: 6})
+	l.Add(Event{Time: 6, Kind: Stall, A: -1, B: 7}) // no such reason
 	if len(l.Events) != 0 {
 		t.Fatal("events stored while disabled")
 	}
 	if l.Count(Violation) != 2 {
 		t.Fatalf("count = %d, want 2", l.Count(Violation))
+	}
+	want := [...]int64{StallSync: 0, StallRecv: 9, StallFMR: 0, StallNet: 6}
+	for r, w := range want {
+		if got := l.Stalled(StallReason(r)); got != w {
+			t.Fatalf("Stalled(%d) = %d, want %d", r, got, w)
+		}
+	}
+	l.Reset()
+	if l.Stalled(StallRecv) != 0 || l.Count(Stall) != 0 {
+		t.Fatal("Reset kept the stall ledger")
 	}
 }
 
