@@ -23,7 +23,6 @@ const (
 	SyncLate         // sync resolved after its booked window: A = target, B = lateness
 	MsgSend          // message sent: A = destination node, B = value
 	MsgRecv          // message received: A = source node, B = value
-	MeasStart        // measurement window opened: A = channel, B = qubit
 	MeasResult       // measurement result latched: A = channel, B = value
 	Violation        // timing violation: event enqueued after its commit time; B = slip cycles
 	Stall            // a controller waited: A = StallReason, B = cycles waited; Time = resume
@@ -50,7 +49,6 @@ var kindNames = [...]string{
 	SyncLate:    "sync_late",
 	MsgSend:     "msg_send",
 	MsgRecv:     "msg_recv",
-	MeasStart:   "meas_start",
 	MeasResult:  "meas_result",
 	Violation:   "violation",
 	Stall:       "stall",
