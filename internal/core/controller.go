@@ -402,7 +402,7 @@ func (c *Controller) finishSync(target int, condI, peer sim.Time) {
 	c.tl.AddGate(condI, r)
 	c.Stats.Syncs++
 	if r > condI {
-		c.log.Add(telf.Event{Time: r, Node: c.Cfg.ID, Kind: telf.Stall, A: int64(telf.StallSync), B: r - condI})
+		c.log.Add(telf.Event{Time: r, Node: c.Cfg.ID, Kind: telf.Stall, A: telf.StallSync, B: r - condI})
 	}
 	c.log.Add(telf.Event{Time: r, Node: c.Cfg.ID, Kind: telf.SyncDone, A: int64(target), B: r})
 	c.pc++ // the sync instruction retires on resolution
@@ -495,9 +495,8 @@ func (c *Controller) step() bool {
 
 // fetch retires recv and fmr: the next value in queue Imm of qs, a source
 // controller's mailbox or a result channel. It blocks until the value is
-// delivered, and the pipeline and the timer resume where it arrived (§3.2);
-// a wait past the pipeline clock is logged as a Stall for why.
-func (c *Controller) fetch(in isa.Instr, qs []fifo, reason BlockReason, why telf.StallReason, kind telf.Kind) bool {
+// delivered, and the pipeline and the timer resume where it arrived (§3.2).
+func (c *Controller) fetch(in isa.Instr, qs []fifo, reason BlockReason, why int64, kind telf.Kind) bool {
 	src := int(in.Imm)
 	if src < 0 {
 		c.fail("%s from address %d", in.Op, src)
@@ -510,7 +509,7 @@ func (c *Controller) fetch(in isa.Instr, qs []fifo, reason BlockReason, why telf
 	m := qs[src].Pop()
 	c.tc++
 	if m.at > c.tc {
-		c.log.Add(telf.Event{Time: m.at, Node: c.Cfg.ID, Kind: telf.Stall, A: int64(why), B: m.at - c.tc})
+		c.log.Add(telf.Event{Time: m.at, Node: c.Cfg.ID, Kind: telf.Stall, A: why, B: m.at - c.tc})
 		c.tc = m.at
 	}
 	c.tl.AnchorAt(c.tc)

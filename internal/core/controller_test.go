@@ -383,10 +383,10 @@ func twoControllers(t *testing.T, srcA, srcB string, latency sim.Time) (*core.Co
 }
 
 // stalled sums the cycles controller c's Stall events charged to why.
-func stalled(c *core.Controller, why telf.StallReason) int64 {
+func stalled(c *core.Controller, why int64) int64 {
 	var n int64
 	for _, e := range c.Log().Events {
-		if e.Kind == telf.Stall && e.Node == c.Cfg.ID && e.A == int64(why) {
+		if e.Kind == telf.Stall && e.Node == c.Cfg.ID && e.A == why {
 			n += e.B
 		}
 	}

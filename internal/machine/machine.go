@@ -463,11 +463,12 @@ type Result struct {
 	Misalignments int      // two-qubit co-commitment failures (chip)
 	Overlaps      int      // per-qubit occupancy overlaps (chip)
 	Inversions    int      // out-of-timestamp-order backend applications (chip)
-	SyncStall     sim.Time // total cycles spent paused at sync gates
-	RecvStall     sim.Time
-	// NetStall is the total queueing delay of controller-originated
-	// traffic at busy links and router ports (0 unless the fabric's
-	// contention model is enabled).
+	// SyncStall, RecvStall and NetStall are read off the TELF stall ledger
+	// (telf.Log.Stalled): sync-gate pauses, recv waits, and the queueing of
+	// the programs' own messages (0 without contention; router-originated
+	// and post-run collective waits count only in Net).
+	SyncStall    sim.Time
+	RecvStall    sim.Time
 	NetStall     sim.Time
 	Instructions uint64
 	Commits      uint64
@@ -521,7 +522,6 @@ func (m *Machine) Run() (Result, error) {
 		res.Instructions += st.Instrs
 		res.Commits += st.Commits
 	}
-	// Read before the post-run reduce, whose waits are the collective's.
 	res.SyncStall = m.Log.Stalled(telf.StallSync)
 	res.RecvStall = m.Log.Stalled(telf.StallRecv)
 	res.NetStall = m.Log.Stalled(telf.StallNet)

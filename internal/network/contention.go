@@ -87,10 +87,8 @@ func (f *Fabric) reservePort(r, neighbor, src int, at sim.Time) sim.Time {
 }
 
 // chargeStall records a queueing wait: a NetStall event on the node where
-// the backlog formed and, when a controller's own program sent the message
-// (not a router, not a collective), a Stall{StallNet} charged to that
-// controller — so a message's waits across every link of its path add up
-// on its sender.
+// the backlog formed and, for a program's own message outside a collective,
+// a Stall{StallNet} on the controller that sent it.
 func (f *Fabric) chargeStall(node, src int, waited, depart sim.Time) {
 	if waited <= 0 {
 		return
@@ -100,7 +98,7 @@ func (f *Fabric) chargeStall(node, src int, waited, depart sim.Time) {
 	}
 	f.log.Add(telf.Event{Time: depart, Node: node, Kind: telf.NetStall, A: int64(src), B: waited})
 	if src >= 0 && f.coll == nil {
-		f.log.Add(telf.Event{Time: depart, Node: src, Kind: telf.Stall, A: int64(telf.StallNet), B: waited})
+		f.log.Add(telf.Event{Time: depart, Node: src, Kind: telf.Stall, A: telf.StallNet, B: waited})
 	}
 }
 

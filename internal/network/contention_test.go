@@ -89,8 +89,8 @@ func TestNetStallAttributedToSourceController(t *testing.T) {
 	if got := log.Stalled(telf.StallNet); got != 15 {
 		t.Fatalf("attributed stall = %d, want 15", got)
 	}
-	for _, e := range log.Filter(func(e telf.Event) bool { return e.Kind == telf.Stall }) {
-		if e.Node != 0 {
+	for _, e := range log.Events {
+		if e.Kind == telf.Stall && e.Node != 0 {
 			t.Fatalf("stall charged to node %d, want the sender 0: %v", e.Node, e)
 		}
 	}

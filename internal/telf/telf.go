@@ -25,19 +25,17 @@ const (
 	MsgRecv          // message received: A = source node, B = value
 	MeasResult       // measurement result latched: A = channel, B = value
 	Violation        // timing violation: event enqueued after its commit time; B = slip cycles
-	Stall            // a controller waited: A = StallReason, B = cycles waited; Time = resume
+	Stall            // a controller waited: A = Stall* reason, B = cycles waited; Time = resume
 	Halt             // core halted
 	NetStall         // message queued at a busy link/port: A = source node (-1 router-originated), B = wait cycles
 )
 
-// StallReason is a Stall event's A: what the controller waited for.
-type StallReason uint8
-
+// Stall reasons: what the controller of a Stall event waited for (its A).
 const (
-	StallSync StallReason = iota // TCU timer paused past Condition I for a sync partner or router
-	StallRecv                    // recv waited for its message
-	StallFMR                     // fmr waited for its measurement result
-	StallNet                     // the controller's own message queued at a busy link or port
+	StallSync = iota // TCU timer paused past Condition I for a sync partner or router
+	StallRecv        // recv waited for its message
+	StallFMR         // fmr waited for its measurement result
+	StallNet         // the controller's own message queued at a busy link or port
 	numStallReasons
 )
 
@@ -86,10 +84,8 @@ type Log struct {
 	// counts is a dense array, not a map: Add sits on the per-event hot
 	// path of every simulation, and a map increment there is pure hashing
 	// overhead for a key space of a dozen kinds.
-	counts [len(kindNames)]int
-	// stalled sums the B of Stall events per reason — the one stall ledger,
-	// kept, like counts, while storage is disabled.
-	stalled [numStallReasons]int64
+	counts  [len(kindNames)]int
+	stalled [numStallReasons]int64 // the stall ledger: Stall events' B per reason
 }
 
 // NewLog returns an enabled log.
@@ -97,14 +93,12 @@ func NewLog() *Log {
 	return &Log{enabled: true}
 }
 
-// SetEnabled toggles recording; counts and stall sums are maintained
-// regardless, so large benchmark runs can disable event storage but keep
-// violation and stall statistics.
+// SetEnabled toggles recording; counts and stall sums are kept regardless,
+// so large benchmark runs can disable event storage but keep their totals.
 func (l *Log) SetEnabled(on bool) { l.enabled = on }
 
 // Reset clears recorded events, counts and stall sums while keeping the
-// enabled flag and the event storage capacity, so a multi-shot run reuses
-// one log.
+// enabled flag and the storage capacity, so a multi-shot run reuses one log.
 func (l *Log) Reset() {
 	l.Events = l.Events[:0]
 	l.counts = [len(kindNames)]int{}
@@ -116,7 +110,7 @@ func (l *Log) Add(e Event) {
 	if int(e.Kind) < len(l.counts) {
 		l.counts[e.Kind]++
 	}
-	if e.Kind == Stall && uint64(e.A) < uint64(len(l.stalled)) {
+	if e.Kind == Stall && uint64(e.A) < numStallReasons {
 		l.stalled[e.A] += e.B
 	}
 	if l.enabled {
@@ -135,30 +129,22 @@ func (l *Log) Count(k Kind) int {
 
 // Stalled returns the cycles Stall events charged to reason r (including
 // while storage was disabled).
-func (l *Log) Stalled(r StallReason) int64 {
-	if int(r) >= len(l.stalled) {
+func (l *Log) Stalled(r int64) int64 {
+	if uint64(r) >= numStallReasons {
 		return 0
 	}
 	return l.stalled[r]
 }
 
-// Filter returns the events satisfying keep, in log order.
-func (l *Log) Filter(keep func(Event) bool) []Event {
-	var out []Event
-	for _, e := range l.Events {
-		if keep(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Commits returns all codeword commits on the given node and port, sorted by
 // time. port < 0 matches every port.
 func (l *Log) Commits(node, port int) []Event {
-	out := l.Filter(func(e Event) bool {
-		return e.Kind == CWCommit && e.Node == node && (port < 0 || e.B == int64(port))
-	})
+	var out []Event
+	for _, e := range l.Events {
+		if e.Kind == CWCommit && e.Node == node && (port < 0 || e.B == int64(port)) {
+			out = append(out, e)
+		}
+	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
 	return out
 }
@@ -173,9 +159,8 @@ func (l *Log) Text() string {
 	return b.String()
 }
 
-// Parse reads the Text format back into a log. It is the inverse of Text for
-// well-formed input and returns an error otherwise: a line must be one
-// event's String, give or take whitespace between and around the fields.
+// Parse reads the Text format back into a log. It is the inverse of Text and
+// rejects any line that is not, up to whitespace, its event's String.
 func Parse(s string) (*Log, error) {
 	l := NewLog()
 	for i, line := range strings.Split(strings.TrimSpace(s), "\n") {
@@ -198,8 +183,6 @@ func Parse(s string) (*Log, error) {
 		if e.Kind == KindInvalid {
 			return nil, fmt.Errorf("telf: line %d: unknown kind %q", i+1, kind)
 		}
-		// Sscanf stops after the B field and takes "+7" or "007" for 7;
-		// a line that is not the event's own text is malformed.
 		if got := strings.Join(strings.Fields(line), " "); got != e.String() {
 			return nil, fmt.Errorf("telf: line %d: %q is not the event %q", i+1, got, e.String())
 		}

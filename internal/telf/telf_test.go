@@ -57,7 +57,7 @@ func TestCountsSurviveDisabledStorage(t *testing.T) {
 	}
 	want := [...]int64{StallSync: 0, StallRecv: 9, StallFMR: 0, StallNet: 6}
 	for r, w := range want {
-		if got := l.Stalled(StallReason(r)); got != w {
+		if got := l.Stalled(int64(r)); got != w {
 			t.Fatalf("Stalled(%d) = %d, want %d", r, got, w)
 		}
 	}
