@@ -15,10 +15,10 @@
 //
 // Determinism is a hard invariant, not a best effort: shot k's backend
 // seed is machine.DeriveSeed(base, k) regardless of which worker executes
-// it, and merged results are ordered by shot index, not completion order.
-// Run with W workers is therefore byte-identical to W=1 and to the legacy
-// rebuild-per-shot path (RunRebuild), which the package tests verify
-// shot-for-shot.
+// it, per-shot records land at their shot index, and a run's Tally merges
+// per-replica folds with an order-free Merge. Run with W workers is
+// therefore byte-identical to W=1 and to the legacy rebuild-per-shot path
+// (RunRebuild), which the package tests verify shot for shot.
 package runner
 
 import (
@@ -61,6 +61,7 @@ type ShotSet struct {
 // Key renders a shot's classical bits as a bitstring, bit 0 leftmost.
 func (s Shot) Key() string {
 	var b strings.Builder
+	b.Grow(len(s.Bits))
 	for _, bit := range s.Bits {
 		b.WriteByte('0' + byte(bit&1))
 	}
@@ -70,53 +71,13 @@ func (s Shot) Key() string {
 // Histogram counts shots per classical-bitstring outcome.
 type Histogram map[string]int
 
-// histogramGrain is the chunk size below which Histogram counts
-// sequentially; larger shot sets count per-chunk partial histograms
-// concurrently and merge them with TreeReduce.
-const histogramGrain = 512
-
-// Histogram aggregates the shot outcomes. Large sets are counted as
-// per-chunk partial histograms merged over the host reduction tree
-// (TreeReduce); map-key insertion order is irrelevant to a map, so the
-// result is identical to the sequential count for any chunking.
+// Histogram counts the shot outcomes.
 func (s *ShotSet) Histogram() Histogram {
-	count := func(shots []Shot) Histogram {
-		h := Histogram{}
-		for _, shot := range shots {
-			h[shot.Key()]++
-		}
-		return h
+	h := Histogram{}
+	for _, shot := range s.Shots {
+		h[shot.Key()]++
 	}
-	if len(s.Shots) <= histogramGrain {
-		return count(s.Shots)
-	}
-	parts := make([]Histogram, (len(s.Shots)+histogramGrain-1)/histogramGrain)
-	var wg sync.WaitGroup
-	for i := range parts {
-		lo := i * histogramGrain
-		hi := lo + histogramGrain
-		if hi > len(s.Shots) {
-			hi = len(s.Shots)
-		}
-		i, chunk := i, s.Shots[lo:hi]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			parts[i] = count(chunk)
-		}()
-	}
-	wg.Wait()
-	h, _ := TreeReduce(parts, 1, mergeHistograms)
 	return h
-}
-
-// mergeHistograms folds b into a and returns a (TreeReduce combiner; each
-// partial enters exactly one combine call, so mutating a is safe).
-func mergeHistograms(a, b Histogram) Histogram {
-	for k, n := range b {
-		a[k] += n
-	}
-	return a
 }
 
 // Keys returns the outcomes in lexicographic order (deterministic render).
@@ -166,52 +127,64 @@ type PanicError struct{ Value any }
 
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// fanOut is the one work-distribution loop: it calls fn(m, k) for every k
-// in [0, n), each replica pulling the next index as it frees up (a single
-// replica runs a plain loop and stops at the first error). fn stores its
-// own result at index k, so merge order never depends on completion order;
-// a panic in fn becomes that index's error, and the lowest failing index
-// is the one reported, so the failure is deterministic too.
-func fanOut(machines []*machine.Machine, n int, fn func(m *machine.Machine, k int) error) error {
-	call := func(m *machine.Machine, k int) (err error) {
+// fanOut is the one work-distribution loop: it calls fn(r, k) for every k
+// in [0, n), replica r pulling the next index as it frees up (a single
+// replica runs a plain loop). fn stores its result at index k or folds it
+// into replica r's own accumulator, so no merge depends on completion
+// order. A panic in fn becomes that index's error. After a failure nothing
+// more is dispatched and no index above the lowest failure runs, but every
+// index below it still does: the error reported is always the lowest
+// failing index's, as on one replica.
+func fanOut(machines []*machine.Machine, n int, fn func(r, k int) error) error {
+	call := func(r, k int) (err error) {
 		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("runner: work item %d: %w", k, &PanicError{Value: r})
+			if p := recover(); p != nil {
+				err = fmt.Errorf("runner: work item %d: %w", k, &PanicError{Value: p})
 			}
 		}()
-		return fn(m, k)
+		return fn(r, k)
 	}
 	if len(machines) == 1 {
 		for k := 0; k < n; k++ {
-			if err := call(machines[0], k); err != nil {
+			if err := call(0, k); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+	var mu sync.Mutex
+	lowest, first := n, error(nil) // the lowest failing index so far, and its error
+	failedBelow := func(k int) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return lowest < k
+	}
 	idx := make(chan int)
-	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for _, m := range machines {
+	for r := range machines {
 		wg.Add(1)
-		go func(m *machine.Machine) {
+		go func() {
 			defer wg.Done()
 			for k := range idx {
-				errs[k] = call(m, k)
+				if failedBelow(k) {
+					continue
+				}
+				if err := call(r, k); err != nil {
+					mu.Lock()
+					if k < lowest {
+						lowest, first = k, err
+					}
+					mu.Unlock()
+				}
 			}
-		}(m)
+		}()
 	}
-	for k := 0; k < n; k++ {
+	for k := 0; k < n && !failedBelow(n); k++ {
 		idx <- k
 	}
 	close(idx)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return first
 }
 
 // start is the shared opening of Run and RunSweep: validate, resolve the
@@ -275,10 +248,9 @@ func runShot(m *machine.Machine, base int64, k int) (Shot, error) {
 }
 
 // RunOn executes `shots` repetitions across the given already-loaded
-// replicas, deriving shot k's seed from base via machine.DeriveSeed. It
-// is the deterministic merge core of Run, exported so callers that pool
-// machines across calls reuse the exact same shot-indexed semantics:
-// results land at their shot index, so the merged ShotSet is
+// replicas, deriving shot k's seed from base via machine.DeriveSeed, and
+// keeps every shot: RunPoints of the one plain point, for callers that want
+// the per-shot record. Results land at their shot index, so the ShotSet is
 // byte-identical for every replica count and completion order.
 //
 // Every machine must already be loaded with the same compiled artifact;
@@ -288,15 +260,9 @@ func RunOn(machines []*machine.Machine, base int64, shots, numBits int) (*ShotSe
 	if len(machines) == 0 {
 		return nil, fmt.Errorf("runner: RunOn with no machines")
 	}
-	if shots < 0 {
-		return nil, fmt.Errorf("runner: negative shot count %d", shots)
-	}
-	set := &ShotSet{Shots: make([]Shot, shots), NumBits: numBits}
-	err := fanOut(machines, shots, func(m *machine.Machine, k int) (err error) {
-		set.Shots[k], err = runShot(m, base, k)
-		return err
-	})
-	if err != nil {
+	set := &ShotSet{Shots: make([]Shot, max(shots, 0)), NumBits: numBits}
+	keep := func(_ int, s Shot) { set.Shots[s.Index] = s }
+	if _, err := RunPoints(machines, machines[0].Loaded(), base, []map[string]float64{nil}, shots, Observer{Shot: keep}); err != nil {
 		return nil, err
 	}
 	return set, nil

@@ -28,41 +28,54 @@ type SweepPoint struct {
 // repetitions at every parameter point, fanning points out across
 // `workers` machine replicas (workers <= 0 picks GOMAXPROCS, capped at
 // the point count). Each point's map must bind every symbolic parameter
-// of the circuit. The returned points are ordered by point index and are
-// byte-identical for every worker count.
+// of the circuit. The returned points are ordered by point index, keep
+// every shot, and are byte-identical for every worker count.
 func RunSweep(spec Spec, points []map[string]float64, shots, workers int) ([]SweepPoint, error) {
 	machines, skel, err := start(spec, true, shots, len(points), workers)
 	if err != nil {
 		return nil, err
 	}
+	out := make([]SweepPoint, len(points))
 	if len(points) == 0 {
-		return []SweepPoint{}, nil
+		return out, nil
 	}
-	return RunPoints(spec, machines, skel, points, shots, nil)
+	for k := range out {
+		out[k] = SweepPoint{Index: k, Params: points[k], Set: &ShotSet{Shots: make([]Shot, shots), NumBits: spec.Circuit.NumBits}}
+	}
+	keep := func(k int, s Shot) { out[k].Set.Shots[s.Index] = s }
+	if _, err := RunPoints(machines, skel, spec.Cfg.Seed, points, shots, Observer{Shot: keep}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Observer is what a caller of RunPoints sees while the points run: Point
+// gets point k's tally as the point finishes (internal/service streams it
+// to /v1/jobs/{id}/stream watchers), Shot every shot of point k — the only
+// way a per-shot record outlives its shot. Either may be nil. Both are
+// called from the replicas' goroutines, concurrently and in completion
+// order, which is not index order.
+type Observer struct {
+	Point func(k int, t Tally)
+	Shot  func(k int, s Shot)
 }
 
 // RunPoints is the one execution entry over caller-owned replicas
 // (internal/service pools them across jobs): it runs `shots` repetitions
 // of every point, point k's shot stream seeded from
-// machine.DeriveSeed(spec.Cfg.Seed, k). A nil point runs art as it stands —
-// a plain run is the one-point list {nil}; any other point loads art
-// patched with its binding. One point fans its shots out across all the
-// replicas; several fan out one point per replica, each point's shots
-// running where it was loaded. Results land at their point index, so the
-// merge never depends on completion order, and on error the lowest failing
-// index is reported.
-//
-// observe (when non-nil) is called once per finished point, in completion
-// order — which under multiple replicas is not point order, and may be
-// concurrent (the observer must be safe to call from several worker
-// goroutines) — with the same value that lands in the returned slice.
-// This is the streaming hook: internal/service publishes each observed
-// point to /v1/jobs/{id}/stream watchers while the sweep is still running.
-func RunPoints(spec Spec, machines []*machine.Machine, art *compiler.Compiled, points []map[string]float64, shots int, observe func(SweepPoint)) ([]SweepPoint, error) {
-	if len(machines) == 0 || art == nil {
-		return nil, fmt.Errorf("runner: RunPoints with no machines or no compiled artifact")
+// machine.DeriveSeed(base, k), and returns each point's Tally in point
+// order; it keeps no shots. A nil point runs art as it stands — a plain run
+// is the one-point list {nil}; any other point loads art patched with its
+// binding. One point fans its shots out across all the replicas, several
+// fan out one point per replica. Either way each replica folds the shots
+// it ran into a Tally of its own, merged once the point is done, so
+// neither the tallies nor the error (the lowest failing index's) depend on
+// the replica count or completion order.
+func RunPoints(machines []*machine.Machine, art *compiler.Compiled, base int64, points []map[string]float64, shots int, obs Observer) ([]Tally, error) {
+	if len(machines) == 0 || art == nil || shots < 0 {
+		return nil, fmt.Errorf("runner: RunPoints with no machines, no compiled artifact or %d shots", shots)
 	}
-	out := make([]SweepPoint, len(points))
+	out := make([]Tally, len(points))
 	runPoint := func(on []*machine.Machine, k int) (err error) {
 		bound := art
 		if points[k] != nil {
@@ -78,13 +91,26 @@ func RunPoints(spec Spec, machines []*machine.Machine, art *compiler.Compiled, p
 				return err
 			}
 		}
-		set, err := RunOn(on, machine.DeriveSeed(spec.Cfg.Seed, k), shots, spec.Circuit.NumBits)
+		parts, seed := make([]Tally, len(on)), machine.DeriveSeed(base, k)
+		err = fanOut(on, shots, func(r, i int) error {
+			shot, err := runShot(on[r], seed, i)
+			if err != nil {
+				return err
+			}
+			parts[r].Add(shot)
+			if obs.Shot != nil {
+				obs.Shot(k, shot)
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		out[k] = SweepPoint{Index: k, Params: points[k], Set: set}
-		if observe != nil {
-			observe(out[k])
+		for _, p := range parts[1:] {
+			parts[0].Merge(p)
+		}
+		if out[k] = parts[0]; obs.Point != nil {
+			obs.Point(k, out[k])
 		}
 		return nil
 	}
@@ -92,8 +118,8 @@ func RunPoints(spec Spec, machines []*machine.Machine, art *compiler.Compiled, p
 	if len(points) == 1 {
 		err = runPoint(machines, 0)
 	} else {
-		err = fanOut(machines, len(points), func(m *machine.Machine, k int) error {
-			if err := runPoint([]*machine.Machine{m}, k); err != nil {
+		err = fanOut(machines, len(points), func(r, k int) error {
+			if err := runPoint(machines[r:r+1], k); err != nil {
 				return fmt.Errorf("runner: point %d: %w", k, err)
 			}
 			return nil

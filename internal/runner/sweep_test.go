@@ -118,22 +118,22 @@ func TestRunSweepEdgeCases(t *testing.T) {
 	if _, err := RunSweep(spec, points, -1, 1); err == nil {
 		t.Fatal("negative shots accepted")
 	}
-	if _, err := RunPoints(spec, nil, nil, points, 1, nil); err == nil {
+	if _, err := RunPoints(nil, nil, spec.Cfg.Seed, points, 1, Observer{}); err == nil {
 		t.Fatal("no machines accepted")
 	}
 	machines, skel, err := start(spec, true, 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunPoints(spec, machines, nil, points, 1, nil); err == nil {
+	if _, err := RunPoints(machines, nil, spec.Cfg.Seed, points, 1, Observer{}); err == nil {
 		t.Fatal("nil skeleton accepted")
 	}
-	// Zero shots: points come back with empty sets, deterministically.
-	out, err := RunPoints(spec, machines, skel, points, 0, nil)
+	// Zero shots: points come back with zero tallies, deterministically.
+	out, err := RunPoints(machines, skel, spec.Cfg.Seed, points, 0, Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(points) || len(out[0].Set.Shots) != 0 {
+	if len(out) != len(points) || !reflect.DeepEqual(out[0], Tally{}) {
 		t.Fatalf("zero-shot sweep malformed: %+v", out)
 	}
 }

@@ -302,7 +302,7 @@ func TestTapeAcrossBindPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunPoints(spec, machines, skel, points, shots, nil); err != nil {
+	if _, err := RunPoints(machines, skel, spec.Cfg.Seed, points, shots, Observer{}); err != nil {
 		t.Fatal(err)
 	}
 	if st, want := machines[0].TapeStats(), uint64(len(points)*shots-1); st.Replayed != want || st.Fallbacks != 0 {

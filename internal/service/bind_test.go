@@ -57,7 +57,7 @@ func TestParamsJobMatchesBoundPlainJob(t *testing.T) {
 	if plain1.Fingerprint == warm1.Fingerprint {
 		t.Fatal("the bound plain job shares the skeleton's fingerprint: it is no independent reference")
 	}
-	if !reflect.DeepEqual(warm1.Set, plain1.Set) {
+	if !reflect.DeepEqual(warm1.Tally, plain1.Tally) {
 		t.Fatalf("bind path broke determinism:\nbind:\n%s\nplain:\n%s", warm1.Histogram, plain1.Histogram)
 	}
 	if warm1.Histogram.String() == warm2.Histogram.String() {
@@ -86,7 +86,7 @@ func TestSweepJob(t *testing.T) {
 	if d := after.Misses - before.Misses; d > 1 {
 		t.Fatalf("sweep compiled %d times, want at most 1", d)
 	}
-	if st.Set != nil || st.Histogram != nil {
+	if st.Tally != nil || st.Histogram != nil {
 		t.Fatal("sweep job returned a flat shot set")
 	}
 	if len(st.Points) != len(points) {
@@ -169,7 +169,7 @@ func TestFreshSweepMatchesCachedSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := pointStatusOf(runner.SweepPoint{Index: k, Params: pt, Set: set})
+		fresh := pointStatusOf(k, pt, set.Tally())
 		if !reflect.DeepEqual(warm.Points[k], fresh) {
 			t.Fatalf("point %d: bind path %+v vs rebuilt %+v", k, warm.Points[k], fresh)
 		}

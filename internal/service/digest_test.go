@@ -17,7 +17,7 @@ import (
 // tree topology. Each crosses the threshold, so its pool group is
 // re-placed, and a repeat of each then runs on — and echoes — the
 // re-placed mapping. The pinned text was rendered while the service still
-// folded a per-shot digest over runner.TreeReduce and kept a separate
+// folded a per-shot digest over a host reduction tree and kept a separate
 // per-link re-place digest; a rewrite of the digest must leave it unchanged.
 func TestCongestionDigestPinned(t *testing.T) {
 	const want = `hub x300: mapping [1 4 6 9 0 2 7 8 10 13 3 11 12 14 15 5]

@@ -6,7 +6,6 @@ import (
 
 	"dhisq/internal/circuit"
 	"dhisq/internal/machine"
-	"dhisq/internal/network"
 )
 
 // hub builds the adversarial hotspot workload: every data qubit CNOTs
@@ -34,11 +33,7 @@ func contendedCfg(n int) machine.Config {
 }
 
 func stallOf(st JobStatus) int64 {
-	var total int64
-	for _, shot := range st.Set.Shots {
-		total += int64(shot.Result.Net.TotalStall())
-	}
-	return total
+	return int64(st.Tally.Net.TotalStall())
 }
 
 // TestFeedbackReplaceSwapsPool drives the whole service-level loop: a
@@ -66,10 +61,7 @@ func TestFeedbackReplaceSwapsPool(t *testing.T) {
 
 	// Predict the re-placed mapping from the cold job's own results: the
 	// service must arrive at exactly what RePlace computes from them.
-	var fb network.CongestionStats
-	for _, shot := range st1.Set.Shots {
-		fb = fb.Merge(shot.Result.Net)
-	}
+	fb := st1.Tally.Net
 	rcfg := cfg
 	rcfg.Net.MeshW, rcfg.Net.MeshH = st1.MeshW, st1.MeshH
 	rcfg.Placement = "interaction"

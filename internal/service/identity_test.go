@@ -135,7 +135,7 @@ func TestEvictedButPooled(t *testing.T) {
 	if st := cache.Stats(); st.Misses != 2 {
 		t.Fatalf("A's evicted-but-pooled job compiled: misses=%d, want 2", st.Misses)
 	}
-	if !reflect.DeepEqual(third.Set, first.Set) || !reflect.DeepEqual(third.Mapping, first.Mapping) {
+	if !reflect.DeepEqual(third.Tally, first.Tally) || !reflect.DeepEqual(third.Mapping, first.Mapping) {
 		t.Fatal("A's third answer differs from its first")
 	}
 }

@@ -46,16 +46,17 @@ type JobStatus struct {
 	// Chips is the resolved chip count the job compiled with (0 = the
 	// legacy single-chip machine), echoed like Placement; EPRPairs
 	// totals the EPR pairs generated across the job's shots (0 for
-	// single-chip jobs and for sweep jobs, which drop their shot sets).
+	// single-chip jobs and for sweep jobs, which report per point).
 	Chips    int    `json:"chips,omitempty"`
 	EPRPairs uint64 `json:"epr_pairs,omitempty"`
 	// Makespan is shot 0's makespan in cycles (0 until done; for sweep
 	// jobs, point 0 shot 0).
 	Makespan int64 `json:"makespan_cycles,omitempty"`
-	// Set and Histogram are populated once State == StateDone (nil for
-	// sweep jobs, whose results arrive per point in Points). The shot set
-	// never travels: the wire carries the histogram.
-	Set       *runner.ShotSet  `json:"-"`
+	// Tally and Histogram are populated once State == StateDone (nil for
+	// sweep jobs, whose results arrive per point in Points). The tally is
+	// the fold of the job's shots — no shot is kept — and it never travels:
+	// the wire carries the fields finish reads off it.
+	Tally     *runner.Tally    `json:"-"`
 	Histogram runner.Histogram `json:"histogram,omitempty"`
 	// Points holds the per-point outcomes of a sweep job, in point order.
 	Points []PointStatus `json:"points,omitempty"`
@@ -73,14 +74,9 @@ type PointStatus struct {
 	Makespan  int64              `json:"makespan_cycles"`
 }
 
-// pointStatusOf folds one finished sweep point into its retainable
-// snapshot (histogram + makespan; the full shot set is dropped).
-func pointStatusOf(p runner.SweepPoint) PointStatus {
-	st := PointStatus{Index: p.Index, Params: p.Params, Histogram: p.Set.Histogram()}
-	if len(p.Set.Shots) > 0 {
-		st.Makespan = int64(p.Set.Shots[0].Result.Makespan)
-	}
-	return st
+// pointStatusOf is point k's retainable snapshot, read off its tally.
+func pointStatusOf(k int, params map[string]float64, t runner.Tally) PointStatus {
+	return PointStatus{Index: k, Params: params, Histogram: t.Histogram, Makespan: int64(t.Shot0.Makespan)}
 }
 
 // Done reports whether the job has reached a terminal state.
@@ -131,21 +127,16 @@ func (j *job) record(st JobStatus) {
 	j.mu.Unlock()
 }
 
-// finish moves the job to its terminal state. What derives from the results
-// — histogram, makespan, EPR total — is computed here, once, not per poll.
+// finish moves the job to its terminal state, copying the wire fields —
+// histogram, makespan, EPR total — off the job's tally once, not per poll.
 func (j *job) finish(st JobStatus, err error) {
 	switch {
 	case err != nil:
 		st.State, st.Err = StateFailed, err.Error()
-	case st.Set != nil:
+	case st.Tally != nil:
 		st.State = StateDone
-		st.Histogram = st.Set.Histogram()
-		if len(st.Set.Shots) > 0 {
-			st.Makespan = int64(st.Set.Shots[0].Result.Makespan)
-		}
-		for _, shot := range st.Set.Shots {
-			st.EPRPairs += shot.Result.EPRPairs
-		}
+		st.Histogram, st.EPRPairs = st.Tally.Histogram, st.Tally.EPRPairs
+		st.Makespan = int64(st.Tally.Shot0.Makespan)
 	default: // sweep jobs deliver per-point results instead
 		st.State = StateDone
 		st.Makespan = st.Points[0].Makespan

@@ -37,10 +37,11 @@ func feedForwardAnsatz(n int) *circuit.Circuit {
 // TestExecutionMatrix walks every cell the one execution path serves —
 // {plain, Params, Sweep} × {cold pool, warm pool} × ShotWorkers {1, 3}, for
 // a static circuit (whose shots ride the commit tape) and a feed-forward
-// one (whose shots never do) — and pins two things per cell: the results
-// are byte-identical to the runner's one-worker reference (runner.Run of
-// the bound circuit — itself held to runner.RunRebuild, the uncached
-// machine-per-shot oracle — and runner.RunSweep of the skeleton), and the
+// one (whose shots never do) — and pins two things per cell: the job's
+// tally, outcome digest included, equals the fold of the runner's
+// one-worker reference (runner.Run of the bound circuit — itself held to
+// runner.RunRebuild, the uncached machine-per-shot oracle — and, for sweep
+// point k, of its bound circuit at seed DeriveSeed(seed, k)), and the
 // bookkeeping is exact: CacheHit, Batched, the
 // Binds/BindHits deltas, PooledReplicas, the compiles charged to the
 // artifact cache, and how many shots came off a tape.
@@ -83,13 +84,21 @@ func executionMatrix(t *testing.T, skel *circuit.Circuit, n int, static bool) {
 	if !reflect.DeepEqual(refSet, rebuilt) {
 		t.Fatal("runner.Run diverges from runner.RunRebuild")
 	}
-	refSweep, err := runner.RunSweep(runner.Spec{Circuit: skel, MeshW: w, MeshH: h, Cfg: refCfg}, points, shots, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refPoints := make([]PointStatus, len(refSweep))
-	for k, pt := range refSweep {
-		refPoints[k] = pointStatusOf(pt)
+	refTally := refSet.Tally()
+	// Point k of a sweep is the bound circuit run at DeriveSeed(seed, k).
+	refPoints := make([]PointStatus, len(points))
+	for k, pt := range points {
+		b, err := skel.Bind(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := refCfg
+		cfg.Seed = machine.DeriveSeed(seed, k)
+		set, err := runner.Run(runner.Spec{Circuit: b, MeshW: w, MeshH: h, Cfg: cfg}, shots, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refPoints[k] = pointStatusOf(k, pt, set.Tally())
 	}
 
 	kinds := []struct {
@@ -125,11 +134,11 @@ func executionMatrix(t *testing.T, skel *circuit.Circuit, n int, static bool) {
 				cell := kind.name + "/" + step.name
 
 				if kind.req.Sweep != nil {
-					if st.Set != nil || !reflect.DeepEqual(st.Points, refPoints) {
-						t.Errorf("w%d %s: points diverge from runner.RunSweep at one worker", workers, cell)
+					if st.Tally != nil || !reflect.DeepEqual(st.Points, refPoints) {
+						t.Errorf("w%d %s: points diverge from runner.Run of the bound points at one worker", workers, cell)
 					}
-				} else if st.Points != nil || !reflect.DeepEqual(st.Set, refSet) {
-					t.Errorf("w%d %s: shot set diverges from runner.Run at one worker", workers, cell)
+				} else if st.Points != nil || !reflect.DeepEqual(st.Tally, &refTally) {
+					t.Errorf("w%d %s: tally diverges from runner.Run at one worker", workers, cell)
 				}
 
 				if st.CacheHit != step.cacheHit || st.Batched != step.warmed {

@@ -3,7 +3,6 @@ package service
 import (
 	"dhisq/internal/artifact"
 	"dhisq/internal/network"
-	"dhisq/internal/runner"
 )
 
 // Stats is a point-in-time snapshot of service health, the payload of
@@ -105,17 +104,4 @@ func (d NetStats) merge(e NetStats) NetStats {
 	d.NetCollectiveStall += e.NetCollectiveStall
 	d.NetMaxQueue = max(d.NetMaxQueue, e.NetMaxQueue)
 	return d
-}
-
-// aggregate merges the congestion of every shot of every point a job ran (a
-// plain job is one point) into the job's digest — here, so that it outlives
-// the shot sets a sweep drops, which is how sweep jobs still move the
-// /v1/stats net_* counters and feed the re-place loop.
-func aggregate(pts []runner.SweepPoint) (net network.CongestionStats) {
-	for _, p := range pts {
-		for _, shot := range p.Set.Shots {
-			net = net.Merge(shot.Result.Net)
-		}
-	}
-	return net
 }

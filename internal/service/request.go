@@ -176,10 +176,10 @@ type Admission struct {
 	Fingerprint artifact.Fingerprint
 }
 
-// MaxJobShots bounds one job's shots summed over its sweep points. A job's
-// shot records are allocated before its first shot and kept with its status,
-// ~312 bytes each, so the bound holds one job to ~330 MB: without it a
-// single request could exhaust the daemon's memory.
+// MaxJobShots bounds one job's shots summed over its sweep points. A job
+// keeps the fold of its shots (runner.Tally), not the shots, so its memory
+// grows with the outcomes it sees; the bound is on CPU time: without it a
+// single request could hold a worker for as long as it liked.
 const MaxJobShots = 1 << 20
 
 // Resolve is the one admission: the request's option fields overlaid on the

@@ -14,9 +14,9 @@
 // Determinism survives the service boundary. Every job runs with its own
 // base seed (caller-chosen, or derived from the service seed and the job's
 // admission index), shot k of a job uses machine.DeriveSeed(jobSeed, k),
-// and results merge shot-indexed via runner.RunOn — so a job's ShotSet is
-// byte-identical whether it ran on one pooled replica or four, cold cache
-// or warm.
+// and each replica's shots fold into a runner.Tally that merges in any
+// order — so a job's tally, outcome digest included, is identical whether
+// it ran on one pooled replica or four, cold cache or warm.
 package service
 
 import (
@@ -342,7 +342,8 @@ type result struct {
 // one for bind jobs, so a 1000-point sweep or 1000 single-binding jobs
 // compile once and reuse the same warm machines. st is the worker's copy of
 // the job's record: CacheHit and Batched are set as they are observed, so a
-// failed job reports them however far it got; Set or Points only on success.
+// failed job reports them however far it got; Tally or Points only on
+// success.
 func (s *Service) run(j *job, p plan, st *JobStatus) (res result, err error) {
 	spec := j.adm.Spec
 	var machines []*machine.Machine
@@ -401,32 +402,30 @@ func (s *Service) run(j *job, p plan, st *JobStatus) (res result, err error) {
 	}
 
 	var points []PointStatus // sweep jobs, in index order
-	var observe func(runner.SweepPoint)
+	var observe func(int, runner.Tally)
 	if p.sweep {
 		// The observer runs on the runner's worker goroutines: each point
 		// is published to streaming watchers the moment it finishes, while
-		// later points are still executing. A sweep retains this snapshot
-		// (histogram + makespan) per point and drops the full shot sets, so
-		// a long-lived daemon's retention bound stays a bound.
+		// later points are still executing.
 		points = make([]PointStatus, len(p.points))
-		observe = func(pt runner.SweepPoint) {
-			points[pt.Index] = pointStatusOf(pt)
-			j.publish(points[pt.Index])
+		observe = func(k int, t runner.Tally) {
+			points[k] = pointStatusOf(k, p.points[k], t)
+			j.publish(points[k])
 		}
 	}
 	before := tapeTotal(machines)
-	pts, err := runner.RunPoints(spec, machines, art, p.points, st.Shots, observe)
+	tallies, err := runner.RunPoints(machines, art, spec.Cfg.Seed, p.points, st.Shots, runner.Observer{Point: observe})
 	after := tapeTotal(machines)
 	res.tape = machine.TapeStats{Replayed: after.Replayed - before.Replayed, Fallbacks: after.Fallbacks - before.Fallbacks}
 	if err != nil {
 		return res, err
 	}
-	// Congestion is aggregated here, outside the service lock and before a
-	// sweep's per-shot data goes away.
-	res.net = aggregate(pts)
+	for _, t := range tallies {
+		res.net = res.net.Merge(t.Net)
+	}
 	st.Points = points // nil unless a sweep
 	if !p.sweep {
-		st.Set = pts[0].Set
+		st.Tally = &tallies[0]
 	}
 	return res, nil
 }

@@ -2,6 +2,8 @@ package service
 
 import (
 	"errors"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -54,10 +56,8 @@ func TestJobMatchesDirectRun(t *testing.T) {
 	if st.Histogram.String() != direct.Histogram().String() {
 		t.Fatalf("service histogram diverged:\n%s\nvs direct:\n%s", st.Histogram, direct.Histogram())
 	}
-	for k := range direct.Shots {
-		if st.Set.Shots[k].Key() != direct.Shots[k].Key() {
-			t.Fatalf("shot %d diverged", k)
-		}
+	if want := direct.Tally(); !reflect.DeepEqual(st.Tally, &want) {
+		t.Fatalf("tally diverged: digest %#x vs direct %#x", st.Tally.Digest, want.Digest)
 	}
 	// GHZ sanity: only the two correlated outcomes may appear.
 	for outcome := range st.Histogram {
@@ -289,6 +289,37 @@ func TestFinishedJobReleasesCircuit(t *testing.T) {
 		if wantChips := []int{0, 2, 0}[i]; st.Chips != wantChips {
 			t.Errorf("%s: status reports %d chips, want %d", id, st.Chips, wantChips)
 		}
+	}
+}
+
+// A finished job keeps the fold of its shots, not the shots: GHZ jobs of S
+// and of 16·S shots, with the same two outcomes, retain the same heap.
+func TestFinishedJobRetainsTallyNotShots(t *testing.T) {
+	const S, jobs = 64, 32
+	s := New(Config{Workers: 1, Artifacts: artifact.New(8)})
+	defer s.Close()
+	c := ghz(4)
+	submitWait(t, s, Request{Circuit: c, Shots: S, Seed: 1}) // compile and pool a replica first
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // what a finalizer kept alive through the first cycle goes in the second
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	perJob := func(shots int) float64 {
+		before := heap()
+		for i := 0; i < jobs; i++ {
+			if st := submitWait(t, s, Request{Circuit: c, Shots: shots, Seed: int64(2 + i)}); len(st.Histogram) != 2 {
+				t.Fatalf("GHZ job of %d shots saw outcomes %v, want both", shots, st.Histogram)
+			}
+		}
+		return (float64(heap()) - float64(before)) / jobs
+	}
+	small, large := perJob(S), perJob(16*S)
+	t.Logf("retained per finished job: %.0f B at %d shots, %.0f B at %d", small, S, large, 16*S)
+	if d := large - small; d > 0.1*small || d < -0.1*small {
+		t.Fatalf("a job of %d shots retains %.0f B, one of %d shots %.0f B: retention grows with shots", 16*S, large, S, small)
 	}
 }
 

@@ -49,7 +49,7 @@ func TestLogEventsJobSharesGroupAndTape(t *testing.T) {
 	if st := svc.Stats(); st.TapedShots != 19 || st.PooledReplicas != 1 {
 		t.Fatalf("after the LogEvents job: taped %d on %d replicas, want 19 on 1", st.TapedShots, st.PooledReplicas)
 	}
-	if !reflect.DeepEqual(logged.Set, plain.Set) {
+	if !reflect.DeepEqual(logged.Tally, plain.Tally) {
 		t.Fatal("the LogEvents job's shots differ from the plain job's")
 	}
 }
@@ -75,7 +75,7 @@ func TestMultiChipExpansionIsNotTaped(t *testing.T) {
 	}
 	for _, pass := range []string{"cold", "warm"} {
 		st := submitWait(t, svc, req)
-		if !reflect.DeepEqual(st.Set, want) {
+		if want := want.Tally(); !reflect.DeepEqual(st.Tally, &want) {
 			t.Fatalf("%s: chips=2 job diverged from runner.Run", pass)
 		}
 		if st.EPRPairs == 0 {
