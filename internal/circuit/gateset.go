@@ -75,8 +75,9 @@ type gateRow struct {
 	param    paramKind
 	clifford bool
 	dur      durClass
-	// Measure, Reset and EPR have no column entry: Exec composes them from
-	// the substrate's measurement and the X, H and CNOT rows.
+	// Measure and Reset have no column entry: Exec composes them from the
+	// substrate's measurement and the X row. EPR's entry, where there is
+	// one, prepares the pair from |00>; without one Exec applies H and CNOT.
 	dense action[*quantum.State]
 	tab   action[*stabilizer.Tableau]
 }
@@ -108,7 +109,7 @@ var gateSet = [...]gateRow{
 	Barrier: {name: "barrier", operands: variadic, clifford: true, dense: idle[sv], tab: idle[tb]},
 	Delay:   {name: "delay", noQASM: true, operands: 1, param: cycles, clifford: true, dur: durParam, dense: idle[sv], tab: idle[tb]},
 	Reset:   {name: "reset", operands: 1, clifford: true},
-	EPR:     {name: "epr", noQASM: true, operands: 2, clifford: true, dur: durEPR},
+	EPR:     {name: "epr", noQASM: true, operands: 2, clifford: true, dur: durEPR, dense: g2(sv.EPR)},
 }
 
 // row returns k's table row; a kind outside the table reads as KindInvalid.
@@ -176,8 +177,10 @@ func Exec(s Substrate, rng Streams, k Kind, param float64, a, b int) (out int, o
 		// Both qubits are discarded and re-prepared as (|00>+|11>)/sqrt(2).
 		reset(s, rng, a)
 		reset(s, rng, b)
-		s.unitary(H, 0, a, 0)
-		s.unitary(CNOT, 0, a, b)
+		if !s.unitary(EPR, 0, a, b) {
+			s.unitary(H, 0, a, 0)
+			s.unitary(CNOT, 0, a, b)
+		}
 	default:
 		return 0, s.unitary(k, param, a, b)
 	}

@@ -8,11 +8,13 @@ import (
 )
 
 // The active-space oracle: programs with mid-circuit Measure and Project,
-// reset-and-reuse ancillas and outcome-conditioned corrections run op by
-// op through State and, on a state kept fully expanded, through the Ref
-// kernels. After every op the expanded amplitudes must be equal (==), the
-// outcomes and the number of RNG draws the same, and the amplitude array
-// must cover no more qubits than were named since their last measurement.
+// reset-and-reuse ancillas, EPR pairs prepared on freshly reset qubits and
+// outcome-conditioned corrections run op by op through State and, on a
+// state kept fully expanded, through the Ref kernels. After every op the
+// expanded amplitudes must be equal (==), the outcomes and the number of
+// RNG draws the same, a cached norm equal to the array's sum, and the
+// amplitude array must cover no more qubits than were named since their
+// last measurement.
 
 // byteSource feeds a rand.Rand from a byte string, eight bytes a draw, so
 // the fuzzer's input is the program randGate and the op mix below read.
@@ -67,9 +69,16 @@ func runActiveOracle(t *testing.T, n int, prog []byte, seed int64) {
 		touched[q] = false
 		return got
 	}
+	reset := func(q int) {
+		if measure(q) == 1 {
+			s.X(q)
+			RefApply1(ref, q, 0, 1, 1, 0)
+			touched[q] = true
+		}
+	}
 	for k := 0; len(src.data) >= 8; k++ {
 		q := rng.Intn(n)
-		switch c := rng.Intn(12); {
+		switch c := rng.Intn(13); {
 		case c < 7:
 			op, qs := randGate(rng, n)
 			op(s, ref, nil, nil)
@@ -79,11 +88,7 @@ func runActiveOracle(t *testing.T, n int, prog []byte, seed int64) {
 		case c == 7:
 			measure(q)
 		case c == 8: // reset the ancilla for reuse
-			if measure(q) == 1 {
-				s.X(q)
-				RefApply1(ref, q, 0, 1, 1, 0)
-				touched[q] = true
-			}
+			reset(q)
 		case c == 9, c == 10: // X or Z correction conditioned on the outcome
 			p := rng.Intn(n)
 			if measure(q) == 1 {
@@ -94,6 +99,12 @@ func runActiveOracle(t *testing.T, n int, prog []byte, seed int64) {
 				gateOp(kind, p, p, 0)(s, ref, nil, nil)
 				touched[p] = true
 			}
+		case c == 12 && n > 1: // reset a pair and entangle it, as Exec's EPR does
+			p := (q + 1 + rng.Intn(n-1)) % n
+			reset(q)
+			reset(p)
+			gateOp(16, q, p, 0)(s, ref, nil, nil)
+			touched[q], touched[p] = true, true
 		default:
 			outcome := 0
 			if RefProb(ref, q) > 0.5 {
@@ -105,6 +116,9 @@ func runActiveOracle(t *testing.T, n int, prog []byte, seed int64) {
 		}
 		ctx := fmt.Sprintf("n=%d seed=%d op %d", n, seed, k)
 		sameAmps(t, s, ref, ctx)
+		if s.normOK && s.norm != normSum(s.amp) {
+			t.Fatalf("%s: cached norm %v, the array sums to %v", ctx, s.norm, normSum(s.amp))
+		}
 		if sSrc.draws != refSrc.draws {
 			t.Fatalf("%s: %d RNG draws, ref %d", ctx, sSrc.draws, refSrc.draws)
 		}
@@ -123,6 +137,15 @@ func runActiveOracle(t *testing.T, n int, prog []byte, seed int64) {
 			t.Fatalf("n=%d seed=%d: Prob(%d) = %v, ref %v", n, seed, q, got, want)
 		}
 	}
+}
+
+// normSum is Σ|a|² in index order, the sum probPair keeps.
+func normSum(amp []complex128) float64 {
+	p := 0.0
+	for _, a := range amp {
+		p += real(a)*real(a) + imag(a)*imag(a)
+	}
+	return p
 }
 
 // randomProgram is seeded bytes for about ops operations.

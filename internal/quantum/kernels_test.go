@@ -17,7 +17,13 @@ import (
 // 12 entangled data qubits and 2 ancillas, the shape of a 2-chip dvqe_n12
 // shot; the reference replays it on all 2^14 amplitudes, the active-space
 // State on the data qubits alone (TestActiveSpaceOracle holds the two to
-// the same amplitudes). EXPERIMENTS.md records a run.
+// the same amplitudes). epr and reset_pair are the rest of a remote gate's
+// comm-qubit protocol on the same 12 data qubits: epr prepares the pair
+// on two qubits at |0>, by H then CNOT (ref) or State.EPR (new), from a
+// copy of the data state; reset_pair resets two classical comm qubits in
+// a row (measure, X on a 1), by the Ref kernels on all 2^14 amplitudes or
+// by State, whose second reset reads the first one's norm when the
+// first's rescale wrote nothing. EXPERIMENTS.md records a run.
 func BenchmarkKernels(b *testing.B) {
 	is2 := complex(1/math.Sqrt2, 0)
 	tph := cmplx.Exp(1i * math.Pi / 4)
@@ -92,6 +98,51 @@ func BenchmarkKernels(b *testing.B) {
 						s.X(a)
 					}
 				}
+			}
+		})
+	}
+	// dataState is the 12 entangled data qubits, comm qubits 12 and 13 at 0.
+	dataState := func() *State {
+		s := NewState(14)
+		for q := 0; q < 12; q++ {
+			s.RY(q, 0.3+0.1*float64(q))
+		}
+		for q := 0; q+1 < 12; q++ {
+			s.CNOT(q, q+1)
+		}
+		return s
+	}
+	for _, side := range []string{"ref", "new"} {
+		b.Run("epr/"+side, func(b *testing.B) {
+			data, s := dataState(), NewState(14)
+			for b.Loop() {
+				*s = State{n: data.n, active: data.active, bits: data.bits, amp: append(s.amp[:0], data.amp...)}
+				if side == "ref" {
+					s.H(12)
+					s.CNOT(12, 13)
+				} else {
+					s.EPR(12, 13)
+				}
+			}
+		})
+	}
+	for _, side := range []string{"ref", "new"} {
+		b.Run("reset_pair/"+side, func(b *testing.B) {
+			s := dataState()
+			rng := rand.New(rand.NewSource(5))
+			reset := func(q int) {
+				if side == "ref" {
+					if RefMeasure(s, q, rng) == 1 {
+						RefApply1(s, q, 0, 1, 1, 0)
+					}
+				} else if s.Measure(q, rng) == 1 {
+					s.X(q)
+				}
+			}
+			for i := 0; b.Loop(); i++ {
+				s.RY(i%12, 0.2) // a write, so that the first reset sums
+				reset(12)
+				reset(13)
 			}
 		})
 	}

@@ -36,8 +36,8 @@ func randGate(rng *rand.Rand, n int) (refOp, []int) {
 		}
 	}
 	theta := (rng.Float64() - 0.5) * 4 * math.Pi
-	kinds := 16
-	if n == 1 { // two-qubit cases (12..15) need a distinct partner
+	kinds := 17
+	if n == 1 { // two-qubit cases (12..16) need a distinct partner
 		kinds = 12
 	}
 	kind := rng.Intn(kinds)
@@ -47,7 +47,7 @@ func randGate(rng *rand.Rand, n int) (refOp, []int) {
 	return gateOp(kind, q, p, theta), []int{q, p}
 }
 
-// gateOp is gate kind (0..15) on q, or on the pair (q, p) from 12 up.
+// gateOp is gate kind (0..16) on q, or on the pair (q, p) from 12 up.
 func gateOp(kind, q, p int, theta float64) refOp {
 	switch kind {
 	case 0:
@@ -102,8 +102,14 @@ func gateOp(kind, q, p int, theta float64) refOp {
 		return func(s, ref *State, _, _ *rand.Rand) { s.CZ(q, p); RefCZ(ref, q, p) }
 	case 14:
 		return func(s, ref *State, _, _ *rand.Rand) { s.CPhase(q, p, theta); RefCPhase(ref, q, p, theta) }
-	default:
+	case 15:
 		return func(s, ref *State, _, _ *rand.Rand) { s.SWAP(q, p); RefSWAP(ref, q, p) }
+	default:
+		return func(s, ref *State, _, _ *rand.Rand) {
+			s.EPR(q, p)
+			RefApply1(ref, q, invSqrt2, invSqrt2, invSqrt2, -invSqrt2)
+			RefCNOT(ref, q, p)
+		}
 	}
 }
 

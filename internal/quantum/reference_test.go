@@ -24,7 +24,7 @@ import (
 // activateAll makes every qubit active, so that the amplitude array is
 // the full-vector layout the Ref kernels index.
 func (s *State) activateAll() {
-	s.amp = s.dense()
+	s.amp, s.normOK = s.dense(), false
 	s.active, s.bits = 1<<uint(s.n)-1, 0
 }
 

@@ -18,11 +18,13 @@
 // 2^(p+1), inner run 2^p) instead of testing the qubit bit of every
 // index, diagonal gates (Z/S/T/RZ/Phase/CZ/CPhase) scale amplitudes in
 // place without loading pair partners, real matrices (H, RY) skip the
-// imaginary half of the complex multiply, measurement is two passes (one
+// imaginary half of the complex multiply, the real kernels' runs have
+// AVX2 twins on amd64 (runs.go), measurement is two passes (one
 // probability pass that accumulates both outcome weights, one combined
-// collapse+renormalize+compact pass), and large states fan element-wise
-// kernels out across goroutines with a deterministic index-range
-// partition.
+// collapse+renormalize+compact pass) and a classical qubit's norm sum is
+// kept until the next write, EPR is one pass, and large states fan
+// element-wise kernels out across goroutines with a deterministic
+// index-range partition.
 package quantum
 
 import (
@@ -46,6 +48,9 @@ type State struct {
 	// p-th lowest active qubit. Its capacity is 2^n, so a qubit is
 	// inserted in place.
 	amp []complex128
+	// norm is probPair's sum for a classical qubit while normOK: no write since.
+	norm   float64
+	normOK bool
 }
 
 // NewState returns |0...0> on n qubits.
@@ -69,6 +74,7 @@ func (s *State) Reset() {
 	s.active, s.bits = 0, 0
 	s.amp = s.amp[:1]
 	s.amp[0] = 1
+	s.norm, s.normOK = 1, true
 }
 
 // Amplitude returns the amplitude of basis state idx of the full register.
@@ -139,7 +145,7 @@ func (s *State) insert(q int) {
 		copy(amp[2*base+v*h:2*base+(v+1)*h], old[base:base+h])
 		clear(amp[2*base+(1-v)*h : 2*base+(2-v)*h])
 	}
-	s.amp = amp
+	s.amp, s.normOK = amp, false
 	s.active |= 1 << uint(q)
 	s.bits &^= 1 << uint(q)
 }
@@ -152,25 +158,25 @@ func (s *State) insertApply1(q int, lo, hi complex128) {
 	h := 1 << uint(s.pos(q))
 	old := s.amp
 	amp := old[:2*len(old)]
-	realOnly := imag(lo) == 0 && imag(hi) == 0
+	realOnly, vec := imag(lo) == 0 && imag(hi) == 0, vectorRuns(h)
 	lr, hr := real(lo), real(hi)
 	for base := len(old) - h; base >= 0; base -= h {
 		src := old[base : base+h : base+h]
 		p0 := amp[2*base : 2*base+h : 2*base+h]
 		p1 := amp[2*base+h : 2*base+2*h : 2*base+2*h]
-		if realOnly {
+		switch {
+		case realOnly && vec:
+			splitRunAVX2(p0, p1, src, lr, hr)
+		case realOnly:
+			splitRun(p0, p1, src, lr, hr)
+		default:
 			for i, x := range src {
-				p1[i] = complex(hr*real(x), hr*imag(x))
-				p0[i] = complex(lr*real(x), lr*imag(x))
+				p1[i] = hi * x
+				p0[i] = lo * x
 			}
-			continue
-		}
-		for i, x := range src {
-			p1[i] = hi * x
-			p0[i] = lo * x
 		}
 	}
-	s.amp = amp
+	s.amp, s.normOK = amp, false
 	s.active |= 1 << uint(q)
 	s.bits &^= 1 << uint(q)
 }
@@ -182,12 +188,10 @@ func (s *State) scale(f complex128) {
 	if f == 1 {
 		return
 	}
+	s.normOK = false
 	if imag(f) == 0 {
 		forSpan(operands{amp: s.amp, a: f}, 1, func(o operands, lo, hi int) {
-			seg, r := o.amp[lo:hi], real(o.a)
-			for i, a := range seg {
-				seg[i] = complex(real(a)*r, imag(a)*r)
-			}
+			scaleNest(o.amp, lo, hi, hi-lo, hi-lo, hi-lo, real(o.a)) // one run
 		})
 		return
 	}
@@ -228,6 +232,7 @@ func (s *State) Apply1(q int, a, b, c, d complex128) {
 		}
 		return
 	}
+	s.normOK = false
 	if b == 0 && c == 0 {
 		s.applyDiag1(q, a, d)
 		return
@@ -238,14 +243,14 @@ func (s *State) Apply1(q int, a, b, c, d complex128) {
 		forSpan(o, 2*h, func(o operands, lo, hi int) {
 			amp, h := o.amp, o.h
 			ar, br, cr, dr := real(o.a), real(o.b), real(o.c), real(o.d)
-			for base := lo; base < hi; base += 2 * h {
-				p0 := amp[base : base+h : base+h]
-				p1 := amp[base+h : base+2*h : base+2*h]
-				for i := range p0 {
-					a0, a1 := p0[i], p1[i]
-					p0[i] = complex(ar*real(a0)+br*real(a1), ar*imag(a0)+br*imag(a1))
-					p1[i] = complex(cr*real(a0)+dr*real(a1), cr*imag(a0)+dr*imag(a1))
+			if vectorRuns(h) {
+				for base := lo; base < hi; base += 2 * h {
+					mixRunAVX2(amp[base:base+h], amp[base+h:base+2*h], ar, br, cr, dr)
 				}
+				return
+			}
+			for base := lo; base < hi; base += 2 * h {
+				mixRun(amp[base:base+h:base+h], amp[base+h:base+2*h:base+2*h], ar, br, cr, dr)
 			}
 		})
 		return
@@ -270,15 +275,9 @@ func (s *State) applyDiag1(q int, d0, d1 complex128) {
 	h := 1 << uint(s.pos(q))
 	o := operands{amp: s.amp, h: h, a: d0, d: d1}
 	switch {
-	case d0 == 1 && d1 == -1: // Z: negation beats a full complex multiply
+	case d0 == 1 && d1 == -1: // Z: a real scaling beats a full complex multiply
 		forSpan(o, 2*h, func(o operands, lo, hi int) {
-			amp, h := o.amp, o.h
-			for base := lo; base < hi; base += 2 * h {
-				p1 := amp[base+h : base+2*h]
-				for i := range p1 {
-					p1[i] = -p1[i]
-				}
-			}
+			scaleNest(o.amp, lo+o.h, hi, 2*o.h, o.h, o.h, -1)
 		})
 	case d0 == 1:
 		forSpan(o, 2*h, func(o operands, lo, hi int) {
@@ -318,16 +317,10 @@ func (s *State) X(q int) {
 		s.bits ^= 1 << uint(q)
 		return
 	}
+	s.normOK = false
 	h := 1 << uint(s.pos(q))
 	forSpan(operands{amp: s.amp, h: h}, 2*h, func(o operands, lo, hi int) {
-		amp, h := o.amp, o.h
-		for base := lo; base < hi; base += 2 * h {
-			p0 := amp[base : base+h : base+h]
-			p1 := amp[base+h : base+2*h : base+2*h]
-			for i := range p0 {
-				p0[i], p1[i] = p1[i], p0[i]
-			}
-		}
+		swapNest(o.amp, lo, hi, 2*o.h, o.h, o.h, o.h)
 	})
 }
 
@@ -391,96 +384,56 @@ func (s *State) CNOT(ctrl, tgt int) {
 	if !s.isActive(tgt) {
 		s.insert(tgt)
 	}
+	s.normOK = false
 	cb, tb := 1<<uint(s.pos(ctrl)), 1<<uint(s.pos(tgt))
 	if cb > tb {
 		forSpan(operands{amp: s.amp, h: cb, l: tb}, 2*cb, func(o operands, lo, hi int) {
-			amp, cb, tb := o.amp, o.h, o.l
-			for base := lo + cb; base < hi; base += 2 * cb {
-				for j := base; j < base+cb; j += 2 * tb {
-					p0 := amp[j : j+tb : j+tb]
-					p1 := amp[j+tb : j+2*tb : j+2*tb]
-					for i := range p0 {
-						p0[i], p1[i] = p1[i], p0[i]
-					}
-				}
-			}
+			cb, tb := o.h, o.l
+			swapNest(o.amp, lo+cb, hi, 2*cb, cb, tb, tb)
 		})
 		return
 	}
 	forSpan(operands{amp: s.amp, h: tb, l: cb}, 2*tb, func(o operands, lo, hi int) {
-		amp, tb, cb := o.amp, o.h, o.l
-		for base := lo; base < hi; base += 2 * tb {
-			for j := base + cb; j < base+tb; j += 2 * cb {
-				p0 := amp[j : j+cb : j+cb]
-				p1 := amp[j+tb : j+tb+cb : j+tb+cb]
-				for i := range p0 {
-					p0[i], p1[i] = p1[i], p0[i]
-				}
-			}
-		}
+		tb, cb := o.h, o.l
+		swapNest(o.amp, lo+cb, hi, 2*tb, tb-cb, cb, tb)
 	})
 }
 
-// CZ applies a controlled-Z (symmetric): with a classical qubit, nothing
-// or a Z on the other; otherwise a pure negation of the quarter of the
-// amplitudes with both bits set, visited directly.
-func (s *State) CZ(a, b int) {
-	s.check(a)
-	s.check(b)
-	if a == b {
-		panic("quantum: cz with a == b")
-	}
-	if !s.isActive(a) {
-		a, b = b, a // a classical operand, if there is one, goes second
-	}
-	if !s.isActive(b) {
-		if s.bit(b) == 1 {
-			s.Z(a)
-		}
-		return
-	}
-	hb, lb := 1<<uint(s.pos(a)), 1<<uint(s.pos(b))
-	if hb < lb {
-		hb, lb = lb, hb
-	}
-	forSpan(operands{amp: s.amp, h: hb, l: lb}, 2*hb, func(o operands, lo, hi int) {
-		amp, hb, lb := o.amp, o.h, o.l
-		for base := lo + hb; base < hi; base += 2 * hb {
-			for j := base + lb; j < base+hb; j += 2 * lb {
-				seg := amp[j : j+lb]
-				for i := range seg {
-					seg[i] = -seg[i]
-				}
-			}
-		}
-	})
-}
+// CZ applies a controlled-Z (symmetric).
+func (s *State) CZ(a, b int) { s.controlledPhase(a, b, -1) }
 
-// CPhase applies a controlled phase rotation (QFT's primitive): with a
-// classical qubit, nothing or a Phase on the other; otherwise a pure
-// scaling of the both-bits-set quarter, visited directly.
+// CPhase applies a controlled phase rotation (QFT's primitive).
 func (s *State) CPhase(a, b int, theta float64) {
+	s.controlledPhase(a, b, cmplx.Exp(complex(0, theta)))
+}
+
+// controlledPhase multiplies the amplitudes with both a and b set by ph
+// (symmetric): with a classical qubit, nothing or diag(1, ph) on the
+// other; otherwise a scaling of the both-bits-set quarter, visited
+// directly, and a real one for CZ's -1, which negates exactly.
+func (s *State) controlledPhase(a, b int, ph complex128) {
 	s.check(a)
 	s.check(b)
 	if a == b {
-		panic("quantum: cphase with a == b")
+		panic("quantum: controlled phase with a == b")
 	}
 	if !s.isActive(a) {
 		a, b = b, a // a classical operand, if there is one, goes second
 	}
 	if !s.isActive(b) {
 		if s.bit(b) == 1 {
-			s.Phase(a, theta)
+			s.Apply1(a, 1, 0, 0, ph)
 		}
 		return
 	}
-	ph := cmplx.Exp(complex(0, theta))
-	hb, lb := 1<<uint(s.pos(a)), 1<<uint(s.pos(b))
-	if hb < lb {
-		hb, lb = lb, hb
-	}
+	s.normOK = false
+	hb, lb := 1<<uint(max(s.pos(a), s.pos(b))), 1<<uint(min(s.pos(a), s.pos(b)))
 	forSpan(operands{amp: s.amp, h: hb, l: lb, a: ph}, 2*hb, func(o operands, lo, hi int) {
 		amp, hb, lb := o.amp, o.h, o.l
+		if o.a == -1 {
+			scaleNest(amp, lo+hb+lb, hi, 2*hb, hb-lb, lb, -1)
+			return
+		}
 		for base := lo + hb; base < hi; base += 2 * hb {
 			for j := base + lb; j < base+hb; j += 2 * lb {
 				seg := amp[j : j+lb]
@@ -515,22 +468,49 @@ func (s *State) SWAP(a, b int) {
 	if !s.isActive(b) {
 		s.insert(b)
 	}
-	hb, lb := 1<<uint(s.pos(a)), 1<<uint(s.pos(b))
-	if hb < lb {
-		hb, lb = lb, hb
-	}
+	s.normOK = false
+	hb, lb := 1<<uint(max(s.pos(a), s.pos(b))), 1<<uint(min(s.pos(a), s.pos(b)))
 	forSpan(operands{amp: s.amp, h: hb, l: lb}, 2*hb, func(o operands, lo, hi int) {
-		amp, hb, lb := o.amp, o.h, o.l
-		for base := lo + hb; base < hi; base += 2 * hb {
-			for j := base; j < base+hb; j += 2 * lb {
-				p0 := amp[j : j+lb : j+lb]                 // hb set, lb clear
-				p1 := amp[j-hb+lb : j-hb+2*lb : j-hb+2*lb] // hb clear, lb set
-				for i := range p0 {
-					p0[i], p1[i] = p1[i], p0[i]
-				}
-			}
-		}
+		// hb set and lb clear, against hb clear and lb set.
+		hb, lb := o.h, o.l
+		swapNest(o.amp, lo+hb, hi, 2*hb, hb, lb, lb-hb)
 	})
+}
+
+// EPR applies H to a, then CNOT from a to b. When both are classical at
+// 0, as Exec's two resets leave a pair, that is one top-down pass: each
+// amplitude x becomes x·(1/√2) at a, b = 00 and 11 and an exact zero at
+// 01 and 10, the values H and CNOT leave after three passes.
+func (s *State) EPR(a, b int) {
+	s.check(a)
+	s.check(b)
+	pair := uint32(1)<<uint(a) | uint32(1)<<uint(b)
+	if a == b || (s.active|s.bits)&pair != 0 {
+		s.H(a)
+		s.CNOT(a, b) // which panics on a == b
+		return
+	}
+	s.active |= pair
+	l, h := 1<<uint(min(s.pos(a), s.pos(b))), 1<<uint(max(s.pos(a), s.pos(b)))
+	// An old run starts at a multiple of l; its index bits below h/2 move up
+	// one place and the rest up two, opening the pair's two bits.
+	mid := h/2 - 1
+	old := s.amp
+	amp := old[:4*len(old)]
+	r := real(invSqrt2)
+	vec := vectorRuns(l)
+	for base := len(old) - l; base >= 0; base -= l {
+		nb := (base&mid)<<1 | (base&^mid)<<2
+		p00, p11, src := amp[nb:nb+l:nb+l], amp[nb+h+l:nb+h+2*l:nb+h+2*l], old[base:base+l:base+l]
+		if vec {
+			splitRunAVX2(p00, p11, src, r, r)
+		} else {
+			splitRun(p00, p11, src, r, r)
+		}
+		clear(amp[nb+l : nb+2*l])
+		clear(amp[nb+h : nb+h+l])
+	}
+	s.amp, s.normOK = amp, false
 }
 
 // Prob returns the probability of measuring qubit q as 1.
@@ -545,16 +525,17 @@ func (s *State) Prob(q int) float64 {
 // same values in the same order with exact zeros in between, so p1
 // matches RefProb bit-for-bit and p0 matches the norm RefProject computes
 // for outcome 0. A classical qubit's own class is the whole array (the
-// norm, which is not exactly 1) and the other class is empty. Serial on
-// purpose: splitting a floating-point reduction across goroutines would
-// change the summation order and with it the last-ulp value the
-// measurement draw compares against.
+// norm, which is not exactly 1, kept in s.norm until amp is written) and
+// the other class is empty. Serial on purpose: splitting a floating-point
+// reduction across goroutines would change the summation order and with
+// it the last-ulp value the measurement draw compares against.
 func (s *State) probPair(q int) (p0, p1 float64) {
 	amp := s.amp
 	if !s.isActive(q) {
-		for _, a := range amp {
-			p0 += real(a)*real(a) + imag(a)*imag(a)
+		if !s.normOK {
+			s.norm, s.normOK = sumSquares(amp), true
 		}
+		p0 = s.norm
 		if s.bit(q) == 1 {
 			p0, p1 = 0, p0
 		}
@@ -624,14 +605,16 @@ func (s *State) collapse(q int, outcome int, norm float64) {
 	h := 1 << uint(s.pos(q))
 	amp := s.amp
 	half := len(amp) / 2
-	for base := 0; base < half; base += h {
-		dst := amp[base : base+h : base+h]
-		keep := amp[2*base+outcome*h : 2*base+(outcome+1)*h]
-		for i := range dst {
-			dst[i] = complex(real(keep[i])*inv, imag(keep[i])*inv)
+	if vectorRuns(h) {
+		for base := 0; base < half; base += h {
+			scaleRunAVX2(amp[base:base+h], amp[2*base+outcome*h:2*base+(outcome+1)*h], inv)
+		}
+	} else {
+		for base := 0; base < half; base += h {
+			scaleRun(amp[base:base+h:base+h], amp[2*base+outcome*h:2*base+(outcome+1)*h], inv)
 		}
 	}
-	s.amp = amp[:half]
+	s.amp, s.normOK = amp[:half], false
 	s.active &^= 1 << uint(q)
 	s.bits |= uint32(outcome) << uint(q)
 }
@@ -660,10 +643,13 @@ func (s *State) Probabilities() []float64 {
 }
 
 // Norm returns the state norm (should always be ~1).
-func (s *State) Norm() float64 {
+func (s *State) Norm() float64 { return math.Sqrt(sumSquares(s.amp)) }
+
+// sumSquares is Σ|a|² in index order.
+func sumSquares(amp []complex128) float64 {
 	p := 0.0
-	for _, a := range s.amp {
+	for _, a := range amp {
 		p += real(a)*real(a) + imag(a)*imag(a)
 	}
-	return math.Sqrt(p)
+	return p
 }
