@@ -63,7 +63,7 @@ func TestEPRMatchesHThenCNOT(t *testing.T) {
 						case 1:
 							gateOp(9, q, q, 0.4+0.3*float64(q))(s, ref, nil, nil) // RY: active
 							if prev >= 0 {
-								gateOp(12, prev, q, 0)(s, ref, nil, nil)
+								gateOp(12, prev, q, 0)(s, ref, nil, nil) // CNOT: entangled
 							}
 							prev = q
 						case 2:
@@ -78,7 +78,7 @@ func TestEPRMatchesHThenCNOT(t *testing.T) {
 					if code&2 != 0 {
 						gateOp(9, b, b, 1.1)(s, ref, nil, nil)
 					}
-					gateOp(16, a, b, 0)(s, ref, nil, nil)
+					gateOp(16, a, b, 0)(s, ref, nil, nil) // EPR against H then CNOT
 					ctx := fmt.Sprintf("go runs %v, EPR(%d, %d), mix %d", goRuns, a, b, mix)
 					sameAmps(t, s, ref, ctx)
 					for q := 0; q < n; q++ {
