@@ -116,8 +116,8 @@ func runActiveOracle(t *testing.T, n int, prog []byte, seed int64) {
 		}
 		ctx := fmt.Sprintf("n=%d seed=%d op %d", n, seed, k)
 		sameAmps(t, s, ref, ctx)
-		if s.normOK && s.norm != normSum(s.amp) {
-			t.Fatalf("%s: cached norm %v, the array sums to %v", ctx, s.norm, normSum(s.amp))
+		if sum := sumSquares(s.amp); s.normOK && s.norm != sum {
+			t.Fatalf("%s: cached norm %v, the array sums to %v", ctx, s.norm, sum)
 		}
 		if sSrc.draws != refSrc.draws {
 			t.Fatalf("%s: %d RNG draws, ref %d", ctx, sSrc.draws, refSrc.draws)
@@ -137,15 +137,6 @@ func runActiveOracle(t *testing.T, n int, prog []byte, seed int64) {
 			t.Fatalf("n=%d seed=%d: Prob(%d) = %v, ref %v", n, seed, q, got, want)
 		}
 	}
-}
-
-// normSum is Σ|a|² in index order, the sum probPair keeps.
-func normSum(amp []complex128) float64 {
-	p := 0.0
-	for _, a := range amp {
-		p += real(a)*real(a) + imag(a)*imag(a)
-	}
-	return p
 }
 
 // randomProgram is seeded bytes for about ops operations.
