@@ -269,13 +269,7 @@ func (c *Controller) Reg(n int) uint32 { return c.regs[n&31] }
 
 // EndTime returns the controller-local completion time: the later of the
 // pipeline clock and the TCU timing point.
-func (c *Controller) EndTime() sim.Time {
-	tp := c.tl.Point()
-	if c.tc > tp {
-		return c.tc
-	}
-	return tp
-}
+func (c *Controller) EndTime() sim.Time { return max(c.tc, c.tl.Point()) }
 
 // Log exposes the TELF log the controller writes to.
 func (c *Controller) Log() *telf.Log { return c.log }
@@ -395,10 +389,7 @@ func (c *Controller) PushResult(ch int, val uint32, availAt sim.Time) {
 // finishSync applies a resolved synchronization to the TCU timer: pause at
 // condI, resume at max(condI, peerTime).
 func (c *Controller) finishSync(target int, condI, peer sim.Time) {
-	r := condI
-	if peer > r {
-		r = peer
-	}
+	r := max(condI, peer)
 	c.tl.AddGate(condI, r)
 	c.Stats.Syncs++
 	if r > condI {
@@ -443,7 +434,10 @@ func (c *Controller) run() {
 }
 
 // step executes the instruction at pc. It returns false when the pipeline
-// must yield (blocked on an external event or a scheduled commit).
+// must yield (blocked on an external event or a scheduled commit). The HISQ
+// extension's ops are named here, since each waits on something different;
+// one jump table keeps them, most of what a program runs, one dispatch
+// away. Every RV32I op goes to execClassical by the unit isa gives it.
 func (c *Controller) step() bool {
 	in := c.prog.Instrs[c.pc]
 	c.Stats.Instrs++
@@ -461,36 +455,98 @@ func (c *Controller) step() bool {
 		// classical pipeline may have run ahead during a TCU stall. This
 		// keeps every delivery in global timestamp order (conservative
 		// modeling decision; see DESIGN.md §2).
-		at := c.tc
-		if now := c.eng.Now(); now > at {
-			at = now
-		}
+		at := max(c.tc, c.eng.Now())
 		c.log.Add(telf.Event{Time: at, Node: c.Cfg.ID, Kind: telf.MsgSend, A: int64(dst), B: int64(val)})
 		c.fab.SendMessage(c.Cfg.ID, dst, val, at)
-		c.pc++
 	case isa.OpSYNC:
 		return c.execSync(int(in.Imm))
 	case isa.OpWAITI:
 		c.tc++
 		c.tl.Advance(sim.Time(in.Imm))
-		c.pc++
 	case isa.OpWAITR:
 		c.tc++
 		c.tl.Advance(sim.Time(c.regs[in.Rs1]))
-		c.pc++
-	case isa.OpCWII, isa.OpCWIR, isa.OpCWRI, isa.OpCWRR:
-		return c.execCW(in)
 	case isa.OpHALT:
 		c.tc++
 		c.haltNow()
 		return false
+	case isa.OpCWII, isa.OpCWIR, isa.OpCWRI, isa.OpCWRR:
+		return c.execCW(in)
 	default:
 		c.tc++
-		if !c.execClassical(in) {
-			return false // runtime error; fail() already halted us
-		}
+		return c.execClassical(in)
 	}
-	return !c.halted
+	c.pc++
+	return true
+}
+
+// execClassical retires one RV32I instruction: package isa says what it
+// computes, and the core applies that to the registers, the data memory
+// and pc. Returns false on a runtime error (already reported through fail).
+func (c *Controller) execClassical(in isa.Instr) bool {
+	r := &c.regs
+	switch in.Op.Unit() {
+	case isa.UnitALU:
+		c.setReg(in.Rd, in.ALU(r, c.pc))
+	case isa.UnitJump:
+		next := c.pc + int(in.Imm/4) // jal
+		if in.Op == isa.OpJALR {
+			t := (r[in.Rs1] + uint32(in.Imm)) &^ 1
+			if t%4 != 0 { // RV32I: instruction-address-misaligned
+				c.fail("misaligned jump target %d", t)
+				return false
+			}
+			next = int(t / 4)
+		}
+		c.setReg(in.Rd, uint32((c.pc+1)*4))
+		c.pc = next
+		return true
+	case isa.UnitBranch:
+		if in.Op.Taken(r[in.Rs1], r[in.Rs2]) {
+			c.pc += int(in.Imm / 4)
+			return true
+		}
+	case isa.UnitLoad:
+		addr, size, ok := c.address(in, "load")
+		if !ok {
+			return false
+		}
+		var v uint32
+		for i := min(addr+size, len(c.mem)) - 1; i >= addr; i-- {
+			v = v<<8 | uint32(c.mem[i])
+		}
+		c.setReg(in.Rd, in.Op.Extend(v))
+	case isa.UnitStore:
+		addr, size, ok := c.address(in, "store")
+		if !ok {
+			return false
+		}
+		if n, end := len(c.mem), addr+size; end > n {
+			c.mem = slices.Grow(c.mem, end-n)[:end]
+			clear(c.mem[n:]) // capacity kept across Reset holds the last shot's bytes
+		}
+		v := r[in.Rs2]
+		for i := addr; i < addr+size; i++ {
+			c.mem[i] = byte(v)
+			v >>= 8
+		}
+	default:
+		c.fail("unexecutable op %s", in.Op)
+		return false
+	}
+	c.pc++
+	return true
+}
+
+// address returns a load's or store's effective address, rs1 + Imm, and
+// width, failing the core when they reach outside data memory.
+func (c *Controller) address(in isa.Instr, access string) (addr, size int, ok bool) {
+	addr, size = int(int32(c.regs[in.Rs1])+in.Imm), in.Op.Width()
+	if addr < 0 || addr+size > c.Cfg.MemSize {
+		c.fail("%s out of bounds: addr=%d size=%d", access, addr, size)
+		return 0, 0, false
+	}
+	return addr, size, true
 }
 
 // fetch retires recv and fmr: the next value in queue Imm of qs, a source
@@ -525,18 +581,7 @@ func (c *Controller) fetch(in isa.Instr, qs []fifo, reason BlockReason, why int6
 // time order.
 func (c *Controller) execCW(in isa.Instr) bool {
 	c.tc++
-	var port int
-	var cw uint32
-	switch in.Op {
-	case isa.OpCWII:
-		port, cw = int(in.Rd), uint32(in.Imm)
-	case isa.OpCWIR:
-		port, cw = int(in.Rd), c.regs[in.Rs1]
-	case isa.OpCWRI:
-		port, cw = int(c.regs[in.Rs1]), uint32(in.Imm)
-	case isa.OpCWRR:
-		port, cw = int(c.regs[in.Rs1]), c.regs[in.Rs2]
-	}
+	port, cw := in.Codeword(&c.regs)
 	if c.Cfg.Ports > 0 && (port < 0 || port >= c.Cfg.Ports) {
 		c.fail("cw to port %d but board has %d ports", port, c.Cfg.Ports)
 		return false
@@ -608,168 +653,4 @@ func (c *Controller) execSync(tgt int) bool {
 	c.block, c.blockOn, c.blockAt = BlockSyncNear, tgt, c.tc
 	c.pendCondI = condI
 	return false
-}
-
-// execClassical retires one RV32I instruction. Returns false on a runtime
-// error (already reported through fail).
-func (c *Controller) execClassical(in isa.Instr) bool {
-	r := &c.regs
-	switch in.Op {
-	case isa.OpLUI:
-		c.setReg(in.Rd, uint32(in.Imm)<<12)
-	case isa.OpAUIPC:
-		c.setReg(in.Rd, uint32(c.pc*4)+uint32(in.Imm)<<12)
-	case isa.OpJAL:
-		c.setReg(in.Rd, uint32((c.pc+1)*4))
-		c.pc += int(in.Imm / 4)
-		return true
-	case isa.OpJALR:
-		t := (r[in.Rs1] + uint32(in.Imm)) &^ 1
-		if t%4 != 0 { // RV32I: instruction-address-misaligned
-			c.fail("misaligned jump target %d", t)
-			return false
-		}
-		c.setReg(in.Rd, uint32((c.pc+1)*4))
-		c.pc = int(t / 4)
-		return true
-	case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
-		if c.branchTaken(in) {
-			c.pc += int(in.Imm / 4)
-			return true
-		}
-	case isa.OpLB, isa.OpLH, isa.OpLW, isa.OpLBU, isa.OpLHU:
-		v, ok := c.load(in)
-		if !ok {
-			return false
-		}
-		c.setReg(in.Rd, v)
-	case isa.OpSB, isa.OpSH, isa.OpSW:
-		if !c.store(in) {
-			return false
-		}
-	case isa.OpADDI:
-		c.setReg(in.Rd, r[in.Rs1]+uint32(in.Imm))
-	case isa.OpSLTI:
-		c.setReg(in.Rd, boolToU32(int32(r[in.Rs1]) < in.Imm))
-	case isa.OpSLTIU:
-		c.setReg(in.Rd, boolToU32(r[in.Rs1] < uint32(in.Imm)))
-	case isa.OpXORI:
-		c.setReg(in.Rd, r[in.Rs1]^uint32(in.Imm))
-	case isa.OpORI:
-		c.setReg(in.Rd, r[in.Rs1]|uint32(in.Imm))
-	case isa.OpANDI:
-		c.setReg(in.Rd, r[in.Rs1]&uint32(in.Imm))
-	case isa.OpSLLI:
-		c.setReg(in.Rd, r[in.Rs1]<<uint(in.Imm&31))
-	case isa.OpSRLI:
-		c.setReg(in.Rd, r[in.Rs1]>>uint(in.Imm&31))
-	case isa.OpSRAI:
-		c.setReg(in.Rd, uint32(int32(r[in.Rs1])>>uint(in.Imm&31)))
-	case isa.OpADD:
-		c.setReg(in.Rd, r[in.Rs1]+r[in.Rs2])
-	case isa.OpSUB:
-		c.setReg(in.Rd, r[in.Rs1]-r[in.Rs2])
-	case isa.OpSLL:
-		c.setReg(in.Rd, r[in.Rs1]<<(r[in.Rs2]&31))
-	case isa.OpSLT:
-		c.setReg(in.Rd, boolToU32(int32(r[in.Rs1]) < int32(r[in.Rs2])))
-	case isa.OpSLTU:
-		c.setReg(in.Rd, boolToU32(r[in.Rs1] < r[in.Rs2]))
-	case isa.OpXOR:
-		c.setReg(in.Rd, r[in.Rs1]^r[in.Rs2])
-	case isa.OpSRL:
-		c.setReg(in.Rd, r[in.Rs1]>>(r[in.Rs2]&31))
-	case isa.OpSRA:
-		c.setReg(in.Rd, uint32(int32(r[in.Rs1])>>(r[in.Rs2]&31)))
-	case isa.OpOR:
-		c.setReg(in.Rd, r[in.Rs1]|r[in.Rs2])
-	case isa.OpAND:
-		c.setReg(in.Rd, r[in.Rs1]&r[in.Rs2])
-	default:
-		c.fail("unexecutable op %s", in.Op)
-		return false
-	}
-	c.pc++
-	return true
-}
-
-func (c *Controller) branchTaken(in isa.Instr) bool {
-	a, b := c.regs[in.Rs1], c.regs[in.Rs2]
-	switch in.Op {
-	case isa.OpBEQ:
-		return a == b
-	case isa.OpBNE:
-		return a != b
-	case isa.OpBLT:
-		return int32(a) < int32(b)
-	case isa.OpBGE:
-		return int32(a) >= int32(b)
-	case isa.OpBLTU:
-		return a < b
-	case isa.OpBGEU:
-		return a >= b
-	}
-	return false
-}
-
-func (c *Controller) load(in isa.Instr) (uint32, bool) {
-	addr := int(int32(c.regs[in.Rs1]) + in.Imm)
-	var size int
-	switch in.Op {
-	case isa.OpLB, isa.OpLBU:
-		size = 1
-	case isa.OpLH, isa.OpLHU:
-		size = 2
-	default:
-		size = 4
-	}
-	if addr < 0 || addr+size > c.Cfg.MemSize {
-		c.fail("load out of bounds: addr=%d size=%d", addr, size)
-		return 0, false
-	}
-	var v uint32
-	for i := min(addr+size, len(c.mem)) - 1; i >= addr; i-- {
-		v = v<<8 | uint32(c.mem[i])
-	}
-	switch in.Op {
-	case isa.OpLB:
-		v = uint32(int32(v<<24) >> 24)
-	case isa.OpLH:
-		v = uint32(int32(v<<16) >> 16)
-	}
-	return v, true
-}
-
-func (c *Controller) store(in isa.Instr) bool {
-	addr := int(int32(c.regs[in.Rs1]) + in.Imm)
-	var size int
-	switch in.Op {
-	case isa.OpSB:
-		size = 1
-	case isa.OpSH:
-		size = 2
-	default:
-		size = 4
-	}
-	if addr < 0 || addr+size > c.Cfg.MemSize {
-		c.fail("store out of bounds: addr=%d size=%d", addr, size)
-		return false
-	}
-	if n, end := len(c.mem), addr+size; end > n {
-		c.mem = slices.Grow(c.mem, end-n)[:end]
-		clear(c.mem[n:]) // capacity kept across Reset holds the last shot's bytes
-	}
-	v := c.regs[in.Rs2]
-	for i := 0; i < size; i++ {
-		c.mem[addr+i] = byte(v)
-		v >>= 8
-	}
-	return true
-}
-
-func boolToU32(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
 }

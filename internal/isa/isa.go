@@ -117,16 +117,12 @@ const (
 	opcCW     = 0x2B // custom-1: cw.x.x family
 )
 
-// Which unit retires an instruction: the classical pipeline, or the timing
-// control unit it is dispatched to (§3.1.2).
-const (
-	cpu = false
-	tcu = true
-)
-
 // opRow declares one instruction. The table below is the instruction set:
 // the assembler, the disassembler, Encode and Decode all read it, and none
-// of them knows an instruction the table does not list.
+// of them knows an instruction the table does not list. What an op
+// computes is read off the same fields, as RV32I lays them out: the major
+// opcode names the unit that retires it (Unit), and funct3, with funct7's
+// 0x20 bit, the operation within it (ALU, Taken, Width, Extend, Codeword).
 //
 // form is the bit layout — RISC-V's R, I, S, B, U and J, plus 'H', the
 // I layout with a 5-bit shift amount under funct7, and 'r', the R layout
@@ -147,66 +143,65 @@ type opRow struct {
 	opcode, funct3, funct7 uint32
 	form                   byte
 	syntax                 string
-	tcu                    bool
 }
 
 var hisq = [opCount]opRow{
 	OpInvalid: {mnemonic: "invalid"},
 
-	OpLUI:   {"lui", opcLUI, 0, 0, 'U', "di", cpu},
-	OpAUIPC: {"auipc", opcAUIPC, 0, 0, 'U', "di", cpu},
-	OpJAL:   {"jal", opcJAL, 0, 0, 'J', "dl", cpu},
-	OpJALR:  {"jalr", opcJALR, 0, 0, 'I', "d1i", cpu},
+	OpLUI:   {"lui", opcLUI, 0, 0, 'U', "di"},
+	OpAUIPC: {"auipc", opcAUIPC, 0, 0, 'U', "di"},
+	OpJAL:   {"jal", opcJAL, 0, 0, 'J', "dl"},
+	OpJALR:  {"jalr", opcJALR, 0, 0, 'I', "d1i"},
 
-	OpBEQ:  {"beq", opcBranch, 0, 0, 'B', "12l", cpu},
-	OpBNE:  {"bne", opcBranch, 1, 0, 'B', "12l", cpu},
-	OpBLT:  {"blt", opcBranch, 4, 0, 'B', "12l", cpu},
-	OpBGE:  {"bge", opcBranch, 5, 0, 'B', "12l", cpu},
-	OpBLTU: {"bltu", opcBranch, 6, 0, 'B', "12l", cpu},
-	OpBGEU: {"bgeu", opcBranch, 7, 0, 'B', "12l", cpu},
+	OpBEQ:  {"beq", opcBranch, 0, 0, 'B', "12l"},
+	OpBNE:  {"bne", opcBranch, 1, 0, 'B', "12l"},
+	OpBLT:  {"blt", opcBranch, 4, 0, 'B', "12l"},
+	OpBGE:  {"bge", opcBranch, 5, 0, 'B', "12l"},
+	OpBLTU: {"bltu", opcBranch, 6, 0, 'B', "12l"},
+	OpBGEU: {"bgeu", opcBranch, 7, 0, 'B', "12l"},
 
-	OpLB:  {"lb", opcLoad, 0, 0, 'I', "dm", cpu},
-	OpLH:  {"lh", opcLoad, 1, 0, 'I', "dm", cpu},
-	OpLW:  {"lw", opcLoad, 2, 0, 'I', "dm", cpu},
-	OpLBU: {"lbu", opcLoad, 4, 0, 'I', "dm", cpu},
-	OpLHU: {"lhu", opcLoad, 5, 0, 'I', "dm", cpu},
-	OpSB:  {"sb", opcStore, 0, 0, 'S', "2m", cpu},
-	OpSH:  {"sh", opcStore, 1, 0, 'S', "2m", cpu},
-	OpSW:  {"sw", opcStore, 2, 0, 'S', "2m", cpu},
+	OpLB:  {"lb", opcLoad, 0, 0, 'I', "dm"},
+	OpLH:  {"lh", opcLoad, 1, 0, 'I', "dm"},
+	OpLW:  {"lw", opcLoad, 2, 0, 'I', "dm"},
+	OpLBU: {"lbu", opcLoad, 4, 0, 'I', "dm"},
+	OpLHU: {"lhu", opcLoad, 5, 0, 'I', "dm"},
+	OpSB:  {"sb", opcStore, 0, 0, 'S', "2m"},
+	OpSH:  {"sh", opcStore, 1, 0, 'S', "2m"},
+	OpSW:  {"sw", opcStore, 2, 0, 'S', "2m"},
 
-	OpADDI:  {"addi", opcOpImm, 0, 0, 'I', "d1i", cpu},
-	OpSLTI:  {"slti", opcOpImm, 2, 0, 'I', "d1i", cpu},
-	OpSLTIU: {"sltiu", opcOpImm, 3, 0, 'I', "d1i", cpu},
-	OpXORI:  {"xori", opcOpImm, 4, 0, 'I', "d1i", cpu},
-	OpORI:   {"ori", opcOpImm, 6, 0, 'I', "d1i", cpu},
-	OpANDI:  {"andi", opcOpImm, 7, 0, 'I', "d1i", cpu},
-	OpSLLI:  {"slli", opcOpImm, 1, 0x00, 'H', "d1i", cpu},
-	OpSRLI:  {"srli", opcOpImm, 5, 0x00, 'H', "d1i", cpu},
-	OpSRAI:  {"srai", opcOpImm, 5, 0x20, 'H', "d1i", cpu},
+	OpADDI:  {"addi", opcOpImm, 0, 0, 'I', "d1i"},
+	OpSLTI:  {"slti", opcOpImm, 2, 0, 'I', "d1i"},
+	OpSLTIU: {"sltiu", opcOpImm, 3, 0, 'I', "d1i"},
+	OpXORI:  {"xori", opcOpImm, 4, 0, 'I', "d1i"},
+	OpORI:   {"ori", opcOpImm, 6, 0, 'I', "d1i"},
+	OpANDI:  {"andi", opcOpImm, 7, 0, 'I', "d1i"},
+	OpSLLI:  {"slli", opcOpImm, 1, 0x00, 'H', "d1i"},
+	OpSRLI:  {"srli", opcOpImm, 5, 0x00, 'H', "d1i"},
+	OpSRAI:  {"srai", opcOpImm, 5, 0x20, 'H', "d1i"},
 
-	OpADD:  {"add", opcOp, 0, 0x00, 'R', "d12", cpu},
-	OpSUB:  {"sub", opcOp, 0, 0x20, 'R', "d12", cpu},
-	OpSLL:  {"sll", opcOp, 1, 0x00, 'R', "d12", cpu},
-	OpSLT:  {"slt", opcOp, 2, 0x00, 'R', "d12", cpu},
-	OpSLTU: {"sltu", opcOp, 3, 0x00, 'R', "d12", cpu},
-	OpXOR:  {"xor", opcOp, 4, 0x00, 'R', "d12", cpu},
-	OpSRL:  {"srl", opcOp, 5, 0x00, 'R', "d12", cpu},
-	OpSRA:  {"sra", opcOp, 5, 0x20, 'R', "d12", cpu},
-	OpOR:   {"or", opcOp, 6, 0x00, 'R', "d12", cpu},
-	OpAND:  {"and", opcOp, 7, 0x00, 'R', "d12", cpu},
+	OpADD:  {"add", opcOp, 0, 0x00, 'R', "d12"},
+	OpSUB:  {"sub", opcOp, 0, 0x20, 'R', "d12"},
+	OpSLL:  {"sll", opcOp, 1, 0x00, 'R', "d12"},
+	OpSLT:  {"slt", opcOp, 2, 0x00, 'R', "d12"},
+	OpSLTU: {"sltu", opcOp, 3, 0x00, 'R', "d12"},
+	OpXOR:  {"xor", opcOp, 4, 0x00, 'R', "d12"},
+	OpSRL:  {"srl", opcOp, 5, 0x00, 'R', "d12"},
+	OpSRA:  {"sra", opcOp, 5, 0x20, 'R', "d12"},
+	OpOR:   {"or", opcOp, 6, 0x00, 'R', "d12"},
+	OpAND:  {"and", opcOp, 7, 0x00, 'R', "d12"},
 
-	OpWAITI: {"waiti", opcHISQ, 0, 0, 'I', "i", tcu},
-	OpWAITR: {"waitr", opcHISQ, 1, 0, 'I', "1", tcu},
-	OpSYNC:  {"sync", opcHISQ, 2, 0, 'I', "i", tcu},
-	OpFMR:   {"fmr", opcHISQ, 3, 0, 'I', "di", cpu},
-	OpSEND:  {"send", opcHISQ, 4, 0, 'I', "1i", cpu},
-	OpRECV:  {"recv", opcHISQ, 5, 0, 'I', "di", cpu},
-	OpHALT:  {"halt", opcHISQ, 6, 0, 'I', "", cpu},
+	OpWAITI: {"waiti", opcHISQ, 0, 0, 'I', "i"},
+	OpWAITR: {"waitr", opcHISQ, 1, 0, 'I', "1"},
+	OpSYNC:  {"sync", opcHISQ, 2, 0, 'I', "i"},
+	OpFMR:   {"fmr", opcHISQ, 3, 0, 'I', "di"},
+	OpSEND:  {"send", opcHISQ, 4, 0, 'I', "1i"},
+	OpRECV:  {"recv", opcHISQ, 5, 0, 'I', "di"},
+	OpHALT:  {"halt", opcHISQ, 6, 0, 'I', ""},
 
-	OpCWII: {"cw.i.i", opcCW, 0, 0, 'I', "pi", tcu},
-	OpCWIR: {"cw.i.r", opcCW, 1, 0, 'I', "p1", tcu},
-	OpCWRI: {"cw.r.i", opcCW, 2, 0, 'I', "1i", tcu},
-	OpCWRR: {"cw.r.r", opcCW, 3, 0, 'r', "12", tcu},
+	OpCWII: {"cw.i.i", opcCW, 0, 0, 'I', "pi"},
+	OpCWIR: {"cw.i.r", opcCW, 1, 0, 'I', "p1"},
+	OpCWRI: {"cw.r.i", opcCW, 2, 0, 'I', "1i"},
+	OpCWRR: {"cw.r.r", opcCW, 3, 0, 'r', "12"},
 }
 
 // spelling is what one mnemonic assembles to: the instruction, and the
@@ -223,6 +218,8 @@ type spelling struct {
 // as addi rd,$0,v with v of any width, and parseInstr expands it with
 // LoadImm). decodeIndex is by opcode | funct3<<7, for Decode: the ops a word
 // with those bits can be, which funct7 tells apart (there are at most two).
+// unitOf is by Op, so the controller's dispatch is one load: each row's
+// Unit, and UnitNone for OpInvalid and every Op outside the table.
 var (
 	spellings = map[string]spelling{
 		"nop": {OpADDI, ""},
@@ -231,12 +228,14 @@ var (
 		"li":  {OpADDI, "di"},
 	}
 	decodeIndex [1 << 10][]Op
+	unitOf      [256]Unit
 )
 
 func init() {
 	for op := OpInvalid + 1; op < opCount; op++ {
 		r := &hisq[op]
 		spellings[r.mnemonic] = spelling{op, r.syntax}
+		unitOf[op] = units[r.opcode]
 		for f3 := uint32(0); f3 < 8; f3++ {
 			if f3 == r.funct3 || r.form == 'U' || r.form == 'J' {
 				decodeIndex[r.opcode|f3<<7] = append(decodeIndex[r.opcode|f3<<7], op)
@@ -246,7 +245,7 @@ func init() {
 }
 
 // row returns o's table row; an Op outside the table gets OpInvalid's,
-// which has no operands, no form and no unit.
+// which has no operands, no form and no opcode.
 func (o Op) row() *opRow {
 	if o >= opCount {
 		o = OpInvalid
@@ -262,12 +261,124 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// IsQuantum reports whether the instruction is dispatched to the timing
-// control unit rather than retired purely in the classical pipeline.
-func (o Op) IsQuantum() bool { return o.row().tcu }
-
 // IsBranch reports whether the op is a conditional branch.
 func (o Op) IsBranch() bool { return o.row().form == 'B' }
+
+// Unit is the RV32I unit that retires an op, read off the row's major
+// opcode. Each names what the op computes; what it waits on and when it
+// retires is the core's.
+type Unit uint8
+
+const (
+	UnitNone   Unit = iota // the HISQ extension, OpInvalid, or an Op outside the table
+	UnitALU                // OP, OP-IMM, LUI, AUIPC: rd = Instr.ALU
+	UnitJump               // jal, jalr: rd = the return address
+	UnitBranch             // pc moves by Imm if Op.Taken(rs1, rs2)
+	UnitLoad               // rd = Op.Extend of Op.Width bytes at rs1+Imm
+	UnitStore              // Op.Width bytes of rs2 to rs1+Imm
+)
+
+// units is the unit by major opcode.
+var units = [0x80]Unit{
+	opcOp: UnitALU, opcOpImm: UnitALU, opcLUI: UnitALU, opcAUIPC: UnitALU,
+	opcJAL: UnitJump, opcJALR: UnitJump, opcBranch: UnitBranch, opcLoad: UnitLoad, opcStore: UnitStore,
+}
+
+// Unit returns the unit that retires o.
+func (o Op) Unit() Unit { return unitOf[o] }
+
+// ALU returns what an ALU-unit instruction at index pc writes to rd. The
+// form picks the operands: rs1 and rs2 (R), rs1 and the immediate (I, H),
+// or the immediate in the upper 20 bits and 0 (lui) or the instruction's
+// byte address (auipc) (U). funct3 picks the operation, the same for every
+// form — lui and auipc are funct3 0, add — and funct7's 0x20 bit turns add
+// into sub and the logical right shift into the arithmetic one.
+func (in Instr) ALU(regs *[32]uint32, pc int) uint32 {
+	r := in.Op.row()
+	a, b := regs[in.Rs1], uint32(in.Imm)
+	switch r.form {
+	case 'R':
+		b = regs[in.Rs2]
+	case 'U':
+		a, b = uint32(pc*4), b<<12
+		if r.opcode == opcLUI {
+			a = 0
+		}
+	}
+	switch r.funct3 {
+	case 0:
+		if r.funct7 == 0x20 {
+			return a - b
+		}
+		return a + b
+	case 1:
+		return a << (b & 31)
+	case 2, 3:
+		if less(a, b, r.funct3 == 2) {
+			return 1
+		}
+		return 0
+	case 4:
+		return a ^ b
+	case 5:
+		if r.funct7 == 0x20 {
+			return uint32(int32(a) >> (b & 31))
+		}
+		return a >> (b & 31)
+	case 6:
+		return a | b
+	}
+	return a & b
+}
+
+// Taken reports whether a branch on rs1 = a and rs2 = b is taken. funct3
+// picks the comparison — equal (0, 1), signed less (4, 5), unsigned less
+// (6, 7) — and its low bit negates it.
+func (o Op) Taken(a, b uint32) bool {
+	f := o.row().funct3
+	t := a == b
+	if f >= 4 {
+		t = less(a, b, f < 6)
+	}
+	return t != (f&1 != 0)
+}
+
+func less(a, b uint32, signed bool) bool {
+	if signed {
+		return int32(a) < int32(b)
+	}
+	return a < b
+}
+
+// Width returns the bytes a load or store moves: 1, 2 or 4 as funct3's low
+// two bits are 0, 1 or 2.
+func (o Op) Width() int { return 1 << (o.row().funct3 & 3) }
+
+// Extend widens the Width bytes a load read to 32 bits: with zeros if
+// funct3's bit 2 is set (lbu, lhu), else with their sign bit.
+func (o Op) Extend(v uint32) uint32 {
+	if f := o.row().funct3; f&4 == 0 {
+		s := 32 - 8<<(f&3)
+		v = uint32(int32(v<<s) >> s)
+	}
+	return v
+}
+
+// Codeword returns a cw instruction's port and codeword. funct3's bit 1
+// takes the port from register rs1 rather than the immediate in Rd, and
+// bit 0 the codeword from a register — rs2 after a register port, else
+// rs1 — rather than Imm.
+func (in Instr) Codeword(regs *[32]uint32) (port int, cw uint32) {
+	f := in.Op.row().funct3
+	port, cw, src := int(in.Rd), uint32(in.Imm), in.Rs1
+	if f&2 != 0 {
+		port, src = int(regs[in.Rs1]), in.Rs2
+	}
+	if f&1 != 0 {
+		cw = regs[src]
+	}
+	return port, cw
+}
 
 // Instr is one decoded HISQ instruction. Field usage mirrors RV32I: Rd is the
 // destination, Rs1/Rs2 sources, Imm the sign-extended immediate. The cw

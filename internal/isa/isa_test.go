@@ -365,3 +365,71 @@ func TestProgramText(t *testing.T) {
 		t.Fatalf("text = %q", txt)
 	}
 }
+
+// TestSemantics spells out what each op computes, by hand, on operands
+// whose signed and unsigned readings disagree: $1 = -16, $2 = 3, and an
+// immediate of 3, for rd = $5 at instruction index 10.
+func TestSemantics(t *testing.T) {
+	regs := [32]uint32{1: 0xfffffff0, 2: 3}
+	alu := map[Op]uint32{
+		OpLUI: 0x3000, OpAUIPC: 0x3028,
+		OpADDI: 0xfffffff3, OpSLTI: 1, OpSLTIU: 0, OpXORI: 0xfffffff3, OpORI: 0xfffffff3, OpANDI: 0,
+		OpSLLI: 0xffffff80, OpSRLI: 0x1ffffffe, OpSRAI: 0xfffffffe,
+		OpADD: 0xfffffff3, OpSUB: 0xffffffed, OpSLL: 0xffffff80, OpSLT: 1, OpSLTU: 0,
+		OpXOR: 0xfffffff3, OpSRL: 0x1ffffffe, OpSRA: 0xfffffffe, OpOR: 0xfffffff3, OpAND: 0,
+	}
+	taken := map[Op]bool{OpBEQ: false, OpBNE: true, OpBLT: true, OpBGE: false, OpBLTU: false, OpBGEU: true}
+	width := map[Op]int{OpLB: 1, OpLH: 2, OpLW: 4, OpLBU: 1, OpLHU: 2, OpSB: 1, OpSH: 2, OpSW: 4}
+	extend := map[Op]uint32{OpLB: 0xffffff80, OpLBU: 0x80, OpLH: 0xffff8080, OpLHU: 0x8080, OpLW: 0x80808080}
+	codeword := map[Op][2]uint32{OpCWII: {5, 3}, OpCWIR: {5, 0xfffffff0}, OpCWRI: {0xfffffff0, 3}, OpCWRR: {0xfffffff0, 3}}
+	units := map[Unit][]Op{
+		UnitNone: {OpInvalid, opCount, OpWAITI, OpWAITR, OpSYNC, OpFMR, OpSEND, OpRECV, OpHALT},
+		UnitJump: {OpJAL, OpJALR},
+	}
+	for op, want := range alu {
+		units[UnitALU] = append(units[UnitALU], op)
+		if got := (Instr{Op: op, Rd: 5, Rs1: 1, Rs2: 2, Imm: 3}).ALU(&regs, 10); got != want {
+			t.Errorf("%s: ALU = %#x, want %#x", op, got, want)
+		}
+	}
+	for op, want := range taken {
+		units[UnitBranch] = append(units[UnitBranch], op)
+		if got := op.Taken(regs[1], regs[2]); got != want {
+			t.Errorf("%s: Taken = %v, want %v", op, got, want)
+		}
+	}
+	for op, want := range width {
+		u := UnitLoad
+		if hisq[op].form == 'S' {
+			u = UnitStore
+		}
+		units[u] = append(units[u], op)
+		if got := op.Width(); got != want {
+			t.Errorf("%s: Width = %d, want %d", op, got, want)
+		}
+		if e, ok := extend[op]; ok {
+			if got := op.Extend(0x80808080 >> (32 - 8*want)); got != e {
+				t.Errorf("%s: Extend = %#x, want %#x", op, got, e)
+			}
+		}
+	}
+	for op, want := range codeword {
+		units[UnitNone] = append(units[UnitNone], op)
+		port, cw := (Instr{Op: op, Rd: 5, Rs1: 1, Rs2: 2, Imm: 3}).Codeword(&regs)
+		if uint32(port) != want[0] || cw != want[1] {
+			t.Errorf("%s: Codeword = %#x, %#x, want %#x, %#x", op, port, cw, want[0], want[1])
+		}
+	}
+	n := 0
+	for u, ops := range units {
+		for _, op := range ops {
+			n++
+			if got := op.Unit(); got != u {
+				t.Errorf("%s: Unit = %d, want %d", op, got, u)
+			}
+		}
+	}
+	if n != int(opCount)+1 {
+		t.Errorf("%d ops checked for a unit, want every op and one outside the table (%d)", n, opCount+1)
+	}
+}

@@ -604,7 +604,8 @@ func (m *Machine) reduceDigest(res *Result) error {
 	return nil
 }
 
-// RunCircuit is the one-call path: compile, load, run.
+// RunCircuit is the one-call path: compile, load, and one Shot at the
+// configured seed.
 func RunCircuit(c *circuit.Circuit, meshW, meshH int, mapping []int, cfg Config) (Result, *Machine, error) {
 	m, err := NewForCircuit(c, meshW, meshH, cfg)
 	if err != nil {
@@ -617,7 +618,7 @@ func RunCircuit(c *circuit.Circuit, meshW, meshH int, mapping []int, cfg Config)
 	if err := m.Load(cp); err != nil {
 		return Result{}, nil, err
 	}
-	res, err := m.Run()
+	res, _, err := m.Shot(m.Cfg.Seed)
 	return res, m, err
 }
 
