@@ -150,16 +150,19 @@ func TestCommittedBenchEnvelopes(t *testing.T) {
 	}
 }
 
-// Simulated cycles are deterministic, so the committed envelopes of the
-// simulated-cycle experiments are gated exactly: rerun at the flags recorded
-// in meta, each must produce the committed rows and gates again. A change
-// that moves a cycle count regenerates the file and shows the move in review.
+// Every experiment internal/exp owns is deterministic, so its committed
+// envelope is gated exactly: rerun at the flags recorded in meta, each must
+// produce the committed rows and gates again. A change that moves a number
+// regenerates the file and shows the move in review. fig15 at -scale 1 is
+// the pin of all twelve Fig. 15 rows (seconds, so it lives here and not in
+// internal/exp, which CI also runs under -race).
 func TestCommittedBenchRowsReproduce(t *testing.T) {
 	byName := map[string]exp.Experiment{}
 	for _, e := range exp.Registry() {
 		byName[e.Name] = e
 	}
-	for _, name := range []string{"collective", "fabric", "placement", "feedback", "remote"} {
+	for _, name := range []string{"table1", "fig11", "fig13", "fig14", "fig15", "ablation", "fig16",
+		"collective", "fabric", "placement", "feedback", "remote"} {
 		committed := readEnvelope(t, "../../BENCH_"+name+".json")
 		fresh, err := byName[name].Run(committed.Meta.Flags)
 		if err != nil {
