@@ -525,11 +525,13 @@ func (d Durations) Of(k Kind, param float64, eprLatency int64) int64 {
 	return d.OneQubit
 }
 
-// Depth returns the circuit's time depth in cycles under d, using ASAP
-// scheduling on per-qubit timelines and treating conditioned ops as ordinary
-// gates (the dependency through classical bits is charged by the full-system
-// simulation, not here). It is the metric for the Fig. 14 constant-depth
-// claim.
+// Depth returns the circuit's time depth in cycles under d: an ASAP
+// schedule on per-qubit timelines in which a conditioned op also waits for
+// the measurements that write its condition bits, with zero control
+// overhead, EPR generation at d.TwoQubit (latency 0) and partial barriers
+// ignored (a full barrier aligns every qubit). No control stack can finish
+// a shot sooner, which makes it the metric of the Fig. 14 constant-depth
+// claim and the floor under every Fig. 15 makespan.
 func (c *Circuit) Depth(d Durations) int64 {
 	avail := make([]int64, c.NumQubits)
 	measDone := make([]int64, c.NumBits)

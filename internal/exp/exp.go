@@ -139,31 +139,33 @@ func Registry() []Experiment {
 	return []Experiment{
 		{"table1", func(Args) (*Report, error) {
 			res := Table1()
-			return &Report{Rows: res, Text: res.Render()}, nil
+			return &Report{Rows: res, Gates: table1Gates(res.Rows), Text: renderRows(res.Rows, table1Cols)}, nil
 		}},
 		{"fig11", runFig11},
 		{"fig13", func(Args) (*Report, error) {
 			res, err := Fig13SyncWaveforms()
-			return &Report{Rows: res, Text: res.Render()}, err
+			return &Report{Rows: res, Gates: fig13Gates(res), Text: fig13Text(res)}, err
 		}},
 		{"fig14", func(a Args) (*Report, error) {
 			res, err := Fig14LongRange([]int{2, 4, 8, 16, 32}, true, a.Seed)
-			return &Report{Rows: res, Text: res.Render()}, err
+			return &Report{Rows: res, Gates: fig14Gates(res.Points), Text: renderRows(res.Points, fig14Cols)}, err
 		}},
 		{"fig15", func(a Args) (*Report, error) {
 			res, err := Fig15Runtime(Fig15Options{ScaleDiv: a.Scale, Seed: a.Seed})
-			return &Report{Rows: res, Text: res.Render() +
-				"paper: mean normalized runtime 0.772 (22.8% reduction)\n"}, err
+			return &Report{Rows: res, Gates: fig15Gates(res), Text: renderRows(res.Rows, fig15Cols) + fmt.Sprintf(
+				"mean normalized %.3f, vs favorable %.3f; paper: 0.772 (22.8%% reduction)\n",
+				res.Average, res.AverageFavorable)}, err
 		}},
 		{"ablation", func(a Args) (*Report, error) {
 			rows, err := AblationSyncAdvance(nil, a.Scale, a.Seed)
-			return &Report{Rows: rows, Text: renderRows(rows, ablationCols) +
+			return &Report{Rows: rows, Gates: ablationGates(rows), Text: renderRows(rows, ablationCols) +
 				"booking-in-advance (Fig. 6) vs sync-immediately-before (QubiC style, §2.1.3)\n"}, err
 		}},
 		{"fig16", func(a Args) (*Report, error) {
 			res, err := Fig16Fidelity(0, 0, nil, a.Seed)
-			return &Report{Rows: res, Text: res.Render() +
-				"paper: ~5x infidelity reduction across the T1 sweep\n"}, err
+			return &Report{Rows: res, Gates: fig16Gates(res), Text: fmt.Sprintf(
+				"makespans: bisp=%d cy, lockstep=%d cy, %d qubits\n", res.BISPMakespan, res.LockstepMakespan, res.Qubits) +
+				renderRows(res.Points, fig16Cols) + "paper: ~5x infidelity reduction across the T1 sweep\n"}, err
 		}},
 		{"fabric", func(a Args) (*Report, error) {
 			opt := FabricOptions{Seed: a.Seed}

@@ -300,11 +300,32 @@ func runFig11(a Args) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Report{Rows: []any{circle, spec, rabi, t1}, Text: fmt.Sprintf(
+	return &Report{Rows: []any{circle, spec, rabi, t1}, Gates: fig11Gates(spec, t1), Text: fmt.Sprintf(
 		"(a) draw circle:   R=%.3f center=(%.3f,%.3f) interference RMSE=%.4f\n"+
 			"(b) spectroscopy:  f0=%.4f GHz (true %.4f, paper 4.62)\n"+
 			"(c) rabi:          pi amplitude=%.4f (true %.4f)\n"+
 			"(d) relaxation:    T1=%.2f us (true %.2f, paper 9.9)\n",
 		circle.Circle.R, circle.Circle.X0, circle.Circle.Y0, circle.RMSE,
 		spec.Fit.X0, spec.TrueF0, rabi.PiAmp, rabi.TruePi, t1.T1Us, t1.TrueT1Us)}, nil
+}
+
+// fig11T1Tolerance is how far, as a fraction of the device's T1, the
+// Fig. 11(d) fit may land from it. At dhisq-bench's 21 delays × 150 shots
+// the worst of seeds 1–30 is 10.7 % (the paper's own cross-check
+// differed by 3 %: 9.9 vs 10.2 µs).
+const fig11T1Tolerance = 0.2
+
+// fig11Gates holds the §6.1 calibration loop to the device it calibrates:
+// one unmodified HISQ core drives the AWG-style and readout-style actions
+// that find the qubit.
+//
+//   - resonance_ghz: the spectroscopy fit is within 0.02 GHz of the
+//     paper's 4.62 GHz resonance (the value is the distance).
+//   - t1_fit: the relaxation fit is within fig11T1Tolerance of the
+//     device's T1 (the value is the relative error).
+func fig11Gates(spec Fig11SpectroscopyResult, t1 Fig11T1Result) []Gate {
+	return []Gate{
+		NewGate("resonance_ghz", math.Abs(spec.Fit.X0-4.62), "<=", 0.02),
+		NewGate("t1_fit", math.Abs(t1.T1Us-t1.TrueT1Us)/t1.TrueT1Us, "<=", fig11T1Tolerance),
+	}
 }

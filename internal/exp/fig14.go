@@ -82,17 +82,65 @@ func Fig14LongRange(distances []int, runMachine bool, seed int64) (Fig14Result, 
 	return out, nil
 }
 
-// Render formats the sweep.
-func (r Fig14Result) Render() string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			fmt.Sprint(p.Distance),
-			fmt.Sprint(p.DynamicDepth),
-			fmt.Sprint(p.SwapDepth),
-			fmt.Sprint(p.DynamicMake),
-			fmt.Sprint(p.SwapMake),
-		})
+var fig14Cols = []column[Fig14Point]{
+	{"distance", func(p Fig14Point) string { return fmt.Sprint(p.Distance) }},
+	{"dyn depth(cy)", func(p Fig14Point) string { return fmt.Sprint(p.DynamicDepth) }},
+	{"swap depth(cy)", func(p Fig14Point) string { return fmt.Sprint(p.SwapDepth) }},
+	{"dyn makespan", func(p Fig14Point) string { return fmt.Sprint(p.DynamicMake) }},
+	{"swap makespan", func(p Fig14Point) string { return fmt.Sprint(p.SwapMake) }},
+}
+
+// fig14Gates holds Fig. 14's claim — the dynamic long-range CNOT "maintains
+// constant circuit depth as the number of qubits grows" while SWAP routing
+// pays for the distance — on a sweep in ascending distance order that
+// reaches both sides of distances 8 and 16.
+//
+//   - points: the sweep has at least two distances.
+//   - dynamic_depth_flat: every point's dynamic depth equals the first's.
+//   - swap_depth_rising: swap depth strictly rises with distance.
+//   - crossover_8_to_16: swap routing is the shallower of the two at every
+//     distance up to 8 and the deeper from 16 on, and the sweep has points
+//     on both sides.
+//   - dynamic_makespan_growth: from the first distance to the last, the
+//     dynamic makespan through the full stack grows by a smaller factor
+//     than the swap makespan (the value is the dynamic factor, the bound
+//     the swap one).
+func fig14Gates(points []Fig14Point) []Gate {
+	if len(points) < 2 {
+		return []Gate{NewGate("points", float64(len(points)), ">=", 2)}
 	}
-	return Table([]string{"distance", "dyn depth(cy)", "swap depth(cy)", "dyn makespan", "swap makespan"}, rows)
+	first, last := points[0], points[len(points)-1]
+	uneven, flat, crossover := 0, 0, 0
+	below, above := false, false
+	for i, p := range points {
+		if p.DynamicDepth != first.DynamicDepth {
+			uneven++
+		}
+		if i > 0 && p.SwapDepth <= points[i-1].SwapDepth {
+			flat++
+		}
+		if p.Distance <= 8 {
+			below = true
+			if p.SwapDepth >= p.DynamicDepth {
+				crossover++
+			}
+		}
+		if p.Distance >= 16 {
+			above = true
+			if p.SwapDepth <= p.DynamicDepth {
+				crossover++
+			}
+		}
+	}
+	if !below || !above {
+		crossover++
+	}
+	growth := func(to, from sim.Time) float64 { return float64(to) / float64(from) }
+	return []Gate{
+		NewGate("dynamic_depth_flat", float64(uneven), "==", 0),
+		NewGate("swap_depth_rising", float64(flat), "==", 0),
+		NewGate("crossover_8_to_16", float64(crossover), "==", 0),
+		NewGate("dynamic_makespan_growth", growth(last.DynamicMake, first.DynamicMake), "<",
+			growth(last.SwapMake, first.SwapMake)),
+	}
 }

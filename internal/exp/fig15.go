@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"dhisq/internal/baseline"
 	"dhisq/internal/chip"
@@ -21,7 +22,10 @@ type Fig15Row struct {
 	// Favorable is the lock-step makespan under the paper's fully favourable
 	// assumption (§6.4.3): constant feedback latency with unlimited broadcast
 	// concurrency.
-	Favorable     sim.Time
+	Favorable sim.Time
+	// Floor is the circuit's depth under the machine's durations
+	// (circuit.Depth): no control stack can finish the shot sooner.
+	Floor         sim.Time
 	Normalized    float64 // BISP / Lockstep (baseline = 1.0)
 	NormFavorable float64 // BISP / Favorable
 	Feedbacks     uint64
@@ -40,8 +44,9 @@ type Fig15Options struct {
 
 // Fig15Result is the full figure.
 type Fig15Result struct {
-	Rows    []Fig15Row
-	Average float64 // mean normalized runtime (paper: 0.772)
+	Rows             []Fig15Row
+	Average          float64 // mean normalized runtime (paper: 0.772)
+	AverageFavorable float64 // mean BISP / Favorable
 }
 
 // Fig15Runtime reproduces Figure 15: every benchmark compiled and executed
@@ -60,7 +65,7 @@ func Fig15Runtime(opt Fig15Options) (Fig15Result, error) {
 		names = workloads.Fig15Names()
 	}
 	var out Fig15Result
-	sum := 0.0
+	sum, favSum := 0.0, 0.0
 	for _, name := range names {
 		b, err := workloads.BuildScaled(name, opt.ScaleDiv)
 		if err != nil {
@@ -72,9 +77,11 @@ func Fig15Runtime(opt Fig15Options) (Fig15Result, error) {
 		}
 		out.Rows = append(out.Rows, row)
 		sum += row.Normalized
+		favSum += row.NormFavorable
 	}
 	if len(out.Rows) > 0 {
 		out.Average = sum / float64(len(out.Rows))
+		out.AverageFavorable = favSum / float64(len(out.Rows))
 	}
 	return out, nil
 }
@@ -120,6 +127,7 @@ func fig15One(b workloads.Benchmark, seed int64) (Fig15Row, error) {
 		BISP:          res.Makespan,
 		Lockstep:      bres.Makespan,
 		Favorable:     fres.Makespan,
+		Floor:         sim.Time(b.Circuit.Depth(cfg.Durations)),
 		Normalized:    norm,
 		NormFavorable: normFav,
 		Feedbacks:     bres.Feedbacks,
@@ -127,25 +135,40 @@ func fig15One(b workloads.Benchmark, seed int64) (Fig15Row, error) {
 	}, nil
 }
 
-// Render formats the figure as a table.
-func (r Fig15Result) Render() string {
-	rows := make([][]string, 0, len(r.Rows)+1)
-	favSum := 0.0
+var fig15Cols = []column[Fig15Row]{
+	{"benchmark", func(r Fig15Row) string { return r.Name }},
+	{"qubits", func(r Fig15Row) string { return fmt.Sprint(r.Qubits) }},
+	{"floor(cy)", func(r Fig15Row) string { return fmt.Sprint(r.Floor) }},
+	{"bisp(cy)", func(r Fig15Row) string { return fmt.Sprint(r.BISP) }},
+	{"lockstep(cy)", func(r Fig15Row) string { return fmt.Sprint(r.Lockstep) }},
+	{"normalized", func(r Fig15Row) string { return fmt.Sprintf("%.3f", r.Normalized) }},
+	{"vs favorable", func(r Fig15Row) string { return fmt.Sprintf("%.3f", r.NormFavorable) }},
+}
+
+// fig15PaperBound is how far the mean normalized runtime may sit from the
+// paper's 0.772. At -scale 1 the mean reads 0.519 against the star-hub
+// lock-step (1.098 against the favourable one); ROADMAP item 1(c) asks
+// why, and the bound holds that distance from growing unnoticed.
+const fig15PaperBound = 0.3
+
+// fig15Gates holds Figure 15's headline claim (§6.4): BISP cuts the
+// end-to-end runtime of dynamic-circuit benchmarks against the lock-step
+// baseline (the paper: by 22.8 % on average, a mean of 0.772).
+//
+//   - mean_normalized: the mean BISP / lock-step ratio is below 1.
+//   - bisp_below_floor: no row's BISP makespan is below its floor, the
+//     circuit's dependency depth; a break is a timing-model bug.
+//   - paper_distance: |mean − 0.772| is within fig15PaperBound.
+func fig15Gates(r Fig15Result) []Gate {
+	under := 0
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Name,
-			fmt.Sprint(row.Qubits),
-			fmt.Sprint(row.BISP),
-			fmt.Sprint(row.Lockstep),
-			fmt.Sprintf("%.3f", row.Normalized),
-			fmt.Sprintf("%.3f", row.NormFavorable),
-		})
-		favSum += row.NormFavorable
+		if row.BISP < row.Floor {
+			under++
+		}
 	}
-	favAvg := 0.0
-	if len(r.Rows) > 0 {
-		favAvg = favSum / float64(len(r.Rows))
+	return []Gate{
+		NewGate("mean_normalized", r.Average, "<", 1),
+		NewGate("bisp_below_floor", float64(under), "==", 0),
+		NewGate("paper_distance", math.Abs(r.Average-0.772), "<=", fig15PaperBound),
 	}
-	rows = append(rows, []string{"avg", "", "", "", fmt.Sprintf("%.3f", r.Average), fmt.Sprintf("%.3f", favAvg)})
-	return Table([]string{"benchmark", "qubits", "bisp(cy)", "lockstep(cy)", "normalized", "vs favorable"}, rows)
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"dhisq/internal/baseline"
 	"dhisq/internal/chip"
@@ -112,18 +113,36 @@ func Fig16Fidelity(distance, repetitions int, t1us []float64, seed int64) (Fig16
 	return out, nil
 }
 
-// Render formats the sweep.
-func (r Fig16Result) Render() string {
-	rows := make([][]string, 0, len(r.Points))
+var fig16Cols = []column[Fig16Point]{
+	{"T1(us)", func(p Fig16Point) string { return fmt.Sprintf("%.0f", p.T1us) }},
+	{"bisp infid", func(p Fig16Point) string { return fmt.Sprintf("%.3e", p.BISPInfid) }},
+	{"lockstep infid", func(p Fig16Point) string { return fmt.Sprintf("%.3e", p.LockstepInfid) }},
+	{"reduction", func(p Fig16Point) string { return fmt.Sprintf("%.2f", p.Ratio) }},
+}
+
+// fig16Gates holds Figure 16's claim (§6.4): BISP's concurrent feedback
+// cuts program infidelity by a roughly constant factor across the T1
+// sweep (the paper: ~5×; this model reads 2.93–3.25×, and ROADMAP item
+// 1(c) asks why).
+//
+//   - bisp_makespan: BISP finishes the all-feedback circuit before
+//     lock-step does (the value is BISP's makespan, the bound lock-step's).
+//   - reduction_at_least_2: every T1 point cuts infidelity at least 2×.
+//   - reduction_flat: every point's reduction is within 30 % of the first
+//     point's.
+func fig16Gates(r Fig16Result) []Gate {
+	low, drift := 0, 0
 	for _, p := range r.Points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0f", p.T1us),
-			fmt.Sprintf("%.3e", p.BISPInfid),
-			fmt.Sprintf("%.3e", p.LockstepInfid),
-			fmt.Sprintf("%.2f", p.Ratio),
-		})
+		if p.Ratio < 2 {
+			low++
+		}
+		if first := r.Points[0].Ratio; math.Abs(p.Ratio-first) > 0.3*first {
+			drift++
+		}
 	}
-	head := fmt.Sprintf("makespans: bisp=%d cy, lockstep=%d cy, %d qubits\n",
-		r.BISPMakespan, r.LockstepMakespan, r.Qubits)
-	return head + Table([]string{"T1(us)", "bisp infid", "lockstep infid", "reduction"}, rows)
+	return []Gate{
+		NewGate("bisp_makespan", float64(r.BISPMakespan), "<", float64(r.LockstepMakespan)),
+		NewGate("reduction_at_least_2", float64(low), "==", 0),
+		NewGate("reduction_flat", float64(drift), "==", 0),
+	}
 }

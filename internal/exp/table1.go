@@ -39,17 +39,28 @@ func Table1() Table1Result {
 	return Table1Result{Rows: rows, AllMatch: all}
 }
 
-// Render formats the table with the paper's values for comparison.
-func (t Table1Result) Render() string {
-	rows := make([][]string, 0, len(t.Rows))
-	for _, r := range t.Rows {
-		rows = append(rows, []string{
-			r.Name,
-			fmt.Sprintf("%d (%d)", r.Est.LUTs, r.PaperLUTs),
-			fmt.Sprintf("%.1f (%.1f)", r.Est.BRAMBlocks, r.PaperBRAM),
-			fmt.Sprintf("%d (%d)", r.Est.FFs, r.PaperFFs),
-			fmt.Sprint(r.MatchesPaper),
-		})
+var table1Cols = []column[Table1Row]{
+	{"type", func(r Table1Row) string { return r.Name }},
+	{"#LUTs (paper)", func(r Table1Row) string { return fmt.Sprintf("%d (%d)", r.Est.LUTs, r.PaperLUTs) }},
+	{"#BRAM blocks (paper)", func(r Table1Row) string { return fmt.Sprintf("%.1f (%.1f)", r.Est.BRAMBlocks, r.PaperBRAM) }},
+	{"#FF (paper)", func(r Table1Row) string { return fmt.Sprintf("%d (%d)", r.Est.FFs, r.PaperFFs) }},
+	{"match", func(r Table1Row) string { return fmt.Sprint(r.MatchesPaper) }},
+}
+
+// table1Gates holds the resource model to the paper's Table 1.
+//
+//   - rows: all three of the table's rows are there.
+//   - rows_match: every row's LUTs, FFs and BRAM blocks equal the
+//     published ones.
+func table1Gates(rows []Table1Row) []Gate {
+	off := 0
+	for _, r := range rows {
+		if !r.MatchesPaper {
+			off++
+		}
 	}
-	return Table([]string{"type", "#LUTs (paper)", "#BRAM blocks (paper)", "#FF (paper)", "match"}, rows)
+	return []Gate{
+		NewGate("rows", float64(len(rows)), "==", 3),
+		NewGate("rows_match", float64(off), "==", 0),
+	}
 }
