@@ -87,12 +87,12 @@ func TestTableRenderer(t *testing.T) {
 	}
 }
 
-// Every paper figure runs through the registry and holds all its gates: at
-// default flags, except fig15 and the ablation at ÷16 (seconds at -scale 1,
-// where cmd/dhisq-bench's TestCommittedBenchRowsReproduce runs them). Every
-// fig15 gate holds at ÷16 too, though qft_n30 and qft_n100 are one 8-qubit
-// circuit there, counted twice in the mean; the ablation's capped divisor
-// keeps its two rows apart.
+// Every paper figure runs through the registry and holds all its gates, at
+// default flags except two run at ÷16 (cmd/dhisq-bench's
+// TestCommittedBenchRowsReproduce runs both at -scale 1). fig15 takes
+// seconds at -scale 1; every one of its gates holds at ÷16 too, though
+// qft_n30 and qft_n100 are one 8-qubit circuit there, counted twice in the
+// mean. At ÷16 the ablation's capped divisor must keep its two rows apart.
 func TestPaperFiguresHoldTheirGates(t *testing.T) {
 	scale := map[string]int{"table1": 1, "fig11": 1, "fig13": 1, "fig14": 1, "fig15": 16, "fig16": 1, "ablation": 16}
 	for _, e := range Registry() {
