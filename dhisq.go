@@ -309,10 +309,12 @@ func AttachArtifactStore(dir string, maxBytes int64) error {
 	return nil
 }
 
-// Lockstep executes a circuit under the paper's lock-step baseline
-// (§6.4.3) with a seeded outcome source and returns its makespan in cycles.
+// Lockstep executes a circuit under the paper's star-hub lock-step
+// baseline (§6.4.3) with a seeded outcome source and the default machine's
+// timing, and returns its makespan in cycles.
 func Lockstep(c *Circuit, seed int64) (sim.Time, error) {
-	res, err := baseline.Run(c, baseline.DefaultConfig(chip.NewSeeded(seed)))
+	cfg := machine.DefaultConfig(c.NumQubits)
+	res, err := baseline.Run(c, baseline.Hub, chip.NewSeeded(seed), cfg.Durations, cfg.MeasLatency)
 	if err != nil {
 		return 0, err
 	}

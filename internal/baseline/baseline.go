@@ -22,6 +22,7 @@
 package baseline
 
 import (
+	"errors"
 	"fmt"
 
 	"dhisq/internal/chip"
@@ -29,79 +30,51 @@ import (
 	"dhisq/internal/sim"
 )
 
-// Config parameterizes the lock-step run.
-type Config struct {
-	Durations circuit.Durations
-	// MeasLatency is the delay from measurement start to the result being
-	// latched at its own controller (window + discrimination), as in the
-	// Distributed-HISQ machine.
-	MeasLatency sim.Time
-	// Broadcast is the constant result-distribution latency through the
-	// central controller (§6.4.3: "communication latency of a feedback
-	// operation as constant, regardless of the number of qubits").
-	Broadcast sim.Time
-	// Backend supplies measurement outcomes; use the same seeded backend as
-	// the BISP run for a branch-identical comparison.
-	Backend chip.Backend
-	// IssueCost models the instruction-issue-rate burden of the shared
-	// program flow (§1.1, §2.1.2): every controller steps through the merged
-	// program — including other controllers' operations replaced by
-	// wait/idle/delay instructions — so the global flow advances at least
-	// IssueCost cycles per program operation.
-	IssueCost sim.Time
-	// SerializeBroadcasts routes every measurement result through the single
-	// central controller's bus (one broadcast at a time). The paper's
-	// favourable baseline assumes constant per-feedback latency, which this
-	// preserves, but a star hub still serializes *simultaneous* results.
-	SerializeBroadcasts bool
+// Broadcast is the constant result-distribution latency through the
+// central controller, a 10-cycle (40 ns) round trip (§6.4.3:
+// "communication latency of a feedback operation as constant, regardless
+// of the number of qubits").
+const Broadcast sim.Time = 10
+
+// Comparator is one lock-step system the comparison can mean: a name and
+// the assumption, with its § cite, that sets it apart.
+type Comparator struct {
+	Name       string
+	Assumption string
+	hub        bool // simultaneous results serialize on the central bus
 }
 
-// DefaultConfig mirrors the machine defaults with a 10-cycle (40 ns)
-// round-trip broadcast through the central controller.
-func DefaultConfig(backend chip.Backend) Config {
-	d := circuit.PaperDurations()
-	return Config{
-		Durations:           d,
-		MeasLatency:         d.Measure + 5,
-		Broadcast:           10,
-		Backend:             backend,
-		IssueCost:           0,
-		SerializeBroadcasts: true,
-	}
-}
+// Hub is the comparator Fig. 15's headline mean, Fig. 16 and the
+// facade's Lockstep read.
+var Hub = Comparator{"hub", "§6.4.3 after [18, 51]: a star topology, with simultaneous results serializing on the central bus", true}
 
-// FavorableConfig is the paper's §6.4.3 assumption taken literally:
-// feedback latency constant regardless of qubit count *and* unlimited
-// broadcast concurrency (no hub bus). It is strictly generous to lock-step.
-func FavorableConfig(backend chip.Backend) Config {
-	c := DefaultConfig(backend)
-	c.SerializeBroadcasts = false
-	return c
+// Comparators is every lock-step comparator, in report order. All of them
+// end a run at the last operation's end and charge no trailing broadcast,
+// while BISP's makespan ends when halt retires after the last result
+// latch; ROADMAP item 1(c) aligns the two ends.
+var Comparators = []Comparator{
+	Hub,
+	{"favorable", "§6.4.3 taken literally: constant feedback latency and unlimited broadcast concurrency", false},
 }
 
 // Result summarizes a lock-step execution.
 type Result struct {
-	Makespan     sim.Time
-	Gates        uint64
-	Measurements uint64
-	Feedbacks    uint64
-	// SerializedWait is the total extra time conditioned operations spent
-	// waiting on the global watermark beyond their data dependencies — the
-	// cost of forcing one program flow.
-	SerializedWait sim.Time
-	Bits           []int
+	Makespan sim.Time
+	Bits     []int
 }
 
-// Run executes the circuit under lock-step semantics and returns the
-// makespan and classical record.
-func Run(c *circuit.Circuit, cfg Config) (Result, error) {
+// Run executes the circuit under cmp's lock-step semantics, drawing
+// outcomes from backend (the BISP run's seeded source, for identical
+// branches), with the durations d and measurement latency measLatency
+// (measurement start to the result latched at its own controller) of the
+// machine configuration the BISP side was built from.
+func Run(c *circuit.Circuit, cmp Comparator, backend chip.Backend, d circuit.Durations, measLatency sim.Time) (Result, error) {
 	if err := c.Validate(); err != nil {
 		return Result{}, err
 	}
-	if cfg.Backend == nil {
-		cfg.Backend = chip.NewSeeded(1)
+	if backend == nil {
+		return Result{}, errors.New("baseline: nil backend")
 	}
-	d := cfg.Durations
 	avail := make([]sim.Time, c.NumQubits)  // per-qubit availability
 	bitReady := make([]sim.Time, c.NumBits) // when a bit is broadcast-visible
 	bits := make([]int, c.NumBits)
@@ -110,9 +83,6 @@ func Run(c *circuit.Circuit, cfg Config) (Result, error) {
 	res := Result{Bits: bits}
 
 	for _, op := range c.Ops {
-		// Issue-rate floor: the shared flow steps through every operation of
-		// the merged program on all controllers.
-		watermark += cfg.IssueCost
 		if op.Kind == circuit.Barrier {
 			// Global barrier: lift the watermark to every qubit's frontier.
 			for _, t := range avail {
@@ -125,7 +95,6 @@ func Run(c *circuit.Circuit, cfg Config) (Result, error) {
 			start = max(start, avail[q])
 		}
 		if op.Cond != nil {
-			res.Feedbacks++
 			// The decision needs every condition bit broadcast to all
 			// controllers; the whole flow waits for the decision.
 			for _, b := range op.Cond.Bits {
@@ -134,10 +103,7 @@ func Run(c *circuit.Circuit, cfg Config) (Result, error) {
 			// Decision point: the shared flow cannot advance past an
 			// unresolved branch, so later operations in program order start
 			// no earlier than this decision.
-			if start > watermark {
-				res.SerializedWait += start - watermark
-				watermark = start
-			}
+			watermark = max(watermark, start)
 			if !op.Cond.Holds(bits) {
 				// The skipped branch still consumes the decision point but
 				// no gate time (shared flow skips together, unlike
@@ -151,25 +117,19 @@ func Run(c *circuit.Circuit, cfg Config) (Result, error) {
 		}
 		var q [2]int
 		copy(q[:], op.Qubits)
-		out := chip.Apply(cfg.Backend, op.Kind, op.Param, q[0], q[1])
-		switch op.Kind {
-		case circuit.Measure:
+		out := chip.Apply(backend, op.Kind, op.Param, q[0], q[1])
+		if op.Kind == circuit.Measure {
 			bits[op.CBit] = out
-			res.Measurements++
 			// Result latched locally, then broadcast via the central node.
-			latched := start + cfg.MeasLatency
-			if cfg.SerializeBroadcasts {
+			latched := start + measLatency
+			if cmp.hub {
 				// The star topology has one hub: simultaneous results
 				// serialize on its bus.
-				busUntil = max(busUntil, latched)
-				busUntil += cfg.Broadcast
+				busUntil = max(busUntil, latched) + Broadcast
 				bitReady[op.CBit] = busUntil
 			} else {
-				bitReady[op.CBit] = latched + cfg.Broadcast
+				bitReady[op.CBit] = latched + Broadcast
 			}
-		case circuit.Delay:
-		default:
-			res.Gates++
 		}
 		res.Makespan = max(res.Makespan, end)
 	}

@@ -1,43 +1,75 @@
 package baseline
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"dhisq/internal/chip"
 	"dhisq/internal/circuit"
+	"dhisq/internal/machine"
 )
 
-func run(t *testing.T, c *circuit.Circuit, cfg Config) Result {
+// paper is the machine configuration every test's BISP side would use.
+var paper = machine.DefaultConfig(4)
+
+func run(t *testing.T, c *circuit.Circuit, cmp Comparator, backend chip.Backend) Result {
 	t.Helper()
-	res, err := Run(c, cfg)
+	res, err := Run(c, cmp, backend, paper.Durations, paper.MeasLatency)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
+// TestComparatorsPinned holds the table's surface: the row names in
+// report order, hub first, and a § cite in every stated assumption.
+func TestComparatorsPinned(t *testing.T) {
+	var names []string
+	for _, c := range Comparators {
+		names = append(names, c.Name)
+		if !strings.Contains(c.Assumption, "§") {
+			t.Errorf("%s: assumption %q cites no §", c.Name, c.Assumption)
+		}
+	}
+	if want := []string{"hub", "favorable"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("comparator names = %v, want %v", names, want)
+	}
+	if Comparators[0] != Hub {
+		t.Fatalf("first comparator %+v is not Hub", Comparators[0])
+	}
+}
+
+// TestRunRefuses: Run answers an invalid circuit or a missing outcome
+// source with an error, never a makespan.
+func TestRunRefuses(t *testing.T) {
+	ok := circuit.New(1)
+	ok.MeasureInto(0, 0)
+	bad := circuit.New(1)
+	bad.H(3)
+	for _, tc := range []struct {
+		name    string
+		c       *circuit.Circuit
+		backend chip.Backend
+		want    string
+	}{
+		{"invalid circuit", bad, chip.NewSeeded(1), "qubit"},
+		{"nil backend", ok, nil, "baseline: nil backend"},
+	} {
+		_, err := Run(tc.c, Hub, tc.backend, paper.Durations, paper.MeasLatency)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestDeterministicOpsOverlap(t *testing.T) {
 	// Parallel H gates on different qubits cost one gate time, not four.
 	c := circuit.New(4)
 	c.H(0).H(1).H(2).H(3)
-	cfg := DefaultConfig(chip.NewSeeded(1))
-	cfg.IssueCost = 0
-	res := run(t, c, cfg)
-	if res.Makespan != cfg.Durations.OneQubit {
-		t.Fatalf("makespan = %d, want %d", res.Makespan, cfg.Durations.OneQubit)
-	}
-}
-
-func TestIssueCostSerializesFlow(t *testing.T) {
-	c := circuit.New(4)
-	for i := 0; i < 100; i++ {
-		c.H(i % 4)
-	}
-	cfg := DefaultConfig(chip.NewSeeded(1))
-	cfg.IssueCost = 2
-	res := run(t, c, cfg)
-	if res.Makespan < 200 {
-		t.Fatalf("issue cost not charged: makespan %d", res.Makespan)
+	res := run(t, c, Hub, chip.NewSeeded(1))
+	if res.Makespan != paper.Durations.OneQubit {
+		t.Fatalf("makespan = %d, want %d", res.Makespan, paper.Durations.OneQubit)
 	}
 }
 
@@ -46,16 +78,11 @@ func TestConditionalWaitsForBroadcast(t *testing.T) {
 	c.X(0)
 	b := c.MeasureNew(0)
 	c.CondGate(circuit.X, circuit.Condition{Bits: []int{b}, Parity: 1}, 1)
-	cfg := DefaultConfig(chip.NewSeeded(1))
-	cfg.IssueCost = 0
-	res := run(t, c, cfg)
+	res := run(t, c, Hub, chip.NewSeeded(1))
 	// X(5) + measure start at 5, latched at 5+80, broadcast +10, then X(5).
-	want := int64(5) + cfg.MeasLatency + cfg.Broadcast + 5
-	if int64(res.Makespan) != want {
+	want := 5 + paper.MeasLatency + Broadcast + 5
+	if res.Makespan != want {
 		t.Fatalf("makespan = %d, want %d", res.Makespan, want)
-	}
-	if res.Feedbacks != 1 {
-		t.Fatalf("feedbacks = %d", res.Feedbacks)
 	}
 }
 
@@ -72,12 +99,8 @@ func TestUntakenBranchSkipsGateTime(t *testing.T) {
 		c.H(1)
 		return c
 	}
-	cfg := DefaultConfig(chip.NewStateVec(2, 1))
-	cfg.IssueCost = 0
-	taken := run(t, build(true), cfg)
-	cfg2 := DefaultConfig(chip.NewStateVec(2, 2))
-	cfg2.IssueCost = 0
-	skipped := run(t, build(false), cfg2)
+	taken := run(t, build(true), Hub, chip.NewStateVec(2, 1))
+	skipped := run(t, build(false), Hub, chip.NewStateVec(2, 2))
 	if skipped.Makespan >= taken.Makespan {
 		t.Fatalf("skipped branch (%d) should beat taken (%d)", skipped.Makespan, taken.Makespan)
 	}
@@ -97,19 +120,15 @@ func TestHubSerializesSimultaneousResults(t *testing.T) {
 		}
 		return c
 	}
-	hub := DefaultConfig(chip.NewSeeded(3))
-	hub.IssueCost = 0
-	fav := FavorableConfig(chip.NewSeeded(3))
-	fav.IssueCost = 0
-	hr := run(t, build(), hub)
-	fr := run(t, build(), fav)
+	hr := run(t, build(), Hub, chip.NewSeeded(3))
+	fr := run(t, build(), Comparators[1], chip.NewSeeded(3))
 	if hr.Makespan <= fr.Makespan {
 		t.Fatalf("hub (%d) should be slower than favorable (%d)", hr.Makespan, fr.Makespan)
 	}
 	// The last consumed result trails by up to 3 extra broadcast slots
 	// (exactly which conditional ends last depends on the seeded outcomes).
-	if d := hr.Makespan - fr.Makespan; d < 2*hub.Broadcast || d > 3*hub.Broadcast {
-		t.Fatalf("hub penalty = %d, want within [%d,%d]", d, 2*hub.Broadcast, 3*hub.Broadcast)
+	if d := hr.Makespan - fr.Makespan; d < 2*Broadcast || d > 3*Broadcast {
+		t.Fatalf("hub penalty = %d, want within [%d,%d]", d, 2*Broadcast, 3*Broadcast)
 	}
 }
 
@@ -118,9 +137,7 @@ func TestBarrierLiftsWatermark(t *testing.T) {
 	c.MeasureInto(0, 0) // 75 cycles on qubit 0
 	c.BarrierAll()
 	c.H(1) // must start after the barrier
-	cfg := DefaultConfig(chip.NewSeeded(1))
-	cfg.IssueCost = 0
-	res := run(t, c, cfg)
+	res := run(t, c, Hub, chip.NewSeeded(1))
 	if res.Makespan != 75+5 {
 		t.Fatalf("makespan = %d, want 80", res.Makespan)
 	}
@@ -133,8 +150,7 @@ func TestOutcomesMatchBackend(t *testing.T) {
 	c.CNOT(0, 1)
 	c.MeasureInto(0, 0)
 	c.MeasureInto(1, 1)
-	cfg := DefaultConfig(chip.NewStateVec(2, 5))
-	res := run(t, c, cfg)
+	res := run(t, c, Hub, chip.NewStateVec(2, 5))
 	if res.Bits[0] != 1 || res.Bits[1] != 1 {
 		t.Fatalf("bits = %v", res.Bits)
 	}

@@ -17,6 +17,7 @@ import (
 	"dhisq/internal/chip"
 	"dhisq/internal/circuit"
 	"dhisq/internal/compiler"
+	"dhisq/internal/machine"
 	"dhisq/internal/sim"
 )
 
@@ -284,7 +285,7 @@ func renderGateSet() string {
 
 		// Durations: the four places that charge an op its cycles.
 		d := circuit.PaperDurations()
-		lock, err := baseline.Run(oneOp(op), baseline.DefaultConfig(chip.NewSeeded(goldenSeed)))
+		lock, err := baseline.Run(oneOp(op), baseline.Hub, chip.NewSeeded(goldenSeed), d, machine.DefaultConfig(4).MeasLatency)
 		lockstep := fmt.Sprint(lock.Makespan)
 		if err != nil {
 			lockstep = "refused: " + err.Error()

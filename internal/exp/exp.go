@@ -152,9 +152,7 @@ func Registry() []Experiment {
 		}},
 		{"fig15", func(a Args) (*Report, error) {
 			res, err := Fig15Runtime(Fig15Options{ScaleDiv: a.Scale, Seed: a.Seed})
-			return &Report{Rows: res, Gates: fig15Gates(res), Text: renderRows(res.Rows, fig15Cols) + fmt.Sprintf(
-				"mean normalized %.3f, vs favorable %.3f; paper: 0.772 (22.8%% reduction)\n",
-				res.Average, res.AverageFavorable)}, err
+			return &Report{Rows: res, Gates: fig15Gates(res), Text: fig15Text(res)}, err
 		}},
 		{"ablation", func(a Args) (*Report, error) {
 			rows, err := AblationSyncAdvance(nil, a.Scale, a.Seed)

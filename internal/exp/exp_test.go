@@ -137,8 +137,11 @@ func TestPaperGatesCatchRegression(t *testing.T) {
 		{Distance: 16, DynamicDepth: 210, SwapDepth: 315, DynamicMake: 350, SwapMake: 350},
 	}
 	requireFail(t, fig14Gates(fig14), "dynamic_depth_flat")
-	below := Fig15Result{Rows: []Fig15Row{{BISP: 90, Floor: 100}}, Average: 0.8}
+	hub := map[string]float64{"hub": 0.8}
+	below := Fig15Result{Rows: []Fig15Row{{BISP: 90, Floor: 100}}, Mean: hub}
 	requireFail(t, fig15Gates(below), "bisp_below_floor")
+	lockBelow := Fig15Result{Rows: []Fig15Row{{BISP: 110, Floor: 100, Lockstep: []Fig15Cell{{"hub", 120, 0.92}, {"favorable", 95, 1.16}}}}, Mean: hub}
+	requireFail(t, fig15Gates(lockBelow), "lockstep_below_floor")
 	drift := Fig16Result{BISPMakespan: 500, LockstepMakespan: 1700, Points: []Fig16Point{{Ratio: 3}, {Ratio: 4.2}}}
 	requireFail(t, fig16Gates(drift), "reduction_flat")
 	twice := []AblationRow{{Qubits: 8, Advance: 819, NoAdvance: 835}, {Qubits: 8, Advance: 819, NoAdvance: 835}}

@@ -84,7 +84,7 @@ func Fig16Fidelity(distance, repetitions int, t1us []float64, seed int64) (Fig16
 		return Fig16Result{}, err
 	}
 	res := set.Shots[0].Result
-	bres, err := baseline.Run(phys, baseline.DefaultConfig(chip.NewSeeded(seed)))
+	bres, err := baseline.Run(phys, baseline.Hub, chip.NewSeeded(seed), cfg.Durations, cfg.MeasLatency)
 	if err != nil {
 		return Fig16Result{}, err
 	}
