@@ -283,12 +283,10 @@ func TestSubmitWithFabricOverrides(t *testing.T) {
 }
 
 // The collective knob travels the wire: a job naming a schedule runs the
-// collective-aware lowering plus the digest reduce, still returns a legal
-// GHZ histogram, and moves the net_collective_* counters that GET
-// /v1/stats reports by those exact JSON names; a bogus schedule is
-// rejected at submission like a bogus topology.
+// collective-aware lowering and still returns a legal GHZ histogram; a
+// bogus schedule is rejected at submission like a bogus topology.
 func TestSubmitWithCollective(t *testing.T) {
-	ts, svc := newTestServer(t)
+	ts, _ := newTestServer(t)
 
 	id, resp := postJob(t, ts, service.Submission{
 		QASM: ghzQASM,
@@ -315,27 +313,6 @@ func TestSubmitWithCollective(t *testing.T) {
 	}
 	if total != 10 {
 		t.Fatalf("histogram holds %d of 10 shots", total)
-	}
-	if st := svc.Stats(); st.NetCollectiveOps == 0 {
-		t.Fatalf("collective job moved no collective counters: %+v", st)
-	}
-
-	// The counters must cross HTTP under their documented wire names.
-	r, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	var raw map[string]json.RawMessage
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	var ops uint64
-	if err := json.Unmarshal(raw["net_collective_ops"], &ops); err != nil || ops == 0 {
-		t.Fatalf("net_collective_ops missing or zero on the wire: %v %d", err, ops)
-	}
-	if _, present := raw["net_collective_stall_cycles"]; !present {
-		t.Fatal("net_collective_stall_cycles missing from GET /v1/stats")
 	}
 
 	_, resp = postJob(t, ts, service.Submission{QASM: ghzQASM, Request: service.Request{Shots: 1, Collective: "butterfly"}})

@@ -76,27 +76,12 @@ func TestCollectiveLoweringEquivalence(t *testing.T) {
 	for _, backend := range []BackendKind{BackendStateVec, BackendSeeded} {
 		for seed := int64(1); seed <= 5; seed++ {
 			_, _, legacy := runFull(t, c, 3, 3, nil, backend, seed)
-			res, coll := runCollective(t, c, 3, 3, "auto", backend, seed)
+			_, coll := runCollective(t, c, 3, 3, "auto", backend, seed)
 			for b := range legacy {
 				if legacy[b] != coll[b] {
 					t.Fatalf("backend %d seed %d: bit %d: legacy %d, collective %d",
 						backend, seed, b, legacy[b], coll[b])
 				}
-			}
-			if res.Net.CollectiveOps != 1 {
-				t.Fatalf("expected 1 collective op (the digest reduce), got %d", res.Net.CollectiveOps)
-			}
-			// The digest phase self-checks against the host fold inside Run;
-			// verify the exposed value against the bits we read out too.
-			var want uint32
-			for b, v := range coll {
-				want += uint32(v&1) << uint(b%24)
-			}
-			if res.CollectiveDigest != want {
-				t.Fatalf("digest %#x, bits fold to %#x", res.CollectiveDigest, want)
-			}
-			if res.CollectiveCycles <= 0 {
-				t.Fatal("digest reduce reported zero cycles")
 			}
 		}
 	}

@@ -525,14 +525,6 @@ func (m *Machine) Run() (Result, error) {
 	res.SyncStall = m.Log.Stalled(telf.StallSync)
 	res.RecvStall = m.Log.Stalled(telf.StallRecv)
 	res.NetStall = m.Log.Stalled(telf.StallNet)
-	if m.Cfg.Collective != "" && res.Halted {
-		// The engine is drained (RunUntil advanced it to the deadline), so
-		// the collective layer can step it further without foreign events
-		// interleaving; Reset rewinds the clock for the next shot as usual.
-		if err := m.reduceDigest(&res); err != nil {
-			return res, err
-		}
-	}
 	res.Net = m.Fab.Congestion()
 	if res.Net.Enabled && res.Makespan > 0 {
 		res.RouterUtilization = float64(res.Net.PortBusiest) / float64(res.Makespan)

@@ -74,7 +74,7 @@ func TestStallLedgerPinned(t *testing.T) {
 			cfg.Net.LinkSerialization = 4
 			cfg.Net.Topology = network.TopoTree
 			cfg.Collective = "tree"
-		}, [3]stallRow{{888, 9235, 0, 1676, 1736, 44}, {888, 9235, 0, 1676, 1736, 44}, {888, 9235, 0, 1676, 1736, 44}}},
+		}, [3]stallRow{{888, 9235, 0, 1676, 1676, 0}, {888, 9235, 0, 1676, 1676, 0}, {888, 9235, 0, 1676, 1676, 0}}},
 		{"bv16", workloads.BV(16, workloads.AlternatingSecret), func(cfg *Config) {
 			cfg.Net.LinkSerialization = 4
 		}, [3]stallRow{{201, 316, 0, 88, 88, 0}, {201, 316, 0, 88, 88, 0}, {201, 316, 0, 88, 88, 0}}},
