@@ -158,10 +158,6 @@ func printRun(spec runner.Spec, set *runner.ShotSet, elapsed time.Duration) bool
 		fmt.Printf("congestion:    %d stall cycles, max queue %d, busiest port %.1f%% utilized\n",
 			res.Net.TotalStall(), res.Net.MaxQueue(), 100*res.RouterUtilization)
 	}
-	if cfg.Collective != "" {
-		fmt.Printf("collective:    digest %#x in %d cycles (%s schedule, %d ops)\n",
-			res.CollectiveDigest, res.CollectiveCycles, cfg.Collective, res.Net.CollectiveOps)
-	}
 
 	var violations, misalignments, overlaps uint64
 	for _, s := range set.Shots {

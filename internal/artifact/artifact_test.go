@@ -296,13 +296,17 @@ func TestCachedMatchesFresh(t *testing.T) {
 		t.Fatal("bit owners differ")
 	}
 
-	// Shot outcomes: warm-cache runner.Run vs the uncached rebuild path.
+	// Shot outcomes: warm-cache runner.Run vs the uncached artifact on its
+	// own machine.
 	const shots = 12
 	warm, err := runner.Run(s, shots, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := runner.RunRebuild(s, shots)
+	if err := m.Load(fresh); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := runner.RunOn([]*machine.Machine{m}, s.Cfg.Seed, shots, s.Circuit.NumBits)
 	if err != nil {
 		t.Fatal(err)
 	}

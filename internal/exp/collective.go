@@ -114,7 +114,7 @@ func CollectiveSweep(opt CollectiveOptions) ([]CollectivePoint, error) {
 	if opt.Kinds == nil {
 		// Broadcast, reduce and all-reduce are all gated: broadcast and
 		// reduce are the shapes the runtime consumers use (feed-forward
-		// distribution, parity gathers, the digest reduce), and all-reduce
+		// distribution, parity gathers), and all-reduce
 		// joined the gate once the ring schedule closed its old caveat —
 		// recursive doubling sends ~2x naive's message volume at
 		// non-power-of-two counts, so the resolver now routes those counts

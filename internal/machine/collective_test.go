@@ -35,7 +35,7 @@ func feedForwardCircuit() *circuit.Circuit {
 }
 
 // runCollective is runFull with Config.Collective set.
-func runCollective(t *testing.T, c *circuit.Circuit, meshW, meshH int, collective string, backend BackendKind, seed int64) (Result, []int) {
+func runCollective(t *testing.T, c *circuit.Circuit, meshW, meshH int, collective string, backend BackendKind, seed int64) []int {
 	t.Helper()
 	cfg := DefaultConfig(c.NumQubits)
 	cfg.Backend = backend
@@ -63,7 +63,7 @@ func runCollective(t *testing.T, c *circuit.Circuit, meshW, meshH int, collectiv
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, bits
+	return bits
 }
 
 // TestCollectiveLoweringEquivalence pins the semantic contract of
@@ -76,7 +76,7 @@ func TestCollectiveLoweringEquivalence(t *testing.T) {
 	for _, backend := range []BackendKind{BackendStateVec, BackendSeeded} {
 		for seed := int64(1); seed <= 5; seed++ {
 			_, _, legacy := runFull(t, c, 3, 3, nil, backend, seed)
-			_, coll := runCollective(t, c, 3, 3, "auto", backend, seed)
+			coll := runCollective(t, c, 3, 3, "auto", backend, seed)
 			for b := range legacy {
 				if legacy[b] != coll[b] {
 					t.Fatalf("backend %d seed %d: bit %d: legacy %d, collective %d",
@@ -88,8 +88,8 @@ func TestCollectiveLoweringEquivalence(t *testing.T) {
 }
 
 // TestCollectiveLongRangeCNOT re-runs the Fig. 14 dual-rail flow with the
-// collective lowering on every schedule name: the target must still flip,
-// whatever schedule the digest phase uses.
+// collective lowering under every schedule name: the target must still
+// flip.
 func TestCollectiveLongRangeCNOT(t *testing.T) {
 	logical := circuit.New(4)
 	logical.X(0)
@@ -101,7 +101,7 @@ func TestCollectiveLongRangeCNOT(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sched := range network.CollScheduleNames() {
-		_, bits := runCollective(t, phys, 4, 2, sched, BackendStateVec, 3)
+		bits := runCollective(t, phys, 4, 2, sched, BackendStateVec, 3)
 		if bits[0] != 1 || bits[1] != 1 {
 			t.Fatalf("schedule %s: long-range CNOT wrong: %v", sched, bits[:2])
 		}
@@ -109,9 +109,9 @@ func TestCollectiveLongRangeCNOT(t *testing.T) {
 }
 
 // TestCollectiveFingerprint pins the cache-key semantics: the lowering
-// toggle is part of the compile fingerprint (keyVersion 6), but the
-// schedule *name* is runtime configuration — every schedule shares one
-// artifact, and internal/service separates their replica pools instead.
+// toggle is part of the compile fingerprint (keyVersion 6), and the
+// schedule name changes nothing else — every schedule shares one artifact
+// (and, in internal/service, one replica pool).
 func TestCollectiveFingerprint(t *testing.T) {
 	c := feedForwardCircuit()
 	cfg := DefaultConfig(c.NumQubits)

@@ -56,15 +56,12 @@ type Config struct {
 	// CompileOptions, exactly like Placement.
 	Schedule string
 	// Collective, when non-empty, names a network.CollSchedule ("naive",
-	// "ring", "halving", "tree", "auto") and switches two things on at
-	// once: the compiler's collective-aware feed-forward lowering
-	// (compiler.Options.Collective — part of the compile fingerprint), and
-	// a post-run digest phase where every controller's owned-bit digest is
-	// reduced to controller 0 over the fabric with the named schedule
-	// (Result.CollectiveDigest / CollectiveCycles). "" — the default — is
-	// byte-identical legacy behavior. The schedule name itself is runtime
-	// configuration, not compile input: internal/service keys replica
-	// pools on it separately.
+	// "ring", "halving", "tree", "auto") and turns on the compiler's
+	// collective-aware feed-forward lowering (compiler.Options.Collective)
+	// and nothing else. Only that on/off toggle is in the compile
+	// fingerprint: every accepted name builds the same program and the same
+	// machine. The name is still checked, since it is outside input. "" —
+	// the default — is byte-identical legacy behavior.
 	Collective string
 	// Chips splits the data qubits across this many chips (0 or 1 = the
 	// single-chip legacy machine, byte-identical to before). A multi-chip
@@ -139,11 +136,9 @@ type Machine struct {
 	Log   *telf.Log
 
 	loaded *compiler.Compiled
-	// collective is Cfg.Collective parsed (meaningful when that is non-empty).
-	collective network.CollSchedule
 
 	// The commit tape of the loaded program (tape.go).
-	tapeable bool       // loaded is static and nothing in Cfg reads outcomes
+	tapeable bool       // loaded is static and no event log is kept
 	tape     *chip.Tape // nil until a shot has been recorded
 	tapeRes  Result     // the recorded shot's Result, every taped shot's too
 	tapeStat TapeStats
@@ -236,6 +231,11 @@ func New(cfg Config, numQubits int) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Collective != "" {
+		if _, err := network.ParseCollSchedule(cfg.Collective); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Backend == BackendAuto {
 		cfg.Backend = BackendSeeded
 	}
@@ -264,11 +264,6 @@ func New(cfg Config, numQubits int) (*Machine, error) {
 	m := &Machine{
 		Cfg: cfg, Eng: eng, Topo: topo, Fab: fab,
 		Chip: chipModel, Log: log,
-	}
-	if cfg.Collective != "" {
-		if m.collective, err = network.ParseCollSchedule(cfg.Collective); err != nil {
-			return nil, err
-		}
 	}
 	m.Ctrls = make([]*core.Controller, topo.N)
 	for i := range m.Ctrls {
@@ -466,7 +461,7 @@ type Result struct {
 	// SyncStall, RecvStall and NetStall are read off the TELF stall ledger
 	// (telf.Log.Stalled): sync-gate pauses, recv waits, and the queueing of
 	// the programs' own messages (0 without contention; router-originated
-	// and post-run collective waits count only in Net).
+	// waits count only in Net).
 	SyncStall    sim.Time
 	RecvStall    sim.Time
 	NetStall     sim.Time
@@ -483,14 +478,6 @@ type Result struct {
 	// divided by the makespan (0 when contention is disabled or the run
 	// was empty).
 	RouterUtilization float64
-	// CollectiveDigest and CollectiveCycles report the post-run digest
-	// reduction (Config.Collective): every controller contributes a digest
-	// word of the classical bits it owns, reduced to controller 0 over the
-	// fabric with the configured schedule and self-checked against the
-	// host-side fold. Both zero when the phase is off or the run did not
-	// halt.
-	CollectiveDigest uint32
-	CollectiveCycles sim.Time
 }
 
 // Run starts every controller and drives the engine until all halt (or the
@@ -546,54 +533,6 @@ func (m *Machine) Run() (Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// reduceDigest is the post-run collective phase of Config.Collective:
-// each controller contributes one digest word folding the classical bits
-// it owns (position-salted so distinct outcomes yield distinct digests),
-// and the fabric reduces the words to controller 0 with the configured
-// schedule — real timestamped messages through the same links, ports and
-// congestion counters as program traffic. The reduced value is
-// self-checked against the host-side fold (network.CollExpect); a mismatch
-// is a hard error, the same role the naive schedule plays as the collective
-// layer's oracle.
-func (m *Machine) reduceDigest(res *Result) error {
-	if m.loaded == nil {
-		return nil
-	}
-	inputs := make([][]uint32, m.Topo.N)
-	for i := range inputs {
-		inputs[i] = []uint32{0}
-	}
-	for b, owner := range m.loaded.BitOwner {
-		if owner < 0 {
-			continue
-		}
-		v, ok := m.Ctrls[owner].MemByte(4 * b)
-		if !ok {
-			return fmt.Errorf("machine: collective digest: bit %d address out of range", b)
-		}
-		inputs[owner][0] += (uint32(v) & 1) << uint(b%24)
-	}
-	parts := make([]int, m.Topo.N)
-	for i := range parts {
-		parts[i] = i
-	}
-	spec := network.CollSpec{
-		Kind: network.CollReduce, Schedule: m.collective,
-		Parts: parts, Root: 0, Width: 1, Op: network.ReduceSum,
-	}
-	cres, err := network.RunCollective(m.Fab, spec, inputs, m.Eng.Now())
-	if err != nil {
-		return fmt.Errorf("machine: collective digest: %w", err)
-	}
-	want := network.CollExpect(spec, inputs)[spec.Root][0]
-	if got := cres.Values[spec.Root][0]; got != want {
-		return fmt.Errorf("machine: collective digest mismatch: fabric %#x, host fold %#x", got, want)
-	}
-	res.CollectiveDigest = want
-	res.CollectiveCycles = cres.Makespan()
-	return nil
 }
 
 // RunCircuit is the one-call path: compile, load, and one Shot at the

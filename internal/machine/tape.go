@@ -21,15 +21,14 @@ func (m *Machine) TapeStats() TapeStats { return m.tapeStat }
 // copy shares the recorded program's Programs and differs from it in table
 // angles only, which replay reads afresh; anything else is another program.
 // Whether cp may be taped at all is decided here too, once per Load:
-// static control flow, and nothing in the configuration that makes the
-// Result depend on outcomes (the collective digest folds bits) or that a
-// replay would have to reproduce (the TELF event log).
+// static control flow, and no TELF event log, which a replay would have
+// to reproduce.
 func (m *Machine) retape(cp *compiler.Compiled) {
 	if old := m.loaded; old == nil || len(cp.Programs) == 0 ||
 		len(cp.Programs) != len(old.Programs) || &cp.Programs[0] != &old.Programs[0] {
 		m.tape = nil
 	}
-	m.tapeable = cp.Static() && m.Cfg.Collective == "" && !m.Cfg.LogEvents
+	m.tapeable = cp.Static() && !m.Cfg.LogEvents
 }
 
 // Shot runs one repetition of the loaded program with the given backend

@@ -685,7 +685,6 @@ func RunCollective(f *Fabric, spec CollSpec, inputs [][]uint32, at sim.Time) (*C
 		}
 		f.coll = nil
 	}()
-	f.collOps++
 	f.coll = run
 
 	run.remaining = len(run.nodes)

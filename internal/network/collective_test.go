@@ -139,49 +139,37 @@ func TestCollectiveExhaustiveSmall(t *testing.T) {
 	}
 }
 
-// TestCollectiveCounters pins the CongestionStats plumbing: ops count with
-// and without contention, stall cycles only with it, and Reset clears both.
+// TestCollectiveCounters pins where a collective's queueing lands: every
+// wait is a NetStall event and counts in the fabric's TotalStall, and none
+// is charged to a controller's StallNet, since no program sent the message.
 func TestCollectiveCounters(t *testing.T) {
 	cfg := Config{
 		MeshW: 4, MeshH: 4, RouterFanout: 4,
 		NeighborLatency: 2, TreeHopLatency: 4, RouterProc: 1,
 		LinkSerialization: 8,
 	}
-	f := collFabric(t, cfg)
+	f, _, _, log := fabricFor(t, cfg)
 	parts := f.Topo.SnakeOrder()
 	spec := CollSpec{Kind: CollReduce, Schedule: CollNaive, Parts: parts, Root: 0, Width: 4, Op: ReduceSum}
 	rng := rand.New(rand.NewSource(3))
 	if _, err := RunCollective(f, spec, randInputs(rng, len(parts), spec.Width), 0); err != nil {
 		t.Fatal(err)
 	}
-	st := f.Congestion()
-	if st.CollectiveOps != 1 {
-		t.Fatalf("CollectiveOps = %d, want 1", st.CollectiveOps)
+	total := f.Congestion().TotalStall()
+	if total <= 0 {
+		t.Fatalf("TotalStall = %d, want > 0 (16 senders fan into one root at ser=8)", total)
 	}
-	if st.CollectiveStall <= 0 {
-		t.Fatalf("CollectiveStall = %d, want > 0 (16 senders fan into one root at ser=8)", st.CollectiveStall)
+	var logged sim.Time
+	for _, e := range log.Events {
+		if e.Kind == telf.NetStall {
+			logged += e.B
+		}
 	}
-	if st.TotalStall() < st.CollectiveStall {
-		t.Fatalf("TotalStall %d < CollectiveStall %d", st.TotalStall(), st.CollectiveStall)
+	if logged != total {
+		t.Fatalf("NetStall events log %d cycles, TotalStall is %d", logged, total)
 	}
-	f.Reset()
-	st = f.Congestion()
-	if st.CollectiveOps != 0 || st.CollectiveStall != 0 {
-		t.Fatalf("after Reset: ops=%d stall=%d, want 0/0", st.CollectiveOps, st.CollectiveStall)
-	}
-
-	// Without contention the ops still count; stalls cannot.
-	cfg.LinkSerialization = 0
-	f = collFabric(t, cfg)
-	if _, err := RunCollective(f, spec, randInputs(rng, len(parts), spec.Width), 0); err != nil {
-		t.Fatal(err)
-	}
-	st = f.Congestion()
-	if st.Enabled {
-		t.Fatal("contention unexpectedly enabled")
-	}
-	if st.CollectiveOps != 1 || st.CollectiveStall != 0 {
-		t.Fatalf("uncontended: ops=%d stall=%d, want 1/0", st.CollectiveOps, st.CollectiveStall)
+	if got := log.Stalled(telf.StallNet); got != 0 {
+		t.Fatalf("collective queueing charged %d cycles to controllers' StallNet, want 0", got)
 	}
 }
 

@@ -93,9 +93,6 @@ func (f *Fabric) chargeStall(node, src int, waited, depart sim.Time) {
 	if waited <= 0 {
 		return
 	}
-	if f.coll != nil {
-		f.collStall += waited
-	}
 	f.log.Add(telf.Event{Time: depart, Node: node, Kind: telf.NetStall, A: int64(src), B: waited})
 	if src >= 0 && f.coll == nil {
 		f.log.Add(telf.Event{Time: depart, Node: src, Kind: telf.Stall, A: telf.StallNet, B: waited})
@@ -190,12 +187,6 @@ type CongestionStats struct {
 	RouterBusiest sim.Time `json:"router_busiest_cycles"`
 	PortBusiest   sim.Time `json:"port_busiest_cycles"`
 	RouterBusy    sim.Time `json:"router_busy_cycles"`
-	// Collective layer (collective.go): operations executed on the fabric
-	// and the queueing cycles their messages accrued at busy links and
-	// ports. CollectiveOps counts even with contention disabled — the
-	// layer runs either way; only the stall cycles need finite bandwidth.
-	CollectiveOps   uint64   `json:"collective_ops"`
-	CollectiveStall sim.Time `json:"collective_stall_cycles"`
 	// Links is the per-link breakdown behind the aggregate Link* counters:
 	// one entry per directed mesh link that carried (or queued) at least one
 	// message, sorted by (From, To). It is what the re-place search reads to
@@ -244,8 +235,6 @@ func (s CongestionStats) Merge(o CongestionStats) CongestionStats {
 	s.RouterBusiest = max(s.RouterBusiest, o.RouterBusiest)
 	s.PortBusiest = max(s.PortBusiest, o.PortBusiest)
 	s.RouterBusy += o.RouterBusy
-	s.CollectiveOps += o.CollectiveOps
-	s.CollectiveStall += o.CollectiveStall
 	s.Links = mergeLinks(s.Links, o.Links)
 	return s
 }
@@ -285,11 +274,7 @@ func compareLinks(a, b LinkStat) int {
 // Congestion snapshots the fabric's contention counters for the run (or
 // shot) since the last Reset.
 func (f *Fabric) Congestion() CongestionStats {
-	st := CongestionStats{
-		Enabled:         f.contention(),
-		CollectiveOps:   f.collOps,
-		CollectiveStall: f.collStall,
-	}
+	st := CongestionStats{Enabled: f.contention()}
 	if !st.Enabled {
 		return st
 	}

@@ -36,12 +36,9 @@ type Fabric struct {
 	qcap  int            // FIFO depth used for the overflow statistic
 	links []sim.Resource // directed mesh links, 4 per controller
 
-	// Collective layer (see collective.go): the collective executing now
-	// (nil between them), operations run on this fabric since the last
-	// Reset, and the queueing cycles their messages accrued.
-	coll      *collRun
-	collOps   uint64
-	collStall sim.Time
+	// coll is the collective executing now (collective.go), nil between
+	// them.
+	coll *collRun
 }
 
 // NewFabric builds the fabric and its routers. Endpoints are attached later
@@ -93,8 +90,6 @@ func (f *Fabric) Reset() {
 	for i := range f.links {
 		f.links[i].Reset()
 	}
-	f.collOps = 0
-	f.collStall = 0
 	f.coll = nil
 }
 

@@ -28,7 +28,7 @@ func benchSpec(tb testing.TB) Spec {
 func BenchmarkShotRunner(b *testing.B) {
 	spec := benchSpec(b)
 	b.Run("rebuild", func(b *testing.B) {
-		if _, err := RunRebuild(spec, b.N); err != nil {
+		if _, err := runRebuild(spec, b.N); err != nil {
 			b.Fatal(err)
 		}
 	})

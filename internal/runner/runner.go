@@ -17,8 +17,8 @@
 // seed is machine.DeriveSeed(base, k) regardless of which worker executes
 // it, per-shot records land at their shot index, and a run's Tally merges
 // per-replica folds with an order-free Merge. Run with W workers is
-// therefore byte-identical to W=1 and to the legacy rebuild-per-shot path
-// (RunRebuild), which the package tests verify shot for shot.
+// therefore byte-identical to W=1 and to rebuilding the machine and
+// recompiling for every shot, which the package tests verify shot for shot.
 package runner
 
 import (
@@ -264,47 +264,6 @@ func RunOn(machines []*machine.Machine, base int64, shots, numBits int) (*ShotSe
 	keep := func(_ int, s Shot) { set.Shots[s.Index] = s }
 	if _, err := RunPoints(machines, machines[0].Loaded(), base, []map[string]float64{nil}, shots, Observer{Shot: keep}); err != nil {
 		return nil, err
-	}
-	return set, nil
-}
-
-// RunRebuild is the legacy rebuild-per-shot reference path: every shot
-// constructs a fresh machine and runs the compiler pipeline in full, never
-// touching the artifact cache (a cached "rebuild" would no longer
-// measure what it claims to). It exists as the semantic baseline the
-// reset path is verified against and as the "before" side of the
-// shot-throughput benchmarks; new code should call Run.
-func RunRebuild(spec Spec, shots int) (*ShotSet, error) {
-	if spec.Circuit == nil {
-		return nil, fmt.Errorf("runner: nil circuit")
-	}
-	if shots < 0 {
-		return nil, fmt.Errorf("runner: negative shot count %d", shots)
-	}
-	set := &ShotSet{Shots: make([]Shot, shots), NumBits: spec.Circuit.NumBits}
-	for k := 0; k < shots; k++ {
-		cfg := spec.Cfg
-		cfg.Seed = machine.DeriveSeed(spec.Cfg.Seed, k)
-		m, err := machine.NewForCircuit(spec.Circuit, spec.MeshW, spec.MeshH, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cp, err := machine.CompileUncached(spec.Circuit, spec.Mapping, m.Cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.Load(cp); err != nil {
-			return nil, err
-		}
-		res, err := m.Run()
-		if err != nil {
-			return nil, fmt.Errorf("runner: rebuild shot %d: %w", k, err)
-		}
-		bits, err := m.ReadBits()
-		if err != nil {
-			return nil, fmt.Errorf("runner: rebuild shot %d: %w", k, err)
-		}
-		set.Shots[k] = Shot{Index: k, Seed: cfg.Seed, Result: res, Bits: bits}
 	}
 	return set, nil
 }

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -85,7 +86,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rebuild, err := RunRebuild(tc.spec, shots)
+			rebuild, err := runRebuild(tc.spec, shots)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,4 +250,38 @@ func TestRunRecoversBackendPanic(t *testing.T) {
 			t.Fatalf("workers=%d: error %q does not name shot 0 and the panic text", workers, msg)
 		}
 	}
+}
+
+// runRebuild is the rebuild-per-shot oracle: every shot constructs a fresh
+// machine and runs the compiler pipeline in full, never touching the
+// artifact cache (a cached rebuild would no longer measure what it claims
+// to). The reset path is verified against it, and it is the "before" side
+// of the shot-throughput benchmarks.
+func runRebuild(spec Spec, shots int) (*ShotSet, error) {
+	set := &ShotSet{Shots: make([]Shot, shots), NumBits: spec.Circuit.NumBits}
+	for k := range set.Shots {
+		cfg := spec.Cfg
+		cfg.Seed = machine.DeriveSeed(spec.Cfg.Seed, k)
+		m, err := machine.NewForCircuit(spec.Circuit, spec.MeshW, spec.MeshH, cfg)
+		if err != nil {
+			return nil, err
+		}
+		cp, err := machine.CompileUncached(spec.Circuit, spec.Mapping, m.Cfg)
+		if err != nil {
+			return nil, err
+		}
+		if err := m.Load(cp); err != nil {
+			return nil, err
+		}
+		res, err := m.Run()
+		if err != nil {
+			return nil, fmt.Errorf("rebuild shot %d: %w", k, err)
+		}
+		bits, err := m.ReadBits()
+		if err != nil {
+			return nil, fmt.Errorf("rebuild shot %d: %w", k, err)
+		}
+		set.Shots[k] = Shot{Index: k, Seed: cfg.Seed, Result: res, Bits: bits}
+	}
+	return set, nil
 }

@@ -98,7 +98,7 @@ func TestTallyAgreesAcrossWorkersTapeAndRebuild(t *testing.T) {
 	const shots = 24
 	for name, spec := range tallySpecs() {
 		t.Run(name, func(t *testing.T) {
-			set, err := RunRebuild(spec, shots)
+			set, err := runRebuild(spec, shots)
 			if err != nil {
 				t.Fatal(err)
 			}

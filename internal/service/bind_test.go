@@ -8,7 +8,6 @@ import (
 	"dhisq/internal/artifact"
 	"dhisq/internal/machine"
 	"dhisq/internal/network"
-	"dhisq/internal/runner"
 	"dhisq/internal/workloads"
 )
 
@@ -141,9 +140,8 @@ func TestBindAdmissionErrors(t *testing.T) {
 }
 
 // TestFreshSweepMatchesCachedSweep: the sweep baseline — every point bound
-// up front and run on runner.RunRebuild, a fresh machine and an uncached
-// pipeline run per shot — must agree point for point with the bind-patched
-// path.
+// up front and run on rebuilt, a fresh machine and an uncached pipeline
+// run per shot — must agree point for point with the bind-patched path.
 func TestFreshSweepMatchesCachedSweep(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
@@ -165,11 +163,7 @@ func TestFreshSweepMatchesCachedSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		set, err := runner.RunRebuild(adm.Spec, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := pointStatusOf(k, pt, set.Tally())
+		fresh := pointStatusOf(k, pt, rebuilt(t, adm.Spec, 5).Tally())
 		if !reflect.DeepEqual(warm.Points[k], fresh) {
 			t.Fatalf("point %d: bind path %+v vs rebuilt %+v", k, warm.Points[k], fresh)
 		}

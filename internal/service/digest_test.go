@@ -26,7 +26,7 @@ tree collective x40: mapping identity
 hub x7: mapping [7 6 9 1 0 2 5 8 10 13 3 11 12 14 15 4]
 sweep x2: mapping [10 1 15 6 7 0 5 2 4 9 11 3 8 13 14 12]
 tree collective x5: mapping [11 12 5 6 14 13 7 2 10 4 0 9 1 8 3 15]
-net {NetStallCycles:121751 NetMaxQueue:19 NetMessages:105620 NetOverflows:0 NetCollectiveOps:0 NetCollectiveStall:0}
+net {NetStallCycles:121751 NetMaxQueue:19 NetMessages:105620 NetOverflows:0}
 replacements 3
 `
 	cfg := contendedCfg(16)

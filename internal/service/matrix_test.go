@@ -34,13 +34,45 @@ func feedForwardAnsatz(n int) *circuit.Circuit {
 	return c
 }
 
+// rebuilt is the oracle no cache, pool or tape can reach: every shot of spec
+// on a machine built for it alone, with the compiler pipeline run in full.
+func rebuilt(t *testing.T, spec runner.Spec, shots int) *runner.ShotSet {
+	t.Helper()
+	set := &runner.ShotSet{Shots: make([]runner.Shot, shots), NumBits: spec.Circuit.NumBits}
+	for k := range set.Shots {
+		cfg := spec.Cfg
+		cfg.Seed = machine.DeriveSeed(spec.Cfg.Seed, k)
+		m, err := machine.NewForCircuit(spec.Circuit, spec.MeshW, spec.MeshH, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := machine.CompileUncached(spec.Circuit, spec.Mapping, m.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Load(cp); err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run()
+		if err != nil {
+			t.Fatalf("rebuilt shot %d: %v", k, err)
+		}
+		bits, err := m.ReadBits()
+		if err != nil {
+			t.Fatalf("rebuilt shot %d: %v", k, err)
+		}
+		set.Shots[k] = runner.Shot{Index: k, Seed: cfg.Seed, Result: res, Bits: bits}
+	}
+	return set
+}
+
 // TestExecutionMatrix walks every cell the one execution path serves —
 // {plain, Params, Sweep} × {cold pool, warm pool} × ShotWorkers {1, 3}, for
 // a static circuit (whose shots ride the commit tape) and a feed-forward
 // one (whose shots never do) — and pins two things per cell: the job's
 // tally, outcome digest included, equals the fold of the runner's
 // one-worker reference (runner.Run of the bound circuit — itself held to
-// runner.RunRebuild, the uncached machine-per-shot oracle — and, for sweep
+// rebuilt, the uncached machine-per-shot oracle — and, for sweep
 // point k, of its bound circuit at seed DeriveSeed(seed, k)), and the
 // bookkeeping is exact: CacheHit, Batched, the
 // Binds/BindHits deltas, PooledReplicas, the compiles charged to the
@@ -75,14 +107,8 @@ func executionMatrix(t *testing.T, skel *circuit.Circuit, n int, static bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The reference is itself held to the oracle no cache, pool or tape can
-	// reach: a machine built and a pipeline run per shot.
-	rebuilt, err := runner.RunRebuild(runner.Spec{Circuit: bound, MeshW: w, MeshH: h, Cfg: refCfg}, shots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(refSet, rebuilt) {
-		t.Fatal("runner.Run diverges from runner.RunRebuild")
+	if !reflect.DeepEqual(refSet, rebuilt(t, runner.Spec{Circuit: bound, MeshW: w, MeshH: h, Cfg: refCfg}, shots)) {
+		t.Fatal("runner.Run diverges from the machine-per-shot oracle")
 	}
 	refTally := refSet.Tally()
 	// Point k of a sweep is the bound circuit run at DeriveSeed(seed, k).

@@ -60,8 +60,9 @@ func (s *Service) Stats() Stats {
 // (network.CongestionStats): embedded in Stats, it is what /v1/stats shows
 // summed over every shot of every completed job. All zero unless jobs ran
 // with the fabric's contention model enabled
-// (network.Config.LinkSerialization > 0), except the collective operation
-// count, which the collective layer keeps either way.
+// (network.Config.LinkSerialization > 0). A collective schedule name adds
+// no traffic of its own: it turns on the collective-aware lowering and
+// nothing else, so its messages are the program's and count here.
 type NetStats struct {
 	// NetStallCycles counts queueing at every link and router port —
 	// all traffic, router-originated hops included — matching
@@ -71,28 +72,17 @@ type NetStats struct {
 	NetMaxQueue    int    `json:"net_max_queue"`
 	NetMessages    uint64 `json:"net_messages"`
 	NetOverflows   uint64 `json:"net_overflows"`
-	// Collective-layer counters (network.CongestionStats): operations the
-	// fabric's collective layer executed, and the queueing cycles their
-	// messages accrued. Ops count even with the contention model disabled;
-	// the stall needs finite link bandwidth.
-	NetCollectiveOps   uint64 `json:"net_collective_ops"`
-	NetCollectiveStall uint64 `json:"net_collective_stall_cycles"`
 }
 
-// netStatsOf reads the wire view off a job's merged congestion digest.
+// netStatsOf reads the wire view off a job's merged congestion digest (a
+// disabled digest's counters are all zero).
 func netStatsOf(net network.CongestionStats) NetStats {
-	d := NetStats{
-		NetCollectiveOps:   net.CollectiveOps,
-		NetCollectiveStall: uint64(net.CollectiveStall),
+	return NetStats{
+		NetStallCycles: uint64(net.TotalStall()),
+		NetMaxQueue:    net.MaxQueue(),
+		NetMessages:    net.LinkMessages + net.PortMessages,
+		NetOverflows:   net.LinkOverflows + net.PortOverflows,
 	}
-	if !net.Enabled {
-		return d
-	}
-	d.NetStallCycles = uint64(net.TotalStall())
-	d.NetMessages = net.LinkMessages + net.PortMessages
-	d.NetOverflows = net.LinkOverflows + net.PortOverflows
-	d.NetMaxQueue = net.MaxQueue()
-	return d
 }
 
 // merge combines two jobs' views: sums, and a max.
@@ -100,8 +90,6 @@ func (d NetStats) merge(e NetStats) NetStats {
 	d.NetStallCycles += e.NetStallCycles
 	d.NetMessages += e.NetMessages
 	d.NetOverflows += e.NetOverflows
-	d.NetCollectiveOps += e.NetCollectiveOps
-	d.NetCollectiveStall += e.NetCollectiveStall
 	d.NetMaxQueue = max(d.NetMaxQueue, e.NetMaxQueue)
 	return d
 }

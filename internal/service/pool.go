@@ -27,19 +27,13 @@ type poolKey struct {
 	// deadline: one shot fails under a short cycle bound and finishes under
 	// a long one (TestFailedRunUnwinds), and the bound is the replica's.
 	deadline sim.Time
-	// collective is the resolved Config.Collective schedule name. The
-	// schedule is runtime configuration — every schedule shares one
-	// compiled artifact (keyVersion 6 hashes only the on/off toggle) — but
-	// a pooled machine is built with one Cfg, so "ring" and "tree" jobs
-	// must not trade replicas.
-	collective string
 }
 
 // poolKeyOf is a resolved submission's pool key (a.Spec.Cfg is normalized:
 // its backend is the one the replicas are built with).
 func poolKeyOf(a Admission) poolKey {
 	cfg := a.Spec.Cfg
-	return poolKey{fp: a.Fingerprint, backend: cfg.Backend, deadline: cfg.Deadline, collective: cfg.Collective}
+	return poolKey{fp: a.Fingerprint, backend: cfg.Backend, deadline: cfg.Deadline}
 }
 
 // group is everything the service keeps per poolKey — the "reusable compiled

@@ -178,10 +178,9 @@ func TestPoolKeyCoversRuntimeConfig(t *testing.T) {
 		{field: "EPRLatency", want: fingerprint,
 			base: func(_ *Request, c *machine.Config) { c.Chips = 2 },
 			alt:  func(_ *Request, c *machine.Config) { c.Chips, c.EPRLatency = 2, 40 }},
-		// Collective is both: on/off is compiled in, the schedule name is
-		// only what the replica's post-run reduce runs with.
+		// Collective on/off is compiled in; the schedule name is neither.
 		{field: "Collective", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Collective = "ring" }},
-		{field: "Collective", want: keyOnly,
+		{field: "Collective", want: neither, why: "every accepted name turns on the same lowering and nothing else",
 			base: func(_ *Request, c *machine.Config) { c.Collective = "ring" },
 			alt:  func(_ *Request, c *machine.Config) { c.Collective = "tree" }},
 		{field: "Backend", want: keyOnly,
