@@ -11,9 +11,14 @@ import (
 // CommAware is implemented by backends that can separate communication-qubit
 // measurement randomness from the data stream. With a comm boundary set,
 // measurements and resets of qubits at or above it draw from a dedicated
-// herald RNG, so the data qubits of a multi-chip run consume exactly the
-// same random draws as the merged single-chip run of the same circuit — the
-// property the remote-gate distribution-equality oracle relies on.
+// herald RNG, so herald draws stay out of the data stream. That does not
+// make a multi-chip shot's outcomes the merged single-chip shot's at the
+// same seed: the data stream is drawn in commit order, and the teleported
+// gates move when data qubits are measured, so a reordered measurement
+// draws another number. The remote-gate oracle is therefore distributional
+// on the quantum backends (runner's TestRemoteDistributionEquality), and
+// exact shot for shot only under BackendSeeded, whose outcomes depend on no
+// order.
 type CommAware interface {
 	// SetCommFrom marks qubits q.. as communication qubits (0 disables).
 	SetCommFrom(q int)

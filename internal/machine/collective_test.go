@@ -67,21 +67,20 @@ func runCollective(t *testing.T, c *circuit.Circuit, meshW, meshH int, collectiv
 }
 
 // TestCollectiveLoweringEquivalence pins the semantic contract of
-// Options.Collective: for the same circuit, seed and backend, the
+// Options.Collective on the state vector: for this circuit and seed, the
 // collective-aware lowering produces exactly the bits the legacy star
 // distribution produces — the relay chains and nearest-holder fetches
-// move the same values, just over fewer and shorter paths.
+// move the same values, just over fewer and shorter paths. (Under
+// BackendSeeded both equal the sequential run: internal/service's
+// TestKnobInvariants, clause 1.)
 func TestCollectiveLoweringEquivalence(t *testing.T) {
 	c := feedForwardCircuit()
-	for _, backend := range []BackendKind{BackendStateVec, BackendSeeded} {
-		for seed := int64(1); seed <= 5; seed++ {
-			_, _, legacy := runFull(t, c, 3, 3, nil, backend, seed)
-			coll := runCollective(t, c, 3, 3, "auto", backend, seed)
-			for b := range legacy {
-				if legacy[b] != coll[b] {
-					t.Fatalf("backend %d seed %d: bit %d: legacy %d, collective %d",
-						backend, seed, b, legacy[b], coll[b])
-				}
+	for seed := int64(1); seed <= 5; seed++ {
+		_, _, legacy := runFull(t, c, 3, 3, nil, BackendStateVec, seed)
+		coll := runCollective(t, c, 3, 3, "auto", BackendStateVec, seed)
+		for b := range legacy {
+			if legacy[b] != coll[b] {
+				t.Fatalf("seed %d: bit %d: legacy %d, collective %d", seed, b, legacy[b], coll[b])
 			}
 		}
 	}
@@ -109,9 +108,9 @@ func TestCollectiveLongRangeCNOT(t *testing.T) {
 }
 
 // TestCollectiveFingerprint pins the cache-key semantics: the lowering
-// toggle is part of the compile fingerprint (keyVersion 6), and the
-// schedule name changes nothing else — every schedule shares one artifact
-// (and, in internal/service, one replica pool).
+// toggle is part of the compile fingerprint (keyVersion 6). That every
+// schedule name shares one fingerprint and one tally is clause 4 of
+// internal/service's TestKnobInvariants.
 func TestCollectiveFingerprint(t *testing.T) {
 	c := feedForwardCircuit()
 	cfg := DefaultConfig(c.NumQubits)
@@ -124,16 +123,8 @@ func TestCollectiveFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Collective = "tree"
-	tree, err := KeyFor(c, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if off == ring {
 		t.Fatal("collective on/off share a fingerprint")
-	}
-	if ring != tree {
-		t.Fatal("collective schedules must share the compiled artifact")
 	}
 }
 

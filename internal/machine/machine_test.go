@@ -201,39 +201,6 @@ func TestScaledBenchmarksRunCleanly(t *testing.T) {
 	}
 }
 
-func TestCoCommitmentInvariantUnderFabricLatencies(t *testing.T) {
-	// Stress the invariant with several different link latency settings:
-	// two-qubit halves must land on the same cycle regardless.
-	for _, lat := range []int64{1, 2, 5, 9} {
-		c := workloads.GHZ(6)
-		cfg := DefaultConfig(6)
-		cfg.Backend = BackendStateVec
-		cfg.Net.MeshW, cfg.Net.MeshH = 3, 2
-		cfg.Net.NeighborLatency = lat
-		m, err := New(cfg, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp, err := Compile(c, nil, m.Cfg, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Load(cp); err != nil {
-			t.Fatal(err)
-		}
-		res, err := m.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Misalignments != 0 {
-			t.Fatalf("latency %d: %d misalignments", lat, res.Misalignments)
-		}
-		if res.Violations != 0 {
-			t.Fatalf("latency %d: %d violations", lat, res.Violations)
-		}
-	}
-}
-
 func TestChipRejectsBadCodeword(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.Net.MeshW, cfg.Net.MeshH = 2, 1

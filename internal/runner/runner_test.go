@@ -46,66 +46,10 @@ func dynamicSpec(seed int64) Spec {
 	return Spec{Circuit: c, MeshW: 3, MeshH: 2, Cfg: cfg}
 }
 
-func checkSet(t *testing.T, set *ShotSet, shots int) {
-	t.Helper()
-	if len(set.Shots) != shots {
-		t.Fatalf("got %d shots, want %d", len(set.Shots), shots)
-	}
-	for k, s := range set.Shots {
-		if s.Index != k {
-			t.Fatalf("shot %d carries index %d", k, s.Index)
-		}
-		if !s.Result.Halted {
-			t.Fatalf("shot %d did not halt", k)
-		}
-		if s.Result.Misalignments != 0 || s.Result.Violations != 0 {
-			t.Fatalf("shot %d broke invariants: %+v", k, s.Result)
-		}
-	}
-}
-
-// TestParallelMatchesSequential is the determinism invariant: W workers
-// produce byte-identical merged output to W=1 and to the legacy
-// rebuild-per-shot path, shot for shot.
-func TestParallelMatchesSequential(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		spec Spec
-	}{
-		{"clifford", cliffordSpec(7)},
-		{"dynamic", dynamicSpec(11)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const shots = 12
-			seq, err := Run(tc.spec, shots, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkSet(t, seq, shots)
-			par, err := Run(tc.spec, shots, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rebuild, err := runRebuild(tc.spec, shots)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatal("W=4 diverged from W=1")
-			}
-			if !reflect.DeepEqual(seq, rebuild) {
-				t.Fatal("reset path diverged from rebuild-per-shot")
-			}
-		})
-	}
-}
-
-// TestShotStreamVariesAndReproduces checks that the derived per-shot seeds
-// actually vary outcomes across shots (a stuck seed would make every shot
-// identical) and that re-running the whole set reproduces it.
-func TestShotStreamVariesAndReproduces(t *testing.T) {
-	spec := cliffordSpec(3)
-	set, err := Run(spec, 24, 3)
+// TestShotStreamVaries checks that the derived per-shot seeds actually vary
+// outcomes across shots: a stuck seed would make every shot identical.
+func TestShotStreamVaries(t *testing.T) {
+	set, err := Run(cliffordSpec(3), 24, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +64,6 @@ func TestShotStreamVariesAndReproduces(t *testing.T) {
 				t.Fatalf("non-GHZ outcome %q", key)
 			}
 		}
-	}
-	again, err := Run(spec, 24, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(set, again) {
-		t.Fatal("re-run with different worker count not reproducible")
 	}
 }
 

@@ -12,23 +12,14 @@ import (
 	"dhisq/internal/machine"
 )
 
-// tallySpecs are the shapes a tally folds: a static Clifford chain (its
-// shots after the first come off the commit tape), a feed-forward circuit
-// under finite link bandwidth (per-link congestion in Net), and a circuit
-// split over two chips (EPR pairs).
-func tallySpecs() map[string]Spec {
-	contended := dynamicSpec(11)
-	contended.Cfg.Net.LinkSerialization = 4
-	remote := remoteSpec(remoteOracleCircuit(3, 6, false), 2, machine.BackendAuto, "")
-	remote.Cfg.Seed = 5
-	remote.Cfg.Net.LinkSerialization = 4
-	return map[string]Spec{"clifford": cliffordSpec(7), "contended": contended, "remote": remote}
-}
-
 // tallyStream is one real shot stream with every part of a tally non-zero:
-// several outcomes, EPR pairs and per-link congestion.
+// several outcomes, EPR pairs and per-link congestion. Its circuit is split
+// over two chips and runs under finite link bandwidth.
 var tallyStream = sync.OnceValues(func() ([]Shot, error) {
-	set, err := Run(tallySpecs()["remote"], 48, 1)
+	spec := remoteSpec(remoteOracleCircuit(3, 6, false), 2, machine.BackendAuto, "")
+	spec.Cfg.Seed = 5
+	spec.Cfg.Net.LinkSerialization = 4
+	set, err := Run(spec, 48, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -87,42 +78,6 @@ func TestTallyMergeLaws(t *testing.T) {
 	right.Merge(Tally{})
 	if !reflect.DeepEqual(right, a) {
 		t.Error("right zero: merging the zero Tally changed a tally")
-	}
-}
-
-// TestTallyAgreesAcrossWorkersTapeAndRebuild: a run's tally — digest,
-// histogram, EPR sum, Net and shot 0 — is the same on 1, 2, 4 and 8
-// replicas, with the tape bypassed (LogEvents), and as the fold of the
-// rebuild-per-shot oracle's shots.
-func TestTallyAgreesAcrossWorkersTapeAndRebuild(t *testing.T) {
-	const shots = 24
-	for name, spec := range tallySpecs() {
-		t.Run(name, func(t *testing.T) {
-			set, err := runRebuild(spec, shots)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := set.Tally()
-			logged := spec
-			logged.Cfg.LogEvents = true
-			for _, run := range []struct {
-				spec    Spec
-				workers int
-			}{{spec, 1}, {spec, 2}, {spec, 4}, {spec, 8}, {logged, 1}, {logged, 2}} {
-				machines, art, err := start(run.spec, false, shots, shots, run.workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := RunPoints(machines, art, run.spec.Cfg.Seed, []map[string]float64{nil}, shots, Observer{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got[0], want) {
-					t.Fatalf("%d workers, LogEvents %v: digest %#x vs rebuilt %#x\n%+v\nvs %+v",
-						run.workers, run.spec.Cfg.LogEvents, got[0].Digest, want.Digest, got[0], want)
-				}
-			}
-		})
 	}
 }
 

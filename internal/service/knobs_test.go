@@ -1,0 +1,393 @@
+package service
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"dhisq/internal/artifact"
+	"dhisq/internal/baseline"
+	"dhisq/internal/chip"
+	"dhisq/internal/circuit"
+	"dhisq/internal/compiler"
+	"dhisq/internal/machine"
+	"dhisq/internal/network"
+	"dhisq/internal/placement"
+	"dhisq/internal/runner"
+	"dhisq/internal/sim"
+)
+
+// The knob generator: one seeded feed-forward circuit per seed, run under
+// every knob cell Resolve builds, with four exact clauses per cell.
+//
+//  1. Sequential oracle. BackendSeeded's outcomes depend on no order, so
+//     shot k's bits equal baseline.Run's lock-step bits at DeriveSeed(seed,
+//     k). On one chip the machine also applies exactly the gates the
+//     sequential run applies: a branch taken the wrong way shows here even
+//     though no outcome reads it.
+//  2. Execution identity. runner.Run and RunSweep at 1 and 3 workers, a
+//     run with the commit tape bypassed (LogEvents), and service jobs —
+//     plain, Params and Sweep, at ShotWorkers 1 and 3, cold then warm —
+//     all equal rebuilt, the uncached machine-per-shot oracle; sweep point
+//     k is rebuilt at DeriveSeed(seed, k).
+//  3. Timing. With contention off no shot breaks an invariant of the
+//     paper (violations, misalignments, overlaps, inversions), and no
+//     makespan is below the circuit's dependency depth.
+//  4. Identity. Every collective schedule name gives one fingerprint and
+//     one tally, and a job hits the artifact cache exactly when an earlier
+//     job had its fingerprint.
+//
+// Not asserted, because it does not hold: per-shot bits under a timing
+// knob on a quantum backend (the order of the draws follows the timing),
+// collective lowering ≡ star lowering on the state vector (which is why
+// runner's TestRemoteDistributionEquality and machine's
+// TestCollectiveLoweringEquivalence keep their statevec clauses), and zero
+// misalignments under contention (DESIGN.md "Where congestion lands").
+
+const (
+	knobShots = 3 // shots per run, per point
+	// knobServiceEvery rotates the service jobs: a case submits jobs for
+	// every knobServiceEvery-th cell, starting at an offset its seed picks.
+	knobServiceEvery = 11
+)
+
+// knobCase is one generated circuit and what its cells share.
+type knobCase struct {
+	n       int
+	seed    int64                // the runs' base seed, never 0
+	skel    *circuit.Circuit     // symbolic RY angles unless Clifford
+	points  []map[string]float64 // three sweep points; nil when Clifford
+	bound   []*circuit.Circuit   // skel bound at each point; {skel} when Clifford
+	backend machine.BackendKind
+}
+
+// genKnobCase draws seed's circuit: 2–6 qubits of H/X/S/Z and CNOT/CZ in
+// rounds, each closed by a mid-circuit measurement, a gate conditioned on
+// the parity of one or two measured bits, and a partial or full barrier.
+// Odd seeds add a symbolic RY per round and run on the dense backend (auto
+// or statevec); even seeds stay Clifford on the stabilizer tableau. Every
+// third seed drops the conditioned gates: its program reads no outcome, so
+// its shots come off the commit tape.
+func genKnobCase(seed int64) knobCase {
+	rng := rand.New(rand.NewSource(seed))
+	n := 2 + rng.Intn(5)
+	kc := knobCase{n: n, seed: rng.Int63() | 1, backend: machine.BackendStabilizer}
+	clifford := seed&1 == 0
+	if !clifford {
+		kc.backend = []machine.BackendKind{machine.BackendAuto, machine.BackendStateVec}[seed>>1&1]
+	}
+	pair := func() (int, int) {
+		a, b := rng.Intn(n), rng.Intn(n-1)
+		if b >= a {
+			b++
+		}
+		return a, b
+	}
+	c := circuit.New(n)
+	var meas []int
+	var syms []string
+	for rounds := 2 + rng.Intn(2); rounds > 0; rounds-- {
+		for i := 0; i < n; i++ {
+			switch a, b := pair(); rng.Intn(3) {
+			case 0:
+				c.Gate([]circuit.Kind{circuit.H, circuit.X, circuit.S, circuit.Z}[rng.Intn(4)], a)
+			case 1:
+				c.CNOT(a, b)
+			default:
+				c.CZ(a, b)
+			}
+		}
+		if !clifford {
+			syms = append(syms, fmt.Sprintf("t%d", len(syms)))
+			c.RYSym(rng.Intn(n), syms[len(syms)-1])
+		}
+		meas = append(meas, c.MeasureNew(rng.Intn(n)))
+		cond := circuit.Condition{Bits: []int{meas[len(meas)-1]}, Parity: rng.Intn(2)}
+		if len(meas) > 1 && rng.Intn(2) == 0 {
+			cond.Bits = append(cond.Bits, meas[rng.Intn(len(meas)-1)])
+		}
+		if seed%3 != 0 {
+			c.CondGate([]circuit.Kind{circuit.X, circuit.Z, circuit.H}[rng.Intn(3)], cond, rng.Intn(n))
+		}
+		if a, b := pair(); rng.Intn(2) == 0 {
+			c.Gate(circuit.Barrier, a, b)
+		} else {
+			c.BarrierAll()
+		}
+	}
+	for q := 0; q < n; q++ {
+		c.MeasureNew(q)
+	}
+	kc.skel, kc.bound = c, []*circuit.Circuit{c}
+	if clifford {
+		return kc
+	}
+	kc.points, kc.bound = make([]map[string]float64, 3), make([]*circuit.Circuit, 3)
+	for k := range kc.points {
+		kc.points[k] = map[string]float64{}
+		for _, s := range syms {
+			kc.points[k][s] = 2 * math.Pi * rng.Float64()
+		}
+		b, err := c.Bind(kc.points[k])
+		if err != nil {
+			panic(err)
+		}
+		kc.bound[k] = b
+	}
+	return kc
+}
+
+// knobCell is one knob setting: the request's option fields, and the
+// fabric's neighbour latency (0 keeps the default).
+type knobCell struct {
+	req Request
+	lat sim.Time
+}
+
+func (c knobCell) String() string {
+	return fmt.Sprintf("topo=%q link_bw=%d router_ports=%d placement=%q schedule=%q collective=%q chips=%d epr_latency=%d latency=%d",
+		c.req.Topo, c.req.LinkBW, c.req.RouterPorts, c.req.Placement, c.req.Schedule, c.req.Collective, c.req.Chips, c.req.EPRLatency, c.lat)
+}
+
+// knobCells moves one knob at a time away from the default machine (the
+// mesh cell, which is also the collective-off cell).
+func knobCells() []knobCell {
+	var cells []knobCell
+	for _, topo := range []string{"mesh", "torus", "tree"} {
+		cells = append(cells, knobCell{req: Request{Topo: topo}})
+	}
+	cells = append(cells, knobCell{req: Request{LinkBW: 4}}, knobCell{req: Request{LinkBW: 4, RouterPorts: 1}})
+	for _, p := range placement.Names() {
+		cells = append(cells, knobCell{req: Request{Placement: p}})
+	}
+	// Every scheduling policy, read off the error that names them all.
+	_, list, _ := strings.Cut(compiler.ValidSchedule("?").Error(), "(want ")
+	for _, s := range strings.Split(strings.TrimSuffix(list, ")"), ", ") {
+		cells = append(cells, knobCell{req: Request{Schedule: s}})
+	}
+	for _, coll := range network.CollScheduleNames() {
+		cells = append(cells, knobCell{req: Request{Collective: coll}})
+	}
+	for _, chips := range []int{2, 3} {
+		cells = append(cells, knobCell{req: Request{Chips: chips, EPRLatency: 40}})
+	}
+	for _, lat := range []sim.Time{1, 2, 5, 9} {
+		cells = append(cells, knobCell{lat: lat})
+	}
+	return cells
+}
+
+// request is cell's request for c on backend at seed.
+func (kc knobCase) request(cell knobCell, c *circuit.Circuit, backend machine.BackendKind, seed int64) Request {
+	cfg := machine.DefaultConfig(kc.n)
+	cfg.Backend = backend
+	if cell.lat != 0 {
+		cfg.Net.NeighborLatency = cell.lat
+	}
+	req := cell.req
+	req.Circuit, req.Cfg, req.Shots, req.Seed = c, &cfg, knobShots, seed
+	return req
+}
+
+// countingBackend counts the gates a run applies to the backend it wraps.
+type countingBackend struct {
+	chip.Backend
+	gates uint64
+}
+
+func (b *countingBackend) Apply1(k circuit.Kind, p float64, q int) {
+	b.gates++
+	b.Backend.Apply1(k, p, q)
+}
+
+func (b *countingBackend) Apply2(k circuit.Kind, p float64, x, y int) {
+	b.gates++
+	b.Backend.Apply2(k, p, x, y)
+}
+
+// checkTiming is clause 3 over one run's shots.
+func checkTiming(t *testing.T, where string, set *runner.ShotSet, c *circuit.Circuit, cfg machine.Config) {
+	t.Helper()
+	floor := c.Depth(cfg.Durations)
+	for _, s := range set.Shots {
+		r := s.Result
+		if cfg.Net.LinkSerialization == 0 && r.Violations+uint64(r.Misalignments+r.Overlaps+r.Inversions) != 0 {
+			t.Errorf("%s shot %d: violations %d, misalignments %d, overlaps %d, inversions %d without contention",
+				where, s.Index, r.Violations, r.Misalignments, r.Overlaps, r.Inversions)
+		}
+		if int64(r.Makespan) < floor {
+			t.Errorf("%s shot %d: makespan %d below the depth floor %d", where, s.Index, r.Makespan, floor)
+		}
+	}
+}
+
+func mustResolve(t *testing.T, req Request) Admission {
+	t.Helper()
+	adm, err := Resolve(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return adm
+}
+
+// checkKnobInvariants generates seed's circuit and holds every cell of it
+// to the four clauses.
+func checkKnobInvariants(t *testing.T, seed int64) {
+	kc := genKnobCase(seed)
+	cache := artifact.New(64)
+	var svcs [2]*Service
+	var seen [2]map[string]bool
+	for i, workers := range []int{1, 3} {
+		svcs[i] = New(Config{Workers: 1, ShotWorkers: workers, Artifacts: artifact.New(64)})
+		defer svcs[i].Close()
+		seen[i] = map[string]bool{}
+	}
+	var collFP artifact.Fingerprint
+	var collTally *runner.Tally
+	run := func(where string, spec runner.Spec, workers int) *runner.ShotSet {
+		t.Helper()
+		spec.Cfg.Artifacts = cache
+		set, err := runner.Run(spec, knobShots, workers)
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		return set
+	}
+
+	for j, cell := range knobCells() {
+		where := fmt.Sprintf("seed %d, %d qubits, %v", seed, kc.n, cell)
+
+		// Clause 1: the sequential oracle, under order-free outcomes.
+		adm, err := Resolve(kc.request(cell, kc.bound[0], machine.BackendSeeded, kc.seed))
+		if err != nil {
+			if cell.req.Chips > kc.n {
+				continue // Resolve's own rejection: a chip needs a data qubit
+			}
+			t.Fatalf("%s: %v", where, err)
+		}
+		seeded := run(where+", seeded", adm.Spec, 1)
+		for k, s := range seeded.Shots {
+			seq := &countingBackend{Backend: chip.NewSeeded(machine.DeriveSeed(kc.seed, k))}
+			want, err := baseline.Run(kc.bound[0], baseline.Hub, seq, adm.Spec.Cfg.Durations, adm.Spec.Cfg.MeasLatency)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(s.Bits, want.Bits) {
+				t.Errorf("%s shot %d: bits %v, sequential run %v", where, k, s.Bits, want.Bits)
+			}
+			if adm.Spec.Cfg.Chips <= 1 && s.Result.Gates != seq.gates {
+				t.Errorf("%s shot %d: applied %d gates, the sequential run %d", where, k, s.Result.Gates, seq.gates)
+			}
+		}
+		checkTiming(t, where+", seeded", seeded, kc.bound[0], adm.Spec.Cfg)
+
+		// Clause 2: every execution path equals rebuilt, point by point.
+		want := make([]*runner.ShotSet, len(kc.bound))
+		for k, b := range kc.bound {
+			spec := mustResolve(t, kc.request(cell, b, kc.backend, machine.DeriveSeed(kc.seed, k))).Spec
+			want[k] = rebuilt(t, spec, knobShots)
+			checkTiming(t, fmt.Sprintf("%s, point %d", where, k), want[k], b, spec.Cfg)
+		}
+		plain := kc.request(cell, kc.bound[0], kc.backend, kc.seed)
+		adm = mustResolve(t, plain)
+		logged := adm.Spec
+		logged.Cfg.LogEvents = true
+		for name, got := range map[string]*runner.ShotSet{
+			"1 worker":             run(where, adm.Spec, 1),
+			"3 workers":            run(where, adm.Spec, 3),
+			"LogEvents, 3 workers": run(where, logged, 3),
+		} {
+			if !reflect.DeepEqual(got, want[0]) {
+				t.Errorf("%s: runner.Run at %s diverges from rebuilt", where, name)
+			}
+		}
+		var sweep Request
+		if kc.points != nil {
+			sweep = kc.request(cell, kc.skel, kc.backend, kc.seed)
+			sweep.Sweep = kc.points
+			spec := mustResolve(t, sweep).Spec
+			spec.Cfg.Artifacts = cache
+			for _, workers := range []int{1, 3} {
+				pts, err := runner.RunSweep(spec, kc.points, knobShots, workers)
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				for k, pt := range pts {
+					if pt.Index != k || !reflect.DeepEqual(pt.Set, want[k]) {
+						t.Errorf("%s: RunSweep at %d workers, point %d diverges from rebuilt at DeriveSeed(seed, %d)", where, workers, k, k)
+					}
+				}
+			}
+		}
+
+		// Clause 4: a collective name turns on one lowering, whichever it is.
+		tally := want[0].Tally()
+		if cell.req.Collective != "" {
+			if collTally == nil {
+				collFP, collTally = adm.Fingerprint, &tally
+			} else if adm.Fingerprint != collFP || !reflect.DeepEqual(&tally, collTally) {
+				t.Errorf("%s: fingerprint or tally differs from the first collective name's", where)
+			}
+		}
+
+		// Clause 2's service half, and clause 4's cache hits, on a rotating
+		// subset of the cells.
+		if (j+int(seed%knobServiceEvery))%knobServiceEvery != 0 {
+			continue
+		}
+		jobs := []Request{plain}
+		if kc.points != nil {
+			params := kc.request(cell, kc.skel, kc.backend, kc.seed)
+			params.Params = kc.points[0]
+			jobs = append(jobs, params, sweep)
+		}
+		for i, svc := range svcs {
+			for _, req := range jobs {
+				for _, step := range []string{"cold", "warm"} {
+					st := submitWait(t, svc, req)
+					at := fmt.Sprintf("%s: %s job (params %v, sweep %v) at ShotWorkers %d", where, step, req.Params != nil, req.Sweep != nil, svc.cfg.ShotWorkers)
+					if st.CacheHit != seen[i][st.Fingerprint] {
+						t.Errorf("%s: CacheHit %v, but an earlier job with its fingerprint: %v", at, st.CacheHit, seen[i][st.Fingerprint])
+					}
+					seen[i][st.Fingerprint] = true
+					if st.Seed != kc.seed {
+						t.Errorf("%s: seed %d echoed, want %d", at, st.Seed, kc.seed)
+					}
+					if req.Sweep == nil {
+						if !reflect.DeepEqual(st.Tally, &tally) {
+							t.Errorf("%s: tally diverges from rebuilt", at)
+						}
+						continue
+					}
+					if st.Tally != nil || st.Histogram != nil || len(st.Points) != len(kc.points) || st.Makespan != st.Points[0].Makespan {
+						t.Fatalf("%s: a sweep job reports Tally %v, Histogram %v, %d points, makespan %d", at, st.Tally, st.Histogram, len(st.Points), st.Makespan)
+					}
+					for k, pt := range st.Points {
+						if !reflect.DeepEqual(pt, pointStatusOf(k, kc.points[k], want[k].Tally())) {
+							t.Errorf("%s: point %d diverges from rebuilt at DeriveSeed(seed, %d)", at, k, k)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKnobInvariants holds 24 generated circuits, half Clifford on the
+// tableau and half dense with a three-point sweep, to the four clauses
+// under every knob cell.
+func TestKnobInvariants(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		checkKnobInvariants(t, seed)
+	}
+}
+
+// FuzzKnobInvariants is TestKnobInvariants over any seed.
+func FuzzKnobInvariants(f *testing.F) {
+	f.Add(int64(1))
+	f.Add(int64(2))
+	f.Fuzz(checkKnobInvariants)
+}

@@ -71,9 +71,8 @@ func rebuilt(t *testing.T, spec runner.Spec, shots int) *runner.ShotSet {
 // a static circuit (whose shots ride the commit tape) and a feed-forward
 // one (whose shots never do) — and pins two things per cell: the job's
 // tally, outcome digest included, equals the fold of the runner's
-// one-worker reference (runner.Run of the bound circuit — itself held to
-// rebuilt, the uncached machine-per-shot oracle — and, for sweep
-// point k, of its bound circuit at seed DeriveSeed(seed, k)), and the
+// uncached machine-per-shot oracle (rebuilt of the bound circuit and, for
+// sweep point k, of its bound circuit at seed DeriveSeed(seed, k)), and the
 // bookkeeping is exact: CacheHit, Batched, the
 // Binds/BindHits deltas, PooledReplicas, the compiles charged to the
 // artifact cache, and how many shots came off a tape.
@@ -97,20 +96,11 @@ func executionMatrix(t *testing.T, skel *circuit.Circuit, n int, static bool) {
 		t.Fatal(err)
 	}
 
-	// One-worker references, compiled through a cache of their own so the
-	// services under test start cold.
+	// The references compile uncached, so the services under test start cold.
 	w, h := placement.AutoMesh(n)
 	refCfg := machine.DefaultConfig(n)
 	refCfg.Seed = seed
-	refCfg.Artifacts = artifact.New(8)
-	refSet, err := runner.Run(runner.Spec{Circuit: bound, MeshW: w, MeshH: h, Cfg: refCfg}, shots, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(refSet, rebuilt(t, runner.Spec{Circuit: bound, MeshW: w, MeshH: h, Cfg: refCfg}, shots)) {
-		t.Fatal("runner.Run diverges from the machine-per-shot oracle")
-	}
-	refTally := refSet.Tally()
+	refTally := rebuilt(t, runner.Spec{Circuit: bound, MeshW: w, MeshH: h, Cfg: refCfg}, shots).Tally()
 	// Point k of a sweep is the bound circuit run at DeriveSeed(seed, k).
 	refPoints := make([]PointStatus, len(points))
 	for k, pt := range points {
@@ -120,11 +110,7 @@ func executionMatrix(t *testing.T, skel *circuit.Circuit, n int, static bool) {
 		}
 		cfg := refCfg
 		cfg.Seed = machine.DeriveSeed(seed, k)
-		set, err := runner.Run(runner.Spec{Circuit: b, MeshW: w, MeshH: h, Cfg: cfg}, shots, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refPoints[k] = pointStatusOf(k, pt, set.Tally())
+		refPoints[k] = pointStatusOf(k, pt, rebuilt(t, runner.Spec{Circuit: b, MeshW: w, MeshH: h, Cfg: cfg}, shots).Tally())
 	}
 
 	kinds := []struct {
@@ -161,10 +147,10 @@ func executionMatrix(t *testing.T, skel *circuit.Circuit, n int, static bool) {
 
 				if kind.req.Sweep != nil {
 					if st.Tally != nil || !reflect.DeepEqual(st.Points, refPoints) {
-						t.Errorf("w%d %s: points diverge from runner.Run of the bound points at one worker", workers, cell)
+						t.Errorf("w%d %s: points diverge from rebuilt of the bound points", workers, cell)
 					}
 				} else if st.Points != nil || !reflect.DeepEqual(st.Tally, &refTally) {
-					t.Errorf("w%d %s: tally diverges from runner.Run at one worker", workers, cell)
+					t.Errorf("w%d %s: tally diverges from rebuilt", workers, cell)
 				}
 
 				if st.CacheHit != step.cacheHit || st.Batched != step.warmed {

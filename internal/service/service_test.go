@@ -2,7 +2,6 @@ package service
 
 import (
 	"errors"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -23,48 +22,6 @@ func ghz(n int) *circuit.Circuit {
 		c.MeasureInto(q, q)
 	}
 	return c
-}
-
-// A job's results must be byte-identical to running the same spec
-// directly through the runner with the job's seed.
-func TestJobMatchesDirectRun(t *testing.T) {
-	s := New(Config{Workers: 2, ShotWorkers: 2})
-	defer s.Close()
-
-	const shots = 16
-	id, err := s.Submit(Request{Circuit: ghz(4), Shots: shots, Seed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, ok := s.Wait(id)
-	if !ok {
-		t.Fatalf("job %s vanished", id)
-	}
-	if st.State != StateDone {
-		t.Fatalf("state %s, err %q", st.State, st.Err)
-	}
-	if st.Seed != 99 {
-		t.Fatalf("seed %d, want the explicit 99", st.Seed)
-	}
-
-	cfg := machine.DefaultConfig(4)
-	cfg.Seed = 99
-	direct, err := runner.Run(runner.Spec{Circuit: ghz(4), MeshW: 2, MeshH: 2, Cfg: cfg}, shots, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Histogram.String() != direct.Histogram().String() {
-		t.Fatalf("service histogram diverged:\n%s\nvs direct:\n%s", st.Histogram, direct.Histogram())
-	}
-	if want := direct.Tally(); !reflect.DeepEqual(st.Tally, &want) {
-		t.Fatalf("tally diverged: digest %#x vs direct %#x", st.Tally.Digest, want.Digest)
-	}
-	// GHZ sanity: only the two correlated outcomes may appear.
-	for outcome := range st.Histogram {
-		if outcome != "0000" && outcome != "1111" {
-			t.Fatalf("impossible GHZ outcome %q", outcome)
-		}
-	}
 }
 
 // Jobs without an explicit seed draw distinct seeds from the service
