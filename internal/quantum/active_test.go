@@ -154,17 +154,6 @@ func TestActiveSpaceOracle(t *testing.T) {
 	}
 }
 
-// TestActiveSpaceOracleParallelForced reruns the oracle with the goroutine
-// fan-out forced on, so -race sweeps the kernels over a changing array.
-func TestActiveSpaceOracleParallelForced(t *testing.T) {
-	defer setParallel(1, 4)()
-	for _, n := range []int{2, 5, 8} {
-		for seed := int64(1); seed <= 3; seed++ {
-			runActiveOracle(t, n, randomProgram(seed+100, 120), seed)
-		}
-	}
-}
-
 func FuzzActiveSpace(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(uint8(seed*3), seed, randomProgram(seed, 40))

@@ -152,44 +152,13 @@ func runRandomCircuit(t *testing.T, n, ops int, seed int64) {
 }
 
 // TestKernelOracleRandomCircuits is the main equivalence property: all
-// gate kinds × qubit counts × seeds, serial paths.
+// gate kinds × qubit counts × seeds.
 func TestKernelOracleRandomCircuits(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8, 10} {
 		for seed := int64(1); seed <= 6; seed++ {
 			runRandomCircuit(t, n, 120, seed)
 		}
 	}
-}
-
-// TestKernelOracleParallelForced reruns the property with the parallel
-// apply path forced on (threshold 1, several workers), so -race sweeps
-// the goroutine fan-out and the result stays bit-identical to serial.
-func TestKernelOracleParallelForced(t *testing.T) {
-	defer setParallel(1, 4)()
-	for _, n := range []int{2, 5, 8, 10} {
-		for seed := int64(1); seed <= 4; seed++ {
-			runRandomCircuit(t, n, 100, seed+100)
-		}
-	}
-}
-
-// TestParallelMatchesSerial applies the same gate sequence once serially
-// and once with the parallel path forced, requiring exact agreement.
-func TestParallelMatchesSerial(t *testing.T) {
-	build := func() *State {
-		s := NewState(9)
-		rng := rand.New(rand.NewSource(42))
-		mRng := rand.New(rand.NewSource(43))
-		for k := 0; k < 200; k++ {
-			randOp(rng, 9)(s, s.Clone(), mRng, mRng) // shadow discarded; drives s only
-		}
-		return s
-	}
-	serial := build()
-	restore := setParallel(1, 8)
-	parallel := build()
-	restore()
-	sameAmps(t, parallel, serial, "parallel vs serial")
 }
 
 // TestProjectMatchesReference covers the public Project fast path.

@@ -8,7 +8,7 @@ import (
 )
 
 // forceGoRuns sends every run to its Go loop and returns a restore
-// function, as setParallel does for the goroutine fan-out.
+// function.
 func forceGoRuns() func() {
 	old := useAVX2
 	useAVX2 = false

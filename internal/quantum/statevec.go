@@ -22,9 +22,8 @@
 // AVX2 twins on amd64 (runs.go), measurement is two passes (one
 // probability pass that accumulates both outcome weights, one combined
 // collapse+renormalize+compact pass) and a classical qubit's norm sum is
-// kept until the next write, EPR is one pass, and large states fan
-// element-wise kernels out across goroutines with a deterministic
-// index-range partition.
+// kept until the next write, and EPR is one pass. A shot runs on one
+// goroutine; parallelism lives across shots (DESIGN.md §9).
 package quantum
 
 import (
@@ -134,8 +133,8 @@ func (s *State) pos(q int) int { return bits.OnesCount32(s.active & (1<<uint(q) 
 
 // insert makes classical qubit q active: the array doubles, every
 // amplitude moves to the half matching q's bit and the other half is
-// zero — the full-vector layout of those two halves. Serial and top-down,
-// because it expands in place.
+// zero — the full-vector layout of those two halves. Top-down, because it
+// expands in place.
 func (s *State) insert(q int) {
 	h := 1 << uint(s.pos(q))
 	v := s.bit(q)
@@ -190,17 +189,13 @@ func (s *State) scale(f complex128) {
 	}
 	s.normOK = false
 	if imag(f) == 0 {
-		forSpan(operands{amp: s.amp, a: f}, 1, func(o operands, lo, hi int) {
-			scaleNest(o.amp, lo, hi, hi-lo, hi-lo, hi-lo, real(o.a)) // one run
-		})
+		n := len(s.amp)
+		scaleNest(s.amp, 0, n, n, n, n, real(f)) // one run
 		return
 	}
-	forSpan(operands{amp: s.amp, a: f}, 1, func(o operands, lo, hi int) {
-		seg := o.amp[lo:hi]
-		for i := range seg {
-			seg[i] *= o.a
-		}
-	})
+	for i := range s.amp {
+		s.amp[i] *= f
+	}
 }
 
 // Apply1 applies the 2x2 unitary {{a,b},{c,d}} to qubit q. On a classical
@@ -237,70 +232,54 @@ func (s *State) Apply1(q int, a, b, c, d complex128) {
 		s.applyDiag1(q, a, d)
 		return
 	}
-	h := 1 << uint(s.pos(q))
-	o := operands{amp: s.amp, h: h, a: a, b: b, c: c, d: d}
+	amp, h := s.amp, 1<<uint(s.pos(q))
 	if imag(a) == 0 && imag(b) == 0 && imag(c) == 0 && imag(d) == 0 {
-		forSpan(o, 2*h, func(o operands, lo, hi int) {
-			amp, h := o.amp, o.h
-			ar, br, cr, dr := real(o.a), real(o.b), real(o.c), real(o.d)
-			if vectorRuns(h) {
-				for base := lo; base < hi; base += 2 * h {
-					mixRunAVX2(amp[base:base+h], amp[base+h:base+2*h], ar, br, cr, dr)
-				}
-				return
+		ar, br, cr, dr := real(a), real(b), real(c), real(d)
+		if vectorRuns(h) {
+			for base := 0; base < len(amp); base += 2 * h {
+				mixRunAVX2(amp[base:base+h], amp[base+h:base+2*h], ar, br, cr, dr)
 			}
-			for base := lo; base < hi; base += 2 * h {
-				mixRun(amp[base:base+h:base+h], amp[base+h:base+2*h:base+2*h], ar, br, cr, dr)
-			}
-		})
+			return
+		}
+		for base := 0; base < len(amp); base += 2 * h {
+			mixRun(amp[base:base+h:base+h], amp[base+h:base+2*h:base+2*h], ar, br, cr, dr)
+		}
 		return
 	}
-	forSpan(o, 2*h, func(o operands, lo, hi int) {
-		amp, h := o.amp, o.h
-		for base := lo; base < hi; base += 2 * h {
-			p0 := amp[base : base+h : base+h]
-			p1 := amp[base+h : base+2*h : base+2*h]
-			for i := range p0 {
-				a0, a1 := p0[i], p1[i]
-				p0[i] = o.a*a0 + o.b*a1
-				p1[i] = o.c*a0 + o.d*a1
-			}
+	for base := 0; base < len(amp); base += 2 * h {
+		p0 := amp[base : base+h : base+h]
+		p1 := amp[base+h : base+2*h : base+2*h]
+		for i := range p0 {
+			a0, a1 := p0[i], p1[i]
+			p0[i] = a*a0 + b*a1
+			p1[i] = c*a0 + d*a1
 		}
-	})
+	}
 }
 
 // applyDiag1 applies diag(d0, d1) to active qubit q: pure scaling, no pair
 // loads.
 func (s *State) applyDiag1(q int, d0, d1 complex128) {
-	h := 1 << uint(s.pos(q))
-	o := operands{amp: s.amp, h: h, a: d0, d: d1}
+	amp, h := s.amp, 1<<uint(s.pos(q))
 	switch {
 	case d0 == 1 && d1 == -1: // Z: a real scaling beats a full complex multiply
-		forSpan(o, 2*h, func(o operands, lo, hi int) {
-			scaleNest(o.amp, lo+o.h, hi, 2*o.h, o.h, o.h, -1)
-		})
+		scaleNest(amp, h, len(amp), 2*h, h, h, -1)
 	case d0 == 1:
-		forSpan(o, 2*h, func(o operands, lo, hi int) {
-			amp, h := o.amp, o.h
-			for base := lo; base < hi; base += 2 * h {
-				p1 := amp[base+h : base+2*h]
-				for i := range p1 {
-					p1[i] *= o.d
-				}
+		for base := 0; base < len(amp); base += 2 * h {
+			p1 := amp[base+h : base+2*h]
+			for i := range p1 {
+				p1[i] *= d1
 			}
-		})
+		}
 	default:
-		forSpan(o, 2*h, func(o operands, lo, hi int) {
-			amp, h := o.amp, o.h
-			for base := lo; base < hi; base += 2 * h {
-				p0 := amp[base : base+h : base+h]
-				p1 := amp[base+h : base+2*h : base+2*h]
-				for i := range p0 {
-					p0[i] *= o.a
-					p1[i] *= o.d
-				}
+		for base := 0; base < len(amp); base += 2 * h {
+			p0 := amp[base : base+h : base+h]
+			p1 := amp[base+h : base+2*h : base+2*h]
+			for i := range p0 {
+				p0[i] *= d0
+				p1[i] *= d1
 			}
-		})
+		}
 	}
 }
 
@@ -319,9 +298,7 @@ func (s *State) X(q int) {
 	}
 	s.normOK = false
 	h := 1 << uint(s.pos(q))
-	forSpan(operands{amp: s.amp, h: h}, 2*h, func(o operands, lo, hi int) {
-		swapNest(o.amp, lo, hi, 2*o.h, o.h, o.h, o.h)
-	})
+	swapNest(s.amp, 0, len(s.amp), 2*h, h, h, h)
 }
 
 // Y applies a Pauli Y.
@@ -387,16 +364,10 @@ func (s *State) CNOT(ctrl, tgt int) {
 	s.normOK = false
 	cb, tb := 1<<uint(s.pos(ctrl)), 1<<uint(s.pos(tgt))
 	if cb > tb {
-		forSpan(operands{amp: s.amp, h: cb, l: tb}, 2*cb, func(o operands, lo, hi int) {
-			cb, tb := o.h, o.l
-			swapNest(o.amp, lo+cb, hi, 2*cb, cb, tb, tb)
-		})
+		swapNest(s.amp, cb, len(s.amp), 2*cb, cb, tb, tb)
 		return
 	}
-	forSpan(operands{amp: s.amp, h: tb, l: cb}, 2*tb, func(o operands, lo, hi int) {
-		tb, cb := o.h, o.l
-		swapNest(o.amp, lo+cb, hi, 2*tb, tb-cb, cb, tb)
-	})
+	swapNest(s.amp, cb, len(s.amp), 2*tb, tb-cb, cb, tb)
 }
 
 // CZ applies a controlled-Z (symmetric).
@@ -427,22 +398,20 @@ func (s *State) controlledPhase(a, b int, ph complex128) {
 		return
 	}
 	s.normOK = false
+	amp := s.amp
 	hb, lb := 1<<uint(max(s.pos(a), s.pos(b))), 1<<uint(min(s.pos(a), s.pos(b)))
-	forSpan(operands{amp: s.amp, h: hb, l: lb, a: ph}, 2*hb, func(o operands, lo, hi int) {
-		amp, hb, lb := o.amp, o.h, o.l
-		if o.a == -1 {
-			scaleNest(amp, lo+hb+lb, hi, 2*hb, hb-lb, lb, -1)
-			return
-		}
-		for base := lo + hb; base < hi; base += 2 * hb {
-			for j := base + lb; j < base+hb; j += 2 * lb {
-				seg := amp[j : j+lb]
-				for i := range seg {
-					seg[i] *= o.a
-				}
+	if ph == -1 {
+		scaleNest(amp, hb+lb, len(amp), 2*hb, hb-lb, lb, -1)
+		return
+	}
+	for base := hb; base < len(amp); base += 2 * hb {
+		for j := base + lb; j < base+hb; j += 2 * lb {
+			seg := amp[j : j+lb]
+			for i := range seg {
+				seg[i] *= ph
 			}
 		}
-	})
+	}
 }
 
 // SWAP exchanges two qubits: two classical ones trade bits; otherwise
@@ -470,11 +439,8 @@ func (s *State) SWAP(a, b int) {
 	}
 	s.normOK = false
 	hb, lb := 1<<uint(max(s.pos(a), s.pos(b))), 1<<uint(min(s.pos(a), s.pos(b)))
-	forSpan(operands{amp: s.amp, h: hb, l: lb}, 2*hb, func(o operands, lo, hi int) {
-		// hb set and lb clear, against hb clear and lb set.
-		hb, lb := o.h, o.l
-		swapNest(o.amp, lo+hb, hi, 2*hb, hb, lb, lb-hb)
-	})
+	// hb set and lb clear, against hb clear and lb set.
+	swapNest(s.amp, hb, len(s.amp), 2*hb, hb, lb, lb-hb)
 }
 
 // EPR applies H to a, then CNOT from a to b. When both are classical at
@@ -526,9 +492,8 @@ func (s *State) Prob(q int) float64 {
 // matches RefProb bit-for-bit and p0 matches the norm RefProject computes
 // for outcome 0. A classical qubit's own class is the whole array (the
 // norm, which is not exactly 1, kept in s.norm until amp is written) and
-// the other class is empty. Serial on purpose: splitting a floating-point
-// reduction across goroutines would change the summation order and with
-// it the last-ulp value the measurement draw compares against.
+// the other class is empty. The sum stays one ascending chain: splitting
+// it would change the last-ulp value the measurement draw compares against.
 func (s *State) probPair(q int) (p0, p1 float64) {
 	amp := s.amp
 	if !s.isActive(q) {
@@ -591,8 +556,7 @@ func (s *State) Project(q int, outcome int) {
 
 // collapse scales the kept outcome branch by 1/sqrt(norm) and, for an
 // active qubit, compacts it over the discarded one in the same pass: the
-// array halves and q becomes classical. Serial, because it compacts in
-// place.
+// array halves and q becomes classical.
 func (s *State) collapse(q int, outcome int, norm float64) {
 	if norm < 1e-12 {
 		panic(fmt.Sprintf("quantum: projecting qubit %d to impossible outcome %d", q, outcome))
