@@ -159,14 +159,15 @@ func printRun(spec runner.Spec, set *runner.ShotSet, elapsed time.Duration) bool
 			res.Net.TotalStall(), res.Net.MaxQueue(), 100*res.RouterUtilization)
 	}
 
-	var violations, misalignments, overlaps uint64
+	var violations, misalignments, overlaps, inversions uint64
 	for _, s := range set.Shots {
 		violations += s.Result.Violations
 		misalignments += uint64(s.Result.Misalignments)
 		overlaps += uint64(s.Result.Overlaps)
+		inversions += uint64(s.Result.Inversions)
 	}
-	fmt.Printf("invariants:    %d timing violations, %d co-commitment misalignments, %d overlaps\n",
-		violations, misalignments, overlaps)
+	fmt.Printf("invariants:    %d timing violations, %d co-commitment misalignments, %d overlaps, %d inversions\n",
+		violations, misalignments, overlaps, inversions)
 
 	if shots := len(set.Shots); shots > 1 {
 		fmt.Printf("shots:         %d in %v (%.1f shots/s)\n",
@@ -176,7 +177,7 @@ func printRun(spec runner.Spec, set *runner.ShotSet, elapsed time.Duration) bool
 			fmt.Print(histogramLines(set.Histogram()))
 		}
 	}
-	return violations == 0 && misalignments == 0
+	return violations+misalignments+overlaps+inversions == 0
 }
 
 // histogramLines renders a histogram one "  bitstring count" line per outcome.

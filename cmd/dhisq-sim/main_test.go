@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dhisq/internal/machine"
 	"dhisq/internal/service"
@@ -196,5 +197,31 @@ func TestLocalMatchesServe(t *testing.T) {
 		if !reflect.DeepEqual(cp.Mapping, job.Mapping) {
 			t.Errorf("%s: mapping local %v, serve %v", name, cp.Mapping, job.Mapping)
 		}
+	}
+}
+
+// TestPrintRunFailsOnEveryInvariant: an overlap or an order inversion on
+// any shot fails the run, as a timing violation or a misalignment does.
+func TestPrintRunFailsOnEveryInvariant(t *testing.T) {
+	spec, set, err := runLocal(service.Submission{
+		QASM:    "qreg q[2]; creg c[2]; h q[0]; cx q[0],q[1]; measure q[0] -> c[0]; measure q[1] -> c[1];",
+		Request: service.Request{Shots: 2},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !printRun(spec, set, time.Second) {
+		t.Fatal("a clean run failed")
+	}
+	for name, breakIt := range map[string]func(*machine.Result){
+		"overlap":   func(r *machine.Result) { r.Overlaps = 1 },
+		"inversion": func(r *machine.Result) { r.Inversions = 1 },
+	} {
+		clean := set.Shots[1].Result
+		breakIt(&set.Shots[1].Result)
+		if printRun(spec, set, time.Second) {
+			t.Errorf("%s on shot 1: printRun passed the run", name)
+		}
+		set.Shots[1].Result = clean
 	}
 }

@@ -63,7 +63,7 @@ func AblationSyncAdvance(names []string, scaleDiv int, seed int64) ([]AblationRo
 				return machine.Result{}, err
 			}
 			res := set.Shots[0].Result
-			if res.Misalignments != 0 || res.Violations != 0 {
+			if res.Misalignments != 0 || res.Violations != 0 || res.Overlaps != 0 || res.Inversions != 0 {
 				return machine.Result{}, fmt.Errorf("%s advance=%v: invariants broken", name, advance)
 			}
 			return res, nil

@@ -99,9 +99,9 @@ func fig15One(b workloads.Benchmark, seed int64) (Fig15Row, error) {
 		return Fig15Row{}, err
 	}
 	res := set.Shots[0].Result
-	if res.Misalignments != 0 || res.Violations != 0 {
-		return Fig15Row{}, fmt.Errorf("invariant broken: %d misalignments, %d violations",
-			res.Misalignments, res.Violations)
+	if res.Misalignments != 0 || res.Violations != 0 || res.Overlaps != 0 || res.Inversions != 0 {
+		return Fig15Row{}, fmt.Errorf("invariant broken: %d misalignments, %d violations, %d overlaps, %d inversions",
+			res.Misalignments, res.Violations, res.Overlaps, res.Inversions)
 	}
 
 	row := Fig15Row{
