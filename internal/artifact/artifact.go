@@ -67,8 +67,9 @@ func (f Fingerprint) Short() string { return hex.EncodeToString(f[:6]) }
 // on the fingerprint stay chip-homogeneous). v8: the AdvanceBooking option
 // is gone — Schedule "padded" always named the same thing — and its word
 // left the encoding. v9: PipeGuard became a compiler constant (nothing ever
-// set another value) and its word left the encoding too.
-const keyVersion = 9
+// set another value) and its word left the encoding too. v10: the link
+// queue cap is gone (only a test ever set it) and its word left the encoding.
+const keyVersion = 10
 
 // Key fingerprints a compilation request. Two requests share a key iff
 // the compiler is guaranteed to produce identical output for both: the
@@ -149,7 +150,7 @@ func Key(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Opt
 	}
 
 	// Network config: fixes the topology and therefore the sync windows.
-	// The contention fields (serialization, ports, queue cap) do not change
+	// The contention fields (serialization, ports) do not change
 	// compiler output — the booked windows are uncontended by design — but
 	// they do change runtime behavior, and the fingerprint doubles as the
 	// replica-pool key in internal/service; hashing them costs at most one
@@ -163,7 +164,6 @@ func Key(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Opt
 	wi(int64(net.Topology))
 	wi(int64(net.LinkSerialization))
 	wi(int64(net.RouterPorts))
-	wi(int64(net.LinkQueueCap))
 
 	// Compiler options.
 	wi(opt.Durations.OneQubit)

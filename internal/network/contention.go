@@ -65,7 +65,7 @@ func (f *Fabric) linkEndpoints(i int) (from, to int) {
 // reserveLink books the directed mesh link from -> to for one message
 // wanting to enter at `at`, charging any queueing wait to controller src.
 func (f *Fabric) reserveLink(from, to, src int, at sim.Time) sim.Time {
-	depart, waited := f.links[f.linkIndex(from, to)].Reserve(at, f.ser, f.qcap)
+	depart, waited := f.links[f.linkIndex(from, to)].Reserve(at, f.ser)
 	f.chargeStall(from, src, waited, depart)
 	return depart
 }
@@ -81,7 +81,7 @@ func (f *Fabric) reservePort(r, neighbor, src int, at sim.Time) sim.Time {
 		return at
 	}
 	port := edge % len(rt.ports)
-	depart, waited := rt.ports[port].Reserve(at, f.ser, f.qcap)
+	depart, waited := rt.ports[port].Reserve(at, f.ser)
 	f.chargeStall(r, src, waited, depart)
 	return depart
 }
@@ -171,15 +171,13 @@ func (f *Fabric) treeArrival(src, dst int, at sim.Time) sim.Time {
 type CongestionStats struct {
 	Enabled bool `json:"enabled"`
 	// Mesh links.
-	LinkMessages  uint64   `json:"link_messages"`
-	LinkStall     sim.Time `json:"link_stall_cycles"`
-	LinkMaxQueue  int      `json:"link_max_queue"`
-	LinkOverflows uint64   `json:"link_overflows"`
+	LinkMessages uint64   `json:"link_messages"`
+	LinkStall    sim.Time `json:"link_stall_cycles"`
+	LinkMaxQueue int      `json:"link_max_queue"`
 	// Router ports.
-	PortMessages  uint64   `json:"port_messages"`
-	PortStall     sim.Time `json:"port_stall_cycles"`
-	PortMaxQueue  int      `json:"port_max_queue"`
-	PortOverflows uint64   `json:"port_overflows"`
+	PortMessages uint64   `json:"port_messages"`
+	PortStall    sim.Time `json:"port_stall_cycles"`
+	PortMaxQueue int      `json:"port_max_queue"`
 	// RouterBusiest is the largest total port occupancy of any single
 	// router (can exceed the makespan on a many-port router); PortBusiest
 	// is the largest occupancy of any single port — divided by the
@@ -227,11 +225,9 @@ func (s CongestionStats) Merge(o CongestionStats) CongestionStats {
 	s.LinkMessages += o.LinkMessages
 	s.LinkStall += o.LinkStall
 	s.LinkMaxQueue = max(s.LinkMaxQueue, o.LinkMaxQueue)
-	s.LinkOverflows += o.LinkOverflows
 	s.PortMessages += o.PortMessages
 	s.PortStall += o.PortStall
 	s.PortMaxQueue = max(s.PortMaxQueue, o.PortMaxQueue)
-	s.PortOverflows += o.PortOverflows
 	s.RouterBusiest = max(s.RouterBusiest, o.RouterBusiest)
 	s.PortBusiest = max(s.PortBusiest, o.PortBusiest)
 	s.RouterBusy += o.RouterBusy
@@ -282,7 +278,6 @@ func (f *Fabric) Congestion() CongestionStats {
 		r := &f.links[i]
 		st.LinkMessages += r.Messages
 		st.LinkStall += r.StallCycles
-		st.LinkOverflows += r.Overflows
 		if r.MaxQueue > st.LinkMaxQueue {
 			st.LinkMaxQueue = r.MaxQueue
 		}
@@ -300,7 +295,6 @@ func (f *Fabric) Congestion() CongestionStats {
 			p := &rt.ports[i]
 			st.PortMessages += p.Messages
 			st.PortStall += p.StallCycles
-			st.PortOverflows += p.Overflows
 			busy += p.BusyCycles
 			if p.BusyCycles > st.PortBusiest {
 				st.PortBusiest = p.BusyCycles

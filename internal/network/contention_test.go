@@ -179,11 +179,12 @@ func TestRouterPortSharingSerializesBroadcast(t *testing.T) {
 	}
 }
 
-func TestLinkQueueCapCountsOverflows(t *testing.T) {
+// TestLinkBacklogDeliversEveryMessage: six messages sent at once on one
+// link all arrive, and the deepest backlog is the five queued behind the first.
+func TestLinkBacklogDeliversEveryMessage(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.MeshW, cfg.MeshH = 2, 2
 	cfg.LinkSerialization = 4
-	cfg.LinkQueueCap = 2
 	fab, eng, eps, _ := fabricFor(t, cfg)
 	for i := 0; i < 6; i++ {
 		fab.SendMessage(0, 1, uint32(i), 50)
@@ -192,13 +193,8 @@ func TestLinkQueueCapCountsOverflows(t *testing.T) {
 	if len(eps[1].msgs) != 6 {
 		t.Fatalf("messages must never be dropped: got %d of 6", len(eps[1].msgs))
 	}
-	st := fab.Congestion()
-	// Backlogs of 1,2,3,4,5 precede messages 2..6; depths >= cap(2) are
-	// messages 3,4,5,6.
-	if st.LinkOverflows != 4 {
-		t.Fatalf("overflows = %d, want 4", st.LinkOverflows)
-	}
-	if st.LinkMaxQueue != 5 {
+	// Backlogs of 1,2,3,4,5 precede messages 2..6.
+	if st := fab.Congestion(); st.LinkMaxQueue != 5 {
 		t.Fatalf("max queue = %d, want 5", st.LinkMaxQueue)
 	}
 }

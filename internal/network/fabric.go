@@ -33,7 +33,6 @@ type Fabric struct {
 
 	// Contention model (inert when ser == 0; see contention.go).
 	ser   sim.Time       // per-message link/port occupancy
-	qcap  int            // FIFO depth used for the overflow statistic
 	links []sim.Resource // directed mesh links, 4 per controller
 
 	// coll is the collective executing now (collective.go), nil between
@@ -51,7 +50,6 @@ func NewFabric(eng *sim.Engine, topo *Topology, log *telf.Log) *Fabric {
 		Topo: topo, eng: eng, log: log,
 		endpoints: make([]Endpoint, topo.N),
 		ser:       topo.Cfg.LinkSerialization,
-		qcap:      topo.Cfg.LinkQueueCap,
 	}
 	f.hid = eng.Bind(f)
 	if f.contention() && topo.Cfg.Topology != TopoTree {

@@ -93,11 +93,9 @@ func TestCongestionMergeFields(t *testing.T) {
 		LinkMessages:  2 * s.LinkMessages,
 		LinkStall:     2 * s.LinkStall,
 		LinkMaxQueue:  s.LinkMaxQueue,
-		LinkOverflows: 2 * s.LinkOverflows,
 		PortMessages:  2 * s.PortMessages,
 		PortStall:     2 * s.PortStall,
 		PortMaxQueue:  s.PortMaxQueue,
-		PortOverflows: 2 * s.PortOverflows,
 		RouterBusiest: s.RouterBusiest,
 		PortBusiest:   s.PortBusiest,
 		RouterBusy:    2 * s.RouterBusy,

@@ -77,11 +77,6 @@ type Config struct {
 	// ports than edges, edges share ports round-robin and contend. 0 gives
 	// every edge a dedicated port (no port sharing).
 	RouterPorts int
-	// LinkQueueCap bounds the per-link/per-port FIFO depth tracked by the
-	// congestion statistics; arrivals that find the backlog at or above
-	// the cap are counted as overflows. Messages are never dropped (a
-	// lossy fabric would break BISP). 0 = unbounded.
-	LinkQueueCap int
 }
 
 // NearSquareMesh returns the smallest near-square controller mesh

@@ -71,7 +71,6 @@ type NetStats struct {
 	NetStallCycles uint64 `json:"net_total_stall_cycles"`
 	NetMaxQueue    int    `json:"net_max_queue"`
 	NetMessages    uint64 `json:"net_messages"`
-	NetOverflows   uint64 `json:"net_overflows"`
 }
 
 // netStatsOf reads the wire view off a job's merged congestion digest (a
@@ -81,7 +80,6 @@ func netStatsOf(net network.CongestionStats) NetStats {
 		NetStallCycles: uint64(net.TotalStall()),
 		NetMaxQueue:    net.MaxQueue(),
 		NetMessages:    net.LinkMessages + net.PortMessages,
-		NetOverflows:   net.LinkOverflows + net.PortOverflows,
 	}
 }
 
@@ -89,7 +87,6 @@ func netStatsOf(net network.CongestionStats) NetStats {
 func (d NetStats) merge(e NetStats) NetStats {
 	d.NetStallCycles += e.NetStallCycles
 	d.NetMessages += e.NetMessages
-	d.NetOverflows += e.NetOverflows
 	d.NetMaxQueue = max(d.NetMaxQueue, e.NetMaxQueue)
 	return d
 }

@@ -19,17 +19,14 @@ type Resource struct {
 	Messages    uint64 // messages that traversed this stage
 	StallCycles Time   // cumulative cycles messages waited for the stage
 	MaxQueue    int    // deepest simultaneous backlog observed
-	Overflows   uint64 // reservations that found the backlog at or above cap
 	BusyCycles  Time   // total occupancy charged (utilization numerator)
 }
 
 // Reserve books the stage for one message that wants to enter at time
 // `at`, occupying it for `occupancy` cycles once in service. It returns
-// the service start time (>= at) and how long the message waited. cap
-// bounds the FIFO depth used for the overflow statistic; cap <= 0 means
-// unbounded. Messages are never dropped — a lossy fabric would break the
-// BISP protocol — so an over-cap arrival is counted, not discarded.
-func (r *Resource) Reserve(at, occupancy Time, cap int) (depart, waited Time) {
+// the service start time (>= at) and how long the message waited.
+// Messages are never dropped: a lossy fabric would break the BISP protocol.
+func (r *Resource) Reserve(at, occupancy Time) (depart, waited Time) {
 	if occupancy <= 0 {
 		return at, 0
 	}
@@ -43,9 +40,6 @@ func (r *Resource) Reserve(at, occupancy Time, cap int) (depart, waited Time) {
 		depth := int((waited + occupancy - 1) / occupancy)
 		if depth > r.MaxQueue {
 			r.MaxQueue = depth
-		}
-		if cap > 0 && depth >= cap {
-			r.Overflows++
 		}
 	}
 	r.busyUntil = depart + occupancy
