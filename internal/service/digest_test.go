@@ -19,6 +19,7 @@ import (
 // re-placed mapping. The pinned text was rendered while the service still
 // folded a per-shot digest over a host reduction tree and kept a separate
 // per-link re-place digest; a rewrite of the digest must leave it unchanged.
+// It was re-pinned once, when the always-zero NetOverflows left the net line.
 func TestCongestionDigestPinned(t *testing.T) {
 	const want = `hub x300: mapping [1 4 6 9 0 2 7 8 10 13 3 11 12 14 15 5]
 sweep x4: mapping [5 1 0 4 2 6 9 8 10 7 3 11 13 14 12 15]
@@ -26,7 +27,7 @@ tree collective x40: mapping identity
 hub x7: mapping [7 6 9 1 0 2 5 8 10 13 3 11 12 14 15 4]
 sweep x2: mapping [10 1 15 6 7 0 5 2 4 9 11 3 8 13 14 12]
 tree collective x5: mapping [11 12 5 6 14 13 7 2 10 4 0 9 1 8 3 15]
-net {NetStallCycles:121751 NetMaxQueue:19 NetMessages:105620 NetOverflows:0}
+net {NetStallCycles:121751 NetMaxQueue:19 NetMessages:105620}
 replacements 3
 `
 	cfg := contendedCfg(16)
