@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -18,6 +19,7 @@ import (
 	"dhisq/internal/placement"
 	"dhisq/internal/runner"
 	"dhisq/internal/sim"
+	"dhisq/internal/store"
 )
 
 // The knob generator: one seeded feed-forward circuit per seed, run under
@@ -37,8 +39,10 @@ import (
 //     paper (violations, misalignments, overlaps, inversions), and no
 //     makespan is below the circuit's dependency depth.
 //  4. Identity. Every collective schedule name gives one fingerprint and
-//     one tally, and a job hits the artifact cache exactly when an earlier
-//     job had its fingerprint.
+//     one tally, a cell whose fingerprint an earlier cell had compiles,
+//     uncached, to a byte-identical program (what every cache hit relies
+//     on), and a job hits the artifact cache exactly when an earlier job
+//     had its fingerprint.
 //
 // Not asserted, because it does not hold: per-shot bits under a timing
 // knob on a quantum backend (the order of the draws follows the timing),
@@ -233,6 +237,21 @@ func mustResolve(t *testing.T, req Request) Admission {
 	return adm
 }
 
+// encodeUncached is the store encoding of spec's program compiled with
+// nothing cached.
+func encodeUncached(t *testing.T, spec runner.Spec) []byte {
+	t.Helper()
+	cfg, err := machine.Normalize(spec.Circuit, spec.MeshW, spec.MeshH, spec.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := machine.CompileUncached(spec.Circuit, spec.Mapping, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store.Encode(cp)
+}
+
 // checkKnobInvariants generates seed's circuit and holds every cell of it
 // to the four clauses.
 func checkKnobInvariants(t *testing.T, seed int64) {
@@ -247,6 +266,7 @@ func checkKnobInvariants(t *testing.T, seed int64) {
 	}
 	var collFP artifact.Fingerprint
 	var collTally *runner.Tally
+	programs := map[artifact.Fingerprint][]byte{} // each fingerprint's first cell, encoded
 	run := func(where string, spec runner.Spec, workers int) *runner.ShotSet {
 		t.Helper()
 		spec.Cfg.Artifacts = cache
@@ -331,6 +351,12 @@ func checkKnobInvariants(t *testing.T, seed int64) {
 			} else if adm.Fingerprint != collFP || !reflect.DeepEqual(&tally, collTally) {
 				t.Errorf("%s: fingerprint or tally differs from the first collective name's", where)
 			}
+		}
+		prog := encodeUncached(t, adm.Spec)
+		if first, ok := programs[adm.Fingerprint]; !ok {
+			programs[adm.Fingerprint] = prog
+		} else if !bytes.Equal(prog, first) {
+			t.Errorf("%s: same fingerprint as an earlier cell, but a different program", where)
 		}
 
 		// Clause 2's service half, and clause 4's cache hits, on a rotating
