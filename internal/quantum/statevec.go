@@ -22,8 +22,8 @@
 // AVX2 twins on amd64 (runs.go), measurement is two passes (one
 // probability pass that accumulates both outcome weights, one combined
 // collapse+renormalize+compact pass) and a classical qubit's norm sum is
-// kept until the next write, and EPR is one pass. A shot runs on one
-// goroutine; parallelism lives across shots (DESIGN.md §9).
+// kept until the next write, and EPR is one pass. Every kernel runs on
+// its caller's goroutine: shots, not kernels, run concurrently (DESIGN.md §9).
 package quantum
 
 import (
