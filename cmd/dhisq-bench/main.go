@@ -49,7 +49,7 @@ func run(args []string, registry []exp.Experiment, stdout, stderr io.Writer) int
 	fs.Int64Var(&a.Seed, "seed", 1, "measurement outcome seed")
 	fs.IntVar(&a.Workers, "workers", 4, "worker replicas for the sweep experiment (0 = GOMAXPROCS)")
 	fs.IntVar(&a.Points, "points", 64, "parameter points for the sweep experiment")
-	fs.StringVar(&a.Topo, "topo", "all", "fabric and collective topology: mesh, torus, tree, or all")
+	fs.StringVar(&a.Topo, "topo", "all", "fabric experiment topology: mesh, torus, tree, or all")
 	fs.Int64Var(&a.LinkBW, "link-bw", 0, "link bandwidth as cycles per message (0 = each experiment's own sweep)")
 	fs.StringVar(&a.Placement, "placement", "all", "placement experiment policy (all = rowmajor vs interaction)")
 	outDir := fs.String("out", ".", "directory for BENCH_*.json files")

@@ -155,18 +155,28 @@ func TestCommittedBenchEnvelopes(t *testing.T) {
 // produce the committed rows and gates again. A change that moves a number
 // regenerates the file and shows the move in review. fig15 at -scale 1 is
 // the pin of all twelve Fig. 15 rows (seconds, so it lives here and not in
-// internal/exp, which CI also runs under -race).
+// internal/exp, which CI also runs under -race). The list is the registry,
+// and a committed envelope that names no experiment of this command's is an
+// orphan left by a deleted one, so it fails too.
 func TestCommittedBenchRowsReproduce(t *testing.T) {
-	byName := map[string]exp.Experiment{}
-	for _, e := range exp.Registry() {
-		byName[e.Name] = e
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, name := range []string{"table1", "fig11", "fig13", "fig14", "fig15", "ablation", "fig16",
-		"collective", "fabric", "placement", "feedback", "remote"} {
-		committed := readEnvelope(t, "../../BENCH_"+name+".json")
-		fresh, err := byName[name].Run(committed.Meta.Flags)
+	known := map[string]bool{}
+	for _, e := range experiments() {
+		known[e.Name] = true
+	}
+	for _, path := range paths {
+		if name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_"), ".json"); !known[name] {
+			t.Errorf("%s names no experiment of dhisq-bench", path)
+		}
+	}
+	for _, e := range exp.Registry() {
+		committed := readEnvelope(t, "../../BENCH_"+e.Name+".json")
+		fresh, err := e.Run(committed.Meta.Flags)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", e.Name, err)
 		}
 		raw, err := json.Marshal(fresh.Rows)
 		if err != nil {
@@ -177,10 +187,10 @@ func TestCommittedBenchRowsReproduce(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(rows, committed.Rows) {
-			t.Errorf("%s: rerun at %+v does not reproduce the committed rows", name, committed.Meta.Flags)
+			t.Errorf("%s: rerun at %+v does not reproduce the committed rows", e.Name, committed.Meta.Flags)
 		}
 		if !reflect.DeepEqual(fresh.Gates, committed.Gates) {
-			t.Errorf("%s: gates %v, committed %v", name, fresh.Gates, committed.Gates)
+			t.Errorf("%s: gates %v, committed %v", e.Name, fresh.Gates, committed.Gates)
 		}
 	}
 }

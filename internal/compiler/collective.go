@@ -12,8 +12,9 @@ import (
 // lowering distributes measured bits as a star: every consumption site
 // makes each remote bit's owner send it straight to the actor, and the
 // actor fan-ins one RECV per remote bit. This file lowers the same sites
-// through the two collective shapes the fabric's network.Collective layer
-// provides for runtime traffic:
+// through two collective shapes of its own, ordered by nothing but the
+// fabric Topology's hop distances (topoDistance); the fabric sees only the
+// ordinary point-to-point sends and receives they compile to:
 //
 //   - broadcast: a single remote bit is fetched from its *nearest current
 //     holder*, and the actor stores the received value at the bit's home

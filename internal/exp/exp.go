@@ -196,18 +196,6 @@ func Registry() []Experiment {
 			rows, err := FeedbackSweep(FeedbackOptions{Seed: a.Seed, LinkBW: sim.Time(a.LinkBW)})
 			return &Report{Rows: rows, Gates: feedbackGates(rows), Text: renderRows(rows, feedbackCols)}, err
 		}},
-		{"collective", func(a Args) (*Report, error) {
-			opt := CollectiveOptions{Seed: a.Seed}
-			var err error
-			if opt.Topologies, err = a.topologies(); err != nil {
-				return nil, err
-			}
-			if a.LinkBW > 0 {
-				opt.Serializations = []sim.Time{sim.Time(a.LinkBW)}
-			}
-			rows, err := CollectiveSweep(opt)
-			return &Report{Rows: rows, Gates: collectiveGates(rows), Text: renderRows(rows, collectiveCols)}, err
-		}},
 		{"remote", func(a Args) (*Report, error) {
 			rows, err := RemoteSweep(RemoteOptions{Seed: a.Seed, LinkBW: sim.Time(a.LinkBW)})
 			return &Report{Rows: rows, Gates: remoteGates(rows), Text: renderRows(rows, remoteCols)}, err

@@ -55,13 +55,14 @@ type Config struct {
 	// registry in internal/compiler). Part of the compile fingerprint via
 	// CompileOptions, exactly like Placement.
 	Schedule string
-	// Collective, when non-empty, names a network.CollSchedule ("naive",
-	// "ring", "halving", "tree", "auto") and turns on the compiler's
-	// collective-aware feed-forward lowering (compiler.Options.Collective)
-	// and nothing else. Only that on/off toggle is in the compile
-	// fingerprint: every accepted name builds the same program and the same
-	// machine. The name is still checked, since it is outside input. "" —
-	// the default — is byte-identical legacy behavior.
+	// Collective is a lowering toggle: any of the five accepted names
+	// ("naive", "ring", "halving", "tree", "auto"; network.CollScheduleNames)
+	// turns on the compiler's collective-aware feed-forward lowering
+	// (compiler.Options.Collective) and nothing else. Only that on/off
+	// toggle is in the compile fingerprint: every accepted name builds the
+	// same program and the same machine. The name is still checked, since
+	// it is outside input. "" — the default — is byte-identical legacy
+	// behavior.
 	Collective string
 	// Chips splits the data qubits across this many chips (0 or 1 = the
 	// single-chip legacy machine, byte-identical to before). A multi-chip

@@ -87,14 +87,15 @@ func (f *Fabric) reservePort(r, neighbor, src int, at sim.Time) sim.Time {
 }
 
 // chargeStall records a queueing wait: a NetStall event on the node where
-// the backlog formed and, for a program's own message outside a collective,
-// a Stall{StallNet} on the controller that sent it.
+// the backlog formed and, for a controller's own message (src >= 0; a
+// router's booking and broadcast hops pass -1), a Stall{StallNet} on the
+// controller that sent it.
 func (f *Fabric) chargeStall(node, src int, waited, depart sim.Time) {
 	if waited <= 0 {
 		return
 	}
 	f.log.Add(telf.Event{Time: depart, Node: node, Kind: telf.NetStall, A: int64(src), B: waited})
-	if src >= 0 && f.coll == nil {
+	if src >= 0 {
 		f.log.Add(telf.Event{Time: depart, Node: src, Kind: telf.Stall, A: telf.StallNet, B: waited})
 	}
 }

@@ -34,10 +34,6 @@ type Fabric struct {
 	// Contention model (inert when ser == 0; see contention.go).
 	ser   sim.Time       // per-message link/port occupancy
 	links []sim.Resource // directed mesh links, 4 per controller
-
-	// coll is the collective executing now (collective.go), nil between
-	// them.
-	coll *collRun
 }
 
 // NewFabric builds the fabric and its routers. Endpoints are attached later
@@ -88,7 +84,6 @@ func (f *Fabric) Reset() {
 	for i := range f.links {
 		f.links[i].Reset()
 	}
-	f.coll = nil
 }
 
 // Router returns the router object at the given address.
@@ -167,7 +162,6 @@ const (
 	evResume                  // DeliverRegionResume: A router, B tm
 	evBooking                 // receiveBooking: A bookingKey(child, dest), B booked time-point
 	evBroadcast               // broadcast one level further down: A dest, B tm
-	evCollStart               // start every node of the running collective (f.coll)
 )
 
 // bookingKey packs the two addresses of an evBooking into one operand.
@@ -195,10 +189,6 @@ func (f *Fabric) HandleEvent(ev sim.Event) {
 		f.Router(node).receiveBooking(int(ev.A>>32), int(int32(ev.A)), ev.B, arrival)
 	case evBroadcast:
 		f.Router(node).broadcast(int(ev.A), ev.B, arrival+f.Topo.Cfg.RouterProc)
-	case evCollStart:
-		for _, n := range f.coll.nodes {
-			n.advance()
-		}
 	}
 }
 

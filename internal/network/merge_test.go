@@ -135,9 +135,8 @@ func TestCongestionMergeFields(t *testing.T) {
 }
 
 // TestCongestionMergeDisabledAddsNoStall: a snapshot taken with the
-// contention model off — traffic and a collective run on it — is the zero
-// value, so merging it moves no stall and no link, and keeps the digest
-// enabled.
+// contention model off — traffic run on it — is the zero value, so merging
+// it moves no stall and no link, and keeps the digest enabled.
 func TestCongestionMergeDisabledAddsNoStall(t *testing.T) {
 	s := contendedSnapshots(t)[0]
 	cfg := DefaultConfig(9)
@@ -147,15 +146,6 @@ func TestCongestionMergeDisabledAddsNoStall(t *testing.T) {
 	fab.SendMessage(0, 1, 2, 10)
 	fab.SendMessage(0, 8, 3, 10)
 	eng.Run(0)
-	parts := fab.Topo.SnakeOrder()
-	inputs := make([][]uint32, len(parts))
-	for r := range inputs {
-		inputs[r] = []uint32{uint32(r)}
-	}
-	spec := CollSpec{Kind: CollAllReduce, Schedule: CollTree, Parts: parts, Width: 1, Op: ReduceSum}
-	if _, err := RunCollective(fab, spec, inputs, eng.Now()); err != nil {
-		t.Fatal(err)
-	}
 	off := fab.Congestion()
 	if !reflect.DeepEqual(off, CongestionStats{}) {
 		t.Fatalf("disabled snapshot %+v, want the zero value", off)

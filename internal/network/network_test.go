@@ -1,6 +1,9 @@
 package network
 
 import (
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"dhisq/internal/sim"
@@ -143,6 +146,47 @@ func TestTreePathHops(t *testing.T) {
 	}
 }
 
+// TestTreePathNoAlloc pins the path memoization: repeated TreePath calls
+// must not allocate (they return shared read-only tables).
+func TestTreePathNoAlloc(t *testing.T) {
+	topo := mustTopo(t, Config{MeshW: 4, MeshH: 4, RouterFanout: 2, NeighborLatency: 2, TreeHopLatency: 4, RouterProc: 1})
+	pairs := [][2]int{{0, 15}, {3, 12}, {5, 5}, {topo.Root, 7}}
+	for _, p := range pairs {
+		topo.TreePath(p[0], p[1]) // warm the memo
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, p := range pairs {
+			_ = topo.TreePath(p[0], p[1])
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("TreePath allocated %.1f per run, want 0", allocs)
+	}
+}
+
+// TestTreePathConcurrent drives the memoized TreePath from many
+// goroutines — the -race leg for the shared path cache.
+func TestTreePathConcurrent(t *testing.T) {
+	topo := mustTopo(t, Config{MeshW: 6, MeshH: 6, RouterFanout: 2, NeighborLatency: 2, TreeHopLatency: 4, RouterProc: 1})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 500; i++ {
+				a, b := rng.Intn(topo.N), rng.Intn(topo.N)
+				p := topo.TreePath(a, b)
+				if len(p)-1 != topo.TreePathHops(a, b) {
+					t.Errorf("path length %d vs hops %d", len(p)-1, topo.TreePathHops(a, b))
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+}
+
 // scriptedEndpoint records deliveries for fabric tests.
 type scriptedEndpoint struct {
 	msgs    []uint32
@@ -281,5 +325,27 @@ func TestDefaultConfigShapes(t *testing.T) {
 		if topo.N < n {
 			t.Fatalf("n=%d: topology holds %d", n, topo.N)
 		}
+	}
+}
+
+// TestParseCollSchedule pins the collective schedule names the -collective
+// flag and the wire field accept: the list, each name's round-trip, and the
+// refusal of a name off it.
+func TestParseCollSchedule(t *testing.T) {
+	names := CollScheduleNames()
+	if want := []string{"naive", "ring", "halving", "tree", "auto"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("collective schedule names %v, want %v", names, want)
+	}
+	for _, name := range names {
+		s, err := ParseCollSchedule(name)
+		if err != nil {
+			t.Fatalf("ParseCollSchedule(%q): %v", name, err)
+		}
+		if s != name {
+			t.Fatalf("round-trip %q -> %q", name, s)
+		}
+	}
+	if _, err := ParseCollSchedule("bogus"); err == nil {
+		t.Fatal("expected error for unknown schedule")
 	}
 }
