@@ -12,10 +12,10 @@
 //	                     service.Request's, which it embeds — are the one
 //	                     declaration of every name ("seed", "mapping", "topo",
 //	                     "link_bw", "router_ports", "placement", "schedule",
-//	                     "collective", "chips", "epr_latency", "params",
-//	                     "sweep"), and service.Resolve is the one reading of
-//	                     them. A field that is not declared there is a 400
-//	                     naming it, not a job run on defaults
+//	                     "chips", "epr_latency", "params", "sweep"), and
+//	                     service.Resolve is the one reading of them. A
+//	                     field that is not declared there is a 400 naming
+//	                     it, not a job run on defaults
 //	                     -> {"id": "job-000042", "state": "queued"}
 //	GET  /v1/jobs/{id}   poll a job; ?wait=1/true long-polls until it
 //	                     finishes, ?wait=0/false (or no wait) polls once;

@@ -282,45 +282,6 @@ func TestSubmitWithFabricOverrides(t *testing.T) {
 	}
 }
 
-// The collective knob travels the wire: a job naming a schedule runs the
-// collective-aware lowering and still returns a legal GHZ histogram; a
-// bogus schedule is rejected at submission like a bogus topology.
-func TestSubmitWithCollective(t *testing.T) {
-	ts, _ := newTestServer(t)
-
-	id, resp := postJob(t, ts, service.Submission{
-		QASM: ghzQASM,
-		Request: service.Request{
-			Shots:      10,
-			Seed:       7,
-			Collective: "auto",
-			LinkBW:     2,
-		},
-	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d", resp.StatusCode)
-	}
-	jr := getJob(t, ts, id, true)
-	if jr.State != "done" {
-		t.Fatalf("job: %+v", jr)
-	}
-	total := 0
-	for outcome, n := range jr.Histogram {
-		if outcome != "0000" && outcome != "1111" {
-			t.Fatalf("impossible GHZ outcome %q under collective lowering", outcome)
-		}
-		total += n
-	}
-	if total != 10 {
-		t.Fatalf("histogram holds %d of 10 shots", total)
-	}
-
-	_, resp = postJob(t, ts, service.Submission{QASM: ghzQASM, Request: service.Request{Shots: 1, Collective: "butterfly"}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bogus collective schedule accepted: %d", resp.StatusCode)
-	}
-}
-
 // A submission naming a placement policy gets it applied, and the job
 // response echoes the resolved mesh, policy, and final mapping.
 func TestSubmitWithPlacement(t *testing.T) {

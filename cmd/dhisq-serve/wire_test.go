@@ -37,6 +37,12 @@ func TestUnknownFieldRejected(t *testing.T) {
 	if code != http.StatusBadRequest || !strings.Contains(answer, `unknown field \"placment\"`) {
 		t.Fatalf("typo body: status %d, answer %s; want 400 naming the field", code, answer)
 	}
+	// A field the wire once took and no longer does is refused the same
+	// way, not run as a default job.
+	code, answer = post(t, ts.URL, `{"bench":"dvqe","shots":2,"collective":"tree"}`)
+	if code != http.StatusBadRequest || !strings.Contains(answer, `unknown field \"collective\"`) {
+		t.Fatalf("retired field: status %d, answer %s; want 400 naming the field", code, answer)
+	}
 	if code, answer = post(t, ts.URL, `{"bench":"dvqe","shots":2,"chips":2,"placement":"interaction"}`); code != http.StatusAccepted {
 		t.Fatalf("correct body: status %d, answer %s; want 202", code, answer)
 	}

@@ -11,9 +11,9 @@
 // circuit; dhisq-sim long-polls the job and prints its histogram.
 //
 // The job is a service.Submission in both modes: its per-job option flags
-// (-topo -link-bw -router-ports -placement -schedule -collective -chips
-// -epr-latency) are declared by service.Request.RegisterFlags, the struct
-// marshals as the POST body, and service.Resolve validates it — locally
+// (-topo -link-bw -router-ports -placement -schedule -chips -epr-latency)
+// are declared by service.Request.RegisterFlags, the struct marshals as
+// the POST body, and service.Resolve validates it — locally
 // before a local run, and locally again before anything is posted — so the
 // two modes accept, reject and run the same thing.
 //

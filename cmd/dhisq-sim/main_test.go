@@ -30,7 +30,6 @@ var invalidSubmissions = []struct {
 	sub     service.Submission
 	wantSub string
 }{
-	{"collective", dvqe(service.Request{Collective: "bogus-schedule"}), "collective"},
 	{"topology", dvqe(service.Request{Topo: "hypercube"}), "topology"},
 	{"placement", dvqe(service.Request{Placement: "bogus-policy"}), "placement"},
 	{"schedule", dvqe(service.Request{Schedule: "bogus-sched"}), "schedul"},
@@ -86,7 +85,7 @@ func TestSubmitRemoteValidFlagsReachNetwork(t *testing.T) {
 		Bench: "dvqe", Scale: 2,
 		Request: service.Request{
 			Shots: 4, Seed: 7, Topo: "torus", LinkBW: 4, RouterPorts: 2,
-			Placement: "interaction", Schedule: "padded", Collective: "ring",
+			Placement: "interaction", Schedule: "padded",
 			Chips: 2, EPRLatency: 150,
 		},
 	})
@@ -105,7 +104,7 @@ func TestFlagSetPinned(t *testing.T) {
 	want := map[string]string{
 		"qasm": "", "bench": "", "scale": "1", "seed": "1", "shots": "1", "workers": "0",
 		"topo": "mesh", "link-bw": "0", "router-ports": "0", "placement": "", "schedule": "",
-		"collective": "", "chips": "0", "epr-latency": "0",
+		"chips": "0", "epr-latency": "0",
 		"bind": "", "serve": "", "list": "false",
 	}
 	fs := flag.NewFlagSet("dhisq-sim", flag.ContinueOnError)

@@ -57,10 +57,10 @@ func (f Fingerprint) Short() string { return hex.EncodeToString(f[:6]) }
 // skeleton fingerprint. v5: the schedule policy name joined the compiler
 // options — the Schedule pass resolves directives through the named
 // policy (internal/compiler's schedule registry), so artifacts from
-// different scheduling policies must never alias. v6: the Collective
-// option joined the compiler options — the collective-aware lowering
-// emits different feed-forward distribution code, so artifacts compiled
-// with it on and off must never alias. v7: the Chips and EPRLatency
+// different scheduling policies must never alias. v6: a second
+// feed-forward lowering's on/off option joined the compiler options — it
+// emitted different bit-distribution code, so artifacts compiled with it
+// on and off must never alias. v7: the Chips and EPRLatency
 // options joined the compiler options — the multi-chip expansion rewrites
 // the circuit and the EPR latency changes emitted waits, so artifacts from
 // different chip configurations must never alias (and replica pools keyed
@@ -69,7 +69,9 @@ func (f Fingerprint) Short() string { return hex.EncodeToString(f[:6]) }
 // left the encoding. v9: PipeGuard became a compiler constant (nothing ever
 // set another value) and its word left the encoding too. v10: the link
 // queue cap is gone (only a test ever set it) and its word left the encoding.
-const keyVersion = 10
+// v11: that second lowering is gone — the star lowering is the one
+// feed-forward path — and the v6 word left the encoding.
+const keyVersion = 11
 
 // Key fingerprints a compilation request. Two requests share a key iff
 // the compiler is guaranteed to produce identical output for both: the
@@ -182,8 +184,6 @@ func Key(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Opt
 	// redundancy tradeoff.
 	wi(int64(len(opt.Schedule)))
 	buf = append(buf, opt.Schedule...)
-	// Collective lowering toggle (keyVersion 6).
-	wb(opt.Collective)
 	// Multi-chip expansion inputs (keyVersion 7).
 	wi(int64(opt.Chips))
 	wi(int64(opt.EPRLatency))

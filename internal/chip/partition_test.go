@@ -67,7 +67,7 @@ func TestEPRLatencyOccupiesCommQubits(t *testing.T) {
 	}
 }
 
-// TestCommRNGSeparation pins the herald-RNG split (DESIGN.md §13): with a
+// TestCommRNGSeparation pins the herald-RNG split (DESIGN.md §12): with a
 // comm boundary set, measuring a communication qubit draws from the
 // dedicated herald stream, so the data qubits' main-stream draws are
 // unchanged by interleaved herald measurements.

@@ -45,7 +45,7 @@ const (
 	// entanglement resource of the multi-chip model: the expansion emits it
 	// on communication qubits of different chips, and the chip model charges
 	// it the configured generation latency with a heralding exchange over
-	// the fabric (DESIGN.md §13). Exec spells out what it does to the state.
+	// the fabric (DESIGN.md §12). Exec spells out what it does to the state.
 	EPR
 )
 

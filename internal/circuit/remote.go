@@ -10,7 +10,7 @@ import "fmt"
 // parity-conditioned Pauli corrections. Where dynamic.go routes through
 // chains of free ancillas on one chip, these constructions consume a single
 // shared EPR pair held on dedicated communication qubits — the inter-chip
-// primitive of the multi-chip model (DESIGN.md §13). The constructions are
+// primitive of the multi-chip model (DESIGN.md §12). The constructions are
 // verified against merged-single-chip execution in the package tests.
 
 // remoteControlled appends the teleported version of the two-qubit gate op

@@ -72,22 +72,11 @@ type Options struct {
 	// fingerprint, exactly like Placement: two policies never share a
 	// cache entry even when they emit the same programs.
 	Schedule string
-	// Collective enables the collective-aware feed-forward lowering
-	// (collective.go): a consumed remote bit is fetched from its nearest
-	// holder and re-stored at the consumer — repeated consumption grows a
-	// broadcast tree instead of a star around the owner — and multi-bit
-	// parity gathers lower to farthest-first XOR relay chains, a software
-	// reduce over the fabric instead of an all-owners fan-in at the actor.
-	// Off (the default) is byte-identical to the pre-collective lowering.
-	// Part of the artifact fingerprint (keyVersion 6). Requires the
-	// State-based entry points: nearest-holder selection needs the
-	// topology, which the Windows interface hides.
-	Collective bool
 	// Chips splits the data qubits across this many chips (0 or 1 = the
 	// single-chip legacy model, byte-identical to before the multi-chip
 	// refactor). The Place pass partitions qubits across chips, appends one
 	// communication qubit per chip, and rewrites cross-chip two-qubit gates
-	// into EPR-mediated teleported constructions (DESIGN.md §13). Part of
+	// into EPR-mediated teleported constructions (DESIGN.md §12). Part of
 	// the artifact fingerprint (keyVersion 7).
 	Chips int
 	// EPRLatency is the cycle cost of one inter-chip EPR-pair generation

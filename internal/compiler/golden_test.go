@@ -20,16 +20,17 @@ import (
 
 // This file freezes what the compiler emits. Each line of
 // testdata/compile.golden is one cell — a corpus row compiled on one
-// topology under one schedule policy, with or without the collective
-// feed-forward lowering — and carries the SHA-256 of everything the
-// artifact holds: the encoded program bytes, codeword tables, bit owners,
-// MemBytes, Stats, ParamSlots, MeasBits, PublicBits and Mapping. It
-// compiles through machine.CompileUncached, the exported entry every
-// serving path takes, so it runs unchanged at an older commit: copy it
-// there and run `go test ./internal/compiler -run TestCompileGolden
+// topology under one schedule policy — and carries the SHA-256 of
+// everything the artifact holds: the encoded program bytes, codeword
+// tables, bit owners, MemBytes, Stats, ParamSlots, MeasBits, PublicBits and
+// Mapping. It compiles through machine.CompileUncached, the exported entry
+// every serving path takes, so it runs unchanged at an older commit: copy
+// it there and run `go test ./internal/compiler -run TestCompileGolden
 // -update-compile` to regenerate the file. The file in the tree came from
 // commit 5e0b11a, the last one before the compiler's representation was
-// rewritten; it is not edited to make a change pass.
+// rewritten; it is not edited to make a change pass. Its one edit since
+// deleted lines: the cells of a second feed-forward lowering, and the
+// column that named it, left with that lowering.
 
 var updateCompile = flag.Bool("update-compile", false, "rewrite testdata/compile.golden from this tree; run it at the commit whose output is to be frozen")
 
@@ -43,21 +44,6 @@ type goldenRow struct {
 	meshW, meshH int // 0 = the default near-square mesh
 	chips        int
 	placement    string
-}
-
-// feedForward reports whether the row's lowered program has conditioned
-// commits, the ones the collective lowering changes: the circuit's own, or
-// the teleport corrections a multi-chip expansion adds.
-func (r goldenRow) feedForward() bool {
-	if r.chips > 1 {
-		return true
-	}
-	for _, op := range r.c.Ops {
-		if op.Cond != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // coldBV and coldQFT are the cold_compile benchmark's two shapes: a dynamic
@@ -112,32 +98,21 @@ func goldenCorpus(t testing.TB) []goldenRow {
 
 // goldenCell is one compile of a row.
 type goldenCell struct {
-	row        goldenRow
-	topo       network.TopologyKind
-	schedule   string
-	collective string
+	row      goldenRow
+	topo     network.TopologyKind
+	schedule string
 }
 
 func (g goldenCell) String() string {
-	coll := g.collective
-	if coll == "" {
-		coll = "-"
-	}
-	return fmt.Sprintf("%s %s %s %s", g.row.name, g.topo, g.schedule, coll)
+	return fmt.Sprintf("%s %s %s", g.row.name, g.topo, g.schedule)
 }
 
 func goldenCells(t testing.TB) []goldenCell {
 	var cells []goldenCell
 	for _, row := range goldenCorpus(t) {
-		colls := []string{""}
-		if row.feedForward() {
-			colls = append(colls, "auto")
-		}
 		for _, topo := range []network.TopologyKind{network.TopoMesh, network.TopoTorus, network.TopoTree} {
 			for _, sched := range []string{"fixed", "padded"} {
-				for _, coll := range colls {
-					cells = append(cells, goldenCell{row: row, topo: topo, schedule: sched, collective: coll})
-				}
+				cells = append(cells, goldenCell{row: row, topo: topo, schedule: sched})
 			}
 		}
 	}
@@ -149,7 +124,6 @@ func (g goldenCell) compile() (*compiler.Compiled, error) {
 	cfg.Net.MeshW, cfg.Net.MeshH = g.row.meshW, g.row.meshH
 	cfg.Net.Topology = g.topo
 	cfg.Schedule = g.schedule
-	cfg.Collective = g.collective
 	cfg.Chips = g.row.chips
 	cfg.Placement = g.row.placement
 	return machine.CompileUncached(g.row.c, g.row.mapping, cfg)

@@ -199,20 +199,6 @@ func (Lower) Run(st *State) error {
 	// Static-ness is read off the ops as they are lowered (Compiled.MeasBits):
 	// a conditioned op or a second write to one classical bit clears it.
 	measBits := make([][]int, opt.Controllers)
-	// Collective lowering state: which controllers hold each bit's value at
-	// its home address (the owner after a measure, plus every consumer that
-	// re-stored it; see collective.go). The distance metric steers
-	// nearest-holder selection and relay-chain ordering, so the topology is
-	// a hard requirement when the option is on.
-	var holders map[int][]int
-	var dist func(int, int) int
-	if opt.Collective {
-		if st.Topo == nil {
-			return fmt.Errorf("compiler: Options.Collective needs the fabric topology (compile via machine, not the Windows-only entry points)")
-		}
-		holders = map[int][]int{}
-		dist = topoDistance(st.Topo)
-	}
 
 	barrier := func() {
 		for i := range streams {
@@ -266,11 +252,6 @@ func (Lower) Run(st *State) error {
 			}
 			st.bitOwner[op.CBit] = s.id
 			st.bitMeasured[op.CBit] = true
-			if holders != nil {
-				// A re-measure invalidates every stale copy: the owner is
-				// the only holder again.
-				holders[op.CBit] = []int{s.id}
-			}
 
 		case op.Cond != nil:
 			if op.Kind.IsTwoQubit() {
@@ -283,10 +264,6 @@ func (Lower) Run(st *State) error {
 				if !st.bitMeasured[b] {
 					return fmt.Errorf("compiler: op %d uses bit %d before it is measured", opIdx, b)
 				}
-			}
-			if holders != nil {
-				st.lowerCondCollective(streams, op, actor, q, holders, dist)
-				break
 			}
 			// Owners forward remote bits at this consumption site. Send units
 			// are slide-stops (not fDet): a later sync must never be booked

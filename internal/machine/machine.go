@@ -55,21 +55,12 @@ type Config struct {
 	// registry in internal/compiler). Part of the compile fingerprint via
 	// CompileOptions, exactly like Placement.
 	Schedule string
-	// Collective is a lowering toggle: any of the five accepted names
-	// ("naive", "ring", "halving", "tree", "auto"; network.CollScheduleNames)
-	// turns on the compiler's collective-aware feed-forward lowering
-	// (compiler.Options.Collective) and nothing else. Only that on/off
-	// toggle is in the compile fingerprint: every accepted name builds the
-	// same program and the same machine. The name is still checked, since
-	// it is outside input. "" — the default — is byte-identical legacy
-	// behavior.
-	Collective string
 	// Chips splits the data qubits across this many chips (0 or 1 = the
 	// single-chip legacy machine, byte-identical to before). A multi-chip
 	// machine appends one communication qubit per chip after the data
 	// qubits, sizes its backends and mesh for the total, and the compiler
 	// teleports cross-chip two-qubit gates through the EPR resource
-	// (DESIGN.md §13). Part of the compile fingerprint via CompileOptions.
+	// (DESIGN.md §12). Part of the compile fingerprint via CompileOptions.
 	Chips int
 	// EPRLatency is the cycle cost of one inter-chip EPR-pair generation
 	// (0 = DefaultEPRLatency when Chips > 1). Part of the compile
@@ -150,8 +141,7 @@ type Machine struct {
 // computed from out. The mesh defaults to the smallest near-square one that
 // fits (meshW or meshH <= 0) and is regrown when a multi-chip expansion's
 // communication qubits no longer fit; chip count and EPR latency are checked
-// and the latency resolved to what the chip charges; a collective schedule
-// name is checked against the registry; BackendAuto resolves on
+// and the latency resolved to what the chip charges; BackendAuto resolves on
 // the device total, and an explicit backend that cannot run the circuit is
 // an error. It is idempotent, so service.Resolve, NewForCircuit and
 // the key can each apply it and agree by construction — the service's pool
@@ -166,11 +156,6 @@ func Normalize(c *circuit.Circuit, meshW, meshH int, cfg Config) (Config, error)
 	}
 	if cfg.EPRLatency < 0 {
 		return cfg, fmt.Errorf("machine: negative EPR latency %d", cfg.EPRLatency)
-	}
-	if cfg.Collective != "" {
-		if _, err := network.ParseCollSchedule(cfg.Collective); err != nil {
-			return cfg, err
-		}
 	}
 	total := cfg.TotalQubits(n)
 	if cfg.Chips > 1 {
@@ -231,11 +216,6 @@ func New(cfg Config, numQubits int) (*Machine, error) {
 	topo, err := network.NewTopology(cfg.Net)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Collective != "" {
-		if _, err := network.ParseCollSchedule(cfg.Collective); err != nil {
-			return nil, err
-		}
 	}
 	if cfg.Backend == BackendAuto {
 		cfg.Backend = BackendSeeded
@@ -308,7 +288,6 @@ func compileOptions(cfg Config) (compiler.Options, error) {
 	opt.MeasLatency = cfg.MeasLatency
 	opt.Placement = cfg.Placement
 	opt.Schedule = cfg.Schedule
-	opt.Collective = cfg.Collective != ""
 	if cfg.Chips > 1 {
 		// Chips <= 1 stays zero so a Chips=1 config fingerprints — and
 		// compiles — identically to the legacy single-chip machine.

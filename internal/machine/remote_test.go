@@ -315,7 +315,7 @@ func TestChipsExceedQubitsRejected(t *testing.T) {
 // TestRemoteDVQELeavesNoActiveQubits: every data qubit of a 2-chip dvqe
 // shot ends measured and every communication qubit ends reset, so the
 // dense backend's amplitude array must be back to a single entry — comm
-// qubits cost nothing outside their EPR windows (DESIGN.md §13).
+// qubits cost nothing outside their EPR windows (DESIGN.md §12).
 func TestRemoteDVQELeavesNoActiveQubits(t *testing.T) {
 	c, err := workloads.DistributedVQE(8, 2).Bind(workloads.DistributedVQEPoint(8, 2, 0))
 	if err != nil {

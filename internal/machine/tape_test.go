@@ -60,29 +60,18 @@ func TestShotTapesStaticPrograms(t *testing.T) {
 }
 
 // TestConfigThatReadsOutcomesIsNotTaped: with LogEvents a shot owes a TELF
-// log, so a static program under it is simulated every shot. A collective
-// schedule name turns on the collective-aware lowering and nothing else,
-// so a static program under one is taped like any other. Either way every
+// log, so a static program under it is simulated every shot, and every
 // shot equals Reset+Run+ReadBits.
 func TestConfigThatReadsOutcomesIsNotTaped(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		mutate func(*Config)
-		want   TapeStats // after seeds 1..3
-	}{
-		{"collective", func(c *Config) { c.Collective = "tree" }, TapeStats{Replayed: 2}},
-		{"log events", func(c *Config) { c.LogEvents = true }, TapeStats{}},
-	} {
-		cfg := DefaultConfig(16)
-		tc.mutate(&cfg)
-		m, ref := buildLoaded(t, cliffordCircuit(), 4, 4, cfg), buildLoaded(t, cliffordCircuit(), 4, 4, cfg)
-		if !m.Loaded().Static() {
-			t.Fatalf("%s: the program itself is static", tc.name)
-		}
-		shotsMatch(t, tc.name, m, ref, 1, 2, 3)
-		if st := m.TapeStats(); st != tc.want {
-			t.Fatalf("%s: tape %+v, want %+v", tc.name, st, tc.want)
-		}
+	cfg := DefaultConfig(16)
+	cfg.LogEvents = true
+	m, ref := buildLoaded(t, cliffordCircuit(), 4, 4, cfg), buildLoaded(t, cliffordCircuit(), 4, 4, cfg)
+	if !m.Loaded().Static() {
+		t.Fatal("the program itself is static")
+	}
+	shotsMatch(t, "log events", m, ref, 1, 2, 3)
+	if st := m.TapeStats(); st != (TapeStats{}) {
+		t.Fatalf("tape %+v, want none", st)
 	}
 }
 

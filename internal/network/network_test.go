@@ -2,7 +2,6 @@ package network
 
 import (
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -325,27 +324,5 @@ func TestDefaultConfigShapes(t *testing.T) {
 		if topo.N < n {
 			t.Fatalf("n=%d: topology holds %d", n, topo.N)
 		}
-	}
-}
-
-// TestParseCollSchedule pins the collective schedule names the -collective
-// flag and the wire field accept: the list, each name's round-trip, and the
-// refusal of a name off it.
-func TestParseCollSchedule(t *testing.T) {
-	names := CollScheduleNames()
-	if want := []string{"naive", "ring", "halving", "tree", "auto"}; !reflect.DeepEqual(names, want) {
-		t.Fatalf("collective schedule names %v, want %v", names, want)
-	}
-	for _, name := range names {
-		s, err := ParseCollSchedule(name)
-		if err != nil {
-			t.Fatalf("ParseCollSchedule(%q): %v", name, err)
-		}
-		if s != name {
-			t.Fatalf("round-trip %q -> %q", name, s)
-		}
-	}
-	if _, err := ParseCollSchedule("bogus"); err == nil {
-		t.Fatal("expected error for unknown schedule")
 	}
 }

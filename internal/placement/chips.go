@@ -7,7 +7,7 @@ import (
 )
 
 // This file holds the chip-level partitioner of the multi-chip model
-// (DESIGN.md §13): before controller placement, the Place pass splits the
+// (DESIGN.md §12): before controller placement, the Place pass splits the
 // data qubits across chips, and every two-qubit gate whose operands land on
 // different chips becomes an EPR-mediated remote gate. The objective is
 // therefore the cut size — the number of gates teleported — not mesh

@@ -1,8 +1,8 @@
 // Package registry is the one name → value idiom of the stack: a fixed,
 // ordered list of named values, "" resolving to a default, and one error
 // text for a name that is not on the list. Placement policies, scheduling
-// policies, collective schedules and fabric topologies all resolve through
-// it, so every CLI flag and wire field rejects a bad name the same way.
+// policies and fabric topologies all resolve through it, so every CLI flag
+// and wire field rejects a bad name the same way.
 package registry
 
 import (

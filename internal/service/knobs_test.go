@@ -15,7 +15,6 @@ import (
 	"dhisq/internal/circuit"
 	"dhisq/internal/compiler"
 	"dhisq/internal/machine"
-	"dhisq/internal/network"
 	"dhisq/internal/placement"
 	"dhisq/internal/runner"
 	"dhisq/internal/sim"
@@ -38,18 +37,15 @@ import (
 //  3. Timing. With contention off no shot breaks an invariant of the
 //     paper (violations, misalignments, overlaps, inversions), and no
 //     makespan is below the circuit's dependency depth.
-//  4. Identity. Every collective schedule name gives one fingerprint and
-//     one tally, a cell whose fingerprint an earlier cell had compiles,
+//  4. Identity. A cell whose fingerprint an earlier cell had compiles,
 //     uncached, to a byte-identical program (what every cache hit relies
 //     on), and a job hits the artifact cache exactly when an earlier job
 //     had its fingerprint.
 //
 // Not asserted, because it does not hold: per-shot bits under a timing
 // knob on a quantum backend (the order of the draws follows the timing),
-// collective lowering ≡ star lowering on the state vector (which is why
-// runner's TestRemoteDistributionEquality and machine's
-// TestCollectiveLoweringEquivalence keep their statevec clauses), and zero
-// misalignments under contention (DESIGN.md "Where congestion lands").
+// and zero misalignments under contention (DESIGN.md "Where congestion
+// lands").
 
 const (
 	knobShots = 3 // shots per run, per point
@@ -152,12 +148,11 @@ type knobCell struct {
 }
 
 func (c knobCell) String() string {
-	return fmt.Sprintf("topo=%q link_bw=%d router_ports=%d placement=%q schedule=%q collective=%q chips=%d epr_latency=%d latency=%d",
-		c.req.Topo, c.req.LinkBW, c.req.RouterPorts, c.req.Placement, c.req.Schedule, c.req.Collective, c.req.Chips, c.req.EPRLatency, c.lat)
+	return fmt.Sprintf("topo=%q link_bw=%d router_ports=%d placement=%q schedule=%q chips=%d epr_latency=%d latency=%d",
+		c.req.Topo, c.req.LinkBW, c.req.RouterPorts, c.req.Placement, c.req.Schedule, c.req.Chips, c.req.EPRLatency, c.lat)
 }
 
-// knobCells moves one knob at a time away from the default machine (the
-// mesh cell, which is also the collective-off cell).
+// knobCells moves one knob at a time away from the default (mesh) machine.
 func knobCells() []knobCell {
 	var cells []knobCell
 	for _, topo := range []string{"mesh", "torus", "tree"} {
@@ -171,9 +166,6 @@ func knobCells() []knobCell {
 	_, list, _ := strings.Cut(compiler.ValidSchedule("?").Error(), "(want ")
 	for _, s := range strings.Split(strings.TrimSuffix(list, ")"), ", ") {
 		cells = append(cells, knobCell{req: Request{Schedule: s}})
-	}
-	for _, coll := range network.CollScheduleNames() {
-		cells = append(cells, knobCell{req: Request{Collective: coll}})
 	}
 	for _, chips := range []int{2, 3} {
 		cells = append(cells, knobCell{req: Request{Chips: chips, EPRLatency: 40}})
@@ -264,8 +256,6 @@ func checkKnobInvariants(t *testing.T, seed int64) {
 		defer svcs[i].Close()
 		seen[i] = map[string]bool{}
 	}
-	var collFP artifact.Fingerprint
-	var collTally *runner.Tally
 	programs := map[artifact.Fingerprint][]byte{} // each fingerprint's first cell, encoded
 	run := func(where string, spec runner.Spec, workers int) *runner.ShotSet {
 		t.Helper()
@@ -343,15 +333,8 @@ func checkKnobInvariants(t *testing.T, seed int64) {
 			}
 		}
 
-		// Clause 4: a collective name turns on one lowering, whichever it is.
+		// Clause 4: one fingerprint, one program.
 		tally := want[0].Tally()
-		if cell.req.Collective != "" {
-			if collTally == nil {
-				collFP, collTally = adm.Fingerprint, &tally
-			} else if adm.Fingerprint != collFP || !reflect.DeepEqual(&tally, collTally) {
-				t.Errorf("%s: fingerprint or tally differs from the first collective name's", where)
-			}
-		}
 		prog := encodeUncached(t, adm.Spec)
 		if first, ok := programs[adm.Fingerprint]; !ok {
 			programs[adm.Fingerprint] = prog

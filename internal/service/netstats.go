@@ -60,9 +60,7 @@ func (s *Service) Stats() Stats {
 // (network.CongestionStats): embedded in Stats, it is what /v1/stats shows
 // summed over every shot of every completed job. All zero unless jobs ran
 // with the fabric's contention model enabled
-// (network.Config.LinkSerialization > 0). A collective schedule name adds
-// no traffic of its own: it turns on the collective-aware lowering and
-// nothing else, so its messages are the program's and count here.
+// (network.Config.LinkSerialization > 0).
 type NetStats struct {
 	// NetStallCycles counts queueing at every link and router port —
 	// all traffic, router-originated hops included — matching

@@ -56,12 +56,6 @@ type Request struct {
 	// pass ("" defers to Cfg.Schedule, then to the fixed replay).
 	// Validated at admission exactly like Placement.
 	Schedule string `json:"schedule,omitempty"`
-	// Collective is a lowering toggle: any of the five accepted names
-	// ("naive", "ring", "halving", "tree", "auto") turns on the
-	// collective-aware lowering and nothing else, so every accepted name runs
-	// the same program ("" defers to Cfg.Collective, then to off). Validated
-	// at admission like the other policy names.
-	Collective string `json:"collective,omitempty"`
 	// Chips splits the device into a multi-chip partition (machine
 	// config Chips; 0/1 = the legacy single-chip machine). Cross-chip
 	// two-qubit gates compile into EPR-mediated teleported gates, so
@@ -97,7 +91,6 @@ func (r *Request) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&r.RouterPorts, "router-ports", 0, "physical ports per router (0 = one per tree edge)")
 	fs.StringVar(&r.Placement, "placement", "", "placement policy for unmapped circuits: identity, rowmajor, interaction, or congestion (default identity)")
 	fs.StringVar(&r.Schedule, "schedule", "", "compiler scheduling policy: fixed or padded (default fixed)")
-	fs.StringVar(&r.Collective, "collective", "", "collective-aware feed-forward lowering: naive, ring, halving, tree, or auto (default off; every name turns on the same lowering and nothing else)")
 	fs.IntVar(&r.Chips, "chips", 0, "split the device into N chips; cross-chip 2q gates run as EPR-mediated teleported gates (0/1 = single chip)")
 	fs.Int64Var(&r.EPRLatency, "epr-latency", 0, "EPR pair-generation latency in cycles for multi-chip runs (0 = machine default)")
 }
@@ -222,7 +215,6 @@ func Resolve(req Request) (Admission, error) {
 	cfg.Net.RouterPorts = cmp.Or(req.RouterPorts, cfg.Net.RouterPorts)
 	cfg.Placement = cmp.Or(req.Placement, cfg.Placement)
 	cfg.Schedule = cmp.Or(req.Schedule, cfg.Schedule)
-	cfg.Collective = cmp.Or(req.Collective, cfg.Collective)
 	cfg.Chips = cmp.Or(req.Chips, cfg.Chips)
 	cfg.EPRLatency = cmp.Or(req.EPRLatency, cfg.EPRLatency)
 	// Validate what the job will actually compile and run with — whether it

@@ -38,7 +38,7 @@ func TestWireNamesPinned(t *testing.T) {
 	submission := []string{
 		"qasm,omitempty", "bench,omitempty", "scale,omitempty", "shots", "seed,omitempty",
 		"mapping,omitempty", "topo,omitempty", "link_bw,omitempty", "router_ports,omitempty",
-		"placement,omitempty", "schedule,omitempty", "collective,omitempty", "chips,omitempty",
+		"placement,omitempty", "schedule,omitempty", "chips,omitempty",
 		"epr_latency,omitempty", "params,omitempty", "sweep,omitempty",
 	}
 	got := map[string]bool{}
@@ -71,7 +71,7 @@ func TestSubmissionRoundTrip(t *testing.T) {
 	sub := Submission{Bench: "dvqe", Scale: 2, Request: Request{
 		Circuit: ghz(2), MeshW: 3, // never on the wire
 		Shots: 4, Seed: 7, Topo: "torus", LinkBW: 4, RouterPorts: 2, Placement: "interaction",
-		Schedule: "padded", Collective: "ring", Chips: 2, EPRLatency: 150,
+		Schedule: "padded", Chips: 2, EPRLatency: 150,
 		Params: map[string]float64{"t": 0.5},
 	}}
 	b, err := json.Marshal(sub)
@@ -125,7 +125,6 @@ func TestEveryOptionReachesThePoolKey(t *testing.T) {
 		"RouterPorts": set(func(r *Request) { r.RouterPorts = 2 }),
 		"Placement":   set(func(r *Request) { r.Placement = "rowmajor" }),
 		"Schedule":    set(func(r *Request) { r.Schedule = "padded" }),
-		"Collective":  set(func(r *Request) { r.Collective = "ring" }),
 		"Chips":       set(func(r *Request) { r.Chips = 2 }),
 		// The EPR latency only means something on a multi-chip machine.
 		"EPRLatency": {base: func(r *Request) { r.Chips = 2 }, alt: func(r *Request) { r.Chips, r.EPRLatency = 2, 40 }},
@@ -178,11 +177,6 @@ func TestPoolKeyCoversRuntimeConfig(t *testing.T) {
 		{field: "EPRLatency", want: fingerprint,
 			base: func(_ *Request, c *machine.Config) { c.Chips = 2 },
 			alt:  func(_ *Request, c *machine.Config) { c.Chips, c.EPRLatency = 2, 40 }},
-		// Collective on/off is compiled in; the schedule name is neither.
-		{field: "Collective", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Collective = "ring" }},
-		{field: "Collective", want: neither, why: "every accepted name turns on the same lowering and nothing else",
-			base: func(_ *Request, c *machine.Config) { c.Collective = "ring" },
-			alt:  func(_ *Request, c *machine.Config) { c.Collective = "tree" }},
 		{field: "Backend", want: keyOnly,
 			base: func(_ *Request, c *machine.Config) { c.Backend = machine.BackendSeeded },
 			alt:  func(_ *Request, c *machine.Config) { c.Backend = machine.BackendStateVec }},

@@ -31,8 +31,6 @@ func TestTapeCounters(t *testing.T) {
 // log and nothing downstream of an Admission could read one, so Resolve
 // clears Cfg.LogEvents — a job that set it is the same job: it batches onto
 // the replica a plain one warmed, and its shots come off that replica's tape.
-// So is a job that names another collective schedule: a "tree" job batches
-// onto the replica a "ring" job of the same circuit warmed.
 func TestLogEventsJobSharesGroupAndTape(t *testing.T) {
 	svc := New(Config{Workers: 1, ShotWorkers: 1, Artifacts: artifact.New(8)})
 	defer svc.Close()
@@ -53,20 +51,6 @@ func TestLogEventsJobSharesGroupAndTape(t *testing.T) {
 	}
 	if !reflect.DeepEqual(logged.Tally, plain.Tally) {
 		t.Fatal("the LogEvents job's shots differ from the plain job's")
-	}
-
-	req = Request{Circuit: ghz(6), Shots: 10, Seed: 4, Collective: "ring"}
-	ring := submitWait(t, svc, req)
-	req.Collective = "tree"
-	tree := submitWait(t, svc, req)
-	if !tree.Batched || tree.Fingerprint != ring.Fingerprint {
-		t.Fatalf("tree job: batched %v, fingerprint %s vs %s; want the ring job's pool group", tree.Batched, tree.Fingerprint, ring.Fingerprint)
-	}
-	if st := svc.Stats(); st.TapedShots != 38 || st.PooledReplicas != 2 {
-		t.Fatalf("after the ring and tree jobs: taped %d on %d replicas, want 38 on 2", st.TapedShots, st.PooledReplicas)
-	}
-	if !reflect.DeepEqual(tree.Tally, ring.Tally) {
-		t.Fatal("the tree job's shots differ from the ring job's")
 	}
 }
 
