@@ -7,13 +7,12 @@
 //
 // Usage:
 //
-//	dhisq-bench -exp NAME|all
-//	            [-scale N] [-seed S] [-workers W] [-points N] [-out DIR]
-//	            [-topo mesh|torus|tree|all] [-link-bw N] [-placement P|all]
+//	dhisq-bench -exp NAME|all [-scale N] [-seed S] [-out DIR]
 //
-// Experiment names come from the one registry (internal/exp's, plus the
-// sweep experiment this command owns); the -exp flag's help text
-// enumerates them and an unknown name lists every valid one.
+// Experiment names come from the one registry, internal/exp's; the -exp
+// flag's help text enumerates them and an unknown name lists every valid
+// one. Each sweep runs the fixed grid its committed envelope records; one
+// cell under another fabric is a dhisq-sim run.
 package main
 
 import (
@@ -26,12 +25,7 @@ import (
 	"dhisq/internal/exp"
 )
 
-func main() { os.Exit(run(os.Args[1:], experiments(), os.Stdout, os.Stderr)) }
-
-// experiments is the command's registry: internal/exp's, then sweep.
-func experiments() []exp.Experiment {
-	return append(exp.Registry(), exp.Experiment{Name: "sweep", Run: runSweep})
-}
+func main() { os.Exit(run(os.Args[1:], exp.Registry(), os.Stdout, os.Stderr)) }
 
 // run is the whole command: parse args, run the selected experiments of
 // registry, print, write the envelopes, and return the exit status.
@@ -47,11 +41,6 @@ func run(args []string, registry []exp.Experiment, stdout, stderr io.Writer) int
 	var a exp.Args
 	fs.IntVar(&a.Scale, "scale", 1, "divide Fig. 15 benchmark sizes by this factor")
 	fs.Int64Var(&a.Seed, "seed", 1, "measurement outcome seed")
-	fs.IntVar(&a.Workers, "workers", 4, "worker replicas for the sweep experiment (0 = GOMAXPROCS)")
-	fs.IntVar(&a.Points, "points", 64, "parameter points for the sweep experiment")
-	fs.StringVar(&a.Topo, "topo", "all", "fabric experiment topology: mesh, torus, tree, or all")
-	fs.Int64Var(&a.LinkBW, "link-bw", 0, "link bandwidth as cycles per message (0 = each experiment's own sweep)")
-	fs.StringVar(&a.Placement, "placement", "all", "placement experiment policy (all = rowmajor vs interaction)")
 	outDir := fs.String("out", ".", "directory for BENCH_*.json files")
 	which := fs.String("exp", "all", "experiment: "+list+", or all")
 	if err := fs.Parse(args); err == flag.ErrHelp {
@@ -61,8 +50,8 @@ func run(args []string, registry []exp.Experiment, stdout, stderr io.Writer) int
 	}
 	// meta.flags records these as given, so a value an experiment would clamp
 	// is refused here rather than stamped on rows it was not measured at.
-	if a.LinkBW < 0 || a.Scale < 1 || a.Points < 2 || a.Workers < 0 {
-		fmt.Fprintln(stderr, "dhisq-bench: want -link-bw >= 0, -scale >= 1, -points >= 2 and -workers >= 0")
+	if a.Scale < 1 || a.Seed == 0 {
+		fmt.Fprintln(stderr, "dhisq-bench: want -scale >= 1 and -seed != 0")
 		fs.Usage()
 		return 2
 	}

@@ -58,11 +58,11 @@ func TestFailingGateWritesEnvelopeAndExitsOne(t *testing.T) {
 	}
 }
 
-// An unknown -exp (kernels is one) runs nothing and lists every name in the
-// registry.
+// An unknown -exp (kernels and sweep are two) runs nothing and lists every
+// name in the registry.
 func TestUnknownExperimentListsEveryName(t *testing.T) {
-	registry := experiments()
-	for _, name := range []string{"nosuch", "kernels"} {
+	registry := exp.Registry()
+	for _, name := range []string{"nosuch", "kernels", "sweep"} {
 		var stdout, stderr bytes.Buffer
 		if status := run([]string{"-exp", name}, registry, &stdout, &stderr); status != 2 {
 			t.Fatalf("-exp %s: exit status %d, want 2", name, status)
@@ -83,20 +83,20 @@ func TestUnknownExperimentListsEveryName(t *testing.T) {
 
 // A flag value an experiment would clamp is refused at parsing — exit 2, the
 // usage text, nothing run and nothing written — so meta.flags never records
-// a value its rows were not measured at. -workers 0 (GOMAXPROCS) is a value.
+// a value its rows were not measured at: Fig. 15 would run -seed 0 as 1.
 func TestOutOfRangeFlagsAreRejected(t *testing.T) {
 	ran := false
 	registry := []exp.Experiment{{Name: "probe", Run: func(exp.Args) (*exp.Report, error) {
 		ran = true
 		return &exp.Report{Gates: []exp.Gate{exp.NewGate("holds", 0, "==", 0)}}, nil
 	}}}
-	for _, bad := range [][]string{{"-link-bw", "-5"}, {"-scale", "0"}, {"-points", "1"}, {"-workers", "-1"}} {
+	for _, bad := range [][]string{{"-scale", "0"}, {"-seed", "0"}} {
 		dir := t.TempDir()
 		var stdout, stderr bytes.Buffer
 		if status := run(append([]string{"-exp", "probe", "-out", dir}, bad...), registry, &stdout, &stderr); status != 2 {
 			t.Errorf("%v: exit status %d, want 2", bad, status)
 		}
-		if !strings.Contains(stderr.String(), "-link-bw >= 0") || !strings.Contains(stderr.String(), "Usage of dhisq-bench") {
+		if !strings.Contains(stderr.String(), "-seed != 0") || !strings.Contains(stderr.String(), "Usage of dhisq-bench") {
 			t.Errorf("%v: stderr lacks the bounds or the usage:\n%s", bad, &stderr)
 		}
 		if left, _ := filepath.Glob(filepath.Join(dir, "*")); ran || stdout.Len() != 0 || len(left) != 0 {
@@ -104,7 +104,7 @@ func TestOutOfRangeFlagsAreRejected(t *testing.T) {
 		}
 	}
 	var stdout, stderr bytes.Buffer
-	if status := run([]string{"-exp", "probe", "-workers", "0", "-link-bw", "0", "-scale", "1", "-points", "2", "-out", t.TempDir()}, registry, &stdout, &stderr); status != 0 || !ran {
+	if status := run([]string{"-exp", "probe", "-scale", "1", "-seed", "-1", "-out", t.TempDir()}, registry, &stdout, &stderr); status != 0 || !ran {
 		t.Fatalf("the smallest legal values: exit %d, ran %v\n%s", status, ran, &stderr)
 	}
 }
@@ -150,21 +150,21 @@ func TestCommittedBenchEnvelopes(t *testing.T) {
 	}
 }
 
-// Every experiment internal/exp owns is deterministic, so its committed
-// envelope is gated exactly: rerun at the flags recorded in meta, each must
-// produce the committed rows and gates again. A change that moves a number
-// regenerates the file and shows the move in review. fig15 at -scale 1 is
+// Every experiment is deterministic, so its committed envelope is gated
+// exactly: rerun at the flags recorded in meta, each must produce the
+// committed rows and gates again. A change that moves a number regenerates
+// the file and shows the move in review. fig15 at -scale 1 is
 // the pin of all twelve Fig. 15 rows (seconds, so it lives here and not in
-// internal/exp, which CI also runs under -race). The list is the registry,
-// and a committed envelope that names no experiment of this command's is an
-// orphan left by a deleted one, so it fails too.
+// internal/exp). The list is the registry, and a committed envelope that
+// names no experiment of it is an orphan left by a deleted one, so it fails
+// too.
 func TestCommittedBenchRowsReproduce(t *testing.T) {
 	paths, err := filepath.Glob("../../BENCH_*.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	known := map[string]bool{}
-	for _, e := range experiments() {
+	for _, e := range exp.Registry() {
 		known[e.Name] = true
 	}
 	for _, path := range paths {

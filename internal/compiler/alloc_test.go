@@ -7,6 +7,7 @@ import (
 	"dhisq/internal/circuit"
 	"dhisq/internal/compiler"
 	"dhisq/internal/network"
+	"dhisq/internal/workloads"
 )
 
 // compileCase is one circuit with the fabric it compiles for, built once so
@@ -97,4 +98,46 @@ func BenchmarkCompile(b *testing.B) {
 	// Built only when it runs: its 2.3 M ops would otherwise sit in the
 	// heap every smaller case's collections scan.
 	b.Run("qft_n300/1", func(b *testing.B) { run(b, benchRow(b, "qft_n300", 1)) })
+}
+
+// BenchmarkBindParams times the two ways to serve one point of an angle
+// sweep on vqe_n12x2 and qft_sweep_n16: compile/ binds the circuit and
+// compiles it from scratch, bind/ patches the tables of one structural
+// compile. Their ratio is what binding saves per point; it is informational,
+// and TestBindParamsAllocations bounds the bind side in tier-1.
+func BenchmarkBindParams(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		c       *circuit.Circuit
+		binding map[string]float64
+	}{
+		{"vqe_n12x2", workloads.VQEAnsatz(12, 2), workloads.VQEAnsatzPoint(12, 2, 3)},
+		{"qft_sweep_n16", workloads.QFTSweep(16), workloads.QFTSweepPoint(16, 3)},
+	} {
+		cc := newCompileCase(b, goldenRow{c: tc.c})
+		b.Run("compile/"+tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				bound, err := tc.c.Bind(tc.binding)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := (compileCase{c: bound, topo: cc.topo, opt: cc.opt}).compile(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("bind/"+tc.name, func(b *testing.B) {
+			skel, err := cc.compile()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := skel.BindParams(tc.binding); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

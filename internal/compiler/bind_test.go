@@ -35,6 +35,10 @@ func bindCases() []struct {
 			func(k int) map[string]float64 { return workloads.QFTSweepPoint(8, k) }},
 		{"vqe_n8x2", func() *circuit.Circuit { return workloads.VQEAnsatz(8, 2) },
 			func(k int) map[string]float64 { return workloads.VQEAnsatzPoint(8, 2, k) }},
+		{"vqe_n12x2", func() *circuit.Circuit { return workloads.VQEAnsatz(12, 2) },
+			func(k int) map[string]float64 { return workloads.VQEAnsatzPoint(12, 2, k) }},
+		{"qft_sweep_n16", func() *circuit.Circuit { return workloads.QFTSweep(16) },
+			func(k int) map[string]float64 { return workloads.QFTSweepPoint(16, k) }},
 	}
 }
 
@@ -219,11 +223,11 @@ func TestCompiledParams(t *testing.T) {
 	}
 }
 
-// TestBindParamsAllocations holds BindParams on the sweep experiment's two
-// families to the allocations it was measured to make per point: the
-// artifact header and table index, two bookkeeping maps, and one copy per
-// table that holds a slot. Programs are shared with the skeleton, so a bind
-// that copied them would cost at least one more per controller.
+// TestBindParamsAllocations holds BindParams on the two angle-sweep families
+// BenchmarkBindParams times to the allocations it was measured to make per
+// point: the artifact header and table index, two bookkeeping maps, and one
+// copy per table that holds a slot. Programs are shared with the skeleton,
+// so a bind that copied them would cost at least one more per controller.
 func TestBindParamsAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dhisq/internal/machine"
-	"dhisq/internal/runner"
 	"dhisq/internal/sim"
 	"dhisq/internal/workloads"
 )
@@ -48,23 +47,13 @@ func AblationSyncAdvance(names []string, scaleDiv int, seed int64) ([]AblationRo
 			return nil, err
 		}
 		run := func(advance bool) (machine.Result, error) {
-			cfg := machine.DefaultConfig(b.Qubits)
-			cfg.Backend = machine.BackendSeeded
-			cfg.Seed = seed
+			cfg := cellConfig(b.Qubits, seed, 0)
 			if !advance {
 				cfg.Schedule = "padded"
 			}
-			// One shot at the base seed matches the pre-runner behaviour.
-			set, err := runner.Run(runner.Spec{
-				Circuit: b.Circuit, MeshW: b.MeshW, MeshH: b.MeshH,
-				Mapping: b.Mapping, Cfg: cfg,
-			}, 1, 1)
+			res, err := runChecked(b, cfg)
 			if err != nil {
-				return machine.Result{}, err
-			}
-			res := set.Shots[0].Result
-			if res.Misalignments != 0 || res.Violations != 0 || res.Overlaps != 0 || res.Inversions != 0 {
-				return machine.Result{}, fmt.Errorf("%s advance=%v: invariants broken", name, advance)
+				return res, fmt.Errorf("%s advance=%v: %w", name, advance, err)
 			}
 			return res, nil
 		}

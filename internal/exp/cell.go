@@ -5,16 +5,27 @@ import (
 
 	"dhisq/internal/circuit"
 	"dhisq/internal/machine"
+	"dhisq/internal/runner"
 	"dhisq/internal/sim"
 	"dhisq/internal/workloads"
 )
 
-// What the fabric-family sweeps (fabric, placement, feedback, remote)
-// share: the circuits they name, how one cell runs, and the congestion
-// counters a cell reports.
+// What the experiments share: the seeded machine every cell starts from,
+// the checked shot the paper figures run, and for the fabric-family sweeps
+// (fabric, placement, feedback, remote) the circuits they name, how one
+// cell runs, and the congestion counters a cell reports.
 
-// sweepCircuit builds the named sweep workload on n qubits.
-func sweepCircuit(name string, n int) (*circuit.Circuit, error) {
+// sweepQubits is every sweep workload's size.
+const sweepQubits = 16
+
+// sweepLinkBW is the link occupancy, in cycles per message, of the
+// placement, feedback and remote sweeps: finite bandwidth is the regime
+// placement matters in, and one value keeps their envelopes comparable.
+const sweepLinkBW sim.Time = 4
+
+// sweepCircuit builds the named sweep workload on sweepQubits qubits.
+func sweepCircuit(name string) (*circuit.Circuit, error) {
+	n := sweepQubits
 	switch name {
 	case "ghz":
 		return workloads.GHZ(n), nil
@@ -50,9 +61,30 @@ func hotspotCircuit(n int) *circuit.Circuit {
 	return c
 }
 
-// cellConfig is the machine every cell starts from: the seeded backend
-// (the sweeps study timing, not state) on the default mesh for n qubits
-// with each link occupied ser cycles per message.
+// runChecked runs one shot of b through the shot-execution subsystem at
+// cfg.Seed and fails, naming every count, if the shot broke any of the four
+// timing invariants: co-commitment misalignments, window violations,
+// overlaps and order inversions.
+func runChecked(b workloads.Benchmark, cfg machine.Config) (machine.Result, error) {
+	set, err := runner.Run(runner.Spec{
+		Circuit: b.Circuit, MeshW: b.MeshW, MeshH: b.MeshH,
+		Mapping: b.Mapping, Cfg: cfg,
+	}, 1, 1)
+	if err != nil {
+		return machine.Result{}, err
+	}
+	res := set.Shots[0].Result
+	if res.Misalignments != 0 || res.Violations != 0 || res.Overlaps != 0 || res.Inversions != 0 {
+		return res, fmt.Errorf("invariant broken: %d misalignments, %d violations, %d overlaps, %d inversions",
+			res.Misalignments, res.Violations, res.Overlaps, res.Inversions)
+	}
+	return res, nil
+}
+
+// cellConfig is the machine every experiment cell starts from: the seeded
+// backend (the experiments study timing, not state) on the default mesh
+// for n qubits with each link occupied ser cycles per message (0 =
+// infinite bandwidth, the machine's default).
 func cellConfig(n int, seed int64, ser sim.Time) machine.Config {
 	cfg := machine.DefaultConfig(n)
 	cfg.Backend = machine.BackendSeeded

@@ -14,21 +14,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-
-	"dhisq/internal/network"
-	"dhisq/internal/sim"
 )
 
 // Args is what a run of dhisq-bench can vary; an experiment reads the
 // fields that apply to it. It is recorded whole in Meta.Flags.
 type Args struct {
-	Seed      int64  `json:"seed"`
-	Scale     int    `json:"scale"`     // divisor on Fig. 15 benchmark sizes
-	Workers   int    `json:"workers"`   // runner replicas (sweep)
-	Points    int    `json:"points"`    // parameter points (sweep)
-	Topo      string `json:"topo"`      // mesh, torus, tree, or all
-	LinkBW    int64  `json:"link_bw"`   // cycles per message, 0 = the experiment's own sweep
-	Placement string `json:"placement"` // a placement policy, or all
+	Seed  int64 `json:"seed"`
+	Scale int   `json:"scale"` // divisor on Fig. 15 benchmark sizes
 }
 
 // Experiment is one -exp name.
@@ -166,51 +158,22 @@ func Registry() []Experiment {
 				renderRows(res.Points, fig16Cols) + "paper: ~5x infidelity reduction across the T1 sweep\n"}, err
 		}},
 		{"fabric", func(a Args) (*Report, error) {
-			opt := FabricOptions{Seed: a.Seed}
-			var err error
-			if opt.Topologies, err = a.topologies(); err != nil {
-				return nil, err
-			}
-			if a.LinkBW > 0 {
-				// An explicit bandwidth still anchors the sweep at 0 so the
-				// contention-free baseline and the monotone gate survive.
-				opt.Serializations = []sim.Time{0, sim.Time(a.LinkBW)}
-			}
-			rows, err := FabricSweep(opt)
+			rows, err := FabricSweep(a.Seed)
 			return &Report{Rows: rows, Gates: fabricGates(rows), Text: renderRows(rows, fabricCols)}, err
 		}},
 		{"placement", func(a Args) (*Report, error) {
-			opt := PlacementOptions{Seed: a.Seed, LinkBW: sim.Time(a.LinkBW)}
-			if a.Placement != "" && a.Placement != "all" {
-				// A single named policy still sweeps against the row-major
-				// baseline so the table stays comparative.
-				opt.Policies = []string{"rowmajor"}
-				if a.Placement != "rowmajor" {
-					opt.Policies = append(opt.Policies, a.Placement)
-				}
-			}
-			rows, err := PlacementSweep(opt)
+			rows, err := PlacementSweep(a.Seed)
 			return &Report{Rows: rows, Gates: placementGates(rows), Text: renderRows(rows, placementCols)}, err
 		}},
 		{"feedback", func(a Args) (*Report, error) {
-			rows, err := FeedbackSweep(FeedbackOptions{Seed: a.Seed, LinkBW: sim.Time(a.LinkBW)})
+			rows, err := FeedbackSweep(a.Seed)
 			return &Report{Rows: rows, Gates: feedbackGates(rows), Text: renderRows(rows, feedbackCols)}, err
 		}},
 		{"remote", func(a Args) (*Report, error) {
-			rows, err := RemoteSweep(RemoteOptions{Seed: a.Seed, LinkBW: sim.Time(a.LinkBW)})
+			rows, err := RemoteSweep(a.Seed)
 			return &Report{Rows: rows, Gates: remoteGates(rows), Text: renderRows(rows, remoteCols)}, err
 		}},
 	}
-}
-
-// topologies resolves -topo: nil (the sweep's default, every topology)
-// for "all", else the one named.
-func (a Args) topologies() ([]network.TopologyKind, error) {
-	if a.Topo == "" || a.Topo == "all" {
-		return nil, nil
-	}
-	k, err := network.ParseTopology(a.Topo)
-	return []network.TopologyKind{k}, err
 }
 
 // column is one column of a sweep's table: its header and how a row

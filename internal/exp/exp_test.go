@@ -6,7 +6,8 @@ import (
 	"testing"
 
 	"dhisq/internal/fit"
-	"dhisq/internal/sim"
+	"dhisq/internal/network"
+	"dhisq/internal/workloads"
 )
 
 func TestFig14MachineMakespans(t *testing.T) {
@@ -125,6 +126,30 @@ func TestAblationSyncAdvance(t *testing.T) {
 	}
 }
 
+// A shot that breaks the timing invariants fails the paper figures' one
+// checked run with all four counts named; the same benchmark on the default
+// fabric passes it.
+func TestRunCheckedNamesEveryInvariant(t *testing.T) {
+	b, err := workloads.BuildScaled("qft_n30", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runChecked(b, cellConfig(b.Qubits, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := cellConfig(b.Qubits, 1, 0)
+	cfg.Net.Topology, cfg.Net.LinkSerialization = network.TopoTree, 8
+	_, err = runChecked(b, cfg)
+	if err == nil {
+		t.Fatal("a congested tree broke no invariant")
+	}
+	for _, want := range []string{"misalignments", "violations", "overlaps", "inversions"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("%q does not name the %s", err, want)
+		}
+	}
+}
+
 // Each paper figure's gate function turns exactly the gate red whose claim
 // a hand-built row breaks.
 func TestPaperGatesCatchRegression(t *testing.T) {
@@ -149,17 +174,13 @@ func TestPaperGatesCatchRegression(t *testing.T) {
 }
 
 func TestFabricSweepMonotoneAndAnchored(t *testing.T) {
-	points, err := FabricSweep(FabricOptions{
-		Qubits:         12,
-		Seed:           3,
-		Serializations: []sim.Time{0, 2, 8},
-	})
+	points, err := FabricSweep(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 workloads x 3 topologies x 3 serializations.
-	if len(points) != 27 {
-		t.Fatalf("got %d points, want 27", len(points))
+	// 3 workloads x 3 topologies x 6 serializations.
+	if len(points) != 54 {
+		t.Fatalf("got %d points, want 54", len(points))
 	}
 	requirePass(t, fabricGates(points))
 	// Contention must actually bite somewhere: at least one enabled point
@@ -247,11 +268,7 @@ func TestFabricTreeCongestsHarderThanMesh(t *testing.T) {
 	// The headline architecture result: pushing all traffic through the
 	// router tree (no mesh) must congest at least as much as the hybrid
 	// topology at equal bandwidth, for every workload.
-	points, err := FabricSweep(FabricOptions{
-		Qubits:         12,
-		Seed:           3,
-		Serializations: []sim.Time{0, 4},
-	})
+	points, err := FabricSweep(3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,42 +31,23 @@ type FabricPoint struct {
 	Misalignments int `json:"misalignments"`
 }
 
-// FabricOptions parameterizes the sweep. Zero values pick the defaults
-// used by dhisq-bench -exp fabric.
-type FabricOptions struct {
-	Qubits         int   // workload size (default 16)
-	Seed           int64 // backend seed (default 1)
-	Topologies     []network.TopologyKind
-	Serializations []sim.Time // link occupancies to sweep (must include 0 to anchor the baseline)
-}
-
 // FabricSweepWorkloads names the circuits the sweep runs.
 func FabricSweepWorkloads() []string { return []string{"ghz", "qft", "bv"} }
 
-// FabricSweep runs the full grid and returns one point per cell, in
-// deterministic (workload, topology, serialization) order.
-func FabricSweep(opt FabricOptions) ([]FabricPoint, error) {
-	if opt.Qubits <= 0 {
-		opt.Qubits = 16
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 1
-	}
-	if opt.Topologies == nil {
-		opt.Topologies = []network.TopologyKind{network.TopoMesh, network.TopoTorus, network.TopoTree}
-	}
-	if opt.Serializations == nil {
-		opt.Serializations = []sim.Time{0, 1, 2, 4, 8, 16}
-	}
+// FabricSweep runs every workload on mesh, torus and tree at link
+// occupancies 0 (the contention-free anchor) to 16 cycles per message and
+// returns one point per cell, in deterministic (workload, topology,
+// serialization) order.
+func FabricSweep(seed int64) ([]FabricPoint, error) {
 	var out []FabricPoint
 	for _, name := range FabricSweepWorkloads() {
-		c, err := sweepCircuit(name, opt.Qubits)
+		c, err := sweepCircuit(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, topo := range opt.Topologies {
-			for _, ser := range opt.Serializations {
-				cfg := cellConfig(c.NumQubits, opt.Seed, ser)
+		for _, topo := range []network.TopologyKind{network.TopoMesh, network.TopoTorus, network.TopoTree} {
+			for _, ser := range []sim.Time{0, 1, 2, 4, 8, 16} {
+				cfg := cellConfig(c.NumQubits, seed, ser)
 				cfg.Net.Topology = topo
 				res, err := runCell(c, nil, cfg)
 				if err != nil {

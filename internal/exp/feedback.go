@@ -6,7 +6,6 @@ import (
 	"dhisq/internal/machine"
 	"dhisq/internal/network"
 	"dhisq/internal/placement"
-	"dhisq/internal/sim"
 )
 
 // The feedback experiment measures what closing the compile↔fabric loop
@@ -35,15 +34,6 @@ type FeedbackPoint struct {
 	FeedbackLinks int `json:"feedback_links,omitempty"`
 }
 
-// FeedbackOptions parameterizes the experiment. Zero values pick the
-// defaults used by dhisq-bench -exp feedback (the same fabric as the
-// placement sweep, so the two BENCH files are directly comparable).
-type FeedbackOptions struct {
-	Qubits int      // workload size (default 16)
-	Seed   int64    // backend seed (default 1)
-	LinkBW sim.Time // link serialization in cycles (default 4)
-}
-
 // FeedbackWorkloads names the circuits the experiment runs: the hotspot
 // star (the workload the strict gate names) plus qft and bv as
 // must-not-regress companions.
@@ -53,23 +43,14 @@ func FeedbackWorkloads() []string { return []string{"hotspot", "qft", "bv"} }
 // placement, then re-placed from that run's measured congestion — and
 // returns the paired points in deterministic order (cold before replaced,
 // workloads in FeedbackWorkloads order).
-func FeedbackSweep(opt FeedbackOptions) ([]FeedbackPoint, error) {
-	if opt.Qubits <= 0 {
-		opt.Qubits = 16
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 1
-	}
-	if opt.LinkBW <= 0 {
-		opt.LinkBW = 4
-	}
+func FeedbackSweep(seed int64) ([]FeedbackPoint, error) {
 	var out []FeedbackPoint
 	for _, name := range FeedbackWorkloads() {
-		c, err := sweepCircuit(name, opt.Qubits)
+		c, err := sweepCircuit(name)
 		if err != nil {
 			return nil, err
 		}
-		cfg := cellConfig(c.NumQubits, opt.Seed, opt.LinkBW)
+		cfg := cellConfig(c.NumQubits, seed, sweepLinkBW)
 		topo, err := network.NewTopology(cfg.Net)
 		if err != nil {
 			return nil, err
@@ -80,8 +61,8 @@ func FeedbackSweep(opt FeedbackOptions) ([]FeedbackPoint, error) {
 		}
 		point := func(phase string, mapping []int, res machine.Result, links int) FeedbackPoint {
 			return FeedbackPoint{
-				Workload: name, Qubits: opt.Qubits, Phase: phase,
-				LinkSerialization: int64(opt.LinkBW),
+				Workload: name, Qubits: c.NumQubits, Phase: phase,
+				LinkSerialization: int64(sweepLinkBW),
 				Mapping:           append([]int(nil), mapping...),
 				Counters:          countersOf(res),
 				FeedbackLinks:     links,

@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// TestFeedbackSweepImproves runs the (small) sweep end to end and holds
-// it to the headline claims: a cold and a replaced cell for every
-// workload, sane fields, no workload regressing and the hotspot
-// improving strictly.
+// TestFeedbackSweepImproves runs the sweep end to end and holds it to the
+// headline claims: a cold and a replaced cell for every workload, sane
+// fields, no workload regressing and the hotspot improving strictly.
 func TestFeedbackSweepImproves(t *testing.T) {
-	points, err := FeedbackSweep(FeedbackOptions{Qubits: 12, Seed: 1, LinkBW: 4})
+	points, err := FeedbackSweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +24,8 @@ func TestFeedbackSweepImproves(t *testing.T) {
 		if p.LinkSerialization != 4 {
 			t.Errorf("%s/%s: serialization %d, want 4", p.Workload, p.Phase, p.LinkSerialization)
 		}
-		if len(p.Mapping) != 12 {
-			t.Errorf("%s/%s: mapping length %d, want 12", p.Workload, p.Phase, len(p.Mapping))
+		if len(p.Mapping) != 16 {
+			t.Errorf("%s/%s: mapping length %d, want 16", p.Workload, p.Phase, len(p.Mapping))
 		}
 		if p.Phase == "cold" && p.FeedbackLinks == 0 {
 			t.Errorf("%s cold run attributed stall to no links", p.Workload)

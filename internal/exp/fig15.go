@@ -6,8 +6,6 @@ import (
 
 	"dhisq/internal/baseline"
 	"dhisq/internal/chip"
-	"dhisq/internal/machine"
-	"dhisq/internal/runner"
 	"dhisq/internal/sim"
 	"dhisq/internal/workloads"
 )
@@ -86,22 +84,12 @@ func Fig15Runtime(opt Fig15Options) (Fig15Result, error) {
 }
 
 func fig15One(b workloads.Benchmark, seed int64) (Fig15Row, error) {
-	cfg := machine.DefaultConfig(b.Qubits)
-	cfg.Backend = machine.BackendSeeded
-	cfg.Seed = seed
-	// One shot through the shot-execution subsystem; shot 0 runs with the
-	// base seed, so the lock-step replay below takes identical branches.
-	set, err := runner.Run(runner.Spec{
-		Circuit: b.Circuit, MeshW: b.MeshW, MeshH: b.MeshH,
-		Mapping: b.Mapping, Cfg: cfg,
-	}, 1, 1)
+	cfg := cellConfig(b.Qubits, seed, 0)
+	// Shot 0 runs with the base seed, so the lock-step replay below takes
+	// identical branches.
+	res, err := runChecked(b, cfg)
 	if err != nil {
 		return Fig15Row{}, err
-	}
-	res := set.Shots[0].Result
-	if res.Misalignments != 0 || res.Violations != 0 || res.Overlaps != 0 || res.Inversions != 0 {
-		return Fig15Row{}, fmt.Errorf("invariant broken: %d misalignments, %d violations, %d overlaps, %d inversions",
-			res.Misalignments, res.Violations, res.Overlaps, res.Inversions)
 	}
 
 	row := Fig15Row{

@@ -6,7 +6,6 @@ import (
 	"dhisq/internal/circuit"
 	"dhisq/internal/network"
 	"dhisq/internal/placement"
-	"dhisq/internal/sim"
 )
 
 // The placement experiment measures what the compilation pipeline's Place
@@ -32,47 +31,24 @@ type PlacementPoint struct {
 	Misalignments int   `json:"misalignments"`
 }
 
-// PlacementOptions parameterizes the sweep. Zero values pick the defaults
-// used by dhisq-bench -exp placement.
-type PlacementOptions struct {
-	Qubits   int      // workload size (default 16)
-	Seed     int64    // backend seed (default 1)
-	LinkBW   sim.Time // link serialization in cycles (default 4)
-	Policies []string // placement policies (default rowmajor, interaction)
-}
-
 // PlacementSweepWorkloads names the circuits the sweep runs. hotspot is
 // the adversarial star circuit — every data qubit talks to a hub that
 // row-major order parks in the mesh corner — the workload the gates hold
 // the interaction placer to.
 func PlacementSweepWorkloads() []string { return []string{"ghz", "qft", "bv", "hotspot"} }
 
-// PlacementSweep runs every (workload, policy) cell on the contended mesh
-// fabric and returns the points in deterministic order.
-func PlacementSweep(opt PlacementOptions) ([]PlacementPoint, error) {
-	if opt.Qubits <= 0 {
-		opt.Qubits = 16
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 1
-	}
-	if opt.LinkBW <= 0 {
-		opt.LinkBW = 4
-	}
-	if opt.Policies == nil {
-		opt.Policies = []string{"rowmajor", "interaction"}
-	}
+// PlacementSweep runs every workload under the row-major and the
+// interaction placer on the mesh at sweepLinkBW and returns the points in
+// deterministic (workload, policy) order.
+func PlacementSweep(seed int64) ([]PlacementPoint, error) {
 	var out []PlacementPoint
 	for _, name := range PlacementSweepWorkloads() {
-		c, err := sweepCircuit(name, opt.Qubits)
+		c, err := sweepCircuit(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, policy := range opt.Policies {
-			if err := placement.Valid(policy); err != nil {
-				return nil, err
-			}
-			cfg := cellConfig(c.NumQubits, opt.Seed, opt.LinkBW)
+		for _, policy := range []string{"rowmajor", "interaction"} {
+			cfg := cellConfig(c.NumQubits, seed, sweepLinkBW)
 			cfg.Placement = policy
 			res, err := runCell(c, nil, cfg)
 			if err != nil {
@@ -86,7 +62,7 @@ func PlacementSweep(opt PlacementOptions) ([]PlacementPoint, error) {
 				Workload:          name,
 				Qubits:            c.NumQubits,
 				Policy:            policy,
-				LinkSerialization: int64(opt.LinkBW),
+				LinkSerialization: int64(sweepLinkBW),
 				MappingCost:       cost,
 				Counters:          countersOf(res),
 				NetStall:          int64(res.NetStall),

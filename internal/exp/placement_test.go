@@ -2,12 +2,12 @@ package exp
 
 import "testing"
 
-// TestPlacementSweepImproves runs the (small) sweep end to end and holds
-// it to the headline claims: valid cells for every workload × policy, the
-// hotspot never worse under the interaction placer, and a strict
-// improvement somewhere.
+// TestPlacementSweepImproves runs the sweep end to end and holds it to the
+// headline claims: valid cells for every workload × policy, the hotspot
+// never worse under the interaction placer, and a strict improvement
+// somewhere.
 func TestPlacementSweepImproves(t *testing.T) {
-	points, err := PlacementSweep(PlacementOptions{Qubits: 12, Seed: 1, LinkBW: 4})
+	points, err := PlacementSweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,14 +24,6 @@ func TestPlacementSweepImproves(t *testing.T) {
 		}
 	}
 	requirePass(t, placementGates(points))
-}
-
-// TestPlacementSweepRejectsUnknownPolicy: bad policy names fail before
-// any machine is built.
-func TestPlacementSweepRejectsUnknownPolicy(t *testing.T) {
-	if _, err := PlacementSweep(PlacementOptions{Qubits: 4, Policies: []string{"bogus"}}); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
 }
 
 // TestCheckPlacementImprovesCatchesRegression: a doctored sweep where the

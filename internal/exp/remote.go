@@ -40,17 +40,6 @@ type RemotePoint struct {
 	SyncStall int64  `json:"sync_stall_cycles"`
 }
 
-// RemoteOptions parameterizes the sweep. Zero values pick the defaults
-// used by dhisq-bench -exp remote.
-type RemoteOptions struct {
-	Qubits    int      // workload size (default 16)
-	Seed      int64    // backend seed (default 1)
-	LinkBW    sim.Time // link serialization in cycles (default 4)
-	Chips     []int    // partition sizes (default 1, 2, 4)
-	Latencies []int64  // EPR latencies in cycles (default 40, 200)
-	Policies  []string // partition policies (default rowmajor, interaction)
-}
-
 // RemoteSweepWorkloads names the circuits the sweep runs: the GHZ chain
 // (nearest-neighbor structure contiguous splits handle well), the QFT
 // (all-to-all controlled phases — no partition is clean), and the
@@ -58,39 +47,20 @@ type RemoteOptions struct {
 // interaction-aware partition).
 func RemoteSweepWorkloads() []string { return []string{"ghz", "qft", "dvqe"} }
 
-// RemoteSweep runs every cell on the contended mesh fabric and returns
-// the points in deterministic (workload, chips, latency, policy) order.
-func RemoteSweep(opt RemoteOptions) ([]RemotePoint, error) {
-	if opt.Qubits <= 0 {
-		opt.Qubits = 16
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 1
-	}
-	if opt.LinkBW <= 0 {
-		opt.LinkBW = 4
-	}
-	if opt.Chips == nil {
-		opt.Chips = []int{1, 2, 4}
-	}
-	if opt.Latencies == nil {
-		opt.Latencies = []int64{40, 200}
-	}
-	if opt.Policies == nil {
-		opt.Policies = []string{"rowmajor", "interaction"}
-	}
+// RemoteSweep runs every workload on 1, 2 and 4 chips at EPR latencies of
+// 40 and 200 cycles under the row-major and the interaction partition, on
+// the mesh at sweepLinkBW, and returns the points in deterministic
+// (workload, chips, latency, policy) order.
+func RemoteSweep(seed int64) ([]RemotePoint, error) {
 	var out []RemotePoint
 	for _, name := range RemoteSweepWorkloads() {
-		c, err := sweepCircuit(name, opt.Qubits)
+		c, err := sweepCircuit(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, chips := range opt.Chips {
-			for _, lat := range opt.Latencies {
-				for _, policy := range opt.Policies {
-					if err := placement.Valid(policy); err != nil {
-						return nil, err
-					}
+		for _, chips := range []int{1, 2, 4} {
+			for _, lat := range []int64{40, 200} {
+				for _, policy := range []string{"rowmajor", "interaction"} {
 					// The cut is a pure function of circuit, chip count
 					// and policy — recomputed here so the report never
 					// depends on compiler internals.
@@ -98,7 +68,7 @@ func RemoteSweep(opt RemoteOptions) ([]RemotePoint, error) {
 					if err != nil {
 						return nil, err
 					}
-					cfg := cellConfig(c.NumQubits, opt.Seed, opt.LinkBW)
+					cfg := cellConfig(c.NumQubits, seed, sweepLinkBW)
 					cfg.Placement = policy
 					if chips > 1 {
 						cfg.Chips = chips

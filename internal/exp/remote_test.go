@@ -5,24 +5,20 @@ import (
 	"testing"
 )
 
-// TestRemoteSweepGate runs a reduced grid of the remote experiment and
-// enforces the same gate dhisq-bench -exp remote does: single-chip cells
-// degenerate cleanly, every multi-chip cell generated pairs for its cut,
-// and the interaction partition is never worse than row-major with a
-// strict win somewhere.
+// TestRemoteSweepGate runs the remote experiment's grid and enforces the
+// same gate dhisq-bench -exp remote does: single-chip cells degenerate
+// cleanly, every multi-chip cell generated pairs for its cut, and the
+// interaction partition is never worse than row-major with a strict win
+// somewhere.
 func TestRemoteSweepGate(t *testing.T) {
-	points, err := RemoteSweep(RemoteOptions{
-		Qubits:    8,
-		Chips:     []int{1, 2},
-		Latencies: []int64{40},
-	})
+	points, err := RemoteSweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requirePass(t, remoteGates(points))
-	// 3 workloads x 2 chip counts x 1 latency x 2 policies.
-	if len(points) != 12 {
-		t.Fatalf("got %d points, want 12", len(points))
+	// 3 workloads x 3 chip counts x 2 latencies x 2 policies.
+	if len(points) != 36 {
+		t.Fatalf("got %d points, want 36", len(points))
 	}
 	if !strings.Contains(renderRows(points, remoteCols), "dvqe") {
 		t.Fatal("rendered table lost the dvqe rows")
@@ -61,16 +57,16 @@ func TestCheckRemoteCatchesRegression(t *testing.T) {
 
 // TestRemoteCircuitUnknownWorkload pins the error path.
 func TestRemoteCircuitUnknownWorkload(t *testing.T) {
-	if _, err := sweepCircuit("bogus", 8); err == nil {
+	if _, err := sweepCircuit("bogus"); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 	for _, name := range RemoteSweepWorkloads() {
-		c, err := sweepCircuit(name, 8)
+		c, err := sweepCircuit(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if c.NumQubits != 8 {
-			t.Fatalf("%s: %d qubits, want 8", name, c.NumQubits)
+		if c.NumQubits != 16 {
+			t.Fatalf("%s: %d qubits, want 16", name, c.NumQubits)
 		}
 	}
 }

@@ -10,7 +10,8 @@ import (
 
 // hub builds the adversarial hotspot workload: every data qubit CNOTs
 // into one hub controller, congesting the hub's links under finite link
-// bandwidth. Same shape as dhisq-bench's CI-gated hotspot.
+// bandwidth. Same shape as the hotspot workload of dhisq-bench's
+// placement and feedback sweeps.
 func hub(n int) *circuit.Circuit {
 	c := circuit.New(n)
 	h := n - 1
