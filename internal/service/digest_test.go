@@ -6,34 +6,37 @@ import (
 	"testing"
 
 	"dhisq/internal/circuit"
+	"dhisq/internal/machine"
 	"dhisq/internal/workloads"
 )
 
 // TestCongestionDigestPinned pins what the service's congestion digest
-// reports after a fixed job sequence with the re-place loop on: the
-// /v1/stats net_* counters, the replacement count, and every mapping the
-// jobs echo. The sequence covers the digest's three shapes: a contended
-// job of 300 shots, a contended 4-point sweep, and a job on the tree
-// topology. Each crosses the threshold, so its pool group is re-placed,
-// and a repeat of each then runs on — and echoes — the re-placed mapping.
-// The pinned text was rendered while the service still folded a per-shot
-// digest over a host reduction tree and kept a separate per-link re-place
-// digest; a rewrite of the digest must leave it unchanged. It was re-pinned
-// once, when the always-zero NetOverflows left the net line, and its two
-// tree jobs relabelled once, when a lowering option they set (and that
-// never acted on their unconditioned circuit) was deleted.
+// reports after a fixed job sequence: the /v1/stats net_* counters and
+// every mapping the jobs echo. The sequence covers the digest's three
+// shapes: a contended job of 300 shots, a contended 4-point sweep, and a
+// job on the tree topology; a repeat of each then runs, and echoes the
+// mapping its body asks for — the same body runs the same program at every
+// point in the service's history. The pinned text was rendered while the
+// service still folded a per-shot digest over a host reduction tree and
+// kept a separate per-link re-place digest; a rewrite of the digest must
+// leave it unchanged. It was re-pinned when the always-zero NetOverflows
+// left the net line, and when the re-place loop was switched off for this
+// sequence (the repeats then echo their first job's mapping, and the net
+// line counts the traffic of those mappings); its two tree jobs were
+// relabelled once, when a lowering option they set (and that never acted
+// on their unconditioned circuit) was deleted.
 func TestCongestionDigestPinned(t *testing.T) {
 	const want = `hub x300: mapping [1 4 6 9 0 2 7 8 10 13 3 11 12 14 15 5]
 sweep x4: mapping [5 1 0 4 2 6 9 8 10 7 3 11 13 14 12 15]
 tree x40: mapping identity
-hub x7: mapping [7 6 9 1 0 2 5 8 10 13 3 11 12 14 15 4]
-sweep x2: mapping [10 1 15 6 7 0 5 2 4 9 11 3 8 13 14 12]
-tree x5: mapping [11 12 5 6 14 13 7 2 10 4 0 9 1 8 3 15]
-net {NetStallCycles:121751 NetMaxQueue:19 NetMessages:105620}
-replacements 3
+hub x7: mapping [1 4 6 9 0 2 7 8 10 13 3 11 12 14 15 5]
+sweep x2: mapping [5 1 0 4 2 6 9 8 10 7 3 11 13 14 12 15]
+tree x5: mapping identity
+net {NetStallCycles:127068 NetMaxQueue:19 NetMessages:105284}
+replacements 0
 `
 	cfg := contendedCfg(16)
-	svc := New(Config{Workers: 1, ShotWorkers: 3, MaxPooledReplicas: 16, ReplaceStallThreshold: 1})
+	svc := New(Config{Workers: 1, ShotWorkers: 3, MaxPooledReplicas: 16})
 	defer svc.Close()
 
 	tree := hub(16)
@@ -68,4 +71,29 @@ replacements 3
 	if got := b.String(); got != want {
 		t.Fatalf("congestion digest moved:\n got:\n%s\nwant:\n%s", got, want)
 	}
+}
+
+// hub builds the adversarial hotspot workload: every data qubit CNOTs
+// into one hub controller, congesting the hub's links under finite link
+// bandwidth. Same shape as the hotspot workload of dhisq-bench's
+// placement and feedback sweeps.
+func hub(n int) *circuit.Circuit {
+	c := circuit.New(n)
+	h := n - 1
+	for round := 0; round < 3; round++ {
+		for q := 0; q < n-1; q++ {
+			c.CNOT(q, h)
+		}
+	}
+	for q := 0; q < n; q++ {
+		c.MeasureInto(q, q)
+	}
+	return c
+}
+
+func contendedCfg(n int) machine.Config {
+	cfg := machine.DefaultConfig(n)
+	cfg.Backend = machine.BackendSeeded
+	cfg.Net.LinkSerialization = 4
+	return cfg
 }

@@ -8,31 +8,6 @@ import (
 	"dhisq/internal/machine"
 )
 
-// hub builds the adversarial hotspot workload: every data qubit CNOTs
-// into one hub controller, congesting the hub's links under finite link
-// bandwidth. Same shape as the hotspot workload of dhisq-bench's
-// placement and feedback sweeps.
-func hub(n int) *circuit.Circuit {
-	c := circuit.New(n)
-	h := n - 1
-	for round := 0; round < 3; round++ {
-		for q := 0; q < n-1; q++ {
-			c.CNOT(q, h)
-		}
-	}
-	for q := 0; q < n; q++ {
-		c.MeasureInto(q, q)
-	}
-	return c
-}
-
-func contendedCfg(n int) machine.Config {
-	cfg := machine.DefaultConfig(n)
-	cfg.Backend = machine.BackendSeeded
-	cfg.Net.LinkSerialization = 4
-	return cfg
-}
-
 func stallOf(st JobStatus) int64 {
 	return int64(st.Tally.Net.TotalStall())
 }
