@@ -2,11 +2,13 @@ package exp
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"dhisq/internal/fit"
 	"dhisq/internal/network"
+	"dhisq/internal/sim"
 	"dhisq/internal/workloads"
 )
 
@@ -123,6 +125,34 @@ func TestAblationSyncAdvance(t *testing.T) {
 		if r.Advance >= r.NoAdvance {
 			t.Errorf("%s on %d qubits: advance %d should beat no-advance %d", r.Name, r.Qubits, r.Advance, r.NoAdvance)
 		}
+	}
+}
+
+// Fig15Runtime runs the seed it is given, 0 included: its rows are
+// fig15One's at that seed, and on bv_n1000 ÷16 seeds 0 and 1 give
+// different makespans, so a clamp of one onto the other shows.
+func TestFig15RunsSeedZero(t *testing.T) {
+	b, err := workloads.BuildScaled("bv_n1000", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bisp := map[int64]sim.Time{}
+	for _, seed := range []int64{0, 1} {
+		got, err := Fig15Runtime(Fig15Options{ScaleDiv: 16, Seed: seed, Names: []string{b.Name}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fig15One(b, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Rows, []Fig15Row{want}) {
+			t.Fatalf("seed %d: Fig15Runtime rows %+v, want fig15One's %+v", seed, got.Rows, want)
+		}
+		bisp[seed] = want.BISP
+	}
+	if bisp[0] == bisp[1] {
+		t.Fatalf("seeds 0 and 1 both read BISP %d: the test cannot tell them apart", bisp[0])
 	}
 }
 

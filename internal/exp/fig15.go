@@ -33,10 +33,13 @@ type Fig15Cell struct {
 
 // Fig15Options parameterizes the sweep.
 type Fig15Options struct {
-	// ScaleDiv divides every benchmark's qubit count (1 = the paper's full
-	// sizes; tests use 8-16 for speed).
+	// ScaleDiv divides every benchmark's qubit count (<= 1 = the paper's
+	// full sizes; tests use 8-16 for speed).
 	ScaleDiv int
-	Seed     int64
+	// Seed is the base seed of each benchmark's shot and of the outcome
+	// source its lock-step replays share, taken as given: 0 is a seed like
+	// any other, as in every other seeded entry point of the package.
+	Seed int64
 	// Names restricts the run (nil = the full Figure 15 suite).
 	Names []string
 }
@@ -52,12 +55,7 @@ type Fig15Result struct {
 // model with the same seeded outcome source, so both take identical
 // branches.
 func Fig15Runtime(opt Fig15Options) (Fig15Result, error) {
-	if opt.ScaleDiv <= 0 {
-		opt.ScaleDiv = 1
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 1
-	}
+	opt.ScaleDiv = max(opt.ScaleDiv, 1)
 	names := opt.Names
 	if names == nil {
 		names = workloads.Fig15Names()
