@@ -117,7 +117,7 @@ func storeServer(t *testing.T, dir string) (*httptest.Server, *service.Service, 
 	arts := artifact.New(32)
 	arts.SetStore(st)
 	svc := service.New(service.Config{Workers: 2, QueueDepth: 8, Artifacts: arts})
-	ts := httptest.NewServer(newHandler(svc, "", ""))
+	ts := httptest.NewServer(newHandler(svc))
 	return ts, svc, arts
 }
 
@@ -242,7 +242,7 @@ func testCluster(t *testing.T, n int, proxy bool) (urls []string, svcs []*servic
 		if err != nil {
 			t.Fatal(err)
 		}
-		handlers[i] = newClusterHandler(svc, "", "", cl)
+		handlers[i] = newClusterHandler(svc, cl)
 		svcs = append(svcs, svc)
 		arts = append(arts, a)
 	}
@@ -535,7 +535,7 @@ func TestClusterProxyOwnerDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler = newClusterHandler(svc, "", "", cl)
+	handler = newClusterHandler(svc, cl)
 
 	for n := 3; n <= 12; n++ {
 		f := service.Submission{QASM: ghzSized(n), Request: service.Request{Shots: 5, Seed: 7}}

@@ -57,14 +57,12 @@
 // Usage:
 //
 //	dhisq-serve [-addr :8080] [-workers N] [-queue N] [-shot-workers W]
-//	            [-seed S] [-cache N] [-placement P] [-schedule S]
-//	            [-replace-stall N] [-store DIR] [-store-max-bytes N]
+//	            [-seed S] [-cache N] [-store DIR] [-store-max-bytes N]
 //	            [-cluster url1,url2,... -self url [-proxy]]
 package main
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -79,8 +77,6 @@ import (
 	"time"
 
 	"dhisq/internal/artifact"
-	"dhisq/internal/compiler"
-	"dhisq/internal/placement"
 	"dhisq/internal/service"
 	"dhisq/internal/store"
 )
@@ -92,9 +88,6 @@ func main() {
 	shotWorkers := flag.Int("shot-workers", 1, "machine replicas per job's shot fan-out")
 	seed := flag.Int64("seed", 1, "service base seed for jobs without one")
 	cacheCap := flag.Int("cache", artifact.DefaultCapacity, "artifact cache capacity (entries)")
-	placePolicy := flag.String("placement", "", "default placement policy for jobs that don't name one: identity, rowmajor, interaction, or congestion")
-	schedPolicy := flag.String("schedule", "", "default scheduling policy for jobs that don't name one: fixed or padded")
-	replaceStall := flag.Uint64("replace-stall", 0, "aggregate fabric-stall cycles per artifact beyond which the service re-places it with congestion feedback (0 = off)")
 	storeDir := flag.String("store", "", "directory for the persistent artifact store (restores compiles across restarts)")
 	storeMax := flag.Int64("store-max-bytes", 0, "artifact store byte budget, oldest spills evicted beyond it (0 = 512 MiB)")
 	clusterList := flag.String("cluster", "", "comma-separated base URLs of every shard, this one included (enables consistent-hash routing)")
@@ -102,8 +95,6 @@ func main() {
 	proxyMode := flag.Bool("proxy", false, "forward misrouted submissions to their owner server-side instead of 307-redirecting")
 	flag.Parse()
 
-	exitOn(2, placement.Valid(*placePolicy))
-	exitOn(2, compiler.ValidSchedule(*schedPolicy))
 	artifact.Shared.Resize(*cacheCap)
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, *storeMax)
@@ -116,9 +107,8 @@ func main() {
 	svc := service.New(service.Config{
 		Workers: *workers, QueueDepth: *queue,
 		ShotWorkers: *shotWorkers, Seed: *seed,
-		ReplaceStallThreshold: *replaceStall,
 	})
-	srv := newServer(*addr, newClusterHandler(svc, *placePolicy, *schedPolicy, cl))
+	srv := newServer(*addr, newClusterHandler(svc, cl))
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -175,16 +165,14 @@ type jobBody struct {
 
 // newHandler builds the single-node JSON API over a running service
 // (separate from main so tests drive it through httptest).
-// defaultPlacement/defaultSchedule are applied to submissions that don't
-// name a policy (the -placement and -schedule flags).
-func newHandler(svc *service.Service, defaultPlacement, defaultSchedule string) http.Handler {
-	return newClusterHandler(svc, defaultPlacement, defaultSchedule, nil)
+func newHandler(svc *service.Service) http.Handler {
+	return newClusterHandler(svc, nil)
 }
 
 // newClusterHandler is newHandler plus consistent-hash routing: with a
 // non-nil cluster, submissions that hash to another shard are redirected
 // (or proxied) there, and every job response names its owning shard.
-func newClusterHandler(svc *service.Service, defaultPlacement, defaultSchedule string, cl *cluster) http.Handler {
+func newClusterHandler(svc *service.Service, cl *cluster) http.Handler {
 	mux := http.NewServeMux()
 
 	writeJSON := func(w http.ResponseWriter, code int, v any) {
@@ -221,8 +209,6 @@ func newClusterHandler(svc *service.Service, defaultPlacement, defaultSchedule s
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
 			return
 		}
-		sub.Placement = cmp.Or(sub.Placement, defaultPlacement)
-		sub.Schedule = cmp.Or(sub.Schedule, defaultSchedule)
 		sreq, err := sub.Build()
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)

@@ -58,7 +58,7 @@ func TestUnknownFieldRejected(t *testing.T) {
 func TestJobResponseBytesPinned(t *testing.T) {
 	// A private artifact cache: cache_hit must not depend on test order.
 	svc := service.New(service.Config{Workers: 1, Artifacts: artifact.New(4)})
-	ts := httptest.NewServer(newHandler(svc, "", ""))
+	ts := httptest.NewServer(newHandler(svc))
 	t.Cleanup(func() { ts.Close(); svc.Close() })
 	id, _ := postJob(t, ts, service.Submission{QASM: ghzQASM, Request: service.Request{Shots: 50, Seed: 11}})
 	fp := getJob(t, ts, id, true).Fingerprint
@@ -78,11 +78,12 @@ func TestJobResponseBytesPinned(t *testing.T) {
 
 // The stats response is service.Stats encoded as it stands, with no key
 // omitted at zero: an idle daemon's body is every wire name in order. The
-// sibling of TestJobResponseBytesPinned for /v1/stats. Re-pinned once,
-// when net_overflows (0 unless a link queue cap was set) left the body.
+// sibling of TestJobResponseBytesPinned for /v1/stats. Re-pinned when
+// net_overflows (0 unless a link queue cap was set) left the body, and when
+// replacements (0 unless the deleted re-place loop was switched on) did.
 func TestStatsResponseBytesPinned(t *testing.T) {
 	svc := service.New(service.Config{Workers: 1, Artifacts: artifact.New(4)})
-	ts := httptest.NewServer(newHandler(svc, "", ""))
+	ts := httptest.NewServer(newHandler(svc))
 	t.Cleanup(func() { ts.Close(); svc.Close() })
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -94,8 +95,7 @@ func TestStatsResponseBytesPinned(t *testing.T) {
 		`"batched_jobs":0,"taped_shots":0,"tape_fallbacks":0,"binds":0,"bind_hits":0,"pooled_replicas":0,` +
 		`"artifact_cache":{"hits":0,"misses":0,"evictions":0,"store_hits":0,"store_misses":0,` +
 		`"spills":0,"spill_errors":0,"size":0,"capacity":4},` +
-		`"net_total_stall_cycles":0,"net_max_queue":0,"net_messages":0,` +
-		`"replacements":0}` + "\n"
+		`"net_total_stall_cycles":0,"net_max_queue":0,"net_messages":0}` + "\n"
 	if string(got) != want {
 		t.Fatalf("stats response moved:\n got %swant %s", got, want)
 	}
@@ -125,7 +125,7 @@ func serveOn(t *testing.T, h http.Handler, headerTimeout time.Duration) string {
 func TestHalfOpenRequestIsClosed(t *testing.T) {
 	svc := service.New(service.Config{Workers: 1})
 	defer svc.Close()
-	addr := serveOn(t, newHandler(svc, "", ""), 100*time.Millisecond)
+	addr := serveOn(t, newHandler(svc), 100*time.Millisecond)
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -151,7 +151,7 @@ func TestLongPollOutlivesHeaderTimeout(t *testing.T) {
 	svc := service.New(service.Config{Workers: 1})
 	defer svc.Close()
 	const headerTimeout = 20 * time.Millisecond
-	base := "http://" + serveOn(t, newHandler(svc, "", ""), headerTimeout)
+	base := "http://" + serveOn(t, newHandler(svc), headerTimeout)
 
 	for shots := 400; ; shots *= 4 {
 		code, answer := post(t, base, `{"bench":"qft_n30","shots":`+strconv.Itoa(shots)+`,"seed":7}`)

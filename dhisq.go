@@ -236,8 +236,8 @@ func SamplePlaced(c *Circuit, shots int, seed int64, policy string) (Histogram, 
 
 // PlacementPolicies lists the registered placement policies of the
 // compilation pipeline's Place pass ("identity", "rowmajor",
-// "interaction", "congestion"); MachineConfig.Placement and
-// JobRequest.Placement accept any of them.
+// "interaction"); MachineConfig.Placement and JobRequest.Placement accept
+// any of them.
 func PlacementPolicies() []string { return placement.Names() }
 
 // ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ import (
 )
 
 // RePlace closes the compile↔fabric loop for one circuit: given the
-// congestion digest measured under the prior mapping (nil = identity) — one
-// shot's Result.Net, or many merged with CongestionStats.Merge — it generates
-// stall-weighted candidate placements (placement.CongestionCandidates),
-// probes each with a one-shot run, refines the winner by measured pairwise
-// swaps, and returns the mapping with the lowest observed fabric stall
-// alongside that stall count.
+// congestion digest of one run under the prior mapping (nil = identity) —
+// its Result.Net, whose per-link Links a merged digest does not carry — it
+// generates stall-weighted candidate placements
+// (placement.CongestionCandidates), probes each with a one-shot run,
+// refines the winner by measured pairwise swaps, and returns the mapping
+// with the lowest observed fabric stall alongside that stall count. Its one
+// caller is the offline feedback experiment (internal/exp FeedbackSweep).
 //
 // The incumbent mapping is always candidate zero and ties keep the
 // earliest candidate, so the result is never measurably worse than prior.

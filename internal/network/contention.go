@@ -1,9 +1,6 @@
 package network
 
 import (
-	"cmp"
-	"slices"
-
 	"dhisq/internal/sim"
 	"dhisq/internal/telf"
 )
@@ -165,10 +162,10 @@ func (f *Fabric) treeArrival(src, dst int, at sim.Time) sim.Time {
 }
 
 // CongestionStats aggregates fabric-wide contention counters: what one shot
-// reports in machine.Result.Net, and — folded with Merge — what a job's
-// shots, a pool group's jobs and the re-place search read. It is the one
-// congestion digest; the service's /v1/stats view (service.NetStats) is
-// read off it. All zero when the model is disabled.
+// reports in machine.Result.Net and machine.RePlace reads, and — folded
+// with Merge — what a job's shots add up to. It is the one congestion
+// digest; the service's /v1/stats view (service.NetStats) is read off it.
+// All zero when the model is disabled.
 type CongestionStats struct {
 	Enabled bool `json:"enabled"`
 	// Mesh links.
@@ -186,11 +183,11 @@ type CongestionStats struct {
 	RouterBusiest sim.Time `json:"router_busiest_cycles"`
 	PortBusiest   sim.Time `json:"port_busiest_cycles"`
 	RouterBusy    sim.Time `json:"router_busy_cycles"`
-	// Links is the per-link breakdown behind the aggregate Link* counters:
-	// one entry per directed mesh link that carried (or queued) at least one
-	// message, sorted by (From, To). It is what the re-place search reads to
-	// attribute stalls to specific controller pairs; aggregate-only
-	// consumers can ignore it.
+	// Links is one run's per-link breakdown behind the aggregate Link*
+	// counters: one entry per directed mesh link that carried (or queued)
+	// at least one message, in the fabric's link-slot order. It is what
+	// machine.RePlace reads to attribute stalls to specific controller
+	// pairs; Merge drops it, and aggregate-only consumers can ignore it.
 	Links []LinkStat `json:"links,omitempty"`
 }
 
@@ -215,12 +212,11 @@ func (s CongestionStats) MaxQueue() int {
 }
 
 // Merge returns the digest of s and o together: counts, stalls and busy
-// cycles add, the *MaxQueue and *Busiest fields take the larger value,
-// Enabled is ORed, and Links merge by (From, To). Merge is commutative and
+// cycles add, the *MaxQueue and *Busiest fields take the larger value, and
+// Enabled is ORed. On these aggregate counters Merge is commutative and
 // associative and the zero value is its identity, so folding a set of
-// snapshots in any order or grouping gives the same digest. Both Links
-// must be sorted by (From, To), as Congestion emits them; the result's is
-// too. Neither input's Links is written, though the result may share one.
+// snapshots in any order or grouping gives the same digest. The result
+// carries no Links: a per-link breakdown is one run's.
 func (s CongestionStats) Merge(o CongestionStats) CongestionStats {
 	s.Enabled = s.Enabled || o.Enabled
 	s.LinkMessages += o.LinkMessages
@@ -232,40 +228,8 @@ func (s CongestionStats) Merge(o CongestionStats) CongestionStats {
 	s.RouterBusiest = max(s.RouterBusiest, o.RouterBusiest)
 	s.PortBusiest = max(s.PortBusiest, o.PortBusiest)
 	s.RouterBusy += o.RouterBusy
-	s.Links = mergeLinks(s.Links, o.Links)
+	s.Links = nil
 	return s
-}
-
-// mergeLinks merges two (From, To)-sorted link lists, combining the
-// entries of one link as Merge combines the totals.
-func mergeLinks(a, b []LinkStat) []LinkStat {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]LinkStat, 0, max(len(a), len(b)))
-	for len(a) > 0 && len(b) > 0 {
-		switch c := compareLinks(a[0], b[0]); {
-		case c < 0:
-			out, a = append(out, a[0]), a[1:]
-		case c > 0:
-			out, b = append(out, b[0]), b[1:]
-		default:
-			l := a[0]
-			l.Messages += b[0].Messages
-			l.Stall += b[0].Stall
-			l.MaxQueue = max(l.MaxQueue, b[0].MaxQueue)
-			out, a, b = append(out, l), a[1:], b[1:]
-		}
-	}
-	return append(append(out, a...), b...)
-}
-
-// compareLinks orders links by (From, To).
-func compareLinks(a, b LinkStat) int {
-	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 }
 
 // Congestion snapshots the fabric's contention counters for the run (or
@@ -309,7 +273,5 @@ func (f *Fabric) Congestion() CongestionStats {
 			st.RouterBusiest = busy
 		}
 	}
-	// Slot order is From-major but not To-sorted; Merge wants (From, To).
-	slices.SortFunc(st.Links, compareLinks)
 	return st
 }

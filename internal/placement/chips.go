@@ -13,8 +13,8 @@ import (
 // therefore the cut size — the number of gates teleported — not mesh
 // distance, so the partitioner is separate from the controller placers
 // above, but it reuses their policy names: "identity"/"rowmajor" cut the
-// qubit range into contiguous blocks, "interaction"/"congestion" run a
-// greedy balanced min-cut over the same interaction weights.
+// qubit range into contiguous blocks, "interaction" runs a greedy balanced
+// min-cut over the same interaction weights.
 
 // ContiguousChips is the baseline partition: qubit q on chip q*chips/n,
 // blocks as equal as possible, in index order.
@@ -28,11 +28,11 @@ func ContiguousChips(n, chips int) []int {
 
 // PartitionChips assigns each of c's qubits to one of chips chips under the
 // named placement policy. "identity" and "rowmajor" (and "") return the
-// contiguous-block baseline; "interaction" and "congestion" run a greedy
-// balanced min-cut and fall back to the baseline when greedy loses on the
-// cut objective, so the cut-minimizing partition is never worse than
-// contiguous by construction. Deterministic for a fixed (circuit, chips,
-// policy) — the partition is hashed into the artifact fingerprint.
+// contiguous-block baseline; "interaction" runs a greedy balanced min-cut
+// and falls back to the baseline when greedy loses on the cut objective, so
+// the cut-minimizing partition is never worse than contiguous by
+// construction. Deterministic for a fixed (circuit, chips, policy) — the
+// partition is hashed into the artifact fingerprint.
 func PartitionChips(c *circuit.Circuit, chips int, policy string) ([]int, error) {
 	if err := Valid(policy); err != nil {
 		return nil, err

@@ -17,25 +17,6 @@ func congTopo(t *testing.T, n int) *network.Topology {
 	return topo
 }
 
-// TestCongestionPolicyRegistered: "congestion" resolves through the
-// registry and, fed no measurement (placement by name alone), is the
-// interaction placement — the documented cold-start behavior.
-func TestCongestionPolicyRegistered(t *testing.T) {
-	c := hotspot(9)
-	topo := congTopo(t, 9)
-	got, err := Place("congestion", c, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Place("interaction", c, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("cold congestion placement %v != interaction %v", got, want)
-	}
-}
-
 // TestCongestionCandidatesShape: candidates are deduped, deterministic,
 // include the interaction placement first, and every entry is a valid
 // permutation of controllers.

@@ -5,7 +5,7 @@
 // speak — so the choice of placer is a named, cacheable compilation input
 // rather than ad-hoc call-site logic.
 //
-// Four policies ship, one row each in the policies table:
+// Three policies ship, one row each in the policies table:
 //
 //   - identity: qubit q runs on controller q, expressed as a nil mapping.
 //     This is the legacy behavior byte-for-byte — nil is what every
@@ -23,9 +23,10 @@
 //     partners. Co-locating chatty qubits shortens calibrated sync windows
 //     and cuts inter-controller messages — and therefore queueing stalls
 //     once link bandwidth is finite (network.Config.LinkSerialization > 0).
-//   - congestion: by name, the interaction placement — the cold start of
-//     the congestion-feedback loop, whose stall-weighted re-placements
-//     (CongestionCandidates) only measured link stalls can drive.
+//
+// The stall-weighted re-placements (CongestionCandidates) are not a policy:
+// only a measured run's link stalls can drive them, and machine.RePlace is
+// their one caller.
 //
 // Policies are deterministic: the same (circuit, topology) input always
 // yields the same mapping, which is what makes a policy name safe to hash
@@ -61,12 +62,6 @@ var policies = []policy{
 	{"identity", func(*circuit.Circuit, *network.Topology) []int { return nil }},
 	{"rowmajor", func(c *circuit.Circuit, _ *network.Topology) []int { return rowMajor(c.NumQubits) }},
 	{"interaction", interaction},
-	// By name alone no measured feedback is available, so congestion
-	// placement is the interaction placement — the cold-start mapping the
-	// feedback loop then improves on. The stall-weighted path is CongestionCandidates,
-	// which machine.RePlace — and through it the service's re-place hook —
-	// drives with real measurements.
-	{"congestion", interaction},
 }
 
 func policyName(p policy) string { return p.name }

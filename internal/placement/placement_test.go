@@ -36,7 +36,7 @@ func hotspot(n int) *circuit.Circuit {
 }
 
 func TestRegistry(t *testing.T) {
-	want := []string{"identity", "rowmajor", "interaction", "congestion"}
+	want := []string{"identity", "rowmajor", "interaction"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
@@ -49,7 +49,7 @@ func TestRegistry(t *testing.T) {
 	if m, err := Place("", c, topo); err != nil || m != nil {
 		t.Fatalf("Place(\"\") = %v, %v; want the %s placement (nil)", m, err, Default)
 	}
-	want0 := `unknown placement policy "bogus" (want identity, rowmajor, interaction, congestion)`
+	want0 := `unknown placement policy "bogus" (want identity, rowmajor, interaction)`
 	if err := Valid("bogus"); err == nil || err.Error() != want0 {
 		t.Fatalf("Valid(bogus) = %v, want %q", err, want0)
 	}

@@ -17,12 +17,14 @@ import (
 // registries' names in order), and the mapping every placement name
 // compiles to on one and two chips. The literals were taken from the
 // interface-per-policy registries; any rewrite of the registries must
-// reproduce them unedited.
+// reproduce them unedited. They were edited once, when the placement
+// registry's fourth name — an alias of interaction that only the
+// service's deleted re-place loop gave a meaning — was deleted with it.
 func TestRegistrySurfacePinned(t *testing.T) {
-	if got, want := placement.Names(), []string{"identity", "rowmajor", "interaction", "congestion"}; !reflect.DeepEqual(got, want) {
+	if got, want := placement.Names(), []string{"identity", "rowmajor", "interaction"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("placement.Names() = %v, want %v", got, want)
 	}
-	for _, name := range []string{"", "identity", "rowmajor", "interaction", "congestion"} {
+	for _, name := range []string{"", "identity", "rowmajor", "interaction"} {
 		if err := placement.Valid(name); err != nil {
 			t.Errorf("placement.Valid(%q): %v", name, err)
 		}
@@ -32,7 +34,7 @@ func TestRegistrySurfacePinned(t *testing.T) {
 		req  service.Request
 		want string
 	}{
-		{service.Request{Placement: "bogus"}, `unknown placement policy "bogus" (want identity, rowmajor, interaction, congestion)`},
+		{service.Request{Placement: "bogus"}, `unknown placement policy "bogus" (want identity, rowmajor, interaction)`},
 		{service.Request{Schedule: "bogus"}, `unknown schedule policy "bogus" (want fixed, padded)`},
 	} {
 		req := tc.req
@@ -56,7 +58,7 @@ func TestRegistrySurfacePinned(t *testing.T) {
 		name  string
 		c     *circuit.Circuit
 		chips int
-		want  map[string][]int // identity, rowmajor, interaction; congestion = interaction
+		want  map[string][]int // identity, rowmajor, interaction
 	}{
 		{"hotspot", star(9), 1, map[string][]int{
 			"identity": nil, "rowmajor": rowMajor(9),
@@ -82,7 +84,6 @@ func TestRegistrySurfacePinned(t *testing.T) {
 			"interaction": {0, 9, 1, 10, 2, 11, 3, 12, 4, 13, 5, 14, 6, 15, 16, 7, 8, 17},
 		}},
 	} {
-		tc.want["congestion"] = tc.want["interaction"]
 		tc.want[""] = tc.want["identity"]
 		for name, want := range tc.want {
 			cfg := machine.DefaultConfig(tc.c.NumQubits)

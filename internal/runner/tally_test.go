@@ -56,9 +56,9 @@ func TestTallyMergeLaws(t *testing.T) {
 		want.Add(s)
 		parts[s.Index%3].Add(s)
 	}
-	if len(want.Histogram) < 2 || want.EPRPairs == 0 || len(want.Net.Links) == 0 {
-		t.Fatalf("stream too tame to test the laws: %d outcomes, %d EPR pairs, %d links",
-			len(want.Histogram), want.EPRPairs, len(want.Net.Links))
+	if len(want.Histogram) < 2 || want.EPRPairs == 0 || want.Net.TotalStall() == 0 {
+		t.Fatalf("stream too tame to test the laws: %d outcomes, %d EPR pairs, %d stall cycles",
+			len(want.Histogram), want.EPRPairs, want.Net.TotalStall())
 	}
 	if !reflect.DeepEqual(want.Shot0, shots[0].Result) || want.Shots != len(shots) {
 		t.Fatalf("fold keeps shot 0 %+v over %d shots, want %+v over %d", want.Shot0, want.Shots, shots[0].Result, len(shots))

@@ -20,11 +20,11 @@ import (
 // service still folded a per-shot digest over a host reduction tree and
 // kept a separate per-link re-place digest; a rewrite of the digest must
 // leave it unchanged. It was re-pinned when the always-zero NetOverflows
-// left the net line, and when the re-place loop was switched off for this
-// sequence (the repeats then echo their first job's mapping, and the net
-// line counts the traffic of those mappings); its two tree jobs were
-// relabelled once, when a lowering option they set (and that never acted
-// on their unconditioned circuit) was deleted.
+// left the net line, and when the service's re-place loop was deleted (the
+// repeats then echo their first job's mapping, the net line counts the
+// traffic of those mappings, and the replacements line went). Its two tree
+// jobs were relabelled once, when a lowering option they set (and that
+// never acted on their unconditioned circuit) was deleted.
 func TestCongestionDigestPinned(t *testing.T) {
 	const want = `hub x300: mapping [1 4 6 9 0 2 7 8 10 13 3 11 12 14 15 5]
 sweep x4: mapping [5 1 0 4 2 6 9 8 10 7 3 11 13 14 12 15]
@@ -33,7 +33,6 @@ hub x7: mapping [1 4 6 9 0 2 7 8 10 13 3 11 12 14 15 5]
 sweep x2: mapping [5 1 0 4 2 6 9 8 10 7 3 11 13 14 12 15]
 tree x5: mapping identity
 net {NetStallCycles:127068 NetMaxQueue:19 NetMessages:105284}
-replacements 0
 `
 	cfg := contendedCfg(16)
 	svc := New(Config{Workers: 1, ShotWorkers: 3, MaxPooledReplicas: 16})
@@ -65,9 +64,7 @@ replacements 0
 			fmt.Fprintf(&b, "%s: mapping %v\n", j.name, st.Mapping)
 		}
 	}
-	svc.Close() // the workers' post-job re-place bookkeeping has finished
-	stats := svc.Stats()
-	fmt.Fprintf(&b, "net %+v\nreplacements %d\n", stats.NetStats, stats.Replacements)
+	fmt.Fprintf(&b, "net %+v\n", svc.Stats().NetStats)
 	if got := b.String(); got != want {
 		t.Fatalf("congestion digest moved:\n got:\n%s\nwant:\n%s", got, want)
 	}

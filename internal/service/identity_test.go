@@ -56,7 +56,7 @@ func TestPoolKeyNamesTheReplicaBackend(t *testing.T) {
 		t.Fatalf("%d pool groups, want one per backend", len(svc.pool.groups))
 	}
 	for pk, group := range svc.pool.groups {
-		for _, m := range group.machines {
+		for _, m := range group {
 			var got machine.BackendKind
 			switch m.Chip.Backend().(type) {
 			case *chip.StateVecBackend:

@@ -39,9 +39,7 @@ type JobStatus struct {
 	// Placement.
 	Schedule string `json:"schedule,omitempty"`
 	// Mapping is the final qubit→controller mapping the job compiled with
-	// (nil = identity), as resolved by the compiler's Place pass. A job
-	// served by a feedback-re-placed replica pool echoes the re-placed
-	// mapping.
+	// (nil = identity), as resolved by the compiler's Place pass.
 	Mapping []int `json:"mapping,omitempty"`
 	// Chips is the resolved chip count the job compiled with (0 = the
 	// legacy single-chip machine), echoed like Placement; EPRPairs
@@ -85,8 +83,8 @@ func (s JobStatus) Done() bool { return s.State == StateDone || s.State == State
 type job struct {
 	// adm is the resolved submission — request, run spec (the parsed
 	// circuit, ~300 KB for a 30-qubit QFT) and fingerprint. It belongs to the
-	// worker: release drops it once the job is past the re-place loop, so
-	// the MaxRetainedJobs finished jobs kept for polling retain results only.
+	// worker: finish drops it, so the MaxRetainedJobs finished jobs kept for
+	// polling retain results only.
 	adm Admission
 
 	mu sync.Mutex
@@ -99,14 +97,6 @@ type job struct {
 	streamed []PointStatus
 	notify   chan struct{}
 	done     chan struct{}
-}
-
-// release drops the job's admission. Called by the worker that owned the
-// job, after its last use of it.
-func (j *job) release() {
-	j.mu.Lock()
-	j.adm = Admission{}
-	j.mu.Unlock()
 }
 
 // publish appends one finished sweep point to the stream log and wakes
@@ -128,7 +118,8 @@ func (j *job) record(st JobStatus) {
 }
 
 // finish moves the job to its terminal state, copying the wire fields —
-// histogram, makespan, EPR total — off the job's tally once, not per poll.
+// histogram, makespan, EPR total — off the job's tally once, not per poll,
+// and drops its admission: the worker that owned the job is done with it.
 func (j *job) finish(st JobStatus, err error) {
 	switch {
 	case err != nil:
@@ -141,7 +132,9 @@ func (j *job) finish(st JobStatus, err error) {
 		st.State = StateDone
 		st.Makespan = st.Points[0].Makespan
 	}
-	j.record(st)
+	j.mu.Lock()
+	j.st, j.adm = st, Admission{}
+	j.mu.Unlock()
 	close(j.done)
 }
 

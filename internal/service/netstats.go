@@ -36,9 +36,6 @@ type Stats struct {
 	Cache          artifact.Stats `json:"artifact_cache"`
 	// NetStats folds the congestion digest of every completed job's shots.
 	NetStats
-	// Replacements counts replica-pool groups re-placed via congestion
-	// feedback (0 unless Config.ReplaceStallThreshold is set).
-	Replacements uint64 `json:"replacements"`
 }
 
 // Stats snapshots service counters plus the shared artifact-cache stats.

@@ -89,7 +89,7 @@ func (r *Request) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&r.Topo, "topo", "mesh", "fabric topology: mesh, torus, or tree")
 	fs.Int64Var(&r.LinkBW, "link-bw", 0, "link bandwidth as cycles per message (0 = infinite, contention off)")
 	fs.IntVar(&r.RouterPorts, "router-ports", 0, "physical ports per router (0 = one per tree edge)")
-	fs.StringVar(&r.Placement, "placement", "", "placement policy for unmapped circuits: identity, rowmajor, interaction, or congestion (default identity)")
+	fs.StringVar(&r.Placement, "placement", "", "placement policy for unmapped circuits: identity, rowmajor, or interaction (default identity)")
 	fs.StringVar(&r.Schedule, "schedule", "", "compiler scheduling policy: fixed or padded (default fixed)")
 	fs.IntVar(&r.Chips, "chips", 0, "split the device into N chips; cross-chip 2q gates run as EPR-mediated teleported gates (0/1 = single chip)")
 	fs.Int64Var(&r.EPRLatency, "epr-latency", 0, "EPR pair-generation latency in cycles for multi-chip runs (0 = machine default)")

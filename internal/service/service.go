@@ -71,16 +71,6 @@ type Config struct {
 	// restart-warm behavior independent of everything else in the process,
 	// which is what the in-process cluster and crash/restart tests need.
 	Artifacts *artifact.Cache
-	// ReplaceStallThreshold enables congestion-feedback re-placement: the
-	// service merges each replica-pool group's congestion digests
-	// (network.CongestionStats), and once a group's total crosses this many
-	// cycles it recompiles the circuit with a feedback-weighted placement
-	// (machine.RePlace) and swaps the group's replicas — the structural
-	// key is untouched, so a sweep family keeps its bind cache while its
-	// warm replicas get a less congested mapping. 0 (the default)
-	// disables the loop entirely: first-run behavior is byte-identical to
-	// a service without it.
-	ReplaceStallThreshold uint64
 }
 
 // ErrQueueFull is returned by Submit when the bounded queue is at depth.
@@ -239,7 +229,6 @@ func (s *Service) worker() {
 			s.retire(st.ID)
 			s.mu.Unlock()
 			j.finish(st, fmt.Errorf("service: shut down before job started"))
-			j.release()
 			continue
 		}
 		s.stats.Running++
@@ -274,10 +263,6 @@ func (s *Service) worker() {
 		// Waiters wake only now, so a Stats call that follows a Wait sees
 		// this job counted.
 		j.finish(st, err)
-		if err == nil && s.cfg.ReplaceStallThreshold > 0 {
-			s.maybeReplace(j.adm.Spec, p, st.Mapping, res.net)
-		}
-		j.release()
 	}
 }
 
@@ -327,8 +312,8 @@ func (s *Service) planFor(a Admission) plan {
 }
 
 // result is what a run cost on what jobs share, for the worker to fold into
-// Stats and the job's pool group: its shots' merged fabric congestion (only
-// from a successful run) and what they did on its replicas' tapes. What the
+// Stats: its shots' merged fabric congestion (only from a successful run)
+// and what they did on its replicas' tapes. What the
 // job itself reports goes into its JobStatus.
 type result struct {
 	net  network.CongestionStats
@@ -365,20 +350,14 @@ func (s *Service) run(j *job, p plan, st *JobStatus) (res result, err error) {
 		}
 	}()
 
-	machines, replaced := s.pool.checkout(p.pk, p.want)
+	machines = s.pool.checkout(p.pk, p.want)
 	st.Batched = len(machines) > 0
 	// Acquire the artifact once, under the fingerprint admission computed —
 	// nothing below hashes the circuit again. One probe of the cache (and
 	// the store under it) per job, so misses always equal actual compiles.
 	arts := spec.Cfg.Artifacts
 	var art *compiler.Compiled
-	switch {
-	case replaced != nil:
-		// The group was re-placed: run from the swapped artifact (a hit —
-		// nothing compiles). A replica pooled before the swap still holds
-		// the old program; RunPoints re-Loads what is not loaded with art.
-		art, st.CacheHit = replaced, true
-	case len(machines) == 0:
+	if len(machines) == 0 {
 		// Cold: compile the job's program — the skeleton as submitted, for a
 		// bind job — unless the cache, its store or a concurrent job has it.
 		art, st.CacheHit, err = arts.GetOrCompile(p.pk.fp, func() (*compiler.Compiled, error) {
@@ -387,7 +366,7 @@ func (s *Service) run(j *job, p plan, st *JobStatus) (res result, err error) {
 		if err != nil {
 			return res, err
 		}
-	default:
+	} else {
 		// Warm replicas: a present entry counts one hit and stays MRU while
 		// its replicas are hot. An evicted one compiles nothing (an artifact
 		// can outlive its cache entry in the pool): run, and build any

@@ -228,8 +228,8 @@ func TestFinishedJobReleasesCircuit(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	// Wait returns at finish; the release follows the re-place check on the
-	// worker goroutine, which Close waits out.
+	// finish drops the admission before Wait returns; Close waits out the
+	// workers, so the unlocked reads below do not race.
 	s.Close()
 	for i, id := range ids {
 		j := s.jobs[id]
