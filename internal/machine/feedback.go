@@ -14,8 +14,7 @@ import (
 // generates stall-weighted candidate placements
 // (placement.CongestionCandidates), probes each with a one-shot run,
 // refines the winner by measured pairwise swaps, and returns the mapping
-// with the lowest observed fabric stall alongside that stall count. Its one
-// caller is the offline feedback experiment (internal/exp FeedbackSweep).
+// with the lowest observed fabric stall alongside that stall count.
 //
 // The incumbent mapping is always candidate zero and ties keep the
 // earliest candidate, so the result is never measurably worse than prior.

@@ -25,8 +25,7 @@
 //     once link bandwidth is finite (network.Config.LinkSerialization > 0).
 //
 // The stall-weighted re-placements (CongestionCandidates) are not a policy:
-// only a measured run's link stalls can drive them, and machine.RePlace is
-// their one caller.
+// only a measured run's link stalls can drive them (machine.RePlace).
 //
 // Policies are deterministic: the same (circuit, topology) input always
 // yields the same mapping, which is what makes a policy name safe to hash

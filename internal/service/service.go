@@ -313,8 +313,8 @@ func (s *Service) planFor(a Admission) plan {
 
 // result is what a run cost on what jobs share, for the worker to fold into
 // Stats: its shots' merged fabric congestion (only from a successful run)
-// and what they did on its replicas' tapes. What the
-// job itself reports goes into its JobStatus.
+// and what they did on its replicas' tapes. What the job itself reports
+// goes into its JobStatus.
 type result struct {
 	net  network.CongestionStats
 	tape machine.TapeStats
