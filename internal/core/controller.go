@@ -99,9 +99,14 @@ type Stats struct {
 	Violations uint64
 }
 
+// delivered is one queued arrival: a message, a sync signal or a
+// measurement result. cause is what the event it retires names as its
+// cause: a message's send time, a sync signal's booked time-point (0 for
+// a result).
 type delivered struct {
-	val uint32
-	at  sim.Time
+	val   uint32
+	at    sim.Time
+	cause sim.Time
 }
 
 // fifo is a queue of delivered values.
@@ -155,6 +160,7 @@ type Controller struct {
 	pendPort int
 	pendCW   uint32
 	pendCT   sim.Time
+	pendTCU  sim.Time // the TCU time pendCT was scheduled for
 
 	halted bool
 	err    error
@@ -324,11 +330,12 @@ func (c *Controller) post(t sim.Time, pri sim.Priority, ev sim.Event) {
 // Delivery entry points (called by the fabric / chip model via engine events)
 // ---------------------------------------------------------------------------
 
-// DeliverMessage appends a classical message from src arriving at cycle
-// `arrival` and wakes the pipeline if it is blocked in recv on that source.
-func (c *Controller) DeliverMessage(src int, val uint32, arrival sim.Time) {
+// DeliverMessage appends a classical message from src, sent at cycle
+// `sent` and arriving at cycle `arrival`, and wakes the pipeline if it is
+// blocked in recv on that source.
+func (c *Controller) DeliverMessage(src int, val uint32, sent, arrival sim.Time) {
 	c.mail = growFifos(c.mail, src)
-	c.mail[src].Push(delivered{val: val, at: arrival})
+	c.mail[src].Push(delivered{val: val, at: arrival, cause: sent})
 	if c.block == BlockRecv && c.blockOn == src && !c.halted {
 		c.block = NotBlocked
 		c.run()
@@ -336,14 +343,15 @@ func (c *Controller) DeliverMessage(src int, val uint32, arrival sim.Time) {
 }
 
 // DeliverSyncSignal records a nearby-sync 1-bit signal from neighbor src
-// (SyncU flag set, §4.1) and completes an in-flight sync if one is waiting.
-func (c *Controller) DeliverSyncSignal(src int, arrival sim.Time) {
+// (SyncU flag set, §4.1), whose sender booked time-point `booked`, and
+// completes an in-flight sync if one is waiting.
+func (c *Controller) DeliverSyncSignal(src int, booked, arrival sim.Time) {
 	c.syncSig = growFifos(c.syncSig, src)
-	c.syncSig[src].Push(delivered{at: arrival})
+	c.syncSig[src].Push(delivered{at: arrival, cause: booked})
 	if c.block == BlockSyncNear && c.blockOn == src && !c.halted {
-		a := c.syncSig[src].Pop().at
+		sig := c.syncSig[src].Pop()
 		c.block = NotBlocked
-		c.finishSync(src, c.pendCondI, a)
+		c.finishSync(src, c.pendCondI, sig.at, sig.cause)
 		c.run()
 	}
 }
@@ -363,7 +371,7 @@ func (c *Controller) DeliverRegionResume(router int, tm, arrival sim.Time) {
 		c.log.Add(telf.Event{Time: arrival, Node: c.Cfg.ID, Kind: telf.SyncLate, A: int64(router), B: arrival - tm})
 		r = arrival
 	}
-	c.finishSync(router, c.pendCondI, r)
+	c.finishSync(router, c.pendCondI, r, tm)
 	c.run()
 }
 
@@ -387,15 +395,16 @@ func (c *Controller) PushResult(ch int, val uint32, availAt sim.Time) {
 }
 
 // finishSync applies a resolved synchronization to the TCU timer: pause at
-// condI, resume at max(condI, peerTime).
-func (c *Controller) finishSync(target int, condI, peer sim.Time) {
+// condI, resume at max(condI, peerTime). booked is the time-point the
+// target booked: a partner's Condition I, or a router's common time-point.
+func (c *Controller) finishSync(target int, condI, peer, booked sim.Time) {
 	r := max(condI, peer)
 	c.tl.AddGate(condI, r)
 	c.Stats.Syncs++
 	if r > condI {
-		c.log.Add(telf.Event{Time: r, Node: c.Cfg.ID, Kind: telf.Stall, A: telf.StallSync, B: r - condI})
+		c.log.Add(telf.Event{Time: r, Node: c.Cfg.ID, Kind: telf.Stall, A: telf.StallSync, B: r - condI, C: int64(target)})
 	}
-	c.log.Add(telf.Event{Time: r, Node: c.Cfg.ID, Kind: telf.SyncDone, A: int64(target), B: r})
+	c.log.Add(telf.Event{Time: r, Node: c.Cfg.ID, Kind: telf.SyncDone, A: int64(target), B: r, C: booked})
 	c.pc++ // the sync instruction retires on resolution
 }
 
@@ -565,12 +574,12 @@ func (c *Controller) fetch(in isa.Instr, qs []fifo, reason BlockReason, why int6
 	m := qs[src].Pop()
 	c.tc++
 	if m.at > c.tc {
-		c.log.Add(telf.Event{Time: m.at, Node: c.Cfg.ID, Kind: telf.Stall, A: why, B: m.at - c.tc})
+		c.log.Add(telf.Event{Time: m.at, Node: c.Cfg.ID, Kind: telf.Stall, A: why, B: m.at - c.tc, C: int64(src)})
 		c.tc = m.at
 	}
 	c.tl.AnchorAt(c.tc)
 	c.setReg(in.Rd, m.val)
-	c.log.Add(telf.Event{Time: c.tc, Node: c.Cfg.ID, Kind: kind, A: int64(src), B: int64(m.val)})
+	c.log.Add(telf.Event{Time: c.tc, Node: c.Cfg.ID, Kind: kind, A: int64(src), B: int64(m.val), C: m.cause})
 	c.pc++
 	return true
 }
@@ -586,7 +595,8 @@ func (c *Controller) execCW(in isa.Instr) bool {
 		c.fail("cw to port %d but board has %d ports", port, c.Cfg.Ports)
 		return false
 	}
-	ct := c.tl.Point()
+	tcu := c.tl.Point()
+	ct := tcu
 	if c.tc > ct {
 		// The pipeline fell behind the timing point: the event commits late.
 		c.Stats.Violations++
@@ -595,7 +605,7 @@ func (c *Controller) execCW(in isa.Instr) bool {
 	}
 	c.Stats.Commits++
 	c.pc++
-	c.pendPort, c.pendCW, c.pendCT = port, cw, ct
+	c.pendPort, c.pendCW, c.pendCT, c.pendTCU = port, cw, ct, tcu
 	if ct > c.eng.Now() {
 		c.post(ct, sim.PriResume, sim.Event{Op: evCommit})
 		return false
@@ -609,7 +619,7 @@ func (c *Controller) execCW(in isa.Instr) bool {
 // whenever the commit is deferred, so no second commit can overwrite them.
 func (c *Controller) doCommit() {
 	c.sink.Commit(c.Cfg.ID, c.pendPort, c.pendCW, c.pendCT)
-	c.log.Add(telf.Event{Time: c.pendCT, Node: c.Cfg.ID, Kind: telf.CWCommit, A: int64(c.pendCW), B: int64(c.pendPort)})
+	c.log.Add(telf.Event{Time: c.pendCT, Node: c.Cfg.ID, Kind: telf.CWCommit, A: int64(c.pendCW), B: int64(c.pendPort), C: c.pendTCU})
 }
 
 // execSync books a synchronization (BISP §4.1/§4.3). The booking time is the
@@ -646,8 +656,8 @@ func (c *Controller) execSync(tgt int) bool {
 	c.log.Add(telf.Event{Time: bEff, Node: c.Cfg.ID, Kind: telf.SyncBook, A: int64(tgt), B: condI})
 	c.fab.SendSyncSignal(c.Cfg.ID, tgt, bEff)
 	if tgt < len(c.syncSig) && c.syncSig[tgt].Len() > 0 {
-		a := c.syncSig[tgt].Pop().at
-		c.finishSync(tgt, condI, a)
+		sig := c.syncSig[tgt].Pop()
+		c.finishSync(tgt, condI, sig.at, sig.cause)
 		return true
 	}
 	c.block, c.blockOn, c.blockAt = BlockSyncNear, tgt, c.tc

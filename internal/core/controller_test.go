@@ -54,9 +54,11 @@ func (f *stubFabric) deliver(ev sim.Event, at sim.Time) {
 func (f *stubFabric) HandleEvent(ev sim.Event) {
 	dst, src := f.ctrl[int(ev.Node)], int(ev.A)
 	if ev.Op == stubSync {
-		dst.DeliverSyncSignal(src, ev.C)
+		// The window is the latency, so the sender's booked time-point is
+		// the arrival.
+		dst.DeliverSyncSignal(src, ev.C, ev.C)
 	} else {
-		dst.DeliverMessage(src, uint32(ev.B), ev.C)
+		dst.DeliverMessage(src, uint32(ev.B), ev.C-f.latency, ev.C)
 	}
 }
 

@@ -25,7 +25,9 @@ import (
 // TestExecGolden -update-exec` to regenerate testdata/exec.golden. The file
 // in the tree came from commit 2f965f6, the last one before the controller
 // changed how it fails on bad addresses; it is not edited to make a change
-// pass.
+// pass. It was re-recorded twice, each time for a TELF schema change: when
+// stalls became TELF stall events, and when every event gained its cause
+// (the second re-record added " c=..." to the telf lines and nothing else).
 
 var updateExec = flag.Bool("update-exec", false, "rewrite testdata/exec.golden from this tree; run it at the commit whose behaviour is to be frozen")
 

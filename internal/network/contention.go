@@ -63,7 +63,7 @@ func (f *Fabric) linkEndpoints(i int) (from, to int) {
 // wanting to enter at `at`, charging any queueing wait to controller src.
 func (f *Fabric) reserveLink(from, to, src int, at sim.Time) sim.Time {
 	depart, waited := f.links[f.linkIndex(from, to)].Reserve(at, f.ser)
-	f.chargeStall(from, src, waited, depart)
+	f.chargeStall(from, to, src, waited, depart)
 	return depart
 }
 
@@ -79,21 +79,22 @@ func (f *Fabric) reservePort(r, neighbor, src int, at sim.Time) sim.Time {
 	}
 	port := edge % len(rt.ports)
 	depart, waited := rt.ports[port].Reserve(at, f.ser)
-	f.chargeStall(r, src, waited, depart)
+	f.chargeStall(r, neighbor, src, waited, depart)
 	return depart
 }
 
-// chargeStall records a queueing wait: a NetStall event on the node where
-// the backlog formed and, for a controller's own message (src >= 0; a
-// router's booking and broadcast hops pass -1), a Stall{StallNet} on the
-// controller that sent it.
-func (f *Fabric) chargeStall(node, src int, waited, depart sim.Time) {
+// chargeStall records a queueing wait on the directed edge node -> far: a
+// NetStall event on the node where the backlog formed and, for a
+// controller's own message (src >= 0; a router's booking and broadcast
+// hops pass -1), a Stall{StallNet} on the controller that sent it. Both
+// name far as their cause.
+func (f *Fabric) chargeStall(node, far, src int, waited, depart sim.Time) {
 	if waited <= 0 {
 		return
 	}
-	f.log.Add(telf.Event{Time: depart, Node: node, Kind: telf.NetStall, A: int64(src), B: waited})
+	f.log.Add(telf.Event{Time: depart, Node: node, Kind: telf.NetStall, A: int64(src), B: waited, C: int64(far)})
 	if src >= 0 {
-		f.log.Add(telf.Event{Time: depart, Node: src, Kind: telf.Stall, A: telf.StallNet, B: waited})
+		f.log.Add(telf.Event{Time: depart, Node: src, Kind: telf.Stall, A: telf.StallNet, B: waited, C: int64(far)})
 	}
 }
 

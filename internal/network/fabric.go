@@ -12,8 +12,8 @@ import (
 // *core.Controller. Keeping it an interface lets tests drive the fabric with
 // scripted endpoints.
 type Endpoint interface {
-	DeliverMessage(src int, val uint32, arrival sim.Time)
-	DeliverSyncSignal(src int, arrival sim.Time)
+	DeliverMessage(src int, val uint32, sent, arrival sim.Time)
+	DeliverSyncSignal(src int, booked, arrival sim.Time)
 	DeliverRegionResume(router int, tm, arrival sim.Time)
 }
 
@@ -102,7 +102,8 @@ func (f *Fabric) RegionWindow(src, router int) sim.Time { return f.Topo.RegionWi
 // SendSyncSignal implements core.Fabric: the 1-bit nearby sync signal.
 // Under contention the signal queues at each busy link on its path, so
 // its arrival may trail the calibrated window — the partner then resumes
-// late and the slip lands in StallSync.
+// late and the slip lands in StallSync. The signal carries the sender's
+// booked time-point, at plus the window, for the partner's sync_done.
 func (f *Fabric) SendSyncSignal(src, dst int, at sim.Time) {
 	if dst < 0 || dst >= f.Topo.N {
 		panic(fmt.Sprintf("network: sync signal to invalid controller %d", dst))
@@ -113,7 +114,7 @@ func (f *Fabric) SendSyncSignal(src, dst int, at sim.Time) {
 	} else {
 		arrival = f.meshArrival(src, dst, at)
 	}
-	f.post(arrival, sim.Event{Op: evSyncSignal, Node: int32(dst), A: int64(src)})
+	f.post(arrival, sim.Event{Op: evSyncSignal, Node: int32(dst), A: int64(src), B: at + f.Topo.NearbyWindow(src, dst)})
 }
 
 // BookRegion implements core.Fabric: starts a Figure 8 region sync booking
@@ -129,7 +130,7 @@ func (f *Fabric) BookRegion(src, router int, ti, at sim.Time) {
 		depart = f.reservePort(parent, src, src, at)
 	}
 	arrival := depart + f.Topo.Cfg.TreeHopLatency
-	f.post(arrival, sim.Event{Op: evBooking, Node: int32(parent), A: bookingKey(src, router), B: ti})
+	f.post(arrival, sim.Event{Op: evBooking, Node: int32(parent), A: packPair(src, int64(router)), B: ti})
 }
 
 // SendMessage implements core.Fabric. Under contention the message
@@ -150,22 +151,25 @@ func (f *Fabric) SendMessage(src, dst int, value uint32, at sim.Time) {
 	default:
 		arrival = f.treeArrival(src, dst, at)
 	}
-	f.post(arrival, sim.Event{Op: evMessage, Node: int32(dst), A: int64(src), B: int64(value)})
+	f.post(arrival, sim.Event{Op: evMessage, Node: int32(dst), A: packPair(src, int64(value)), B: at})
 }
 
 // The fabric's typed engine events. Node is where the event lands — a
 // controller for the deliveries, a router otherwise — and C is its logical
 // arrival time, which post fills in.
 const (
-	evSyncSignal uint8 = iota // DeliverSyncSignal: A src
-	evMessage                 // DeliverMessage: A src, B value
+	evSyncSignal uint8 = iota // DeliverSyncSignal: A src, B the sender's booked time-point
+	evMessage                 // DeliverMessage: A packPair(src, value), B send time
 	evResume                  // DeliverRegionResume: A router, B tm
-	evBooking                 // receiveBooking: A bookingKey(child, dest), B booked time-point
+	evBooking                 // receiveBooking: A packPair(child, dest), B booked time-point
 	evBroadcast               // broadcast one level further down: A dest, B tm
 )
 
-// bookingKey packs the two addresses of an evBooking into one operand.
-func bookingKey(child, dest int) int64 { return int64(child)<<32 | int64(dest) }
+// packPair packs an address and a 32-bit operand (a second address, or a
+// message's value) into one event operand; unpackPair splits it again.
+func packPair(addr int, lo int64) int64 { return int64(addr)<<32 | lo&0xffffffff }
+
+func unpackPair(a int64) (addr int, lo int64) { return int(a >> 32), a & 0xffffffff }
 
 // post schedules a fabric event for its arrival time, clamped to the
 // engine's present; the logical timestamp rides in the payload and remains
@@ -180,13 +184,15 @@ func (f *Fabric) HandleEvent(ev sim.Event) {
 	node, arrival := int(ev.Node), ev.C
 	switch ev.Op {
 	case evSyncSignal:
-		f.endpoints[node].DeliverSyncSignal(int(ev.A), arrival)
+		f.endpoints[node].DeliverSyncSignal(int(ev.A), ev.B, arrival)
 	case evMessage:
-		f.endpoints[node].DeliverMessage(int(ev.A), uint32(ev.B), arrival)
+		src, val := unpackPair(ev.A)
+		f.endpoints[node].DeliverMessage(src, uint32(val), ev.B, arrival)
 	case evResume:
 		f.endpoints[node].DeliverRegionResume(int(ev.A), ev.B, arrival)
 	case evBooking:
-		f.Router(node).receiveBooking(int(ev.A>>32), int(int32(ev.A)), ev.B, arrival)
+		child, dest := unpackPair(ev.A)
+		f.Router(node).receiveBooking(child, int(dest), ev.B, arrival)
 	case evBroadcast:
 		f.Router(node).broadcast(int(ev.A), ev.B, arrival+f.Topo.Cfg.RouterProc)
 	}
@@ -269,7 +275,7 @@ func (r *Router) receiveBooking(child, dest int, t, arrival sim.Time) {
 		depart = r.fab.reservePort(parent, r.addr, -1, depart)
 	}
 	hop := depart + r.fab.Topo.Cfg.TreeHopLatency
-	r.fab.post(hop, sim.Event{Op: evBooking, Node: int32(parent), A: bookingKey(r.addr, dest), B: max})
+	r.fab.post(hop, sim.Event{Op: evBooking, Node: int32(parent), A: packPair(r.addr, int64(dest)), B: max})
 }
 
 // broadcast pushes the resolved common time-point tm down to every child

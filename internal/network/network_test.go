@@ -195,11 +195,11 @@ type scriptedEndpoint struct {
 	tms     []sim.Time
 }
 
-func (s *scriptedEndpoint) DeliverMessage(src int, val uint32, at sim.Time) {
+func (s *scriptedEndpoint) DeliverMessage(src int, val uint32, _, at sim.Time) {
 	s.msgs = append(s.msgs, val)
 	s.msgAt = append(s.msgAt, at)
 }
-func (s *scriptedEndpoint) DeliverSyncSignal(src int, at sim.Time) {
+func (s *scriptedEndpoint) DeliverSyncSignal(src int, _, at sim.Time) {
 	s.signals = append(s.signals, at)
 }
 func (s *scriptedEndpoint) DeliverRegionResume(router int, tm, at sim.Time) {

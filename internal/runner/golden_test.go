@@ -6,11 +6,13 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"dhisq/internal/circuit"
 	"dhisq/internal/machine"
 	"dhisq/internal/network"
+	"dhisq/internal/telf"
 	"dhisq/internal/workloads"
 )
 
@@ -82,19 +84,25 @@ func goldenCases() []struct {
 	}
 }
 
-func goldenRunFor(t *testing.T, name string, chips int, c *circuit.Circuit) goldenRun {
-	t.Helper()
-	const (
-		seed  = 7
-		shots = 24
-	)
+// goldenSeed is the first shot's seed of every pinned workload.
+const goldenSeed = 7
+
+// goldenConfig is the machine a pinned workload runs on.
+func goldenConfig(chips int, c *circuit.Circuit) machine.Config {
 	cfg := machine.DefaultConfig(c.NumQubits)
-	cfg.Seed = seed
+	cfg.Seed = goldenSeed
 	if chips > 1 {
 		cfg.Chips = chips
 		cfg.EPRLatency = 40
 		cfg.Net.MeshW, cfg.Net.MeshH = network.NearSquareMesh(cfg.TotalQubits(c.NumQubits))
 	}
+	return cfg
+}
+
+func goldenRunFor(t *testing.T, name string, chips int, c *circuit.Circuit) goldenRun {
+	t.Helper()
+	const shots = 24
+	cfg := goldenConfig(chips, c)
 	set, err := Run(Spec{
 		Circuit: c,
 		MeshW:   cfg.Net.MeshW,
@@ -110,7 +118,7 @@ func goldenRunFor(t *testing.T, name string, chips int, c *circuit.Circuit) gold
 		Chips:     cfg.Chips,
 		MeshW:     cfg.Net.MeshW,
 		MeshH:     cfg.Net.MeshH,
-		Seed:      seed,
+		Seed:      goldenSeed,
 		Shots:     shots,
 		Histogram: set.Histogram(),
 	}
@@ -155,5 +163,27 @@ func TestGoldenFixtures(t *testing.T) {
 				t.Errorf("%s drifted from its golden fixture.\nIf this change is intentional, refresh with:\n  go test ./internal/runner -run TestGolden -update\ngot:\n%swant:\n%s", tc.name, data, want)
 			}
 		})
+	}
+}
+
+// TestGoldenLogsRoundTrip runs each pinned workload's first shot with event
+// storage on and holds telf.Parse to its log's text: the same events,
+// causes included.
+func TestGoldenLogsRoundTrip(t *testing.T) {
+	for _, tc := range goldenCases() {
+		c := tc.build()
+		cfg := goldenConfig(tc.chips, c)
+		cfg.LogEvents = true
+		_, m, err := machine.RunCircuit(c, cfg.Net.MeshW, cfg.Net.MeshH, nil, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		back, err := telf.Parse(m.Log.Text())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(m.Log.Events) == 0 || !slices.Equal(back.Events, m.Log.Events) {
+			t.Fatalf("%s: %d events read back as %d", tc.name, len(m.Log.Events), len(back.Events))
+		}
 	}
 }

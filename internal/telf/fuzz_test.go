@@ -72,8 +72,9 @@ func TestMachineLogRoundTrips(t *testing.T) {
 // events, kind counts and stall sums.
 func FuzzParse(f *testing.F) {
 	f.Add(machineLog(f).Text())
-	f.Add("1 node=0 halt a=0 b=0b=7")
-	f.Add("1 node=0 halt a=0 b=0 trailing junk")
+	f.Add("1 node=0 halt a=0 b=0 c=0c=7")
+	f.Add("1 node=0 halt a=0 b=0 c=0 trailing junk")
+	f.Add("4 node=2 net_stall a=-1 b=3 c=17")
 	f.Fuzz(func(t *testing.T, s string) {
 		l, err := telf.Parse(s)
 		if err != nil {

@@ -17,25 +17,26 @@ type Kind uint8
 
 const (
 	KindInvalid Kind = iota
-	CWCommit         // codeword A committed to port B
+	CWCommit         // codeword A committed to port B; C = the TCU time it was scheduled for
 	SyncBook         // sync booked: A = target address, B = booked time-point T_i
-	SyncDone         // sync resolved: A = target address, B = resume time
+	SyncDone         // sync resolved: A = target address, B = resume time, C = the peer's booked time-point
 	SyncLate         // sync resolved after its booked window: A = target, B = lateness
 	MsgSend          // message sent: A = destination node, B = value
-	MsgRecv          // message received: A = source node, B = value
+	MsgRecv          // message received: A = source node, B = value, C = the matching msg_send's time
 	MeasResult       // measurement result latched: A = channel, B = value
 	Violation        // timing violation: event enqueued after its commit time; B = slip cycles
-	Stall            // a controller waited: A = Stall* reason, B = cycles waited; Time = resume
+	Stall            // a controller waited: A = Stall* reason, B = cycles waited, C = on whom; Time = resume
 	Halt             // core halted
-	NetStall         // message queued at a busy link/port: A = source node (-1 router-originated), B = wait cycles
+	NetStall         // message queued at a busy link/port: A = source node (-1 router-originated), B = wait cycles, C = the far end, so (Node, C) is the directed edge
 )
 
-// Stall reasons: what the controller of a Stall event waited for (its A).
+// Stall reasons: what the controller of a Stall event waited for (its A),
+// and whom its C names.
 const (
-	StallSync = iota // TCU timer paused past Condition I for a sync partner or router
-	StallRecv        // recv waited for its message
-	StallFMR         // fmr waited for its measurement result
-	StallNet         // the controller's own message queued at a busy link or port
+	StallSync = iota // TCU timer paused past Condition I; C = the sync partner or router
+	StallRecv        // recv waited for its message; C = the sending controller
+	StallFMR         // fmr waited for its measurement result; C = the result channel
+	StallNet         // the controller's own message queued at a busy link or port; C = the far end of that edge, whose near end is the Node of the net_stall logged with it
 	numStallReasons
 )
 
@@ -62,18 +63,21 @@ func (k Kind) String() string {
 }
 
 // Event is one timestamped occurrence on one node. The meaning of A and B
-// depends on Kind (see the Kind constants).
+// depends on Kind, and so does C, the event's cause: the peer, channel,
+// edge or earlier time it answers to (see the Kind constants). A kind
+// that names no cause leaves C 0.
 type Event struct {
 	Time int64
 	Node int
 	Kind Kind
 	A    int64
 	B    int64
+	C    int64
 }
 
 // String renders the event as one TELF text line.
 func (e Event) String() string {
-	return fmt.Sprintf("%d node=%d %s a=%d b=%d", e.Time, e.Node, e.Kind, e.A, e.B)
+	return fmt.Sprintf("%d node=%d %s a=%d b=%d c=%d", e.Time, e.Node, e.Kind, e.A, e.B, e.C)
 }
 
 // Log accumulates events. It is not safe for concurrent use; the simulation
@@ -169,7 +173,7 @@ func Parse(s string) (*Log, error) {
 		}
 		var e Event
 		var kind string
-		_, err := fmt.Sscanf(line, "%d node=%d %s a=%d b=%d", &e.Time, &e.Node, &kind, &e.A, &e.B)
+		_, err := fmt.Sscanf(line, "%d node=%d %s a=%d b=%d c=%d", &e.Time, &e.Node, &kind, &e.A, &e.B, &e.C)
 		if err != nil {
 			return nil, fmt.Errorf("telf: line %d: %w", i+1, err)
 		}

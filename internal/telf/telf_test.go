@@ -7,10 +7,11 @@ import (
 
 func TestTextParseRoundTrip(t *testing.T) {
 	l := NewLog()
-	l.Add(Event{Time: 10, Node: 0, Kind: CWCommit, A: 7, B: 2})
+	l.Add(Event{Time: 10, Node: 0, Kind: CWCommit, A: 7, B: 2, C: 10})
 	l.Add(Event{Time: 12, Node: 1, Kind: SyncBook, A: 36, B: 42})
-	l.Add(Event{Time: 42, Node: 1, Kind: SyncDone, A: 36, B: 42})
+	l.Add(Event{Time: 42, Node: 1, Kind: SyncDone, A: 36, B: 42, C: 41})
 	l.Add(Event{Time: 50, Node: 0, Kind: Violation, A: 3, B: 4})
+	l.Add(Event{Time: 60, Node: 2, Kind: NetStall, A: -1, B: 4, C: 3})
 	text := l.Text()
 	back, err := Parse(text)
 	if err != nil {
@@ -29,10 +30,12 @@ func TestTextParseRoundTrip(t *testing.T) {
 func TestParseRejectsGarbage(t *testing.T) {
 	for _, line := range []string{
 		"not a telf line",
-		"5 node=1 nosuchkind a=0 b=0",
-		"1 node=0 halt a=0 b=0b=7",
-		"1 node=0 halt a=0 b=0 trailing junk",
-		"+1 node=0 halt a=0 b=0",
+		"5 node=1 nosuchkind a=0 b=0 c=0",
+		"1 node=0 halt a=0 b=0", // no cause
+		"1 node=0 halt a=0 b=0 c=0c=7",
+		"1 node=0 halt a=0 b=0 c=0 trailing junk",
+		"+1 node=0 halt a=0 b=0 c=0",
+		"1 node=0 halt a=0 b=0 c=+1",
 	} {
 		if l, err := Parse(line); err == nil {
 			t.Errorf("Parse(%q) accepted %v", line, l.Events)
