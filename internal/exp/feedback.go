@@ -11,12 +11,12 @@ import (
 // The feedback experiment measures what closing the compile↔fabric loop
 // buys: the same workloads first compiled cold (interaction placement —
 // the best static policy, chosen blind to runtime contention), then
-// re-placed from the congestion feedback that cold run measured
-// (machine.RePlace: stall-weighted candidates plus measured swap descent).
-// Static cost models cannot see temporal contention — two edges of equal
-// weight can load one link in bursts or spread evenly — so the measured
-// loop is expected to shave stall cycles the interaction placer leaves on
-// the table, most visibly on the adversarial hotspot workload.
+// re-placed by measured runs on the contended fabric (machine.RePlace: a
+// swap descent from the cold mapping on the probed makespan). Static cost
+// models cannot see temporal contention — two edges of equal weight can
+// load one link in bursts or spread evenly — so the measured loop is
+// expected to shave makespan the interaction placer leaves on the table,
+// most visibly on the adversarial hotspot workload.
 
 // FeedbackPoint is one (workload, phase) cell: phase "cold" is the static
 // interaction placement, phase "replaced" the feedback-re-placed mapping
@@ -29,9 +29,6 @@ type FeedbackPoint struct {
 	LinkSerialization int64  `json:"link_serialization_cycles"`
 	Mapping           []int  `json:"mapping"`
 	Counters
-	// FeedbackLinks is the number of distinct congested links the cold
-	// run attributed stall to (0 on replaced rows).
-	FeedbackLinks int `json:"feedback_links,omitempty"`
 }
 
 // FeedbackWorkloads names the circuits the experiment runs: the hotspot
@@ -40,7 +37,7 @@ type FeedbackPoint struct {
 func FeedbackWorkloads() []string { return []string{"hotspot", "qft", "bv"} }
 
 // FeedbackSweep runs each workload twice — cold under interaction
-// placement, then re-placed from that run's measured congestion — and
+// placement, then re-placed by measured runs from the cold mapping — and
 // returns the paired points in deterministic order (cold before replaced,
 // workloads in FeedbackWorkloads order).
 func FeedbackSweep(seed int64) ([]FeedbackPoint, error) {
@@ -59,13 +56,12 @@ func FeedbackSweep(seed int64) ([]FeedbackPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		point := func(phase string, mapping []int, res machine.Result, links int) FeedbackPoint {
+		point := func(phase string, mapping []int, res machine.Result) FeedbackPoint {
 			return FeedbackPoint{
 				Workload: name, Qubits: c.NumQubits, Phase: phase,
 				LinkSerialization: int64(sweepLinkBW),
 				Mapping:           append([]int(nil), mapping...),
 				Counters:          countersOf(res),
-				FeedbackLinks:     links,
 			}
 		}
 
@@ -73,9 +69,9 @@ func FeedbackSweep(seed int64) ([]FeedbackPoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: feedback %s cold: %w", name, err)
 		}
-		out = append(out, point("cold", cold, coldRes, len(coldRes.Net.Links)))
+		out = append(out, point("cold", cold, coldRes))
 
-		replaced, _, err := machine.RePlace(c, cfg, cold, coldRes.Net)
+		replaced, _, err := machine.RePlace(c, cfg, cold)
 		if err != nil {
 			return nil, fmt.Errorf("exp: feedback %s re-place: %w", name, err)
 		}
@@ -83,18 +79,18 @@ func FeedbackSweep(seed int64) ([]FeedbackPoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: feedback %s replaced: %w", name, err)
 		}
-		out = append(out, point("replaced", replaced, repRes, 0))
+		out = append(out, point("replaced", replaced, repRes))
 	}
 	return out, nil
 }
 
-// feedbackGates holds re-placement to its claims.
+// feedbackGates holds re-placement to its claims, on makespan.
 //
-//   - no_regression: no workload's re-placed total stall exceeds its cold
-//     interaction run (RePlace keeps the incumbent unless a candidate
-//     measures strictly better, so a regression means the loop is
-//     broken); a workload missing a phase counts against it.
-//   - hotspot_strict: on the hotspot the re-placed stall is strictly
+//   - no_regression: no workload's re-placed makespan exceeds its cold
+//     interaction run (RePlace keeps the incumbent unless a swap measures
+//     strictly better, so a regression means the loop is broken); a
+//     workload missing a phase counts against it.
+//   - hotspot_strict: on the hotspot the re-placed makespan is strictly
 //     below the cold one.
 func feedbackGates(points []FeedbackPoint) []Gate {
 	byPhase := map[string]map[string]FeedbackPoint{}
@@ -108,14 +104,14 @@ func feedbackGates(points []FeedbackPoint) []Gate {
 	for _, w := range FeedbackWorkloads() {
 		cold, okC := byPhase[w]["cold"]
 		rep, okR := byPhase[w]["replaced"]
-		if !okC || !okR || rep.TotalStall > cold.TotalStall {
+		if !okC || !okR || rep.Makespan > cold.Makespan {
 			regressed++
 		}
 	}
 	gates := []Gate{NewGate("no_regression", float64(regressed), "==", 0)}
 	if hot := byPhase["hotspot"]; len(hot) == 2 {
 		gates = append(gates, NewGate("hotspot_strict",
-			float64(hot["replaced"].TotalStall), "<", float64(hot["cold"].TotalStall)))
+			float64(hot["replaced"].Makespan), "<", float64(hot["cold"].Makespan)))
 	}
 	return gates
 }
@@ -127,5 +123,4 @@ var feedbackCols = []column[FeedbackPoint]{
 	{"makespan(cy)", func(p FeedbackPoint) string { return fmt.Sprint(p.Makespan) }},
 	{"sync(cy)", func(p FeedbackPoint) string { return fmt.Sprint(p.SyncStall) }},
 	{"maxq", func(p FeedbackPoint) string { return fmt.Sprint(p.MaxQueue) }},
-	{"fb links", func(p FeedbackPoint) string { return fmt.Sprint(p.FeedbackLinks) }},
 }

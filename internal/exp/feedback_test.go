@@ -27,8 +27,8 @@ func TestFeedbackSweepImproves(t *testing.T) {
 		if len(p.Mapping) != 16 {
 			t.Errorf("%s/%s: mapping length %d, want 16", p.Workload, p.Phase, len(p.Mapping))
 		}
-		if p.Phase == "cold" && p.FeedbackLinks == 0 {
-			t.Errorf("%s cold run attributed stall to no links", p.Workload)
+		if p.Phase == "cold" && p.TotalStall == 0 {
+			t.Errorf("%s cold run queued nowhere", p.Workload)
 		}
 	}
 	requirePass(t, feedbackGates(points))
@@ -41,17 +41,17 @@ func TestFeedbackSweepImproves(t *testing.T) {
 }
 
 // TestCheckFeedbackImprovesCatchesRegression: doctored sweeps — a
-// stall regression anywhere, a flat hotspot, or a missing phase — must
-// each turn their own gate red.
+// makespan regression anywhere, a flat hotspot, or a missing phase — must
+// each turn their own gate red, and a lower stall rescues none of them.
 func TestCheckFeedbackImprovesCatchesRegression(t *testing.T) {
 	mk := func(hotCold, hotRep, qftCold, qftRep int64) []FeedbackPoint {
 		return []FeedbackPoint{
-			{Workload: "hotspot", Phase: "cold", Counters: Counters{TotalStall: hotCold}},
-			{Workload: "hotspot", Phase: "replaced", Counters: Counters{TotalStall: hotRep}},
-			{Workload: "qft", Phase: "cold", Counters: Counters{TotalStall: qftCold}},
-			{Workload: "qft", Phase: "replaced", Counters: Counters{TotalStall: qftRep}},
-			{Workload: "bv", Phase: "cold", Counters: Counters{TotalStall: 5}},
-			{Workload: "bv", Phase: "replaced", Counters: Counters{TotalStall: 5}},
+			{Workload: "hotspot", Phase: "cold", Counters: Counters{Makespan: hotCold, TotalStall: 90}},
+			{Workload: "hotspot", Phase: "replaced", Counters: Counters{Makespan: hotRep, TotalStall: 10}},
+			{Workload: "qft", Phase: "cold", Counters: Counters{Makespan: qftCold, TotalStall: 90}},
+			{Workload: "qft", Phase: "replaced", Counters: Counters{Makespan: qftRep, TotalStall: 10}},
+			{Workload: "bv", Phase: "cold", Counters: Counters{Makespan: 5}},
+			{Workload: "bv", Phase: "replaced", Counters: Counters{Makespan: 5}},
 		}
 	}
 	requirePass(t, feedbackGates(mk(100, 50, 40, 40)))
