@@ -37,28 +37,6 @@ func (f *Fabric) linkIndex(from, to int) int {
 	panic("network: linkIndex on non-adjacent pair")
 }
 
-// linkEndpoints is the inverse of linkIndex: the (from, to) controller
-// pair of resource slot i. Slots for mesh-edge directions that do not
-// exist on a non-torus mesh are never reserved, so callers only see
-// indices whose neighbor arithmetic is valid.
-func (f *Fabric) linkEndpoints(i int) (from, to int) {
-	from = i / 4
-	fx, fy := f.Topo.Coord(from)
-	w, h := f.Topo.Cfg.MeshW, f.Topo.Cfg.MeshH
-	tx, ty := fx, fy
-	switch i % 4 {
-	case 0: // +x
-		tx = (fx + 1) % w
-	case 1: // -x
-		tx = (fx - 1 + w) % w
-	case 2: // +y
-		ty = (fy + 1) % h
-	case 3: // -y
-		ty = (fy - 1 + h) % h
-	}
-	return from, ty*w + tx
-}
-
 // reserveLink books the directed mesh link from -> to for one message
 // wanting to enter at `at`, charging any queueing wait to controller src.
 func (f *Fabric) reserveLink(from, to, src int, at sim.Time) sim.Time {
@@ -163,10 +141,11 @@ func (f *Fabric) treeArrival(src, dst int, at sim.Time) sim.Time {
 }
 
 // CongestionStats aggregates fabric-wide contention counters: what one shot
-// reports in machine.Result.Net and machine.RePlace reads, and — folded
-// with Merge — what a job's shots add up to. It is the one congestion
-// digest; the service's /v1/stats view (service.NetStats) is read off it.
-// All zero when the model is disabled.
+// reports in machine.Result.Net and — folded with Merge — what a job's
+// shots add up to. It is the one congestion digest; the service's
+// /v1/stats view (service.NetStats) is read off it. Where a wait formed is
+// the TELF log's: net_stall events summed by (Node, C) give each directed
+// edge's stall. All zero when the model is disabled.
 type CongestionStats struct {
 	Enabled bool `json:"enabled"`
 	// Mesh links.
@@ -184,21 +163,6 @@ type CongestionStats struct {
 	RouterBusiest sim.Time `json:"router_busiest_cycles"`
 	PortBusiest   sim.Time `json:"port_busiest_cycles"`
 	RouterBusy    sim.Time `json:"router_busy_cycles"`
-	// Links is one run's per-link breakdown behind the aggregate Link*
-	// counters: one entry per directed mesh link that carried (or queued)
-	// at least one message, in the fabric's link-slot order. It is what
-	// machine.RePlace reads to attribute stalls to specific controller
-	// pairs; Merge drops it, and aggregate-only consumers can ignore it.
-	Links []LinkStat `json:"links,omitempty"`
-}
-
-// LinkStat is one directed mesh link's contention snapshot.
-type LinkStat struct {
-	From     int      `json:"from"` // sending controller
-	To       int      `json:"to"`   // receiving neighbor controller
-	Messages uint64   `json:"messages"`
-	Stall    sim.Time `json:"stall_cycles"`
-	MaxQueue int      `json:"max_queue"`
 }
 
 // TotalStall is every cycle any message spent queued anywhere.
@@ -214,10 +178,9 @@ func (s CongestionStats) MaxQueue() int {
 
 // Merge returns the digest of s and o together: counts, stalls and busy
 // cycles add, the *MaxQueue and *Busiest fields take the larger value, and
-// Enabled is ORed. On these aggregate counters Merge is commutative and
-// associative and the zero value is its identity, so folding a set of
-// snapshots in any order or grouping gives the same digest. The result
-// carries no Links: a per-link breakdown is one run's.
+// Enabled is ORed. Merge is commutative and associative and the zero value
+// is its identity, so folding a set of snapshots in any order or grouping
+// gives the same digest.
 func (s CongestionStats) Merge(o CongestionStats) CongestionStats {
 	s.Enabled = s.Enabled || o.Enabled
 	s.LinkMessages += o.LinkMessages
@@ -229,7 +192,6 @@ func (s CongestionStats) Merge(o CongestionStats) CongestionStats {
 	s.RouterBusiest = max(s.RouterBusiest, o.RouterBusiest)
 	s.PortBusiest = max(s.PortBusiest, o.PortBusiest)
 	s.RouterBusy += o.RouterBusy
-	s.Links = nil
 	return s
 }
 
@@ -246,13 +208,6 @@ func (f *Fabric) Congestion() CongestionStats {
 		st.LinkStall += r.StallCycles
 		if r.MaxQueue > st.LinkMaxQueue {
 			st.LinkMaxQueue = r.MaxQueue
-		}
-		if r.Messages > 0 || r.StallCycles > 0 {
-			from, to := f.linkEndpoints(i)
-			st.Links = append(st.Links, LinkStat{
-				From: from, To: to,
-				Messages: r.Messages, Stall: r.StallCycles, MaxQueue: r.MaxQueue,
-			})
 		}
 	}
 	for _, rt := range f.routers {

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"maps"
 	"testing"
 
 	"dhisq/internal/sim"
@@ -199,70 +200,42 @@ func TestLinkBacklogDeliversEveryMessage(t *testing.T) {
 	}
 }
 
-// TestCongestionLinkBreakdown pins the per-link attribution: every active
-// link appears once with correct endpoints, messages, and stall; idle
-// links are omitted; the breakdown sums back to the aggregate counters.
-func TestCongestionLinkBreakdown(t *testing.T) {
+// TestNetStallsGiveEachEdgesStall: the per-edge breakdown is the TELF
+// log's. Summing net_stall B by (Node, C) gives each directed link's
+// queueing exactly, idle links get no entry, and the edges add up to the
+// aggregate counter.
+func TestNetStallsGiveEachEdgesStall(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.MeshW, cfg.MeshH = 2, 2
 	cfg.LinkSerialization = 3
-	fab, eng, _, _ := fabricFor(t, cfg)
+	fab, eng, _, log := fabricFor(t, cfg)
 
-	// Two messages on 0->1 (second stalls 3), one on 2->3, none elsewhere.
-	fab.SendMessage(0, 1, 1, 100)
-	fab.SendMessage(0, 1, 2, 100)
-	fab.SendMessage(2, 3, 3, 100)
+	// Three messages on 0->1 (the second stalls 3, the third 6), two on
+	// 2->3 (3), one on 1->3 (none), none elsewhere.
+	for i, m := range [][2]int{{0, 1}, {0, 1}, {2, 3}, {0, 1}, {2, 3}, {1, 3}} {
+		fab.SendMessage(m[0], m[1], uint32(i), 100)
+	}
 	eng.Run(0)
 
-	st := fab.Congestion()
-	if len(st.Links) != 2 {
-		t.Fatalf("links = %+v, want exactly the two active links", st.Links)
-	}
-	var sumMsgs uint64
-	var sumStall sim.Time
-	byPair := map[[2]int]LinkStat{}
-	for _, l := range st.Links {
-		byPair[[2]int{l.From, l.To}] = l
-		sumMsgs += l.Messages
-		sumStall += l.Stall
-	}
-	l01, ok := byPair[[2]int{0, 1}]
-	if !ok || l01.Messages != 2 || l01.Stall != 3 || l01.MaxQueue != 1 {
-		t.Fatalf("0->1 link stat = %+v (present %v)", l01, ok)
-	}
-	l23, ok := byPair[[2]int{2, 3}]
-	if !ok || l23.Messages != 1 || l23.Stall != 0 {
-		t.Fatalf("2->3 link stat = %+v (present %v)", l23, ok)
-	}
-	if sumMsgs != st.LinkMessages || sumStall != st.LinkStall {
-		t.Fatalf("breakdown sums (%d msgs, %d stall) != aggregate (%d, %d)",
-			sumMsgs, sumStall, st.LinkMessages, st.LinkStall)
-	}
-}
-
-// TestLinkEndpointsInvertsLinkIndex: the reporting inverse must round-trip
-// every directed neighbor link the reservation side can index, on both
-// mesh (no wrap) and torus (wrap) shapes.
-func TestLinkEndpointsInvertsLinkIndex(t *testing.T) {
-	for _, kind := range []TopologyKind{TopoMesh, TopoTorus} {
-		cfg := DefaultConfig(12)
-		cfg.MeshW, cfg.MeshH = 4, 3
-		cfg.Topology = kind
-		cfg.LinkSerialization = 1
-		fab, _, _, _ := fabricFor(t, cfg)
-		topo := fab.Topo
-		for from := 0; from < topo.N; from++ {
-			for to := 0; to < topo.N; to++ {
-				if from == to || !topo.Adjacent(from, to) {
-					continue
-				}
-				i := fab.linkIndex(from, to)
-				gotFrom, gotTo := fab.linkEndpoints(i)
-				if gotFrom != from || gotTo != to {
-					t.Fatalf("%v: linkEndpoints(linkIndex(%d,%d)) = (%d,%d)",
-						kind, from, to, gotFrom, gotTo)
-				}
-			}
+	type edge struct{ from, to int }
+	got := map[edge]sim.Time{}
+	for _, e := range log.Events {
+		if e.Kind == telf.NetStall {
+			got[edge{e.Node, int(e.C)}] += e.B
 		}
+	}
+	want := map[edge]sim.Time{{0, 1}: 9, {2, 3}: 3}
+	if !maps.Equal(got, want) {
+		t.Fatalf("stall by edge = %v, want %v", got, want)
+	}
+	var sum sim.Time
+	for e, stall := range got {
+		if link := fab.links[fab.linkIndex(e.from, e.to)].StallCycles; link != stall {
+			t.Fatalf("%v: events say %d, the link %d", e, stall, link)
+		}
+		sum += stall
+	}
+	if st := fab.Congestion(); sum != st.LinkStall {
+		t.Fatalf("edges sum to %d, aggregate %d", sum, st.LinkStall)
 	}
 }

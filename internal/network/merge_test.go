@@ -40,27 +40,17 @@ func contendedSnapshots(t *testing.T) []CongestionStats {
 	return out
 }
 
-// aggregates is s without its per-link breakdown: what Merge keeps.
-func aggregates(s CongestionStats) CongestionStats {
-	s.Links = nil
-	return s
-}
-
-// TestCongestionMergeLaws: on the aggregate counters the zero value is
-// Merge's identity, and Merge is commutative and associative, over real
-// contended snapshots.
+// TestCongestionMergeLaws: the zero value is Merge's identity, and Merge
+// is commutative and associative, over real contended snapshots.
 func TestCongestionMergeLaws(t *testing.T) {
 	snaps := contendedSnapshots(t)
 	var zero CongestionStats
 	for i, s := range snaps {
-		if len(s.Links) == 0 {
-			t.Fatalf("s%d has no per-link breakdown for Merge to drop", i)
+		if got := zero.Merge(s); !reflect.DeepEqual(got, s) {
+			t.Fatalf("zero.Merge(s%d) = %+v, want %+v", i, got, s)
 		}
-		if got := zero.Merge(s); !reflect.DeepEqual(got, aggregates(s)) {
-			t.Fatalf("zero.Merge(s%d) = %+v, want %+v", i, got, aggregates(s))
-		}
-		if got := s.Merge(zero); !reflect.DeepEqual(got, aggregates(s)) {
-			t.Fatalf("s%d.Merge(zero) = %+v, want %+v", i, got, aggregates(s))
+		if got := s.Merge(zero); !reflect.DeepEqual(got, s) {
+			t.Fatalf("s%d.Merge(zero) = %+v, want %+v", i, got, s)
 		}
 		for j, o := range snaps {
 			if ab, ba := s.Merge(o), o.Merge(s); !reflect.DeepEqual(ab, ba) {
@@ -75,9 +65,8 @@ func TestCongestionMergeLaws(t *testing.T) {
 }
 
 // TestCongestionMergeFields: a snapshot merged with itself doubles every
-// count, stall and busy total, keeps every maximum, and carries no links —
-// so a summed maximum or a kept link list shows. Merging the three
-// snapshots sums their stalls.
+// count, stall and busy total and keeps every maximum — so a summed
+// maximum shows. Merging the three snapshots sums their stalls.
 func TestCongestionMergeFields(t *testing.T) {
 	snaps := contendedSnapshots(t)
 	s := snaps[0]
@@ -120,7 +109,7 @@ func TestCongestionMergeDisabledAddsNoStall(t *testing.T) {
 	if !reflect.DeepEqual(off, CongestionStats{}) {
 		t.Fatalf("disabled snapshot %+v, want the zero value", off)
 	}
-	if got := s.Merge(off); !reflect.DeepEqual(got, aggregates(s)) {
-		t.Fatalf("s.Merge(disabled) = %+v, want %+v", got, aggregates(s))
+	if got := s.Merge(off); !reflect.DeepEqual(got, s) {
+		t.Fatalf("s.Merge(disabled) = %+v, want %+v", got, s)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"dhisq/internal/workloads"
 )
 
-// The full-stack shot: the three program classes the commit tape cannot
+// The full-stack shot: the program classes the commit tape cannot
 // reach, because each has feed-forward — every shot of theirs crosses the
 // event engine, the controllers, the fabric and the chip. They are the
 // benchmark's: shots_heavy and warm_* submit bv_n400/8 and qft_n30,
@@ -19,7 +19,7 @@ type fullShotCase struct {
 }
 
 // fullShotCeiling is the allocations a steady-state shot may make, the
-// measured count for all three classes: the Bits slice.
+// measured count for every class: the Bits slice.
 const fullShotCeiling = 1
 
 func scaledSpec(t testing.TB, name string, scale int) Spec {
@@ -43,9 +43,14 @@ func fullShotCases(t testing.TB) []fullShotCase {
 	}
 	cfg := machine.DefaultConfig(qubits)
 	cfg.Chips, cfg.Placement = 2, "interaction"
+	contended := scaledSpec(t, "bv_n400", 8)
+	contended.Cfg.Net.LinkSerialization = 4
 	return []fullShotCase{
 		// Clifford, 50 controllers: BackendAuto resolves to the stabilizer.
 		{"bv_n400/8", scaledSpec(t, "bv_n400", 8)},
+		// The same shot on finite-bandwidth links: its messages queue, and
+		// the fabric's congestion snapshot is part of the shot.
+		{"bv_n400/8_link_bw4", contended},
 		// Dual-rail, 30 controllers, not Clifford: the seeded backend.
 		{"qft_n30", scaledSpec(t, "qft_n30", 1)},
 		// 12 data + 2 communication qubits: the dense state vector.
