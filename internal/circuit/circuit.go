@@ -529,9 +529,14 @@ func (d Durations) Of(k Kind, param float64, eprLatency int64) int64 {
 // schedule on per-qubit timelines in which a conditioned op also waits for
 // the measurements that write its condition bits, with zero control
 // overhead, EPR generation at d.TwoQubit (latency 0) and partial barriers
-// ignored (a full barrier aligns every qubit). No control stack can finish
-// a shot sooner, which makes it the metric of the Fig. 14 constant-depth
-// claim and the floor under every Fig. 15 makespan.
+// ignored (a full barrier aligns every qubit). It is the metric of the
+// Fig. 14 constant-depth claim.
+//
+// Every conditioned op is charged whether or not its branch is taken, so
+// Depth is the all-branch depth, not a floor under a shot: a shot that
+// skips a conditioned op can finish before it (on the adder rows the
+// taken-branch floor sits 17–18 % below Depth), and a shot with a
+// configured EPR latency may pay more than Depth's d.TwoQubit per pair.
 func (c *Circuit) Depth(d Durations) int64 {
 	avail := make([]int64, c.NumQubits)
 	measDone := make([]int64, c.NumBits)
