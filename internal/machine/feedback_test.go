@@ -80,10 +80,11 @@ func TestRePlaceNeverMeasurablyWorse(t *testing.T) {
 	}
 }
 
-// TestRePlaceTiesKeepIncumbent: on a circuit whose every mapping measures
-// the same (no two-qubit gate, no traffic), no swap is strictly better,
-// so the prior mapping comes back.
-func TestRePlaceTiesKeepIncumbent(t *testing.T) {
+// TestRePlaceEmptyFeedbackKeepsIncumbent: when the probes carry no signal
+// — every mapping of a circuit with no two-qubit gate and no traffic
+// measures the same — no swap is strictly better, so the prior mapping
+// comes back.
+func TestRePlaceEmptyFeedbackKeepsIncumbent(t *testing.T) {
 	c := circuit.New(6)
 	for q := 0; q < 6; q++ {
 		c.H(q)

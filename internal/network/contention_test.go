@@ -200,11 +200,11 @@ func TestLinkBacklogDeliversEveryMessage(t *testing.T) {
 	}
 }
 
-// TestNetStallsGiveEachEdgesStall: the per-edge breakdown is the TELF
-// log's. Summing net_stall B by (Node, C) gives each directed link's
-// queueing exactly, idle links get no entry, and the edges add up to the
+// TestCongestionLinkBreakdown pins the per-link attribution, which is the
+// TELF log's: summing net_stall B by (Node, C) gives each directed link's
+// queueing exactly, idle links get no entry, and the links add up to the
 // aggregate counter.
-func TestNetStallsGiveEachEdgesStall(t *testing.T) {
+func TestCongestionLinkBreakdown(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.MeshW, cfg.MeshH = 2, 2
 	cfg.LinkSerialization = 3
