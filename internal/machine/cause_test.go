@@ -38,8 +38,9 @@ type pairKey struct{ from, to int }
 // TestCausesMatchTheirEvents holds every msg_recv's C to its msg_send's
 // time and every nearby sync_done's C to its partner's sync_book, pairing
 // the i-th receipt from a peer with the i-th event the peer addressed to
-// it (both FIFOs), and every cw_commit's C to a TCU time at or before
-// the commit.
+// it (both FIFOs); a region sync_done's C to a time-point no earlier than
+// the node's own booking; and every cw_commit's C to a TCU time at or
+// before the commit.
 func TestCausesMatchTheirEvents(t *testing.T) {
 	l := dvqeLog(t)
 	sends := map[pairKey][]telf.Event{}
@@ -55,7 +56,7 @@ func TestCausesMatchTheirEvents(t *testing.T) {
 		}
 	}
 	recvs, syncs := map[pairKey]int{}, map[pairKey]int{}
-	var nRecv, nSync, nCommit int
+	var nRecv, nSync, nRegion, nCommit int
 	for _, e := range l.Events {
 		switch e.Kind {
 		case telf.MsgRecv:
@@ -68,11 +69,18 @@ func TestCausesMatchTheirEvents(t *testing.T) {
 			nRecv++
 		case telf.SyncDone:
 			k := pairKey{int(e.A), e.Node}
-			if _, ok := books[k]; !ok {
-				continue // a router: C is its common time-point
-			}
 			i := syncs[k]
 			syncs[k]++
+			if _, ok := books[k]; !ok {
+				// A router: C is the common time-point, the latest of its
+				// members' bookings, this node's own included.
+				own := books[pairKey{e.Node, int(e.A)}]
+				if i >= len(own) || e.C < own[i].B {
+					t.Fatalf("%v: before this node's booking %d toward the router", e, i)
+				}
+				nRegion++
+				continue
+			}
 			if i >= len(books[k]) || books[k][i].B != e.C {
 				t.Fatalf("%v: sync_book %d of %d toward %d is not at c", e, i, k.from, k.to)
 			}
@@ -84,8 +92,8 @@ func TestCausesMatchTheirEvents(t *testing.T) {
 			nCommit++
 		}
 	}
-	if nRecv == 0 || nSync == 0 || nCommit == 0 {
-		t.Fatalf("the dvqe log has %d receipts, %d nearby syncs, %d commits", nRecv, nSync, nCommit)
+	if nRecv == 0 || nSync == 0 || nRegion == 0 || nCommit == 0 {
+		t.Fatalf("the dvqe log has %d receipts, %d nearby and %d region syncs, %d commits", nRecv, nSync, nRegion, nCommit)
 	}
 }
 
