@@ -27,7 +27,10 @@ const (
 	Violation        // timing violation: event enqueued after its commit time; B = slip cycles
 	Stall            // a controller waited: A = Stall* reason, B = cycles waited, C = on whom; Time = resume
 	Halt             // core halted
-	NetStall         // message queued at a busy link/port: A = source node (-1 router-originated), B = wait cycles, C = the far end, so (Node, C) is the directed edge
+	// NetStall: a message queued at a busy link/port. A = source node (-1
+	// router-originated), B = wait cycles, C = the link's or port's far
+	// end, so (Node, C) is the directed edge.
+	NetStall
 )
 
 // Stall reasons: what the controller of a Stall event waited for (its A),
@@ -36,7 +39,10 @@ const (
 	StallSync = iota // TCU timer paused past Condition I; C = the sync partner or router
 	StallRecv        // recv waited for its message; C = the sending controller
 	StallFMR         // fmr waited for its measurement result; C = the result channel
-	StallNet         // the controller's own message queued at a busy link or port; C = the far end of that edge, whose near end is the Node of the net_stall logged with it
+	// StallNet: the controller's own message queued at a busy link or
+	// port. C = that edge's far end; its near end is the Node of the
+	// net_stall logged with it.
+	StallNet
 	numStallReasons
 )
 
