@@ -64,18 +64,16 @@ func TestStallLedgerPinned(t *testing.T) {
 			cfg.Net.LinkSerialization = 4
 			cfg.Net.Topology = network.TopoTree
 		}, [3]stallRow{{888, 9235, 0, 1676, 1676}, {888, 9235, 0, 1676, 1676}, {888, 9235, 0, 1676, 1676}}},
-		{"hub/torus/1port", hub, func(cfg *Config) {
-			cfg.Net.LinkSerialization = 4
+		{"hub/torus/ser8", hub, func(cfg *Config) {
+			cfg.Net.LinkSerialization = 8
 			cfg.Net.Topology = network.TopoTorus
-			cfg.Net.RouterPorts = 1
-		}, [3]stallRow{{605, 5998, 0, 174, 318}, {605, 5998, 0, 174, 318}, {605, 5998, 0, 174, 318}}},
+		}, [3]stallRow{{560, 5278, 0, 438, 450}, {560, 5278, 0, 438, 450}, {560, 5278, 0, 438, 450}}},
 		{"bv16", workloads.BV(16, workloads.AlternatingSecret), func(cfg *Config) {
 			cfg.Net.LinkSerialization = 4
 		}, [3]stallRow{{201, 316, 0, 88, 88}, {201, 316, 0, 88, 88}, {201, 316, 0, 88, 88}}},
-		{"dynamic_qft9/1port", qft, func(cfg *Config) {
+		{"dynamic_qft9", qft, func(cfg *Config) {
 			cfg.Net.LinkSerialization = 2
-			cfg.Net.RouterPorts = 1
-		}, [3]stallRow{{5350, 39256, 24879, 525, 611}, {5342, 39555, 25015, 599, 685}, {5281, 38913, 24654, 571, 657}}},
+		}, [3]stallRow{{5324, 38824, 24665, 196, 196}, {5301, 38903, 24687, 221, 221}, {5257, 38508, 24450, 231, 231}}},
 		{"dvqe6/2chips", dvqe, func(cfg *Config) {
 			cfg.Net.LinkSerialization = 2
 			cfg.Chips = 2
