@@ -138,7 +138,9 @@ func TestStallWalksBackToItsCause(t *testing.T) {
 
 // TestNetStallsNameTheirEdges sums net_stall B by (Node, C) on contended
 // runs: every key is a real directed edge, and the edges add up to the
-// fabric's total queueing, router-originated hops included.
+// fabric's total queueing, router-originated hops included. At 8 cycles a
+// message the routers' own booking and broadcast hops queue on every
+// topology, so that last clause is exercised, not vacuous.
 func TestNetStallsNameTheirEdges(t *testing.T) {
 	hub := stallHub(16)
 	for _, kind := range []network.TopologyKind{network.TopoMesh, network.TopoTorus, network.TopoTree} {
@@ -146,8 +148,7 @@ func TestNetStallsNameTheirEdges(t *testing.T) {
 		cfg.Backend = BackendSeeded
 		cfg.Seed = 1
 		cfg.LogEvents = true
-		cfg.Net.LinkSerialization = 4
-		cfg.Net.RouterPorts = 1
+		cfg.Net.LinkSerialization = 8
 		cfg.Net.Topology = kind
 		w, h := network.NearSquareMesh(hub.NumQubits)
 		res, m, err := RunCircuit(hub, w, h, nil, cfg)
@@ -155,7 +156,7 @@ func TestNetStallsNameTheirEdges(t *testing.T) {
 			t.Fatal(err)
 		}
 		edges := map[pairKey]int64{}
-		var total int64
+		var total, routed int64
 		for _, e := range m.Log.Events {
 			if e.Kind != telf.NetStall {
 				continue
@@ -166,9 +167,15 @@ func TestNetStallsNameTheirEdges(t *testing.T) {
 			}
 			edges[pairKey{a, b}] += e.B
 			total += e.B
+			if e.A < 0 {
+				routed += e.B
+			}
 		}
 		if len(edges) < 2 || total != int64(res.Net.TotalStall()) {
 			t.Fatalf("%v: %d edges sum to %d, fabric total %d", kind, len(edges), total, res.Net.TotalStall())
+		}
+		if routed == 0 {
+			t.Fatalf("%v: no router-originated hop queued (%d cycles in all)", kind, total)
 		}
 	}
 }
