@@ -22,8 +22,7 @@ func machineLog(t testing.TB) *telf.Log {
 	cfg := machine.DefaultConfig(c.NumQubits)
 	cfg.Backend = machine.BackendSeeded
 	cfg.LogEvents = true
-	cfg.Net.LinkSerialization = 2
-	cfg.Net.RouterPorts = 1
+	cfg.Net.LinkSerialization = 8
 	w, h := network.NearSquareMesh(c.NumQubits)
 	_, m, err := machine.RunCircuit(c, w, h, nil, cfg)
 	if err != nil {
