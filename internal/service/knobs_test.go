@@ -148,8 +148,8 @@ type knobCell struct {
 }
 
 func (c knobCell) String() string {
-	return fmt.Sprintf("topo=%q link_bw=%d router_ports=%d placement=%q schedule=%q chips=%d epr_latency=%d latency=%d",
-		c.req.Topo, c.req.LinkBW, c.req.RouterPorts, c.req.Placement, c.req.Schedule, c.req.Chips, c.req.EPRLatency, c.lat)
+	return fmt.Sprintf("topo=%q link_bw=%d placement=%q schedule=%q chips=%d epr_latency=%d latency=%d",
+		c.req.Topo, c.req.LinkBW, c.req.Placement, c.req.Schedule, c.req.Chips, c.req.EPRLatency, c.lat)
 }
 
 // knobCells moves one knob at a time away from the default (mesh) machine.
@@ -158,7 +158,7 @@ func knobCells() []knobCell {
 	for _, topo := range []string{"mesh", "torus", "tree"} {
 		cells = append(cells, knobCell{req: Request{Topo: topo}})
 	}
-	cells = append(cells, knobCell{req: Request{LinkBW: 4}}, knobCell{req: Request{LinkBW: 4, RouterPorts: 1}})
+	cells = append(cells, knobCell{req: Request{LinkBW: 4}}, knobCell{req: Request{Topo: "tree", LinkBW: 4}})
 	for _, p := range placement.Names() {
 		cells = append(cells, knobCell{req: Request{Placement: p}})
 	}
