@@ -11,7 +11,7 @@
 // circuit; dhisq-sim long-polls the job and prints its histogram.
 //
 // The job is a service.Submission in both modes: its per-job option flags
-// (-topo -link-bw -router-ports -placement -schedule -chips -epr-latency)
+// (-topo -link-bw -placement -schedule -chips -epr-latency)
 // are declared by service.Request.RegisterFlags, the struct marshals as
 // the POST body, and service.Resolve validates it — locally
 // before a local run, and locally again before anything is posted — so the
@@ -251,10 +251,10 @@ func submitRemote(base string, sub service.Submission) (service.JobStatus, error
 	if resp.StatusCode != http.StatusAccepted {
 		return job, fmt.Errorf("submit: %s (%s)", resp.Status, submitted.Error)
 	}
-	// Cluster mode: a 307 redirect already landed this submission on its
-	// owning shard (http.Post replays the body there), and that shard's
-	// response names itself. Job IDs are per-shard, so polls must go to
-	// the owner, not whichever member we happened to submit through.
+	// Cluster mode: the shard we submitted through forwarded this
+	// submission to its owner server-side, and the owner's response names
+	// itself. Job IDs are per-shard, so the poll goes to the owner directly
+	// rather than back through the proxy hop.
 	if submitted.Shard != "" {
 		base = submitted.Shard
 	}

@@ -34,7 +34,6 @@ var invalidSubmissions = []struct {
 	{"placement", dvqe(service.Request{Placement: "bogus-policy"}), "placement"},
 	{"schedule", dvqe(service.Request{Schedule: "bogus-sched"}), "schedul"},
 	{"link-bw", dvqe(service.Request{LinkBW: -3}), "link_bw"},
-	{"router-ports", dvqe(service.Request{RouterPorts: -2}), "router_ports"},
 	{"chips", dvqe(service.Request{Chips: -1}), "negative chip count -1"},
 	{"epr-latency", dvqe(service.Request{Chips: 2, EPRLatency: -40}), "negative EPR latency -40"},
 	{"chips-exceed-qubits", dvqe(service.Request{Chips: 17}), "17 chips exceed 16 qubits"},
@@ -84,7 +83,7 @@ func TestSubmitRemoteValidFlagsReachNetwork(t *testing.T) {
 	_, err := submitRemote("http://127.0.0.1:1", service.Submission{
 		Bench: "dvqe", Scale: 2,
 		Request: service.Request{
-			Shots: 4, Seed: 7, Topo: "torus", LinkBW: 4, RouterPorts: 2,
+			Shots: 4, Seed: 7, Topo: "torus", LinkBW: 4,
 			Placement: "interaction", Schedule: "padded",
 			Chips: 2, EPRLatency: 150,
 		},
@@ -99,11 +98,12 @@ func TestSubmitRemoteValidFlagsReachNetwork(t *testing.T) {
 
 // TestFlagSetPinned: routing the option flags through
 // service.Request.RegisterFlags must not move dhisq-sim's command line —
-// these are the names and defaults of the flags before it did.
+// these are the names and defaults of the flags before it did, less
+// -router-ports, which left with router port sharing.
 func TestFlagSetPinned(t *testing.T) {
 	want := map[string]string{
 		"qasm": "", "bench": "", "scale": "1", "seed": "1", "shots": "1", "workers": "0",
-		"topo": "mesh", "link-bw": "0", "router-ports": "0", "placement": "", "schedule": "",
+		"topo": "mesh", "link-bw": "0", "placement": "", "schedule": "",
 		"chips": "0", "epr-latency": "0",
 		"bind": "", "serve": "", "list": "false",
 	}

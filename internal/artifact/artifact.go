@@ -70,8 +70,11 @@ func (f Fingerprint) Short() string { return hex.EncodeToString(f[:6]) }
 // set another value) and its word left the encoding too. v10: the link
 // queue cap is gone (only a test ever set it) and its word left the encoding.
 // v11: that second lowering is gone — the star lowering is the one
-// feed-forward path — and the v6 word left the encoding.
-const keyVersion = 11
+// feed-forward path — and the v6 word left the encoding. v12: router port
+// sharing is gone (only a test ever set it) and its word left the encoding;
+// the policy names hashed are the resolved ones (machine.Normalize), so a
+// default program and its named-default twin share one key.
+const keyVersion = 12
 
 // Key fingerprints a compilation request. Two requests share a key iff
 // the compiler is guaranteed to produce identical output for both: the
@@ -152,11 +155,11 @@ func Key(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Opt
 	}
 
 	// Network config: fixes the topology and therefore the sync windows.
-	// The contention fields (serialization, ports) do not change
-	// compiler output — the booked windows are uncontended by design — but
-	// they do change runtime behavior, and the fingerprint doubles as the
-	// replica-pool key in internal/service; hashing them costs at most one
-	// redundant compile per variant and never pools incompatible machines.
+	// The link serialization does not change compiler output — the booked
+	// windows are uncontended by design — but it does change runtime
+	// behavior, and the fingerprint doubles as the replica-pool key in
+	// internal/service; hashing it costs at most one redundant compile per
+	// variant and never pools incompatible machines.
 	wi(int64(net.MeshW))
 	wi(int64(net.MeshH))
 	wi(int64(net.RouterFanout))
@@ -165,7 +168,6 @@ func Key(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Opt
 	wi(int64(net.RouterProc))
 	wi(int64(net.Topology))
 	wi(int64(net.LinkSerialization))
-	wi(int64(net.RouterPorts))
 
 	// Compiler options.
 	wi(opt.Durations.OneQubit)
@@ -175,15 +177,9 @@ func Key(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Opt
 	wi(int64(opt.Root))
 	wi(int64(opt.Controllers))
 	wb(opt.InitialBarrier)
-	// Placement policy: length-prefixed name bytes. "" and "identity"
-	// resolve to the same pass behavior but hash differently — one
-	// redundant compile at most, never an aliased artifact.
-	wi(int64(len(opt.Placement)))
-	buf = append(buf, opt.Placement...)
-	// Schedule policy: same length-prefixed scheme, same "" vs "fixed"
-	// redundancy tradeoff.
-	wi(int64(len(opt.Schedule)))
-	buf = append(buf, opt.Schedule...)
+	// Placement and schedule policies: length-prefixed name bytes.
+	ws(opt.Placement)
+	ws(opt.Schedule)
 	// Multi-chip expansion inputs (keyVersion 7).
 	wi(int64(opt.Chips))
 	wi(int64(opt.EPRLatency))

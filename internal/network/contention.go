@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the contention layer of the fabric: finite link bandwidth
-// and router port sharing. Every mesh link direction and every router
+// on mesh links and router ports. Every mesh link direction and every router
 // port is a sim.Resource — a busy-until FIFO that serializes messages at
 // Config.LinkSerialization cycles apiece. With LinkSerialization == 0 the
 // layer is inert: no resource is ever reserved, no statistic moves, and
@@ -46,17 +46,14 @@ func (f *Fabric) reserveLink(from, to, src int, at sim.Time) sim.Time {
 }
 
 // reservePort books router r's port serving its edge to neighbor for one
-// message entering at `at`. With fewer ports than edges (Config.
-// RouterPorts), edges share ports round-robin and contend.
+// message entering at `at`.
 func (f *Fabric) reservePort(r, neighbor, src int, at sim.Time) sim.Time {
-	rt := f.Router(r)
 	edge := f.Topo.EdgeIndex(r, neighbor)
 	if edge < 0 {
 		// Not a tree edge; treat as uncontended rather than corrupt state.
 		return at
 	}
-	port := edge % len(rt.ports)
-	depart, waited := rt.ports[port].Reserve(at, f.ser)
+	depart, waited := f.Router(r).ports[edge].Reserve(at, f.ser)
 	f.chargeStall(r, neighbor, src, waited, depart)
 	return depart
 }
@@ -156,13 +153,9 @@ type CongestionStats struct {
 	PortMessages uint64   `json:"port_messages"`
 	PortStall    sim.Time `json:"port_stall_cycles"`
 	PortMaxQueue int      `json:"port_max_queue"`
-	// RouterBusiest is the largest total port occupancy of any single
-	// router (can exceed the makespan on a many-port router); PortBusiest
-	// is the largest occupancy of any single port — divided by the
-	// makespan it is a true 0..1 utilization.
-	RouterBusiest sim.Time `json:"router_busiest_cycles"`
-	PortBusiest   sim.Time `json:"port_busiest_cycles"`
-	RouterBusy    sim.Time `json:"router_busy_cycles"`
+	// PortBusiest is the largest occupancy of any single port: divided by
+	// the makespan it is a 0..1 utilization.
+	PortBusiest sim.Time `json:"port_busiest_cycles"`
 }
 
 // TotalStall is every cycle any message spent queued anywhere.
@@ -176,8 +169,8 @@ func (s CongestionStats) MaxQueue() int {
 	return s.PortMaxQueue
 }
 
-// Merge returns the digest of s and o together: counts, stalls and busy
-// cycles add, the *MaxQueue and *Busiest fields take the larger value, and
+// Merge returns the digest of s and o together: counts and stalls add, the
+// *MaxQueue and *Busiest fields take the larger value, and
 // Enabled is ORed. Merge is commutative and associative and the zero value
 // is its identity, so folding a set of snapshots in any order or grouping
 // gives the same digest.
@@ -189,9 +182,7 @@ func (s CongestionStats) Merge(o CongestionStats) CongestionStats {
 	s.PortMessages += o.PortMessages
 	s.PortStall += o.PortStall
 	s.PortMaxQueue = max(s.PortMaxQueue, o.PortMaxQueue)
-	s.RouterBusiest = max(s.RouterBusiest, o.RouterBusiest)
 	s.PortBusiest = max(s.PortBusiest, o.PortBusiest)
-	s.RouterBusy += o.RouterBusy
 	return s
 }
 
@@ -211,22 +202,16 @@ func (f *Fabric) Congestion() CongestionStats {
 		}
 	}
 	for _, rt := range f.routers {
-		var busy sim.Time
 		for i := range rt.ports {
 			p := &rt.ports[i]
 			st.PortMessages += p.Messages
 			st.PortStall += p.StallCycles
-			busy += p.BusyCycles
 			if p.BusyCycles > st.PortBusiest {
 				st.PortBusiest = p.BusyCycles
 			}
 			if p.MaxQueue > st.PortMaxQueue {
 				st.PortMaxQueue = p.MaxQueue
 			}
-		}
-		st.RouterBusy += busy
-		if busy > st.RouterBusiest {
-			st.RouterBusiest = busy
 		}
 	}
 	return st

@@ -147,39 +147,6 @@ func TestTreeOnlyTopology(t *testing.T) {
 	}
 }
 
-func TestRouterPortSharingSerializesBroadcast(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.MeshW, cfg.MeshH, cfg.RouterFanout = 2, 2, 4
-	cfg.LinkSerialization = 2
-	cfg.RouterPorts = 1 // all 4 downlinks share one physical port
-	fab, eng, eps, _ := fabricFor(t, cfg)
-	root := fab.Topo.Root
-
-	window := fab.RegionWindow(0, root)
-	for i := 0; i < 4; i++ {
-		fab.BookRegion(i, root, 100+window, 100)
-	}
-	eng.Run(0)
-
-	// Everyone still agrees on the common time-point (protocol correctness
-	// survives contention), but the one-port broadcast serializes.
-	for i, ep := range eps {
-		if len(ep.tms) != 1 {
-			t.Fatalf("leaf %d: %d resumes", i, len(ep.tms))
-		}
-		if ep.tms[0] != eps[0].tms[0] {
-			t.Fatalf("leaf %d disagrees on Tm: %d vs %d", i, ep.tms[0], eps[0].tms[0])
-		}
-	}
-	st := fab.Congestion()
-	if st.PortStall == 0 || st.PortMaxQueue == 0 {
-		t.Fatalf("one-port broadcast should queue: %+v", st)
-	}
-	if st.RouterBusiest == 0 || st.RouterBusy < st.RouterBusiest {
-		t.Fatalf("router busy accounting: %+v", st)
-	}
-}
-
 // TestLinkBacklogDeliversEveryMessage: six messages sent at once on one
 // link all arrive, and the deepest backlog is the five queued behind the first.
 func TestLinkBacklogDeliversEveryMessage(t *testing.T) {

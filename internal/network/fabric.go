@@ -215,9 +215,9 @@ type Router struct {
 	// one per tree level, and children are a contiguous address run. A
 	// destination's row is made on its first booking and kept across Reset.
 	pending [][]sim.Fifo[sim.Time]
-	// ports are the physical serialization stages of the contention model:
-	// one per tree edge, or fewer when Config.RouterPorts shares edges
-	// across ports. Empty when contention is disabled.
+	// ports are the physical serialization stages of the contention model,
+	// one per tree edge (Topology.EdgeIndex). Empty when contention is
+	// disabled.
 	ports []sim.Resource
 	// Stats
 	Rounds   int
@@ -227,11 +227,7 @@ type Router struct {
 func newRouter(f *Fabric, addr int) *Router {
 	r := &Router{fab: f, addr: addr, pending: make([][]sim.Fifo[sim.Time], f.Topo.depth[addr]+1)}
 	if f.contention() {
-		n := f.Topo.NumEdges(addr)
-		if p := f.Topo.Cfg.RouterPorts; p > 0 && p < n {
-			n = p
-		}
-		r.ports = make([]sim.Resource, n)
+		r.ports = make([]sim.Resource, f.Topo.NumEdges(addr))
 	}
 	return r
 }
@@ -286,7 +282,7 @@ func (r *Router) broadcast(dest int, tm, depart sim.Time) {
 		hopStart := depart
 		if r.fab.contention() {
 			// Each child's copy serializes on the port serving that child's
-			// edge: a fanout-F broadcast through P < F+1 ports queues.
+			// edge.
 			hopStart = r.fab.reservePort(r.addr, c, -1, depart)
 		}
 		op := evResume

@@ -7,14 +7,13 @@ import (
 
 // contendedSnapshots runs three different bursts of traffic on one
 // contended 3x3 fabric and returns the congestion snapshot of each: mesh
-// links (neighbor messages) and router ports (tree messages, one port per
-// router) both queue, and the links overlap between bursts only in part.
+// links (neighbor messages) and router ports (tree messages) both queue,
+// and the links overlap between bursts only in part.
 func contendedSnapshots(t *testing.T) []CongestionStats {
 	t.Helper()
 	cfg := DefaultConfig(9)
 	cfg.MeshW, cfg.MeshH = 3, 3
 	cfg.LinkSerialization = 3
-	cfg.RouterPorts = 1
 	fab, eng, _, _ := fabricFor(t, cfg)
 	bursts := [][][2]int{
 		// The centre talks to all four neighbours, in slot order +x -x +y -y,
@@ -65,23 +64,21 @@ func TestCongestionMergeLaws(t *testing.T) {
 }
 
 // TestCongestionMergeFields: a snapshot merged with itself doubles every
-// count, stall and busy total and keeps every maximum — so a summed
+// count and stall and keeps every maximum — so a summed
 // maximum shows. Merging the three snapshots sums their stalls.
 func TestCongestionMergeFields(t *testing.T) {
 	snaps := contendedSnapshots(t)
 	s := snaps[0]
 	d := s.Merge(s)
 	want := CongestionStats{
-		Enabled:       true,
-		LinkMessages:  2 * s.LinkMessages,
-		LinkStall:     2 * s.LinkStall,
-		LinkMaxQueue:  s.LinkMaxQueue,
-		PortMessages:  2 * s.PortMessages,
-		PortStall:     2 * s.PortStall,
-		PortMaxQueue:  s.PortMaxQueue,
-		RouterBusiest: s.RouterBusiest,
-		PortBusiest:   s.PortBusiest,
-		RouterBusy:    2 * s.RouterBusy,
+		Enabled:      true,
+		LinkMessages: 2 * s.LinkMessages,
+		LinkStall:    2 * s.LinkStall,
+		LinkMaxQueue: s.LinkMaxQueue,
+		PortMessages: 2 * s.PortMessages,
+		PortStall:    2 * s.PortStall,
+		PortMaxQueue: s.PortMaxQueue,
+		PortBusiest:  s.PortBusiest,
 	}
 	if !reflect.DeepEqual(d, want) {
 		t.Fatalf("s.Merge(s) = %+v, want %+v", d, want)

@@ -72,11 +72,6 @@ type Config struct {
 	// infinite bandwidth: no queueing, no congestion statistics, schedules
 	// byte-identical to the pre-contention fabric (DESIGN.md §6).
 	LinkSerialization sim.Time
-	// RouterPorts is the number of physical ports per router. Routers have
-	// one logical edge per child plus one to their parent; with fewer
-	// ports than edges, edges share ports round-robin and contend. 0 gives
-	// every edge a dedicated port (no port sharing).
-	RouterPorts int
 }
 
 // NearSquareMesh returns the smallest near-square controller mesh

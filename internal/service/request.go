@@ -42,12 +42,9 @@ type Request struct {
 	// Topo names the intra-layer fabric topology: "mesh", "torus" or
 	// "tree" ("" defers to Cfg, then to mesh). LinkBW is the link
 	// bandwidth as cycles per message (0 defers to Cfg, then to infinite:
-	// contention off, DESIGN.md §6); RouterPorts caps the physical ports
-	// per router (0 defers to Cfg, then to one per tree edge). Negative
-	// values are rejected.
-	Topo        string   `json:"topo,omitempty"`
-	LinkBW      sim.Time `json:"link_bw,omitempty"`
-	RouterPorts int      `json:"router_ports,omitempty"`
+	// contention off, DESIGN.md §6); a negative value is rejected.
+	Topo   string   `json:"topo,omitempty"`
+	LinkBW sim.Time `json:"link_bw,omitempty"`
 	// Placement names the placement policy the compiler applies when
 	// Mapping is nil ("" defers to Cfg.Placement, then to identity).
 	// Unknown names are rejected at admission, before any work queues.
@@ -83,13 +80,12 @@ type Request struct {
 	Sweep []map[string]float64 `json:"sweep,omitempty"`
 }
 
-// RegisterFlags declares the eight per-job option flags on fs, bound to
+// RegisterFlags declares the six per-job option flags on fs, bound to
 // r's fields: the one place their names, defaults and help strings live.
 func (r *Request) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&r.Topo, "topo", "mesh", "fabric topology: mesh, torus, or tree")
 	fs.Int64Var(&r.LinkBW, "link-bw", 0, "link bandwidth as cycles per message (0 = infinite, contention off)")
-	fs.IntVar(&r.RouterPorts, "router-ports", 0, "physical ports per router (0 = one per tree edge)")
-	fs.StringVar(&r.Placement, "placement", "", "placement policy for unmapped circuits: identity, rowmajor, or interaction (default identity)")
+	fs.StringVar(&r.Placement, "placement", "", "placement policy for unmapped circuits: identity or interaction (default identity)")
 	fs.StringVar(&r.Schedule, "schedule", "", "compiler scheduling policy: fixed or padded (default fixed)")
 	fs.IntVar(&r.Chips, "chips", 0, "split the device into N chips; cross-chip 2q gates run as EPR-mediated teleported gates (0/1 = single chip)")
 	fs.Int64Var(&r.EPRLatency, "epr-latency", 0, "EPR pair-generation latency in cycles for multi-chip runs (0 = machine default)")
@@ -212,7 +208,6 @@ func Resolve(req Request) (Admission, error) {
 		cfg.Net.Topology = kind
 	}
 	cfg.Net.LinkSerialization = cmp.Or(req.LinkBW, cfg.Net.LinkSerialization)
-	cfg.Net.RouterPorts = cmp.Or(req.RouterPorts, cfg.Net.RouterPorts)
 	cfg.Placement = cmp.Or(req.Placement, cfg.Placement)
 	cfg.Schedule = cmp.Or(req.Schedule, cfg.Schedule)
 	cfg.Chips = cmp.Or(req.Chips, cfg.Chips)
@@ -220,8 +215,8 @@ func Resolve(req Request) (Admission, error) {
 	// Validate what the job will actually compile and run with — whether it
 	// arrived via the request or a caller-supplied Cfg — so bad values are
 	// rejected here, before any work queues.
-	if cfg.Net.LinkSerialization < 0 || cfg.Net.RouterPorts < 0 {
-		return Admission{}, fmt.Errorf("service: link_bw and router_ports must be >= 0")
+	if cfg.Net.LinkSerialization < 0 {
+		return Admission{}, fmt.Errorf("service: link_bw must be >= 0")
 	}
 	if cfg.Chips > 1 && req.Mapping != nil {
 		return Admission{}, fmt.Errorf("service: explicit mapping with %d chips unsupported (the chip expansion adds communication qubits; use a placement policy)", cfg.Chips)

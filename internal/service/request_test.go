@@ -37,8 +37,7 @@ func jsonTags(t reflect.Type) []string {
 func TestWireNamesPinned(t *testing.T) {
 	submission := []string{
 		"qasm,omitempty", "bench,omitempty", "scale,omitempty", "shots", "seed,omitempty",
-		"mapping,omitempty", "topo,omitempty", "link_bw,omitempty", "router_ports,omitempty",
-		"placement,omitempty", "schedule,omitempty", "chips,omitempty",
+		"mapping,omitempty", "topo,omitempty", "link_bw,omitempty", "placement,omitempty", "schedule,omitempty", "chips,omitempty",
 		"epr_latency,omitempty", "params,omitempty", "sweep,omitempty",
 	}
 	got := map[string]bool{}
@@ -70,7 +69,7 @@ func TestWireNamesPinned(t *testing.T) {
 func TestSubmissionRoundTrip(t *testing.T) {
 	sub := Submission{Bench: "dvqe", Scale: 2, Request: Request{
 		Circuit: ghz(2), MeshW: 3, // never on the wire
-		Shots: 4, Seed: 7, Topo: "torus", LinkBW: 4, RouterPorts: 2, Placement: "interaction",
+		Shots: 4, Seed: 7, Topo: "torus", LinkBW: 4, Placement: "interaction",
 		Schedule: "padded", Chips: 2, EPRLatency: 150,
 		Params: map[string]float64{"t": 0.5},
 	}}
@@ -119,13 +118,12 @@ func TestEveryOptionReachesThePoolKey(t *testing.T) {
 	type variant struct{ base, alt func(*Request) }
 	set := func(f func(*Request)) variant { return variant{base: func(*Request) {}, alt: f} }
 	variants := map[string]variant{
-		"Mapping":     set(func(r *Request) { r.Mapping = []int{1, 0, 2, 3} }),
-		"Topo":        set(func(r *Request) { r.Topo = "torus" }),
-		"LinkBW":      set(func(r *Request) { r.LinkBW = 3 }),
-		"RouterPorts": set(func(r *Request) { r.RouterPorts = 2 }),
-		"Placement":   set(func(r *Request) { r.Placement = "rowmajor" }),
-		"Schedule":    set(func(r *Request) { r.Schedule = "padded" }),
-		"Chips":       set(func(r *Request) { r.Chips = 2 }),
+		"Mapping":   set(func(r *Request) { r.Mapping = []int{1, 0, 2, 3} }),
+		"Topo":      set(func(r *Request) { r.Topo = "torus" }),
+		"LinkBW":    set(func(r *Request) { r.LinkBW = 3 }),
+		"Placement": set(func(r *Request) { r.Placement = "interaction" }),
+		"Schedule":  set(func(r *Request) { r.Schedule = "padded" }),
+		"Chips":     set(func(r *Request) { r.Chips = 2 }),
 		// The EPR latency only means something on a multi-chip machine.
 		"EPRLatency": {base: func(r *Request) { r.Chips = 2 }, alt: func(r *Request) { r.Chips, r.EPRLatency = 2, 40 }},
 	}
@@ -171,7 +169,7 @@ func TestPoolKeyCoversRuntimeConfig(t *testing.T) {
 		{field: "Net", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Net.LinkSerialization = 3 }},
 		{field: "Durations", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Durations.TwoQubit++ }},
 		{field: "MeasLatency", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.MeasLatency++ }},
-		{field: "Placement", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Placement = "rowmajor" }},
+		{field: "Placement", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Placement = "interaction" }},
 		{field: "Schedule", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Schedule = "padded" }},
 		{field: "Chips", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Chips = 2 }},
 		{field: "EPRLatency", want: fingerprint,
