@@ -235,9 +235,8 @@ func SamplePlaced(c *Circuit, shots int, seed int64, policy string) (Histogram, 
 }
 
 // PlacementPolicies lists the registered placement policies of the
-// compilation pipeline's Place pass ("identity", "rowmajor",
-// "interaction"); MachineConfig.Placement and JobRequest.Placement accept
-// any of them.
+// compilation pipeline's Place pass ("identity", "interaction");
+// MachineConfig.Placement and JobRequest.Placement accept either.
 func PlacementPolicies() []string { return placement.Names() }
 
 // ---------------------------------------------------------------------------

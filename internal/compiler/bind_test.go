@@ -56,10 +56,10 @@ func compileWith(t *testing.T, c *circuit.Circuit, kind network.TopologyKind, po
 
 // TestBindEquivalence: BindParams(structural artifact) == full compile of
 // the bound circuit, byte-for-byte, across workloads × mesh/torus/tree ×
-// identity/rowmajor/interaction, at several parameter points.
+// identity/interaction, at several parameter points.
 func TestBindEquivalence(t *testing.T) {
 	kinds := []network.TopologyKind{network.TopoMesh, network.TopoTorus, network.TopoTree}
-	policies := []string{"", "rowmajor", "interaction"}
+	policies := []string{"identity", "interaction"}
 	for _, tc := range bindCases() {
 		for _, kind := range kinds {
 			for _, policy := range policies {

@@ -148,29 +148,6 @@ func TestPipelineMatchesMonolithWithFeedforward(t *testing.T) {
 	}
 }
 
-// TestRowMajorPolicyMatchesIdentityBytes: the rowmajor policy writes the
-// identity assignment out explicitly, so its programs must be
-// byte-identical to the legacy nil-mapping compile (only the cache
-// fingerprint differs).
-func TestRowMajorPolicyMatchesIdentityBytes(t *testing.T) {
-	c := workloads.GHZ(9)
-	topo, fab := fabricFor(t, 9, network.TopoMesh)
-	opt := DefaultOptions(topo.Root, topo.N)
-	want, err := Compile(c, nil, fab, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Placement = "rowmajor"
-	got, err := NewPipeline().Run(&State{Circuit: c, Topo: topo, Windows: fab, Opt: opt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Mapping == nil {
-		t.Fatal("rowmajor pipeline recorded no mapping")
-	}
-	assertSameArtifact(t, "rowmajor-vs-identity", got, want)
-}
-
 // TestInteractionPolicyCompiles: a non-trivial policy resolves through the
 // Place pass, records its mapping on the artifact, and the programs still
 // validate.

@@ -10,7 +10,7 @@ import (
 
 // The placement experiment measures what the compilation pipeline's Place
 // pass buys under finite link bandwidth: the same workloads compiled with
-// the row-major baseline versus the interaction-aware partitioner, on the
+// the identity baseline versus the interaction-aware partitioner, on the
 // same contended fabric. Better placement shortens calibrated sync windows
 // and keeps feed-forward traffic local, which shows up as lower makespan
 // and fewer queueing stall cycles.
@@ -33,11 +33,11 @@ type PlacementPoint struct {
 
 // PlacementSweepWorkloads names the circuits the sweep runs. hotspot is
 // the adversarial star circuit — every data qubit talks to a hub that
-// row-major order parks in the mesh corner — the workload the gates hold
+// the identity placement parks in the mesh corner — the workload the gates hold
 // the interaction placer to.
 func PlacementSweepWorkloads() []string { return []string{"ghz", "qft", "bv", "hotspot"} }
 
-// PlacementSweep runs every workload under the row-major and the
+// PlacementSweep runs every workload under the identity and the
 // interaction placer on the mesh at sweepLinkBW and returns the points in
 // deterministic (workload, policy) order.
 func PlacementSweep(seed int64) ([]PlacementPoint, error) {
@@ -47,7 +47,7 @@ func PlacementSweep(seed int64) ([]PlacementPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, policy := range []string{"rowmajor", "interaction"} {
+		for _, policy := range []string{placement.Default, "interaction"} {
 			cfg := cellConfig(c.NumQubits, seed, sweepLinkBW)
 			cfg.Placement = policy
 			res, err := runCell(c, nil, cfg)
@@ -88,12 +88,12 @@ func mappingCost(c *circuit.Circuit, policy string, net network.Config) (int64, 
 	return placement.CircuitCost(c, m, topo), nil
 }
 
-// placementGates compares the interaction placer with the row-major
+// placementGates compares the interaction placer with the identity
 // baseline, workload by workload; a sweep without both policies has
 // nothing to compare and no gates.
 //
 //   - hotspot_stall, hotspot_makespan: on the hotspot the interaction
-//     placer exceeds row-major in neither total stall cycles nor makespan.
+//     placer exceeds identity in neither total stall cycles nor makespan.
 //   - strict_improvement: at least one workload is strictly better in one
 //     of the two.
 func placementGates(points []PlacementPoint) []Gate {
@@ -107,18 +107,18 @@ func placementGates(points []PlacementPoint) []Gate {
 	var gates []Gate
 	pairs, improved := 0, 0
 	for _, w := range PlacementSweepWorkloads() {
-		rm, okR := byPolicy[w]["rowmajor"]
+		id, okD := byPolicy[w][placement.Default]
 		in, okI := byPolicy[w]["interaction"]
-		if !okR || !okI {
+		if !okD || !okI {
 			continue
 		}
 		pairs++
 		if w == "hotspot" {
 			gates = append(gates,
-				NewGate("hotspot_stall", float64(in.TotalStall), "<=", float64(rm.TotalStall)),
-				NewGate("hotspot_makespan", float64(in.Makespan), "<=", float64(rm.Makespan)))
+				NewGate("hotspot_stall", float64(in.TotalStall), "<=", float64(id.TotalStall)),
+				NewGate("hotspot_makespan", float64(in.Makespan), "<=", float64(id.Makespan)))
 		}
-		if in.TotalStall < rm.TotalStall || in.Makespan < rm.Makespan {
+		if in.TotalStall < id.TotalStall || in.Makespan < id.Makespan {
 			improved++
 		}
 	}

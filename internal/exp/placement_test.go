@@ -33,7 +33,7 @@ func TestPlacementSweepImproves(t *testing.T) {
 func TestCheckPlacementImprovesCatchesRegression(t *testing.T) {
 	pair := func(stall, makespan int64) []PlacementPoint {
 		return []PlacementPoint{
-			{Workload: "hotspot", Policy: "rowmajor", Counters: Counters{TotalStall: 10, Makespan: 100}},
+			{Workload: "hotspot", Policy: "identity", Counters: Counters{TotalStall: 10, Makespan: 100}},
 			{Workload: "hotspot", Policy: "interaction", Counters: Counters{TotalStall: stall, Makespan: makespan}},
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // count × EPR latency × partition policy and reports the cut size, the EPR
 // pairs actually generated, and where the time went. The gate holds the
 // interaction partitioner to the contract its never-worse fallback
-// promises: cut size at most the contiguous row-major split everywhere,
+// promises: cut size at most the contiguous identity split everywhere,
 // strictly below it somewhere.
 
 // RemotePoint is one (workload, chips, EPR latency, policy) cell.
@@ -48,7 +48,7 @@ type RemotePoint struct {
 func RemoteSweepWorkloads() []string { return []string{"ghz", "qft", "dvqe"} }
 
 // RemoteSweep runs every workload on 1, 2 and 4 chips at EPR latencies of
-// 40 and 200 cycles under the row-major and the interaction partition, on
+// 40 and 200 cycles under the identity and the interaction partition, on
 // the mesh at sweepLinkBW, and returns the points in deterministic
 // (workload, chips, latency, policy) order.
 func RemoteSweep(seed int64) ([]RemotePoint, error) {
@@ -60,7 +60,7 @@ func RemoteSweep(seed int64) ([]RemotePoint, error) {
 		}
 		for _, chips := range []int{1, 2, 4} {
 			for _, lat := range []int64{40, 200} {
-				for _, policy := range []string{"rowmajor", "interaction"} {
+				for _, policy := range []string{placement.Default, "interaction"} {
 					// The cut is a pure function of circuit, chip count
 					// and policy — recomputed here so the report never
 					// depends on compiler internals.
@@ -105,7 +105,7 @@ func RemoteSweep(seed int64) ([]RemotePoint, error) {
 //   - pairs_cover_cut: every multi-chip cell generated at least one EPR
 //     pair per cut gate.
 //   - cut_never_worse, cut_strictly_fewer: the interaction partition cuts
-//     more gates than row-major in no cell, and strictly fewer in at least
+//     more gates than identity in no cell, and strictly fewer in at least
 //     one.
 func remoteGates(points []RemotePoint) []Gate {
 	type cell struct {
@@ -133,15 +133,15 @@ func remoteGates(points []RemotePoint) []Gate {
 	}
 	worse, fewer := 0, 0
 	for _, pols := range byPolicy {
-		rm, okR := pols["rowmajor"]
+		id, okD := pols[placement.Default]
 		in, okI := pols["interaction"]
-		if !okR || !okI {
+		if !okD || !okI {
 			continue
 		}
-		if in.CutGates > rm.CutGates {
+		if in.CutGates > id.CutGates {
 			worse++
 		}
-		if in.CutGates < rm.CutGates {
+		if in.CutGates < id.CutGates {
 			fewer++
 		}
 	}

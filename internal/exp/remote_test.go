@@ -8,7 +8,7 @@ import (
 // TestRemoteSweepGate runs the remote experiment's grid and enforces the
 // same gate dhisq-bench -exp remote does: single-chip cells degenerate
 // cleanly, every multi-chip cell generated pairs for its cut, and the
-// interaction partition is never worse than row-major with a strict win
+// interaction partition is never worse than identity with a strict win
 // somewhere.
 func TestRemoteSweepGate(t *testing.T) {
 	points, err := RemoteSweep(1)
@@ -27,12 +27,12 @@ func TestRemoteSweepGate(t *testing.T) {
 
 // TestCheckRemoteCatchesRegression pins that each contract clause turns
 // its own gate red: a leaking single-chip cell, a pair deficit, a
-// worse-than-rowmajor cut, and a sweep with no strict win.
+// worse-than-identity cut, and a sweep with no strict win.
 func TestCheckRemoteCatchesRegression(t *testing.T) {
 	base := []RemotePoint{
-		{Workload: "w", Chips: 1, EPRLatency: 40, Policy: "rowmajor"},
+		{Workload: "w", Chips: 1, EPRLatency: 40, Policy: "identity"},
 		{Workload: "w", Chips: 1, EPRLatency: 40, Policy: "interaction"},
-		{Workload: "w", Chips: 2, EPRLatency: 40, Policy: "rowmajor", CutGates: 4, EPRPairs: 4},
+		{Workload: "w", Chips: 2, EPRLatency: 40, Policy: "identity", CutGates: 4, EPRPairs: 4},
 		{Workload: "w", Chips: 2, EPRLatency: 40, Policy: "interaction", CutGates: 2, EPRPairs: 2},
 	}
 	requirePass(t, remoteGates(base))

@@ -52,7 +52,7 @@ func runBits(t *testing.T, c *circuit.Circuit, cfg Config, seed int64) []int {
 // deterministic, on both simulation backends and both placement policies.
 func TestRemoteGateTruthTable(t *testing.T) {
 	for _, backend := range []BackendKind{BackendStateVec, BackendStabilizer} {
-		for _, pol := range []string{"rowmajor", "interaction"} {
+		for _, pol := range []string{"identity", "interaction"} {
 			for a := 0; a < 2; a++ {
 				for b := 0; b < 2; b++ {
 					for _, gate := range []string{"cnot", "cz-conj", "swap"} {

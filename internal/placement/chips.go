@@ -12,8 +12,8 @@ import (
 // different chips becomes an EPR-mediated remote gate. The objective is
 // therefore the cut size — the number of gates teleported — not mesh
 // distance, so the partitioner is separate from the controller placers
-// above, but it reuses their policy names: "identity"/"rowmajor" cut the
-// qubit range into contiguous blocks, "interaction" runs a greedy balanced
+// above, but it reuses their policy names: "identity" cuts the qubit range
+// into contiguous blocks, "interaction" runs a greedy balanced
 // min-cut over the same interaction weights.
 
 // ContiguousChips is the baseline partition: qubit q on chip q*chips/n,
@@ -27,8 +27,8 @@ func ContiguousChips(n, chips int) []int {
 }
 
 // PartitionChips assigns each of c's qubits to one of chips chips under the
-// named placement policy. "identity" and "rowmajor" (and "") return the
-// contiguous-block baseline; "interaction" runs a greedy balanced min-cut
+// named placement policy. "identity" (and "") returns the contiguous-block
+// baseline; "interaction" runs a greedy balanced min-cut
 // and falls back to the baseline when greedy loses on the cut objective, so
 // the cut-minimizing partition is never worse than contiguous by
 // construction. Deterministic for a fixed (circuit, chips, policy) — the
@@ -45,7 +45,7 @@ func PartitionChips(c *circuit.Circuit, chips int, policy string) ([]int, error)
 		return nil, fmt.Errorf("placement: %d chips exceed %d qubits", chips, n)
 	}
 	contiguous := ContiguousChips(n, chips)
-	if chips == 1 || policy == "" || policy == "identity" || policy == "rowmajor" {
+	if chips == 1 || policy == "" || policy == Default {
 		return contiguous, nil
 	}
 

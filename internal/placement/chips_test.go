@@ -128,7 +128,7 @@ func TestPartitionChipsDeterministic(t *testing.T) {
 
 func TestPartitionChipsContiguousPolicies(t *testing.T) {
 	c := workloads.GHZ(8)
-	for _, policy := range []string{"", "identity", "rowmajor"} {
+	for _, policy := range []string{"", "identity"} {
 		chipOf, err := PartitionChips(c, 2, policy)
 		if err != nil {
 			t.Fatal(err)

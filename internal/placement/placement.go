@@ -5,16 +5,12 @@
 // speak — so the choice of placer is a named, cacheable compilation input
 // rather than ad-hoc call-site logic.
 //
-// Three policies ship, one row each in the policies table:
+// Two policies ship, one row each in the policies table:
 //
 //   - identity: qubit q runs on controller q, expressed as a nil mapping.
 //     This is the legacy behavior byte-for-byte — nil is what every
 //     pre-pipeline call site passed, and the artifact cache deliberately
 //     distinguishes nil from an explicit identity permutation.
-//   - rowmajor: the identity assignment written out as an explicit
-//     permutation [0, 1, ..., n-1] — qubit q at mesh position q in
-//     row-major order. Same compiled programs as identity; exists as the
-//     explicit-mapping baseline the interaction placer is measured against.
 //   - interaction: a greedy interaction-graph partitioner. Qubit pairs are
 //     weighted by how often they interact (two-qubit gates, plus classical
 //     feed-forward traffic between a measured bit's owner and its
@@ -56,7 +52,6 @@ const Default = "identity"
 // policies is the fixed registry, in documentation order.
 var policies = []policy{
 	{"identity", func(*circuit.Circuit, *network.Topology) []int { return nil }},
-	{"rowmajor", func(c *circuit.Circuit, _ *network.Topology) []int { return rowMajor(c.NumQubits) }},
 	{"interaction", interaction},
 }
 
@@ -114,8 +109,9 @@ func checkFits(c *circuit.Circuit, topo *network.Topology) error {
 	return nil
 }
 
-// rowMajor is the identity assignment written out: qubit q on controller q.
-func rowMajor(n int) []int {
+// identityMapping is the identity assignment written out: qubit q on
+// controller q, mesh position q in row-major order.
+func identityMapping(n int) []int {
 	m := make([]int, n)
 	for q := range m {
 		m[q] = q
@@ -134,11 +130,11 @@ func interaction(c *circuit.Circuit, topo *network.Topology) []int {
 	mapping := greedyPlace(n, w, topo)
 
 	// Never-worse guarantee: the greedy result must not exceed the
-	// row-major baseline on the objective it optimizes (total weighted
+	// identity baseline on the objective it optimizes (total weighted
 	// mesh distance). Greedy placement has no approximation bound, so on
 	// adversarial graphs it could lose; falling back makes "interaction is
-	// at least as good as rowmajor" structural rather than statistical.
-	if base := rowMajor(n); Cost(w, mapping, topo) > Cost(w, base, topo) {
+	// at least as good as identity" structural rather than statistical.
+	if base := identityMapping(n); Cost(w, mapping, topo) > Cost(w, base, topo) {
 		return base
 	}
 	return mapping
@@ -213,7 +209,7 @@ func Cost(w [][]int64, mapping []int, topo *network.Topology) int64 {
 // weighted-distance objective of a mapping for that circuit.
 func CircuitCost(c *circuit.Circuit, mapping []int, topo *network.Topology) int64 {
 	if mapping == nil {
-		mapping = rowMajor(c.NumQubits)
+		mapping = identityMapping(c.NumQubits)
 	}
 	return Cost(interactionWeights(c), mapping, topo)
 }

@@ -18,9 +18,9 @@ func topoFor(t *testing.T, n int) *network.Topology {
 	return topo
 }
 
-// hotspot builds the adversarial-for-row-major circuit the interaction
+// hotspot builds the adversarial-for-identity circuit the interaction
 // placer exists for: a star where every data qubit talks to one hub that
-// row-major order parks in the far corner of the mesh.
+// the identity placement parks in the far corner of the mesh.
 func hotspot(n int) *circuit.Circuit {
 	c := circuit.New(n)
 	hub := n - 1
@@ -36,7 +36,7 @@ func hotspot(n int) *circuit.Circuit {
 }
 
 func TestRegistry(t *testing.T) {
-	want := []string{"identity", "rowmajor", "interaction"}
+	want := []string{"identity", "interaction"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
@@ -49,7 +49,7 @@ func TestRegistry(t *testing.T) {
 	if m, err := Place("", c, topo); err != nil || m != nil {
 		t.Fatalf("Place(\"\") = %v, %v; want the %s placement (nil)", m, err, Default)
 	}
-	want0 := `unknown placement policy "bogus" (want identity, rowmajor, interaction)`
+	want0 := `unknown placement policy "bogus" (want identity, interaction)`
 	if err := Valid("bogus"); err == nil || err.Error() != want0 {
 		t.Fatalf("Valid(bogus) = %v, want %q", err, want0)
 	}
@@ -67,23 +67,6 @@ func TestIdentityIsNil(t *testing.T) {
 	}
 	if m != nil {
 		t.Fatalf("identity mapping = %v, want nil (legacy convention)", m)
-	}
-}
-
-func TestRowMajorIsExplicitIdentity(t *testing.T) {
-	c := workloads.GHZ(9)
-	topo := topoFor(t, 9)
-	m, err := Place("rowmajor", c, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 9 {
-		t.Fatalf("mapping length %d", len(m))
-	}
-	for q, ctrl := range m {
-		if ctrl != q {
-			t.Fatalf("rowmajor[%d] = %d, want %d", q, ctrl, q)
-		}
 	}
 }
 
@@ -145,11 +128,11 @@ func TestPoliciesDeterministic(t *testing.T) {
 	}
 }
 
-// TestInteractionNeverWorseThanRowMajor: on the hand-built hotspot (and
+// TestInteractionNeverWorseThanIdentity: on the hand-built hotspot (and
 // the standard sweep workloads) the interaction placer's weighted-distance
-// objective is <= row-major's — guaranteed by the explicit fallback, and
+// objective is <= identity's — guaranteed by the explicit fallback, and
 // strictly better on the hotspot where the hub must leave the corner.
-func TestInteractionNeverWorseThanRowMajor(t *testing.T) {
+func TestInteractionNeverWorseThanIdentity(t *testing.T) {
 	cases := map[string]*circuit.Circuit{
 		"hotspot": hotspot(16),
 		"ghz":     workloads.GHZ(16),
@@ -162,16 +145,12 @@ func TestInteractionNeverWorseThanRowMajor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rm, err := Place("rowmajor", c, topo)
-		if err != nil {
-			t.Fatal(err)
+		ic, dc := CircuitCost(c, im, topo), CircuitCost(c, nil, topo)
+		if ic > dc {
+			t.Fatalf("%s: interaction cost %d > identity cost %d", name, ic, dc)
 		}
-		ic, rc := CircuitCost(c, im, topo), CircuitCost(c, rm, topo)
-		if ic > rc {
-			t.Fatalf("%s: interaction cost %d > rowmajor cost %d", name, ic, rc)
-		}
-		if name == "hotspot" && ic >= rc {
-			t.Fatalf("hotspot: interaction cost %d should beat rowmajor %d strictly", ic, rc)
+		if name == "hotspot" && ic >= dc {
+			t.Fatalf("hotspot: interaction cost %d should beat identity %d strictly", ic, dc)
 		}
 	}
 }

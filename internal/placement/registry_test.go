@@ -19,12 +19,14 @@ import (
 // interface-per-policy registries; any rewrite of the registries must
 // reproduce them unedited. They were edited once, when the placement
 // registry's fourth name — an alias of interaction that only the
-// service's deleted re-place loop gave a meaning — was deleted with it.
+// service's deleted re-place loop gave a meaning — was deleted with it,
+// and again when rowmajor went: it compiled identity's programs under an
+// explicit permutation, and its entries were identity's mapping spelt out.
 func TestRegistrySurfacePinned(t *testing.T) {
-	if got, want := placement.Names(), []string{"identity", "rowmajor", "interaction"}; !reflect.DeepEqual(got, want) {
+	if got, want := placement.Names(), []string{"identity", "interaction"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("placement.Names() = %v, want %v", got, want)
 	}
-	for _, name := range []string{"", "identity", "rowmajor", "interaction"} {
+	for _, name := range []string{"", "identity", "interaction"} {
 		if err := placement.Valid(name); err != nil {
 			t.Errorf("placement.Valid(%q): %v", name, err)
 		}
@@ -34,7 +36,7 @@ func TestRegistrySurfacePinned(t *testing.T) {
 		req  service.Request
 		want string
 	}{
-		{service.Request{Placement: "bogus"}, `unknown placement policy "bogus" (want identity, rowmajor, interaction)`},
+		{service.Request{Placement: "bogus"}, `unknown placement policy "bogus" (want identity, interaction)`},
 		{service.Request{Schedule: "bogus"}, `unknown schedule policy "bogus" (want fixed, padded)`},
 	} {
 		req := tc.req
@@ -45,42 +47,35 @@ func TestRegistrySurfacePinned(t *testing.T) {
 		}
 	}
 
-	rowMajor := func(n int) []int {
-		m := make([]int, n)
-		for q := range m {
-			m[q] = q
-		}
-		return m
-	}
 	hotspotChips := []int{0, 1, 2, 3, 4, 6, 7, 8, 9, 5, 10}
 	blocks16 := []int{0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 8, 17}
 	for _, tc := range []struct {
 		name  string
 		c     *circuit.Circuit
 		chips int
-		want  map[string][]int // identity, rowmajor, interaction
+		want  map[string][]int // identity, interaction
 	}{
 		{"hotspot", star(9), 1, map[string][]int{
-			"identity": nil, "rowmajor": rowMajor(9),
+			"identity":    nil,
 			"interaction": {1, 3, 5, 7, 0, 2, 6, 8, 4},
 		}},
 		{"hotspot", star(9), 2, map[string][]int{
-			"identity": hotspotChips, "rowmajor": hotspotChips,
+			"identity":    hotspotChips,
 			"interaction": {0, 1, 2, 3, 6, 7, 8, 9, 4, 5, 10},
 		}},
 		{"qft", workloads.QFT(16), 1, map[string][]int{
-			"identity": nil, "rowmajor": rowMajor(16),
+			"identity":    nil,
 			"interaction": {5, 1, 0, 4, 2, 6, 9, 8, 10, 7, 3, 11, 13, 14, 12, 15},
 		}},
 		{"qft", workloads.QFT(16), 2, map[string][]int{
-			"identity": blocks16, "rowmajor": blocks16, "interaction": blocks16,
+			"identity": blocks16, "interaction": blocks16,
 		}},
 		{"bv", workloads.BV(16, workloads.AlternatingSecret), 1, map[string][]int{
-			"identity": nil, "rowmajor": rowMajor(16),
+			"identity":    nil,
 			"interaction": {1, 10, 4, 11, 6, 13, 9, 14, 0, 3, 2, 12, 7, 15, 8, 5},
 		}},
 		{"bv", workloads.BV(16, workloads.AlternatingSecret), 2, map[string][]int{
-			"identity": blocks16, "rowmajor": blocks16,
+			"identity":    blocks16,
 			"interaction": {0, 9, 1, 10, 2, 11, 3, 12, 4, 13, 5, 14, 6, 15, 16, 7, 8, 17},
 		}},
 	} {

@@ -98,7 +98,7 @@ func TestRemoteDistributionEquality(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := remoteOracleCircuit(tc.seed, 4, tc.backend == machine.BackendStabilizer)
 			for _, chips := range []int{2, 3} {
-				for _, policy := range []string{"rowmajor", "interaction"} {
+				for _, policy := range []string{"identity", "interaction"} {
 					multi, err := Run(remoteSpec(c, chips, tc.backend, policy), shots, 4)
 					if err != nil {
 						t.Fatalf("chips=%d policy=%s: %v", chips, policy, err)
