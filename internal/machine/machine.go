@@ -15,6 +15,7 @@ import (
 	"dhisq/internal/compiler"
 	"dhisq/internal/core"
 	"dhisq/internal/network"
+	"dhisq/internal/placement"
 	"dhisq/internal/quantum"
 	"dhisq/internal/sim"
 	"dhisq/internal/telf"
@@ -48,7 +49,8 @@ type Config struct {
 	// Placement names the placement policy the compiler's Place pass uses
 	// for circuits submitted without an explicit mapping ("" = identity,
 	// the legacy byte-identical behavior; see internal/placement). Part of
-	// the compile fingerprint via compileOptions.
+	// the compile fingerprint via compileOptions, after Normalize has
+	// resolved "" to its name.
 	Placement string
 	// Schedule names the scheduling policy the compiler's Schedule pass
 	// uses ("" = fixed, the legacy byte-identical replay; see the schedule
@@ -168,6 +170,8 @@ func Normalize(c *circuit.Circuit, meshW, meshH int, cfg Config) (Config, error)
 		}
 	}
 	cfg.Net.MeshW, cfg.Net.MeshH = meshW, meshH
+	cfg.Placement = cmp.Or(cfg.Placement, placement.Default)
+	cfg.Schedule = cmp.Or(cfg.Schedule, compiler.DefaultSchedule)
 	cfg.EPRLatency = cfg.effectiveEPRLatency()
 	cfg.Backend = resolveBackendFor(c, cfg.Backend, total)
 	// An explicit backend that cannot hold this circuit is refused here, not

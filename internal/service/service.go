@@ -20,7 +20,6 @@
 package service
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -30,7 +29,6 @@ import (
 	"dhisq/internal/compiler"
 	"dhisq/internal/machine"
 	"dhisq/internal/network"
-	"dhisq/internal/placement"
 	"dhisq/internal/runner"
 )
 
@@ -169,8 +167,7 @@ func (s *Service) Enqueue(a Admission) (string, error) {
 		st: JobStatus{
 			State: StateQueued, Shots: a.Req.Shots, Fingerprint: a.Fingerprint.String(),
 			MeshW: a.Spec.MeshW, MeshH: a.Spec.MeshH, Chips: cfg.Chips,
-			Placement: cmp.Or(cfg.Placement, placement.Default),
-			Schedule:  cmp.Or(cfg.Schedule, compiler.DefaultSchedule),
+			Placement: cfg.Placement, Schedule: cfg.Schedule,
 		},
 		done:   make(chan struct{}),
 		notify: make(chan struct{}),

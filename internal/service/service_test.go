@@ -8,7 +8,9 @@ import (
 
 	"dhisq/internal/artifact"
 	"dhisq/internal/circuit"
+	"dhisq/internal/compiler"
 	"dhisq/internal/machine"
+	"dhisq/internal/placement"
 	"dhisq/internal/runner"
 )
 
@@ -92,6 +94,28 @@ func TestRepeatCircuitBatches(t *testing.T) {
 	}
 	if st, _ := s.Wait(other); st.Batched {
 		t.Fatal("distinct circuit claimed pooled replicas")
+	}
+}
+
+// A default job and its named-default twin are one program: naming the
+// policies "" resolves to (identity, fixed) must not fingerprint, compile
+// or pool it a second time.
+func TestNamedDefaultsShareTheDefaultProgram(t *testing.T) {
+	arts := artifact.New(4)
+	s := New(Config{Workers: 1, Artifacts: arts})
+	defer s.Close()
+
+	first := submitWait(t, s, Request{Circuit: ghz(4), Shots: 4, Seed: 3})
+	named := submitWait(t, s, Request{Circuit: ghz(4), Shots: 4, Seed: 3,
+		Placement: placement.Default, Schedule: compiler.DefaultSchedule})
+	if named.Fingerprint != first.Fingerprint {
+		t.Fatalf("named defaults fingerprint %s, default job %s", named.Fingerprint, first.Fingerprint)
+	}
+	if !named.CacheHit || !named.Batched {
+		t.Fatalf("named-default twin: cache hit %v, batched %v; want both", named.CacheHit, named.Batched)
+	}
+	if misses := arts.Stats().Misses; misses != 1 {
+		t.Fatalf("%d compiles for one program, want 1", misses)
 	}
 }
 
