@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,12 +19,11 @@ import (
 
 // cluster is one shard's view of a consistent-hash dhisq-serve cluster:
 // the ring every member builds identically from the -cluster list, this
-// process's own base URL, and the forwarding policy for submissions that
-// hash to another shard. nil means single-node (no routing at all).
+// process's own base URL, and the client that forwards submissions hashing
+// to another shard. nil means single-node (no routing at all).
 type cluster struct {
 	ring   *service.Ring
 	self   string
-	proxy  bool
 	client *http.Client
 
 	// owners remembers which shard a proxied submission landed on, keyed
@@ -68,12 +69,12 @@ func (c *cluster) jobOwner(id string) string {
 	return c.owners[id]
 }
 
-// newCluster parses the -cluster/-self/-proxy flags. An empty list means
+// newCluster parses the -cluster/-self flags. An empty list means
 // single-node mode (nil cluster, no error). Members are base URLs; a bare
 // host:port gets an http:// scheme, and trailing slashes are dropped so
 // each member has exactly one canonical name — the ring hashes names, so
 // two spellings of one shard would split its keyspace.
-func newCluster(list, self string, proxy bool) (*cluster, error) {
+func newCluster(list, self string) (*cluster, error) {
 	if list == "" {
 		if self != "" {
 			return nil, fmt.Errorf("-self given without -cluster")
@@ -107,9 +108,21 @@ func newCluster(list, self string, proxy bool) (*cluster, error) {
 		return nil, fmt.Errorf("-self %s is not in -cluster %v", selfN, members)
 	}
 	return &cluster{
-		ring: ring, self: selfN, proxy: proxy,
+		ring: ring, self: selfN,
 		client: &http.Client{Timeout: 5 * time.Minute},
 	}, nil
+}
+
+// jobIDPrefix is the job-ID prefix of this shard's service ("" on a
+// single node): eight hex digits of a hash of its own URL. A forwarded
+// job keeps the ID its owner gave it, and the owner table routes follow-ups
+// by that ID, so no two shards may hand out the same one.
+func (c *cluster) jobIDPrefix() string {
+	if c == nil {
+		return ""
+	}
+	sum := sha256.Sum256([]byte(c.self))
+	return hex.EncodeToString(sum[:4]) + "-"
 }
 
 // canonicalURL normalizes one shard spelling to scheme://host[:port].
@@ -127,21 +140,12 @@ func canonicalURL(s string) (string, error) {
 	return u.Scheme + "://" + u.Host, nil
 }
 
-// forward relays a misrouted submission to its owning shard. In redirect
-// mode the client is answered 307 with the owner's submit URL — clients
-// (Go's http.Client included) replay the POST body there, and the
-// X-Dhisq-Shard header names the owner for clients that want to pin
-// follow-up polls without parsing Location. In proxy mode the shard
-// itself re-posts the body and streams the owner's response back, so
-// dumb clients never see the topology.
-func (c *cluster) forward(w http.ResponseWriter, r *http.Request, owner string, body []byte) {
-	target := owner + "/v1/jobs"
+// forward relays a misrouted submission to its owning shard: the shard
+// re-posts the body and relays the owner's response, so clients never see
+// the topology. X-Dhisq-Shard names the owner.
+func (c *cluster) forward(w http.ResponseWriter, owner string, body []byte) {
 	w.Header().Set("X-Dhisq-Shard", owner)
-	if !c.proxy {
-		http.Redirect(w, r, target, http.StatusTemporaryRedirect)
-		return
-	}
-	resp, err := c.client.Post(target, "application/json", bytes.NewReader(body))
+	resp, err := c.client.Post(owner+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		badGateway(w, owner, err)
 		return

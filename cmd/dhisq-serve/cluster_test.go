@@ -221,7 +221,7 @@ func TestCrashRestartStoreWarm(t *testing.T) {
 // resolved by installing the real handlers after all servers are up —
 // exactly what a deployment does when it passes every shard the same
 // -cluster list at boot.
-func testCluster(t *testing.T, n int, proxy bool) (urls []string, svcs []*service.Service, arts []*artifact.Cache) {
+func testCluster(t *testing.T, n int) (urls []string, svcs []*service.Service, arts []*artifact.Cache) {
 	t.Helper()
 	handlers := make([]http.Handler, n)
 	urls = make([]string, n)
@@ -235,13 +235,13 @@ func testCluster(t *testing.T, n int, proxy bool) (urls []string, svcs []*servic
 	}
 	list := strings.Join(urls, ",")
 	for i := 0; i < n; i++ {
-		a := artifact.New(32)
-		svc := service.New(service.Config{Workers: 2, QueueDepth: 16, Artifacts: a})
-		t.Cleanup(svc.Close)
-		cl, err := newCluster(list, urls[i], proxy)
+		cl, err := newCluster(list, urls[i])
 		if err != nil {
 			t.Fatal(err)
 		}
+		a := artifact.New(32)
+		svc := service.New(service.Config{Workers: 2, QueueDepth: 16, Artifacts: a, IDPrefix: cl.jobIDPrefix()})
+		t.Cleanup(svc.Close)
 		handlers[i] = newClusterHandler(svc, cl)
 		svcs = append(svcs, svc)
 		arts = append(arts, a)
@@ -261,13 +261,12 @@ func ghzSized(n int) string {
 	return b.String()
 }
 
-// Redirect-mode cluster: a submission landing on a non-owner answers 307
-// with the owner's submit URL and X-Dhisq-Shard; a redirect-following
-// client lands every job on its ring-computed owner; and after running
-// mixed families twice each, the cache work concentrates per shard —
-// every family compiled exactly once cluster-wide, on its owner.
-func TestClusterRedirectRouting(t *testing.T) {
-	urls, svcs, arts := testCluster(t, 3, false)
+// After running mixed families twice each, all submitted through shard 0,
+// the cache work concentrates per shard: every job lands on its
+// ring-computed owner, which the submit response names, and every family
+// compiled exactly once cluster-wide, on its owner.
+func TestClusterRoutingConcentratesCache(t *testing.T) {
+	urls, svcs, arts := testCluster(t, 3)
 	ring, err := service.NewRing(urls)
 	if err != nil {
 		t.Fatal(err)
@@ -279,71 +278,16 @@ func TestClusterRedirectRouting(t *testing.T) {
 	for n := 3; n <= 8; n++ {
 		families = append(families, service.Submission{QASM: ghzSized(n), Request: service.Request{Shots: 10, Seed: 7}})
 	}
-
 	owners := make([]string, len(families))
+	ownedBy := make(map[string]int)
 	for i, f := range families {
-		fp := routeKey(t, f)
-		owners[i] = ring.Route(fp)
+		owners[i] = ring.Route(routeKey(t, f))
+		ownedBy[owners[i]]++
 	}
-
-	// Raw redirect contract, observed without following: POST to shard 0,
-	// misrouted families get 307 + Location + X-Dhisq-Shard.
-	noFollow := &http.Client{
-		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-	}
-	sawRedirect := false
-	for i, f := range families {
-		body, _ := json.Marshal(f)
-		resp, err := noFollow.Post(urls[0]+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if owners[i] == urls[0] {
-			if resp.StatusCode != http.StatusAccepted {
-				resp.Body.Close()
-				t.Fatalf("family %d owned by shard 0 answered %d, want 202", i, resp.StatusCode)
-			}
-			// The probe actually submitted: wait it out so its compile is
-			// settled before the baseline snapshot below.
-			var acc map[string]string
-			if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			getJobAt(t, urls[0], acc["id"])
-			continue
-		}
-		resp.Body.Close()
-		sawRedirect = true
-		if resp.StatusCode != http.StatusTemporaryRedirect {
-			t.Fatalf("misrouted family %d answered %d, want 307", i, resp.StatusCode)
-		}
-		if loc := resp.Header.Get("Location"); loc != owners[i]+"/v1/jobs" {
-			t.Fatalf("family %d redirected to %q, want %q", i, loc, owners[i]+"/v1/jobs")
-		}
-		if got := resp.Header.Get("X-Dhisq-Shard"); got != owners[i] {
-			t.Fatalf("family %d X-Dhisq-Shard %q, want %q", i, got, owners[i])
-		}
-	}
-	if !sawRedirect {
+	if ownedBy[urls[0]] == len(families) {
 		t.Fatal("all 6 families hashed to shard 0 — ring balance is broken")
 	}
 
-	// Zero the accounting the probe submissions above did on shard 0's
-	// service by reading a baseline instead: count jobs from here on.
-	base := make([]service.Stats, len(svcs))
-	for i, s := range svcs {
-		base[i] = s.Stats()
-	}
-	baseMisses := uint64(0)
-	for _, a := range arts {
-		baseMisses += a.Stats().Misses
-	}
-
-	// Now the real run: a following client submits every family twice,
-	// always through shard 0. Go's http.Post replays the body on 307, so
-	// each job lands on its owner; the submit response's "shard" field
-	// names where to poll.
 	for round := 0; round < 2; round++ {
 		for i, f := range families {
 			body, _ := json.Marshal(f)
@@ -374,41 +318,20 @@ func TestClusterRedirectRouting(t *testing.T) {
 
 	// Cache-hit concentration: each family compiled exactly once
 	// cluster-wide — on its owner — and the repeat round was all hits.
-	// (Shard 0's owned families already compiled during the probe round,
-	// before the baseline, so only the redirected families compile here.)
-	ownedBy := make(map[string]int)
-	redirected := 0
-	for _, o := range owners {
-		ownedBy[o]++
-		if o != urls[0] {
-			redirected++
-		}
-	}
-	totalMisses := uint64(0)
 	for i, a := range arts {
-		st := a.Stats()
-		totalMisses += st.Misses
-		if want := uint64(ownedBy[urls[i]]); st.Misses < want {
-			t.Errorf("shard %d compiled %d families, owns %d", i, st.Misses, want)
+		if got, want := a.Stats().Misses, uint64(ownedBy[urls[i]]); got != want {
+			t.Errorf("shard %d compiled %d families, owns %d — keys leaked across shards", i, got, want)
 		}
-	}
-	if totalMisses-baseMisses != uint64(redirected) {
-		t.Errorf("cluster compiled %d more times for %d redirected families — keys leaked across shards",
-			totalMisses-baseMisses, redirected)
-	}
-	for i, s := range svcs {
-		ran := s.Stats().Completed - base[i].Completed
-		if want := uint64(2 * ownedBy[urls[i]]); ran != want {
+		if ran, want := svcs[i].Stats().Completed, uint64(2*ownedBy[urls[i]]); ran != want {
 			t.Errorf("shard %d ran %d jobs, ring assigns %d", i, ran, want)
 		}
 	}
 }
 
-// Proxy-mode cluster: a misrouted submission is forwarded server-side —
-// the client sees a plain 202 whose "shard" field names the owner, and
-// the job runs there.
+// A misrouted submission is forwarded server-side — the client sees a
+// plain 202 whose "shard" field names the owner, and the job runs there.
 func TestClusterProxyRouting(t *testing.T) {
-	urls, svcs, _ := testCluster(t, 3, true)
+	urls, svcs, _ := testCluster(t, 3)
 	ring, err := service.NewRing(urls)
 	if err != nil {
 		t.Fatal(err)
@@ -480,37 +403,37 @@ func getJobAt(t *testing.T, base, id string) jobBody {
 	return jr
 }
 
-// Flag-parsing contract of -cluster/-self/-proxy: canonicalization adds
+// Flag-parsing contract of -cluster/-self: canonicalization adds
 // the http scheme and strips trailing slashes, self must be a member,
 // and the single-node path is a nil cluster, not an error.
 func TestNewClusterFlags(t *testing.T) {
-	cl, err := newCluster("", "", false)
+	cl, err := newCluster("", "")
 	if cl != nil || err != nil {
 		t.Fatalf("single-node: cl=%v err=%v, want nil/nil", cl, err)
 	}
-	if _, err := newCluster("", "http://a:1", false); err == nil {
+	if _, err := newCluster("", "http://a:1"); err == nil {
 		t.Error("-self without -cluster accepted")
 	}
-	if _, err := newCluster("a:1,b:2", "", false); err == nil {
+	if _, err := newCluster("a:1,b:2", ""); err == nil {
 		t.Error("-cluster without -self accepted")
 	}
-	if _, err := newCluster("a:1,b:2", "c:3", false); err == nil {
+	if _, err := newCluster("a:1,b:2", "c:3"); err == nil {
 		t.Error("-self outside the member list accepted")
 	}
-	if _, err := newCluster("a:1,a:1", "a:1", false); err == nil {
+	if _, err := newCluster("a:1,a:1", "a:1"); err == nil {
 		t.Error("duplicate members accepted")
 	}
-	if _, err := newCluster("http://", "http://", false); err == nil {
+	if _, err := newCluster("http://", "http://"); err == nil {
 		t.Error("hostless member accepted")
 	}
 
 	// Bare host:port and a trailing slash both canonicalize to one name.
-	cl, err = newCluster("a:1,http://b:2/", "b:2", true)
+	cl, err = newCluster("a:1,http://b:2/", "b:2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.self != "http://b:2" || !cl.proxy {
-		t.Fatalf("canonicalized self %q proxy %v", cl.self, cl.proxy)
+	if cl.self != "http://b:2" {
+		t.Fatalf("canonicalized self %q", cl.self)
 	}
 	members := cl.ring.Members()
 	if len(members) != 2 || members[0] != "http://a:1" || members[1] != "http://b:2" {
@@ -522,7 +445,7 @@ func TestNewClusterFlags(t *testing.T) {
 // and not a local execution.
 func TestClusterProxyOwnerDown(t *testing.T) {
 	// One live shard, one dead member. Find a family the dead member
-	// owns and submit it to the live shard in proxy mode.
+	// owns and submit it to the live shard.
 	dead := "http://127.0.0.1:1" // reserved port: connect refused immediately
 	svc := service.New(service.Config{Workers: 1, QueueDepth: 4, Artifacts: artifact.New(4)})
 	defer svc.Close()
@@ -531,7 +454,7 @@ func TestClusterProxyOwnerDown(t *testing.T) {
 		handler.ServeHTTP(w, r)
 	}))
 	defer ts.Close()
-	cl, err := newCluster(ts.URL+","+dead, ts.URL, true)
+	cl, err := newCluster(ts.URL+","+dead, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

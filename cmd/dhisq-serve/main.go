@@ -11,8 +11,8 @@
 //	                     body is a service.Submission: its fields — and
 //	                     service.Request's, which it embeds — are the one
 //	                     declaration of every name ("seed", "mapping", "topo",
-//	                     "link_bw", "router_ports", "placement", "schedule",
-//	                     "chips", "epr_latency", "params", "sweep"), and
+//	                     "link_bw", "placement", "schedule", "chips",
+//	                     "epr_latency", "params", "sweep"), and
 //	                     service.Resolve is the one reading of them. A
 //	                     field that is not declared there is a 400 naming
 //	                     it, not a job run on defaults
@@ -41,13 +41,13 @@
 // -cluster turns the daemon into one shard of a consistent-hash cluster:
 // jobs route by their fingerprint — the bind-invariant structural key for
 // parameterized jobs — so each circuit family is owned by one shard whose
-// cache, replica pool, and store stay hot on it. A submission landing on a non-owner answers 307 (Location =
-// the owner's /v1/jobs, X-Dhisq-Shard = the owner's base URL) — or, with
-// -proxy, forwards server-side. Job IDs are per-shard: poll the shard
-// named by the submit response's "shard" field. In -proxy mode the entry
-// shard also remembers which shard each proxied submission landed on and
-// proxies follow-up polls and streams there, so a dumb client can talk to
-// one shard for the job's whole lifetime.
+// cache, replica pool, and store stay hot on it. A submission landing on a
+// non-owner is forwarded to the owner server-side, and the client sees the
+// owner's answer. Job IDs are per-shard: the submit response's "shard"
+// field names the owner, which a client may poll directly. The entry shard
+// also remembers which shard each forwarded submission landed on and
+// proxies follow-up polls and streams there, so a client can talk to one
+// shard for the job's whole lifetime.
 //
 // Submit a GHZ circuit and read its histogram:
 //
@@ -58,7 +58,7 @@
 //
 //	dhisq-serve [-addr :8080] [-workers N] [-queue N] [-shot-workers W]
 //	            [-seed S] [-cache N] [-store DIR] [-store-max-bytes N]
-//	            [-cluster url1,url2,... -self url [-proxy]]
+//	            [-cluster url1,url2,... -self url]
 package main
 
 import (
@@ -92,7 +92,6 @@ func main() {
 	storeMax := flag.Int64("store-max-bytes", 0, "artifact store byte budget, oldest spills evicted beyond it (0 = 512 MiB)")
 	clusterList := flag.String("cluster", "", "comma-separated base URLs of every shard, this one included (enables consistent-hash routing)")
 	selfURL := flag.String("self", "", "this shard's own entry in -cluster (required with -cluster)")
-	proxyMode := flag.Bool("proxy", false, "forward misrouted submissions to their owner server-side instead of 307-redirecting")
 	flag.Parse()
 
 	artifact.Shared.Resize(*cacheCap)
@@ -102,11 +101,11 @@ func main() {
 		artifact.Shared.SetStore(st)
 		fmt.Printf("dhisq-serve: artifact store %s (%d artifacts on disk)\n", st.Dir(), st.Len())
 	}
-	cl, err := newCluster(*clusterList, *selfURL, *proxyMode)
+	cl, err := newCluster(*clusterList, *selfURL)
 	exitOn(2, err)
 	svc := service.New(service.Config{
 		Workers: *workers, QueueDepth: *queue,
-		ShotWorkers: *shotWorkers, Seed: *seed,
+		ShotWorkers: *shotWorkers, Seed: *seed, IDPrefix: cl.jobIDPrefix(),
 	})
 	srv := newServer(*addr, newClusterHandler(svc, cl))
 
@@ -170,8 +169,8 @@ func newHandler(svc *service.Service) http.Handler {
 }
 
 // newClusterHandler is newHandler plus consistent-hash routing: with a
-// non-nil cluster, submissions that hash to another shard are redirected
-// (or proxied) there, and every job response names its owning shard.
+// non-nil cluster, submissions that hash to another shard are forwarded
+// there, and every job response names its owning shard.
 func newClusterHandler(svc *service.Service, cl *cluster) http.Handler {
 	mux := http.NewServeMux()
 
@@ -197,8 +196,8 @@ func newClusterHandler(svc *service.Service, cl *cluster) http.Handler {
 			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
 			return
 		}
-		// The body is buffered (rather than stream-decoded) because proxy
-		// mode re-sends it verbatim to the owning shard.
+		// The body is buffered (rather than stream-decoded) because a
+		// cluster shard re-sends it verbatim to the owning shard.
 		body, err := readBody(w, r)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
@@ -226,7 +225,7 @@ func newClusterHandler(svc *service.Service, cl *cluster) http.Handler {
 			// Every member agrees without talking: the ring is a function of
 			// the member list, the fingerprint of the request.
 			if shard = cl.ring.Route(adm.Fingerprint); shard != cl.self {
-				cl.forward(w, r, shard, body)
+				cl.forward(w, shard, body)
 				return
 			}
 			w.Header().Set("X-Dhisq-Shard", shard)

@@ -14,14 +14,14 @@ import (
 	"dhisq/internal/service"
 )
 
-// TestClusterProxyFollowUp pins the proxy-mode follow-up contract: a job
+// TestClusterProxyFollowUp pins the cluster follow-up contract: a job
 // submitted through a non-owner shard must remain reachable through that
 // same entry shard — plain poll, long-poll, and NDJSON stream — even
 // though the job lives on another shard's per-shard ID space. This was
 // broken before the owner table: the entry shard answered 404 for every
 // follow-up on a job it had itself proxied.
 func TestClusterProxyFollowUp(t *testing.T) {
-	urls, _, _ := testCluster(t, 3, true)
+	urls, _, _ := testCluster(t, 3)
 	ring, err := service.NewRing(urls)
 	if err != nil {
 		t.Fatal(err)
@@ -158,10 +158,9 @@ func TestForwardRelaysUpstreamHeaders(t *testing.T) {
 	}))
 	defer upstream.Close()
 
-	cl := &cluster{proxy: true, client: upstream.Client()}
+	cl := &cluster{client: upstream.Client()}
 	rec := httptest.NewRecorder()
-	r := httptest.NewRequest(http.MethodPost, "/v1/jobs", nil)
-	cl.forward(rec, r, upstream.URL, []byte(`{}`))
+	cl.forward(rec, upstream.URL, []byte(`{}`))
 
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("forward answered %d, want 202", rec.Code)

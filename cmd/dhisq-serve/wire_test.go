@@ -39,9 +39,16 @@ func TestUnknownFieldRejected(t *testing.T) {
 	}
 	// A field the wire once took and no longer does is refused the same
 	// way, not run as a default job.
-	code, answer = post(t, ts.URL, `{"bench":"dvqe","shots":2,"collective":"tree"}`)
-	if code != http.StatusBadRequest || !strings.Contains(answer, `unknown field \"collective\"`) {
-		t.Fatalf("retired field: status %d, answer %s; want 400 naming the field", code, answer)
+	for _, field := range []string{"collective", "router_ports"} {
+		code, answer = post(t, ts.URL, `{"bench":"dvqe","shots":2,"`+field+`":1}`)
+		if code != http.StatusBadRequest || !strings.Contains(answer, `unknown field \"`+field+`\"`) {
+			t.Fatalf("retired field %s: status %d, answer %s; want 400 naming the field", field, code, answer)
+		}
+	}
+	// So is a retired policy name, with the names that remain.
+	code, answer = post(t, ts.URL, `{"bench":"dvqe","shots":2,"placement":"rowmajor"}`)
+	if code != http.StatusBadRequest || !strings.Contains(answer, `(want identity, interaction)`) {
+		t.Fatalf("retired placement: status %d, answer %s; want 400 listing the policies", code, answer)
 	}
 	if code, answer = post(t, ts.URL, `{"bench":"dvqe","shots":2,"chips":2,"placement":"interaction"}`); code != http.StatusAccepted {
 		t.Fatalf("correct body: status %d, answer %s; want 202", code, answer)

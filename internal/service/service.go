@@ -69,6 +69,10 @@ type Config struct {
 	// restart-warm behavior independent of everything else in the process,
 	// which is what the in-process cluster and crash/restart tests need.
 	Artifacts *artifact.Cache
+	// IDPrefix is prepended to every job ID. IDs are a per-service
+	// counter, so the shards of a dhisq-serve cluster each set their own
+	// prefix to keep one shard's IDs from naming another shard's jobs.
+	IDPrefix string
 }
 
 // ErrQueueFull is returned by Submit when the bounded queue is at depth.
@@ -183,7 +187,7 @@ func (s *Service) Enqueue(a Admission) (string, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = machine.DeriveSeed(s.cfg.Seed, int(n))
 	}
-	id := fmt.Sprintf("job-%06d", n)
+	id := fmt.Sprintf("%sjob-%06d", s.cfg.IDPrefix, n)
 	j.st.ID, j.st.Seed = id, cfg.Seed
 	j.adm = a
 	select {
