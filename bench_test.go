@@ -58,7 +58,7 @@ func BenchmarkFig13TwoBoardSync(b *testing.B) {
 
 func BenchmarkFig14LongRangeCNOT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig14LongRange([]int{4, 16}, true, 1); err != nil {
+		if _, err := exp.Fig14LongRange([]int{4, 16}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -82,7 +82,7 @@ func BenchmarkFig15Runtime(b *testing.B) {
 
 func BenchmarkFig16Fidelity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig16Fidelity(0, 0, nil, 1)
+		res, err := exp.Fig16Fidelity(1)
 		if err != nil {
 			b.Fatal(err)
 		}

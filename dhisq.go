@@ -389,17 +389,15 @@ func Fig13() (Fig13Result, error) { return exp.Fig13SyncWaveforms() }
 
 // Fig14 sweeps long-range CNOT distance: dynamic constant depth versus
 // SWAP-routed linear depth.
-func Fig14(distances []int, runMachine bool, seed int64) (Fig14Result, error) {
-	return exp.Fig14LongRange(distances, runMachine, seed)
+func Fig14(distances []int, seed int64) (Fig14Result, error) {
+	return exp.Fig14LongRange(distances, seed)
 }
 
 // Fig15 reproduces the runtime comparison across the benchmark suite.
 func Fig15(opt Fig15Options) (Fig15Result, error) { return exp.Fig15Runtime(opt) }
 
 // Fig16 reproduces the infidelity-versus-T1 comparison.
-func Fig16(distance, repetitions int, t1us []float64, seed int64) (Fig16Result, error) {
-	return exp.Fig16Fidelity(distance, repetitions, t1us, seed)
-}
+func Fig16(seed int64) (Fig16Result, error) { return exp.Fig16Fidelity(seed) }
 
 // AblationRow compares Fig. 6 booking-in-advance against the as-needed
 // sync-immediately-before scheme (§2.1.3).

@@ -129,7 +129,7 @@ func TestPublicExperimentEntryPoints(t *testing.T) {
 	if !f13.DeltaConstant {
 		t.Fatal("Fig 13 drifted")
 	}
-	f14, err := Fig14([]int{2, 8}, false, 1)
+	f14, err := Fig14([]int{2, 8}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

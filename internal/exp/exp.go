@@ -139,7 +139,7 @@ func Registry() []Experiment {
 			return &Report{Rows: res, Gates: fig13Gates(res), Text: fig13Text(res)}, err
 		}},
 		{"fig14", func(a Args) (*Report, error) {
-			res, err := Fig14LongRange([]int{2, 4, 8, 16, 32}, true, a.Seed)
+			res, err := Fig14LongRange([]int{2, 4, 8, 16, 32}, a.Seed)
 			return &Report{Rows: res, Gates: fig14Gates(res.Points), Text: renderRows(res.Points, fig14Cols)}, err
 		}},
 		{"fig15", func(a Args) (*Report, error) {
@@ -152,7 +152,7 @@ func Registry() []Experiment {
 				"booking-in-advance (Fig. 6) vs sync-immediately-before (QubiC style, §2.1.3)\n"}, err
 		}},
 		{"fig16", func(a Args) (*Report, error) {
-			res, err := Fig16Fidelity(0, 0, nil, a.Seed)
+			res, err := Fig16Fidelity(a.Seed)
 			return &Report{Rows: res, Gates: fig16Gates(res), Text: fmt.Sprintf(
 				"makespans: bisp=%d cy, lockstep=%d cy, %d qubits\n", res.BISPMakespan, res.LockstepMakespan, res.Qubits) +
 				renderRows(res.Points, fig16Cols) + "paper: ~5x infidelity reduction across the T1 sweep\n"}, err

@@ -13,7 +13,7 @@ import (
 )
 
 func TestFig14MachineMakespans(t *testing.T) {
-	res, err := Fig14LongRange([]int{4, 12}, true, 2)
+	res, err := Fig14LongRange([]int{4, 12}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,9 @@ type Fig14Result struct {
 	Points []Fig14Point
 }
 
-// Fig14LongRange sweeps the control-target distance. runMachine additionally
-// executes both variants on the Distributed-HISQ machine (slower; tests can
-// disable it).
-func Fig14LongRange(distances []int, runMachine bool, seed int64) (Fig14Result, error) {
+// Fig14LongRange sweeps the control-target distance and executes both
+// variants on the Distributed-HISQ machine at each.
+func Fig14LongRange(distances []int, seed int64) (Fig14Result, error) {
 	if len(distances) == 0 {
 		distances = []int{2, 4, 8, 16, 32}
 	}
@@ -53,31 +52,28 @@ func Fig14LongRange(distances []int, runMachine bool, seed int64) (Fig14Result, 
 		sw.SwapRouteCNOT(0, dist, chain)
 		sw.MeasureInto(dist, 0)
 
-		p := Fig14Point{
+		w := (dyn.NumQubits + 1) / 2
+		cfg := machine.DefaultConfig(dyn.NumQubits)
+		cfg.Backend = machine.BackendStabilizer
+		cfg.Seed = seed
+		res, _, err := machine.RunCircuit(dyn, w, 2, nil, cfg)
+		if err != nil {
+			return out, fmt.Errorf("distance %d dynamic: %w", dist, err)
+		}
+		cfg2 := machine.DefaultConfig(sw.NumQubits)
+		cfg2.Backend = machine.BackendStabilizer
+		cfg2.Seed = seed
+		res2, _, err := machine.RunCircuit(sw, w, 2, nil, cfg2)
+		if err != nil {
+			return out, fmt.Errorf("distance %d swap: %w", dist, err)
+		}
+		out.Points = append(out.Points, Fig14Point{
 			Distance:     dist,
 			DynamicDepth: dyn.Depth(d),
 			SwapDepth:    sw.Depth(d),
-		}
-		if runMachine {
-			w := (dyn.NumQubits + 1) / 2
-			cfg := machine.DefaultConfig(dyn.NumQubits)
-			cfg.Backend = machine.BackendStabilizer
-			cfg.Seed = seed
-			res, _, err := machine.RunCircuit(dyn, w, 2, nil, cfg)
-			if err != nil {
-				return out, fmt.Errorf("distance %d dynamic: %w", dist, err)
-			}
-			p.DynamicMake = res.Makespan
-			cfg2 := machine.DefaultConfig(sw.NumQubits)
-			cfg2.Backend = machine.BackendStabilizer
-			cfg2.Seed = seed
-			res2, _, err := machine.RunCircuit(sw, w, 2, nil, cfg2)
-			if err != nil {
-				return out, fmt.Errorf("distance %d swap: %w", dist, err)
-			}
-			p.SwapMake = res2.Makespan
-		}
-		out.Points = append(out.Points, p)
+			DynamicMake:  res.Makespan,
+			SwapMake:     res2.Makespan,
+		})
 	}
 	return out, nil
 }

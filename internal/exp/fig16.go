@@ -36,26 +36,16 @@ type Fig16Result struct {
 // long-range CNOTs flow point-to-point in parallel, while the shared-flow
 // baseline serializes every result through the central controller.
 // Infidelity is accounted over the protocol's data qubits (the ancillas are
-// measured out and reset). At the defaults BISP reads 1.04e-2 at 300 µs to
-// 9.9e-2 at 30 µs, above the paper's 1e-3..1e-2 band, and the reduction
-// 2.93–3.25× against the paper's ~5×; ROADMAP.md item 1(c) asks why.
-func Fig16Fidelity(distance, repetitions int, t1us []float64, seed int64) (Fig16Result, error) {
-	if distance < 2 {
-		distance = 10
-	}
-	if repetitions < 1 {
-		repetitions = 2
-	}
-	if len(t1us) == 0 {
-		for t := 30.0; t <= 300; t += 30 {
-			t1us = append(t1us, t)
-		}
-	}
+// measured out and reset). With four lanes at distance 10, run twice, BISP
+// reads 1.04e-2 at 300 µs to 9.9e-2 at 30 µs, above the paper's 1e-3..1e-2
+// band, and the reduction 2.93–3.25× against the paper's ~5×; ROADMAP.md
+// item 1(c) asks why.
+func Fig16Fidelity(seed int64) (Fig16Result, error) {
 	// Independent simultaneous long-range CNOT lanes (Fig. 14 plus the
 	// simultaneous-feedback opportunity of §2.1.2), repeated. The lock-step
 	// baseline must serialize every lane's ancilla results through its
 	// central controller; BISP runs them concurrently.
-	const lanes = 4
+	const lanes, distance, repetitions = 4, 10, 2
 	logical := circuit.New(lanes * distance)
 	for rep := 0; rep < repetitions; rep++ {
 		for k := 0; k < lanes; k++ {
@@ -99,7 +89,7 @@ func Fig16Fidelity(distance, repetitions int, t1us []float64, seed int64) (Fig16
 		LockstepMakespan: bres.Makespan,
 		Qubits:           phys.NumQubits,
 	}
-	for _, t1 := range t1us {
+	for t1 := 30.0; t1 <= 300; t1 += 30 {
 		c := fidelity.Microseconds(t1)
 		bi := fidelity.ProgramInfidelity(res.Makespan, dataQubits, c)
 		li := fidelity.ProgramInfidelity(bres.Makespan, dataQubits, c)
