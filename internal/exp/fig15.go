@@ -18,7 +18,9 @@ type Fig15Row struct {
 	BISP     sim.Time    // makespan, cycles
 	Lockstep []Fig15Cell // one per baseline.Comparators row, in its order
 	// Floor is the circuit's depth under the machine's durations
-	// (circuit.Depth): no control stack can finish the shot sooner.
+	// (circuit.Depth). That is the all-branch depth, not a floor under the
+	// shot that ran: a shot that skips a conditioned op can finish sooner.
+	// ROADMAP item 11 replaces it with the taken-branch floor.
 	Floor     sim.Time
 	Feedbacks int      // conditioned operations
 	Syncs     sim.Time // total BISP sync stall cycles
@@ -151,7 +153,9 @@ const fig15PaperBound = 0.3
 //   - mean_normalized: the mean BISP / lock-step ratio against
 //     baseline.Hub is below 1.
 //   - bisp_below_floor: no row's BISP makespan is below its floor, the
-//     circuit's dependency depth; a break is a timing-model bug.
+//     circuit's all-branch depth. Control overhead keeps every row above
+//     it today, but a skipped branch could legitimately cross it, so a
+//     break is not by itself a timing-model bug (ROADMAP item 11).
 //   - lockstep_below_floor: no comparator's makespan is below its row's
 //     floor either.
 //   - paper_distance: |hub mean − 0.772| is within fig15PaperBound.
