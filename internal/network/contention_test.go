@@ -147,6 +147,38 @@ func TestTreeOnlyTopology(t *testing.T) {
 	}
 }
 
+// TestRegionSyncAgreesUnderQueueing: a region sync whose booking climbs and
+// broadcast share router ports with tree messages sent at the same moment
+// still gives every leaf the same common time-point, once — protocol
+// correctness survives contention.
+func TestRegionSyncAgreesUnderQueueing(t *testing.T) {
+	cfg := DefaultConfig(9)
+	cfg.MeshW, cfg.MeshH = 3, 3
+	cfg.LinkSerialization = 3
+	fab, eng, eps, log := fabricFor(t, cfg)
+	root := fab.Topo.Root
+	for i := range eps {
+		fab.BookRegion(i, root, 100+fab.RegionWindow(i, root), 100)
+	}
+	for i, m := range [][2]int{{0, 8}, {8, 0}, {2, 6}, {6, 2}, {0, 8}} {
+		fab.SendMessage(m[0], m[1], uint32(i), 100)
+	}
+	eng.Run(0)
+	for i, ep := range eps {
+		if len(ep.tms) != 1 || ep.tms[0] != eps[0].tms[0] {
+			t.Fatalf("leaf %d resumed at %v, leaf 0 at %v", i, ep.tms, eps[0].tms)
+		}
+	}
+	// A router's own booking or broadcast hop (A = -1) waited for a port.
+	routed := false
+	for _, e := range log.Events {
+		routed = routed || e.Kind == telf.NetStall && e.A < 0
+	}
+	if !routed {
+		t.Fatal("no hop of the sync queued at a router port")
+	}
+}
+
 // TestLinkBacklogDeliversEveryMessage: six messages sent at once on one
 // link all arrive, and the deepest backlog is the five queued behind the first.
 func TestLinkBacklogDeliversEveryMessage(t *testing.T) {
