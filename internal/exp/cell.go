@@ -45,8 +45,8 @@ func sweepCircuit(name string) (*circuit.Circuit, error) {
 }
 
 // hotspotCircuit builds the adversarial star workload: three rounds of
-// CNOTs from every data qubit into the last qubit — a hub the identity placement
-// parks in the mesh corner — then full measurement.
+// CNOTs from every data qubit into the last qubit — a hub the identity
+// placement parks in the mesh corner — then full measurement.
 func hotspotCircuit(n int) *circuit.Circuit {
 	c := circuit.New(n)
 	hub := n - 1

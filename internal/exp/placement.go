@@ -33,8 +33,8 @@ type PlacementPoint struct {
 
 // PlacementSweepWorkloads names the circuits the sweep runs. hotspot is
 // the adversarial star circuit — every data qubit talks to a hub that
-// the identity placement parks in the mesh corner — the workload the gates hold
-// the interaction placer to.
+// the identity placement parks in the mesh corner — the workload the gates
+// hold the interaction placer to.
 func PlacementSweepWorkloads() []string { return []string{"ghz", "qft", "bv", "hotspot"} }
 
 // PlacementSweep runs every workload under the identity and the
