@@ -2,16 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"dhisq/internal/service"
@@ -19,55 +18,19 @@ import (
 
 // cluster is one shard's view of a consistent-hash dhisq-serve cluster:
 // the ring every member builds identically from the -cluster list, this
-// process's own base URL, and the client that forwards submissions hashing
-// to another shard. nil means single-node (no routing at all).
+// process's own base URL, and each member's job-ID prefix. Routing is a
+// function of the request alone — a submission by its fingerprint, a
+// follow-up by its ID's prefix — so no shard remembers another's jobs.
+// nil means single-node (no routing at all).
 type cluster struct {
-	ring   *service.Ring
-	self   string
-	client *http.Client
-
-	// owners remembers which shard a proxied submission landed on, keyed
-	// by the job ID the owner returned. Job IDs are per-shard counters, so
-	// a follow-up GET for a proxied job cannot be re-derived from the ID —
-	// it must be looked up here and proxied to the recorded owner.
-	// Bounded FIFO: ownerOrder evicts the oldest entry past maxOwners.
-	mu         sync.Mutex
-	owners     map[string]string
-	ownerOrder []string
+	ring     *service.Ring
+	self     string
+	byPrefix map[string]string // shardPrefix(member) → member
 }
 
-// maxOwners bounds the proxied-job owner table; beyond it the oldest
-// mapping is forgotten (its follow-ups then 404 on the entry shard, same
-// as any retired job).
-const maxOwners = 16384
-
-// recordOwner remembers that job id lives on the given shard.
-func (c *cluster) recordOwner(id, owner string) {
-	if id == "" {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.owners == nil {
-		c.owners = make(map[string]string)
-	}
-	if _, dup := c.owners[id]; !dup {
-		c.ownerOrder = append(c.ownerOrder, id)
-		for len(c.ownerOrder) > maxOwners {
-			delete(c.owners, c.ownerOrder[0])
-			c.ownerOrder = c.ownerOrder[1:]
-		}
-	}
-	c.owners[id] = owner
-}
-
-// jobOwner reports the shard a proxied job id was recorded on ("" = not a
-// job this shard proxied; serve it locally or 404).
-func (c *cluster) jobOwner(id string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.owners[id]
-}
+// submitTimeout bounds a forwarded submission's whole exchange. A
+// forwarded read has no such bound: it lives as long as its reader.
+var submitTimeout = 5 * time.Minute
 
 // newCluster parses the -cluster/-self flags. An empty list means
 // single-node mode (nil cluster, no error). Members are base URLs; a bare
@@ -97,6 +60,16 @@ func newCluster(list, self string) (*cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A follow-up is routed by its ID's prefix, so two members with one
+	// prefix would hand out one ID and split its follow-ups between them.
+	byPrefix := make(map[string]string, len(members))
+	for _, m := range members {
+		p := shardPrefix(m)
+		if other, dup := byPrefix[p]; dup {
+			return nil, fmt.Errorf("-cluster members %s and %s share the job-ID prefix %s", other, m, p)
+		}
+		byPrefix[p] = m
+	}
 	if self == "" {
 		return nil, fmt.Errorf("-cluster requires -self (this shard's own entry in the list)")
 	}
@@ -107,22 +80,37 @@ func newCluster(list, self string) (*cluster, error) {
 	if !slices.Contains(members, selfN) {
 		return nil, fmt.Errorf("-self %s is not in -cluster %v", selfN, members)
 	}
-	return &cluster{
-		ring: ring, self: selfN,
-		client: &http.Client{Timeout: 5 * time.Minute},
-	}, nil
+	return &cluster{ring: ring, self: selfN, byPrefix: byPrefix}, nil
+}
+
+// shardPrefix is a member's job-ID prefix: eight hex digits of a hash of
+// its canonical URL.
+func shardPrefix(member string) string {
+	sum := sha256.Sum256([]byte(member))
+	return hex.EncodeToString(sum[:4])
 }
 
 // jobIDPrefix is the job-ID prefix of this shard's service ("" on a
-// single node): eight hex digits of a hash of its own URL. A forwarded
-// job keeps the ID its owner gave it, and the owner table routes follow-ups
-// by that ID, so no two shards may hand out the same one.
+// single node). Every member knows every other's, so an ID names the
+// shard that handed it out.
 func (c *cluster) jobIDPrefix() string {
 	if c == nil {
 		return ""
 	}
-	sum := sha256.Sum256([]byte(c.self))
-	return hex.EncodeToString(sum[:4]) + "-"
+	return shardPrefix(c.self) + "-"
+}
+
+// owner is the other member whose prefix job id carries: "" for this
+// shard's own IDs, for an ID no member hands out, and on a single node.
+func (c *cluster) owner(id string) string {
+	if c == nil {
+		return ""
+	}
+	p, _, _ := strings.Cut(id, "-")
+	if o := c.byPrefix[p]; o != c.self {
+		return o
+	}
+	return ""
 }
 
 // canonicalURL normalizes one shard spelling to scheme://host[:port].
@@ -140,71 +128,36 @@ func canonicalURL(s string) (string, error) {
 	return u.Scheme + "://" + u.Host, nil
 }
 
-// forward relays a misrouted submission to its owning shard: the shard
-// re-posts the body and relays the owner's response, so clients never see
-// the topology. X-Dhisq-Shard names the owner.
-func (c *cluster) forward(w http.ResponseWriter, owner string, body []byte) {
-	w.Header().Set("X-Dhisq-Shard", owner)
-	resp, err := c.client.Post(owner+"/v1/jobs", "application/json", bytes.NewReader(body))
+// relay is the one cluster hop. It re-sends r to owner — body, the
+// buffered copy of a submission, or r's path and query for a read (nil
+// body) — and copies the owner's headers, status and body back, flushing
+// after every write so long-poll answers and NDJSON lines reach the client
+// as the owner emits them. X-Dhisq-Shard names the owner. The hop carries
+// r's context, so a client that hangs up cancels it; a submission is also
+// bounded by submitTimeout.
+func relay(w http.ResponseWriter, r *http.Request, owner string, body []byte) {
+	ctx := r.Context()
+	if body != nil {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, submitTimeout)
+		defer cancel()
+	}
+	req, err := http.NewRequestWithContext(ctx, r.Method, owner+r.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
 		badGateway(w, owner, err)
 		return
 	}
-	defer resp.Body.Close()
-	// The body must be buffered anyway to learn the owner's job ID, so the
-	// follow-up table can route this job's polls and streams back there.
-	respBody, err := io.ReadAll(resp.Body)
-	if err != nil {
-		badGateway(w, owner, fmt.Errorf("read response: %w", err))
-		return
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	if resp.StatusCode == http.StatusAccepted {
-		var accepted struct {
-			ID string `json:"id"`
-		}
-		if json.Unmarshal(respBody, &accepted) == nil {
-			c.recordOwner(accepted.ID, owner)
-		}
-	}
-	// Relay the owner's headers wholesale (replace, not append, so our own
-	// pre-set X-Dhisq-Shard doesn't duplicate): the owner's Content-Type
-	// and any operational headers must survive the proxy hop.
-	for k, vv := range resp.Header {
-		w.Header()[k] = append([]string(nil), vv...)
-	}
-	w.WriteHeader(resp.StatusCode)
-	w.Write(respBody)
-}
-
-// badGateway answers 502 for a hop to owner that failed with err.
-func badGateway(w http.ResponseWriter, owner string, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadGateway)
-	fmt.Fprintf(w, `{"error":%q}`, fmt.Sprintf("proxy to %s: %v", owner, err))
-}
-
-// proxyRead relays a job follow-up (poll, long-poll, or NDJSON stream) to
-// the shard that owns the job, flushing after every chunk so streamed
-// lines reach the client as the owner emits them, not when the response
-// ends.
-func (c *cluster) proxyRead(w http.ResponseWriter, r *http.Request, owner string) {
-	target := owner + r.URL.Path
-	if r.URL.RawQuery != "" {
-		target += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, target, nil)
-	if err != nil {
-		badGateway(w, owner, err)
-		return
-	}
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		badGateway(w, owner, err)
 		return
 	}
 	defer resp.Body.Close()
 	for k, vv := range resp.Header {
-		w.Header()[k] = append([]string(nil), vv...)
+		w.Header()[k] = vv
 	}
 	w.Header().Set("X-Dhisq-Shard", owner)
 	w.WriteHeader(resp.StatusCode)
@@ -215,8 +168,15 @@ func (c *cluster) proxyRead(w http.ResponseWriter, r *http.Request, owner string
 	io.Copy(dst, resp.Body)
 }
 
+// badGateway answers 502 for a hop to owner that failed with err.
+func badGateway(w http.ResponseWriter, owner string, err error) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusBadGateway)
+	fmt.Fprintf(w, `{"error":%q}`, fmt.Sprintf("proxy to %s: %v", owner, err))
+}
+
 // flushWriter flushes after every Write, preserving the per-line latency
-// of a proxied NDJSON stream.
+// of a relayed NDJSON stream.
 type flushWriter struct {
 	w  io.Writer
 	fl http.Flusher

@@ -404,8 +404,9 @@ func getJobAt(t *testing.T, base, id string) jobBody {
 }
 
 // Flag-parsing contract of -cluster/-self: canonicalization adds
-// the http scheme and strips trailing slashes, self must be a member,
-// and the single-node path is a nil cluster, not an error.
+// the http scheme and strips trailing slashes, self must be a member, no
+// two members may share a job-ID prefix, and the single-node path is a
+// nil cluster, not an error.
 func TestNewClusterFlags(t *testing.T) {
 	cl, err := newCluster("", "")
 	if cl != nil || err != nil {
@@ -422,6 +423,11 @@ func TestNewClusterFlags(t *testing.T) {
 	}
 	if _, err := newCluster("a:1,a:1", "a:1"); err == nil {
 		t.Error("duplicate members accepted")
+	}
+	// Two members whose URLs hash to one job-ID prefix (731e0fdf) would
+	// hand out one ID twice.
+	if _, err := newCluster("http://10.0.206.75:8080,http://10.0.30.21:8081", "http://10.0.206.75:8080"); err == nil {
+		t.Error("members sharing a job-ID prefix accepted")
 	}
 	if _, err := newCluster("http://", "http://"); err == nil {
 		t.Error("hostless member accepted")

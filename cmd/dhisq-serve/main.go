@@ -43,11 +43,11 @@
 // parameterized jobs — so each circuit family is owned by one shard whose
 // cache, replica pool, and store stay hot on it. A submission landing on a
 // non-owner is forwarded to the owner server-side, and the client sees the
-// owner's answer. Job IDs are per-shard: the submit response's "shard"
-// field names the owner, which a client may poll directly. The entry shard
-// also remembers which shard each forwarded submission landed on and
-// proxies follow-up polls and streams there, so a client can talk to one
-// shard for the job's whole lifetime.
+// owner's answer. Job IDs are per-shard and start with a hash of their
+// owner's URL: the submit response's "shard" field names the owner, which a
+// client may poll directly, and any shard relays a follow-up poll or stream
+// to the owner its ID names, so a client can talk to one shard for the
+// job's whole lifetime.
 //
 // Submit a GHZ circuit and read its histogram:
 //
@@ -156,9 +156,9 @@ func newServer(addr string, h http.Handler) *http.Server {
 type jobBody struct {
 	service.JobStatus
 	// Shard is the base URL of the cluster shard that owns and ran this
-	// job (empty on a single-node daemon). Job IDs are per-shard, so
-	// clients poll the shard a submission reports, not the shard they
-	// happened to submit through.
+	// job (empty on a single-node daemon). Any shard relays a follow-up
+	// to the owner its ID names; polling the shard named here saves the
+	// hop.
 	Shard string `json:"shard,omitempty"`
 }
 
@@ -169,8 +169,9 @@ func newHandler(svc *service.Service) http.Handler {
 }
 
 // newClusterHandler is newHandler plus consistent-hash routing: with a
-// non-nil cluster, submissions that hash to another shard are forwarded
-// there, and every job response names its owning shard.
+// non-nil cluster, submissions that hash to another shard and follow-ups
+// whose ID carries another shard's prefix are relayed there, and every
+// job response names its owning shard.
 func newClusterHandler(svc *service.Service, cl *cluster) http.Handler {
 	mux := http.NewServeMux()
 
@@ -225,7 +226,7 @@ func newClusterHandler(svc *service.Service, cl *cluster) http.Handler {
 			// Every member agrees without talking: the ring is a function of
 			// the member list, the fingerprint of the request.
 			if shard = cl.ring.Route(adm.Fingerprint); shard != cl.self {
-				cl.forward(w, shard, body)
+				relay(w, r, shard, body)
 				return
 			}
 			w.Header().Set("X-Dhisq-Shard", shard)
@@ -265,18 +266,11 @@ func newClusterHandler(svc *service.Service, cl *cluster) http.Handler {
 		}
 		id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 		sid, isStream := strings.CutSuffix(id, "/stream")
-		if cl != nil {
-			lookup := id
-			if isStream {
-				lookup = sid
-			}
-			// A job this shard proxied at submit time lives on another
-			// shard under an ID that means nothing locally: route the
-			// follow-up (poll, long-poll, or stream) to the recorded owner.
-			if owner := cl.jobOwner(lookup); owner != "" && owner != cl.self {
-				cl.proxyRead(w, r, owner)
-				return
-			}
+		// An ID carrying another member's prefix is that member's job:
+		// relay the follow-up (poll, long-poll, or stream) there.
+		if owner := cl.owner(sid); owner != "" {
+			relay(w, r, owner, nil)
+			return
 		}
 		if isStream {
 			streamJob(w, r, svc, sid, withShard, writeErr)

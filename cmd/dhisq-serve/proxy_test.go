@@ -3,13 +3,16 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"dhisq/internal/service"
 )
@@ -17,9 +20,9 @@ import (
 // TestClusterProxyFollowUp pins the cluster follow-up contract: a job
 // submitted through a non-owner shard must remain reachable through that
 // same entry shard — plain poll, long-poll, and NDJSON stream — even
-// though the job lives on another shard's per-shard ID space. This was
-// broken before the owner table: the entry shard answered 404 for every
-// follow-up on a job it had itself proxied.
+// though the job lives on another shard's per-shard ID space. The entry
+// shard routes each follow-up by the owner's prefix on the ID; an ID
+// without a member's prefix is served locally, so an unknown one 404s.
 func TestClusterProxyFollowUp(t *testing.T) {
 	urls, _, _ := testCluster(t, 3)
 	ring, err := service.NewRing(urls)
@@ -146,9 +149,8 @@ func TestClusterProxyFollowUp(t *testing.T) {
 }
 
 // TestForwardRelaysUpstreamHeaders is the regression test for the
-// header-dropping bug: a proxied submission must carry every upstream
-// header through the hop (forward used to write only its own), and the
-// entry shard must record the owner for follow-up routing.
+// header-dropping bug: a relayed submission must carry every upstream
+// header through the hop (the hop once wrote only its own).
 func TestForwardRelaysUpstreamHeaders(t *testing.T) {
 	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Custom", "abc")
@@ -158,12 +160,11 @@ func TestForwardRelaysUpstreamHeaders(t *testing.T) {
 	}))
 	defer upstream.Close()
 
-	cl := &cluster{client: upstream.Client()}
 	rec := httptest.NewRecorder()
-	cl.forward(rec, upstream.URL, []byte(`{}`))
+	relay(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", nil), upstream.URL, []byte(`{}`))
 
 	if rec.Code != http.StatusAccepted {
-		t.Fatalf("forward answered %d, want 202", rec.Code)
+		t.Fatalf("relay answered %d, want 202", rec.Code)
 	}
 	if got := rec.Header().Get("X-Custom"); got != "abc" {
 		t.Fatalf("upstream X-Custom header lost in the proxy hop: %q", got)
@@ -177,9 +178,155 @@ func TestForwardRelaysUpstreamHeaders(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), `"id":"job-000007"`) {
 		t.Fatalf("upstream body not relayed: %q", rec.Body.String())
 	}
-	if got := cl.jobOwner("job-000007"); got != upstream.URL {
-		t.Fatalf("owner table recorded %q, want %q", got, upstream.URL)
+}
+
+// TestFollowUpOfJobNeverForwarded: a follow-up is routed by the owner's
+// prefix on the job ID, so a job posted straight to its owner is reachable
+// through every other shard — poll, long-poll and stream each answer 200
+// with the owner's own bytes — though no other shard ever saw it.
+func TestFollowUpOfJobNeverForwarded(t *testing.T) {
+	urls, _, _ := testCluster(t, 3)
+	ring, err := service.NewRing(urls)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sub := service.Submission{QASM: ghzSized(5), Request: service.Request{Shots: 10, Seed: 7}}
+	owner := ring.Route(routeKey(t, sub))
+	body, _ := json.Marshal(sub)
+	resp, err := http.Post(owner+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acc map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit to owner answered %d: %v", resp.StatusCode, acc)
+	}
+	id := acc["id"]
+	if st := getJobAt(t, owner, id); st.State != "done" {
+		t.Fatalf("job finished %q: %s", st.State, st.Err)
+	}
+
+	get := func(base, path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/jobs/" + id + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+	for _, path := range []string{"", "?wait=1", "/stream"} {
+		_, want := get(owner, path)
+		for _, via := range urls {
+			if via == owner {
+				continue
+			}
+			code, got := get(via, path)
+			if code != http.StatusOK || got != want {
+				t.Errorf("GET %s%s via %s: %d %q, want the owner's 200 %q", id, path, via, code, got, want)
+			}
+		}
+	}
+}
+
+// oneHopCluster is a -cluster entry shard whose only peer is upstream; id
+// is a job ID carrying upstream's prefix, so follow-ups for it are
+// relayed there.
+func oneHopCluster(t *testing.T, upstream *httptest.Server) (entry, id string) {
+	t.Helper()
+	svc := service.New(service.Config{Workers: 1, QueueDepth: 4})
+	t.Cleanup(svc.Close)
+	var handler http.Handler
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	cl, err := newCluster(ts.URL+","+upstream.URL, ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler = newClusterHandler(svc, cl)
+	return ts.URL, shardPrefix(upstream.URL) + "-job-000000"
+}
+
+// TestRelayedReadOutlivesSubmitBound: a relayed long-poll or stream lives
+// as long as its reader, however long the owner takes, while a relayed
+// submission stays bounded by submitTimeout. The bound is shortened here;
+// the owner answers the reads only after it has passed.
+func TestRelayedReadOutlivesSubmitBound(t *testing.T) {
+	defer func(d time.Duration) { submitTimeout = d }(submitTimeout)
+	submitTimeout = 50 * time.Millisecond
+	late := 4 * submitTimeout
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/stream") {
+			fmt.Fprintln(w, `{"point":{"index":0}}`)
+			w.(http.Flusher).Flush()
+		}
+		time.Sleep(late)
+		fmt.Fprintln(w, `{"job":{"state":"done"}}`)
+	}))
+	defer upstream.Close()
+	entry, id := oneHopCluster(t, upstream)
+
+	for _, path := range []string{"?wait=1", "/stream"} {
+		resp, err := http.Get(entry + "/v1/jobs/" + id + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !strings.HasSuffix(string(b), `{"job":{"state":"done"}}`+"\n") {
+			t.Errorf("relayed %s past the submit bound: %d %q %v", path, resp.StatusCode, b, err)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	relay(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", nil), upstream.URL, []byte(`{}`))
+	if rec.Code != http.StatusBadGateway {
+		t.Errorf("relayed submission past its bound answered %d, want 502", rec.Code)
+	}
+}
+
+// TestRelayCancelsUpstream: a reader that hangs up mid-hop cancels the
+// owner's side of it, instead of leaving the owner serving nobody.
+func TestRelayCancelsUpstream(t *testing.T) {
+	arrived, gone := make(chan struct{}), make(chan struct{})
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(arrived)
+		<-r.Context().Done()
+		close(gone)
+	}))
+	defer upstream.Close()
+	entry, id := oneHopCluster(t, upstream)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, entry+"/v1/jobs/"+id+"?wait=1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-arrived
+	cancel()
+	select {
+	case <-gone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the owner's request outlived the cancelled reader's")
+	}
+	<-done
 }
 
 // failingStreamWriter fails every Write past the first successful one —
