@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -13,17 +14,17 @@ import (
 	"strings"
 	"time"
 
-	"dhisq/internal/service"
+	"dhisq/internal/artifact"
 )
 
-// cluster is one shard's view of a consistent-hash dhisq-serve cluster:
-// the ring every member builds identically from the -cluster list, this
-// process's own base URL, and each member's job-ID prefix. Routing is a
-// function of the request alone — a submission by its fingerprint, a
-// follow-up by its ID's prefix — so no shard remembers another's jobs.
-// nil means single-node (no routing at all).
+// cluster is one shard's view of a dhisq-serve cluster: the -cluster
+// member list, this process's own base URL, and each member's job-ID
+// prefix. Routing is a function of the request alone — a submission by
+// its fingerprint (route), a follow-up by its ID's prefix (owner) — so
+// every member agrees without talking and no shard remembers another's
+// jobs. nil means single-node (no routing at all).
 type cluster struct {
-	ring     *service.Ring
+	members  []string // canonical URLs, in -cluster order
 	self     string
 	byPrefix map[string]string // shardPrefix(member) → member
 }
@@ -35,7 +36,7 @@ var submitTimeout = 5 * time.Minute
 // newCluster parses the -cluster/-self flags. An empty list means
 // single-node mode (nil cluster, no error). Members are base URLs; a bare
 // host:port gets an http:// scheme, and trailing slashes are dropped so
-// each member has exactly one canonical name — the ring hashes names, so
+// each member has exactly one canonical name — route hashes names, so
 // two spellings of one shard would split its keyspace.
 func newCluster(list, self string) (*cluster, error) {
 	if list == "" {
@@ -56,12 +57,9 @@ func newCluster(list, self string) (*cluster, error) {
 		}
 		members = append(members, n)
 	}
-	ring, err := service.NewRing(members)
-	if err != nil {
-		return nil, err
-	}
 	// A follow-up is routed by its ID's prefix, so two members with one
 	// prefix would hand out one ID and split its follow-ups between them.
+	// This also refuses a member listed twice.
 	byPrefix := make(map[string]string, len(members))
 	for _, m := range members {
 		p := shardPrefix(m)
@@ -80,7 +78,26 @@ func newCluster(list, self string) (*cluster, error) {
 	if !slices.Contains(members, selfN) {
 		return nil, fmt.Errorf("-self %s is not in -cluster %v", selfN, members)
 	}
-	return &cluster{ring: ring, self: selfN, byPrefix: byPrefix}, nil
+	return &cluster{members: members, self: selfN, byPrefix: byPrefix}, nil
+}
+
+// route is the member that owns fingerprint fp, by rendezvous hashing:
+// each member scores the key as the first 8 bytes of SHA-256(member ‖ fp),
+// and the highest score wins, a tie going to the smaller URL. The owner
+// depends on the member set, not its order, and removing a member moves
+// only the keys it owned, so the other shards' caches, pools and stores
+// stay valid.
+func (c *cluster) route(fp artifact.Fingerprint) string {
+	var best string
+	var bestScore uint64
+	for _, m := range c.members {
+		sum := sha256.Sum256(append([]byte(m), fp[:]...))
+		score := binary.BigEndian.Uint64(sum[:8])
+		if best == "" || score > bestScore || score == bestScore && m < best {
+			best, bestScore = m, score
+		}
+	}
+	return best
 }
 
 // shardPrefix is a member's job-ID prefix: eight hex digits of a hash of

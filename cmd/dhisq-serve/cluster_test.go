@@ -117,7 +117,7 @@ func storeServer(t *testing.T, dir string) (*httptest.Server, *service.Service, 
 	arts := artifact.New(32)
 	arts.SetStore(st)
 	svc := service.New(service.Config{Workers: 2, QueueDepth: 8, Artifacts: arts})
-	ts := httptest.NewServer(newHandler(svc))
+	ts := httptest.NewServer(newHandler(svc, nil))
 	return ts, svc, arts
 }
 
@@ -217,7 +217,7 @@ func TestCrashRestartStoreWarm(t *testing.T) {
 
 // testCluster builds an N-shard httptest cluster, each shard a full
 // daemon with its own service and private compile cache. The chicken/egg
-// (ring members are the URLs, URLs exist only after server creation) is
+// (cluster members are the URLs, URLs exist only after server creation) is
 // resolved by installing the real handlers after all servers are up —
 // exactly what a deployment does when it passes every shard the same
 // -cluster list at boot.
@@ -242,7 +242,7 @@ func testCluster(t *testing.T, n int) (urls []string, svcs []*service.Service, a
 		a := artifact.New(32)
 		svc := service.New(service.Config{Workers: 2, QueueDepth: 16, Artifacts: a, IDPrefix: cl.jobIDPrefix()})
 		t.Cleanup(svc.Close)
-		handlers[i] = newClusterHandler(svc, cl)
+		handlers[i] = newHandler(svc, cl)
 		svcs = append(svcs, svc)
 		arts = append(arts, a)
 	}
@@ -263,14 +263,11 @@ func ghzSized(n int) string {
 
 // After running mixed families twice each, all submitted through shard 0,
 // the cache work concentrates per shard: every job lands on its
-// ring-computed owner, which the submit response names, and every family
+// routed owner, which the submit response names, and every family
 // compiled exactly once cluster-wide, on its owner.
 func TestClusterRoutingConcentratesCache(t *testing.T) {
 	urls, svcs, arts := testCluster(t, 3)
-	ring, err := service.NewRing(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := clusterOf(t, urls)
 
 	// Mixed families: enough distinct structural keys that (with high
 	// probability) more than one shard owns work.
@@ -281,11 +278,11 @@ func TestClusterRoutingConcentratesCache(t *testing.T) {
 	owners := make([]string, len(families))
 	ownedBy := make(map[string]int)
 	for i, f := range families {
-		owners[i] = ring.Route(routeKey(t, f))
+		owners[i] = cl.route(routeKey(t, f))
 		ownedBy[owners[i]]++
 	}
 	if ownedBy[urls[0]] == len(families) {
-		t.Fatal("all 6 families hashed to shard 0 — ring balance is broken")
+		t.Fatal("all 6 families hashed to shard 0 — routing balance is broken")
 	}
 
 	for round := 0; round < 2; round++ {
@@ -304,7 +301,7 @@ func TestClusterRoutingConcentratesCache(t *testing.T) {
 				t.Fatalf("family %d round %d: %d (%v)", i, round, resp.StatusCode, acc)
 			}
 			if acc["shard"] != owners[i] {
-				t.Fatalf("family %d accepted by %q, ring says %q", i, acc["shard"], owners[i])
+				t.Fatalf("family %d accepted by %q, route says %q", i, acc["shard"], owners[i])
 			}
 			jr := getJobAt(t, acc["shard"], acc["id"])
 			if jr.State != "done" {
@@ -323,7 +320,7 @@ func TestClusterRoutingConcentratesCache(t *testing.T) {
 			t.Errorf("shard %d compiled %d families, owns %d — keys leaked across shards", i, got, want)
 		}
 		if ran, want := svcs[i].Stats().Completed, uint64(2*ownedBy[urls[i]]); ran != want {
-			t.Errorf("shard %d ran %d jobs, ring assigns %d", i, ran, want)
+			t.Errorf("shard %d ran %d jobs, route assigns %d", i, ran, want)
 		}
 	}
 }
@@ -332,10 +329,7 @@ func TestClusterRoutingConcentratesCache(t *testing.T) {
 // plain 202 whose "shard" field names the owner, and the job runs there.
 func TestClusterProxyRouting(t *testing.T) {
 	urls, svcs, _ := testCluster(t, 3)
-	ring, err := service.NewRing(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := clusterOf(t, urls)
 
 	// Find a family NOT owned by shard 0, so the submission must proxy.
 	var req service.Submission
@@ -343,13 +337,13 @@ func TestClusterProxyRouting(t *testing.T) {
 	for n := 3; n <= 12; n++ {
 		f := service.Submission{QASM: ghzSized(n), Request: service.Request{Shots: 10, Seed: 7}}
 		fp := routeKey(t, f)
-		if o := ring.Route(fp); o != urls[0] {
+		if o := cl.route(fp); o != urls[0] {
 			req, owner = f, o
 			break
 		}
 	}
 	if owner == "" {
-		t.Fatal("every probed family hashed to shard 0 — ring balance is broken")
+		t.Fatal("every probed family hashed to shard 0 — routing balance is broken")
 	}
 
 	body, _ := json.Marshal(req)
@@ -366,7 +360,7 @@ func TestClusterProxyRouting(t *testing.T) {
 		t.Fatalf("proxied submit answered %d: %v", resp.StatusCode, acc)
 	}
 	if acc["shard"] != owner {
-		t.Fatalf("proxied submit names shard %q, ring says %q", acc["shard"], owner)
+		t.Fatalf("proxied submit names shard %q, route says %q", acc["shard"], owner)
 	}
 	jr := getJobAt(t, owner, acc["id"])
 	if jr.State != "done" {
@@ -404,9 +398,9 @@ func getJobAt(t *testing.T, base, id string) jobBody {
 }
 
 // Flag-parsing contract of -cluster/-self: canonicalization adds
-// the http scheme and strips trailing slashes, self must be a member, no
-// two members may share a job-ID prefix, and the single-node path is a
-// nil cluster, not an error.
+// the http scheme and strips trailing slashes, a list needs a member and
+// self must be one, no two members may share a job-ID prefix, and the
+// single-node path is a nil cluster, not an error.
 func TestNewClusterFlags(t *testing.T) {
 	cl, err := newCluster("", "")
 	if cl != nil || err != nil {
@@ -420,6 +414,9 @@ func TestNewClusterFlags(t *testing.T) {
 	}
 	if _, err := newCluster("a:1,b:2", "c:3"); err == nil {
 		t.Error("-self outside the member list accepted")
+	}
+	if _, err := newCluster(",", "a:1"); err == nil {
+		t.Error("-cluster with no member accepted")
 	}
 	if _, err := newCluster("a:1,a:1", "a:1"); err == nil {
 		t.Error("duplicate members accepted")
@@ -441,7 +438,7 @@ func TestNewClusterFlags(t *testing.T) {
 	if cl.self != "http://b:2" {
 		t.Fatalf("canonicalized self %q", cl.self)
 	}
-	members := cl.ring.Members()
+	members := cl.members
 	if len(members) != 2 || members[0] != "http://a:1" || members[1] != "http://b:2" {
 		t.Fatalf("canonicalized members %v", members)
 	}
@@ -464,12 +461,12 @@ func TestClusterProxyOwnerDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler = newClusterHandler(svc, cl)
+	handler = newHandler(svc, cl)
 
 	for n := 3; n <= 12; n++ {
 		f := service.Submission{QASM: ghzSized(n), Request: service.Request{Shots: 5, Seed: 7}}
 		fp := routeKey(t, f)
-		if cl.ring.Route(fp) != dead {
+		if cl.route(fp) != dead {
 			continue
 		}
 		body, _ := json.Marshal(f)

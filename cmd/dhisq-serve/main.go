@@ -107,7 +107,7 @@ func main() {
 		Workers: *workers, QueueDepth: *queue,
 		ShotWorkers: *shotWorkers, Seed: *seed, IDPrefix: cl.jobIDPrefix(),
 	})
-	srv := newServer(*addr, newClusterHandler(svc, cl))
+	srv := newServer(*addr, newHandler(svc, cl))
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -162,17 +162,12 @@ type jobBody struct {
 	Shard string `json:"shard,omitempty"`
 }
 
-// newHandler builds the single-node JSON API over a running service
-// (separate from main so tests drive it through httptest).
-func newHandler(svc *service.Service) http.Handler {
-	return newClusterHandler(svc, nil)
-}
-
-// newClusterHandler is newHandler plus consistent-hash routing: with a
-// non-nil cluster, submissions that hash to another shard and follow-ups
-// whose ID carries another shard's prefix are relayed there, and every
-// job response names its owning shard.
-func newClusterHandler(svc *service.Service, cl *cluster) http.Handler {
+// newHandler builds the JSON API over a running service (separate from
+// main so tests drive it through httptest). A nil cluster is a single
+// node. With a cluster, submissions that route to another shard and
+// follow-ups whose ID carries another shard's prefix are relayed there,
+// and every job response names its owning shard.
+func newHandler(svc *service.Service, cl *cluster) http.Handler {
 	mux := http.NewServeMux()
 
 	writeJSON := func(w http.ResponseWriter, code int, v any) {
@@ -215,7 +210,7 @@ func newClusterHandler(svc *service.Service, cl *cluster) http.Handler {
 			return
 		}
 		// Resolved once: the admission that is validated here is what the
-		// ring routes on and what the service enqueues.
+		// cluster routes on and what the service enqueues.
 		adm, err := service.Resolve(sreq)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
@@ -223,9 +218,9 @@ func newClusterHandler(svc *service.Service, cl *cluster) http.Handler {
 		}
 		shard := ""
 		if cl != nil {
-			// Every member agrees without talking: the ring is a function of
-			// the member list, the fingerprint of the request.
-			if shard = cl.ring.Route(adm.Fingerprint); shard != cl.self {
+			// Every member agrees without talking: the owner is a function
+			// of the member list and the request's fingerprint.
+			if shard = cl.route(adm.Fingerprint); shard != cl.self {
 				relay(w, r, shard, body)
 				return
 			}

@@ -30,7 +30,7 @@ measure q[3] -> c[3];
 func newTestServer(t *testing.T) (*httptest.Server, *service.Service) {
 	t.Helper()
 	svc := service.New(service.Config{Workers: 2, QueueDepth: 8})
-	ts := httptest.NewServer(newHandler(svc))
+	ts := httptest.NewServer(newHandler(svc, nil))
 	t.Cleanup(func() { ts.Close(); svc.Close() })
 	return ts, svc
 }
@@ -211,7 +211,7 @@ func TestHealthAndStats(t *testing.T) {
 // /v1/stats reports both counters under their documented names.
 func TestStatsReportTape(t *testing.T) {
 	svc := service.New(service.Config{Workers: 1, ShotWorkers: 1, QueueDepth: 8})
-	ts := httptest.NewServer(newHandler(svc))
+	ts := httptest.NewServer(newHandler(svc, nil))
 	t.Cleanup(func() { ts.Close(); svc.Close() })
 	for i := 0; i < 2; i++ {
 		id, _ := postJob(t, ts, service.Submission{QASM: ghzQASM, Request: service.Request{Shots: 10, Seed: int64(3 + i)}})

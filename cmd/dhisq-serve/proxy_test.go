@@ -25,10 +25,7 @@ import (
 // without a member's prefix is served locally, so an unknown one 404s.
 func TestClusterProxyFollowUp(t *testing.T) {
 	urls, _, _ := testCluster(t, 3)
-	ring, err := service.NewRing(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := clusterOf(t, urls)
 
 	// Find a family owned by a shard other than shard 0, the entry shard.
 	var req service.Submission
@@ -36,13 +33,13 @@ func TestClusterProxyFollowUp(t *testing.T) {
 	for n := 3; n <= 8; n++ {
 		f := service.Submission{QASM: ghzSized(n), Request: service.Request{Shots: 10, Seed: 7}}
 		fp := routeKey(t, f)
-		if o := ring.Route(fp); o != urls[0] {
+		if o := cl.route(fp); o != urls[0] {
 			req, owner = f, o
 			break
 		}
 	}
 	if owner == "" {
-		t.Fatal("all families hashed to shard 0 — ring balance is broken")
+		t.Fatal("all families hashed to shard 0 — routing balance is broken")
 	}
 
 	// Submit through the entry shard: proxied transparently, answered 202
@@ -186,12 +183,9 @@ func TestForwardRelaysUpstreamHeaders(t *testing.T) {
 // with the owner's own bytes — though no other shard ever saw it.
 func TestFollowUpOfJobNeverForwarded(t *testing.T) {
 	urls, _, _ := testCluster(t, 3)
-	ring, err := service.NewRing(urls)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := clusterOf(t, urls)
 	sub := service.Submission{QASM: ghzSized(5), Request: service.Request{Shots: 10, Seed: 7}}
-	owner := ring.Route(routeKey(t, sub))
+	owner := cl.route(routeKey(t, sub))
 	body, _ := json.Marshal(sub)
 	resp, err := http.Post(owner+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -253,7 +247,7 @@ func oneHopCluster(t *testing.T, upstream *httptest.Server) (entry, id string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler = newClusterHandler(svc, cl)
+	handler = newHandler(svc, cl)
 	return ts.URL, shardPrefix(upstream.URL) + "-job-000000"
 }
 

@@ -65,7 +65,7 @@ func TestUnknownFieldRejected(t *testing.T) {
 func TestJobResponseBytesPinned(t *testing.T) {
 	// A private artifact cache: cache_hit must not depend on test order.
 	svc := service.New(service.Config{Workers: 1, Artifacts: artifact.New(4)})
-	ts := httptest.NewServer(newHandler(svc))
+	ts := httptest.NewServer(newHandler(svc, nil))
 	t.Cleanup(func() { ts.Close(); svc.Close() })
 	id, _ := postJob(t, ts, service.Submission{QASM: ghzQASM, Request: service.Request{Shots: 50, Seed: 11}})
 	fp := getJob(t, ts, id, true).Fingerprint
@@ -90,7 +90,7 @@ func TestJobResponseBytesPinned(t *testing.T) {
 // replacements (0 unless the deleted re-place loop was switched on) did.
 func TestStatsResponseBytesPinned(t *testing.T) {
 	svc := service.New(service.Config{Workers: 1, Artifacts: artifact.New(4)})
-	ts := httptest.NewServer(newHandler(svc))
+	ts := httptest.NewServer(newHandler(svc, nil))
 	t.Cleanup(func() { ts.Close(); svc.Close() })
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -132,7 +132,7 @@ func serveOn(t *testing.T, h http.Handler, headerTimeout time.Duration) string {
 func TestHalfOpenRequestIsClosed(t *testing.T) {
 	svc := service.New(service.Config{Workers: 1})
 	defer svc.Close()
-	addr := serveOn(t, newHandler(svc), 100*time.Millisecond)
+	addr := serveOn(t, newHandler(svc, nil), 100*time.Millisecond)
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -158,7 +158,7 @@ func TestLongPollOutlivesHeaderTimeout(t *testing.T) {
 	svc := service.New(service.Config{Workers: 1})
 	defer svc.Close()
 	const headerTimeout = 20 * time.Millisecond
-	base := "http://" + serveOn(t, newHandler(svc), headerTimeout)
+	base := "http://" + serveOn(t, newHandler(svc, nil), headerTimeout)
 
 	for shots := 400; ; shots *= 4 {
 		code, answer := post(t, base, `{"bench":"qft_n30","shots":`+strconv.Itoa(shots)+`,"seed":7}`)

@@ -45,35 +45,9 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 func (f Fingerprint) Short() string { return hex.EncodeToString(f[:6]) }
 
 // keyVersion is bumped whenever the encoding below (or the compiler's
-// input surface) changes shape, so stale fingerprints can never collide
-// across versions of the code. v2: topology kind and contention fields
-// joined the network-config section. v3: the placement policy name joined
-// the compiler options — the Place pass resolves nil mappings through the
-// named policy, so artifacts (and the replica pools keyed on them) from
-// different policies must never alias. v4: params are canonicalized (-0.0
-// hashes as +0.0 — the programs were always identical), symbolic
-// parameter names are hashed per op, and the structural-key variant
-// (params elided) joined the encoding, so a whole angle sweep shares one
-// skeleton fingerprint. v5: the schedule policy name joined the compiler
-// options — the Schedule pass resolves directives through the named
-// policy (internal/compiler's schedule registry), so artifacts from
-// different scheduling policies must never alias. v6: a second
-// feed-forward lowering's on/off option joined the compiler options — it
-// emitted different bit-distribution code, so artifacts compiled with it
-// on and off must never alias. v7: the Chips and EPRLatency
-// options joined the compiler options — the multi-chip expansion rewrites
-// the circuit and the EPR latency changes emitted waits, so artifacts from
-// different chip configurations must never alias (and replica pools keyed
-// on the fingerprint stay chip-homogeneous). v8: the AdvanceBooking option
-// is gone — Schedule "padded" always named the same thing — and its word
-// left the encoding. v9: PipeGuard became a compiler constant (nothing ever
-// set another value) and its word left the encoding too. v10: the link
-// queue cap is gone (only a test ever set it) and its word left the encoding.
-// v11: that second lowering is gone — the star lowering is the one
-// feed-forward path — and the v6 word left the encoding. v12: router port
-// sharing is gone (only a test ever set it) and its word left the encoding;
-// the policy names hashed are the resolved ones (machine.Normalize), so a
-// default program and its named-default twin share one key.
+// input surface) changes shape — a field joins or leaves it, or a hashed
+// value changes meaning — so stale fingerprints can never collide across
+// versions of the code. CHANGES.md records why each version was bumped.
 const keyVersion = 12
 
 // Key fingerprints a compilation request. Two requests share a key iff

@@ -255,3 +255,40 @@ func TestResolveBoundsJobShots(t *testing.T) {
 		}
 	}
 }
+
+// The fingerprint Resolve gives a submission — what -cluster routes on — is
+// bind-invariant and deterministic: every binding of one parameterized
+// family yields the same one, different circuit families yield different
+// ones, and it never depends on seeds or shot counts.
+func TestRouteKeyBindInvariant(t *testing.T) {
+	route := func(req Request) artifact.Fingerprint {
+		t.Helper()
+		a, err := Resolve(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Fingerprint
+	}
+	sweep := workloads.QFTSweep(4)
+	base := Request{Circuit: sweep, Shots: 10,
+		Params: workloads.QFTSweepPoint(4, 0)}
+	k1 := route(base)
+	other := base
+	other.Params = workloads.QFTSweepPoint(4, 3)
+	other.Shots = 999
+	other.Seed = 42
+	if route(other) != k1 {
+		t.Error("two bindings of one skeleton route to different keys")
+	}
+	asSweep := base
+	asSweep.Params, asSweep.Sweep = nil, []map[string]float64{workloads.QFTSweepPoint(4, 1)}
+	if route(asSweep) != k1 {
+		t.Error("a sweep of the skeleton routes away from its single bindings")
+	}
+	if route(Request{Circuit: workloads.GHZ(4), Shots: 10}) == k1 {
+		t.Error("distinct circuit families share a routing key")
+	}
+	if _, err := Resolve(Request{Shots: 1}); err == nil {
+		t.Error("Resolve accepted a nil circuit")
+	}
+}

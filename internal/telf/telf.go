@@ -210,33 +210,13 @@ type AlignmentReport struct {
 	Deltas []int64
 }
 
-// MaxAbsDelta returns the largest absolute misalignment, 0 for empty reports.
-func (r AlignmentReport) MaxAbsDelta() int64 {
-	var m int64
-	for _, d := range r.Deltas {
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// Aligned reports whether every pair committed within tol cycles.
-func (r AlignmentReport) Aligned(tol int64) bool { return r.MaxAbsDelta() <= tol }
-
 // CheckAlignment pairs the commit events of (nodeA, portA) with those of
 // (nodeB, portB) in order and reports their time deltas. Unpaired trailing
 // commits are ignored; Pairs reports how many were compared.
 func CheckAlignment(l *Log, nodeA, portA, nodeB, portB int) AlignmentReport {
 	a := l.Commits(nodeA, portA)
 	b := l.Commits(nodeB, portB)
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
 	r := AlignmentReport{Pairs: n, Deltas: make([]int64, n)}
 	for i := 0; i < n; i++ {
 		r.Deltas[i] = b[i].Time - a[i].Time

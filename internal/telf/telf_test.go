@@ -1,6 +1,7 @@
 package telf
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -85,21 +86,21 @@ func TestCommitsFilterAndSort(t *testing.T) {
 	}
 }
 
+// Deltas[i] is B's i-th commit time minus A's, signed, in commit order;
+// B's unpaired trailing commit is not compared.
 func TestCheckAlignment(t *testing.T) {
 	l := NewLog()
 	for i := int64(0); i < 3; i++ {
 		l.Add(Event{Time: 100 * (i + 1), Node: 0, Kind: CWCommit, A: 1, B: 7})
-		l.Add(Event{Time: 100*(i+1) + 55, Node: 1, Kind: CWCommit, A: 1, B: 5})
+		l.Add(Event{Time: 100*(i+1) + 55 - 30*i, Node: 1, Kind: CWCommit, A: 1, B: 5})
 	}
+	l.Add(Event{Time: 900, Node: 1, Kind: CWCommit, A: 1, B: 5})
 	rep := CheckAlignment(l, 0, 7, 1, 5)
 	if rep.Pairs != 3 {
 		t.Fatalf("pairs = %d", rep.Pairs)
 	}
-	if rep.MaxAbsDelta() != 55 {
-		t.Fatalf("max delta = %d", rep.MaxAbsDelta())
-	}
-	if !rep.Aligned(55) || rep.Aligned(54) {
-		t.Fatal("alignment tolerance logic broken")
+	if want := []int64{55, 25, -5}; !slices.Equal(rep.Deltas, want) {
+		t.Fatalf("deltas = %v, want %v", rep.Deltas, want)
 	}
 }
 

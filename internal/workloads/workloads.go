@@ -479,10 +479,3 @@ func buildSized(name string, div int) (Benchmark, error) {
 	}
 	return Benchmark{}, fmt.Errorf("workloads: unknown benchmark %q", name)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
