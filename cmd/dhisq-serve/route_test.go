@@ -52,6 +52,21 @@ func TestRouteOwnsEveryKey(t *testing.T) {
 	}
 }
 
+// A member list routes only if it names at least one member, every member
+// has a host, and no member appears twice: a member listed twice would
+// hand out job IDs under one prefix from two shards.
+func TestClusterRejectsBadMembers(t *testing.T) {
+	if _, err := newCluster(" , ", "http://a:1"); err == nil {
+		t.Error("list with no member accepted")
+	}
+	if _, err := newCluster("http://a:1,http://", "http://a:1"); err == nil {
+		t.Error("hostless member accepted")
+	}
+	if _, err := newCluster("http://a:1,http://b:2,a:1/", "http://a:1"); err == nil {
+		t.Error("duplicate member accepted")
+	}
+}
+
 // Routing is a pure function of the member set: two independently built
 // clusters — including one built from a permuted list, as different
 // processes may order their -cluster flag differently — agree on every
