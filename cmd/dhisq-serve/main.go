@@ -13,9 +13,12 @@
 //	                     declaration of every name ("seed", "mapping", "topo",
 //	                     "link_bw", "placement", "schedule", "chips",
 //	                     "epr_latency", "params", "sweep"), and
-//	                     service.Resolve is the one reading of them. A
+//	                     service.Resolve is the one reading of them
+//	                     (service.Admit memoises it for a body that repeats
+//	                     an earlier one but for "seed" and "shots"). A
 //	                     field that is not declared there is a 400 naming
-//	                     it, not a job run on defaults
+//	                     it, not a job run on defaults; a body over 16 MiB
+//	                     is a 413
 //	                     -> {"id": "job-000042", "state": "queued"}
 //	GET  /v1/jobs/{id}   poll a job; ?wait=1/true long-polls until it
 //	                     finishes, ?wait=0/false (or no wait) polls once;
@@ -196,22 +199,17 @@ func newHandler(svc *service.Service, cl *cluster) http.Handler {
 		// cluster shard re-sends it verbatim to the owning shard.
 		body, err := readBody(w, r)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeErr(w, code, fmt.Errorf("read body: %w", err))
 			return
 		}
-		sub, err := service.DecodeSubmission(body)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
-			return
-		}
-		sreq, err := sub.Build()
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		// Resolved once: the admission that is validated here is what the
+		// Admitted once: the admission that is validated here is what the
 		// cluster routes on and what the service enqueues.
-		adm, err := service.Resolve(sreq)
+		adm, err := svc.Admit(body)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return

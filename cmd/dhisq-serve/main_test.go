@@ -515,3 +515,23 @@ func TestReadBody(t *testing.T) {
 		t.Fatal("a body over the cap was read without error")
 	}
 }
+
+// A body over maxSubmitBytes is a 413 naming the cap, not a 400.
+func TestOversizedBodyIs413(t *testing.T) {
+	ts, svc := newTestServer(t)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(make([]byte, maxSubmitBytes+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(out["error"], "request body too large") {
+		t.Fatalf("oversized body: %d %q, want 413 naming the cap", resp.StatusCode, out["error"])
+	}
+	if st := svc.Stats(); st.Submitted != 0 {
+		t.Fatalf("oversized body admitted %d jobs", st.Submitted)
+	}
+}

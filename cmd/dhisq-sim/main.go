@@ -253,8 +253,8 @@ func submitRemote(base string, sub service.Submission) (service.JobStatus, error
 	}
 	// Cluster mode: the shard we submitted through forwarded this
 	// submission to its owner server-side, and the owner's response names
-	// itself. Job IDs are per-shard, so the poll goes to the owner directly
-	// rather than back through the proxy hop.
+	// itself. Any shard would relay the poll to the owner its job ID's
+	// prefix names; polling the owner directly saves that hop.
 	if submitted.Shard != "" {
 		base = submitted.Shard
 	}

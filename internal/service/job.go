@@ -66,7 +66,9 @@ type JobStatus struct {
 // index order, but a stream delivers points in completion order, and
 // under multiple shot workers that is not submission order.
 type PointStatus struct {
-	Index     int                `json:"index"`
+	Index int `json:"index"`
+	// Params is the submission's own map, shared with every job admitted
+	// from the same body: read it, never write it.
 	Params    map[string]float64 `json:"params"`
 	Histogram runner.Histogram   `json:"histogram"`
 	Makespan  int64              `json:"makespan_cycles"`
@@ -84,7 +86,7 @@ type job struct {
 	// adm is the resolved submission — request, run spec (the parsed
 	// circuit, ~300 KB for a 30-qubit QFT) and fingerprint. It belongs to the
 	// worker: finish drops it, so the MaxRetainedJobs finished jobs kept for
-	// polling retain results only.
+	// polling retain results only (Admit's memo keeps its own bounded share).
 	adm Admission
 
 	mu sync.Mutex

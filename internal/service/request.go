@@ -175,20 +175,19 @@ const MaxJobShots = 1 << 20
 // machine config (Cfg, else DefaultConfig), every check made — option
 // ranges, policy names, parameter bindings — the config normalized by
 // machine.Normalize (mesh defaulted and grown for a multi-chip expansion,
-// backend and EPR latency resolved), and the result fingerprinted. The
-// daemon, dhisq-sim's in-process run and cluster routing all start here, so
-// a shard, a router and the CLI can never disagree about what a request
-// means, whether it is valid, or which program it names. Spec.Cfg.Seed is
-// the request's (0 = not chosen yet; Enqueue derives one).
+// backend and EPR latency resolved), and the result fingerprinted.
+// dhisq-sim's in-process run and client-side check call it directly, and
+// the daemon through Service.Admit, whose memo only ever hands back what
+// Resolve returned for the same body, so a shard, a router and the CLI can
+// never disagree about what a request means, whether it is valid, or which
+// program it names. Spec.Cfg.Seed is the request's (0 = not chosen yet;
+// Enqueue derives one).
 func Resolve(req Request) (Admission, error) {
 	if req.Circuit == nil {
 		return Admission{}, fmt.Errorf("service: nil circuit")
 	}
-	if req.Shots < 1 {
-		return Admission{}, fmt.Errorf("service: shots %d < 1", req.Shots)
-	}
-	if points := max(1, len(req.Sweep)); req.Shots > MaxJobShots/points {
-		return Admission{}, fmt.Errorf("service: %d shots × %d sweep points exceeds MaxJobShots (%d)", req.Shots, points, MaxJobShots)
+	if err := checkShots(req.Shots, len(req.Sweep)); err != nil {
+		return Admission{}, err
 	}
 	var cfg machine.Config
 	if req.Cfg != nil {
@@ -247,6 +246,19 @@ func Resolve(req Request) (Admission, error) {
 			Mapping: req.Mapping, Cfg: cfg,
 		},
 	}, nil
+}
+
+// checkShots is Resolve's one per-job check that reads nothing but the shot
+// count and the number of sweep points, so an admission memo hit, which
+// changes only the shots and the seed, re-runs it and nothing else.
+func checkShots(shots, sweepPoints int) error {
+	if shots < 1 {
+		return fmt.Errorf("service: shots %d < 1", shots)
+	}
+	if points := max(1, sweepPoints); shots > MaxJobShots/points {
+		return fmt.Errorf("service: %d shots × %d sweep points exceeds MaxJobShots (%d)", shots, points, MaxJobShots)
+	}
+	return nil
 }
 
 // validateParams rejects malformed parameter bindings at admission,

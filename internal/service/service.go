@@ -93,6 +93,7 @@ type Service struct {
 	closed   bool
 	stats    Stats
 	pool     *replicaPool // its own lock; never taken with mu held
+	memo     admitMemo    // Admit's; its own lock
 
 	wg sync.WaitGroup
 }
