@@ -11,8 +11,8 @@
 //	                     body is a service.Submission: its fields — and
 //	                     service.Request's, which it embeds — are the one
 //	                     declaration of every name ("seed", "mapping", "topo",
-//	                     "link_bw", "placement", "schedule", "chips",
-//	                     "epr_latency", "params", "sweep"), and
+//	                     "link_bw", "placement", "chips", "params",
+//	                     "sweep"), and
 //	                     service.Resolve is the one reading of them
 //	                     (service.Admit memoises it for a body that repeats
 //	                     an earlier one but for "seed" and "shots"). A

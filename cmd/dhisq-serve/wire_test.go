@@ -39,7 +39,7 @@ func TestUnknownFieldRejected(t *testing.T) {
 	}
 	// A field the wire once took and no longer does is refused the same
 	// way, not run as a default job.
-	for _, field := range []string{"collective", "router_ports"} {
+	for _, field := range []string{"collective", "router_ports", "schedule", "epr_latency"} {
 		code, answer = post(t, ts.URL, `{"bench":"dvqe","shots":2,"`+field+`":1}`)
 		if code != http.StatusBadRequest || !strings.Contains(answer, `unknown field \"`+field+`\"`) {
 			t.Fatalf("retired field %s: status %d, answer %s; want 400 naming the field", field, code, answer)
@@ -61,7 +61,8 @@ func TestUnknownFieldRejected(t *testing.T) {
 // The job response is service.JobStatus encoded as it stands. This is the
 // body the daemon produced for this job before JobStatus carried the wire
 // names (jobResponse + toResponse): same fields, same order, same omitted
-// zeros — only the fingerprint's value moved, with keyVersion.
+// zeros — only the fingerprint's value moved, with keyVersion, and the
+// "schedule" echo left with the schedule option.
 func TestJobResponseBytesPinned(t *testing.T) {
 	// A private artifact cache: cache_hit must not depend on test order.
 	svc := service.New(service.Config{Workers: 1, Artifacts: artifact.New(4)})
@@ -76,7 +77,7 @@ func TestJobResponseBytesPinned(t *testing.T) {
 	defer resp.Body.Close()
 	got, _ := io.ReadAll(resp.Body)
 	want := `{"id":"` + id + `","state":"done","shots":50,"seed":11,"fingerprint":"` + fp +
-		`","cache_hit":false,"batched":false,"mesh_w":2,"mesh_h":2,"placement":"identity","schedule":"fixed",` +
+		`","cache_hit":false,"batched":false,"mesh_w":2,"mesh_h":2,"placement":"identity",` +
 		`"makespan_cycles":129,"histogram":{"0000":27,"1111":23}}` + "\n"
 	if string(got) != want {
 		t.Fatalf("job response moved:\n got %swant %s", got, want)

@@ -11,11 +11,13 @@
 // circuit; dhisq-sim long-polls the job and prints its histogram.
 //
 // The job is a service.Submission in both modes: its per-job option flags
-// (-topo -link-bw -placement -schedule -chips -epr-latency)
-// are declared by service.Request.RegisterFlags, the struct marshals as
+// (-topo -link-bw -placement -chips) are declared by
+// service.Request.RegisterFlags, the struct marshals as
 // the POST body, and service.Resolve validates it — locally
 // before a local run, and locally again before anything is posted — so the
-// two modes accept, reject and run the same thing.
+// two modes accept, reject and run the same thing. The booking-advance
+// ablation is dhisq-bench -exp ablation, and the EPR-latency sweep
+// dhisq-bench -exp remote: neither is a per-job option.
 //
 // Usage:
 //
@@ -24,7 +26,6 @@
 //	dhisq-sim -shots 100 -workers 4 ...  multi-shot execution
 //	dhisq-sim -topo torus -link-bw 4 ..  alternate topology + finite link bandwidth
 //	dhisq-sim -placement interaction ..  interaction-aware qubit placement
-//	dhisq-sim -schedule padded ..        ablate advance-booked scheduling
 //	dhisq-sim -bind theta0=0.5,phi=1 ..  bind a parameterized circuit's angles
 //	dhisq-sim -serve http://host:8080 .. submit to a dhisq-serve daemon
 //	dhisq-sim -list                      list benchmark names
@@ -280,9 +281,6 @@ func printJob(job service.JobStatus, elapsed time.Duration) {
 		job.State, job.Seed, job.CacheHit, job.Batched)
 	if job.MeshW > 0 && job.MeshH > 0 {
 		fmt.Printf("placement:     %s on %dx%d mesh\n", job.Placement, job.MeshW, job.MeshH)
-	}
-	if job.Schedule != "" {
-		fmt.Printf("schedule:      %s\n", job.Schedule)
 	}
 	if len(job.Mapping) > 0 {
 		fmt.Printf("mapping:       %v\n", job.Mapping)

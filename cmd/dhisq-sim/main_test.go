@@ -32,10 +32,8 @@ var invalidSubmissions = []struct {
 }{
 	{"topology", dvqe(service.Request{Topo: "hypercube"}), "topology"},
 	{"placement", dvqe(service.Request{Placement: "bogus-policy"}), "placement"},
-	{"schedule", dvqe(service.Request{Schedule: "bogus-sched"}), "schedul"},
 	{"link-bw", dvqe(service.Request{LinkBW: -3}), "link_bw"},
 	{"chips", dvqe(service.Request{Chips: -1}), "negative chip count -1"},
-	{"epr-latency", dvqe(service.Request{Chips: 2, EPRLatency: -40}), "negative EPR latency -40"},
 	{"chips-exceed-qubits", dvqe(service.Request{Chips: 17}), "17 chips exceed 16 qubits"},
 	{"chips-with-mapping", service.Submission{Bench: "bv_n400", Scale: 16, Request: service.Request{Shots: 1, Chips: 2}}, "explicit mapping"},
 	{"shots", service.Submission{Bench: "dvqe"}, "shots 0 < 1"},
@@ -84,8 +82,7 @@ func TestSubmitRemoteValidFlagsReachNetwork(t *testing.T) {
 		Bench: "dvqe", Scale: 2,
 		Request: service.Request{
 			Shots: 4, Seed: 7, Topo: "torus", LinkBW: 4,
-			Placement: "interaction", Schedule: "padded",
-			Chips: 2, EPRLatency: 150,
+			Placement: "interaction", Chips: 2,
 		},
 	})
 	if err == nil {
@@ -99,12 +96,12 @@ func TestSubmitRemoteValidFlagsReachNetwork(t *testing.T) {
 // TestFlagSetPinned: routing the option flags through
 // service.Request.RegisterFlags must not move dhisq-sim's command line —
 // these are the names and defaults of the flags before it did, less
-// -router-ports, which left with router port sharing.
+// -router-ports, which left with router port sharing, and -schedule and
+// -epr-latency, which left the wire with their job options.
 func TestFlagSetPinned(t *testing.T) {
 	want := map[string]string{
 		"qasm": "", "bench": "", "scale": "1", "seed": "1", "shots": "1", "workers": "0",
-		"topo": "mesh", "link-bw": "0", "placement": "", "schedule": "",
-		"chips": "0", "epr-latency": "0",
+		"topo": "mesh", "link-bw": "0", "placement": "", "chips": "0",
 		"bind": "", "serve": "", "list": "false",
 	}
 	fs := flag.NewFlagSet("dhisq-sim", flag.ContinueOnError)
@@ -116,28 +113,25 @@ func TestFlagSetPinned(t *testing.T) {
 	}
 }
 
-// daemonStandIn speaks dhisq-serve's two job endpoints over a real service:
-// decode the Submission, Build, Submit; long-poll and encode the JobStatus.
-// (The daemon's own handler lives in another package main; what this test
-// needs from it is exactly the shared declaration, which is all this is.)
+// daemonStandIn speaks dhisq-serve's two job endpoints over a real service
+// as the daemon's handler does: Admit the body, Enqueue the admission, and
+// answer a refusal with a 400 carrying {"error": ...}; long-poll and encode
+// the JobStatus. (The daemon's own handler lives in another package main;
+// what this test needs from it is exactly the shared admission, which is
+// all this is.)
 func daemonStandIn(t *testing.T) *httptest.Server {
 	svc := service.New(service.Config{Workers: 1, ShotWorkers: 2})
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
-		sub, err := service.DecodeSubmission(body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+		adm, err := svc.Admit(body)
+		var id string
+		if err == nil {
+			id, err = svc.Enqueue(adm)
 		}
-		req, err := sub.Build()
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		id, err := svc.Submit(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			w.WriteHeader(http.StatusBadRequest)
+			json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 			return
 		}
 		w.WriteHeader(http.StatusAccepted)
@@ -154,9 +148,19 @@ func daemonStandIn(t *testing.T) *httptest.Server {
 
 // TestLocalMatchesServe is the sequential-equals-distributed obligation for
 // the CLI: one Submission, run in-process and through a daemon, gives the
-// same histogram, makespan, mesh and mapping.
+// same histogram, makespan, mesh and mapping. A body the daemon's admission
+// refuses comes back as its 400, decoder prefix and all.
 func TestLocalMatchesServe(t *testing.T) {
 	ts := daemonStandIn(t)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"bench":"dvqe","shots":2,"schedule":"padded"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refusal, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := `bad JSON: json: unknown field \"schedule\"`; resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(refusal), want) {
+		t.Fatalf("retired field: status %d, answer %s; want 400 containing %s", resp.StatusCode, refusal, want)
+	}
 	subs := map[string]service.Submission{
 		"ghz": {QASM: "qreg q[4]; creg c[4]; h q[0]; cx q[0],q[1]; cx q[1],q[2]; cx q[2],q[3]; measure q[0] -> c[0]; measure q[1] -> c[1]; measure q[2] -> c[2]; measure q[3] -> c[3];",
 			Request: service.Request{Shots: 50, Seed: 11}},

@@ -251,7 +251,9 @@ func PlacementPolicies() []string { return placement.Names() }
 type JobService = service.Service
 
 // JobConfig parameterizes a JobService (workers, queue depth, per-job
-// shot fan-out, base seed, replica-pool budget).
+// shot fan-out, base seed, artifact cache, job-ID prefix). The service's
+// memory bounds are constants, not fields: 4 warm replicas per worker,
+// 4096 retained finished jobs, 4096 points per sweep.
 type JobConfig = service.Config
 
 // JobRequest is one submission: circuit, placement, shot count and an
@@ -312,8 +314,7 @@ func AttachArtifactStore(dir string, maxBytes int64) error {
 // baseline (§6.4.3) with a seeded outcome source and the default machine's
 // timing, and returns its makespan in cycles.
 func Lockstep(c *Circuit, seed int64) (sim.Time, error) {
-	cfg := machine.DefaultConfig(c.NumQubits)
-	res, err := baseline.Run(c, baseline.Hub, chip.NewSeeded(seed), cfg.Durations, cfg.MeasLatency)
+	res, err := baseline.Run(c, baseline.Hub, chip.NewSeeded(seed))
 	if err != nil {
 		return 0, err
 	}

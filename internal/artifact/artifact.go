@@ -47,8 +47,11 @@ func (f Fingerprint) Short() string { return hex.EncodeToString(f[:6]) }
 // keyVersion is bumped whenever the encoding below (or the compiler's
 // input surface) changes shape — a field joins or leaves it, or a hashed
 // value changes meaning — so stale fingerprints can never collide across
-// versions of the code. CHANGES.md records why each version was bumped.
-const keyVersion = 12
+// versions of the code. CHANGES.md records why each version was bumped;
+// 13 dropped the three operation times and the measurement latency, which
+// are constants of the compiler and chip now, and hashes the schedule as
+// the Padded bit where 12 hashed its policy name.
+const keyVersion = 13
 
 // Key fingerprints a compilation request. Two requests share a key iff
 // the compiler is guaranteed to produce identical output for both: the
@@ -144,16 +147,12 @@ func Key(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Opt
 	wi(int64(net.LinkSerialization))
 
 	// Compiler options.
-	wi(opt.Durations.OneQubit)
-	wi(opt.Durations.TwoQubit)
-	wi(opt.Durations.Measure)
-	wi(int64(opt.MeasLatency))
 	wi(int64(opt.Root))
 	wi(int64(opt.Controllers))
 	wb(opt.InitialBarrier)
-	// Placement and schedule policies: length-prefixed name bytes.
+	// Placement policy: length-prefixed name bytes.
 	ws(opt.Placement)
-	ws(opt.Schedule)
+	wb(opt.Padded)
 	// Multi-chip expansion inputs (keyVersion 7).
 	wi(int64(opt.Chips))
 	wi(int64(opt.EPRLatency))

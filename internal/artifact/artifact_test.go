@@ -75,9 +75,9 @@ func TestKeyDiscriminates(t *testing.T) {
 
 // TestKeyCoversEveryOption is the guard that makes "add a compiler.Options
 // or network.Config field" impossible to do without hashing it: every leaf
-// field of both structs (recursing into Durations) is perturbed in turn, and
-// both kinds of Key (full and structural) must move. A field that really must not be
-// hashed goes on the exempt list with its reason.
+// field of both structs (recursing into nested structs) is perturbed in
+// turn, and both kinds of Key (full and structural) must move. A field that
+// really must not be hashed goes on the exempt list with its reason.
 func TestKeyCoversEveryOption(t *testing.T) {
 	exempt := map[string]string{} // "Options.Field" -> why it is not hashed
 

@@ -65,10 +65,10 @@ type Result struct {
 
 // Run executes the circuit under cmp's lock-step semantics, drawing
 // outcomes from backend (the BISP run's seeded source, for identical
-// branches), with the durations d and measurement latency measLatency
-// (measurement start to the result latched at its own controller) of the
-// machine configuration the BISP side was built from.
-func Run(c *circuit.Circuit, cmp Comparator, backend chip.Backend, d circuit.Durations, measLatency sim.Time) (Result, error) {
+// branches), with the operation times and measurement latency (measurement
+// start to the result latched at its own controller) the BISP side's chip
+// charges: circuit.PaperDurations and chip.MeasLatency.
+func Run(c *circuit.Circuit, cmp Comparator, backend chip.Backend) (Result, error) {
 	if err := c.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -80,6 +80,7 @@ func Run(c *circuit.Circuit, cmp Comparator, backend chip.Backend, d circuit.Dur
 	bits := make([]int, c.NumBits)
 	var watermark sim.Time // global flow position: decisions gate everything
 	var busUntil sim.Time  // the central controller's broadcast bus
+	d := circuit.PaperDurations()
 	res := Result{Bits: bits}
 
 	for _, op := range c.Ops {
@@ -121,7 +122,7 @@ func Run(c *circuit.Circuit, cmp Comparator, backend chip.Backend, d circuit.Dur
 		if op.Kind == circuit.Measure {
 			bits[op.CBit] = out
 			// Result latched locally, then broadcast via the central node.
-			latched := start + measLatency
+			latched := start + chip.MeasLatency
 			if cmp.hub {
 				// The star topology has one hub: simultaneous results
 				// serialize on its bus.

@@ -7,15 +7,11 @@ import (
 
 	"dhisq/internal/chip"
 	"dhisq/internal/circuit"
-	"dhisq/internal/machine"
 )
-
-// paper is the machine configuration every test's BISP side would use.
-var paper = machine.DefaultConfig(4)
 
 func run(t *testing.T, c *circuit.Circuit, cmp Comparator, backend chip.Backend) Result {
 	t.Helper()
-	res, err := Run(c, cmp, backend, paper.Durations, paper.MeasLatency)
+	res, err := Run(c, cmp, backend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +52,7 @@ func TestRunRefuses(t *testing.T) {
 		{"invalid circuit", bad, chip.NewSeeded(1), "qubit"},
 		{"nil backend", ok, nil, "baseline: nil backend"},
 	} {
-		_, err := Run(tc.c, Hub, tc.backend, paper.Durations, paper.MeasLatency)
+		_, err := Run(tc.c, Hub, tc.backend)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
 		}
@@ -68,8 +64,8 @@ func TestDeterministicOpsOverlap(t *testing.T) {
 	c := circuit.New(4)
 	c.H(0).H(1).H(2).H(3)
 	res := run(t, c, Hub, chip.NewSeeded(1))
-	if res.Makespan != paper.Durations.OneQubit {
-		t.Fatalf("makespan = %d, want %d", res.Makespan, paper.Durations.OneQubit)
+	if one := circuit.PaperDurations().OneQubit; res.Makespan != one {
+		t.Fatalf("makespan = %d, want %d", res.Makespan, one)
 	}
 }
 
@@ -80,7 +76,7 @@ func TestConditionalWaitsForBroadcast(t *testing.T) {
 	c.CondGate(circuit.X, circuit.Condition{Bits: []int{b}, Parity: 1}, 1)
 	res := run(t, c, Hub, chip.NewSeeded(1))
 	// X(5) + measure start at 5, latched at 5+80, broadcast +10, then X(5).
-	want := 5 + paper.MeasLatency + Broadcast + 5
+	want := 5 + chip.MeasLatency + Broadcast + 5
 	if res.Makespan != want {
 		t.Fatalf("makespan = %d, want %d", res.Makespan, want)
 	}

@@ -112,10 +112,6 @@ type Model struct {
 	tables  [][]TableEntry
 	deliver ResultDelivery
 
-	// MeasLatency is the delay from the measurement trigger commit to the
-	// result being available at the controller (window + discrimination).
-	MeasLatency sim.Time
-
 	// EPRLatency is the duration an inter-chip EPR-pair generation occupies
 	// its two communication qubits (attempt + heralding window). Zero falls
 	// back to the two-qubit gate duration.
@@ -132,7 +128,6 @@ type Model struct {
 	// commit during another operation's window is an overlap violation.
 	// Indexed by qubit, grown on demand; zero means free.
 	busyUntil []sim.Time
-	durations circuit.Durations
 
 	Gates        uint64
 	Measurements uint64
@@ -159,14 +154,16 @@ type pendingHalf struct {
 	at    sim.Time
 }
 
-// New builds a chip model bound to the engine.
-func New(eng *sim.Engine, backend Backend, durations circuit.Durations, measLatency sim.Time) *Model {
-	return &Model{
-		eng:         eng,
-		backend:     backend,
-		MeasLatency: measLatency,
-		durations:   durations,
-	}
+// MeasLatency is the delay in cycles from a measurement trigger's commit
+// to its result being available at the controller: the §6.4.1 300 ns
+// window (circuit.PaperDurations().Measure, 75 cycles) plus 5 cycles
+// (20 ns) of readout discrimination.
+const MeasLatency sim.Time = 80
+
+// New builds a chip model bound to the engine. Every commit occupies its
+// qubits for the paper's fixed operation times (circuit.PaperDurations).
+func New(eng *sim.Engine, backend Backend) *Model {
+	return &Model{eng: eng, backend: backend}
 }
 
 // SetTable installs the codeword table for one controller.
@@ -180,7 +177,7 @@ func (m *Model) SetTable(node int, table []TableEntry) {
 // Reset restores the chip to its post-construction state — pending
 // two-qubit halves, occupancy tracking, counters and error lists clear, and
 // the backend is reset with the given seed. Codeword tables, the delivery
-// callback and the calibrated durations survive, so a reset chip re-runs
+// callback and the EPR latency survive, so a reset chip re-runs
 // the loaded program with fresh quantum state. A recording in progress is
 // abandoned.
 func (m *Model) Reset(seed int64) {
@@ -236,7 +233,7 @@ func (m *Model) Commit(node, port int, cw uint32, at sim.Time) {
 		m.commit2Q(e, ref, at)
 		return
 	}
-	m.occupyKind(e.Qubit, at, m.durations.Of(e.Kind, e.Param, m.EPRLatency), e.Kind)
+	m.occupyKind(e.Qubit, at, circuit.PaperDurations().Of(e.Kind, e.Param, m.EPRLatency), e.Kind)
 	out := m.apply(e, ref)
 	if e.Role == RoleSingle {
 		m.Gates++
@@ -244,7 +241,7 @@ func (m *Model) Commit(node, port int, cw uint32, at sim.Time) {
 	}
 	m.Measurements++
 	if m.deliver != nil {
-		m.deliver(node, e.Channel, uint32(out), at+m.MeasLatency)
+		m.deliver(node, e.Channel, uint32(out), at+MeasLatency)
 	}
 }
 
@@ -310,7 +307,7 @@ func (m *Model) commit2Q(e TableEntry, ref tapeOp, at sim.Time) {
 		later = prev.at
 	}
 	// An EPR generation occupies its pair for EPRLatency.
-	dur := m.durations.Of(ctrl.Kind, ctrl.Param, m.EPRLatency)
+	dur := circuit.PaperDurations().Of(ctrl.Kind, ctrl.Param, m.EPRLatency)
 	m.occupyKind(ctrl.Qubit, later, dur, ctrl.Kind)
 	m.occupyKind(ctrl.Partner, later, dur, ctrl.Kind)
 	m.apply(ctrl, ref)

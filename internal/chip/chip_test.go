@@ -8,7 +8,7 @@ import (
 )
 
 func model(backend Backend) *Model {
-	return New(sim.NewEngine(), backend, circuit.PaperDurations(), 80)
+	return New(sim.NewEngine(), backend)
 }
 
 func TestSingleQubitCommit(t *testing.T) {

@@ -17,7 +17,6 @@ import (
 	"dhisq/internal/chip"
 	"dhisq/internal/circuit"
 	"dhisq/internal/compiler"
-	"dhisq/internal/machine"
 	"dhisq/internal/sim"
 )
 
@@ -137,7 +136,7 @@ func tableEntries(op circuit.Op) []chip.TableEntry {
 // controller would, and returns the last delivered measurement outcome (-1
 // if none) or the text of a backend panic.
 func onChip(backend chip.Backend, eprLatency sim.Time, ops []circuit.Op) (m *chip.Model, out int, panicked string) {
-	m = chip.New(sim.NewEngine(), backend, circuit.PaperDurations(), 80)
+	m = chip.New(sim.NewEngine(), backend)
 	m.EPRLatency = eprLatency
 	out = -1
 	m.SetDelivery(func(_, _ int, v uint32, _ sim.Time) { out = int(v) })
@@ -163,7 +162,7 @@ func chipCycles(op circuit.Op, eprLatency sim.Time) string {
 	if len(tableEntries(op)) == 0 {
 		return "-"
 	}
-	m := chip.New(sim.NewEngine(), chip.NewSeeded(goldenSeed), circuit.PaperDurations(), 80)
+	m := chip.New(sim.NewEngine(), chip.NewSeeded(goldenSeed))
 	m.EPRLatency = eprLatency
 	table := tableEntries(op)
 	m.SetTable(0, table)
@@ -285,7 +284,7 @@ func renderGateSet() string {
 
 		// Durations: the four places that charge an op its cycles.
 		d := circuit.PaperDurations()
-		lock, err := baseline.Run(oneOp(op), baseline.Hub, chip.NewSeeded(goldenSeed), d, machine.DefaultConfig(4).MeasLatency)
+		lock, err := baseline.Run(oneOp(op), baseline.Hub, chip.NewSeeded(goldenSeed))
 		lockstep := fmt.Sprint(lock.Makespan)
 		if err != nil {
 			lockstep = "refused: " + err.Error()

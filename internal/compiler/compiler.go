@@ -53,12 +53,11 @@ type Windows interface {
 	RegionWindow(src, router int) sim.Time
 }
 
-// Options parameterizes compilation.
+// Options parameterizes compilation. Operation times are the paper's
+// fixed §6.4.1 durations (circuit.PaperDurations), not an option.
 type Options struct {
-	Durations   circuit.Durations
-	MeasLatency sim.Time // trigger commit -> result available (>= Measure window)
-	Root        int      // root router address for region sync
-	Controllers int      // total controllers (mesh size); all join barriers
+	Root        int // root router address for region sync
+	Controllers int // total controllers (mesh size); all join barriers
 	// InitialBarrier emits a program-start region sync, the per-repetition
 	// global synchronization of §2.1.4.
 	InitialBarrier bool
@@ -67,11 +66,11 @@ type Options struct {
 	// Part of the artifact fingerprint: two policies never share a cache
 	// entry even when they happen to compute the same mapping.
 	Placement string
-	// Schedule names the scheduling policy the Schedule pass applies
-	// ("" = "fixed", the legacy directive replay). Part of the artifact
-	// fingerprint, exactly like Placement: two policies never share a
-	// cache entry even when they emit the same programs.
-	Schedule string
+	// Padded makes the Schedule pass pad every sync in place instead of
+	// booking it in advance: the §2.1.3 side of the booking-advance
+	// ablation. The zero value is the Fig. 6 advance. Part of the artifact
+	// fingerprint.
+	Padded bool
 	// Chips splits the data qubits across this many chips (0 or 1 = the
 	// single-chip legacy model, byte-identical to before the multi-chip
 	// refactor). The Place pass partitions qubits across chips, appends one
@@ -85,17 +84,10 @@ type Options struct {
 	EPRLatency sim.Time
 }
 
-// DefaultOptions uses the paper's durations and a 5-cycle (20 ns) readout
-// discrimination latency on top of the 300 ns window.
+// DefaultOptions is the start-barrier compile for a mesh of controllers
+// with its root router at root.
 func DefaultOptions(root, controllers int) Options {
-	d := circuit.PaperDurations()
-	return Options{
-		Durations:      d,
-		MeasLatency:    d.Measure + 5,
-		Root:           root,
-		Controllers:    controllers,
-		InitialBarrier: true,
-	}
+	return Options{Root: root, Controllers: controllers, InitialBarrier: true}
 }
 
 // pipeGuard is the margin (cycles) added when padding the timing point past

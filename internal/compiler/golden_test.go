@@ -22,13 +22,15 @@ import (
 
 // This file freezes what the compiler emits. Each line of
 // testdata/compile.golden is one cell — a corpus row compiled on one
-// topology under one schedule policy — and carries the SHA-256 of
+// topology under one schedule, fixed or padded — and carries the SHA-256 of
 // everything the artifact holds: the encoded program bytes, codeword
 // tables, bit owners, MemBytes, Stats, ParamSlots, MeasBits, PublicBits and
 // Mapping. It compiles through machine.CompileUncached, the exported entry
-// every serving path takes, so it runs unchanged at an older commit: copy
-// it there and run `go test ./internal/compiler -run TestCompileGolden
-// -update-compile` to regenerate the file. The file in the tree came from
+// every serving path takes, so it runs at an older commit: copy it there,
+// spell the padded cells as that commit did (cfg.Schedule = g.schedule
+// before the schedule registry became the Padded flag), and run `go test
+// ./internal/compiler -run TestCompileGolden -update-compile` to
+// regenerate the file. The file in the tree came from
 // commit 5e0b11a, the last one before the compiler's representation was
 // rewritten; it is not edited to make a change pass. Its two edits since
 // deleted lines: the cells of a second feed-forward lowering, and the
@@ -124,7 +126,7 @@ func allGoldenRows(t testing.TB) []goldenRow {
 type goldenCell struct {
 	row      goldenRow
 	topo     network.TopologyKind
-	schedule string
+	schedule string // the cell's label in compile.golden: "fixed", or "padded" for Padded
 }
 
 func (g goldenCell) String() string {
@@ -147,7 +149,7 @@ func (g goldenCell) compile() (*compiler.Compiled, error) {
 	cfg := machine.DefaultConfig(g.row.c.NumQubits)
 	cfg.Net.MeshW, cfg.Net.MeshH = g.row.meshW, g.row.meshH
 	cfg.Net.Topology = g.topo
-	cfg.Schedule = g.schedule
+	cfg.Padded = g.schedule == "padded"
 	cfg.Chips = g.row.chips
 	cfg.Placement = g.row.placement
 	return machine.CompileUncached(g.row.c, g.row.mapping, cfg)

@@ -38,8 +38,8 @@ func (s *legacyStream) cwInstrs(e chip.TableEntry) []isa.Instr {
 	return monoCWTrigger(idx, uint8(e.Port()))
 }
 
-// advance selects the Fig. 6 sync placement (what Schedule "fixed" does);
-// false is the in-place padding of Schedule "padded".
+// advance selects the Fig. 6 sync placement (the default); false is the
+// in-place padding of Options.Padded.
 func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Options, advance bool) (*Compiled, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -80,7 +80,7 @@ func compileMonolithic(c *circuit.Circuit, mapping []int, fab Windows, opt Optio
 		barrier()
 	}
 
-	d := opt.Durations
+	d := circuit.PaperDurations()
 	for opIdx, op := range c.Ops {
 		switch {
 		case op.Kind == circuit.Barrier:

@@ -211,9 +211,10 @@ func (Lower) Run(st *State) error {
 		barrier()
 	}
 
+	durations := circuit.PaperDurations()
 	for opIdx, op := range c.Ops {
 		// The wait that follows op's commit (all there is to a Delay).
-		dur := opt.Durations.Of(op.Kind, op.Param, opt.EPRLatency)
+		dur := durations.Of(op.Kind, op.Param, opt.EPRLatency)
 		switch {
 		case op.Kind == circuit.Barrier:
 			barrier()
@@ -232,7 +233,7 @@ func (Lower) Run(st *State) error {
 			lo := s.mark()
 			s.cw(entry)
 			s.unit(lo, fDet)
-			// Fetch the result (pipeline blocks until MeasLatency elapses,
+			// Fetch the result (pipeline blocks until chip.MeasLatency elapses,
 			// which re-anchors the timing point past the window) and store
 			// it at the bit's home address.
 			lo = s.mark()

@@ -79,8 +79,8 @@ func assertSameArtifact(t *testing.T, label string, got, want *Compiled) {
 
 // TestPipelineMatchesMonolith: default pipeline == pre-refactor compiler,
 // byte-for-byte, on GHZ/BV/QFT × mesh/torus/tree, with advance booking
-// both on (the default "fixed" schedule) and off (Schedule "padded" against
-// the oracle's in-place sync padding: the ablation path stays pinned too).
+// both on (the default) and off (Padded, against the oracle's in-place
+// sync padding: the ablation path stays pinned too).
 func TestPipelineMatchesMonolith(t *testing.T) {
 	kinds := []network.TopologyKind{network.TopoMesh, network.TopoTorus, network.TopoTree}
 	for _, tc := range equivCases() {
@@ -91,7 +91,7 @@ func TestPipelineMatchesMonolith(t *testing.T) {
 				opt := DefaultOptions(topo.Root, topo.N)
 				label := tc.name + "/" + kind.String()
 				if !advance {
-					opt.Schedule = "padded"
+					opt.Padded = true
 					label += "/no-advance"
 				}
 				want, err := compileMonolithic(c, nil, fab, opt, advance)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dhisq/internal/isa"
-	"dhisq/internal/registry"
 )
 
 // Schedule resolves each controller's directive stream into a timed
@@ -14,9 +13,10 @@ import (
 // points, and branch-body assembly for conditioned commits (whose in-branch
 // guard wait depends on the instruction count accumulated here).
 //
-// How the sync bookings are placed is a named policy, mirroring the Place
-// pass: Options.Schedule names a row of schedules. The "fixed" row is the
-// legacy replay, byte-identical to the pre-registry Schedule pass.
+// Options.Padded turns the slide off: every sync sits immediately before
+// its synchronized instruction with the window fully padded, the
+// QubiC-style scheme the paper improves on (§2.1.3) and the "off" side of
+// the booking-advance ablation (§4.2).
 type Schedule struct{}
 
 // Name implements Pass.
@@ -27,51 +27,7 @@ func (Schedule) Run(st *State) error {
 	if st.lowered == nil {
 		return fmt.Errorf("compiler: schedule before lower")
 	}
-	row, err := lookupSchedule(st.Opt.Schedule)
-	if err != nil {
-		return err
-	}
-	return replayStreams(st, row.advance)
-}
-
-// schedule declares one scheduling policy. Every row replays the lowered
-// directive streams deterministically — the same State always yields the
-// same streams, which is what makes a policy name safe to hash into the
-// artifact fingerprint (internal/artifact keyVersion 5); a row only says
-// where a sync's booking goes.
-type schedule struct {
-	name string
-	// advance slides each sync backwards over deterministic work so the
-	// N-cycle countdown overlaps useful execution (Fig. 6, zero-cycle
-	// overhead when slack suffices, §4.2); without it every sync sits
-	// immediately before its synchronized instruction with the window fully
-	// padded — the QubiC-style scheme the paper improves on (§2.1.3), and
-	// the "off" side of the ablation experiment.
-	advance bool
-}
-
-// schedules is the fixed registry, in documentation order.
-var schedules = []schedule{{"fixed", true}, {"padded", false}}
-
-// DefaultSchedule is the policy an empty name resolves to: the legacy
-// fixed replay, guaranteed byte-identical to the pre-registry compiler.
-const DefaultSchedule = "fixed"
-
-// lookupSchedule resolves a scheduling policy by name ("" =
-// DefaultSchedule). Unknown names error with the valid set, so CLI and API
-// validation share one message.
-func lookupSchedule(name string) (schedule, error) {
-	return registry.Lookup("schedule policy", name, DefaultSchedule, schedules, scheduleName)
-}
-
-func scheduleName(s schedule) string { return s.name }
-
-// ValidSchedule reports whether name resolves to a registered scheduling
-// policy ("" counts — it resolves to DefaultSchedule). The client-side
-// check dhisq-sim -serve runs before a submission travels to the daemon.
-func ValidSchedule(name string) error {
-	_, err := lookupSchedule(name)
-	return err
+	return replayStreams(st, !st.Opt.Padded)
 }
 
 // replayStreams is the shared directive replay: one timed stream per

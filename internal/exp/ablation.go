@@ -48,9 +48,7 @@ func AblationSyncAdvance(names []string, scaleDiv int, seed int64) ([]AblationRo
 		}
 		run := func(advance bool) (machine.Result, error) {
 			cfg := cellConfig(b.Qubits, seed, 0)
-			if !advance {
-				cfg.Schedule = "padded"
-			}
+			cfg.Padded = !advance
 			res, err := runChecked(b, cfg)
 			if err != nil {
 				return res, fmt.Errorf("%s advance=%v: %w", name, advance, err)

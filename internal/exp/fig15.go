@@ -6,6 +6,7 @@ import (
 
 	"dhisq/internal/baseline"
 	"dhisq/internal/chip"
+	"dhisq/internal/circuit"
 	"dhisq/internal/sim"
 	"dhisq/internal/workloads"
 )
@@ -17,7 +18,7 @@ type Fig15Row struct {
 	Qubits   int
 	BISP     sim.Time    // makespan, cycles
 	Lockstep []Fig15Cell // one per baseline.Comparators row, in its order
-	// Floor is the circuit's depth under the machine's durations
+	// Floor is the circuit's depth under the paper's durations
 	// (circuit.Depth). That is the all-branch depth, not a floor under the
 	// shot that ran: a shot that skips a conditioned op can finish sooner.
 	// ROADMAP item 11 replaces it with the taken-branch floor.
@@ -96,12 +97,12 @@ func fig15One(b workloads.Benchmark, seed int64) (Fig15Row, error) {
 		Name:      b.Name,
 		Qubits:    b.Qubits,
 		BISP:      res.Makespan,
-		Floor:     sim.Time(b.Circuit.Depth(cfg.Durations)),
+		Floor:     sim.Time(b.Circuit.Depth(circuit.PaperDurations())),
 		Feedbacks: b.Circuit.CountStats().Feedforward,
 		Syncs:     res.SyncStall,
 	}
 	for _, cmp := range baseline.Comparators {
-		lres, err := baseline.Run(b.Circuit, cmp, chip.NewSeeded(seed), cfg.Durations, cfg.MeasLatency)
+		lres, err := baseline.Run(b.Circuit, cmp, chip.NewSeeded(seed))
 		if err != nil {
 			return Fig15Row{}, err
 		}

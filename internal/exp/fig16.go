@@ -74,7 +74,7 @@ func Fig16Fidelity(seed int64) (Fig16Result, error) {
 		return Fig16Result{}, err
 	}
 	res := set.Shots[0].Result
-	bres, err := baseline.Run(phys, baseline.Hub, chip.NewSeeded(seed), cfg.Durations, cfg.MeasLatency)
+	bres, err := baseline.Run(phys, baseline.Hub, chip.NewSeeded(seed))
 	if err != nil {
 		return Fig16Result{}, err
 	}

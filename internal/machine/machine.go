@@ -33,13 +33,13 @@ const (
 	BackendSeeded
 )
 
-// Config parameterizes a machine.
+// Config parameterizes a machine. Operation times and the measurement
+// latency are the paper's fixed constants (circuit.PaperDurations,
+// chip.MeasLatency), not options.
 type Config struct {
-	Net         network.Config
-	Durations   circuit.Durations
-	MeasLatency sim.Time
-	Backend     BackendKind
-	Seed        int64
+	Net     network.Config
+	Backend BackendKind
+	Seed    int64
 	// LogEvents stores individual TELF events (disable for large runs;
 	// counters are kept either way).
 	LogEvents bool
@@ -52,11 +52,11 @@ type Config struct {
 	// the compile fingerprint via compileOptions, after Normalize has
 	// resolved "" to its name.
 	Placement string
-	// Schedule names the scheduling policy the compiler's Schedule pass
-	// uses ("" = fixed, the legacy byte-identical replay; see the schedule
-	// registry in internal/compiler). Part of the compile fingerprint via
-	// CompileOptions, exactly like Placement.
-	Schedule string
+	// Padded pads every sync in place instead of booking it in advance
+	// (compiler.Options.Padded): the §2.1.3 side of the booking-advance
+	// ablation (exp.AblationSyncAdvance). Part of the compile fingerprint
+	// via CompileOptions.
+	Padded bool
 	// Chips splits the data qubits across this many chips (0 or 1 = the
 	// single-chip legacy machine, byte-identical to before). A multi-chip
 	// machine appends one communication qubit per chip after the data
@@ -108,14 +108,11 @@ func (cfg Config) TotalQubits(n int) int {
 
 // DefaultConfig sizes a machine for n qubits with the paper's constants.
 func DefaultConfig(n int) Config {
-	d := circuit.PaperDurations()
 	return Config{
-		Net:         network.DefaultConfig(n),
-		Durations:   d,
-		MeasLatency: d.Measure + 5,
-		Backend:     BackendAuto,
-		Seed:        1,
-		LogEvents:   false,
+		Net:       network.DefaultConfig(n),
+		Backend:   BackendAuto,
+		Seed:      1,
+		LogEvents: false,
 	}
 }
 
@@ -171,7 +168,6 @@ func Normalize(c *circuit.Circuit, meshW, meshH int, cfg Config) (Config, error)
 	}
 	cfg.Net.MeshW, cfg.Net.MeshH = meshW, meshH
 	cfg.Placement = cmp.Or(cfg.Placement, placement.Default)
-	cfg.Schedule = cmp.Or(cfg.Schedule, compiler.DefaultSchedule)
 	cfg.EPRLatency = cfg.effectiveEPRLatency()
 	cfg.Backend = resolveBackendFor(c, cfg.Backend, total)
 	// An explicit backend that cannot hold this circuit is refused here, not
@@ -243,7 +239,7 @@ func New(cfg Config, numQubits int) (*Machine, error) {
 			ca.SetCommFrom(numQubits)
 		}
 	}
-	chipModel := chip.New(eng, backend, cfg.Durations, cfg.MeasLatency)
+	chipModel := chip.New(eng, backend)
 	chipModel.EPRLatency = cfg.effectiveEPRLatency()
 
 	m := &Machine{
@@ -288,10 +284,8 @@ func compileOptions(cfg Config) (compiler.Options, error) {
 		return compiler.Options{}, err
 	}
 	opt := compiler.DefaultOptions(root, n)
-	opt.Durations = cfg.Durations
-	opt.MeasLatency = cfg.MeasLatency
 	opt.Placement = cfg.Placement
-	opt.Schedule = cfg.Schedule
+	opt.Padded = cfg.Padded
 	if cfg.Chips > 1 {
 		// Chips <= 1 stays zero so a Chips=1 config fingerprints — and
 		// compiles — identically to the legacy single-chip machine.

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"dhisq/internal/chip"
@@ -256,6 +257,18 @@ func TestRemoteGateStats(t *testing.T) {
 	}
 	if ress.EPRPairs != 0 || cps.Stats.RemoteGates != 0 {
 		t.Fatalf("single-chip run counted EPR pairs (%d) or remote gates (%d)", ress.EPRPairs, cps.Stats.RemoteGates)
+	}
+}
+
+// TestNormalizeRefusesNegativeEPRLatency: a negative EPR latency on the
+// machine config is refused, with its value, before anything is built or
+// hashed.
+func TestNormalizeRefusesNegativeEPRLatency(t *testing.T) {
+	cfg := DefaultConfig(16)
+	cfg.Chips, cfg.EPRLatency = 2, -40
+	_, err := Normalize(workloads.GHZ(16), 0, 0, cfg)
+	if err == nil || !strings.Contains(err.Error(), "negative EPR latency -40") {
+		t.Fatalf("Normalize with EPR latency -40: %v, want a refusal naming it", err)
 	}
 }
 

@@ -11,10 +11,9 @@ import (
 	"dhisq/internal/workloads"
 )
 
-// TestRegistrySurfacePinned holds what the placement and schedule
-// registries answer from outside: the placement names in order, the
-// admission error for an unknown placement or schedule (which lists both
-// registries' names in order), and the mapping every placement name
+// TestRegistrySurfacePinned holds what the placement registry answers
+// from outside: the names in order, the admission error for an unknown
+// placement (which lists the names in order), and the mapping every name
 // compiles to on one and two chips. The literals were taken from the
 // interface-per-policy registries; any rewrite of the registries must
 // reproduce them unedited. They were edited once, when the placement
@@ -22,6 +21,8 @@ import (
 // service's deleted re-place loop gave a meaning — was deleted with it,
 // and again when rowmajor went: it compiled identity's programs under an
 // explicit permutation, and its entries were identity's mapping spelt out.
+// The unknown-schedule row went with the schedule registry, which became
+// the ablation's Padded flag.
 func TestRegistrySurfacePinned(t *testing.T) {
 	if got, want := placement.Names(), []string{"identity", "interaction"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("placement.Names() = %v, want %v", got, want)
@@ -32,19 +33,10 @@ func TestRegistrySurfacePinned(t *testing.T) {
 		}
 	}
 
-	for _, tc := range []struct {
-		req  service.Request
-		want string
-	}{
-		{service.Request{Placement: "bogus"}, `unknown placement policy "bogus" (want identity, interaction)`},
-		{service.Request{Schedule: "bogus"}, `unknown schedule policy "bogus" (want fixed, padded)`},
-	} {
-		req := tc.req
-		req.Circuit, req.Shots = workloads.GHZ(4), 1
-		_, err := service.Resolve(req)
-		if err == nil || err.Error() != tc.want {
-			t.Errorf("service.Resolve(%+v) error = %v, want %q", tc.req, err, tc.want)
-		}
+	const want = `unknown placement policy "bogus" (want identity, interaction)`
+	_, err := service.Resolve(service.Request{Circuit: workloads.GHZ(4), Shots: 1, Placement: "bogus"})
+	if err == nil || err.Error() != want {
+		t.Errorf("service.Resolve(placement bogus) error = %v, want %q", err, want)
 	}
 
 	hotspotChips := []int{0, 1, 2, 3, 4, 6, 7, 8, 9, 5, 10}

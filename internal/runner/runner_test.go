@@ -135,19 +135,19 @@ func TestSpecPlacementThreads(t *testing.T) {
 		t.Fatalf("placement did not thread: mapping %v", cp.Mapping)
 	}
 
-	// The ablation spelling — Cfg.Schedule "padded", the only way left to
-	// turn advance booking off — is a second Cfg field on the same path:
-	// it compiles a different artifact and keeps the spec's placement.
-	spec.Cfg.Schedule = "padded"
+	// The ablation's Cfg.Padded, the only way to turn advance booking off,
+	// is a second Cfg field on the same path: it compiles a different
+	// artifact and keeps the spec's placement.
+	spec.Cfg.Padded = true
 	_, cp2, err := start(spec, false, 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cp2 == cp {
-		t.Fatal("padded schedule aliased the fixed artifact")
+		t.Fatal("the padded schedule aliased the fixed artifact")
 	}
 	if !reflect.DeepEqual(cp2.Mapping, cp.Mapping) {
-		t.Fatalf("schedule override changed the placement: %v vs %v", cp2.Mapping, cp.Mapping)
+		t.Fatalf("Padded changed the placement: %v vs %v", cp2.Mapping, cp.Mapping)
 	}
 }
 

@@ -89,22 +89,22 @@ func TestRunSweepEdgeCases(t *testing.T) {
 }
 
 // TestRunSweepHonoursSchedule: a sweep compiles its skeleton under
-// Cfg.Schedule like every other run, and the policy visibly takes: the
-// padded replay is slower than the fixed one at every point.
+// Cfg.Padded like every other run, and the flag visibly takes: the padded
+// replay is slower than the advance-booked one at every point.
 func TestRunSweepHonoursSchedule(t *testing.T) {
 	spec, points := sweepSpec(6, 1)
 	fixed, err := RunSweep(spec, points, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Cfg.Schedule = "padded"
+	spec.Cfg.Padded = true
 	padded, err := RunSweep(spec, points, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, pt := range padded {
 		if got, base := pt.Set.Shots[0].Result.Makespan, fixed[k].Set.Shots[0].Result.Makespan; got <= base {
-			t.Fatalf("point %d: padded makespan %d not above fixed %d — the sweep dropped Cfg.Schedule", k, got, base)
+			t.Fatalf("point %d: padded makespan %d not above fixed %d — the sweep dropped Cfg.Padded", k, got, base)
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 const memoBytes = 16 << 20
 
 // maxMemoKeys caps the top-level members a memoised body may have. A
-// Submission declares fourteen wire names, so a longer object repeats one or
+// Submission declares twelve wire names, so a longer object repeats one or
 // names an unknown field and the full decoder answers it; the cap also bounds
 // the pairwise duplicate check by a constant.
 const maxMemoKeys = 16

@@ -80,17 +80,20 @@ func TestSweepCongestionAccounted(t *testing.T) {
 }
 
 // TestSweepPointCap: the bounded queue counts jobs, so a single sweep
-// must not smuggle unbounded work past admission.
+// must not smuggle unbounded work past admission. A sweep of exactly
+// MaxSweepPoints runs.
 func TestSweepPointCap(t *testing.T) {
-	svc := New(Config{Workers: 1, MaxSweepPoints: 3})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	c := workloads.VQEAnsatz(4, 1)
-	pts := make([]map[string]float64, 4)
+	pts := make([]map[string]float64, MaxSweepPoints+1)
 	for k := range pts {
 		pts[k] = workloads.VQEAnsatzPoint(4, 1, k)
 	}
 	if _, err := svc.Submit(Request{Circuit: c, Shots: 1, Sweep: pts}); err == nil {
 		t.Fatal("over-limit sweep accepted")
 	}
-	submitWait(t, svc, Request{Circuit: c, Shots: 1, Seed: 2, Sweep: pts[:3]})
+	if st := submitWait(t, svc, Request{Circuit: c, Shots: 1, Seed: 2, Sweep: pts[:MaxSweepPoints]}); len(st.Points) != MaxSweepPoints {
+		t.Fatalf("at-limit sweep returned %d points, want %d", len(st.Points), MaxSweepPoints)
+	}
 }

@@ -35,7 +35,7 @@ tree x5: mapping identity
 net {NetStallCycles:127068 NetMaxQueue:19 NetMessages:105284}
 `
 	cfg := contendedCfg(16)
-	svc := New(Config{Workers: 1, ShotWorkers: 3, MaxPooledReplicas: 16})
+	svc := New(Config{Workers: 1, ShotWorkers: 3})
 	defer svc.Close()
 
 	tree := hub(16)

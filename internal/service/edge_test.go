@@ -105,8 +105,8 @@ func TestSubmitRacingShutdown(t *testing.T) {
 }
 
 func TestRetentionEvictionUnderConcurrentGet(t *testing.T) {
-	const retain = 4
-	s := New(Config{Workers: 2, MaxRetainedJobs: retain})
+	const retain, jobs = MaxRetainedJobs, MaxRetainedJobs + 40
+	s := New(Config{Workers: 2})
 	defer s.Close()
 
 	var mu sync.Mutex
@@ -123,8 +123,10 @@ func TestRetentionEvictionUnderConcurrentGet(t *testing.T) {
 					return
 				default:
 				}
+				// The jobs at the retention edge, which finishing jobs evict.
 				mu.Lock()
-				snapshot := append([]string(nil), known...)
+				lo := max(0, len(known)-retain-8)
+				snapshot := append([]string(nil), known[lo:min(lo+16, len(known))]...)
 				mu.Unlock()
 				for _, id := range snapshot {
 					// Found or forgotten are both fine; racing eviction must
@@ -138,7 +140,7 @@ func TestRetentionEvictionUnderConcurrentGet(t *testing.T) {
 		}()
 	}
 
-	for i := 0; i < 40; i++ {
+	for i := 0; i < jobs; i++ {
 		id, err := s.Submit(Request{Circuit: ghz(3), Shots: 1, Seed: int64(i + 1)})
 		if err != nil {
 			t.Fatal(err)
@@ -154,7 +156,7 @@ func TestRetentionEvictionUnderConcurrentGet(t *testing.T) {
 	readers.Wait()
 
 	// Everything finished, so retention is the only thing keeping jobs
-	// alive: at most `retain` of the 40 may still resolve.
+	// alive: at most `retain` of them may still resolve.
 	var found int
 	for _, id := range known {
 		if _, ok := s.Get(id); ok {

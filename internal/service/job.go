@@ -35,9 +35,6 @@ type JobStatus struct {
 	MeshW     int    `json:"mesh_w,omitempty"`
 	MeshH     int    `json:"mesh_h,omitempty"`
 	Placement string `json:"placement,omitempty"`
-	// Schedule is the resolved scheduling policy name, echoed like
-	// Placement.
-	Schedule string `json:"schedule,omitempty"`
 	// Mapping is the final qubit→controller mapping the job compiled with
 	// (nil = identity), as resolved by the compiler's Place pass.
 	Mapping []int `json:"mapping,omitempty"`

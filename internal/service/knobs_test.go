@@ -6,14 +6,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"dhisq/internal/artifact"
 	"dhisq/internal/baseline"
 	"dhisq/internal/chip"
 	"dhisq/internal/circuit"
-	"dhisq/internal/compiler"
 	"dhisq/internal/machine"
 	"dhisq/internal/placement"
 	"dhisq/internal/runner"
@@ -36,7 +34,7 @@ import (
 //     k is rebuilt at DeriveSeed(seed, k).
 //  3. Timing. With contention off no shot breaks an invariant of the
 //     paper (violations, misalignments, overlaps, inversions), and no
-//     makespan is below the circuit's dependency depth.
+//     makespan is below the dependency depth of the unconditioned ops.
 //  4. Identity. A cell whose fingerprint an earlier cell had compiles,
 //     uncached, to a byte-identical program (what every cache hit relies
 //     on), and a job hits the artifact cache exactly when an earlier job
@@ -141,15 +139,17 @@ func genKnobCase(seed int64) knobCase {
 }
 
 // knobCell is one knob setting: the request's option fields, and the
-// fabric's neighbour latency (0 keeps the default).
+// machine config's padded schedule, EPR latency and fabric neighbour
+// latency (0 keeps the default).
 type knobCell struct {
-	req Request
-	lat sim.Time
+	req      Request
+	padded   bool
+	epr, lat sim.Time
 }
 
 func (c knobCell) String() string {
-	return fmt.Sprintf("topo=%q link_bw=%d placement=%q schedule=%q chips=%d epr_latency=%d latency=%d",
-		c.req.Topo, c.req.LinkBW, c.req.Placement, c.req.Schedule, c.req.Chips, c.req.EPRLatency, c.lat)
+	return fmt.Sprintf("topo=%q link_bw=%d placement=%q padded=%v chips=%d epr_latency=%d latency=%d",
+		c.req.Topo, c.req.LinkBW, c.req.Placement, c.padded, c.req.Chips, c.epr, c.lat)
 }
 
 // knobCells moves one knob at a time away from the default (mesh) machine.
@@ -162,13 +162,11 @@ func knobCells() []knobCell {
 	for _, p := range placement.Names() {
 		cells = append(cells, knobCell{req: Request{Placement: p}})
 	}
-	// Every scheduling policy, read off the error that names them all.
-	_, list, _ := strings.Cut(compiler.ValidSchedule("?").Error(), "(want ")
-	for _, s := range strings.Split(strings.TrimSuffix(list, ")"), ", ") {
-		cells = append(cells, knobCell{req: Request{Schedule: s}})
+	for _, padded := range []bool{false, true} {
+		cells = append(cells, knobCell{padded: padded})
 	}
 	for _, chips := range []int{2, 3} {
-		cells = append(cells, knobCell{req: Request{Chips: chips, EPRLatency: 40}})
+		cells = append(cells, knobCell{req: Request{Chips: chips}, epr: 40})
 	}
 	for _, lat := range []sim.Time{1, 2, 5, 9} {
 		cells = append(cells, knobCell{lat: lat})
@@ -180,6 +178,7 @@ func knobCells() []knobCell {
 func (kc knobCase) request(cell knobCell, c *circuit.Circuit, backend machine.BackendKind, seed int64) Request {
 	cfg := machine.DefaultConfig(kc.n)
 	cfg.Backend = backend
+	cfg.Padded, cfg.EPRLatency = cell.padded, cell.epr
 	if cell.lat != 0 {
 		cfg.Net.NeighborLatency = cell.lat
 	}
@@ -204,10 +203,19 @@ func (b *countingBackend) Apply2(k circuit.Kind, p float64, x, y int) {
 	b.Backend.Apply2(k, p, x, y)
 }
 
-// checkTiming is clause 3 over one run's shots.
+// checkTiming is clause 3 over one run's shots. Its floor is the depth of
+// c's unconditioned ops, which every shot runs. c.Depth is no floor: it
+// charges every conditioned op, and a shot skips the ones whose branch is
+// not taken.
 func checkTiming(t *testing.T, where string, set *runner.ShotSet, c *circuit.Circuit, cfg machine.Config) {
 	t.Helper()
-	floor := c.Depth(cfg.Durations)
+	always := &circuit.Circuit{NumQubits: c.NumQubits, NumBits: c.NumBits}
+	for _, op := range c.Ops {
+		if op.Cond == nil {
+			always.Ops = append(always.Ops, op)
+		}
+	}
+	floor := always.Depth(circuit.PaperDurations())
 	for _, s := range set.Shots {
 		r := s.Result
 		if cfg.Net.LinkSerialization == 0 && r.Violations+uint64(r.Misalignments+r.Overlaps+r.Inversions) != 0 {
@@ -215,7 +223,7 @@ func checkTiming(t *testing.T, where string, set *runner.ShotSet, c *circuit.Cir
 				where, s.Index, r.Violations, r.Misalignments, r.Overlaps, r.Inversions)
 		}
 		if int64(r.Makespan) < floor {
-			t.Errorf("%s shot %d: makespan %d below the depth floor %d", where, s.Index, r.Makespan, floor)
+			t.Errorf("%s shot %d: makespan %d below the unconditioned depth %d", where, s.Index, r.Makespan, floor)
 		}
 	}
 }
@@ -281,7 +289,7 @@ func checkKnobInvariants(t *testing.T, seed int64) {
 		seeded := run(where+", seeded", adm.Spec, 1)
 		for k, s := range seeded.Shots {
 			seq := &countingBackend{Backend: chip.NewSeeded(machine.DeriveSeed(kc.seed, k))}
-			want, err := baseline.Run(kc.bound[0], baseline.Hub, seq, adm.Spec.Cfg.Durations, adm.Spec.Cfg.MeasLatency)
+			want, err := baseline.Run(kc.bound[0], baseline.Hub, seq)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dhisq/internal/circuit"
+	"dhisq/internal/machine"
 )
 
 func ghz4() *circuit.Circuit {
@@ -80,9 +81,11 @@ func TestServiceChipPoolSeparation(t *testing.T) {
 func TestServiceMultiChipValidation(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
+	negEPR := machine.DefaultConfig(4)
+	negEPR.EPRLatency = -5
 	cases := []Request{
 		{Circuit: ghz4(), Shots: 1, Chips: -2},
-		{Circuit: ghz4(), Shots: 1, Chips: 2, EPRLatency: -5},
+		{Circuit: ghz4(), Shots: 1, Chips: 2, Cfg: &negEPR},
 		{Circuit: ghz4(), Shots: 1, Chips: 9},                             // more chips than qubits
 		{Circuit: ghz4(), Shots: 1, Chips: 2, Mapping: []int{0, 1, 2, 3}}, // explicit mapping
 	}

@@ -11,7 +11,6 @@ import (
 
 	"dhisq/internal/artifact"
 	"dhisq/internal/circuit"
-	"dhisq/internal/compiler"
 	"dhisq/internal/machine"
 	"dhisq/internal/network"
 	"dhisq/internal/placement"
@@ -49,10 +48,6 @@ type Request struct {
 	// Mapping is nil ("" defers to Cfg.Placement, then to identity).
 	// Unknown names are rejected at admission, before any work queues.
 	Placement string `json:"placement,omitempty"`
-	// Schedule names the scheduling policy of the compiler's Schedule
-	// pass ("" defers to Cfg.Schedule, then to the fixed replay).
-	// Validated at admission exactly like Placement.
-	Schedule string `json:"schedule,omitempty"`
 	// Chips splits the device into a multi-chip partition (machine
 	// config Chips; 0/1 = the legacy single-chip machine). Cross-chip
 	// two-qubit gates compile into EPR-mediated teleported gates, so
@@ -61,10 +56,6 @@ type Request struct {
 	// Validated at admission (bounded by the circuit's qubit count,
 	// incompatible with an explicit Mapping).
 	Chips int `json:"chips,omitempty"`
-	// EPRLatency overrides the EPR pair-generation latency in cycles for
-	// multi-chip jobs (0 defers to Cfg.EPRLatency, then to the machine
-	// default). Compile-relevant like Chips.
-	EPRLatency sim.Time `json:"epr_latency,omitempty"`
 	// Params binds the circuit's symbolic parameters for this job (QASM
 	// angles written as identifiers, e.g. "rz(theta0) q[0];"). The
 	// job is fingerprinted on the bind-invariant structural key, so every
@@ -80,15 +71,13 @@ type Request struct {
 	Sweep []map[string]float64 `json:"sweep,omitempty"`
 }
 
-// RegisterFlags declares the six per-job option flags on fs, bound to
+// RegisterFlags declares the four per-job option flags on fs, bound to
 // r's fields: the one place their names, defaults and help strings live.
 func (r *Request) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&r.Topo, "topo", "mesh", "fabric topology: mesh, torus, or tree")
 	fs.Int64Var(&r.LinkBW, "link-bw", 0, "link bandwidth as cycles per message (0 = infinite, contention off)")
 	fs.StringVar(&r.Placement, "placement", "", "placement policy for unmapped circuits: identity or interaction (default identity)")
-	fs.StringVar(&r.Schedule, "schedule", "", "compiler scheduling policy: fixed or padded (default fixed)")
 	fs.IntVar(&r.Chips, "chips", 0, "split the device into N chips; cross-chip 2q gates run as EPR-mediated teleported gates (0/1 = single chip)")
-	fs.Int64Var(&r.EPRLatency, "epr-latency", 0, "EPR pair-generation latency in cycles for multi-chip runs (0 = machine default)")
 }
 
 // bindJob reports whether the request goes through the parameter-binding
@@ -208,9 +197,7 @@ func Resolve(req Request) (Admission, error) {
 	}
 	cfg.Net.LinkSerialization = cmp.Or(req.LinkBW, cfg.Net.LinkSerialization)
 	cfg.Placement = cmp.Or(req.Placement, cfg.Placement)
-	cfg.Schedule = cmp.Or(req.Schedule, cfg.Schedule)
 	cfg.Chips = cmp.Or(req.Chips, cfg.Chips)
-	cfg.EPRLatency = cmp.Or(req.EPRLatency, cfg.EPRLatency)
 	// Validate what the job will actually compile and run with — whether it
 	// arrived via the request or a caller-supplied Cfg — so bad values are
 	// rejected here, before any work queues.
@@ -224,7 +211,7 @@ func Resolve(req Request) (Admission, error) {
 	if err != nil {
 		return Admission{}, err
 	}
-	if err := cmp.Or(placement.Valid(cfg.Placement), compiler.ValidSchedule(cfg.Schedule)); err != nil {
+	if err := placement.Valid(cfg.Placement); err != nil {
 		return Admission{}, err
 	}
 	if err := validateParams(req); err != nil {

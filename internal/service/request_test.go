@@ -32,13 +32,14 @@ func jsonTags(t reflect.Type) []string {
 
 // The wire did not move when Request and JobStatus took over from the
 // daemon's private submitRequest/jobResponse: these are those structs' tags,
-// verbatim. The response's order is pinned too (it is the encoding order);
+// verbatim, less "schedule" and "epr_latency", which left the wire with
+// their options. The response's order is pinned too (it is the encoding order);
 // the submission's is not — no reader depends on it.
 func TestWireNamesPinned(t *testing.T) {
 	submission := []string{
 		"qasm,omitempty", "bench,omitempty", "scale,omitempty", "shots", "seed,omitempty",
-		"mapping,omitempty", "topo,omitempty", "link_bw,omitempty", "placement,omitempty", "schedule,omitempty", "chips,omitempty",
-		"epr_latency,omitempty", "params,omitempty", "sweep,omitempty",
+		"mapping,omitempty", "topo,omitempty", "link_bw,omitempty", "placement,omitempty", "chips,omitempty",
+		"params,omitempty", "sweep,omitempty",
 	}
 	got := map[string]bool{}
 	for _, tag := range jsonTags(reflect.TypeOf(Submission{})) {
@@ -55,7 +56,7 @@ func TestWireNamesPinned(t *testing.T) {
 
 	response := []string{
 		"id", "state", "shots", "seed", "fingerprint,omitempty", "cache_hit", "batched",
-		"mesh_w,omitempty", "mesh_h,omitempty", "placement,omitempty", "schedule,omitempty",
+		"mesh_w,omitempty", "mesh_h,omitempty", "placement,omitempty",
 		"mapping,omitempty", "chips,omitempty", "epr_pairs,omitempty", "makespan_cycles,omitempty",
 		"histogram,omitempty", "points,omitempty", "error,omitempty",
 	}
@@ -70,7 +71,7 @@ func TestSubmissionRoundTrip(t *testing.T) {
 	sub := Submission{Bench: "dvqe", Scale: 2, Request: Request{
 		Circuit: ghz(2), MeshW: 3, // never on the wire
 		Shots: 4, Seed: 7, Topo: "torus", LinkBW: 4, Placement: "interaction",
-		Schedule: "padded", Chips: 2, EPRLatency: 150,
+		Chips:  2,
 		Params: map[string]float64{"t": 0.5},
 	}}
 	b, err := json.Marshal(sub)
@@ -122,10 +123,7 @@ func TestEveryOptionReachesThePoolKey(t *testing.T) {
 		"Topo":      set(func(r *Request) { r.Topo = "torus" }),
 		"LinkBW":    set(func(r *Request) { r.LinkBW = 3 }),
 		"Placement": set(func(r *Request) { r.Placement = "interaction" }),
-		"Schedule":  set(func(r *Request) { r.Schedule = "padded" }),
 		"Chips":     set(func(r *Request) { r.Chips = 2 }),
-		// The EPR latency only means something on a multi-chip machine.
-		"EPRLatency": {base: func(r *Request) { r.Chips = 2 }, alt: func(r *Request) { r.Chips, r.EPRLatency = 2, 40 }},
 	}
 
 	admit := func(mutate func(*Request)) poolKey {
@@ -167,10 +165,8 @@ func TestPoolKeyCoversRuntimeConfig(t *testing.T) {
 		base, alt        func(*Request, *machine.Config)
 	}{
 		{field: "Net", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Net.LinkSerialization = 3 }},
-		{field: "Durations", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Durations.TwoQubit++ }},
-		{field: "MeasLatency", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.MeasLatency++ }},
 		{field: "Placement", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Placement = "interaction" }},
-		{field: "Schedule", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Schedule = "padded" }},
+		{field: "Padded", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Padded = true }},
 		{field: "Chips", want: fingerprint, alt: func(_ *Request, c *machine.Config) { c.Chips = 2 }},
 		{field: "EPRLatency", want: fingerprint,
 			base: func(_ *Request, c *machine.Config) { c.Chips = 2 },

@@ -48,20 +48,6 @@ type Config struct {
 	// Seed is the service base seed: job n with no explicit seed runs
 	// with machine.DeriveSeed(Seed, n) (0 means 1).
 	Seed int64
-	// MaxPooledReplicas bounds the loaded machines kept warm across all
-	// artifacts (<= 0 means 4 * Workers). Least recently used artifact
-	// pools are dropped first.
-	MaxPooledReplicas int
-	// MaxRetainedJobs bounds how many finished jobs stay queryable
-	// (<= 0 means 4096). Oldest-finished are forgotten first, so a
-	// long-lived daemon's memory does not grow with total traffic; a
-	// Get/Wait for a forgotten job reports not-found.
-	MaxRetainedJobs int
-	// MaxSweepPoints bounds the points one sweep job may carry
-	// (<= 0 means 4096). The job queue bounds jobs, not work: without
-	// this cap a single submission could monopolize a worker forever and
-	// retain an unbounded Points snapshot past completion.
-	MaxSweepPoints int
 	// Artifacts is the compiled-artifact cache this service compiles
 	// through (nil = the process-wide artifact.Shared). A service with a
 	// private cache — typically one with an on-disk store attached via
@@ -74,6 +60,25 @@ type Config struct {
 	// prefix to keep one shard's IDs from naming another shard's jobs.
 	IDPrefix string
 }
+
+// The service's memory bounds. They are constants: no deployment has
+// needed another value.
+const (
+	// PooledReplicasPerWorker bounds the loaded machines kept warm across
+	// all artifacts at this many per worker. Least recently used artifact
+	// pools are dropped first.
+	PooledReplicasPerWorker = 4
+	// MaxRetainedJobs bounds how many finished jobs stay queryable.
+	// Oldest-finished are forgotten first, so a long-lived daemon's memory
+	// does not grow with total traffic; a Get/Wait for a forgotten job
+	// reports not-found.
+	MaxRetainedJobs = 4096
+	// MaxSweepPoints bounds the points one sweep job may carry. The job
+	// queue bounds jobs, not work: without this cap a single submission
+	// could monopolize a worker forever and retain an unbounded Points
+	// snapshot past completion.
+	MaxSweepPoints = 4096
+)
 
 // ErrQueueFull is returned by Submit when the bounded queue is at depth.
 var ErrQueueFull = errors.New("service: job queue full")
@@ -115,15 +120,6 @@ func New(cfg Config) *Service {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.MaxPooledReplicas <= 0 {
-		cfg.MaxPooledReplicas = 4 * cfg.Workers
-	}
-	if cfg.MaxRetainedJobs <= 0 {
-		cfg.MaxRetainedJobs = 4096
-	}
-	if cfg.MaxSweepPoints <= 0 {
-		cfg.MaxSweepPoints = 4096
-	}
 	if cfg.Artifacts == nil {
 		cfg.Artifacts = artifact.Shared
 	}
@@ -131,7 +127,7 @@ func New(cfg Config) *Service {
 		cfg:   cfg,
 		queue: make(chan *job, cfg.QueueDepth),
 		jobs:  make(map[string]*job),
-		pool:  newReplicaPool(cfg.MaxPooledReplicas),
+		pool:  newReplicaPool(PooledReplicasPerWorker * cfg.Workers),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -156,9 +152,9 @@ func (s *Service) Submit(req Request) (string, error) {
 // backpressure-by-hanging). Nothing here reads the circuit — Resolve hashed
 // it, outside the service lock.
 func (s *Service) Enqueue(a Admission) (string, error) {
-	if len(a.Req.Sweep) > s.cfg.MaxSweepPoints {
+	if len(a.Req.Sweep) > MaxSweepPoints {
 		return "", fmt.Errorf("service: sweep has %d points, limit %d (split it into multiple jobs — they share the compiled skeleton anyway)",
-			len(a.Req.Sweep), s.cfg.MaxSweepPoints)
+			len(a.Req.Sweep), MaxSweepPoints)
 	}
 	cfg := &a.Spec.Cfg
 	// Jobs compile through this service's artifact cache unless the caller
@@ -172,7 +168,7 @@ func (s *Service) Enqueue(a Admission) (string, error) {
 		st: JobStatus{
 			State: StateQueued, Shots: a.Req.Shots, Fingerprint: a.Fingerprint.String(),
 			MeshW: a.Spec.MeshW, MeshH: a.Spec.MeshH, Chips: cfg.Chips,
-			Placement: cfg.Placement, Schedule: cfg.Schedule,
+			Placement: cfg.Placement,
 		},
 		done:   make(chan struct{}),
 		notify: make(chan struct{}),
@@ -274,7 +270,7 @@ func (s *Service) worker() {
 // service's own reference is dropped.
 func (s *Service) retire(id string) {
 	s.finished = append(s.finished, id)
-	for len(s.finished) > s.cfg.MaxRetainedJobs {
+	for len(s.finished) > MaxRetainedJobs {
 		oldest := s.finished[0]
 		s.finished = s.finished[1:]
 		delete(s.jobs, oldest)

@@ -8,7 +8,6 @@ import (
 
 	"dhisq/internal/artifact"
 	"dhisq/internal/circuit"
-	"dhisq/internal/compiler"
 	"dhisq/internal/machine"
 	"dhisq/internal/placement"
 	"dhisq/internal/runner"
@@ -98,7 +97,7 @@ func TestRepeatCircuitBatches(t *testing.T) {
 }
 
 // A default job and its named-default twin are one program: naming the
-// policies "" resolves to (identity, fixed) must not fingerprint, compile
+// placement policy "" resolves to (identity) must not fingerprint, compile
 // or pool it a second time.
 func TestNamedDefaultsShareTheDefaultProgram(t *testing.T) {
 	arts := artifact.New(4)
@@ -106,8 +105,7 @@ func TestNamedDefaultsShareTheDefaultProgram(t *testing.T) {
 	defer s.Close()
 
 	first := submitWait(t, s, Request{Circuit: ghz(4), Shots: 4, Seed: 3})
-	named := submitWait(t, s, Request{Circuit: ghz(4), Shots: 4, Seed: 3,
-		Placement: placement.Default, Schedule: compiler.DefaultSchedule})
+	named := submitWait(t, s, Request{Circuit: ghz(4), Shots: 4, Seed: 3, Placement: placement.Default})
 	if named.Fingerprint != first.Fingerprint {
 		t.Fatalf("named defaults fingerprint %s, default job %s", named.Fingerprint, first.Fingerprint)
 	}
@@ -208,23 +206,25 @@ func TestPrewarmedCacheHit(t *testing.T) {
 // Finished jobs beyond the retention bound are forgotten oldest-first,
 // so a long-lived service does not accumulate every result ever run.
 func TestRetentionBound(t *testing.T) {
-	s := New(Config{Workers: 1, MaxRetainedJobs: 2})
+	const over = 2
+	s := New(Config{Workers: 1, QueueDepth: MaxRetainedJobs + over})
 	defer s.Close()
 
 	var ids []string
-	for i := 0; i < 4; i++ {
+	for i := 0; i < MaxRetainedJobs+over; i++ {
 		id, err := s.Submit(Request{Circuit: ghz(3), Shots: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st, _ := s.Wait(id); st.State != StateDone {
-			t.Fatalf("job %d failed: %q", i, st.Err)
-		}
 		ids = append(ids, id)
+	}
+	// One worker runs the queue in order, so the last job finishes last.
+	if st, _ := s.Wait(ids[len(ids)-1]); st.State != StateDone {
+		t.Fatalf("last job failed: %q", st.Err)
 	}
 	for i, id := range ids {
 		_, ok := s.Get(id)
-		if want := i >= 2; ok != want {
+		if want := i >= over; ok != want {
 			t.Fatalf("job %d (%s): retained=%v, want %v", i, id, ok, want)
 		}
 	}
