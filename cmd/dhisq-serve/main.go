@@ -52,6 +52,12 @@
 // to the owner its ID names, so a client can talk to one shard for the
 // job's whole lifetime.
 //
+// -workers × -shot-workers is the daemon's machine-replica budget. Every
+// job is guaranteed -shot-workers replicas for its shots or sweep points;
+// a job that starts while workers idle borrows their shares too, decided
+// once at its start, so a lone job fans out over every core the daemon was
+// given. The replica count never moves a result.
+//
 // Submit a GHZ circuit and read its histogram:
 //
 //	dhisq-serve -addr :8080 &
@@ -88,7 +94,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS/2)")
 	queue := flag.Int("queue", 64, "bounded job-queue depth")
-	shotWorkers := flag.Int("shot-workers", 1, "machine replicas per job's shot fan-out")
+	shotWorkers := flag.Int("shot-workers", 1, "machine replicas a job is guaranteed for its shot or sweep-point fan-out (a job starting beside idle workers borrows theirs)")
 	seed := flag.Int64("seed", 1, "service base seed for jobs without one")
 	cacheCap := flag.Int("cache", artifact.DefaultCapacity, "artifact cache capacity (entries)")
 	storeDir := flag.String("store", "", "directory for the persistent artifact store (restores compiles across restarts)")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"dhisq/internal/chip"
 	"dhisq/internal/core"
 	"dhisq/internal/fit"
 	"dhisq/internal/isa"
@@ -28,7 +29,7 @@ type calRig struct {
 func newCalRig(seed int64) *calRig {
 	eng := sim.NewEngine()
 	qb := physics.NewQubit(seed)
-	dev := physics.NewDevice(qb, 80)
+	dev := physics.NewDevice(qb, chip.MeasLatency)
 	ctrl := core.NewController(eng, core.Config{ID: 0, Ports: 28}, nil, dev, nil)
 	dev.SetDelivery(func(node, ch int, val uint32, at sim.Time) { ctrl.PostResult(ch, val, at) })
 	return &calRig{eng: eng, ctrl: ctrl, dev: dev}

@@ -29,9 +29,11 @@ import (
 //     though no outcome reads it.
 //  2. Execution identity. runner.Run and RunSweep at 1 and 3 workers, a
 //     run with the commit tape bypassed (LogEvents), and service jobs —
-//     plain, Params and Sweep, at ShotWorkers 1 and 3, cold then warm —
-//     all equal rebuilt, the uncached machine-per-shot oracle; sweep point
-//     k is rebuilt at DeriveSeed(seed, k).
+//     plain, Params and Sweep, at ShotWorkers 1 and 3 on one worker and at
+//     ShotWorkers 1 on two (a lone job there runs on replicas lent by the
+//     idle worker), cold then warm — all equal rebuilt, the uncached
+//     machine-per-shot oracle; sweep point k is rebuilt at DeriveSeed(seed,
+//     k).
 //  3. Timing. With contention off no shot breaks an invariant of the
 //     paper (violations, misalignments, overlaps, inversions), and no
 //     makespan is below the dependency depth of the unconditioned ops.
@@ -257,10 +259,11 @@ func encodeUncached(t *testing.T, spec runner.Spec) []byte {
 func checkKnobInvariants(t *testing.T, seed int64) {
 	kc := genKnobCase(seed)
 	cache := artifact.New(64)
-	var svcs [2]*Service
-	var seen [2]map[string]bool
-	for i, workers := range []int{1, 3} {
-		svcs[i] = New(Config{Workers: 1, ShotWorkers: workers, Artifacts: artifact.New(64)})
+	var svcs [3]*Service
+	var seen [3]map[string]bool
+	for i, cfg := range []Config{{Workers: 1, ShotWorkers: 1}, {Workers: 1, ShotWorkers: 3}, {Workers: 2, ShotWorkers: 1}} {
+		cfg.Artifacts = artifact.New(64)
+		svcs[i] = New(cfg)
 		defer svcs[i].Close()
 		seen[i] = map[string]bool{}
 	}
@@ -365,7 +368,7 @@ func checkKnobInvariants(t *testing.T, seed int64) {
 			for _, req := range jobs {
 				for _, step := range []string{"cold", "warm"} {
 					st := submitWait(t, svc, req)
-					at := fmt.Sprintf("%s: %s job (params %v, sweep %v) at ShotWorkers %d", where, step, req.Params != nil, req.Sweep != nil, svc.cfg.ShotWorkers)
+					at := fmt.Sprintf("%s: %s job (params %v, sweep %v) at Workers %d, ShotWorkers %d", where, step, req.Params != nil, req.Sweep != nil, svc.cfg.Workers, svc.cfg.ShotWorkers)
 					if st.CacheHit != seen[i][st.Fingerprint] {
 						t.Errorf("%s: CacheHit %v, but an earlier job with its fingerprint: %v", at, st.CacheHit, seen[i][st.Fingerprint])
 					}

@@ -67,7 +67,8 @@ func rebuilt(t *testing.T, spec runner.Spec, shots int) *runner.ShotSet {
 }
 
 // TestExecutionMatrix walks every cell the one execution path serves —
-// {plain, Params, Sweep} × {cold pool, warm pool} × ShotWorkers {1, 3}, for
+// {plain, Params, Sweep} × {cold pool, warm pool} × (Workers, ShotWorkers)
+// {(1, 1), (1, 3), (2, 1), (2, 3)}, for
 // a static circuit (whose shots ride the commit tape) and a feed-forward
 // one (whose shots never do) — and pins two things per cell: the job's
 // tally, outcome digest included, equals the fold of the runner's
@@ -75,7 +76,8 @@ func rebuilt(t *testing.T, spec runner.Spec, shots int) *runner.ShotSet {
 // sweep point k, of its bound circuit at seed DeriveSeed(seed, k)), and the
 // bookkeeping is exact: CacheHit, Batched, the
 // Binds/BindHits deltas, PooledReplicas, the compiles charged to the
-// artifact cache, and how many shots came off a tape.
+// artifact cache, and how many shots came off a tape. At 2 workers the
+// lone job borrows the idle worker's replicas.
 func TestExecutionMatrix(t *testing.T) {
 	const n = 5
 	t.Run("static", func(t *testing.T) { executionMatrix(t, workloads.VQEAnsatz(n, 1), n, true) })
@@ -131,49 +133,50 @@ func executionMatrix(t *testing.T, skel *circuit.Circuit, n int, static bool) {
 		{"cold", false, false, 1},
 		{"warm", true, true, 0},
 	}
-	for _, workers := range []int{1, 3} {
+	for _, c := range []struct{ workers, shotWorkers int }{{1, 1}, {1, 3}, {2, 1}, {2, 3}} {
+		// Every job runs alone, so it holds the whole replica budget, capped
+		// at its 4 shots or 4 points.
+		held := min(shots, c.workers*c.shotWorkers)
 		for _, kind := range kinds {
-			// One service per (workers, kind): its pool and private cache
+			// One service per (config, kind): its pool and private cache
 			// carry cold → warm in order.
 			cache := artifact.New(8)
-			svc := New(Config{Workers: 1, ShotWorkers: workers, Artifacts: cache})
+			svc := New(Config{Workers: c.workers, ShotWorkers: c.shotWorkers, Artifacts: cache})
 			for _, step := range steps {
 				req := kind.req
 				req.Shots, req.Seed = shots, seed
 				before := svc.Stats()
 				st := submitWait(t, svc, req)
 				after := svc.Stats()
-				cell := kind.name + "/" + step.name
+				cell := fmt.Sprintf("W%d/S%d %s/%s", c.workers, c.shotWorkers, kind.name, step.name)
 
 				if kind.req.Sweep != nil {
 					if st.Tally != nil || !reflect.DeepEqual(st.Points, refPoints) {
-						t.Errorf("w%d %s: points diverge from rebuilt of the bound points", workers, cell)
+						t.Errorf("%s: points diverge from rebuilt of the bound points", cell)
 					}
 				} else if st.Points != nil || !reflect.DeepEqual(st.Tally, &refTally) {
-					t.Errorf("w%d %s: tally diverges from rebuilt", workers, cell)
+					t.Errorf("%s: tally diverges from rebuilt", cell)
 				}
 
 				if st.CacheHit != step.cacheHit || st.Batched != step.warmed {
-					t.Errorf("w%d %s: CacheHit=%v Batched=%v, want %v %v",
-						workers, cell, st.CacheHit, st.Batched, step.cacheHit, step.warmed)
+					t.Errorf("%s: CacheHit=%v Batched=%v, want %v %v",
+						cell, st.CacheHit, st.Batched, step.cacheHit, step.warmed)
 				}
 				wantBinds, wantHits := kind.binds, uint64(0)
 				if step.cacheHit && kind.binds > 0 {
 					wantHits = 1
 				}
 				if d := after.Binds - before.Binds; d != wantBinds {
-					t.Errorf("w%d %s: Binds moved by %d, want %d", workers, cell, d, wantBinds)
+					t.Errorf("%s: Binds moved by %d, want %d", cell, d, wantBinds)
 				}
 				if d := after.BindHits - before.BindHits; d != wantHits {
-					t.Errorf("w%d %s: BindHits moved by %d, want %d", workers, cell, d, wantHits)
+					t.Errorf("%s: BindHits moved by %d, want %d", cell, d, wantHits)
 				}
-				// 4 shots and 4 points both cover 3 replicas, so every
-				// job holds exactly ShotWorkers of them.
-				if after.PooledReplicas != workers {
-					t.Errorf("w%d %s: PooledReplicas=%d, want %d", workers, cell, after.PooledReplicas, workers)
+				if after.PooledReplicas != held {
+					t.Errorf("%s: PooledReplicas=%d, want %d", cell, after.PooledReplicas, held)
 				}
 				if d := after.Cache.Misses - before.Cache.Misses; d != step.misses {
-					t.Errorf("w%d %s: artifact cache charged %d compiles, want %d", workers, cell, d, step.misses)
+					t.Errorf("%s: artifact cache charged %d compiles, want %d", cell, d, step.misses)
 				}
 
 				// The tape: every shot a replica runs is replayed, except
@@ -183,18 +186,18 @@ func executionMatrix(t *testing.T, skel *circuit.Circuit, n int, static bool) {
 				// handed a shot on a cold job, none on a warm job but those
 				// the cold job never handed one.
 				taped := after.TapedShots - before.TapedShots
-				recordedLeast, recordedMost := uint64(1), uint64(workers)
+				recordedLeast, recordedMost := uint64(1), uint64(held)
 				if step.warmed {
-					recordedLeast, recordedMost = 0, uint64(workers-1)
+					recordedLeast, recordedMost = 0, uint64(held-1)
 				}
 				switch {
 				case after.TapeFallbacks != 0:
-					t.Errorf("w%d %s: %d recordings fell back", workers, cell, after.TapeFallbacks)
+					t.Errorf("%s: %d recordings fell back", cell, after.TapeFallbacks)
 				case !static && taped != 0:
-					t.Errorf("w%d %s: feed-forward job took %d shots off a tape", workers, cell, taped)
+					t.Errorf("%s: feed-forward job took %d shots off a tape", cell, taped)
 				case static && (taped > kind.total-recordedLeast || taped < kind.total-recordedMost):
-					t.Errorf("w%d %s: %d of %d shots taped, want between %d and %d",
-						workers, cell, taped, kind.total, kind.total-recordedMost, kind.total-recordedLeast)
+					t.Errorf("%s: %d of %d shots taped, want between %d and %d",
+						cell, taped, kind.total, kind.total-recordedMost, kind.total-recordedLeast)
 				}
 			}
 			svc.Close()
@@ -267,7 +270,8 @@ func TestFailedRunUnwinds(t *testing.T) {
 // gone — the evicted-but-pooled case, which runs what is loaded. The job
 // must end failed with the panic text, its replicas discarded rather than
 // pooled, and the worker — and the process — must go on to serve the next
-// job.
+// job. The panicked job's replicas go back to the budget too: the next lone
+// job borrows the idle worker's share again.
 func TestBackendPanicFailsOneJob(t *testing.T) {
 	good, bad := circuit.New(1), circuit.New(1)
 	good.H(0).S(0).MeasureInto(0, 0)
@@ -275,7 +279,7 @@ func TestBackendPanicFailsOneJob(t *testing.T) {
 	cfg := machine.DefaultConfig(1)
 	cfg.Backend = machine.BackendStabilizer
 	for _, workers := range []int{1, 3} {
-		svc := New(Config{Workers: 1, ShotWorkers: workers, Artifacts: artifact.New(8)})
+		svc := New(Config{Workers: 2, ShotWorkers: workers, Artifacts: artifact.New(8)})
 		req := Request{Circuit: good, Cfg: &cfg, Shots: 6, Seed: 1}
 		adm, err := Resolve(req)
 		if err != nil {
@@ -323,6 +327,13 @@ func TestBackendPanicFailsOneJob(t *testing.T) {
 		// ones are gone.
 		if stats.PooledReplicas != 1 {
 			t.Fatalf("w%d: PooledReplicas=%d, want 1", workers, stats.PooledReplicas)
+		}
+		if held := heldReplicas(svc); held != 0 {
+			t.Fatalf("w%d: %d replicas still held with no job running", workers, held)
+		}
+		submitWait(t, svc, Request{Circuit: ghz(4), Shots: 8, Seed: 1})
+		if n := svc.Stats().PooledReplicas - stats.PooledReplicas; n != 2*workers {
+			t.Fatalf("w%d: the next lone job held %d replicas, want the full budget %d", workers, n, 2*workers)
 		}
 		svc.Close()
 	}

@@ -35,15 +35,17 @@ import (
 // Config parameterizes a Service.
 type Config struct {
 	// Workers is the number of jobs executed concurrently (<= 0 picks
-	// GOMAXPROCS/2, minimum 1). Each running job additionally fans its
-	// shots across ShotWorkers replicas.
+	// GOMAXPROCS/2, minimum 1). Workers × ShotWorkers is the daemon's
+	// replica budget: a job that starts while workers idle also fans out
+	// across their shares.
 	Workers int
 	// QueueDepth bounds the number of admitted-but-unstarted jobs;
 	// Submit fails with ErrQueueFull beyond it (<= 0 means 64).
 	QueueDepth int
-	// ShotWorkers is the replica count a single job's shots fan out
-	// across (<= 0 means 1; service throughput usually comes from job
-	// parallelism, not per-job fan-out).
+	// ShotWorkers is the replicas a job is guaranteed for its shots or
+	// sweep points to fan out across (<= 0 means 1). A job gets
+	// max(ShotWorkers, Workers×ShotWorkers − the replicas running jobs
+	// hold), decided once at its start and capped by its fan-out units.
 	ShotWorkers int
 	// Seed is the service base seed: job n with no explicit seed runs
 	// with machine.DeriveSeed(Seed, n) (0 means 1).
@@ -65,8 +67,9 @@ type Config struct {
 // needed another value.
 const (
 	// PooledReplicasPerWorker bounds the loaded machines kept warm across
-	// all artifacts at this many per worker. Least recently used artifact
-	// pools are dropped first.
+	// all artifacts at this many per worker, or at the replica budget if
+	// that is more, so one full fan-out survives checkin. Least recently
+	// used artifact pools are dropped first.
 	PooledReplicasPerWorker = 4
 	// MaxRetainedJobs bounds how many finished jobs stay queryable.
 	// Oldest-finished are forgotten first, so a long-lived daemon's memory
@@ -97,6 +100,7 @@ type Service struct {
 	nextID   uint64
 	closed   bool
 	stats    Stats
+	held     int          // replicas the running jobs' plans hold
 	pool     *replicaPool // its own lock; never taken with mu held
 	memo     admitMemo    // Admit's; its own lock
 
@@ -127,7 +131,7 @@ func New(cfg Config) *Service {
 		cfg:   cfg,
 		queue: make(chan *job, cfg.QueueDepth),
 		jobs:  make(map[string]*job),
-		pool:  newReplicaPool(PooledReplicasPerWorker * cfg.Workers),
+		pool:  newReplicaPool(cfg.Workers * max(PooledReplicasPerWorker, cfg.ShotWorkers)),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -230,15 +234,17 @@ func (s *Service) worker() {
 			continue
 		}
 		s.stats.Running++
+		p := s.planFor(j.adm)
+		s.held += p.want
 		s.mu.Unlock()
 		st.State = StateRunning
 		j.record(st)
 
-		p := s.planFor(j.adm)
-		res, err := s.run(j, p, &st)
+		res, err := s.run(j, p, &st) // recovers its own panics
 
 		s.mu.Lock()
 		s.stats.Running--
+		s.held -= p.want
 		s.stats.TapedShots += res.tape.Replayed
 		s.stats.TapeFallbacks += res.tape.Fallbacks
 		if err != nil {
@@ -291,9 +297,12 @@ type plan struct {
 	// points is the work: one unbound (nil) point for a plain job, one
 	// binding for Params, N for a Sweep.
 	points []map[string]float64
-	want   int // replicas: ShotWorkers, capped at the fan-out units there are
+	want   int // replicas: ShotWorkers or the idle budget, capped at the fan-out units
 }
 
+// planFor is a's plan, with the replicas it may hold decided now, once:
+// ShotWorkers, or all of the budget the running jobs do not hold. Called
+// with s.mu held.
 func (s *Service) planFor(a Admission) plan {
 	req := a.Req
 	p := plan{
@@ -303,9 +312,7 @@ func (s *Service) planFor(a Admission) plan {
 	if p.sweep {
 		p.points, p.want = req.Sweep, len(req.Sweep)
 	}
-	if p.want > s.cfg.ShotWorkers {
-		p.want = s.cfg.ShotWorkers
-	}
+	p.want = min(p.want, max(s.cfg.ShotWorkers, s.cfg.Workers*s.cfg.ShotWorkers-s.held))
 	return p
 }
 
