@@ -52,11 +52,12 @@
 // to the owner its ID names, so a client can talk to one shard for the
 // job's whole lifetime.
 //
-// -workers × -shot-workers is the daemon's machine-replica budget. Every
-// job is guaranteed -shot-workers replicas for its shots or sweep points;
-// a job that starts while workers idle borrows their shares too, decided
-// once at its start, so a lone job fans out over every core the daemon was
-// given. The replica count never moves a result.
+// Every job is guaranteed -shot-workers machine replicas for its shots or
+// sweep points; a job that starts while workers idle borrows their shares
+// too, decided once at its start, so a lone job fans out over all
+// -workers × -shot-workers. Jobs that start beside it still get their
+// guaranteed share, so up to (2 × -workers − 1) × -shot-workers replicas
+// run at once. The replica count never moves a result.
 //
 // Submit a GHZ circuit and read its histogram:
 //

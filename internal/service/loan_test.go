@@ -1,6 +1,8 @@
 package service
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -149,5 +151,57 @@ func TestPoolKeepsAFullFanOut(t *testing.T) {
 		if n := svc.Stats().PooledReplicas; n != 8 {
 			t.Errorf("job %d left %d replicas pooled, want 8", i, n)
 		}
+	}
+}
+
+// A job whose backend panics gives its loan back like any other: with no job
+// running nothing is held, and the next lone job borrows the idle worker's
+// share again.
+func TestPanickedJobReturnsItsLoan(t *testing.T) {
+	for _, shotWorkers := range []int{1, 3} {
+		svc := New(Config{Workers: 2, ShotWorkers: shotWorkers, Artifacts: artifact.New(8)})
+		id, err := svc.Submit(plantPanic(t, svc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := svc.Wait(id); st.State != StateFailed || !strings.Contains(st.Err, "stabilizer backend cannot apply") {
+			t.Fatalf("S%d: panicking job ended %s with %q", shotWorkers, st.State, st.Err)
+		}
+		if held := heldReplicas(svc); held != 0 {
+			t.Fatalf("S%d: %d replicas still held with no job running", shotWorkers, held)
+		}
+		if n := svc.Stats().PooledReplicas; n != 0 {
+			t.Fatalf("S%d: %d replicas pooled after the panic, want 0", shotWorkers, n)
+		}
+		submitWait(t, svc, Request{Circuit: ghz(4), Shots: 8, Seed: 1})
+		if n := svc.Stats().PooledReplicas; n != 2*shotWorkers {
+			t.Fatalf("S%d: the next lone job held %d replicas, want the full budget %d", shotWorkers, n, 2*shotWorkers)
+		}
+		svc.Close()
+	}
+}
+
+// Lent replicas never cost another program its warm machines: over budget,
+// the pool trims each group to ShotWorkers before it evicts one. Each cell
+// rotates as many families as the pool kept warm before the loan,
+// PooledReplicasPerWorker×Workers / ShotWorkers, more than fit at a lone
+// job's full fan-out; every repeat job must still find pooled replicas.
+func TestLoansDoNotEvictWarmFamilies(t *testing.T) {
+	for _, c := range []struct{ workers, shotWorkers int }{{2, 1}, {2, 2}} {
+		families := PooledReplicasPerWorker * c.workers / c.shotWorkers
+		svc := New(Config{Workers: c.workers, ShotWorkers: c.shotWorkers, Artifacts: artifact.New(2 * families)})
+		for round := range 3 {
+			for f := range families {
+				st := submitWait(t, svc, Request{Circuit: ghz(2 + f), Shots: 8, Seed: 1})
+				cell := fmt.Sprintf("W%d/S%d round %d family %d", c.workers, c.shotWorkers, round, f)
+				if st.State != StateDone {
+					t.Fatalf("%s: %s (%s)", cell, st.State, st.Err)
+				}
+				if st.Batched != (round > 0) {
+					t.Errorf("%s: Batched=%v, want %v", cell, st.Batched, round > 0)
+				}
+			}
+		}
+		svc.Close()
 	}
 }

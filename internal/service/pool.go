@@ -36,19 +36,22 @@ func poolKeyOf(a Admission) poolKey {
 // replicaPool keeps loaded machines warm, grouped by pool key — the
 // "reusable compiled program" half of the package's split — bounded by a
 // global replica budget (which bounds the groups it knows too: one may be
-// empty, its replicas checked out) with LRU group eviction. Checkout
-// removes machines from the pool (a machine is never shared by two running
-// jobs); checkin returns them.
+// empty, its replicas checked out) with LRU group eviction. Over budget,
+// groups first give up what they hold above floor, least recently used
+// first, so replicas lent to a lone job never cost another program its
+// warm machines. Checkout removes machines from the pool (a machine is
+// never shared by two running jobs); checkin returns them.
 type replicaPool struct {
 	mu     sync.Mutex
 	budget int
+	floor  int                            // a group's replicas kept before any group is evicted
 	groups map[poolKey][]*machine.Machine // pooled (not checked out); may be empty
 	order  []poolKey                      // front = most recently used
 	total  int
 }
 
-func newReplicaPool(budget int) *replicaPool {
-	return &replicaPool{budget: budget, groups: make(map[poolKey][]*machine.Machine)}
+func newReplicaPool(budget, floor int) *replicaPool {
+	return &replicaPool{budget: budget, floor: floor, groups: make(map[poolKey][]*machine.Machine)}
 }
 
 func (p *replicaPool) touch(pk poolKey) {
@@ -87,8 +90,9 @@ func (p *replicaPool) checkout(pk poolKey, want int) []*machine.Machine {
 	return out
 }
 
-// checkin returns machines to pk's group, evicting least recently used
-// groups while the global budget is exceeded.
+// checkin returns machines to pk's group. While the global budget is
+// exceeded it trims groups down to floor, then evicts whole groups, least
+// recently used first both times.
 func (p *replicaPool) checkin(pk poolKey, machines []*machine.Machine) {
 	if len(machines) == 0 {
 		return
@@ -98,6 +102,11 @@ func (p *replicaPool) checkin(pk poolKey, machines []*machine.Machine) {
 	p.groups[pk] = append(p.groups[pk], machines...)
 	p.total += len(machines)
 	p.touch(pk)
+	for i := len(p.order) - 1; i >= 0 && p.total > p.budget; i-- {
+		if surplus := len(p.groups[p.order[i]]) - p.floor; surplus > 0 {
+			p.trim(p.order[i], min(p.total-p.budget, surplus))
+		}
+	}
 	for p.total > p.budget || len(p.order) > p.budget {
 		victim := p.order[len(p.order)-1]
 		if victim == pk && len(p.order) == 1 {

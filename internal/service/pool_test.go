@@ -43,7 +43,7 @@ func pooled(t *testing.T, p *replicaPool, pk poolKey) int {
 // The budget holds after every step of an interleaving of checkouts and
 // checkins over more groups than it has room for.
 func TestPoolBudgetHolds(t *testing.T) {
-	p := newReplicaPool(4)
+	p := newReplicaPool(4, 1)
 	held := map[int][]*machine.Machine{}
 	for step := 0; step < 200; step++ {
 		k := (step * 7) % 6
@@ -61,7 +61,7 @@ func TestPoolBudgetHolds(t *testing.T) {
 // Eviction takes the least recently used group, and both checkin and
 // checkout count as use.
 func TestPoolEvictsLeastRecentlyUsed(t *testing.T) {
-	p := newReplicaPool(2)
+	p := newReplicaPool(2, 1)
 	a, b, c, d := keyN(1), keyN(2), keyN(3), keyN(4)
 	p.checkin(a, blanks(1))
 	p.checkin(b, blanks(1))
@@ -83,7 +83,7 @@ func TestPoolEvictsLeastRecentlyUsed(t *testing.T) {
 // Checkout never hands one machine to two callers, and asking for more than
 // the group has takes what there is.
 func TestPoolCheckoutIsExclusive(t *testing.T) {
-	p := newReplicaPool(4)
+	p := newReplicaPool(4, 1)
 	a := keyN(1)
 	p.checkin(a, blanks(3))
 	first := p.checkout(a, 2)
@@ -99,7 +99,7 @@ func TestPoolCheckoutIsExclusive(t *testing.T) {
 
 // A group alone in the pool and over budget is trimmed, not evicted.
 func TestPoolTrimsTheSoleGroup(t *testing.T) {
-	p := newReplicaPool(2)
+	p := newReplicaPool(2, 1)
 	a := keyN(1)
 	p.checkin(a, blanks(5))
 	if n := pooled(t, p, a); n != 2 {
@@ -111,7 +111,7 @@ func TestPoolTrimsTheSoleGroup(t *testing.T) {
 // does not count as use, and the group is evicted in its turn though it
 // holds no machine.
 func TestPoolEmptiedGroupEvictedInTurn(t *testing.T) {
-	p := newReplicaPool(2)
+	p := newReplicaPool(2, 1)
 	a, b, c := keyN(1), keyN(2), keyN(3)
 	p.checkin(a, blanks(1))
 	p.checkin(b, blanks(1))
@@ -132,5 +132,27 @@ func TestPoolEmptiedGroupEvictedInTurn(t *testing.T) {
 	}
 	if p.checkout(a, 1) != nil || pooled(t, p, a) != -1 {
 		t.Fatal("checkout of an evicted group handed out a machine or brought the group back")
+	}
+}
+
+// Over budget, groups give up what they hold above the floor, least
+// recently used first, before any group is evicted.
+func TestPoolTrimsToTheFloorBeforeEvicting(t *testing.T) {
+	p := newReplicaPool(4, 1)
+	a, b, c := keyN(1), keyN(2), keyN(3)
+	p.checkin(a, blanks(2))
+	p.checkin(b, blanks(2))
+	p.checkin(c, blanks(2))
+	if pooled(t, p, a) != 1 || pooled(t, p, b) != 1 || pooled(t, p, c) != 2 {
+		t.Fatalf("pooled a, b, c = %d, %d, %d; want 1, 1, 2", pooled(t, p, a), pooled(t, p, b), pooled(t, p, c))
+	}
+	d, e := keyN(4), keyN(5)
+	p.checkin(d, blanks(2)) // c and d give up their surplus: four groups fit at the floor
+	if pooled(t, p, a) != 1 || pooled(t, p, b) != 1 || pooled(t, p, c) != 1 || pooled(t, p, d) != 1 {
+		t.Fatal("a fourth group's checkin did not trim every group to the floor")
+	}
+	p.checkin(e, blanks(2)) // no surplus is left but e's own: then a, the oldest, goes
+	if pooled(t, p, a) != -1 || pooled(t, p, b) != 1 || pooled(t, p, e) != 1 {
+		t.Fatal("with every group at the floor, the least recently used was not evicted")
 	}
 }

@@ -35,9 +35,8 @@ import (
 // Config parameterizes a Service.
 type Config struct {
 	// Workers is the number of jobs executed concurrently (<= 0 picks
-	// GOMAXPROCS/2, minimum 1). Workers × ShotWorkers is the daemon's
-	// replica budget: a job that starts while workers idle also fans out
-	// across their shares.
+	// GOMAXPROCS/2, minimum 1). A job that starts while workers idle also
+	// fans out across their ShotWorkers shares.
 	Workers int
 	// QueueDepth bounds the number of admitted-but-unstarted jobs;
 	// Submit fails with ErrQueueFull beyond it (<= 0 means 64).
@@ -46,6 +45,9 @@ type Config struct {
 	// sweep points to fan out across (<= 0 means 1). A job gets
 	// max(ShotWorkers, Workers×ShotWorkers − the replicas running jobs
 	// hold), decided once at its start and capped by its fan-out units.
+	// At most (2·Workers−1)·ShotWorkers replicas run at once: the whole
+	// Workers×ShotWorkers of a job that started alone, plus the share
+	// guaranteed to each job that started beside it.
 	ShotWorkers int
 	// Seed is the service base seed: job n with no explicit seed runs
 	// with machine.DeriveSeed(Seed, n) (0 means 1).
@@ -67,9 +69,10 @@ type Config struct {
 // needed another value.
 const (
 	// PooledReplicasPerWorker bounds the loaded machines kept warm across
-	// all artifacts at this many per worker, or at the replica budget if
-	// that is more, so one full fan-out survives checkin. Least recently
-	// used artifact pools are dropped first.
+	// all artifacts at this many per worker, or at Workers×ShotWorkers if
+	// that is more, so a lone job's full fan-out survives checkin. Over
+	// it, pools are trimmed to ShotWorkers replicas, then least recently
+	// used artifact pools are dropped.
 	PooledReplicasPerWorker = 4
 	// MaxRetainedJobs bounds how many finished jobs stay queryable.
 	// Oldest-finished are forgotten first, so a long-lived daemon's memory
@@ -131,7 +134,7 @@ func New(cfg Config) *Service {
 		cfg:   cfg,
 		queue: make(chan *job, cfg.QueueDepth),
 		jobs:  make(map[string]*job),
-		pool:  newReplicaPool(cfg.Workers * max(PooledReplicasPerWorker, cfg.ShotWorkers)),
+		pool:  newReplicaPool(cfg.Workers*max(PooledReplicasPerWorker, cfg.ShotWorkers), cfg.ShotWorkers),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -301,8 +304,8 @@ type plan struct {
 }
 
 // planFor is a's plan, with the replicas it may hold decided now, once:
-// ShotWorkers, or all of the budget the running jobs do not hold. Called
-// with s.mu held.
+// ShotWorkers, or what the running jobs leave of Workers×ShotWorkers,
+// whichever is more. Called with s.mu held.
 func (s *Service) planFor(a Admission) plan {
 	req := a.Req
 	p := plan{
