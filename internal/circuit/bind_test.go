@@ -80,7 +80,7 @@ func TestValidateRejectsBadDelays(t *testing.T) {
 		{0, true},
 		{1, true},
 		{40, true},
-		{float64(1 << 53), true},
+		{float64(1<<32 - 1), true}, // the longest wait one waitr renders
 		{-1, false},
 		{-0.5, false},
 		{0.5, false},
@@ -88,7 +88,9 @@ func TestValidateRejectsBadDelays(t *testing.T) {
 		{math.NaN(), false},
 		{math.Inf(1), false},
 		{math.Inf(-1), false},
-		{float64(1<<53) * 2, false},
+		{float64(1 << 32), false},
+		{float64(1<<33 + 3), false},
+		{float64(1 << 53), false},
 	} {
 		err := mk(tc.p).Validate()
 		if tc.ok && err != nil {

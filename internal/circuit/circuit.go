@@ -319,9 +319,9 @@ func (c *Circuit) Append(o *Circuit) *Circuit {
 	return c
 }
 
-// maxDelay bounds Delay durations to the float64 exact-integer range, so
-// the lowering's int64 conversion is always value-preserving.
-const maxDelay = float64(1 << 53)
+// maxDelay is the longest delay one wait renders: the lowering loads the
+// cycle count into a 32-bit register, and waitr advances by it unsigned.
+const maxDelay = float64(1<<32 - 1)
 
 // Validate checks qubit/bit indices, arities and parameter sanity: NaN
 // angles are rejected (they would break codeword-table interning, which

@@ -51,20 +51,20 @@ func compileRows(t testing.TB) []goldenRow {
 
 // TestCompileAllocations holds one compile of each row to the allocations
 // it was measured to make. Every one of them is per compile or per doubling
-// of a compile-wide buffer — the streams and their directive lists, the
-// arena, the codeword index and tables, the schedule's arena, bookings and
-// slide buffer, one instruction array for all programs, and the bit
-// bookkeeping — so a representation that gave units or directives their own
-// instruction slices again would cost at least one more per op.
+// of a compile-wide buffer — the streams, their arenas, bookings and slide
+// buffers (cut from one allocation each), the codeword index and tables,
+// one instruction array for all programs, and the bit bookkeeping — so a
+// representation that gave units their own instruction slices again would
+// cost at least one more per op.
 func TestCompileAllocations(t *testing.T) {
 	ceiling := map[string]float64{
-		"cold_bv_n16":  50,
-		"cold_bv_n24":  59,
-		"cold_bv_n32":  68,
-		"cold_qft_n8":  36,
-		"cold_qft_n11": 37,
-		"cold_qft_n14": 39,
-		"qft_n30/1":    40,
+		"cold_bv_n16":  44,
+		"cold_bv_n24":  53,
+		"cold_bv_n32":  62,
+		"cold_qft_n8":  30,
+		"cold_qft_n11": 31,
+		"cold_qft_n14": 33,
+		"qft_n30/1":    34,
 	}
 	for _, row := range compileRows(t) {
 		cc := newCompileCase(t, row)

@@ -7,7 +7,7 @@ import (
 )
 
 // Assemble is the emission pass: it writes each controller's program — the
-// scheduled arena with the sync bookings merged in, then the halt — into
+// lowered arena with the sync bookings merged in, then the halt — into
 // one allocation sized exactly, validates every binary, and packages
 // programs, codeword tables, bit ownership and the resolved mapping into
 // the immutable Compiled artifact.
@@ -18,11 +18,11 @@ func (Assemble) Name() string { return "assemble" }
 
 // Run implements Pass.
 func (Assemble) Run(st *State) error {
-	if st.scheduled == nil {
-		return fmt.Errorf("compiler: assemble before schedule")
+	if st.streams == nil {
+		return fmt.Errorf("compiler: assemble before lower")
 	}
 	out := &Compiled{
-		Programs:   make([]*isa.Program, len(st.scheduled)),
+		Programs:   make([]*isa.Program, len(st.streams)),
 		Tables:     st.tables,
 		BitOwner:   st.bitOwner,
 		MemBytes:   4*st.Circuit.NumBits + 4096,
@@ -37,19 +37,19 @@ func (Assemble) Run(st *State) error {
 		out.Mapping = append([]int(nil), st.Mapping...)
 	}
 	total := 0
-	for i := range st.scheduled {
-		total += st.scheduled[i].size + 1
+	for i := range st.streams {
+		total += st.streams[i].size + 1
 	}
 	all := make([]isa.Instr, total)
-	progs := make([]isa.Program, len(st.scheduled))
-	for i := range st.scheduled {
-		s := &st.scheduled[i]
+	progs := make([]isa.Program, len(st.streams))
+	for i := range st.streams {
+		s := &st.streams[i]
 		n := s.size + 1
 		p := &progs[i]
 		p.Instrs = merge(all[:0:n], s)
 		all = all[n:]
 		if len(p.Instrs) != n {
-			return fmt.Errorf("compiler: controller %d: assembled %d instructions, scheduled %d", i, len(p.Instrs), n)
+			return fmt.Errorf("compiler: controller %d: assembled %d instructions, lowered %d", i, len(p.Instrs), n)
 		}
 		if err := p.Validate(); err != nil {
 			return fmt.Errorf("compiler: controller %d: %w", i, err)

@@ -7,14 +7,11 @@
 //	Place    — resolve the qubit→controller mapping via a pluggable
 //	           placement policy (internal/placement) when the caller did
 //	           not fix one;
-//	Lower    — translate circuit ops into per-controller directive streams:
-//	           the instruction payloads (codeword triggers, fmr/store,
-//	           send/recv/xor sequences) plus symbolic scheduling directives
-//	           (guards, anchors, sync bookings);
-//	Schedule — resolve the directives into timed instruction streams: the
-//	           BISP sync-back/advance-booking placement against calibrated
-//	           fabric windows, pipeline-guard padding, and anchor
-//	           accounting;
+//	Lower    — walk the circuit ops once, writing each controller's timed
+//	           instruction stream: the payloads (codeword triggers,
+//	           fmr/store, send/recv/xor sequences), pipeline-guard padding,
+//	           anchor accounting, and the BISP sync-back/advance-booking
+//	           placement against calibrated fabric windows;
 //	Assemble — merge each stream's sync bookings into it, writing validated
 //	           HISQ programs, and collect the codeword tables.
 //
@@ -66,10 +63,9 @@ type Options struct {
 	// Part of the artifact fingerprint: two policies never share a cache
 	// entry even when they happen to compute the same mapping.
 	Placement string
-	// Padded makes the Schedule pass pad every sync in place instead of
-	// booking it in advance: the §2.1.3 side of the booking-advance
-	// ablation. The zero value is the Fig. 6 advance. Part of the artifact
-	// fingerprint.
+	// Padded makes Lower pad every sync in place instead of booking it in
+	// advance: the §2.1.3 side of the booking-advance ablation. The zero
+	// value is the Fig. 6 advance. Part of the artifact fingerprint.
 	Padded bool
 	// Chips splits the data qubits across this many chips (0 or 1 = the
 	// single-chip legacy model, byte-identical to before the multi-chip
@@ -220,14 +216,16 @@ const (
 	regWait    = 7 // wide waits
 )
 
-// stream is one controller's scheduled instruction stream. Schedule appends
-// every instruction but the sync bookings to ins, the stream's arena, in
-// program order; a booking is a record of where its sync goes, and Assemble
-// merges the bookings in while it copies the arena out, in one pass sized by
-// size. The codeword table was fixed at lowering time (State.tables).
+// stream is one controller's timed instruction stream. Lower appends every
+// instruction but the sync bookings to ins, the stream's arena, in program
+// order; a booking is a record of where its sync goes, and Assemble merges
+// the bookings in while it copies the arena out, in one pass sized by size.
 type stream struct {
-	ins   []isa.Instr
-	syncs []booking // in program order
+	id     int32   // the controller
+	tables *intern // the compile's codeword-table index
+	ntable int     // codeword-table entries interned so far
+	ins    []isa.Instr
+	syncs  []booking // in program order
 	// recent holds the units a sync may still slide back over: the
 	// deterministic units since the last slide-stop (a non-deterministic
 	// unit, a synchronized commit, or a sync's own window).
@@ -313,18 +311,6 @@ func (s *stream) wait(d int64, window bool) {
 	at := len(s.ins)
 	s.ins = appendWait(s.ins, d)
 	s.push(at, d, true, window)
-}
-
-// appendCW renders the codeword trigger for interned table index idx on the
-// given port (indices are 1-based on the wire); wide reports the li + cwir
-// form.
-func appendCW(dst []isa.Instr, idx int, port uint8) (out []isa.Instr, wide bool) {
-	v := int32(idx + 1)
-	if v <= 2047 {
-		return append(dst, isa.Instr{Op: isa.OpCWII, Rd: port, Imm: v}), false
-	}
-	dst = isa.AppendLoadImm(dst, regCW, v)
-	return append(dst, isa.Instr{Op: isa.OpCWIR, Rd: port, Rs1: regCW}), true
 }
 
 // guard pads the timing point so the next commit cannot trail the classical

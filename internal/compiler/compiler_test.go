@@ -131,6 +131,34 @@ func TestSyncWindowPlacement(t *testing.T) {
 	}
 }
 
+// TestWideWindowRefused: a calibrated window past 2³¹−1 cycles, whether a
+// remote gate's or a barrier's, fails the compile with the window error
+// instead of rendering a truncated wait.
+func TestWideWindowRefused(t *testing.T) {
+	const wide = sim.Time(1) << 31
+	want := "compiler: a calibrated sync window exceeds 2147483647 cycles"
+	for name, tc := range map[string]struct {
+		win   fixedWindows
+		build func(*circuit.Circuit)
+	}{
+		"nearby": {fixedWindows{wide, 10}, func(c *circuit.Circuit) { c.CNOT(0, 1) }},
+		"region": {fixedWindows{4, wide}, func(c *circuit.Circuit) { c.BarrierAll() }},
+	} {
+		c := circuit.New(2)
+		tc.build(c)
+		_, err := Compile(c, nil, tc.win, opts(2))
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", name, err, want)
+		}
+	}
+	// One cycle less fits.
+	c := circuit.New(2)
+	c.CNOT(0, 1)
+	if _, err := Compile(c, nil, fixedWindows{wide - 1, 10}, opts(2)); err != nil {
+		t.Errorf("window 2³¹−1: %v", err)
+	}
+}
+
 func TestCompileMeasurementAndFeedback(t *testing.T) {
 	c := circuit.New(2)
 	b := c.MeasureNew(0)

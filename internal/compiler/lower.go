@@ -7,158 +7,23 @@ import (
 	"dhisq/internal/chip"
 	"dhisq/internal/circuit"
 	"dhisq/internal/isa"
+	"dhisq/internal/sim"
 )
 
-// The Lower pass translates circuit ops into per-controller directive
-// streams. A directive is one step of one controller, made of parts: fully
-// rendered instruction payloads (codeword triggers are interned here, so
-// table layout is fixed at lowering time) and symbolic scheduling requests
-// — guard, anchor, sync booking, timed wait — whose cycle arithmetic the
-// Schedule pass resolves. The split is exact: Schedule replays each
-// stream's directives through the same per-stream accounting the monolithic
-// compiler ran inline, so the pipeline's output is byte-identical
-// (legacy_test.go, compile.golden and the equivalence tests hold it to
-// that).
+// Lower walks the validated circuit once and writes every controller's
+// timed instruction stream as it goes: codeword triggers (interned here, so
+// table layout is fixed at lowering time), guard padding so commits never
+// trail the classical pipeline, the Fig. 6 backward sync slide
+// (insertSyncBack) against the calibrated windows, anchor accounting at
+// blocking fmr/recv points, and the branch bodies of conditioned commits.
+// No step reads another controller's stream, so each stream sees exactly
+// the calls the monolithic compiler made on it (legacy_test.go,
+// compile.golden and the equivalence tests hold the bytes to that).
 //
-// Directives hold no pointer. Every payload is written once, in place, into
-// its stream's arena, in directive order, so a directive records only its
-// payload's length.
-
-// part is one piece of a directive. Schedule replays a directive's parts in
-// this order, and a call joins the stream's last directive only when its
-// part comes after every part already there — so the replay makes exactly
-// the calls Lower made, in the order Lower made them.
-type part uint8
-
-const (
-	// pGuard pads so the next commit cannot trail the classical pipeline.
-	pGuard part = 1 << iota
-	// pSync books a BISP sync against target with the given window,
-	// sliding backwards over deterministic work (Fig. 6).
-	pSync
-	// pUnit appends a pre-rendered payload verbatim.
-	pUnit
-	// pAnchor restarts the guard accounting at a pipeline anchor.
-	pAnchor
-	// pWait advances the timing point.
-	pWait
-	// pCond emits a parity-conditioned commit; the branch body depends on
-	// schedule-time guard state, so only its ingredients are recorded. It
-	// never shares a directive.
-	pCond
-)
-
-// Flags of a pUnit or pCond part.
-const (
-	fDet      uint8 = 1 << iota // pUnit: deterministic, so a sync may slide back over it
-	fWindow                     // pUnit: a synchronized commit, inside its sync's window
-	fAnchored                   // pCond: a recv in the gather re-anchored the stream
-	fBNE                        // pCond: the body runs when parity is 0, not 1
-	fWideCW                     // pCond: the trigger is li + cwir, not one cwii
-)
-
-type directive struct {
-	wait   int64 // pWait: cycles; pCond: the gate's own wait after its commit
-	window int32 // pSync: the calibrated window
-	n      int32 // pUnit: the payload's length; pCond: the gather prefix's and the trigger's
-	target int32 // pSync: the target address
-	extra  uint8 // pGuard: instructions that retire before the commit
-	parts  part
-	flags  uint8
-}
-
-// lowerStream is one controller's lowering output: its directives, the
-// arena their payloads live in, and the syncs it books (Schedule sizes the
-// stream's booking list by them).
-type lowerStream struct {
-	id     int
-	lw     *lowering
-	dirs   []directive
-	ins    []isa.Instr
-	ntable int // codeword-table entries interned so far
-	syncs  int
-}
-
-// lowering is what the streams of one Lower run share: the codeword-table
-// index, and whether a window overflowed its field.
-type lowering struct {
-	tables   intern
-	wideSync bool
-}
-
-// step returns the directive that part p joins.
-func (l *lowerStream) step(p part) *directive {
-	if n := len(l.dirs); n > 0 && p != pCond && l.dirs[n-1].parts < p {
-		d := &l.dirs[n-1]
-		d.parts |= p
-		return d
-	}
-	l.dirs = append(l.dirs, directive{parts: p})
-	return &l.dirs[len(l.dirs)-1]
-}
-
-func (l *lowerStream) guard(extra int64) { l.step(pGuard).extra = uint8(extra) }
-
-func (l *lowerStream) sync(tgt int, w int64) {
-	d := l.step(pSync)
-	d.target, d.window = int32(tgt), int32(w)
-	l.lw.wideSync = l.lw.wideSync || int64(d.window) != w
-	l.syncs++
-}
-
-func (l *lowerStream) anchorDir() { l.step(pAnchor) }
-
-func (l *lowerStream) wait(d int64) {
-	if d > 0 {
-		l.step(pWait).wait = d
-	}
-}
-
-// mark is where the stream's next payload starts in its arena.
-func (l *lowerStream) mark() int32 { return int32(len(l.ins)) }
-
-// emit writes payload instructions to the arena.
-func (l *lowerStream) emit(ins ...isa.Instr) { l.ins = append(l.ins, ins...) }
-
-// loadImm writes rd = v to the arena.
-func (l *lowerStream) loadImm(rd uint8, v int32) { l.ins = isa.AppendLoadImm(l.ins, rd, v) }
-
-// unit closes the payload written since lo as one unit.
-func (l *lowerStream) unit(lo int32, flags uint8) {
-	d := l.step(pUnit)
-	d.n, d.flags = l.mark()-lo, flags
-}
-
-// cw interns a table entry and writes its trigger — the same interning the
-// monolithic compiler did on its streams, so indices (and therefore
-// instruction bytes) match exactly. It reports the wide li + cwir form.
-func (l *lowerStream) cw(e chip.TableEntry) (wide bool) {
-	idx := l.lw.tables.index(int32(l.id), e, int32(l.ntable))
-	if int(idx) == l.ntable {
-		l.ntable++
-	}
-	l.ins, wide = appendCW(l.ins, int(idx), uint8(e.Port()))
-	return wide
-}
-
-// cond records a parity-conditioned commit of e: the gather prefix written
-// since lo, then e's trigger. anchored says a recv in the gather blocks.
-func (l *lowerStream) cond(lo int32, e chip.TableEntry, cond *circuit.Condition, anchored bool, gateWait int64) {
-	var flags uint8
-	if l.cw(e) {
-		flags |= fWideCW
-	}
-	if anchored {
-		flags |= fAnchored
-	}
-	if cond.Parity == 0 {
-		flags |= fBNE // parity==1 required: skip when parity == 0, by default
-	}
-	d := l.step(pCond)
-	d.n, d.flags, d.wait = l.mark()-lo, flags, gateWait
-}
-
-// Lower translates the validated circuit into directive streams.
+// Options.Padded turns the slide off: every sync sits immediately before
+// its synchronized instruction with the window fully padded, the
+// QubiC-style scheme the paper improves on (§2.1.3) and the "off" side of
+// the booking-advance ablation (§4.2).
 type Lower struct{}
 
 // Name implements Pass.
@@ -185,14 +50,15 @@ func (Lower) Run(st *State) error {
 		}
 	}
 
-	lw := &lowering{}
-	streams := make([]lowerStream, opt.Controllers)
+	var tables intern
+	streams := make([]stream, opt.Controllers)
 	for i := range streams {
-		streams[i] = lowerStream{id: i, lw: lw}
+		streams[i] = stream{id: int32(i), tables: &tables}
 	}
 	st.bitOwner = make([]int, c.NumBits)
 	st.bitMeasured = make([]bool, c.NumBits)
-	presize(c, ctrlOf, opt.InitialBarrier, streams, st.bitOwner)
+	durations := circuit.PaperDurations()
+	presize(c, ctrlOf, opt, durations, streams, st.bitOwner)
 	for i := range st.bitOwner {
 		st.bitOwner[i] = -1
 	}
@@ -200,27 +66,43 @@ func (Lower) Run(st *State) error {
 	// a conditioned op or a second write to one classical bit clears it.
 	measBits := make([][]int, opt.Controllers)
 
-	barrier := func() {
+	// sync books a BISP sync of s against target. A window past int32 is
+	// refused, so no pad or split wait it makes outgrows the 32-bit
+	// register a wide wait renders through.
+	advance := !opt.Padded
+	sync := func(s *stream, target int, w sim.Time) error {
+		if int64(int32(w)) != w {
+			return fmt.Errorf("compiler: a calibrated sync window exceeds %d cycles", math.MaxInt32)
+		}
+		s.insertSyncBack(int32(target), w, advance)
+		return nil
+	}
+	barrier := func() error {
 		for i := range streams {
-			s := &streams[i]
-			s.sync(opt.Root, int64(fab.RegionWindow(s.id, opt.Root)))
+			if err := sync(&streams[i], opt.Root, fab.RegionWindow(i, opt.Root)); err != nil {
+				return err
+			}
 			st.stats.RegionSyncs++
 		}
+		return nil
 	}
 	if opt.InitialBarrier {
-		barrier()
+		if err := barrier(); err != nil {
+			return err
+		}
 	}
 
-	durations := circuit.PaperDurations()
 	for opIdx, op := range c.Ops {
 		// The wait that follows op's commit (all there is to a Delay).
 		dur := durations.Of(op.Kind, op.Param, opt.EPRLatency)
 		switch {
 		case op.Kind == circuit.Barrier:
-			barrier()
+			if err := barrier(); err != nil {
+				return err
+			}
 
 		case op.Kind == circuit.Delay:
-			streams[ctrlOf(op.Qubits[0])].wait(dur)
+			streams[ctrlOf(op.Qubits[0])].wait(dur, false)
 
 		case op.Kind == circuit.Measure:
 			if op.Cond != nil {
@@ -228,22 +110,21 @@ func (Lower) Run(st *State) error {
 			}
 			q := op.Qubits[0]
 			s := &streams[ctrlOf(q)]
-			entry := chip.TableEntry{Role: chip.RoleMeasure, Kind: circuit.Measure, Qubit: q, Channel: 0}
 			s.guard(1)
-			lo := s.mark()
-			s.cw(entry)
-			s.unit(lo, fDet)
+			at := len(s.ins)
+			s.trigger(chip.TableEntry{Role: chip.RoleMeasure, Kind: circuit.Measure, Qubit: q, Channel: 0})
+			s.push(at, 0, true, false)
 			// Fetch the result (pipeline blocks until chip.MeasLatency elapses,
 			// which re-anchors the timing point past the window) and store
 			// it at the bit's home address.
-			lo = s.mark()
-			s.emit(isa.Instr{Op: isa.OpFMR, Rd: regScratch, Imm: 0})
-			s.unit(lo, 0)
-			s.anchorDir()
-			lo = s.mark()
-			s.loadImm(regAddr, int32(4*op.CBit))
-			s.emit(isa.Instr{Op: isa.OpSW, Rs1: regAddr, Rs2: regScratch})
-			s.unit(lo, fDet)
+			at = len(s.ins)
+			s.ins = append(s.ins, isa.Instr{Op: isa.OpFMR, Rd: regScratch, Imm: 0})
+			s.push(at, 0, false, false)
+			s.anchor()
+			at = len(s.ins)
+			s.ins = isa.AppendLoadImm(s.ins, regAddr, int32(4*op.CBit))
+			s.ins = append(s.ins, isa.Instr{Op: isa.OpSW, Rs1: regAddr, Rs2: regScratch})
+			s.push(at, 0, true, false)
 			// Timing point already advanced to the result time by the fmr
 			// anchor; nothing further to wait for.
 			if st.bitMeasured[op.CBit] {
@@ -251,7 +132,7 @@ func (Lower) Run(st *State) error {
 			} else if measBits != nil {
 				measBits[s.id] = append(measBits[s.id], op.CBit)
 			}
-			st.bitOwner[op.CBit] = s.id
+			st.bitOwner[op.CBit] = int(s.id)
 			st.bitMeasured[op.CBit] = true
 
 		case op.Cond != nil:
@@ -267,9 +148,9 @@ func (Lower) Run(st *State) error {
 				}
 			}
 			// Owners forward remote bits at this consumption site. Send units
-			// are slide-stops (not fDet): a later sync must never be booked
-			// before them, because the simulated pipeline parks at a pending
-			// sync and a deferred send can deadlock the consumer whose
+			// are slide-stops (not deterministic): a later sync must never be
+			// booked before them, because the simulated pipeline parks at a
+			// pending sync and a deferred send can deadlock the consumer whose
 			// progress that very sync transitively needs.
 			for _, b := range op.Cond.Bits {
 				owner := st.bitOwner[b]
@@ -277,33 +158,30 @@ func (Lower) Run(st *State) error {
 					continue
 				}
 				os := &streams[owner]
-				lo := os.mark()
-				os.loadImm(regAddr, int32(4*b))
-				os.emit(isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr},
+				at := len(os.ins)
+				os.ins = isa.AppendLoadImm(os.ins, regAddr, int32(4*b))
+				os.ins = append(os.ins, isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr},
 					isa.Instr{Op: isa.OpSEND, Rs1: regScratch, Imm: int32(actor)})
-				os.unit(lo, 0)
+				os.push(at, 0, false, false)
 				st.stats.Sends++
 			}
-			// Actor gathers, xors, branches, and conditionally commits. The
-			// guard wait inside the branch body depends on the stream's
-			// schedule-time instruction count, so the body is assembled by
-			// the Schedule pass from the pieces recorded here.
+			// Actor gathers, xors, branches, and conditionally commits.
 			s := &streams[actor]
-			lo := s.mark()
-			s.emit(isa.Instr{Op: isa.OpADDI, Rd: regParity}) // r2 = 0
+			at := len(s.ins)
+			s.ins = append(s.ins, isa.Instr{Op: isa.OpADDI, Rd: regParity}) // r2 = 0
 			anchored := false
 			for _, b := range op.Cond.Bits {
 				if st.bitOwner[b] == actor {
-					s.loadImm(regAddr, int32(4*b))
-					s.emit(isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr})
+					s.ins = isa.AppendLoadImm(s.ins, regAddr, int32(4*b))
+					s.ins = append(s.ins, isa.Instr{Op: isa.OpLW, Rd: regScratch, Rs1: regAddr})
 				} else {
-					s.emit(isa.Instr{Op: isa.OpRECV, Rd: regScratch, Imm: int32(st.bitOwner[b])})
+					s.ins = append(s.ins, isa.Instr{Op: isa.OpRECV, Rd: regScratch, Imm: int32(st.bitOwner[b])})
 					anchored = true
 					st.stats.Recvs++
 				}
-				s.emit(isa.Instr{Op: isa.OpXOR, Rd: regParity, Rs1: regParity, Rs2: regScratch})
+				s.ins = append(s.ins, isa.Instr{Op: isa.OpXOR, Rd: regParity, Rs1: regParity, Rs2: regScratch})
 			}
-			s.cond(lo, tableEntryFor(op, q), op.Cond, anchored, dur)
+			s.cond(at, tableEntryFor(op, q), op.Cond.Parity, anchored, dur)
 
 		case op.Kind.IsTwoQubit():
 			a, b := op.Qubits[0], op.Qubits[1]
@@ -314,33 +192,37 @@ func (Lower) Run(st *State) error {
 				// Both halves on one node commit at the same timing point.
 				s := &streams[ca]
 				s.guard(2)
-				lo := s.mark()
-				s.cw(ctrlEntry)
-				s.cw(partEntry)
-				s.unit(lo, fDet)
-				s.wait(dur)
+				at := len(s.ins)
+				s.trigger(ctrlEntry)
+				s.trigger(partEntry)
+				s.push(at, 0, true, false)
+				s.wait(dur, false)
 				break
 			}
 			sa, sb := &streams[ca], &streams[cb]
-			n := int64(fab.NearbyWindow(ca, cb))
+			n := fab.NearbyWindow(ca, cb)
 			// Guards first so the sync window measured backwards from the
 			// commit point is identical (= n) on both sides.
 			sa.guard(1)
 			sb.guard(1)
-			sa.sync(cb, n)
-			sb.sync(ca, n)
+			if err := sync(sa, cb, n); err != nil {
+				return err
+			}
+			if err := sync(sb, ca, n); err != nil {
+				return err
+			}
 			st.stats.NearbySyncs += 2
 			// The synchronized commit belongs to its sync's window: nothing —
 			// in particular no later sync — may be inserted between them, or
 			// the parked pipeline would delay the commit past foreign events.
-			lo := sa.mark()
-			sa.cw(ctrlEntry)
-			sa.unit(lo, fDet|fWindow)
-			lo = sb.mark()
-			sb.cw(partEntry)
-			sb.unit(lo, fDet|fWindow)
-			sa.wait(dur)
-			sb.wait(dur)
+			at := len(sa.ins)
+			sa.trigger(ctrlEntry)
+			sa.push(at, 0, true, true)
+			at = len(sb.ins)
+			sb.trigger(partEntry)
+			sb.push(at, 0, true, true)
+			sa.wait(dur, false)
+			sb.wait(dur, false)
 			if op.Kind == circuit.EPR {
 				// Inter-chip EPR-pair generation is the two-qubit shape — both
 				// comm qubits co-commit at one synchronized point (the pair is
@@ -349,18 +231,17 @@ func (Lower) Run(st *State) error {
 				// ordinary fabric message from the generating side to its
 				// peer, so EPR traffic shares link serialization and congestion
 				// accounting with all other classical traffic. The send is a
-				// slide-stop (not fDet, like bit forwarding — a later sync
-				// must not be booked before it); the peer's recv blocks and
-				// anchors.
-				lo = sa.mark()
-				sa.loadImm(regScratch, 1)
-				sa.emit(isa.Instr{Op: isa.OpSEND, Rs1: regScratch, Imm: int32(cb)})
-				sa.unit(lo, 0)
+				// slide-stop (like bit forwarding — a later sync must not be
+				// booked before it); the peer's recv blocks and anchors.
+				at = len(sa.ins)
+				sa.ins = isa.AppendLoadImm(sa.ins, regScratch, 1)
+				sa.ins = append(sa.ins, isa.Instr{Op: isa.OpSEND, Rs1: regScratch, Imm: int32(cb)})
+				sa.push(at, 0, false, false)
 				st.stats.Sends++
-				lo = sb.mark()
-				sb.emit(isa.Instr{Op: isa.OpRECV, Rd: regScratch, Imm: int32(ca)})
-				sb.unit(lo, 0)
-				sb.anchorDir()
+				at = len(sb.ins)
+				sb.ins = append(sb.ins, isa.Instr{Op: isa.OpRECV, Rd: regScratch, Imm: int32(ca)})
+				sb.push(at, 0, false, false)
+				sb.anchor()
 				st.stats.Recvs++
 			}
 
@@ -368,92 +249,172 @@ func (Lower) Run(st *State) error {
 			q := op.Qubits[0]
 			s := &streams[ctrlOf(q)]
 			s.guard(1)
-			lo := s.mark()
-			s.cw(tableEntryFor(op, q))
-			s.unit(lo, fDet)
-			s.wait(dur)
+			at := len(s.ins)
+			s.trigger(tableEntryFor(op, q))
+			s.push(at, 0, true, false)
+			s.wait(dur, false)
 		}
 	}
 
-	if lw.wideSync {
-		return fmt.Errorf("compiler: a calibrated sync window exceeds %d cycles", math.MaxInt32)
-	}
-	st.lowered = streams
-	st.tables, st.paramSlots = collectTables(streams, lw.tables.rows)
+	st.streams = streams
+	st.tables, st.paramSlots = collectTables(streams, tables.rows)
 	st.measBits = measBits
 	return nil
 }
 
-// presize gives each stream's directive list and arena the room the ops
-// will take, counted over the ops alone: one directive per barrier and per
-// op a controller takes part in (three for a measure, one more for an EPR
-// herald, one per bit an owner forwards), and each payload's width with
-// the codeword trigger at its usual one instruction. It is an estimate —
-// a stream that outgrows it reallocates — so it only has to be close; on
-// the cold_compile shapes and qft_n300 it is exact. owner is scratch for
-// the bit owners.
-func presize(c *circuit.Circuit, ctrlOf func(int) int, barrier bool, streams []lowerStream, owner []int) {
-	type room struct{ dirs, ins int }
+// trigger interns e in the stream's codeword table and writes its trigger —
+// the same interning the monolithic compiler did on its streams, so indices
+// (and therefore instruction bytes) match exactly. Indices are 1-based on
+// the wire; one past an I-immediate takes li + cwir.
+func (s *stream) trigger(e chip.TableEntry) {
+	idx := s.tables.index(s.id, e, int32(s.ntable))
+	if int(idx) == s.ntable {
+		s.ntable++
+	}
+	if v, port := idx+1, uint8(e.Port()); v <= 2047 {
+		s.ins = append(s.ins, isa.Instr{Op: isa.OpCWII, Rd: port, Imm: v})
+	} else {
+		s.ins = isa.AppendLoadImm(s.ins, regCW, v)
+		s.ins = append(s.ins, isa.Instr{Op: isa.OpCWIR, Rd: port, Rs1: regCW})
+	}
+}
+
+// cond closes a parity-conditioned commit of e whose gather the stream
+// wrote since at: the branch over the body, and the body — guard wait,
+// trigger, the gate's own wait. The in-branch guard wait covers every
+// instruction that can retire between the last pipeline anchor and the
+// commit; a recv inside the gather (anchored) re-anchors the stream,
+// shrinking the guard to the local instruction count.
+func (s *stream) cond(at int, e chip.TableEntry, parity int, anchored bool, gateWait int64) {
+	guardAmt := pipeGuard + int64(len(s.ins)-at) + 8
+	if !anchored {
+		guardAmt += s.instrSum
+	}
+	brOp := isa.OpBEQ // parity==1 required: skip when parity == 0
+	if parity == 0 {
+		brOp = isa.OpBNE
+	}
+	br := len(s.ins)
+	s.ins = append(s.ins, isa.Instr{Op: brOp, Rs1: regParity})
+	s.ins = appendWait(s.ins, guardAmt)
+	s.trigger(e)
+	s.ins = appendWait(s.ins, gateWait)
+	body := len(s.ins) - br - 1
+	s.ins[br].Imm = int32(4 * (body + 1))
+	s.push(at, 0, false, false)
+	if anchored {
+		s.anchor()
+		// The body retires after the anchor; seed the counters so the
+		// next guard still covers it.
+		s.instrSum = int64(body) + 4
+	}
+}
+
+// room is presize's count for one stream.
+type room struct {
+	ins, syncs int
+	// run is the deterministic units a sync could slide back over now,
+	// recent the most there ever are.
+	run, recent int
+}
+
+// det counts n units a later sync may slide back over.
+func (r *room) det(n int) {
+	r.run += n
+	r.recent = max(r.recent, r.run)
+}
+
+// sync counts a booking and its pad, after which nothing slides.
+func (r *room) sync() {
+	r.syncs++
+	r.ins++
+	r.run = 0
+}
+
+// presize cuts each stream's arena, booking list and slide buffer from one
+// allocation each, counted over the ops alone: the arena gets every
+// payload, with the codeword trigger at its usual one instruction, one
+// instruction for each guard, sync pad and branch, and each gate wait's
+// width; the booking list one booking per sync; the slide buffer the
+// longest run of units a sync could slide back over, counting every guard
+// as a wait. It is an estimate — a stream that outgrows a cut reallocates
+// alone — so it only has to be close; on the cold_compile shapes and
+// qft_n300 no stream outgrows one. owner is scratch for the bit owners.
+func presize(c *circuit.Circuit, ctrlOf func(int) int, opt Options, d circuit.Durations, streams []stream, owner []int) {
 	rooms := make([]room, len(streams))
-	if barrier {
+	if opt.InitialBarrier {
 		for i := range rooms {
-			rooms[i].dirs = 1
+			rooms[i].sync()
 		}
 	}
 	for _, op := range c.Ops {
+		wait := waitLen(d.Of(op.Kind, op.Param, opt.EPRLatency))
 		switch {
 		case op.Kind == circuit.Barrier:
 			for i := range rooms {
-				rooms[i].dirs++
+				rooms[i].sync()
 			}
 		case op.Kind == circuit.Delay:
-			rooms[ctrlOf(op.Qubits[0])].dirs++
+			r := &rooms[ctrlOf(op.Qubits[0])]
+			r.ins += wait
+			r.det(1)
 		case op.Kind == circuit.Measure:
 			owner[op.CBit] = ctrlOf(op.Qubits[0])
 			r := &rooms[owner[op.CBit]]
-			r.dirs += 3
-			r.ins += 3 + liLen(4*op.CBit) // cw, fmr, li, sw
+			r.ins += 4 + liLen(4*op.CBit) // guard, cw, fmr, li, sw
+			r.det(2)
+			r.run = 0 // the fmr is a slide-stop
+			r.det(1)
 		case op.Cond != nil:
 			r := &rooms[ctrlOf(op.Qubits[0])]
-			r.dirs++
-			r.ins += 2 // the parity reset and the trigger
+			r.ins += 4 + wait // parity reset, branch, guard, trigger
+			r.run = 0         // the conditioned commit is a slide-stop
 			for _, b := range op.Cond.Bits {
 				r.ins += 2 // lw or recv, and xor
 				if o := &rooms[owner[b]]; o != r {
-					o.dirs++
 					o.ins += liLen(4*b) + 2 // the owner's li, lw, send
+					o.run = 0
 				} else {
 					r.ins += liLen(4 * b)
 				}
 			}
 		case op.Kind.IsTwoQubit():
 			ra, rb := &rooms[ctrlOf(op.Qubits[0])], &rooms[ctrlOf(op.Qubits[1])]
-			ra.dirs++
-			ra.ins++ // the control half's trigger
-			rb.ins++ // the participant's, in the same payload when ra == rb
-			if ra != rb {
-				rb.dirs++
-				if op.Kind == circuit.EPR {
-					ra.dirs, ra.ins = ra.dirs+1, ra.ins+2 // the herald: li, send
-					rb.dirs, rb.ins = rb.dirs+1, rb.ins+1 // its recv
-				}
+			if ra == rb {
+				ra.ins += 3 + wait // guard, both triggers
+				ra.det(3)
+				break
+			}
+			for _, r := range [...]*room{ra, rb} {
+				r.ins += 2 + wait // guard, trigger
+				r.det(1)
+				r.sync()
+				r.det(1)
+			}
+			if op.Kind == circuit.EPR {
+				ra.ins, ra.run = ra.ins+2, 0 // the herald: li, send
+				rb.ins, rb.run = rb.ins+1, 0 // its recv
 			}
 		default:
 			r := &rooms[ctrlOf(op.Qubits[0])]
-			r.dirs++
-			r.ins++
+			r.ins += 2 + wait // guard, trigger
+			r.det(3)
 		}
 	}
 	var total room
 	for _, r := range rooms {
-		total.dirs += r.dirs
 		total.ins += r.ins
+		total.syncs += r.syncs
+		total.recent += r.recent
 	}
-	dirs := make([]directive, total.dirs)
 	ins := make([]isa.Instr, total.ins)
+	syncs := make([]booking, total.syncs)
+	recent := make([]unit, total.recent)
 	for i, r := range rooms {
-		streams[i].dirs, dirs = dirs[:0:r.dirs], dirs[r.dirs:]
-		streams[i].ins, ins = ins[:0:r.ins], ins[r.ins:]
+		s := &streams[i]
+		s.ins, ins = ins[:0:r.ins], ins[r.ins:]
+		s.syncs, syncs = syncs[:0:r.syncs], syncs[r.syncs:]
+		s.recent, recent = recent[:0:r.recent], recent[r.recent:]
 	}
 }
 
@@ -537,7 +498,7 @@ func hashEntry(ctrl int32, e chip.TableEntry) uint64 {
 // row holding a symbolic angle, in controller order: that row's Param is
 // what BindParams patches. A controller that interned nothing keeps a nil
 // table.
-func collectTables(streams []lowerStream, interned []tableRow) ([][]chip.TableEntry, []ParamSlot) {
+func collectTables(streams []stream, interned []tableRow) ([][]chip.TableEntry, []ParamSlot) {
 	tables := make([][]chip.TableEntry, len(streams))
 	rows := make([]chip.TableEntry, len(interned))
 	for i := range streams {

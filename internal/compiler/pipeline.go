@@ -28,20 +28,17 @@ type State struct {
 	// count (teleport bits live after it in the expanded circuit).
 	PublicBits int
 
-	// Produced by Lower: one directive stream per controller, the codeword
-	// tables, the bit ownership table,
-	// the parameter-slot table (symbolic angles interned into codeword
-	// tables), the per-controller measured-bit lists of a static program
-	// (nil otherwise), and the lowering-side stats.
-	lowered     []lowerStream
+	// Produced by Lower: one timed stream per controller, the codeword
+	// tables, the bit ownership table, the parameter-slot table (symbolic
+	// angles interned into codeword tables), the per-controller
+	// measured-bit lists of a static program (nil otherwise), and the
+	// lowering-side stats.
+	streams     []stream
 	tables      [][]chip.TableEntry
 	bitOwner    []int
 	bitMeasured []bool
 	paramSlots  []ParamSlot
 	measBits    [][]int
-
-	// Produced by Schedule: the timed instruction streams.
-	scheduled []stream
 
 	// Accumulated across passes; Assemble finalizes it into out.Stats.
 	stats Stats
@@ -62,10 +59,10 @@ type Pipeline struct {
 	Passes []Pass
 }
 
-// NewPipeline returns the standard four-pass pipeline:
-// Place → Lower → Schedule → Assemble.
+// NewPipeline returns the standard three-pass pipeline:
+// Place → Lower → Assemble.
 func NewPipeline() *Pipeline {
-	return &Pipeline{Passes: []Pass{Place{}, Lower{}, Schedule{}, Assemble{}}}
+	return &Pipeline{Passes: []Pass{Place{}, Lower{}, Assemble{}}}
 }
 
 // Run executes the passes in order and returns the assembled artifact.

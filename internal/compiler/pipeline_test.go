@@ -2,7 +2,9 @@ package compiler
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dhisq/internal/circuit"
@@ -108,9 +110,9 @@ func TestPipelineMatchesMonolith(t *testing.T) {
 	}
 }
 
-// TestPipelineMatchesMonolithWithFeedforward covers the conditioned-commit
-// directive (send/recv/xor/branch assembly happens in Schedule) and
-// explicit mappings, which the standard workloads don't exercise.
+// TestPipelineMatchesMonolithWithFeedforward covers conditioned commits
+// (the send/recv/xor gather and the branch body Lower writes) and explicit
+// mappings, which the standard workloads don't exercise.
 func TestPipelineMatchesMonolithWithFeedforward(t *testing.T) {
 	build := func() *circuit.Circuit {
 		c := circuit.New(6)
@@ -146,6 +148,97 @@ func TestPipelineMatchesMonolithWithFeedforward(t *testing.T) {
 		}
 		assertSameArtifact(t, name, got, want)
 	}
+}
+
+// FuzzCompileMatchesMonolith decodes bytes into a small circuit — one- and
+// two-qubit gates, measurements, parity-conditioned gates on local and
+// remote bits, barriers and delays, under the identity or a reversed
+// mapping — and holds the pipeline to the monolith byte for byte on mesh,
+// torus and tree, with advance booking on and off.
+func FuzzCompileMatchesMonolith(f *testing.F) {
+	f.Add([]byte{3, 0, 0, 0, 2, 0, 1, 3, 0, 0, 3, 1, 1, 4, 2, 0x41, 5, 0, 0, 6, 1, 200, 4, 0, 0x80})
+	f.Add([]byte{0x85, 1, 2, 3, 2, 4, 9, 3, 5, 5, 3, 1, 1, 4, 3, 0xc1, 0, 1, 7, 6, 0, 17, 2, 5, 0x40})
+	f.Add([]byte{1, 6, 0, 255, 3, 0, 0, 5, 0, 0, 4, 1, 0, 2, 1, 0xc0, 6, 1, 33})
+	kinds := []network.TopologyKind{network.TopoMesh, network.TopoTorus, network.TopoTree}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, mapping := fuzzCircuit(data)
+		for _, kind := range kinds {
+			for _, padded := range []bool{false, true} {
+				topo, fab := fabricFor(t, c.NumQubits, kind)
+				opt := DefaultOptions(topo.Root, topo.N)
+				opt.Padded = padded
+				label := fmt.Sprintf("%s/padded=%v", kind, padded)
+				want, err := compileMonolithic(c, mapping, fab, opt, !padded)
+				if err != nil {
+					t.Fatalf("%s: monolith: %v", label, err)
+				}
+				got, err := Compile(c, mapping, fab, opt)
+				if err != nil {
+					t.Fatalf("%s: pipeline: %v", label, err)
+				}
+				assertSameArtifact(t, label, got, want)
+			}
+		}
+	})
+}
+
+// fuzzCircuit reads data[0] as the qubit count (2–7) and, in its top bit, a
+// reversed mapping; then each three bytes as one op: a selector, a qubit
+// and an argument. A conditioned gate reads one or two bits measured
+// earlier, so its bits are local or remote as the measurements fell.
+func fuzzCircuit(data []byte) (*circuit.Circuit, []int) {
+	if len(data) == 0 {
+		return circuit.New(2), nil
+	}
+	n := 2 + int(data[0]&0x7f)%6
+	c := circuit.New(n)
+	var mapping []int
+	if data[0]&0x80 != 0 {
+		for q := n - 1; q >= 0; q-- {
+			mapping = append(mapping, q)
+		}
+	}
+	ones := []circuit.Kind{circuit.H, circuit.X, circuit.Z, circuit.S, circuit.T}
+	var measured []int
+	for data = data[1:]; len(data) >= 3; data = data[3:] {
+		q, b := int(data[1])%n, int(data[2])
+		switch data[0] % 7 {
+		case 0:
+			c.Gate(ones[b%len(ones)], q)
+		case 1:
+			c.RZGate(q, float64(b)/16)
+		case 2:
+			p := (q + 1 + b%(n-1)) % n
+			switch b >> 6 {
+			case 0:
+				c.CNOT(q, p)
+			case 1:
+				c.CZ(q, p)
+			default:
+				c.CPhaseGate(q, p, float64(b)/8)
+			}
+		case 3:
+			bit := b % n
+			if !slices.Contains(measured, bit) {
+				measured = append(measured, bit)
+			}
+			c.MeasureInto(q, bit)
+		case 4:
+			if len(measured) == 0 {
+				continue
+			}
+			bits := []int{measured[b%len(measured)]}
+			if o := measured[(b+1)%len(measured)]; b&0x40 != 0 && o != bits[0] {
+				bits = append(bits, o)
+			}
+			c.CondGate(ones[b%len(ones)], circuit.Condition{Bits: bits, Parity: b >> 7}, q)
+		case 5:
+			c.BarrierAll()
+		case 6:
+			c.DelayGate(q, int64(b*b)) // past 2047 cycles: li + waitr
+		}
+	}
+	return c, mapping
 }
 
 // TestInteractionPolicyCompiles: a non-trivial policy resolves through the
