@@ -238,15 +238,13 @@ func BenchmarkServiceRepeatJobs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := machine.DefaultConfig(bench.Qubits)
-	cfg.Backend = machine.BackendSeeded
 	const shotsPerJob = 1
 
 	submit := func(b *testing.B, svc *service.Service) {
 		b.Helper()
 		id, err := svc.Submit(service.Request{
 			Circuit: bench.Circuit, MeshW: bench.MeshW, MeshH: bench.MeshH,
-			Mapping: bench.Mapping, Cfg: &cfg, Shots: shotsPerJob, Seed: 3,
+			Mapping: bench.Mapping, Shots: shotsPerJob, Seed: 3,
 		})
 		if err != nil {
 			b.Fatal(err)

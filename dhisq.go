@@ -256,8 +256,11 @@ type JobService = service.Service
 // 4096 retained finished jobs, 4096 points per sweep.
 type JobConfig = service.Config
 
-// JobRequest is one submission: circuit, placement, shot count and an
-// optional explicit base seed (0 lets the service derive one per job).
+// JobRequest is one submission: circuit, shot count, an optional explicit
+// base seed (0 lets the service derive one per job) and the job options —
+// mapping, topology, link bandwidth, placement, chips, parameter bindings.
+// The machine is the default one for the circuit with those options
+// applied; the backend resolves from the circuit (BackendAuto).
 type JobRequest = service.Request
 
 // JobStatus is a point-in-time snapshot of a submitted job.

@@ -7,7 +7,6 @@ import (
 
 	"dhisq/internal/machine"
 	"dhisq/internal/quantum"
-	"dhisq/internal/service"
 )
 
 // The root package is a façade; these tests exercise the public entry
@@ -186,8 +185,9 @@ func TestPublicRunShotsAndSample(t *testing.T) {
 }
 
 // A backend that cannot run the circuit — the tableau under a T gate, a
-// dense state past quantum.MaxQubits — is an error from the facade and from
-// admission, not a panic out of a shot or out of machine construction.
+// dense state past quantum.MaxQubits — is an error from the facade
+// (machine.Normalize, which admission calls too), not a panic out of a shot
+// or out of machine construction.
 func TestBackendThatCannotRunTheCircuitIsAnError(t *testing.T) {
 	nonClifford := NewCircuit(2)
 	nonClifford.H(0).T(0).CNOT(0, 1)
@@ -212,9 +212,6 @@ func TestBackendThatCannotRunTheCircuitIsAnError(t *testing.T) {
 			}()
 			if _, _, err := Run(tc.c, 0, 0, nil, cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s: Run returned %v, want an error naming %q", tc.name, err, tc.want)
-			}
-			if _, err := service.Resolve(service.Request{Circuit: tc.c, Cfg: &cfg, Shots: 1}); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s: Resolve returned %v, want an error naming %q", tc.name, err, tc.want)
 			}
 		}()
 	}

@@ -48,10 +48,9 @@ func (f Fingerprint) Short() string { return hex.EncodeToString(f[:6]) }
 // input surface) changes shape — a field joins or leaves it, or a hashed
 // value changes meaning — so stale fingerprints can never collide across
 // versions of the code. CHANGES.md records why each version was bumped;
-// 13 dropped the three operation times and the measurement latency, which
-// are constants of the compiler and chip now, and hashes the schedule as
-// the Padded bit where 12 hashed its policy name.
-const keyVersion = 13
+// 14 hashes the resolved backend, which made the fingerprint the whole
+// replica-pool key.
+const keyVersion = 14
 
 // Key fingerprints a compilation request. Two requests share a key iff
 // the compiler is guaranteed to produce identical output for both: the
@@ -61,11 +60,16 @@ const keyVersion = 13
 // mapping — the artifacts would be identical, but treating them as
 // distinct keys costs one extra compile, never a wrong program.
 //
+// backend is the resolved quantum-state substrate (a machine.BackendKind,
+// which this package cannot import). It changes no compiler output, but the
+// fingerprint is also internal/service's replica-pool key, and a state-vector
+// job must never run on a replica built with another backend.
+//
 // structural selects the bind-invariant kind: the Param of every symbolic
 // op is elided, so all bindings of one skeleton — and the skeleton itself —
 // share the fingerprint, and a 1000-point parameter sweep compiles exactly
 // once under it. A marker word keeps the two kinds from ever colliding.
-func Key(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Options, structural bool) Fingerprint {
+func Key(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Options, backend int, structural bool) Fingerprint {
 	// Encode into one buffer and hash once: Key sits on the admission
 	// path of every submission, and per-field hasher writes cost more
 	// than the SHA itself on op-heavy circuits. ~8 words per op is a
@@ -134,9 +138,8 @@ func Key(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Opt
 	// Network config: fixes the topology and therefore the sync windows.
 	// The link serialization does not change compiler output — the booked
 	// windows are uncontended by design — but it does change runtime
-	// behavior, and the fingerprint doubles as the replica-pool key in
-	// internal/service; hashing it costs at most one redundant compile per
-	// variant and never pools incompatible machines.
+	// behavior, and hashing it, like the backend below, costs at most one
+	// redundant compile per variant and never pools incompatible machines.
 	wi(int64(net.MeshW))
 	wi(int64(net.MeshH))
 	wi(int64(net.RouterFanout))
@@ -156,6 +159,8 @@ func Key(c *circuit.Circuit, mapping []int, net network.Config, opt compiler.Opt
 	// Multi-chip expansion inputs (keyVersion 7).
 	wi(int64(opt.Chips))
 	wi(int64(opt.EPRLatency))
+
+	wi(int64(backend))
 
 	return sha256.Sum256(buf)
 }

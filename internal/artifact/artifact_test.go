@@ -40,19 +40,20 @@ func testSpec(seed int64) runner.Spec {
 func TestKeyDeterministic(t *testing.T) {
 	s := testSpec(1)
 	opt := compiler.DefaultOptions(0, 4)
-	a := artifact.Key(s.Circuit, nil, s.Cfg.Net, opt, false)
-	b := artifact.Key(ghz(4), nil, s.Cfg.Net, opt, false)
+	a := artifact.Key(s.Circuit, nil, s.Cfg.Net, opt, 0, false)
+	b := artifact.Key(ghz(4), nil, s.Cfg.Net, opt, 0, false)
 	if a != b {
 		t.Fatalf("identical inputs fingerprint differently: %s vs %s", a, b)
 	}
 }
 
 // Any circuit or mapping difference that can change the compiler's output
-// must change the key (every option and fabric field: TestKeyCoversEveryOption).
+// must change the key (every option and fabric field: TestKeyCoversEveryOption),
+// and so must the backend, which the key carries for the replica pool.
 func TestKeyDiscriminates(t *testing.T) {
 	base := testSpec(1)
 	opt := compiler.DefaultOptions(0, 4)
-	ref := artifact.Key(base.Circuit, nil, base.Cfg.Net, opt, false)
+	ref := artifact.Key(base.Circuit, nil, base.Cfg.Net, opt, 0, false)
 
 	seen := map[artifact.Fingerprint]string{ref: "base"}
 	check := func(name string, fp artifact.Fingerprint) {
@@ -65,12 +66,13 @@ func TestKeyDiscriminates(t *testing.T) {
 
 	other := ghz(4)
 	other.H(3)
-	check("extra gate", artifact.Key(other, nil, base.Cfg.Net, opt, false))
+	check("extra gate", artifact.Key(other, nil, base.Cfg.Net, opt, 0, false))
 
 	check("explicit identity mapping",
-		artifact.Key(base.Circuit, []int{0, 1, 2, 3}, base.Cfg.Net, opt, false))
+		artifact.Key(base.Circuit, []int{0, 1, 2, 3}, base.Cfg.Net, opt, 0, false))
 	check("permuted mapping",
-		artifact.Key(base.Circuit, []int{1, 0, 2, 3}, base.Cfg.Net, opt, false))
+		artifact.Key(base.Circuit, []int{1, 0, 2, 3}, base.Cfg.Net, opt, 0, false))
+	check("another backend", artifact.Key(base.Circuit, nil, base.Cfg.Net, opt, 1, false))
 }
 
 // TestKeyCoversEveryOption is the guard that makes "add a compiler.Options
@@ -86,8 +88,8 @@ func TestKeyCoversEveryOption(t *testing.T) {
 	net := base.Cfg.Net
 	keys := func() [2]artifact.Fingerprint {
 		return [2]artifact.Fingerprint{
-			artifact.Key(base.Circuit, nil, net, opt, false),
-			artifact.Key(base.Circuit, nil, net, opt, true),
+			artifact.Key(base.Circuit, nil, net, opt, 0, false),
+			artifact.Key(base.Circuit, nil, net, opt, 0, true),
 		}
 	}
 	ref := keys()
@@ -137,7 +139,7 @@ func TestCacheHitSkipsCompile(t *testing.T) {
 	cache := artifact.New(8)
 	s := testSpec(1)
 	opt := compiler.DefaultOptions(0, 4)
-	fp := artifact.Key(s.Circuit, nil, s.Cfg.Net, opt, false)
+	fp := artifact.Key(s.Circuit, nil, s.Cfg.Net, opt, 0, false)
 
 	var compiles atomic.Int64
 	compile := func() (*compiler.Compiled, error) {
@@ -179,7 +181,7 @@ func TestDistinctSpecsMiss(t *testing.T) {
 		t.Helper()
 		cfg := s.Cfg
 		cfg.Net.MeshW, cfg.Net.MeshH = meshW, meshH
-		fp := artifact.Key(s.Circuit, nil, cfg.Net, opt, false)
+		fp := artifact.Key(s.Circuit, nil, cfg.Net, opt, 0, false)
 		_, _, err := cache.GetOrCompile(fp, func() (*compiler.Compiled, error) {
 			m, err := machine.NewForCircuit(s.Circuit, meshW, meshH, s.Cfg)
 			if err != nil {

@@ -32,7 +32,7 @@ func expandChips(st *State) error {
 	if err != nil {
 		return err
 	}
-	st.stats.RemoteGates = placement.ChipCut(st.Circuit, chipOf)
+	st.stats.RemoteGates = circuit.RemoteGateCount(st.Circuit, chipOf)
 	st.PublicBits = st.Circuit.NumBits
 	st.Circuit = expanded
 

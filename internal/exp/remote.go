@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"dhisq/internal/circuit"
 	"dhisq/internal/placement"
 	"dhisq/internal/sim"
 )
@@ -84,7 +85,7 @@ func RemoteSweep(seed int64) ([]RemotePoint, error) {
 						Chips:      chips,
 						EPRLatency: lat,
 						Policy:     policy,
-						CutGates:   placement.ChipCut(c, chipOf),
+						CutGates:   circuit.RemoteGateCount(c, chipOf),
 						EPRPairs:   res.EPRPairs,
 						Makespan:   int64(res.Makespan),
 						NetStall:   int64(res.NetStall),

@@ -37,15 +37,14 @@ const (
 // latency are the paper's fixed constants (circuit.PaperDurations,
 // chip.MeasLatency), not options.
 type Config struct {
-	Net     network.Config
+	Net network.Config
+	// Backend is the quantum-state substrate (Normalize resolves
+	// BackendAuto). Part of the fingerprint as a word of its own.
 	Backend BackendKind
 	Seed    int64
 	// LogEvents stores individual TELF events (disable for large runs;
 	// counters are kept either way).
 	LogEvents bool
-	// Deadline bounds the run in cycles (0 = 4 billion cycles ≈ 17 s of
-	// device time, effectively unbounded for our workloads).
-	Deadline sim.Time
 	// Placement names the placement policy the compiler's Place pass uses
 	// for circuits submitted without an explicit mapping ("" = identity,
 	// the legacy byte-identical behavior; see internal/placement). Part of
@@ -143,8 +142,8 @@ type Machine struct {
 // and the latency resolved to what the chip charges; BackendAuto resolves on
 // the device total, and an explicit backend that cannot run the circuit is
 // an error. It is idempotent, so service.Resolve, NewForCircuit and
-// the key can each apply it and agree by construction — the service's pool
-// key backend is simply the normalized cfg.Backend.
+// the key can each apply it and agree by construction — the backend the key
+// hashes is the normalized cfg.Backend, the one the replicas are built with.
 func Normalize(c *circuit.Circuit, meshW, meshH int, cfg Config) (Config, error) {
 	n := c.NumQubits
 	if meshW <= 0 || meshH <= 0 {
@@ -295,10 +294,11 @@ func compileOptions(cfg Config) (compiler.Options, error) {
 	return opt, nil
 }
 
-// key is the one fingerprint of (circuit, mapping, config). cfg is
-// normalized on its own mesh first, so the key of any config is the key of
-// the machine NewForCircuit builds from it; structural selects the
-// bind-invariant kind (artifact.Key).
+// key is the one fingerprint of (circuit, mapping, config): the compiled
+// program's and, with the resolved backend hashed too, the machine's that
+// runs it. cfg is normalized on its own mesh first, so the key of any
+// config is the key of the machine NewForCircuit builds from it;
+// structural selects the bind-invariant kind (artifact.Key).
 func key(c *circuit.Circuit, mapping []int, cfg Config, structural bool) (artifact.Fingerprint, error) {
 	cfg, err := Normalize(c, cfg.Net.MeshW, cfg.Net.MeshH, cfg)
 	if err != nil {
@@ -308,7 +308,7 @@ func key(c *circuit.Circuit, mapping []int, cfg Config, structural bool) (artifa
 	if err != nil {
 		return artifact.Fingerprint{}, err
 	}
-	return artifact.Key(c, mapping, cfg.Net, opt, structural), nil
+	return artifact.Key(c, mapping, cfg.Net, opt, int(cfg.Backend), structural), nil
 }
 
 // KeyFor is the cache key of Compile(c, mapping, cfg, false).
@@ -458,18 +458,16 @@ type Result struct {
 	RouterUtilization float64
 }
 
-// Run starts every controller and drives the engine until all halt (or the
-// deadline passes). It returns the aggregate result and a descriptive error
-// if the system wedged.
+// Run starts every controller and drives the engine until its queue is
+// empty. A compiled program branches only forward, so it retires a bounded
+// number of instructions and every run ends. Run returns the aggregate
+// result, and a descriptive error if a controller is still unhalted when
+// the queue drains (the system wedged).
 func (m *Machine) Run() (Result, error) {
 	for _, c := range m.Ctrls {
 		c.Start()
 	}
-	deadline := m.Cfg.Deadline
-	if deadline <= 0 {
-		deadline = 4_000_000_000
-	}
-	m.Eng.RunUntil(deadline)
+	m.Eng.Run(0)
 
 	res := Result{Halted: true}
 	for _, c := range m.Ctrls {

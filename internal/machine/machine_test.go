@@ -201,6 +201,22 @@ func TestScaledBenchmarksRunCleanly(t *testing.T) {
 	}
 }
 
+// TestLongestDelayRuns: the longest delay Validate accepts, 2³²−1 cycles,
+// runs to the end on the default machine. Run drains the event queue; it
+// used to stop at a 4e9-cycle deadline and report the controller wedged.
+func TestLongestDelayRuns(t *testing.T) {
+	const delay = 1<<32 - 1
+	c := circuit.New(1)
+	c.Gate(circuit.X, 0).DelayGate(0, delay).Gate(circuit.X, 0).MeasureInto(0, 0)
+	res, _, bits := runFull(t, c, 0, 0, nil, BackendAuto, 1)
+	if res.Makespan < delay {
+		t.Fatalf("makespan %d, shorter than the %d-cycle delay", res.Makespan, delay)
+	}
+	if bits[0] != 0 {
+		t.Fatalf("X, delay, X measured %d, want 0", bits[0])
+	}
+}
+
 func TestChipRejectsBadCodeword(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.Net.MeshW, cfg.Net.MeshH = 2, 1

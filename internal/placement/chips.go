@@ -107,13 +107,13 @@ func PartitionChips(c *circuit.Circuit, chips int, policy string) ([]int, error)
 		klRefine(w, chipOf, chips)
 		refined := append([]int(nil), contiguous...)
 		klRefine(w, refined, chips)
-		if ChipCut(c, refined) < ChipCut(c, chipOf) {
+		if circuit.RemoteGateCount(c, refined) < circuit.RemoteGateCount(c, chipOf) {
 			chipOf = refined
 		}
 	}
 
 	// Never-worse guarantee on the objective (cf. interaction).
-	if ChipCut(c, chipOf) > ChipCut(c, contiguous) {
+	if circuit.RemoteGateCount(c, chipOf) > circuit.RemoteGateCount(c, contiguous) {
 		return contiguous, nil
 	}
 	return chipOf, nil
@@ -125,8 +125,9 @@ func PartitionChips(c *circuit.Circuit, chips int, policy string) ([]int, error)
 const klMaxQubits = 512
 
 // pairWeights counts the two-qubit ops between every qubit pair — the
-// exact objective ChipCut totals, unlike interactionWeights, which also
-// carries feed-forward edges that no chip boundary can cut.
+// exact objective circuit.RemoteGateCount totals, unlike
+// interactionWeights, which also carries feed-forward edges that no chip
+// boundary can cut.
 func pairWeights(c *circuit.Circuit) [][]int64 {
 	n := c.NumQubits
 	w := make([][]int64, n)
@@ -254,12 +255,4 @@ func klPass(w [][]int64, chipOf []int, i, j int) bool {
 		chipOf[sw.qa], chipOf[sw.qb] = chipOf[sw.qb], chipOf[sw.qa]
 	}
 	return true
-}
-
-// ChipCut counts the two-qubit ops of c crossing the chip partition — the
-// gates the expansion teleports (a cross-chip SWAP counts once here even
-// though it expands to three remote CNOTs; the runtime EPR-pair count is
-// reported separately by the machine).
-func ChipCut(c *circuit.Circuit, chipOf []int) int {
-	return circuit.RemoteGateCount(c, chipOf)
 }

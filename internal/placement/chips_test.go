@@ -68,7 +68,7 @@ func TestPartitionChipsNeverWorse(t *testing.T) {
 				t.Fatal(err)
 			}
 			contiguous := ContiguousChips(c.NumQubits, chips)
-			if got, base := ChipCut(c, chipOf), ChipCut(c, contiguous); got > base {
+			if got, base := circuit.RemoteGateCount(c, chipOf), circuit.RemoteGateCount(c, contiguous); got > base {
 				t.Fatalf("%s chips=%d: interaction cut %d > contiguous %d", name, chips, got, base)
 			}
 			sizes := make([]int, chips)
@@ -99,8 +99,8 @@ func TestPartitionChipsBeatsContiguousOnRungs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ChipCut(c, chipOf)
-	base := ChipCut(c, ContiguousChips(16, 2))
+	got := circuit.RemoteGateCount(c, chipOf)
+	base := circuit.RemoteGateCount(c, ContiguousChips(16, 2))
 	if base != 9 { // chain edge 7-8 plus the 8 rungs
 		t.Fatalf("contiguous cut = %d, want 9 (test premise broken)", base)
 	}

@@ -5,13 +5,36 @@ import (
 	"testing"
 
 	"dhisq/internal/machine"
-	"dhisq/internal/network"
 	"dhisq/internal/workloads"
 )
 
 func submitWait(t *testing.T, svc *Service, req Request) JobStatus {
 	t.Helper()
 	id, err := svc.Submit(req)
+	return waitDone(t, svc, id, err)
+}
+
+// enqueueWait is submitWait for a job resolved on a config of the test's.
+func enqueueWait(t *testing.T, svc *Service, a Admission) JobStatus {
+	t.Helper()
+	id, err := svc.Enqueue(a)
+	return waitDone(t, svc, id, err)
+}
+
+// mustResolve is resolve(req, cfg), failing t on an error.
+func mustResolve(t *testing.T, req Request, cfg machine.Config) Admission {
+	t.Helper()
+	a, err := resolve(req, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// waitDone waits for the job a Submit or Enqueue returned and requires it
+// done.
+func waitDone(t *testing.T, svc *Service, id string, err error) JobStatus {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +89,8 @@ func TestSweepCongestionAccounted(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	c := workloads.VQEAnsatz(6, 1)
-	cfg := machine.DefaultConfig(6)
-	cfg.Net.Topology = network.TopoTree
-	cfg.Net.LinkSerialization = 4
 	submitWait(t, svc, Request{
-		Circuit: c, Shots: 4, Seed: 3, Cfg: &cfg,
+		Circuit: c, Shots: 4, Seed: 3, Topo: "tree", LinkBW: 4,
 		Sweep: []map[string]float64{workloads.VQEAnsatzPoint(6, 1, 0)},
 	})
 	st := svc.Stats()

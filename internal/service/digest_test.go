@@ -48,16 +48,16 @@ net {NetStallCycles:127068 NetMaxQueue:19 NetMessages:105284}
 		name string
 		req  Request
 	}{
-		{"hub x300", Request{Circuit: hub(16), Cfg: &cfg, Placement: "interaction", Shots: 300, Seed: 1}},
-		{"sweep x4", Request{Circuit: workloads.QFTSweep(16), Cfg: &cfg, Placement: "interaction", Shots: 5, Seed: 2, Sweep: sweep}},
-		{"tree x40", Request{Circuit: tree, Cfg: &cfg, Topo: "tree", Shots: 40, Seed: 3}},
-		{"hub x7", Request{Circuit: hub(16), Cfg: &cfg, Placement: "interaction", Shots: 7, Seed: 4}},
-		{"sweep x2", Request{Circuit: workloads.QFTSweep(16), Cfg: &cfg, Placement: "interaction", Shots: 3, Seed: 5, Sweep: sweep[:2]}},
-		{"tree x5", Request{Circuit: tree, Cfg: &cfg, Topo: "tree", Shots: 5, Seed: 6}},
+		{"hub x300", Request{Circuit: hub(16), Placement: "interaction", Shots: 300, Seed: 1}},
+		{"sweep x4", Request{Circuit: workloads.QFTSweep(16), Placement: "interaction", Shots: 5, Seed: 2, Sweep: sweep}},
+		{"tree x40", Request{Circuit: tree, Topo: "tree", Shots: 40, Seed: 3}},
+		{"hub x7", Request{Circuit: hub(16), Placement: "interaction", Shots: 7, Seed: 4}},
+		{"sweep x2", Request{Circuit: workloads.QFTSweep(16), Placement: "interaction", Shots: 3, Seed: 5, Sweep: sweep[:2]}},
+		{"tree x5", Request{Circuit: tree, Topo: "tree", Shots: 5, Seed: 6}},
 	}
 	var b strings.Builder
 	for _, j := range jobs {
-		st := submitWait(t, svc, j.req)
+		st := enqueueWait(t, svc, mustResolve(t, j.req, cfg))
 		if st.Mapping == nil {
 			fmt.Fprintf(&b, "%s: mapping identity\n", j.name)
 		} else {

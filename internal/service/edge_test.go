@@ -182,13 +182,7 @@ func TestServiceAggregatesCongestion(t *testing.T) {
 	cfg.Backend = machine.BackendSeeded
 	cfg.Net.Topology = network.TopoTree
 	cfg.Net.LinkSerialization = 1
-	id, err := s.Submit(Request{Circuit: c, MeshW: 3, MeshH: 2, Cfg: &cfg, Shots: 4, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, ok := s.Wait(id); !ok || st.State != StateDone {
-		t.Fatalf("job: %+v", st)
-	}
+	enqueueWait(t, s, mustResolve(t, Request{Circuit: c, MeshW: 3, MeshH: 2, Shots: 4, Seed: 5}, cfg))
 	stats := s.Stats()
 	if stats.NetMessages == 0 {
 		t.Fatalf("no network messages aggregated: %+v", stats)
@@ -200,13 +194,7 @@ func TestServiceAggregatesCongestion(t *testing.T) {
 	// A contention-free job must not move the congestion counters.
 	cfg2 := machine.DefaultConfig(c.NumQubits)
 	cfg2.Backend = machine.BackendSeeded
-	id2, err := s.Submit(Request{Circuit: c, MeshW: 3, MeshH: 2, Cfg: &cfg2, Shots: 2, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, ok := s.Wait(id2); !ok || st.State != StateDone {
-		t.Fatalf("job 2: %+v", st)
-	}
+	enqueueWait(t, s, mustResolve(t, Request{Circuit: c, MeshW: 3, MeshH: 2, Shots: 2, Seed: 5}, cfg2))
 	if after := s.Stats(); after.NetStallCycles != stats.NetStallCycles ||
 		after.NetMessages != stats.NetMessages {
 		t.Fatalf("contention-free job moved congestion counters: %+v -> %+v", stats, after)

@@ -33,20 +33,23 @@ func nonClifford(n int) *circuit.Circuit {
 // vector, 13 + 2 communication qubits do not, so a 2-chip BackendAuto job
 // runs seeded. The pool key used to resolve Auto on the data qubits alone
 // (StateVec) while the machine resolved on the total (Seeded), and a later
-// explicit-StateVec request was batched onto the seeded replica. The key's
-// backend is now the normalized config's, the one the machine is built with.
+// explicit-StateVec request was batched onto the seeded replica. The pool
+// key is the fingerprint now, and it hashes the normalized config's
+// backend, the one the machine is built with.
 func TestPoolKeyNamesTheReplicaBackend(t *testing.T) {
 	svc := New(Config{Workers: 1, Artifacts: artifact.New(8)})
 	defer svc.Close()
-	c := nonClifford(13)
-	auto := Request{Circuit: c, Shots: 2, Seed: 3, Chips: 2, Placement: "interaction"}
-	submitWait(t, svc, auto)
-
+	req := Request{Circuit: nonClifford(13), Shots: 2, Seed: 3, Chips: 2, Placement: "interaction"}
+	auto := mustResolve(t, req, machine.DefaultConfig(13))
 	cfg := machine.DefaultConfig(13)
 	cfg.Backend = machine.BackendStateVec
-	dense := auto
-	dense.Cfg = &cfg
-	if st := submitWait(t, svc, dense); st.Batched {
+	dense := mustResolve(t, req, cfg)
+	backend := map[artifact.Fingerprint]machine.BackendKind{
+		auto.Fingerprint: auto.Spec.Cfg.Backend, dense.Fingerprint: dense.Spec.Cfg.Backend,
+	}
+
+	enqueueWait(t, svc, auto)
+	if st := enqueueWait(t, svc, dense); st.Batched {
 		t.Fatal("an explicit state-vector job was batched onto the Auto job's replica")
 	}
 
@@ -55,7 +58,7 @@ func TestPoolKeyNamesTheReplicaBackend(t *testing.T) {
 	if len(svc.pool.groups) != 2 {
 		t.Fatalf("%d pool groups, want one per backend", len(svc.pool.groups))
 	}
-	for pk, group := range svc.pool.groups {
+	for fp, group := range svc.pool.groups {
 		for _, m := range group {
 			var got machine.BackendKind
 			switch m.Chip.Backend().(type) {
@@ -66,8 +69,8 @@ func TestPoolKeyNamesTheReplicaBackend(t *testing.T) {
 			case *chip.SeededBackend:
 				got = machine.BackendSeeded
 			}
-			if got != pk.backend {
-				t.Errorf("pool key names backend %d, its replica is a %T", pk.backend, m.Chip.Backend())
+			if got != backend[fp] {
+				t.Errorf("fingerprint resolved backend %d, its replica is a %T", backend[fp], m.Chip.Backend())
 			}
 		}
 	}

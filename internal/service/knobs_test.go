@@ -176,8 +176,10 @@ func knobCells() []knobCell {
 	return cells
 }
 
-// request is cell's request for c on backend at seed.
-func (kc knobCase) request(cell knobCell, c *circuit.Circuit, backend machine.BackendKind, seed int64) Request {
+// request is cell's request for c on backend at seed, and the machine
+// config it resolves on: the backend and the cell's knobs that no request
+// spells.
+func (kc knobCase) request(cell knobCell, c *circuit.Circuit, backend machine.BackendKind, seed int64) (Request, machine.Config) {
 	cfg := machine.DefaultConfig(kc.n)
 	cfg.Backend = backend
 	cfg.Padded, cfg.EPRLatency = cell.padded, cell.epr
@@ -185,8 +187,8 @@ func (kc knobCase) request(cell knobCell, c *circuit.Circuit, backend machine.Ba
 		cfg.Net.NeighborLatency = cell.lat
 	}
 	req := cell.req
-	req.Circuit, req.Cfg, req.Shots, req.Seed = c, &cfg, knobShots, seed
-	return req
+	req.Circuit, req.Shots, req.Seed = c, knobShots, seed
+	return req, cfg
 }
 
 // countingBackend counts the gates a run applies to the backend it wraps.
@@ -228,15 +230,6 @@ func checkTiming(t *testing.T, where string, set *runner.ShotSet, c *circuit.Cir
 			t.Errorf("%s shot %d: makespan %d below the unconditioned depth %d", where, s.Index, r.Makespan, floor)
 		}
 	}
-}
-
-func mustResolve(t *testing.T, req Request) Admission {
-	t.Helper()
-	adm, err := Resolve(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return adm
 }
 
 // encodeUncached is the store encoding of spec's program compiled with
@@ -282,7 +275,7 @@ func checkKnobInvariants(t *testing.T, seed int64) {
 		where := fmt.Sprintf("seed %d, %d qubits, %v", seed, kc.n, cell)
 
 		// Clause 1: the sequential oracle, under order-free outcomes.
-		adm, err := Resolve(kc.request(cell, kc.bound[0], machine.BackendSeeded, kc.seed))
+		adm, err := resolve(kc.request(cell, kc.bound[0], machine.BackendSeeded, kc.seed))
 		if err != nil {
 			if cell.req.Chips > kc.n {
 				continue // Resolve's own rejection: a chip needs a data qubit
@@ -308,12 +301,13 @@ func checkKnobInvariants(t *testing.T, seed int64) {
 		// Clause 2: every execution path equals rebuilt, point by point.
 		want := make([]*runner.ShotSet, len(kc.bound))
 		for k, b := range kc.bound {
-			spec := mustResolve(t, kc.request(cell, b, kc.backend, machine.DeriveSeed(kc.seed, k))).Spec
+			req, cfg := kc.request(cell, b, kc.backend, machine.DeriveSeed(kc.seed, k))
+			spec := mustResolve(t, req, cfg).Spec
 			want[k] = rebuilt(t, spec, knobShots)
 			checkTiming(t, fmt.Sprintf("%s, point %d", where, k), want[k], b, spec.Cfg)
 		}
-		plain := kc.request(cell, kc.bound[0], kc.backend, kc.seed)
-		adm = mustResolve(t, plain)
+		plain, cfg := kc.request(cell, kc.bound[0], kc.backend, kc.seed)
+		adm = mustResolve(t, plain, cfg)
 		logged := adm.Spec
 		logged.Cfg.LogEvents = true
 		for name, got := range map[string]*runner.ShotSet{
@@ -325,11 +319,14 @@ func checkKnobInvariants(t *testing.T, seed int64) {
 				t.Errorf("%s: runner.Run at %s diverges from rebuilt", where, name)
 			}
 		}
-		var sweep Request
+		jobs := []Admission{adm}
 		if kc.points != nil {
-			sweep = kc.request(cell, kc.skel, kc.backend, kc.seed)
-			sweep.Sweep = kc.points
-			spec := mustResolve(t, sweep).Spec
+			params, _ := kc.request(cell, kc.skel, kc.backend, kc.seed)
+			sweep := params
+			params.Params, sweep.Sweep = kc.points[0], kc.points
+			swept := mustResolve(t, sweep, cfg)
+			jobs = append(jobs, mustResolve(t, params, cfg), swept)
+			spec := swept.Spec
 			spec.Cfg.Artifacts = cache
 			for _, workers := range []int{1, 3} {
 				pts, err := runner.RunSweep(spec, kc.points, knobShots, workers)
@@ -358,16 +355,11 @@ func checkKnobInvariants(t *testing.T, seed int64) {
 		if (j+int(seed%knobServiceEvery))%knobServiceEvery != 0 {
 			continue
 		}
-		jobs := []Request{plain}
-		if kc.points != nil {
-			params := kc.request(cell, kc.skel, kc.backend, kc.seed)
-			params.Params = kc.points[0]
-			jobs = append(jobs, params, sweep)
-		}
 		for i, svc := range svcs {
-			for _, req := range jobs {
+			for _, a := range jobs {
+				req := a.Req
 				for _, step := range []string{"cold", "warm"} {
-					st := submitWait(t, svc, req)
+					st := enqueueWait(t, svc, a)
 					at := fmt.Sprintf("%s: %s job (params %v, sweep %v) at Workers %d, ShotWorkers %d", where, step, req.Params != nil, req.Sweep != nil, svc.cfg.Workers, svc.cfg.ShotWorkers)
 					if st.CacheHit != seen[i][st.Fingerprint] {
 						t.Errorf("%s: CacheHit %v, but an earlier job with its fingerprint: %v", at, st.CacheHit, seen[i][st.Fingerprint])

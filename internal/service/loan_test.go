@@ -96,7 +96,7 @@ func TestBusyWorkersHoldShotWorkers(t *testing.T) {
 	}()
 	ids := make([]string, 3)
 	start := func(i int) {
-		adms[i] = mustResolve(t, Request{Circuit: ghz(3 + i), Shots: 8, Seed: 1})
+		adms[i] = mustResolve(t, Request{Circuit: ghz(3 + i), Shots: 8, Seed: 1}, machine.DefaultConfig(3+i))
 		releases[i] = gate(t, cache, adms[i])
 		id, err := svc.Enqueue(adms[i])
 		if err != nil {
@@ -131,7 +131,7 @@ func TestBusyWorkersHoldShotWorkers(t *testing.T) {
 	}
 	// A cold job builds exactly the replicas it holds, and pools them all.
 	for i, want := range []int{2 * shotWorkers, shotWorkers, shotWorkers} {
-		if n := pooled(t, svc.pool, poolKeyOf(adms[i])); n != want {
+		if n := pooled(t, svc.pool, adms[i].Fingerprint); n != want {
 			t.Errorf("job %d pooled %d replicas, want %d", i, n, want)
 		}
 	}
@@ -160,7 +160,7 @@ func TestPoolKeepsAFullFanOut(t *testing.T) {
 func TestPanickedJobReturnsItsLoan(t *testing.T) {
 	for _, shotWorkers := range []int{1, 3} {
 		svc := New(Config{Workers: 2, ShotWorkers: shotWorkers, Artifacts: artifact.New(8)})
-		id, err := svc.Submit(plantPanic(t, svc))
+		id, err := svc.Enqueue(plantPanic(t, svc))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,8 @@ import (
 
 	"dhisq/internal/artifact"
 	"dhisq/internal/circuit"
+	"dhisq/internal/compiler"
+	"dhisq/internal/isa"
 	"dhisq/internal/machine"
 	"dhisq/internal/placement"
 	"dhisq/internal/runner"
@@ -205,11 +207,9 @@ func executionMatrix(t *testing.T, skel *circuit.Circuit, n int, static bool) {
 	}
 }
 
-// branchy is a feed-forward circuit whose makespan depends on the first
-// measurement: outcome 1 drags forty conditioned gates in. Under a
-// deadline between the two paths a job fails or succeeds by its seed
-// alone, with the pool key (which carries the deadline, not the seed)
-// unchanged.
+// branchy is a feed-forward circuit whose shots split on the first
+// measurement: outcome 1 drags forty conditioned X gates in, outcome 0
+// skips them.
 func branchy() *circuit.Circuit {
 	c := circuit.New(2)
 	c.H(0).MeasureInto(0, 0)
@@ -219,23 +219,56 @@ func branchy() *circuit.Circuit {
 	return c.MeasureInto(1, 1)
 }
 
-// TestFailedRunUnwinds: a job that fails mid-run — some of its shots blow
-// the deadline — checks its replicas back in, reports what it observed
-// before the failure, and the next job of the same pool key runs warm.
+// plantStore is an artifact.Store that keeps nothing and plants a fault in
+// every artifact it is handed to save. The spill runs before GetOrCompile
+// returns, so the job that compiled runs the planted program, and so does
+// every job the cache serves it to after.
+type plantStore func(*compiler.Compiled)
+
+func (plantStore) Load(artifact.Fingerprint) (*compiler.Compiled, bool) { return nil, false }
+
+func (p plantStore) Save(_ artifact.Fingerprint, cp *compiler.Compiled) error {
+	p(cp)
+	return nil
+}
+
+// xPastTable renumbers every commit of an X on cp's controllers one past
+// its controller's table. In branchy's program only the conditioned body
+// commits an X, so a shot that takes the branch fails with the chip's
+// "codeword … outside table" error, and one that does not runs clean.
+func xPastTable(cp *compiler.Compiled) {
+	for n, table := range cp.Tables {
+		for idx, e := range table {
+			if e.Kind != circuit.X {
+				continue
+			}
+			for i, in := range cp.Programs[n].Instrs {
+				if in.Op == isa.OpCWII && in.Imm == int32(idx+1) {
+					cp.Programs[n].Instrs[i].Imm = int32(len(table) + 1)
+				}
+			}
+		}
+	}
+}
+
+// TestFailedRunUnwinds: a job that fails mid-run — some of its shots hit a
+// planted chip error — checks its replicas back in, reports what it
+// observed before the failure, and the next job of the same fingerprint
+// runs warm.
 func TestFailedRunUnwinds(t *testing.T) {
-	cfg := machine.DefaultConfig(2)
-	cfg.Deadline = 600 // short path 356 cycles, long path 1080
-	svc := New(Config{Workers: 1, ShotWorkers: 2, Artifacts: artifact.New(8)})
+	arts := artifact.New(8)
+	arts.SetStore(plantStore(xPastTable))
+	svc := New(Config{Workers: 1, ShotWorkers: 2, Artifacts: arts})
 	defer svc.Close()
 
-	// Seed 3: shot 0 takes the short path, shot 1 the long one.
-	id, err := svc.Submit(Request{Circuit: branchy(), Cfg: &cfg, Shots: 8, Seed: 3})
+	// Seed 3: shot 0 skips the branch, shot 1 takes it.
+	id, err := svc.Submit(Request{Circuit: branchy(), Shots: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	failed, _ := svc.Wait(id)
-	if failed.State != StateFailed || !strings.Contains(failed.Err, "shot 1") {
-		t.Fatalf("job did not fail at its first long shot: %s %q", failed.State, failed.Err)
+	if failed.State != StateFailed || !strings.Contains(failed.Err, "shot 1") || !strings.Contains(failed.Err, "outside table") {
+		t.Fatalf("job did not fail at its first branching shot: %s %q", failed.State, failed.Err)
 	}
 	if failed.CacheHit || failed.Batched {
 		t.Fatalf("cold failed job reports CacheHit=%v Batched=%v", failed.CacheHit, failed.Batched)
@@ -244,9 +277,9 @@ func TestFailedRunUnwinds(t *testing.T) {
 		t.Fatalf("after the failure: PooledReplicas=%d Failed=%d, want 2 and 1", st.PooledReplicas, st.Failed)
 	}
 
-	ok := submitWait(t, svc, Request{Circuit: branchy(), Cfg: &cfg, Shots: 1, Seed: 3})
+	ok := submitWait(t, svc, Request{Circuit: branchy(), Shots: 1, Seed: 3})
 	if !ok.Batched || !ok.CacheHit {
-		t.Fatalf("next job of the pool key ran cold: CacheHit=%v Batched=%v", ok.CacheHit, ok.Batched)
+		t.Fatalf("next job of the fingerprint ran cold: CacheHit=%v Batched=%v", ok.CacheHit, ok.Batched)
 	}
 	if st := svc.Stats(); st.PooledReplicas != 2 || st.Cache.Misses != 1 {
 		t.Fatalf("after the warm job: PooledReplicas=%d misses=%d, want 2 and 1", st.PooledReplicas, st.Cache.Misses)
@@ -254,7 +287,7 @@ func TestFailedRunUnwinds(t *testing.T) {
 
 	// A failed job reports what it observed before failing: run warm, the
 	// same failure now says so.
-	id, err = svc.Submit(Request{Circuit: branchy(), Cfg: &cfg, Shots: 8, Seed: 3})
+	id, err = svc.Submit(Request{Circuit: branchy(), Shots: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +307,7 @@ func TestFailedRunUnwinds(t *testing.T) {
 func TestBackendPanicFailsOneJob(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		svc := New(Config{Workers: 1, ShotWorkers: workers, Artifacts: artifact.New(8)})
-		id, err := svc.Submit(plantPanic(t, svc))
+		id, err := svc.Enqueue(plantPanic(t, svc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,20 +341,17 @@ func TestBackendPanicFailsOneJob(t *testing.T) {
 }
 
 // plantPanic pools, in svc, a replica loaded with H·T on the stabilizer
-// backend under the key of the 6-shot Clifford job it returns, whose cache
-// entry svc never holds: running that job panics inside machine.Run.
-func plantPanic(t *testing.T, svc *Service) Request {
+// backend under the fingerprint of the 6-shot Clifford job it returns,
+// whose cache entry svc never holds: running that job panics inside
+// machine.Run.
+func plantPanic(t *testing.T, svc *Service) Admission {
 	t.Helper()
 	good, bad := circuit.New(1), circuit.New(1)
 	good.H(0).S(0).MeasureInto(0, 0)
 	bad.H(0).T(0).MeasureInto(0, 0)
 	cfg := machine.DefaultConfig(1)
 	cfg.Backend = machine.BackendStabilizer
-	req := Request{Circuit: good, Cfg: &cfg, Shots: 6, Seed: 1}
-	adm, err := Resolve(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	adm := mustResolve(t, Request{Circuit: good, Shots: 6, Seed: 1}, cfg)
 	auto := adm.Spec.Cfg
 	auto.Backend = machine.BackendAuto
 	art, err := machine.CompileUncached(bad, nil, auto)
@@ -335,17 +365,18 @@ func plantPanic(t *testing.T, svc *Service) Request {
 	if err := planted.Load(art); err != nil {
 		t.Fatal(err)
 	}
-	svc.pool.checkin(poolKeyOf(adm), []*machine.Machine{planted})
-	return req
+	svc.pool.checkin(adm.Fingerprint, []*machine.Machine{planted})
+	return adm
 }
 
 // TestReleaseRecoversOutsideTheFanOut: a panic the runner's fan-out cannot
-// see — here in replica construction, on the worker goroutine itself — is
-// caught by run's release step and becomes the job's error.
+// see — here in the compile, on the worker goroutine itself — is caught by
+// run's release step and becomes the job's error.
 func TestReleaseRecoversOutsideTheFanOut(t *testing.T) {
-	svc := New(Config{Workers: 1})
+	// A private cache: the panicked compile leaves its fingerprint in flight.
+	svc := New(Config{Workers: 1, Artifacts: artifact.New(1)})
 	defer svc.Close()
-	// No circuit: machine construction dereferences nil.
+	// No circuit: the compile dereferences nil.
 	_, err := svc.run(&job{}, plan{points: []map[string]float64{nil}, want: 1}, &JobStatus{ID: "job-broken", Shots: 1})
 	var pe *runner.PanicError
 	if !errors.As(err, &pe) {

@@ -17,12 +17,12 @@ func blanks(n int) []*machine.Machine {
 	return ms
 }
 
-// keyN is the n-th of a family of distinct pool keys.
-func keyN(n int) poolKey { return poolKey{fp: artifact.Fingerprint{byte(n)}} }
+// keyN is the n-th of a family of distinct fingerprints.
+func keyN(n int) artifact.Fingerprint { return artifact.Fingerprint{byte(n)} }
 
 // pooled reads a group's pooled replica count (-1: the pool does not know
 // the group) and checks the pool's books while it is there.
-func pooled(t *testing.T, p *replicaPool, pk poolKey) int {
+func pooled(t *testing.T, p *replicaPool, fp artifact.Fingerprint) int {
 	t.Helper()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -34,7 +34,7 @@ func pooled(t *testing.T, p *replicaPool, pk poolKey) int {
 		t.Fatalf("pool books: %d machines in %d groups, total %d, order %d, budget %d",
 			sum, len(p.groups), p.total, len(p.order), p.budget)
 	}
-	if g, ok := p.groups[pk]; ok {
+	if g, ok := p.groups[fp]; ok {
 		return len(g)
 	}
 	return -1
@@ -122,7 +122,7 @@ func TestPoolEmptiedGroupEvictedInTurn(t *testing.T) {
 	if p.checkout(a, 1) != nil {
 		t.Fatal("an emptied group handed out a machine")
 	}
-	if !reflect.DeepEqual(p.order, []poolKey{b, a}) {
+	if !reflect.DeepEqual(p.order, []artifact.Fingerprint{b, a}) {
 		t.Fatalf("LRU order %v after an empty checkout of a, want [b a]", p.order)
 	}
 

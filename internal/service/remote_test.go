@@ -83,9 +83,11 @@ func TestServiceMultiChipValidation(t *testing.T) {
 	defer s.Close()
 	negEPR := machine.DefaultConfig(4)
 	negEPR.EPRLatency = -5
+	if _, err := resolve(Request{Circuit: ghz4(), Shots: 1, Chips: 2}, negEPR); err == nil {
+		t.Fatal("negative EPR latency: expected admission rejection")
+	}
 	cases := []Request{
 		{Circuit: ghz4(), Shots: 1, Chips: -2},
-		{Circuit: ghz4(), Shots: 1, Chips: 2, Cfg: &negEPR},
 		{Circuit: ghz4(), Shots: 1, Chips: 9},                             // more chips than qubits
 		{Circuit: ghz4(), Shots: 1, Chips: 2, Mapping: []int{0, 1, 2, 3}}, // explicit mapping
 	}

@@ -29,23 +29,19 @@ type Request struct {
 	// MeshW/MeshH give the controller mesh; 0 picks a near-square mesh
 	// for the circuit like the facade's Sample.
 	MeshW, MeshH int `json:"-"`
-	// Cfg overrides the machine configuration when non-nil (the mesh
-	// fields are taken from MeshW/MeshH either way). The option fields
-	// below overlay it.
-	Cfg   *machine.Config `json:"-"`
-	Shots int             `json:"shots"`
+	Shots        int `json:"shots"`
 	// Seed, when non-zero, is the job's base seed; 0 lets the service
 	// derive a per-job seed from its own seed stream.
 	Seed    int64 `json:"seed,omitempty"`
 	Mapping []int `json:"mapping,omitempty"` // qubit -> controller; nil = identity
 	// Topo names the intra-layer fabric topology: "mesh", "torus" or
-	// "tree" ("" defers to Cfg, then to mesh). LinkBW is the link
-	// bandwidth as cycles per message (0 defers to Cfg, then to infinite:
-	// contention off, DESIGN.md §6); a negative value is rejected.
+	// "tree" ("" = mesh). LinkBW is the link bandwidth as cycles per
+	// message (0 = infinite: contention off, DESIGN.md §6); a negative
+	// value is rejected.
 	Topo   string   `json:"topo,omitempty"`
 	LinkBW sim.Time `json:"link_bw,omitempty"`
 	// Placement names the placement policy the compiler applies when
-	// Mapping is nil ("" defers to Cfg.Placement, then to identity).
+	// Mapping is nil ("" = identity).
 	// Unknown names are rejected at admission, before any work queues.
 	Placement string `json:"placement,omitempty"`
 	// Chips splits the device into a multi-chip partition (machine
@@ -160,9 +156,9 @@ type Admission struct {
 // single request could hold a worker for as long as it liked.
 const MaxJobShots = 1 << 20
 
-// Resolve is the one admission: the request's option fields overlaid on the
-// machine config (Cfg, else DefaultConfig), every check made — option
-// ranges, policy names, parameter bindings — the config normalized by
+// Resolve is the one admission: the request's option fields overlaid on
+// DefaultConfig, every check made — option ranges, policy names,
+// parameter bindings — the config normalized by
 // machine.Normalize (mesh defaulted and grown for a multi-chip expansion,
 // backend and EPR latency resolved), and the result fingerprinted.
 // dhisq-sim's in-process run and client-side check call it directly, and
@@ -175,19 +171,17 @@ func Resolve(req Request) (Admission, error) {
 	if req.Circuit == nil {
 		return Admission{}, fmt.Errorf("service: nil circuit")
 	}
+	return resolve(req, machine.DefaultConfig(req.Circuit.NumQubits))
+}
+
+// resolve is Resolve on a base config of the caller's: the tests reach the
+// machine settings no request can spell (a backend, a padded schedule, the
+// fabric latencies) through it and Enqueue.
+func resolve(req Request, cfg machine.Config) (Admission, error) {
 	if err := checkShots(req.Shots, len(req.Sweep)); err != nil {
 		return Admission{}, err
 	}
-	var cfg machine.Config
-	if req.Cfg != nil {
-		cfg = *req.Cfg
-	} else {
-		cfg = machine.DefaultConfig(req.Circuit.NumQubits)
-	}
 	cfg.Seed = req.Seed
-	// Nothing downstream of an Admission can read a TELF log: a job that asked
-	// for one shares replicas and commit tape with one that did not.
-	cfg.LogEvents = false
 	if req.Topo != "" {
 		kind, err := network.ParseTopology(req.Topo)
 		if err != nil {
@@ -198,9 +192,8 @@ func Resolve(req Request) (Admission, error) {
 	cfg.Net.LinkSerialization = cmp.Or(req.LinkBW, cfg.Net.LinkSerialization)
 	cfg.Placement = cmp.Or(req.Placement, cfg.Placement)
 	cfg.Chips = cmp.Or(req.Chips, cfg.Chips)
-	// Validate what the job will actually compile and run with — whether it
-	// arrived via the request or a caller-supplied Cfg — so bad values are
-	// rejected here, before any work queues.
+	// Validate what the job will actually compile and run with, so bad
+	// values are rejected here, before any work queues.
 	if cfg.Net.LinkSerialization < 0 {
 		return Admission{}, fmt.Errorf("service: link_bw must be >= 0")
 	}

@@ -112,8 +112,9 @@ func TestFlagsCoverOptions(t *testing.T) {
 
 // The fingerprint cannot forget an option: for every wire field of Request
 // that is not per-run data, two requests differing only there are admitted
-// under different (fingerprint, pool key) pairs. A new tagged field fails
-// here until it is given a variant below — or a place on the per-run list.
+// under different fingerprints, so they share neither an artifact nor a
+// replica. A new tagged field fails here until it is given a variant below
+// — or a place on the per-run list.
 func TestEveryOptionReachesThePoolKey(t *testing.T) {
 	perRun := map[string]bool{"Shots": true, "Seed": true, "Params": true, "Sweep": true}
 	type variant struct{ base, alt func(*Request) }
@@ -126,7 +127,7 @@ func TestEveryOptionReachesThePoolKey(t *testing.T) {
 		"Chips":     set(func(r *Request) { r.Chips = 2 }),
 	}
 
-	admit := func(mutate func(*Request)) poolKey {
+	admit := func(mutate func(*Request)) artifact.Fingerprint {
 		t.Helper()
 		req := Request{Circuit: ghz(4), Shots: 1, Seed: 1}
 		mutate(&req)
@@ -134,7 +135,7 @@ func TestEveryOptionReachesThePoolKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return poolKeyOf(a)
+		return a.Fingerprint
 	}
 	rt := reflect.TypeOf(Request{})
 	for i := 0; i < rt.NumField(); i++ {
@@ -148,18 +149,19 @@ func TestEveryOptionReachesThePoolKey(t *testing.T) {
 			continue
 		}
 		if admit(v.base) == admit(v.alt) {
-			t.Errorf("Request.%s does not reach the pool key: two jobs differing only there would share replicas", f.Name)
+			t.Errorf("Request.%s does not reach the fingerprint: two jobs differing only there would share replicas", f.Name)
 		}
 	}
 }
 
-// TestPoolKeyCoversRuntimeConfig is the audit of the pool key against what a
-// replica is built from: every machine.Config field is perturbed in turn
-// and must move the fingerprint (and the pool key through it), the pool key
-// alone, or neither — and a field in neither says why sharing replicas
-// across it is safe. A new Config field fails here until it is classified.
+// TestPoolKeyCoversRuntimeConfig is the audit of the pool key — the
+// fingerprint — against what a replica is built from: every machine.Config
+// field is perturbed in turn and must move the fingerprint or be in
+// neither the artifact nor the replica's identity, and a field in neither
+// says why sharing replicas across it is safe. A new Config field fails
+// here until it is classified.
 func TestPoolKeyCoversRuntimeConfig(t *testing.T) {
-	const fingerprint, keyOnly, neither = "fingerprint", "pool key only", "neither"
+	const fingerprint, neither = "fingerprint", "neither"
 	rows := []struct {
 		field, want, why string
 		base, alt        func(*Request, *machine.Config)
@@ -171,41 +173,31 @@ func TestPoolKeyCoversRuntimeConfig(t *testing.T) {
 		{field: "EPRLatency", want: fingerprint,
 			base: func(_ *Request, c *machine.Config) { c.Chips = 2 },
 			alt:  func(_ *Request, c *machine.Config) { c.Chips, c.EPRLatency = 2, 40 }},
-		{field: "Backend", want: keyOnly,
+		{field: "Backend", want: fingerprint,
 			base: func(_ *Request, c *machine.Config) { c.Backend = machine.BackendSeeded },
 			alt:  func(_ *Request, c *machine.Config) { c.Backend = machine.BackendStateVec }},
-		{field: "Deadline", want: keyOnly, alt: func(_ *Request, c *machine.Config) { c.Deadline = 600 }},
 		{field: "Seed", want: neither, why: "Reset(seed) re-seeds a pooled machine per shot",
 			alt: func(r *Request, c *machine.Config) { r.Seed, c.Seed = 9, 9 }},
 		{field: "Artifacts", want: neither, why: "which cache serves a compile changes nothing about its output",
 			alt: func(_ *Request, c *machine.Config) { c.Artifacts = artifact.New(2) }},
-		{field: "LogEvents", want: neither, why: "Resolve clears it: nothing downstream of an Admission can read a TELF log",
+		{field: "LogEvents", want: neither, why: "no request sets it: Resolve starts from DefaultConfig, which leaves it off",
 			alt: func(_ *Request, c *machine.Config) { c.LogEvents = true }},
 	}
-	admit := func(mutate func(*Request, *machine.Config)) (artifact.Fingerprint, poolKey) {
+	admit := func(mutate func(*Request, *machine.Config)) artifact.Fingerprint {
 		t.Helper()
 		cfg := machine.DefaultConfig(4)
-		req := Request{Circuit: ghz(4), Shots: 1, Seed: 1, Cfg: &cfg}
+		req := Request{Circuit: ghz(4), Shots: 1, Seed: 1}
 		if mutate != nil {
 			mutate(&req, &cfg)
 		}
-		a, err := Resolve(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a.Fingerprint, poolKeyOf(a)
+		return mustResolve(t, req, cfg).Fingerprint
 	}
 	classified := map[string]bool{}
 	for _, row := range rows {
 		classified[row.field] = true
-		baseFP, basePK := admit(row.base)
-		altFP, altPK := admit(row.alt)
 		got := neither
-		switch {
-		case altFP != baseFP:
+		if admit(row.alt) != admit(row.base) {
 			got = fingerprint
-		case altPK != basePK:
-			got = keyOnly
 		}
 		if got != row.want {
 			t.Errorf("machine.Config.%s moves %s, the audit says %s", row.field, got, row.want)

@@ -164,11 +164,6 @@ func (s *Service) Enqueue(a Admission) (string, error) {
 			len(a.Req.Sweep), MaxSweepPoints)
 	}
 	cfg := &a.Spec.Cfg
-	// Jobs compile through this service's artifact cache unless the caller
-	// pinned one in req.Cfg (which cache serves a compile is in no key).
-	if cfg.Artifacts == nil {
-		cfg.Artifacts = s.cfg.Artifacts
-	}
 	j := &job{
 		// What the status echoes of the submission is copied out here, once:
 		// the admission itself goes when the worker is done with it.
@@ -290,7 +285,7 @@ func (s *Service) retire(id string) {
 // plain, Params or Sweep — reduces to these fields; run never asks which
 // kind it was handed.
 type plan struct {
-	pk poolKey // the pool group the job's replicas come from and return to
+	fp artifact.Fingerprint // the pool group the job's replicas come from and return to
 	// structural is the key kind: the bind-invariant skeleton (Params and
 	// Sweep jobs, patched per point by BindParams) or the full program.
 	structural bool
@@ -309,7 +304,7 @@ type plan struct {
 func (s *Service) planFor(a Admission) plan {
 	req := a.Req
 	p := plan{
-		pk: poolKeyOf(a), structural: req.bindJob(), sweep: len(req.Sweep) > 0,
+		fp: a.Fingerprint, structural: req.bindJob(), sweep: len(req.Sweep) > 0,
 		points: []map[string]float64{req.Params}, want: req.Shots,
 	}
 	if p.sweep {
@@ -354,21 +349,21 @@ func (s *Service) run(j *job, p plan, st *JobStatus) (res result, err error) {
 		// checked-out machines are dropped, never pooled.
 		var panicked *runner.PanicError
 		if !errors.As(err, &panicked) {
-			s.pool.checkin(p.pk, machines)
+			s.pool.checkin(p.fp, machines)
 		}
 	}()
 
-	machines = s.pool.checkout(p.pk, p.want)
+	machines = s.pool.checkout(p.fp, p.want)
 	st.Batched = len(machines) > 0
 	// Acquire the artifact once, under the fingerprint admission computed —
 	// nothing below hashes the circuit again. One probe of the cache (and
 	// the store under it) per job, so misses always equal actual compiles.
-	arts := spec.Cfg.Artifacts
+	arts := s.cfg.Artifacts
 	var art *compiler.Compiled
 	if len(machines) == 0 {
 		// Cold: compile the job's program — the skeleton as submitted, for a
 		// bind job — unless the cache, its store or a concurrent job has it.
-		art, st.CacheHit, err = arts.GetOrCompile(p.pk.fp, func() (*compiler.Compiled, error) {
+		art, st.CacheHit, err = arts.GetOrCompile(p.fp, func() (*compiler.Compiled, error) {
 			return machine.CompileUncached(spec.Circuit, spec.Mapping, spec.Cfg)
 		})
 		if err != nil {
@@ -380,7 +375,7 @@ func (s *Service) run(j *job, p plan, st *JobStatus) (res result, err error) {
 		// can outlive its cache entry in the pool): run, and build any
 		// shortfall from, what is loaded — for a bind job a previous binding
 		// of the same skeleton, whose parameter slots survive re-binding.
-		if art, st.CacheHit = arts.Get(p.pk.fp); !st.CacheHit {
+		if art, st.CacheHit = arts.Get(p.fp); !st.CacheHit {
 			art = machines[0].Loaded()
 		}
 	}

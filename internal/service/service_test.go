@@ -428,15 +428,3 @@ func TestPlacementValidatedAtSubmit(t *testing.T) {
 		t.Fatal("unknown placement accepted")
 	}
 }
-
-// A bogus policy smuggled in via an explicit Cfg is rejected at Submit
-// too — validation covers the policy the job will actually compile with.
-func TestCfgPlacementValidatedAtSubmit(t *testing.T) {
-	s := New(Config{Workers: 1})
-	defer s.Close()
-	cfg := machine.DefaultConfig(4)
-	cfg.Placement = "bogus"
-	if _, err := s.Submit(Request{Circuit: ghz(4), Shots: 1, Cfg: &cfg}); err == nil {
-		t.Fatal("unknown Cfg.Placement accepted")
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dhisq/internal/artifact"
-	"dhisq/internal/machine"
 	"dhisq/internal/runner"
 )
 
@@ -24,33 +23,6 @@ func TestTapeCounters(t *testing.T) {
 	submitWait(t, svc, req)
 	if st := svc.Stats(); st.TapedShots != 19 || st.TapeFallbacks != 0 {
 		t.Fatalf("repeat job on the pooled replica: taped %d fallbacks %d, want 19 and 0", st.TapedShots, st.TapeFallbacks)
-	}
-}
-
-// TestLogEventsJobSharesGroupAndTape: no Submission field can ask for a TELF
-// log and nothing downstream of an Admission could read one, so Resolve
-// clears Cfg.LogEvents — a job that set it is the same job: it batches onto
-// the replica a plain one warmed, and its shots come off that replica's tape.
-func TestLogEventsJobSharesGroupAndTape(t *testing.T) {
-	svc := New(Config{Workers: 1, ShotWorkers: 1, Artifacts: artifact.New(8)})
-	defer svc.Close()
-	req := Request{Circuit: ghz(6), Shots: 10, Seed: 4}
-	plain := submitWait(t, svc, req)
-	if st := svc.Stats(); st.TapedShots != 9 {
-		t.Fatalf("plain static job: taped %d, want 9", st.TapedShots)
-	}
-	cfg := machine.DefaultConfig(6)
-	cfg.LogEvents = true
-	req.Cfg = &cfg
-	logged := submitWait(t, svc, req)
-	if !logged.Batched || logged.Fingerprint != plain.Fingerprint {
-		t.Fatalf("LogEvents job: batched %v, fingerprint %s vs %s; want the plain job's pool group", logged.Batched, logged.Fingerprint, plain.Fingerprint)
-	}
-	if st := svc.Stats(); st.TapedShots != 19 || st.PooledReplicas != 1 {
-		t.Fatalf("after the LogEvents job: taped %d on %d replicas, want 19 on 1", st.TapedShots, st.PooledReplicas)
-	}
-	if !reflect.DeepEqual(logged.Tally, plain.Tally) {
-		t.Fatal("the LogEvents job's shots differ from the plain job's")
 	}
 }
 
