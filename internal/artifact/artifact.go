@@ -15,11 +15,15 @@
 // The cache is LRU-bounded and safe for concurrent use. GetOrCompile
 // deduplicates concurrent compilations of the same fingerprint
 // (singleflight): one caller compiles, the rest wait and share the
-// result. machine.Compile routes through the process-wide Shared cache
-// unless the config names another, which puts every entry point — the
-// facade's Run/RunShots/Sample, internal/runner and the CLIs — behind it;
-// internal/service calls GetOrCompile itself, under the fingerprint it
-// computed at admission.
+// result. The leader lands its flight on every exit — a compile that
+// panics included, which releases the waiters with an error and leaves
+// the fingerprint free to compile again. An optional Store (internal/store
+// on disk) sits under the memory tier; the cache keeps the account of
+// both in Stats. machine.Compile routes through the process-wide Shared
+// cache unless the config names another, which puts every entry point —
+// the facade's Run/RunShots/Sample, internal/runner and the CLIs —
+// behind it; internal/service calls GetOrCompile itself, under the
+// fingerprint it computed at admission.
 package artifact
 
 import (
@@ -27,6 +31,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"math"
 	"sync"
 
@@ -192,13 +197,14 @@ type Stats struct {
 
 // Store is a persistence tier under the cache: artifacts spill to it
 // after compilation and restore from it on a memory miss, which is what
-// makes a cold process start warm. internal/store implements it on disk.
-// Load reports false for any artifact it cannot produce (absent,
-// unreadable, corrupt) — the cache then falls back to compiling.
-// Implementations must be safe for concurrent use.
+// makes a cold process start warm. It is *store.Store's own method set
+// (internal/store implements it on disk). Get returns an error for any
+// artifact it cannot produce (absent, unreadable, corrupt): the cache
+// counts a store miss and falls back to compiling. Implementations must
+// be safe for concurrent use.
 type Store interface {
-	Load(Fingerprint) (*compiler.Compiled, bool)
-	Save(Fingerprint, *compiler.Compiled) error
+	Get(Fingerprint) (*compiler.Compiled, error)
+	Put(Fingerprint, *compiler.Compiled) error
 }
 
 // Cache is an LRU-bounded, concurrency-safe map from fingerprint to
@@ -252,9 +258,7 @@ func New(capacity int) *Cache {
 
 // SetStore attaches (or, with nil, detaches) a persistence tier. With a
 // store attached, Get and GetOrCompile restore memory misses from it and
-// GetOrCompile spills every fresh compile to it. Clear leaves the store
-// attached — a Clear models a process restart, where memory is gone but
-// disk persists.
+// GetOrCompile spills every fresh compile to it.
 func (c *Cache) SetStore(st Store) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -264,30 +268,44 @@ func (c *Cache) SetStore(st Store) {
 // Get returns the cached artifact for fp, counting a hit and marking it
 // most recently used when found. A memory miss consults the store (when
 // attached): a restore counts as a Hit plus a StoreHit — no compile ran.
-// A key absent from both tiers counts nothing — the caller may go on to
+// A key absent from both tiers counts no Miss — the caller may go on to
 // compile through GetOrCompile, which does the miss accounting, so one
 // logical request never double-counts.
 func (c *Cache) Get(fp Fingerprint) (*compiler.Compiled, bool) {
 	c.mu.Lock()
-	el, ok := c.entries[fp]
-	if ok {
-		c.stats.Hits++
-		c.order.MoveToFront(el)
-		cp := el.Value.(*entry).cp
-		c.mu.Unlock()
-		return cp, true
-	}
+	cp, ok := c.hit(fp)
 	st := c.store
 	c.mu.Unlock()
+	if ok {
+		return cp, true
+	}
+	return c.restore(st, fp)
+}
+
+// hit returns fp's resident artifact, counting a hit and marking it most
+// recently used. Called with c.mu held.
+func (c *Cache) hit(fp Fingerprint) (*compiler.Compiled, bool) {
+	el, ok := c.entries[fp]
+	if !ok {
+		return nil, false
+	}
+	c.stats.Hits++
+	c.order.MoveToFront(el)
+	return el.Value.(*entry).cp, true
+}
+
+// restore looks fp up in st (nil: no store, nothing counted). The disk
+// I/O runs outside c.mu; a concurrent restore of the same key is harmless
+// (put is idempotent, decode is deterministic). A restore counts a Hit
+// and a StoreHit and becomes resident; a failure counts a StoreMiss.
+func (c *Cache) restore(st Store, fp Fingerprint) (*compiler.Compiled, bool) {
 	if st == nil {
 		return nil, false
 	}
-	// Disk I/O happens outside the lock; a concurrent restore of the same
-	// key is harmless (put is idempotent, decode is deterministic).
-	cp, ok := st.Load(fp)
+	cp, err := st.Get(fp)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !ok {
+	if err != nil {
 		c.stats.StoreMisses++
 		return nil, false
 	}
@@ -295,14 +313,6 @@ func (c *Cache) Get(fp Fingerprint) (*compiler.Compiled, bool) {
 	c.stats.StoreHits++
 	c.put(fp, cp)
 	return cp, true
-}
-
-// Put inserts (or refreshes) an artifact, evicting the least recently
-// used entry when over capacity.
-func (c *Cache) Put(fp Fingerprint, cp *compiler.Compiled) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.put(fp, cp)
 }
 
 // put inserts with c.mu held.
@@ -326,17 +336,20 @@ func (c *Cache) evict() {
 	}
 }
 
+// errPanicked is what the waiters of a flight whose compile panicked
+// receive; the panic itself goes on up the leader's stack.
+var errPanicked = errors.New("artifact: compile panicked")
+
 // GetOrCompile returns the artifact for fp, compiling it with compile on
 // a miss. Concurrent callers with the same fingerprint are collapsed
 // into one compilation: the first caller compiles, the others block and
 // share its result (counted as hits — they paid no compile). A compile
-// error is propagated to every waiter and nothing is cached.
+// error is propagated to every waiter and nothing is cached. A compile
+// that panics releases its waiters with an error, leaves nothing in
+// flight, and panics on in the caller, so the next request compiles anew.
 func (c *Cache) GetOrCompile(fp Fingerprint, compile func() (*compiler.Compiled, error)) (cp *compiler.Compiled, hit bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.entries[fp]; ok {
-		c.stats.Hits++
-		c.order.MoveToFront(el)
-		cp = el.Value.(*entry).cp
+	if cp, ok := c.hit(fp); ok {
 		c.mu.Unlock()
 		return cp, true, nil
 	}
@@ -346,62 +359,54 @@ func (c *Cache) GetOrCompile(fp Fingerprint, compile func() (*compiler.Compiled,
 		<-fl.done
 		return fl.cp, true, fl.err
 	}
-	fl := &flight{done: make(chan struct{})}
+	fl := &flight{done: make(chan struct{}), err: errPanicked}
 	c.inflight[fp] = fl
 	st := c.store
 	c.mu.Unlock()
 
-	// Leader path. Before paying a compile, try the persistence tier: a
-	// restore is a hit (no compile ran), charges no Miss, and the waiters
-	// that joined the flight share it exactly as they would a compile.
-	if st != nil {
-		if cp, ok := st.Load(fp); ok {
-			fl.cp = cp
-			c.mu.Lock()
-			delete(c.inflight, fp)
-			c.stats.Hits++
-			c.stats.StoreHits++
-			c.put(fp, cp)
-			c.mu.Unlock()
-			close(fl.done)
-			return cp, true, nil
-		}
+	if hit = c.lead(fp, fl, st, compile); hit || fl.err != nil || st == nil {
+		return fl.cp, hit, fl.err
 	}
-
-	c.mu.Lock()
-	if st != nil {
-		c.stats.StoreMisses++
-	}
-	c.stats.Misses++
-	c.mu.Unlock()
-
-	fl.cp, fl.err = compile()
-
-	c.mu.Lock()
-	delete(c.inflight, fp)
-	if fl.err == nil {
-		c.put(fp, fl.cp)
-	}
-	c.mu.Unlock()
-	close(fl.done)
-
 	// Spill outside the lock, before returning: the leader pays the encode
 	// and the file write inline, so a cold request's time includes them
-	// (EXPERIMENTS.md measures the share), while the waiters above were
-	// already released. A spill never fails the request: its error is only
+	// (EXPERIMENTS.md measures the share), while the waiters were already
+	// released. A spill never fails the request: its error is only
 	// counted, and the artifact serves from memory.
-	if fl.err == nil && st != nil {
-		if err := st.Save(fp, fl.cp); err != nil {
-			c.mu.Lock()
-			c.stats.SpillErrors++
-			c.mu.Unlock()
-		} else {
-			c.mu.Lock()
-			c.stats.Spills++
-			c.mu.Unlock()
-		}
+	spilled := st.Put(fp, fl.cp) == nil
+	c.mu.Lock()
+	if spilled {
+		c.stats.Spills++
+	} else {
+		c.stats.SpillErrors++
 	}
-	return fl.cp, false, fl.err
+	c.mu.Unlock()
+	return fl.cp, false, nil
+}
+
+// lead fills the leader's flight — restored from the store, which is a
+// hit and charges no Miss, else compiled — and lands it on every exit: the
+// in-flight entry goes, a compiled artifact becomes resident, and the
+// waiters are released. The flight's error is preset to errPanicked, so a
+// compile that panics lands with it while the panic unwinds past.
+func (c *Cache) lead(fp Fingerprint, fl *flight, st Store, compile func() (*compiler.Compiled, error)) (restored bool) {
+	defer func() {
+		c.mu.Lock()
+		delete(c.inflight, fp)
+		if fl.err == nil && !restored {
+			c.put(fp, fl.cp)
+		}
+		c.mu.Unlock()
+		close(fl.done)
+	}()
+	if fl.cp, restored = c.restore(st, fp); restored {
+		fl.err = nil
+		return true
+	}
+	c.mu.Lock()
+	c.stats.Misses++
+	c.mu.Unlock()
+	fl.cp, fl.err = compile()
+	return false
 }
 
 // Stats snapshots the counters.
@@ -424,17 +429,4 @@ func (c *Cache) Resize(capacity int) {
 	defer c.mu.Unlock()
 	c.capacity = capacity
 	c.evict()
-}
-
-// Clear drops every entry and zeroes the counters (tests and benchmarks
-// use it to measure cold-path behavior on the Shared cache). An attached
-// store stays attached: Clear models a process restart — memory is gone,
-// disk persists — which is precisely the transition the restart-warm
-// contract is about.
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[Fingerprint]*list.Element)
-	c.order = list.New()
-	c.stats = Stats{}
 }

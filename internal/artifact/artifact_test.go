@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dhisq/internal/artifact"
 	"dhisq/internal/circuit"
@@ -211,11 +212,17 @@ func TestDistinctSpecsMiss(t *testing.T) {
 func TestLRUEvictionBound(t *testing.T) {
 	const capacity = 4
 	cache := artifact.New(capacity)
+	put := func(fp artifact.Fingerprint) {
+		t.Helper()
+		if _, _, err := cache.GetOrCompile(fp, func() (*compiler.Compiled, error) { return &compiler.Compiled{}, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
 	fps := make([]artifact.Fingerprint, 0, capacity+2)
 	for i := 0; i < capacity; i++ {
 		fp := artifact.Fingerprint{byte(i)}
 		fps = append(fps, fp)
-		cache.Put(fp, &compiler.Compiled{})
+		put(fp)
 	}
 	// Touch entry 0 so entry 1 is now the LRU victim.
 	if _, ok := cache.Get(fps[0]); !ok {
@@ -224,7 +231,7 @@ func TestLRUEvictionBound(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		fp := artifact.Fingerprint{0xF0, byte(i)}
 		fps = append(fps, fp)
-		cache.Put(fp, &compiler.Compiled{})
+		put(fp)
 	}
 	st := cache.Stats()
 	if st.Size != capacity {
@@ -376,5 +383,82 @@ func TestCompileErrorNotCached(t *testing.T) {
 	cp, hit, err := cache.GetOrCompile(fp, func() (*compiler.Compiled, error) { return want, nil })
 	if err != nil || hit || cp != want {
 		t.Fatalf("retry after failure: cp=%v hit=%v err=%v", cp, hit, err)
+	}
+}
+
+// A compile that panics still lands its flight: the waiter that joined it
+// gets an error instead of blocking, and the next request for the
+// fingerprint compiles again. Every wait is bounded, so a flight left
+// open fails the test instead of hanging it.
+func TestPanickingCompileLandsTheFlight(t *testing.T) {
+	cache := artifact.New(4)
+	fp := artifact.Fingerprint{9}
+	const bound = 5 * time.Second
+
+	started, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		cache.GetOrCompile(fp, func() (*compiler.Compiled, error) {
+			close(started)
+			<-release
+			panic("compile blew up")
+		})
+	}()
+	<-started
+
+	var waiterCompiled atomic.Bool
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := cache.GetOrCompile(fp, func() (*compiler.Compiled, error) {
+			waiterCompiled.Store(true)
+			return &compiler.Compiled{}, nil
+		})
+		waiter <- err
+	}()
+	// Joining the flight counts a hit: release the compile only then.
+	for deadline := time.Now().Add(bound); cache.Stats().Hits == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the waiter never joined the flight")
+		}
+	}
+	close(release)
+
+	select {
+	case r := <-leader:
+		if r != "compile blew up" {
+			t.Fatalf("leader recovered %v, want the compile's panic", r)
+		}
+	case <-time.After(bound):
+		t.Fatal("the leader did not panic out of GetOrCompile")
+	}
+	select {
+	case err := <-waiter:
+		if err == nil || waiterCompiled.Load() {
+			t.Fatalf("waiter: err=%v compiled=%v, want the flight's error and no compile", err, waiterCompiled.Load())
+		}
+	case <-time.After(bound):
+		t.Fatal("the waiter is still blocked on the panicked flight")
+	}
+
+	want := &compiler.Compiled{}
+	next := make(chan error, 1)
+	go func() {
+		cp, hit, err := cache.GetOrCompile(fp, func() (*compiler.Compiled, error) { return want, nil })
+		if err == nil && (hit || cp != want) {
+			err = fmt.Errorf("cp=%p hit=%v, want a fresh compile", cp, hit)
+		}
+		next <- err
+	}()
+	select {
+	case err := <-next:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(bound):
+		t.Fatal("the next request blocked: the panicked compile left its fingerprint in flight")
+	}
+	if st := cache.Stats(); st.Misses != 2 || st.Size != 1 {
+		t.Fatalf("stats = %+v, want 2 misses (both compiles) and the second artifact resident", st)
 	}
 }

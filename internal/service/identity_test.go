@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -79,12 +80,17 @@ func TestPoolKeyNamesTheReplicaBackend(t *testing.T) {
 // memStore is an artifact.Store in memory.
 type memStore map[artifact.Fingerprint]*compiler.Compiled
 
-func (s memStore) Load(fp artifact.Fingerprint) (*compiler.Compiled, bool) {
-	cp, ok := s[fp]
-	return cp, ok
+// errAbsent is the fake stores' miss.
+var errAbsent = errors.New("artifact not stored")
+
+func (s memStore) Get(fp artifact.Fingerprint) (*compiler.Compiled, error) {
+	if cp, ok := s[fp]; ok {
+		return cp, nil
+	}
+	return nil, errAbsent
 }
 
-func (s memStore) Save(fp artifact.Fingerprint, cp *compiler.Compiled) error {
+func (s memStore) Put(fp artifact.Fingerprint, cp *compiler.Compiled) error {
 	s[fp] = cp
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dhisq/internal/artifact"
 	"dhisq/internal/circuit"
@@ -225,9 +226,9 @@ func branchy() *circuit.Circuit {
 // every job the cache serves it to after.
 type plantStore func(*compiler.Compiled)
 
-func (plantStore) Load(artifact.Fingerprint) (*compiler.Compiled, bool) { return nil, false }
+func (plantStore) Get(artifact.Fingerprint) (*compiler.Compiled, error) { return nil, errAbsent }
 
-func (p plantStore) Save(_ artifact.Fingerprint, cp *compiler.Compiled) error {
+func (p plantStore) Put(_ artifact.Fingerprint, cp *compiler.Compiled) error {
 	p(cp)
 	return nil
 }
@@ -373,14 +374,27 @@ func plantPanic(t *testing.T, svc *Service) Admission {
 // see — here in the compile, on the worker goroutine itself — is caught by
 // run's release step and becomes the job's error.
 func TestReleaseRecoversOutsideTheFanOut(t *testing.T) {
-	// A private cache: the panicked compile leaves its fingerprint in flight.
 	svc := New(Config{Workers: 1, Artifacts: artifact.New(1)})
 	defer svc.Close()
-	// No circuit: the compile dereferences nil.
-	_, err := svc.run(&job{}, plan{points: []map[string]float64{nil}, want: 1}, &JobStatus{ID: "job-broken", Shots: 1})
-	var pe *runner.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("run returned %v, want a recovered *runner.PanicError", err)
+	// No circuit: the compile dereferences nil. The second run has the
+	// same fingerprint on the same cache: it must compile (and panic)
+	// again, not wait on the first run's flight.
+	for i := 0; i < 2; i++ {
+		errc := make(chan error, 1)
+		go func() {
+			_, err := svc.run(&job{}, plan{points: []map[string]float64{nil}, want: 1}, &JobStatus{ID: "job-broken", Shots: 1})
+			errc <- err
+		}()
+		var err error
+		select {
+		case err = <-errc:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("run %d did not return: the panicked compile's flight never landed", i+1)
+		}
+		var pe *runner.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("run %d returned %v, want a recovered *runner.PanicError", i+1, err)
+		}
 	}
 	if n := svc.Stats().PooledReplicas; n != 0 {
 		t.Fatalf("a panicked acquire pooled %d replicas", n)

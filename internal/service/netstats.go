@@ -46,6 +46,7 @@ type Stats struct {
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	st := s.stats
+	st.NetStats = netStatsOf(s.net)
 	st.QueueDepth = len(s.queue)
 	s.mu.Unlock()
 	st.PooledReplicas = s.pool.size()
@@ -68,20 +69,12 @@ type NetStats struct {
 	NetMessages    uint64 `json:"net_messages"`
 }
 
-// netStatsOf reads the wire view off a job's merged congestion digest (a
-// disabled digest's counters are all zero).
+// netStatsOf reads the wire view off the service's merged congestion
+// digest (a disabled digest's counters are all zero).
 func netStatsOf(net network.CongestionStats) NetStats {
 	return NetStats{
 		NetStallCycles: uint64(net.TotalStall()),
 		NetMaxQueue:    net.MaxQueue(),
 		NetMessages:    net.LinkMessages + net.PortMessages,
 	}
-}
-
-// merge combines two jobs' views: sums, and a max.
-func (d NetStats) merge(e NetStats) NetStats {
-	d.NetStallCycles += e.NetStallCycles
-	d.NetMessages += e.NetMessages
-	d.NetMaxQueue = max(d.NetMaxQueue, e.NetMaxQueue)
-	return d
 }

@@ -103,9 +103,10 @@ type Service struct {
 	nextID   uint64
 	closed   bool
 	stats    Stats
-	held     int          // replicas the running jobs' plans hold
-	pool     *replicaPool // its own lock; never taken with mu held
-	memo     admitMemo    // Admit's; its own lock
+	net      network.CongestionStats // every completed job's digest, merged
+	held     int                     // replicas the running jobs' plans hold
+	pool     *replicaPool            // its own lock; never taken with mu held
+	memo     admitMemo               // Admit's; its own lock
 
 	wg sync.WaitGroup
 }
@@ -258,7 +259,7 @@ func (s *Service) worker() {
 					s.stats.BindHits++
 				}
 			}
-			s.stats.NetStats = s.stats.NetStats.merge(netStatsOf(res.net))
+			s.net = s.net.Merge(res.net)
 		}
 		s.retire(st.ID)
 		s.mu.Unlock()

@@ -74,28 +74,15 @@ const (
 	DefaultMaxBytes = 512 << 20
 )
 
-// Stats is a point-in-time snapshot of store effectiveness.
-type Stats struct {
-	// Restores counts Get calls served from disk; Spills counts Put
-	// writes that landed; Evictions counts files the byte budget removed;
-	// CorruptDropped counts files Get found undecodable and deleted.
-	Restores       uint64 `json:"restores"`
-	Spills         uint64 `json:"spills"`
-	Evictions      uint64 `json:"evictions"`
-	CorruptDropped uint64 `json:"corrupt_dropped"`
-	Files          int    `json:"files"`
-	Bytes          int64  `json:"bytes"`
-	MaxBytes       int64  `json:"max_bytes"`
-}
-
 type fileInfo struct {
 	size int64
 	seq  uint64 // write recency: larger = newer (load order at Open)
 }
 
-// Store is a size-bounded, concurrency-safe on-disk artifact store. It
-// implements artifact.Store, so it plugs directly under the in-memory
-// cache via artifact.Cache.SetStore.
+// Store is a size-bounded, concurrency-safe on-disk artifact store. Its
+// own Get and Put are artifact.Store's method set, so it plugs directly
+// under the in-memory cache via artifact.Cache.SetStore. The cache keeps
+// the tier's one account (artifact.Stats): the store counts nothing.
 type Store struct {
 	dir      string
 	maxBytes int64
@@ -104,7 +91,6 @@ type Store struct {
 	index map[artifact.Fingerprint]fileInfo
 	bytes int64
 	seq   uint64
-	stats Stats
 }
 
 // Open scans dir (creating it if needed) and returns a store bounded to
@@ -203,7 +189,6 @@ func (s *Store) Put(fp artifact.Fingerprint, cp *compiler.Compiled) error {
 	s.seq++
 	s.index[fp] = fileInfo{size: int64(len(data)), seq: s.seq}
 	s.bytes += int64(len(data))
-	s.stats.Spills++
 	s.gc(fp)
 	return nil
 }
@@ -227,7 +212,6 @@ func (s *Store) gc(keep artifact.Fingerprint) {
 			return
 		}
 		s.removeLocked(victim)
-		s.stats.Evictions++
 	}
 }
 
@@ -243,7 +227,9 @@ func (s *Store) removeLocked(fp artifact.Fingerprint) {
 // Get reads and decodes the stored artifact. A missing fingerprint is
 // ErrNotFound; an undecodable file is removed from the store (it can
 // never become valid — content addressing means a rewrite of the same
-// fingerprint writes the same bytes) and reported as ErrCorrupt.
+// fingerprint writes the same bytes) and reported as ErrCorrupt. The
+// cache treats every error alike: a store miss, after which it compiles
+// and respills.
 func (s *Store) Get(fp artifact.Fingerprint) (*compiler.Compiled, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -259,24 +245,9 @@ func (s *Store) Get(fp artifact.Fingerprint) (*compiler.Compiled, error) {
 	cp, err := Decode(data)
 	if err != nil {
 		s.removeLocked(fp)
-		s.stats.CorruptDropped++
 		return nil, err
 	}
-	s.stats.Restores++
 	return cp, nil
-}
-
-// Load implements artifact.Store: a boolean Get for the cache's restore
-// path. Every failure mode — absent, unreadable, corrupt — is a plain
-// miss; the cache then recompiles and respills.
-func (s *Store) Load(fp artifact.Fingerprint) (*compiler.Compiled, bool) {
-	cp, err := s.Get(fp)
-	return cp, err == nil
-}
-
-// Save implements artifact.Store.
-func (s *Store) Save(fp artifact.Fingerprint, cp *compiler.Compiled) error {
-	return s.Put(fp, cp)
 }
 
 // Len returns the number of stored artifacts.
@@ -284,17 +255,6 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.index)
-}
-
-// Stats snapshots the counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.Files = len(s.index)
-	st.Bytes = s.bytes
-	st.MaxBytes = s.maxBytes
-	return st
 }
 
 // ---------------------------------------------------------------------------

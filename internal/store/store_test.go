@@ -238,12 +238,12 @@ func TestGCBoundsBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
-	if st.Bytes > 3*one {
-		t.Errorf("store holds %d bytes, budget %d", st.Bytes, 3*one)
+	// Every artifact is one size, so the budget holds exactly three.
+	if n := s.Len(); n != 3 {
+		t.Errorf("store holds %d artifacts, its budget fits 3", n)
 	}
-	if st.Evictions == 0 {
-		t.Error("GC evicted nothing despite exceeding the budget")
+	if files, _ := filepath.Glob(filepath.Join(dir, "*.art")); len(files) != s.Len() {
+		t.Errorf("%d artifact files on disk, %d indexed: GC left files behind", len(files), s.Len())
 	}
 	// The newest write must have survived; the oldest must be gone.
 	if _, err := s.Get(fpOf(7)); err != nil {
@@ -294,8 +294,11 @@ func TestCorruptFileDropped(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Error("corrupt file was not removed")
 	}
-	if st := s.Stats(); st.CorruptDropped != 1 {
-		t.Errorf("CorruptDropped = %d, want 1", st.CorruptDropped)
+	if n := s.Len(); n != 0 {
+		t.Errorf("corrupt artifact still indexed: Len = %d", n)
+	}
+	if _, err := s.Get(fp); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("dropped artifact: got %v, want ErrNotFound", err)
 	}
 	// A truncated file fails the same way.
 	fp2 := fpOf(3)
@@ -364,7 +367,7 @@ func TestConcurrentSpillRestoreEviction(t *testing.T) {
 					if err := s.Put(fp, cp); err != nil {
 						t.Errorf("Put: %v", err)
 					}
-				} else if got, ok := s.Load(fp); ok {
+				} else if got, err := s.Get(fp); err == nil {
 					if len(got.Programs) != len(cp.Programs) {
 						t.Error("restored artifact is malformed")
 					}
@@ -375,17 +378,21 @@ func TestConcurrentSpillRestoreEviction(t *testing.T) {
 	wg.Wait()
 }
 
-// The store under the cache: GetOrCompile spills compiles and restores
-// them after a Clear (the in-process model of a restart) with zero fresh
-// compiles — the contract the serve-level crash/restart test re-proves
-// over HTTP.
+// The store under the cache: GetOrCompile spills compiles, and a fresh
+// cache over the same store (the in-process model of a restart) restores
+// them with zero fresh compiles — the contract the serve-level
+// crash/restart test re-proves over HTTP.
 func TestCacheSpillRestore(t *testing.T) {
 	s, err := store.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := artifact.New(8)
-	cache.SetStore(s)
+	restart := func() *artifact.Cache {
+		cache := artifact.New(8)
+		cache.SetStore(s)
+		return cache
+	}
+	cache := restart()
 
 	want := compileGHZ(t, 4)
 	fp := fpOf(5)
@@ -399,7 +406,7 @@ func TestCacheSpillRestore(t *testing.T) {
 		t.Fatalf("after compile: %+v (want 1 miss, 1 spill, 1 store miss)", st)
 	}
 
-	cache.Clear() // the restart: memory gone, disk and attachment persist
+	cache = restart() // memory gone, disk persists
 	got, hit, err := cache.GetOrCompile(fp, compile)
 	if err != nil {
 		t.Fatal(err)
@@ -422,14 +429,14 @@ func TestCacheSpillRestore(t *testing.T) {
 	}
 
 	// Get (the probe path the service uses) restores too.
-	cache.Clear()
+	cache = restart()
 	if _, ok := cache.Get(fp); !ok {
-		t.Error("Get did not restore from the store after Clear")
+		t.Error("Get did not restore from the store after a restart")
 	}
 
-	// Detached store: a Clear is now genuinely cold.
+	// Detached store: a restart is now genuinely cold.
+	cache = restart()
 	cache.SetStore(nil)
-	cache.Clear()
 	if _, ok := cache.Get(fp); ok {
 		t.Error("detached store still served a restore")
 	}
@@ -452,13 +459,16 @@ func TestSpillErrorIsNonFatal(t *testing.T) {
 
 type failingStore struct{}
 
-func (failingStore) Load(artifact.Fingerprint) (*compiler.Compiled, bool) { return nil, false }
-func (failingStore) Save(artifact.Fingerprint, *compiler.Compiled) error {
+func (failingStore) Get(artifact.Fingerprint) (*compiler.Compiled, error) {
+	return nil, store.ErrNotFound
+}
+func (failingStore) Put(artifact.Fingerprint, *compiler.Compiled) error {
 	return fmt.Errorf("disk on fire")
 }
 
 // Concurrent GetOrCompile through a cache with a store attached, racing
-// Clear: the restart-warm machinery itself must be race-free.
+// restarts (fresh caches restoring from the same store): the restart-warm
+// machinery itself must be race-free.
 func TestCacheStoreConcurrency(t *testing.T) {
 	s, err := store.Open(t.TempDir(), 0)
 	if err != nil {
@@ -483,9 +493,9 @@ func TestCacheStoreConcurrency(t *testing.T) {
 				case 1:
 					cache.Get(fp)
 				default:
-					if i%10 == 0 {
-						cache.Clear()
-					}
+					restarted := artifact.New(4)
+					restarted.SetStore(s)
+					restarted.Get(fp)
 					cache.Stats()
 				}
 			}
