@@ -118,7 +118,7 @@ func Run(c *circuit.Circuit, cmp Comparator, backend chip.Backend) (Result, erro
 		}
 		var q [2]int
 		copy(q[:], op.Qubits)
-		out := chip.Apply(backend, op.Kind, op.Param, q[0], q[1])
+		out := backend.Apply(op.Kind, op.Param, q[0], q[1])
 		if op.Kind == circuit.Measure {
 			bits[op.CBit] = out
 			// Result latched locally, then broadcast via the central node.

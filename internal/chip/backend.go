@@ -62,22 +62,14 @@ func (b *simulated) Stream(q int) *rand.Rand {
 	return b.Rng
 }
 
-func (b *simulated) exec(kind circuit.Kind, param float64, x, y int) int {
+// Apply implements Backend.
+func (b *simulated) Apply(kind circuit.Kind, param float64, x, y int) int {
 	out, ok := circuit.Exec(b.sub, b, kind, param, x, y)
 	if !ok {
 		panic("chip: " + b.name + " backend cannot apply " + kind.String())
 	}
 	return out
 }
-
-// Apply1 implements Backend.
-func (b *simulated) Apply1(kind circuit.Kind, param float64, q int) { b.exec(kind, param, q, 0) }
-
-// Apply2 implements Backend.
-func (b *simulated) Apply2(kind circuit.Kind, param float64, x, y int) { b.exec(kind, param, x, y) }
-
-// Measure implements Backend.
-func (b *simulated) Measure(q int) int { return b.exec(circuit.Measure, 0, q, 0) }
 
 // Reset implements Backend: |0...0> in place, the RNG streams reseeded in
 // place (the same streams as fresh construction, without its allocations).
@@ -133,20 +125,19 @@ func NewSeeded(seed int64) *SeededBackend {
 	return &SeededBackend{Seed: seed, count: map[int]uint64{}}
 }
 
-// Apply1 implements Backend.
-func (b *SeededBackend) Apply1(circuit.Kind, float64, int) {}
-
-// Apply2 implements Backend.
-func (b *SeededBackend) Apply2(circuit.Kind, float64, int, int) {}
-
 // Reset implements Backend: repetition counters clear, seed replaced.
 func (b *SeededBackend) Reset(seed int64) {
 	b.Seed = seed
 	clear(b.count)
 }
 
-// Measure implements Backend.
-func (b *SeededBackend) Measure(q int) int {
+// Apply implements Backend: a measurement of q returns its next hashed
+// outcome; every other kind, Reset and EPR included, is a no-op that draws
+// nothing.
+func (b *SeededBackend) Apply(kind circuit.Kind, _ float64, q, _ int) int {
+	if kind != circuit.Measure {
+		return 0
+	}
 	n := b.count[q]
 	b.count[q] = n + 1
 	// splitmix64 over (seed, qubit, repetition)

@@ -78,10 +78,12 @@ func (e TableEntry) Port() int {
 // Reset restores the backend to its post-construction state (|0...0>, RNG
 // reseeded with the given seed) without reallocating, so a loaded machine
 // can be re-run in place shot after shot.
+//
+// Apply is the codeword table's one call into the state: kind with its
+// parameter on qubit a, or on (a, b) for a two-qubit kind (b is ignored
+// otherwise). It returns a measurement's outcome and 0 for every other kind.
 type Backend interface {
-	Apply1(kind circuit.Kind, param float64, q int)
-	Apply2(kind circuit.Kind, param float64, a, b int)
-	Measure(q int) int
+	Apply(kind circuit.Kind, param float64, a, b int) int
 	Reset(seed int64)
 }
 
@@ -246,29 +248,13 @@ func (m *Model) Commit(node, port int, cw uint32, at sim.Time) {
 }
 
 // apply is where a committed entry meets the backend: the live path's one
-// call into Apply, and the recording point of the commit tape.
+// call into Backend.Apply, and the recording point of the commit tape.
 func (m *Model) apply(e TableEntry, ref tapeOp) int {
-	out := Apply(m.backend, e.Kind, e.Param, e.Qubit, e.Partner)
+	out := m.backend.Apply(e.Kind, e.Param, e.Qubit, e.Partner)
 	if m.rec != nil {
 		m.rec.record(e, ref, out)
 	}
 	return out
-}
-
-// Apply performs one op on the backend — a measurement of q (whose outcome
-// is returned), a two-qubit kind on (q, partner), or a one-qubit kind on q.
-// The live commit path, tape replay and the lock-step baseline all go
-// through it, so they cannot apply an op differently.
-func Apply(b Backend, kind circuit.Kind, param float64, q, partner int) int {
-	switch {
-	case kind == circuit.Measure:
-		return b.Measure(q)
-	case kind.IsTwoQubit():
-		b.Apply2(kind, param, q, partner)
-	default:
-		b.Apply1(kind, param, q)
-	}
-	return 0
 }
 
 func (m *Model) commit2Q(e TableEntry, ref tapeOp, at sim.Time) {

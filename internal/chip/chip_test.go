@@ -128,12 +128,12 @@ func TestSeededBackendOrderIndependence(t *testing.T) {
 	// The same (qubit, repetition) must yield the same outcome no matter
 	// when other qubits are measured — the Fig. 15 fairness property.
 	a := NewSeeded(9)
-	_ = a.Measure(1)
-	q0a := []int{a.Measure(0), a.Measure(0)}
+	_ = a.Apply(circuit.Measure, 0, 1, 0)
+	q0a := []int{a.Apply(circuit.Measure, 0, 0, 0), a.Apply(circuit.Measure, 0, 0, 0)}
 	b := NewSeeded(9)
-	q0b := []int{b.Measure(0)}
-	_ = b.Measure(1)
-	q0b = append(q0b, b.Measure(0))
+	q0b := []int{b.Apply(circuit.Measure, 0, 0, 0)}
+	_ = b.Apply(circuit.Measure, 0, 1, 0)
+	q0b = append(q0b, b.Apply(circuit.Measure, 0, 0, 0))
 	for i := range q0a {
 		if q0a[i] != q0b[i] {
 			t.Fatal("seeded outcomes depend on global order")
@@ -143,9 +143,9 @@ func TestSeededBackendOrderIndependence(t *testing.T) {
 
 func TestStabilizerBackendReset(t *testing.T) {
 	b := NewStabilizer(2, 3)
-	b.Apply1(circuit.X, 0, 0)
-	b.Apply1(circuit.Reset, 0, 0)
-	if out := b.Measure(0); out != 0 {
+	b.Apply(circuit.X, 0, 0, 0)
+	b.Apply(circuit.Reset, 0, 0, 0)
+	if out := b.Apply(circuit.Measure, 0, 0, 0); out != 0 {
 		t.Fatalf("reset failed: %d", out)
 	}
 }

@@ -34,8 +34,8 @@ func TestEPRCommitPreparesBellPair(t *testing.T) {
 	if p := sv.State.Prob(2); p < 0.499 || p > 0.501 {
 		t.Fatalf("P(q2=1) = %v, want 0.5", p)
 	}
-	got2 := sv.Measure(2)
-	got3 := sv.Measure(3)
+	got2 := sv.Apply(circuit.Measure, 0, 2, 0)
+	got3 := sv.Apply(circuit.Measure, 0, 3, 0)
 	if got2 != got3 {
 		t.Fatalf("Bell halves disagree: %d vs %d", got2, got3)
 	}
@@ -81,15 +81,15 @@ func TestCommRNGSeparation(t *testing.T) {
 		"stabilizer": func() commBackend { return NewStabilizer(2, 42) },
 	} {
 		plain := mk()
-		plain.Apply1(circuit.H, 0, 0)
-		want := plain.Measure(0) // first main-stream draw
+		plain.Apply(circuit.H, 0, 0, 0)
+		want := plain.Apply(circuit.Measure, 0, 0, 0) // first main-stream draw
 
 		split := mk()
 		split.SetCommFrom(1)
-		split.Apply1(circuit.H, 0, 0)
-		split.Apply1(circuit.H, 0, 1)
-		split.Measure(1) // herald stream: must not consume a main draw
-		if got := split.Measure(0); got != want {
+		split.Apply(circuit.H, 0, 0, 0)
+		split.Apply(circuit.H, 0, 1, 0)
+		split.Apply(circuit.Measure, 0, 1, 0) // herald stream: must not consume a main draw
+		if got := split.Apply(circuit.Measure, 0, 0, 0); got != want {
 			t.Fatalf("%s: data-qubit draw shifted by a herald measurement: %d vs %d", name, got, want)
 		}
 
@@ -97,9 +97,9 @@ func TestCommRNGSeparation(t *testing.T) {
 		off := mk()
 		off.SetCommFrom(1)
 		off.SetCommFrom(0)
-		off.Apply1(circuit.H, 0, 1)
-		off.Apply1(circuit.H, 0, 0)
-		off.Measure(1) // now a main-stream draw
-		_ = off.Measure(0)
+		off.Apply(circuit.H, 0, 1, 0)
+		off.Apply(circuit.H, 0, 0, 0)
+		off.Apply(circuit.Measure, 0, 1, 0) // now a main-stream draw
+		_ = off.Apply(circuit.Measure, 0, 0, 0)
 	}
 }

@@ -34,31 +34,36 @@ func TestModelReset(t *testing.T) {
 
 func TestStabilizerBackendRoundTrip(t *testing.T) {
 	b := NewStabilizer(2, 3)
-	b.Apply1(circuit.H, 0, 0)
-	b.Apply2(circuit.CNOT, 0, 0, 1)
-	a := b.Measure(0)
-	if c := b.Measure(1); c != a {
+	b.Apply(circuit.H, 0, 0, 0)
+	b.Apply(circuit.CNOT, 0, 0, 1)
+	a := b.Apply(circuit.Measure, 0, 0, 0)
+	if c := b.Apply(circuit.Measure, 0, 1, 0); c != a {
 		t.Fatalf("GHZ pair disagreed: %d vs %d", a, c)
 	}
-	b.Apply2(circuit.SWAP, 0, 0, 1)
-	b.Apply2(circuit.CZ, 0, 0, 1)
-	b.Apply1(circuit.Reset, 0, 0)
-	if out := b.Measure(0); out != 0 {
+	b.Apply(circuit.SWAP, 0, 0, 1)
+	b.Apply(circuit.CZ, 0, 0, 1)
+	b.Apply(circuit.Reset, 0, 0, 0)
+	if out := b.Apply(circuit.Measure, 0, 0, 0); out != 0 {
 		t.Fatalf("reset qubit measured %d", out)
 	}
 	b.Reset(4)
-	if out := b.Measure(1); out != 0 {
+	if out := b.Apply(circuit.Measure, 0, 1, 0); out != 0 {
 		t.Fatalf("fresh tableau measured %d", out)
 	}
 }
 
 func TestSeededBackendReset(t *testing.T) {
 	b := NewSeeded(11)
-	b.Apply1(circuit.H, 0, 0) // no-op by contract
-	b.Apply2(circuit.CNOT, 0, 0, 1)
-	first := []int{b.Measure(0), b.Measure(0), b.Measure(3)}
+	// Gates, resets and EPR generations are no-ops that draw nothing: that
+	// is what keeps Fig. 15's BISP and lock-step runs on identical branches.
+	b.Apply(circuit.H, 0, 0, 0)
+	b.Apply(circuit.CNOT, 0, 0, 1)
+	b.Apply(circuit.Reset, 0, 0, 0)
+	b.Apply(circuit.EPR, 0, 0, 3)
+	measure := func(q int) int { return b.Apply(circuit.Measure, 0, q, 0) }
+	first := []int{measure(0), measure(0), measure(3)}
 	b.Reset(11)
-	second := []int{b.Measure(0), b.Measure(0), b.Measure(3)}
+	second := []int{measure(0), measure(0), measure(3)}
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatalf("outcome %d not reproducible after Reset: %v vs %v", i, first, second)
@@ -68,7 +73,7 @@ func TestSeededBackendReset(t *testing.T) {
 	diff := false
 	for q := 0; q < 64 && !diff; q++ {
 		b2 := NewSeeded(11)
-		if b.Measure(q) != b2.Measure(q) {
+		if measure(q) != b2.Apply(circuit.Measure, 0, q, 0) {
 			diff = true
 		}
 	}
@@ -79,9 +84,9 @@ func TestSeededBackendReset(t *testing.T) {
 
 func TestStateVecBackendReset(t *testing.T) {
 	b := NewStateVec(2, 1)
-	b.Apply1(circuit.RX, 1.1, 0)
-	b.Apply2(circuit.CPhase, 0.7, 0, 1)
-	b.Apply2(circuit.SWAP, 0, 0, 1)
+	b.Apply(circuit.RX, 1.1, 0, 0)
+	b.Apply(circuit.CPhase, 0.7, 0, 1)
+	b.Apply(circuit.SWAP, 0, 0, 1)
 	b.Reset(2)
 	if b.State.Prob(0) > 1e-12 || b.State.Prob(1) > 1e-12 {
 		t.Fatal("Reset did not restore |00>")

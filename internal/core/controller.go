@@ -95,7 +95,6 @@ func (b BlockReason) String() string {
 type Stats struct {
 	Instrs     uint64
 	Commits    uint64
-	Syncs      uint64
 	Violations uint64
 }
 
@@ -148,7 +147,6 @@ type Controller struct {
 
 	block     BlockReason
 	blockOn   int      // peer/channel/router id while blocked
-	blockAt   sim.Time // pipeline time when the block began
 	pendCondI sim.Time // Condition-I time of an in-flight sync
 	inRun     bool
 
@@ -243,7 +241,6 @@ func (c *Controller) Reset() {
 	}
 	c.block = NotBlocked
 	c.blockOn = 0
-	c.blockAt = 0
 	c.pendCondI = 0
 	c.inRun = false
 	c.halted = false
@@ -400,7 +397,6 @@ func (c *Controller) PushResult(ch int, val uint32, availAt sim.Time) {
 func (c *Controller) finishSync(target int, condI, peer, booked sim.Time) {
 	r := max(condI, peer)
 	c.tl.AddGate(condI, r)
-	c.Stats.Syncs++
 	if r > condI {
 		c.log.Add(telf.Event{Time: r, Node: c.Cfg.ID, Kind: telf.Stall, A: telf.StallSync, B: r - condI, C: int64(target)})
 	}
@@ -568,7 +564,7 @@ func (c *Controller) fetch(in isa.Instr, qs []fifo, reason BlockReason, why int6
 		return false
 	}
 	if src >= len(qs) || qs[src].Len() == 0 {
-		c.block, c.blockOn, c.blockAt = reason, src, c.tc
+		c.block, c.blockOn = reason, src
 		return false
 	}
 	m := qs[src].Pop()
@@ -647,7 +643,7 @@ func (c *Controller) execSync(tgt int) bool {
 		ti := bEff + n
 		c.log.Add(telf.Event{Time: bEff, Node: c.Cfg.ID, Kind: telf.SyncBook, A: int64(tgt), B: ti})
 		c.fab.BookRegion(c.Cfg.ID, tgt, ti, bEff)
-		c.block, c.blockOn, c.blockAt = BlockSyncRegion, tgt, c.tc
+		c.block, c.blockOn = BlockSyncRegion, tgt
 		c.pendCondI = ti
 		return false
 	}
@@ -660,7 +656,7 @@ func (c *Controller) execSync(tgt int) bool {
 		c.finishSync(tgt, condI, sig.at, sig.cause)
 		return true
 	}
-	c.block, c.blockOn, c.blockAt = BlockSyncNear, tgt, c.tc
+	c.block, c.blockOn = BlockSyncNear, tgt
 	c.pendCondI = condI
 	return false
 }

@@ -28,6 +28,9 @@ import (
 // pass. It was re-recorded twice, each time for a TELF schema change: when
 // stalls became TELF stall events, and when every event gained its cause
 // (the second re-record added " c=..." to the telf lines and nothing else).
+// A third re-record dropped " Syncs:N" from the stats lines and nothing
+// else, when Stats lost that counter: every recorded N equalled the node's
+// count of sync_done events on the case's telf line, which still pins it.
 
 var updateExec = flag.Bool("update-exec", false, "rewrite testdata/exec.golden from this tree; run it at the commit whose behaviour is to be frozen")
 

@@ -120,15 +120,13 @@ func (f *Fabric) treeArrival(src, dst int, at sim.Time) sim.Time {
 	t := at
 	for i := 0; i+1 < len(path); i++ {
 		a, b := path[i], path[i+1]
-		if f.contention() {
-			// The router terminating this edge owns the port: b when
-			// climbing (a's parent), a when descending (b's parent).
-			router := b
-			if f.Topo.Parent(b) == a {
-				router = a
-			}
-			t = f.reservePort(router, a+b-router, src, t)
+		// The router terminating this edge owns the port: b when climbing
+		// (a's parent), a when descending (b's parent).
+		router := b
+		if f.Topo.Parent(b) == a {
+			router = a
 		}
+		t = f.reservePort(router, a+b-router, src, t)
 		t += f.Topo.Cfg.TreeHopLatency
 		if i+2 < len(path) {
 			t += f.Topo.Cfg.RouterProc

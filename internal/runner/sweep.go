@@ -27,11 +27,16 @@ type SweepPoint struct {
 // RunSweep compiles the spec's circuit once and executes `shots`
 // repetitions at every parameter point, fanning points out across
 // `workers` machine replicas (workers <= 0 picks GOMAXPROCS, capped at
-// the point count). Each point's map must bind every symbolic parameter
-// of the circuit. The returned points are ordered by point index, keep
-// every shot, and are byte-identical for every worker count.
+// the point count, or at the shots for a lone point, whose shots RunPoints
+// fans out). Each point's map must bind every symbolic parameter of the
+// circuit. The returned points are ordered by point index, keep every
+// shot, and are byte-identical for every worker count.
 func RunSweep(spec Spec, points []map[string]float64, shots, workers int) ([]SweepPoint, error) {
-	machines, skel, err := start(spec, true, shots, len(points), workers)
+	units := len(points)
+	if units == 1 {
+		units = max(shots, 1)
+	}
+	machines, skel, err := start(spec, true, shots, units, workers)
 	if err != nil {
 		return nil, err
 	}

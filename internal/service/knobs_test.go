@@ -197,14 +197,11 @@ type countingBackend struct {
 	gates uint64
 }
 
-func (b *countingBackend) Apply1(k circuit.Kind, p float64, q int) {
-	b.gates++
-	b.Backend.Apply1(k, p, q)
-}
-
-func (b *countingBackend) Apply2(k circuit.Kind, p float64, x, y int) {
-	b.gates++
-	b.Backend.Apply2(k, p, x, y)
+func (b *countingBackend) Apply(k circuit.Kind, p float64, x, y int) int {
+	if k != circuit.Measure {
+		b.gates++
+	}
+	return b.Backend.Apply(k, p, x, y)
 }
 
 // checkTiming is clause 3 over one run's shots. Its floor is the depth of

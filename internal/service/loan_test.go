@@ -37,6 +37,7 @@ func TestPlanForLendsIdleReplicas(t *testing.T) {
 		{"capped at the shots", 2, 3, 0, Request{Shots: 4}, 4},
 		{"one shot: one replica", 2, 3, 0, Request{Shots: 1}, 1},
 		{"a sweep fans out points, not shots", 2, 3, 0, Request{Shots: 100, Sweep: sweep}, 5},
+		{"a one-point sweep fans out its shots", 2, 3, 0, Request{Shots: 100, Sweep: sweep[:1]}, 6},
 		{"one worker: ShotWorkers, as before", 1, 3, 0, Request{Shots: 10}, 3},
 	} {
 		s := &Service{cfg: Config{Workers: c.workers, ShotWorkers: c.shotWorkers}, held: c.held}

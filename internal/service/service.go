@@ -290,13 +290,14 @@ type plan struct {
 	// structural is the key kind: the bind-invariant skeleton (Params and
 	// Sweep jobs, patched per point by BindParams) or the full program.
 	structural bool
-	// sweep jobs deliver per-point results: points, not shots, are the
-	// unit that fans out across replicas, and each streams as it finishes.
+	// sweep jobs deliver per-point results, each streamed as it finishes.
 	sweep bool
 	// points is the work: one unbound (nil) point for a plain job, one
 	// binding for Params, N for a Sweep.
 	points []map[string]float64
-	want   int // replicas: ShotWorkers or the idle budget, capped at the fan-out units
+	// want is the replicas: ShotWorkers or the idle budget, capped at the
+	// fan-out units — the points when there are several, else the shots.
+	want int
 }
 
 // planFor is a's plan, with the replicas it may hold decided now, once:
@@ -309,7 +310,10 @@ func (s *Service) planFor(a Admission) plan {
 		points: []map[string]float64{req.Params}, want: req.Shots,
 	}
 	if p.sweep {
-		p.points, p.want = req.Sweep, len(req.Sweep)
+		p.points = req.Sweep
+	}
+	if len(p.points) > 1 {
+		p.want = len(p.points)
 	}
 	p.want = min(p.want, max(s.cfg.ShotWorkers, s.cfg.Workers*s.cfg.ShotWorkers-s.held))
 	return p

@@ -44,7 +44,6 @@ type Priority int
 const (
 	PriDeliver Priority = iota // link/router deliveries
 	PriResume                  // process resumptions
-	PriCleanup                 // end-of-cycle bookkeeping
 )
 
 // Event is the payload of a typed event: an opcode the handler switches
