@@ -168,6 +168,10 @@ func TestLocalMatchesServe(t *testing.T) {
 		"dvqe": {Bench: "dvqe", Request: service.Request{
 			Shots: 12, Seed: 5, Chips: 2, Placement: "interaction", Topo: "torus", LinkBW: 4,
 		}},
+		// Seeded feed-forward with contention off: the daemon's shots past
+		// each replica's first come off the outcome map, the local run's
+		// are every one simulated.
+		"qft_n30": {Bench: "qft_n30", Request: service.Request{Shots: 8, Seed: 9}},
 	}
 	for name, sub := range subs {
 		spec, set, err := runLocal(sub, 3)

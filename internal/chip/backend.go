@@ -111,18 +111,20 @@ func NewStabilizer(n int, seed int64) *StabilizerBackend {
 }
 
 // SeededBackend tracks no quantum state: gates are no-ops and each
-// measurement outcome is a deterministic hash of (seed, qubit, repetition).
-// Because outcomes do not depend on the order in which other qubits are
-// measured, a BISP run and a lock-step baseline run of the same circuit take
-// identical branches — the property Fig. 15's runtime comparison needs.
+// measurement outcome is Outcome(seed, qubit, repetition). Because outcomes
+// do not depend on the order in which other qubits are measured, a BISP run
+// and a lock-step baseline run of the same circuit take identical branches —
+// the property Fig. 15's runtime comparison needs.
 type SeededBackend struct {
-	Seed  int64
-	count map[int]uint64
+	Seed int64
+	// count[q] is how many times qubit q has been measured since Reset:
+	// indexed by qubit, grown on demand, cleared in place.
+	count []uint64
 }
 
 // NewSeeded builds the order-independent outcome source.
 func NewSeeded(seed int64) *SeededBackend {
-	return &SeededBackend{Seed: seed, count: map[int]uint64{}}
+	return &SeededBackend{Seed: seed}
 }
 
 // Reset implements Backend: repetition counters clear, seed replaced.
@@ -131,17 +133,26 @@ func (b *SeededBackend) Reset(seed int64) {
 	clear(b.count)
 }
 
-// Apply implements Backend: a measurement of q returns its next hashed
-// outcome; every other kind, Reset and EPR included, is a no-op that draws
-// nothing.
+// Apply implements Backend: a measurement of q returns its next outcome;
+// every other kind, Reset and EPR included, is a no-op that draws nothing.
 func (b *SeededBackend) Apply(kind circuit.Kind, _ float64, q, _ int) int {
 	if kind != circuit.Measure {
 		return 0
 	}
-	n := b.count[q]
-	b.count[q] = n + 1
-	// splitmix64 over (seed, qubit, repetition)
-	x := uint64(b.Seed) ^ uint64(q)*0x9E3779B97F4A7C15 ^ n*0xBF58476D1CE4E5B9
+	for len(b.count) <= q {
+		b.count = append(b.count, 0)
+	}
+	r := b.count[q]
+	b.count[q] = r + 1
+	return Outcome(b.Seed, q, r)
+}
+
+// Outcome is the seeded backend's r-th measurement of qubit q (r counts
+// from 0) in a shot with the given seed: splitmix64 over (seed, qubit,
+// repetition). It is the one definition — SeededBackend.Apply and the
+// machine's outcome map both call it.
+func Outcome(seed int64, q int, r uint64) int {
+	x := uint64(seed) ^ uint64(q)*0x9E3779B97F4A7C15 ^ r*0xBF58476D1CE4E5B9
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27

@@ -132,6 +132,13 @@ type Machine struct {
 	tape     *chip.Tape // nil until a shot has been recorded
 	tapeRes  Result     // the recorded shot's Result, every taped shot's too
 	tapeStat TapeStats
+
+	// The seeded outcome map of circ (outcomes.go).
+	circ   *circuit.Circuit // what NewForCircuit built for; nil from New
+	outMap []outcomeSource  // per public bit; nil until a TallyShot needs it
+	outOK  bool             // outMap checked against the loaded program
+	outOff bool             // a check failed: never again on this machine
+	outRes Result           // the checking shot's EPRPairs and Net
 }
 
 // Normalize is the one derivation of the effective machine configuration:
@@ -264,7 +271,12 @@ func NewForCircuit(c *circuit.Circuit, meshW, meshH int, cfg Config) (*Machine, 
 	if err != nil {
 		return nil, err
 	}
-	return New(cfg, c.NumQubits)
+	m, err := New(cfg, c.NumQubits)
+	if err != nil {
+		return nil, err
+	}
+	m.circ = c
+	return m, nil
 }
 
 // CompileOptions derives the compiler options this machine's programs are

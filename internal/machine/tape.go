@@ -2,31 +2,35 @@ package machine
 
 import "dhisq/internal/compiler"
 
-// TapeStats counts, over a machine's lifetime, what its commit tape did.
+// TapeStats counts, over a machine's lifetime, what its commit tape and its
+// seeded outcome map (outcomes.go) did.
 type TapeStats struct {
-	// Replayed counts shots served off the tape: no event engine, no
-	// controllers, no fabric.
+	// Replayed counts shots served off the tape or the outcome map: no
+	// event engine, no controllers, no fabric.
 	Replayed uint64
 	// Fallbacks counts recording shots whose self-check failed, after which
-	// the machine simulates every shot of that program in full. Expected 0:
-	// a non-zero count is a program the compiler called static that did not
-	// behave so.
+	// the machine simulates every shot of that program in full, and
+	// outcome-map checks that failed, after which TallyShot is Shot on this
+	// machine for good. Expected 0: a non-zero count is a program the
+	// compiler called static that did not behave so, or a map that read
+	// the circuit otherwise than the control stack ran it.
 	Fallbacks uint64
 }
 
 // TapeStats returns the machine's tape counters.
 func (m *Machine) TapeStats() TapeStats { return m.tapeStat }
 
-// retape decides, as cp is loaded, what becomes of the tape. A BindParams
-// copy shares the recorded program's Programs and differs from it in table
-// angles only, which replay reads afresh; anything else is another program.
-// Whether cp may be taped at all is decided here too, once per Load:
-// static control flow, and no TELF event log, which a replay would have
-// to reproduce.
+// retape decides, as cp is loaded, what becomes of the tape and of the
+// outcome map's check. A BindParams copy shares the recorded program's
+// Programs and differs from it in table angles only, which replay reads
+// afresh and seeded outcomes ignore; anything else is another program, and
+// both go. Whether cp may be taped at all is decided here too, once per
+// Load: static control flow, and no TELF event log, which a replay would
+// have to reproduce.
 func (m *Machine) retape(cp *compiler.Compiled) {
 	if old := m.loaded; old == nil || len(cp.Programs) == 0 ||
 		len(cp.Programs) != len(old.Programs) || &cp.Programs[0] != &old.Programs[0] {
-		m.tape = nil
+		m.tape, m.outOK = nil, false
 	}
 	m.tapeable = cp.Static() && !m.Cfg.LogEvents
 }

@@ -40,3 +40,34 @@ func BenchmarkShotRunner(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRunPoints times a 16-shot plain job on one warm replica through
+// the tally path a service job takes (no Observer.Shot): qft_n30 on the
+// seeded backend, whose shots past the first come off the outcome map, and
+// bv_n400/8 on the tableau, which simulates every shot.
+func BenchmarkRunPoints(b *testing.B) {
+	const shots = 16
+	for _, tc := range []struct {
+		name, bench string
+		scale       int
+	}{{"qft_n30", "qft_n30", 1}, {"bv_n400/8", "bv_n400", 8}} {
+		b.Run(tc.name, func(b *testing.B) {
+			spec := scaledSpec(b, tc.bench, tc.scale)
+			machines, art, err := start(spec, false, shots, 1, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			points := []map[string]float64{nil}
+			if _, err := RunPoints(machines, art, 1, points, shots, Observer{}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunPoints(machines, art, int64(i+2), points, shots, Observer{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"reflect"
 	"testing"
 
 	"dhisq/internal/machine"
@@ -56,6 +57,11 @@ func fullShotCases(t testing.TB) []fullShotCase {
 		// 12 data + 2 communication qubits: the dense state vector.
 		{"dvqe_n12_c2", Spec{Circuit: dvqe, Cfg: cfg}},
 	}
+}
+
+// runShot is execShot for a shot whose Result is kept: always Shot.
+func runShot(m *machine.Machine, base int64, k int) (Shot, error) {
+	return execShot(m, base, k, false)
 }
 
 // fullShotMachine returns one loaded replica of spec, warmed until its
@@ -116,5 +122,72 @@ func BenchmarkFullShot(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestTallyShotAllocations: past its checking shot, a seeded feed-forward
+// shot that only a tally reads comes off the outcome map
+// (machine.TallyShot), counted as replayed, and allocates no more than a
+// full shot: the Bits slice.
+func TestTallyShotAllocations(t *testing.T) {
+	m := fullShotMachine(t, scaledSpec(t, "qft_n30", 1))
+	if _, err := execShot(m, 7, 8, true); err != nil { // the checking shot
+		t.Fatal(err)
+	}
+	k := 9
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := execShot(m, 7, k, true); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	t.Logf("qft_n30: %.1f allocations per shot off the outcome map", allocs)
+	if allocs > fullShotCeiling {
+		t.Fatalf("a shot off the outcome map allocates %.1f times, want at most %d", allocs, fullShotCeiling)
+	}
+	if st := m.TapeStats(); st != (machine.TapeStats{Replayed: 51}) {
+		t.Fatalf("tape stats %+v, want the 51 shots after the checking one replayed", st)
+	}
+}
+
+// TestRunPointsFoldsSeededShots: the tallies RunPoints folds off the
+// outcome map for two points equal the folds of the same shots run in
+// full, at one and three replicas.
+func TestRunPointsFoldsSeededShots(t *testing.T) {
+	const shots = 12
+	spec := scaledSpec(t, "qft_n30", 2)
+	spec.Cfg.Seed = 5
+	spec1 := spec
+	spec1.Cfg.Seed = machine.DeriveSeed(spec.Cfg.Seed, 1)
+	var want [2]Tally
+	for k, s := range []Spec{spec, spec1} {
+		set, err := Run(s, shots, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = set.Tally()
+	}
+	for _, workers := range []int{1, 3} {
+		machines, art, err := start(spec, false, shots, shots, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunPoints(machines, art, spec.Cfg.Seed, []map[string]float64{nil, nil}, shots, Observer{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st machine.TapeStats
+		for _, m := range machines {
+			st.Replayed += m.TapeStats().Replayed
+			st.Fallbacks += m.TapeStats().Fallbacks
+		}
+		if st.Fallbacks != 0 || st.Replayed == 0 {
+			t.Fatalf("%d replicas: tape stats %+v, want shots off the outcome map and no fallback", workers, st)
+		}
+		for k := range want {
+			if !reflect.DeepEqual(got[k], want[k]) {
+				t.Errorf("%d replicas: point %d's tally %+v, its full shots' %+v", workers, k, got[k], want[k])
+			}
+		}
 	}
 }

@@ -234,13 +234,20 @@ func Run(spec Spec, shots, workers int) (*ShotSet, error) {
 	return RunOn(machines, spec.Cfg.Seed, shots, spec.Circuit.NumBits)
 }
 
-// runShot executes shot k on an already-loaded replica and reads it out.
+// execShot executes shot k on an already-loaded replica and reads it out.
 // Every path that runs shots funnels through here, so machine.Shot's commit
 // tape — a static program simulates its control stack once per replica,
-// not once per shot — reaches all of them with no option.
-func runShot(m *machine.Machine, base int64, k int) (Shot, error) {
+// not once per shot — reaches all of them with no option. folded marks a
+// shot only a Tally reads: past shot 0, whose Result is the tally's Shot0,
+// it is machine.TallyShot, which may serve the bits without running the
+// control stack.
+func execShot(m *machine.Machine, base int64, k int, folded bool) (Shot, error) {
 	seed := machine.DeriveSeed(base, k)
-	res, bits, err := m.Shot(seed)
+	shot := m.Shot
+	if folded && k > 0 {
+		shot = m.TallyShot
+	}
+	res, bits, err := shot(seed)
 	if err != nil {
 		return Shot{}, fmt.Errorf("runner: shot %d: %w", k, err)
 	}

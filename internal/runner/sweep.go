@@ -59,7 +59,10 @@ func RunSweep(spec Spec, points []map[string]float64, shots, workers int) ([]Swe
 // to /v1/jobs/{id}/stream watchers), Shot every shot of point k — the only
 // way a per-shot record outlives its shot. Either may be nil. Both are
 // called from the replicas' goroutines, concurrently and in completion
-// order, which is not index order.
+// order, which is not index order. With Shot nil a shot's Result is read
+// only by the tally, so past each point's shot 0 the shots go through
+// machine.TallyShot: on the seeded backend their bits come off the outcome
+// map, and nothing simulates.
 type Observer struct {
 	Point func(k int, t Tally)
 	Shot  func(k int, s Shot)
@@ -98,7 +101,7 @@ func RunPoints(machines []*machine.Machine, art *compiler.Compiled, base int64, 
 		}
 		parts, seed := make([]Tally, len(on)), machine.DeriveSeed(base, k)
 		err = fanOut(on, shots, func(r, i int) error {
-			shot, err := runShot(on[r], seed, i)
+			shot, err := execShot(on[r], seed, i, obs.Shot == nil)
 			if err != nil {
 				return err
 			}

@@ -23,7 +23,8 @@ type Tally struct {
 	Digest uint64
 }
 
-// Add folds one shot in.
+// Add folds one shot in. Of a shot other than shot 0 it reads only the
+// bits, Result.EPRPairs and Result.Net: what machine.TallyShot promises.
 func (t *Tally) Add(s Shot) {
 	if t.Histogram == nil {
 		t.Histogram = Histogram{}

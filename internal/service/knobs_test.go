@@ -31,9 +31,10 @@ import (
 //     run with the commit tape bypassed (LogEvents), and service jobs —
 //     plain, Params and Sweep, at ShotWorkers 1 and 3 on one worker and at
 //     ShotWorkers 1 on two (a lone job there runs on replicas lent by the
-//     idle worker), cold then warm — all equal rebuilt, the uncached
-//     machine-per-shot oracle; sweep point k is rebuilt at DeriveSeed(seed,
-//     k).
+//     idle worker), cold then warm, and the plain job once more on the
+//     seeded backend (its shots past the first off the outcome map) — all
+//     equal rebuilt, the uncached machine-per-shot oracle; sweep point k is
+//     rebuilt at DeriveSeed(seed, k).
 //  3. Timing. With contention off no shot breaks an invariant of the
 //     paper (violations, misalignments, overlaps, inversions), and no
 //     makespan is below the dependency depth of the unconditioned ops.
@@ -272,14 +273,14 @@ func checkKnobInvariants(t *testing.T, seed int64) {
 		where := fmt.Sprintf("seed %d, %d qubits, %v", seed, kc.n, cell)
 
 		// Clause 1: the sequential oracle, under order-free outcomes.
-		adm, err := resolve(kc.request(cell, kc.bound[0], machine.BackendSeeded, kc.seed))
+		seededAdm, err := resolve(kc.request(cell, kc.bound[0], machine.BackendSeeded, kc.seed))
 		if err != nil {
 			if cell.req.Chips > kc.n {
 				continue // Resolve's own rejection: a chip needs a data qubit
 			}
 			t.Fatalf("%s: %v", where, err)
 		}
-		seeded := run(where+", seeded", adm.Spec, 1)
+		seeded := run(where+", seeded", seededAdm.Spec, 1)
 		for k, s := range seeded.Shots {
 			seq := &countingBackend{Backend: chip.NewSeeded(machine.DeriveSeed(kc.seed, k))}
 			want, err := baseline.Run(kc.bound[0], baseline.Hub, seq)
@@ -289,11 +290,11 @@ func checkKnobInvariants(t *testing.T, seed int64) {
 			if !reflect.DeepEqual(s.Bits, want.Bits) {
 				t.Errorf("%s shot %d: bits %v, sequential run %v", where, k, s.Bits, want.Bits)
 			}
-			if adm.Spec.Cfg.Chips <= 1 && s.Result.Gates != seq.gates {
+			if seededAdm.Spec.Cfg.Chips <= 1 && s.Result.Gates != seq.gates {
 				t.Errorf("%s shot %d: applied %d gates, the sequential run %d", where, k, s.Result.Gates, seq.gates)
 			}
 		}
-		checkTiming(t, where+", seeded", seeded, kc.bound[0], adm.Spec.Cfg)
+		checkTiming(t, where+", seeded", seeded, kc.bound[0], seededAdm.Spec.Cfg)
 
 		// Clause 2: every execution path equals rebuilt, point by point.
 		want := make([]*runner.ShotSet, len(kc.bound))
@@ -304,7 +305,7 @@ func checkKnobInvariants(t *testing.T, seed int64) {
 			checkTiming(t, fmt.Sprintf("%s, point %d", where, k), want[k], b, spec.Cfg)
 		}
 		plain, cfg := kc.request(cell, kc.bound[0], kc.backend, kc.seed)
-		adm = mustResolve(t, plain, cfg)
+		adm := mustResolve(t, plain, cfg)
 		logged := adm.Spec
 		logged.Cfg.LogEvents = true
 		for name, got := range map[string]*runner.ShotSet{
@@ -348,13 +349,18 @@ func checkKnobInvariants(t *testing.T, seed int64) {
 		}
 
 		// Clause 2's service half, and clause 4's cache hits, on a rotating
-		// subset of the cells.
+		// subset of the cells. The seeded plain job's tally is the fold of
+		// the seeded cell rebuilt.
 		if (j+int(seed%knobServiceEvery))%knobServiceEvery != 0 {
 			continue
 		}
+		seededTally := rebuilt(t, seededAdm.Spec, knobShots).Tally()
 		for i, svc := range svcs {
-			for _, a := range jobs {
-				req := a.Req
+			for _, a := range append(jobs, seededAdm) {
+				req, tally := a.Req, tally
+				if a.Fingerprint == seededAdm.Fingerprint {
+					tally = seededTally
+				}
 				for _, step := range []string{"cold", "warm"} {
 					st := enqueueWait(t, svc, a)
 					at := fmt.Sprintf("%s: %s job (params %v, sweep %v) at Workers %d, ShotWorkers %d", where, step, req.Params != nil, req.Sweep != nil, svc.cfg.Workers, svc.cfg.ShotWorkers)

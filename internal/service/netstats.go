@@ -19,11 +19,13 @@ type Stats struct {
 	// name is from "batched onto warm replicas" (JobStatus.Batched); it
 	// never meant shot lanes, and says nothing about the commit tape.
 	BatchedJobs uint64 `json:"batched_jobs"`
-	// TapedShots counts shots served off a replica's commit tape — a
-	// static program's control stack is simulated once per replica, then
-	// replayed against the backend (machine.Shot). TapeFallbacks counts
-	// recording shots whose self-check failed, after which that replica
-	// simulates the program in full; expected 0.
+	// TapedShots counts shots served without running the control stack:
+	// off a replica's commit tape — a static program's control stack is
+	// simulated once per replica, then replayed against the backend
+	// (machine.Shot) — or, for a seeded job's shots past its first, off the
+	// outcome map, one hash per bit (machine.TallyShot). TapeFallbacks
+	// counts recording shots and outcome-map checks that failed, after
+	// which that replica simulates the program in full; expected 0.
 	TapedShots    uint64 `json:"taped_shots"`
 	TapeFallbacks uint64 `json:"tape_fallbacks"`
 	// Binds counts BindParams patch operations performed on the cached
